@@ -17,7 +17,9 @@ race:
 # Full CI gate: build, vet, race-enabled tests (includes the
 # differential oracle, channel round-trips, golden traces, cmd smoke
 # tests and example builds), then a short fuzz smoke on both targets.
-check: trace-check chaos-check
+# trace-check and chaos-check are separate gates (CI runs each as its
+# own step), not prerequisites, so no test runs twice per job.
+check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -110,8 +112,8 @@ app-check:
 	cmp /tmp/apps-a.json /tmp/apps-b.json
 
 # Auto-tuning gate: the Tuning API resolution tests (pointer-or-
-# sentinel eager semantics, legacy ProtoOptions equivalence), the
-# in-network reduction oracle (switch vs flat bit-identity under
+# sentinel eager semantics, pinned defaults), the in-network reduction
+# oracle (switch vs flat bit-identity under
 # -race), the tuner determinism + table round-trip + version/corruption
 # rejection suite, the pinned >= 1.2x tuned-vs-default speedup on an
 # oversubscribed fat-tree point, the in-network curve digest gate, and

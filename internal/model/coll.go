@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 
+	"gpuddt/internal/mpi"
 	"gpuddt/internal/sim"
 )
 
@@ -10,15 +11,15 @@ import (
 // modelled message whose schedule role the receiver decodes from
 // (Kind, From, Round).
 const (
-	kStart int32 = iota + 1
-	kA2A         // flat alltoall: pairwise round payload
-	kAG          // flat allgather: ring hop payload
-	kA2AIn       // hier alltoall: member's whole send buffer -> leader
-	kA2ANode     // hier alltoall: leader<->leader node block
-	kA2ACol      // hier alltoall: leader -> member result column
-	kAGIn        // hier allgather: member contribution -> leader
-	kAGSlab      // hier allgather: leader ring node slab
-	kAGBcast     // hier allgather: assembled buffer down the node tree
+	kStart   int32 = iota + 1
+	kA2A           // flat alltoall: pairwise round payload
+	kAG            // flat allgather: ring hop payload
+	kA2AIn         // hier alltoall: member's whole send buffer -> leader
+	kA2ANode       // hier alltoall: leader<->leader node block
+	kA2ACol        // hier alltoall: leader -> member result column
+	kAGIn          // hier allgather: member contribution -> leader
+	kAGSlab        // hier allgather: leader ring node slab
+	kAGBcast       // hier allgather: assembled buffer down the node tree
 )
 
 // rankSM is one rank's flyweight state machine: the entire per-rank
@@ -96,6 +97,110 @@ func (a *rankSM) pendHas(s int32) bool {
 
 func (a *rankSM) pendClear(s int32) { delete(a.pend, s) }
 
+// level is the tier a round schedule runs over, and the schedule's
+// shape there: every rank for the flat collectives, one leader per node
+// for the hierarchical ones. Peer i is rank i*stride and contributes
+// width consecutive source blocks, so one arrival marks blocks
+// [i*width, (i+1)*width). Rounds run [first, end) — the pairwise
+// exchange numbers its n-1 rounds from 1 (round s pairs with
+// mpi.PairwisePeers(n, me, s)), the ring from 0 — and each sends one
+// message of the given kind and size.
+type level struct {
+	n, me         int
+	stride, width int
+	kind          int32
+	first, end    int32
+	bytes         int64
+}
+
+func (a *rankSM) level() level {
+	w := a.w
+	lv := level{n: w.nodes, me: a.node, stride: w.rpn, width: w.rpn}
+	if w.o.Flat {
+		lv = level{n: w.p, me: int(a.r), stride: 1, width: 1}
+	}
+	// A ring hop carries the peer's width blocks; a pairwise round
+	// carries them once for each of the partner's width ranks.
+	lv.first, lv.end, lv.bytes = 0, int32(lv.n-1), int64(lv.width)*w.b
+	if w.o.Coll == "alltoall" {
+		lv.first, lv.end, lv.bytes = 1, int32(lv.n), lv.bytes*int64(lv.width)
+	}
+	switch {
+	case w.o.Flat && w.o.Coll == "alltoall":
+		lv.kind = kA2A
+	case w.o.Flat:
+		lv.kind = kAG
+	case w.o.Coll == "alltoall":
+		lv.kind = kA2ANode
+	default:
+		lv.kind = kAGSlab
+	}
+	return lv
+}
+
+// startRounds opens the round schedule, or skips it at a level of one.
+func (a *rankSM) startRounds(sc *sim.ShardCtx) {
+	lv := a.level()
+	if lv.n == 1 {
+		a.roundsDone(sc)
+		return
+	}
+	a.round = lv.first
+	a.sendRound(sc, lv, a.round)
+}
+
+// sendRound posts the caller's round-s message: to the round's pairwise
+// partner, or around the ring to the right neighbour.
+func (a *rankSM) sendRound(sc *sim.ShardCtx, lv level, s int32) {
+	to := (lv.me + 1) % lv.n
+	if a.w.o.Coll == "alltoall" {
+		to, _ = mpi.PairwisePeers(lv.n, lv.me, int(s))
+	}
+	a.w.send(sc, a.r, sim.ActorID(to*lv.stride), lv.kind, s, lv.bytes)
+}
+
+// roundArrived handles one round message: mark the source blocks it
+// carries — the sender's own in a pairwise round, those of the peer
+// `round` hops upstream in a ring round — then advance through every
+// round whose message is already here, sending the next or finishing.
+func (a *rankSM) roundArrived(sc *sim.ShardCtx, ev sim.Event) {
+	w := a.w
+	lv := a.level()
+	w.arrive(sc, a.r, ev.A)
+	w.verify(sc, a.r, ev)
+	src := int(ev.From) / lv.stride
+	if w.o.Coll != "alltoall" {
+		src = (src - int(ev.Round)%lv.n + lv.n) % lv.n
+	}
+	for i := 0; i < lv.width; i++ {
+		w.mark(a.r, src*lv.width+i)
+	}
+	a.pendSet(ev.Round)
+	for a.pendHas(a.round) {
+		a.pendClear(a.round)
+		a.round++
+		if a.round < lv.end {
+			a.sendRound(sc, lv, a.round)
+		} else {
+			a.roundsDone(sc)
+		}
+	}
+}
+
+// roundsDone ends the round schedule: a flat rank is finished, a leader
+// moves on to its node's last phase.
+func (a *rankSM) roundsDone(sc *sim.ShardCtx) {
+	switch {
+	case a.w.o.Flat:
+		a.finish(sc)
+	case a.w.o.Coll == "alltoall":
+		a.a2aScatter(sc)
+	default:
+		a.forwardBcast(sc)
+		a.finish(sc)
+	}
+}
+
 // --- flat alltoall: pairwise exchange -------------------------------
 
 func (a *rankSM) a2aFlat(sc *sim.ShardCtx, ev sim.Event) {
@@ -105,74 +210,26 @@ func (a *rankSM) a2aFlat(sc *sim.ShardCtx, ev sim.Event) {
 		// Local copy of the self block, then round 1.
 		w.mark(a.r, int(a.r))
 		w.cpu[a.r] = sc.Now() + 2*w.packCost(w.b)
-		if w.p == 1 {
-			a.finish(sc)
-			return
-		}
-		a.round = 1
-		a.sendA2A(sc, 1)
+		a.startRounds(sc)
 	case kA2A:
-		w.arrive(sc, a.r, ev.A)
-		w.verify(sc, a.r, ev)
-		w.mark(a.r, int(ev.From))
-		a.pendSet(ev.Round)
-		for a.pendHas(a.round) {
-			a.pendClear(a.round)
-			a.round++
-			if int(a.round) < w.p {
-				a.sendA2A(sc, a.round)
-			} else {
-				a.finish(sc)
-			}
-		}
+		a.roundArrived(sc, ev)
 	default:
 		panic(fmt.Sprintf("model: flat alltoall rank %d got kind %d", a.r, ev.Kind))
 	}
 }
 
-func (a *rankSM) sendA2A(sc *sim.ShardCtx, s int32) {
-	w := a.w
-	to, _ := pair(w.p, int(a.r), int(s))
-	w.send(sc, a.r, sim.ActorID(to), kA2A, s, w.b)
-}
-
 // --- flat allgather: ring -------------------------------------------
 
 func (a *rankSM) agFlat(sc *sim.ShardCtx, ev sim.Event) {
-	w := a.w
 	switch ev.Kind {
 	case kStart:
-		w.mark(a.r, int(a.r))
-		if w.p == 1 {
-			a.finish(sc)
-			return
-		}
-		a.round = 0
-		a.sendAG(sc, 0)
+		a.w.mark(a.r, int(a.r))
+		a.startRounds(sc)
 	case kAG:
-		w.arrive(sc, a.r, ev.A)
-		w.verify(sc, a.r, ev)
-		origin := (int(ev.From) - int(ev.Round)%w.p + w.p) % w.p
-		w.mark(a.r, origin)
-		a.pendSet(ev.Round)
-		for a.pendHas(a.round) {
-			a.pendClear(a.round)
-			a.round++
-			if a.round <= int32safe(w.p-2) {
-				a.sendAG(sc, a.round)
-			} else {
-				a.finish(sc)
-			}
-		}
+		a.roundArrived(sc, ev)
 	default:
 		panic(fmt.Sprintf("model: flat allgather rank %d got kind %d", a.r, ev.Kind))
 	}
-}
-
-func (a *rankSM) sendAG(sc *sim.ShardCtx, s int32) {
-	w := a.w
-	right := (int(a.r) + 1) % w.p
-	w.send(sc, a.r, sim.ActorID(right), kAG, s, w.b)
 }
 
 // --- hierarchical alltoall: gather, leader pairwise, scatter --------
@@ -194,32 +251,17 @@ func (a *rankSM) a2aHier(sc *sim.ShardCtx, ev sim.Event) {
 			w.mark(a.r, a.node*w.rpn+li)
 		}
 		if w.rpn == 1 {
-			a.a2aStartInter(sc)
+			a.startRounds(sc)
 		}
 	case kA2AIn:
 		w.arrive(sc, a.r, ev.A)
 		w.verify(sc, a.r, ev)
 		a.gotIn++
 		if int(a.gotIn) == w.rpn-1 {
-			a.a2aStartInter(sc)
+			a.startRounds(sc)
 		}
 	case kA2ANode:
-		w.arrive(sc, a.r, ev.A)
-		w.verify(sc, a.r, ev)
-		sn := w.nodeOf(ev.From)
-		for li := 0; li < w.rpn; li++ {
-			w.mark(a.r, sn*w.rpn+li)
-		}
-		a.pendSet(ev.Round)
-		for a.pendHas(a.round) {
-			a.pendClear(a.round)
-			a.round++
-			if int(a.round) < w.nodes {
-				a.sendNode(sc, a.round)
-			} else {
-				a.a2aScatter(sc)
-			}
-		}
+		a.roundArrived(sc, ev)
 	case kA2ACol:
 		w.arrive(sc, a.r, ev.A)
 		w.verify(sc, a.r, ev)
@@ -230,21 +272,6 @@ func (a *rankSM) a2aHier(sc *sim.ShardCtx, ev sim.Event) {
 	default:
 		panic(fmt.Sprintf("model: hier alltoall rank %d got kind %d", a.r, ev.Kind))
 	}
-}
-
-func (a *rankSM) a2aStartInter(sc *sim.ShardCtx) {
-	if a.w.nodes == 1 {
-		a.a2aScatter(sc)
-		return
-	}
-	a.round = 1
-	a.sendNode(sc, 1)
-}
-
-func (a *rankSM) sendNode(sc *sim.ShardCtx, s int32) {
-	w := a.w
-	dNode, _ := pair(w.nodes, a.node, int(s))
-	w.send(sc, a.r, sim.ActorID(dNode*w.rpn), kA2ANode, s, int64(w.rpn)*int64(w.rpn)*w.b)
 }
 
 // a2aScatter is phase 3: the leader sends each member its result
@@ -273,7 +300,7 @@ func (a *rankSM) agHier(sc *sim.ShardCtx, ev sim.Event) {
 		}
 		w.mark(a.r, int(a.r))
 		if w.rpn == 1 {
-			a.agStartRing(sc)
+			a.startRounds(sc)
 		}
 	case kAGIn:
 		w.arrive(sc, a.r, ev.A)
@@ -281,25 +308,10 @@ func (a *rankSM) agHier(sc *sim.ShardCtx, ev sim.Event) {
 		w.mark(a.r, int(ev.From))
 		a.gotIn++
 		if int(a.gotIn) == w.rpn-1 {
-			a.agStartRing(sc)
+			a.startRounds(sc)
 		}
 	case kAGSlab:
-		w.arrive(sc, a.r, ev.A)
-		w.verify(sc, a.r, ev)
-		q := (w.nodeOf(ev.From) - int(ev.Round)%w.nodes + w.nodes) % w.nodes
-		for li := 0; li < w.rpn; li++ {
-			w.mark(a.r, q*w.rpn+li)
-		}
-		a.pendSet(ev.Round)
-		for a.pendHas(a.round) {
-			a.pendClear(a.round)
-			a.round++
-			if a.round <= int32safe(w.nodes-2) {
-				a.sendSlab(sc, a.round)
-			} else {
-				a.agBcastDown(sc)
-			}
-		}
+		a.roundArrived(sc, ev)
 	case kAGBcast:
 		w.arrive(sc, a.r, ev.A)
 		w.verify(sc, a.r, ev)
@@ -313,54 +325,15 @@ func (a *rankSM) agHier(sc *sim.ShardCtx, ev sim.Event) {
 	}
 }
 
-func (a *rankSM) agStartRing(sc *sim.ShardCtx) {
-	if a.w.nodes == 1 {
-		a.agBcastDown(sc)
-		return
-	}
-	a.round = 0
-	a.sendSlab(sc, 0)
-}
-
-func (a *rankSM) sendSlab(sc *sim.ShardCtx, s int32) {
-	w := a.w
-	right := (a.node + 1) % w.nodes
-	w.send(sc, a.r, sim.ActorID(right*w.rpn), kAGSlab, s, int64(w.rpn)*w.b)
-}
-
-// agBcastDown ends the leader's ring and broadcasts the assembled
-// buffer down the node's binomial tree.
-func (a *rankSM) agBcastDown(sc *sim.ShardCtx) {
-	a.forwardBcast(sc)
-	a.finish(sc)
-}
-
 // forwardBcast sends the assembled buffer to this rank's children in
-// the intra-node binomial broadcast tree (the same vrank/mask walk the
-// real bcastFlat performs; the leader is vrank 0).
+// the intra-node binomial broadcast tree (the leader is virtual rank 0),
+// largest subtree first, as the real bcastTree does.
 func (a *rankSM) forwardBcast(sc *sim.ShardCtx) {
 	w := a.w
-	vr := a.li
-	mask := 1
-	for mask < w.rpn {
-		if vr&mask != 0 {
-			break
+	_, span := mpi.BinomialTree(w.rpn, a.li)
+	for k := span >> 1; k > 0; k >>= 1 {
+		if a.li+k < w.rpn {
+			w.send(sc, a.r, a.lead+sim.ActorID(a.li+k), kAGBcast, 0, int64(w.p)*w.b)
 		}
-		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
-		if vr&mask == 0 && vr+mask < w.rpn {
-			w.send(sc, a.r, a.lead+sim.ActorID(vr+mask), kAGBcast, 0, int64(w.p)*w.b)
-		}
-		mask >>= 1
-	}
-}
-
-// int32safe converts a small non-negative int for round comparisons.
-func int32safe(n int) int32 {
-	if n < 0 {
-		return -1
-	}
-	return int32(n)
 }

@@ -573,7 +573,7 @@ func (w *world) msgSig(kind int32, from, to sim.ActorID, round int32) uint64 {
 		sn, dn := w.nodeOf(from), w.nodeOf(to)
 		var s mpi.Sig64
 		for li := 0; li < w.rpn; li++ {
-			w.payA2A(sn*w.rpn + li).WritePacked(&s, dn*w.rpn*w.count, w.rpn*w.count)
+			w.payA2A(sn*w.rpn+li).WritePacked(&s, dn*w.rpn*w.count, w.rpn*w.count)
 		}
 		return s.Sum64()
 	case kA2ACol:
@@ -587,7 +587,7 @@ func (w *world) msgSig(kind int32, from, to sim.ActorID, round int32) uint64 {
 		q := (w.nodeOf(from) - int(round)%w.nodes + w.nodes) % w.nodes
 		var s mpi.Sig64
 		for li := 0; li < w.rpn; li++ {
-			w.payAG(q*w.rpn + li).WritePacked(&s, 0, w.count)
+			w.payAG(q*w.rpn+li).WritePacked(&s, 0, w.count)
 		}
 		return s.Sum64()
 	case kAGBcast:
@@ -685,16 +685,4 @@ func (w *world) footprint() int64 {
 	n += int64(len(w.colSig)) * 8
 	n += int64(w.se.HeapPeak()) * int64(unsafe.Sizeof(sim.Event{}))
 	return n
-}
-
-// pair returns the round-s exchange partners of rank r among n peers:
-// the recursive-doubling XOR pairing when n is a power of two, the
-// shifted ring otherwise (the same pairing the real pairwise schedules
-// use).
-func pair(n, r, s int) (to, from int) {
-	if n&(n-1) == 0 {
-		t := r ^ s
-		return t, t
-	}
-	return (r + s) % n, (r - s + n) % n
 }

@@ -13,6 +13,10 @@ import (
 // packs/unpacks GPU-resident non-contiguous data through the same
 // pipelined protocols.
 //
+// Each algorithm is written once, in this file, over a communicator
+// view (comm: who the ranks are) and per-peer block views (view: where
+// the blocks are). The world, node-local, leader and Group entry
+// points, regular and v-variant alike, are callers of these functions.
 // Every algorithm takes an explicit *sim.Proc and a pre-reserved tag
 // block: the public blocking entry points pass the rank's main process,
 // while the nonblocking I* variants (icoll.go) reserve tags at call
@@ -43,95 +47,82 @@ func (m *Rank) reduceTags() int    { return 2 * m.Size() }
 func (m *Rank) barrierTags() int   { return m.Size() }
 func (m *Rank) alltoallvTags() int { return 4 * m.Size() }
 
-// Bcast broadcasts count elements of dt from root. Every rank's buf
-// must describe the same signature. On a multi-node world with several
-// ranks per node (blocked layout) the broadcast is hierarchical —
-// binomial over one leader per node on the IB tier, then binomial
-// within each node over the shared-memory tier; otherwise it is the
-// flat binomial tree.
-func (m *Rank) Bcast(buf mem.Buffer, dt *datatype.Datatype, count, root int) {
-	m.bcast(m.p, m.tagBlock(m.bcastTags()), buf, dt, count, root)
+// comm is the communicator view an algorithm runs over: an ordered set
+// of n world ranks and the caller's index me in it. Member i is
+// base+i*step, except index act which is actRank (the collective root
+// leading its own node), or ranks[i] when the view borrows a Group's
+// member list. Passed by value; building one allocates nothing.
+type comm struct {
+	n, me        int
+	base, step   int
+	act, actRank int
+	ranks        []int
 }
 
-func (m *Rank) bcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count, root int) {
-	if m.hierOn() && count > 0 {
-		m.hierBcast(p, tag, buf, dt, count, root)
-		return
+func (c comm) rank(i int) int {
+	switch {
+	case c.ranks != nil:
+		return c.ranks[i]
+	case i == c.act:
+		return c.actRank
 	}
-	m.bcastFlat(p, tag, buf, dt, count, root)
+	return c.base + i*c.step
 }
 
-// bcastFlat is the topology-blind binomial broadcast.
-func (m *Rank) bcastFlat(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count, root int) {
-	size := m.Size()
-	if size == 1 {
-		return
-	}
-	// Rotate ranks so the root is virtual rank 0.
-	vrank := (m.rank - root + size) % size
+// worldComm is every rank, in rank order.
+func (m *Rank) worldComm() comm {
+	return comm{n: m.Size(), me: m.rank, step: 1, act: -1}
+}
 
-	// Receive from the parent (highest set bit), then forward to
-	// children in decreasing mask order — the classic binomial tree.
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			parent := ((vrank - mask) + root) % size
-			m.recvOn(p, buf, dt, count, parent, tag)
-			break
+// nodeComm is the caller's node: rpn consecutive ranks of a blocked
+// layout, the node's first rank at index 0.
+func (m *Rank) nodeComm() comm {
+	rpn := m.w.hier.rpn
+	return comm{n: rpn, me: m.rank % rpn, base: m.rank - m.rank%rpn, step: 1, act: -1}
+}
+
+// leaderComm is one rank per node, in node order, speaking for the node
+// on the IB tier: the node's first rank, except that root (when >= 0)
+// leads its own node, saving an intra-node forward of the root's data.
+// me is the caller's node, so rank(me) is the caller's acting leader;
+// only leaders may run an algorithm over it.
+func (m *Rank) leaderComm(root int) comm {
+	h := m.w.hier
+	c := comm{n: h.nodes, me: m.rank / h.rpn, step: h.rpn, act: -1}
+	if root >= 0 {
+		c.act, c.actRank = root/h.rpn, root
+	}
+	return c
+}
+
+// comm views the group from member m, in group order.
+func (g *Group) comm(m *Rank) comm {
+	return comm{n: len(g.ranks), me: g.LocalRank(m), ranks: g.ranks}
+}
+
+// view locates block i of a send or receive side: its memory, datatype
+// and element count. A block whose packed size is zero posts no message
+// on either side of any algorithm (both sides agree because the counts
+// are part of the collective's signature, as in MPI).
+type view func(i int) (mem.Buffer, *datatype.Datatype, int)
+
+// uniformView is the regular layout: block i is count elements of dt
+// starting i*count*extent into buf.
+func uniformView(buf mem.Buffer, dt *datatype.Datatype, count int) view {
+	return func(i int) (mem.Buffer, *datatype.Datatype, int) {
+		return vslot(buf, dt, count, i*count), dt, count
+	}
+}
+
+// vectorView is the irregular ("v") layout: block i is counts[i]
+// elements of dt starting displs[i] extents into buf. An empty block
+// has no memory: its displacement is never looked at.
+func vectorView(buf mem.Buffer, dt *datatype.Datatype, counts, displs []int) view {
+	return func(i int) (mem.Buffer, *datatype.Datatype, int) {
+		if counts[i] == 0 {
+			return mem.Buffer{}, dt, 0
 		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < size && vrank&(mask-1) == 0 && vrank&mask == 0 {
-			child := (vrank + mask + root) % size
-			m.sendOn(p, buf, dt, count, child, tag)
-		}
-		mask >>= 1
-	}
-}
-
-// Allgather gathers each rank's count elements of dt (read from its slot
-// of buf) into every rank's buf: buf must hold Size() consecutive
-// (dt, count) slots, each starting at rank*count*extent. GPU-resident
-// non-contiguous slots are packed and unpacked by the datatype engine on
-// every hop. Topology-aware worlds gather each node's slots to its
-// leader first, ring the aggregated node slabs over the IB tier, and
-// broadcast the result within each node; otherwise the flat ring runs.
-func (m *Rank) Allgather(buf mem.Buffer, dt *datatype.Datatype, count int) {
-	m.allgather(m.p, m.tagBlock(m.allgatherTags()), buf, dt, count)
-}
-
-func (m *Rank) allgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count int) {
-	if m.hierOn() && count > 0 {
-		m.hierAllgather(p, tag, buf, dt, count)
-		return
-	}
-	m.allgatherFlat(p, tag, buf, dt, count)
-}
-
-// allgatherFlat is the topology-blind ring algorithm.
-func (m *Rank) allgatherFlat(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count int) {
-	size := m.Size()
-	if size == 1 {
-		return
-	}
-	stride := int64(count) * dt.Extent()
-	sliceLen := spanOf(dt, count)
-	slot := func(r int) mem.Buffer {
-		return buf.Slice(int64(r)*stride, sliceLen)
-	}
-	right := (m.rank + 1) % size
-	left := (m.rank - 1 + size) % size
-	// In step s, send the block originally owned by (rank-s) to the
-	// right neighbour and receive block (rank-s-1) from the left.
-	for s := 0; s < size-1; s++ {
-		sendBlk := (m.rank - s + size) % size
-		recvBlk := (m.rank - s - 1 + size) % size
-		sreq := m.isendOn(p, slot(sendBlk), dt, count, right, tag+s)
-		rreq := m.Irecv(slot(recvBlk), dt, count, left, tag+s)
-		sreq.Wait(p)
-		rreq.Wait(p)
+		return vslot(buf, dt, counts[i], displs[i]), dt, counts[i]
 	}
 }
 
@@ -141,4 +132,225 @@ func spanOf(dt *datatype.Datatype, count int) int64 {
 		return 0
 	}
 	return int64(count-1)*dt.Extent() + dt.TrueLB() + dt.TrueExtent()
+}
+
+// packedSize is the wire size of (dt, count); a zero count may carry a
+// nil datatype.
+func packedSize(dt *datatype.Datatype, count int) int64 {
+	if count == 0 {
+		return 0
+	}
+	return int64(count) * dt.Size()
+}
+
+// exchange is one step of a ring, pairwise or dissemination schedule:
+// post the send to world rank to, then the receive from world rank
+// from, and wait for both. A zero-size side posts nothing.
+func (m *Rank) exchange(p *sim.Proc, sbuf mem.Buffer, sdt *datatype.Datatype, scount, to int,
+	rbuf mem.Buffer, rdt *datatype.Datatype, rcount, from, tag int) {
+	var sreq, rreq *Request
+	if packedSize(sdt, scount) > 0 {
+		sreq = m.isendOn(p, sbuf, sdt, scount, to, tag)
+	}
+	if packedSize(rdt, rcount) > 0 {
+		rreq = m.Irecv(rbuf, rdt, rcount, from, tag)
+	}
+	if sreq != nil {
+		sreq.Wait(p)
+	}
+	if rreq != nil {
+		rreq.Wait(p)
+	}
+}
+
+// PairwisePeers returns the round-s exchange partners of index r among
+// n peers: the recursive-doubling XOR pairing when n is a power of two,
+// the shifted ring otherwise. Rounds run 1..n-1. Shared with the
+// flyweight model (internal/model) so both execute one pattern.
+func PairwisePeers(n, r, s int) (to, from int) {
+	if n&(n-1) == 0 {
+		return r ^ s, r ^ s
+	}
+	return (r + s) % n, (r - s + n) % n
+}
+
+// BinomialTree places virtual rank v (the root is 0) in the binomial
+// tree over n members: parent is v with its lowest set bit cleared (-1
+// for the root), and v's children are v+k for every power of two k <
+// span with v+k < n. A broadcast forwards to them in decreasing k
+// (largest subtree first), a reduction folds them in increasing k.
+func BinomialTree(n, v int) (parent, span int) {
+	mask := 1
+	for mask < n {
+		if v&mask != 0 {
+			return v &^ mask, mask
+		}
+		mask <<= 1
+	}
+	return -1, mask
+}
+
+// tree places the caller in the binomial tree over c rotated so that
+// member rootIdx is virtual rank 0; at maps a virtual rank back to its
+// world rank.
+func (c comm) tree(rootIdx int) (v, parent, span int) {
+	v = (c.me - rootIdx + c.n) % c.n
+	parent, span = BinomialTree(c.n, v)
+	return v, parent, span
+}
+
+func (c comm) at(v, rootIdx int) int { return c.rank((v + rootIdx) % c.n) }
+
+// bcastTree broadcasts (buf, dt, count) from member rootIdx over the
+// binomial tree, on a single tag (every hop is a distinct rank pair).
+// Every member must call it.
+func (m *Rank) bcastTree(p *sim.Proc, c comm, rootIdx int, buf mem.Buffer, dt *datatype.Datatype, count, tag int) {
+	if c.n <= 1 {
+		return
+	}
+	v, parent, span := c.tree(rootIdx)
+	if parent >= 0 {
+		m.recvOn(p, buf, dt, count, c.at(parent, rootIdx), tag)
+	}
+	for k := span >> 1; k > 0; k >>= 1 {
+		if v+k < c.n {
+			m.sendOn(p, buf, dt, count, c.at(v+k, rootIdx), tag)
+		}
+	}
+}
+
+// reduceTree combines every member's acc — already holding its
+// contribution — into member rootIdx's acc over the binomial tree.
+// Per-child messages are tagged tag + sender's world rank. Every member
+// must call it.
+func (m *Rank) reduceTree(p *sim.Proc, c comm, rootIdx int, acc mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op, tag int) {
+	if c.n <= 1 {
+		return
+	}
+	v, parent, span := c.tree(rootIdx)
+	var tmp mem.Buffer
+	for k := 1; k < span && v+k < c.n; k <<= 1 {
+		if !tmp.IsValid() {
+			tmp = m.accumBuf(acc, acc.Len())
+		}
+		child := c.at(v+k, rootIdx)
+		m.recvOn(p, tmp, dt, count, child, tag+child)
+		m.combine(p, acc, tmp, prim, op)
+	}
+	if parent >= 0 {
+		m.sendOn(p, acc, dt, count, c.at(parent, rootIdx), tag+m.rank)
+	}
+	if tmp.IsValid() {
+		m.releaseAccum(tmp)
+	}
+}
+
+// ringAllgather circulates the members' blocks around the ring: in step
+// s the caller forwards block (me-s) to its right neighbour and
+// receives block (me-s-1) from its left, on tag+s.
+func (m *Rank) ringAllgather(p *sim.Proc, c comm, blocks view, tag int) {
+	if c.n <= 1 {
+		return
+	}
+	right, left := c.rank((c.me+1)%c.n), c.rank((c.me-1+c.n)%c.n)
+	for s := 0; s < c.n-1; s++ {
+		sbuf, sdt, scount := blocks((c.me - s + c.n) % c.n)
+		rbuf, rdt, rcount := blocks((c.me - s - 1 + c.n) % c.n)
+		m.exchange(p, sbuf, sdt, scount, right, rbuf, rdt, rcount, left, tag+s)
+	}
+}
+
+// pairwise is steps 1..n-1 of the pairwise exchange (see
+// PairwisePeers), all on one tag: send block `to` of send, receive
+// block `from` of recv. The caller's own block is the caller's business
+// and moves before step 1.
+func (m *Rank) pairwise(p *sim.Proc, c comm, send, recv view, tag int) {
+	for s := 1; s < c.n; s++ {
+		to, from := PairwisePeers(c.n, c.me, s)
+		sbuf, sdt, scount := send(to)
+		rbuf, rdt, rcount := recv(from)
+		m.exchange(p, sbuf, sdt, scount, c.rank(to), rbuf, rdt, rcount, c.rank(from), tag)
+	}
+}
+
+// linearGather collects one block per member at member rootIdx. Every
+// other member sends (sbuf, sdt, scount) on tag + its index. The root
+// walks the members in index order, posting the receive of block i of
+// recv, and copies its own (sbuf, sdt, scount) into its block where the
+// walk reaches it — an invalid sbuf says that block is already in
+// place. staged, when non-nil, then runs with every receive posted (the
+// hierarchical leaders pack their own contribution there, overlapping
+// the inbound transfers) before the root waits.
+func (m *Rank) linearGather(p *sim.Proc, c comm, rootIdx int, sbuf mem.Buffer, sdt *datatype.Datatype, scount int,
+	recv view, tag int, staged func()) {
+	if c.me != rootIdx {
+		if packedSize(sdt, scount) > 0 {
+			m.sendOn(p, sbuf, sdt, scount, c.rank(rootIdx), tag+c.me)
+		}
+		return
+	}
+	reqs := make([]*Request, 0, c.n-1)
+	for i := 0; i < c.n; i++ {
+		buf, dt, count := recv(i)
+		switch {
+		case packedSize(dt, count) == 0:
+		case i != rootIdx:
+			reqs = append(reqs, m.Irecv(buf, dt, count, c.rank(i), tag+i))
+		case sbuf.IsValid():
+			m.localCopy(p, sbuf, sdt, scount, buf, dt, count)
+		}
+	}
+	if staged != nil {
+		staged()
+	}
+	for _, rq := range reqs {
+		rq.Wait(p)
+	}
+}
+
+// linearScatter is the inverse: the root walks the members in index
+// order, starting the send of block i of send on tag+i and copying its
+// own block into (rbuf, rdt, rcount) where the walk reaches it; every
+// other member receives into (rbuf, rdt, rcount).
+func (m *Rank) linearScatter(p *sim.Proc, c comm, rootIdx int, send view,
+	rbuf mem.Buffer, rdt *datatype.Datatype, rcount, tag int) {
+	if c.me != rootIdx {
+		if packedSize(rdt, rcount) > 0 {
+			m.recvOn(p, rbuf, rdt, rcount, c.rank(rootIdx), tag+c.me)
+		}
+		return
+	}
+	reqs := make([]*Request, 0, c.n-1)
+	for i := 0; i < c.n; i++ {
+		buf, dt, count := send(i)
+		switch {
+		case packedSize(dt, count) == 0:
+		case i != rootIdx:
+			reqs = append(reqs, m.isendOn(p, buf, dt, count, c.rank(i), tag+i))
+		default:
+			m.localCopy(p, buf, dt, count, rbuf, rdt, rcount)
+		}
+	}
+	for _, rq := range reqs {
+		rq.Wait(p)
+	}
+}
+
+// tokenDT is the 8-byte barrier token.
+var tokenDT = datatype.Contiguous(1, datatype.Int64)
+
+// dissemination is the barrier: round k exchanges a token with the
+// members 2^k away on tag+k; after ceil(log2 n) rounds every member has
+// transitively heard from every other.
+func (m *Rank) dissemination(p *sim.Proc, c comm, tag int) {
+	if c.n == 1 {
+		return
+	}
+	tok, in := m.scratch(8), m.scratch(8)
+	for s, k := 0, 1; k < c.n; s, k = s+1, k<<1 {
+		m.exchange(p, tok.Slice(0, 8), tokenDT, 1, c.rank((c.me+k)%c.n),
+			in.Slice(0, 8), tokenDT, 1, c.rank((c.me-k+c.n)%c.n), tag+s)
+	}
+	m.freeScratch(in)
+	m.freeScratch(tok)
 }

@@ -6,75 +6,71 @@ import (
 	"gpuddt/internal/sim"
 )
 
+// The regular (uniform block) collectives: each entry point reserves
+// its tag block and runs one body, shared with its I* twin (icoll.go),
+// that dispatches between the hierarchical schedule (hcoll.go) and the
+// flat algorithm of coll.go over the whole world.
+
+// Bcast broadcasts count elements of dt from root. Every rank's buf
+// must describe the same signature. On a multi-node world with several
+// ranks per node (blocked layout) the broadcast is hierarchical —
+// binomial over one leader per node on the IB tier, then binomial
+// within each node over the shared-memory tier; otherwise it is the
+// flat binomial tree.
+func (m *Rank) Bcast(buf mem.Buffer, dt *datatype.Datatype, count, root int) {
+	m.bcast(m.p, m.tagBlock(m.bcastTags()), buf, dt, count, root)
+}
+
+func (m *Rank) bcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count, root int) {
+	if m.hierOn() && count > 0 {
+		m.hierBcast(p, tag, buf, dt, count, root)
+		return
+	}
+	m.bcastTree(p, m.worldComm(), root, buf, dt, count, tag)
+}
+
+// Allgather gathers each rank's count elements of dt (read from its slot
+// of buf) into every rank's buf: buf must hold Size() consecutive
+// (dt, count) slots, each starting at rank*count*extent. GPU-resident
+// non-contiguous slots are packed and unpacked by the datatype engine on
+// every hop. Topology-aware worlds gather each node's slots to its
+// leader first, ring the aggregated node slabs over the IB tier, and
+// broadcast the result within each node; otherwise the flat ring runs.
+func (m *Rank) Allgather(buf mem.Buffer, dt *datatype.Datatype, count int) {
+	m.allgather(m.p, m.tagBlock(m.allgatherTags()), buf, dt, count)
+}
+
+func (m *Rank) allgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count int) {
+	if m.hierOn() && count > 0 {
+		m.hierAllgather(p, tag, buf, dt, count)
+		return
+	}
+	m.ringAllgather(p, m.worldComm(), uniformView(buf, dt, count), tag)
+}
+
 // Gather collects each rank's (sendBuf, sdt, scount) into rank root's
 // recvBuf, where slot r starts at r*rcount*extent(rdt). Linear
 // algorithm; non-root ranks pass an invalid recvBuf.
 func (m *Rank) Gather(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.gather(m.p, m.tagBlock(m.gatherTags()), sendBuf, sdt, scount, recvBuf, rdt, rcount, root)
-}
-
-func (m *Rank) gather(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	size := m.Size()
-	if m.rank != root {
-		m.sendOn(p, sendBuf, sdt, scount, root, tag+m.rank)
-		return
-	}
-	stride := int64(rcount) * rdt.Extent()
-	sliceLen := spanOf(rdt, rcount)
-	reqs := make([]*Request, 0, size-1)
-	for r := 0; r < size; r++ {
-		slot := recvBuf.Slice(int64(r)*stride, sliceLen)
-		if r == root {
-			// Local copy through the datatype engines.
-			m.localCopy(p, sendBuf, sdt, scount, slot, rdt, rcount)
-			continue
-		}
-		reqs = append(reqs, m.Irecv(slot, rdt, rcount, r, tag+r))
-	}
-	for _, rq := range reqs {
-		rq.Wait(p)
-	}
+	m.linearGather(m.p, m.worldComm(), root, sendBuf, sdt, scount,
+		uniformView(recvBuf, rdt, rcount), m.tagBlock(m.gatherTags()), nil)
 }
 
 // Scatter distributes slot r of root's sendBuf (r*scount*extent(sdt))
 // to rank r's recvBuf. Linear algorithm.
 func (m *Rank) Scatter(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.scatter(m.p, m.tagBlock(m.gatherTags()), sendBuf, sdt, scount, recvBuf, rdt, rcount, root)
-}
-
-func (m *Rank) scatter(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	size := m.Size()
-	if m.rank != root {
-		m.recvOn(p, recvBuf, rdt, rcount, root, tag+m.rank)
-		return
-	}
-	stride := int64(scount) * sdt.Extent()
-	sliceLen := spanOf(sdt, scount)
-	reqs := make([]*Request, 0, size-1)
-	for r := 0; r < size; r++ {
-		slot := sendBuf.Slice(int64(r)*stride, sliceLen)
-		if r == root {
-			m.localCopy(p, slot, sdt, scount, recvBuf, rdt, rcount)
-			continue
-		}
-		reqs = append(reqs, m.isendOn(p, slot, sdt, scount, r, tag+r))
-	}
-	for _, rq := range reqs {
-		rq.Wait(p)
-	}
+	m.linearScatter(m.p, m.worldComm(), root, uniformView(sendBuf, sdt, scount),
+		recvBuf, rdt, rcount, m.tagBlock(m.gatherTags()))
 }
 
 // Alltoall exchanges slot j of every rank's sendBuf with slot i of rank
 // j's recvBuf (the building block of distributed transposes and FFTs).
 // Topology-aware worlds aggregate each node's traffic at its leader and
 // exchange one large message per node pair over the IB tier instead of
-// ranks-squared small ones; otherwise the flat pairwise exchange runs:
-// step s pairs rank with rank^s when the size is a power of two, and
-// (rank+s, rank-s) otherwise.
+// ranks-squared small ones; otherwise the flat pairwise exchange runs
+// (see PairwisePeers).
 func (m *Rank) Alltoall(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
 	m.alltoall(m.p, m.tagBlock(m.alltoallTags()), sendBuf, sdt, scount, recvBuf, rdt, rcount)
@@ -86,38 +82,23 @@ func (m *Rank) alltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.
 		m.hierAlltoall(p, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
 		return
 	}
-	m.alltoallFlat(p, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
+	m.alltoallWorld(p, tag, uniformView(sendBuf, sdt, scount), uniformView(recvBuf, rdt, rcount))
 }
 
-// alltoallFlat is the topology-blind pairwise exchange.
-func (m *Rank) alltoallFlat(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
-	size := m.Size()
-	sstride := int64(scount) * sdt.Extent()
-	rstride := int64(rcount) * rdt.Extent()
-	sLen := spanOf(sdt, scount)
-	rLen := spanOf(rdt, rcount)
+// alltoallWorld is the topology-blind exchange over the whole world:
+// the local block first, then the pairwise steps.
+func (m *Rank) alltoallWorld(p *sim.Proc, tag int, send, recv view) {
+	m.copyBlock(p, m.rank, send, recv)
+	m.pairwise(p, m.worldComm(), send, recv, tag)
+}
 
-	// Local slot first.
-	m.localCopy(p,
-		sendBuf.Slice(int64(m.rank)*sstride, sLen), sdt, scount,
-		recvBuf.Slice(int64(m.rank)*rstride, rLen), rdt, rcount)
-
-	pow2 := size&(size-1) == 0
-	for s := 1; s < size; s++ {
-		var sendTo, recvFrom int
-		if pow2 {
-			sendTo = m.rank ^ s
-			recvFrom = sendTo
-		} else {
-			sendTo = (m.rank + s) % size
-			recvFrom = (m.rank - s + size) % size
-		}
-		sreq := m.isendOn(p, sendBuf.Slice(int64(sendTo)*sstride, sLen), sdt, scount, sendTo, tag)
-		rreq := m.Irecv(recvBuf.Slice(int64(recvFrom)*rstride, rLen), rdt, rcount, recvFrom, tag)
-		sreq.Wait(p)
-		rreq.Wait(p)
-	}
+// copyBlock moves block i of one view into block i of the other inside
+// the rank: the caller's own block of an exchange, or one block into or
+// out of a wire-format stage. An empty block costs nothing.
+func (m *Rank) copyBlock(p *sim.Proc, i int, from, to view) {
+	sbuf, sdt, scount := from(i)
+	rbuf, rdt, rcount := to(i)
+	m.localCopy(p, sbuf, sdt, scount, rbuf, rdt, rcount)
 }
 
 // localCopy moves (src, sdt, scount) into (dst, rdt, rcount) within the
@@ -126,7 +107,7 @@ func (m *Rank) alltoallFlat(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 // converter.
 func (m *Rank) localCopy(p *sim.Proc, src mem.Buffer, sdt *datatype.Datatype, scount int,
 	dst mem.Buffer, rdt *datatype.Datatype, rcount int) {
-	packed := int64(scount) * sdt.Size()
+	packed := packedSize(sdt, scount)
 	if capacity := int64(rcount) * rdt.Size(); packed > capacity {
 		panic("mpi: local copy truncation")
 	}

@@ -119,9 +119,6 @@ func (g *Group) tagBlock(lr, n int) int {
 	return t
 }
 
-// tokenDT is the 8-byte barrier token.
-var tokenDT = datatype.Contiguous(1, datatype.Int64)
-
 // barrierRounds is ceil(log2(size)), the dissemination round count.
 func barrierRounds(size int) int {
 	n := 0
@@ -135,25 +132,8 @@ func barrierRounds(size int) int {
 // (dissemination algorithm over point-to-point token messages; only
 // group traffic, so two jobs' barriers are fully independent).
 func (g *Group) Barrier(m *Rank) {
-	size := len(g.ranks)
-	lr := g.LocalRank(m)
-	tag := g.tagBlock(lr, barrierRounds(size))
-	if size == 1 {
-		return
-	}
-	p := m.p
-	tok := m.scratch(8)
-	in := m.scratch(8)
-	for s, k := 0, 1; k < size; s, k = s+1, k<<1 {
-		to := g.ranks[(lr+k)%size]
-		from := g.ranks[(lr-k+size)%size]
-		sreq := m.isendOn(p, tok.Slice(0, 8), tokenDT, 1, to, tag+s)
-		rreq := m.Irecv(in.Slice(0, 8), tokenDT, 1, from, tag+s)
-		sreq.Wait(p)
-		rreq.Wait(p)
-	}
-	m.freeScratch(in)
-	m.freeScratch(tok)
+	c := g.comm(m)
+	m.dissemination(m.p, c, g.tagBlock(c.me, barrierRounds(c.n)))
 }
 
 // Allreduce combines count elements of dt (a contiguous single-primitive
@@ -164,57 +144,23 @@ func (g *Group) Barrier(m *Rank) {
 // point-to-point traffic.
 func (g *Group) Allreduce(m *Rank, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, alg AllreduceAlg) {
 	prim := reducePrim(dt)
-	lr := g.LocalRank(m)
+	c := g.comm(m)
 	p := m.p
 	switch alg {
 	case AllreduceRing:
-		tag := g.tagBlock(lr, 2*len(g.ranks))
-		g.allreduceRing(m, p, tag, lr, sendBuf, recvBuf, dt, count, prim, op)
+		tag := g.tagBlock(c.me, 2*c.n)
+		g.allreduceRing(m, p, c, tag, sendBuf, recvBuf, dt, count, prim, op)
 	case AllreduceTree:
-		tag := g.tagBlock(lr, m.Size()+1)
-		g.allreduceTree(m, p, tag, sendBuf, recvBuf, dt, count, prim, op)
+		// Binomial reduce into the group root's recvBuf, then binomial
+		// broadcast of the result. Every member accumulates in its own
+		// recvBuf (valid everywhere for an allreduce), so no staging is
+		// needed beyond reduceTree's internal receive buffer.
+		tag := g.tagBlock(c.me, m.Size()+1)
+		acc := m.accumulator(p, sendBuf, recvBuf, dt, count, true)
+		m.reduceTree(p, c, 0, acc, dt, count, prim, op, tag)
+		m.bcastTree(p, c, 0, acc, dt, count, tag+m.Size())
 	default:
 		panic("mpi: unknown allreduce algorithm")
-	}
-}
-
-// allreduceTree: binomial reduce into the group root's recvBuf, then
-// binomial broadcast of the result. Every member accumulates in its own
-// recvBuf (valid everywhere for an allreduce), so no extra staging is
-// needed beyond binomialReduce's internal receive buffer.
-func (g *Group) allreduceTree(m *Rank, p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op) {
-	n := int64(count) * dt.Size()
-	acc := recvBuf.Slice(0, n)
-	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
-	m.binomialReduce(p, g.ranks, 0, acc, dt, count, prim, op, tag)
-	g.bcastLocal(m, p, tag+m.Size(), recvBuf.Slice(0, n), dt, count, 0)
-}
-
-// bcastLocal is the binomial broadcast over the group from group index
-// rootIdx, using a single tag (every hop is a distinct rank pair).
-func (g *Group) bcastLocal(m *Rank, p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count, rootIdx int) {
-	size := len(g.ranks)
-	if size == 1 {
-		return
-	}
-	lr := g.LocalRank(m)
-	vrank := (lr - rootIdx + size) % size
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			parent := g.ranks[((vrank-mask)+rootIdx)%size]
-			m.recvOn(p, buf, dt, count, parent, tag)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < size && vrank&(mask-1) == 0 && vrank&mask == 0 {
-			child := g.ranks[(vrank+mask+rootIdx)%size]
-			m.sendOn(p, buf, dt, count, child, tag)
-		}
-		mask >>= 1
 	}
 }
 
@@ -230,96 +176,50 @@ func chunkOff(n int64, size, c int) int64 {
 // allgather ring redistributes the combined chunks. Chunk boundaries
 // are 8-byte aligned; empty chunks (count < group size) are elided
 // symmetrically on both sides.
-func (g *Group) allreduceRing(m *Rank, p *sim.Proc, tag, lr int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op) {
-	size := len(g.ranks)
+func (g *Group) allreduceRing(m *Rank, p *sim.Proc, c comm, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op) {
+	size := c.n
 	n := int64(count) * dt.Size()
 	m.localCopy(p, sendBuf, dt, count, recvBuf.Slice(0, n), dt, count)
 	if size == 1 || n == 0 {
 		return
 	}
-	right := g.ranks[(lr+1)%size]
-	left := g.ranks[(lr-1+size)%size]
+	right, left := c.rank((c.me+1)%size), c.rank((c.me-1+size)%size)
 
-	chunk := func(c int) mem.Buffer {
-		lo, hi := chunkOff(n, size, c), chunkOff(n, size, c+1)
-		return recvBuf.Slice(lo, hi-lo)
+	// Chunk i is words [chunkOff(i), chunkOff(i+1)) of recvBuf.
+	base := datatype.Float64
+	if prim == datatype.PrimInt64 {
+		base = datatype.Int64
 	}
-	chunkDT := func(c int) (*datatype.Datatype, int) {
-		lo, hi := chunkOff(n, size, c), chunkOff(n, size, c+1)
-		base := datatype.Float64
-		if prim == datatype.PrimInt64 {
-			base = datatype.Int64
-		}
-		return base, int((hi - lo) / 8)
+	chunk := func(i int) (mem.Buffer, *datatype.Datatype, int) {
+		i %= size
+		lo, hi := chunkOff(n, size, i), chunkOff(n, size, i+1)
+		return recvBuf.Slice(lo, hi-lo), base, int((hi - lo) / 8)
 	}
 
 	// Receive staging for the combine phase, in the accumulator's
 	// location class.
 	maxChunk := int64(0)
-	for c := 0; c < size; c++ {
-		if w := chunkOff(n, size, c+1) - chunkOff(n, size, c); w > maxChunk {
+	for i := 0; i < size; i++ {
+		if w := chunkOff(n, size, i+1) - chunkOff(n, size, i); w > maxChunk {
 			maxChunk = w
 		}
 	}
-	var tmp mem.Buffer
-	if maxChunk > 0 {
-		if recvBuf.Kind() == mem.Device {
-			tmp = m.ringBuf(recvBuf.Space(), maxChunk)
-		} else {
-			tmp = m.scratch(maxChunk)
-		}
-	}
+	tmp := m.accumBuf(recvBuf, maxChunk)
 
 	// Reduce-scatter.
 	for s := 0; s < size-1; s++ {
-		sc := (lr - s + size*2) % size
-		rc := (lr - s - 1 + size*2) % size
-		sdt, scount := chunkDT(sc)
-		rdt, rcount := chunkDT(rc)
-		var sreq, rreq *Request
-		if scount > 0 {
-			sreq = m.isendOn(p, chunk(sc), sdt, scount, right, tag+s)
-		}
+		sbuf, sdt, scount := chunk(c.me - s + size)
+		rbuf, rdt, rcount := chunk(c.me - s - 1 + size)
+		in := tmp.Slice(0, int64(rcount)*8)
+		m.exchange(p, sbuf, sdt, scount, right, in, rdt, rcount, left, tag+s)
 		if rcount > 0 {
-			rreq = m.Irecv(tmp.Slice(0, int64(rcount)*8), rdt, rcount, left, tag+s)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-			m.combine(p, chunk(rc), tmp.Slice(0, int64(rcount)*8), prim, op)
+			m.combine(p, rbuf, in, prim, op)
 		}
 	}
 
-	// Allgather of the combined chunks.
-	for s := 0; s < size-1; s++ {
-		sc := (lr + 1 - s + size*2) % size
-		rc := (lr - s + size*2) % size
-		sdt, scount := chunkDT(sc)
-		rdt, rcount := chunkDT(rc)
-		var sreq, rreq *Request
-		if scount > 0 {
-			sreq = m.isendOn(p, chunk(sc), sdt, scount, right, tag+size-1+s)
-		}
-		if rcount > 0 {
-			rreq = m.Irecv(chunk(rc), rdt, rcount, left, tag+size-1+s)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-		}
-	}
-
-	if tmp.IsValid() {
-		if tmp.Kind() == mem.Device {
-			m.releaseRing(tmp)
-		} else {
-			m.freeScratch(tmp)
-		}
-	}
+	// Allgather of the combined chunks: member i now owns chunk i+1.
+	m.ringAllgather(p, c, func(i int) (mem.Buffer, *datatype.Datatype, int) { return chunk(i + 1) }, tag+size-1)
+	m.releaseAccum(tmp)
 }
 
 // Alltoallv exchanges scounts[j] elements of sdt (at sdispls[j], in
@@ -330,43 +230,13 @@ func (g *Group) allreduceRing(m *Rank, p *sim.Proc, tag, lr int, sendBuf, recvBu
 // signature as in the world variant.
 func (g *Group) Alltoallv(m *Rank, sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) {
-	size := len(g.ranks)
-	checkVArgs("group Alltoallv", size, scounts, sdispls)
-	checkVArgs("group Alltoallv", size, rcounts, rdispls)
-	lr := g.LocalRank(m)
-	p := m.p
-	tag := g.tagBlock(lr, 1)
-
-	// Local block first.
-	if int64(scounts[lr])*sdt.Size() > 0 {
-		m.localCopy(p,
-			vslot(sendBuf, sdt, scounts[lr], sdispls[lr]), sdt, scounts[lr],
-			vslot(recvBuf, rdt, rcounts[lr], rdispls[lr]), rdt, rcounts[lr])
-	}
-	pow2 := size&(size-1) == 0
-	for s := 1; s < size; s++ {
-		var st, rf int
-		if pow2 {
-			st = lr ^ s
-			rf = st
-		} else {
-			st = (lr + s) % size
-			rf = (lr - s + size) % size
-		}
-		var sreq, rreq *Request
-		if int64(scounts[st])*sdt.Size() > 0 {
-			sreq = m.isendOn(p, vslot(sendBuf, sdt, scounts[st], sdispls[st]), sdt, scounts[st], g.ranks[st], tag)
-		}
-		if int64(rcounts[rf])*rdt.Size() > 0 {
-			rreq = m.Irecv(vslot(recvBuf, rdt, rcounts[rf], rdispls[rf]), rdt, rcounts[rf], g.ranks[rf], tag)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-		}
-	}
+	c := g.comm(m)
+	checkVArgs("group Alltoallv", c.n, scounts, sdispls)
+	checkVArgs("group Alltoallv", c.n, rcounts, rdispls)
+	tag := g.tagBlock(c.me, 1)
+	send, recv := vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls)
+	m.copyBlock(m.p, c.me, send, recv)
+	m.pairwise(m.p, c, send, recv, tag)
 }
 
 // SendRecvLocal exchanges (count, dt) messages with two group members
@@ -374,20 +244,6 @@ func (g *Group) Alltoallv(m *Rank, sendBuf mem.Buffer, scounts, sdispls []int, s
 // neighbouring phases never cross-match.
 func (g *Group) SendRecvLocal(m *Rank, sendBuf mem.Buffer, sdt *datatype.Datatype, scount, destLocal int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, srcLocal int) {
-	lr := g.LocalRank(m)
-	tag := g.tagBlock(lr, 1)
-	p := m.p
-	var sreq, rreq *Request
-	if scount > 0 && int64(scount)*sdt.Size() > 0 {
-		sreq = m.isendOn(p, sendBuf, sdt, scount, g.ranks[destLocal], tag)
-	}
-	if rcount > 0 && int64(rcount)*rdt.Size() > 0 {
-		rreq = m.Irecv(recvBuf, rdt, rcount, g.ranks[srcLocal], tag)
-	}
-	if sreq != nil {
-		sreq.Wait(p)
-	}
-	if rreq != nil {
-		rreq.Wait(p)
-	}
+	tag := g.tagBlock(g.LocalRank(m), 1)
+	m.exchange(m.p, sendBuf, sdt, scount, g.ranks[destLocal], recvBuf, rdt, rcount, g.ranks[srcLocal], tag)
 }

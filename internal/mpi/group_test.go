@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -41,12 +42,14 @@ func TestGroupAllreduceOracle(t *testing.T) {
 	counts := []int{1037, 64, 3, 1} // uneven chunks, even, fewer than ranks, single
 	for _, sh := range shapes {
 		size := sh.nodes * sh.rpn
-		groups := [][]int{identityGroup(size)}
-		odd := []int{}
-		for r := 1; r < size; r += 2 {
-			odd = append(odd, r)
+		everyone, odd := []int{}, []int{}
+		for r := 0; r < size; r++ {
+			everyone = append(everyone, r)
+			if r%2 == 1 {
+				odd = append(odd, r)
+			}
 		}
-		groups = append(groups, odd)
+		groups := [][]int{everyone, odd}
 		for gi, members := range groups {
 			for _, n := range counts {
 				for _, alg := range []AllreduceAlg{AllreduceRing, AllreduceTree} {
@@ -101,7 +104,68 @@ func TestGroupAllreduceOracle(t *testing.T) {
 		})
 		checkQuiescent(t, w, "native allreduce")
 		w.Close()
+
+		// One schedule, pinned as a property: on a flat world a group
+		// spanning every rank in order runs the very algorithms the
+		// world collectives run, so tree Allreduce and Alltoallv must
+		// agree in bytes and in virtual completion time, rank by rank.
+		if sh.flat {
+			wb, wt := overWorld(t, sh.nodes, sh.rpn, nil)
+			gb, gt := overWorld(t, sh.nodes, sh.rpn, everyone)
+			for r := 0; r < size; r++ {
+				if !bytes.Equal(wb[r], gb[r]) {
+					t.Errorf("%dx%d rank %d: group-over-world bytes differ from the world collectives", sh.nodes, sh.rpn, r)
+				}
+				if wt[r] != gt[r] {
+					t.Errorf("%dx%d rank %d: group-over-world finished at %v, world at %v", sh.nodes, sh.rpn, r, gt[r], wt[r])
+				}
+			}
+		}
 	}
+}
+
+// overWorld runs a tree Allreduce and then an irregular Alltoallv on a
+// flat world — through a Group over members when non-nil, through the
+// world collectives otherwise — and returns each rank's received bytes
+// and the virtual time it finished at.
+func overWorld(t *testing.T, nodes, rpn int, members []int) ([][]byte, []sim.Time) {
+	t.Helper()
+	size := nodes * rpn
+	w := NewWorld(blockedConfig(nodes, rpn, true))
+	defer w.Close()
+	var g *Group
+	if members != nil {
+		g = w.NewGroup(members)
+	}
+	const n = 257
+	dt := datatype.Float64
+	imgs, ends := make([][]byte, size), make([]sim.Time, size)
+	w.Run(func(m *Rank) {
+		me := m.Rank()
+		sb, rb := m.Malloc(n*8), m.Malloc(n*8)
+		fillF64(sb, n, func(k int) float64 { return contrib(me, k) })
+		// counts[i][j] = (i+2j)%4 elements from i to j; zeros included.
+		sc, sd, rc, rd := make([]int, size), make([]int, size), make([]int, size), make([]int, size)
+		stot, rtot := 0, 0
+		for j := 0; j < size; j++ {
+			sc[j], rc[j] = (me+2*j)%4, (j+2*me)%4
+			sd[j], rd[j] = stot, rtot
+			stot, rtot = stot+sc[j], rtot+rc[j]
+		}
+		vs, vr := m.Malloc(int64(stot+1)*8), m.Malloc(int64(rtot+1)*8)
+		fillF64(vs, stot, func(k int) float64 { return float64(me*1000 + k) })
+		if g != nil {
+			g.Allreduce(m, sb, rb, dt, n, OpSum, AllreduceTree)
+			g.Alltoallv(m, vs, sc, sd, dt, vr, rc, rd, dt)
+		} else {
+			m.Allreduce(sb, rb, dt, n, OpSum)
+			m.Alltoallv(vs, sc, sd, dt, vr, rc, rd, dt)
+		}
+		ends[me] = m.Now()
+		imgs[me] = append(append([]byte(nil), rb.Bytes()...), vr.Bytes()[:rtot*8]...)
+	})
+	checkQuiescent(t, w, "group over world")
+	return imgs, ends
 }
 
 // TestGroupIndependentJobs co-runs two disjoint groups in one world,

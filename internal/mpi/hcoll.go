@@ -11,9 +11,12 @@ import (
 // over the shared-memory/PCIe channels, and an inter-node phase in
 // which one leader per node (the node's first rank, or the collective
 // root acting for its own node) carries the aggregated traffic over
-// the IB tier. The flat algorithms in coll.go/coll2.go/reduce.go are
-// the fallback for every other layout and produce byte-identical
-// buffers; Proto.FlatCollectives forces them for differential testing.
+// the IB tier. Each phase is one of the algorithms of coll.go run over
+// the node or the leader communicator; what lives here is the stage
+// geometry, the Hvector views over it and the phase spans. The same
+// algorithms over the whole world are the fallback for every other
+// layout and produce byte-identical buffers; Tuning{Collectives:
+// CollFlat} forces them for differential testing.
 //
 // Tag discipline: every hierarchical phase draws its tags from the
 // block the caller reserved with tagBlock, and every rank reserves the
@@ -25,84 +28,18 @@ import (
 // algorithms.
 func (m *Rank) hierOn() bool { return m.w.TopologyAware() }
 
-// nodeGroup returns the ranks placed on the given node, in rank order.
-func (m *Rank) nodeGroup(node int) []int {
-	rpn := m.w.hier.rpn
-	g := make([]int, rpn)
-	for i := range g {
-		g[i] = node*rpn + i
-	}
-	return g
-}
-
-func groupIndex(group []int, rank int) int {
-	for i, r := range group {
-		if r == rank {
-			return i
-		}
-	}
-	panic("mpi: rank not in collective group")
-}
-
-// bcastBinomial broadcasts (buf, dt, count) from group[rootIdx] to the
-// other members of group over a binomial tree (the flat Bcast schedule
-// restricted to the group) on the given tag. Every member must call it.
-func (m *Rank) bcastBinomial(p *sim.Proc, group []int, rootIdx int, buf mem.Buffer, dt *datatype.Datatype, count, tag int) {
-	size := len(group)
-	if size <= 1 {
-		return
-	}
-	vrank := (groupIndex(group, m.rank) - rootIdx + size) % size
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			m.recvOn(p, buf, dt, count, group[((vrank-mask)+rootIdx)%size], tag)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < size && vrank&(mask-1) == 0 && vrank&mask == 0 {
-			m.sendOn(p, buf, dt, count, group[(vrank+mask+rootIdx)%size], tag)
-		}
-		mask >>= 1
-	}
-}
-
-// actingLeader returns the rank speaking for node on the IB tier: the
-// node's first rank, except on the root's node where the root itself
-// leads (saving an intra-node forward of the root's data).
-func (m *Rank) actingLeader(node, root int) int {
-	if node == root/m.w.hier.rpn {
-		return root
-	}
-	return node * m.w.hier.rpn
-}
-
-// leaderGroup returns every node's acting leader, in node order.
-func (m *Rank) leaderGroup(root int) []int {
-	g := make([]int, m.w.hier.nodes)
-	for nd := range g {
-		g[nd] = m.actingLeader(nd, root)
-	}
-	return g
-}
-
 // hierBcast: binomial over the per-node leaders on the IB tier, then
 // binomial within each node over shared memory.
 func (m *Rank) hierBcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count, root int) {
-	h := m.w.hier
-	myNode := m.rank / h.rpn
-	lead := m.actingLeader(myNode, root)
+	node, leaders := m.nodeComm(), m.leaderComm(root)
+	lead := leaders.rank(leaders.me)
 	if m.rank == lead {
 		sp := p.BeginBytes("coll.bcast.inter", int64(count)*dt.Size())
-		m.bcastBinomial(p, m.leaderGroup(root), root/h.rpn, buf, dt, count, tag)
+		m.bcastTree(p, leaders, leaders.act, buf, dt, count, tag)
 		sp.End()
 	}
 	sp := p.BeginBytes("coll.bcast.intra", int64(count)*dt.Size())
-	g := m.nodeGroup(myNode)
-	m.bcastBinomial(p, g, groupIndex(g, lead), buf, dt, count, tag+1)
+	m.bcastTree(p, node, lead-node.base, buf, dt, count, tag+1)
 	sp.End()
 }
 
@@ -116,59 +53,37 @@ func (m *Rank) hierBcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Data
 // engine.
 func (m *Rank) hierAllgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count int) {
 	size := m.Size()
-	h := m.w.hier
-	rpn, nnodes := h.rpn, h.nodes
-	myNode := m.rank / rpn
-	li := m.rank % rpn
-	lead := myNode * rpn
-	stride := int64(count) * dt.Extent()
+	node, leaders := m.nodeComm(), m.leaderComm(-1)
+	rpn, nnodes := node.n, leaders.n
 	packed := int64(count) * dt.Size()
 
 	tagIn := tag
 	tagRing := tag + rpn
 	tagOut := tag + rpn + nnodes
 
-	slot := func(r int) mem.Buffer {
-		return buf.Slice(int64(r)*stride, spanOf(dt, count))
-	}
+	slabs := uniformView(buf, dt, rpn*count) // one per node
+	mine, _, _ := slabs(leaders.me)
+	slots := uniformView(mine, dt, count) // the node's own, by member
 
 	// Phase 1: gather the node's slots at the leader, in place.
 	sp := p.BeginBytes("coll.allgather.intra", packed)
-	if li != 0 {
-		m.sendOn(p, slot(m.rank), dt, count, lead, tagIn+li)
-	} else {
-		reqs := make([]*Request, 0, rpn-1)
-		for i := 1; i < rpn; i++ {
-			reqs = append(reqs, m.Irecv(slot(lead+i), dt, count, lead+i, tagIn+i))
-		}
-		for _, rq := range reqs {
-			rq.Wait(p)
-		}
+	var own mem.Buffer
+	if node.me != 0 {
+		own, _, _ = slots(node.me)
 	}
+	m.linearGather(p, node, 0, own, dt, count, slots, tagIn, nil)
 	sp.End()
 
 	// Phase 2: leaders ring aggregated node slabs over the IB tier.
-	if li == 0 && nnodes > 1 {
-		slab := func(node int) mem.Buffer {
-			return buf.Slice(int64(node)*int64(rpn)*stride, spanOf(dt, rpn*count))
-		}
+	if node.me == 0 && nnodes > 1 {
 		sp := p.BeginBytes("coll.allgather.inter", packed*int64(rpn)*int64(nnodes-1))
-		right := (myNode + 1) % nnodes
-		left := (myNode - 1 + nnodes) % nnodes
-		for s := 0; s < nnodes-1; s++ {
-			sendBlk := (myNode - s + nnodes) % nnodes
-			recvBlk := (myNode - s - 1 + nnodes) % nnodes
-			sreq := m.isendOn(p, slab(sendBlk), dt, rpn*count, right*rpn, tagRing+s)
-			rreq := m.Irecv(slab(recvBlk), dt, rpn*count, left*rpn, tagRing+s)
-			sreq.Wait(p)
-			rreq.Wait(p)
-		}
+		m.ringAllgather(p, leaders, slabs, tagRing)
 		sp.End()
 	}
 
 	// Phase 3: broadcast the assembled buffer within each node.
 	sp = p.BeginBytes("coll.allgather.intra", packed*int64(size))
-	m.bcastBinomial(p, m.nodeGroup(myNode), 0, buf, dt, size*count, tagOut)
+	m.bcastTree(p, node, 0, buf, dt, size*count, tagOut)
 	sp.End()
 }
 
@@ -190,11 +105,8 @@ func (m *Rank) hierAllgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.
 func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
 	size := m.Size()
-	h := m.w.hier
-	rpn, nnodes := h.rpn, h.nodes
-	myNode := m.rank / rpn
-	li := m.rank % rpn
-	lead := myNode * rpn
+	node, leaders := m.nodeComm(), m.leaderComm(-1)
+	rpn, nnodes, lead := node.n, leaders.n, node.base
 	B := int64(scount) * sdt.Size()
 	P := int64(size)
 
@@ -202,14 +114,14 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	tagInter := tag + rpn
 	tagOut := tag + rpn + 1
 
-	if li != 0 {
+	if node.me != 0 {
 		// Members hand their whole send buffer to the leader and receive
 		// their column of the node's inbound traffic back; both transfers
 		// ride the signature rule that any layout may be received as the
 		// same number of packed bytes.
 		sp := p.BeginBytes("coll.alltoall.intra", B*P)
-		m.sendOn(p, sendBuf, sdt, scount*size, lead, tagIn+li)
-		m.recvOn(p, recvBuf, rdt, rcount*size, lead, tagOut+li)
+		m.linearGather(p, node, 0, sendBuf, sdt, scount*size, nil, tagIn, nil)
+		m.recvOn(p, recvBuf, rdt, rcount*size, lead, tagOut+node.me)
 		sp.End()
 		return
 	}
@@ -217,54 +129,31 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	sendStage := m.scratch(int64(rpn) * P * B)
 	recvStage := m.scratch(P * int64(rpn) * B)
 
-	// Phase 1: collect the members' packed send buffers.
+	// Phase 1: collect the members' packed send buffers, packing the
+	// leader's own while they are in flight.
 	sp := p.BeginBytes("coll.alltoall.intra", B*P*int64(rpn))
-	reqs := make([]*Request, 0, rpn-1)
-	for i := 1; i < rpn; i++ {
-		reqs = append(reqs, m.Irecv(sendStage.Slice(int64(i)*P*B, P*B), datatype.Byte, int(P*B), lead+i, tagIn+i))
-	}
-	m.localCopy(p, sendBuf, sdt, scount*size, sendStage.Slice(0, P*B), datatype.Byte, int(P*B))
-	for _, rq := range reqs {
-		rq.Wait(p)
-	}
+	m.linearGather(p, node, 0, mem.Buffer{}, nil, 0, uniformView(sendStage, datatype.Byte, int(P*B)), tagIn, func() {
+		m.localCopy(p, sendBuf, sdt, scount*size, sendStage.Slice(0, P*B), datatype.Byte, int(P*B))
+	})
 	sp.End()
 
 	// Phase 2: pairwise exchange of per-node aggregates.
 	nodeBlk := int64(rpn) * int64(rpn) * B
-	sendTo := func(d int) (mem.Buffer, *datatype.Datatype) {
+	sendTo := func(d int) (mem.Buffer, *datatype.Datatype, int) {
 		base := int64(d) * int64(rpn) * B
 		span := int64(rpn-1)*P*B + int64(rpn)*B
-		return sendStage.Slice(base, span), datatype.Hvector(rpn, int(int64(rpn)*B), P*B, datatype.Byte)
+		return sendStage.Slice(base, span), datatype.Hvector(rpn, int(int64(rpn)*B), P*B, datatype.Byte), 1
 	}
-	inbound := func(s int) mem.Buffer {
-		return recvStage.Slice(int64(s)*nodeBlk, nodeBlk)
-	}
-	{
-		src, hv := sendTo(myNode)
-		m.localCopy(p, src, hv, 1, inbound(myNode), datatype.Byte, int(nodeBlk))
-	}
+	inbound := uniformView(recvStage, datatype.Byte, int(nodeBlk))
+	m.copyBlock(p, leaders.me, sendTo, inbound)
 	if nnodes > 1 {
 		sp := p.BeginBytes("coll.alltoall.inter", nodeBlk*int64(nnodes-1))
-		pow2 := nnodes&(nnodes-1) == 0
-		for s := 1; s < nnodes; s++ {
-			var dNode, sNode int
-			if pow2 {
-				dNode = myNode ^ s
-				sNode = dNode
-			} else {
-				dNode = (myNode + s) % nnodes
-				sNode = (myNode - s + nnodes) % nnodes
-			}
-			src, hv := sendTo(dNode)
-			sreq := m.isendOn(p, src, hv, 1, dNode*rpn, tagInter)
-			rreq := m.Irecv(inbound(sNode), datatype.Byte, int(nodeBlk), sNode*rpn, tagInter)
-			sreq.Wait(p)
-			rreq.Wait(p)
-		}
+		m.pairwise(p, leaders, sendTo, inbound, tagInter)
 		sp.End()
 	}
 
-	// Phase 3: hand each member its column of the receive stage.
+	// Phase 3: hand each member its column of the receive stage, one
+	// blocking send after the other.
 	colSpan := (P-1)*int64(rpn)*B + B
 	col := func(di int) (mem.Buffer, *datatype.Datatype) {
 		return recvStage.Slice(int64(di)*B, colSpan), datatype.Hvector(int(P), int(B), int64(rpn)*B, datatype.Byte)
@@ -291,28 +180,16 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 func (m *Rank) hierReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, root int) {
 	prim := reducePrim(dt)
 	n := int64(count) * dt.Size()
-	size := m.Size()
-	h := m.w.hier
-	myNode := m.rank / h.rpn
-	lead := m.actingLeader(myNode, root)
+	node, leaders := m.nodeComm(), m.leaderComm(root)
+	lead := leaders.rank(leaders.me)
 
-	var acc mem.Buffer
-	if m.rank == root {
-		acc = recvBuf.Slice(0, n)
-	} else if sendBuf.Kind() == mem.Device {
-		acc = m.ringBuf(sendBuf.Space(), n).Slice(0, n)
-	} else {
-		acc = m.scratch(n).Slice(0, n)
-	}
-	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
-
-	g := m.nodeGroup(myNode)
+	acc := m.accumulator(p, sendBuf, recvBuf, dt, count, m.rank == root)
 	sp := p.BeginBytes("coll.reduce.intra", n)
-	m.binomialReduce(p, g, groupIndex(g, lead), acc, dt, count, prim, op, tag)
+	m.reduceTree(p, node, lead-node.base, acc, dt, count, prim, op, tag)
 	sp.End()
 	if m.rank == lead {
 		sp := p.BeginBytes("coll.reduce.inter", n)
-		m.binomialReduce(p, m.leaderGroup(root), root/h.rpn, acc, dt, count, prim, op, tag+size)
+		m.reduceTree(p, leaders, leaders.act, acc, dt, count, prim, op, tag+m.Size())
 		sp.End()
 	}
 	if m.rank != root {

@@ -20,8 +20,7 @@ func hierChaosConfig(plan *fault.Plan) Config {
 	cfg := blockedConfig(16, 4, false)
 	cfg.IB = ib.DefaultParams()
 	cfg.IB.Topo = ib.FatTree(8, 4)
-	cfg.Proto.EagerLimit = 1
-	cfg.Proto.FragBytes = 8 << 10
+	cfg.Tuning = chaosTuning()
 	cfg.Faults = plan
 	return cfg
 }

@@ -18,7 +18,11 @@ func blockedConfig(nodes, rpn int, flat bool) Config {
 	for r := 0; r < nodes*rpn; r++ {
 		ranks = append(ranks, Placement{Node: r / rpn, GPU: r % rpn})
 	}
-	return Config{Ranks: ranks, Proto: ProtoOptions{FlatCollectives: flat}}
+	cfg := Config{Ranks: ranks}
+	if flat {
+		cfg.Tuning = &Tuning{Collectives: CollFlat}
+	}
+	return cfg
 }
 
 func TestHierDispatchSelection(t *testing.T) {
@@ -57,6 +61,59 @@ func checkQuiescent(t *testing.T, w *World, what string) {
 		if out := rk.RingOutstanding(); out != 0 {
 			t.Fatalf("%s: rank %d leaked %d ring buffers", what, r, out)
 		}
+	}
+}
+
+// TestCommViews round-trips index and rank through the four
+// communicator views — world, node, leaders (with and without the
+// acting-leader override) and Group — and pins that building and
+// querying the arithmetic ones allocates nothing.
+func TestCommViews(t *testing.T) {
+	const nodes, rpn = 3, 4
+	w := NewWorld(blockedConfig(nodes, rpn, false))
+	defer w.Close()
+	members := []int{7, 2, 9}
+	g := w.NewGroup(members)
+	for r := 0; r < w.Size(); r++ {
+		m := w.RankHandle(r)
+		for _, c := range []comm{m.worldComm(), m.nodeComm()} {
+			if c.rank(c.me) != r {
+				t.Fatalf("rank %d: comm %+v places me at rank %d", r, c, c.rank(c.me))
+			}
+		}
+		for i, node := 0, m.nodeComm(); i < rpn; i++ {
+			if got, want := node.rank(i), r/rpn*rpn+i; node.n != rpn || got != want {
+				t.Fatalf("rank %d: node member %d = %d, want %d", r, i, got, want)
+			}
+		}
+		for _, root := range []int{-1, 0, 6, 11} {
+			lc := m.leaderComm(root)
+			if lc.n != nodes || lc.me != r/rpn {
+				t.Fatalf("rank %d root %d: leader comm %+v", r, root, lc)
+			}
+			for nd := 0; nd < nodes; nd++ {
+				want := nd * rpn
+				if root >= 0 && nd == root/rpn {
+					want = root // the root leads its own node
+				}
+				if got := lc.rank(nd); got != want {
+					t.Fatalf("rank %d root %d: leader of node %d = %d, want %d", r, root, nd, got, want)
+				}
+			}
+		}
+		if g.Contains(r) {
+			c := g.comm(m)
+			if c.n != len(members) || members[c.me] != r || c.rank(c.me) != r {
+				t.Fatalf("rank %d: group comm %+v", r, c)
+			}
+		}
+	}
+	m := w.RankHandle(5)
+	sink := 0
+	if n := testing.AllocsPerRun(100, func() {
+		sink += m.worldComm().rank(3) + m.nodeComm().rank(2) + m.leaderComm(6).rank(1)
+	}); n != 0 || sink == 0 {
+		t.Fatalf("building a comm allocated %v times", n)
 	}
 }
 

@@ -24,92 +24,54 @@ import (
 // rank unpacks the remote blocks into its own buffer at displs[r].
 func (m *Rank) hierAllgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
 	size := m.Size()
-	h := m.w.hier
-	rpn, nnodes := h.rpn, h.nodes
-	myNode := m.rank / rpn
-	li := m.rank % rpn
-	lead := myNode * rpn
+	node, leaders := m.nodeComm(), m.leaderComm(-1)
+	rpn, nnodes, lead := node.n, leaders.n, node.base
 
 	// Packed bytes and stage offset per rank block; node aggregates are
 	// contiguous in the stage because ranks are blocked onto nodes.
-	B := make([]int64, size)
-	off := make([]int64, size)
-	var total int64
+	B := make([]int, size)
+	off := make([]int, size+1)
 	for r := 0; r < size; r++ {
-		B[r] = int64(counts[r]) * dt.Size()
-		off[r] = total
-		total += B[r]
+		B[r] = counts[r] * int(dt.Size())
+		off[r+1] = off[r] + B[r]
 	}
+	total := int64(off[size])
 	if total == 0 {
 		return
 	}
-	nodeOff := make([]int64, nnodes)
-	nodeBytes := make([]int64, nnodes)
+	nodeOff := make([]int, nnodes)
+	nodeBytes := make([]int, nnodes)
 	for nd := 0; nd < nnodes; nd++ {
 		nodeOff[nd] = off[nd*rpn]
-		for i := 0; i < rpn; i++ {
-			nodeBytes[nd] += B[nd*rpn+i]
-		}
+		nodeBytes[nd] = off[(nd+1)*rpn] - off[nd*rpn]
 	}
 
 	tagIn := tag
 	tagRing := tag + rpn
 	tagOut := tagRing + nnodes
 
-	slot := func(r int) mem.Buffer { return vslot(buf, dt, counts[r], displs[r]) }
+	slots := vectorView(buf, dt, counts, displs)
 	stage := m.scratch(total)
-	blk := func(r int) mem.Buffer { return stage.Slice(off[r], B[r]) }
+	blocks := vectorView(stage, datatype.Byte, B, off)
 
 	// Phase 1: assemble the node's blocks, already packed, at the
 	// leader. Members send (dt, count); the leader receives straight
-	// into wire format under the equal-packed-bytes signature rule.
-	sp := p.BeginBytes("coll.allgatherv.intra", nodeBytes[myNode])
-	if li != 0 {
-		if B[m.rank] > 0 {
-			m.sendOn(p, slot(m.rank), dt, counts[m.rank], lead, tagIn+li)
-		}
-	} else {
-		reqs := make([]*Request, 0, rpn-1)
-		for i := 1; i < rpn; i++ {
-			if B[lead+i] == 0 {
-				continue
-			}
-			reqs = append(reqs, m.Irecv(blk(lead+i), datatype.Byte, int(B[lead+i]), lead+i, tagIn+i))
-		}
-		if B[m.rank] > 0 {
-			m.localCopy(p, slot(m.rank), dt, counts[m.rank], blk(m.rank), datatype.Byte, int(B[m.rank]))
-		}
-		for _, rq := range reqs {
-			rq.Wait(p)
-		}
+	// into wire format under the equal-packed-bytes signature rule,
+	// packing its own block while they are in flight.
+	sp := p.BeginBytes("coll.allgatherv.intra", int64(nodeBytes[leaders.me]))
+	var own mem.Buffer
+	if node.me != 0 {
+		own, _, _ = slots(m.rank)
 	}
+	m.linearGather(p, node, 0, own, dt, counts[m.rank], vectorView(stage, datatype.Byte, B[lead:], off[lead:]), tagIn,
+		func() { m.copyBlock(p, m.rank, slots, blocks) })
 	sp.End()
 
 	// Phase 2: leaders ring whole node aggregates of the packed stage;
 	// an all-zero node simply sits the step out on both sides.
-	if li == 0 && nnodes > 1 {
-		sp := p.BeginBytes("coll.allgatherv.inter", total-nodeBytes[myNode])
-		right := (myNode + 1) % nnodes
-		left := (myNode - 1 + nnodes) % nnodes
-		for s := 0; s < nnodes-1; s++ {
-			sendBlk := (myNode - s + nnodes) % nnodes
-			recvBlk := (myNode - s - 1 + nnodes) % nnodes
-			var sreq, rreq *Request
-			if nodeBytes[sendBlk] > 0 {
-				sreq = m.isendOn(p, stage.Slice(nodeOff[sendBlk], nodeBytes[sendBlk]),
-					datatype.Byte, int(nodeBytes[sendBlk]), right*rpn, tagRing+s)
-			}
-			if nodeBytes[recvBlk] > 0 {
-				rreq = m.Irecv(stage.Slice(nodeOff[recvBlk], nodeBytes[recvBlk]),
-					datatype.Byte, int(nodeBytes[recvBlk]), left*rpn, tagRing+s)
-			}
-			if sreq != nil {
-				sreq.Wait(p)
-			}
-			if rreq != nil {
-				rreq.Wait(p)
-			}
-		}
+	if node.me == 0 && nnodes > 1 {
+		sp := p.BeginBytes("coll.allgatherv.inter", total-int64(nodeBytes[leaders.me]))
+		m.ringAllgather(p, leaders, vectorView(stage, datatype.Byte, nodeBytes, nodeOff), tagRing)
 		sp.End()
 	}
 
@@ -117,12 +79,11 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, disp
 	// node; every rank unpacks the remote blocks into place (its own
 	// block is already there).
 	sp = p.BeginBytes("coll.allgatherv.intra", total)
-	m.bcastBinomial(p, m.nodeGroup(myNode), 0, stage.Slice(0, total), datatype.Byte, int(total), tagOut)
+	m.bcastTree(p, node, 0, stage.Slice(0, total), datatype.Byte, int(total), tagOut)
 	for r := 0; r < size; r++ {
-		if r == m.rank || B[r] == 0 {
-			continue
+		if r != m.rank {
+			m.copyBlock(p, r, blocks, slots)
 		}
-		m.localCopy(p, blk(r), datatype.Byte, int(B[r]), slot(r), dt, counts[r])
 	}
 	sp.End()
 	m.freeScratch(stage)
@@ -144,58 +105,47 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, disp
 func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) {
 	size := m.Size()
-	h := m.w.hier
-	rpn, nnodes := h.rpn, h.nodes
-	myNode := m.rank / rpn
-	li := m.rank % rpn
-	lead := myNode * rpn
+	node, leaders := m.nodeComm(), m.leaderComm(-1)
+	rpn, nnodes, lead, myNode := node.n, leaders.n, node.base, leaders.me
 
 	// This rank's packed byte vectors and their prefix sums.
-	sB := make([]int64, size)
-	rB := make([]int64, size)
-	sOff := make([]int64, size)
-	rOff := make([]int64, size)
-	var sTot, rTot int64
+	sB, sOff := make([]int, size), make([]int, size+1)
+	rB, rOff := make([]int, size), make([]int, size+1)
 	for r := 0; r < size; r++ {
-		sB[r] = int64(scounts[r]) * sdt.Size()
-		rB[r] = int64(rcounts[r]) * rdt.Size()
-		sOff[r] = sTot
-		rOff[r] = rTot
-		sTot += sB[r]
-		rTot += rB[r]
+		sB[r] = scounts[r] * int(sdt.Size())
+		rB[r] = rcounts[r] * int(rdt.Size())
+		sOff[r+1] = sOff[r] + sB[r]
+		rOff[r+1] = rOff[r] + rB[r]
 	}
+	sTot, rTot := int64(sOff[size]), int64(rOff[size])
 
 	tagMeta := tag
 	tagIn := tag + rpn
 	tagInter := tag + 2*rpn
 	tagOut := tag + 2*rpn + 1
 
-	sslot := func(d int) mem.Buffer { return vslot(sendBuf, sdt, scounts[d], sdispls[d]) }
-	rslot := func(s int) mem.Buffer { return vslot(recvBuf, rdt, rcounts[s], rdispls[s]) }
+	sends := vectorView(sendBuf, sdt, scounts, sdispls)
+	recvs := vectorView(recvBuf, rdt, rcounts, rdispls)
+	// Metadata: 2*size little-endian int64s (send bytes, recv bytes).
+	metaLen := 16 * size
 
-	if li != 0 {
+	if node.me != 0 {
 		sp := p.BeginBytes("coll.alltoallv.intra", sTot+rTot)
-		// Metadata: 2*size little-endian int64s (send bytes, recv bytes).
-		meta := m.scratch(16 * int64(size))
+		meta := m.scratch(int64(metaLen))
 		mb := meta.Bytes()
 		for r := 0; r < size; r++ {
 			binary.LittleEndian.PutUint64(mb[8*r:], uint64(sB[r]))
 			binary.LittleEndian.PutUint64(mb[8*(size+r):], uint64(rB[r]))
 		}
-		m.sendOn(p, meta.Slice(0, 16*int64(size)), datatype.Byte, 16*size, lead, tagMeta+li)
+		m.linearGather(p, node, 0, meta.Slice(0, int64(metaLen)), datatype.Byte, metaLen, nil, tagMeta, nil)
 		m.freeScratch(meta)
 
 		// Pack the outgoing blocks into one wire-format stream and hand
 		// it to the leader.
 		if sTot > 0 {
 			pack := m.scratch(sTot)
-			for d := 0; d < size; d++ {
-				if sB[d] == 0 {
-					continue
-				}
-				m.localCopy(p, sslot(d), sdt, scounts[d], pack.Slice(sOff[d], sB[d]), datatype.Byte, int(sB[d]))
-			}
-			m.sendOn(p, pack.Slice(0, sTot), datatype.Byte, int(sTot), lead, tagIn+li)
+			m.copyBlocks(p, size, sends, vectorView(pack, datatype.Byte, sB, sOff))
+			m.linearGather(p, node, 0, pack.Slice(0, sTot), datatype.Byte, int(sTot), nil, tagIn, nil)
 			m.freeScratch(pack)
 		}
 		sp.End()
@@ -204,13 +154,8 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 		if rTot > 0 {
 			sp := p.BeginBytes("coll.alltoallv.intra", rTot)
 			rstage := m.scratch(rTot)
-			m.recvOn(p, rstage.Slice(0, rTot), datatype.Byte, int(rTot), lead, tagOut+li)
-			for s := 0; s < size; s++ {
-				if rB[s] == 0 {
-					continue
-				}
-				m.localCopy(p, rstage.Slice(rOff[s], rB[s]), datatype.Byte, int(rB[s]), rslot(s), rdt, rcounts[s])
-			}
+			m.recvOn(p, rstage.Slice(0, rTot), datatype.Byte, int(rTot), lead, tagOut+node.me)
+			m.copyBlocks(p, size, vectorView(rstage, datatype.Byte, rB, rOff), recvs)
 			m.freeScratch(rstage)
 			sp.End()
 		}
@@ -218,66 +163,55 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 	}
 
 	// Leader. Phase 0: collect the members' byte vectors.
-	SB := make([][]int64, rpn) // SB[i][d]: bytes member i sends to rank d
-	RB := make([][]int64, rpn) // RB[i][s]: bytes member i receives from rank s
+	SB := make([][]int, rpn) // SB[i][d]: bytes member i sends to rank d
+	RB := make([][]int, rpn) // RB[i][s]: bytes member i receives from rank s
 	SB[0], RB[0] = sB, rB
 	sp := p.BeginBytes("coll.alltoallv.intra", 0)
-	if rpn > 1 {
-		metaIn := m.scratch(16 * int64(size) * int64(rpn-1))
-		reqs := make([]*Request, 0, rpn-1)
-		for i := 1; i < rpn; i++ {
-			reqs = append(reqs, m.Irecv(metaIn.Slice(int64(i-1)*16*int64(size), 16*int64(size)),
-				datatype.Byte, 16*size, lead+i, tagMeta+i))
+	metaIn := m.scratch(int64(metaLen) * int64(rpn))
+	metas := uniformView(metaIn, datatype.Byte, metaLen)
+	m.linearGather(p, node, 0, mem.Buffer{}, nil, 0, metas, tagMeta, nil)
+	for i := 1; i < rpn; i++ {
+		blk, _, _ := metas(i)
+		mb := blk.Bytes()
+		SB[i] = make([]int, size)
+		RB[i] = make([]int, size)
+		for r := 0; r < size; r++ {
+			SB[i][r] = int(binary.LittleEndian.Uint64(mb[8*r:]))
+			RB[i][r] = int(binary.LittleEndian.Uint64(mb[8*(size+r):]))
 		}
-		for _, rq := range reqs {
-			rq.Wait(p)
-		}
-		for i := 1; i < rpn; i++ {
-			mb := metaIn.Slice(int64(i-1)*16*int64(size), 16*int64(size)).Bytes()
-			SB[i] = make([]int64, size)
-			RB[i] = make([]int64, size)
-			for r := 0; r < size; r++ {
-				SB[i][r] = int64(binary.LittleEndian.Uint64(mb[8*r:]))
-				RB[i][r] = int64(binary.LittleEndian.Uint64(mb[8*(size+r):]))
-			}
-		}
-		m.freeScratch(metaIn)
 	}
+	m.freeScratch(metaIn)
 
 	// Stage geometry from the matrices. Send side: member i's stream at
 	// memOff[i], inside it rank d's block at prefS[i][d]. Recv side:
 	// source node S's aggregate at inNodeOff[S]; inside it source rank
 	// s's row (its blocks for members 0..rpn-1, in member order) at
 	// rowOff[s], block (s -> member di) at rowOff[s] + prefix of RB.
-	prefS := make([][]int64, rpn)
-	memOff := make([]int64, rpn+1)
+	prefS := make([][]int, rpn)
+	memLen, memOff := make([]int, rpn), make([]int, rpn+1)
 	for i := 0; i < rpn; i++ {
-		prefS[i] = make([]int64, size+1)
+		prefS[i] = make([]int, size+1)
 		for d := 0; d < size; d++ {
 			prefS[i][d+1] = prefS[i][d] + SB[i][d]
 		}
-		memOff[i+1] = memOff[i] + prefS[i][size]
+		memLen[i] = prefS[i][size]
+		memOff[i+1] = memOff[i] + memLen[i]
 	}
-	nodeSendTot := memOff[rpn]
+	nodeSendTot := int64(memOff[rpn])
 
-	rowTot := make([]int64, size) // bytes rank s sends into this node
+	rowOff := make([]int, size+1) // rank s's row; its length is what s sends into this node
 	for s := 0; s < size; s++ {
+		rowOff[s+1] = rowOff[s]
 		for di := 0; di < rpn; di++ {
-			rowTot[s] += RB[di][s]
+			rowOff[s+1] += RB[di][s]
 		}
 	}
-	inNodeOff := make([]int64, nnodes+1)
-	rowOff := make([]int64, size)
+	nodeIn, inNodeOff := make([]int, nnodes), make([]int, nnodes)
 	for nd := 0; nd < nnodes; nd++ {
-		cur := inNodeOff[nd]
-		for i := 0; i < rpn; i++ {
-			rowOff[nd*rpn+i] = cur
-			cur += rowTot[nd*rpn+i]
-		}
-		inNodeOff[nd+1] = cur
+		inNodeOff[nd] = rowOff[nd*rpn]
+		nodeIn[nd] = rowOff[(nd+1)*rpn] - rowOff[nd*rpn]
 	}
-	nodeRecvTot := inNodeOff[nnodes]
-	nodeIn := func(nd int) int64 { return inNodeOff[nd+1] - inNodeOff[nd] }
+	nodeRecvTot := int64(rowOff[size])
 	// inOff returns the recv-stage offset of block (src rank s -> dest
 	// member di).
 	inOff := func(s, di int) int64 {
@@ -285,7 +219,7 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 		for d := 0; d < di; d++ {
 			o += RB[d][s]
 		}
-		return o
+		return int64(o)
 	}
 
 	var sendStage, recvStage mem.Buffer
@@ -296,116 +230,61 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 		recvStage = m.scratch(nodeRecvTot)
 	}
 
-	// Phase 1: concatenate the members' packed streams; the leader's own
-	// blocks are packed locally.
-	reqs := make([]*Request, 0, rpn-1)
-	for i := 1; i < rpn; i++ {
-		if n := memOff[i+1] - memOff[i]; n > 0 {
-			reqs = append(reqs, m.Irecv(sendStage.Slice(memOff[i], n), datatype.Byte, int(n), lead+i, tagIn+i))
-		}
-	}
-	for d := 0; d < size; d++ {
-		if sB[d] == 0 {
-			continue
-		}
-		m.localCopy(p, sslot(d), sdt, scounts[d], sendStage.Slice(prefS[0][d], sB[d]), datatype.Byte, int(sB[d]))
-	}
-	for _, rq := range reqs {
-		rq.Wait(p)
-	}
+	// Phase 1: concatenate the members' packed streams, packing the
+	// leader's own blocks while they are in flight.
+	m.linearGather(p, node, 0, mem.Buffer{}, nil, 0, vectorView(sendStage, datatype.Byte, memLen, memOff), tagIn, func() {
+		m.copyBlocks(p, size, sends, vectorView(sendStage, datatype.Byte, sB, prefS[0]))
+	})
 	sp.End()
 
 	// outView carves the node-pair message for destination node nd out
 	// of the send stage: one run per member (its consecutive blocks for
 	// nd's ranks), zero runs elided.
-	outView := func(nd int) (mem.Buffer, *datatype.Datatype, int64) {
+	outView := func(nd int) (mem.Buffer, *datatype.Datatype, int) {
 		var bls []int
 		var displs []int64
-		var total int64
 		for i := 0; i < rpn; i++ {
-			start := memOff[i] + prefS[i][nd*rpn]
-			n := prefS[i][(nd+1)*rpn] - prefS[i][nd*rpn]
-			if n == 0 {
-				continue
+			if n := prefS[i][(nd+1)*rpn] - prefS[i][nd*rpn]; n > 0 {
+				bls = append(bls, n)
+				displs = append(displs, int64(memOff[i]+prefS[i][nd*rpn]))
 			}
-			bls = append(bls, int(n))
-			displs = append(displs, start)
-			total += n
 		}
-		if total == 0 {
+		if bls == nil {
 			return mem.Buffer{}, nil, 0
 		}
-		return sendStage, datatype.Hindexed(bls, displs, datatype.Byte), total
+		return sendStage, datatype.Hindexed(bls, displs, datatype.Byte), 1
 	}
+	inbound := vectorView(recvStage, datatype.Byte, nodeIn, inNodeOff)
 
 	// Phase 2: node-pair exchange. Own node first, then the pairwise
 	// schedule over the IB tier; zero-byte node pairs are skipped on
 	// both sides (the sender knows from SB, the receiver from RB).
-	if src, hv, n := outView(myNode); n > 0 {
-		m.localCopy(p, src, hv, 1, recvStage.Slice(inNodeOff[myNode], n), datatype.Byte, int(n))
-	}
+	m.copyBlock(p, myNode, outView, inbound)
 	if nnodes > 1 {
-		var interBytes int64
-		for nd := 0; nd < nnodes; nd++ {
-			if nd != myNode {
-				interBytes += nodeIn(nd)
-			}
-		}
-		sp := p.BeginBytes("coll.alltoallv.inter", interBytes)
-		pow2 := nnodes&(nnodes-1) == 0
-		for s := 1; s < nnodes; s++ {
-			var dNode, sNode int
-			if pow2 {
-				dNode = myNode ^ s
-				sNode = dNode
-			} else {
-				dNode = (myNode + s) % nnodes
-				sNode = (myNode - s + nnodes) % nnodes
-			}
-			var sreq, rreq *Request
-			if src, hv, n := outView(dNode); n > 0 {
-				sreq = m.isendOn(p, src, hv, 1, dNode*rpn, tagInter)
-			}
-			if n := nodeIn(sNode); n > 0 {
-				rreq = m.Irecv(recvStage.Slice(inNodeOff[sNode], n), datatype.Byte, int(n), sNode*rpn, tagInter)
-			}
-			if sreq != nil {
-				sreq.Wait(p)
-			}
-			if rreq != nil {
-				rreq.Wait(p)
-			}
-		}
+		sp := p.BeginBytes("coll.alltoallv.inter", nodeRecvTot-int64(nodeIn[myNode]))
+		m.pairwise(p, leaders, outView, inbound, tagInter)
 		sp.End()
 	}
 
 	// Phase 3: hand each member its column — one block per source rank,
-	// in rank order, which is exactly the member's unpack order.
+	// in rank order, which is exactly the member's unpack order — one
+	// blocking send after the other.
 	sp = p.BeginBytes("coll.alltoallv.intra", nodeRecvTot)
 	for di := 1; di < rpn; di++ {
 		var bls []int
 		var displs []int64
-		var total int64
 		for s := 0; s < size; s++ {
-			if RB[di][s] == 0 {
-				continue
+			if RB[di][s] > 0 {
+				bls = append(bls, RB[di][s])
+				displs = append(displs, inOff(s, di))
 			}
-			bls = append(bls, int(RB[di][s]))
-			displs = append(displs, inOff(s, di))
-			total += RB[di][s]
 		}
-		if total == 0 {
-			continue
+		if bls != nil {
+			m.sendOn(p, recvStage, datatype.Hindexed(bls, displs, datatype.Byte), 1, lead+di, tagOut+di)
 		}
-		m.sendOn(p, recvStage, datatype.Hindexed(bls, displs, datatype.Byte), 1, lead+di, tagOut+di)
 	}
 	// The leader's own column unpacks straight into recvBuf.
-	for s := 0; s < size; s++ {
-		if rB[s] == 0 {
-			continue
-		}
-		m.localCopy(p, recvStage.Slice(inOff(s, 0), rB[s]), datatype.Byte, int(rB[s]), rslot(s), rdt, rcounts[s])
-	}
+	m.copyBlocks(p, size, vectorView(recvStage, datatype.Byte, rB, rowOff), recvs)
 	sp.End()
 
 	if recvStage.IsValid() {
@@ -413,5 +292,13 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 	}
 	if sendStage.IsValid() {
 		m.freeScratch(sendStage)
+	}
+}
+
+// copyBlocks moves blocks 0..n-1 of one view into the other: packing
+// into a wire-format stage or unpacking out of one.
+func (m *Rank) copyBlocks(p *sim.Proc, n int, from, to view) {
+	for i := 0; i < n; i++ {
+		m.copyBlock(p, i, from, to)
 	}
 }

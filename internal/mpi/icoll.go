@@ -24,17 +24,20 @@ import (
 // are not the progress unit — fragment pipelining belongs to the
 // point-to-point strategies underneath (DESIGN decision 13).
 
-// startColl spawns the schedule on a dedicated progress process and
-// returns the request that completes when it finishes. The process is
-// non-daemon, so an un-waited collective still runs to completion
-// before the simulation ends.
-func (m *Rank) startColl(name string, bytes int64, schedule func(p *sim.Proc)) *Request {
+// startColl reserves ntags collective tags — synchronously, in the
+// caller — then spawns body on a dedicated progress process and returns
+// the request that completes when it finishes. body is the very
+// function the blocking twin runs on the rank's main process. The
+// progress process is non-daemon, so an un-waited collective still runs
+// to completion before the simulation ends.
+func (m *Rank) startColl(name string, bytes int64, ntags int, body func(p *sim.Proc, tag int)) *Request {
 	req := &Request{done: m.w.eng.NewFuture()}
+	tag := m.tagBlock(ntags)
 	m.collOut++
 	m.icollSeq++
 	m.w.eng.Spawn(fmt.Sprintf("rank%d.icoll.%s.%d", m.rank, name, m.icollSeq), func(p *sim.Proc) {
 		h := p.BeginBytes("coll.async."+name, bytes)
-		schedule(p)
+		body(p, tag)
 		h.End()
 		p.Count("mpi.icoll", 1)
 		m.collOut--
@@ -56,35 +59,39 @@ func cloneInts(v []int) []int {
 	return append([]int(nil), v...)
 }
 
+// packedTotal is the packed size of a whole count vector.
+func packedTotal(counts []int, dt *datatype.Datatype) int64 {
+	var total int64
+	for _, c := range counts {
+		total += int64(c) * dt.Size()
+	}
+	return total
+}
+
 // Ibcast is the nonblocking Bcast.
 func (m *Rank) Ibcast(buf mem.Buffer, dt *datatype.Datatype, count, root int) *Request {
-	tag := m.tagBlock(m.bcastTags())
-	return m.startColl("bcast", int64(count)*dt.Size(), func(p *sim.Proc) {
+	return m.startColl("bcast", int64(count)*dt.Size(), m.bcastTags(), func(p *sim.Proc, tag int) {
 		m.bcast(p, tag, buf, dt, count, root)
 	})
 }
 
 // Ireduce is the nonblocking Reduce.
 func (m *Rank) Ireduce(sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, root int) *Request {
-	tag := m.tagBlock(m.reduceTags())
-	return m.startColl("reduce", int64(count)*dt.Size(), func(p *sim.Proc) {
+	return m.startColl("reduce", int64(count)*dt.Size(), m.reduceTags(), func(p *sim.Proc, tag int) {
 		m.reduce(p, tag, sendBuf, recvBuf, dt, count, op, root)
 	})
 }
 
 // Iallreduce is the nonblocking Allreduce.
 func (m *Rank) Iallreduce(sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op) *Request {
-	tagR := m.tagBlock(m.reduceTags())
-	tagB := m.tagBlock(m.bcastTags())
-	return m.startColl("allreduce", int64(count)*dt.Size(), func(p *sim.Proc) {
-		m.allreduce(p, tagR, tagB, sendBuf, recvBuf, dt, count, op)
+	return m.startColl("allreduce", int64(count)*dt.Size(), m.allreduceTags(), func(p *sim.Proc, tag int) {
+		m.allreduce(p, tag, sendBuf, recvBuf, dt, count, op)
 	})
 }
 
 // Iallgather is the nonblocking Allgather.
 func (m *Rank) Iallgather(buf mem.Buffer, dt *datatype.Datatype, count int) *Request {
-	tag := m.tagBlock(m.allgatherTags())
-	return m.startColl("allgather", int64(m.Size())*int64(count)*dt.Size(), func(p *sim.Proc) {
+	return m.startColl("allgather", int64(m.Size())*int64(count)*dt.Size(), m.allgatherTags(), func(p *sim.Proc, tag int) {
 		m.allgather(p, tag, buf, dt, count)
 	})
 }
@@ -92,13 +99,8 @@ func (m *Rank) Iallgather(buf mem.Buffer, dt *datatype.Datatype, count int) *Req
 // Iallgatherv is the nonblocking Allgatherv.
 func (m *Rank) Iallgatherv(buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) *Request {
 	checkVArgs("Iallgatherv", m.Size(), counts, displs)
-	tag := m.tagBlock(m.allgatherTags())
 	counts, displs = cloneInts(counts), cloneInts(displs)
-	var total int64
-	for _, c := range counts {
-		total += int64(c) * dt.Size()
-	}
-	return m.startColl("allgatherv", total, func(p *sim.Proc) {
+	return m.startColl("allgatherv", packedTotal(counts, dt), m.allgatherTags(), func(p *sim.Proc, tag int) {
 		m.allgatherv(p, tag, buf, counts, displs, dt)
 	})
 }
@@ -106,8 +108,7 @@ func (m *Rank) Iallgatherv(buf mem.Buffer, counts, displs []int, dt *datatype.Da
 // Ialltoall is the nonblocking Alltoall.
 func (m *Rank) Ialltoall(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) *Request {
-	tag := m.tagBlock(m.alltoallTags())
-	return m.startColl("alltoall", int64(m.Size())*int64(scount)*sdt.Size(), func(p *sim.Proc) {
+	return m.startColl("alltoall", int64(m.Size())*int64(scount)*sdt.Size(), m.alltoallTags(), func(p *sim.Proc, tag int) {
 		m.alltoall(p, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
 	})
 }
@@ -117,46 +118,18 @@ func (m *Rank) Ialltoallv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *datat
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) *Request {
 	checkVArgs("Ialltoallv", m.Size(), scounts, sdispls)
 	checkVArgs("Ialltoallv", m.Size(), rcounts, rdispls)
-	tag := m.tagBlock(m.alltoallvTags())
 	scounts, sdispls = cloneInts(scounts), cloneInts(sdispls)
 	rcounts, rdispls = cloneInts(rcounts), cloneInts(rdispls)
-	var total int64
-	for _, c := range scounts {
-		total += int64(c) * sdt.Size()
-	}
-	return m.startColl("alltoallv", total, func(p *sim.Proc) {
+	return m.startColl("alltoallv", packedTotal(scounts, sdt), m.alltoallvTags(), func(p *sim.Proc, tag int) {
 		m.alltoallv(p, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
 	})
 }
 
-// Ibarrier is the nonblocking Barrier: a dissemination schedule over
+// Ibarrier is the nonblocking Barrier: the dissemination schedule over
 // reserved collective tags (the blocking Barrier's mailbox rendezvous
 // cannot overlap with itself, reserved tags can).
 func (m *Rank) Ibarrier() *Request {
-	tag := m.tagBlock(m.barrierTags())
-	return m.startColl("barrier", 0, func(p *sim.Proc) {
-		m.dissemBarrier(p, tag)
+	return m.startColl("barrier", 0, m.barrierTags(), func(p *sim.Proc, tag int) {
+		m.dissemination(p, m.worldComm(), tag)
 	})
-}
-
-// dissemBarrier: round k exchanges a token with the ranks 2^k away; in
-// ceil(log2 size) rounds every rank has transitively heard from every
-// other.
-func (m *Rank) dissemBarrier(p *sim.Proc, tag int) {
-	size := m.Size()
-	if size == 1 {
-		return
-	}
-	buf := m.scratch(2)
-	defer m.freeScratch(buf)
-	round := 0
-	for mask := 1; mask < size; mask <<= 1 {
-		to := (m.rank + mask) % size
-		from := (m.rank - mask + size) % size
-		sreq := m.isendOn(p, buf.Slice(0, 1), datatype.Byte, 1, to, tag+round)
-		rreq := m.Irecv(buf.Slice(1, 1), datatype.Byte, 1, from, tag+round)
-		sreq.Wait(p)
-		rreq.Wait(p)
-		round++
-	}
 }

@@ -62,7 +62,7 @@ func TestIcollConcurrentInFlight(t *testing.T) {
 		size := sh.nodes * sh.rpn
 		sc := irregularCounts(size)
 		rc := transposeCounts(sc)
-		bImgs := make([][]byte, size)  // bcast results
+		bImgs := make([][]byte, size)   // bcast results
 		vImgs := make([][][]byte, size) // alltoallv results
 		sums := make([]int64, size)
 		w := NewWorld(blockedConfig(sh.nodes, sh.rpn, false))

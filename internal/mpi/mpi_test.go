@@ -512,7 +512,7 @@ func TestDirectRemoteUnpackSlower(t *testing.T) {
 	dt := shapes.LowerTriangular(1536)
 	staged := xferSpec{cfg: twoRanksTwoGPUs(), sendDt: dt, count: 1, sGPU: true, rGPU: true}
 	direct := staged
-	direct.cfg.Proto.DirectRemoteUnpack = true
+	direct.cfg.Tuning = &Tuning{DirectRemoteUnpack: true}
 	_, _, ts := runXfer(t, staged)
 	_, _, td := runXfer(t, direct)
 	if td <= ts {

@@ -41,106 +41,38 @@ func (m *Rank) reduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *dat
 		m.hierReduce(p, tag, sendBuf, recvBuf, dt, count, op, root)
 		return
 	}
-	m.reduceFlat(p, tag, sendBuf, recvBuf, dt, count, op, root)
-}
-
-// reduceFlat is the topology-blind binomial reduction.
-func (m *Rank) reduceFlat(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, root int) {
+	// Topology-blind: one binomial tree over the whole world.
 	prim := reducePrim(dt)
-	n := int64(count) * dt.Size()
-	size := m.Size()
-
-	// Accumulator: root accumulates into recvBuf; interior nodes use a
-	// scratch in the same location class as their send buffer.
-	var acc mem.Buffer
-	if m.rank == root {
-		acc = recvBuf.Slice(0, n)
-	} else if sendBuf.Kind() == mem.Device {
-		acc = m.ringBuf(sendBuf.Space(), n).Slice(0, n)
-	} else {
-		acc = m.scratch(n).Slice(0, n)
-	}
-	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
-	m.binomialReduce(p, identityGroup(size), root, acc, dt, count, prim, op, tag)
+	acc := m.accumulator(p, sendBuf, recvBuf, dt, count, m.rank == root)
+	m.reduceTree(p, m.worldComm(), root, acc, dt, count, prim, op, tag)
 	if m.rank != root {
 		m.releaseAccum(acc)
 	}
 }
 
-// identityGroup returns [0, 1, ..., size).
-func identityGroup(size int) []int {
-	g := make([]int, size)
-	for i := range g {
-		g[i] = i
+// accumulator returns the buffer this rank reduces into, already
+// holding its own contribution: recvBuf when the rank keeps the result,
+// otherwise staging in the same location class as its send buffer,
+// which the caller hands back with releaseAccum.
+func (m *Rank) accumulator(p *sim.Proc, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, keep bool) mem.Buffer {
+	n := int64(count) * dt.Size()
+	var acc mem.Buffer
+	if keep {
+		acc = recvBuf.Slice(0, n)
+	} else {
+		acc = m.accumBuf(sendBuf, n)
 	}
-	return g
+	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
+	return acc
 }
 
-// binomialReduce combines every group member's acc — already holding
-// its contribution — into group[rootIdx]'s acc, over a binomial tree
-// rotated so the root is virtual rank 0. Per-child messages are tagged
-// tag + sender's global rank. Only ranks in group may call it, and all
-// of them must.
-func (m *Rank) binomialReduce(p *sim.Proc, group []int, rootIdx int, acc mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op, tag int) {
-	size := len(group)
-	if size <= 1 {
-		return
+// accumBuf hands out n bytes of reduction staging in like's location
+// class (device ring or host scratch); release with releaseAccum.
+func (m *Rank) accumBuf(like mem.Buffer, n int64) mem.Buffer {
+	if like.Kind() == mem.Device {
+		return m.ringBuf(like.Space(), n).Slice(0, n)
 	}
-	me := -1
-	for i, r := range group {
-		if r == m.rank {
-			me = i
-			break
-		}
-	}
-	if me < 0 {
-		panic("mpi: binomialReduce caller not in group")
-	}
-	n := acc.Len()
-	var tmp mem.Buffer
-	vrank := (me - rootIdx + size) % size
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			parent := group[((vrank&^mask)+rootIdx)%size]
-			m.sendOn(p, acc, dt, count, parent, tag+m.rank)
-			break
-		}
-		if peer := vrank | mask; peer < size {
-			child := group[(peer+rootIdx)%size]
-			if !tmp.IsValid() {
-				if acc.Kind() == mem.Device {
-					tmp = m.ringBuf(acc.Space(), n).Slice(0, n)
-				} else {
-					tmp = m.scratch(n).Slice(0, n)
-				}
-			}
-			m.recvOn(p, tmp, dt, count, child, tag+child)
-			m.combine(p, acc, tmp, prim, op)
-		}
-		mask <<= 1
-	}
-	if tmp.IsValid() {
-		m.releaseAccum(tmp)
-	}
-}
-
-// Allreduce is Reduce to rank 0 followed by Bcast.
-func (m *Rank) Allreduce(sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op) {
-	tagR := m.tagBlock(m.reduceTags())
-	tagB := m.tagBlock(m.bcastTags())
-	m.allreduce(m.p, tagR, tagB, sendBuf, recvBuf, dt, count, op)
-}
-
-func (m *Rank) allreduce(p *sim.Proc, tagR, tagB int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op) {
-	if m.switchOn() && count > 0 {
-		// The switch multicasts the result to every node's leader on the
-		// way down, so only the intra-node broadcast remains.
-		m.switchReduce(p, tagR, sendBuf, recvBuf, dt, count, op, 0, tagB)
-		return
-	}
-	m.reduce(p, tagR, sendBuf, recvBuf, dt, count, op, 0)
-	m.bcast(p, tagB, recvBuf, dt, count, 0)
+	return m.scratch(n).Slice(0, n)
 }
 
 func (m *Rank) releaseAccum(b mem.Buffer) {
@@ -149,6 +81,26 @@ func (m *Rank) releaseAccum(b mem.Buffer) {
 	} else {
 		m.freeScratch(b)
 	}
+}
+
+// Allreduce is Reduce to rank 0 followed by Bcast.
+func (m *Rank) Allreduce(sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op) {
+	m.allreduce(m.p, m.tagBlock(m.allreduceTags()), sendBuf, recvBuf, dt, count, op)
+}
+
+// allreduceTags is a Reduce block followed by a Bcast block.
+func (m *Rank) allreduceTags() int { return m.reduceTags() + m.bcastTags() }
+
+func (m *Rank) allreduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op) {
+	tagB := tag + m.reduceTags()
+	if m.switchOn() && count > 0 {
+		// The switch multicasts the result to every node's leader on the
+		// way down, so only the intra-node broadcast remains.
+		m.switchReduce(p, tag, sendBuf, recvBuf, dt, count, op, 0, tagB)
+		return
+	}
+	m.reduce(p, tag, sendBuf, recvBuf, dt, count, op, 0)
+	m.bcast(p, tagB, recvBuf, dt, count, 0)
 }
 
 // reducePrim validates the datatype for reduction and returns its

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"gpuddt/internal/datatype"
-	"gpuddt/internal/ib"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
 )
@@ -38,38 +37,24 @@ func (m *Rank) switchOn() bool {
 func (m *Rank) switchReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, root, allTag int) {
 	prim := reducePrim(dt)
 	n := int64(count) * dt.Size()
-	h := m.w.hier
-	myNode := m.rank / h.rpn
+	node, leaders := m.nodeComm(), m.leaderComm(root)
+	lead := leaders.rank(leaders.me)
 	all := allTag >= 0
-	lead := m.actingLeader(myNode, root)
+	keep := all || m.rank == root
 
-	var acc mem.Buffer
-	if all || m.rank == root {
-		acc = recvBuf.Slice(0, n)
-	} else if sendBuf.Kind() == mem.Device {
-		acc = m.ringBuf(sendBuf.Space(), n).Slice(0, n)
-	} else {
-		acc = m.scratch(n).Slice(0, n)
-	}
-	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
-
-	g := m.nodeGroup(myNode)
+	acc := m.accumulator(p, sendBuf, recvBuf, dt, count, keep)
 	sp := p.BeginBytes("coll.reduce.intra", n)
-	m.binomialReduce(p, g, groupIndex(g, lead), acc, dt, count, prim, op, tag)
+	m.reduceTree(p, node, lead-node.base, acc, dt, count, prim, op, tag)
 	sp.End()
 
 	if m.rank == lead {
 		sp := p.BeginBytes("coll.reduce.sharp", n)
 		host := m.scratch(n).Slice(0, n)
 		m.packToHost(p, acc, dt, count, host)
-		members := make([]*ib.HCA, h.nodes)
-		for nd := range members {
-			members[nd] = m.w.hcas[nd]
-		}
-		res := m.w.fabric.SwitchReduce(p, tag, members, myNode, host.Bytes(), func(a, b []byte) {
+		res := m.w.fabric.SwitchReduce(p, tag, m.w.hcas[:leaders.n], leaders.me, host.Bytes(), func(a, b []byte) {
 			combineBytes(a, b, prim, op)
 		})
-		if all || m.rank == root {
+		if keep {
 			copy(host.Bytes(), res)
 			m.unpackFromHost(p, acc, dt, count, host)
 		}
@@ -78,10 +63,10 @@ func (m *Rank) switchReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, d
 	}
 	if all {
 		sp := p.BeginBytes("coll.bcast.intra", n)
-		m.bcastBinomial(p, g, groupIndex(g, lead), acc, dt, count, allTag)
+		m.bcastTree(p, node, lead-node.base, acc, dt, count, allTag)
 		sp.End()
 	}
-	if !all && m.rank != root {
+	if !keep {
 		m.releaseAccum(acc)
 	}
 }

@@ -10,23 +10,23 @@ import (
 	"gpuddt/internal/shapes"
 )
 
-// TestExtremeProtoOptions drives the protocols far from their defaults:
-// one-slot pipelines, tiny fragments, zero eager limit.
-func TestExtremeProtoOptions(t *testing.T) {
+// TestExtremeTuning drives the protocols far from their defaults:
+// one-slot pipelines, tiny fragments, one-byte eager limit.
+func TestExtremeTuning(t *testing.T) {
 	dt := shapes.LowerTriangular(192)
-	for _, proto := range []ProtoOptions{
+	for i, tun := range []Tuning{
 		{PipelineDepth: 1},
 		{FragBytes: 4096},
 		{FragBytes: 4096, PipelineDepth: 1},
-		{EagerLimit: 1},                      // everything rendezvous
-		{EagerLimit: 1 << 30},                // everything eager
+		{Eager: Eager(1)},                    // everything rendezvous
+		{Eager: Eager(1 << 30)},              // everything eager
 		{FragBytes: 1 << 26},                 // one fragment for the whole message
 		{FragBytes: 4096, PipelineDepth: 16}, // deep, fine-grained
 	} {
-		proto := proto
-		t.Run(fmt.Sprintf("%+v", proto), func(t *testing.T) {
+		tun := tun
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
 			for _, cfg := range []Config{twoRanksSameGPU(), twoRanksTwoGPUs(), twoNodes()} {
-				cfg.Proto = proto
+				cfg.Tuning = &tun
 				s, r, _ := runXfer(t, xferSpec{cfg: cfg, sendDt: dt, count: 1, sGPU: true, rGPU: true})
 				if !bytes.Equal(s, r) {
 					t.Fatal("payload mismatch")

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bytes"
 	"testing"
 
 	"gpuddt/internal/datatype"
@@ -39,11 +38,8 @@ func protoSpans(t *testing.T, cfg Config) map[string]bool {
 	return seen
 }
 
-// TestEagerZeroSentinel is the regression test for the setDefaults
-// zero-value ambiguity: under the legacy ProtoOptions an explicit
-// EagerLimit of 0 silently became the 64 KiB default (chaos tests wrote
-// 1 to approximate "always rendezvous"); Tuning.Eager's pointer makes 0
-// a real setting.
+// TestEagerZeroSentinel: Tuning.Eager's pointer makes an explicit 0 a
+// real setting (force rendezvous) instead of an alias for "unset".
 func TestEagerZeroSentinel(t *testing.T) {
 	// nil Eager: the default, so a 1 KiB message goes eagerly.
 	cfg := twoRankConfig()
@@ -56,55 +52,6 @@ func TestEagerZeroSentinel(t *testing.T) {
 	cfg.Tuning = &Tuning{Eager: Eager(0)}
 	if seen := protoSpans(t, cfg); seen["mpi.eager.send"] || !seen["mpi.rts"] {
 		t.Fatal("Eager(0) did not force the rendezvous protocol")
-	}
-	// The legacy field cannot express that: EagerLimit 0 resolves to the
-	// default — pinned here so the shim's behavior stays documented.
-	cfg = twoRankConfig()
-	cfg.Proto = ProtoOptions{EagerLimit: 0}
-	if seen := protoSpans(t, cfg); !seen["mpi.eager.send"] {
-		t.Fatal("legacy EagerLimit 0 should still mean the 64 KiB default")
-	}
-}
-
-// TestTuningResolvesLikeProtoOptions proves the deprecation shim: a
-// world built from legacy ProtoOptions/Strategy fields and one built
-// from the equivalent Tuning resolve to identical knobs and identical
-// virtual timelines.
-func TestTuningResolvesLikeProtoOptions(t *testing.T) {
-	run := func(cfg Config) (Tuning, sim.Time, []byte) {
-		dt := datatype.Contiguous(1<<14, datatype.Int64) // 128 KiB: rendezvous
-		w := NewWorld(cfg)
-		var img []byte
-		w.Run(func(m *Rank) {
-			buf := m.MallocHost(dt.Size())
-			if m.Rank() == 0 {
-				mem.FillPattern(buf, 77)
-				m.Send(buf, dt, 1, 1, 5)
-			} else {
-				m.Recv(buf, dt, 1, 0, 5)
-				img = append([]byte(nil), buf.Bytes()...)
-			}
-		})
-		return w.Tuning(), w.Engine().Now(), img
-	}
-
-	legacy := twoRankConfig()
-	legacy.Proto = ProtoOptions{EagerLimit: 1, FragBytes: 8 << 10, PipelineDepth: 2}
-	lt, ltime, limg := run(legacy)
-
-	modern := twoRankConfig()
-	modern.Tuning = &Tuning{Eager: Eager(1), FragBytes: 8 << 10, PipelineDepth: 2}
-	mt, mtime, mimg := run(modern)
-
-	if *lt.Eager != *mt.Eager || lt.FragBytes != mt.FragBytes || lt.PipelineDepth != mt.PipelineDepth ||
-		lt.AMLatency != mt.AMLatency || lt.RemoteAccessEff != mt.RemoteAccessEff || lt.Collectives != mt.Collectives {
-		t.Fatalf("resolved knobs differ: legacy %+v vs tuning %+v", lt, mt)
-	}
-	if ltime != mtime {
-		t.Fatalf("virtual time differs: legacy %v vs tuning %v", ltime, mtime)
-	}
-	if !bytes.Equal(limg, mimg) {
-		t.Fatal("payload differs between legacy and tuning worlds")
 	}
 }
 

@@ -54,51 +54,15 @@ func (m *Rank) alltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdis
 		m.hierAlltoallv(p, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
 		return
 	}
-	m.alltoallvFlat(p, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
-}
-
-// alltoallvFlat is the pairwise exchange with zero pairs elided.
-func (m *Rank) alltoallvFlat(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
-	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) {
-	size := m.Size()
-
-	// Local block first.
-	if int64(scounts[m.rank])*sdt.Size() > 0 {
-		m.localCopy(p,
-			vslot(sendBuf, sdt, scounts[m.rank], sdispls[m.rank]), sdt, scounts[m.rank],
-			vslot(recvBuf, rdt, rcounts[m.rank], rdispls[m.rank]), rdt, rcounts[m.rank])
-	}
-
-	pow2 := size&(size-1) == 0
-	for s := 1; s < size; s++ {
-		var sendTo, recvFrom int
-		if pow2 {
-			sendTo = m.rank ^ s
-			recvFrom = sendTo
-		} else {
-			sendTo = (m.rank + s) % size
-			recvFrom = (m.rank - s + size) % size
-		}
-		var sreq, rreq *Request
-		if int64(scounts[sendTo])*sdt.Size() > 0 {
-			sreq = m.isendOn(p, vslot(sendBuf, sdt, scounts[sendTo], sdispls[sendTo]), sdt, scounts[sendTo], sendTo, tag)
-		}
-		if int64(rcounts[recvFrom])*rdt.Size() > 0 {
-			rreq = m.Irecv(vslot(recvBuf, rdt, rcounts[recvFrom], rdispls[recvFrom]), rdt, rcounts[recvFrom], recvFrom, tag)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-		}
-	}
+	m.alltoallWorld(p, tag, vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls))
 }
 
 // Allgatherv gathers counts[r] elements of dt from every rank r (read
 // from its own block of buf) into every rank's buf at displs[r]. The
 // count and displacement vectors are global knowledge — every rank
-// passes the same ones — so zero blocks are skipped symmetrically.
+// passes the same ones — so zero blocks are skipped symmetrically: a
+// zero block is simply not sent around the ring, and the neighbour —
+// holding the same count vector — does not post for it.
 func (m *Rank) Allgatherv(buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
 	checkVArgs("Allgatherv", m.Size(), counts, displs)
 	m.allgatherv(m.p, m.tagBlock(m.allgatherTags()), buf, counts, displs, dt)
@@ -109,37 +73,7 @@ func (m *Rank) allgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, displs [
 		m.hierAllgatherv(p, tag, buf, counts, displs, dt)
 		return
 	}
-	m.allgathervFlat(p, tag, buf, counts, displs, dt)
-}
-
-// allgathervFlat is the ring algorithm with zero blocks elided: in step
-// s the rank forwards block (rank-s) to the right and receives block
-// (rank-s-1) from the left; a zero block is simply not sent, and the
-// neighbour — holding the same count vector — does not post for it.
-func (m *Rank) allgathervFlat(p *sim.Proc, tag int, buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
-	size := m.Size()
-	if size == 1 {
-		return
-	}
-	right := (m.rank + 1) % size
-	left := (m.rank - 1 + size) % size
-	for s := 0; s < size-1; s++ {
-		sendBlk := (m.rank - s + size) % size
-		recvBlk := (m.rank - s - 1 + size) % size
-		var sreq, rreq *Request
-		if int64(counts[sendBlk])*dt.Size() > 0 {
-			sreq = m.isendOn(p, vslot(buf, dt, counts[sendBlk], displs[sendBlk]), dt, counts[sendBlk], right, tag+s)
-		}
-		if int64(counts[recvBlk])*dt.Size() > 0 {
-			rreq = m.Irecv(vslot(buf, dt, counts[recvBlk], displs[recvBlk]), dt, counts[recvBlk], left, tag+s)
-		}
-		if sreq != nil {
-			sreq.Wait(p)
-		}
-		if rreq != nil {
-			rreq.Wait(p)
-		}
-	}
+	m.ringAllgather(p, m.worldComm(), vectorView(buf, dt, counts, displs), tag)
 }
 
 // Gatherv collects each rank's (sendBuf, sdt, scount) into root's
@@ -149,66 +83,20 @@ func (m *Rank) allgathervFlat(p *sim.Proc, tag int, buf mem.Buffer, counts, disp
 // knows the irregular layout, which rules out leader staging.
 func (m *Rank) Gatherv(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype, root int) {
-	m.gatherv(m.p, m.tagBlock(m.gatherTags()), sendBuf, sdt, scount, recvBuf, rcounts, rdispls, rdt, root)
-}
-
-func (m *Rank) gatherv(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype, root int) {
-	size := m.Size()
-	if m.rank != root {
-		if int64(scount)*sdt.Size() > 0 {
-			m.sendOn(p, sendBuf, sdt, scount, root, tag+m.rank)
-		}
-		return
+	if m.rank == root {
+		checkVArgs("Gatherv", m.Size(), rcounts, rdispls)
 	}
-	checkVArgs("Gatherv", size, rcounts, rdispls)
-	reqs := make([]*Request, 0, size-1)
-	for r := 0; r < size; r++ {
-		if int64(rcounts[r])*rdt.Size() == 0 {
-			continue
-		}
-		slot := vslot(recvBuf, rdt, rcounts[r], rdispls[r])
-		if r == root {
-			m.localCopy(p, sendBuf, sdt, scount, slot, rdt, rcounts[r])
-			continue
-		}
-		reqs = append(reqs, m.Irecv(slot, rdt, rcounts[r], r, tag+r))
-	}
-	for _, rq := range reqs {
-		rq.Wait(p)
-	}
+	m.linearGather(m.p, m.worldComm(), root, sendBuf, sdt, scount,
+		vectorView(recvBuf, rdt, rcounts, rdispls), m.tagBlock(m.gatherTags()), nil)
 }
 
 // Scatterv distributes scounts[r] elements of sdt from root's sendBuf
 // at sdispls[r] to rank r's recvBuf. Only the root reads the vectors.
 func (m *Rank) Scatterv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.scatterv(m.p, m.tagBlock(m.gatherTags()), sendBuf, scounts, sdispls, sdt, recvBuf, rdt, rcount, root)
-}
-
-func (m *Rank) scatterv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	size := m.Size()
-	if m.rank != root {
-		if int64(rcount)*rdt.Size() > 0 {
-			m.recvOn(p, recvBuf, rdt, rcount, root, tag+m.rank)
-		}
-		return
+	if m.rank == root {
+		checkVArgs("Scatterv", m.Size(), scounts, sdispls)
 	}
-	checkVArgs("Scatterv", size, scounts, sdispls)
-	reqs := make([]*Request, 0, size-1)
-	for r := 0; r < size; r++ {
-		if int64(scounts[r])*sdt.Size() == 0 {
-			continue
-		}
-		slot := vslot(sendBuf, sdt, scounts[r], sdispls[r])
-		if r == root {
-			m.localCopy(p, slot, sdt, scounts[r], recvBuf, rdt, rcount)
-			continue
-		}
-		reqs = append(reqs, m.isendOn(p, slot, sdt, scounts[r], r, tag+r))
-	}
-	for _, rq := range reqs {
-		rq.Wait(p)
-	}
+	m.linearScatter(m.p, m.worldComm(), root, vectorView(sendBuf, sdt, scounts, sdispls),
+		recvBuf, rdt, rcount, m.tagBlock(m.gatherTags()))
 }

@@ -15,8 +15,7 @@ import (
 // inside v-variant staging and nonblocking schedules.
 func vchaosConfig(plan *fault.Plan) Config {
 	cfg := blockedConfig(2, 2, false)
-	cfg.Proto.EagerLimit = 1
-	cfg.Proto.FragBytes = 8 << 10
+	cfg.Tuning = chaosTuning()
 	cfg.Faults = plan
 	return cfg
 }

@@ -45,65 +45,15 @@ type Config struct {
 
 	// Tuning bundles every protocol knob — eager threshold, pipeline
 	// geometry, collective algorithm family, transfer strategy. Nil
-	// selects the defaults, or the deprecated Proto/Strategy fields
-	// below when those are set. Construct one via cluster.Spec (which
-	// can load it from a persisted tuning table, see internal/tune).
+	// selects the defaults. Construct one via cluster.Spec (which can
+	// load it from a persisted tuning table, see internal/tune).
 	Tuning *Tuning
-
-	// Proto tunes the PML/BTL protocols.
-	//
-	// Deprecated: set Tuning instead. Ignored when Tuning is non-nil.
-	Proto ProtoOptions
-
-	// Strategy overrides the rendezvous data-transfer strategy
-	// (default: the paper's pipelined protocols).
-	//
-	// Deprecated: set Tuning.Strategy instead. Consulted as a fallback
-	// when Tuning is nil or Tuning.Strategy is nil.
-	Strategy Strategy
 
 	// Faults installs a deterministic fault plan on every substrate
 	// (IB fabric, PCIe nodes, GPUs). Nil — the default — keeps every
 	// operation infallible and the simulated timeline byte-identical
 	// to a build without the fault subsystem.
 	Faults *fault.Plan
-}
-
-// ProtoOptions tune the communication protocols.
-//
-// Deprecated: use Tuning. ProtoOptions cannot distinguish an explicit
-// EagerLimit of 0 from "unset" (Tuning.Eager's pointer can) and keeps
-// the collective choice as a lone bool; it remains only so existing
-// configs stay byte-identical.
-type ProtoOptions struct {
-	// EagerLimit is the largest packed size sent eagerly (default 64 KiB).
-	EagerLimit int64
-
-	// FragBytes is the pipeline fragment size (default 1 MiB).
-	FragBytes int64
-
-	// PipelineDepth is the number of ring slots (default 4).
-	PipelineDepth int
-
-	// DirectRemoteUnpack makes the receiver unpack straight out of the
-	// sender's device memory instead of first copying each packed
-	// fragment into local GPU memory. The default (false) is the staged
-	// copy, which the paper measures as 5-10% faster (§5.2.1); the
-	// direct mode exists for that ablation.
-	DirectRemoteUnpack bool
-
-	// AMLatency is the shared-memory active-message latency.
-	AMLatency sim.Time
-
-	// RemoteAccessEff derates PCIe efficiency when a kernel accesses
-	// remote device memory directly (many small scattered reads).
-	RemoteAccessEff float64
-
-	// FlatCollectives forces the topology-blind collective algorithms
-	// even when the rank layout supports the hierarchical ones. Used by
-	// conformance (byte-identity against the flat baseline) and by the
-	// scaling benchmark's flat arm.
-	FlatCollectives bool
 }
 
 // World is a running simulated MPI job.
@@ -188,7 +138,7 @@ func NewWorld(cfg Config) *World {
 		cfg.IB = ib.DefaultParams()
 	}
 	w := &World{eng: sim.NewEngine(), cfg: cfg}
-	w.tun = resolveTuning(&cfg)
+	w.tun = resolveTuning(cfg.Tuning)
 	w.hier = detectHierarchy(cfg.Ranks)
 	w.faults = fault.NewInjector(cfg.Faults)
 	w.fabric = ib.NewFabric(w.eng, cfg.IB)
