@@ -172,12 +172,17 @@ func (d *Datatype) Commit() *Datatype { return d }
 
 // Flat returns the flattened contiguous blocks of one element, in
 // traversal order with adjacent blocks merged. The slice is a copy;
-// callers may keep or modify it freely.
+// callers may keep or modify it freely. Callers on a hot path that
+// only read the blocks use Blocks, which does not allocate.
 func (d *Datatype) Flat() []Block {
 	out := make([]Block, len(d.flat))
 	copy(out, d.flat)
 	return out
 }
+
+// Blocks returns the same blocks as Flat without copying them. The
+// slice is shared; do not modify it.
+func (d *Datatype) Blocks() []Block { return d.flat }
 
 // NumBlocks returns the number of contiguous blocks in one element.
 func (d *Datatype) NumBlocks() int { return len(d.flat) }

@@ -7,7 +7,10 @@
 // virtual time for the movement.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Kind distinguishes where a Space physically lives.
 type Kind int
@@ -287,19 +290,43 @@ func patternWord(seed, w uint64) uint64 {
 // followed by reads anywhere is byte-identical to generating windows
 // directly: SyntheticAt(s, off, w) equals the slice [off, off+len(w))
 // of the full stream.
+//
+// Byte o of the stream is byte o&7 of patternWord(seed, o>>3) XOR
+// byte(o). Only the unaligned head and tail are produced that way; an
+// aligned word is one patternWord XOR one mask and one 8-byte store.
 func SyntheticAt(seed uint64, off int64, dst []byte) {
 	if off < 0 {
 		panic("mem: negative synthetic pattern offset")
 	}
-	i := 0
-	for i < len(dst) {
-		o := off + int64(i)
-		w := patternWord(seed, uint64(o)>>3)
-		for j := uint(o) & 7; j < 8 && i < len(dst); j++ {
-			dst[i] = byte(w>>(8*j)) ^ byte(off+int64(i))
-			i++
-		}
+	o := uint64(off)
+	if o&7 != 0 {
+		n := syntheticBytes(seed, o, dst)
+		o += uint64(n)
+		dst = dst[n:]
 	}
+	for ; len(dst) >= 8; dst = dst[8:] {
+		// o is a multiple of 8, so byte(o)+j cannot carry out of its
+		// lane for j < 8: the eight offset bytes are one multiply-add.
+		mask := 0x0706050403020100 + (o&0xff)*0x0101010101010101
+		binary.LittleEndian.PutUint64(dst, patternWord(seed, o>>3)^mask)
+		o += 8
+	}
+	if len(dst) > 0 {
+		syntheticBytes(seed, o, dst)
+	}
+}
+
+// syntheticBytes writes stream bytes from offset o up to the next word
+// boundary or the end of dst, whichever comes first, and returns how
+// many it wrote.
+func syntheticBytes(seed, o uint64, dst []byte) int {
+	w := patternWord(seed, o>>3) >> (8 * (o & 7))
+	n := 0
+	for ; n < len(dst) && (o+uint64(n))>>3 == o>>3; n++ {
+		dst[n] = byte(w) ^ byte(o+uint64(n))
+		w >>= 8
+	}
+	return n
 }
 
 // FillSynthetic fills b with the synthetic pattern for seed (the

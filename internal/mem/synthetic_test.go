@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -77,5 +78,103 @@ func TestSpaceRetiredCeiling(t *testing.T) {
 	s.Release()
 	if s.RetiredSlabs() != 0 || s.FootprintBytes() != 0 {
 		t.Fatal("Release did not clear retired list")
+	}
+}
+
+// syntheticAtRef is the byte-at-a-time definition of the stream, kept
+// as the reference the word-wise SyntheticAt is compared against.
+func syntheticAtRef(seed uint64, off int64, dst []byte) {
+	if off < 0 {
+		panic("mem: negative synthetic pattern offset")
+	}
+	i := 0
+	for i < len(dst) {
+		o := off + int64(i)
+		w := patternWord(seed, uint64(o)>>3)
+		for j := uint(o) & 7; j < 8 && i < len(dst); j++ {
+			dst[i] = byte(w>>(8*j)) ^ byte(off+int64(i))
+			i++
+		}
+	}
+}
+
+// checkSyntheticAt compares one window against the reference, with
+// guard bytes on both sides to catch writes outside dst.
+func checkSyntheticAt(t *testing.T, seed uint64, off int64, n int) {
+	t.Helper()
+	const guard = 0xa5
+	got := bytes.Repeat([]byte{guard}, n+16)
+	want := bytes.Repeat([]byte{guard}, n+16)
+	SyntheticAt(seed, off, got[8:8+n])
+	syntheticAtRef(seed, off, want[8:8+n])
+	if !bytes.Equal(got, want) {
+		t.Fatalf("SyntheticAt(%d, %d, [%d]) differs from the byte-wise reference", seed, off, n)
+	}
+}
+
+// TestSyntheticAtMatchesReference: every head alignment, every short
+// length around the word and two-word boundaries, a page, and offsets
+// where the offset byte wraps and where the word index is large.
+func TestSyntheticAtMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	lens := []int{4096}
+	for n := 0; n <= 33; n++ {
+		lens = append(lens, n)
+	}
+	for _, base := range []int64{0, 248, 1<<40 - 16, 1 << 40} {
+		for a := int64(0); a < 8; a++ {
+			for _, n := range lens {
+				checkSyntheticAt(t, rng.Uint64(), base+a, n)
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		checkSyntheticAt(t, rng.Uint64(), rng.Int63n(1<<41), rng.Intn(200))
+	}
+}
+
+// TestSyntheticAtNegativeOffsetPanics: a negative stream offset is a
+// caller bug, not a window.
+func TestSyntheticAtNegativeOffsetPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SyntheticAt(-1) did not panic")
+		}
+	}()
+	SyntheticAt(1, -1, make([]byte, 8))
+}
+
+func FuzzSyntheticAt(f *testing.F) {
+	f.Add(uint64(42), int64(1), 7)
+	f.Add(uint64(42), int64(3), 17)
+	f.Add(uint64(7), int64(777), 1000)
+	f.Add(uint64(2000), int64(1<<40+5), 33)
+	f.Add(uint64(3000), int64(255), 9)
+	f.Fuzz(func(t *testing.T, seed uint64, off int64, n int) {
+		if off < 0 || n < 0 || n > 1<<16 {
+			t.Skip()
+		}
+		checkSyntheticAt(t, seed, off, n)
+	})
+}
+
+var syntheticSink [8 << 10]byte
+
+func BenchmarkSyntheticAt(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		off  int64
+		n    int
+	}{
+		{"aligned", 0, len(syntheticSink)},
+		{"unaligned", 3, len(syntheticSink) - 8},
+		{"64B", 96, 64},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(c.n))
+			for i := 0; i < b.N; i++ {
+				SyntheticAt(7, c.off, syntheticSink[:c.n])
+			}
+		})
 	}
 }

@@ -337,7 +337,7 @@ func build(o Options) (*world, error) {
 	if o.Coll == "allgather" && !o.Flat && len(w.sampleList) > 0 && rpn > 1 {
 		var s mpi.Sig64
 		for g := 0; g < w.p; g++ {
-			w.payAG(g).WritePacked(&s, 0, w.count)
+			w.payAG(g).FoldPacked(&s, 0, w.count)
 		}
 		w.fullSigAG = s.Sum64()
 	}
@@ -573,7 +573,7 @@ func (w *world) msgSig(kind int32, from, to sim.ActorID, round int32) uint64 {
 		sn, dn := w.nodeOf(from), w.nodeOf(to)
 		var s mpi.Sig64
 		for li := 0; li < w.rpn; li++ {
-			w.payA2A(sn*w.rpn+li).WritePacked(&s, dn*w.rpn*w.count, w.rpn*w.count)
+			w.payA2A(sn*w.rpn+li).FoldPacked(&s, dn*w.rpn*w.count, w.rpn*w.count)
 		}
 		return s.Sum64()
 	case kA2ACol:
@@ -587,7 +587,7 @@ func (w *world) msgSig(kind int32, from, to sim.ActorID, round int32) uint64 {
 		q := (w.nodeOf(from) - int(round)%w.nodes + w.nodes) % w.nodes
 		var s mpi.Sig64
 		for li := 0; li < w.rpn; li++ {
-			w.payAG(q*w.rpn+li).WritePacked(&s, 0, w.count)
+			w.payAG(q*w.rpn+li).FoldPacked(&s, 0, w.count)
 		}
 		return s.Sum64()
 	case kAGBcast:
@@ -607,7 +607,7 @@ func (w *world) colSigA2A(dst int) uint64 {
 	}
 	var s mpi.Sig64
 	for g := 0; g < w.p; g++ {
-		w.payA2A(g).WritePacked(&s, dst*w.count, w.count)
+		w.payA2A(g).FoldPacked(&s, dst*w.count, w.count)
 	}
 	sig := s.Sum64()
 	w.colSig[dst] = sig
@@ -653,13 +653,15 @@ func (w *world) finalize() (Result, error) {
 		}
 	}
 	h := sha256.New()
+	var block []byte // one per-peer block, regenerated in place
 	for _, r := range w.sampleList {
 		for g := 0; g < w.p; g++ {
 			if w.o.Coll == "alltoall" {
-				w.payA2A(g).WritePacked(h, r*w.count, w.count)
+				block = w.payA2A(g).AppendPacked(block[:0], r*w.count, w.count)
 			} else {
-				w.payAG(g).WritePacked(h, 0, w.count)
+				block = w.payAG(g).AppendPacked(block[:0], 0, w.count)
 			}
+			h.Write(block)
 		}
 	}
 	h.Sum(res.Digest[:0])

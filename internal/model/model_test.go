@@ -179,3 +179,35 @@ func TestModelOptionErrors(t *testing.T) {
 		t.Error("flat-fabric spec accepted")
 	}
 }
+
+// TestModelRunAllocsPerMessage: a modelled message allocates nothing —
+// not when it is sent, signed, verified or digested. Flat allgather
+// sends p*(p-1) messages, so from 64 to 256 ranks the message count
+// grows 16-fold while everything a world legitimately allocates (rank
+// state, cover bitsets, the pending-round sets, the event heap's
+// doublings) grows with the ranks. Every rank is sampled, so every
+// message is signed and verified.
+func TestModelRunAllocsPerMessage(t *testing.T) {
+	type point struct{ allocs, ranks, msgs float64 }
+	var pts []point
+	for _, nodes := range []int{32, 128} {
+		o := testOptions("allgather", true, 1)
+		o.Spec = cluster.Scale(nodes, 1, 2, 2)
+		o.Count = 1
+		var res Result
+		allocs := testing.AllocsPerRun(1, func() { res = mustRun(t, o) })
+		if res.SigChecks != res.Messages {
+			t.Fatalf("%d ranks: %d of %d messages verified", o.Spec.Size(), res.SigChecks, res.Messages)
+		}
+		pts = append(pts, point{allocs, float64(o.Spec.Size()), float64(res.Messages)})
+	}
+	small, big := pts[0], pts[1]
+	t.Logf("allocations: %v at %v ranks (%v msgs), %v at %v ranks (%v msgs)",
+		small.allocs, small.ranks, small.msgs, big.allocs, big.ranks, big.msgs)
+	if perRank := (big.allocs - small.allocs) / (big.ranks - small.ranks); perRank > 8 {
+		t.Errorf("%.1f allocations per added rank, want a small constant", perRank)
+	}
+	if big.allocs > big.msgs/16 {
+		t.Errorf("%v allocations for %v messages: allocations scale with the message count", big.allocs, big.msgs)
+	}
+}

@@ -1,7 +1,10 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"io"
+	"math/bits"
+	"slices"
 
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
@@ -24,6 +27,18 @@ import (
 //
 // A modelled run is accepted only if its digest equals the real run's,
 // which is what keeps flyweight worlds honest about data movement.
+//
+// Two values are computed over packed windows and they are different
+// kinds of thing. The world digest is sha256 and is compared across
+// modes and runs. The per-message signature (Sig64) is a word-wise,
+// stream-invariant 64-bit fold that sender and receiver of one modelled
+// message compute in the same process and compare once; it is not
+// FNV-1a, not a stable format, and nothing may store or pin it.
+//
+// The pack engine's rule applies here too: non-contiguous data is never
+// touched a byte at a time. The generator emits, and the signature
+// folds, aligned 8-byte words; the walk over the datatype's blocks
+// reads them in place (Datatype.Blocks) and allocates nothing.
 
 // SyntheticPayload describes deterministic synthetic contents for
 // count elements of Dt, seeded so distinct buffers differ.
@@ -45,30 +60,93 @@ func (sp SyntheticPayload) PackedBytes() int64 { return int64(sp.Count) * sp.Dt.
 // from the buffer therefore match WritePacked byte-for-byte.
 func (sp SyntheticPayload) Fill(b mem.Buffer) { mem.FillSynthetic(b, sp.Seed) }
 
-// WritePacked streams the packed bytes of elements [elem0, elem0+n)
-// into w — the generator-side equivalent of packing those elements out
-// of a Fill()ed buffer. w is a sha256 digest or a Sig64; neither
-// returns errors.
-func (sp SyntheticPayload) WritePacked(w io.Writer, elem0, n int) {
-	flat := sp.Dt.Flat()
-	ext := sp.Dt.Extent()
-	var scratch [512]byte
-	for e := elem0; e < elem0+n; e++ {
-		base := int64(e) * ext
-		for _, blk := range flat {
-			off, ln := base+blk.Off, blk.Len
-			for ln > 0 {
-				c := ln
-				if c > int64(len(scratch)) {
-					c = int64(len(scratch))
-				}
-				mem.SyntheticAt(sp.Seed, off, scratch[:c])
-				w.Write(scratch[:c])
-				off += c
-				ln -= c
+// packedWalk generates the packed bytes of elements [e, end) in order:
+// the blocks of each element in turn, read off the random-access
+// pattern at their memory offsets. It is a value on the caller's stack;
+// nothing here allocates.
+type packedWalk struct {
+	seed    uint64
+	blocks  []datatype.Block // shared with the datatype, read-only
+	ext     int64
+	e, end  int
+	bi      int   // next block of element e
+	off, ln int64 // rest of the block being generated
+}
+
+func (sp SyntheticPayload) walk(elem0, n int) packedWalk {
+	k := packedWalk{seed: sp.Seed, blocks: sp.Dt.Blocks(), ext: sp.Dt.Extent(), e: elem0, end: elem0 + n}
+	if len(k.blocks) == 0 {
+		k.end = k.e // an empty datatype has no stream
+	}
+	return k
+}
+
+// fill writes the next bytes of the stream into p and returns how many;
+// fewer than len(p) only where the stream ends.
+func (k *packedWalk) fill(p []byte) int {
+	n := 0
+	for n < len(p) {
+		if k.ln == 0 {
+			if k.bi == len(k.blocks) {
+				k.bi = 0
+				k.e++
 			}
+			if k.e >= k.end {
+				break
+			}
+			b := k.blocks[k.bi]
+			k.bi++
+			k.off, k.ln = int64(k.e)*k.ext+b.Off, b.Len
+		}
+		c := int64(len(p) - n)
+		if c > k.ln {
+			c = k.ln
+		}
+		mem.SyntheticAt(k.seed, k.off, p[n:n+int(c)])
+		n += int(c)
+		k.off += c
+		k.ln -= c
+	}
+	return n
+}
+
+// AppendPacked appends the packed bytes of elements [elem0, elem0+n) to
+// dst — the generator-side equivalent of packing those elements out of
+// a Fill()ed buffer. A caller that digests many windows passes the
+// same dst[:0] again and allocates nothing.
+func (sp SyntheticPayload) AppendPacked(dst []byte, elem0, n int) []byte {
+	at, size := len(dst), n*int(sp.Dt.Size())
+	dst = slices.Grow(dst, size)[:at+size]
+	k := sp.walk(elem0, n)
+	k.fill(dst[at:])
+	return dst
+}
+
+// FoldPacked folds the packed bytes of elements [elem0, elem0+n) into
+// s through a scratch on the stack. Folding several windows into one
+// Sig64 signs their concatenation.
+func (sp SyntheticPayload) FoldPacked(s *Sig64, elem0, n int) {
+	var scratch [512]byte
+	k := sp.walk(elem0, n)
+	for {
+		c := k.fill(scratch[:])
+		s.Write(scratch[:c])
+		if c < len(scratch) {
+			return
 		}
 	}
+}
+
+// WritePacked streams the same bytes into w. A *Sig64 takes the
+// concrete FoldPacked path; any other writer (a sha256 digest, a
+// bytes.Buffer) is handed the materialized window. Neither kind of
+// writer returns errors.
+func (sp SyntheticPayload) WritePacked(w io.Writer, elem0, n int) {
+	if s, ok := w.(*Sig64); ok {
+		sp.FoldPacked(s, elem0, n)
+		return
+	}
+	w.Write(sp.AppendPacked(nil, elem0, n))
 }
 
 // PackedSig returns a 64-bit content signature of elements
@@ -76,39 +154,71 @@ func (sp SyntheticPayload) WritePacked(w io.Writer, elem0, n int) {
 // messages at 16k ranks.
 func (sp SyntheticPayload) PackedSig(elem0, n int) uint64 {
 	var s Sig64
-	sp.WritePacked(&s, elem0, n)
+	sp.FoldPacked(&s, elem0, n)
 	return s.Sum64()
 }
 
-// Sig64 is a streaming FNV-1a 64-bit signature implementing io.Writer,
-// so the same WritePacked generator feeds both sha256 digests (world
-// acceptance) and per-message signatures (in-flight verification).
-type Sig64 struct{ h uint64 }
+// Sig64 is a streaming 64-bit content signature. It folds the stream
+// one little-endian 8-byte word at a time, h = rotl(h^word, 29) * sigMul,
+// and keeps the up to seven bytes that do not yet fill a word, so the
+// sum depends on the bytes written and not on how they were split into
+// Write calls. It implements io.Writer; the zero value is ready to use.
+//
+// The value is not FNV-1a and not a format: sender and receiver of a
+// modelled message compute it in the same process and compare, and
+// nothing stores it. Do not persist it or pin it in a golden file.
+type Sig64 struct {
+	h    uint64 // fold state XOR sigInit, so the zero value starts at sigInit
+	tail uint64 // the n&7 pending bytes, little-endian from bit 0
+	n    uint64 // bytes written
+}
 
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	sigInit = 0xcbf29ce484222325
+	sigMul  = 0x9e3779b97f4a7c15
 )
+
+func sigFold(h, w uint64) uint64 { return bits.RotateLeft64(h^w, 29) * sigMul }
 
 // Write folds p into the signature. It never fails.
 func (s *Sig64) Write(p []byte) (int, error) {
-	h := s.h
-	if h == 0 {
-		h = fnvOffset64
+	n := len(p)
+	h, tail, k := s.h^sigInit, s.tail, uint(s.n&7)
+	s.n += uint64(n)
+	if k != 0 {
+		// Top up the pending word first.
+		for len(p) > 0 && k < 8 {
+			tail |= uint64(p[0]) << (8 * k)
+			k++
+			p = p[1:]
+		}
+		if k < 8 {
+			s.tail = tail
+			return n, nil
+		}
+		h, tail = sigFold(h, tail), 0
 	}
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime64
+	for ; len(p) >= 8; p = p[8:] {
+		h = sigFold(h, binary.LittleEndian.Uint64(p))
 	}
-	s.h = h
-	return len(p), nil
+	for i, b := range p {
+		tail |= uint64(b) << (8 * uint(i))
+	}
+	s.h, s.tail = h^sigInit, tail
+	return n, nil
 }
 
-// Sum64 returns the signature so far (never zero, so zero can mean
-// "unsigned" in message fields).
+// Sum64 returns the signature of the bytes written so far: the pending
+// tail and the total length folded in (so x and x followed by zero
+// bytes differ), then a final avalanche. It is never zero, so zero can
+// mean "unsigned" in message fields. Sum64 does not change s.
 func (s *Sig64) Sum64() uint64 {
-	if s.h == 0 {
-		return fnvOffset64
+	h := sigFold(sigFold(s.h^sigInit, s.tail), s.n)
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	h ^= h >> 32
+	if h == 0 {
+		return sigInit
 	}
-	return s.h
+	return h
 }

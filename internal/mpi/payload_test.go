@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"crypto/sha256"
+	"math/rand"
 	"testing"
 
 	"gpuddt/internal/datatype"
@@ -75,5 +76,129 @@ func TestPayloadSigMatchesSha(t *testing.T) {
 	sp.WritePacked(h2, 0, 3)
 	if !bytes.Equal(h1.Sum(nil), h2.Sum(nil)) {
 		t.Fatal("two identical streams hashed differently")
+	}
+}
+
+// sigOf signs b written in chunks of the given sizes, then the rest in
+// one Write.
+func sigOf(b []byte, chunks ...int) uint64 {
+	var s Sig64
+	for _, c := range chunks {
+		if c > len(b) {
+			c = len(b)
+		}
+		s.Write(b[:c])
+		b = b[c:]
+	}
+	s.Write(b)
+	return s.Sum64()
+}
+
+// TestSig64ChunkInvariant: the sum is a function of the bytes written,
+// not of how Write calls split them — what lets FoldPacked batch
+// blocks through a scratch of any size.
+func TestSig64ChunkInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1024, 1031} {
+		msg := make([]byte, n)
+		rng.Read(msg)
+		want := sigOf(msg)
+		if got := sigOf(msg, 7, 9); got != want {
+			t.Fatalf("len %d: 7+9+rest split signs %#x, one Write %#x", n, got, want)
+		}
+		var s Sig64
+		for i := range msg {
+			s.Write(msg[i : i+1])
+			s.Sum64() // reading the sum mid-stream must not disturb it
+		}
+		if s.Sum64() != want {
+			t.Fatalf("len %d: byte-at-a-time signs %#x, one Write %#x", n, s.Sum64(), want)
+		}
+		for trial := 0; trial < 50; trial++ {
+			var chunks []int
+			for left := n; left > 0; {
+				c := 1 + rng.Intn(20)
+				chunks = append(chunks, c)
+				left -= c
+			}
+			if got := sigOf(msg, chunks...); got != want {
+				t.Fatalf("len %d: split %v signs %#x, one Write %#x", n, chunks, got, want)
+			}
+		}
+	}
+}
+
+// TestSig64ContentSensitive: appended zero bytes and every single-bit
+// flip of a 1 KiB message change the sum, and no sum is zero.
+func TestSig64ContentSensitive(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{0, 1, 7, 8, 9, 1024} {
+		msg := make([]byte, n, n+9)
+		rng.Read(msg)
+		base := sigOf(msg)
+		if base == 0 {
+			t.Fatalf("len %d: zero signature", n)
+		}
+		for pad := 1; pad <= 9; pad++ {
+			if sigOf(msg[:n+pad]) == base {
+				t.Fatalf("len %d: %d appended zero bytes sign the same", n, pad)
+			}
+		}
+	}
+	msg := make([]byte, 1024)
+	rng.Read(msg)
+	base := sigOf(msg)
+	for bit := 0; bit < 8*len(msg); bit++ {
+		msg[bit/8] ^= 1 << (bit % 8)
+		if sigOf(msg) == base {
+			t.Fatalf("flipping bit %d left the signature unchanged", bit)
+		}
+		msg[bit/8] ^= 1 << (bit % 8)
+	}
+}
+
+// TestPackedSigNoAllocs: signing a message allocates nothing — no copy
+// of the datatype's blocks, no escaping scratch, no escaping Sig64 —
+// through PackedSig and through WritePacked's *Sig64 path alike, and
+// both sign the bytes AppendPacked materializes.
+func TestPackedSigNoAllocs(t *testing.T) {
+	sp := SyntheticPayload{Seed: 3001, Dt: shapes.SubMatrix(16, 8, 12), Count: 64}
+	if n := testing.AllocsPerRun(100, func() { sigSink += sp.PackedSig(8, 16) }); n != 0 {
+		t.Errorf("PackedSig allocates %v times per call", n)
+	}
+	var sig Sig64
+	if n := testing.AllocsPerRun(100, func() { sp.WritePacked(&sig, 8, 16) }); n != 0 {
+		t.Errorf("WritePacked(&sig) allocates %v times per call", n)
+	}
+	block := sp.AppendPacked(nil, 8, 16)
+	if n := testing.AllocsPerRun(100, func() { block = sp.AppendPacked(block[:0], 8, 16) }); n != 0 {
+		t.Errorf("AppendPacked into a reused buffer allocates %v times per call", n)
+	}
+	if got, want := sp.PackedSig(8, 16), sigOf(block); got != want {
+		t.Errorf("PackedSig %#x, signature of the materialized window %#x", got, want)
+	}
+}
+
+var sigSink uint64
+
+func BenchmarkSig64(b *testing.B) {
+	msg := make([]byte, 64<<10)
+	mem.SyntheticAt(7, 0, msg)
+	b.SetBytes(int64(len(msg)))
+	var s Sig64
+	for i := 0; i < b.N; i++ {
+		s.Write(msg)
+	}
+	sigSink = s.Sum64()
+}
+
+// BenchmarkPackedSig signs what one modelled alltoall column does at
+// 1024 ranks: 1024 blocks of the 1 KiB sub-matrix.
+func BenchmarkPackedSig(b *testing.B) {
+	sp := SyntheticPayload{Seed: 3000, Dt: shapes.SubMatrix(16, 8, 12), Count: 1024}
+	b.SetBytes(sp.PackedBytes())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sigSink += sp.PackedSig(0, 1024)
 	}
 }
