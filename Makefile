@@ -139,12 +139,10 @@ golden:
 	$(GO) test ./internal/bench -run TestGoldenFigures -update
 	$(GO) test ./internal/conformance -run TestGoldenTrees -update
 
-# Host-performance benchmarks: Go microbenchmarks plus the
-# machine-readable report (seek/cache-hit ns/op, serial-vs-parallel
-# sweep wall clock) consumed by CI.
+# Host-performance microbenchmarks (the measured, compared numbers are
+# `go run ./benchmark`; see benchmark/README.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/benchhost -out BENCH_host.json
 
 # Quick bench smoke for CI: compile and run every benchmark once.
 bench-smoke:

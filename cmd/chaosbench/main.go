@@ -48,8 +48,8 @@ type Point struct {
 	Fallbacks     int64   `json:"fallbacks"`
 }
 
-// Report is the BENCH_chaos.json schema. The header mirrors
-// BENCH_host.json so downstream tooling parses both the same way.
+// Report is the BENCH_chaos.json schema. The header is the one every
+// BENCH_*.json carries, so downstream tooling parses them the same way.
 type Report struct {
 	GeneratedBy string  `json:"generated_by"`
 	GoVersion   string  `json:"go_version"`

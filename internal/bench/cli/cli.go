@@ -1,6 +1,6 @@
 // Package cli holds the flag plumbing shared by the benchmark
-// commands (cmd/ddtbench, cmd/pingpong, cmd/chaosbench, cmd/benchhost,
-// cmd/kernels, cmd/scalebench): size-list parsing, CPU/heap profiling
+// commands (cmd/ddtbench, cmd/pingpong, cmd/chaosbench, cmd/kernels,
+// cmd/scalebench): size-list parsing, CPU/heap profiling
 // flags, the -trace Chrome-trace sink, and JSON report writing. Each of
 // these used to be copy-pasted per command with the tool name baked
 // into the error strings; here the tool name comes from the FlagSet.

@@ -1,7 +1,7 @@
 package bench
 
 // SweepConfig carries the sweep parameters shared by the figure
-// runners; cmd/ddtbench and cmd/benchhost both drive the registry.
+// runners; cmd/ddtbench drives the registry.
 type SweepConfig struct {
 	Sizes       []int   // kernel and ping-pong matrix sizes
 	TrSizes     []int   // fig1/fig12 triangular/transpose sizes

@@ -50,13 +50,13 @@ const (
 	SeedAlltoall  = 3000 // + sending rank (whole send buffer)
 )
 
-// Calibration constants of the first-order cost model. The protocol
-// constants (eager limit, AM latency) mirror the mpi defaults; the
-// pack constants approximate a GPU pack kernel (launch overhead plus
-// streaming rate) rather than re-simulating the pipeline.
+// Calibration constants of the first-order cost model. The eager limit
+// mirrors the mpi default (the intra-node active-message hop is
+// mpi.AMLatency itself); the pack constants approximate a GPU pack
+// kernel (launch overhead plus streaming rate) rather than
+// re-simulating the pipeline.
 const (
 	modelEager     = 64 << 10             // mpi Proto.EagerLimit default
-	modelAMLatency = 500 * sim.Nanosecond // intra-node active-message hop
 	packLaunch     = 5 * sim.Microsecond  // per-message pack/unpack kernel launch
 	packGBps       = 60.0                 // pack/unpack streaming rate
 	busGBpsDefault = 10.0                 // intra-node bus (PCIe root complex)
@@ -447,7 +447,7 @@ func (w *world) send(sc *sim.ShardCtx, from, to sim.ActorID, kind, round int32, 
 	if sn == dn {
 		// Intra-node: active message over the shared bus.
 		if bytes > modelEager {
-			st += 2 * modelAMLatency // rendezvous handshake
+			st += 2 * mpi.AMLatency // rendezvous handshake
 		}
 		bs := st
 		if w.bus[sn] > bs {
@@ -457,7 +457,7 @@ func (w *world) send(sc *sim.ShardCtx, from, to sim.ActorID, kind, round int32, 
 		w.bus[sn] = end
 		w.cpu[from] = st
 		w.lastSend[from] = end
-		sc.Post(end+modelAMLatency-now, ev)
+		sc.Post(end+mpi.AMLatency-now, ev)
 		return
 	}
 

@@ -85,7 +85,7 @@ func (c *Channel) AM(p *sim.Proc, wireBytes int64, fn func(p *sim.Proc)) {
 	switch c.kind {
 	case SM:
 		// Shared-memory FIFO: fixed injection cost, tiny latency.
-		c.dst.inbox.PutAfter(c.w.tun.amLatency, amsg{fn: fn})
+		c.dst.inbox.PutAfter(AMLatency, amsg{fn: fn})
 	default:
 		c.src.mustRetry(p, "am.send", func() error {
 			return c.srcHCA.Send(p, c.dstHCA, wireBytes, routed{dst: c.dst, am: amsg{fn: fn}})

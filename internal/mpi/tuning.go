@@ -23,13 +23,6 @@ type Tuning struct {
 	// memory instead of staging fragments (the paper's §5.2.1 ablation).
 	DirectRemoteUnpack bool
 
-	// AMLatency is the shared-memory active-message latency (0 = 500ns).
-	AMLatency sim.Time
-
-	// RemoteAccessEff derates PCIe efficiency for direct remote reads
-	// (0 = 0.7).
-	RemoteAccessEff float64
-
 	// Collectives selects the collective algorithm family; see CollMode.
 	Collectives CollMode
 
@@ -37,6 +30,11 @@ type Tuning struct {
 	// (nil = the paper's pipelined protocols).
 	Strategy Strategy
 }
+
+// AMLatency is the latency of a shared-memory active message between two
+// ranks of one node. The modelled worlds of internal/model charge the
+// same hop.
+const AMLatency = 500 * sim.Nanosecond
 
 // Eager returns a pointer to n for use as Tuning.Eager. Eager(0) is the
 // explicit force-rendezvous setting.
@@ -102,8 +100,6 @@ type resolvedTuning struct {
 	frag               int64
 	depth              int
 	directRemoteUnpack bool
-	amLatency          sim.Time
-	remoteAccessEff    float64
 	coll               CollMode
 	strategy           Strategy
 }
@@ -112,11 +108,9 @@ type resolvedTuning struct {
 // knob set.
 func resolveTuning(t *Tuning) resolvedTuning {
 	r := resolvedTuning{
-		eager:           64 << 10,
-		frag:            1 << 20,
-		depth:           4,
-		amLatency:       500 * sim.Nanosecond,
-		remoteAccessEff: 0.7,
+		eager: 64 << 10,
+		frag:  1 << 20,
+		depth: 4,
 	}
 	if t != nil {
 		if t.Eager != nil {
@@ -129,12 +123,6 @@ func resolveTuning(t *Tuning) resolvedTuning {
 			r.depth = t.PipelineDepth
 		}
 		r.directRemoteUnpack = t.DirectRemoteUnpack
-		if t.AMLatency != 0 {
-			r.amLatency = t.AMLatency
-		}
-		if t.RemoteAccessEff != 0 {
-			r.remoteAccessEff = t.RemoteAccessEff
-		}
 		r.coll = t.Collectives
 		r.strategy = t.Strategy
 	}
@@ -152,8 +140,6 @@ func (w *World) Tuning() Tuning {
 		FragBytes:          w.tun.frag,
 		PipelineDepth:      w.tun.depth,
 		DirectRemoteUnpack: w.tun.directRemoteUnpack,
-		AMLatency:          w.tun.amLatency,
-		RemoteAccessEff:    w.tun.remoteAccessEff,
 		Collectives:        w.tun.coll,
 		Strategy:           w.tun.strategy,
 	}

@@ -61,7 +61,6 @@ func TestTuningDefaults(t *testing.T) {
 	w := NewWorld(twoRankConfig())
 	tun := w.Tuning()
 	if *tun.Eager != 64<<10 || tun.FragBytes != 1<<20 || tun.PipelineDepth != 4 ||
-		tun.AMLatency != 500*sim.Nanosecond || tun.RemoteAccessEff != 0.7 ||
 		tun.Collectives != CollAuto || tun.DirectRemoteUnpack {
 		t.Fatalf("unexpected default tuning: %+v", tun)
 	}

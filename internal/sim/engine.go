@@ -1,78 +1,70 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"sort"
+	"strings"
 )
 
-// event is a scheduled callback. Events with equal timestamps execute in
-// scheduling order (seq), which makes runs reproducible.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-type yieldKind int
-
+// The kinds of Event an Engine queues. Event.To is a slot of the table
+// the kind names.
 const (
-	yieldBlocked yieldKind = iota // proc is parked; a future event resumes it
-	yieldDone                     // proc function returned
-	yieldPanic                    // proc function panicked
+	evProc int32 = iota // start or resume the process in Engine.procs
+	evCall              // run the After callback in Engine.calls
 )
+
+// slots is a table whose indices stand in for its values inside queued
+// events, which keeps Event free of pointers. A slot is reused once its
+// value has been taken, so the table stays as small as the number of
+// values outstanding at once.
+type slots[T any] struct {
+	at   []T
+	free []int32
+}
+
+func (s *slots[T]) put(v T) int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.at[i] = v
+		return i
+	}
+	s.at = append(s.at, v)
+	return int32(len(s.at) - 1)
+}
+
+func (s *slots[T]) take(i int32) T {
+	v := s.at[i]
+	var zero T
+	s.at[i] = zero
+	s.free = append(s.free, i)
+	return v
+}
 
 // Engine is a deterministic discrete-event scheduler. Create one with
 // NewEngine, add processes with Spawn, then call Run.
 //
-// Exactly one process goroutine executes at any instant: the engine hands
-// control to a process and blocks until the process yields (sleeps, waits,
-// or returns). Simulations are therefore free of data races by construction
-// and produce identical event orders on every run.
+// Every process is a coroutine, and exactly one of them (or the engine
+// itself) executes at any instant: Run resumes a process and gets control
+// back when the process parks (sleeps, waits) or returns. Simulations are
+// therefore free of data races by construction and produce identical
+// event orders on every run.
 type Engine struct {
 	now     Time
-	seq     uint64
-	queue   eventHeap
-	yieldCh chan yieldKind
-	live    int // spawned but not finished processes
-	blocked map[*Proc]string
-	failure interface{}
-	running bool
+	seq     uint64 // schedule sequence: Event.pri of the last queued event
+	queue   []Event
+	procs   slots[*Proc]  // spawned and not yet finished
+	calls   slots[func()] // After callbacks not yet run
+	live    int           // spawned but not finished non-daemon processes
+	ran     bool
 	linkSeq uint64
 	links   []*Link
 	rec     *Recorder // nil unless a Recorder is attached (see span.go)
-
-	// Trace, if non-nil, receives a line for significant engine events
-	// (spawn, finish, deadlock diagnostics). Useful in tests.
-	Trace func(t Time, format string, args ...interface{})
 }
 
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{
-		yieldCh: make(chan yieldKind),
-		blocked: make(map[*Proc]string),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -81,21 +73,36 @@ func (e *Engine) Now() Time { return e.now }
 // (for utilization reporting).
 func (e *Engine) Links() []*Link { return e.links }
 
-// schedule queues fn to run at time at. It panics on times in the past.
-func (e *Engine) schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
+// post queues an event for slot to at time at. Events with equal
+// timestamps execute in posting order (see Event), which makes runs
+// reproducible.
+func (e *Engine) post(at Time, kind, to int32) {
 	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, fn: fn})
+	evPush(&e.queue, Event{At: at, pri: e.seq, To: to, Kind: kind})
 }
 
-// After runs fn at now+d without a dedicated process. fn executes in the
-// engine's goroutine and must not block; it may spawn processes, complete
-// futures or schedule further events.
+// After runs fn at now+d without a dedicated process. fn executes on the
+// engine's own stack and must not block; it may spawn processes, complete
+// futures or schedule further events. It panics on times in the past.
 func (e *Engine) After(d Time, fn func()) {
-	e.schedule(e.now+d, fn)
+	if d < 0 {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", e.now+d, e.now))
+	}
+	e.post(e.now+d, evCall, e.calls.put(fn))
 }
+
+// blockKind says what a parked process waits for; Proc.on names the
+// mailbox or resource. A reason is two stores when a process parks and
+// becomes text (blockText[why] + on) only inside a deadlock report.
+type blockKind uint8
+
+const (
+	blockAwait   blockKind = iota // Future.Await
+	blockRecv                     // Mailbox.Get
+	blockAcquire                  // Resource.Acquire
+)
+
+var blockText = [...]string{blockAwait: "await future", blockRecv: "recv ", blockAcquire: "acquire "}
 
 // Proc is a simulated process. All methods must be called from within the
 // process's own function (the one passed to Spawn).
@@ -103,7 +110,20 @@ type Proc struct {
 	e      *Engine
 	name   string
 	daemon bool
-	resume chan struct{}
+	slot   int32  // index in e.procs
+	born   uint64 // schedule sequence of the start event: spawn order
+	fn     func(p *Proc)
+
+	// The coroutine, created when the start event runs: next resumes the
+	// process until it parks (true) or returns (false), yield is the
+	// process's way back to the engine, stop unwinds a parked process.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	pending bool // a resume event is queued; never two at once
+	why     blockKind
+	on      string
 }
 
 // Name returns the process name given to Spawn.
@@ -130,126 +150,135 @@ func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, daemon: daemon, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name, daemon: daemon, fn: fn}
 	if !daemon {
 		e.live++
 	}
-	e.schedule(e.now, func() {
-		e.tracef("spawn %s", name)
-		go func() {
-			kind := yieldDone
-			defer func() {
-				if r := recover(); r != nil {
-					if r == errShutdown {
-						return // engine finished; exit silently
-					}
-					e.failure = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-					kind = yieldPanic
-				}
-				e.yieldCh <- kind
-			}()
-			<-p.resume
-			fn(p)
-		}()
-		p.resume <- struct{}{}
-		e.waitYield(p)
-	})
+	p.slot = e.procs.put(p)
+	e.unpark(p, e.now)
+	p.born = e.seq
 	return p
 }
 
-// errShutdown is the sentinel panic used to unwind parked daemon
-// goroutines when the simulation ends, so finished engines are
-// garbage-collectable.
+// errShutdown is the sentinel panic that unwinds a parked process when
+// Run stops its coroutine at the end of the simulation.
 var errShutdown = &struct{ s string }{"sim: engine shutdown"}
 
-// waitYield blocks the engine goroutine until process p yields, finishes
-// or panics.
-func (e *Engine) waitYield(p *Proc) {
-	switch <-e.yieldCh {
-	case yieldBlocked:
-		// p parked itself; some queued event will resume it.
-	case yieldDone:
-		if !p.daemon {
-			e.live--
+// run is the body of the process's coroutine. A panic in the process
+// leaves through next() and so through Run, with the process named.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil && r != errShutdown {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
-		e.tracef("finish %s", p.name)
-	case yieldPanic:
-		if !p.daemon {
-			e.live--
-		}
-	}
+	}()
+	p.fn(p)
 }
 
-// park yields control to the engine, recording why the process is blocked;
-// the process resumes when something sends on p.resume (via unpark), or
-// unwinds if the engine has shut down.
-func (p *Proc) park(why string) {
-	p.e.blocked[p] = why
-	p.e.yieldCh <- yieldBlocked
-	if _, ok := <-p.resume; !ok {
+// suspend hands control back to the engine until the process's next
+// resume event, or unwinds the process if the engine has shut down.
+func (p *Proc) suspend() {
+	if !p.yield(struct{}{}) {
 		panic(errShutdown)
 	}
 }
 
-// unpark schedules process p to resume at time at.
+// park suspends the process, recording what it waits for; whoever
+// satisfies the wait calls unpark.
+func (p *Proc) park(why blockKind, on string) {
+	p.why, p.on = why, on
+	p.suspend()
+}
+
+// unpark schedules process p to start or resume at time at. A process
+// has at most one resume pending and none once it has finished, which is
+// what lets a queued event name it by a reusable slot.
 func (e *Engine) unpark(p *Proc, at Time) {
-	e.schedule(at, func() {
-		delete(e.blocked, p)
-		p.resume <- struct{}{}
-		e.waitYield(p)
-	})
+	if p.pending || e.procs.at[p.slot] != p {
+		panic("sim: process " + p.name + " resumed twice or after it finished")
+	}
+	p.pending = true
+	e.post(at, evProc, p.slot)
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations
-// sleep zero time (yielding to already-queued same-time events).
+// sleep zero time (yielding to already-queued same-time events). A
+// sleeper's wake-up is queued, so it can never be part of a deadlock and
+// records no reason.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
 	p.e.unpark(p, p.e.now+d)
-	p.park(fmt.Sprintf("sleep %v", d))
+	p.suspend()
 }
 
 // Yield lets every other event already scheduled for the current instant
 // run before the process continues.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Run executes events until the queue drains. It panics if a process
-// panicked, and reports deadlock if non-daemon processes remain blocked
-// with no pending events. When the queue drains, parked daemon processes
-// are shut down so the engine and everything it references can be
-// garbage-collected; Run must therefore be called at most once.
+// Run executes events until the queue drains. A panic in a process
+// surfaces from Run, and Run panics with a deadlock report if non-daemon
+// processes remain blocked with no pending events. Before Run returns
+// (or panics) every process still parked — the daemons, after a clean
+// run — is unwound, so nothing of the simulation executes afterwards and
+// the engine and everything it references can be garbage-collected; Run
+// may therefore be called at most once.
 func (e *Engine) Run() {
-	if e.running {
-		panic("sim: Run called reentrantly")
+	if e.ran {
+		panic("sim: Run called twice")
 	}
-	e.running = true
-	defer func() { e.running = false }()
+	e.ran = true
+	defer e.unwind()
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		ev.fn()
-		if e.failure != nil {
-			panic(e.failure)
+		ev := evPop(&e.queue)
+		e.now = ev.At
+		if ev.Kind == evCall {
+			e.calls.take(ev.To)()
+			continue
+		}
+		p := e.procs.at[ev.To]
+		p.pending = false
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.run)
+		}
+		if _, parked := p.next(); !parked {
+			e.procs.take(p.slot)
+			if !p.daemon {
+				e.live--
+			}
 		}
 	}
 	if e.live > 0 {
-		msg := fmt.Sprintf("sim: deadlock at %v; blocked process(es):", e.now)
-		for p, why := range e.blocked {
-			if !p.daemon {
-				msg += fmt.Sprintf("\n  %s: %s", p.name, why)
-			}
-		}
-		panic(msg)
-	}
-	for p := range e.blocked {
-		close(p.resume) // unwind parked daemons (see errShutdown)
-		delete(e.blocked, p)
+		panic(e.deadlockReport())
 	}
 }
 
-func (e *Engine) tracef(format string, args ...interface{}) {
-	if e.Trace != nil {
-		e.Trace(e.now, format, args...)
+// unwind stops the coroutine of every process that is still parked; its
+// deferred calls run (see errShutdown) before stop returns.
+func (e *Engine) unwind() {
+	for _, p := range e.procs.at {
+		if p != nil && p.stop != nil {
+			p.stop()
+		}
 	}
+}
+
+// deadlockReport lists the blocked non-daemon processes in spawn order
+// with what each one waits for.
+func (e *Engine) deadlockReport() string {
+	var blocked []*Proc
+	for _, p := range e.procs.at {
+		if p != nil && !p.daemon {
+			blocked = append(blocked, p)
+		}
+	}
+	sort.Slice(blocked, func(i, j int) bool { return blocked[i].born < blocked[j].born })
+	var b strings.Builder
+	fmt.Fprintf(&b, "sim: deadlock at %v; blocked process(es):", e.now)
+	for _, p := range blocked {
+		fmt.Fprintf(&b, "\n  %s: %s%s", p.name, blockText[p.why], p.on)
+	}
+	return b.String()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -214,33 +215,134 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	}
 }
 
-func TestDeadlockPanics(t *testing.T) {
+// TestDeadlockReport pins the report: blocked non-daemon processes in
+// spawn order (not table order: "early" frees the slot "recv" reuses),
+// each with what it waits for; daemons and sleepers are not in it.
+func TestDeadlockReport(t *testing.T) {
+	const want = `sim: deadlock at 3.00us; blocked process(es):
+  await: await future
+  acquire: acquire node0.gpu0.tx
+  recv: recv rank3.am`
 	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no deadlock panic")
-		}
-		if !strings.Contains(fmt.Sprint(r), "deadlock") {
-			t.Fatalf("panic = %v", r)
+		if r := recover(); r != want {
+			t.Fatalf("panic = %v\nwant %s", r, want)
 		}
 	}()
 	e := NewEngine()
-	m := e.NewMailbox("never")
-	e.Spawn("stuck", func(p *Proc) { m.Get(p) })
+	f := e.NewFuture()
+	m := e.NewMailbox("rank3.am")
+	r := e.NewResource("node0.gpu0.tx", 1)
+	e.Spawn("early", func(p *Proc) {})
+	e.Spawn("await", func(p *Proc) { f.Await(p) })
+	e.Spawn("holder", func(p *Proc) {
+		r.Acquire(p)
+		p.Sleep(3 * Microsecond)
+	})
+	e.Spawn("acquire", func(p *Proc) {
+		p.Sleep(Microsecond)
+		r.Acquire(p)
+		t.Error("acquired a resource nobody released")
+	})
+	e.SpawnDaemon("daemon", func(p *Proc) { e.NewMailbox("idle").Get(p) })
+	e.Spawn("spawner", func(p *Proc) {
+		p.Sleep(2 * Microsecond)
+		e.Spawn("recv", func(p *Proc) { m.Get(p) })
+	})
 	e.Run()
 }
 
+// TestProcessPanicPropagates: a panic in a process surfaces from Run with
+// the process named, and the other parked processes are unwound (their
+// deferred calls run) before it does.
 func TestProcessPanicPropagates(t *testing.T) {
+	unwound := false
 	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(fmt.Sprint(r), "boom") {
+		if r := recover(); r != `sim: process "bad" panicked: boom` {
 			t.Fatalf("panic = %v", r)
+		}
+		if !unwound {
+			t.Fatal("parked process was not unwound before Run panicked")
 		}
 	}()
 	e := NewEngine()
+	e.Spawn("parked", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(Second)
+	})
 	e.Spawn("bad", func(p *Proc) {
 		p.Sleep(Microsecond)
 		panic("boom")
+	})
+	e.Run()
+}
+
+func TestRunTwicePanics(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("a", func(p *Proc) { p.Sleep(Microsecond) })
+	e.Run()
+	defer func() {
+		if r := recover(); r != "sim: Run called twice" {
+			t.Fatalf("panic = %v", r)
+		}
+	}()
+	e.Run()
+}
+
+// TestRunUnwindsParkedDaemons: when Run returns nothing of the simulation
+// is left running — every parked daemon has been unwound through its
+// deferred calls and no goroutine outlives the call.
+func TestRunUnwindsParkedDaemons(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	m := e.NewMailbox("work")
+	unwound := 0
+	for i := 0; i < 8; i++ {
+		e.SpawnDaemon(fmt.Sprintf("d%d", i), func(p *Proc) {
+			defer func() { unwound++ }()
+			for {
+				m.Get(p)
+			}
+		})
+	}
+	e.Spawn("client", func(p *Proc) {
+		m.Put(1)
+		p.Sleep(Microsecond)
+	})
+	e.Run()
+	if unwound != 8 {
+		t.Fatalf("%d of 8 daemons unwound when Run returned", unwound)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after Run, %d before", n, base)
+	}
+}
+
+// TestFinishedProcSlotReused: a long chain of short-lived processes keeps
+// reusing one table slot, and a stale handle cannot resume its successor.
+func TestFinishedProcSlotReused(t *testing.T) {
+	e := NewEngine()
+	var first *Proc
+	var chain func(n int) func(p *Proc)
+	chain = func(n int) func(p *Proc) {
+		return func(p *Proc) {
+			p.Sleep(Nanosecond)
+			if n > 0 {
+				e.Spawn("link", chain(n-1))
+			}
+		}
+	}
+	first = e.Spawn("link", chain(100))
+	e.Spawn("watch", func(p *Proc) {
+		p.Sleep(Microsecond)
+		if n := len(e.procs.at); n > 3 {
+			t.Errorf("table grew to %d slots for at most 3 live processes", n)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("resuming a finished process did not panic")
+			}
+		}()
+		e.unpark(first, e.now)
 	})
 	e.Run()
 }
@@ -300,17 +402,6 @@ func TestAfterRunsCallbacks(t *testing.T) {
 	e.Run()
 	if at != 5*Microsecond {
 		t.Fatalf("callback at %v", at)
-	}
-}
-
-func TestTraceHookFires(t *testing.T) {
-	e := NewEngine()
-	var lines int
-	e.Trace = func(tm Time, format string, args ...interface{}) { lines++ }
-	e.Spawn("a", func(p *Proc) { p.Sleep(Microsecond) })
-	e.Run()
-	if lines == 0 {
-		t.Fatal("trace hook never fired")
 	}
 }
 

@@ -23,9 +23,6 @@ func (f *Future) Done() bool { return f.done }
 // CompletedAt returns the virtual time of completion; zero if not done.
 func (f *Future) CompletedAt() Time { return f.at }
 
-// Value returns the value passed to Complete; nil if not done.
-func (f *Future) Value() interface{} { return f.value }
-
 // Complete marks the future done at the current virtual time and wakes all
 // waiters (at the same instant, in wait order).
 func (f *Future) Complete(value interface{}) {
@@ -41,11 +38,6 @@ func (f *Future) Complete(value interface{}) {
 	f.waiters = nil
 }
 
-// CompleteAfter schedules completion d from now.
-func (f *Future) CompleteAfter(d Time, value interface{}) {
-	f.e.After(d, func() { f.Complete(value) })
-}
-
 // Await blocks the calling process until the future completes and returns
 // its value. If the future is already complete it returns immediately
 // without yielding.
@@ -54,7 +46,7 @@ func (f *Future) Await(p *Proc) interface{} {
 		return f.value
 	}
 	f.waiters = append(f.waiters, p)
-	p.park("await future")
+	p.park(blockAwait, "")
 	return f.value
 }
 

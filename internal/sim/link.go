@@ -64,19 +64,6 @@ func (l *Link) Transfer(p *Proc, n int64) {
 	p.Sleep(l.latency)
 }
 
-// TransferAsync moves n bytes over the link from a background process and
-// completes the returned future when the data has arrived. The calling
-// process continues immediately.
-func (l *Link) TransferAsync(n int64) *Future {
-	f := l.e.NewFuture()
-	l.e.Spawn(l.name+".xfer", func(p *Proc) {
-		l.occupy(p, n)
-		p.Sleep(l.latency)
-		f.Complete(nil)
-	})
-	return f
-}
-
 // Occupy holds the link for the serialization time of n bytes without the
 // trailing propagation latency. Use it when the caller accounts for
 // latency itself (e.g. a path of several links).

@@ -60,26 +60,6 @@ func TestLinkOverheadCharged(t *testing.T) {
 	}
 }
 
-func TestTransferAsyncOverlaps(t *testing.T) {
-	e := NewEngine()
-	l := e.NewLink("l", 1, 0)
-	var computeDone, xferDone Time
-	e.Spawn("host", func(p *Proc) {
-		f := l.TransferAsync(200 * 1000) // 200 us
-		p.Sleep(50 * Microsecond)        // overlapped compute
-		computeDone = p.Now()
-		f.Await(p)
-		xferDone = p.Now()
-	})
-	e.Run()
-	if computeDone != 50*Microsecond {
-		t.Fatalf("computeDone = %v", computeDone)
-	}
-	if xferDone != 200*Microsecond {
-		t.Fatalf("xferDone = %v", xferDone)
-	}
-}
-
 func TestPathTransfer(t *testing.T) {
 	e := NewEngine()
 	a := e.NewLink("a", 10, Microsecond)

@@ -40,21 +40,10 @@ func (m *Mailbox) PutAfter(d Time, v interface{}) {
 func (m *Mailbox) Get(p *Proc) interface{} {
 	for len(m.items) == 0 {
 		m.waiters = append(m.waiters, p)
-		p.park("recv " + m.name)
+		p.park(blockRecv, m.name)
 	}
 	v := m.items[0]
 	m.items[0] = nil
 	m.items = m.items[1:]
 	return v
-}
-
-// TryGet dequeues the oldest message if one is present.
-func (m *Mailbox) TryGet() (interface{}, bool) {
-	if len(m.items) == 0 {
-		return nil, false
-	}
-	v := m.items[0]
-	m.items[0] = nil
-	m.items = m.items[1:]
-	return v, true
 }

@@ -1,0 +1,178 @@
+package sim
+
+import (
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/engine_order.txt from this engine")
+
+// orderTranscript runs a seeded scenario in which most things happen at
+// the same few instants, so almost every ordering decision falls to the
+// engine's tie-break, and returns one "(now, who, step)" line per step.
+// Every worker follows a script drawn before Run, so the random stream
+// does not depend on the order under test.
+func orderTranscript() string {
+	rng := rand.New(rand.NewSource(16))
+	e := NewEngine()
+	var b strings.Builder
+	log := func(who, step string) { fmt.Fprintf(&b, "%d %s %s\n", int64(e.Now()), who, step) }
+
+	// Delays and sizes come from a handful of values (1 byte at 1 GB/s
+	// is 1 ns) so sleeps, transfers and callbacks keep colliding.
+	delay := func() Time { return Time(rng.Intn(3)) * Nanosecond }
+	res := e.NewResource("res", 1)
+	la := e.NewLink("la", 1, Nanosecond)
+	lb := e.NewLink("lb", 1, 0)
+	lc := e.NewLink("lc", 2, Nanosecond)
+	paths := []*Path{
+		{Name: "ab", Links: []*Link{la, lb}},
+		{Name: "cb", Links: []*Link{lc, lb}}, // shares lb, lists it last
+	}
+	mb := e.NewMailbox("mb")
+	gates := []*Future{e.NewFuture(), e.NewFuture(), e.NewFuture(), e.NewFuture()}
+	// complete opens gate g for its current waiters and, until the closer
+	// has run, puts a fresh gate in its place so later awaits block again.
+	closing := false
+	complete := func(who string, g int, v interface{}) {
+		f := gates[g]
+		if f.Done() {
+			return
+		}
+		if !closing {
+			gates[g] = e.NewFuture()
+		}
+		log(who, fmt.Sprintf("complete g%d", g))
+		f.Complete(v)
+	}
+
+	e.SpawnDaemon("server", func(p *Proc) {
+		for {
+			v := mb.Get(p).(int)
+			log("server", fmt.Sprintf("got %d", v))
+			p.Sleep(Time(v%3) * Nanosecond)
+		}
+	})
+
+	const workers, steps = 8, 14
+	children := 0
+	for w := 0; w < workers; w++ {
+		name := fmt.Sprintf("w%d", w)
+		script := make([]func(p *Proc) string, steps)
+		for i := range script {
+			d, g, n, tag := delay(), rng.Intn(len(gates)), int64(1+rng.Intn(3)), w*100+i
+			switch op := rng.Intn(14); {
+			case i == 0 && w < 4: // several waiters on one future
+				script[i] = func(p *Proc) string { gates[0].Await(p); return "await g0" }
+			case op <= 1:
+				script[i] = func(p *Proc) string { p.Sleep(d); return fmt.Sprintf("sleep %d", d) }
+			case op == 2:
+				script[i] = func(p *Proc) string { p.Yield(); return "yield" }
+			case op == 3:
+				script[i] = func(p *Proc) string {
+					e.After(d, func() { log("cb", fmt.Sprintf("after %d", tag)) })
+					return fmt.Sprintf("after %d +%d", tag, d)
+				}
+			case op == 4:
+				script[i] = func(p *Proc) string { mb.Put(tag); return fmt.Sprintf("put %d", tag) }
+			case op == 5:
+				script[i] = func(p *Proc) string { mb.PutAfter(d, tag); return fmt.Sprintf("putafter %d +%d", tag, d) }
+			case op <= 7:
+				script[i] = func(p *Proc) string {
+					res.Acquire(p)
+					log(name, "acquired")
+					p.Sleep(d)
+					res.Release()
+					return fmt.Sprintf("release +%d", d)
+				}
+			case op <= 9:
+				script[i] = func(p *Proc) string {
+					pa := paths[tag%2]
+					pa.Occupy(p, n)
+					return fmt.Sprintf("occupy %s %d", pa.Name, n)
+				}
+			case op == 10:
+				script[i] = func(p *Proc) string {
+					if tag%2 == 0 { // complete from an engine callback
+						e.After(d, func() { complete("cb", g, tag) })
+						return fmt.Sprintf("complete g%d +%d", g, d)
+					}
+					complete(name, g, tag)
+					return "completed"
+				}
+			case op == 11:
+				script[i] = func(p *Proc) string { gates[g].Await(p); return fmt.Sprintf("await g%d", g) }
+			default:
+				script[i] = func(p *Proc) string {
+					children++
+					cname := fmt.Sprintf("c%d", children)
+					body := func(c *Proc) {
+						log(cname, "start")
+						c.Sleep(0)
+						log(cname, "resumed")
+						gates[g].Await(c)
+						log(cname, fmt.Sprintf("await g%d", g))
+					}
+					if tag%2 == 0 {
+						e.Spawn(cname, body)
+						return "spawn " + cname
+					}
+					e.SpawnDaemon(cname, body)
+					return "spawndaemon " + cname
+				}
+			}
+		}
+		e.Spawn(name, func(p *Proc) {
+			for i, step := range script {
+				log(name, fmt.Sprintf("%d %s", i, step(p)))
+			}
+		})
+	}
+	// Nothing may stay blocked on a gate no script happened to complete.
+	e.Spawn("closer", func(p *Proc) {
+		p.Sleep(Microsecond)
+		closing = true
+		for g := range gates {
+			complete("closer", g, nil)
+		}
+	})
+	e.Run()
+	log("engine", "done")
+	return b.String()
+}
+
+// TestEngineOrderTranscript pins the engine's same-instant ordering — the
+// (at, schedule sequence) FIFO every golden figure depends on — to the
+// transcript recorded from the engine of PR 14.
+func TestEngineOrderTranscript(t *testing.T) {
+	const golden = "testdata/engine_order.txt"
+	got := orderTranscript()
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			w := "<end of transcript>"
+			if i < len(wl) {
+				w = wl[i]
+			}
+			t.Fatalf("transcript diverges at line %d:\n got %q\nwant %q", i+1, gl[i], w)
+		}
+	}
+	t.Fatalf("transcript is %d lines, golden has %d", len(gl), len(wl))
+}

@@ -23,25 +23,13 @@ func (e *Engine) NewResource(name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// InUse returns the number of currently-held slots.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Acquire takes one slot, blocking FIFO until one is available.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.cap {
 		r.waiters = append(r.waiters, p)
-		p.park("acquire " + r.name)
+		p.park(blockAcquire, r.name)
 	}
 	r.inUse++
-}
-
-// TryAcquire takes a slot only if one is immediately available.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.cap {
-		return false
-	}
-	r.inUse++
-	return true
 }
 
 // Release frees one slot. It panics if no slot is held.

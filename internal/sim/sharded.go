@@ -2,18 +2,18 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 )
 
 // Sharded discrete-event engine.
 //
-// The cooperative Engine in engine.go runs one goroutine per simulated
-// process and hands control between them through channels. That is the
-// right tool for protocol-accurate worlds (hundreds of ranks), but at
-// 16k+ ranks both the goroutine stacks and the single global event heap
-// dominate the cost. The ShardedEngine is the scale-out counterpart:
+// The cooperative Engine in engine.go gives every simulated process its
+// own coroutine (and stack) and resumes them one at a time off a single
+// event heap. That is the right tool for protocol-accurate worlds
+// (hundreds of ranks), but at 16k+ ranks both the stacks and the single
+// heap dominate the cost. The ShardedEngine is the scale-out counterpart
+// over the same Event and heap (event.go):
 //
 //   - No goroutine per entity. Actors are flyweight state machines that
 //     receive value-typed Events; all state advances inside HandleEvent.
@@ -31,31 +31,15 @@ import (
 //     the target heap at the window barrier.
 //
 // Determinism is independent of the shard count. Events order by
-// (At, pri) where pri = (senderActor+1)<<32 | senderSeq; both
-// components are pure functions of the simulation's own history, never
-// of shard scheduling, so the per-actor event sequence — and therefore
-// every virtual timestamp — is byte-identical for Shards=1 and
-// Shards=N. Shards=1 degenerates to a plain serial heap drain
-// (the reference the determinism tests compare against).
+// (At, pri) with the sender-stamped pri described on Event, so the
+// per-actor event sequence — and therefore every virtual timestamp —
+// is byte-identical for Shards=1 and Shards=N. Shards=1 degenerates to
+// a plain serial heap drain (the reference the determinism tests
+// compare against).
 
 // ActorID names an actor registered with AddActor. IDs are assigned
 // sequentially from zero in registration order.
 type ActorID = int32
-
-// Event is a value-typed message delivered to an actor. Kind, From,
-// Round, A, B and Sig are uninterpreted by the engine: they carry the
-// model's message identity (payload bytes, schedule round, content
-// signature, ...) without allocating.
-type Event struct {
-	At    Time
-	pri   uint64 // (senderActor+1)<<32 | senderSeq; setup events < 1<<32
-	To    ActorID
-	Kind  int32
-	From  ActorID
-	Round int32
-	A, B  int64
-	Sig   uint64
-}
 
 // Handler is a flyweight actor: all of its state lives in the struct
 // implementing the interface, and advances only inside HandleEvent.
@@ -137,9 +121,6 @@ func NewShardedEngine(shards int, lookahead Time) *ShardedEngine {
 	}
 	return se
 }
-
-// Shards returns the shard count.
-func (se *ShardedEngine) Shards() int { return len(se.shards) }
 
 // Lookahead returns the conservative window width.
 func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
@@ -246,8 +227,7 @@ func (se *ShardedEngine) Run() {
 	}
 	se.ran = true
 	if len(se.shards) == 1 {
-		// Serial reference path: a single heap drained to completion,
-		// exactly the discipline of the cooperative serial engine.
+		// Serial reference path: a single heap drained to completion.
 		sh := se.shards[0]
 		func() {
 			defer se.capture()
@@ -362,74 +342,3 @@ func (se *ShardedEngine) Events() int64 { return se.events }
 // HeapPeak returns the largest single-shard pending-event count seen,
 // a proxy for the engine's working-set memory.
 func (se *ShardedEngine) HeapPeak() int { return se.heapPeak }
-
-// evLess orders events by (At, pri). pri is globally unique, so the
-// order is total and independent of heap internals.
-func evLess(a, b Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	return a.pri < b.pri
-}
-
-// evLessBit is evLess as 0 or 1 without a branch: the borrow out of the
-// 128-bit subtraction a.(At:pri) - b.(At:pri), At biased to unsigned.
-// evPop adds it to an index where a branch on evLess would mispredict
-// half the time.
-func evLessBit(a, b *Event) int {
-	_, br := bits.Sub64(a.pri, b.pri, 0)
-	_, br = bits.Sub64(uint64(a.At)^(1<<63), uint64(b.At)^(1<<63), br)
-	return int(br)
-}
-
-// evPush / evPop are a hand-rolled binary min-heap over value events:
-// no interface boxing, no per-event allocation, no closures — the inner
-// loop of a 500M-event simulation. Both sift a hole: the moving event
-// stays in a local while parents (or children) slide into the gap, so
-// each level costs one 56-byte copy, not the three of a swap. evPop
-// picks the smaller child by arithmetic on evLessBit; the comparison
-// against the sinking event stays a branch because it almost always
-// goes the same way (the event came from the bottom).
-func evPush(h *[]Event, ev Event) {
-	s := append(*h, ev)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(ev, s[p]) {
-			break
-		}
-		s[i] = s[p]
-		i = p
-	}
-	s[i] = ev
-	*h = s
-}
-
-func evPop(h *[]Event) Event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	ev := s[n]
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		m := 2*i + 1
-		if m >= n {
-			break
-		}
-		if r := m + 1; r < n {
-			m += evLessBit(&s[r], &s[m])
-		}
-		if !evLess(s[m], ev) {
-			break
-		}
-		s[i] = s[m]
-		i = m
-	}
-	s[i] = ev
-	return top
-}

@@ -1,10 +1,12 @@
 // Package sim provides a deterministic, cooperative discrete-event
 // simulation kernel.
 //
-// The engine runs simulated processes (goroutines) one at a time using
-// channel handoff, so simulations are data-race free and fully
-// reproducible: the event queue tie-breaks equal timestamps on a
-// monotonically increasing sequence number.
+// There is one event core (event.go): a value-typed Event and the heap
+// that orders it by (time, priority). Engine runs simulated processes as
+// coroutines over it, one at a time, so simulations are data-race free
+// and fully reproducible: equal timestamps tie-break on a monotonically
+// increasing schedule sequence. ShardedEngine runs flyweight actors over
+// the same core, one heap per shard.
 //
 // Time is virtual and expressed in picoseconds (Time). Processes advance
 // time by sleeping, waiting on Futures, receiving from Mailboxes, or
