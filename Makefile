@@ -14,12 +14,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full CI gate: build, vet, race-enabled tests (includes the
-# differential oracle, channel round-trips, golden traces, cmd smoke
-# tests and example builds), then a short fuzz smoke on both targets.
+# Full CI gate: formatting (any file gofmt would rewrite fails it),
+# build, vet, race-enabled tests (includes the differential oracle,
+# channel round-trips, golden traces, cmd smoke tests and example
+# builds), then a short fuzz smoke on both targets.
 # trace-check and chaos-check are separate gates (CI runs each as its
 # own step), not prerequisites, so no test runs twice per job.
 check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...

@@ -20,7 +20,7 @@ type rig struct {
 	e   *Engine
 }
 
-func newRig(t *testing.T, opts Options) *rig {
+func newRig(t testing.TB, opts Options) *rig {
 	t.Helper()
 	se := sim.NewEngine()
 	node := pcie.NewNode(se, 0, 1, gpu.KeplerK40(), pcie.DefaultParams())

@@ -56,7 +56,7 @@ type DevCacheStats struct {
 // device run under one simulation scheduler, but independent benchmark
 // worlds may compile plans and probe caches from concurrent goroutines.
 type DevCache struct {
-	mu    sync.Mutex
+	mu     sync.Mutex
 	budget int64
 	used   int64
 	items  map[devKey]*list.Element
@@ -148,17 +148,31 @@ func (c *DevCache) store(k devKey, val *cacheVal, bytes int64) (evicted []mem.Bu
 	return evicted
 }
 
-// grabSlab hands out a retired entry slice (length 0) for a converting
-// packer to build into, or a fresh one if none is pooled.
-func (c *DevCache) grabSlab() []Entry {
+// grabSlab hands out an entry slice of length 0 and capacity at least n
+// for a converting packer to build into: a retired one when one is large
+// enough, otherwise a fresh one.
+func (c *DevCache) grabSlab(n int) []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.slabs); n > 0 {
-		s := c.slabs[n-1]
-		c.slabs = c.slabs[:n-1]
-		return s[:0]
+	for i := len(c.slabs) - 1; i >= 0; i-- {
+		if s := c.slabs[i]; cap(s) >= n {
+			last := len(c.slabs) - 1
+			c.slabs[i], c.slabs[last] = c.slabs[last], nil
+			c.slabs = c.slabs[:last]
+			return s
+		}
 	}
-	return make([]Entry, 0, 1024)
+	if n < 1024 {
+		n = 1024
+	}
+	return make([]Entry, 0, n)
+}
+
+// retire pools an entry slice nothing references any more.
+func (c *DevCache) retire(s []Entry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.retireLocked(s)
 }
 
 // retireLocked pools an entry slice for reuse. Bounded so a burst of

@@ -204,15 +204,13 @@ func (e *Engine) lookupCache(dt *datatype.Datatype, count int) *cacheVal {
 // memory that holds the descriptor array (the paper's "few MBs of GPU
 // memory", §5.1). Lists that could never fit the device budget are not
 // cached; stores that push the cache over budget evict older lists and
-// release their descriptor arrays.
-func (e *Engine) storeCache(dt *datatype.Datatype, count int, entries []Entry) {
-	if e.opts.NoCacheDEV {
-		return
-	}
+// release their descriptor arrays. It reports whether the cache took
+// the list (and with it the slice).
+func (e *Engine) storeCache(dt *datatype.Datatype, count int, entries []Entry) bool {
 	key := devKey{e, dt, count}
 	bytes := int64(len(entries)) * entryDevBytes
 	if e.cache.contains(key) || !e.cache.admits(bytes) {
-		return
+		return false
 	}
 	devBuf := e.dev.Mem().Alloc(bytes, 256)
 	evicted := e.cache.store(key, &cacheVal{entries: entries, devBuf: devBuf}, bytes)
@@ -220,6 +218,7 @@ func (e *Engine) storeCache(dt *datatype.Datatype, count int, entries []Entry) {
 		e.count("core.dev.evict", 1)
 		b.Space().Free(b)
 	}
+	return true
 }
 
 // entryDevBytes is sizeof(cuda_dev_dist): three 8-byte fields (§3.2).

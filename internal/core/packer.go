@@ -25,6 +25,14 @@ const maxUnitLen = 1 << 30
 // from GPU-resident non-contiguous data into contiguous fragments. It is
 // resumable: each PackInto call produces the next fragment, which is how
 // the BTL protocols pipeline pack with transfer and unpack (§4).
+//
+// Every path produces a window's descriptors once, as direction-bound
+// gpu.Units rebased to the fragment, in the pooled array the kernel then
+// owns (see gpu.GetUnits): the vector path from arithmetic, the cached
+// path from its slice of the resident list, the converting path from the
+// tail of the list it is building. The kernel gets a copy, never a view
+// of a cached list — eviction recycles a list's array while kernels that
+// were bound from it may still be queued.
 type Packer struct {
 	e    *Engine
 	data mem.Buffer
@@ -33,15 +41,15 @@ type Packer struct {
 	cnt  int
 	dir  direction
 
-	view     *datatype.VectorView
-	cached   *cacheVal
-	building []Entry // accumulates entries on a cache miss
-	ci       int     // index into cached.entries at the current position
+	view   *datatype.VectorView
+	cached *cacheVal
+	ci     int // entry of cached.entries the next sequential window starts in
 
-	// scratch holds the per-window unit list. launch copies units out
-	// synchronously, so the slice is safely reused across windows,
-	// removing the per-fragment allocation the seed paid.
-	scratch []Entry
+	// The converting path (a cache miss): building is the message's
+	// entry list so far, stored in the DEV cache on completion while
+	// caching holds; once it does not, building is per-chunk scratch.
+	building []Entry
+	caching  bool
 }
 
 // NewPacker prepares packing of count elements of dt laid out over data
@@ -71,8 +79,8 @@ func (e *Engine) newWorker(data mem.Buffer, dt *datatype.Datatype, count int, di
 	if pk.view == nil {
 		if pk.cached = e.lookupCache(dt, count); pk.cached != nil {
 			e.cacheHits++
-		} else if !e.opts.NoCacheDEV {
-			pk.building = e.cache.grabSlab()
+		} else {
+			pk.caching = !e.opts.NoCacheDEV
 		}
 	}
 	return pk
@@ -89,8 +97,9 @@ func (pk *Packer) Total() int64 { return pk.conv.Total() }
 // the cache; a later transfer of the same (dt, count) will.
 func (pk *Packer) SeekTo(pos int64) {
 	pk.conv.SeekTo(pos)
+	pk.caching = false
+	pk.e.cache.retire(pk.building)
 	pk.building = nil
-	pk.ci = 0
 }
 
 // Remaining returns the packed bytes not yet produced/consumed.
@@ -135,31 +144,29 @@ func (pk *Packer) process(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) {
 	var fut *sim.Future
 	switch {
 	case pk.view != nil:
-		entries := pk.viewEntries(start, n)
+		units := pk.viewUnits(start, n)
 		pk.conv.Advance(n, nil)
-		fut = pk.launch(gpu.VectorKernel, entries, start, frag)
+		fut = pk.launch(gpu.VectorKernel, units, n, frag)
 	case pk.cached != nil:
-		entries := pk.cachedEntries(start, n)
+		units := pk.cachedUnits(start, n)
 		pk.conv.Advance(n, nil)
-		fut = pk.launch(gpu.DEVKernel, entries, start, frag)
+		fut = pk.launch(gpu.DEVKernel, units, n, frag)
 	default:
-		fut = pk.convertAndLaunch(p, start, n, frag)
+		fut = pk.convertAndLaunch(p, n, frag)
 	}
 	return n, fut
 }
 
-// viewEntries computes the units intersecting packed window [start,
+// viewUnits computes the units intersecting packed window [start,
 // start+n) directly from the vector view — no conversion cost, exactly
 // like the specialized kernel taking (blocklen, stride, count) arguments.
-func (pk *Packer) viewEntries(start, n int64) []Entry {
+func (pk *Packer) viewUnits(start, n int64) []gpu.Unit {
 	v := pk.view
-	out := pk.scratch[:0]
 	end := start + n
-	for i := start / v.BlockLen; i < v.Count; i++ {
+	first, last := start/v.BlockLen, (end-1)/v.BlockLen
+	units := gpu.GetUnits(int(last - first + 1))[:0] // one unit per block, unless blocks exceed maxUnitLen
+	for i := first; i <= last; i++ {
 		bStart := i * v.BlockLen // packed offset of block i
-		if bStart >= end {
-			break
-		}
 		lo, hi := bStart, bStart+v.BlockLen
 		if lo < start {
 			lo = start
@@ -173,66 +180,86 @@ func (pk *Packer) viewEntries(start, n int64) []Entry {
 			if take > maxUnitLen {
 				take = maxUnitLen
 			}
-			out = append(out, Entry{MemOff: memOff + (l - lo), PackOff: l, Len: int32(take)})
+			u := gpu.Unit{SrcOff: memOff + (l - lo), DstOff: l - start, Len: int32(take)}
+			if pk.dir == dirUnpack {
+				u.SrcOff, u.DstOff = u.DstOff, u.SrcOff
+			}
+			units = append(units, u)
 			l += take
 		}
 	}
-	pk.scratch = out
-	return out
+	return units
 }
 
-// cachedEntries slices the cached unit list for the packed window,
-// splitting boundary units as needed. No conversion cost: the descriptor
-// array is already resident in GPU memory.
-func (pk *Packer) cachedEntries(start, n int64) []Entry {
+// cachedUnits binds the cached list's units for the packed window,
+// trimming the at most two that straddle its ends. No conversion cost:
+// the descriptor array is already resident in GPU memory. PackOff is
+// monotonic, so both ends of the window are found by search, not scan.
+func (pk *Packer) cachedUnits(start, n int64) []gpu.Unit {
 	entries := pk.cached.entries
 	end := start + n
-	// Windows are usually sequential, continuing at pk.ci. A restart
-	// (retransmission, pipeline rewind) binary-searches the unit list —
-	// PackOff is monotonic — instead of replaying it.
-	if pk.ci > 0 && entries[pk.ci-1].PackOff+int64(entries[pk.ci-1].Len) > start {
-		pk.ci = sort.Search(len(entries), func(i int) bool {
+	// Windows are usually sequential, continuing in entry pk.ci. A
+	// restart (retransmission, pipeline rewind) searches for its entry.
+	lo := pk.ci
+	if lo >= len(entries) || entries[lo].PackOff > start || entries[lo].PackOff+int64(entries[lo].Len) <= start {
+		lo = sort.Search(len(entries), func(i int) bool {
 			return entries[i].PackOff+int64(entries[i].Len) > start
 		})
 	}
-	out := pk.scratch[:0]
-	for i := pk.ci; i < len(entries); i++ {
-		u := entries[i]
-		uStart, uEnd := u.PackOff, u.PackOff+int64(u.Len)
-		if uEnd <= start {
-			pk.ci = i + 1
-			continue
-		}
-		if uStart >= end {
-			break
-		}
-		lo, hi := uStart, uEnd
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		out = append(out, Entry{
-			MemOff:  u.MemOff + (lo - uStart),
-			PackOff: lo,
-			Len:     int32(hi - lo),
-			Partial: u.Partial || hi-lo < int64(u.Len),
-		})
+	hi := lo + sort.Search(len(entries)-lo, func(i int) bool {
+		return entries[lo+i].PackOff >= end
+	})
+	units := gpu.GetUnits(hi - lo)
+	pk.bind(units, entries[lo:hi], start)
+	if head := start - entries[lo].PackOff; head > 0 {
+		u := &units[0]
+		u.SrcOff, u.DstOff, u.Len, u.Partial = u.SrcOff+head, u.DstOff+head, u.Len-int32(head), true
 	}
-	pk.scratch = out
-	return out
+	pk.ci = hi
+	if last := entries[hi-1]; last.PackOff+int64(last.Len) > end {
+		u := &units[hi-lo-1]
+		u.Len, u.Partial = u.Len-int32(last.PackOff+int64(last.Len)-end), true
+		pk.ci = hi - 1
+	}
+	return units
+}
+
+// bind writes the kernel unit of each entry for this packer's direction,
+// with packed offsets rebased to a fragment that starts at fragStart.
+func (pk *Packer) bind(units []gpu.Unit, entries []Entry, fragStart int64) {
+	units = units[:len(entries)]
+	if pk.dir == dirPack {
+		for i := range entries {
+			e := &entries[i]
+			units[i] = gpu.Unit{SrcOff: e.MemOff, DstOff: e.PackOff - fragStart, Len: e.Len, Partial: e.Partial}
+		}
+		return
+	}
+	for i := range entries {
+		e := &entries[i]
+		units[i] = gpu.Unit{SrcOff: e.PackOff - fragStart, DstOff: e.MemOff, Len: e.Len, Partial: e.Partial}
+	}
 }
 
 // convertAndLaunch runs the CPU conversion for the window in chunks,
 // launching a kernel per chunk so conversion of chunk k+1 overlaps
 // execution of chunk k when pipelining is enabled (§3.2). With
 // pipelining disabled the full window is converted before one launch.
-func (pk *Packer) convertAndLaunch(p *sim.Proc, start, n int64, frag mem.Buffer) *sim.Future {
+// Split entries go straight onto the list being built; a chunk's kernel
+// is bound from the list's tail.
+func (pk *Packer) convertAndLaunch(p *sim.Proc, n int64, frag mem.Buffer) *sim.Future {
 	opts := &pk.e.opts
+	if pk.building == nil {
+		// Sized once when the list is kept: every block yields at most
+		// Len/UnitSize + 1 units.
+		var units int64
+		if pk.caching {
+			units = pk.conv.Total()/opts.UnitSize + int64(pk.cnt)*int64(pk.dt.Plan().NumBlocks())
+		}
+		pk.building = pk.e.cache.grabSlab(int(units))
+	}
 	var fut *sim.Future
-	converted := int64(0)
-	for converted < n {
+	for converted := int64(0); converted < n; {
 		m := opts.ChunkBytes
 		if opts.NoPipeline {
 			m = n
@@ -240,14 +267,19 @@ func (pk *Packer) convertAndLaunch(p *sim.Proc, start, n int64, frag mem.Buffer)
 		if rem := n - converted; m > rem {
 			m = rem
 		}
-		chunkStart := start + converted
-		entries := pk.scratch[:0]
+		chunkStart := pk.conv.Packed()
+		list := pk.building
+		if !pk.caching {
+			list = list[:0]
+		}
+		mark := len(list)
 		pieces := 0
 		pk.conv.Advance(m, func(memOff, packOff, l int64) {
 			pieces++
-			entries = splitEntries(entries, opts.UnitSize, memOff, packOff, l)
+			list = splitEntries(list, opts.UnitSize, memOff, packOff, l)
 		})
-		pk.scratch = entries
+		pk.building = list
+		entries := list[mark:]
 		// CPU cost of simulating the pack and emitting cuda_dev_dist
 		// entries for this chunk.
 		p.Sleep(sim.Time(pieces)*opts.ConvPerEntry + sim.Time(len(entries))*opts.ConvPerUnit)
@@ -255,57 +287,43 @@ func (pk *Packer) convertAndLaunch(p *sim.Proc, start, n int64, frag mem.Buffer)
 		pk.e.convUnits += int64(len(entries))
 		// Upload the descriptor array to the device.
 		pk.e.ctx.Node().H2D(pk.e.dev.ID()).Transfer(p, int64(len(entries))*entryDevBytes)
-		fut = pk.launch(gpu.DEVKernel, entries, chunkStart, frag.Slice(converted, m+0))
+		units := gpu.GetUnits(len(entries))
+		pk.bind(units, entries, chunkStart)
+		fut = pk.launch(gpu.DEVKernel, units, m, frag.Slice(converted, m))
 		converted += m
-		if pk.building != nil {
-			pk.building = append(pk.building, entries...)
-		}
 	}
-	if pk.building != nil && pk.conv.Done() {
-		pk.e.storeCache(pk.dt, pk.cnt, pk.building)
+	if pk.conv.Done() {
+		if !pk.caching || !pk.e.storeCache(pk.dt, pk.cnt, pk.building) {
+			pk.e.cache.retire(pk.building)
+		}
 		pk.building = nil
 	}
 	return fut
 }
 
-// launch builds the direction-bound kernel for a window and submits it.
-// fragStart is the packed offset of frag[0].
-func (pk *Packer) launch(kind gpu.KernelKind, entries []Entry, fragStart int64, frag mem.Buffer) *sim.Future {
-	k := &gpu.Kernel{Kind: kind, Blocks: pk.e.opts.Blocks}
-	units := gpu.GetUnits(len(entries))
-	if pk.dir == dirPack {
-		k.Src, k.Dst = pk.data, frag
-		for i, u := range entries {
-			units[i] = gpu.Unit{SrcOff: u.MemOff, DstOff: u.PackOff - fragStart, Len: u.Len, Partial: u.Partial}
-		}
-	} else {
+// launch submits the kernel that moves a window's n bytes through units
+// between the data layout and frag.
+func (pk *Packer) launch(kind gpu.KernelKind, units []gpu.Unit, n int64, frag mem.Buffer) *sim.Future {
+	k := &gpu.Kernel{Kind: kind, Src: pk.data, Dst: frag, Units: units, Blocks: pk.e.opts.Blocks}
+	if pk.dir == dirUnpack {
 		k.Src, k.Dst = frag, pk.data
-		for i, u := range entries {
-			units[i] = gpu.Unit{SrcOff: u.PackOff - fragStart, DstOff: u.MemOff, Len: u.Len, Partial: u.Partial}
-		}
 	}
-	k.Units = units
+	dev, stream, node := pk.e.dev, pk.e.stream, pk.e.ctx.Node()
 	switch {
+	case frag.Space() == dev.Mem():
+		return dev.Launch(stream, k)
+	case pk.dir == dirPack:
+		// The contiguous side is mapped host memory (zero copy, §4.2) or
+		// a peer GPU's memory (mapped via CUDA IPC): the writes stream
+		// coalesced over the local transmit link.
+		return dev.LaunchZeroCopy(stream, k, node.SlotTx(dev.ID()), n)
 	case frag.Kind() == mem.Host:
-		// Zero copy: the contiguous side is mapped host memory (§4.2).
-		if pk.dir == dirPack {
-			return pk.e.ctx.LaunchPackZeroCopy(pk.e.stream, k)
-		}
-		return pk.e.ctx.LaunchUnpackZeroCopy(pk.e.stream, k)
-	case frag.Space() != pk.e.dev.Mem():
-		// The contiguous side lives in a peer GPU's memory (mapped via
-		// CUDA IPC). Packing writes stream coalesced over the local
-		// transmit link; direct remote unpacking issues many scattered
-		// reads and under-utilizes PCIe (§5.2.1), modeled by inflating
-		// the wire traffic by 1/RemoteAccessEff.
-		node := pk.e.ctx.Node()
-		if pk.dir == dirPack {
-			return pk.e.dev.LaunchZeroCopy(pk.e.stream, k, node.SlotTx(pk.e.dev.ID()), k.Bytes())
-		}
-		wire := int64(float64(k.Bytes()) / pk.e.opts.RemoteAccessEff)
-		return pk.e.dev.LaunchZeroCopy(pk.e.stream, k, node.SlotRx(pk.e.dev.ID()), wire)
+		return dev.LaunchZeroCopy(stream, k, node.SlotRx(dev.ID()), n)
 	default:
-		return pk.e.dev.Launch(pk.e.stream, k)
+		// Direct remote unpacking issues many scattered reads and
+		// under-utilizes PCIe (§5.2.1), modeled by inflating the wire
+		// traffic by 1/RemoteAccessEff.
+		return dev.LaunchZeroCopy(stream, k, node.SlotRx(dev.ID()), int64(float64(n)/pk.e.opts.RemoteAccessEff))
 	}
 }
 

@@ -91,3 +91,43 @@ func TestPackerSeekToMidstream(t *testing.T) {
 		t.Fatal("re-packed tail diverges after SeekTo to a mid-stream offset")
 	}
 }
+
+// TestPackerSeekToRetiresSlab: the list a converting packer was building
+// goes back to the device cache's slab pool when SeekTo abandons it, and
+// the replay — which converts through scratch and caches nothing —
+// returns its slab too.
+func TestPackerSeekToRetiresSlab(t *testing.T) {
+	r := newRig(t, Options{})
+	dt := shapes.LowerTriangular(64)
+	data := r.ctx.Malloc(0, span(dt, 1))
+	frag := r.ctx.Malloc(0, 4096)
+	pooled := func() int {
+		r.e.cache.mu.Lock()
+		defer r.e.cache.mu.Unlock()
+		return len(r.e.cache.slabs)
+	}
+	r.eng.Spawn("seek", func(p *sim.Proc) {
+		pk := r.e.NewPacker(data, dt, 1)
+		_, fut := pk.PackInto(p, frag)
+		fut.Await(p)
+		building := pk.building
+		if building == nil || pooled() != 0 {
+			t.Errorf("before SeekTo: building %v, %d slabs pooled", building != nil, pooled())
+			return
+		}
+		pk.SeekTo(0)
+		if pk.building != nil || pooled() != 1 || &r.e.cache.slabs[0][:1][0] != &building[0] {
+			t.Errorf("SeekTo did not retire the slab it abandoned (%d pooled)", pooled())
+			return
+		}
+		var out []byte
+		packFrags(p, pk, frag, &out)
+		if pk.building != nil || pooled() != 1 {
+			t.Errorf("replay kept its scratch slab (%d pooled)", pooled())
+		}
+	})
+	r.eng.Run()
+	if st := r.e.DevCache().Stats(); st.Stores != 0 {
+		t.Fatalf("a rewound first pass populated the cache (%d stores)", st.Stores)
+	}
+}

@@ -1,8 +1,8 @@
 // Package cuda provides a CUDA-runtime-shaped API over the simulated GPU
 // and PCIe substrates: memory copies (including cudaMemcpy2D with its
 // pitch-alignment behaviour), streams and events (re-exported from gpu),
-// IPC memory handles with one-time map cost and caching, and zero-copy
-// host mapping.
+// page-locked host memory, and IPC memory handles with one-time map cost
+// and caching. Kernels are launched on the gpu.Device directly.
 //
 // One Ctx corresponds to one process's CUDA context on one node.
 package cuda
@@ -72,7 +72,7 @@ func (c *Ctx) Memcpy(p *sim.Proc, dst, src mem.Buffer) error {
 	}
 	n := src.Len()
 	sd, dd := c.deviceOf(src), c.deviceOf(dst)
-	h := p.BeginBytes("cuda.memcpy."+copyDir(sd, dd), n)
+	h := p.BeginBytes(memcpySpan[copyDir(sd, dd)], n)
 	defer h.End()
 	if sd < 0 && dd < 0 {
 		return c.node.HostCopy(p, dst, src) // charges its own cost, probes its own fault site
@@ -99,19 +99,35 @@ func (c *Ctx) Memcpy(p *sim.Proc, dst, src mem.Buffer) error {
 	return nil
 }
 
-// copyDir names a copy direction for the timeline (host = -1).
-func copyDir(sd, dd int) string {
+// dir is a copy direction; it indexes the timeline span names.
+type dir int
+
+const (
+	h2h dir = iota
+	h2d
+	d2h
+	d2d
+	p2p
+)
+
+var (
+	memcpySpan   = [...]string{h2h: "cuda.memcpy.h2h", h2d: "cuda.memcpy.h2d", d2h: "cuda.memcpy.d2h", d2d: "cuda.memcpy.d2d", p2p: "cuda.memcpy.p2p"}
+	memcpy2DSpan = [...]string{h2h: "cuda.memcpy2d.h2h", h2d: "cuda.memcpy2d.h2d", d2h: "cuda.memcpy2d.d2h", d2d: "cuda.memcpy2d.d2d", p2p: "cuda.memcpy2d.p2p"}
+)
+
+// copyDir classifies a copy between two endpoints (host = -1).
+func copyDir(sd, dd int) dir {
 	switch {
 	case sd < 0 && dd < 0:
-		return "h2h"
+		return h2h
 	case sd < 0:
-		return "h2d"
+		return h2d
 	case dd < 0:
-		return "d2h"
+		return d2h
 	case sd == dd:
-		return "d2d"
+		return d2d
 	default:
-		return "p2p"
+		return p2p
 	}
 }
 
@@ -151,7 +167,7 @@ func (c *Ctx) Memcpy2D(p *sim.Proc, dst mem.Buffer, dpitch int64, src mem.Buffer
 	}
 	sd, dd := c.deviceOf(src), c.deviceOf(dst)
 	n := width * height
-	h := p.BeginBytes("cuda.memcpy2d."+copyDir(sd, dd), n)
+	h := p.BeginBytes(memcpy2DSpan[copyDir(sd, dd)], n)
 	defer h.End()
 	if err := c.node.Faults().Check(p, fault.PCIeCopy, n); err != nil {
 		return err
@@ -201,9 +217,13 @@ func (c *Ctx) Memcpy2DAsync(s *gpu.Stream, dst mem.Buffer, dpitch int64, src mem
 	})
 }
 
+// copy2D moves the rows. Both windows are resolved once; a row is then
+// one slice expression per side, whose bounds check keeps it inside its
+// buffer.
 func copy2D(dst mem.Buffer, dpitch int64, src mem.Buffer, spitch int64, width, height int64) {
+	d, s := dst.Bytes(), src.Bytes()
 	for r := int64(0); r < height; r++ {
-		mem.Copy(dst.Slice(r*dpitch, width), src.Slice(r*spitch, width))
+		copy(d[r*dpitch:r*dpitch+width], s[r*spitch:r*spitch+width])
 	}
 }
 
@@ -248,23 +268,4 @@ func (c *Ctx) IpcOpenMemHandle(p *sim.Proc, h IpcHandle) (mem.Buffer, error) {
 		p.Count("ipc.map.hit", 1)
 	}
 	return c.node.GPU(h.Dev).Mem().BufferAt(h.Addr, h.Len), nil
-}
-
-// LaunchPack launches kernel k on stream s of device dev with the
-// contiguous side resident in device memory.
-func (c *Ctx) LaunchPack(s *gpu.Stream, k *gpu.Kernel) *sim.Future {
-	return s.Device().Launch(s, k)
-}
-
-// LaunchPackZeroCopy launches a pack kernel whose contiguous destination
-// is host memory mapped into the device (CUDA UMA zero copy): the writes
-// stream over the device's PCIe transmit link during the kernel.
-func (c *Ctx) LaunchPackZeroCopy(s *gpu.Stream, k *gpu.Kernel) *sim.Future {
-	return s.Device().LaunchZeroCopy(s, k, c.node.SlotTx(s.Device().ID()), k.Bytes())
-}
-
-// LaunchUnpackZeroCopy launches an unpack kernel whose contiguous source
-// is mapped host memory: reads stream over the receive link.
-func (c *Ctx) LaunchUnpackZeroCopy(s *gpu.Stream, k *gpu.Kernel) *sim.Future {
-	return s.Device().LaunchZeroCopy(s, k, c.node.SlotRx(s.Device().ID()), k.Bytes())
 }

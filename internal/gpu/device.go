@@ -37,8 +37,13 @@ type Device struct {
 	ddtCache interface{}
 }
 
-// NewDevice creates a GPU with the given calibration profile.
+// NewDevice creates a GPU with the given calibration profile. It panics
+// unless WarpBytes is a power of two: the kernel cost model rounds and
+// tests alignment with masks.
 func NewDevice(eng *sim.Engine, id int, p Params) *Device {
+	if p.WarpBytes <= 0 || p.WarpBytes&(p.WarpBytes-1) != 0 {
+		panic(fmt.Sprintf("gpu: WarpBytes %d is not a power of two", p.WarpBytes))
+	}
 	d := &Device{
 		eng:  eng,
 		id:   id,

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"gpuddt/internal/mem"
@@ -38,9 +39,11 @@ type Unit struct {
 	Partial        bool
 }
 
-// unitPool recycles Unit slices between kernel launches: a figure sweep
-// issues millions of launches and the descriptor arrays are the last
-// remaining steady-state allocation on the pack path.
+// unitPool recycles descriptor arrays between kernel launches: a figure
+// sweep issues millions of launches and the arrays are the last
+// steady-state allocation on the pack path. It holds *[]Unit, each the
+// address of the spent field of a kernel that has run, so returning an
+// array allocates nothing.
 var unitPool sync.Pool
 
 // GetUnits returns a descriptor slice of length n, reusing the array of
@@ -50,7 +53,10 @@ var unitPool sync.Pool
 // else may touch Units after the kernel's future resolves.
 func GetUnits(n int) []Unit {
 	if v := unitPool.Get(); v != nil {
-		if s := v.([]Unit); cap(s) >= n {
+		slot := v.(*[]Unit)
+		s := *slot
+		*slot = nil
+		if cap(s) >= n {
 			return s[:n]
 		}
 	}
@@ -66,6 +72,8 @@ type Kernel struct {
 	Dst    mem.Buffer
 	Units  []Unit
 	Blocks int // requested grid size; 0 = device default
+
+	spent []Unit // Units' array once run() is done with it; see unitPool
 }
 
 // Bytes returns the number of useful bytes the kernel moves.
@@ -77,24 +85,24 @@ func (k *Kernel) Bytes() int64 {
 	return n
 }
 
-// ceilWarp rounds n up to a whole number of warp-wide transactions.
-func ceilWarp(n, warp int64) int64 {
-	return (n + warp - 1) / warp * warp
-}
-
-// rawBytes computes the raw DRAM traffic of the kernel under the
-// coalescing model: the contiguous side of each unit is fully coalesced
-// (Len bytes), the scattered side costs whole warp iterations
-// (ceil(Len/warp)*warp), and DEV units pay penalties when misaligned or
-// partial. The result is then derated by the kernel kind's efficiency.
-func (d *Device) rawBytes(k *Kernel) int64 {
-	warp := d.p.WarpBytes
-	var raw int64
-	for _, u := range k.Units {
+// cost walks the descriptors once and returns the useful bytes the
+// kernel moves and its raw DRAM traffic under the coalescing model: the
+// contiguous side of each unit is fully coalesced (Len bytes), the
+// scattered side costs whole warp iterations (Len rounded up to the warp
+// width), and DEV units pay penalties when misaligned or partial. The
+// caller derates raw by the kernel kind's efficiency. WarpBytes is a
+// power of two (NewDevice checks), so rounding and alignment are masks.
+func (d *Device) cost(k *Kernel) (useful, raw int64) {
+	mask := d.p.WarpBytes - 1
+	dev := k.Kind == DEVKernel
+	src, dst := k.Src.Addr(), k.Dst.Addr()
+	for i := range k.Units {
+		u := &k.Units[i]
 		n := int64(u.Len)
-		raw += n + ceilWarp(n, warp)
-		if k.Kind == DEVKernel {
-			if (k.Src.Addr()+u.SrcOff)%warp != 0 || (k.Dst.Addr()+u.DstOff)%warp != 0 {
+		useful += n
+		raw += (n + mask) &^ mask
+		if dev {
+			if ((src+u.SrcOff)|(dst+u.DstOff))&mask != 0 {
 				raw += d.p.MisalignPenaltyRaw
 			}
 			if u.Partial {
@@ -102,7 +110,7 @@ func (d *Device) rawBytes(k *Kernel) int64 {
 			}
 		}
 	}
-	return raw
+	return useful, raw + useful
 }
 
 func (d *Device) kernelEff(kind KernelKind) float64 {
@@ -112,22 +120,32 @@ func (d *Device) kernelEff(kind KernelKind) float64 {
 	return d.p.DEVKernelEff
 }
 
+// kernelRate is the raw throughput k achieves on the grid it asks for.
+func (d *Device) kernelRate(k *Kernel) float64 {
+	return d.kernelRawRate(d.availableBlocks(k.Blocks)) * d.kernelEff(k.Kind)
+}
+
 // KernelTime predicts the execution time of k (excluding launch overhead)
 // on the given grid, for planning pipeline fragment sizes.
 func (d *Device) KernelTime(k *Kernel) sim.Time {
-	raw := d.rawBytes(k)
-	rate := d.kernelRawRate(d.availableBlocks(k.Blocks)) * d.kernelEff(k.Kind)
-	return sim.TimeForBytes(raw, rate)
+	_, raw := d.cost(k)
+	return sim.TimeForBytes(raw, d.kernelRate(k))
 }
+
+// The timeline span of a launch, by kernel kind.
+var (
+	kernelSpan   = [...]string{VectorKernel: "kernel.vector", DEVKernel: "kernel.dev"}
+	zeroCopySpan = [...]string{VectorKernel: "kernel.zerocopy.vector", DEVKernel: "kernel.zerocopy.dev"}
+)
 
 // Launch submits kernel k to stream s. The returned future completes when
 // the kernel has executed: launch overhead, DRAM occupancy per the cost
 // model, and the actual byte movement of every unit.
 func (d *Device) Launch(s *Stream, k *Kernel) *sim.Future {
-	raw := d.rawBytes(k)
-	rate := d.kernelRawRate(d.availableBlocks(k.Blocks)) * d.kernelEff(k.Kind)
-	return s.SubmitN("kernel."+k.Kind.String(), k.Bytes(), func(p *sim.Proc) {
-		d.launchGate(p, k.Bytes())
+	useful, raw := d.cost(k)
+	rate := d.kernelRate(k)
+	return s.SubmitN(kernelSpan[k.Kind], useful, func(p *sim.Proc) {
+		d.launchGate(p, useful)
 		d.chargeDRAM(p, raw, rate)
 		k.run()
 		d.kernelsRun++
@@ -139,16 +157,16 @@ func (d *Device) Launch(s *Stream, k *Kernel) *sim.Future {
 // GPU's memory. The data crosses link as part of kernel execution,
 // overlapping the transfer with the scattered-side DRAM accesses.
 // wireBytes is the PCIe traffic charged on the link — pass more than
-// k.Bytes() to model inefficient access patterns (e.g. scattered reads
-// from remote device memory). The link is held for the longer of the
-// kernel time and the wire time, as on real hardware where the slower
-// side throttles the other.
+// the kernel's useful bytes to model inefficient access patterns (e.g.
+// scattered reads from remote device memory). The link is held for the
+// longer of the kernel time and the wire time, as on real hardware where
+// the slower side throttles the other.
 func (d *Device) LaunchZeroCopy(s *Stream, k *Kernel, link *sim.Link, wireBytes int64) *sim.Future {
-	raw := d.rawBytes(k)
-	rate := d.kernelRawRate(d.availableBlocks(k.Blocks)) * d.kernelEff(k.Kind)
+	useful, raw := d.cost(k)
+	rate := d.kernelRate(k)
 	n := wireBytes
-	return s.SubmitN("kernel.zerocopy."+k.Kind.String(), k.Bytes(), func(p *sim.Proc) {
-		d.launchGate(p, k.Bytes())
+	return s.SubmitN(zeroCopySpan[k.Kind], useful, func(p *sim.Proc) {
+		d.launchGate(p, useful)
 		hold := sim.TimeForBytes(raw, rate)
 		if wire := link.OccupancyFor(n); wire > hold {
 			hold = wire
@@ -175,11 +193,24 @@ func (d *Device) Compute(s *Stream, raw int64, blocks int) *sim.Future {
 
 // run moves the bytes of every unit. Called at kernel completion time so
 // no process can observe partially written data earlier in virtual time.
+// Both windows are resolved once; each unit is then one slice expression
+// per side, whose bounds check is what keeps a unit inside its buffer.
 // The descriptor array is recycled afterwards (see GetUnits).
 func (k *Kernel) run() {
-	for _, u := range k.Units {
-		mem.Copy(k.Dst.Slice(u.DstOff, int64(u.Len)), k.Src.Slice(u.SrcOff, int64(u.Len)))
+	if k.Units == nil {
+		return // already run: the descriptors moved on with the first launch
 	}
-	unitPool.Put(k.Units[:0])
-	k.Units = nil
+	src, dst := k.Src.Bytes(), k.Dst.Bytes()
+	for i := range k.Units {
+		u := &k.Units[i]
+		s, d, n := u.SrcOff, u.DstOff, int64(u.Len)
+		if n == 8 {
+			// The transpose's unit: one load and one store, no memmove call.
+			binary.LittleEndian.PutUint64(dst[d:d+8], binary.LittleEndian.Uint64(src[s:s+8]))
+			continue
+		}
+		copy(dst[d:d+n], src[s:s+n])
+	}
+	k.spent, k.Units = k.Units[:0], nil
+	unitPool.Put(&k.spent)
 }

@@ -189,6 +189,7 @@ type HCA struct {
 	rx    *sim.Link
 	inbox *sim.Mailbox
 	regs  map[regKey]bool
+	paths map[*HCA]*sim.Path // pathTo's results, by peer
 }
 
 type regKey struct {
@@ -206,6 +207,7 @@ func (f *Fabric) Attach(node *pcie.Node) *HCA {
 		rx:    f.eng.NewLink(fmt.Sprintf("ib%d.rx", node.ID()), f.params.WireGBps, f.params.Latency/2),
 		inbox: f.eng.NewMailbox(fmt.Sprintf("ib%d.inbox", node.ID())),
 		regs:  make(map[regKey]bool),
+		paths: make(map[*HCA]*sim.Path),
 	}
 	if f.params.Topo.Hierarchical() {
 		h.leaf = len(f.hcas) / f.params.Topo.LeafRadix
@@ -248,23 +250,30 @@ func (h *HCA) Register(p *sim.Proc, b mem.Buffer) error {
 	return nil
 }
 
-// pathTo returns the cut-through path to a peer HCA. Same-leaf (and
+// pathTo returns the cut-through path to a peer HCA, built on first use
+// (the cabling is fixed once both ends are attached). Same-leaf (and
 // flat-fabric) traffic crosses only the two port links; cross-leaf
 // traffic additionally holds the shared uplink to its spine and the
 // peer leaf's downlink, so concurrent flows over an oversubscribed
 // spine tier queue against each other.
 func (h *HCA) pathTo(peer *HCA) *sim.Path {
-	if h.leaf == peer.leaf {
-		return &sim.Path{
-			Name:  fmt.Sprintf("ib%d->ib%d", h.node.ID(), peer.node.ID()),
-			Links: []*sim.Link{h.tx, peer.rx},
+	pa := h.paths[peer]
+	if pa == nil {
+		if h.leaf == peer.leaf {
+			pa = &sim.Path{
+				Name:  fmt.Sprintf("ib%d->ib%d", h.node.ID(), peer.node.ID()),
+				Links: []*sim.Link{h.tx, peer.rx},
+			}
+		} else {
+			s := h.spineFor(peer)
+			pa = &sim.Path{
+				Name:  fmt.Sprintf("ib%d->spine%d->ib%d", h.node.ID(), s, peer.node.ID()),
+				Links: []*sim.Link{h.tx, h.f.leaves[h.leaf].up[s], h.f.leaves[peer.leaf].down[s], peer.rx},
+			}
 		}
+		h.paths[peer] = pa
 	}
-	s := h.spineFor(peer)
-	return &sim.Path{
-		Name:  fmt.Sprintf("ib%d->spine%d->ib%d", h.node.ID(), s, peer.node.ID()),
-		Links: []*sim.Link{h.tx, h.f.leaves[h.leaf].up[s], h.f.leaves[peer.leaf].down[s], peer.rx},
-	}
+	return pa
 }
 
 // spineFor picks the spine carrying h→peer traffic: static ECMP-style

@@ -256,3 +256,24 @@ func TestFlatFabricCreatesNoSwitchLinks(t *testing.T) {
 		}
 	}
 }
+
+// TestPathToIsBuiltOncePerPeer: same-leaf and cross-leaf paths are
+// built on first use and returned thereafter, under the names traces
+// have always shown.
+func TestPathToIsBuiltOncePerPeer(t *testing.T) {
+	_, _, hcas := fatTree(t, 8, FatTree(4, 2))
+	for _, peer := range []int{1, 7} {
+		if hcas[0].pathTo(hcas[peer]) != hcas[0].pathTo(hcas[peer]) {
+			t.Fatalf("pathTo(hca %d) returned two different paths", peer)
+		}
+	}
+	if got := hcas[0].pathTo(hcas[1]).Name; got != "ib0->ib1" {
+		t.Fatalf("same-leaf path named %q", got)
+	}
+	if got := hcas[0].pathTo(hcas[7]).Name; got != "ib0->spine1->ib7" {
+		t.Fatalf("cross-leaf path named %q", got)
+	}
+	if hcas[0].pathTo(hcas[7]) == hcas[7].pathTo(hcas[0]) {
+		t.Fatal("the two directions share a path")
+	}
+}

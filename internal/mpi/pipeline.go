@@ -141,7 +141,7 @@ func (s *PipelinedStrategy) StartSend(op *SendOp) interface{} {
 	ri := &rendInfo{op: op}
 	ri.st = &senderState{
 		op:   op,
-		cmds: op.M.w.eng.NewMailbox(fmt.Sprintf("rank%d.sendcmds", op.M.rank)),
+		cmds: op.M.w.eng.NewMailbox(op.M.names.sendcmds),
 	}
 	if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok && op.Ch.Kind() == SM {
 		ri.contig = w
@@ -162,7 +162,7 @@ func (st *senderState) start(eng *sim.Engine) {
 		return
 	}
 	st.spawned = true
-	eng.Spawn(fmt.Sprintf("rank%d.sendpipe", st.op.M.rank), func(p *sim.Proc) {
+	eng.Spawn(st.op.M.names.sendpipe, func(p *sim.Proc) {
 		for {
 			var ok bool
 			switch cmd := st.cmds.Get(p).(type) {
@@ -350,7 +350,7 @@ func (st *senderState) runSendStaged(p *sim.Proc, cmd cmdSendStaged) bool {
 	filled := m.w.eng.NewMailbox("ib.filled")
 	freeLocal.Put(0)
 	freeLocal.Put(1)
-	m.w.eng.Spawn(fmt.Sprintf("rank%d.ibpack", m.rank), func(pp *sim.Proc) {
+	m.w.eng.Spawn(m.names.ibpack, func(pp *sim.Proc) {
 		for _, n := range frags {
 			ls := freeLocal.Get(pp).(int)
 			fh := pp.BeginBytes("frag.pack", n)

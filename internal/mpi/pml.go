@@ -216,7 +216,7 @@ func (m *Rank) startRecv(op *RecvOp, msg *rtsMsg) {
 	op.Ch = m.channel(msg.src)
 	if msg.isEager {
 		buf := msg.eager
-		m.w.eng.Spawn(fmt.Sprintf("rank%d.eagerRecv", m.rank), func(p *sim.Proc) {
+		m.w.eng.Spawn(m.names.eagerRecv, func(p *sim.Proc) {
 			h := p.BeginBytes("mpi.recv", op.Packed)
 			h.SetDetail("eager")
 			m.unpackFromHost(p, op.Buf, op.Dt, op.Count, buf.Slice(0, op.Packed))
@@ -227,7 +227,7 @@ func (m *Rank) startRecv(op *RecvOp, msg *rtsMsg) {
 		return
 	}
 	info := msg.info
-	m.w.eng.Spawn(fmt.Sprintf("rank%d.recv.%d", m.rank, msg.src), func(p *sim.Proc) {
+	m.w.eng.Spawn(m.recvName(msg.src), func(p *sim.Proc) {
 		h := p.BeginBytes("mpi.recv", op.Packed)
 		h.SetDetail(m.w.tun.strategy.Name())
 		m.w.tun.strategy.RunRecv(p, op, info)

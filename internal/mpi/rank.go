@@ -47,6 +47,28 @@ type Rank struct {
 
 	collOut  int // nonblocking collectives in flight (see CollOutstanding)
 	icollSeq int // nonblocking collectives started, for process names
+
+	names procNames
+}
+
+// procNames holds the names of the helper processes and mailboxes a rank
+// creates per message or per fragment, formatted once.
+type procNames struct {
+	ack, sendpipe, sendcmds, ibpack, eagerRecv string
+
+	recv []string // "rankR.recv.SRC" by source, filled on first use
+}
+
+// recvName returns the name of the process receiving a rendezvous
+// message from src.
+func (m *Rank) recvName(src int) string {
+	if m.names.recv == nil {
+		m.names.recv = make([]string, m.w.Size())
+	}
+	if m.names.recv[src] == "" {
+		m.names.recv[src] = fmt.Sprintf("rank%d.recv.%d", m.rank, src)
+	}
+	return m.names.recv[src]
 }
 
 func newRank(w *World, r int, pl Placement) *Rank {
@@ -58,6 +80,13 @@ func newRank(w *World, r int, pl Placement) *Rank {
 		ctx:        cuda.NewCtx(node),
 		inbox:      w.eng.NewMailbox(fmt.Sprintf("rank%d.am", r)),
 		barrierBox: w.eng.NewMailbox(fmt.Sprintf("rank%d.barrier", r)),
+		names: procNames{
+			ack:       fmt.Sprintf("rank%d.ack", r),
+			sendpipe:  fmt.Sprintf("rank%d.sendpipe", r),
+			sendcmds:  fmt.Sprintf("rank%d.sendcmds", r),
+			ibpack:    fmt.Sprintf("rank%d.ibpack", r),
+			eagerRecv: fmt.Sprintf("rank%d.eagerRecv", r),
+		},
 	}
 	for g := 0; g < node.NumGPUs(); g++ {
 		rk.engs = append(rk.engs, core.New(rk.ctx, g, w.cfg.Engine))

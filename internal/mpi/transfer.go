@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"gpuddt/internal/core"
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
@@ -196,7 +194,7 @@ func ackWhen(m *Rank, fut *sim.Future, ack func(pp *sim.Proc)) {
 	if ack == nil {
 		return
 	}
-	m.w.eng.Spawn(fmt.Sprintf("rank%d.ack", m.rank), func(pp *sim.Proc) {
+	m.w.eng.Spawn(m.names.ack, func(pp *sim.Proc) {
 		fut.Await(pp)
 		ack(pp)
 	})

@@ -75,6 +75,11 @@ type Node struct {
 
 	rootTx, rootRx *sim.Link
 	gpuTx, gpuRx   []*sim.Link
+
+	// The paths between the endpoints, built once: a transfer takes the
+	// one for its direction instead of assembling it. p2p[i][i] is nil.
+	h2d, d2h []*sim.Path
+	p2p      [][]*sim.Path
 }
 
 // SetFaults installs a fault injector on the node and every GPU in it.
@@ -111,6 +116,26 @@ func NewNode(eng *sim.Engine, id, ngpus int, gp gpu.Params, p Params) *Node {
 		n.gpus = append(n.gpus, d)
 		n.gpuTx = append(n.gpuTx, tx)
 		n.gpuRx = append(n.gpuRx, rx)
+	}
+	for i := 0; i < ngpus; i++ {
+		n.h2d = append(n.h2d, &sim.Path{
+			Name:  fmt.Sprintf("%s->gpu%d", n.host.Name(), i),
+			Links: []*sim.Link{n.rootTx, n.gpuRx[i]},
+		})
+		n.d2h = append(n.d2h, &sim.Path{
+			Name:  fmt.Sprintf("gpu%d->%s", i, n.host.Name()),
+			Links: []*sim.Link{n.gpuTx[i], n.rootRx},
+		})
+		peers := make([]*sim.Path, ngpus)
+		for j := range peers {
+			if j != i {
+				peers[j] = &sim.Path{
+					Name:  fmt.Sprintf("gpu%d->gpu%d", i, j),
+					Links: []*sim.Link{n.gpuTx[i], n.gpuRx[j]},
+				}
+			}
+		}
+		n.p2p = append(n.p2p, peers)
 	}
 	return n
 }
@@ -158,20 +183,10 @@ func (n *Node) GPU(i int) *gpu.Device { return n.gpus[i] }
 func (n *Node) HostBus() *sim.Link { return n.bus }
 
 // H2D returns the host-to-device path for GPU i.
-func (n *Node) H2D(i int) *sim.Path {
-	return &sim.Path{
-		Name:  fmt.Sprintf("%s->gpu%d", n.host.Name(), i),
-		Links: []*sim.Link{n.rootTx, n.gpuRx[i]},
-	}
-}
+func (n *Node) H2D(i int) *sim.Path { return n.h2d[i] }
 
 // D2H returns the device-to-host path for GPU i.
-func (n *Node) D2H(i int) *sim.Path {
-	return &sim.Path{
-		Name:  fmt.Sprintf("gpu%d->%s", i, n.host.Name()),
-		Links: []*sim.Link{n.gpuTx[i], n.rootRx},
-	}
-}
+func (n *Node) D2H(i int) *sim.Path { return n.d2h[i] }
 
 // P2P returns the peer-to-peer path from GPU i to GPU j, bypassing the
 // root complex. It panics for i == j (use gpu.Device.CopyD2D).
@@ -179,10 +194,7 @@ func (n *Node) P2P(i, j int) *sim.Path {
 	if i == j {
 		panic("pcie: P2P requires distinct GPUs")
 	}
-	return &sim.Path{
-		Name:  fmt.Sprintf("gpu%d->gpu%d", i, j),
-		Links: []*sim.Link{n.gpuTx[i], n.gpuRx[j]},
-	}
+	return n.p2p[i][j]
 }
 
 // SlotTx returns GPU i's transmit link (used by zero-copy kernels whose

@@ -97,3 +97,29 @@ func TestGPUCopyEngineLinksWired(t *testing.T) {
 		}
 	}
 }
+
+// TestPathsAreBuiltOnce: a transfer takes the node's path for its
+// direction, it does not assemble one — same pointer, same name, every
+// time.
+func TestPathsAreBuiltOnce(t *testing.T) {
+	_, n := newNode(t, 3)
+	for i := 0; i < 3; i++ {
+		if n.H2D(i) != n.H2D(i) || n.D2H(i) != n.D2H(i) {
+			t.Fatalf("gpu %d: H2D or D2H returned two different paths", i)
+		}
+		for j := 0; j < 3; j++ {
+			if i != j && n.P2P(i, j) != n.P2P(i, j) {
+				t.Fatalf("P2P(%d,%d) returned two different paths", i, j)
+			}
+		}
+	}
+	for got, want := range map[string]string{
+		n.H2D(2).Name:    "node0.host->gpu2",
+		n.D2H(1).Name:    "gpu1->node0.host",
+		n.P2P(2, 0).Name: "gpu2->gpu0",
+	} {
+		if got != want {
+			t.Fatalf("path named %q, want %q", got, want)
+		}
+	}
+}

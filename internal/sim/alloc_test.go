@@ -1,0 +1,89 @@
+package sim
+
+import "testing"
+
+// TestQueuesAllocateNothingInSteadyState pins what the fifo buys: a
+// one-deep mailbox (both its item queue and its waiter queue), a
+// resource handed from one process to another, and a transfer over a
+// path all run without allocating once their arrays exist.
+func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
+	e := NewEngine()
+	mb := e.NewMailbox("mb")
+	res := e.NewResource("res", 1)
+	pa := &Path{Name: "a->b", Links: []*Link{e.NewLink("b", 1, 0), e.NewLink("a", 1, 0)}}
+	msg := interface{}(&struct{}{})
+	stop := false
+	var got [4]float64
+	// The server is always blocked in Get when a message arrives, so
+	// each Put pops the waiter queue and each Get pops the item queue.
+	e.SpawnDaemon("server", func(p *Proc) {
+		for {
+			mb.Get(p)
+		}
+	})
+	// The holder owns the resource two ticks out of three; the measured
+	// process asks for it while it is held and is handed it on Release.
+	e.Spawn("holder", func(p *Proc) {
+		for !stop {
+			res.Acquire(p)
+			p.Sleep(2)
+			res.Release()
+			p.Sleep(1)
+		}
+	})
+	e.Spawn("measured", func(p *Proc) {
+		got[0] = testing.AllocsPerRun(100, func() {
+			mb.Put(msg)
+			mb.Get(p)
+		})
+		got[1] = testing.AllocsPerRun(100, func() {
+			mb.Put(msg)
+			p.Sleep(1)
+		})
+		got[2] = testing.AllocsPerRun(100, func() {
+			res.Acquire(p)
+			res.Release()
+			p.Sleep(1)
+		})
+		got[3] = testing.AllocsPerRun(100, func() { pa.Transfer(p, 3) })
+		stop = true
+	})
+	e.Run()
+	for i, what := range []string{"Put then Get", "Put to a blocked Get", "resource hand-over", "path transfer"} {
+		if got[i] != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", what, got[i])
+		}
+	}
+}
+
+// TestFifoKeepsOrderAndBoundsItsArray drives a queue that never drains:
+// order holds and the array stays proportional to the backlog, not to
+// the traffic through it.
+func TestFifoKeepsOrderAndBoundsItsArray(t *testing.T) {
+	var q fifo[int]
+	in, out := 0, 0
+	push := func() { q.push(in); in++ }
+	pop := func() {
+		if v := q.pop(); v != out {
+			t.Fatalf("popped %d, want %d", v, out)
+		}
+		out++
+	}
+	const backlog = 10
+	for i := 0; i < backlog; i++ {
+		push()
+	}
+	for i := 0; i < 100000; i++ {
+		push()
+		pop()
+	}
+	if q.len() != backlog || cap(q.s) > 8*backlog {
+		t.Fatalf("len %d (want %d), array of %d for a backlog of %d", q.len(), backlog, cap(q.s), backlog)
+	}
+	for q.len() > 0 {
+		pop()
+	}
+	if q.head != 0 || len(q.s) != 0 {
+		t.Fatalf("drained queue did not reset: head %d, len %d", q.head, len(q.s))
+	}
+}

@@ -122,6 +122,10 @@ func (l *Link) BusyTime() Time { return l.busyTime }
 type Path struct {
 	Name  string
 	Links []*Link
+
+	// order is Links in lock order, worked out by the first Occupy: the
+	// links of a path do not change once it carries traffic.
+	order []*Link
 }
 
 // Transfer moves n bytes along the path, blocking until arrival.
@@ -130,21 +134,31 @@ func (pa *Path) Transfer(p *Proc, n int64) {
 	p.Sleep(pa.Latency())
 }
 
+// lockOrder returns the hops sorted by link creation order, the global
+// order in which every path locks them so overlapping paths cannot
+// deadlock.
+func (pa *Path) lockOrder() []*Link {
+	if pa.order == nil {
+		locked := make([]*Link, len(pa.Links))
+		copy(locked, pa.Links)
+		for i := 1; i < len(locked); i++ {
+			for j := i; j > 0 && locked[j].id < locked[j-1].id; j-- {
+				locked[j], locked[j-1] = locked[j-1], locked[j]
+			}
+		}
+		pa.order = locked
+	}
+	return pa.order
+}
+
 // Occupy holds every hop for the bottleneck serialization time of n
-// bytes, without the trailing propagation latency. Hops are locked in a
-// global deterministic order (link creation order) so overlapping paths
-// cannot deadlock.
+// bytes, without the trailing propagation latency. Hops are locked in
+// lockOrder.
 func (pa *Path) Occupy(p *Proc, n int64) {
 	if n < 0 {
 		panic("sim: negative transfer size on path " + pa.Name)
 	}
-	locked := make([]*Link, len(pa.Links))
-	copy(locked, pa.Links)
-	for i := 1; i < len(locked); i++ {
-		for j := i; j > 0 && locked[j].id < locked[j-1].id; j-- {
-			locked[j], locked[j-1] = locked[j-1], locked[j]
-		}
-	}
+	locked := pa.lockOrder()
 	var occ Time
 	for _, l := range locked {
 		l.busy.Acquire(p)

@@ -9,7 +9,7 @@ type Resource struct {
 	name    string
 	cap     int
 	inUse   int
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -26,7 +26,7 @@ func (r *Resource) Name() string { return r.name }
 // Acquire takes one slot, blocking FIFO until one is available.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.cap {
-		r.waiters = append(r.waiters, p)
+		r.waiters.push(p)
 		p.park(blockAcquire, r.name)
 	}
 	r.inUse++
@@ -38,10 +38,8 @@ func (r *Resource) Release() {
 		panic("sim: release of idle resource " + r.name)
 	}
 	r.inUse--
-	if len(r.waiters) > 0 {
-		p := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.e.unpark(p, r.e.now)
+	if r.waiters.len() > 0 {
+		r.e.unpark(r.waiters.pop(), r.e.now)
 	}
 }
 

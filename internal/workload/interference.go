@@ -109,4 +109,3 @@ func RunStudy(st Study) (StudyResult, *sim.Recorder, []JobSpec, error) {
 	}
 	return res, rec, jobs, nil
 }
-
