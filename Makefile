@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race check trace-check chaos-check scale-check megascale-check vcoll-check app-check tune-check fuzz golden bench bench-smoke figures examples tools clean
+.PHONY: all test race check trace-check chaos-check scale-check megascale-check vcoll-check app-check tune-check fuzz golden bench bench-smoke bench-pairs figures examples tools clean
 
 all: test
 
@@ -149,6 +149,31 @@ bench:
 # Quick bench smoke for CI: compile and run every benchmark once.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# The "ten alternating pairs" rule for a host-time claim on one workload
+# of the repo benchmark: build ./benchmark from a clean checkout of BASE
+# and from the working tree, run `-mode e2e -workload W` N times on each
+# side, alternating which side goes first, and print both wall_ms
+# series, their minima and how many pairs the change won.
+#   make bench-pairs BASE=<rev> W=<workload> N=10
+BASE ?= HEAD
+W ?= coll_real
+N ?= 10
+bench-pairs:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src"; git archive $(BASE) | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base" ./benchmark); \
+	$(GO) build -o "$$tmp/change" ./benchmark; \
+	wall() { "$$tmp/$$1" -mode e2e -workload $(W) 2>/dev/null | awk '$$1 == "wall_ms" { print $$2 }'; }; \
+	i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then b=$$(wall base); c=$$(wall change); else c=$$(wall change); b=$$(wall base); fi; \
+		echo "pair $$i: base $$b ms, change $$c ms"; \
+		echo "$$b $$c" >> "$$tmp/pairs"; i=$$((i + 1)); \
+	done; \
+	awk -v w=$(W) -v base=$(BASE) 'BEGIN { bmin = cmin = 1e300 } \
+		{ bs = bs " " $$1; cs = cs " " $$2; if ($$1 < bmin) bmin = $$1; if ($$2 < cmin) cmin = $$2; if ($$2 < $$1) won++; if ($$2 > $$1) lost++ } \
+		END { printf "%s wall_ms, base %s:%s\n%s wall_ms, change:%s\nminimum: base %s, change %s (%+.1f %%)\nchange won %d of %d pairs, lost %d\n", \
+			w, base, bs, w, cs, bmin, cmin, 100 * (cmin - bmin) / bmin, won, NR, lost }' "$$tmp/pairs"
 
 # Regenerate every paper figure (writes to stdout; ~3 minutes).
 figures:

@@ -3,6 +3,8 @@ package cluster
 import (
 	"testing"
 
+	"gpuddt/internal/datatype"
+	"gpuddt/internal/mem"
 	"gpuddt/internal/mpi"
 )
 
@@ -65,6 +67,32 @@ func TestConfigBuildsTopologyAwareWorld(t *testing.T) {
 		if w := mpi.NewWorld(ByName(name).Config()); w.TopologyAware() {
 			t.Fatalf("%s world claims topology awareness", name)
 		}
+	}
+}
+
+// TestWorldRebuildHitsPool: a sweep builds the same world over and over.
+// Once one of them has been closed, the next of the same shape takes
+// every backing array from the slab pool — about 150 of them for 64
+// ranks, which a bound on the number of parked slabs used to evict — and
+// gives them all back.
+func TestWorldRebuildHitsPool(t *testing.T) {
+	world := func() mem.PoolStats {
+		mem.ResetSlabPoolStats()
+		w := mpi.NewWorld(Scale(16, 4, 4, 2).Config())
+		w.Run(func(m *mpi.Rank) {
+			n := int64(m.Size()) << 10
+			m.Alltoall(m.Malloc(n), datatype.Byte, 1<<10, m.Malloc(n), datatype.Byte, 1<<10)
+		})
+		w.Close()
+		return mem.SlabPoolStats()
+	}
+	first := world()
+	st := world()
+	if st.Gets < 64 || st.Gets != first.Gets {
+		t.Fatalf("second world asked for %d slabs, first for %d: not the same shape", st.Gets, first.Gets)
+	}
+	if st.Hits != st.Gets || st.Evicted != 0 {
+		t.Fatalf("rebuilt world: %d of %d slabs from the pool, %d evicted; want all and none", st.Hits, st.Gets, st.Evicted)
 	}
 }
 

@@ -136,27 +136,53 @@ func (tr *Tree) CheckCPU(fragSizes []int64) error {
 		return tr.errf("cpu", "whole pack differs at packed byte %d: got %#x want %#x", i, got[i], want[i])
 	}
 
-	// Fragment-at-a-time pack.
+	// Fragment-at-a-time pack, twice over the same schedule: every
+	// fragment through Pack, then every other one through Advance
+	// instead — each emitted piece must be a run of the reference map,
+	// and the run-copying Pack must carry on from wherever the piece
+	// walk stopped, and the reverse.
 	if len(fragSizes) > 0 && total > 0 {
-		c.Rewind()
-		got2 := make([]byte, total)
-		var pos int64
-		for i := 0; !c.Done(); i++ {
-			k := fragSizes[i%len(fragSizes)]
-			if k < 1 {
-				k = 1
+		for _, mixed := range []bool{false, true} {
+			what := "fragmented pack"
+			if mixed {
+				what = "mixed pack/advance"
 			}
-			if rem := total - pos; k > rem {
-				k = rem
+			c.Rewind()
+			got2 := make([]byte, total)
+			var pos int64
+			for i := 0; !c.Done(); i++ {
+				k := fragSizes[i%len(fragSizes)]
+				if k < 1 {
+					k = 1
+				}
+				if rem := total - pos; k > rem {
+					k = rem
+				}
+				var n int64
+				if !mixed || i%2 == 0 {
+					n = c.Pack(got2[pos:pos+k], data)
+				} else {
+					var bad error
+					n = c.Advance(k, func(memOff, packOff, l int64) {
+						for j := int64(0); j < l && bad == nil; j++ {
+							if tr.Map[packOff+j] != memOff+j {
+								bad = tr.errf("cpu", "piece (mem %d, packed %d, len %d): packed byte %d lives at %d", memOff, packOff, l, packOff+j, tr.Map[packOff+j])
+							}
+						}
+						copy(got2[packOff:packOff+l], data[memOff:memOff+l])
+					})
+					if bad != nil {
+						return bad
+					}
+				}
+				if n != k {
+					return tr.errf("cpu", "%s consumed %d of %d at %d", what, n, k, pos)
+				}
+				pos += n
 			}
-			n := c.Pack(got2[pos:pos+k], data)
-			if n != k {
-				return tr.errf("cpu", "fragmented pack consumed %d of %d at %d", n, k, pos)
+			if i := firstDiff(want, got2); i >= 0 {
+				return tr.errf("cpu", "%s differs at packed byte %d", what, i)
 			}
-			pos += n
-		}
-		if i := firstDiff(want, got2); i >= 0 {
-			return tr.errf("cpu", "fragmented pack differs at packed byte %d", i)
 		}
 
 		// Seek-resumed pack of an interior window (MPI_Pack position).

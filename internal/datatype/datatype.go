@@ -554,19 +554,19 @@ func VectorViewN(d *Datatype, count int) *VectorView {
 	if count < 0 || d.vec == nil {
 		return nil
 	}
+	if count == 0 {
+		return &VectorView{}
+	}
+	if off, n, ok := d.Plan().Dense(count); ok {
+		return &VectorView{Off: off, Count: 1, BlockLen: n, Stride: n}
+	}
 	v := *d.vec
-	if count <= 1 {
-		if count == 0 {
-			return &VectorView{}
-		}
+	if count == 1 {
 		return &v
 	}
 	ext := d.Extent()
 	if v.Count == 1 {
 		// Single block per element: blocks repeat at extent stride.
-		if ext == v.BlockLen {
-			return &VectorView{Off: v.Off, Count: 1, BlockLen: int64(count) * v.BlockLen, Stride: int64(count) * v.BlockLen}
-		}
 		return &VectorView{Off: v.Off, Count: int64(count), BlockLen: v.BlockLen, Stride: ext}
 	}
 	// Multi-block element: the next element must continue the stride.
@@ -591,68 +591,83 @@ func SignaturePrefix(da *Datatype, countA int, db *Datatype, countB int) bool {
 	return sigCompare(da, countA, db, countB, true)
 }
 
-func sigCompare(da *Datatype, countA int, db *Datatype, countB int, prefix bool) bool {
-	type cursor struct {
-		sig  []SigRun
-		reps int64
-		i    int
-		rem  int64
+// sigCursor walks the primitive sequence of (datatype, count) a run at a
+// time: n primitives of prim are current, reps whole elements plus the
+// runs of sig from i on are still to come, and done elements have been
+// loaded completely. An element that is a single run is folded at the
+// start into one run of Count*count, so (Byte, 1<<30) is one step.
+type sigCursor struct {
+	sig  []SigRun
+	reps int64
+	done int64
+	i    int
+	n    int64
+	prim Primitive
+}
+
+func newSigCursor(d *Datatype, count int) sigCursor {
+	c := sigCursor{sig: d.sig}
+	switch {
+	case count <= 0 || len(d.sig) == 0:
+	case len(d.sig) == 1:
+		c.n, c.prim = d.sig[0].Count*int64(count), d.sig[0].Prim
+	default:
+		c.reps = int64(count)
 	}
-	next := func(c *cursor) *SigRun {
-		for {
-			if c.i < len(c.sig) {
-				r := &c.sig[c.i]
-				return r
-			}
-			c.reps--
-			if c.reps <= 0 {
-				return nil
-			}
+	return c
+}
+
+// load makes the next run current; n stays zero once the sequence is
+// exhausted.
+func (c *sigCursor) load() {
+	for c.n == 0 && c.reps > 0 {
+		r := c.sig[c.i]
+		c.n, c.prim = r.Count, r.Prim
+		if c.i++; c.i == len(c.sig) {
 			c.i = 0
+			c.reps--
+			c.done++
 		}
 	}
-	a := &cursor{sig: da.sig, reps: int64(countA)}
-	b := &cursor{sig: db.sig, reps: int64(countB)}
-	if len(a.sig) == 0 || countA <= 0 {
-		a.sig, a.reps = nil, 0
-		a.i = 0
+}
+
+// sigCompare compares the two primitive sequences by run. Identical
+// arguments answer at once. Whenever both sides stand on an element
+// boundary, the done elements behind them have matched and the same
+// stretch repeats, so every whole repetition of it that both sides
+// still hold is skipped by arithmetic; the walk is bounded by one such
+// period plus a remainder, not by the counts. It allocates nothing.
+func sigCompare(da *Datatype, countA int, db *Datatype, countB int, prefix bool) bool {
+	if da == db && countA == countB {
+		return true
 	}
-	if len(b.sig) == 0 || countB <= 0 {
-		b.sig, b.reps = nil, 0
-		b.i = 0
-	}
-	var ra, rb *SigRun
-	var na, nb int64
+	a, b := newSigCursor(da, countA), newSigCursor(db, countB)
 	for {
-		if na == 0 {
-			if ra = next(a); ra != nil {
-				na = ra.Count
-				a.i++
+		if a.n == 0 && b.n == 0 && a.i == 0 && b.i == 0 && a.done > 0 && b.done > 0 {
+			k := a.reps / a.done
+			if kb := b.reps / b.done; kb < k {
+				k = kb
 			}
+			a.reps -= k * a.done
+			b.reps -= k * b.done
 		}
-		if nb == 0 {
-			if rb = next(b); rb != nil {
-				nb = rb.Count
-				b.i++
-			}
-		}
-		if na == 0 && nb == 0 {
+		a.load()
+		b.load()
+		switch {
+		case a.n == 0 && b.n == 0:
 			return true
-		}
-		if na == 0 {
+		case a.n == 0:
 			return prefix // A exhausted first: a valid partial message
-		}
-		if nb == 0 {
+		case b.n == 0:
+			return false
+		case a.prim != b.prim:
 			return false
 		}
-		if ra.Prim != rb.Prim {
-			return false
+		m := a.n
+		if b.n < m {
+			m = b.n
 		}
-		m := na
-		if nb < m {
-			m = nb
-		}
-		na -= m
-		nb -= m
+		a.n -= m
+		b.n -= m
 	}
 }

@@ -149,18 +149,69 @@ func (c *Converter) advanceCanon(cv *CanonVec, max int64, emit func(memOff, pack
 // Pack copies up to len(dst) packed bytes from the layout over src into
 // dst, starting at the current position, and returns the bytes packed.
 // src must cover the data region [0, count*extent) of the layout.
-func (c *Converter) Pack(dst, src []byte) int64 {
-	start := c.packed
-	return c.Advance(int64(len(dst)), func(memOff, packOff, n int64) {
-		copy(dst[packOff-start:], src[memOff:memOff+n])
-	})
-}
+func (c *Converter) Pack(dst, src []byte) int64 { return c.move(src, dst, false) }
 
 // Unpack copies up to len(src) packed bytes from src into the layout over
 // dst, starting at the current position, and returns the bytes consumed.
-func (c *Converter) Unpack(dst, src []byte) int64 {
-	start := c.packed
-	return c.Advance(int64(len(src)), func(memOff, packOff, n int64) {
-		copy(dst[memOff:memOff+n], src[packOff-start:packOff-start+n])
-	})
+func (c *Converter) Unpack(dst, src []byte) int64 { return c.move(dst, src, true) }
+
+// move is Pack (unpack false: layout to packed) and Unpack (unpack
+// true: packed to layout) over up to len(packed) bytes. It copies runs,
+// not pieces: consecutive pieces that are also adjacent in memory go in
+// one copy, and a dense pattern (Plan.Dense) is a single copy with the
+// position set by arithmetic. Either way the converter is left exactly
+// where Advance over the same byte count leaves it.
+func (c *Converter) move(layout, packed []byte, unpack bool) int64 {
+	max := int64(len(packed))
+	if r := c.total - c.packed; max > r {
+		max = r
+	}
+	if max <= 0 {
+		return 0
+	}
+	if off, _, ok := c.plan.Dense(int(c.count)); ok {
+		transfer(layout[off+c.packed:off+c.packed+max], packed[:max], unpack)
+		c.packed += max
+		c.rep, c.bo = c.packed/c.dt.size, c.packed%c.dt.size
+		return max
+	}
+	nb := c.plan.NumBlocks()
+	// The run being gathered: run bytes at layout[at:], which are
+	// packed[done-run:done].
+	var done, at, run int64
+	for done < max {
+		b := c.plan.block(c.bi)
+		take := b.Len - c.bo
+		if rem := max - done; take > rem {
+			take = rem
+		}
+		if memOff := c.rep*c.extent + b.Off + c.bo; memOff != at+run {
+			transfer(layout[at:at+run], packed[done-run:done], unpack)
+			at, run = memOff, 0
+		}
+		run += take
+		done += take
+		c.bo += take
+		if c.bo == b.Len {
+			c.bo = 0
+			c.bi++
+			if c.bi == nb {
+				c.bi = 0
+				c.rep++
+			}
+		}
+	}
+	transfer(layout[at:at+run], packed[done-run:done], unpack)
+	c.packed += done
+	return done
+}
+
+// transfer copies between a run of the layout and its packed image, in
+// the direction unpack names.
+func transfer(layout, packed []byte, unpack bool) {
+	if unpack {
+		copy(layout, packed)
+	} else {
+		copy(packed, layout)
+	}
 }

@@ -38,6 +38,7 @@ func (cv *CanonVec) BlockOff(i int64) int64 {
 // arithmetically without touching the block slice.
 type Plan struct {
 	blocks []Block   // shared with the datatype's flattened form
+	extent int64     // spacing of consecutive elements
 	canon  *CanonVec // non-nil when the layout is canonically strided
 	prefix []int64   // prefix[i] = packed bytes before block i; len B+1
 }
@@ -48,6 +49,25 @@ func (pl *Plan) Canonical() *CanonVec { return pl.canon }
 
 // NumBlocks returns the element's block count.
 func (pl *Plan) NumBlocks() int { return len(pl.blocks) }
+
+// Dense reports whether count repetitions of the element occupy one
+// gap-free window of memory, and if so where: n packed bytes at offset
+// off from the data origin, packed byte p living at off+p. That is an
+// element of a single block which either is not repeated or tiles
+// (block length == extent). This is the one definition of "dense":
+// the converter's single-copy path, the contiguous protocol window in
+// mpi and VectorViewN's one-block arm all ask here. A zero count has no
+// window.
+func (pl *Plan) Dense(count int) (off, n int64, ok bool) {
+	if len(pl.blocks) != 1 || count < 1 {
+		return 0, 0, false
+	}
+	b := pl.blocks[0]
+	if count > 1 && b.Len != pl.extent {
+		return 0, 0, false
+	}
+	return b.Off, int64(count) * b.Len, true
+}
 
 // block returns block i of the element.
 func (pl *Plan) block(i int) Block {
@@ -78,8 +98,8 @@ func (pl *Plan) locate(off int64) (bi int, bo int64) {
 }
 
 // compilePlan builds the plan for a flattened element.
-func compilePlan(blocks []Block) *Plan {
-	pl := &Plan{blocks: blocks, canon: detectCanon(blocks)}
+func compilePlan(blocks []Block, extent int64) *Plan {
+	pl := &Plan{blocks: blocks, extent: extent, canon: detectCanon(blocks)}
 	if pl.canon == nil {
 		pl.prefix = make([]int64, len(blocks)+1)
 		for i, b := range blocks {
@@ -134,7 +154,7 @@ func detectCanon(blocks []Block) *CanonVec {
 // Safe for concurrent use: datatypes (including the shared primitives)
 // may be walked from independent worlds running on separate goroutines.
 func (d *Datatype) Plan() *Plan {
-	d.planOnce.Do(func() { d.planVal = compilePlan(d.flat) })
+	d.planOnce.Do(func() { d.planVal = compilePlan(d.flat, d.Extent()) })
 	return d.planVal
 }
 

@@ -1,6 +1,9 @@
 package mem
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Slab pool: backing arrays of Released Spaces are recycled into the
 // next Space instead of being garbage-collected. A figure sweep builds
@@ -16,21 +19,30 @@ import "sync"
 // memory is deliberately filled with garbage. Virtual time is likewise
 // unaffected — addresses come from the bump allocator and timing from
 // the event engine, neither of which observes buffer contents.
-const (
-	poolBudget   = 6 << 30 // max bytes parked in the pool
-	poolMaxSlabs = 32      // max slab count parked in the pool
-)
+//
+// The pool is bounded by bytes alone. A world of 64 ranks releases
+// about 150 slabs, most of them small; a bound on their number evicts
+// what the next world of the same shape is about to ask for.
+var poolBudget int64 = 6 << 30 // max bytes parked in the pool; tests lower it
 
+// Slabs are parked by capacity class: poolClass[k] holds those with
+// 2^k <= cap < 2^(k+1), newest last. Space.ensure asks for powers of
+// two (or a Space's whole size), so a class is almost always slabs of
+// one size, and parking, handing out and evicting are a push or a pop.
 var (
 	poolMu    sync.Mutex
-	poolSlabs [][]byte // sorted by cap, ascending
+	poolClass [63][][]byte
 	poolBytes int64
+	poolHeld  int // slabs parked, over all classes
 
 	poolGets    int64 // getSlab calls
 	poolHits    int64 // getSlab calls satisfied from the pool
 	poolPuts    int64 // putSlab calls that parked a slab
 	poolEvicted int64 // slabs dropped to stay under budget
 )
+
+// slabClass returns the class of a capacity c > 0.
+func slabClass(c int64) int { return bits.Len64(uint64(c)) - 1 }
 
 // PoolStats is a snapshot of the slab pool: what it holds and how well
 // recycling works. HeldBytes/HeldSlabs bound the memory the pool pins
@@ -59,7 +71,7 @@ func SlabPoolStats() PoolStats {
 	defer poolMu.Unlock()
 	return PoolStats{
 		HeldBytes: poolBytes,
-		HeldSlabs: len(poolSlabs),
+		HeldSlabs: poolHeld,
 		Gets:      poolGets,
 		Hits:      poolHits,
 		Puts:      poolPuts,
@@ -76,31 +88,48 @@ func ResetSlabPoolStats() {
 }
 
 // getSlab returns a recycled slab with cap >= n (sliced to length n), or
-// nil if none fits. A slab much larger than the request is left for a
-// bigger Space: handing a multi-hundred-MB slab to a KB-sized staging
-// space would force the next big allocation to start from scratch.
+// nil if none fits. It looks in n's own class, then upward, and takes
+// the newest fit. A slab much larger than the request (more than 8n and
+// more than n + 32 MiB) is left for a bigger Space: handing a
+// multi-hundred-MB slab to a KB-sized staging space would force the
+// next big allocation to start from scratch.
 func getSlab(n int64) []byte {
 	poolMu.Lock()
 	defer poolMu.Unlock()
 	poolGets++
-	for i, s := range poolSlabs {
-		c := int64(cap(s))
-		if c < n {
-			continue
+	if n <= 0 {
+		return nil
+	}
+	limit := 8 * n
+	if l := n + (32 << 20); l > limit {
+		limit = l
+	}
+	for k := slabClass(n); k < len(poolClass) && int64(1)<<k <= limit; k++ {
+		list := poolClass[k]
+		// Among powers of two the newest slab of a class always fits;
+		// the scan goes further only past a Space-sized slab that is
+		// smaller than n or over the limit.
+		for i := len(list) - 1; i >= 0; i-- {
+			c := int64(cap(list[i]))
+			if c < n || c > limit {
+				continue
+			}
+			s := list[i]
+			copy(list[i:], list[i+1:])
+			list[len(list)-1] = nil
+			poolClass[k] = list[:len(list)-1]
+			poolBytes -= c
+			poolHeld--
+			poolHits++
+			return s[:n]
 		}
-		if c > 8*n && c > n+(32<<20) {
-			break // ascending order: every later slab is even larger
-		}
-		poolSlabs = append(poolSlabs[:i], poolSlabs[i+1:]...)
-		poolBytes -= c
-		poolHits++
-		return s[:n]
 	}
 	return nil
 }
 
-// putSlab parks a slab for reuse, evicting the smallest slabs when the
-// pool exceeds its byte or count budget.
+// putSlab parks a slab for reuse. Over the byte budget it evicts from
+// the smallest class up, newest first: small slabs are the cheapest to
+// make again.
 func putSlab(s []byte) {
 	c := int64(cap(s))
 	if c == 0 {
@@ -108,18 +137,22 @@ func putSlab(s []byte) {
 	}
 	poolMu.Lock()
 	defer poolMu.Unlock()
-	i := 0
-	for i < len(poolSlabs) && int64(cap(poolSlabs[i])) < c {
-		i++
-	}
-	poolSlabs = append(poolSlabs, nil)
-	copy(poolSlabs[i+1:], poolSlabs[i:])
-	poolSlabs[i] = s
+	k := slabClass(c)
+	poolClass[k] = append(poolClass[k], s)
 	poolBytes += c
+	poolHeld++
 	poolPuts++
-	for (poolBytes > poolBudget || len(poolSlabs) > poolMaxSlabs) && len(poolSlabs) > 0 {
-		poolBytes -= int64(cap(poolSlabs[0]))
-		poolSlabs = append(poolSlabs[:0], poolSlabs[1:]...)
+	for k := 0; poolBytes > poolBudget && k < len(poolClass); {
+		list := poolClass[k]
+		last := len(list) - 1
+		if last < 0 {
+			k++
+			continue
+		}
+		poolBytes -= int64(cap(list[last]))
+		list[last] = nil
+		poolClass[k] = list[:last]
+		poolHeld--
 		poolEvicted++
 	}
 }

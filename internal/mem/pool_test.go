@@ -5,9 +5,16 @@ import "testing"
 // drainPool empties the global pool so tests see a known state.
 func drainPool() {
 	poolMu.Lock()
-	poolSlabs = nil
-	poolBytes = 0
+	poolClass = [len(poolClass)][][]byte{}
+	poolBytes, poolHeld = 0, 0
 	poolMu.Unlock()
+}
+
+// setPoolBudget lowers the byte budget for one test.
+func setPoolBudget(t *testing.T, b int64) {
+	old := poolBudget
+	poolBudget = b
+	t.Cleanup(func() { poolBudget = old })
 }
 
 func TestSlabPoolRoundTrip(t *testing.T) {
@@ -33,16 +40,49 @@ func TestSlabPoolRejectsOversizedHandout(t *testing.T) {
 	}
 }
 
+// TestSlabPoolBudgetEvictsSmallest: bytes are the only bound. Any number
+// of slabs parks under the budget; over it the smallest class goes first
+// and the large slabs, the expensive ones to make again, stay.
 func TestSlabPoolBudgetEvictsSmallest(t *testing.T) {
 	drainPool()
-	for i := 0; i < poolMaxSlabs+4; i++ {
+	ResetSlabPoolStats()
+	setPoolBudget(t, 1<<20)
+	for i := 0; i < 100; i++ {
 		putSlab(make([]byte, 1<<12))
 	}
-	poolMu.Lock()
-	n := len(poolSlabs)
-	poolMu.Unlock()
-	if n > poolMaxSlabs {
-		t.Fatalf("pool holds %d slabs, budget is %d", n, poolMaxSlabs)
+	if st := SlabPoolStats(); st.HeldSlabs != 100 || st.Evicted != 0 {
+		t.Fatalf("100 x 4K under a 1M budget: %+v, want all held", st)
+	}
+	putSlab(make([]byte, 1<<19))
+	putSlab(make([]byte, 1<<18)) // 400K + 512K + 256K: 144K over
+	st := SlabPoolStats()
+	if st.HeldBytes > poolBudget || st.Evicted != 36 || st.HeldSlabs != 66 {
+		t.Fatalf("over budget by 36 x 4K: %+v", st)
+	}
+	if getSlab(1<<19) == nil || getSlab(1<<18) == nil {
+		t.Fatal("eviction took a large slab while 4K slabs were parked")
+	}
+	// One slab larger than everything else together: every smaller class
+	// is emptied, in ascending order, before the budget holds again.
+	putSlab(make([]byte, 1<<13))
+	putSlab(make([]byte, 1<<20))
+	if st := SlabPoolStats(); st.HeldSlabs != 1 || st.HeldBytes != 1<<20 {
+		t.Fatalf("after a budget-sized slab: %+v, want it alone", st)
+	}
+}
+
+// TestSlabPoolSkipsUnfitInOwnClass: a Space capped below a power of two
+// parks a slab of that odd size, so one class can hold slabs smaller
+// than a request of the same class; the newest fit is found past them.
+func TestSlabPoolSkipsUnfitInOwnClass(t *testing.T) {
+	drainPool()
+	putSlab(make([]byte, 5000))
+	putSlab(make([]byte, 4096))
+	if s := getSlab(5000); s == nil || cap(s) != 5000 {
+		t.Fatalf("getSlab(5000) = cap %d, want the 5000-byte slab behind the 4K one", cap(s))
+	}
+	if s := getSlab(5000); s != nil {
+		t.Fatalf("a %d-byte slab served a 5000-byte request", cap(s))
 	}
 }
 
@@ -54,10 +94,7 @@ func TestSpaceReleaseRecyclesBacking(t *testing.T) {
 	// Grow past the first power-of-two class so a slab is retired.
 	s.Alloc(1<<16, 0)
 	s.Release()
-	poolMu.Lock()
-	n := len(poolSlabs)
-	poolMu.Unlock()
-	if n < 2 {
+	if n := SlabPoolStats().HeldSlabs; n < 2 {
 		t.Fatalf("Release parked %d slabs, want current + retired", n)
 	}
 	// A new space must be able to reuse the backing without zeroing;
@@ -98,18 +135,21 @@ func TestPoolStats(t *testing.T) {
 	}
 }
 
-// TestPoolStatsEviction: over-budget parks count as evictions.
+// TestPoolStatsEviction: over-budget parks count as evictions, and a
+// slab that alone exceeds the budget is not kept.
 func TestPoolStatsEviction(t *testing.T) {
 	drainPool()
 	ResetSlabPoolStats()
-	for i := 0; i < poolMaxSlabs+3; i++ {
+	setPoolBudget(t, 8<<12)
+	for i := 0; i < 8+3; i++ {
 		putSlab(make([]byte, 1<<12))
 	}
 	st := SlabPoolStats()
-	if st.Evicted != 3 {
-		t.Fatalf("evicted %d, want 3", st.Evicted)
+	if st.Evicted != 3 || st.HeldSlabs != 8 || st.HeldBytes != 8<<12 {
+		t.Fatalf("11 x 4K into a budget of 8: %+v", st)
 	}
-	if st.HeldSlabs != poolMaxSlabs {
-		t.Fatalf("held %d, want %d", st.HeldSlabs, poolMaxSlabs)
+	putSlab(make([]byte, 1<<16))
+	if st := SlabPoolStats(); st.HeldSlabs != 0 || st.HeldBytes != 0 || st.Evicted != 12 {
+		t.Fatalf("a slab over the whole budget: %+v, want an empty pool", st)
 	}
 }

@@ -110,11 +110,11 @@ type fragEvt struct {
 // contigWindow returns the packed window of (buf, dt, count) when the
 // layout is a single gap-free block.
 func contigWindow(buf mem.Buffer, dt *datatype.Datatype, count int) (mem.Buffer, bool) {
-	v := datatype.VectorViewN(dt, count)
-	if v == nil || v.Count != 1 {
+	off, n, ok := dt.Plan().Dense(count)
+	if !ok {
 		return mem.Buffer{}, false
 	}
-	return buf.Slice(v.Off, v.BlockLen), true
+	return buf.Slice(off, n), true
 }
 
 // deviceOf returns the GPU index of a buffer on the rank's node, or -1.

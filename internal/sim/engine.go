@@ -45,22 +45,24 @@ func (s *slots[T]) take(i int32) T {
 // Engine is a deterministic discrete-event scheduler. Create one with
 // NewEngine, add processes with Spawn, then call Run.
 //
-// Every process is a coroutine, and exactly one of them (or the engine
-// itself) executes at any instant: Run resumes a process and gets control
-// back when the process parks (sleeps, waits) or returns. Simulations are
-// therefore free of data races by construction and produce identical
-// event orders on every run.
+// Every process runs on a coroutine, and exactly one of them (or the
+// engine itself) executes at any instant: Run resumes a process and gets
+// control back when the process parks (sleeps, waits) or returns.
+// Simulations are therefore free of data races by construction and
+// produce identical event orders on every run.
 type Engine struct {
-	now     Time
-	seq     uint64 // schedule sequence: Event.pri of the last queued event
-	queue   []Event
-	procs   slots[*Proc]  // spawned and not yet finished
-	calls   slots[func()] // After callbacks not yet run
-	live    int           // spawned but not finished non-daemon processes
-	ran     bool
-	linkSeq uint64
-	links   []*Link
-	rec     *Recorder // nil unless a Recorder is attached (see span.go)
+	now      Time
+	seq      uint64 // schedule sequence: Event.pri of the last queued event
+	queue    []Event
+	procs    slots[*Proc]  // spawned and not yet finished
+	calls    slots[func()] // After callbacks not yet run
+	idle     []*carrier    // coroutines whose process has finished
+	carriers int           // coroutines created so far
+	live     int           // spawned but not finished non-daemon processes
+	ran      bool
+	linkSeq  uint64
+	links    []*Link
+	rec      *Recorder // nil unless a Recorder is attached (see span.go)
 }
 
 // NewEngine returns an empty engine at virtual time zero.
@@ -114,11 +116,13 @@ type Proc struct {
 	born   uint64 // schedule sequence of the start event: spawn order
 	fn     func(p *Proc)
 
-	// The coroutine, created when the start event runs: next resumes the
-	// process until it parks (true) or returns (false), yield is the
-	// process's way back to the engine, stop unwinds a parked process.
+	// The coroutine the process runs on, from its start event to its
+	// return, and that coroutine's two switches, kept here so that a
+	// park or a resume never touches the carrier: next resumes the
+	// process until it parks or returns, yield is its way back to the
+	// engine.
+	c     *carrier
 	next  func() (struct{}, bool)
-	stop  func()
 	yield func(struct{}) bool
 
 	pending bool // a resume event is queued; never two at once
@@ -164,10 +168,51 @@ func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 // Run stops its coroutine at the end of the simulation.
 var errShutdown = &struct{ s string }{"sim: engine shutdown"}
 
-// run is the body of the process's coroutine. A panic in the process
-// leaves through next() and so through Run, with the process named.
-func (p *Proc) run(yield func(struct{}) bool) {
-	p.yield = yield
+// carrier is a coroutine that runs one process after another. Most
+// processes are short (an eager receive, an active message) and a new
+// coroutine starts on a 2 KiB stack it has to regrow, so one that has
+// finished its process parks on Engine.idle and the next start event
+// runs on it, stack and all. Nothing of this shows in the event stream:
+// a process starts from the same evProc event at the same (At, pri)
+// whichever coroutine carries it.
+type carrier struct {
+	p    *Proc                   // the process being carried; nil once it has returned
+	next func() (struct{}, bool) // what Proc.next is while p runs
+	stop func()                  // unwinds a parked process or ends an idle carrier
+}
+
+// carrier returns a coroutine for a process about to start: the one that
+// went idle last, or a new one.
+func (e *Engine) carrier() *carrier {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return c
+	}
+	c := &carrier{}
+	c.next, c.stop = iter.Pull(c.run)
+	e.carriers++
+	return c
+}
+
+// run is the body of the coroutine: carry a process to its end, report
+// idle, wait for the next one. It returns when the engine stops it.
+func (c *carrier) run(yield func(struct{}) bool) {
+	for {
+		p := c.p
+		p.yield = yield
+		p.run()
+		c.p, p.c = nil, nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run calls the process's function. A panic in it leaves through the
+// carrier's next() and so through Run, with the process named.
+func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil && r != errShutdown {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
@@ -240,10 +285,14 @@ func (e *Engine) Run() {
 		}
 		p := e.procs.at[ev.To]
 		p.pending = false
-		if p.next == nil {
-			p.next, p.stop = iter.Pull(p.run)
+		c := p.c
+		if c == nil {
+			c = e.carrier()
+			c.p, p.c, p.next = p, c, c.next
 		}
-		if _, parked := p.next(); !parked {
+		p.next()
+		if p.c == nil { // returned, not parked
+			e.idle = append(e.idle, c)
 			e.procs.take(p.slot)
 			if !p.daemon {
 				e.live--
@@ -256,13 +305,18 @@ func (e *Engine) Run() {
 }
 
 // unwind stops the coroutine of every process that is still parked; its
-// deferred calls run (see errShutdown) before stop returns.
+// deferred calls run (see errShutdown) before stop returns. Then it ends
+// the idle carriers, so no coroutine outlives Run.
 func (e *Engine) unwind() {
 	for _, p := range e.procs.at {
-		if p != nil && p.stop != nil {
-			p.stop()
+		if p != nil && p.c != nil {
+			p.c.stop()
 		}
 	}
+	for _, c := range e.idle {
+		c.stop()
+	}
+	e.idle = nil
 }
 
 // deadlockReport lists the blocked non-daemon processes in spawn order

@@ -290,7 +290,8 @@ func TestRunTwicePanics(t *testing.T) {
 
 // TestRunUnwindsParkedDaemons: when Run returns nothing of the simulation
 // is left running — every parked daemon has been unwound through its
-// deferred calls and no goroutine outlives the call.
+// deferred calls, every idle carrier has been stopped, and no goroutine
+// outlives the call.
 func TestRunUnwindsParkedDaemons(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
@@ -306,15 +307,101 @@ func TestRunUnwindsParkedDaemons(t *testing.T) {
 	}
 	e.Spawn("client", func(p *Proc) {
 		m.Put(1)
+		// Five short processes at once, all finished before the end:
+		// their carriers are idle, not parked, when Run shuts down.
+		for i := 0; i < 5; i++ {
+			e.Spawn("short", func(p *Proc) { p.Sleep(Nanosecond) })
+		}
 		p.Sleep(Microsecond)
+		if len(e.idle) != 5 {
+			t.Errorf("%d idle carriers after five short processes, want 5", len(e.idle))
+		}
 	})
 	e.Run()
 	if unwound != 8 {
 		t.Fatalf("%d of 8 daemons unwound when Run returned", unwound)
 	}
+	if len(e.idle) != 0 {
+		t.Fatalf("%d idle carriers left after Run", len(e.idle))
+	}
 	if n := runtime.NumGoroutine(); n != base {
 		t.Fatalf("%d goroutines after Run, %d before", n, base)
 	}
+}
+
+// TestCarrierReuse: a thousand short processes one after another, beside
+// a few long-lived ones, run on as many coroutines as were ever alive at
+// once, not on a thousand.
+func TestCarrierReuse(t *testing.T) {
+	e := NewEngine()
+	const long, short = 3, 1000
+	ran := 0
+	for i := 0; i < long; i++ {
+		e.Spawn("long", func(p *Proc) { p.Sleep(Second) })
+	}
+	e.Spawn("driver", func(p *Proc) {
+		for i := 0; i < short; i++ {
+			e.Spawn("short", func(p *Proc) {
+				p.Sleep(Nanosecond)
+				ran++
+			})
+			p.Sleep(2 * Nanosecond)
+		}
+	})
+	e.Run()
+	if ran != short {
+		t.Fatalf("%d of %d short processes ran", ran, short)
+	}
+	// The long ones, the driver, and one carrier for every short process.
+	if want := long + 2; e.carriers != want {
+		t.Fatalf("%d coroutines created for at most %d concurrent processes", e.carriers, want)
+	}
+}
+
+// TestCarrierPanicNamesProcess: the panic report names the process that
+// panicked, not an earlier one the same carrier ran.
+func TestCarrierPanicNamesProcess(t *testing.T) {
+	defer func() {
+		if r := recover(); r != `sim: process "third" panicked: boom` {
+			t.Fatalf("panic = %v", r)
+		}
+	}()
+	e := NewEngine()
+	e.Spawn("driver", func(p *Proc) {
+		e.Spawn("first", func(p *Proc) {})
+		p.Sleep(Nanosecond)
+		e.Spawn("second", func(p *Proc) { p.Sleep(Nanosecond) })
+		p.Sleep(2 * Nanosecond)
+		e.Spawn("third", func(p *Proc) {
+			p.Sleep(Nanosecond)
+			panic("boom")
+		})
+		p.Sleep(Microsecond)
+		t.Error("driver outlived the panic")
+	})
+	defer func() {
+		if e.carriers != 2 {
+			t.Errorf("%d coroutines, want the driver's and one reused by all three", e.carriers)
+		}
+	}()
+	e.Run()
+}
+
+// BenchmarkSpawnFinish is the cost of one short process from Spawn to
+// its return: what an eager receive or an active message pays the
+// engine.
+func BenchmarkSpawnFinish(b *testing.B) {
+	e := NewEngine()
+	e.Spawn("driver", func(p *Proc) {
+		short := func(p *Proc) { p.Sleep(Nanosecond) }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Spawn("short", short)
+			p.Sleep(2 * Nanosecond)
+		}
+	})
+	e.Run()
 }
 
 // TestFinishedProcSlotReused: a long chain of short-lived processes keeps

@@ -66,14 +66,13 @@ type stencilInstance struct {
 	rc  RunContext
 }
 
-// cellWord is the generator value of the cell at wrapped global
-// coordinate g in step it.
-func (in *stencilInstance) cellWord(g []int, it int) uint64 {
-	vs := make([]uint64, 0, 4)
-	for _, c := range g {
-		vs = append(vs, uint64(c))
-	}
-	return mix(in.rc.Seed, append(vs, uint64(it))...)
+// cellWord is the generator value mix(seed, g..., it) of the cell at
+// wrapped global coordinate g in step it, given row = mix(seed, g[:n-1]...)
+// and last = g[n-1]. mix is a left fold, so a sweep folds the seed and
+// the leading coordinates once per innermost row and only these two
+// steps per cell.
+func cellWord(row, last uint64, it int) uint64 {
+	return splitmix64(splitmix64(row^last) ^ uint64(it))
 }
 
 func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
@@ -129,14 +128,21 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 		return ((coords[d]*box[d] + local - 1) + total[d]) % total[d]
 	}
 
-	// each visits every index vector with idx[d] in [lo[d], hi[d]).
-	var each func(lo, hi []int, f func(idx []int))
-	each = func(lo, hi []int, f func(idx []int)) {
+	// rows visits the first index vector of every innermost row of the
+	// box [lo, hi): idx[d] in [lo[d], hi[d]) for d < last, idx[last] ==
+	// lo[last]. f gets the generator prefix of the row and the byte
+	// offset of that first cell, and walks the row itself.
+	last := nd - 1
+	gidx := make([]uint64, nd)
+	rows := func(lo, hi []int, f func(idx []int, row uint64, off int)) {
 		idx := make([]int, nd)
 		copy(idx, lo)
 		for {
-			f(idx)
-			d := nd - 1
+			for d := 0; d < last; d++ {
+				gidx[d] = uint64(global(d, idx[d]))
+			}
+			f(idx, mix(in.rc.Seed, gidx[:last]...), offset(idx))
+			d := last - 1
 			for ; d >= 0; d-- {
 				idx[d]++
 				if idx[d] < hi[d] {
@@ -160,15 +166,14 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 
 	dev := m.Engine().Device()
 	h := sha256.New()
-	gidx := make([]int, nd)
 
 	for it := 0; it < in.cfg.Iters; it++ {
 		// New field values for this sweep.
-		each(interiorLo, interiorHi, func(idx []int) {
-			for d := 0; d < nd; d++ {
-				gidx[d] = global(d, idx[d])
+		rows(interiorLo, interiorHi, func(_ []int, row uint64, off int) {
+			for j := interiorLo[last]; j < interiorHi[last]; j++ {
+				putWord(raw, off, cellWord(row, uint64(global(last, j)), it))
+				off += 8
 			}
-			putWord(raw, offset(idx), in.cellWord(gidx, it))
 		})
 
 		// Dimension-ordered halo sweep: each face datatype spans the
@@ -200,15 +205,14 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 		// halos, including edges and corners — must now equal the
 		// generator at its wrapped global coordinate.
 		var verr error
-		each(zero, padded, func(idx []int) {
-			if verr != nil {
-				return
-			}
-			for d := 0; d < nd; d++ {
-				gidx[d] = global(d, idx[d])
-			}
-			if got, want := getWord(raw, offset(idx)), in.cellWord(gidx, it); got != want {
-				verr = fmt.Errorf("stencil: step %d cell %v (global %v) = %x, want %x", it, idx, gidx, got, want)
+		rows(zero, padded, func(idx []int, row uint64, off int) {
+			for j := 0; j < padded[last] && verr == nil; j++ {
+				gidx[last] = uint64(global(last, j))
+				if got, want := getWord(raw, off), cellWord(row, gidx[last], it); got != want {
+					cell := append(append([]int(nil), idx[:last]...), j)
+					verr = fmt.Errorf("stencil: step %d cell %v (global %v) = %x, want %x", it, cell, gidx, got, want)
+				}
+				off += 8
 			}
 		})
 		if verr != nil {
