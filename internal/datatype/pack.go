@@ -84,6 +84,12 @@ func (c *Converter) Advance(max int64, emit func(memOff, packOff, n int64)) int6
 	if max < 0 {
 		panic("datatype: negative advance")
 	}
+	// An element type with no blocks has nothing to walk, whatever the
+	// count: without the clamp the loop below would index its empty
+	// block list.
+	if r := c.Remaining(); max > r {
+		max = r
+	}
 	if cv := c.plan.canon; cv != nil {
 		return c.advanceCanon(cv, max, emit)
 	}

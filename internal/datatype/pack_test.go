@@ -175,6 +175,19 @@ func TestAdvanceEmitsMonotonicPackedOffsets(t *testing.T) {
 	}
 }
 
+// TestAdvanceEmptyElement: count > 0 of a type with no data is an empty
+// layout, not a walk over a block list that has no entries.
+func TestAdvanceEmptyElement(t *testing.T) {
+	c := NewConverter(Contiguous(0, Byte), 3)
+	emitted := false
+	if n := c.Advance(8, func(memOff, packOff, n int64) { emitted = true }); n != 0 || emitted || !c.Done() {
+		t.Fatalf("Advance(8) over three empty elements consumed %d bytes, emitted=%v, done=%v", n, emitted, c.Done())
+	}
+	if n := c.Pack(make([]byte, 8), nil); n != 0 {
+		t.Fatalf("Pack over three empty elements packed %d bytes", n)
+	}
+}
+
 func TestConverterMisuse(t *testing.T) {
 	c := NewConverter(Contiguous(4, Byte), 1)
 	for _, fn := range []func(){

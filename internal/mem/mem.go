@@ -285,6 +285,16 @@ func patternWord(seed, w uint64) uint64 {
 	return x
 }
 
+// SyntheticWord returns the eight stream bytes at offset off, which must
+// be a multiple of 8, as one little-endian word: what SyntheticAt stores
+// there. A consumer that folds or compares whole words reads the stream
+// through this and never materializes it.
+func SyntheticWord(seed, off uint64) uint64 {
+	// off is a multiple of 8, so byte(off)+j cannot carry out of its
+	// lane for j < 8: the eight offset bytes are one multiply-add.
+	return patternWord(seed, off>>3) ^ (0x0706050403020100 + (off&0xff)*0x0101010101010101)
+}
+
 // SyntheticAt writes len(dst) bytes of the random-access synthetic
 // pattern for seed, starting at stream offset off. SyntheticAt(s, 0, b)
 // followed by reads anywhere is byte-identical to generating windows
@@ -293,7 +303,7 @@ func patternWord(seed, w uint64) uint64 {
 //
 // Byte o of the stream is byte o&7 of patternWord(seed, o>>3) XOR
 // byte(o). Only the unaligned head and tail are produced that way; an
-// aligned word is one patternWord XOR one mask and one 8-byte store.
+// aligned word is one SyntheticWord and one 8-byte store.
 func SyntheticAt(seed uint64, off int64, dst []byte) {
 	if off < 0 {
 		panic("mem: negative synthetic pattern offset")
@@ -305,10 +315,7 @@ func SyntheticAt(seed uint64, off int64, dst []byte) {
 		dst = dst[n:]
 	}
 	for ; len(dst) >= 8; dst = dst[8:] {
-		// o is a multiple of 8, so byte(o)+j cannot carry out of its
-		// lane for j < 8: the eight offset bytes are one multiply-add.
-		mask := 0x0706050403020100 + (o&0xff)*0x0101010101010101
-		binary.LittleEndian.PutUint64(dst, patternWord(seed, o>>3)^mask)
+		binary.LittleEndian.PutUint64(dst, SyntheticWord(seed, o))
 		o += 8
 	}
 	if len(dst) > 0 {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -130,6 +131,26 @@ func TestSyntheticAtMatchesReference(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		checkSyntheticAt(t, rng.Uint64(), rng.Int63n(1<<41), rng.Intn(200))
+	}
+}
+
+// TestSyntheticWordIsSyntheticAt: the exported aligned word is the eight
+// bytes the byte-wise reference puts at that offset, little-endian —
+// around the points where the offset byte wraps, at large word indices,
+// and at random aligned offsets.
+func TestSyntheticWordIsSyntheticAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	offs := []int64{0, 8, 240, 248, 256, 264, 1<<40 - 8, 1 << 40, 1<<62 - 8}
+	for i := 0; i < 2000; i++ {
+		offs = append(offs, rng.Int63n(1<<41)&^7)
+	}
+	var want [8]byte
+	for _, off := range offs {
+		seed := rng.Uint64()
+		syntheticAtRef(seed, off, want[:])
+		if got := SyntheticWord(seed, uint64(off)); got != binary.LittleEndian.Uint64(want[:]) {
+			t.Fatalf("SyntheticWord(%d, %d) = %#x, the stream holds %#x", seed, off, got, binary.LittleEndian.Uint64(want[:]))
+		}
 	}
 }
 

@@ -37,27 +37,24 @@ type rankSM struct {
 
 	round int32
 	gotIn int32
-	pend  map[int32]struct{}
+	pend  map[int32]struct{} // rounds that arrived early; nil until one does
 	done  bool
+	open  bool // startRounds has run: round is the round being waited for
 }
 
 // HandleEvent dispatches relay stages and the collective's schedule.
 func (a *rankSM) HandleEvent(sc *sim.ShardCtx, ev sim.Event) {
-	if ev.B == 1 {
-		a.w.relay(sc, ev)
-		return
-	}
-	if a.w.o.Coll == "alltoall" {
-		if a.w.o.Flat {
-			a.a2aFlat(sc, ev)
-		} else {
-			a.a2aHier(sc, ev)
-		}
-		return
-	}
-	if a.w.o.Flat {
+	w := a.w
+	switch {
+	case ev.B == 1:
+		w.relay(sc, ev)
+	case w.a2a && w.flat:
+		a.a2aFlat(sc, ev)
+	case w.a2a:
+		a.a2aHier(sc, ev)
+	case w.flat:
 		a.agFlat(sc, ev)
-	} else {
+	default:
 		a.agHier(sc, ev)
 	}
 }
@@ -80,9 +77,11 @@ func (a *rankSM) finish(sc *sim.ShardCtx) {
 	}
 }
 
-// pendSet/pendHas/pendClear track out-of-order round arrivals (the
-// pairwise and ring schedules complete round s only after the round-s
-// message arrives, but the network may deliver s+1 first).
+// pendSet/pendHas/pendClear track early round arrivals: the pairwise
+// and ring schedules complete round s only after the round-s message
+// arrives, but the network may deliver s+1 first, and a leader's first
+// slab before its own members have reported in. Rounds that arrive in
+// order never come here, so most ranks never make the map.
 func (a *rankSM) pendSet(s int32) {
 	if a.pend == nil {
 		a.pend = make(map[int32]struct{}, 4)
@@ -104,7 +103,8 @@ func (a *rankSM) pendClear(s int32) { delete(a.pend, s) }
 // [i*width, (i+1)*width). Rounds run [first, end) — the pairwise
 // exchange numbers its n-1 rounds from 1 (round s pairs with
 // mpi.PairwisePeers(n, me, s)), the ring from 0 — and each sends one
-// message of the given kind and size.
+// message of the given kind and size. Only me differs between the ranks
+// of a world: build decides the rest once (world.lv).
 type level struct {
 	n, me         int
 	stride, width int
@@ -113,24 +113,24 @@ type level struct {
 	bytes         int64
 }
 
-func (a *rankSM) level() level {
-	w := a.w
-	lv := level{n: w.nodes, me: a.node, stride: w.rpn, width: w.rpn}
-	if w.o.Flat {
-		lv = level{n: w.p, me: int(a.r), stride: 1, width: 1}
+// newLevel is the world's level with me left for each rank to fill in.
+func (w *world) newLevel() level {
+	lv := level{n: w.nodes, stride: w.rpn, width: w.rpn}
+	if w.flat {
+		lv = level{n: w.p, stride: 1, width: 1}
 	}
 	// A ring hop carries the peer's width blocks; a pairwise round
 	// carries them once for each of the partner's width ranks.
 	lv.first, lv.end, lv.bytes = 0, int32(lv.n-1), int64(lv.width)*w.b
-	if w.o.Coll == "alltoall" {
+	if w.a2a {
 		lv.first, lv.end, lv.bytes = 1, int32(lv.n), lv.bytes*int64(lv.width)
 	}
 	switch {
-	case w.o.Flat && w.o.Coll == "alltoall":
+	case w.flat && w.a2a:
 		lv.kind = kA2A
-	case w.o.Flat:
+	case w.flat:
 		lv.kind = kAG
-	case w.o.Coll == "alltoall":
+	case w.a2a:
 		lv.kind = kA2ANode
 	default:
 		lv.kind = kAGSlab
@@ -138,22 +138,36 @@ func (a *rankSM) level() level {
 	return lv
 }
 
-// startRounds opens the round schedule, or skips it at a level of one.
+// level is the world's level as this rank sees it.
+func (a *rankSM) level() level {
+	lv := a.w.lv
+	lv.me = a.node
+	if a.w.flat {
+		lv.me = int(a.r)
+	}
+	return lv
+}
+
+// startRounds opens the round schedule, or skips it at a level of one:
+// send the first round, then catch up on rounds that arrived before
+// this rank was ready for them.
 func (a *rankSM) startRounds(sc *sim.ShardCtx) {
 	lv := a.level()
+	a.open = true
 	if lv.n == 1 {
 		a.roundsDone(sc)
 		return
 	}
 	a.round = lv.first
 	a.sendRound(sc, lv, a.round)
+	a.catchUp(sc, lv)
 }
 
 // sendRound posts the caller's round-s message: to the round's pairwise
 // partner, or around the ring to the right neighbour.
 func (a *rankSM) sendRound(sc *sim.ShardCtx, lv level, s int32) {
 	to := (lv.me + 1) % lv.n
-	if a.w.o.Coll == "alltoall" {
+	if a.w.a2a {
 		to, _ = mpi.PairwisePeers(lv.n, lv.me, int(s))
 	}
 	a.w.send(sc, a.r, sim.ActorID(to*lv.stride), lv.kind, s, lv.bytes)
@@ -161,29 +175,45 @@ func (a *rankSM) sendRound(sc *sim.ShardCtx, lv level, s int32) {
 
 // roundArrived handles one round message: mark the source blocks it
 // carries — the sender's own in a pairwise round, those of the peer
-// `round` hops upstream in a ring round — then advance through every
-// round whose message is already here, sending the next or finishing.
+// `round` hops upstream in a ring round — then, if it is the round this
+// rank waits for, complete it and every later round whose message is
+// already here. A message for any other round, or for a rank whose
+// schedule has not opened (a leader still collecting its members'
+// buffers when a neighbour's slab lands), is only recorded.
 func (a *rankSM) roundArrived(sc *sim.ShardCtx, ev sim.Event) {
 	w := a.w
 	lv := a.level()
 	w.arrive(sc, a.r, ev.A)
 	w.verify(sc, a.r, ev)
 	src := int(ev.From) / lv.stride
-	if w.o.Coll != "alltoall" {
+	if !w.a2a {
 		src = (src - int(ev.Round)%lv.n + lv.n) % lv.n
 	}
-	for i := 0; i < lv.width; i++ {
-		w.mark(a.r, src*lv.width+i)
+	w.mark(a.r, src*lv.width, lv.width)
+	if !a.open || ev.Round != a.round {
+		a.pendSet(ev.Round)
+		return
 	}
-	a.pendSet(ev.Round)
-	for a.pendHas(a.round) {
+	a.completeRound(sc, lv)
+	a.catchUp(sc, lv)
+}
+
+// completeRound moves past the round being waited for: send the next
+// one, or end the schedule.
+func (a *rankSM) completeRound(sc *sim.ShardCtx, lv level) {
+	a.round++
+	if a.round < lv.end {
+		a.sendRound(sc, lv, a.round)
+	} else {
+		a.roundsDone(sc)
+	}
+}
+
+// catchUp completes every round whose message arrived early.
+func (a *rankSM) catchUp(sc *sim.ShardCtx, lv level) {
+	for len(a.pend) > 0 && a.pendHas(a.round) {
 		a.pendClear(a.round)
-		a.round++
-		if a.round < lv.end {
-			a.sendRound(sc, lv, a.round)
-		} else {
-			a.roundsDone(sc)
-		}
+		a.completeRound(sc, lv)
 	}
 }
 
@@ -191,9 +221,9 @@ func (a *rankSM) roundArrived(sc *sim.ShardCtx, ev sim.Event) {
 // moves on to its node's last phase.
 func (a *rankSM) roundsDone(sc *sim.ShardCtx) {
 	switch {
-	case a.w.o.Flat:
+	case a.w.flat:
 		a.finish(sc)
-	case a.w.o.Coll == "alltoall":
+	case a.w.a2a:
 		a.a2aScatter(sc)
 	default:
 		a.forwardBcast(sc)
@@ -208,7 +238,7 @@ func (a *rankSM) a2aFlat(sc *sim.ShardCtx, ev sim.Event) {
 	switch ev.Kind {
 	case kStart:
 		// Local copy of the self block, then round 1.
-		w.mark(a.r, int(a.r))
+		w.mark(a.r, int(a.r), 1)
 		w.cpu[a.r] = sc.Now() + 2*w.packCost(w.b)
 		a.startRounds(sc)
 	case kA2A:
@@ -223,7 +253,7 @@ func (a *rankSM) a2aFlat(sc *sim.ShardCtx, ev sim.Event) {
 func (a *rankSM) agFlat(sc *sim.ShardCtx, ev sim.Event) {
 	switch ev.Kind {
 	case kStart:
-		a.w.mark(a.r, int(a.r))
+		a.w.mark(a.r, int(a.r), 1)
 		a.startRounds(sc)
 	case kAG:
 		a.roundArrived(sc, ev)
@@ -247,9 +277,7 @@ func (a *rankSM) a2aHier(sc *sim.ShardCtx, ev sim.Event) {
 		// Leader: stage own buffer; the local node block (own-node
 		// sources into own image) is exchanged in staging memory.
 		w.cpu[a.r] = sc.Now() + 2*w.packCost(int64(w.p)*w.b)
-		for li := 0; li < w.rpn; li++ {
-			w.mark(a.r, a.node*w.rpn+li)
-		}
+		w.mark(a.r, a.node*w.rpn, w.rpn)
 		if w.rpn == 1 {
 			a.startRounds(sc)
 		}
@@ -265,9 +293,7 @@ func (a *rankSM) a2aHier(sc *sim.ShardCtx, ev sim.Event) {
 	case kA2ACol:
 		w.arrive(sc, a.r, ev.A)
 		w.verify(sc, a.r, ev)
-		for g := 0; g < w.p; g++ {
-			w.mark(a.r, g)
-		}
+		w.mark(a.r, 0, w.p)
 		a.finish(sc)
 	default:
 		panic(fmt.Sprintf("model: hier alltoall rank %d got kind %d", a.r, ev.Kind))
@@ -298,14 +324,14 @@ func (a *rankSM) agHier(sc *sim.ShardCtx, ev sim.Event) {
 			w.send(sc, a.r, a.lead, kAGIn, 0, w.b)
 			return
 		}
-		w.mark(a.r, int(a.r))
+		w.mark(a.r, int(a.r), 1)
 		if w.rpn == 1 {
 			a.startRounds(sc)
 		}
 	case kAGIn:
 		w.arrive(sc, a.r, ev.A)
 		w.verify(sc, a.r, ev)
-		w.mark(a.r, int(ev.From))
+		w.mark(a.r, int(ev.From), 1)
 		a.gotIn++
 		if int(a.gotIn) == w.rpn-1 {
 			a.startRounds(sc)
@@ -315,9 +341,7 @@ func (a *rankSM) agHier(sc *sim.ShardCtx, ev sim.Event) {
 	case kAGBcast:
 		w.arrive(sc, a.r, ev.A)
 		w.verify(sc, a.r, ev)
-		for g := 0; g < w.p; g++ {
-			w.mark(a.r, g)
-		}
+		w.mark(a.r, 0, w.p)
 		a.forwardBcast(sc)
 		a.finish(sc)
 	default:

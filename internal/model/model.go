@@ -162,6 +162,8 @@ type world struct {
 	radix, spines int
 	leaves, eff   int
 	b             int64 // packed bytes of one per-peer block
+	a2a, flat     bool  // o.Coll == "alltoall", o.Flat
+	lv            level // the round schedule's shape, decided once (coll.go)
 	dt            *datatype.Datatype
 	count         int
 
@@ -285,6 +287,8 @@ func build(o Options) (*world, error) {
 	if w.upBw > w.wire {
 		w.upBw = w.wire
 	}
+	w.a2a, w.flat = o.Coll == "alltoall", o.Flat
+	w.lv = w.newLevel()
 	w.leaves = (nodes + w.radix - 1) / w.radix
 	w.eff = o.Shards
 	if w.eff == 0 {
@@ -331,10 +335,10 @@ func build(o Options) (*world, error) {
 		w.cover[r] = make([]uint64, words)
 	}
 
-	if o.Coll == "alltoall" && !o.Flat {
+	if w.a2a && !w.flat {
 		w.colSig = make([]uint64, w.p)
 	}
-	if o.Coll == "allgather" && !o.Flat && len(w.sampleList) > 0 && rpn > 1 {
+	if !w.a2a && !w.flat && len(w.sampleList) > 0 && rpn > 1 {
 		var s mpi.Sig64
 		for g := 0; g < w.p; g++ {
 			w.payAG(g).FoldPacked(&s, 0, w.count)
@@ -536,19 +540,21 @@ func (w *world) arrive(sc *sim.ShardCtx, r sim.ActorID, bytes int64) {
 	w.cpu[r] = t + w.packCost(bytes)
 }
 
-// mark records that sampled rank r received the block contributed by
-// global source src, panicking on duplicates.
-func (w *world) mark(r sim.ActorID, src int) {
+// mark records that sampled rank r received the n blocks contributed by
+// global sources [src, src+n), panicking on duplicates.
+func (w *world) mark(r sim.ActorID, src, n int) {
 	bits := w.cover[r]
 	if bits == nil {
 		return
 	}
-	word, bit := src>>6, uint(src&63)
-	if bits[word]&(1<<bit) != 0 {
-		panic(fmt.Sprintf("model: rank %d received block %d twice", r, src))
+	for end := src + n; src < end; src++ {
+		word, bit := src>>6, uint(src&63)
+		if bits[word]&(1<<bit) != 0 {
+			panic(fmt.Sprintf("model: rank %d received block %d twice", r, src))
+		}
+		bits[word] |= 1 << bit
 	}
-	bits[word] |= 1 << bit
-	w.covered[r]++
+	w.covered[r] += int32(n)
 }
 
 // msgSig computes the content signature for a message. Sender and a
@@ -656,7 +662,7 @@ func (w *world) finalize() (Result, error) {
 	var block []byte // one per-peer block, regenerated in place
 	for _, r := range w.sampleList {
 		for g := 0; g < w.p; g++ {
-			if w.o.Coll == "alltoall" {
+			if w.a2a {
 				block = w.payA2A(g).AppendPacked(block[:0], r*w.count, w.count)
 			} else {
 				block = w.payAG(g).AppendPacked(block[:0], 0, w.count)

@@ -1,10 +1,13 @@
 package model
 
 import (
+	"fmt"
 	"testing"
 
 	"gpuddt/internal/cluster"
+	"gpuddt/internal/mpi"
 	"gpuddt/internal/shapes"
+	"gpuddt/internal/sim"
 )
 
 // testOptions is a 128-rank world on 8 fat-tree leaves (64 nodes x 2
@@ -87,6 +90,103 @@ func TestModelChaosDeterminism(t *testing.T) {
 		if got.Time != ref.Time || got.Digest != ref.Digest || got.Faults != ref.Faults {
 			t.Fatalf("chaos world diverged at %d shards: time %v vs %v, faults %d vs %d",
 				shards, got.Time, ref.Time, got.Faults, ref.Faults)
+		}
+	}
+}
+
+// TestModelChaosAllArms: retries reorder arrivals — a later round
+// overtakes an earlier one, a neighbour's first slab reaches a leader
+// that is still collecting its own members' buffers — and every
+// schedule must absorb that: complete, with the clean run's content,
+// identically on every shard count. Two and three nodes are the worlds
+// where a leader has one or two rounds and nothing arrives afterwards
+// to rescue a round parked too early; they fit on one leaf, so only the
+// 64-node world has shards to compare. It verifies 16 sampled ranks,
+// which keeps the 576 runs affordable under -race.
+func TestModelChaosAllArms(t *testing.T) {
+	for _, coll := range []string{"alltoall", "allgather"} {
+		for _, flat := range []bool{false, true} {
+			for _, nodes := range []int{2, 3, 64} {
+				o := testOptions(coll, flat, 1)
+				o.Spec = cluster.Scale(nodes, 1, 2, 2)
+				o.SampleRanks = 16
+				clean := mustRun(t, o)
+				for _, rate := range []float64{0.05, 0.3} {
+					for seed := uint64(1); seed <= 8; seed++ {
+						o.ChaosRate, o.ChaosSeed, o.Shards = rate, seed, 1
+						what := fmt.Sprintf("%s flat=%v nodes=%d rate=%v seed=%d", coll, flat, nodes, rate, seed)
+						ref, err := Run(o)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						if ref.Digest != clean.Digest {
+							t.Fatalf("%s: chaos perturbed content", what)
+						}
+						for _, shards := range []int{2, 4} {
+							o.Shards = shards
+							got, err := Run(o)
+							if err != nil {
+								t.Fatalf("%s shards=%d: %v", what, shards, err)
+							}
+							if got.Time != ref.Time || got.Digest != ref.Digest || got.Events != ref.Events || got.Faults != ref.Faults {
+								t.Fatalf("%s shards=%d: time %v, %d events, %d faults; serial %v, %d, %d",
+									what, shards, got.Time, got.Events, got.Faults, ref.Time, ref.Events, ref.Faults)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sendLog stands in for the peers of the rank under test and records
+// the round of every message that rank sends, in arrival order. The
+// peers sit on one leaf and send nothing, so the sender's NIC is the
+// only queue and arrival order is send order.
+type sendLog struct{ rounds []int32 }
+
+func (l *sendLog) HandleEvent(sc *sim.ShardCtx, ev sim.Event) { l.rounds = append(l.rounds, ev.Round) }
+
+// TestRoundsArriveOutOfOrder hands rank 0 of a four-rank flat alltoall
+// its three rounds in the order 3, 1, 2 — once after its start event
+// and once before it, which is what a leader sees when a neighbour is
+// quicker than its own members. Either way it must send rounds 1, 2, 3
+// in that order and finish exactly once.
+func TestRoundsArriveOutOfOrder(t *testing.T) {
+	for _, startAt := range []sim.Time{0, 4 * sim.Microsecond} {
+		o := testOptions("alltoall", true, 1)
+		o.Spec = cluster.Scale(4, 1, 1, 2)
+		o.RecordSpans = true // one span per finish
+		w, err := build(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The world's own engine has every rank's start event queued;
+		// this one runs rank 0 alone against the log.
+		se := sim.NewShardedEngine(1, 0)
+		var peers sendLog
+		se.AddActor(0, &w.ranks[0])
+		for r := 1; r < w.p; r++ {
+			se.AddActor(0, &peers)
+		}
+		se.Post(startAt, sim.Event{To: 0, Kind: kStart})
+		for i, round := range []int32{3, 1, 2} {
+			_, from := mpi.PairwisePeers(w.p, 0, int(round))
+			se.Post(sim.Time(i+1)*sim.Microsecond, sim.Event{
+				To: 0, Kind: kA2A, From: sim.ActorID(from), Round: round, A: w.b,
+				Sig: w.msgSig(kA2A, sim.ActorID(from), 0, round),
+			})
+		}
+		se.Run()
+		if got := fmt.Sprint(peers.rounds); got != "[1 2 3]" {
+			t.Errorf("start at %v: rank 0 sent rounds %s, want [1 2 3]", startAt, got)
+		}
+		if a := &w.ranks[0]; !a.done || len(se.Spans()) != 1 || len(a.pend) != 0 {
+			t.Errorf("start at %v: done=%v after %d finishes, %d rounds still pending", startAt, a.done, len(se.Spans()), len(a.pend))
+		}
+		if int(w.covered[0]) != w.p {
+			t.Errorf("start at %v: %d of %d blocks marked", startAt, w.covered[0], w.p)
 		}
 	}
 }
@@ -184,9 +284,10 @@ func TestModelOptionErrors(t *testing.T) {
 // not when it is sent, signed, verified or digested. Flat allgather
 // sends p*(p-1) messages, so from 64 to 256 ranks the message count
 // grows 16-fold while everything a world legitimately allocates (rank
-// state, cover bitsets, the pending-round sets, the event heap's
-// doublings) grows with the ranks. Every rank is sampled, so every
-// message is signed and verified.
+// state, cover bitsets, the event heap's doublings) grows with the
+// ranks: one cover bitset per added rank, and no pending-round set,
+// because a clean ring delivers every round in order. Every rank is
+// sampled, so every message is signed and verified.
 func TestModelRunAllocsPerMessage(t *testing.T) {
 	type point struct{ allocs, ranks, msgs float64 }
 	var pts []point
@@ -204,8 +305,8 @@ func TestModelRunAllocsPerMessage(t *testing.T) {
 	small, big := pts[0], pts[1]
 	t.Logf("allocations: %v at %v ranks (%v msgs), %v at %v ranks (%v msgs)",
 		small.allocs, small.ranks, small.msgs, big.allocs, big.ranks, big.msgs)
-	if perRank := (big.allocs - small.allocs) / (big.ranks - small.ranks); perRank > 8 {
-		t.Errorf("%.1f allocations per added rank, want a small constant", perRank)
+	if perRank := (big.allocs - small.allocs) / (big.ranks - small.ranks); perRank > 2 {
+		t.Errorf("%.1f allocations per added rank, want its cover bitset and at most one more", perRank)
 	}
 	if big.allocs > big.msgs/16 {
 		t.Errorf("%v allocations for %v messages: allocations scale with the message count", big.allocs, big.msgs)

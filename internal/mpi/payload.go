@@ -123,9 +123,37 @@ func (sp SyntheticPayload) AppendPacked(dst []byte, elem0, n int) []byte {
 }
 
 // FoldPacked folds the packed bytes of elements [elem0, elem0+n) into
-// s through a scratch on the stack. Folding several windows into one
-// Sig64 signs their concatenation.
+// s. Folding several windows into one Sig64 signs their concatenation.
+//
+// Sig64 folds words and the generator makes words, so when every block
+// of every element starts and ends on a word boundary of the stream —
+// any layout of doubles — and s stands on one too, each word goes from
+// the generator straight into the fold (foldWords) and the packed bytes
+// are never written anywhere. Sig64 does not depend on how its input
+// was split, so this is the value Write(AppendPacked(nil, elem0, n))
+// gives. Any other layout, or an s holding part of a word, generates
+// through a scratch on the stack.
 func (sp SyntheticPayload) FoldPacked(s *Sig64, elem0, n int) {
+	blocks, ext := sp.Dt.Blocks(), sp.Dt.Extent()
+	// One OR finds a misaligned or negative offset, length or extent;
+	// negative offsets are left to SyntheticAt, which rejects them.
+	m := ext | int64(s.n&7)
+	for _, b := range blocks {
+		m |= b.Off | b.Len
+	}
+	if m >= 0 && m&7 == 0 && elem0 >= 0 {
+		h := s.h ^ sigInit
+		for e := elem0; e < elem0+n; e++ {
+			base := uint64(e) * uint64(ext)
+			for _, b := range blocks {
+				o := base + uint64(b.Off)
+				h = foldWords(h, sp.Seed, o, o+uint64(b.Len))
+			}
+		}
+		s.h = h ^ sigInit
+		s.n += uint64(n) * uint64(sp.Dt.Size())
+		return
+	}
 	var scratch [512]byte
 	k := sp.walk(elem0, n)
 	for {
@@ -135,6 +163,20 @@ func (sp SyntheticPayload) FoldPacked(s *Sig64, elem0, n int) {
 			return
 		}
 	}
+}
+
+// foldWords folds the words of seed's stream at offsets [o, stop) into
+// h. Called once per block and kept out of line: inlined into the walk
+// over elements and blocks, the generator's temporaries no longer fit
+// in registers and every word goes through the stack (2.3 GB/s against
+// 3.2 on BenchmarkFoldPacked/words).
+//
+//go:noinline
+func foldWords(h, seed, o, stop uint64) uint64 {
+	for ; o < stop; o += 8 {
+		h = sigFold(h, mem.SyntheticWord(seed, o))
+	}
+	return h
 }
 
 // WritePacked streams the same bytes into w. A *Sig64 takes the

@@ -179,6 +179,52 @@ func TestPackedSigNoAllocs(t *testing.T) {
 	}
 }
 
+// TestFoldPackedWordsMatchBytes: FoldPacked signs the bytes
+// AppendPacked materializes whichever way it reads them — word by word
+// off the generator for layouts of doubles, through the scratch for
+// everything else and for a Sig64 standing inside a word — and
+// allocates nothing either way. Two windows go into each signature, so
+// the second fold starts wherever the first one left it.
+func TestFoldPackedWordsMatchBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, c := range []struct {
+		name string
+		dt   *datatype.Datatype
+	}{
+		{"submatrix", shapes.SubMatrix(16, 8, 12)},
+		{"contiguous doubles", datatype.Contiguous(5, datatype.Float64)},
+		{"lower triangular", shapes.LowerTriangular(64)},
+		{"byte vector, odd stride", datatype.Vector(5, 3, 7, datatype.Byte)},
+		{"block at offset 4", datatype.Hindexed([]int{2}, []int64{4}, datatype.Float64)},
+		{"extent 20", datatype.Resized(datatype.Contiguous(2, datatype.Float64), 0, 20)},
+		{"empty", datatype.Contiguous(0, datatype.Byte)},
+	} {
+		const count = 24
+		sp := SyntheticPayload{Seed: rng.Uint64(), Dt: c.dt, Count: count}
+		for _, pending := range []int{0, 3} {
+			for trial := 0; trial < 40; trial++ {
+				var got, want Sig64
+				got.Write([]byte{1, 2, 3}[:pending])
+				want.Write([]byte{1, 2, 3}[:pending])
+				for w := 0; w < 2; w++ {
+					elem0 := rng.Intn(count + 1)
+					n := rng.Intn(count + 1 - elem0)
+					sp.FoldPacked(&got, elem0, n)
+					want.Write(sp.AppendPacked(nil, elem0, n))
+				}
+				if got != want {
+					t.Fatalf("%s, %d pending bytes: FoldPacked leaves %+v, Write(AppendPacked) %+v", c.name, pending, got, want)
+				}
+			}
+			var s Sig64
+			s.Write([]byte{1, 2, 3}[:pending])
+			if n := testing.AllocsPerRun(20, func() { sp.FoldPacked(&s, 3, count-3) }); n != 0 {
+				t.Errorf("%s, %d pending bytes: FoldPacked allocates %v times per call", c.name, pending, n)
+			}
+		}
+	}
+}
+
 var sigSink uint64
 
 func BenchmarkSig64(b *testing.B) {
@@ -192,13 +238,25 @@ func BenchmarkSig64(b *testing.B) {
 	sigSink = s.Sum64()
 }
 
-// BenchmarkPackedSig signs what one modelled alltoall column does at
-// 1024 ranks: 1024 blocks of the 1 KiB sub-matrix.
-func BenchmarkPackedSig(b *testing.B) {
+// BenchmarkFoldPacked signs what one modelled alltoall column does at
+// 1024 ranks, 1024 blocks of the 1 KiB sub-matrix: word by word off the
+// generator, and — the same bytes into a Sig64 that stands inside a
+// word — through the scratch that serves unaligned input.
+func BenchmarkFoldPacked(b *testing.B) {
 	sp := SyntheticPayload{Seed: 3000, Dt: shapes.SubMatrix(16, 8, 12), Count: 1024}
-	b.SetBytes(sp.PackedBytes())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sigSink += sp.PackedSig(0, 1024)
+	for _, c := range []struct {
+		name    string
+		pending int
+	}{{"words", 0}, {"scratch", 3}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(sp.PackedBytes())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var s Sig64
+				s.Write([]byte{1, 2, 3}[:c.pending])
+				sp.FoldPacked(&s, 0, 1024)
+				sigSink += s.Sum64()
+			}
+		})
 	}
 }

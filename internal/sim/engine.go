@@ -53,7 +53,7 @@ func (s *slots[T]) take(i int32) T {
 type Engine struct {
 	now      Time
 	seq      uint64 // schedule sequence: Event.pri of the last queued event
-	queue    []Event
+	queue    evQueue
 	procs    slots[*Proc]  // spawned and not yet finished
 	calls    slots[func()] // After callbacks not yet run
 	idle     []*carrier    // coroutines whose process has finished
@@ -80,7 +80,7 @@ func (e *Engine) Links() []*Link { return e.links }
 // reproducible.
 func (e *Engine) post(at Time, kind, to int32) {
 	e.seq++
-	evPush(&e.queue, Event{At: at, pri: e.seq, To: to, Kind: kind})
+	e.queue.push(Event{At: at, pri: e.seq, To: to, Kind: kind})
 }
 
 // After runs fn at now+d without a dedicated process. fn executes on the
@@ -276,31 +276,40 @@ func (e *Engine) Run() {
 	}
 	e.ran = true
 	defer e.unwind()
-	for len(e.queue) > 0 {
-		ev := evPop(&e.queue)
+	for e.queue.Len() > 0 {
+		// The event stays at the root while it runs: the first thing it
+		// queues (a sleeper's wake-up, a callback's successor) takes its
+		// place with one sift, and settle pops it if nothing did.
+		ev := e.queue.peek()
 		e.now = ev.At
 		if ev.Kind == evCall {
 			e.calls.take(ev.To)()
-			continue
+		} else {
+			e.resume(e.procs.at[ev.To])
 		}
-		p := e.procs.at[ev.To]
-		p.pending = false
-		c := p.c
-		if c == nil {
-			c = e.carrier()
-			c.p, p.c, p.next = p, c, c.next
-		}
-		p.next()
-		if p.c == nil { // returned, not parked
-			e.idle = append(e.idle, c)
-			e.procs.take(p.slot)
-			if !p.daemon {
-				e.live--
-			}
-		}
+		e.queue.settle()
 	}
 	if e.live > 0 {
 		panic(e.deadlockReport())
+	}
+}
+
+// resume runs process p from its start or resume event until it parks
+// or returns.
+func (e *Engine) resume(p *Proc) {
+	p.pending = false
+	c := p.c
+	if c == nil {
+		c = e.carrier()
+		c.p, p.c, p.next = p, c, c.next
+	}
+	p.next()
+	if p.c == nil { // returned, not parked
+		e.idle = append(e.idle, c)
+		e.procs.take(p.slot)
+		if !p.daemon {
+			e.live--
+		}
 	}
 }
 

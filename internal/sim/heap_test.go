@@ -6,40 +6,80 @@ import (
 	"testing"
 )
 
-// TestEventHeapOrder: whatever the heap does inside, evPop must yield
+// TestEventHeapOrder: whatever the queue does inside, it must yield
 // exactly the evLess order. Timestamps are drawn from a handful of
-// values so most comparisons fall through to pri, and pushes and pops
-// interleave so sift-up and sift-down run at every depth. The
-// reference is a plain slice scanned for its minimum.
+// values so most comparisons fall through to pri, and pushes, pops and
+// holds interleave so sift-up and sift-down run at every depth. A hold
+// is what the engines do: peek the minimum, push zero to three events
+// while the root is open — half of them at the running event's own
+// instant, with a pri that may fall below or above what is queued
+// there — then settle. The reference is a plain slice scanned for its
+// minimum, in which the running event stays until the first push
+// replaces it or settle removes it, so Len must equal its length at
+// every step.
 func TestEventHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 17, 64, 1000} {
-		var h, ref []Event
-		popMin := func() {
+		var h evQueue
+		var ref []Event
+		check := func(step string) {
+			t.Helper()
+			if h.Len() != len(ref) {
+				t.Fatalf("n=%d: Len %d after %s, reference holds %d", n, h.Len(), step, len(ref))
+			}
+		}
+		random := func() Event {
+			return Event{At: Time(rng.Intn(4)), pri: rng.Uint64(), To: ActorID(rng.Int31()), A: rng.Int63(), Sig: rng.Uint64()}
+		}
+		hold := func(pushes int) {
+			t.Helper()
 			m := 0
 			for i := range ref {
 				if evLess(ref[i], ref[m]) {
 					m = i
 				}
 			}
-			if got := evPop(&h); got != ref[m] {
-				t.Fatalf("n=%d: popped %+v, minimum is %+v", n, got, ref[m])
+			run := h.peek()
+			if run != ref[m] {
+				t.Fatalf("n=%d: peeked %+v, minimum is %+v", n, run, ref[m])
 			}
-			ref = append(ref[:m], ref[m+1:]...)
+			check("peek")
+			for k := 0; k < pushes; k++ {
+				ev := random()
+				if rng.Intn(2) == 0 {
+					ev.At = run.At
+				}
+				h.push(ev)
+				if k == 0 {
+					ref[m] = ev
+				} else {
+					ref = append(ref, ev)
+				}
+				check("a push into the hold")
+			}
+			h.settle()
+			if pushes == 0 {
+				ref = append(ref[:m], ref[m+1:]...)
+			}
+			check("settle")
 		}
 		for i := 0; i < n; i++ {
-			ev := Event{At: Time(rng.Intn(4)), pri: rng.Uint64(), To: ActorID(i), A: rng.Int63(), Sig: rng.Uint64()}
-			evPush(&h, ev)
+			ev := random()
+			h.push(ev)
 			ref = append(ref, ev)
+			check("push")
 			if i%3 == 2 {
-				popMin()
+				hold(rng.Intn(4))
 			}
 		}
-		for len(ref) > 0 {
-			popMin()
+		for i := 0; i < 2*n && len(ref) > 0; i++ {
+			hold(rng.Intn(4))
 		}
-		if len(h) != 0 {
-			t.Fatalf("n=%d: %d events left in the heap", n, len(h))
+		for len(ref) > 0 {
+			hold(0)
+		}
+		if h.open {
+			t.Fatalf("n=%d: drained queue left its root open", n)
 		}
 	}
 }
@@ -65,16 +105,17 @@ func TestEvLessBitIsEvLess(t *testing.T) {
 }
 
 // BenchmarkShardedHeap is the hold model: a heap kept at a fixed depth,
-// one pop and one push of a later event per operation. 1024 is the
-// depth of the flat modelled arms at 1024 ranks, 16384 that of the
-// megascale sweep.
+// the minimum answered by one push of a later event per operation, the
+// way the engines do it (peek, then push into the open root). 16 and 64
+// are depths of the real engine's queue, 1024 that of the flat modelled
+// arms at 1024 ranks, 16384 that of the megascale sweep.
 func BenchmarkShardedHeap(b *testing.B) {
-	for _, depth := range []int{1024, 16384} {
+	for _, depth := range []int{16, 64, 1024, 16384} {
 		b.Run(fmt.Sprint(depth), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			var h []Event
+			var h evQueue
 			for i := 0; i < depth; i++ {
-				evPush(&h, Event{At: Time(rng.Intn(1000)), pri: uint64(i + 1)})
+				h.push(Event{At: Time(rng.Intn(1000)), pri: uint64(i + 1)})
 			}
 			delays := make([]Time, 4096)
 			for i := range delays {
@@ -82,10 +123,10 @@ func BenchmarkShardedHeap(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev := evPop(&h)
+				ev := h.peek()
 				ev.At += delays[i%len(delays)]
 				ev.pri = uint64(depth + i + 1)
-				evPush(&h, ev)
+				h.push(ev)
 			}
 		})
 	}

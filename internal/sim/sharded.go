@@ -67,7 +67,7 @@ type ShardCtx struct {
 	now Time
 	cur ActorID // actor currently executing
 
-	heap  []Event
+	heap  evQueue
 	inMu  sync.Mutex
 	inbox []Event
 
@@ -155,7 +155,7 @@ func (se *ShardedEngine) Post(at Time, ev Event) {
 	ev.At = at
 	ev.pri = se.setupSeq
 	sh := se.shards[se.actorShard[ev.To]]
-	evPush(&sh.heap, ev)
+	sh.heap.push(ev)
 }
 
 // Now returns the shard's local virtual clock (the timestamp of the
@@ -178,14 +178,19 @@ func (sc *ShardCtx) Post(d Time, ev Event) {
 	}
 	se := sc.se
 	seq := se.actorSeq[sc.cur] + 1
+	if seq == 0 {
+		// A wrapped sequence would stamp a pri this actor has used
+		// before, and (At, pri) would no longer be a total order.
+		panic(fmt.Sprintf("sim: actor %d event sequence overflow", sc.cur))
+	}
 	se.actorSeq[sc.cur] = seq
 	ev.At = sc.now + d
 	ev.pri = uint64(sc.cur+1)<<32 | uint64(seq)
 	ts := se.actorShard[ev.To]
 	if int(ts) == sc.id {
-		evPush(&sc.heap, ev)
-		if len(sc.heap) > sc.heapPeak {
-			sc.heapPeak = len(sc.heap)
+		sc.heap.push(ev)
+		if n := sc.heap.Len(); n > sc.heapPeak {
+			sc.heapPeak = n
 		}
 		return
 	}
@@ -208,13 +213,16 @@ func (sc *ShardCtx) Span(track, name string, start, end Time, bytes int64) {
 }
 
 // drain executes the shard's events with At < end in (At, pri) order.
+// Each stays at the root of the heap while its handler runs, so the
+// handler's first same-shard Post replaces it in one sift (evQueue).
 func (sc *ShardCtx) drain(end Time) {
-	for len(sc.heap) > 0 && sc.heap[0].At < end {
-		ev := evPop(&sc.heap)
+	for sc.heap.next() < end {
+		ev := sc.heap.peek()
 		sc.now = ev.At
 		sc.cur = ev.To
 		sc.events++
 		sc.se.handlers[ev.To].HandleEvent(sc, ev)
+		sc.heap.settle()
 	}
 }
 
@@ -251,8 +259,8 @@ func (se *ShardedEngine) runWindows() {
 	for {
 		T := timeMax
 		for _, sh := range se.shards {
-			if len(sh.heap) > 0 && sh.heap[0].At < T {
-				T = sh.heap[0].At
+			if t := sh.heap.next(); t < T {
+				T = t
 			}
 		}
 		if T == timeMax {
@@ -261,7 +269,7 @@ func (se *ShardedEngine) runWindows() {
 		end := T + se.lookahead
 		var wg sync.WaitGroup
 		for _, sh := range se.shards {
-			if len(sh.heap) == 0 || sh.heap[0].At >= end {
+			if sh.heap.next() >= end {
 				continue
 			}
 			wg.Add(1)
@@ -280,11 +288,11 @@ func (se *ShardedEngine) runWindows() {
 			// for the race detector's benefit.
 			sh.inMu.Lock()
 			for _, ev := range sh.inbox {
-				evPush(&sh.heap, ev)
+				sh.heap.push(ev)
 			}
 			sh.inbox = sh.inbox[:0]
-			if len(sh.heap) > sh.heapPeak {
-				sh.heapPeak = len(sh.heap)
+			if n := sh.heap.Len(); n > sh.heapPeak {
+				sh.heapPeak = n
 			}
 			sh.inMu.Unlock()
 		}

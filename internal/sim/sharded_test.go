@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -131,6 +132,38 @@ func TestShardedLookaheadViolation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("lookahead violation did not panic")
+		}
+	}()
+	se.Run()
+}
+
+// twice answers every event with two posts to itself.
+type twice struct{}
+
+func (twice) HandleEvent(sc *ShardCtx, ev Event) {
+	if ev.Round > 0 {
+		sc.Post(Nanosecond, Event{To: sc.Self()})
+		sc.Post(Nanosecond, Event{To: sc.Self()})
+	}
+}
+
+// TestShardedSeqOverflowPanics: an actor's post sequence is the low
+// half of Event.pri. One that has used all 2^32-1 values must stop the
+// run, as the setup sequence does, rather than wrap and stamp a
+// priority a second time. The counter starts two short of the limit:
+// the first post is the last legal one.
+func TestShardedSeqOverflowPanics(t *testing.T) {
+	se := NewShardedEngine(1, 0)
+	a := se.AddActor(0, twice{})
+	se.actorSeq[a] = 1<<32 - 2
+	se.Post(0, Event{To: a, Round: 1})
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "sequence overflow") {
+			t.Fatalf("wrapped actor sequence: recovered %v, want a sequence overflow panic", r)
+		}
+		if se.actorSeq[a] != 1<<32-1 {
+			t.Fatalf("sequence left at %d, want the last legal value %d", se.actorSeq[a], uint32(1<<32-1))
 		}
 	}()
 	se.Run()
