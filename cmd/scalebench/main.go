@@ -11,14 +11,16 @@
 // (mode "modelled": flyweight ranks on the sharded event engine,
 // 32..16384 ranks). Modelled points are digest-verified against the
 // schedules' expected payload movement, and the smaller ones re-run on
-// the serial engine to prove the sharded virtual times byte-identical.
+// one shard to prove the virtual times byte-identical at any count.
+// Shards are heap partitions drained in turn, not cores: eight are
+// faster than one because each heap is shallower.
 //
 // Usage:
 //
 //	scalebench                   # JSON to stdout (full sweep, up to 16384 ranks)
 //	scalebench -out BENCH_scale.json
 //	scalebench -quick            # CI smoke sweep
-//	scalebench -shards 4         # sharded-engine partitions for modelled points
+//	scalebench -shards 4         # event-heap partitions for modelled points
 //	scalebench -sample 128       # verified ranks per modelled point
 //	scalebench -tuning TUNING.json  # tuned third arm from a tuning table
 package main
@@ -55,7 +57,7 @@ func Run(args []string, out, errOut io.Writer) int {
 	fs.SetOutput(errOut)
 	outPath := fs.String("out", "", "write the JSON report to this file (default: stdout)")
 	quick := fs.Bool("quick", false, "small sweep for a fast smoke run")
-	shards := fs.Int("shards", 0, "sharded-engine partitions for modelled points (0: sweep default)")
+	shards := fs.Int("shards", 0, "event-heap partitions for modelled points, drained in turn; results are identical at any count (0: sweep default)")
 	sample := fs.Int("sample", 0, "content-verified ranks per modelled point (0: sweep default)")
 	tuning := fs.String("tuning", "", "tuning table (TUNING.json) adding a tuned arm per real-payload point")
 	prof := cli.Profiles(fs)

@@ -16,8 +16,8 @@ import (
 // table. Ranks are flyweight state machines on the sharded event
 // engine; payloads are digest-checked synthetic generators. Every
 // point still verifies hier-vs-flat payload identity (over the sampled
-// ranks), and points small enough re-run on the serial engine to prove
-// the sharded times byte-identical.
+// ranks), and points small enough re-run on one shard to prove the
+// times byte-identical at the sweep's shard count.
 
 // MegaColls is the collective set the modelled sweep covers.
 var MegaColls = []string{"alltoall", "allgather"}
@@ -37,7 +37,7 @@ type MegaSweep struct {
 	SampleRanks  int // ranks with full content verification per point
 
 	// SerialVerifyMax: points with at most this many ranks are re-run
-	// on the serial 1-shard engine and must match byte-for-byte
+	// on one shard and must match byte-for-byte
 	// (virtual time, digest, message and event counts).
 	SerialVerifyMax int
 

@@ -51,8 +51,8 @@ type Spec struct {
 	Modelled bool
 
 	// Shards is the sharded-engine partition count for Modelled specs
-	// (clamped to the fat-tree leaf count; 0 means 1, i.e. the serial
-	// reference engine). Ignored for real-payload worlds.
+	// (clamped to the fat-tree leaf count; 0 means 1, one heap for the
+	// whole world). Ignored for real-payload worlds.
 	Shards int
 
 	// Tuning overrides the world's protocol knobs — eager threshold,

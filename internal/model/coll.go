@@ -73,7 +73,7 @@ func (a *rankSM) finish(sc *sim.ShardCtx) {
 	w.doneAt[a.r] = d
 	a.done = true
 	if w.o.RecordSpans {
-		sc.Span("rank", w.o.Coll, 0, d, int64(w.p)*w.b)
+		sc.Span(fmt.Sprintf("rank%d", a.r), w.o.Coll, 0, d, int64(w.p)*w.b)
 	}
 }
 
@@ -184,7 +184,7 @@ func (a *rankSM) roundArrived(sc *sim.ShardCtx, ev sim.Event) {
 	w := a.w
 	lv := a.level()
 	w.arrive(sc, a.r, ev.A)
-	w.verify(sc, a.r, ev)
+	w.verify(a.r, ev)
 	src := int(ev.From) / lv.stride
 	if !w.a2a {
 		src = (src - int(ev.Round)%lv.n + lv.n) % lv.n
@@ -283,7 +283,7 @@ func (a *rankSM) a2aHier(sc *sim.ShardCtx, ev sim.Event) {
 		}
 	case kA2AIn:
 		w.arrive(sc, a.r, ev.A)
-		w.verify(sc, a.r, ev)
+		w.verify(a.r, ev)
 		a.gotIn++
 		if int(a.gotIn) == w.rpn-1 {
 			a.startRounds(sc)
@@ -292,7 +292,7 @@ func (a *rankSM) a2aHier(sc *sim.ShardCtx, ev sim.Event) {
 		a.roundArrived(sc, ev)
 	case kA2ACol:
 		w.arrive(sc, a.r, ev.A)
-		w.verify(sc, a.r, ev)
+		w.verify(a.r, ev)
 		w.mark(a.r, 0, w.p)
 		a.finish(sc)
 	default:
@@ -330,7 +330,7 @@ func (a *rankSM) agHier(sc *sim.ShardCtx, ev sim.Event) {
 		}
 	case kAGIn:
 		w.arrive(sc, a.r, ev.A)
-		w.verify(sc, a.r, ev)
+		w.verify(a.r, ev)
 		w.mark(a.r, int(ev.From), 1)
 		a.gotIn++
 		if int(a.gotIn) == w.rpn-1 {
@@ -340,7 +340,7 @@ func (a *rankSM) agHier(sc *sim.ShardCtx, ev sim.Event) {
 		a.roundArrived(sc, ev)
 	case kAGBcast:
 		w.arrive(sc, a.r, ev.A)
-		w.verify(sc, a.r, ev)
+		w.verify(a.r, ev)
 		w.mark(a.r, 0, w.p)
 		a.forwardBcast(sc)
 		a.finish(sc)

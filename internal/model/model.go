@@ -96,9 +96,8 @@ type Options struct {
 	ChaosRate float64
 	ChaosSeed uint64
 
-	// RecordSpans emits one per-rank completion span on the engine's
-	// lock-free span log (off by default: 16k spans are cheap, but the
-	// byte-identity gate compares Results, not logs).
+	// RecordSpans attaches a sim.Recorder to the run (Result.Rec): each
+	// rank records its completion span on track "rank<r>".
 	RecordSpans bool
 }
 
@@ -118,9 +117,6 @@ type Result struct {
 	// Shards is the effective shard count used.
 	Shards int
 
-	// Lookahead is the conservative window width used.
-	Lookahead sim.Time
-
 	// Messages, Events, Faults, SigChecks count modelled messages,
 	// dispatched engine events, injected chaos retries, and verified
 	// message signatures.
@@ -138,8 +134,9 @@ type Result struct {
 	// HeapPeak is the largest single-shard pending-event count.
 	HeapPeak int
 
-	// Spans is the merged span log (only when RecordSpans).
-	Spans []sim.ShardSpan
+	// Rec is the run's recorder (only when RecordSpans), ready for
+	// trace.Phases, trace.WriteTimeline and trace.WriteChrome.
+	Rec *sim.Recorder
 }
 
 // MemPerRank returns StateBytes divided by the world size.
@@ -150,9 +147,8 @@ func (r Result) MemPerRank(p int) int64 {
 	return r.StateBytes / int64(p)
 }
 
-// world is the flyweight simulation state. Everything indexed by rank,
-// node or link is owned by the shard that owns the corresponding
-// actor's leaf, so handlers touch it without locks.
+// world is the flyweight simulation state. One handler runs at a time
+// (sim.Handler), so all of it is shared freely.
 type world struct {
 	o     Options
 	se    *sim.ShardedEngine
@@ -172,15 +168,15 @@ type world struct {
 	lat, hopLat       sim.Time
 	overhead          sim.Time
 
-	// per-rank clocks (owned by the rank's shard)
+	// per-rank clocks
 	cpu      []sim.Time
 	lastSend []sim.Time
 	doneAt   []sim.Time
 	msgSeq   []uint32
 
-	// per-resource next-free times. nodeTx/nodeRx/bus are owned by the
-	// node's shard; up[leaf*spines+s] by the source leaf's shard;
-	// down[leaf*spines+s] by the destination leaf's shard.
+	// per-resource next-free times. up[leaf*spines+s] is charged when
+	// the source leaf sends, down[leaf*spines+s] by the relay event at
+	// the destination leaf, at arrival time.
 	nodeTx, nodeRx, bus []sim.Time
 	up, down            []sim.Time
 
@@ -192,10 +188,9 @@ type world struct {
 	colSig     []uint64 // hier-alltoall column signatures, lazily cached
 	fullSigAG  uint64   // hier-allgather full-buffer signature
 
-	// per-shard statistics (owner-written, merged after Run)
-	shardMsgs   []int64
-	shardFaults []int64
-	shardSigs   []int64
+	// statistics
+	msgs, faults, sigs int64
+	rec                *sim.Recorder // nil unless o.RecordSpans
 }
 
 // Run executes one modelled collective and returns its Result. It
@@ -314,9 +309,6 @@ func build(o Options) (*world, error) {
 	w.sampled = make([]bool, w.p)
 	w.cover = make([][]uint64, w.p)
 	w.covered = make([]int32, w.p)
-	w.shardMsgs = make([]int64, w.eff)
-	w.shardFaults = make([]int64, w.eff)
-	w.shardSigs = make([]int64, w.eff)
 
 	n := o.SampleRanks
 	if n <= 0 || n >= w.p {
@@ -347,6 +339,9 @@ func build(o Options) (*world, error) {
 	}
 
 	w.se = sim.NewShardedEngine(w.eff, lookahead)
+	if o.RecordSpans {
+		w.rec = w.se.Record()
+	}
 	w.ranks = make([]rankSM, w.p)
 	for r := 0; r < w.p; r++ {
 		node := r / rpn
@@ -394,9 +389,9 @@ func (w *world) packCost(n int64) sim.Time {
 
 // chaosDelay deterministically perturbs a send with retry backoff.
 // The hash depends only on (seed, sender, per-sender message sequence,
-// attempt) — simulation history, never shard scheduling — so chaos
+// attempt) — simulation history, never the shard partition — so chaos
 // worlds stay byte-identical across shard counts.
-func (w *world) chaosDelay(sc *sim.ShardCtx, from sim.ActorID) sim.Time {
+func (w *world) chaosDelay(from sim.ActorID) sim.Time {
 	seq := w.msgSeq[from]
 	w.msgSeq[from]++
 	var d sim.Time
@@ -406,7 +401,7 @@ func (w *world) chaosDelay(sc *sim.ShardCtx, from sim.ActorID) sim.Time {
 			break
 		}
 		d += chaosRetryBase << uint(att)
-		w.shardFaults[sc.Shard()]++
+		w.faults++
 	}
 	return d
 }
@@ -438,13 +433,13 @@ func (w *world) send(sc *sim.ShardCtx, from, to sim.ActorID, kind, round int32, 
 	}
 	st += w.overhead + w.packCost(bytes)
 	if w.o.ChaosRate > 0 {
-		st += w.chaosDelay(sc, from)
+		st += w.chaosDelay(from)
 	}
 	var sig uint64
 	if w.sampled[to] {
 		sig = w.msgSig(kind, from, to, round)
 	}
-	w.shardMsgs[sc.Shard()]++
+	w.msgs++
 	ev := sim.Event{To: to, Kind: kind, From: from, Round: round, A: bytes, Sig: sig}
 	sn, dn := w.nodeOf(from), w.nodeOf(to)
 
@@ -487,8 +482,8 @@ func (w *world) send(sc *sim.ShardCtx, from, to sim.ActorID, kind, round int32, 
 	}
 
 	// Spine-crossing: source NIC tx and the (leaf, spine) uplink are
-	// owned here; the downlink and destination NIC are owned by the
-	// destination leaf's shard and charged in the relay stage.
+	// charged here; the downlink and destination NIC in the relay
+	// stage, when the message reaches the destination leaf.
 	if bytes > modelEager {
 		st += 2 * (w.lat + 2*w.hopLat)
 	}
@@ -604,9 +599,7 @@ func (w *world) msgSig(kind int32, from, to sim.ActorID, round int32) uint64 {
 
 // colSigA2A returns (caching) the signature of hier-alltoall's phase-3
 // column for destination rank dst: source-rank-major, every rank's
-// block addressed to dst. Each cache entry is touched only by dst's
-// own shard (the leader and its members share a node), so the lazy
-// fill is race-free.
+// block addressed to dst.
 func (w *world) colSigA2A(dst int) uint64 {
 	if s := w.colSig[dst]; s != 0 {
 		return s
@@ -621,7 +614,7 @@ func (w *world) colSigA2A(dst int) uint64 {
 }
 
 // verify recomputes an inbound message's signature at a sampled rank.
-func (w *world) verify(sc *sim.ShardCtx, r sim.ActorID, ev sim.Event) {
+func (w *world) verify(r sim.ActorID, ev sim.Event) {
 	if !w.sampled[r] {
 		return
 	}
@@ -629,21 +622,19 @@ func (w *world) verify(sc *sim.ShardCtx, r sim.ActorID, ev sim.Event) {
 		panic(fmt.Sprintf("model: signature mismatch on kind %d %d->%d round %d: sender %#x receiver %#x",
 			ev.Kind, ev.From, r, ev.Round, ev.Sig, want))
 	}
-	w.shardSigs[sc.Shard()]++
+	w.sigs++
 }
 
 func (w *world) finalize() (Result, error) {
 	res := Result{
 		Shards:    w.eff,
-		Lookahead: w.se.Lookahead(),
+		Messages:  w.msgs,
 		Events:    w.se.Events(),
+		Faults:    w.faults,
+		SigChecks: w.sigs,
 		HeapPeak:  w.se.HeapPeak(),
 		Sampled:   w.sampleList,
-	}
-	for i := 0; i < w.eff; i++ {
-		res.Messages += w.shardMsgs[i]
-		res.Faults += w.shardFaults[i]
-		res.SigChecks += w.shardSigs[i]
+		Rec:       w.rec,
 	}
 	for r := 0; r < w.p; r++ {
 		if !w.ranks[r].done {
@@ -672,9 +663,6 @@ func (w *world) finalize() (Result, error) {
 	}
 	h.Sum(res.Digest[:0])
 	res.StateBytes = w.footprint()
-	if w.o.RecordSpans {
-		res.Spans = w.se.Spans()
-	}
 	return res, nil
 }
 

@@ -33,10 +33,9 @@ func mustRun(t *testing.T, o Options) Result {
 	return res
 }
 
-// TestModelDeterminism is the tentpole gate: for every collective and
-// schedule, the sharded engine must produce byte-identical virtual
-// times and digests to the serial (Shards=1) engine, for every shard
-// count.
+// TestModelDeterminism: for every collective and schedule, virtual
+// times and digests are byte-identical to the one-shard run at every
+// shard count.
 func TestModelDeterminism(t *testing.T) {
 	for _, coll := range []string{"alltoall", "allgather"} {
 		for _, flat := range []bool{true, false} {
@@ -62,6 +61,46 @@ func TestModelDeterminism(t *testing.T) {
 					t.Errorf("%s flat=%v shards=%d: %d msgs/%d events != serial %d/%d",
 						coll, flat, shards, got.Messages, got.Events, ref.Messages, ref.Events)
 				}
+			}
+		}
+	}
+}
+
+// TestModelNumbersPinned holds every count a run reports to literals
+// captured before the shards were drained in turn, at 1 024 ranks
+// (256 nodes x 4, oversubscription 2, 16 sampled) and 1, 2, 4 and 8
+// shards. The identity tests compare one shard count with another and
+// would all move together; these cannot.
+func TestModelNumbersPinned(t *testing.T) {
+	for _, row := range []struct {
+		coll                 string
+		flat                 bool
+		time                 sim.Time
+		events, msgs, sigs   int64
+		heapPeak, stateBytes [4]int64 // at 1, 2, 4, 8 shards
+		digest               string
+	}{
+		{"alltoall", false, 6353670250, 131328, 66816, 4128,
+			[4]int64{1023, 511, 255, 127}, [4]int64{175048, 146376, 132040, 124872}, "fc7c7506dd9275aa"},
+		{"alltoall", true, 14155428000, 2064384, 1047552, 16368,
+			[4]int64{1024, 512, 256, 128}, [4]int64{166912, 138240, 123904, 116736}, "fc7c7506dd9275aa"},
+		{"allgather", false, 3713813064, 76000, 66816, 4128,
+			[4]int64{1023, 511, 255, 127}, [4]int64{166856, 138184, 123848, 116680}, "ed02f84240796db7"},
+		{"allgather", true, 11764514444, 1081312, 1047552, 16368,
+			[4]int64{1024, 512, 256, 128}, [4]int64{166912, 138240, 123904, 116736}, "ed02f84240796db7"},
+	} {
+		for i, shards := range []int{1, 2, 4, 8} {
+			res := mustRun(t, Options{
+				Spec: cluster.ScaleModelled(256, 4, 4, 2, shards), Coll: row.coll, Flat: row.flat,
+				Dt: shapes.SubMatrix(16, 8, 12), Count: 1, SampleRanks: 16,
+			})
+			got := fmt.Sprint(res.Shards, int64(res.Time), res.Events, res.Messages, res.SigChecks, res.Faults,
+				res.HeapPeak, res.StateBytes, fmt.Sprintf("%x", res.Digest[:8]))
+			want := fmt.Sprint(shards, int64(row.time), row.events, row.msgs, row.sigs, 0,
+				row.heapPeak[i], row.stateBytes[i], row.digest)
+			if got != want {
+				t.Errorf("%s flat=%v: shards, time, events, messages, sigchecks, faults, heap peak, state bytes, digest\n got %s\nwant %s",
+					row.coll, row.flat, got, want)
 			}
 		}
 	}
@@ -165,6 +204,7 @@ func TestRoundsArriveOutOfOrder(t *testing.T) {
 		// The world's own engine has every rank's start event queued;
 		// this one runs rank 0 alone against the log.
 		se := sim.NewShardedEngine(1, 0)
+		rec := se.Record()
 		var peers sendLog
 		se.AddActor(0, &w.ranks[0])
 		for r := 1; r < w.p; r++ {
@@ -182,8 +222,8 @@ func TestRoundsArriveOutOfOrder(t *testing.T) {
 		if got := fmt.Sprint(peers.rounds); got != "[1 2 3]" {
 			t.Errorf("start at %v: rank 0 sent rounds %s, want [1 2 3]", startAt, got)
 		}
-		if a := &w.ranks[0]; !a.done || len(se.Spans()) != 1 || len(a.pend) != 0 {
-			t.Errorf("start at %v: done=%v after %d finishes, %d rounds still pending", startAt, a.done, len(se.Spans()), len(a.pend))
+		if a := &w.ranks[0]; !a.done || rec.SpanCount() != 1 || len(a.pend) != 0 {
+			t.Errorf("start at %v: done=%v after %d finishes, %d rounds still pending", startAt, a.done, rec.SpanCount(), len(a.pend))
 		}
 		if int(w.covered[0]) != w.p {
 			t.Errorf("start at %v: %d of %d blocks marked", startAt, w.covered[0], w.p)
@@ -234,19 +274,38 @@ func TestModelSampling(t *testing.T) {
 	}
 }
 
-// TestModelSpans: RecordSpans yields one completion span per rank on
-// the merged lock-free log.
+// TestModelSpans: RecordSpans yields a valid recording with one
+// completion span per rank, each on the rank's own track, and leaves
+// the Result otherwise as it is without.
 func TestModelSpans(t *testing.T) {
 	o := testOptions("allgather", false, 4)
+	plain := mustRun(t, o)
 	o.RecordSpans = true
 	res := mustRun(t, o)
-	if len(res.Spans) != o.Spec.Size() {
-		t.Fatalf("%d spans, want %d", len(res.Spans), o.Spec.Size())
+	if plain.Rec != nil || res.Rec == nil {
+		t.Fatalf("Rec = %v without RecordSpans, %v with", plain.Rec, res.Rec)
 	}
-	for _, sp := range res.Spans {
-		if sp.End <= 0 || sp.End > res.Time {
-			t.Fatalf("span end %v outside (0, %v]", sp.End, res.Time)
+	if err := res.Rec.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if n := len(res.Rec.Tracks()); n != o.Spec.Size() || res.Rec.SpanCount() != n {
+		t.Fatalf("%d spans on %d tracks, want one each for %d ranks", res.Rec.SpanCount(), n, o.Spec.Size())
+	}
+	names := map[string]bool{}
+	for _, tk := range res.Rec.Tracks() {
+		names[tk.Name] = true
+		if sp := tk.Spans[0]; sp.Name != "allgather" || sp.End <= 0 || sp.End > res.Time {
+			t.Fatalf("track %q: span %+v, want an allgather ending in (0, %v]", tk.Name, sp, res.Time)
 		}
+	}
+	for r := 0; r < o.Spec.Size(); r++ {
+		if !names[fmt.Sprintf("rank%d", r)] {
+			t.Fatalf("no track rank%d", r)
+		}
+	}
+	res.Rec = nil
+	if fmt.Sprint(res) != fmt.Sprint(plain) {
+		t.Fatalf("recording moved the result:\n%+v\n%+v", res, plain)
 	}
 }
 

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Sharded discrete-event engine.
 //
@@ -17,25 +13,25 @@ import (
 //
 //   - No goroutine per entity. Actors are flyweight state machines that
 //     receive value-typed Events; all state advances inside HandleEvent.
-//   - The event heap, clock and span/counter recording are partitioned
-//     into shards. Each shard owns a disjoint set of actors (in the
-//     fat-tree worlds of internal/model, all ranks under one group of
-//     leaf switches) and everything those actors touch.
-//   - Shards run conservatively in parallel: events are executed in
-//     barrier-synchronized windows [T, T+lookahead), where T is the
-//     global minimum pending timestamp. Any event crossing a shard
-//     boundary must be scheduled at least `lookahead` in the future (in
-//     a fat tree, the leaf uplink hop guarantees exactly that), so no
-//     shard can receive work inside the window it is executing. Cross-
-//     shard events land in a mutex-guarded inbox and are merged into
-//     the target heap at the window barrier.
+//   - The event heap is partitioned into shards. Each shard owns a
+//     disjoint set of actors (in the fat-tree worlds of internal/model,
+//     all ranks under one group of leaf switches), so every heap is a
+//     fraction of the world deep.
+//   - Shards are drained in turn, on the caller's goroutine, in windows
+//     [T, T+lookahead) of virtual time, where T is the global minimum
+//     pending timestamp. Any event crossing a shard boundary must be
+//     scheduled at least `lookahead` in the future (in a fat tree, the
+//     leaf uplink hop guarantees exactly that), so no shard can receive
+//     work inside the window being drained. Cross-shard events wait in
+//     the target's inbox and are merged into its heap when the window
+//     closes. That contract is also all a multi-process executor would
+//     need; nothing here runs concurrently.
 //
 // Determinism is independent of the shard count. Events order by
 // (At, pri) with the sender-stamped pri described on Event, so the
 // per-actor event sequence — and therefore every virtual timestamp —
-// is byte-identical for Shards=1 and Shards=N. Shards=1 degenerates to
-// a plain serial heap drain (the reference the determinism tests
-// compare against).
+// is byte-identical for Shards=1 and Shards=N. One shard is the same
+// loop with a window as wide as the run.
 
 // ActorID names an actor registered with AddActor. IDs are assigned
 // sequentially from zero in registration order.
@@ -43,24 +39,14 @@ type ActorID = int32
 
 // Handler is a flyweight actor: all of its state lives in the struct
 // implementing the interface, and advances only inside HandleEvent.
-// HandleEvent runs on the goroutine of the shard owning the actor; it
-// may freely touch any state owned by that shard.
+// Exactly one HandleEvent executes at any instant, so handlers may
+// touch any state of the simulation without synchronisation.
 type Handler interface {
 	HandleEvent(sc *ShardCtx, ev Event)
 }
 
-// ShardSpan is a lock-free span record: each shard appends to its own
-// slice; Spans() merges them deterministically after Run.
-type ShardSpan struct {
-	Track      string
-	Name       string
-	Start, End Time
-	Bytes      int64
-}
-
 // ShardCtx is the per-shard execution context handed to HandleEvent.
-// It is also the shard itself: heap, clock, inbox and recording all
-// live here, giving single-writer access without locks.
+// It is also the shard itself: heap, clock and inbox live here.
 type ShardCtx struct {
 	se  *ShardedEngine
 	id  int
@@ -68,11 +54,8 @@ type ShardCtx struct {
 	cur ActorID // actor currently executing
 
 	heap  evQueue
-	inMu  sync.Mutex
-	inbox []Event
+	inbox []Event // cross-shard arrivals, merged when the window closes
 
-	counters map[string]int64
-	spans    []ShardSpan
 	events   int64
 	heapPeak int
 }
@@ -89,21 +72,16 @@ type ShardedEngine struct {
 	setupSeq   uint64
 	ran        bool
 
-	failMu  sync.Mutex
-	failure interface{}
-
-	counters map[string]int64
-	spans    []ShardSpan
-	events   int64
-	heapPeak int
+	now Time      // time of the last event run: the Recorder's clock
+	rec *Recorder // nil unless Record attached one
 }
 
 const timeMax = Time(1) << 62
 
 // NewShardedEngine creates an engine with the given shard count. With
 // more than one shard the lookahead must be positive: it is the minimum
-// virtual delay of any cross-shard event and the width of the parallel
-// execution window.
+// virtual delay of any cross-shard event and the width of the window
+// the shards are drained in.
 func NewShardedEngine(shards int, lookahead Time) *ShardedEngine {
 	if shards < 1 {
 		panic("sim: ShardedEngine needs at least one shard")
@@ -113,17 +91,17 @@ func NewShardedEngine(shards int, lookahead Time) *ShardedEngine {
 	}
 	se := &ShardedEngine{lookahead: lookahead}
 	for i := 0; i < shards; i++ {
-		se.shards = append(se.shards, &ShardCtx{
-			se:       se,
-			id:       i,
-			counters: make(map[string]int64),
-		})
+		se.shards = append(se.shards, &ShardCtx{se: se, id: i})
 	}
 	return se
 }
 
-// Lookahead returns the conservative window width.
-func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
+// Record attaches a fresh recorder to the engine and returns it. Attach
+// before Run. Its Now is the time of the last event run.
+func (se *ShardedEngine) Record() *Recorder {
+	se.rec = newRecorder(&se.now)
+	return se.rec
+}
 
 // AddActor registers a flyweight actor on the given shard and returns
 // its ID. Must be called before Run.
@@ -165,9 +143,6 @@ func (sc *ShardCtx) Now() Time { return sc.now }
 // Self returns the ID of the actor currently executing.
 func (sc *ShardCtx) Self() ActorID { return sc.cur }
 
-// Shard returns the shard index.
-func (sc *ShardCtx) Shard() int { return sc.id }
-
 // Post schedules ev at Now()+d. Same-shard events may use any
 // non-negative delay; events addressed to an actor on another shard
 // must be delayed by at least the engine lookahead (the conservative
@@ -199,17 +174,17 @@ func (sc *ShardCtx) Post(d Time, ev Event) {
 			sc.cur, ev.To, d, se.lookahead))
 	}
 	t := se.shards[ts]
-	t.inMu.Lock()
 	t.inbox = append(t.inbox, ev)
-	t.inMu.Unlock()
 }
 
-// Count adds n to a named per-shard counter (merged by Counters()).
-func (sc *ShardCtx) Count(name string, n int64) { sc.counters[name] += n }
-
-// Span records a completed span on the shard's lock-free log.
+// Span records a completed span on the named track of the engine's
+// recorder (a nil check without one). Spans on one track are top-level:
+// Validate reports any that overlap or arrive out of begin order.
 func (sc *ShardCtx) Span(track, name string, start, end Time, bytes int64) {
-	sc.spans = append(sc.spans, ShardSpan{Track: track, Name: name, Start: start, End: end, Bytes: bytes})
+	if r := sc.se.rec; r != nil {
+		t := r.track(track, track)
+		t.Spans = append(t.Spans, Span{Name: name, Begin: start, End: end, Bytes: bytes})
+	}
 }
 
 // drain executes the shard's events with At < end in (At, pri) order.
@@ -226,36 +201,17 @@ func (sc *ShardCtx) drain(end Time) {
 	}
 }
 
-// Run executes the simulation until every heap and inbox drains. It
-// panics (once, on the coordinating goroutine) if any handler panicked.
-// Run may be called at most once.
+// Run executes the simulation until every heap and inbox drains: pick
+// the global minimum timestamp T, drain [T, T+lookahead) on each shard
+// in index order, merge the inboxes, repeat. Each window advances T by
+// at least the lookahead, so the window count is bounded by the
+// simulated span divided by the lookahead. A handler's panic is the
+// caller's, handler frames on the stack. Run may be called at most once.
 func (se *ShardedEngine) Run() {
 	if se.ran {
 		panic("sim: ShardedEngine.Run called twice")
 	}
 	se.ran = true
-	if len(se.shards) == 1 {
-		// Serial reference path: a single heap drained to completion.
-		sh := se.shards[0]
-		func() {
-			defer se.capture()
-			sh.drain(timeMax)
-		}()
-	} else {
-		se.runWindows()
-	}
-	if se.failure != nil {
-		panic(se.failure)
-	}
-	se.merge()
-}
-
-// runWindows is the conservative parallel loop: pick the global minimum
-// timestamp T, execute [T, T+lookahead) on every shard concurrently,
-// barrier, merge cross-shard inboxes, repeat. Each window advances T by
-// at least the lookahead, so the window count is bounded by the
-// simulated span divided by the lookahead.
-func (se *ShardedEngine) runWindows() {
 	for {
 		T := timeMax
 		for _, sh := range se.shards {
@@ -267,26 +223,16 @@ func (se *ShardedEngine) runWindows() {
 			return
 		}
 		end := T + se.lookahead
-		var wg sync.WaitGroup
+		if len(se.shards) == 1 {
+			end = timeMax // no other shard to hear from: the window is the run
+		}
 		for _, sh := range se.shards {
-			if sh.heap.next() >= end {
-				continue
-			}
-			wg.Add(1)
-			go func(sh *ShardCtx) {
-				defer wg.Done()
-				defer se.capture()
+			if sh.heap.next() < end {
 				sh.drain(end)
-			}(sh)
-		}
-		wg.Wait()
-		if se.failure != nil {
-			panic(se.failure)
+				se.now = sh.now
+			}
 		}
 		for _, sh := range se.shards {
-			// All workers are parked at the barrier; the lock is only
-			// for the race detector's benefit.
-			sh.inMu.Lock()
 			for _, ev := range sh.inbox {
 				sh.heap.push(ev)
 			}
@@ -294,59 +240,27 @@ func (se *ShardedEngine) runWindows() {
 			if n := sh.heap.Len(); n > sh.heapPeak {
 				sh.heapPeak = n
 			}
-			sh.inMu.Unlock()
 		}
 	}
 }
-
-// capture records a handler panic so Run can re-panic it once.
-func (se *ShardedEngine) capture() {
-	if r := recover(); r != nil {
-		se.failMu.Lock()
-		if se.failure == nil {
-			se.failure = r
-		}
-		se.failMu.Unlock()
-	}
-}
-
-// merge folds the per-shard records into engine-level views.
-func (se *ShardedEngine) merge() {
-	se.counters = make(map[string]int64)
-	for _, sh := range se.shards {
-		for k, v := range sh.counters {
-			se.counters[k] += v
-		}
-		se.spans = append(se.spans, sh.spans...)
-		se.events += sh.events
-		if sh.heapPeak > se.heapPeak {
-			se.heapPeak = sh.heapPeak
-		}
-	}
-	sort.Slice(se.spans, func(i, j int) bool {
-		a, b := se.spans[i], se.spans[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.End < b.End
-	})
-}
-
-// Counters returns the merged named counters (valid after Run).
-func (se *ShardedEngine) Counters() map[string]int64 { return se.counters }
-
-// Spans returns the merged span log, deterministically ordered.
-func (se *ShardedEngine) Spans() []ShardSpan { return se.spans }
 
 // Events returns the total number of dispatched events.
-func (se *ShardedEngine) Events() int64 { return se.events }
+func (se *ShardedEngine) Events() int64 {
+	var n int64
+	for _, sh := range se.shards {
+		n += sh.events
+	}
+	return n
+}
 
 // HeapPeak returns the largest single-shard pending-event count seen,
 // a proxy for the engine's working-set memory.
-func (se *ShardedEngine) HeapPeak() int { return se.heapPeak }
+func (se *ShardedEngine) HeapPeak() int {
+	var peak int
+	for _, sh := range se.shards {
+		if sh.heapPeak > peak {
+			peak = sh.heapPeak
+		}
+	}
+	return peak
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -38,7 +39,6 @@ func mix64(x uint64) uint64 {
 func (a *toyActor) HandleEvent(sc *ShardCtx, ev Event) {
 	a.hash = mix64(a.hash ^ uint64(sc.Now()) ^ uint64(ev.From)<<32 ^ uint64(ev.Round))
 	a.seen++
-	sc.Count("toy.events", 1)
 	if ev.Round == 0 {
 		return
 	}
@@ -60,8 +60,8 @@ func (a *toyActor) HandleEvent(sc *ShardCtx, ev Event) {
 
 // runToy builds a world of n actors split across the given shard count
 // (first half on the low shards, second half on the high ones) and
-// returns a deterministic trace digest.
-func runToy(t *testing.T, n, shards int, lookahead Time) (uint64, map[string]int64) {
+// returns a deterministic trace digest and the number of events run.
+func runToy(t *testing.T, n, shards int, lookahead Time) (uint64, int64) {
 	t.Helper()
 	if shards > toyGroups || toyGroups%shards != 0 || n%toyGroups != 0 {
 		t.Fatalf("toy world needs shards dividing %d and n a multiple of it", toyGroups)
@@ -82,7 +82,7 @@ func runToy(t *testing.T, n, shards int, lookahead Time) (uint64, map[string]int
 	for _, a := range actors {
 		h = mix64(h ^ a.hash ^ uint64(a.seen))
 	}
-	return h, se.Counters()
+	return h, se.Events()
 }
 
 // TestShardedDeterminism: the trace must be byte-identical whether the
@@ -90,23 +90,23 @@ func runToy(t *testing.T, n, shards int, lookahead Time) (uint64, map[string]int
 func TestShardedDeterminism(t *testing.T) {
 	const n = 64
 	la := 2 * Microsecond
-	ref, refC := runToy(t, n, 1, la)
+	ref, refN := runToy(t, n, 1, la)
 	for _, shards := range []int{2, 4, 8} {
-		got, gotC := runToy(t, n, shards, la)
+		got, gotN := runToy(t, n, shards, la)
 		if got != ref {
 			t.Fatalf("shards=%d: trace %x, serial reference %x", shards, got, ref)
 		}
-		if gotC["toy.events"] != refC["toy.events"] {
-			t.Fatalf("shards=%d: %d events, reference %d", shards, gotC["toy.events"], refC["toy.events"])
+		if gotN != refN {
+			t.Fatalf("shards=%d: %d events, reference %d", shards, gotN, refN)
 		}
 	}
-	if refC["toy.events"] == 0 {
+	if refN == 0 {
 		t.Fatal("toy world executed no events")
 	}
 }
 
 // TestShardedRepeatable: same configuration twice gives the same trace
-// (the parallel windows must not leak scheduling nondeterminism).
+// (nothing of the host, such as map iteration order, may leak into it).
 func TestShardedRepeatable(t *testing.T) {
 	a, _ := runToy(t, 32, 4, Microsecond)
 	b, _ := runToy(t, 32, 4, Microsecond)
@@ -169,35 +169,79 @@ func TestShardedSeqOverflowPanics(t *testing.T) {
 	se.Run()
 }
 
-// spanner records one span per event.
-type spanner struct{}
+// bomb panics with a value of its own on its first event.
+type bomb struct{}
 
-func (s *spanner) HandleEvent(sc *ShardCtx, ev Event) {
-	sc.Span("t", fmt.Sprintf("e%d", ev.Round), sc.Now(), sc.Now()+Nanosecond, ev.A)
+func (bomb) HandleEvent(sc *ShardCtx, ev Event) { panic(errBomb) }
+
+var errBomb = fmt.Errorf("bomb went off")
+
+// TestShardedPanicIsTheCallers: a handler's panic reaches Run's caller
+// as it was raised — the original value, and a stack that still holds
+// the handler's frame, which a relay re-raising from Run would lose.
+func TestShardedPanicIsTheCallers(t *testing.T) {
+	se := NewShardedEngine(2, Microsecond)
+	se.AddActor(0, twice{})
+	b := se.AddActor(1, bomb{})
+	se.Post(0, Event{To: 0})
+	se.Post(Nanosecond, Event{To: b})
+	defer func() {
+		if r := recover(); r != errBomb {
+			t.Fatalf("recovered %v, want the handler's own value", r)
+		}
+		if stack := string(debug.Stack()); !strings.Contains(stack, "sim.bomb.HandleEvent") {
+			t.Fatalf("the handler is not on the panic's stack:\n%s", stack)
+		}
+	}()
+	se.Run()
 }
 
-// TestShardedSpansMerge: spans recorded on different shards come back
-// merged in deterministic (Start, Track, Name) order.
-func TestShardedSpansMerge(t *testing.T) {
-	se := NewShardedEngine(2, Microsecond)
-	a := se.AddActor(0, &spanner{})
-	b := se.AddActor(1, &spanner{})
-	se.Post(3*Nanosecond, Event{To: b, Round: 2, A: 20})
-	se.Post(1*Nanosecond, Event{To: a, Round: 1, A: 10})
-	se.Post(1*Nanosecond, Event{To: b, Round: 3, A: 30})
-	se.Run()
-	spans := se.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("%d spans, want 3", len(spans))
-	}
-	if spans[0].Name != "e1" && spans[0].Name != "e3" {
-		t.Fatalf("first span %+v not at t=1ns", spans[0])
-	}
-	if spans[2].Name != "e2" {
-		t.Fatalf("last span %+v, want the t=3ns one", spans[2])
-	}
-	if se.Events() != 3 {
-		t.Fatalf("Events() = %d, want 3", se.Events())
+// spanner records one span per event on its own track.
+type spanner struct{}
+
+func (spanner) HandleEvent(sc *ShardCtx, ev Event) {
+	sc.Span(fmt.Sprintf("actor%d", sc.Self()), fmt.Sprintf("e%d", ev.Round), sc.Now(), sc.Now()+Nanosecond, ev.A)
+}
+
+// TestShardedRecords: spans from different shards land on the engine's
+// one recorder, a track per name in first-use order, and the recorder's
+// clock is the time of the last event run. Without a recorder Span is
+// inert.
+func TestShardedRecords(t *testing.T) {
+	for _, record := range []bool{true, false} {
+		se := NewShardedEngine(2, Microsecond)
+		var rec *Recorder
+		if record {
+			rec = se.Record()
+		}
+		a := se.AddActor(0, spanner{})
+		b := se.AddActor(1, spanner{})
+		se.Post(3*Nanosecond, Event{To: b, Round: 2, A: 20})
+		se.Post(1*Nanosecond, Event{To: a, Round: 1, A: 10})
+		se.Post(1*Nanosecond, Event{To: b, Round: 3, A: 30})
+		se.Run()
+		if se.Events() != 3 {
+			t.Fatalf("Events() = %d, want 3", se.Events())
+		}
+		if !record {
+			continue
+		}
+		if err := rec.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		var got []string
+		for _, tk := range rec.Tracks() {
+			for _, sp := range tk.Spans {
+				got = append(got, fmt.Sprintf("%s/%s@%v+%v:%d", tk.Name, sp.Name, sp.Begin, sp.Duration(), sp.Bytes))
+			}
+		}
+		want := "[actor0/e1@1.00ns+1.00ns:10 actor1/e3@1.00ns+1.00ns:30 actor1/e2@3.00ns+1.00ns:20]"
+		if fmt.Sprint(got) != want {
+			t.Fatalf("recorded %v, want %s", got, want)
+		}
+		if rec.Now() != 3*Nanosecond {
+			t.Fatalf("Now() = %v, want the last event's 3ns", rec.Now())
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import "fmt"
 // construction. With no recorder attached, Begin returns a zero handle
 // and every operation is a nil check.
 type Recorder struct {
-	e      *Engine
+	now    *Time // its engine's clock
 	tracks []*Track
 	byKey  map[interface{}]*Track
 
@@ -65,13 +65,18 @@ type SpanHandle struct {
 // NewRecorder attaches a fresh recorder to the engine and returns it.
 // Attach before Run; the recorder observes everything from that point.
 func NewRecorder(e *Engine) *Recorder {
-	r := &Recorder{
-		e:        e,
+	e.rec = newRecorder(&e.now)
+	return e.rec
+}
+
+// newRecorder is a recorder reading the given engine clock (see also
+// ShardedEngine.Record).
+func newRecorder(now *Time) *Recorder {
+	return &Recorder{
+		now:      now,
 		byKey:    make(map[interface{}]*Track),
 		counters: make(map[string]int64),
 	}
-	e.rec = r
-	return r
 }
 
 // Recorder returns the attached recorder, or nil when tracing is off.
@@ -79,14 +84,14 @@ func (e *Engine) Recorder() *Recorder { return e.rec }
 
 // Now returns the engine's current virtual time (the timeline's end once
 // the simulation has finished).
-func (r *Recorder) Now() Time { return r.e.now }
+func (r *Recorder) Now() Time { return *r.now }
 
 // Tracks returns every track in creation order.
 func (r *Recorder) Tracks() []*Track { return r.tracks }
 
 // track returns (creating on first use) the track for key. Keys are
 // identities — a *Proc, a *Link — so entities sharing a display name
-// still get distinct tracks.
+// still get distinct tracks; a sharded run keys its tracks by name.
 func (r *Recorder) track(key interface{}, name string) *Track {
 	if t, ok := r.byKey[key]; ok {
 		return t
@@ -102,7 +107,7 @@ func (r *Recorder) begin(key interface{}, trackName, name string, bytes int64) S
 	t := r.track(key, trackName)
 	t.Spans = append(t.Spans, Span{
 		Name:  name,
-		Begin: r.e.now,
+		Begin: *r.now,
 		End:   -1,
 		Bytes: bytes,
 		Depth: len(t.open),
@@ -155,7 +160,7 @@ func (h SpanHandle) End() {
 		h.r.noteErr(fmt.Errorf("sim: span %q on track %q ended twice", sp.Name, h.t.Name))
 		return
 	}
-	sp.End = h.r.e.now
+	sp.End = *h.r.now
 	if n := len(h.t.open); n == 0 || h.t.open[n-1] != h.idx {
 		h.r.noteErr(fmt.Errorf("sim: span %q on track %q ended out of nesting order", sp.Name, h.t.Name))
 		return

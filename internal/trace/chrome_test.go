@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"gpuddt/internal/cluster"
+	"gpuddt/internal/model"
+	"gpuddt/internal/shapes"
 	"gpuddt/internal/sim"
 )
 
@@ -39,39 +42,59 @@ func record(t *testing.T) *sim.Recorder {
 	return r
 }
 
+// TestWriteChrome checks the export's schema on a recording of each
+// engine: the two-process timeline above, and a modelled 16-rank
+// allgather, whose recorder holds one completion span per rank and no
+// counters.
 func TestWriteChrome(t *testing.T) {
-	r := record(t)
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, Run{Name: "test", Rec: r}); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
+	res, err := model.Run(model.Options{
+		Spec: cluster.ScaleModelled(8, 2, 2, 2, 2), Coll: "allgather",
+		Dt: shapes.SubMatrix(16, 8, 12), Count: 1, RecordSpans: true,
+	})
+	if err != nil {
+		t.Fatalf("model.Run: %v", err)
 	}
-	var out struct {
-		TraceEvents []map[string]interface{} `json:"traceEvents"`
+	if st := Phases(res.Rec); len(st) != 1 || st[0].Name != "allgather" || st[0].Count != 16 {
+		t.Errorf("Phases of the modelled run = %+v, want 16 allgather spans", st)
 	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	var xs, ms, cs int
-	for _, ev := range out.TraceEvents {
-		switch ev["ph"] {
-		case "X":
-			xs++
-			if ev["name"] == "" || ev["ts"] == nil {
-				t.Errorf("bad X event: %v", ev)
-			}
-		case "M":
-			ms++
-		case "C":
-			cs++
-		default:
-			t.Errorf("unexpected phase %v", ev["ph"])
+	for _, c := range []struct {
+		name     string
+		r        *sim.Recorder
+		counters bool
+	}{{"test", record(t), true}, {"modelled", res.Rec, false}} {
+		var buf bytes.Buffer
+		if err := WriteChrome(&buf, Run{Name: c.name, Rec: c.r}); err != nil {
+			t.Fatalf("%s: WriteChrome: %v", c.name, err)
 		}
-	}
-	if xs != r.SpanCount() {
-		t.Errorf("X events = %d, want %d", xs, r.SpanCount())
-	}
-	if ms == 0 || cs == 0 {
-		t.Errorf("want metadata and counter events, got M=%d C=%d", ms, cs)
+		var out struct {
+			TraceEvents []map[string]interface{} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+			t.Fatalf("%s: output is not JSON: %v", c.name, err)
+		}
+		var xs, ms, cs int
+		for _, ev := range out.TraceEvents {
+			switch ev["ph"] {
+			case "X":
+				xs++
+				if ev["name"] == "" || ev["ts"] == nil {
+					t.Errorf("%s: bad X event: %v", c.name, ev)
+				}
+			case "M":
+				ms++
+			case "C":
+				cs++
+			default:
+				t.Errorf("%s: unexpected phase %v", c.name, ev["ph"])
+			}
+		}
+		if xs != c.r.SpanCount() {
+			t.Errorf("%s: X events = %d, want %d", c.name, xs, c.r.SpanCount())
+		}
+		if ms != 1+len(c.r.Tracks()) || (cs > 0) != c.counters {
+			t.Errorf("%s: got M=%d C=%d, want a process and %d threads named, counters: %v",
+				c.name, ms, cs, len(c.r.Tracks()), c.counters)
+		}
 	}
 }
 
@@ -129,10 +152,10 @@ func TestPhasesAndTransfers(t *testing.T) {
 
 func TestCoverageMergesOverlaps(t *testing.T) {
 	iv := [][2]sim.Time{{0, 10}, {5, 15}, {20, 30}, {22, 25}}
-	if got := coverage(iv); got != 25 {
+	if got := sumIntervals(mergeIntervals(iv)); got != 25 {
 		t.Fatalf("coverage = %v, want 25", got)
 	}
-	if got := coverage(nil); got != 0 {
+	if got := sumIntervals(mergeIntervals(nil)); got != 0 {
 		t.Fatalf("coverage(nil) = %v, want 0", got)
 	}
 }

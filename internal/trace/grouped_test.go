@@ -9,11 +9,11 @@ import (
 	"gpuddt/internal/sim"
 )
 
-// TestWriteChromeGrouped builds a timeline shaped like a two-job
+// TestWriteChromeGroups builds a timeline shaped like a two-job
 // interference run (rank tracks for each job plus fabric links) and
 // checks the schema: one process per group label, every track's spans
 // under its group's pid, thread and process name metadata present.
-func TestWriteChromeGrouped(t *testing.T) {
+func TestWriteChromeGroups(t *testing.T) {
 	e := sim.NewEngine()
 	rec := sim.NewRecorder(e)
 	work := func(name string) {
@@ -44,8 +44,8 @@ func TestWriteChromeGrouped(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeGrouped(&buf, rec, groupOf); err != nil {
-		t.Fatalf("WriteChromeGrouped: %v", err)
+	if err := WriteChrome(&buf, Run{Rec: rec, GroupOf: groupOf}); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
 	}
 
 	var out struct {

@@ -96,6 +96,7 @@ func phaseOf(trackName, spanName string) string {
 // top-level "mpi.recv" span, in start order.
 func Transfers(r *sim.Recorder) []Transfer {
 	var out []Transfer
+	busy := map[string][][2]sim.Time{}
 	for _, t := range r.Tracks() {
 		for i := range t.Spans {
 			sp := &t.Spans[i]
@@ -107,62 +108,38 @@ func Transfers(r *sim.Recorder) []Transfer {
 					End:   sp.End,
 				})
 			}
+			if ph := phaseOf(t.Name, sp.Name); ph != "" && sp.End > sp.Begin {
+				busy[ph] = append(busy[ph], [2]sim.Time{sp.Begin, sp.End})
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	// Per-phase busy intervals of the whole run, merged so concurrent
+	// same-phase spans (several links, several procs) do not count
+	// twice, and the union of the three. Clipping a merged list to a
+	// message's window covers what merging the clipped spans would.
+	pack, wire, unpack := mergeIntervals(busy["pack"]), mergeIntervals(busy["wire"]), mergeIntervals(busy["unpack"])
+	all := mergeIntervals(append(append(append([][2]sim.Time{}, pack...), wire...), unpack...))
 	for ti := range out {
 		tr := &out[ti]
-		// Per-phase busy intervals overlapping this message's window,
-		// merged so concurrent same-phase spans (several links, several
-		// procs) do not count twice.
-		busy := map[string][][2]sim.Time{}
-		for _, tk := range r.Tracks() {
-			for i := range tk.Spans {
-				sp := &tk.Spans[i]
-				ph := phaseOf(tk.Name, sp.Name)
-				if ph == "" {
-					continue
-				}
-				b, e := sp.Begin, sp.End
-				if b < tr.Start {
-					b = tr.Start
-				}
-				if e > tr.End {
-					e = tr.End
-				}
-				if e > b {
-					busy[ph] = append(busy[ph], [2]sim.Time{b, e})
-				}
-			}
-		}
-		tr.Pack = coverage(busy["pack"])
-		tr.Wire = coverage(busy["wire"])
-		tr.Unpack = coverage(busy["unpack"])
-		all := append(append(append([][2]sim.Time{}, busy["pack"]...), busy["wire"]...), busy["unpack"]...)
-		tr.Idle = tr.Duration() - coverage(all)
+		tr.Pack = clipped(pack, tr.Start, tr.End)
+		tr.Wire = clipped(wire, tr.Start, tr.End)
+		tr.Unpack = clipped(unpack, tr.Start, tr.End)
+		tr.Idle = tr.Duration() - clipped(all, tr.Start, tr.End)
 	}
 	return out
 }
 
-// coverage returns the total time covered by the union of the intervals.
-func coverage(iv [][2]sim.Time) sim.Time {
-	if len(iv) == 0 {
-		return 0
-	}
-	sort.Slice(iv, func(i, j int) bool { return iv[i][0] < iv[j][0] })
+// clipped returns the time a disjoint ascending interval list covers
+// inside the window [lo, hi).
+func clipped(iv [][2]sim.Time, lo, hi sim.Time) sim.Time {
 	var total sim.Time
-	cur := iv[0]
-	for _, x := range iv[1:] {
-		if x[0] > cur[1] {
-			total += cur[1] - cur[0]
-			cur = x
-			continue
+	for _, x := range iv[sort.Search(len(iv), func(i int) bool { return iv[i][1] > lo }):] {
+		if x[0] >= hi {
+			break
 		}
-		if x[1] > cur[1] {
-			cur[1] = x[1]
-		}
+		total += min(x[1], hi) - max(x[0], lo)
 	}
-	total += cur[1] - cur[0]
 	return total
 }
 

@@ -55,9 +55,9 @@ type StudyResult struct {
 
 // RunStudy executes one interference point: co-schedule, run together,
 // run each job alone, compare. The returned recorder (non-nil only with
-// st.Trace) holds the together-run timeline; pair it with
-// GroupOf(jobs) and trace.WriteChromeGrouped for a per-job grouped
-// Chrome export.
+// st.Trace) holds the together-run timeline; trace.WriteChrome with
+// trace.Run{Rec: rec, GroupOf: GroupOf(jobs)} exports it grouped per
+// job.
 func RunStudy(st Study) (StudyResult, *sim.Recorder, []JobSpec, error) {
 	spec := cluster.Scale(st.Nodes, st.GPUsPerNode, st.RanksPerNode, st.Oversub)
 	place, jobRanks, err := cluster.CoSchedule(spec, len(st.Jobs), st.RanksPerJob, st.Policy)

@@ -206,7 +206,7 @@ func Run(cfg mpi.Config, jobs []JobSpec, active []bool, opt Options) ([]JobResul
 }
 
 // GroupOf maps recorder track names to process-group labels for
-// trace.WriteChromeGrouped: rank tracks land under their job's name,
+// trace.Run.GroupOf: rank tracks land under their job's name,
 // everything else (links, switches, GPU streams) under "fabric".
 func GroupOf(jobs []JobSpec) func(track string) string {
 	byRank := map[int]string{}

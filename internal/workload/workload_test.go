@@ -93,7 +93,7 @@ func TestStencilHaloSubarraySpans(t *testing.T) {
 		t.Errorf("subarray halo spans = %d, want 32", n)
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteChromeGrouped(&buf, rec, GroupOf(jobs)); err != nil {
+	if err := trace.WriteChrome(&buf, trace.Run{Rec: rec, GroupOf: GroupOf(jobs)}); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
