@@ -61,38 +61,41 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# The "ten alternating pairs" rule for a host-time claim on one workload
-# of the repo benchmark: build ./benchmark from a clean checkout of BASE
-# and from the working tree, run `-mode e2e -workload W` N times on each
-# side, alternating which side goes first, and print both wall_ms
-# series with their medians and quartiles, the failed operations, the
-# pairs won, and the verdict: a gain counts when the change wins at
-# least nine tenths of all pairs (a tie is a win for neither) and the
-# medians lie further apart than the base's own quartiles.
-#   make bench-pairs BASE=<rev> W=<workload> N=10
+# The "ten alternating pairs" rule for a claim on one end-to-end metric
+# M (lower is better: wall_ms, setup_s, allocs_per_op, alloc_mb_per_op)
+# of one workload of the repo benchmark: build ./benchmark from a clean
+# checkout of BASE and from the working tree, run `-mode e2e -workload
+# W` N times on each side, alternating which side goes first, and print
+# both series of M with their medians and quartiles, the failed
+# operations, the pairs won, and the verdict: a gain counts when the
+# change wins at least nine tenths of all pairs (a tie is a win for
+# neither) and the medians lie further apart than the base's own
+# quartiles.
+#   make bench-pairs BASE=<rev> W=<workload> [M=<metric>] N=10
 BASE ?= HEAD
 W ?= coll_real
+M ?= wall_ms
 N ?= 10
 bench-pairs:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/src"; git archive $(BASE) | tar -x -C "$$tmp/src"; \
 	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base" ./benchmark); \
 	$(GO) build -o "$$tmp/change" ./benchmark; \
-	wall() { "$$tmp/$$1" -mode e2e -workload $(W) 2>/dev/null | awk '$$1 == "wall_ms" { w = $$2 } / operations failed/ { f = $$(NF - 4); t = $$(NF - 2) } END { print w, f, t }'; }; \
+	wall() { "$$tmp/$$1" -mode e2e -workload $(W) 2>/dev/null | awk '$$1 == "$(M)" { w = $$2 } / operations failed/ { f = $$(NF - 4); t = $$(NF - 2) } END { print w, f, t }'; }; \
 	i=1; while [ $$i -le $(N) ]; do \
 		if [ $$((i % 2)) -eq 1 ]; then b=$$(wall base); c=$$(wall change); else c=$$(wall change); b=$$(wall base); fi; \
-		echo "pair $$i: base $${b%% *} ms, change $${c%% *} ms"; \
+		echo "pair $$i: base $${b%% *}, change $${c%% *}"; \
 		echo "$$b $$c" >> "$$tmp/pairs"; i=$$((i + 1)); \
 	done; \
-	awk -v w=$(W) -v base=$(BASE) ' \
+	awk -v w=$(W) -v m=$(M) -v base=$(BASE) ' \
 		function quart(a, n, q,    h, k) { h = (n - 1) * q + 1; k = int(h); return k < n ? a[k] + (h - k) * (a[k + 1] - a[k]) : a[n] } \
 		function sort(a, n,    i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } } \
 		{ bs = bs " " $$1; cs = cs " " $$4; b[NR] = $$1; c[NR] = $$4; bfail += $$2; bops += $$3; cfail += $$5; cops += $$6; if ($$4 < $$1) won++; if ($$4 > $$1) lost++ } \
 		END { sort(b, NR); sort(c, NR); bm = quart(b, NR, .5); cm = quart(c, NR, .5); iqr = quart(b, NR, .75) - quart(b, NR, .25); \
-			printf "%s wall_ms, base %s:%s\n%s wall_ms, change:%s\n", w, base, bs, w, cs; \
+			printf "%s %s, base %s:%s\n%s %s, change:%s\n", w, m, base, bs, w, m, cs; \
 			printf "base:   median %.1f, quartiles %.1f / %.1f, minimum %.1f, %d of %d operations failed\n", bm, quart(b, NR, .25), quart(b, NR, .75), b[1], bfail, bops; \
 			printf "change: median %.1f, quartiles %.1f / %.1f, minimum %.1f, %d of %d operations failed\n", cm, quart(c, NR, .25), quart(c, NR, .75), c[1], cfail, cops; \
-			printf "change won %d of %d pairs, lost %d; medians %+.1f %% (%.1f ms apart, base inter-quartile distance %.1f ms)\n", won, NR, lost, 100 * (cm - bm) / bm, bm - cm, iqr; \
+			printf "change won %d of %d pairs, lost %d; medians %+.1f %% (%.1f apart, base inter-quartile distance %.1f)\n", won, NR, lost, 100 * (cm - bm) / bm, bm - cm, iqr; \
 			gain = 10 * won >= 9 * NR && bm - cm > iqr && cfail * bops <= bfail * cops; \
 			printf "verdict: %s\n", gain ? "gain" : (10 * lost >= 9 * NR && cm - bm > iqr ? "regression" : "no resolved difference") }' "$$tmp/pairs"
 

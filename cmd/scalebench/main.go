@@ -3,8 +3,10 @@
 // world size x oversubscription — and emits a machine-readable
 // BENCH_scale.json. Both algorithms run on the same fabric and must
 // produce byte-identical buffers on every rank; the reported times are
-// virtual (simulated), so the sweep is deterministic: two runs of the
-// same binary produce the same measurements.
+// virtual (simulated), so the report is a pure function of the source:
+// any run on any host writes the same bytes, and CI compares its run
+// with the committed file. -host adds what the host spent (wall-clock
+// and Go heap per point, toolchain and CPU count in the header).
 //
 // The report has two sections in one array: real-payload points
 // (2..256 ranks, full protocol stack) and modelled-payload points
@@ -23,6 +25,7 @@
 //	scalebench -shards 4         # event-heap partitions for modelled points
 //	scalebench -sample 128       # verified ranks per modelled point
 //	scalebench -tuning TUNING.json  # tuned third arm from a tuning table
+//	scalebench -host             # add host measurements (not reproducible)
 package main
 
 import (
@@ -41,9 +44,9 @@ import (
 // BENCH_chaos.json so downstream tooling parses both the same way.
 type Report struct {
 	GeneratedBy  string             `json:"generated_by"`
-	GoVersion    string             `json:"go_version"`
-	GoMaxProcs   int                `json:"go_maxprocs"`
-	NumCPU       int                `json:"num_cpu"`
+	GoVersion    string             `json:"go_version,omitempty"`  // -host only
+	GoMaxProcs   int                `json:"go_maxprocs,omitempty"` // -host only
+	NumCPU       int                `json:"num_cpu,omitempty"`     // -host only
 	Datatype     string             `json:"datatype"`
 	RanksPerNode int                `json:"ranks_per_node"`
 	Shards       int                `json:"shards"`
@@ -60,6 +63,7 @@ func Run(args []string, out, errOut io.Writer) int {
 	shards := fs.Int("shards", 0, "event-heap partitions for modelled points, drained in turn; results are identical at any count (0: sweep default)")
 	sample := fs.Int("sample", 0, "content-verified ranks per modelled point (0: sweep default)")
 	tuning := fs.String("tuning", "", "tuning table (TUNING.json) adding a tuned arm per real-payload point")
+	host := fs.Bool("host", false, "also report host measurements: wall_ms and heap_inuse_bytes per point, go_version, go_maxprocs, num_cpu")
 	prof := cli.Profiles(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -82,6 +86,7 @@ func Run(args []string, out, errOut io.Writer) int {
 	if *sample > 0 {
 		msw.SampleRanks = *sample
 	}
+	sw.MeasureHost, msw.MeasureHost = *host, *host
 	if *tuning != "" {
 		tbl, err := tune.Load(*tuning)
 		if err != nil {
@@ -103,14 +108,14 @@ func Run(args []string, out, errOut io.Writer) int {
 	pts = append(pts, mpts...)
 	rep := Report{
 		GeneratedBy:  "cmd/scalebench",
-		GoVersion:    runtime.Version(),
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
 		Datatype:     "submatrix_16x8_ld12",
 		RanksPerNode: sw.RanksPerNode,
 		Shards:       msw.Shards,
 		SampleRanks:  msw.SampleRanks,
 		Scale:        pts,
+	}
+	if *host {
+		rep.GoVersion, rep.GoMaxProcs, rep.NumCPU = runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU()
 	}
 	return cli.WriteJSON(rep, *outPath, "scale benchmark report", "scalebench", out, errOut)
 }

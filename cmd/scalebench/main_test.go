@@ -21,10 +21,16 @@ func TestQuickRun(t *testing.T) {
 	if len(rep.Scale) == 0 {
 		t.Fatal("no sweep points")
 	}
+	if rep.GoVersion != "" || rep.GoMaxProcs != 0 || rep.NumCPU != 0 {
+		t.Errorf("host fields in the header without -host: %q %d %d", rep.GoVersion, rep.GoMaxProcs, rep.NumCPU)
+	}
 	var modelled int
 	for _, pt := range rep.Scale {
 		if pt.HierUs <= 0 || pt.FlatUs <= 0 {
 			t.Errorf("%s %d ranks: non-positive time", pt.Coll, pt.Ranks)
+		}
+		if pt.WallMs != 0 || pt.HeapInuse != 0 {
+			t.Errorf("%s %d ranks: host measurements without -host", pt.Coll, pt.Ranks)
 		}
 		if pt.Mode == "modelled" {
 			modelled++
@@ -45,10 +51,12 @@ func TestQuickRun(t *testing.T) {
 }
 
 // TestShardsFlag: the -shards override must reach the modelled sweep
-// without perturbing virtual times (engine determinism).
+// without perturbing virtual times (engine determinism). One of the two
+// runs also asks for -host: it reports what the host spent and moves no
+// virtual time either.
 func TestShardsFlag(t *testing.T) {
 	var a, b, errOut bytes.Buffer
-	if code := Run([]string{"-quick", "-shards", "1"}, &a, &errOut); code != 0 {
+	if code := Run([]string{"-quick", "-shards", "1", "-host"}, &a, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	if code := Run([]string{"-quick", "-shards", "4"}, &b, &errOut); code != 0 {
@@ -64,13 +72,16 @@ func TestShardsFlag(t *testing.T) {
 	if ra.Shards != 1 || rb.Shards != 4 {
 		t.Fatalf("shards flag not honored: %d/%d", ra.Shards, rb.Shards)
 	}
+	if ra.GoVersion == "" || ra.GoMaxProcs == 0 || ra.NumCPU == 0 {
+		t.Errorf("-host: header lacks go_version, go_maxprocs or num_cpu")
+	}
 	for i := range ra.Scale {
 		pa, pb := ra.Scale[i], rb.Scale[i]
-		if pa.Mode != "modelled" {
-			continue
+		if pa.WallMs <= 0 || pa.HeapInuse <= 0 {
+			t.Errorf("%s %d ranks: -host recorded no wall_ms or heap_inuse_bytes", pa.Coll, pa.Ranks)
 		}
 		if pa.HierUs != pb.HierUs || pa.FlatUs != pb.FlatUs {
-			t.Errorf("%s %d ranks: virtual times depend on shard count", pa.Coll, pa.Ranks)
+			t.Errorf("%s %d ranks: virtual times depend on -shards or -host", pa.Coll, pa.Ranks)
 		}
 	}
 }

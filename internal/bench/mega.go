@@ -41,8 +41,8 @@ type MegaSweep struct {
 	// (virtual time, digest, message and event counts).
 	SerialVerifyMax int
 
-	// MeasureHost records wall-clock and Go HeapInuse per point (off
-	// for CI smoke sweeps, whose output must be byte-identical).
+	// MeasureHost records wall-clock and Go HeapInuse per point (see
+	// ScaleSweep.MeasureHost).
 	MeasureHost bool
 }
 
@@ -65,7 +65,6 @@ func DefaultMegaSweep() MegaSweep {
 		Shards:          8,
 		SampleRanks:     64,
 		SerialVerifyMax: 1024,
-		MeasureHost:     true,
 	}
 }
 

@@ -33,10 +33,17 @@ type ScaleSweep struct {
 	RanksPerNode int   // ranks per node at full scale (small worlds shrink to one node)
 	Oversubs     []int // fat-tree oversubscription ratios
 
-	// MeasureHost additionally records host-side resource use per
-	// point: wall-clock, Go HeapInuse and the world's real memory
-	// footprint per rank. Off for CI smoke sweeps, whose output must
-	// be byte-identical run to run.
+	// footprint records the world's real memory footprint per rank
+	// (the committed sweep only). It depends on what the slab pool
+	// holds when the world is built — the sweep's own earlier points,
+	// so a process running the one sweep reproduces it, a second sweep
+	// in the same process does not.
+	footprint bool
+
+	// MeasureHost additionally records what the host spent on each
+	// point: wall-clock and Go HeapInuse. Off unless asked for
+	// (scalebench -host): a report without it is a pure function of
+	// the source.
 	MeasureHost bool
 
 	// Tune, if non-nil, adds a third arm per point: the tuning-table
@@ -54,7 +61,7 @@ func DefaultScaleSweep() ScaleSweep {
 		Ranks:        []int{2, 8, 32, 128, 256},
 		RanksPerNode: 4,
 		Oversubs:     []int{1, 2, 4},
-		MeasureHost:  true,
+		footprint:    true,
 	}
 }
 
@@ -103,9 +110,9 @@ type ScalePoint struct {
 	// (hier + flat arms).
 	Events int64 `json:"events,omitempty"`
 
-	// MemPerRank is the per-rank memory of the world: the deterministic
-	// structural state of a modelled world, or (with MeasureHost) the
-	// real backing memory of a real-payload world.
+	// MemPerRank is the per-rank memory of the world: the structural
+	// state of a modelled world, or (the committed sweep) the real backing
+	// memory of a real-payload world.
 	MemPerRank int64 `json:"mem_per_rank_bytes,omitempty"`
 
 	// HeapInuse and WallMs are host-side measurements (MeasureHost
@@ -131,7 +138,7 @@ func RunScale(sw ScaleSweep) ([]ScalePoint, error) {
 			}
 			for _, ov := range sw.Oversubs {
 				start := time.Now()
-				pt, err := measureScaleOpt(coll, ranks/rpn, rpn, ov, sw.MeasureHost, sw.Tune)
+				pt, err := measureScaleOpt(coll, ranks/rpn, rpn, ov, sw.footprint, sw.Tune)
 				if err != nil {
 					return nil, err
 				}

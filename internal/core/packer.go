@@ -161,10 +161,16 @@ func (pk *Packer) process(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) {
 // start+n) directly from the vector view — no conversion cost, exactly
 // like the specialized kernel taking (blocklen, stride, count) arguments.
 func (pk *Packer) viewUnits(start, n int64) []gpu.Unit {
+	bl := pk.view.BlockLen
+	// One unit per block, unless blocks exceed maxUnitLen.
+	return pk.appendViewUnits(gpu.GetUnits(int((start+n-1)/bl - start/bl + 1))[:0], start, n)
+}
+
+// appendViewUnits appends the window's units to units.
+func (pk *Packer) appendViewUnits(units []gpu.Unit, start, n int64) []gpu.Unit {
 	v := pk.view
 	end := start + n
 	first, last := start/v.BlockLen, (end-1)/v.BlockLen
-	units := gpu.GetUnits(int(last - first + 1))[:0] // one unit per block, unless blocks exceed maxUnitLen
 	for i := first; i <= last; i++ {
 		bStart := i * v.BlockLen // packed offset of block i
 		lo, hi := bStart, bStart+v.BlockLen
@@ -245,19 +251,8 @@ func (pk *Packer) bind(units []gpu.Unit, entries []Entry, fragStart int64) {
 // launching a kernel per chunk so conversion of chunk k+1 overlaps
 // execution of chunk k when pipelining is enabled (§3.2). With
 // pipelining disabled the full window is converted before one launch.
-// Split entries go straight onto the list being built; a chunk's kernel
-// is bound from the list's tail.
 func (pk *Packer) convertAndLaunch(p *sim.Proc, n int64, frag mem.Buffer) *sim.Future {
 	opts := &pk.e.opts
-	if pk.building == nil {
-		// Sized once when the list is kept: every block yields at most
-		// Len/UnitSize + 1 units.
-		var units int64
-		if pk.caching {
-			units = pk.conv.Total()/opts.UnitSize + int64(pk.cnt)*int64(pk.dt.Plan().NumBlocks())
-		}
-		pk.building = pk.e.cache.grabSlab(int(units))
-	}
 	var fut *sim.Future
 	for converted := int64(0); converted < n; {
 		m := opts.ChunkBytes
@@ -268,51 +263,82 @@ func (pk *Packer) convertAndLaunch(p *sim.Proc, n int64, frag mem.Buffer) *sim.F
 			m = rem
 		}
 		chunkStart := pk.conv.Packed()
-		list := pk.building
-		if !pk.caching {
-			list = list[:0]
-		}
-		mark := len(list)
-		pieces := 0
-		pk.conv.Advance(m, func(memOff, packOff, l int64) {
-			pieces++
-			list = splitEntries(list, opts.UnitSize, memOff, packOff, l)
-		})
-		pk.building = list
-		entries := list[mark:]
-		// CPU cost of simulating the pack and emitting cuda_dev_dist
-		// entries for this chunk.
-		p.Sleep(sim.Time(pieces)*opts.ConvPerEntry + sim.Time(len(entries))*opts.ConvPerUnit)
-		pk.e.convEntries += int64(pieces)
-		pk.e.convUnits += int64(len(entries))
-		// Upload the descriptor array to the device.
-		pk.e.ctx.Node().H2D(pk.e.dev.ID()).Transfer(p, int64(len(entries))*entryDevBytes)
+		entries := pk.convert(p, m)
 		units := gpu.GetUnits(len(entries))
 		pk.bind(units, entries, chunkStart)
 		fut = pk.launch(gpu.DEVKernel, units, m, frag.Slice(converted, m))
 		converted += m
 	}
-	if pk.conv.Done() {
-		if !pk.caching || !pk.e.storeCache(pk.dt, pk.cnt, pk.building) {
-			pk.e.cache.retire(pk.building)
-		}
-		pk.building = nil
-	}
+	pk.converted()
 	return fut
+}
+
+// convert runs the CPU conversion of the next m packed bytes, charging
+// its cost and the upload of the descriptors to the device, and returns
+// their entries. Split entries go straight onto the list being built;
+// the returned slice is the list's tail, valid until the next convert
+// or converted call.
+func (pk *Packer) convert(p *sim.Proc, m int64) []Entry {
+	opts := &pk.e.opts
+	if pk.building == nil {
+		// Sized once when the list is kept: every block yields at most
+		// Len/UnitSize + 1 units.
+		var units int64
+		if pk.caching {
+			units = pk.conv.Total()/opts.UnitSize + int64(pk.cnt)*int64(pk.dt.Plan().NumBlocks())
+		}
+		pk.building = pk.e.cache.grabSlab(int(units))
+	}
+	list := pk.building
+	if !pk.caching {
+		list = list[:0]
+	}
+	mark := len(list)
+	pieces := 0
+	pk.conv.Advance(m, func(memOff, packOff, l int64) {
+		pieces++
+		list = splitEntries(list, opts.UnitSize, memOff, packOff, l)
+	})
+	pk.building = list
+	entries := list[mark:]
+	// CPU cost of simulating the pack and emitting cuda_dev_dist
+	// entries for this chunk.
+	p.Sleep(sim.Time(pieces)*opts.ConvPerEntry + sim.Time(len(entries))*opts.ConvPerUnit)
+	pk.e.convEntries += int64(pieces)
+	pk.e.convUnits += int64(len(entries))
+	// Upload the descriptor array to the device.
+	pk.e.ctx.Node().H2D(pk.e.dev.ID()).Transfer(p, int64(len(entries))*entryDevBytes)
+	return entries
+}
+
+// converted hands a completed list to the DEV cache (or back to the
+// slab pool) once the whole message has been converted.
+func (pk *Packer) converted() {
+	if !pk.conv.Done() {
+		return
+	}
+	if !pk.caching || !pk.e.storeCache(pk.dt, pk.cnt, pk.building) {
+		pk.e.cache.retire(pk.building)
+	}
+	pk.building = nil
 }
 
 // launch submits the kernel that moves a window's n bytes through units
 // between the data layout and frag.
 func (pk *Packer) launch(kind gpu.KernelKind, units []gpu.Unit, n int64, frag mem.Buffer) *sim.Future {
-	k := &gpu.Kernel{Kind: kind, Src: pk.data, Dst: frag, Units: units, Blocks: pk.e.opts.Blocks}
-	if pk.dir == dirUnpack {
-		k.Src, k.Dst = frag, pk.data
+	return pk.e.launch(kind, pk.dir, pk.data, frag, units, n)
+}
+
+func (e *Engine) launch(kind gpu.KernelKind, dir direction, data, frag mem.Buffer, units []gpu.Unit, n int64) *sim.Future {
+	k := &gpu.Kernel{Kind: kind, Src: data, Dst: frag, Units: units, Blocks: e.opts.Blocks}
+	if dir == dirUnpack {
+		k.Src, k.Dst = frag, data
 	}
-	dev, stream, node := pk.e.dev, pk.e.stream, pk.e.ctx.Node()
+	dev, stream, node := e.dev, e.stream, e.ctx.Node()
 	switch {
 	case frag.Space() == dev.Mem():
 		return dev.Launch(stream, k)
-	case pk.dir == dirPack:
+	case dir == dirPack:
 		// The contiguous side is mapped host memory (zero copy, §4.2) or
 		// a peer GPU's memory (mapped via CUDA IPC): the writes stream
 		// coalesced over the local transmit link.
@@ -323,7 +349,7 @@ func (pk *Packer) launch(kind gpu.KernelKind, units []gpu.Unit, n int64, frag me
 		// Direct remote unpacking issues many scattered reads and
 		// under-utilizes PCIe (§5.2.1), modeled by inflating the wire
 		// traffic by 1/RemoteAccessEff.
-		return dev.LaunchZeroCopy(stream, k, node.SlotRx(dev.ID()), int64(float64(n)/pk.e.opts.RemoteAccessEff))
+		return dev.LaunchZeroCopy(stream, k, node.SlotRx(dev.ID()), int64(float64(n)/e.opts.RemoteAccessEff))
 	}
 }
 

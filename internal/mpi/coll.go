@@ -21,6 +21,10 @@ import (
 // block: the public blocking entry points pass the rank's main process,
 // while the nonblocking I* variants (icoll.go) reserve tags at call
 // time and run the same schedule on a spawned progress process.
+//
+// A block stays packed while a collective holds it (hold.go): where an
+// algorithm below would make the rank launch two kernels or more for
+// eager-sized blocks, it runs over a wire-format stage instead.
 
 // collTagBase keeps collective traffic out of the user's tag space.
 const collTagBase = 1 << 20
@@ -145,9 +149,10 @@ func packedSize(dt *datatype.Datatype, count int) int64 {
 
 // exchange is one step of a ring, pairwise or dissemination schedule:
 // post the send to world rank to, then the receive from world rank
-// from, and wait for both. A zero-size side posts nothing.
+// from, and wait for both. A zero-size side posts nothing. It returns
+// the packed bytes received.
 func (m *Rank) exchange(p *sim.Proc, sbuf mem.Buffer, sdt *datatype.Datatype, scount, to int,
-	rbuf mem.Buffer, rdt *datatype.Datatype, rcount, from, tag int) {
+	rbuf mem.Buffer, rdt *datatype.Datatype, rcount, from, tag int) int64 {
 	var sreq, rreq *Request
 	if packedSize(sdt, scount) > 0 {
 		sreq = m.isendOn(p, sbuf, sdt, scount, to, tag)
@@ -158,9 +163,11 @@ func (m *Rank) exchange(p *sim.Proc, sbuf mem.Buffer, sdt *datatype.Datatype, sc
 	if sreq != nil {
 		sreq.Wait(p)
 	}
-	if rreq != nil {
-		rreq.Wait(p)
+	if rreq == nil {
+		return 0
 	}
+	rreq.Wait(p)
+	return rreq.ReceivedBytes()
 }
 
 // PairwisePeers returns the round-s exchange partners of index r among
@@ -203,20 +210,39 @@ func (c comm) at(v, rootIdx int) int { return c.rank((v + rootIdx) % c.n) }
 
 // bcastTree broadcasts (buf, dt, count) from member rootIdx over the
 // binomial tree, on a single tag (every hop is a distinct rank pair).
-// Every member must call it.
-func (m *Rank) bcastTree(p *sim.Proc, c comm, rootIdx int, buf mem.Buffer, dt *datatype.Datatype, count, tag int) {
+// Every member must call it. A member that would launch twice or more
+// for the block — the root of several children, an interior member —
+// holds it packed: received into the stage, forwarded from there, and
+// unpacked once its subtree is served.
+func (m *Rank) bcastTree(p *sim.Proc, what string, c comm, rootIdx int, buf mem.Buffer, dt *datatype.Datatype, count, tag int) {
 	if c.n <= 1 {
 		return
 	}
 	v, parent, span := c.tree(rootIdx)
+	launches := 0
 	if parent >= 0 {
-		m.recvOn(p, buf, dt, count, c.at(parent, rootIdx), tag)
+		launches++
+	}
+	for k := span >> 1; k > 0; k >>= 1 {
+		if v+k < c.n {
+			launches++
+		}
+	}
+	st, buf, dt, count := m.holdBlock(launches, buf, dt, count)
+	if parent >= 0 {
+		m.recvBlock(p, what, buf, dt, count, c.at(parent, rootIdx), tag)
+	} else {
+		m.packHeld(p, st)
 	}
 	for k := span >> 1; k > 0; k >>= 1 {
 		if v+k < c.n {
 			m.sendOn(p, buf, dt, count, c.at(v+k, rootIdx), tag)
 		}
 	}
+	if parent >= 0 {
+		m.unpackHeld(p, st)
+	}
+	m.release(st)
 }
 
 // reduceTree combines every member's acc — already holding its
@@ -247,29 +273,63 @@ func (m *Rank) reduceTree(p *sim.Proc, c comm, rootIdx int, acc mem.Buffer, dt *
 
 // ringAllgather circulates the members' blocks around the ring: in step
 // s the caller forwards block (me-s) to its right neighbour and
-// receives block (me-s-1) from its left, on tag+s.
-func (m *Rank) ringAllgather(p *sim.Proc, c comm, blocks view, tag int) {
+// receives block (me-s-1) from its left, on tag+s. Its own block leaves
+// its memory once, so it is sent from there; every block it receives
+// costs an unpack and — all but the last — a pack to forward it, so
+// from three members up they are held and unpacked together at the end.
+func (m *Rank) ringAllgather(p *sim.Proc, what string, c comm, blocks view, tag int) {
 	if c.n <= 1 {
 		return
 	}
+	final := (c.me + 1) % c.n // received in the last step, never forwarded
+	st := m.hold(c.n, blocks, func(i int) int {
+		switch i {
+		case c.me:
+			return 0
+		case final:
+			return 1
+		}
+		return 2
+	})
+	blocks = st.over(blocks)
 	right, left := c.rank((c.me+1)%c.n), c.rank((c.me-1+c.n)%c.n)
 	for s := 0; s < c.n-1; s++ {
 		sbuf, sdt, scount := blocks((c.me - s + c.n) % c.n)
 		rbuf, rdt, rcount := blocks((c.me - s - 1 + c.n) % c.n)
-		m.exchange(p, sbuf, sdt, scount, right, rbuf, rdt, rcount, left, tag+s)
+		got := m.exchange(p, sbuf, sdt, scount, right, rbuf, rdt, rcount, left, tag+s)
+		m.wholeBlock(what, left, got, rdt, rcount)
 	}
+	m.unpackHeld(p, st)
+	m.release(st)
+}
+
+// exchangeAll is the personalised all-to-all over c: the caller's own
+// block first, then the pairwise steps. Every block is packed once and
+// unpacked once, so either side is held from two blocks up, and the own
+// block then moves from stage to stage.
+func (m *Rank) exchangeAll(p *sim.Proc, what string, c comm, send, recv view, tag int) {
+	each := func(int) int { return 1 }
+	ss, rs := m.hold(c.n, send, each), m.hold(c.n, recv, each)
+	m.packHeld(p, ss)
+	send, recv = ss.over(send), rs.over(recv)
+	m.copyBlock(p, c.me, send, recv)
+	m.pairwise(p, what, c, send, recv, tag)
+	m.unpackHeld(p, rs)
+	m.release(rs)
+	m.release(ss)
 }
 
 // pairwise is steps 1..n-1 of the pairwise exchange (see
 // PairwisePeers), all on one tag: send block `to` of send, receive
 // block `from` of recv. The caller's own block is the caller's business
 // and moves before step 1.
-func (m *Rank) pairwise(p *sim.Proc, c comm, send, recv view, tag int) {
+func (m *Rank) pairwise(p *sim.Proc, what string, c comm, send, recv view, tag int) {
 	for s := 1; s < c.n; s++ {
 		to, from := PairwisePeers(c.n, c.me, s)
 		sbuf, sdt, scount := send(to)
 		rbuf, rdt, rcount := recv(from)
-		m.exchange(p, sbuf, sdt, scount, c.rank(to), rbuf, rdt, rcount, c.rank(from), tag)
+		got := m.exchange(p, sbuf, sdt, scount, c.rank(to), rbuf, rdt, rcount, c.rank(from), tag)
+		m.wholeBlock(what, c.rank(from), got, rdt, rcount)
 	}
 }
 
@@ -280,8 +340,9 @@ func (m *Rank) pairwise(p *sim.Proc, c comm, send, recv view, tag int) {
 // walk reaches it — an invalid sbuf says that block is already in
 // place. staged, when non-nil, then runs with every receive posted (the
 // hierarchical leaders pack their own contribution there, overlapping
-// the inbound transfers) before the root waits.
-func (m *Rank) linearGather(p *sim.Proc, c comm, rootIdx int, sbuf mem.Buffer, sdt *datatype.Datatype, scount int,
+// the inbound transfers) before the root waits. The root holds the
+// blocks it receives and unpacks them together.
+func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recv view, tag int, staged func()) {
 	if c.me != rootIdx {
 		if packedSize(sdt, scount) > 0 {
@@ -289,13 +350,20 @@ func (m *Rank) linearGather(p *sim.Proc, c comm, rootIdx int, sbuf mem.Buffer, s
 		}
 		return
 	}
-	reqs := make([]*Request, 0, c.n-1)
+	st := m.hold(c.n, recv, func(i int) int {
+		if i == rootIdx {
+			return 0
+		}
+		return 1
+	})
+	recv = st.over(recv)
+	reqs := make([]*Request, c.n)
 	for i := 0; i < c.n; i++ {
 		buf, dt, count := recv(i)
 		switch {
 		case packedSize(dt, count) == 0:
 		case i != rootIdx:
-			reqs = append(reqs, m.Irecv(buf, dt, count, c.rank(i), tag+i))
+			reqs[i] = m.Irecv(buf, dt, count, c.rank(i), tag+i)
 		case sbuf.IsValid():
 			m.localCopy(p, sbuf, sdt, scount, buf, dt, count)
 		}
@@ -303,23 +371,38 @@ func (m *Rank) linearGather(p *sim.Proc, c comm, rootIdx int, sbuf mem.Buffer, s
 	if staged != nil {
 		staged()
 	}
-	for _, rq := range reqs {
-		rq.Wait(p)
+	for i, rq := range reqs {
+		if rq != nil {
+			rq.Wait(p)
+			_, dt, count := recv(i)
+			m.wholeBlock(what, c.rank(i), rq.ReceivedBytes(), dt, count)
+		}
 	}
+	m.unpackHeld(p, st)
+	m.release(st)
 }
 
 // linearScatter is the inverse: the root walks the members in index
 // order, starting the send of block i of send on tag+i and copying its
 // own block into (rbuf, rdt, rcount) where the walk reaches it; every
-// other member receives into (rbuf, rdt, rcount).
-func (m *Rank) linearScatter(p *sim.Proc, c comm, rootIdx int, send view,
+// other member receives into (rbuf, rdt, rcount). The root holds the
+// blocks it sends, packed together before the walk.
+func (m *Rank) linearScatter(p *sim.Proc, what string, c comm, rootIdx int, send view,
 	rbuf mem.Buffer, rdt *datatype.Datatype, rcount, tag int) {
 	if c.me != rootIdx {
 		if packedSize(rdt, rcount) > 0 {
-			m.recvOn(p, rbuf, rdt, rcount, c.rank(rootIdx), tag+c.me)
+			m.recvBlock(p, what, rbuf, rdt, rcount, c.rank(rootIdx), tag+c.me)
 		}
 		return
 	}
+	st := m.hold(c.n, send, func(i int) int {
+		if i == rootIdx {
+			return 0
+		}
+		return 1
+	})
+	m.packHeld(p, st)
+	send = st.over(send)
 	reqs := make([]*Request, 0, c.n-1)
 	for i := 0; i < c.n; i++ {
 		buf, dt, count := send(i)
@@ -334,6 +417,7 @@ func (m *Rank) linearScatter(p *sim.Proc, c comm, rootIdx int, send view,
 	for _, rq := range reqs {
 		rq.Wait(p)
 	}
+	m.release(st)
 }
 
 // tokenDT is the 8-byte barrier token.

@@ -26,7 +26,7 @@ func (m *Rank) bcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype
 		m.hierBcast(p, tag, buf, dt, count, root)
 		return
 	}
-	m.bcastTree(p, m.worldComm(), root, buf, dt, count, tag)
+	m.bcastTree(p, "Bcast", m.worldComm(), root, buf, dt, count, tag)
 }
 
 // Allgather gathers each rank's count elements of dt (read from its slot
@@ -45,7 +45,7 @@ func (m *Rank) allgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Data
 		m.hierAllgather(p, tag, buf, dt, count)
 		return
 	}
-	m.ringAllgather(p, m.worldComm(), uniformView(buf, dt, count), tag)
+	m.ringAllgather(p, "Allgather", m.worldComm(), uniformView(buf, dt, count), tag)
 }
 
 // Gather collects each rank's (sendBuf, sdt, scount) into rank root's
@@ -53,7 +53,7 @@ func (m *Rank) allgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Data
 // algorithm; non-root ranks pass an invalid recvBuf.
 func (m *Rank) Gather(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.linearGather(m.p, m.worldComm(), root, sendBuf, sdt, scount,
+	m.linearGather(m.p, "Gather", m.worldComm(), root, sendBuf, sdt, scount,
 		uniformView(recvBuf, rdt, rcount), m.tagBlock(m.gatherTags()), nil)
 }
 
@@ -61,7 +61,7 @@ func (m *Rank) Gather(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 // to rank r's recvBuf. Linear algorithm.
 func (m *Rank) Scatter(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.linearScatter(m.p, m.worldComm(), root, uniformView(sendBuf, sdt, scount),
+	m.linearScatter(m.p, "Scatter", m.worldComm(), root, uniformView(sendBuf, sdt, scount),
 		recvBuf, rdt, rcount, m.tagBlock(m.gatherTags()))
 }
 
@@ -82,14 +82,7 @@ func (m *Rank) alltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.
 		m.hierAlltoall(p, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
 		return
 	}
-	m.alltoallWorld(p, tag, uniformView(sendBuf, sdt, scount), uniformView(recvBuf, rdt, rcount))
-}
-
-// alltoallWorld is the topology-blind exchange over the whole world:
-// the local block first, then the pairwise steps.
-func (m *Rank) alltoallWorld(p *sim.Proc, tag int, send, recv view) {
-	m.copyBlock(p, m.rank, send, recv)
-	m.pairwise(p, m.worldComm(), send, recv, tag)
+	m.exchangeAll(p, "Alltoall", m.worldComm(), uniformView(sendBuf, sdt, scount), uniformView(recvBuf, rdt, rcount), tag)
 }
 
 // copyBlock moves block i of one view into block i of the other inside

@@ -158,7 +158,7 @@ func (g *Group) Allreduce(m *Rank, sendBuf, recvBuf mem.Buffer, dt *datatype.Dat
 		tag := g.tagBlock(c.me, m.Size()+1)
 		acc := m.accumulator(p, sendBuf, recvBuf, dt, count, true)
 		m.reduceTree(p, c, 0, acc, dt, count, prim, op, tag)
-		m.bcastTree(p, c, 0, acc, dt, count, tag+m.Size())
+		m.bcastTree(p, "group Allreduce", c, 0, acc, dt, count, tag+m.Size())
 	default:
 		panic("mpi: unknown allreduce algorithm")
 	}
@@ -218,7 +218,7 @@ func (g *Group) allreduceRing(m *Rank, p *sim.Proc, c comm, tag int, sendBuf, re
 	}
 
 	// Allgather of the combined chunks: member i now owns chunk i+1.
-	m.ringAllgather(p, c, func(i int) (mem.Buffer, *datatype.Datatype, int) { return chunk(i + 1) }, tag+size-1)
+	m.ringAllgather(p, "group Allreduce", c, func(i int) (mem.Buffer, *datatype.Datatype, int) { return chunk(i + 1) }, tag+size-1)
 	m.releaseAccum(tmp)
 }
 
@@ -231,12 +231,11 @@ func (g *Group) allreduceRing(m *Rank, p *sim.Proc, c comm, tag int, sendBuf, re
 func (g *Group) Alltoallv(m *Rank, sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) {
 	c := g.comm(m)
-	checkVArgs("group Alltoallv", c.n, scounts, sdispls)
-	checkVArgs("group Alltoallv", c.n, rcounts, rdispls)
+	checkVArgs("group Alltoallv", c.n, sendBuf, sdt, scounts, sdispls)
+	checkVArgs("group Alltoallv", c.n, recvBuf, rdt, rcounts, rdispls)
 	tag := g.tagBlock(c.me, 1)
 	send, recv := vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls)
-	m.copyBlock(m.p, c.me, send, recv)
-	m.pairwise(m.p, c, send, recv, tag)
+	m.exchangeAll(m.p, "group Alltoallv", c, send, recv, tag)
 }
 
 // SendRecvLocal exchanges (count, dt) messages with two group members

@@ -29,17 +29,30 @@ import (
 func (m *Rank) hierOn() bool { return m.w.TopologyAware() }
 
 // hierBcast: binomial over the per-node leaders on the IB tier, then
-// binomial within each node over shared memory.
+// binomial within each node over shared memory. A leader serves both
+// trees — it receives or sends over the first and sends over the
+// second, two launches at the least — so it holds the block across
+// them; the trees then see bytes in host memory and hold nothing more.
 func (m *Rank) hierBcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count, root int) {
 	node, leaders := m.nodeComm(), m.leaderComm(root)
 	lead := leaders.rank(leaders.me)
+	packed := int64(count) * dt.Size()
+	var st *stage
 	if m.rank == lead {
-		sp := p.BeginBytes("coll.bcast.inter", int64(count)*dt.Size())
-		m.bcastTree(p, leaders, leaders.act, buf, dt, count, tag)
+		st, buf, dt, count = m.holdBlock(2, buf, dt, count)
+		if m.rank == root {
+			m.packHeld(p, st)
+		}
+		sp := p.BeginBytes("coll.bcast.inter", packed)
+		m.bcastTree(p, "Bcast", leaders, leaders.act, buf, dt, count, tag)
 		sp.End()
 	}
-	sp := p.BeginBytes("coll.bcast.intra", int64(count)*dt.Size())
-	m.bcastTree(p, node, lead-node.base, buf, dt, count, tag+1)
+	sp := p.BeginBytes("coll.bcast.intra", packed)
+	m.bcastTree(p, "Bcast", node, lead-node.base, buf, dt, count, tag+1)
+	if m.rank != root {
+		m.unpackHeld(p, st)
+	}
+	m.release(st)
 	sp.End()
 }
 
@@ -50,12 +63,24 @@ func (m *Rank) hierBcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Data
 // its node. Slot r starts at r*count*extent, so a node's rpn
 // consecutive slots — and the whole buffer — are themselves valid
 // (dt, k*count) views, which keeps every wire hop inside the datatype
-// engine.
+// engine. That is the schedule for rendezvous-sized slots, whose hops
+// pipeline pack with wire. An eager-sized slot would be unpacked at the
+// leader, re-packed into every slab and again into the broadcast, each
+// time for the price of a launch; it stays packed instead, which is
+// hierAllgatherv's schedule with equal counts.
 func (m *Rank) hierAllgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count int) {
 	size := m.Size()
+	packed := int64(count) * dt.Size()
+	if packed <= m.w.tun.eager {
+		counts, displs := make([]int, size), make([]int, size)
+		for r := range counts {
+			counts[r], displs[r] = count, r*count
+		}
+		m.hierAllgatherv(p, allgatherPhases, tag, buf, counts, displs, dt)
+		return
+	}
 	node, leaders := m.nodeComm(), m.leaderComm(-1)
 	rpn, nnodes := node.n, leaders.n
-	packed := int64(count) * dt.Size()
 
 	tagIn := tag
 	tagRing := tag + rpn
@@ -71,19 +96,19 @@ func (m *Rank) hierAllgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.
 	if node.me != 0 {
 		own, _, _ = slots(node.me)
 	}
-	m.linearGather(p, node, 0, own, dt, count, slots, tagIn, nil)
+	m.linearGather(p, "Allgather", node, 0, own, dt, count, slots, tagIn, nil)
 	sp.End()
 
 	// Phase 2: leaders ring aggregated node slabs over the IB tier.
 	if node.me == 0 && nnodes > 1 {
 		sp := p.BeginBytes("coll.allgather.inter", packed*int64(rpn)*int64(nnodes-1))
-		m.ringAllgather(p, leaders, slabs, tagRing)
+		m.ringAllgather(p, "Allgather", leaders, slabs, tagRing)
 		sp.End()
 	}
 
 	// Phase 3: broadcast the assembled buffer within each node.
 	sp = p.BeginBytes("coll.allgather.intra", packed*int64(size))
-	m.bcastTree(p, node, 0, buf, dt, size*count, tagOut)
+	m.bcastTree(p, "Allgather", node, 0, buf, dt, size*count, tagOut)
 	sp.End()
 }
 
@@ -120,8 +145,8 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 		// ride the signature rule that any layout may be received as the
 		// same number of packed bytes.
 		sp := p.BeginBytes("coll.alltoall.intra", B*P)
-		m.linearGather(p, node, 0, sendBuf, sdt, scount*size, nil, tagIn, nil)
-		m.recvOn(p, recvBuf, rdt, rcount*size, lead, tagOut+node.me)
+		m.linearGather(p, "Alltoall", node, 0, sendBuf, sdt, scount*size, nil, tagIn, nil)
+		m.recvBlock(p, "Alltoall", recvBuf, rdt, rcount*size, lead, tagOut+node.me)
 		sp.End()
 		return
 	}
@@ -132,7 +157,7 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	// Phase 1: collect the members' packed send buffers, packing the
 	// leader's own while they are in flight.
 	sp := p.BeginBytes("coll.alltoall.intra", B*P*int64(rpn))
-	m.linearGather(p, node, 0, mem.Buffer{}, nil, 0, uniformView(sendStage, datatype.Byte, int(P*B)), tagIn, func() {
+	m.linearGather(p, "Alltoall", node, 0, mem.Buffer{}, nil, 0, uniformView(sendStage, datatype.Byte, int(P*B)), tagIn, func() {
 		m.localCopy(p, sendBuf, sdt, scount*size, sendStage.Slice(0, P*B), datatype.Byte, int(P*B))
 	})
 	sp.End()
@@ -148,7 +173,7 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	m.copyBlock(p, leaders.me, sendTo, inbound)
 	if nnodes > 1 {
 		sp := p.BeginBytes("coll.alltoall.inter", nodeBlk*int64(nnodes-1))
-		m.pairwise(p, leaders, sendTo, inbound, tagInter)
+		m.pairwise(p, "Alltoall", leaders, sendTo, inbound, tagInter)
 		sp.End()
 	}
 

@@ -1,0 +1,235 @@
+package mpi
+
+import (
+	"fmt"
+
+	"gpuddt/internal/core"
+	"gpuddt/internal/datatype"
+	"gpuddt/internal/mem"
+	"gpuddt/internal/sim"
+)
+
+// A block stays packed while a collective holds it. The engine exists
+// to amortise one kernel launch over a whole message, and for an
+// eager-sized block the launch is the whole cost; so where the
+// per-message path would make a rank launch twice or more in a phase —
+// it forwards a block it receives (ring step, tree interior), or packs
+// or unpacks several blocks — the algorithm runs over a wire-format
+// host stage instead (hold) and the rank launches one fused kernel for
+// all of them. Each rank decides for itself, from the blocks it is
+// given: the wire bytes are the same either way. Rendezvous-sized
+// blocks, host memory, a tree leaf and a two-member ring keep the
+// per-message path, whose fragment pipeline overlaps pack with wire.
+
+// wholeBlock fails a collective whose peer sent fewer bytes than the
+// block posted for them. The counts are part of a collective's
+// signature, so this is the caller's error, like truncation; it has to
+// be caught here because a held block is received as bytes, and a
+// shorter run of bytes is a legal partial receive.
+func (m *Rank) wholeBlock(what string, from int, got int64, dt *datatype.Datatype, count int) {
+	if want := packedSize(dt, count); got != want {
+		panic(fmt.Sprintf("mpi: %s: rank %d received %d bytes from rank %d for a block of %d",
+			what, m.rank, got, from, want))
+	}
+}
+
+// recvBlock is recvOn for one block of a collective.
+func (m *Rank) recvBlock(p *sim.Proc, what string, buf mem.Buffer, dt *datatype.Datatype, count, from, tag int) {
+	rq := m.Irecv(buf, dt, count, from, tag)
+	rq.Wait(p)
+	m.wholeBlock(what, from, rq.ReceivedBytes(), dt, count)
+}
+
+// stage holds blocks of a view packed, in wire format, in a host buffer
+// (stageBuf).
+type stage struct {
+	buf    mem.Buffer
+	blocks []core.Block // by block index; a nil Dt marks a block left in place
+}
+
+// stageBuf hands out at least n bytes of pinned host memory for a stage,
+// reusing released ones; freeStage returns it. Stages are counted with
+// the scratch buffers (ScratchOutstanding) but pooled apart from them:
+// a scratch buffer is an RDMA bounce buffer, registered with the HCA
+// under its address, and a stage passing through that pool would change
+// which addresses later messages find registered.
+func (m *Rank) stageBuf(n int64) mem.Buffer {
+	m.scratchOut++
+	for i, b := range m.stagePool {
+		if b.Len() >= n {
+			m.stagePool = append(m.stagePool[:i], m.stagePool[i+1:]...)
+			return b
+		}
+	}
+	return m.ctx.MallocHost(n)
+}
+
+func (m *Rank) freeStage(b mem.Buffer) {
+	m.scratchOut--
+	m.stagePool = append(m.stagePool, b)
+}
+
+// hold decides which of v's n blocks the rank keeps packed for the
+// phase. launches(i) is how many kernels the per-message path would
+// cost the rank for block i (zero: not the phase's business). A block
+// qualifies when it lies in device memory and is eager-sized — the
+// threshold that already separates launch-bound from bandwidth-bound
+// messages; the qualifying blocks are held when that saves a launch,
+// that is when they would cost two or more. hold returns nil when
+// nothing is held, and every method of a nil stage is the per-message
+// path.
+func (m *Rank) hold(n int, v view, launches func(i int) int) *stage {
+	var saved int
+	var total int64
+	for i := 0; i < n; i++ {
+		if k := launches(i); k > 0 {
+			if size := m.holdable(v(i)); size > 0 {
+				saved += k
+				total += size
+			}
+		}
+	}
+	if saved < 2 {
+		return nil
+	}
+	s := &stage{buf: m.stageBuf(total), blocks: make([]core.Block, n)}
+	var pos int64
+	for i := 0; i < n; i++ {
+		if launches(i) > 0 {
+			buf, dt, count := v(i)
+			if size := m.holdable(buf, dt, count); size > 0 {
+				s.blocks[i] = core.Block{Data: buf, Dt: dt, Count: count, Pos: pos}
+				pos += size
+			}
+		}
+	}
+	return s
+}
+
+// holdBlock is hold for the one block of a broadcast. It returns the
+// stage (nil: not held) and the block as the tree is to see it.
+func (m *Rank) holdBlock(launches int, buf mem.Buffer, dt *datatype.Datatype, count int) (*stage, mem.Buffer, *datatype.Datatype, int) {
+	size := m.holdable(buf, dt, count)
+	if size == 0 || launches < 2 {
+		return nil, buf, dt, count
+	}
+	st := &stage{buf: m.stageBuf(size), blocks: []core.Block{{Data: buf, Dt: dt, Count: count}}}
+	return st, st.buf.Slice(0, size), datatype.Byte, int(size)
+}
+
+// holdable returns the packed size of a block worth holding, zero for
+// any other.
+func (m *Rank) holdable(buf mem.Buffer, dt *datatype.Datatype, count int) int64 {
+	size := packedSize(dt, count)
+	if size == 0 || size > m.w.tun.eager || buf.Kind() != mem.Device {
+		return 0
+	}
+	return size
+}
+
+// over is the view the algorithm runs on: a held block is its window of
+// the stage, as bytes; any other is v's.
+func (s *stage) over(v view) view {
+	if s == nil {
+		return v
+	}
+	return func(i int) (mem.Buffer, *datatype.Datatype, int) {
+		if b := &s.blocks[i]; b.Dt != nil {
+			return s.buf.Slice(b.Pos, b.Size()), datatype.Byte, int(b.Size())
+		}
+		return v(i)
+	}
+}
+
+// packHeld fills the stage from the held blocks' memory, before a phase
+// that sends them.
+func (m *Rank) packHeld(p *sim.Proc, s *stage) {
+	if s != nil {
+		m.packBlocks(p, s.blocks, s.buf)
+	}
+}
+
+// unpackHeld scatters the stage into the held blocks' memory, after a
+// phase that received them.
+func (m *Rank) unpackHeld(p *sim.Proc, s *stage) {
+	if s != nil {
+		m.unpackBlocks(p, s.blocks, s.buf)
+	}
+}
+
+// release ends the hold: the stage returns to the pool.
+func (m *Rank) release(s *stage) {
+	if s != nil {
+		m.freeStage(s.buf)
+	}
+}
+
+// packBlocks packs every block into the host window stage at its Pos:
+// one fused zero-copy kernel when the blocks lie in device memory, one
+// pass of the CPU converter charging the host bus otherwise.
+func (m *Rank) packBlocks(p *sim.Proc, blocks []core.Block, stage mem.Buffer) {
+	m.moveBlocks(p, true, blocks, stage)
+}
+
+// unpackBlocks is the inverse of packBlocks.
+func (m *Rank) unpackBlocks(p *sim.Proc, blocks []core.Block, stage mem.Buffer) {
+	m.moveBlocks(p, false, blocks, stage)
+}
+
+func (m *Rank) moveBlocks(p *sim.Proc, pack bool, blocks []core.Block, stage mem.Buffer) {
+	var total int64
+	var data mem.Buffer
+	for i := range blocks {
+		if n := blocks[i].Size(); n > 0 {
+			total += n
+			data = blocks[i].Data
+		}
+	}
+	if total == 0 {
+		return
+	}
+	name := "unpack"
+	if pack {
+		name = "pack"
+	}
+	h := p.BeginBytes(name, total)
+	h.SetDetail("fused")
+	defer h.End()
+	if data.Kind() == mem.Device {
+		if pack {
+			m.engineFor(data).PackBlocks(p, blocks, stage)
+		} else {
+			m.engineFor(data).UnpackBlocks(p, blocks, stage)
+		}
+		return
+	}
+	m.ctx.Node().HostBus().Transfer(p, 2*total)
+	for i := range blocks {
+		b := &blocks[i]
+		if b.Size() == 0 {
+			continue
+		}
+		c, w := datatype.NewConverter(b.Dt, b.Count), stage.Slice(b.Pos, b.Size())
+		if pack {
+			c.Pack(w.Bytes(), b.Data.Bytes())
+		} else {
+			c.Unpack(b.Data.Bytes(), w.Bytes())
+		}
+	}
+}
+
+// blocksOf lists blocks 0..n-1 of v for packBlocks or unpackBlocks, the
+// packed bytes of block i at pos[i] of the stage, leaving out block
+// skip (-1: none).
+func blocksOf(v view, n int, pos []int, skip int) []core.Block {
+	blocks := make([]core.Block, 0, n)
+	for i := 0; i < n; i++ {
+		if i == skip {
+			continue
+		}
+		if buf, dt, count := v(i); packedSize(dt, count) > 0 {
+			blocks = append(blocks, core.Block{Data: buf, Dt: dt, Count: count, Pos: int64(pos[i])})
+		}
+	}
+	return blocks
+}

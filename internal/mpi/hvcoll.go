@@ -3,6 +3,7 @@ package mpi
 import (
 	"encoding/binary"
 
+	"gpuddt/internal/core"
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
@@ -16,13 +17,22 @@ import (
 // node-pair messages become Hindexed views over the stage. Leader
 // election and the coll.*.intra/inter span discipline are unchanged.
 
+// phases names a hierarchical schedule's collective: in a failure, and
+// its phase spans on the timeline.
+type phases struct{ what, intra, inter string }
+
+var (
+	allgatherPhases  = phases{"Allgather", "coll.allgather.intra", "coll.allgather.inter"}
+	allgathervPhases = phases{"Allgatherv", "coll.allgatherv.intra", "coll.allgatherv.inter"}
+)
+
 // hierAllgatherv: every rank knows the full count vector (the MPI
 // signature), so no metadata has to move. The node's blocks are packed
 // into the leader's wire-format stage (prefix-sum offsets, rank order),
 // leaders ring whole node aggregates of that stage over the IB tier,
 // each leader broadcasts the assembled stage within its node, and every
 // rank unpacks the remote blocks into its own buffer at displs[r].
-func (m *Rank) hierAllgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
+func (m *Rank) hierAllgatherv(p *sim.Proc, ph phases, tag int, buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
 	size := m.Size()
 	node, leaders := m.nodeComm(), m.leaderComm(-1)
 	rpn, nnodes, lead := node.n, leaders.n, node.base
@@ -52,39 +62,37 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, disp
 
 	slots := vectorView(buf, dt, counts, displs)
 	stage := m.scratch(total)
-	blocks := vectorView(stage, datatype.Byte, B, off)
 
 	// Phase 1: assemble the node's blocks, already packed, at the
 	// leader. Members send (dt, count); the leader receives straight
 	// into wire format under the equal-packed-bytes signature rule,
 	// packing its own block while they are in flight.
-	sp := p.BeginBytes("coll.allgatherv.intra", int64(nodeBytes[leaders.me]))
+	sp := p.BeginBytes(ph.intra, int64(nodeBytes[leaders.me]))
 	var own mem.Buffer
 	if node.me != 0 {
 		own, _, _ = slots(m.rank)
 	}
-	m.linearGather(p, node, 0, own, dt, counts[m.rank], vectorView(stage, datatype.Byte, B[lead:], off[lead:]), tagIn,
-		func() { m.copyBlock(p, m.rank, slots, blocks) })
+	m.linearGather(p, ph.what, node, 0, own, dt, counts[m.rank], vectorView(stage, datatype.Byte, B[lead:], off[lead:]), tagIn,
+		func() {
+			buf, dt, count := slots(m.rank)
+			m.packBlocks(p, []core.Block{{Data: buf, Dt: dt, Count: count, Pos: int64(off[m.rank])}}, stage)
+		})
 	sp.End()
 
 	// Phase 2: leaders ring whole node aggregates of the packed stage;
 	// an all-zero node simply sits the step out on both sides.
 	if node.me == 0 && nnodes > 1 {
-		sp := p.BeginBytes("coll.allgatherv.inter", total-int64(nodeBytes[leaders.me]))
-		m.ringAllgather(p, leaders, vectorView(stage, datatype.Byte, nodeBytes, nodeOff), tagRing)
+		sp := p.BeginBytes(ph.inter, total-int64(nodeBytes[leaders.me]))
+		m.ringAllgather(p, ph.what, leaders, vectorView(stage, datatype.Byte, nodeBytes, nodeOff), tagRing)
 		sp.End()
 	}
 
 	// Phase 3: broadcast the assembled wire-format stage within the
 	// node; every rank unpacks the remote blocks into place (its own
 	// block is already there).
-	sp = p.BeginBytes("coll.allgatherv.intra", total)
-	m.bcastTree(p, node, 0, stage.Slice(0, total), datatype.Byte, int(total), tagOut)
-	for r := 0; r < size; r++ {
-		if r != m.rank {
-			m.copyBlock(p, r, blocks, slots)
-		}
-	}
+	sp = p.BeginBytes(ph.intra, total)
+	m.bcastTree(p, ph.what, node, 0, stage.Slice(0, total), datatype.Byte, int(total), tagOut)
+	m.unpackBlocks(p, blocksOf(slots, size, off, m.rank), stage)
 	sp.End()
 	m.freeScratch(stage)
 }
@@ -137,15 +145,15 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 			binary.LittleEndian.PutUint64(mb[8*r:], uint64(sB[r]))
 			binary.LittleEndian.PutUint64(mb[8*(size+r):], uint64(rB[r]))
 		}
-		m.linearGather(p, node, 0, meta.Slice(0, int64(metaLen)), datatype.Byte, metaLen, nil, tagMeta, nil)
+		m.linearGather(p, "Alltoallv", node, 0, meta.Slice(0, int64(metaLen)), datatype.Byte, metaLen, nil, tagMeta, nil)
 		m.freeScratch(meta)
 
 		// Pack the outgoing blocks into one wire-format stream and hand
 		// it to the leader.
 		if sTot > 0 {
 			pack := m.scratch(sTot)
-			m.copyBlocks(p, size, sends, vectorView(pack, datatype.Byte, sB, sOff))
-			m.linearGather(p, node, 0, pack.Slice(0, sTot), datatype.Byte, int(sTot), nil, tagIn, nil)
+			m.packBlocks(p, blocksOf(sends, size, sOff, -1), pack)
+			m.linearGather(p, "Alltoallv", node, 0, pack.Slice(0, sTot), datatype.Byte, int(sTot), nil, tagIn, nil)
 			m.freeScratch(pack)
 		}
 		sp.End()
@@ -154,8 +162,8 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 		if rTot > 0 {
 			sp := p.BeginBytes("coll.alltoallv.intra", rTot)
 			rstage := m.scratch(rTot)
-			m.recvOn(p, rstage.Slice(0, rTot), datatype.Byte, int(rTot), lead, tagOut+node.me)
-			m.copyBlocks(p, size, vectorView(rstage, datatype.Byte, rB, rOff), recvs)
+			m.recvBlock(p, "Alltoallv", rstage.Slice(0, rTot), datatype.Byte, int(rTot), lead, tagOut+node.me)
+			m.unpackBlocks(p, blocksOf(recvs, size, rOff, -1), rstage)
 			m.freeScratch(rstage)
 			sp.End()
 		}
@@ -169,7 +177,7 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 	sp := p.BeginBytes("coll.alltoallv.intra", 0)
 	metaIn := m.scratch(int64(metaLen) * int64(rpn))
 	metas := uniformView(metaIn, datatype.Byte, metaLen)
-	m.linearGather(p, node, 0, mem.Buffer{}, nil, 0, metas, tagMeta, nil)
+	m.linearGather(p, "Alltoallv", node, 0, mem.Buffer{}, nil, 0, metas, tagMeta, nil)
 	for i := 1; i < rpn; i++ {
 		blk, _, _ := metas(i)
 		mb := blk.Bytes()
@@ -232,8 +240,8 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 
 	// Phase 1: concatenate the members' packed streams, packing the
 	// leader's own blocks while they are in flight.
-	m.linearGather(p, node, 0, mem.Buffer{}, nil, 0, vectorView(sendStage, datatype.Byte, memLen, memOff), tagIn, func() {
-		m.copyBlocks(p, size, sends, vectorView(sendStage, datatype.Byte, sB, prefS[0]))
+	m.linearGather(p, "Alltoallv", node, 0, mem.Buffer{}, nil, 0, vectorView(sendStage, datatype.Byte, memLen, memOff), tagIn, func() {
+		m.packBlocks(p, blocksOf(sends, size, prefS[0], -1), sendStage)
 	})
 	sp.End()
 
@@ -262,7 +270,7 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 	m.copyBlock(p, myNode, outView, inbound)
 	if nnodes > 1 {
 		sp := p.BeginBytes("coll.alltoallv.inter", nodeRecvTot-int64(nodeIn[myNode]))
-		m.pairwise(p, leaders, outView, inbound, tagInter)
+		m.pairwise(p, "Alltoallv", leaders, outView, inbound, tagInter)
 		sp.End()
 	}
 
@@ -284,7 +292,7 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 		}
 	}
 	// The leader's own column unpacks straight into recvBuf.
-	m.copyBlocks(p, size, vectorView(recvStage, datatype.Byte, rB, rowOff), recvs)
+	m.unpackBlocks(p, blocksOf(recvs, size, rowOff, -1), recvStage)
 	sp.End()
 
 	if recvStage.IsValid() {
@@ -292,13 +300,5 @@ func (m *Rank) hierAlltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, 
 	}
 	if sendStage.IsValid() {
 		m.freeScratch(sendStage)
-	}
-}
-
-// copyBlocks moves blocks 0..n-1 of one view into the other: packing
-// into a wire-format stage or unpacking out of one.
-func (m *Rank) copyBlocks(p *sim.Proc, n int, from, to view) {
-	for i := 0; i < n; i++ {
-		m.copyBlock(p, i, from, to)
 	}
 }

@@ -98,7 +98,7 @@ func (m *Rank) Iallgather(buf mem.Buffer, dt *datatype.Datatype, count int) *Req
 
 // Iallgatherv is the nonblocking Allgatherv.
 func (m *Rank) Iallgatherv(buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) *Request {
-	checkVArgs("Iallgatherv", m.Size(), counts, displs)
+	checkVArgs("Iallgatherv", m.Size(), buf, dt, counts, displs)
 	counts, displs = cloneInts(counts), cloneInts(displs)
 	return m.startColl("allgatherv", packedTotal(counts, dt), m.allgatherTags(), func(p *sim.Proc, tag int) {
 		m.allgatherv(p, tag, buf, counts, displs, dt)
@@ -116,8 +116,8 @@ func (m *Rank) Ialltoall(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 // Ialltoallv is the nonblocking Alltoallv.
 func (m *Rank) Ialltoallv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) *Request {
-	checkVArgs("Ialltoallv", m.Size(), scounts, sdispls)
-	checkVArgs("Ialltoallv", m.Size(), rcounts, rdispls)
+	checkVArgs("Ialltoallv", m.Size(), sendBuf, sdt, scounts, sdispls)
+	checkVArgs("Ialltoallv", m.Size(), recvBuf, rdt, rcounts, rdispls)
 	scounts, sdispls = cloneInts(scounts), cloneInts(sdispls)
 	rcounts, rdispls = cloneInts(rcounts), cloneInts(rdispls)
 	return m.startColl("alltoallv", packedTotal(scounts, sdt), m.alltoallvTags(), func(p *sim.Proc, tag int) {

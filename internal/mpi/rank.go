@@ -48,6 +48,8 @@ type Rank struct {
 	collOut  int // nonblocking collectives in flight (see CollOutstanding)
 	icollSeq int // nonblocking collectives started, for process names
 
+	stagePool []mem.Buffer // released collective stages (see stageBuf)
+
 	names procNames
 }
 
@@ -118,10 +120,11 @@ func (m *Rank) FreeScratchHost(b mem.Buffer) { m.freeScratch(b) }
 // the high-water mark of retained bytes over the rank's lifetime.
 func (m *Rank) ScratchStats() (pooled, peak int64) { return m.scratchPooled, m.scratchPeak }
 
-// ScratchOutstanding reports scratch buffers handed out and not yet
-// returned to the pool. After a quiescent point (all requests waited
-// on) it must be zero — anything else is a leak, e.g. a protocol
-// attempt abandoned on a fault without releasing its staging.
+// ScratchOutstanding reports scratch buffers and collective stages
+// handed out and not yet returned to their pools. After a quiescent
+// point (all requests waited on) it must be zero — anything else is a
+// leak, e.g. a protocol attempt abandoned on a fault without releasing
+// its staging.
 func (m *Rank) ScratchOutstanding() int64 { return m.scratchOut }
 
 // RingOutstanding is ScratchOutstanding for the staging-ring pool.

@@ -63,7 +63,7 @@ func (m *Rank) switchReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, d
 	}
 	if all {
 		sp := p.BeginBytes("coll.bcast.intra", n)
-		m.bcastTree(p, node, lead-node.base, acc, dt, count, allTag)
+		m.bcastTree(p, "Allreduce", node, lead-node.base, acc, dt, count, allTag)
 		sp.End()
 	}
 	if !keep {

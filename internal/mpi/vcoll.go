@@ -18,14 +18,23 @@ import (
 // (sender j and receiver i must satisfy scounts_j[i]*size(sdt) ==
 // rcounts_i[j]*size(rdt), exactly as in MPI).
 
-func checkVArgs(what string, size int, counts, displs []int) {
+// checkVArgs rejects, before anything moves, count and displacement
+// vectors of the wrong length, a negative count, and a block that does
+// not lie inside buf: a fused kernel addresses its blocks by offset, so
+// nothing further down would notice. An empty block has no memory and
+// its displacement is never looked at.
+func checkVArgs(what string, size int, buf mem.Buffer, dt *datatype.Datatype, counts, displs []int) {
 	if len(counts) != size || len(displs) != size {
 		panic(fmt.Sprintf("mpi: %s wants %d counts and displacements, got %d and %d",
 			what, size, len(counts), len(displs)))
 	}
-	for _, c := range counts {
+	for i, c := range counts {
 		if c < 0 {
 			panic(fmt.Sprintf("mpi: %s negative count", what))
+		}
+		if c > 0 && (displs[i] < 0 || int64(displs[i])*dt.Extent()+spanOf(dt, c) > buf.Len()) {
+			panic(fmt.Sprintf("mpi: %s block %d (count %d, displ %d) outside buffer of %d bytes",
+				what, i, c, displs[i], buf.Len()))
 		}
 	}
 }
@@ -43,8 +52,8 @@ func vslot(buf mem.Buffer, dt *datatype.Datatype, count, displ int) mem.Buffer {
 // pairwise exchange runs, skipping zero-count pairs entirely.
 func (m *Rank) Alltoallv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) {
-	checkVArgs("Alltoallv", m.Size(), scounts, sdispls)
-	checkVArgs("Alltoallv", m.Size(), rcounts, rdispls)
+	checkVArgs("Alltoallv", m.Size(), sendBuf, sdt, scounts, sdispls)
+	checkVArgs("Alltoallv", m.Size(), recvBuf, rdt, rcounts, rdispls)
 	m.alltoallv(m.p, m.tagBlock(m.alltoallvTags()), sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
 }
 
@@ -54,7 +63,7 @@ func (m *Rank) alltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdis
 		m.hierAlltoallv(p, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
 		return
 	}
-	m.alltoallWorld(p, tag, vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls))
+	m.exchangeAll(p, "Alltoallv", m.worldComm(), vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls), tag)
 }
 
 // Allgatherv gathers counts[r] elements of dt from every rank r (read
@@ -64,16 +73,16 @@ func (m *Rank) alltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdis
 // zero block is simply not sent around the ring, and the neighbour —
 // holding the same count vector — does not post for it.
 func (m *Rank) Allgatherv(buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
-	checkVArgs("Allgatherv", m.Size(), counts, displs)
+	checkVArgs("Allgatherv", m.Size(), buf, dt, counts, displs)
 	m.allgatherv(m.p, m.tagBlock(m.allgatherTags()), buf, counts, displs, dt)
 }
 
 func (m *Rank) allgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
 	if m.hierOn() {
-		m.hierAllgatherv(p, tag, buf, counts, displs, dt)
+		m.hierAllgatherv(p, allgathervPhases, tag, buf, counts, displs, dt)
 		return
 	}
-	m.ringAllgather(p, m.worldComm(), vectorView(buf, dt, counts, displs), tag)
+	m.ringAllgather(p, "Allgatherv", m.worldComm(), vectorView(buf, dt, counts, displs), tag)
 }
 
 // Gatherv collects each rank's (sendBuf, sdt, scount) into root's
@@ -84,9 +93,9 @@ func (m *Rank) allgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, displs [
 func (m *Rank) Gatherv(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype, root int) {
 	if m.rank == root {
-		checkVArgs("Gatherv", m.Size(), rcounts, rdispls)
+		checkVArgs("Gatherv", m.Size(), recvBuf, rdt, rcounts, rdispls)
 	}
-	m.linearGather(m.p, m.worldComm(), root, sendBuf, sdt, scount,
+	m.linearGather(m.p, "Gatherv", m.worldComm(), root, sendBuf, sdt, scount,
 		vectorView(recvBuf, rdt, rcounts, rdispls), m.tagBlock(m.gatherTags()), nil)
 }
 
@@ -95,8 +104,8 @@ func (m *Rank) Gatherv(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 func (m *Rank) Scatterv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
 	if m.rank == root {
-		checkVArgs("Scatterv", m.Size(), scounts, sdispls)
+		checkVArgs("Scatterv", m.Size(), sendBuf, sdt, scounts, sdispls)
 	}
-	m.linearScatter(m.p, m.worldComm(), root, vectorView(sendBuf, sdt, scounts, sdispls),
+	m.linearScatter(m.p, "Scatterv", m.worldComm(), root, vectorView(sendBuf, sdt, scounts, sdispls),
 		recvBuf, rdt, rcount, m.tagBlock(m.gatherTags()))
 }
