@@ -11,8 +11,10 @@
 // seeded word generators and check every received byte on the receiving
 // rank, and each interference job's payload digest must be
 // byte-identical co-scheduled and alone — contention may move time,
-// never data. Reported times are virtual (simulated), so two runs of
-// the same binary produce the same report.
+// never data. Reported times are virtual (simulated), so the report is a
+// pure function of the source: CI compares a fresh one with the
+// committed BENCH_apps.json byte for byte. -host adds the toolchain and
+// the host's cores to the header.
 //
 // Usage:
 //
@@ -20,6 +22,7 @@
 //	appbench -out BENCH_apps.json
 //	appbench -quick             # CI smoke sweep
 //	appbench -tuning TUNING.json  # tuned arm per point from a tuning table
+//	appbench -host              # header also says go_version, go_maxprocs, num_cpu
 package main
 
 import (
@@ -40,9 +43,9 @@ import (
 // BENCH_scale.json so downstream tooling parses both the same way.
 type Report struct {
 	GeneratedBy  string                 `json:"generated_by"`
-	GoVersion    string                 `json:"go_version"`
-	GoMaxProcs   int                    `json:"go_maxprocs"`
-	NumCPU       int                    `json:"num_cpu"`
+	GoVersion    string                 `json:"go_version,omitempty"`  // -host only
+	GoMaxProcs   int                    `json:"go_maxprocs,omitempty"` // -host only
+	NumCPU       int                    `json:"num_cpu,omitempty"`     // -host only
 	RanksPerNode int                    `json:"ranks_per_node"`
 	Apps         []bench.AppPoint       `json:"apps"`
 	Interference []workload.StudyResult `json:"interference"`
@@ -55,6 +58,7 @@ func Run(args []string, out, errOut io.Writer) int {
 	outPath := fs.String("out", "", "write the JSON report to this file (default: stdout)")
 	quick := fs.Bool("quick", false, "small sweep for a fast smoke run")
 	tuning := fs.String("tuning", "", "tuning table (TUNING.json) adding a tuned arm per app point")
+	host := fs.Bool("host", false, "also report the host: go_version, go_maxprocs, num_cpu")
 	prof := cli.Profiles(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -89,12 +93,12 @@ func Run(args []string, out, errOut io.Writer) int {
 	}
 	rep := Report{
 		GeneratedBy:  "cmd/appbench",
-		GoVersion:    runtime.Version(),
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
 		RanksPerNode: sw.RanksPerNode,
 		Apps:         pts,
 		Interference: studies,
+	}
+	if *host {
+		rep.GoVersion, rep.GoMaxProcs, rep.NumCPU = runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU()
 	}
 	return cli.WriteJSON(rep, *outPath, "application benchmark report", "appbench", out, errOut)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"gpuddt/internal/cuda"
@@ -291,4 +292,49 @@ func TestEmptyMessage(t *testing.T) {
 		}
 	})
 	r.eng.Run()
+}
+
+// TestWholeMessageCallsBorrowTheirWorker: Pack, Unpack and UnpackPrefix
+// take their Packer from the engine and hand it back, so a steady-state
+// call allocates its kernel — one record with its launch — and nothing
+// else; and a borrowed worker starts from scratch: a prefix unpack that
+// stops short leaves nothing for the next message to trip over.
+func TestWholeMessageCallsBorrowTheirWorker(t *testing.T) {
+	// Under the race detector sync.Pool drops a quarter of what it is
+	// given, and a kernel whose descriptor array was dropped makes one.
+	var pool sync.Pool
+	for i, x := 0, new(int); i < 64; i++ {
+		pool.Put(x)
+		if pool.Get() == nil {
+			t.Skip("sync.Pool is dropping (-race): allocation counts are not exact")
+		}
+	}
+	r := newRig(t, Options{})
+	vec, tri := shapes.SubMatrix(16, 8, 12), shapes.LowerTriangular(32)
+	var allocs [3]float64
+	var got, want []byte
+	r.eng.Spawn("host", func(p *sim.Proc) {
+		for i, dt := range []*datatype.Datatype{vec, tri} {
+			data, packed := r.ctx.Malloc(0, span(dt, 1)), r.ctx.MallocHost(dt.Size())
+			r.e.Pack(p, data, dt, 1, packed) // fills the DEV cache
+			allocs[i] = testing.AllocsPerRun(20, func() {
+				r.e.Pack(p, data, dt, 1, packed)
+				r.e.Unpack(p, data, dt, 1, packed)
+			}) / 2
+		}
+		data, packed := r.ctx.Malloc(0, span(tri, 1)), r.ctx.MallocHost(tri.Size())
+		mem.FillPattern(packed, 7)
+		allocs[2] = testing.AllocsPerRun(20, func() { r.e.UnpackPrefix(p, data, tri, 1, packed.Slice(0, 200)) })
+		r.e.Unpack(p, data, tri, 1, packed)
+		got, want = cpuPack(tri, 1, data.Bytes()), packed.Bytes()
+	})
+	r.eng.Run()
+	for i, what := range []string{"vector Pack/Unpack", "DEV Pack/Unpack", "prefix unpack"} {
+		if allocs[i] != 1 {
+			t.Errorf("%s: %v allocations per call, want 1 (the kernel)", what, allocs[i])
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("a whole unpack after prefix unpacks scattered the wrong bytes")
+	}
 }

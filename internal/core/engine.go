@@ -105,6 +105,7 @@ type Engine struct {
 	stream *gpu.Stream
 	opts   Options
 	cache  *DevCache // device-wide, shared with sibling engines
+	idle   []*Packer // workers between two calls that borrow them
 
 	// statistics
 	convEntries int64

@@ -95,7 +95,10 @@ func (e *Engine) fused(p *sim.Proc, blocks []Block, frag mem.Buffer, dir directi
 		}
 		bMem := b.Data.Addr() - lo
 		if pk == nil || pk.dt != b.Dt || pk.cnt != b.Count {
-			pk = e.newWorker(b.Data, b.Dt, b.Count, dir)
+			if pk != nil {
+				e.giveBack(pk)
+			}
+			pk = e.borrow(b.Data, b.Dt, b.Count, dir)
 			first = len(units)
 			units = pk.appendMessage(p, units)
 			last = len(units)
@@ -110,6 +113,7 @@ func (e *Engine) fused(p *sim.Proc, blocks []Block, frag mem.Buffer, dir directi
 		units = append(units, units[first:last]...)
 		shiftUnits(units[next:], bMem-memOff, b.Pos-pos, dir)
 	}
+	e.giveBack(pk)
 	if nblocks > 1 {
 		e.ctx.Node().H2D(e.dev.ID()).Transfer(p, int64(nblocks)*blockDevBytes)
 	}

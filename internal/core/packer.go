@@ -36,12 +36,13 @@ const maxUnitLen = 1 << 30
 type Packer struct {
 	e    *Engine
 	data mem.Buffer
-	conv *datatype.Converter
+	conv datatype.Converter
 	dt   *datatype.Datatype
 	cnt  int
 	dir  direction
 
-	view   *datatype.VectorView
+	view   *datatype.VectorView // &vec for a vector layout, else nil
+	vec    datatype.VectorView
 	cached *cacheVal
 	ci     int // entry of cached.entries the next sequential window starts in
 
@@ -65,16 +66,19 @@ func (e *Engine) NewUnpacker(data mem.Buffer, dt *datatype.Datatype, count int) 
 }
 
 func (e *Engine) newWorker(data mem.Buffer, dt *datatype.Datatype, count int, dir direction) *Packer {
-	pk := &Packer{
-		e:    e,
-		data: data,
-		conv: datatype.NewConverter(dt, count),
-		dt:   dt,
-		cnt:  count,
-		dir:  dir,
-	}
+	pk := new(Packer)
+	pk.init(e, data, dt, count, dir)
+	return pk
+}
+
+// init makes pk the worker of one message, positioned at its start.
+func (pk *Packer) init(e *Engine, data mem.Buffer, dt *datatype.Datatype, count int, dir direction) {
+	*pk = Packer{e: e, data: data, dt: dt, cnt: count, dir: dir}
+	pk.conv.Init(dt, count)
 	if !e.opts.DisableVectorKernel {
-		pk.view = datatype.VectorViewN(dt, count)
+		if v, ok := datatype.VectorViewOf(dt, count); ok {
+			pk.vec, pk.view = v, &pk.vec
+		}
 	}
 	if pk.view == nil {
 		if pk.cached = e.lookupCache(dt, count); pk.cached != nil {
@@ -83,8 +87,24 @@ func (e *Engine) newWorker(data mem.Buffer, dt *datatype.Datatype, count int, di
 			pk.caching = !e.opts.NoCacheDEV
 		}
 	}
+}
+
+// borrow is newWorker for a call that is done with its worker when it
+// returns — a whole-message pack or unpack, a fused launch — and hands
+// it back with giveBack. The kernels such a call launched own their
+// descriptors, so nothing refers to the worker afterwards.
+func (e *Engine) borrow(data mem.Buffer, dt *datatype.Datatype, count int, dir direction) *Packer {
+	n := len(e.idle)
+	if n == 0 {
+		return e.newWorker(data, dt, count, dir)
+	}
+	pk := e.idle[n-1]
+	e.idle = e.idle[:n-1]
+	pk.init(e, data, dt, count, dir)
 	return pk
 }
+
+func (e *Engine) giveBack(pk *Packer) { e.idle = append(e.idle, pk) }
 
 // Total returns the packed size of the message.
 func (pk *Packer) Total() int64 { return pk.conv.Total() }
@@ -356,20 +376,36 @@ func (e *Engine) launch(kind gpu.KernelKind, dir direction, data, frag mem.Buffe
 // Pack performs a whole-message pack synchronously: data (device,
 // non-contiguous) into dst, which must hold Total() bytes.
 func (e *Engine) Pack(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, dst mem.Buffer) {
-	pk := e.NewPacker(data, dt, count)
+	pk := e.borrow(data, dt, count, dirPack)
 	if dst.Len() < pk.Total() {
 		panic("core: destination smaller than packed size")
 	}
 	_, fut := pk.PackInto(p, dst.Slice(0, pk.Total()))
 	fut.Await(p)
+	e.giveBack(pk)
 }
 
 // Unpack performs a whole-message unpack synchronously.
 func (e *Engine) Unpack(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, src mem.Buffer) {
-	pk := e.NewUnpacker(data, dt, count)
-	if src.Len() < pk.Total() {
+	e.unpack(p, data, dt, count, src, false)
+}
+
+// UnpackPrefix is Unpack of a message that may be shorter than the
+// layout (a partial receive): it scatters the first min(len(src),
+// Total()) packed bytes.
+func (e *Engine) UnpackPrefix(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, src mem.Buffer) {
+	e.unpack(p, data, dt, count, src, true)
+}
+
+func (e *Engine) unpack(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, src mem.Buffer, prefix bool) {
+	pk := e.borrow(data, dt, count, dirUnpack)
+	if !prefix && src.Len() < pk.Total() {
 		panic("core: source smaller than packed size")
 	}
-	_, fut := pk.UnpackFrom(p, src.Slice(0, pk.Total()))
+	if src.Len() > pk.Total() {
+		src = src.Slice(0, pk.Total())
+	}
+	_, fut := pk.UnpackFrom(p, src)
 	fut.Await(p)
+	e.giveBack(pk)
 }

@@ -551,30 +551,39 @@ func detectVector(flat []Block) *VectorView {
 // pattern of a send or receive, or nil if that pattern is not an evenly
 // strided set of equal blocks.
 func VectorViewN(d *Datatype, count int) *VectorView {
+	if v, ok := VectorViewOf(d, count); ok {
+		return &v
+	}
+	return nil
+}
+
+// VectorViewOf is VectorViewN by value, for a view embedded in a larger
+// record; ok is false where VectorViewN returns nil.
+func VectorViewOf(d *Datatype, count int) (v VectorView, ok bool) {
 	if count < 0 || d.vec == nil {
-		return nil
+		return v, false
 	}
 	if count == 0 {
-		return &VectorView{}
+		return v, true
 	}
 	if off, n, ok := d.Plan().Dense(count); ok {
-		return &VectorView{Off: off, Count: 1, BlockLen: n, Stride: n}
+		return VectorView{Off: off, Count: 1, BlockLen: n, Stride: n}, true
 	}
-	v := *d.vec
+	v = *d.vec
 	if count == 1 {
-		return &v
+		return v, true
 	}
 	ext := d.Extent()
 	if v.Count == 1 {
 		// Single block per element: blocks repeat at extent stride.
-		return &VectorView{Off: v.Off, Count: int64(count), BlockLen: v.BlockLen, Stride: ext}
+		return VectorView{Off: v.Off, Count: int64(count), BlockLen: v.BlockLen, Stride: ext}, true
 	}
 	// Multi-block element: the next element must continue the stride.
 	if ext != v.Stride*v.Count {
-		return nil
+		return VectorView{}, false
 	}
 	v.Count *= int64(count)
-	return &v
+	return v, true
 }
 
 // SignaturesMatch reports whether (da, countA) and (db, countB) describe

@@ -23,6 +23,13 @@ type Converter struct {
 // (datatype, count) layout. It panics if the datatype has data before its
 // origin (negative true lower bound), which the engine does not support.
 func NewConverter(dt *Datatype, count int) *Converter {
+	c := new(Converter)
+	c.Init(dt, count)
+	return c
+}
+
+// Init is NewConverter for a converter embedded in a larger record.
+func (c *Converter) Init(dt *Datatype, count int) {
 	if dt == nil {
 		panic("datatype: nil datatype")
 	}
@@ -32,7 +39,7 @@ func NewConverter(dt *Datatype, count int) *Converter {
 	if dt.TrueLB() < 0 {
 		panic(fmt.Sprintf("datatype: %s has negative true lower bound %d", dt.Name(), dt.TrueLB()))
 	}
-	return &Converter{
+	*c = Converter{
 		dt:     dt,
 		plan:   dt.Plan(),
 		count:  int64(count),

@@ -104,9 +104,8 @@ func TestStreamSerializesKernels(t *testing.T) {
 	var t1, t2 sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
 		s := d.NewStream("s")
-		k := contigKernel(VectorKernel, src, dst, 65536)
-		f1 := d.Launch(s, k)
-		f2 := d.Launch(s, k)
+		f1 := d.Launch(s, contigKernel(VectorKernel, src, dst, 65536))
+		f2 := d.Launch(s, contigKernel(VectorKernel, src, dst, 65536))
 		f2.Await(p)
 		t1, t2 = f1.CompletedAt(), f2.CompletedAt()
 	})
@@ -294,5 +293,31 @@ func TestKernelBytesAccounting(t *testing.T) {
 	k := contigKernel(DEVKernel, src, dst, 1024)
 	if k.Bytes() != 10000 {
 		t.Fatalf("Bytes = %d", k.Bytes())
+	}
+}
+
+// TestKernelIsOneLaunch: a Kernel's descriptors move on with its launch,
+// so launching it again would charge a kernel's time and copy nothing.
+func TestKernelIsOneLaunch(t *testing.T) {
+	for _, zeroCopy := range []bool{false, true} {
+		e, d := newDev(t)
+		src, dst := d.Mem().Alloc(4096, 256), d.Mem().Alloc(4096, 256)
+		link := e.NewLink("pcie", 10, 0)
+		var got interface{}
+		e.Spawn("host", func(p *sim.Proc) {
+			s := d.NewStream("s")
+			k := contigKernel(VectorKernel, src, dst, 1024)
+			d.Launch(s, k).Await(p)
+			defer func() { got = recover() }()
+			if zeroCopy {
+				d.LaunchZeroCopy(s, k, link, 4096)
+			} else {
+				d.Launch(s, k)
+			}
+		})
+		e.Run()
+		if got != "gpu: kernel launched twice" {
+			t.Errorf("zeroCopy=%v: second launch: %v, want the panic", zeroCopy, got)
+		}
 	}
 }

@@ -65,7 +65,10 @@ func GetUnits(n int) []Unit {
 
 // Kernel describes one pack or unpack kernel launch. Units reference the
 // Src and Dst base buffers by offset, keeping descriptors compact (as the
-// cuda_dev_dist array does in the paper).
+// cuda_dev_dist array does in the paper). A Kernel is one launch and
+// carries it: Launch or LaunchZeroCopy fills in what the stream worker
+// needs and queues the record itself, so a second launch of the same
+// Kernel panics.
 type Kernel struct {
 	Kind   KernelKind
 	Src    mem.Buffer
@@ -74,6 +77,16 @@ type Kernel struct {
 	Blocks int // requested grid size; 0 = device default
 
 	spent []Unit // Units' array once run() is done with it; see unitPool
+
+	// The launch: its place on the stream and its completion (op), the
+	// cost model's verdict, and for a zero-copy launch the link its
+	// contiguous side crosses and the bytes charged there.
+	op   streamOp
+	dev  *Device // nil until launched
+	raw  int64
+	rate float64
+	link *sim.Link
+	wire int64
 }
 
 // Bytes returns the number of useful bytes the kernel moves.
@@ -142,14 +155,7 @@ var (
 // the kernel has executed: launch overhead, DRAM occupancy per the cost
 // model, and the actual byte movement of every unit.
 func (d *Device) Launch(s *Stream, k *Kernel) *sim.Future {
-	useful, raw := d.cost(k)
-	rate := d.kernelRate(k)
-	return s.SubmitN(kernelSpan[k.Kind], useful, func(p *sim.Proc) {
-		d.launchGate(p, useful)
-		d.chargeDRAM(p, raw, rate)
-		k.run()
-		d.kernelsRun++
-	})
+	return d.enqueue(s, k, kernelSpan[k.Kind], nil, 0)
 }
 
 // LaunchZeroCopy submits kernel k whose contiguous side is not in this
@@ -162,21 +168,39 @@ func (d *Device) Launch(s *Stream, k *Kernel) *sim.Future {
 // longer of the kernel time and the wire time, as on real hardware where
 // the slower side throttles the other.
 func (d *Device) LaunchZeroCopy(s *Stream, k *Kernel, link *sim.Link, wireBytes int64) *sim.Future {
+	return d.enqueue(s, k, zeroCopySpan[k.Kind], link, wireBytes)
+}
+
+// enqueue prices k and puts it on s.
+func (d *Device) enqueue(s *Stream, k *Kernel, label string, link *sim.Link, wire int64) *sim.Future {
+	if k.dev != nil {
+		panic("gpu: kernel launched twice")
+	}
 	useful, raw := d.cost(k)
-	rate := d.kernelRate(k)
-	n := wireBytes
-	return s.SubmitN(zeroCopySpan[k.Kind], useful, func(p *sim.Proc) {
-		d.launchGate(p, useful)
-		hold := sim.TimeForBytes(raw, rate)
-		if wire := link.OccupancyFor(n); wire > hold {
-			hold = wire
-		}
-		link.HoldFor(p, n, hold)
-		p.Sleep(link.Latency())
+	k.dev, k.raw, k.rate, k.link, k.wire = d, raw, d.kernelRate(k), link, wire
+	k.op = streamOp{label: label, bytes: useful, kernel: k}
+	return s.enqueue(&k.op)
+}
+
+// exec is the launch on the stream worker.
+func (k *Kernel) exec(p *sim.Proc) {
+	d := k.dev
+	d.launchGate(p, k.op.bytes)
+	if k.link == nil {
+		d.chargeDRAM(p, k.raw, k.rate)
 		k.run()
 		d.kernelsRun++
-		d.rawMoved += raw
-	})
+		return
+	}
+	hold := sim.TimeForBytes(k.raw, k.rate)
+	if wire := k.link.OccupancyFor(k.wire); wire > hold {
+		hold = wire
+	}
+	k.link.HoldFor(p, k.wire, hold)
+	p.Sleep(k.link.Latency())
+	k.run()
+	d.kernelsRun++
+	d.rawMoved += k.raw
 }
 
 // Compute submits a memory-bound compute kernel (e.g. a reduction
@@ -197,9 +221,6 @@ func (d *Device) Compute(s *Stream, raw int64, blocks int) *sim.Future {
 // per side, whose bounds check is what keeps a unit inside its buffer.
 // The descriptor array is recycled afterwards (see GetUnits).
 func (k *Kernel) run() {
-	if k.Units == nil {
-		return // already run: the descriptors moved on with the first launch
-	}
 	src, dst := k.Src.Bytes(), k.Dst.Bytes()
 	for i := range k.Units {
 		u := &k.Units[i]

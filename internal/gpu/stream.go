@@ -16,11 +16,15 @@ type Stream struct {
 	q    *sim.Mailbox
 }
 
+// streamOp is one queued operation and its completion: a kernel launch
+// (the op is then a field of that Kernel), a function, or with neither a
+// marker.
 type streamOp struct {
-	label string
-	bytes int64
-	fn    func(p *sim.Proc)
-	done  *sim.Future
+	label  string
+	bytes  int64
+	kernel *Kernel
+	fn     func(p *sim.Proc)
+	done   sim.Future
 }
 
 // NewStream creates a stream and starts its worker.
@@ -33,9 +37,13 @@ func (d *Device) NewStream(name string) *Stream {
 	d.eng.SpawnDaemon(s.name, func(p *sim.Proc) {
 		for {
 			op := s.q.Get(p).(*streamOp)
-			if op.fn != nil {
+			if op.kernel != nil || op.fn != nil {
 				h := p.BeginBytes(op.label, op.bytes)
-				op.fn(p)
+				if op.kernel != nil {
+					op.kernel.exec(p)
+				} else {
+					op.fn(p)
+				}
 				h.End()
 			}
 			op.done.Complete(nil)
@@ -60,9 +68,14 @@ func (s *Stream) Submit(label string, fn func(p *sim.Proc)) *sim.Future {
 // SubmitN is Submit with a payload byte count attached to the operation's
 // timeline span.
 func (s *Stream) SubmitN(label string, bytes int64, fn func(p *sim.Proc)) *sim.Future {
-	op := &streamOp{label: label, bytes: bytes, fn: fn, done: s.dev.eng.NewFuture()}
+	return s.enqueue(&streamOp{label: label, bytes: bytes, fn: fn})
+}
+
+// enqueue puts op at the end of the stream and returns its completion.
+func (s *Stream) enqueue(op *streamOp) *sim.Future {
+	op.done.Init(s.dev.eng)
 	s.q.Put(op)
-	return op.done
+	return &op.done
 }
 
 // Record enqueues a marker (a CUDA event) and returns its future: it

@@ -420,6 +420,63 @@ func (m *Rank) linearScatter(p *sim.Proc, what string, c comm, rootIdx int, send
 	m.release(st)
 }
 
+// Neighbor is one block of a neighbourhood exchange: Count elements of
+// Dt laid out over Buf (byte 0 is the datatype origin), sent to or
+// received from member Peer of the group.
+type Neighbor struct {
+	Buf   mem.Buffer
+	Dt    *datatype.Datatype
+	Count int
+	Peer  int
+}
+
+// neighborView is the blocks of one side of a neighbourhood exchange.
+func neighborView(nb []Neighbor) view {
+	return func(i int) (mem.Buffer, *datatype.Datatype, int) { return nb[i].Buf, nb[i].Dt, nb[i].Count }
+}
+
+// neighbours is the neighbourhood exchange over the graph the two lists
+// spell out: every block of sends goes to its peer, every block of recvs
+// is filled by its peer, all on one tag, so the blocks exchanged with
+// one peer match in list order. Every block is packed once and unpacked
+// once, so either side is held from two blocks up: receives are posted
+// in list order, then the sends, and the stage is unpacked when all of
+// them are in.
+func (m *Rank) neighbours(p *sim.Proc, what string, c comm, sends, recvs []Neighbor, tag int) {
+	each := func(int) int { return 1 }
+	send, recv := neighborView(sends), neighborView(recvs)
+	ss, rs := m.hold(len(sends), send, each), m.hold(len(recvs), recv, each)
+	m.packHeld(p, ss)
+	send, recv = ss.over(send), rs.over(recv)
+	reqs := make([]*Request, len(recvs)+len(sends))
+	for i := range recvs {
+		if buf, dt, count := recv(i); packedSize(dt, count) > 0 {
+			reqs[i] = m.Irecv(buf, dt, count, c.rank(recvs[i].Peer), tag)
+		}
+	}
+	sreqs := reqs[len(recvs):]
+	for i := range sends {
+		if buf, dt, count := send(i); packedSize(dt, count) > 0 {
+			sreqs[i] = m.isendOn(p, buf, dt, count, c.rank(sends[i].Peer), tag)
+		}
+	}
+	for _, rq := range sreqs {
+		if rq != nil {
+			rq.Wait(p)
+		}
+	}
+	for i, rq := range reqs[:len(recvs)] {
+		if rq != nil {
+			rq.Wait(p)
+			_, dt, count := recv(i)
+			m.wholeBlock(what, c.rank(recvs[i].Peer), rq.ReceivedBytes(), dt, count)
+		}
+	}
+	m.unpackHeld(p, rs)
+	m.release(rs)
+	m.release(ss)
+}
+
 // tokenDT is the 8-byte barrier token.
 var tokenDT = datatype.Contiguous(1, datatype.Int64)
 

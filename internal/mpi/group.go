@@ -246,3 +246,46 @@ func (g *Group) SendRecvLocal(m *Rank, sendBuf mem.Buffer, sdt *datatype.Datatyp
 	tag := g.tagBlock(g.LocalRank(m), 1)
 	m.exchange(m.p, sendBuf, sdt, scount, g.ranks[destLocal], recvBuf, rdt, rcount, g.ranks[srcLocal], tag)
 }
+
+// NeighborAlltoallw is the neighbourhood exchange (MPI_Neighbor_alltoallw
+// over the graph the two lists spell out): block i of sends goes to
+// group member sends[i].Peer, block j of recvs is filled by member
+// recvs[j].Peer. Every block has its own buffer, datatype and count — a
+// halo exchange's low and high faces are different subarrays of one
+// array — and the blocks exchanged with one peer match in list order,
+// so a peer may appear on a side more than once (a two-rank dimension
+// has the same neighbour on both sides). A zero-count block moves no
+// bytes and posts no message; the lists are part of the collective's
+// signature as the count vectors of Alltoallv are.
+func (g *Group) NeighborAlltoallw(m *Rank, sends, recvs []Neighbor) {
+	const what = "group NeighborAlltoallw"
+	c := g.comm(m)
+	checkNeighbors(what, "send", c.n, sends)
+	checkNeighbors(what, "recv", c.n, recvs)
+	m.neighbours(m.p, what, c, sends, recvs, g.tagBlock(c.me, 1))
+}
+
+// checkNeighbors rejects, before anything moves, a block whose peer is
+// not a group member, whose count is negative, that has no datatype, or
+// that does not lie inside its buffer (see checkVArgs). An empty block
+// is never looked at.
+func checkNeighbors(what, side string, size int, blocks []Neighbor) {
+	for i, b := range blocks {
+		var why string
+		switch {
+		case b.Count == 0:
+			continue
+		case b.Count < 0:
+			why = "has a negative count"
+		case b.Peer < 0 || b.Peer >= size:
+			why = fmt.Sprintf("names a peer outside the group of %d", size)
+		case b.Dt == nil:
+			why = "has no datatype"
+		case b.Dt.TrueLB() < 0 || spanOf(b.Dt, b.Count) > b.Buf.Len():
+			why = fmt.Sprintf("lies outside its buffer of %d bytes", b.Buf.Len())
+		default:
+			continue
+		}
+		panic(fmt.Sprintf("mpi: %s %s block %d (count %d, peer %d) %s", what, side, i, b.Count, b.Peer, why))
+	}
+}

@@ -74,22 +74,24 @@ func (m *Rank) freeStage(b mem.Buffer) {
 // cost the rank for block i (zero: not the phase's business). A block
 // qualifies when it lies in device memory and is eager-sized — the
 // threshold that already separates launch-bound from bandwidth-bound
-// messages; the qualifying blocks are held when that saves a launch,
-// that is when they would cost two or more. hold returns nil when
-// nothing is held, and every method of a nil stage is the per-message
-// path.
+// messages; the qualifying blocks are held when that pays (holdPays).
+// hold returns nil when nothing is held, and every method of a nil
+// stage is the per-message path.
 func (m *Rank) hold(n int, v view, launches func(i int) int) *stage {
 	var saved int
 	var total int64
+	var data mem.Buffer
 	for i := 0; i < n; i++ {
 		if k := launches(i); k > 0 {
-			if size := m.holdable(v(i)); size > 0 {
+			buf, dt, count := v(i)
+			if size := m.holdable(buf, dt, count); size > 0 {
 				saved += k
 				total += size
+				data = buf
 			}
 		}
 	}
-	if saved < 2 {
+	if saved < 2 || !m.holdPays(saved, total, data) {
 		return nil
 	}
 	s := &stage{buf: m.stageBuf(total), blocks: make([]core.Block, n)}
@@ -104,6 +106,19 @@ func (m *Rank) hold(n int, v view, launches func(i int) int) *stage {
 		}
 	}
 	return s
+}
+
+// holdPays weighs what a hold saves against what it adds. It saves all
+// but one of the launches. It adds, per held byte, one more copy on the
+// host on each side of the wire (stage to bounce buffer and back: four
+// bus crossings) and one crossing of the device's PCIe slot that the
+// per-message path would have overlapped with the wire — the bulk pack
+// ends before the first send starts, the bulk unpack starts after the
+// last receive. The terms are the device's and the node's own.
+func (m *Rank) holdPays(launches int, bytes int64, data mem.Buffer) bool {
+	dev, node := m.deviceOf(data), m.ctx.Node()
+	saves := sim.Time(launches-1) * node.GPU(dev).Params().KernelLaunch
+	return saves > node.HostBus().OccupancyFor(4*bytes)+node.SlotTx(dev).OccupancyFor(bytes)
 }
 
 // holdBlock is hold for the one block of a broadcast. It returns the

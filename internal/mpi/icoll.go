@@ -31,7 +31,7 @@ import (
 // progress process is non-daemon, so an un-waited collective still runs
 // to completion before the simulation ends.
 func (m *Rank) startColl(name string, bytes int64, ntags int, body func(p *sim.Proc, tag int)) *Request {
-	req := &Request{done: m.w.eng.NewFuture()}
+	req := m.newRequest()
 	tag := m.tagBlock(ntags)
 	m.collOut++
 	m.icollSeq++

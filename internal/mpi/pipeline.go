@@ -452,7 +452,7 @@ func (s *PipelinedStrategy) recvFromSenderWindow(p *sim.Proc, op *RecvOp, ri *re
 		}
 		fc.finish(p)
 	}
-	done := ri.op.Req.done
+	done := &ri.op.Req.done
 	op.Ch.AM(p, amHeaderBytes, func(*sim.Proc) { done.Complete(nil) })
 	op.Req.done.Complete(nil)
 }

@@ -8,10 +8,32 @@ import (
 	"gpuddt/internal/sim"
 )
 
-// Request tracks an outstanding Isend/Irecv.
+// Request tracks an outstanding Isend/Irecv. A point-to-point request is
+// the head of one record with its operation (sendReq, recvReq).
 type Request struct {
-	done  *sim.Future
+	done  sim.Future
 	recvd int64 // packed bytes of the matched message (receives)
+}
+
+// newRequest returns an incomplete request that stands alone (a
+// nonblocking collective, an RMA operation).
+func (m *Rank) newRequest() *Request {
+	r := new(Request)
+	r.done.Init(m.w.eng)
+	return r
+}
+
+// sendReq and recvReq are a request and its operation in one record,
+// one type per direction: a single type holding both operations would
+// be larger than the two records it replaces.
+type sendReq struct {
+	req Request
+	op  SendOp
+}
+
+type recvReq struct {
+	req Request
+	op  RecvOp
 }
 
 // Wait blocks the calling process until the operation completes.
@@ -47,13 +69,6 @@ func (m *Rank) WaitAll(reqs ...*Request) {
 	}
 }
 
-// postedRecv is a receive awaiting a matching arrival.
-type postedRecv struct {
-	op  *RecvOp
-	src int
-	tag int
-}
-
 // rtsMsg is an arrived send: either an eager message whose packed
 // payload already sits in a receiver-side host scratch buffer, or a
 // rendezvous ready-to-send carrying the sender strategy's info.
@@ -86,8 +101,8 @@ type RecvOp struct {
 	Buf    mem.Buffer
 	Dt     *datatype.Datatype
 	Count  int
-	Src    int
-	Tag    int
+	Src    int      // as posted (AnySource allowed) until matched, then the sender
+	Tag    int      // likewise
 	Packed int64    // sender's packed size (set at match time)
 	Ch     *Channel // receiver -> sender (for ACKs and pack requests)
 	Req    *Request
@@ -118,10 +133,12 @@ func (m *Rank) Isend(buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int
 // process at a time, so the rank's matching lists and pools stay
 // race-free whichever process drives the send.
 func (m *Rank) isendOn(sp *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int) *Request {
-	req := &Request{done: m.w.eng.NewFuture()}
+	s := new(sendReq)
+	s.req.done.Init(m.w.eng)
+	req, op := &s.req, &s.op
 	packed := int64(count) * dt.Size()
 	ch := m.channel(dest)
-	op := &SendOp{M: m, Buf: buf, Dt: dt, Count: count, Dest: dest, Tag: tag, Packed: packed, Ch: ch, Req: req}
+	*op = SendOp{M: m, Buf: buf, Dt: dt, Count: count, Dest: dest, Tag: tag, Packed: packed, Ch: ch, Req: req}
 	if packed <= m.w.tun.eager {
 		m.eagerSend(sp, op)
 		return req
@@ -159,8 +176,10 @@ func (m *Rank) eagerSend(sp *sim.Proc, op *SendOp) {
 
 // Irecv posts a receive and returns its request.
 func (m *Rank) Irecv(buf mem.Buffer, dt *datatype.Datatype, count, source, tag int) *Request {
-	req := &Request{done: m.w.eng.NewFuture()}
-	op := &RecvOp{M: m, Buf: buf, Dt: dt, Count: count, Src: source, Tag: tag, Req: req}
+	r := new(recvReq)
+	r.req.done.Init(m.w.eng)
+	req, op := &r.req, &r.op
+	*op = RecvOp{M: m, Buf: buf, Dt: dt, Count: count, Src: source, Tag: tag, Req: req}
 	// Match against unexpected arrivals in order.
 	for i, u := range m.unexp {
 		if matches(source, tag, u.src, u.tag) {
@@ -169,7 +188,7 @@ func (m *Rank) Irecv(buf mem.Buffer, dt *datatype.Datatype, count, source, tag i
 			return req
 		}
 	}
-	m.posted = append(m.posted, &postedRecv{op: op, src: source, tag: tag})
+	m.posted = append(m.posted, op)
 	return req
 }
 
@@ -179,10 +198,10 @@ func matches(wantSrc, wantTag, src, tag int) bool {
 
 // arrived handles an incoming RTS (on the progress process).
 func (m *Rank) arrived(p *sim.Proc, msg *rtsMsg) {
-	for i, pr := range m.posted {
-		if matches(pr.src, pr.tag, msg.src, msg.tag) {
+	for i, op := range m.posted {
+		if matches(op.Src, op.Tag, msg.src, msg.tag) {
 			m.posted = append(m.posted[:i], m.posted[i+1:]...)
-			m.startRecv(pr.op, msg)
+			m.startRecv(op, msg)
 			return
 		}
 	}
@@ -315,8 +334,7 @@ func (m *Rank) packToHost(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, co
 	h := p.BeginBytes("pack", dst.Len())
 	defer h.End()
 	if buf.Kind() == mem.Device {
-		eng := m.engs[m.ctx.Node().DeviceOf(buf.Space())]
-		eng.Pack(p, buf, dt, count, dst)
+		m.engineFor(buf).Pack(p, buf, dt, count, dst)
 		return
 	}
 	c := datatype.NewConverter(dt, count)
@@ -329,15 +347,9 @@ func (m *Rank) unpackFromHost(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype
 	h := p.BeginBytes("unpack", src.Len())
 	defer h.End()
 	if buf.Kind() == mem.Device {
-		// Incremental unpack: src may hold fewer packed bytes than the
-		// full layout (a partial receive), which Engine.Unpack rejects.
-		eng := m.engs[m.ctx.Node().DeviceOf(buf.Space())]
-		pk := eng.NewUnpacker(buf, dt, count)
-		if src.Len() > pk.Total() {
-			src = src.Slice(0, pk.Total())
-		}
-		_, fut := pk.UnpackFrom(p, src)
-		fut.Await(p)
+		// src may hold fewer packed bytes than the full layout (a
+		// partial receive), which Engine.Unpack rejects.
+		m.engineFor(buf).UnpackPrefix(p, buf, dt, count, src)
 		return
 	}
 	c := datatype.NewConverter(dt, count)

@@ -30,8 +30,8 @@ type Rank struct {
 	inbox          *sim.Mailbox // active-message delivery queue
 	chans          []*Channel   // per-peer outgoing channels
 	seq            int64        // message sequence for diagnostics
-	posted         []*postedRecv
-	unexp          []*rtsMsg // unexpected arrivals awaiting a recv
+	posted         []*RecvOp    // receives awaiting a matching arrival
+	unexp          []*rtsMsg    // unexpected arrivals awaiting a recv
 	scratchPool    []mem.Buffer
 	scratchPooled  int64 // bytes currently retained in scratchPool
 	scratchPeak    int64 // high-water mark of retained bytes

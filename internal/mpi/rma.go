@@ -69,13 +69,13 @@ func (mf *multiFuture) done() {
 func (w *Win) Put(origin mem.Buffer, odt *datatype.Datatype, ocount, target int, tdisp int64, tdt *datatype.Datatype, tcount int) *Request {
 	m := w.m
 	checkRMAArgs(odt, ocount, tdt, tcount)
-	req := &Request{done: m.w.eng.NewFuture()}
+	req := m.newRequest()
 	w.local = append(w.local, req)
 	mf := &multiFuture{req: req, n: 2}
 
 	packed := int64(ocount) * odt.Size()
 	ch := m.channel(target)
-	internal := &Request{done: m.w.eng.NewFuture()}
+	internal := m.newRequest()
 	op := &SendOp{M: m, Buf: origin, Dt: odt, Count: ocount, Dest: target, Tag: -1, Packed: packed, Ch: ch, Req: internal}
 	info := m.w.tun.strategy.StartSend(op)
 	m.w.eng.Spawn(fmt.Sprintf("rank%d.put.origin", m.rank), func(p *sim.Proc) {
@@ -87,7 +87,7 @@ func (w *Win) Put(origin mem.Buffer, odt *datatype.Datatype, ocount, target int,
 	tbuf := m.w.winBufs(w.id)[target].Slice(tdisp, spanOf(tdt, tcount))
 	src := m.rank
 	ch.AM(m.p, amHeaderBytes, func(_ *sim.Proc) {
-		tReq := &Request{done: tRank.w.eng.NewFuture()}
+		tReq := tRank.newRequest()
 		rop := &RecvOp{M: tRank, Buf: tbuf, Dt: tdt, Count: tcount, Src: src, Tag: -1,
 			Packed: packed, Ch: tRank.channel(src), Req: tReq}
 		tRank.w.eng.Spawn(fmt.Sprintf("rank%d.put.target", tRank.rank), func(p *sim.Proc) {
@@ -105,7 +105,7 @@ func (w *Win) Put(origin mem.Buffer, odt *datatype.Datatype, ocount, target int,
 func (w *Win) Get(origin mem.Buffer, odt *datatype.Datatype, ocount, target int, tdisp int64, tdt *datatype.Datatype, tcount int) *Request {
 	m := w.m
 	checkRMAArgs(odt, ocount, tdt, tcount)
-	req := &Request{done: m.w.eng.NewFuture()}
+	req := m.newRequest()
 	w.local = append(w.local, req)
 
 	packed := int64(tcount) * tdt.Size()
@@ -115,7 +115,7 @@ func (w *Win) Get(origin mem.Buffer, odt *datatype.Datatype, ocount, target int,
 	// Ask the target to start a sender for its window region; it ships
 	// the strategy info back, and we run the receiver locally.
 	m.channel(target).AM(m.p, amHeaderBytes, func(tp *sim.Proc) {
-		internal := &Request{done: tRank.w.eng.NewFuture()}
+		internal := tRank.newRequest()
 		sop := &SendOp{M: tRank, Buf: tbuf, Dt: tdt, Count: tcount, Dest: src, Tag: -1,
 			Packed: packed, Ch: tRank.channel(src), Req: internal}
 		info := tRank.w.tun.strategy.StartSend(sop)

@@ -5,7 +5,10 @@ import "testing"
 // TestQueuesAllocateNothingInSteadyState pins what the fifo buys: a
 // one-deep mailbox (both its item queue and its waiter queue), a
 // resource handed from one process to another, and a transfer over a
-// path all run without allocating once their arrays exist.
+// path all run without allocating once their arrays exist; and what the
+// inline element buys: a fresh mailbox that is never more than one deep
+// (a per-message mailbox) costs its own record and nothing else, with a
+// delayed Put, a typed event, among its deliveries.
 func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	e := NewEngine()
 	mb := e.NewMailbox("mb")
@@ -13,7 +16,7 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	pa := &Path{Name: "a->b", Links: []*Link{e.NewLink("b", 1, 0), e.NewLink("a", 1, 0)}}
 	msg := interface{}(&struct{}{})
 	stop := false
-	var got [4]float64
+	var got [5]float64
 	// The server is always blocked in Get when a message arrives, so
 	// each Put pops the waiter queue and each Get pops the item queue.
 	e.SpawnDaemon("server", func(p *Proc) {
@@ -46,10 +49,17 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 			p.Sleep(1)
 		})
 		got[3] = testing.AllocsPerRun(100, func() { pa.Transfer(p, 3) })
+		got[4] = testing.AllocsPerRun(100, func() {
+			fresh := e.NewMailbox("fresh")
+			fresh.Put(msg)
+			fresh.Get(p)
+			fresh.PutAfter(1, msg)
+			fresh.Get(p)
+		}) - 1
 		stop = true
 	})
 	e.Run()
-	for i, what := range []string{"Put then Get", "Put to a blocked Get", "resource hand-over", "path transfer"} {
+	for i, what := range []string{"Put then Get", "Put to a blocked Get", "resource hand-over", "path transfer", "fresh one-deep mailbox, beyond its record"} {
 		if got[i] != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", what, got[i])
 		}
@@ -85,5 +95,39 @@ func TestFifoKeepsOrderAndBoundsItsArray(t *testing.T) {
 	}
 	if q.head != 0 || len(q.s) != 0 {
 		t.Fatalf("drained queue did not reset: head %d, len %d", q.head, len(q.s))
+	}
+}
+
+// TestEmbeddedFutureWakesInWaitOrder: a future embedded in a record
+// (Init) wakes its waiters in the order they waited, the inline first
+// one included, and a wait by one process allocates nothing.
+func TestEmbeddedFutureWakesInWaitOrder(t *testing.T) {
+	e := NewEngine()
+	var rec struct{ done Future }
+	rec.done.Init(e)
+	var order []int
+	for i := 0; i < 3; i++ {
+		e.Spawn("waiter", func(p *Proc) {
+			rec.done.Await(p)
+			order = append(order, i)
+		})
+	}
+	var allocs float64
+	e.Spawn("completer", func(p *Proc) {
+		p.Sleep(1)
+		rec.done.Complete(nil)
+		var one struct{ done Future }
+		allocs = testing.AllocsPerRun(100, func() {
+			one.done.Init(e)
+			e.After(1, func() { one.done.Complete(nil) })
+			one.done.Await(p)
+		}) - 1 // the After closure
+	})
+	e.Run()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Errorf("waiters woke in order %v, want [0 1 2]", order)
+	}
+	if allocs != 0 {
+		t.Errorf("a single wait on an embedded future: %v allocations, want 0", allocs)
 	}
 }

@@ -12,6 +12,7 @@ import (
 const (
 	evProc int32 = iota // start or resume the process in Engine.procs
 	evCall              // run the After callback in Engine.calls
+	evPut               // make the delayed Mailbox.Put in Engine.puts
 )
 
 // slots is a table whose indices stand in for its values inside queued
@@ -56,6 +57,7 @@ type Engine struct {
 	queue    evQueue
 	procs    slots[*Proc]  // spawned and not yet finished
 	calls    slots[func()] // After callbacks not yet run
+	puts     slots[putArg] // Mailbox.PutAfter deliveries not yet made
 	idle     []*carrier    // coroutines whose process has finished
 	carriers int           // coroutines created so far
 	live     int           // spawned but not finished non-daemon processes
@@ -282,10 +284,14 @@ func (e *Engine) Run() {
 		// place with one sift, and settle pops it if nothing did.
 		ev := e.queue.peek()
 		e.now = ev.At
-		if ev.Kind == evCall {
-			e.calls.take(ev.To)()
-		} else {
+		switch ev.Kind {
+		case evProc:
 			e.resume(e.procs.at[ev.To])
+		case evCall:
+			e.calls.take(ev.To)()
+		case evPut:
+			put := e.puts.take(ev.To)
+			put.m.Put(put.v)
 		}
 		e.queue.settle()
 	}

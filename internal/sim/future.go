@@ -5,17 +5,27 @@ package sim
 // calls Complete. Completing an already-complete future panics.
 //
 // Futures are the simulation analogue of CUDA events and of request
-// completion in the MPI layer.
+// completion in the MPI layer. A record that completes once — a request,
+// a stream operation — embeds its Future by value (Init) instead of
+// pointing to one.
 type Future struct {
-	e       *Engine
-	done    bool
-	at      Time
-	value   interface{}
+	e     *Engine
+	done  bool
+	at    Time
+	value interface{}
+
+	// Nearly every future has exactly one waiter, kept inline; the
+	// others follow in wait order.
+	first   *Proc
 	waiters []*Proc
 }
 
 // NewFuture returns an incomplete future bound to the engine.
 func (e *Engine) NewFuture() *Future { return &Future{e: e} }
+
+// Init makes f, embedded in a larger record, an incomplete future bound
+// to the engine.
+func (f *Future) Init(e *Engine) { *f = Future{e: e} }
 
 // Done reports whether the future has completed.
 func (f *Future) Done() bool { return f.done }
@@ -32,10 +42,13 @@ func (f *Future) Complete(value interface{}) {
 	f.done = true
 	f.at = f.e.now
 	f.value = value
-	for _, p := range f.waiters {
-		f.e.unpark(p, f.e.now)
+	if f.first != nil {
+		f.e.unpark(f.first, f.e.now)
+		for _, p := range f.waiters {
+			f.e.unpark(p, f.e.now)
+		}
+		f.first, f.waiters = nil, nil
 	}
-	f.waiters = nil
 }
 
 // Await blocks the calling process until the future completes and returns
@@ -45,7 +58,11 @@ func (f *Future) Await(p *Proc) interface{} {
 	if f.done {
 		return f.value
 	}
-	f.waiters = append(f.waiters, p)
+	if f.first == nil {
+		f.first = p
+	} else {
+		f.waiters = append(f.waiters, p)
+	}
 	p.park(blockAwait, "")
 	return f.value
 }

@@ -3,15 +3,30 @@ package sim
 // fifo is a queue that pops by advancing a head index instead of
 // re-slicing, so a queue that drains — the steady state of a one-deep
 // mailbox or a briefly contended resource — reuses its array forever.
-// Popped slots are zeroed so the array pins nothing it no longer holds.
+// The element that arrives in an empty queue is kept inline (one), so a
+// queue that is never more than one deep — a per-message mailbox — has
+// no array at all. Popped slots are zeroed so the queue pins nothing it
+// no longer holds.
 type fifo[T any] struct {
-	s    []T
+	one  T // the oldest element, when has
+	has  bool
+	s    []T // the elements behind it
 	head int
 }
 
-func (q *fifo[T]) len() int { return len(q.s) - q.head }
+func (q *fifo[T]) len() int {
+	n := len(q.s) - q.head
+	if q.has {
+		n++
+	}
+	return n
+}
 
 func (q *fifo[T]) push(v T) {
+	if !q.has && len(q.s) == 0 {
+		q.one, q.has = v, true
+		return
+	}
 	// A queue that never drains would otherwise grow by its dead prefix:
 	// slide the live half down once it is the smaller one.
 	if len(q.s) == cap(q.s) && q.head > 0 && q.head >= len(q.s)/2 {
@@ -23,8 +38,13 @@ func (q *fifo[T]) push(v T) {
 }
 
 func (q *fifo[T]) pop() T {
-	v := q.s[q.head]
 	var zero T
+	if q.has {
+		v := q.one
+		q.one, q.has = zero, false
+		return v
+	}
+	v := q.s[q.head]
 	q.s[q.head] = zero
 	q.head++
 	if q.head == len(q.s) {
@@ -62,9 +82,19 @@ func (m *Mailbox) Put(v interface{}) {
 	}
 }
 
-// PutAfter enqueues v after a delay of d.
+// putArg is a PutAfter on its way: the event that delivers it names it
+// by its slot in Engine.puts.
+type putArg struct {
+	m *Mailbox
+	v interface{}
+}
+
+// PutAfter enqueues v after a delay of d, which must not be negative.
 func (m *Mailbox) PutAfter(d Time, v interface{}) {
-	m.e.After(d, func() { m.Put(v) })
+	if d < 0 {
+		panic("sim: PutAfter into the past")
+	}
+	m.e.post(m.e.now+d, evPut, m.e.puts.put(putArg{m, v}))
 }
 
 // Get dequeues the oldest message, blocking until one is available.

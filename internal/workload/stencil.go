@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 
+	"gpuddt/internal/datatype"
 	"gpuddt/internal/mpi"
 	"gpuddt/internal/shapes"
 )
@@ -112,7 +113,6 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 		cells *= padded[d]
 	}
 	buf := m.Malloc(int64(cells) * 8)
-	raw := buf.Bytes()
 
 	// offset walks the padded C-order array.
 	offset := func(idx []int) int {
@@ -164,11 +164,35 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 		interiorHi[d] = padded[d] - 1
 	}
 
+	// The face types are committed once, as an application commits them:
+	// per dimension the planes sent down and up and the halos they land
+	// in, each spanning the full padded extent of the dimensions swept
+	// before it, so edge and corner cells propagate without diagonal
+	// messages.
+	type faces struct {
+		low, high    *datatype.Datatype
+		sends, recvs []mpi.Neighbor
+	}
+	halo := make([]faces, nd)
+	for d := range halo {
+		low, high := shapes.HaloFace(padded, d, 1), shapes.HaloFace(padded, d, padded[d]-2)
+		lowHalo, highHalo := shapes.HaloFace(padded, d, 0), shapes.HaloFace(padded, d, padded[d]-1)
+		down, up := neighbour(d, -1), neighbour(d, +1)
+		halo[d] = faces{
+			low: low, high: high,
+			sends: []mpi.Neighbor{{Buf: buf, Dt: low, Count: 1, Peer: down}, {Buf: buf, Dt: high, Count: 1, Peer: up}},
+			recvs: []mpi.Neighbor{{Buf: buf, Dt: highHalo, Count: 1, Peer: up}, {Buf: buf, Dt: lowHalo, Count: 1, Peer: down}},
+		}
+	}
+
 	dev := m.Engine().Device()
 	h := sha256.New()
 
 	for it := 0; it < in.cfg.Iters; it++ {
-		// New field values for this sweep.
+		// New field values for this sweep. The array's bytes are looked
+		// up again wherever communication may have come between: device
+		// memory that grows (a rendezvous ring's first allocation) moves.
+		raw := buf.Bytes()
 		rows(interiorLo, interiorHi, func(_ []int, row uint64, off int) {
 			for j := interiorLo[last]; j < interiorHi[last]; j++ {
 				putWord(raw, off, cellWord(row, uint64(global(last, j)), it))
@@ -176,26 +200,19 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 			}
 		})
 
-		// Dimension-ordered halo sweep: each face datatype spans the
-		// full padded extent of already-exchanged dimensions, so edge
-		// and corner cells propagate without diagonal messages.
-		for d := 0; d < nd; d++ {
-			low := shapes.HaloFace(padded, d, 1)
-			high := shapes.HaloFace(padded, d, padded[d]-2)
-			lowHalo := shapes.HaloFace(padded, d, 0)
-			highHalo := shapes.HaloFace(padded, d, padded[d]-1)
-
-			// Send my low interior plane down, receive my high halo
-			// from up; then the mirror image.
-			sp := m.Proc().BeginBytes("app.halo.face", low.Size())
-			sp.SetDetail(low.Name())
-			g.SendRecvLocal(m, buf, low, 1, neighbour(d, -1), buf, highHalo, 1, neighbour(d, +1))
-			sp.End()
-
-			sp = m.Proc().BeginBytes("app.halo.face", high.Size())
-			sp.SetDetail(high.Name())
-			g.SendRecvLocal(m, buf, high, 1, neighbour(d, +1), buf, lowHalo, 1, neighbour(d, -1))
-			sp.End()
+		// Dimension-ordered halo sweep: my low plane goes down and my
+		// high plane up, my high halo comes from up and my low halo from
+		// down, in one exchange per dimension. The dimensions stay in
+		// order: a face carries the halos already received.
+		for d := range halo {
+			f := &halo[d]
+			lo := m.Proc().BeginBytes("app.halo.face", f.low.Size())
+			lo.SetDetail(f.low.Name())
+			hi := m.Proc().BeginBytes("app.halo.face", f.high.Size())
+			hi.SetDetail(f.high.Name())
+			g.NeighborAlltoallw(m, f.sends, f.recvs)
+			hi.End()
+			lo.End()
 		}
 
 		// The stencil update kernel: ~2 reads + 1 write per cell.
@@ -205,6 +222,7 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 		// halos, including edges and corners — must now equal the
 		// generator at its wrapped global coordinate.
 		var verr error
+		raw = buf.Bytes()
 		rows(zero, padded, func(idx []int, row uint64, off int) {
 			for j := 0; j < padded[last] && verr == nil; j++ {
 				gidx[last] = uint64(global(last, j))

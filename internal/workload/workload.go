@@ -175,6 +175,15 @@ func Run(cfg mpi.Config, jobs []JobSpec, active []bool, opt Options) ([]JobResul
 		errs[m.Rank()] = err
 	})
 
+	// Nothing a job borrowed from its ranks' pools may be outstanding
+	// once every process has returned.
+	for r := 0; r < size; r++ {
+		m := w.RankHandle(r)
+		if s, g, c := m.ScratchOutstanding(), m.RingOutstanding(), m.CollOutstanding(); s != 0 || g != 0 || c != 0 {
+			return nil, nil, fmt.Errorf("workload: rank %d finished with %d scratch buffers, %d ring buffers and %d collectives outstanding", r, s, g, c)
+		}
+	}
+
 	var out []JobResult
 	for j, job := range jobs {
 		if !active[j] {
