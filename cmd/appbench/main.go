@@ -13,8 +13,7 @@
 // byte-identical co-scheduled and alone — contention may move time,
 // never data. Reported times are virtual (simulated), so the report is a
 // pure function of the source: CI compares a fresh one with the
-// committed BENCH_apps.json byte for byte. -host adds the toolchain and
-// the host's cores to the header.
+// committed BENCH_apps.json byte for byte.
 //
 // Usage:
 //
@@ -22,14 +21,12 @@
 //	appbench -out BENCH_apps.json
 //	appbench -quick             # CI smoke sweep
 //	appbench -tuning TUNING.json  # tuned arm per point from a tuning table
-//	appbench -host              # header also says go_version, go_maxprocs, num_cpu
 package main
 
 import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"flag"
 
@@ -43,9 +40,6 @@ import (
 // BENCH_scale.json so downstream tooling parses both the same way.
 type Report struct {
 	GeneratedBy  string                 `json:"generated_by"`
-	GoVersion    string                 `json:"go_version,omitempty"`  // -host only
-	GoMaxProcs   int                    `json:"go_maxprocs,omitempty"` // -host only
-	NumCPU       int                    `json:"num_cpu,omitempty"`     // -host only
 	RanksPerNode int                    `json:"ranks_per_node"`
 	Apps         []bench.AppPoint       `json:"apps"`
 	Interference []workload.StudyResult `json:"interference"`
@@ -58,7 +52,6 @@ func Run(args []string, out, errOut io.Writer) int {
 	outPath := fs.String("out", "", "write the JSON report to this file (default: stdout)")
 	quick := fs.Bool("quick", false, "small sweep for a fast smoke run")
 	tuning := fs.String("tuning", "", "tuning table (TUNING.json) adding a tuned arm per app point")
-	host := fs.Bool("host", false, "also report the host: go_version, go_maxprocs, num_cpu")
 	prof := cli.Profiles(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,9 +89,6 @@ func Run(args []string, out, errOut io.Writer) int {
 		RanksPerNode: sw.RanksPerNode,
 		Apps:         pts,
 		Interference: studies,
-	}
-	if *host {
-		rep.GoVersion, rep.GoMaxProcs, rep.NumCPU = runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU()
 	}
 	return cli.WriteJSON(rep, *outPath, "application benchmark report", "appbench", out, errOut)
 }

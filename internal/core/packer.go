@@ -76,7 +76,7 @@ func (pk *Packer) init(e *Engine, data mem.Buffer, dt *datatype.Datatype, count 
 	*pk = Packer{e: e, data: data, dt: dt, cnt: count, dir: dir}
 	pk.conv.Init(dt, count)
 	if !e.opts.DisableVectorKernel {
-		if v, ok := datatype.VectorViewOf(dt, count); ok {
+		if v, ok := datatype.VectorViewN(dt, count); ok {
 			pk.vec, pk.view = v, &pk.vec
 		}
 	}

@@ -548,18 +548,10 @@ func detectVector(flat []Block) *VectorView {
 }
 
 // VectorViewN returns the VectorView of the full (datatype, count)
-// pattern of a send or receive, or nil if that pattern is not an evenly
-// strided set of equal blocks.
-func VectorViewN(d *Datatype, count int) *VectorView {
-	if v, ok := VectorViewOf(d, count); ok {
-		return &v
-	}
-	return nil
-}
-
-// VectorViewOf is VectorViewN by value, for a view embedded in a larger
-// record; ok is false where VectorViewN returns nil.
-func VectorViewOf(d *Datatype, count int) (v VectorView, ok bool) {
+// pattern of a send or receive — by value, so a larger record can hold
+// it; ok is false if that pattern is not an evenly strided set of equal
+// blocks.
+func VectorViewN(d *Datatype, count int) (v VectorView, ok bool) {
 	if count < 0 || d.vec == nil {
 		return v, false
 	}

@@ -200,20 +200,20 @@ func TestVectorViewN(t *testing.T) {
 	d := Vector(4, 4, 8, Float64)
 	// One element: count 4 stride 64. Extent = ((4-1)*8+4)*8 = 224.
 	// 224 != 4*64, so two elements do NOT continue the stride.
-	if v := VectorViewN(d, 2); v != nil {
-		t.Fatalf("expected nil view, got %+v", v)
+	if v, ok := VectorViewN(d, 2); ok {
+		t.Fatalf("expected no view, got %+v", v)
 	}
-	if v := VectorViewN(d, 1); v == nil || v.Count != 4 {
+	if v, ok := VectorViewN(d, 1); !ok || v.Count != 4 {
 		t.Fatalf("count-1 view = %+v", v)
 	}
 	// Resize the element so elements tile seamlessly: extent 4*64=256.
 	r := Resized(d, 0, 256)
-	if v := VectorViewN(r, 3); v == nil || v.Count != 12 || v.Stride != 64 || v.BlockLen != 32 {
+	if v, ok := VectorViewN(r, 3); !ok || v.Count != 12 || v.Stride != 64 || v.BlockLen != 32 {
 		t.Fatalf("tiled view = %+v", v)
 	}
 	// Contiguous type: single growing block.
 	ct := Contiguous(4, Float64)
-	if v := VectorViewN(ct, 5); v == nil || v.Count != 1 || v.BlockLen != 160 {
+	if v, ok := VectorViewN(ct, 5); !ok || v.Count != 1 || v.BlockLen != 160 {
 		t.Fatalf("contig view = %+v", v)
 	}
 }

@@ -157,25 +157,3 @@ func (d *Datatype) Plan() *Plan {
 	d.planOnce.Do(func() { d.planVal = compilePlan(d.flat, d.Extent()) })
 	return d.planVal
 }
-
-// PatternPlan couples a datatype's compiled element plan with the
-// repetition pattern of a whole (datatype, count) send or receive.
-type PatternPlan struct {
-	Dt    *Datatype
-	Count int
-	Elem  *Plan
-	Total int64       // packed bytes of the full pattern
-	View  *VectorView // whole-pattern vector form, or nil
-}
-
-// NewPatternPlan compiles the plan for (dt, count). The element plan is
-// cached on the datatype; the pattern wrapper is cheap to rebuild.
-func NewPatternPlan(dt *Datatype, count int) *PatternPlan {
-	return &PatternPlan{
-		Dt:    dt,
-		Count: count,
-		Elem:  dt.Plan(),
-		Total: int64(count) * dt.Size(),
-		View:  VectorViewN(dt, count),
-	}
-}

@@ -172,8 +172,8 @@ func TestQuickVectorViewExpandsToBlocks(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		dt := randType(r, 2)
 		count := r.Intn(3) + 1
-		v := VectorViewN(dt, count)
-		if v == nil {
+		v, ok := VectorViewN(dt, count)
+		if !ok {
 			return true
 		}
 		// Expanding the view must reproduce the converter's blocks.

@@ -159,8 +159,8 @@ func TestDenseIsOneDefinition(t *testing.T) {
 			t.Errorf("%s: Dense = %v, want %v", tl.name, ok, tl.dense)
 			continue
 		}
-		v := VectorViewN(tl.dt, tl.count)
-		if one := v != nil && v.Count == 1; one != ok {
+		v, isVec := VectorViewN(tl.dt, tl.count)
+		if one := isVec && v.Count == 1; one != ok {
 			t.Errorf("%s: VectorViewN = %+v, Dense = %v", tl.name, v, ok)
 		}
 		c := NewConverter(tl.dt, tl.count)

@@ -114,7 +114,9 @@ func (m *Rank) hold(n int, v view, launches func(i int) int) *stage {
 // bus crossings) and one crossing of the device's PCIe slot that the
 // per-message path would have overlapped with the wire — the bulk pack
 // ends before the first send starts, the bulk unpack starts after the
-// last receive. The terms are the device's and the node's own.
+// last receive. The terms are the device's and the node's own; the slot
+// is priced by its transmit link on the unpack side too (hold is not
+// told the direction, and a slot's two links are built alike).
 func (m *Rank) holdPays(launches int, bytes int64, data mem.Buffer) bool {
 	dev, node := m.deviceOf(data), m.ctx.Node()
 	saves := sim.Time(launches-1) * node.GPU(dev).Params().KernelLaunch

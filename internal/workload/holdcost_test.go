@@ -49,7 +49,7 @@ func kernelSpans(rec *sim.Recorder) map[string]int {
 // of 16 launches one fused pack and one fused unpack per dimension and
 // the stencil kernel — seven where two SendRecvLocal per dimension
 // launched thirteen. Faces too large for a hold to pay (20 000 B) and
-// faces past the eager limit launch per message.
+// faces past the eager limit launch per message, a dimension at a time.
 func TestHaloKernelBudget(t *testing.T) {
 	const ranks, iters = 8, 2
 	for _, tc := range []struct {
@@ -59,9 +59,11 @@ func TestHaloKernelBudget(t *testing.T) {
 		perRank  int // pack and unpack kernels per rank and iteration
 		fusedPer int // "fused" pack and unpack spans per rank and iteration
 	}{
-		{"faces of 2 592 B", 16, nil, 6, 6},
+		{"faces of up to 2 592 B", 16, nil, 6, 6},
 		{"faces of 20 000 B", 48, nil, 12, 0},
-		{"faces of eager + 8 B", 16, &mpi.Tuning{Eager: mpi.Eager(16*16*8 - 8)}, 12, 0},
+		// A box-16 face is 16*16, 18*16 and 18*18 cells in dimension 0, 1, 2.
+		{"every face past eager, the smallest by 8 B", 16, &mpi.Tuning{Eager: mpi.Eager(16*16*8 - 8)}, 12, 0},
+		{"the largest face of eager + 8 B", 16, &mpi.Tuning{Eager: mpi.Eager(18*18*8 - 8)}, 8, 4},
 	} {
 		_, rec := runHalo(t, tc.box, iters, tc.tun, nil, true)
 		k := kernelSpans(rec)
