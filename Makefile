@@ -21,8 +21,9 @@ check-fast:
 # model and tuner suites, cmd smoke tests and example builds. On top of
 # that, only what `go test ./...` cannot do: the 16384-rank smoke
 # (skipped without GPUDDT_MEGA), a 10 s smoke of each fuzz target, and
-# the three quick sweeps run twice — each pair of JSON reports must be
-# byte-identical (a sweep is a pure function of its inputs).
+# the four report sweeps run twice (chaosbench has one size, the others
+# run -quick) — each pair of JSON reports must be byte-identical (a
+# sweep is a pure function of its inputs).
 check-full:
 	$(GOFMT_GATE)
 	$(GO) build ./...
@@ -34,10 +35,10 @@ check-full:
 		$(GO) test ./internal/conformance -run '^$$' -fuzz $$f -fuzztime 10s; \
 	done
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for b in scalebench appbench tunebench; do \
-		echo "determinism re-run: $$b -quick"; \
-		$(GO) run ./cmd/$$b -quick -out "$$tmp/a.json"; \
-		$(GO) run ./cmd/$$b -quick -out "$$tmp/b.json"; \
+	for b in "scalebench -quick" "appbench -quick" "tunebench -quick" chaosbench; do \
+		echo "determinism re-run: $$b"; \
+		$(GO) run ./cmd/$$b -out "$$tmp/a.json"; \
+		$(GO) run ./cmd/$$b -out "$$tmp/b.json"; \
 		cmp "$$tmp/a.json" "$$tmp/b.json"; \
 	done
 
@@ -116,7 +117,6 @@ examples:
 tools:
 	$(GO) build -o bin/ddtbench ./cmd/ddtbench
 	$(GO) build -o bin/pingpong ./cmd/pingpong
-	$(GO) build -o bin/kernels ./cmd/kernels
 	$(GO) build -o bin/topo ./cmd/topo
 
 clean:

@@ -24,11 +24,9 @@
 package main
 
 import (
-	"fmt"
+	"flag"
 	"io"
 	"os"
-
-	"flag"
 
 	"gpuddt/internal/bench"
 	"gpuddt/internal/bench/cli"
@@ -48,49 +46,35 @@ type Report struct {
 // Run executes the command and returns the process exit code.
 func Run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("appbench", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	outPath := fs.String("out", "", "write the JSON report to this file (default: stdout)")
 	quick := fs.Bool("quick", false, "small sweep for a fast smoke run")
 	tuning := fs.String("tuning", "", "tuning table (TUNING.json) adding a tuned arm per app point")
-	prof := cli.Profiles(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	stopProf, ok := prof.Start(errOut)
-	defer stopProf()
-	if !ok {
-		return 1
-	}
-
-	sw := bench.DefaultAppSweep()
-	if *quick {
-		sw = bench.QuickAppSweep()
-	}
-	if *tuning != "" {
-		tbl, err := tune.Load(*tuning)
-		if err != nil {
-			fmt.Fprintf(errOut, "appbench: %v\n", err)
-			return 1
+	return cli.Report(fs, cli.Profiles(fs), "application benchmark report", args, out, errOut, func() (any, error) {
+		sw := bench.DefaultAppSweep()
+		if *quick {
+			sw = bench.QuickAppSweep()
 		}
-		sw.Tune = tbl.TuneFunc()
-	}
-	pts, err := bench.RunApps(sw)
-	if err != nil {
-		fmt.Fprintf(errOut, "appbench: %v\n", err)
-		return 1
-	}
-	studies, err := bench.RunAppStudies(sw)
-	if err != nil {
-		fmt.Fprintf(errOut, "appbench: %v\n", err)
-		return 1
-	}
-	rep := Report{
-		GeneratedBy:  "cmd/appbench",
-		RanksPerNode: sw.RanksPerNode,
-		Apps:         pts,
-		Interference: studies,
-	}
-	return cli.WriteJSON(rep, *outPath, "application benchmark report", "appbench", out, errOut)
+		if *tuning != "" {
+			tbl, err := tune.Load(*tuning)
+			if err != nil {
+				return nil, err
+			}
+			sw.Tune = tbl.TuneFunc()
+		}
+		pts, err := bench.RunApps(sw)
+		if err != nil {
+			return nil, err
+		}
+		studies, err := bench.RunAppStudies(sw)
+		if err != nil {
+			return nil, err
+		}
+		return Report{
+			GeneratedBy:  "cmd/appbench",
+			RanksPerNode: sw.RanksPerNode,
+			Apps:         pts,
+			Interference: studies,
+		}, nil
+	})
 }
 
 func main() {

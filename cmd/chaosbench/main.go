@@ -16,11 +16,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
+	"strconv"
 
 	"gpuddt/internal/bench/cli"
 	"gpuddt/internal/cluster"
@@ -48,13 +49,10 @@ type Point struct {
 	Fallbacks     int64   `json:"fallbacks"`
 }
 
-// Report is the BENCH_chaos.json schema. The header is the one every
-// BENCH_*.json carries, so downstream tooling parses them the same way.
+// Report is the BENCH_chaos.json schema. It names no host: the report
+// is a pure function of the source and the flags.
 type Report struct {
 	GeneratedBy string  `json:"generated_by"`
-	GoVersion   string  `json:"go_version"`
-	GoMaxProcs  int     `json:"go_maxprocs"`
-	NumCPU      int     `json:"num_cpu"`
 	Datatype    string  `json:"datatype"`
 	Count       int     `json:"count"`
 	FragBytes   int64   `json:"frag_bytes"`
@@ -128,50 +126,41 @@ func measure(topo string, dt *datatype.Datatype, count int, seed uint64, rate fl
 // Run executes the command and returns the process exit code.
 func Run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("chaosbench", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	outPath := fs.String("out", "", "write the JSON report to this file (default: stdout)")
 	seed := fs.Uint64("seed", 1, "fault plan seed")
-	count := fs.Int("count", 8, "datatype count per transfer")
-	frag := fs.Int64("frag", 16<<10, "pipeline fragment size in bytes")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *count < 1 {
-		fmt.Fprintf(errOut, "chaosbench: -count must be >= 1\n")
-		return 2
-	}
-
-	dt := shapes.SubMatrix(128, 128, 256)
-	rep := Report{
-		GeneratedBy: "cmd/chaosbench",
-		GoVersion:   runtime.Version(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Datatype:    "submatrix_128x128_ld256",
-		Count:       *count,
-		FragBytes:   *frag,
-	}
-
-	rates := []float64{0, 0.01, 0.05, 0.1, 0.2}
-	for _, topo := range []string{"1gpu", "2gpu", "ib"} {
-		var clean float64
-		for _, rate := range rates {
-			pt, err := measure(topo, dt, *count, *seed, rate, *frag)
-			if err != nil {
-				fmt.Fprintf(errOut, "chaosbench: %v\n", err)
-				return 1
-			}
-			if rate == 0 {
-				clean = pt.CompletionUs
-			}
-			if clean > 0 {
-				pt.Slowdown = pt.CompletionUs / clean
-			}
-			rep.Chaos = append(rep.Chaos, pt)
+	count := 8
+	fs.Func("count", "datatype count per transfer, at least 1 (default 8)", func(s string) (err error) {
+		if count, err = strconv.Atoi(s); err == nil && count < 1 {
+			err = errors.New("must be >= 1")
 		}
-	}
-
-	return cli.WriteJSON(rep, *outPath, "chaos benchmark report", "chaosbench", out, errOut)
+		return err
+	})
+	frag := fs.Int64("frag", 16<<10, "pipeline fragment size in bytes")
+	return cli.Report(fs, nil, "chaos benchmark report", args, out, errOut, func() (any, error) {
+		dt := shapes.SubMatrix(128, 128, 256)
+		rep := Report{
+			GeneratedBy: "cmd/chaosbench",
+			Datatype:    "submatrix_128x128_ld256",
+			Count:       count,
+			FragBytes:   *frag,
+		}
+		for _, topo := range []string{"1gpu", "2gpu", "ib"} {
+			var clean float64
+			for _, rate := range []float64{0, 0.01, 0.05, 0.1, 0.2} {
+				pt, err := measure(topo, dt, count, *seed, rate, *frag)
+				if err != nil {
+					return nil, err
+				}
+				if rate == 0 {
+					clean = pt.CompletionUs
+				}
+				if clean > 0 {
+					pt.Slowdown = pt.CompletionUs / clean
+				}
+				rep.Chaos = append(rep.Chaos, pt)
+			}
+		}
+		return rep, nil
+	})
 }
 
 func main() {

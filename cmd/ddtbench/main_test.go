@@ -8,16 +8,21 @@ import (
 	"testing"
 )
 
+// TestRunSingleFigure selects one figure at a time; the kernel-level
+// rows are what cmd/kernels used to run.
 func TestRunSingleFigure(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := Run([]string{"-quick", "-figure", "fig9", "-sizes", "512"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "fig9") {
-		t.Errorf("output does not mention fig9:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "512") {
-		t.Errorf("output does not include the requested size:\n%s", out.String())
+	for _, fig := range []string{"fig9", "fig6", "fig7", "ablation-unitsize"} {
+		var out, errOut bytes.Buffer
+		if code := Run([]string{"-quick", "-figure", fig, "-sizes", "512"}, &out, &errOut); code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", fig, code, errOut.String())
+		}
+		if !strings.HasPrefix(out.String(), "# "+fig+" ") {
+			t.Errorf("%s: output does not start with the figure's header:\n%s", fig, out.String())
+		}
+		// The unit-size ablation sweeps S at a fixed N; the others sweep -sizes.
+		if fig != "ablation-unitsize" && !strings.Contains(out.String(), "\n512 ") {
+			t.Errorf("%s: output does not include the requested size:\n%s", fig, out.String())
+		}
 	}
 }
 
@@ -32,15 +37,25 @@ func TestRunCSV(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := Run([]string{"-figure", "nope"}, &out, &errOut); code != 2 {
-		t.Errorf("unknown figure: exit %d, want 2", code)
-	}
-	if code := Run([]string{"-sizes", "banana"}, &out, &errOut); code != 2 {
-		t.Errorf("bad size: exit %d, want 2", code)
-	}
-	if code := Run([]string{"-parallel", "0"}, &out, &errOut); code != 2 {
-		t.Errorf("bad parallelism: exit %d, want 2", code)
+	for _, c := range []struct {
+		what string
+		args []string
+	}{
+		{"unknown figure", []string{"-figure", "nope"}},
+		{"unknown figure number", []string{"-figure", "fig99"}},
+		{"bad size", []string{"-sizes", "banana"}},
+		{"bad size for one figure", []string{"-figure", "fig6", "-sizes", "x"}},
+		{"non-positive size", []string{"-sizes", "512,0"}},
+		{"bad parallelism", []string{"-parallel", "0"}},
+		{"undefined flag", []string{"-bench", "fig6"}},
+	} {
+		var out, errOut bytes.Buffer
+		if code := Run(c.args, &out, &errOut); code != 2 {
+			t.Errorf("%s: exit %d, want 2", c.what, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errOut.String(), "ddtbench") {
+			t.Errorf("%s: stdout %q, stderr %q", c.what, out.String(), errOut.String())
+		}
 	}
 }
 

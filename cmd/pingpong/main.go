@@ -51,15 +51,8 @@ func Run(args []string, out, errOut io.Writer) int {
 		return 1
 	}
 
-	var topo bench.Topology
-	switch *topoFlag {
-	case "1gpu":
-		topo = bench.OneGPU
-	case "2gpu":
-		topo = bench.TwoGPU
-	case "ib":
-		topo = bench.TwoNode
-	default:
+	topo, ok := map[string]bench.Topology{"1gpu": bench.OneGPU, "2gpu": bench.TwoGPU, "ib": bench.TwoNode}[*topoFlag]
+	if !ok {
 		fmt.Fprintf(errOut, "pingpong: unknown topology %q\n", *topoFlag)
 		return 2
 	}

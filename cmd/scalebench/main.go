@@ -30,7 +30,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -57,67 +56,53 @@ type Report struct {
 // Run executes the command and returns the process exit code.
 func Run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("scalebench", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	outPath := fs.String("out", "", "write the JSON report to this file (default: stdout)")
 	quick := fs.Bool("quick", false, "small sweep for a fast smoke run")
 	shards := fs.Int("shards", 0, "event-heap partitions for modelled points, drained in turn; results are identical at any count (0: sweep default)")
 	sample := fs.Int("sample", 0, "content-verified ranks per modelled point (0: sweep default)")
 	tuning := fs.String("tuning", "", "tuning table (TUNING.json) adding a tuned arm per real-payload point")
 	host := fs.Bool("host", false, "also report host measurements: wall_ms and heap_inuse_bytes per point, go_version, go_maxprocs, num_cpu")
-	prof := cli.Profiles(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	stopProf, ok := prof.Start(errOut)
-	defer stopProf()
-	if !ok {
-		return 1
-	}
-
-	sw := bench.DefaultScaleSweep()
-	msw := bench.DefaultMegaSweep()
-	if *quick {
-		sw = bench.QuickScaleSweep()
-		msw = bench.QuickMegaSweep()
-	}
-	if *shards > 0 {
-		msw.Shards = *shards
-	}
-	if *sample > 0 {
-		msw.SampleRanks = *sample
-	}
-	sw.MeasureHost, msw.MeasureHost = *host, *host
-	if *tuning != "" {
-		tbl, err := tune.Load(*tuning)
-		if err != nil {
-			fmt.Fprintf(errOut, "scalebench: %v\n", err)
-			return 1
+	return cli.Report(fs, cli.Profiles(fs), "scale benchmark report", args, out, errOut, func() (any, error) {
+		sw := bench.DefaultScaleSweep()
+		msw := bench.DefaultMegaSweep()
+		if *quick {
+			sw = bench.QuickScaleSweep()
+			msw = bench.QuickMegaSweep()
 		}
-		sw.Tune = tbl.TuneFunc()
-	}
-	pts, err := bench.RunScale(sw)
-	if err != nil {
-		fmt.Fprintf(errOut, "scalebench: %v\n", err)
-		return 1
-	}
-	mpts, err := bench.RunMega(msw)
-	if err != nil {
-		fmt.Fprintf(errOut, "scalebench: %v\n", err)
-		return 1
-	}
-	pts = append(pts, mpts...)
-	rep := Report{
-		GeneratedBy:  "cmd/scalebench",
-		Datatype:     "submatrix_16x8_ld12",
-		RanksPerNode: sw.RanksPerNode,
-		Shards:       msw.Shards,
-		SampleRanks:  msw.SampleRanks,
-		Scale:        pts,
-	}
-	if *host {
-		rep.GoVersion, rep.GoMaxProcs, rep.NumCPU = runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU()
-	}
-	return cli.WriteJSON(rep, *outPath, "scale benchmark report", "scalebench", out, errOut)
+		if *shards > 0 {
+			msw.Shards = *shards
+		}
+		if *sample > 0 {
+			msw.SampleRanks = *sample
+		}
+		sw.MeasureHost, msw.MeasureHost = *host, *host
+		if *tuning != "" {
+			tbl, err := tune.Load(*tuning)
+			if err != nil {
+				return nil, err
+			}
+			sw.Tune = tbl.TuneFunc()
+		}
+		pts, err := bench.RunScale(sw)
+		if err != nil {
+			return nil, err
+		}
+		mpts, err := bench.RunMega(msw)
+		if err != nil {
+			return nil, err
+		}
+		rep := Report{
+			GeneratedBy:  "cmd/scalebench",
+			Datatype:     "submatrix_16x8_ld12",
+			RanksPerNode: sw.RanksPerNode,
+			Shards:       msw.Shards,
+			SampleRanks:  msw.SampleRanks,
+			Scale:        append(pts, mpts...),
+		}
+		if *host {
+			rep.GoVersion, rep.GoMaxProcs, rep.NumCPU = runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU()
+		}
+		return rep, nil
+	})
 }
 
 func main() {

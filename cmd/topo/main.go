@@ -21,8 +21,6 @@ import (
 func Run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("topo", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	gpus := fs.Int("gpus", 2, "GPUs per node")
-	nodes := fs.Int("nodes", 2, "nodes in the cluster")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -31,7 +29,7 @@ func Run(args []string, out, errOut io.Writer) int {
 	p := pcie.DefaultParams()
 	f := ib.DefaultParams()
 
-	fmt.Fprintf(out, "Simulated cluster: %d node(s) x %d %s GPU(s)\n\n", *nodes, *gpus, g.Name)
+	fmt.Fprintf(out, "Simulated cluster: 2 node(s) x 2 %s GPU(s)\n\n", g.Name)
 
 	fmt.Fprintf(out, "GPU (%s):\n", g.Name)
 	fmt.Fprintf(out, "  SMs                      %d (default grid %d blocks)\n", g.SMCount, g.DefaultBlocks)

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"gpuddt/internal/bench/cli"
 	"gpuddt/internal/tune"
@@ -38,7 +37,6 @@ const tunerSeed = 0xA5
 // Report is the BENCH_tune.json schema.
 type Report struct {
 	GeneratedBy string            `json:"generated_by"`
-	GoVersion   string            `json:"go_version"`
 	Seed        uint64            `json:"seed"`
 	Space       string            `json:"space"`
 	TableDigest string            `json:"table_digest"`
@@ -49,58 +47,42 @@ type Report struct {
 // Run executes the command and returns the process exit code.
 func Run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("tunebench", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	outPath := fs.String("out", "", "write the JSON report to this file (default: stdout)")
 	tablePath := fs.String("table", "", "persist the sealed tuning table to this file")
 	quick := fs.Bool("quick", false, "small point set for a fast smoke run")
-	prof := cli.Profiles(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	stopProf, ok := prof.Start(errOut)
-	defer stopProf()
-	if !ok {
-		return 1
-	}
-
-	cfg := tune.Config{Space: tune.DefaultSpace(), Points: tune.DefaultPoints(tunerSeed), Seed: tunerSeed}
-	curve := tune.DefaultCurveShapes()
-	if *quick {
-		cfg = tune.Config{Space: tune.QuickSpace(), Points: tune.QuickPoints(tunerSeed), Seed: tunerSeed}
-		curve = []tune.CurveShape{{Nodes: 8, RPN: 2, Oversub: 4, Elems: 1 << 13}}
-	}
-	tbl, err := tune.Run(cfg)
-	if err != nil {
-		fmt.Fprintf(errOut, "tunebench: %v\n", err)
-		return 1
-	}
-	if *tablePath != "" {
-		if err := tbl.Save(*tablePath); err != nil {
-			fmt.Fprintf(errOut, "tunebench: %v\n", err)
-			return 1
+	return cli.Report(fs, cli.Profiles(fs), "tuning benchmark report", args, out, errOut, func() (any, error) {
+		cfg := tune.Config{Space: tune.DefaultSpace(), Points: tune.DefaultPoints(tunerSeed), Seed: tunerSeed}
+		curve := tune.DefaultCurveShapes()
+		if *quick {
+			cfg = tune.Config{Space: tune.QuickSpace(), Points: tune.QuickPoints(tunerSeed), Seed: tunerSeed}
+			curve = []tune.CurveShape{{Nodes: 8, RPN: 2, Oversub: 4, Elems: 1 << 13}}
 		}
-		fmt.Fprintf(errOut, "tunebench: wrote tuning table (%d entries) to %s\n", len(tbl.Entries), *tablePath)
-	}
-	bpts, err := tune.RunBench(tbl, cfg.Points)
-	if err != nil {
-		fmt.Fprintf(errOut, "tunebench: %v\n", err)
-		return 1
-	}
-	cpts, err := tune.RunCurve(curve)
-	if err != nil {
-		fmt.Fprintf(errOut, "tunebench: %v\n", err)
-		return 1
-	}
-	rep := Report{
-		GeneratedBy: "cmd/tunebench",
-		GoVersion:   runtime.Version(),
-		Seed:        cfg.Seed,
-		Space:       cfg.Space.String(),
-		TableDigest: tbl.Digest,
-		Bench:       bpts,
-		Curve:       cpts,
-	}
-	return cli.WriteJSON(rep, *outPath, "tuning benchmark report", "tunebench", out, errOut)
+		tbl, err := tune.Run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if *tablePath != "" {
+			if err := tbl.Save(*tablePath); err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(errOut, "tunebench: wrote tuning table (%d entries) to %s\n", len(tbl.Entries), *tablePath)
+		}
+		bpts, err := tune.RunBench(tbl, cfg.Points)
+		if err != nil {
+			return nil, err
+		}
+		cpts, err := tune.RunCurve(curve)
+		if err != nil {
+			return nil, err
+		}
+		return Report{
+			GeneratedBy: "cmd/tunebench",
+			Seed:        cfg.Seed,
+			Space:       cfg.Space.String(),
+			TableDigest: tbl.Digest,
+			Bench:       bpts,
+			Curve:       cpts,
+		}, nil
+	})
 }
 
 func main() {

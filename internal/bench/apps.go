@@ -24,10 +24,7 @@ import (
 func AppHalo(n, iters int, strategy mpi.Strategy) sim.Time {
 	// Force the DDT protocols even for one column.
 	tun := &mpi.Tuning{Eager: mpi.Eager(1), Strategy: strategy}
-	cfg := cluster.TwoGPU().Tuned(tun).Config()
-	cfg.GPU = bigGPU()
-	cfg.PCIe = bigPCIe()
-	w := mpi.NewWorld(cfg)
+	w := mpi.NewWorld(bigConfig(cluster.TwoGPU().Tuned(tun)))
 	attachTrace(w.Engine(), "app:halo")
 	defer w.Close()
 	pitch := int64(n+2) * 8
@@ -68,10 +65,7 @@ func AppParticles(nParticles, recordElems, iters int, strategy mpi.Strategy) sim
 	}
 	ddt := shapes.ParticleIndices(idx, recordElems)
 	recv := datatype.Contiguous(len(idx)*recordElems, datatype.Float64)
-	cfg := cluster.TwoNode().Tuned(&mpi.Tuning{Strategy: strategy}).Config()
-	cfg.GPU = bigGPU()
-	cfg.PCIe = bigPCIe()
-	w := mpi.NewWorld(cfg)
+	w := mpi.NewWorld(bigConfig(cluster.TwoNode().Tuned(&mpi.Tuning{Strategy: strategy})))
 	attachTrace(w.Engine(), "app:particles")
 	defer w.Close()
 	var per sim.Time
@@ -98,10 +92,7 @@ func AppParticles(nParticles, recordElems, iters int, strategy mpi.Strategy) sim
 // the ScaLAPACK layout) from a 2x2 process grid onto rank 0, each piece
 // arriving as packed contiguous data.
 func AppScaLAPACK(n, nb int, strategy mpi.Strategy) sim.Time {
-	cfg := cluster.Spec{Nodes: 2, GPUsPerNode: 2, RanksPerNode: 2, Tuning: &mpi.Tuning{Strategy: strategy}}.Config()
-	cfg.GPU = bigGPU()
-	cfg.PCIe = bigPCIe()
-	w := mpi.NewWorld(cfg)
+	w := mpi.NewWorld(bigConfig(cluster.Spec{Nodes: 2, GPUsPerNode: 2, RanksPerNode: 2, Tuning: &mpi.Tuning{Strategy: strategy}}))
 	attachTrace(w.Engine(), "app:scalapack")
 	defer w.Close()
 	gs := []int{n, n}
@@ -148,70 +139,28 @@ func WhatIfGPU(n int) *Figure {
 		YLabel: "ms",
 		Note:   "Beyond the paper: a 4x faster GPU leaves PCIe-bound transfers unchanged; only intra-GPU (1GPU) transfers speed up.",
 	}
-	v2 := f.NewSeries("V-2GPU")
-	t2 := f.NewSeries("T-2GPU")
-	v1 := f.NewSeries("V-1GPU")
-	t1 := f.NewSeries("T-1GPU")
 	gens := []gpu.Params{bigGPU(), bigPascal()}
-	pts := pmap(len(gens), func(gen int) [4]float64 {
-		params := gens[gen]
-		run := func(topo Topology, dt *datatype.Datatype) float64 {
-			cfg := topo.Spec().Config()
-			cfg.GPU = params
-			cfg.PCIe = bigPCIe()
-			w := mpi.NewWorld(cfg)
-			attachTrace(w.Engine(), fmt.Sprintf("whatif %s %s", topo, dt.Name()))
-			defer w.Close()
-			return pingPongOn(w, dt).Millis()
+	var cells []cell[int]
+	for _, topo := range []Topology{TwoGPU, OneGPU} {
+		for _, sh := range []matShape{shapeV, shapeT} {
+			cells = append(cells, cell[int]{fmt.Sprintf("%s-%s", sh.label, topo), func(gen int) float64 {
+				dt := sh.dt(n)
+				cfg := bigConfig(topo.Spec())
+				cfg.GPU = gens[gen-1]
+				w := mpi.NewWorld(cfg)
+				attachTrace(w.Engine(), fmt.Sprintf("whatif %s %s", topo, dt.Name()))
+				defer w.Close()
+				return pingPongOn(w, PingPongSpec{Dt0: dt, Count: 1}).Millis()
+			}})
 		}
-		return [4]float64{
-			run(TwoGPU, vMat(n)),
-			run(TwoGPU, shapes.LowerTriangular(n)),
-			run(OneGPU, vMat(n)),
-			run(OneGPU, shapes.LowerTriangular(n)),
-		}
-	})
-	for gen := range gens {
-		x := float64(gen + 1)
-		v2.Add(x, pts[gen][0])
-		t2.Add(x, pts[gen][1])
-		v1.Add(x, pts[gen][2])
-		t1.Add(x, pts[gen][3])
 	}
-	return f
+	return sweep(f, []int{1, 2}, cells...)
 }
 
 func bigPascal() gpu.Params {
 	p := gpu.PascalP100()
 	p.MemBytes = 6 << 30
 	return p
-}
-
-// pingPongOn runs the standard warm ping-pong loop on a prebuilt world.
-func pingPongOn(w *mpi.World, dt *datatype.Datatype) sim.Time {
-	const iters = 3
-	var rt sim.Time
-	w.Run(func(m *mpi.Rank) {
-		buf := m.Malloc(layoutSpan(dt, 1))
-		m.Barrier()
-		var t0 sim.Time
-		for i := 0; i < iters+1; i++ {
-			if i == 1 {
-				t0 = m.Now()
-			}
-			if m.Rank() == 0 {
-				m.Send(buf, dt, 1, 1, i)
-				m.Recv(buf, dt, 1, 1, i+1000)
-			} else {
-				m.Recv(buf, dt, 1, 0, i)
-				m.Send(buf, dt, 1, 0, i+1000)
-			}
-		}
-		if m.Rank() == 0 {
-			rt = (m.Now() - t0) / iters
-		}
-	})
-	return rt
 }
 
 // Apps produces the application benchmark table: ours vs MVAPICH.
@@ -223,24 +172,12 @@ func Apps() *Figure {
 		YLabel: "ms",
 		Note:   "1 = SHOC halo exchange (N=4096, 2 GPUs); 2 = LAMMPS particle migration (1M particles, IB); 3 = ScaLAPACK block-cyclic collect (N=4096, 4 ranks).",
 	}
-	ours := f.NewSeries("ours")
-	mv := f.NewSeries("MVAPICH")
 	apps := []func(s mpi.Strategy) sim.Time{
 		func(s mpi.Strategy) sim.Time { return AppHalo(4096, 3, s) },
 		func(s mpi.Strategy) sim.Time { return AppParticles(1_000_000, 8, 3, s) },
 		func(s mpi.Strategy) sim.Time { return AppScaLAPACK(4096, 64, s) },
 	}
-	vals := pmap(len(apps)*2, func(k int) float64 {
-		var s mpi.Strategy
-		if k%2 == 1 {
-			s = &baseline.MVAPICHStrategy{}
-		}
-		return apps[k/2](s).Millis()
-	})
-	for i := range apps {
-		x := float64(i + 1)
-		ours.Add(x, vals[i*2])
-		mv.Add(x, vals[i*2+1])
-	}
-	return f
+	return sweep(f, []int{1, 2, 3},
+		cell[int]{"ours", func(app int) float64 { return apps[app-1](nil).Millis() }},
+		cell[int]{"MVAPICH", func(app int) float64 { return apps[app-1](&baseline.MVAPICHStrategy{}).Millis() }})
 }

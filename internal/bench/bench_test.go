@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,6 +23,31 @@ func TestFigurePrint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSweep pins the grid contract the figure runners rely on: one
+// series per cell in cell order, one point per x in x order, and — with
+// the serial pmap — every cell of one x evaluated before the next x.
+func TestSweep(t *testing.T) {
+	var order []string
+	mk := func(name string, scale float64) cell[int] {
+		return cell[int]{name, func(x int) float64 {
+			order = append(order, fmt.Sprintf("%s@%d", name, x))
+			return scale * float64(x)
+		}}
+	}
+	f := sweep(&Figure{ID: "grid"}, []int{7, 3}, mk("a", 1), mk("b", 10), mk("c", 100))
+	if got, want := strings.Join(order, " "), "a@7 b@7 c@7 a@3 b@3 c@3"; got != want {
+		t.Errorf("evaluation order %q, want x-major %q", got, want)
+	}
+	var got []string
+	for _, s := range f.Series {
+		got = append(got, fmt.Sprintf("%s%v", s.Name, s.Points))
+	}
+	want := "a[{7 7} {3 3}] b[{7 70} {3 30}] c[{7 700} {3 300}]"
+	if strings.Join(got, " ") != want {
+		t.Errorf("series %v, want %s", got, want)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package cli holds the flag plumbing shared by the benchmark
-// commands (cmd/ddtbench, cmd/pingpong, cmd/chaosbench, cmd/kernels,
-// cmd/scalebench): size-list parsing, CPU/heap profiling
-// flags, the -trace Chrome-trace sink, and JSON report writing. Each of
-// these used to be copy-pasted per command with the tool name baked
-// into the error strings; here the tool name comes from the FlagSet.
+// commands: size-list parsing, CPU/heap profiling flags, the -trace
+// Chrome-trace sink, JSON report writing, and the one body of the
+// BENCH_*.json commands (Report). The tool name in every error string
+// comes from the FlagSet.
 package cli
 
 import (
@@ -62,8 +61,12 @@ func Profiles(fs *flag.FlagSet) *Profile {
 // profile. The returned stop func must be deferred — it stops the CPU
 // profile and writes the heap profile. ok=false means a profile file
 // could not be created (reported to errOut); the stop func is still
-// safe to call.
+// safe to call. A nil Profile (a command without the flags) starts
+// nothing.
 func (p *Profile) Start(errOut io.Writer) (stop func(), ok bool) {
+	if p == nil {
+		return func() {}, true
+	}
 	var stops []func()
 	stop = func() {
 		for i := len(stops) - 1; i >= 0; i-- {
@@ -175,4 +178,29 @@ func WriteJSON(v any, outPath, what, tool string, out, errOut io.Writer) int {
 	}
 	fmt.Fprintf(out, "%s written to %s\n", what, outPath)
 	return 0
+}
+
+// Report is the body of a BENCH_*.json command (appbench, scalebench,
+// tunebench, chaosbench): fs carries the tool's own flags, Report adds
+// -out, parses args (exit 2 on a bad flag), runs build under prof (nil:
+// the tool has no profile flags), and writes the value build returns
+// with WriteJSON; a build error is one "<tool>: <err>" line and exit 1.
+// what names the report in the confirmation line.
+func Report(fs *flag.FlagSet, prof *Profile, what string, args []string, out, errOut io.Writer, build func() (any, error)) int {
+	fs.SetOutput(errOut)
+	outPath := fs.String("out", "", "write the JSON report to this file (default: stdout)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	stopProf, ok := prof.Start(errOut)
+	defer stopProf()
+	if !ok {
+		return 1
+	}
+	rep, err := build()
+	if err != nil {
+		fmt.Fprintf(errOut, "%s: %v\n", fs.Name(), err)
+		return 1
+	}
+	return WriteJSON(rep, *outPath, what, fs.Name(), out, errOut)
 }

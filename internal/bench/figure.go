@@ -47,6 +47,47 @@ func (f *Figure) NewSeries(name string) *Series {
 	return s
 }
 
+// number is what an x axis is swept over.
+type number interface{ ~int | ~int64 | ~float64 }
+
+// A cell is one series of a figure: its name and its value at x.
+type cell[X number] struct {
+	name string
+	at   func(x X) float64
+}
+
+// sweep measures a figure as a grid: every (x, cell) point is one task
+// of pmap, x-major, and each cell becomes a series of f — series in the
+// order the cells are given, points in the order of xs.
+func sweep[X number](f *Figure, xs []X, cells ...cell[X]) *Figure {
+	ys := pmap(len(xs)*len(cells), func(k int) float64 {
+		return cells[k%len(cells)].at(xs[k/len(cells)])
+	})
+	for ci, c := range cells {
+		s := f.NewSeries(c.name)
+		for xi, x := range xs {
+			s.Add(float64(x), ys[xi*len(cells)+ci])
+		}
+	}
+	return f
+}
+
+// sortedXs returns the union of the series' x values, ascending.
+func (f *Figure) sortedXs() []float64 {
+	set := map[float64]bool{}
+	for _, s := range f.Series {
+		for _, p := range s.Points {
+			set[p.X] = true
+		}
+	}
+	xs := make([]float64, 0, len(set))
+	for x := range set {
+		xs = append(xs, x)
+	}
+	sort.Float64s(xs)
+	return xs
+}
+
 // Print writes the figure as an aligned table: one row per x value, one
 // column per series (missing points print as "-").
 func (f *Figure) Print(w io.Writer) {
@@ -54,25 +95,12 @@ func (f *Figure) Print(w io.Writer) {
 	if f.Note != "" {
 		fmt.Fprintf(w, "# %s\n", f.Note)
 	}
-	// Collect the union of x values.
-	xsSet := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			xsSet[p.X] = true
-		}
-	}
-	xs := make([]float64, 0, len(xsSet))
-	for x := range xsSet {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-
 	fmt.Fprintf(w, "%-14s", f.XLabel)
 	for _, s := range f.Series {
 		fmt.Fprintf(w, " %16s", s.Name)
 	}
 	fmt.Fprintf(w, "   [%s]\n", f.YLabel)
-	for _, x := range xs {
+	for _, x := range f.sortedXs() {
 		fmt.Fprintf(w, "%-14.6g", x)
 		for _, s := range f.Series {
 			y, ok := lookup(s, x)
@@ -90,23 +118,12 @@ func (f *Figure) Print(w io.Writer) {
 // PrintCSV writes the figure as CSV: header row of series names, one
 // row per x value (empty cells for missing points).
 func (f *Figure) PrintCSV(w io.Writer) {
-	xsSet := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			xsSet[p.X] = true
-		}
-	}
-	xs := make([]float64, 0, len(xsSet))
-	for x := range xsSet {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
 	fmt.Fprintf(w, "%s", f.XLabel)
 	for _, s := range f.Series {
 		fmt.Fprintf(w, ",%s", s.Name)
 	}
 	fmt.Fprintln(w)
-	for _, x := range xs {
+	for _, x := range f.sortedXs() {
 		fmt.Fprintf(w, "%g", x)
 		for _, s := range f.Series {
 			if y, ok := lookup(s, x); ok {

@@ -3,11 +3,12 @@ package bench
 import (
 	"fmt"
 
+	"gpuddt/internal/cluster"
 	"gpuddt/internal/core"
 	"gpuddt/internal/cuda"
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/gpu"
-	"gpuddt/internal/mem"
+	"gpuddt/internal/mpi"
 	"gpuddt/internal/pcie"
 	"gpuddt/internal/shapes"
 	"gpuddt/internal/sim"
@@ -39,6 +40,13 @@ func bigPCIe() pcie.Params {
 	return p
 }
 
+// bigConfig is spec's world configuration on those two profiles.
+func bigConfig(spec cluster.Spec) mpi.Config {
+	cfg := spec.Config()
+	cfg.GPU, cfg.PCIe = bigGPU(), bigPCIe()
+	return cfg
+}
+
 // kernelRig is a single-process, single-GPU setup for Figs. 6-8.
 type kernelRig struct {
 	eng  *sim.Engine
@@ -49,7 +57,7 @@ type kernelRig struct {
 
 func newKernelRig(opts core.Options) *kernelRig {
 	e := sim.NewEngine()
-	attachRigTrace(e)
+	attachTrace(e, "")
 	node := pcie.NewNode(e, 0, 1, bigGPU(), bigPCIe())
 	ctx := cuda.NewCtx(node)
 	return &kernelRig{eng: e, ctx: ctx, e: core.New(ctx, 0, opts), node: node}
@@ -66,23 +74,46 @@ func layoutSpan(dt *datatype.Datatype, count int) int64 {
 	return int64(count-1)*dt.Extent() + dt.TrueLB() + dt.TrueExtent()
 }
 
+// timed runs the rig's one simulation — warm, then body, on a process
+// of the given name — and returns the virtual time body took. A rig is
+// timed once.
+func (r *kernelRig) timed(name string, warm, body func(p *sim.Proc)) sim.Time {
+	var dur sim.Time
+	r.eng.Spawn(name, func(p *sim.Proc) {
+		if warm != nil {
+			warm(p)
+		}
+		t0 := p.Now()
+		body(p)
+		dur = p.Now() - t0
+	})
+	r.eng.Run()
+	return dur
+}
+
 // timePack measures one pack of (dt, 1) after the given number of warmup
 // packs (warmup > 0 measures the DEV-cached regime, as the paper's
 // "cached" curves do).
 func (r *kernelRig) timePack(dt *datatype.Datatype, warmup int) sim.Time {
 	data := r.ctx.Malloc(0, layoutSpan(dt, 1))
 	dst := r.ctx.Malloc(0, dt.Size())
-	var dur sim.Time
-	r.eng.Spawn("pack", func(p *sim.Proc) {
+	pack := func(p *sim.Proc) { r.e.Pack(p, data, dt, 1, dst) }
+	return r.timed("pack", func(p *sim.Proc) {
 		for i := 0; i < warmup; i++ {
-			r.e.Pack(p, data, dt, 1, dst)
+			pack(p)
 		}
-		t0 := p.Now()
-		r.e.Pack(p, data, dt, 1, dst)
-		dur = p.Now() - t0
-	})
-	r.eng.Run()
-	return dur
+	}, pack)
+}
+
+// packGBps is the cell of one datatype family's cached pack: bandwidth
+// of the second pack of (dt(n), 1) on a fresh rig.
+func packGBps(name string, dt func(n int) *datatype.Datatype) cell[int] {
+	return cell[int]{name, func(n int) float64 {
+		r := newKernelRig(core.Options{})
+		defer r.close()
+		t := dt(n)
+		return sim.GBps(t.Size(), r.timePack(t, 1))
+	}}
 }
 
 // Fig6 reproduces "GPU memory bandwidth of packing kernels": pack
@@ -97,56 +128,18 @@ func Fig6(sizes []int) *Figure {
 		YLabel: "GB/s",
 		Note:   "Paper: V ~94% of cudaMemcpy, T ~80%, T-stair recovers V.",
 	}
-	sT := f.NewSeries("T")
-	sV := f.NewSeries("V")
-	sStair := f.NewSeries("T-stair")
-	sC := f.NewSeries("C-cudaMemcpy")
-	pts := pmap(len(sizes), func(i int) [4]float64 {
-		n := sizes[i]
-		var pt [4]float64
-		{
+	return sweep(f, sizes,
+		packGBps("T", shapes.LowerTriangular),
+		packGBps("V", vMat),
+		packGBps("T-stair", func(n int) *datatype.Datatype { return shapes.StairTriangular(n, stairNB(n)) }),
+		cell[int]{"C-cudaMemcpy", func(n int) float64 {
 			r := newKernelRig(core.Options{})
-			dt := vMat(n)
-			pt[0] = sim.GBps(dt.Size(), r.timePack(dt, 1))
-			r.close()
-		}
-		{
-			r := newKernelRig(core.Options{})
-			dt := shapes.LowerTriangular(n)
-			pt[1] = sim.GBps(dt.Size(), r.timePack(dt, 1))
-			r.close()
-		}
-		{
-			r := newKernelRig(core.Options{})
-			dt := shapes.StairTriangular(n, stairNB(n))
-			pt[2] = sim.GBps(dt.Size(), r.timePack(dt, 1))
-			r.close()
-		}
-		{
-			r := newKernelRig(core.Options{})
+			defer r.close()
 			sz := shapes.MatrixBytes(n)
 			src := r.ctx.Malloc(0, sz)
 			dst := r.ctx.Malloc(0, sz)
-			var dur sim.Time
-			r.eng.Spawn("memcpy", func(p *sim.Proc) {
-				t0 := p.Now()
-				r.ctx.Memcpy(p, dst, src)
-				dur = p.Now() - t0
-			})
-			r.eng.Run()
-			pt[3] = sim.GBps(sz, dur)
-			r.close()
-		}
-		return pt
-	})
-	for i, n := range sizes {
-		x := float64(n)
-		sV.Add(x, pts[i][0])
-		sT.Add(x, pts[i][1])
-		sStair.Add(x, pts[i][2])
-		sC.Add(x, pts[i][3])
-	}
-	return f
+			return sim.GBps(sz, r.timed("memcpy", nil, func(p *sim.Proc) { r.ctx.Memcpy(p, dst, src) }))
+		}})
 }
 
 // stairNB picks a stair step that divides n and keeps units aligned.
@@ -180,8 +173,7 @@ func Fig7(sizes []int) *Figure {
 		YLabel: "ms",
 		Note:   "Paper: pipelining ~halves T-d2d; caching removes DEV prep; zero copy slightly beats explicit d2d2h.",
 	}
-	tri := func(n int) *datatype.Datatype { return shapes.LowerTriangular(n) }
-	sub := vMat
+	tri, sub := shapes.LowerTriangular, vMat
 	noPipe := core.Options{NoPipeline: true, NoCacheDEV: true}
 	pipe := core.Options{NoCacheDEV: true}
 	cached := core.Options{}
@@ -195,31 +187,26 @@ func Fig7(sizes []int) *Figure {
 		{name: "T-d2d2h-cached", dt: tri, opts: cached, warmup: 1, viaHost: true},
 		{name: "T-cpy-cached", dt: tri, opts: cached, warmup: 1, zeroCpy: true},
 	}
-	vals := pmap(len(cases)*len(sizes), func(k int) float64 {
-		return runFig7Case(cases[k/len(sizes)], sizes[k%len(sizes)]).Millis()
-	})
-	for ci, c := range cases {
-		s := f.NewSeries(c.name)
-		for si, n := range sizes {
-			s.Add(float64(n), vals[ci*len(sizes)+si])
-		}
+	var cells []cell[int]
+	for _, c := range cases {
+		cells = append(cells, cell[int]{c.name, func(n int) float64 { return runFig7Case(c, n).Millis() }})
 	}
-	return f
+	return sweep(f, sizes, cells...)
 }
 
 func runFig7Case(c fig7Case, n int) sim.Time {
 	r := newKernelRig(c.opts)
+	defer r.close()
 	dt := c.dt(n)
 	data := r.ctx.Malloc(0, layoutSpan(dt, 1))
 	packedDev := r.ctx.Malloc(0, dt.Size())
 	hostBuf := r.ctx.MallocHost(dt.Size())
-	var dur sim.Time
-	r.eng.Spawn("fig7", func(p *sim.Proc) {
+	return r.timed("fig7", func(p *sim.Proc) {
 		for i := 0; i < c.warmup; i++ {
 			r.e.Pack(p, data, dt, 1, packedDev)
 			r.e.Unpack(p, data, dt, 1, packedDev)
 		}
-		t0 := p.Now()
+	}, func(p *sim.Proc) {
 		switch {
 		case c.zeroCpy:
 			// Zero copy: pack straight into mapped host memory and
@@ -236,11 +223,7 @@ func runFig7Case(c fig7Case, n int) sim.Time {
 			r.e.Pack(p, data, dt, 1, packedDev)
 			r.e.Unpack(p, data, dt, 1, packedDev)
 		}
-		dur = p.Now() - t0
 	})
-	r.eng.Run()
-	r.close()
-	return dur
 }
 
 // Fig8BlockSizes is the block-size sweep (bytes); it deliberately mixes
@@ -260,73 +243,50 @@ func Fig8(blockCounts []int64, blockSizes []int64) *Figure {
 		YLabel: "ms",
 		Note:   "Paper: memcpy2d collapses off the 64B-pitch fast path; kernel-d2d tracks mcp2d-d2d.",
 	}
-	pts := pmap(len(blockCounts)*len(blockSizes), func(k int) [6]float64 {
-		blocks := blockCounts[k/len(blockSizes)]
-		bs := blockSizes[k%len(blockSizes)]
-		stride := 2 * bs
-		dt := datatype.Hvector(int(blocks), int(bs), stride, datatype.Byte)
-		total := dt.Size()
-
-		run := func(fn func(p *sim.Proc, r *kernelRig, data, dev, host mem.Buffer)) sim.Time {
-			r := newKernelRig(core.Options{})
-			data := r.ctx.Malloc(0, layoutSpan(dt, 1))
-			dev := r.ctx.Malloc(0, total)
-			host := r.ctx.MallocHost(total)
-			var dur sim.Time
-			r.eng.Spawn("fig8", func(p *sim.Proc) {
+	variants := []struct {
+		name   string
+		mcp2d  bool // cudaMemcpy2D instead of the vector kernel
+		toHost bool // straight into (mapped) host memory
+		d2h    bool // then cudaMemcpy the packed device buffer to host
+	}{
+		{name: "kernel-d2d"},
+		{name: "kernel-d2d2h", d2h: true},
+		{name: "kernel-d2h(cpy)", toHost: true},
+		{name: "mcp2d-d2d", mcp2d: true},
+		{name: "mcp2d-d2h", mcp2d: true, toHost: true},
+		{name: "mcp2d-d2d2h", mcp2d: true, d2h: true},
+	}
+	var cells []cell[int64]
+	for _, blocks := range blockCounts {
+		for _, v := range variants {
+			cells = append(cells, cell[int64]{fmt.Sprintf("%s/%dK", v.name, blocks>>10), func(bs int64) float64 {
+				stride := 2 * bs
+				dt := datatype.Hvector(int(blocks), int(bs), stride, datatype.Byte)
+				r := newKernelRig(core.Options{})
+				defer r.close()
+				data := r.ctx.Malloc(0, layoutSpan(dt, 1))
+				dev := r.ctx.Malloc(0, dt.Size())
+				host := r.ctx.MallocHost(dt.Size())
+				dst := dev
+				if v.toHost {
+					dst = host
+				}
 				// Warm the DEV cache so kernel curves are kernel-only.
-				r.e.Pack(p, data, dt, 1, dev)
-				t0 := p.Now()
-				fn(p, r, data, dev, host)
-				dur = p.Now() - t0
-			})
-			r.eng.Run()
-			r.close()
-			return dur
-		}
-
-		return [6]float64{
-			run(func(p *sim.Proc, r *kernelRig, data, dev, host mem.Buffer) {
-				r.e.Pack(p, data, dt, 1, dev)
-			}).Millis(),
-			run(func(p *sim.Proc, r *kernelRig, data, dev, host mem.Buffer) {
-				r.e.Pack(p, data, dt, 1, dev)
-				r.ctx.Memcpy(p, host, dev)
-			}).Millis(),
-			run(func(p *sim.Proc, r *kernelRig, data, dev, host mem.Buffer) {
-				r.e.Pack(p, data, dt, 1, host)
-			}).Millis(),
-			run(func(p *sim.Proc, r *kernelRig, data, dev, host mem.Buffer) {
-				r.ctx.Memcpy2D(p, dev, bs, data, stride, bs, blocks)
-			}).Millis(),
-			run(func(p *sim.Proc, r *kernelRig, data, dev, host mem.Buffer) {
-				r.ctx.Memcpy2D(p, host, bs, data, stride, bs, blocks)
-			}).Millis(),
-			run(func(p *sim.Proc, r *kernelRig, data, dev, host mem.Buffer) {
-				r.ctx.Memcpy2D(p, dev, bs, data, stride, bs, blocks)
-				r.ctx.Memcpy(p, host, dev)
-			}).Millis(),
-		}
-	})
-	for bi, blocks := range blockCounts {
-		kd2d := f.NewSeries(fmt.Sprintf("kernel-d2d/%dK", blocks>>10))
-		kd2d2h := f.NewSeries(fmt.Sprintf("kernel-d2d2h/%dK", blocks>>10))
-		kcpy := f.NewSeries(fmt.Sprintf("kernel-d2h(cpy)/%dK", blocks>>10))
-		m2d := f.NewSeries(fmt.Sprintf("mcp2d-d2d/%dK", blocks>>10))
-		m2h := f.NewSeries(fmt.Sprintf("mcp2d-d2h/%dK", blocks>>10))
-		m2d2h := f.NewSeries(fmt.Sprintf("mcp2d-d2d2h/%dK", blocks>>10))
-		for si, bs := range blockSizes {
-			x := float64(bs)
-			pt := pts[bi*len(blockSizes)+si]
-			kd2d.Add(x, pt[0])
-			kd2d2h.Add(x, pt[1])
-			kcpy.Add(x, pt[2])
-			m2d.Add(x, pt[3])
-			m2h.Add(x, pt[4])
-			m2d2h.Add(x, pt[5])
+				warm := func(p *sim.Proc) { r.e.Pack(p, data, dt, 1, dev) }
+				return r.timed("fig8", warm, func(p *sim.Proc) {
+					if v.mcp2d {
+						r.ctx.Memcpy2D(p, dst, bs, data, stride, bs, blocks)
+					} else {
+						r.e.Pack(p, data, dt, 1, dst)
+					}
+					if v.d2h {
+						r.ctx.Memcpy(p, host, dev)
+					}
+				}).Millis()
+			}})
 		}
 	}
-	return f
+	return sweep(f, blockSizes, cells...)
 }
 
 // AblationUnitSize sweeps the CUDA-DEV split size S for the triangular
@@ -340,16 +300,10 @@ func AblationUnitSize(n int, unitSizes []int64) *Figure {
 		XLabel: "S bytes",
 		YLabel: "GB/s",
 	}
-	s := f.NewSeries("T pack")
 	dt := shapes.LowerTriangular(n)
-	vals := pmap(len(unitSizes), func(i int) float64 {
-		r := newKernelRig(core.Options{UnitSize: unitSizes[i], NoCacheDEV: true})
-		v := sim.GBps(dt.Size(), r.timePack(dt, 0))
-		r.close()
-		return v
-	})
-	for i, us := range unitSizes {
-		s.Add(float64(us), vals[i])
-	}
-	return f
+	return sweep(f, unitSizes, cell[int64]{"T pack", func(us int64) float64 {
+		r := newKernelRig(core.Options{UnitSize: us, NoCacheDEV: true})
+		defer r.close()
+		return sim.GBps(dt.Size(), r.timePack(dt, 0))
+	}})
 }

@@ -48,10 +48,7 @@ func overlapRun(n, kernels int, kernelBytes int64, overlapped bool) (sim.Time, t
 	if overlapped {
 		mode = "overlapped"
 	}
-	cfg := cluster.TwoNode().Config()
-	cfg.GPU = bigGPU()
-	cfg.PCIe = bigPCIe()
-	w := mpi.NewWorld(cfg)
+	w := mpi.NewWorld(bigConfig(cluster.TwoNode()))
 	defer w.Close()
 	rec := attachTrace(w.Engine(), fmt.Sprintf("overlap n=%d %s", n, mode))
 	if rec == nil {

@@ -85,6 +85,53 @@ func (sp *PingPongSpec) traced() bool {
 
 // PingPong runs the benchmark and returns the average round-trip time.
 func PingPong(sp PingPongSpec) sim.Time {
+	cfg := bigConfig(sp.Topo.Spec().Tuned(sp.Tuning))
+	cfg.Engine = sp.Engine
+	w := mpi.NewWorld(cfg)
+	defer w.Close()
+	label := fmt.Sprintf("pingpong %s %s", sp.Topo, sp.Dt0.Name())
+	rec := attachTrace(w.Engine(), label)
+	if rec == nil && sp.traced() {
+		rec = sim.NewRecorder(w.Engine())
+	}
+	for ni := 0; ni < cfg.Nodes; ni++ {
+		node := w.Node(ni)
+		for g := 0; g < node.NumGPUs(); g++ {
+			if sp.BlockCap > 0 {
+				node.GPU(g).SetBlockCap(sp.BlockCap)
+			}
+			if sp.BGBlocks > 0 || sp.BGDRAM > 0 {
+				node.GPU(g).SetBackgroundLoad(sp.BGBlocks, sp.BGDRAM)
+			}
+		}
+	}
+
+	rt := pingPongOn(w, sp)
+	if sp.Trace != nil {
+		trace.Report(sp.Trace, w.Engine())
+	}
+	if rec != nil && sp.traced() {
+		if err := rec.Validate(); err != nil {
+			panic(err)
+		}
+		if sp.TraceJSON != nil {
+			if err := trace.WriteChrome(sp.TraceJSON, trace.Run{Name: label, Rec: rec}); err != nil {
+				panic(err)
+			}
+		}
+		if sp.TraceTimeline != nil {
+			trace.WriteTimeline(sp.TraceTimeline, rec)
+		}
+		if sp.TracePhases != nil {
+			trace.WritePhases(sp.TracePhases, rec)
+		}
+	}
+	return rt
+}
+
+// pingPongOn runs sp's warm ping-pong loop between ranks 0 and 1 of a
+// prebuilt world and returns the average round trip.
+func pingPongOn(w *mpi.World, sp PingPongSpec) sim.Time {
 	if sp.Dt1 == nil {
 		sp.Dt1 = sp.Dt0
 	}
@@ -94,35 +141,6 @@ func PingPong(sp PingPongSpec) sim.Time {
 	if sp.Warmup == 0 {
 		sp.Warmup = 1
 	}
-	cfg := sp.Topo.Spec().Tuned(sp.Tuning).Config()
-	cfg.GPU = bigGPU()
-	cfg.PCIe = bigPCIe()
-	cfg.Engine = sp.Engine
-	w := mpi.NewWorld(cfg)
-	defer w.Close()
-	label := fmt.Sprintf("pingpong %s %s", sp.Topo, sp.Dt0.Name())
-	rec := attachTrace(w.Engine(), label)
-	if rec == nil && sp.traced() {
-		rec = sim.NewRecorder(w.Engine())
-	}
-	if sp.BlockCap > 0 || sp.BGBlocks > 0 || sp.BGDRAM > 0 {
-		nodes := 1
-		if sp.Topo == TwoNode {
-			nodes = 2
-		}
-		for ni := 0; ni < nodes; ni++ {
-			node := w.Node(ni)
-			for g := 0; g < node.NumGPUs(); g++ {
-				if sp.BlockCap > 0 {
-					node.GPU(g).SetBlockCap(sp.BlockCap)
-				}
-				if sp.BGBlocks > 0 || sp.BGDRAM > 0 {
-					node.GPU(g).SetBackgroundLoad(sp.BGBlocks, sp.BGDRAM)
-				}
-			}
-		}
-	}
-
 	var rt sim.Time
 	w.Run(func(m *mpi.Rank) {
 		dt := sp.Dt0
@@ -152,26 +170,38 @@ func PingPong(sp PingPongSpec) sim.Time {
 			rt = (m.Now() - t0) / sim.Time(sp.Iters)
 		}
 	})
-	if sp.Trace != nil {
-		trace.Report(sp.Trace, w.Engine())
-	}
-	if rec != nil && sp.traced() {
-		if err := rec.Validate(); err != nil {
-			panic(err)
-		}
-		if sp.TraceJSON != nil {
-			if err := trace.WriteChrome(sp.TraceJSON, trace.Run{Name: label, Rec: rec}); err != nil {
-				panic(err)
-			}
-		}
-		if sp.TraceTimeline != nil {
-			trace.WriteTimeline(sp.TraceTimeline, rec)
-		}
-		if sp.TracePhases != nil {
-			trace.WritePhases(sp.TracePhases, rec)
-		}
-	}
 	return rt
+}
+
+// matShape is a matrix datatype family the figures sweep by size.
+type matShape struct {
+	label string
+	dt    func(n int) *datatype.Datatype
+}
+
+var (
+	shapeV = matShape{"V", vMat}
+	shapeT = matShape{"T", shapes.LowerTriangular}
+)
+
+// pingMs is the cell of one ping-pong configuration: its round trip in
+// milliseconds.
+func pingMs[X number](name string, spec func(x X) PingPongSpec) cell[X] {
+	return cell[X]{name, func(x X) float64 { return PingPong(spec(x)).Millis() }}
+}
+
+// vsMVAPICH is the pair of cells Figs. 10-12 plot for one ping-pong:
+// the paper's protocols and the MVAPICH-style baseline on the same
+// topology and datatypes.
+func vsMVAPICH(name string, spec func(n int) PingPongSpec) []cell[int] {
+	return []cell[int]{
+		pingMs(name, spec),
+		pingMs(name+"-MVAPICH", func(n int) PingPongSpec {
+			sp := spec(n)
+			sp.Tuning = &mpi.Tuning{Strategy: &baseline.MVAPICHStrategy{}}
+			return sp
+		}),
+	}
 }
 
 // Fig9 reproduces "PCI-E bandwidth of ping-pong benchmark": achieved
@@ -185,22 +215,15 @@ func Fig9(sizes []int) *Figure {
 		YLabel: "GB/s",
 		Note:   "Paper: ~90% (V) and ~78% (T) of the contiguous PCIe bandwidth.",
 	}
-	sV := f.NewSeries("V")
-	sT := f.NewSeries("T")
-	sC := f.NewSeries("C")
-	mkDt := []func(n int) *datatype.Datatype{vMat, shapes.LowerTriangular, shapes.FullMatrix}
-	vals := pmap(len(sizes)*len(mkDt), func(k int) float64 {
-		dt := mkDt[k%len(mkDt)](sizes[k/len(mkDt)])
-		rt := PingPong(PingPongSpec{Topo: TwoGPU, Dt0: dt, Count: 1})
-		return sim.GBps(dt.Size(), rt/2)
-	})
-	for i, n := range sizes {
-		x := float64(n)
-		sV.Add(x, vals[i*3])
-		sT.Add(x, vals[i*3+1])
-		sC.Add(x, vals[i*3+2])
+	var cells []cell[int]
+	for _, sh := range []matShape{shapeV, shapeT, {"C", shapes.FullMatrix}} {
+		cells = append(cells, cell[int]{sh.label, func(n int) float64 {
+			dt := sh.dt(n)
+			rt := PingPong(PingPongSpec{Topo: TwoGPU, Dt0: dt, Count: 1})
+			return sim.GBps(dt.Size(), rt/2)
+		}})
 	}
-	return f
+	return sweep(f, sizes, cells...)
 }
 
 // Fig10 reproduces the three ping-pong sub-figures: time vs matrix size
@@ -213,102 +236,51 @@ func Fig10(topo Topology, sizes []int) *Figure {
 		YLabel: "ms",
 		Note:   "Paper: ours wins everywhere; MVAPICH's indexed path leaves the chart.",
 	}
-	cases := []struct {
-		label string
-		dt    func(n int) *datatype.Datatype
-	}{
-		{"T", shapes.LowerTriangular},
-		{"V", vMat},
+	var cells []cell[int]
+	for _, sh := range []matShape{shapeT, shapeV} {
+		cells = append(cells, vsMVAPICH(fmt.Sprintf("%s-%s", sh.label, topo), func(n int) PingPongSpec {
+			return PingPongSpec{Topo: topo, Dt0: sh.dt(n), Count: 1}
+		})...)
 	}
-	pts := pmap(len(cases)*len(sizes), func(k int) [2]float64 {
-		c, n := cases[k/len(sizes)], sizes[k%len(sizes)]
-		dt := c.dt(n)
-		return [2]float64{
-			PingPong(PingPongSpec{Topo: topo, Dt0: dt, Count: 1}).Millis(),
-			PingPong(PingPongSpec{
-				Topo: topo, Dt0: dt, Count: 1, Tuning: &mpi.Tuning{Strategy: &baseline.MVAPICHStrategy{}},
-			}).Millis(),
-		}
-	})
-	for ci, c := range cases {
-		ours := f.NewSeries(fmt.Sprintf("%s-%s", c.label, topo))
-		mv := f.NewSeries(fmt.Sprintf("%s-%s-MVAPICH", c.label, topo))
-		for si, n := range sizes {
-			pt := pts[ci*len(sizes)+si]
-			ours.Add(float64(n), pt[0])
-			mv.Add(float64(n), pt[1])
-		}
+	return sweep(f, sizes, cells...)
+}
+
+// toContig is the body of Figs. 11 and 12: rank 0 sends the given
+// non-contiguous view, rank 1 receives contiguous, over shared memory
+// and over InfiniBand.
+func toContig(f *Figure, label string, view func(n int) *datatype.Datatype, sizes []int) *Figure {
+	var cells []cell[int]
+	for _, topo := range []Topology{TwoGPU, TwoNode} {
+		cells = append(cells, vsMVAPICH(fmt.Sprintf("%s-%s", label, topo), func(n int) PingPongSpec {
+			return PingPongSpec{Topo: topo, Dt0: view(n), Dt1: shapes.FullMatrix(n), Count: 1}
+		})...)
 	}
-	return f
+	return sweep(f, sizes, cells...)
 }
 
 // Fig11 reproduces the vector↔contiguous ping-pong (FFT-style reshape):
 // rank 0 holds a sub-matrix view, rank 1 receives contiguous.
 func Fig11(sizes []int) *Figure {
-	f := &Figure{
+	return toContig(&Figure{
 		ID:     "fig11",
 		Title:  "Vector-contiguous ping-pong (FFT reshape)",
 		XLabel: "MatrixSize",
 		YLabel: "ms",
 		Note:   "Paper: the handshake lets the sender pack directly into the receiver buffer (RDMA + zero copy).",
-	}
-	topos := []Topology{TwoGPU, TwoNode}
-	pts := pmap(len(topos)*len(sizes), func(k int) [2]float64 {
-		topo, n := topos[k/len(sizes)], sizes[k%len(sizes)]
-		vec := vMat(n)
-		contig := shapes.FullMatrix(n)
-		return [2]float64{
-			PingPong(PingPongSpec{Topo: topo, Dt0: vec, Dt1: contig, Count: 1}).Millis(),
-			PingPong(PingPongSpec{
-				Topo: topo, Dt0: vec, Dt1: contig, Count: 1, Tuning: &mpi.Tuning{Strategy: &baseline.MVAPICHStrategy{}},
-			}).Millis(),
-		}
-	})
-	for ti, topo := range topos {
-		ours := f.NewSeries(fmt.Sprintf("VC-%s", topo))
-		mv := f.NewSeries(fmt.Sprintf("VC-%s-MVAPICH", topo))
-		for si, n := range sizes {
-			pt := pts[ti*len(sizes)+si]
-			ours.Add(float64(n), pt[0])
-			mv.Add(float64(n), pt[1])
-		}
-	}
-	return f
+	}, "VC", vMat, sizes)
 }
 
 // Fig12 reproduces the matrix-transpose ping-pong stress test: the
 // sender transmits the transposed view (N vectors of blocklength 1); the
 // receiver stores contiguous.
 func Fig12(sizes []int) *Figure {
-	f := &Figure{
+	return toContig(&Figure{
 		ID:     "fig12",
 		Title:  "Matrix transpose ping-pong",
 		XLabel: "MatrixSize",
 		YLabel: "ms",
 		Note:   "Stress test: 8-byte blocks defeat coalescing for us and explode call counts for MVAPICH.",
-	}
-	topos := []Topology{TwoGPU, TwoNode}
-	pts := pmap(len(topos)*len(sizes), func(k int) [2]float64 {
-		topo, n := topos[k/len(sizes)], sizes[k%len(sizes)]
-		tr := shapes.Transpose(n)
-		contig := shapes.FullMatrix(n)
-		return [2]float64{
-			PingPong(PingPongSpec{Topo: topo, Dt0: tr, Dt1: contig, Count: 1}).Millis(),
-			PingPong(PingPongSpec{
-				Topo: topo, Dt0: tr, Dt1: contig, Count: 1, Tuning: &mpi.Tuning{Strategy: &baseline.MVAPICHStrategy{}},
-			}).Millis(),
-		}
-	})
-	for ti, topo := range topos {
-		ours := f.NewSeries(fmt.Sprintf("TR-%s", topo))
-		mv := f.NewSeries(fmt.Sprintf("TR-%s-MVAPICH", topo))
-		for si, n := range sizes {
-			pt := pts[ti*len(sizes)+si]
-			ours.Add(float64(n), pt[0])
-			mv.Add(float64(n), pt[1])
-		}
-	}
-	return f
+	}, "TR", shapes.Transpose, sizes)
 }
 
 // Sec53 reproduces §5.3: how many CUDA blocks the pack/unpack kernels
@@ -322,28 +294,19 @@ func Sec53(n int, blockCaps []int) *Figure {
 		YLabel: "ms",
 		Note:   "Paper: a handful of blocks saturates PCIe; the rest of the GPU stays available.",
 	}
-	sV := f.NewSeries("V")
-	sT := f.NewSeries("T")
-	pts := pmap(len(blockCaps), func(i int) [2]float64 {
-		k := blockCaps[i]
-		return [2]float64{
-			PingPong(PingPongSpec{
-				Topo: TwoGPU, Dt0: vMat(n), Count: 1, BlockCap: k,
-			}).Millis(),
-			PingPong(PingPongSpec{
-				Topo: TwoGPU, Dt0: shapes.LowerTriangular(n), Count: 1, BlockCap: k,
-			}).Millis(),
-		}
-	})
-	for i, k := range blockCaps {
-		sV.Add(float64(k), pts[i][0])
-		sT.Add(float64(k), pts[i][1])
+	var cells []cell[int]
+	for _, sh := range []matShape{shapeV, shapeT} {
+		cells = append(cells, pingMs(sh.label, func(k int) PingPongSpec {
+			return PingPongSpec{Topo: TwoGPU, Dt0: sh.dt(n), Count: 1, BlockCap: k}
+		}))
 	}
-	return f
+	return sweep(f, blockCaps, cells...)
 }
 
 // Sec54 reproduces §5.4: ping-pong degradation when a co-resident
 // GPU-intensive application consumes a growing share of the GPU.
+// Intra-GPU transfers are DRAM-bound, so the background app's bandwidth
+// share hits them much harder than the PCIe-bound 2-GPU transfers.
 func Sec54(n int, loads []float64) *Figure {
 	f := &Figure{
 		ID:     "sec5.4",
@@ -352,40 +315,19 @@ func Sec54(n int, loads []float64) *Figure {
 		YLabel: "ms",
 		Note:   "PCIe-bound inter-GPU transfers barely degrade (packing needs few resources); DRAM-bound intra-GPU transfers feel the background app's bandwidth share.",
 	}
-	sV := f.NewSeries("V-2GPU")
-	sT := f.NewSeries("T-2GPU")
-	sV1 := f.NewSeries("V-1GPU")
-	sT1 := f.NewSeries("T-1GPU")
 	total := bigGPU().DefaultBlocks
-	pts := pmap(len(loads), func(i int) [4]float64 {
-		load := loads[i]
-		bg := int(float64(total) * load)
-		dram := load * 0.9
-		// Intra-GPU transfers are DRAM-bound, so the background app's
-		// bandwidth share hits them much harder than the PCIe-bound
-		// 2-GPU transfers.
-		return [4]float64{
-			PingPong(PingPongSpec{
-				Topo: TwoGPU, Dt0: vMat(n), Count: 1, BGBlocks: bg, BGDRAM: dram,
-			}).Millis(),
-			PingPong(PingPongSpec{
-				Topo: TwoGPU, Dt0: shapes.LowerTriangular(n), Count: 1, BGBlocks: bg, BGDRAM: dram,
-			}).Millis(),
-			PingPong(PingPongSpec{
-				Topo: OneGPU, Dt0: vMat(n), Count: 1, BGBlocks: bg, BGDRAM: dram,
-			}).Millis(),
-			PingPong(PingPongSpec{
-				Topo: OneGPU, Dt0: shapes.LowerTriangular(n), Count: 1, BGBlocks: bg, BGDRAM: dram,
-			}).Millis(),
+	var cells []cell[float64]
+	for _, topo := range []Topology{TwoGPU, OneGPU} {
+		for _, sh := range []matShape{shapeV, shapeT} {
+			cells = append(cells, pingMs(fmt.Sprintf("%s-%s", sh.label, topo), func(load float64) PingPongSpec {
+				return PingPongSpec{
+					Topo: topo, Dt0: sh.dt(n), Count: 1,
+					BGBlocks: int(float64(total) * load), BGDRAM: load * 0.9,
+				}
+			}))
 		}
-	})
-	for i, load := range loads {
-		sV.Add(load, pts[i][0])
-		sT.Add(load, pts[i][1])
-		sV1.Add(load, pts[i][2])
-		sT1.Add(load, pts[i][3])
 	}
-	return f
+	return sweep(f, loads, cells...)
 }
 
 // AblationPipeline sweeps the BTL pipeline fragment size (DESIGN.md A2).
@@ -396,17 +338,9 @@ func AblationPipeline(n int, fragSizes []int64) *Figure {
 		XLabel: "FragBytes",
 		YLabel: "ms",
 	}
-	sV := f.NewSeries("V")
-	vals := pmap(len(fragSizes), func(i int) float64 {
-		return PingPong(PingPongSpec{
-			Topo: TwoGPU, Dt0: vMat(n), Count: 1,
-			Tuning: &mpi.Tuning{FragBytes: fragSizes[i]},
-		}).Millis()
-	})
-	for i, fb := range fragSizes {
-		sV.Add(float64(fb), vals[i])
-	}
-	return f
+	return sweep(f, fragSizes, pingMs("V", func(fb int64) PingPongSpec {
+		return PingPongSpec{Topo: TwoGPU, Dt0: vMat(n), Count: 1, Tuning: &mpi.Tuning{FragBytes: fb}}
+	}))
 }
 
 // AblationRemoteUnpack compares staged vs direct remote unpacking
@@ -418,23 +352,14 @@ func AblationRemoteUnpack(sizes []int) *Figure {
 		XLabel: "MatrixSize",
 		YLabel: "ms",
 	}
-	staged := f.NewSeries("staged")
-	direct := f.NewSeries("direct")
-	pts := pmap(len(sizes), func(i int) [2]float64 {
-		dt := shapes.LowerTriangular(sizes[i])
-		return [2]float64{
-			PingPong(PingPongSpec{Topo: TwoGPU, Dt0: dt, Count: 1}).Millis(),
-			PingPong(PingPongSpec{
-				Topo: TwoGPU, Dt0: dt, Count: 1,
-				Tuning: &mpi.Tuning{DirectRemoteUnpack: true},
-			}).Millis(),
+	tri := func(tun *mpi.Tuning) func(n int) PingPongSpec {
+		return func(n int) PingPongSpec {
+			return PingPongSpec{Topo: TwoGPU, Dt0: shapes.LowerTriangular(n), Count: 1, Tuning: tun}
 		}
-	})
-	for i, n := range sizes {
-		staged.Add(float64(n), pts[i][0])
-		direct.Add(float64(n), pts[i][1])
 	}
-	return f
+	return sweep(f, sizes,
+		pingMs("staged", tri(nil)),
+		pingMs("direct", tri(&mpi.Tuning{DirectRemoteUnpack: true})))
 }
 
 // Fig1Solutions benchmarks the four approaches of Fig. 1 on a triangular
@@ -447,43 +372,36 @@ func Fig1Solutions(sizes []int) *Figure {
 		YLabel: "ms",
 		Note:   "d (GPU pack + zero copy) wins; b collapses on per-block memcpy overhead.",
 	}
-	sA := f.NewSeries("a-copy-with-gaps")
-	sB := f.NewSeries("b-per-block-d2h")
-	sC := f.NewSeries("c-per-block-d2d")
-	sD := f.NewSeries("d-gpu-pack")
-	pts := pmap(len(sizes), func(i int) [4]float64 {
+	names := [4]string{"a-copy-with-gaps", "b-per-block-d2h", "c-per-block-d2d", "d-gpu-pack"}
+	pts := pmap(len(sizes), func(i int) (ms [4]float64) {
 		dt := shapes.LowerTriangular(sizes[i])
 		r := newKernelRig(core.Options{})
+		defer r.close()
 		span := layoutSpan(dt, 1)
 		data := r.ctx.Malloc(0, span)
 		host := r.ctx.MallocHost(dt.Size())
 		devDst := r.ctx.Malloc(0, dt.Size())
 		scratch := r.ctx.MallocHost(span)
-		var ta, tb, tc, td sim.Time
 		r.eng.Spawn("fig1", func(p *sim.Proc) {
-			t0 := p.Now()
-			baseline.SolutionA(p, r.ctx, data, dt, 1, host, scratch)
-			ta = p.Now() - t0
-			t0 = p.Now()
-			baseline.SolutionB(p, r.ctx, data, dt, 1, host)
-			tb = p.Now() - t0
-			t0 = p.Now()
-			baseline.SolutionC(p, r.ctx, data, dt, 1, devDst)
-			tc = p.Now() - t0
-			t0 = p.Now()
-			r.e.Pack(p, data, dt, 1, host) // zero-copy pack to host
-			td = p.Now() - t0
+			for k, solve := range [4]func(){
+				func() { baseline.SolutionA(p, r.ctx, data, dt, 1, host, scratch) },
+				func() { baseline.SolutionB(p, r.ctx, data, dt, 1, host) },
+				func() { baseline.SolutionC(p, r.ctx, data, dt, 1, devDst) },
+				func() { r.e.Pack(p, data, dt, 1, host) }, // zero-copy pack to host
+			} {
+				t0 := p.Now()
+				solve()
+				ms[k] = (p.Now() - t0).Millis()
+			}
 		})
 		r.eng.Run()
-		r.close()
-		return [4]float64{ta.Millis(), tb.Millis(), tc.Millis(), td.Millis()}
+		return ms
 	})
-	for i, n := range sizes {
-		x := float64(n)
-		sA.Add(x, pts[i][0])
-		sB.Add(x, pts[i][1])
-		sC.Add(x, pts[i][2])
-		sD.Add(x, pts[i][3])
+	for k, name := range names {
+		s := f.NewSeries(name)
+		for i, n := range sizes {
+			s.Add(float64(n), pts[i][k])
+		}
 	}
 	return f
 }

@@ -39,26 +39,19 @@ func CollectTraces() (runs *[]trace.Run, stop func()) {
 	}
 }
 
-// attachTrace attaches a recorder to eng when collection is enabled.
+// attachTrace attaches a recorder to eng when collection is enabled. A
+// kernel rig has no label of its own: "" numbers it in build order.
 func attachTrace(eng *sim.Engine, label string) *sim.Recorder {
 	traceMu.Lock()
 	defer traceMu.Unlock()
-	return attachTraceLocked(eng, label)
-}
-
-func attachTraceLocked(eng *sim.Engine, label string) *sim.Recorder {
+	if label == "" {
+		label = fmt.Sprintf("rig%d", rigSeq)
+		rigSeq++
+	}
 	if traceRuns == nil {
 		return nil
 	}
 	rec := sim.NewRecorder(eng)
 	*traceRuns = append(*traceRuns, trace.Run{Name: label, Rec: rec})
 	return rec
-}
-
-// attachRigTrace labels a kernel rig's engine with a sequence number.
-func attachRigTrace(eng *sim.Engine) {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	attachTraceLocked(eng, fmt.Sprintf("rig%d", rigSeq))
-	rigSeq++
 }

@@ -54,12 +54,6 @@ type Options struct {
 	// (cached lists are keyed by datatype and count).
 	NoCacheDEV bool
 
-	// ConvPerEntry and ConvPerUnit are the CPU costs of converting one
-	// datatype block into a DEV entry and of emitting one split CUDA-DEV
-	// unit, respectively.
-	ConvPerEntry sim.Time
-	ConvPerUnit  sim.Time
-
 	// Blocks requests a kernel grid size (0 = device default); used by
 	// the §5.3 minimal-resources study.
 	Blocks int
@@ -68,12 +62,6 @@ type Options struct {
 	// layouts (ablation).
 	DisableVectorKernel bool
 
-	// RemoteAccessEff derates PCIe utilization when a kernel reads
-	// scattered data directly from a peer GPU's memory (§5.2.1: direct
-	// remote unpack generates too much traffic and under-utilizes
-	// PCI-E). Default 0.7.
-	RemoteAccessEff float64
-
 	// CacheBytes is the per-device byte budget of the DEV descriptor
 	// cache (default DefaultCacheBytes). The budget is shared by all
 	// engines on a device; the first engine created on the device fixes
@@ -81,15 +69,28 @@ type Options struct {
 	CacheBytes int64
 }
 
+// Calibration the engine is not configured with: nothing ever ran at
+// another value.
+const (
+	// convPerEntry and convPerUnit are the CPU costs of converting one
+	// datatype block into a DEV entry and of emitting one split CUDA-DEV
+	// unit, respectively.
+	convPerEntry = 40 * sim.Nanosecond
+	convPerUnit  = 8 * sim.Nanosecond
+
+	// remoteAccessEff derates PCIe utilization when a kernel reads
+	// scattered data directly from a peer GPU's memory (§5.2.1: direct
+	// remote unpack generates too much traffic and under-utilizes
+	// PCI-E).
+	remoteAccessEff = 0.7
+)
+
 // DefaultOptions returns the calibrated defaults.
 func DefaultOptions() Options {
 	return Options{
-		UnitSize:        1024,
-		ChunkBytes:      2 << 20,
-		ConvPerEntry:    40 * sim.Nanosecond,
-		ConvPerUnit:     8 * sim.Nanosecond,
-		RemoteAccessEff: 0.7,
-		CacheBytes:      DefaultCacheBytes,
+		UnitSize:   1024,
+		ChunkBytes: 2 << 20,
+		CacheBytes: DefaultCacheBytes,
 	}
 }
 
@@ -126,15 +127,6 @@ func New(ctx *cuda.Ctx, devID int, opts Options) *Engine {
 	}
 	if opts.ChunkBytes == 0 {
 		opts.ChunkBytes = def.ChunkBytes
-	}
-	if opts.ConvPerEntry == 0 {
-		opts.ConvPerEntry = def.ConvPerEntry
-	}
-	if opts.ConvPerUnit == 0 {
-		opts.ConvPerUnit = def.ConvPerUnit
-	}
-	if opts.RemoteAccessEff == 0 {
-		opts.RemoteAccessEff = def.RemoteAccessEff
 	}
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = def.CacheBytes

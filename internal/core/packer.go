@@ -323,7 +323,7 @@ func (pk *Packer) convert(p *sim.Proc, m int64) []Entry {
 	entries := list[mark:]
 	// CPU cost of simulating the pack and emitting cuda_dev_dist
 	// entries for this chunk.
-	p.Sleep(sim.Time(pieces)*opts.ConvPerEntry + sim.Time(len(entries))*opts.ConvPerUnit)
+	p.Sleep(sim.Time(pieces)*convPerEntry + sim.Time(len(entries))*convPerUnit)
 	pk.e.convEntries += int64(pieces)
 	pk.e.convUnits += int64(len(entries))
 	// Upload the descriptor array to the device.
@@ -368,8 +368,8 @@ func (e *Engine) launch(kind gpu.KernelKind, dir direction, data, frag mem.Buffe
 	default:
 		// Direct remote unpacking issues many scattered reads and
 		// under-utilizes PCIe (§5.2.1), modeled by inflating the wire
-		// traffic by 1/RemoteAccessEff.
-		return dev.LaunchZeroCopy(stream, k, node.SlotRx(dev.ID()), int64(float64(n)/e.opts.RemoteAccessEff))
+		// traffic by 1/remoteAccessEff.
+		return dev.LaunchZeroCopy(stream, k, node.SlotRx(dev.ID()), int64(float64(n)/remoteAccessEff))
 	}
 }
 

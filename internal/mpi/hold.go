@@ -74,24 +74,31 @@ func (m *Rank) freeStage(b mem.Buffer) {
 // cost the rank for block i (zero: not the phase's business). A block
 // qualifies when it lies in device memory and is eager-sized — the
 // threshold that already separates launch-bound from bandwidth-bound
-// messages; the qualifying blocks are held when that pays (holdPays).
-// hold returns nil when nothing is held, and every method of a nil
-// stage is the per-message path.
+// messages — and in the memory space of the first block that does: one
+// fused kernel runs on one device, so a rank with blocks on two GPUs
+// holds the first one's and leaves the other's to the per-message
+// path. The qualifying blocks are held when that pays (holdPays). hold
+// returns nil when nothing is held, and every method of a nil stage is
+// the per-message path.
 func (m *Rank) hold(n int, v view, launches func(i int) int) *stage {
 	var saved int
 	var total int64
-	var data mem.Buffer
+	var first mem.Buffer
 	for i := 0; i < n; i++ {
 		if k := launches(i); k > 0 {
 			buf, dt, count := v(i)
 			if size := m.holdable(buf, dt, count); size > 0 {
-				saved += k
-				total += size
-				data = buf
+				if !first.IsValid() {
+					first = buf
+				}
+				if buf.Space() == first.Space() {
+					saved += k
+					total += size
+				}
 			}
 		}
 	}
-	if saved < 2 || !m.holdPays(saved, total, data) {
+	if saved < 2 || !m.holdPays(saved, total, first) {
 		return nil
 	}
 	s := &stage{buf: m.stageBuf(total), blocks: make([]core.Block, n)}
@@ -99,7 +106,7 @@ func (m *Rank) hold(n int, v view, launches func(i int) int) *stage {
 	for i := 0; i < n; i++ {
 		if launches(i) > 0 {
 			buf, dt, count := v(i)
-			if size := m.holdable(buf, dt, count); size > 0 {
+			if size := m.holdable(buf, dt, count); size > 0 && buf.Space() == first.Space() {
 				s.blocks[i] = core.Block{Data: buf, Dt: dt, Count: count, Pos: pos}
 				pos += size
 			}

@@ -196,3 +196,56 @@ func TestHoldByCostAlltoall(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldTwoDevices: a rank that owns two GPUs and gives the exchange
+// eager-sized blocks on both holds the blocks of one device — the first
+// block's: a fused kernel addresses one memory space — and leaves the
+// other's to the per-message path. Every received byte is what one
+// SendRecvLocal per block leaves, with one block on each device (nothing
+// left to fuse) and with two on device 0 and one on device 1 (device 0
+// runs one pack and one unpack per rank where it ran two of each).
+func TestHoldTwoDevices(t *testing.T) {
+	dt := shapes.SubMatrix(16, 8, 12) // 1 KiB packed
+	run := func(devs []int, exchange func(g *Group, m *Rank, sends, recvs []Neighbor)) ([][]byte, int64) {
+		w := NewWorld(Config{GPUsPerNode: 2, Ranks: []Placement{{GPU: 0}, {GPU: 1}}})
+		defer w.Close()
+		g := w.NewGroup([]int{0, 1})
+		imgs := make([][]byte, 2)
+		w.Run(func(m *Rank) {
+			var sends, recvs []Neighbor
+			for i, dev := range devs {
+				send, recv := m.Ctx().Malloc(dev, spanOf(dt, 1)), m.Ctx().Malloc(dev, spanOf(dt, 1))
+				mem.FillPattern(send, uint64(7700+10*m.Rank()+i))
+				sends = append(sends, Neighbor{Buf: send, Dt: dt, Count: 1, Peer: 1 - m.Rank()})
+				recvs = append(recvs, Neighbor{Buf: recv, Dt: dt, Count: 1, Peer: 1 - m.Rank()})
+			}
+			exchange(g, m, sends, recvs)
+			for _, r := range recvs {
+				imgs[m.Rank()] = append(imgs[m.Rank()], r.Buf.Bytes()...)
+			}
+		})
+		checkQuiescent(t, w, "two devices")
+		return imgs, w.Node(0).GPU(0).KernelsRun()
+	}
+	perMessage := func(g *Group, m *Rank, sends, recvs []Neighbor) {
+		for i, s := range sends {
+			r := recvs[i]
+			g.SendRecvLocal(m, s.Buf, s.Dt, s.Count, s.Peer, r.Buf, r.Dt, r.Count, r.Peer)
+		}
+	}
+	for _, devs := range [][]int{{0, 1}, {0, 1, 0}} {
+		want, wantK := run(devs, perMessage)
+		got, k := run(devs, func(g *Group, m *Rank, sends, recvs []Neighbor) { g.NeighborAlltoallw(m, sends, recvs) })
+		for r := range want {
+			if !bytes.Equal(got[r], want[r]) {
+				t.Errorf("blocks on devices %v: rank %d received other bytes than one SendRecvLocal per block", devs, r)
+			}
+		}
+		if len(devs) == 3 {
+			wantK = 4 // either rank: one fused pack, one fused unpack
+		}
+		if k != wantK {
+			t.Errorf("blocks on devices %v: device 0 ran %d kernels, want %d", devs, k, wantK)
+		}
+	}
+}

@@ -179,7 +179,7 @@ func TestSwitchBeatsHierOversubscribed(t *testing.T) {
 		w.Close()
 		return now
 	}
-	hier, sw := run(CollHier), run(CollSwitch)
+	hier, sw := run(CollAuto), run(CollSwitch)
 	if sw >= hier {
 		t.Fatalf("switch allreduce (%v) not faster than hier (%v) on oversubscribed tree", sw, hier)
 	}

@@ -52,10 +52,6 @@ const (
 	// differential-testing oracle and the scaling benchmark's flat arm.
 	CollFlat
 
-	// CollHier forces the host-side hierarchical algorithms (alias of
-	// CollAuto today; named so tuning tables can pin the choice).
-	CollHier
-
 	// CollSwitch executes Reduce/Allreduce in-network at the fat-tree
 	// leaf/spine switches (SHARP-style); every other collective runs as
 	// under CollAuto. Worlds without a hierarchical fabric fall back to
@@ -68,8 +64,6 @@ func (c CollMode) String() string {
 	switch c {
 	case CollFlat:
 		return "flat"
-	case CollHier:
-		return "hier"
 	case CollSwitch:
 		return "switch"
 	default:
@@ -85,8 +79,6 @@ func ParseCollMode(s string) (CollMode, bool) {
 		return CollAuto, true
 	case "flat":
 		return CollFlat, true
-	case "hier":
-		return CollHier, true
 	case "switch":
 		return CollSwitch, true
 	}

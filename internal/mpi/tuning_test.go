@@ -71,7 +71,7 @@ func TestTuningDefaults(t *testing.T) {
 
 // TestCollModeRoundTrip: the table encoding parses back to itself.
 func TestCollModeRoundTrip(t *testing.T) {
-	for _, c := range []CollMode{CollAuto, CollFlat, CollHier, CollSwitch} {
+	for _, c := range []CollMode{CollAuto, CollFlat, CollSwitch} {
 		got, ok := ParseCollMode(c.String())
 		if !ok || got != c {
 			t.Fatalf("CollMode %v does not round-trip (got %v, ok %v)", c, got, ok)

@@ -104,7 +104,7 @@ func DefaultCurveShapes() []CurveShape {
 // RunCurve measures the flat / hierarchical / in-network allreduce
 // families across the shapes.
 func RunCurve(shapes []CurveShape) ([]CurvePoint, error) {
-	modes := []mpi.CollMode{mpi.CollFlat, mpi.CollHier, mpi.CollSwitch}
+	modes := []mpi.CollMode{mpi.CollFlat, mpi.CollAuto, mpi.CollSwitch}
 	out := make([]CurvePoint, 0, len(shapes))
 	for _, sh := range shapes {
 		spec := cluster.Scale(sh.Nodes, 1, sh.RPN, sh.Oversub)
@@ -123,7 +123,7 @@ func RunCurve(shapes []CurveShape) ([]CurvePoint, error) {
 			case mpi.CollFlat:
 				cp.FlatUs = ev.Us
 				ref = ev.Digest
-			case mpi.CollHier:
+			case mpi.CollAuto:
 				cp.HierUs = ev.Us
 			case mpi.CollSwitch:
 				cp.SwitchUs = ev.Us
