@@ -59,10 +59,6 @@ type Report struct {
 	Chaos       []Point `json:"chaos"`
 }
 
-func span(dt *datatype.Datatype, count int) int64 {
-	return int64(count-1)*dt.Extent() + dt.TrueLB() + dt.TrueExtent()
-}
-
 func cpuPack(dt *datatype.Datatype, count int, src []byte) []byte {
 	c := datatype.NewConverter(dt, count)
 	out := make([]byte, c.Total())
@@ -90,13 +86,13 @@ func measure(topo string, dt *datatype.Datatype, count int, seed uint64, rate fl
 	w.Run(func(m *mpi.Rank) {
 		switch m.Rank() {
 		case 0:
-			buf := m.Malloc(span(dt, count))
+			buf := m.Malloc(dt.Span(count))
 			mem.FillPattern(buf, 42)
 			sent = cpuPack(dt, count, buf.Bytes())
 			m.Barrier()
 			m.Send(buf, dt, count, 1, 5)
 		case 1:
-			buf := m.Malloc(span(dt, count))
+			buf := m.Malloc(dt.Span(count))
 			m.Barrier()
 			t0 := m.Now()
 			m.Recv(buf, dt, count, 0, 5)

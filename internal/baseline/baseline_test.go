@@ -72,7 +72,7 @@ func solutionRig(t *testing.T) (*sim.Engine, *cuda.Ctx) {
 func TestSolutionsProduceCorrectPacking(t *testing.T) {
 	e, ctx := solutionRig(t)
 	dt := shapes.LowerTriangular(32)
-	span := layoutSpan(dt, 1)
+	span := dt.Span(1)
 	buf := ctx.Malloc(0, span)
 	mem.FillPattern(buf, 17)
 	c := datatype.NewConverter(dt, 1)

@@ -76,31 +76,51 @@ type MVAPICHStrategy struct{}
 // Name implements mpi.Strategy.
 func (s *MVAPICHStrategy) Name() string { return "mvapich" }
 
-// mvInfo is the RTS payload.
-type mvInfo struct {
+// mvSend is the sender's half of a message: the RTS payload, and the
+// queue its sender process waits on for the receiver's go-ahead.
+type mvSend struct {
 	op   *mpi.SendOp
-	cmds *sim.Mailbox
+	cmds sim.Mailbox[*mvRecv]
 }
 
-// mvGo tells the sender where to put the staged bytes.
-type mvGo struct {
-	remote mem.Buffer   // receiver-side host staging
-	done   *sim.Mailbox // receiver's completion wait queue
+// mvRecv is the receiver's half: the host staging the sender Puts into,
+// and the queue the receiver waits on until the bytes are there.
+type mvRecv struct {
+	send    *mvSend
+	staging mem.Buffer
+	done    sim.Mailbox[int]
+}
+
+// The protocol's two active messages name the receiver's record; their
+// integer says which step they are.
+const (
+	mvGo   = iota // receiver -> sender: staging is ready
+	mvDone        // sender -> receiver: the staged bytes have landed
+)
+
+// Handle runs a step on the progress process of the rank it reached.
+func (r *mvRecv) Handle(_ *sim.Proc, step int) {
+	if step == mvGo {
+		r.send.cmds.Put(r)
+		return
+	}
+	r.done.Put(0)
 }
 
 // StartSend implements mpi.Strategy.
-func (s *MVAPICHStrategy) StartSend(op *mpi.SendOp) interface{} {
-	info := &mvInfo{op: op, cmds: op.M.World().Engine().NewMailbox("mv.cmds")}
+func (s *MVAPICHStrategy) StartSend(op *mpi.SendOp) any {
+	info := &mvSend{op: op}
+	info.cmds.Init(op.M.World().Engine(), "mv.cmds")
 	op.M.World().Engine().Spawn(fmt.Sprintf("rank%d.mvsend", op.M.Rank()), func(p *sim.Proc) {
-		cmd := info.cmds.Get(p).(mvGo)
+		r := info.cmds.Get(p)
 		// Stage 1: convert to host staging, one cudaMemcpy2D per vector
 		// segment (GPU data) or a CPU pack (host data).
 		local := op.M.ScratchHost(op.Packed)
 		s.stageOut(p, op, local.Slice(0, op.Packed))
 		// Stage 2: whole-message wire transfer (no fragmentation).
-		op.Ch.Put(p, cmd.remote.Slice(0, op.Packed), local.Slice(0, op.Packed))
+		op.Ch.Put(p, r.staging.Slice(0, op.Packed), local.Slice(0, op.Packed))
 		op.M.FreeScratchHost(local)
-		op.Ch.AM(p, 64, func(*sim.Proc) { cmd.done.Put(struct{}{}) })
+		op.Ch.AM(p, 64, r, mvDone)
 		op.Req.Complete()
 	})
 	return info
@@ -156,16 +176,14 @@ func (s *MVAPICHStrategy) stageIn(p *sim.Proc, op *mpi.RecvOp, src mem.Buffer) {
 }
 
 // RunRecv implements mpi.Strategy.
-func (s *MVAPICHStrategy) RunRecv(p *sim.Proc, op *mpi.RecvOp, info interface{}) {
-	mi := info.(*mvInfo)
+func (s *MVAPICHStrategy) RunRecv(p *sim.Proc, op *mpi.RecvOp, info any) {
 	m := op.M
-	staging := m.ScratchHost(op.Packed)
-	done := m.World().Engine().NewMailbox("mv.done")
-	cmd := mvGo{remote: staging, done: done}
-	op.Ch.AM(p, 64, func(*sim.Proc) { mi.cmds.Put(cmd) })
-	done.Get(p)
+	r := &mvRecv{send: info.(*mvSend), staging: m.ScratchHost(op.Packed)}
+	r.done.Init(m.World().Engine(), "mv.done")
+	op.Ch.AM(p, 64, r, mvGo)
+	r.done.Get(p)
 	// Stage 3: unpack from host staging, one cudaMemcpy2D per segment.
-	s.stageIn(p, op, staging.Slice(0, op.Packed))
-	m.FreeScratchHost(staging)
+	s.stageIn(p, op, r.staging.Slice(0, op.Packed))
+	m.FreeScratchHost(r.staging)
 	op.Req.Complete()
 }

@@ -16,7 +16,7 @@ import (
 // to host with a single cudaMemcpy, then packs on the CPU (Fig. 1a).
 // It needs a host scratch region as large as the layout's true extent.
 func SolutionA(p *sim.Proc, ctx *cuda.Ctx, buf mem.Buffer, dt *datatype.Datatype, count int, dst mem.Buffer, scratch mem.Buffer) {
-	span := layoutSpan(dt, count)
+	span := dt.Span(count)
 	ctx.Memcpy(p, scratch.Slice(0, span), buf.Slice(0, span))
 	c := datatype.NewConverter(dt, count)
 	ctx.Node().HostBus().Transfer(p, 2*c.Total())
@@ -43,11 +43,4 @@ func SolutionC(p *sim.Proc, ctx *cuda.Ctx, buf mem.Buffer, dt *datatype.Datatype
 	c.Advance(c.Total(), func(memOff, packOff, n int64) {
 		ctx.Memcpy(p, dst.Slice(packOff, n), buf.Slice(memOff, n))
 	})
-}
-
-func layoutSpan(dt *datatype.Datatype, count int) int64 {
-	if count == 0 {
-		return 0
-	}
-	return int64(count-1)*dt.Extent() + dt.TrueLB() + dt.TrueExtent()
 }

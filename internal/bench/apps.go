@@ -102,7 +102,7 @@ func AppScaLAPACK(n, nb int, strategy mpi.Strategy) sim.Time {
 	var dur sim.Time
 	w.Run(func(m *mpi.Rank) {
 		piece := datatype.Darray(4, m.Rank(), gs, dist, dargs, ps, datatype.OrderFortran, datatype.Float64)
-		local := m.Malloc(layoutSpan(piece, 1))
+		local := m.Malloc(piece.Span(1))
 		m.Barrier()
 		t0 := m.Now()
 		if m.Rank() == 0 {

@@ -67,13 +67,6 @@ func newKernelRig(opts core.Options) *kernelRig {
 // must not be used afterwards.
 func (r *kernelRig) close() { r.node.Release() }
 
-func layoutSpan(dt *datatype.Datatype, count int) int64 {
-	if count == 0 {
-		return 0
-	}
-	return int64(count-1)*dt.Extent() + dt.TrueLB() + dt.TrueExtent()
-}
-
 // timed runs the rig's one simulation — warm, then body, on a process
 // of the given name — and returns the virtual time body took. A rig is
 // timed once.
@@ -95,7 +88,7 @@ func (r *kernelRig) timed(name string, warm, body func(p *sim.Proc)) sim.Time {
 // packs (warmup > 0 measures the DEV-cached regime, as the paper's
 // "cached" curves do).
 func (r *kernelRig) timePack(dt *datatype.Datatype, warmup int) sim.Time {
-	data := r.ctx.Malloc(0, layoutSpan(dt, 1))
+	data := r.ctx.Malloc(0, dt.Span(1))
 	dst := r.ctx.Malloc(0, dt.Size())
 	pack := func(p *sim.Proc) { r.e.Pack(p, data, dt, 1, dst) }
 	return r.timed("pack", func(p *sim.Proc) {
@@ -198,7 +191,7 @@ func runFig7Case(c fig7Case, n int) sim.Time {
 	r := newKernelRig(c.opts)
 	defer r.close()
 	dt := c.dt(n)
-	data := r.ctx.Malloc(0, layoutSpan(dt, 1))
+	data := r.ctx.Malloc(0, dt.Span(1))
 	packedDev := r.ctx.Malloc(0, dt.Size())
 	hostBuf := r.ctx.MallocHost(dt.Size())
 	return r.timed("fig7", func(p *sim.Proc) {
@@ -264,7 +257,7 @@ func Fig8(blockCounts []int64, blockSizes []int64) *Figure {
 				dt := datatype.Hvector(int(blocks), int(bs), stride, datatype.Byte)
 				r := newKernelRig(core.Options{})
 				defer r.close()
-				data := r.ctx.Malloc(0, layoutSpan(dt, 1))
+				data := r.ctx.Malloc(0, dt.Span(1))
 				dev := r.ctx.Malloc(0, dt.Size())
 				host := r.ctx.MallocHost(dt.Size())
 				dst := dev

@@ -36,7 +36,7 @@ func vLayout(dt *datatype.Datatype, counts []int) (displs []int, span int64) {
 	displs = make([]int, len(counts))
 	for r, c := range counts {
 		displs[r] = int(cur)
-		cur += (layoutSpan(dt, c) + ext - 1) / ext
+		cur += (dt.Span(c) + ext - 1) / ext
 	}
 	return displs, cur * ext
 }
@@ -60,7 +60,7 @@ func overlapRun(n, kernels int, kernelBytes int64, overlapped bool) (sim.Time, t
 		me := m.Rank()
 		buf := m.Malloc(span)
 		mem.FillPattern(
-			buf.Slice(int64(displs[me])*dt.Extent(), layoutSpan(dt, overlapCounts[me])),
+			buf.Slice(int64(displs[me])*dt.Extent(), dt.Span(overlapCounts[me])),
 			uint64(40+me))
 		dev := m.Engine().Device()
 		compute := func() {

@@ -147,7 +147,7 @@ func pingPongOn(w *mpi.World, sp PingPongSpec) sim.Time {
 		if m.Rank() == 1 {
 			dt = sp.Dt1
 		}
-		span := layoutSpan(dt, sp.Count)
+		span := dt.Span(sp.Count)
 		var buf = m.Malloc(span)
 		if sp.OnHost {
 			buf = m.MallocHost(span)
@@ -377,7 +377,7 @@ func Fig1Solutions(sizes []int) *Figure {
 		dt := shapes.LowerTriangular(sizes[i])
 		r := newKernelRig(core.Options{})
 		defer r.close()
-		span := layoutSpan(dt, 1)
+		span := dt.Span(1)
 		data := r.ctx.Malloc(0, span)
 		host := r.ctx.MallocHost(dt.Size())
 		devDst := r.ctx.Malloc(0, dt.Size())

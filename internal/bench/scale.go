@@ -228,7 +228,7 @@ func runScaleColl(coll string, nodes, rpn, oversub int, tun *mpi.Tuning) (sim.Ti
 		switch coll {
 		case "bcast":
 			dt, count := scaleBlock(), 8
-			buf := m.Malloc(layoutSpan(dt, count))
+			buf := m.Malloc(dt.Span(count))
 			if m.Rank() == root {
 				mem.FillSynthetic(buf, uint64(1000+root))
 			}
@@ -237,14 +237,14 @@ func runScaleColl(coll string, nodes, rpn, oversub int, tun *mpi.Tuning) (sim.Ti
 		case "allgather":
 			dt, count := scaleBlock(), 1
 			stride := int64(count) * dt.Extent()
-			buf := m.Malloc(layoutSpan(dt, size*count))
-			mem.FillSynthetic(buf.Slice(int64(m.Rank())*stride, layoutSpan(dt, count)), uint64(model.SeedAllgather+m.Rank()))
+			buf := m.Malloc(dt.Span(size * count))
+			mem.FillSynthetic(buf.Slice(int64(m.Rank())*stride, dt.Span(count)), uint64(model.SeedAllgather+m.Rank()))
 			run = func() { m.Allgather(buf, dt, count) }
 			result = func() []byte { return cpuPack(dt, size*count, buf.Bytes()) }
 		case "alltoall":
 			dt, count := scaleBlock(), 1
-			sendBuf := m.Malloc(layoutSpan(dt, size*count))
-			recvBuf := m.Malloc(layoutSpan(dt, size*count))
+			sendBuf := m.Malloc(dt.Span(size * count))
+			recvBuf := m.Malloc(dt.Span(size * count))
 			mem.FillSynthetic(sendBuf, uint64(model.SeedAlltoall+m.Rank()))
 			run = func() { m.Alltoall(sendBuf, dt, count, recvBuf, dt, count) }
 			result = func() []byte { return cpuPack(dt, size*count, recvBuf.Bytes()) }

@@ -29,14 +29,6 @@ func newRig(t testing.TB, opts Options) *rig {
 	return &rig{eng: se, ctx: ctx, e: New(ctx, 0, opts)}
 }
 
-// span is the memory footprint of (dt, count).
-func span(dt *datatype.Datatype, count int) int64 {
-	if count == 0 {
-		return 0
-	}
-	return int64(count-1)*dt.Extent() + dt.TrueLB() + dt.TrueExtent()
-}
-
 // cpuPack is the reference packing.
 func cpuPack(dt *datatype.Datatype, count int, src []byte) []byte {
 	c := datatype.NewConverter(dt, count)
@@ -47,7 +39,7 @@ func cpuPack(dt *datatype.Datatype, count int, src []byte) []byte {
 
 func packOnGPU(t *testing.T, r *rig, dt *datatype.Datatype, count int) (got, want []byte, dur sim.Time) {
 	t.Helper()
-	data := r.ctx.Malloc(0, span(dt, count))
+	data := r.ctx.Malloc(0, dt.Span(count))
 	mem.FillPattern(data, 42)
 	want = cpuPack(dt, count, data.Bytes())
 	dst := r.ctx.Malloc(0, int64(len(want)))
@@ -99,10 +91,10 @@ func TestUnpackRoundTrip(t *testing.T) {
 	} {
 		r := newRig(t, Options{})
 		count := 1
-		src := r.ctx.Malloc(0, span(dt, count))
+		src := r.ctx.Malloc(0, dt.Span(count))
 		mem.FillPattern(src, 7)
 		packed := r.ctx.Malloc(0, dt.Size())
-		dst := r.ctx.Malloc(0, span(dt, count))
+		dst := r.ctx.Malloc(0, dt.Span(count))
 		r.eng.Spawn("roundtrip", func(p *sim.Proc) {
 			r.e.Pack(p, src, dt, count, packed)
 			r.e.Unpack(p, dst, dt, count, packed)
@@ -117,7 +109,7 @@ func TestUnpackRoundTrip(t *testing.T) {
 func TestFragmentedPackMatchesWhole(t *testing.T) {
 	r := newRig(t, Options{})
 	dt := shapes.LowerTriangular(64)
-	data := r.ctx.Malloc(0, span(dt, 1))
+	data := r.ctx.Malloc(0, dt.Span(1))
 	mem.FillPattern(data, 3)
 	want := cpuPack(dt, 1, data.Bytes())
 
@@ -145,7 +137,7 @@ func TestFragmentedPackMatchesWhole(t *testing.T) {
 func TestDEVCacheSpeedsRepeatPacks(t *testing.T) {
 	r := newRig(t, Options{})
 	dt := shapes.LowerTriangular(512)
-	data := r.ctx.Malloc(0, span(dt, 1))
+	data := r.ctx.Malloc(0, dt.Span(1))
 	dst := r.ctx.Malloc(0, dt.Size())
 	var first, second sim.Time
 	r.eng.Spawn("pack", func(p *sim.Proc) {
@@ -207,7 +199,7 @@ func TestStairMatchesVectorBandwidth(t *testing.T) {
 	// paper's kernel-bandwidth figure.
 	measure := func(dt *datatype.Datatype) float64 {
 		r := newRig(t, Options{})
-		data := r.ctx.Malloc(0, span(dt, 1))
+		data := r.ctx.Malloc(0, dt.Span(1))
 		dst := r.ctx.Malloc(0, dt.Size())
 		var dur sim.Time
 		r.eng.Spawn("m", func(p *sim.Proc) {
@@ -233,7 +225,7 @@ func TestStairMatchesVectorBandwidth(t *testing.T) {
 func TestZeroCopyPackToHost(t *testing.T) {
 	r := newRig(t, Options{})
 	dt := shapes.SubMatrix(256, 256, 512)
-	data := r.ctx.Malloc(0, span(dt, 1))
+	data := r.ctx.Malloc(0, dt.Span(1))
 	mem.FillPattern(data, 5)
 	want := cpuPack(dt, 1, data.Bytes())
 	host := r.ctx.MallocHost(dt.Size())
@@ -315,14 +307,14 @@ func TestWholeMessageCallsBorrowTheirWorker(t *testing.T) {
 	var got, want []byte
 	r.eng.Spawn("host", func(p *sim.Proc) {
 		for i, dt := range []*datatype.Datatype{vec, tri} {
-			data, packed := r.ctx.Malloc(0, span(dt, 1)), r.ctx.MallocHost(dt.Size())
+			data, packed := r.ctx.Malloc(0, dt.Span(1)), r.ctx.MallocHost(dt.Size())
 			r.e.Pack(p, data, dt, 1, packed) // fills the DEV cache
 			allocs[i] = testing.AllocsPerRun(20, func() {
 				r.e.Pack(p, data, dt, 1, packed)
 				r.e.Unpack(p, data, dt, 1, packed)
 			}) / 2
 		}
-		data, packed := r.ctx.Malloc(0, span(tri, 1)), r.ctx.MallocHost(tri.Size())
+		data, packed := r.ctx.Malloc(0, tri.Span(1)), r.ctx.MallocHost(tri.Size())
 		mem.FillPattern(packed, 7)
 		allocs[2] = testing.AllocsPerRun(20, func() { r.e.UnpackPrefix(p, data, tri, 1, packed.Slice(0, 200)) })
 		r.e.Unpack(p, data, tri, 1, packed)

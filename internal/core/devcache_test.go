@@ -17,7 +17,7 @@ import (
 
 // packNow runs one synchronous whole-message pack on the calling process.
 func packNow(p *sim.Proc, ctx *cuda.Ctx, e *Engine, dt *datatype.Datatype, count int) {
-	data := ctx.Malloc(e.Device().ID(), span(dt, count))
+	data := ctx.Malloc(e.Device().ID(), dt.Span(count))
 	mem.FillPattern(data, 7)
 	dst := ctx.Malloc(e.Device().ID(), int64(count)*dt.Size())
 	e.Pack(p, data, dt, count, dst)
@@ -118,7 +118,7 @@ func TestDevCacheSharedBudgetIsolatedEntries(t *testing.T) {
 		packNow(p, ctxB, eB, dt, 1)
 		unitsBAfter = eB.ConvertedUnits()
 		// Packed output stays correct through the shared cache.
-		data := ctxB.Malloc(0, span(dt, 1))
+		data := ctxB.Malloc(0, dt.Span(1))
 		mem.FillPattern(data, 3)
 		wantB = cpuPack(dt, 1, data.Bytes())
 		dst := ctxB.Malloc(0, int64(len(wantB)))
@@ -208,7 +208,7 @@ func BenchmarkDEVCacheHit(b *testing.B) {
 			ctx := cuda.NewCtx(node)
 			e := New(ctx, 0, Options{})
 			dt := shapes.LowerTriangular(n)
-			data := ctx.Malloc(0, span(dt, 1))
+			data := ctx.Malloc(0, dt.Span(1))
 			dst := ctx.Malloc(0, dt.Size())
 			se.Spawn("drive", func(p *sim.Proc) {
 				e.Pack(p, data, dt, 1, dst) // warm the cache

@@ -18,7 +18,7 @@ func TestCachedEntriesSplitAtOddFragmentBoundaries(t *testing.T) {
 	for _, frag := range []int64{1, 7, 333, 1000, 1025, 4097} {
 		t.Run(fmt.Sprintf("frag%d", frag), func(t *testing.T) {
 			r := newRig(t, Options{})
-			data := r.ctx.Malloc(0, span(dt, 1))
+			data := r.ctx.Malloc(0, dt.Span(1))
 			mem.FillPattern(data, 11)
 			want := cpuPack(dt, 1, data.Bytes())
 			out := r.ctx.Malloc(0, dt.Size())
@@ -59,7 +59,7 @@ func TestVectorFragmentBoundaries(t *testing.T) {
 	dt := shapes.SubMatrix(33, 17, 50) // odd-sized strided blocks
 	for _, frag := range []int64{1, 13, 100, 264, 1000} {
 		r := newRig(t, Options{})
-		data := r.ctx.Malloc(0, span(dt, 1))
+		data := r.ctx.Malloc(0, dt.Span(1))
 		mem.FillPattern(data, 4)
 		want := cpuPack(dt, 1, data.Bytes())
 		out := r.ctx.Malloc(0, dt.Size())
@@ -88,8 +88,8 @@ func TestVectorFragmentBoundaries(t *testing.T) {
 func TestUnpackerFragmentedCachedRoundTrip(t *testing.T) {
 	dt := shapes.LowerTriangular(80)
 	r := newRig(t, Options{})
-	src := r.ctx.Malloc(0, span(dt, 1))
-	dst := r.ctx.Malloc(0, span(dt, 1))
+	src := r.ctx.Malloc(0, dt.Span(1))
+	dst := r.ctx.Malloc(0, dt.Span(1))
 	mem.FillPattern(src, 9)
 	packed := r.ctx.Malloc(0, dt.Size())
 	r.eng.Spawn("roundtrip", func(p *sim.Proc) {
@@ -120,7 +120,7 @@ func TestTwoEnginesShareNothing(t *testing.T) {
 	r := newRig(t, Options{})
 	e2 := New(r.ctx, 0, Options{})
 	dt := shapes.LowerTriangular(64)
-	data := r.ctx.Malloc(0, span(dt, 1))
+	data := r.ctx.Malloc(0, dt.Span(1))
 	out := r.ctx.Malloc(0, dt.Size())
 	r.eng.Spawn("iso", func(p *sim.Proc) {
 		r.e.Pack(p, data, dt, 1, out)

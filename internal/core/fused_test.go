@@ -30,7 +30,7 @@ func TestFusedBlocksMatchSeparate(t *testing.T) {
 		for i, l := range layouts {
 			b := Block{Dt: l.dt, Count: l.count}
 			if n := b.Size(); n > 0 {
-				b.Data, b.Pos = r.ctx.Malloc(0, span(l.dt, l.count)), pos+8*int64(i%3)
+				b.Data, b.Pos = r.ctx.Malloc(0, l.dt.Span(l.count)), pos+8*int64(i%3)
 				mem.FillPattern(b.Data, uint64(100+i))
 				pos = b.Pos + n
 			}

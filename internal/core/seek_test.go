@@ -36,7 +36,7 @@ func TestPackerSeekToReplay(t *testing.T) {
 		r := newRig(t, Options{})
 		count := 2
 		rdt := datatype.Resized(dt, 0, dt.Extent())
-		data := r.ctx.Malloc(0, span(rdt, count))
+		data := r.ctx.Malloc(0, rdt.Span(count))
 		mem.FillPattern(data, 9)
 		want := cpuPack(rdt, count, data.Bytes())
 		frag := r.ctx.Malloc(0, 2048)
@@ -67,7 +67,7 @@ func TestPackerSeekToReplay(t *testing.T) {
 func TestPackerSeekToMidstream(t *testing.T) {
 	r := newRig(t, Options{})
 	dt := shapes.LowerTriangular(64)
-	data := r.ctx.Malloc(0, span(dt, 1))
+	data := r.ctx.Malloc(0, dt.Span(1))
 	mem.FillPattern(data, 4)
 	want := cpuPack(dt, 1, data.Bytes())
 	frag := r.ctx.Malloc(0, 4096)
@@ -99,7 +99,7 @@ func TestPackerSeekToMidstream(t *testing.T) {
 func TestPackerSeekToRetiresSlab(t *testing.T) {
 	r := newRig(t, Options{})
 	dt := shapes.LowerTriangular(64)
-	data := r.ctx.Malloc(0, span(dt, 1))
+	data := r.ctx.Malloc(0, dt.Span(1))
 	frag := r.ctx.Malloc(0, 4096)
 	pooled := func() int {
 		r.e.cache.mu.Lock()

@@ -157,7 +157,7 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 		for _, dir := range []direction{dirPack, dirUnpack} {
 			r := newRig(t, Options{})
 			dt, count := tc.dt, tc.count
-			data := r.ctx.Malloc(0, span(dt, count))
+			data := r.ctx.Malloc(0, dt.Span(count))
 			packed := r.ctx.Malloc(0, int64(count)*dt.Size())
 			r.eng.Spawn("cold", func(p *sim.Proc) { r.e.Pack(p, data, dt, count, packed) })
 			r.eng.Run()
@@ -226,7 +226,7 @@ func TestCachedWindowAllocsBounded(t *testing.T) {
 	allocs := func(n int) float64 {
 		r := newRig(t, Options{})
 		dt := shapes.Transpose(n)
-		data := r.ctx.Malloc(0, span(dt, 1))
+		data := r.ctx.Malloc(0, dt.Span(1))
 		dst := r.ctx.Malloc(0, dt.Size())
 		var got float64
 		r.eng.Spawn("pack", func(p *sim.Proc) {
@@ -250,7 +250,7 @@ func BenchmarkPackCachedTranspose(b *testing.B) {
 	const n = 256
 	r := newRig(b, Options{})
 	dt := shapes.Transpose(n)
-	data := r.ctx.Malloc(0, span(dt, 1))
+	data := r.ctx.Malloc(0, dt.Span(1))
 	dst := r.ctx.Malloc(0, dt.Size())
 	b.SetBytes(dt.Size())
 	r.eng.Spawn("drive", func(p *sim.Proc) {

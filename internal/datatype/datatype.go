@@ -166,6 +166,18 @@ func (d *Datatype) TrueLB() int64 { return d.tlb }
 // byte.
 func (d *Datatype) TrueExtent() int64 { return d.tub - d.tlb }
 
+// Span returns the memory footprint of count consecutive elements
+// measured from the origin: one past the last data byte of the last
+// element, (count-1)·Extent + TrueLB + TrueExtent. It is what a buffer
+// whose byte 0 is the datatype origin must hold; zero elements span
+// zero bytes.
+func (d *Datatype) Span(count int) int64 {
+	if count == 0 {
+		return 0
+	}
+	return int64(count-1)*d.Extent() + d.TrueLB() + d.TrueExtent()
+}
+
 // Commit is a no-op kept for MPI API fidelity (types are committed on
 // construction); it returns the receiver for chaining.
 func (d *Datatype) Commit() *Datatype { return d }

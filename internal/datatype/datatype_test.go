@@ -180,6 +180,40 @@ func TestTrueBounds(t *testing.T) {
 	}
 }
 
+// TestSpan pins the one footprint formula: zero elements span nothing,
+// one spans to its last data byte, and each further element adds an
+// extent — the true bounds, not lb/ub, decide (a resized type whose
+// lower bound is negative but whose data starts at 0). Every value is
+// also the end of the last piece a converter emits.
+func TestSpan(t *testing.T) {
+	sub := Subarray([]int{4, 6}, []int{2, 3}, []int{1, 2}, OrderC, Float64)
+	neg := Resized(Float64, -8, 24)
+	for _, tc := range []struct {
+		dt    *Datatype
+		count int
+		want  int64
+	}{
+		{Float64, 0, 0},
+		{sub, 0, 0},
+		{Float64, 1, 8},
+		{Vector(3, 2, 5, Float64), 1, 96},
+		{sub, 1, 136}, // TrueLB 64 (row 1, column 2) + TrueExtent 72
+		{sub, 2, 328}, // one more 4x6 array
+		{neg, 1, 8},
+		{neg, 3, 56},
+	} {
+		if got := tc.dt.Span(tc.count); got != tc.want {
+			t.Errorf("%s x%d: Span %d, want %d", tc.dt.Name(), tc.count, got, tc.want)
+		}
+		var end int64
+		c := NewConverter(tc.dt, tc.count)
+		c.Advance(c.Total(), func(memOff, _, n int64) { end = max(end, memOff+n) })
+		if end != tc.want {
+			t.Errorf("%s x%d: pieces end at %d, want %d", tc.dt.Name(), tc.count, end, tc.want)
+		}
+	}
+}
+
 func TestZeroCountTypes(t *testing.T) {
 	d := Contiguous(0, Float64)
 	if d.Size() != 0 || d.Extent() != 0 || d.NumBlocks() != 0 {

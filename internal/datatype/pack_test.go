@@ -25,13 +25,6 @@ func refPack(dt *Datatype, count int, src []byte) []byte {
 	return out
 }
 
-func layoutSpan(dt *Datatype, count int) int64 {
-	if count == 0 {
-		return 0
-	}
-	return int64(count-1)*dt.Extent() + dt.TrueLB() + dt.TrueExtent()
-}
-
 var testLayouts = []struct {
 	name  string
 	dt    *Datatype
@@ -52,7 +45,7 @@ var testLayouts = []struct {
 func TestPackMatchesReference(t *testing.T) {
 	for _, tl := range testLayouts {
 		t.Run(tl.name, func(t *testing.T) {
-			span := layoutSpan(tl.dt, tl.count)
+			span := tl.dt.Span(tl.count)
 			src := make([]byte, span)
 			fillSeq(src)
 			want := refPack(tl.dt, tl.count, src)
@@ -79,7 +72,7 @@ func TestFragmentedPackEqualsOneShot(t *testing.T) {
 	for _, tl := range testLayouts {
 		for _, frag := range []int64{1, 3, 13, 64, 1 << 20} {
 			t.Run(fmt.Sprintf("%s/frag%d", tl.name, frag), func(t *testing.T) {
-				span := layoutSpan(tl.dt, tl.count)
+				span := tl.dt.Span(tl.count)
 				src := make([]byte, span)
 				fillSeq(src)
 				want := refPack(tl.dt, tl.count, src)
@@ -108,7 +101,7 @@ func TestFragmentedPackEqualsOneShot(t *testing.T) {
 func TestUnpackInvertsPack(t *testing.T) {
 	for _, tl := range testLayouts {
 		t.Run(tl.name, func(t *testing.T) {
-			span := layoutSpan(tl.dt, tl.count)
+			span := tl.dt.Span(tl.count)
 			src := make([]byte, span)
 			fillSeq(src)
 			packed := refPack(tl.dt, tl.count, src)
@@ -139,7 +132,7 @@ func TestUnpackInvertsPack(t *testing.T) {
 func TestSeekMatchesSequential(t *testing.T) {
 	dt := lowerTriangular(8)
 	count := 3
-	src := make([]byte, layoutSpan(dt, count))
+	src := make([]byte, dt.Span(count))
 	fillSeq(src)
 	full := refPack(dt, count, src)
 

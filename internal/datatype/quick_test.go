@@ -48,8 +48,7 @@ func randType(r *rand.Rand, depth int) *Datatype {
 			// disjoint by advancing past the span.
 			displs[i] = pos - types[i].TrueLB()
 			bls[i] = r.Intn(2) + 1
-			span := int64(bls[i]-1)*types[i].Extent() + types[i].TrueLB() + types[i].TrueExtent()
-			pos = displs[i] + span
+			pos = displs[i] + types[i].Span(bls[i])
 			if pos < displs[i] {
 				pos = displs[i]
 			}
@@ -126,7 +125,7 @@ func TestQuickPackUnpackRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		dt := randType(r, 3)
 		count := r.Intn(4)
-		span := layoutSpan(dt, count)
+		span := dt.Span(count)
 		if span < 0 || span > 1<<22 {
 			return true // skip pathological extents
 		}

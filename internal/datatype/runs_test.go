@@ -68,7 +68,7 @@ func TestPackUnpackRunsMatchPieces(t *testing.T) {
 			if _, _, ok := tl.dt.Plan().Dense(tl.count); ok != tl.dense {
 				t.Fatalf("Dense = %v, want %v", ok, tl.dense)
 			}
-			span := layoutSpan(tl.dt, tl.count)
+			span := tl.dt.Span(tl.count)
 			data := make([]byte, span)
 			fillSeq(data)
 			rng := rand.New(rand.NewSource(int64(len(tl.name)) + span))

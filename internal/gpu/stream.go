@@ -13,7 +13,7 @@ import (
 type Stream struct {
 	dev  *Device
 	name string
-	q    *sim.Mailbox
+	q    sim.Mailbox[*streamOp]
 }
 
 // streamOp is one queued operation and its completion: a kernel launch
@@ -29,14 +29,11 @@ type streamOp struct {
 
 // NewStream creates a stream and starts its worker.
 func (d *Device) NewStream(name string) *Stream {
-	s := &Stream{
-		dev:  d,
-		name: fmt.Sprintf("gpu%d.%s", d.id, name),
-		q:    d.eng.NewMailbox(fmt.Sprintf("gpu%d.%s.q", d.id, name)),
-	}
+	s := &Stream{dev: d, name: fmt.Sprintf("gpu%d.%s", d.id, name)}
+	s.q.Init(d.eng, s.name+".q")
 	d.eng.SpawnDaemon(s.name, func(p *sim.Proc) {
 		for {
-			op := s.q.Get(p).(*streamOp)
+			op := s.q.Get(p)
 			if op.kernel != nil || op.fn != nil {
 				h := p.BeginBytes(op.label, op.bytes)
 				if op.kernel != nil {

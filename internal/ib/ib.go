@@ -187,7 +187,7 @@ type HCA struct {
 	leaf  int // leaf switch index (attach order / LeafRadix); 0 when flat
 	tx    *sim.Link
 	rx    *sim.Link
-	inbox *sim.Mailbox
+	inbox sim.Mailbox[Msg]
 	regs  map[regKey]bool
 	paths map[*HCA]*sim.Path // pathTo's results, by peer
 }
@@ -205,10 +205,10 @@ func (f *Fabric) Attach(node *pcie.Node) *HCA {
 		node:  node,
 		tx:    f.eng.NewLink(fmt.Sprintf("ib%d.tx", node.ID()), f.params.WireGBps, f.params.Latency/2),
 		rx:    f.eng.NewLink(fmt.Sprintf("ib%d.rx", node.ID()), f.params.WireGBps, f.params.Latency/2),
-		inbox: f.eng.NewMailbox(fmt.Sprintf("ib%d.inbox", node.ID())),
 		regs:  make(map[regKey]bool),
 		paths: make(map[*HCA]*sim.Path),
 	}
+	h.inbox.Init(f.eng, fmt.Sprintf("ib%d.inbox", node.ID()))
 	if f.params.Topo.Hierarchical() {
 		h.leaf = len(f.hcas) / f.params.Topo.LeafRadix
 		f.ensureLeaf(h.leaf)
@@ -224,7 +224,23 @@ func (h *HCA) Node() *pcie.Node { return h.node }
 func (h *HCA) Leaf() int { return h.leaf }
 
 // Inbox returns the mailbox where received messages appear (in order).
-func (h *HCA) Inbox() *sim.Mailbox { return h.inbox }
+func (h *HCA) Inbox() *sim.Mailbox[Msg] { return &h.inbox }
+
+// Msg is what an HCA carries: an integer for a handler that the
+// receiving side already holds, addressed to one of its endpoints. The
+// fabric never runs the handler; it only delivers the value, so a
+// message allocates nothing.
+type Msg struct {
+	Dst int     // the receiving endpoint (an MPI rank)
+	To  Handler // the receiving side's record that handles the message
+	Arg int
+}
+
+// Handler is the record a Msg names. Handle runs wherever the receiving
+// side executes its messages, with the message's integer.
+type Handler interface {
+	Handle(p *sim.Proc, arg int)
+}
 
 // Register pins a memory region with the HCA, charging the registration
 // cost on first use of the region (cached afterwards). A fault plan can
@@ -283,12 +299,13 @@ func (h *HCA) spineFor(peer *HCA) int {
 	return (h.node.ID() + peer.node.ID()) % h.f.params.Topo.Spines
 }
 
-// Send transmits a message of n wire bytes carrying payload to peer,
-// blocking the caller until injection and delivering the payload to the
-// peer's inbox after the wire time. Messages between a pair of HCAs are
-// delivered in order (the links are FIFO). An injected send fault (a
-// timeout or a link-flap outage) delivers nothing.
-func (h *HCA) Send(p *sim.Proc, peer *HCA, n int64, payload interface{}) error {
+// Send transmits a message of n wire bytes carrying *m (an empty Msg if
+// m is nil) to peer, blocking the caller until injection and delivering
+// a copy of it to the peer's inbox after the wire time. Messages between
+// a pair of HCAs are delivered in order (the links are FIFO). An
+// injected send fault (a timeout or a link-flap outage) delivers
+// nothing.
+func (h *HCA) Send(p *sim.Proc, peer *HCA, n int64, m *Msg) error {
 	sp := p.BeginBytes("ib.send", n)
 	defer sp.End()
 	p.Sleep(h.f.params.PerMsgOverhead)
@@ -297,7 +314,11 @@ func (h *HCA) Send(p *sim.Proc, peer *HCA, n int64, payload interface{}) error {
 	}
 	pa := h.pathTo(peer)
 	pa.Occupy(p, n)
-	peer.inbox.PutAfter(pa.Latency(), payload)
+	var msg Msg
+	if m != nil {
+		msg = *m
+	}
+	peer.inbox.PutAfter(pa.Latency(), msg)
 	return nil
 }
 

@@ -23,12 +23,12 @@ func TestSendDeliversInOrder(t *testing.T) {
 	var got []int
 	e.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			a.Send(p, b, 64, i)
+			a.Send(p, b, 64, &Msg{Arg: i})
 		}
 	})
 	e.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			got = append(got, b.Inbox().Get(p).(int))
+			got = append(got, b.Inbox().Get(p).Arg)
 		}
 	})
 	e.Run()
@@ -190,8 +190,8 @@ func TestFatTreeCrossLeafLatency(t *testing.T) {
 	e, _, hcas := fatTree(t, 8, FatTree(4, 2))
 	var same, cross sim.Time
 	e.Spawn("sender", func(p *sim.Proc) {
-		hcas[0].Send(p, hcas[1], 64, "near")
-		hcas[0].Send(p, hcas[7], 64, "far")
+		hcas[0].Send(p, hcas[1], 64, nil)
+		hcas[0].Send(p, hcas[7], 64, nil)
 	})
 	e.Spawn("near", func(p *sim.Proc) {
 		hcas[1].Inbox().Get(p)

@@ -26,12 +26,6 @@ func (k Kind) String() string {
 // reference plus fragment control fields, §4.1).
 const amHeaderBytes = 64
 
-// amsg is a delivered active message: the callback runs on the
-// receiving rank's progress process.
-type amsg struct {
-	fn func(p *sim.Proc)
-}
-
 // Channel is the unidirectional BTL connection from one rank to another.
 // Active messages arrive in order; payload-bearing operations charge the
 // appropriate interconnect.
@@ -57,13 +51,6 @@ func newChannel(w *World, src, dst *Rank) *Channel {
 	return c
 }
 
-// routed wraps an active message with its destination rank so the
-// per-node HCA router (started by NewWorld) can deliver it.
-type routed struct {
-	dst *Rank
-	am  amsg
-}
-
 // Kind returns the BTL kind.
 func (c *Channel) Kind() Kind { return c.kind }
 
@@ -76,22 +63,32 @@ func (c *Channel) SameDevice() bool {
 	return c.kind == SM && c.src.place.GPU == c.dst.place.GPU
 }
 
-// AM sends an active message of wireBytes whose callback fn executes on
+// AM sends an active message of wireBytes: to.Handle(arg) executes on
 // the destination rank's progress process, in order with other AMs on
-// this channel. Control messages must get through for any protocol to
-// make progress, so an injected send fault (timeout, link flap) is
-// retried with backoff and exhaustion is fatal.
-func (c *Channel) AM(p *sim.Proc, wireBytes int64, fn func(p *sim.Proc)) {
+// this channel. An active message is a value — a record the destination
+// side already holds and an integer, the ib.Msg an HCA carries — so
+// sending one allocates nothing on either BTL. Control messages must
+// get through for any protocol to make progress, so an injected send
+// fault (timeout, link flap) is retried with backoff and exhaustion is
+// fatal.
+func (c *Channel) AM(p *sim.Proc, wireBytes int64, to ib.Handler, arg int) {
+	msg := ib.Msg{Dst: c.dst.rank, To: to, Arg: arg}
 	switch c.kind {
 	case SM:
 		// Shared-memory FIFO: fixed injection cost, tiny latency.
-		c.dst.inbox.PutAfter(AMLatency, amsg{fn: fn})
+		c.dst.inbox.PutAfter(AMLatency, msg)
 	default:
 		c.src.mustRetry(p, "am.send", func() error {
-			return c.srcHCA.Send(p, c.dstHCA, wireBytes, routed{dst: c.dst, am: amsg{fn: fn}})
+			return c.srcHCA.Send(p, c.dstHCA, wireBytes, &msg)
 		})
 	}
 }
+
+// amQueue is a queue an active message fills: Handle puts the AM's
+// integer (a freed ring slot, a barrier arrival).
+type amQueue struct{ sim.Mailbox[int] }
+
+func (q *amQueue) Handle(_ *sim.Proc, v int) { q.Put(v) }
 
 // Put transfers payload bytes from a sender-side host buffer into a
 // receiver-side host buffer (RDMA write for IB; a shared-memory copy via

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"gpuddt/internal/datatype"
 	"gpuddt/internal/fault"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/shapes"
@@ -17,13 +18,17 @@ func chaosTuning() *Tuning {
 	return &Tuning{Eager: Eager(1), FragBytes: 8 << 10}
 }
 
-// chaosXfer runs one non-contiguous GPU-to-GPU transfer under the given
-// fault plan and returns the world (post-run) plus whether the payload
-// arrived intact.
-func chaosXfer(t *testing.T, cfg Config, rec **sim.Recorder) (*World, bool) {
+// chaosStrided is the strided layout every chaos transfer sends: 16 KiB
+// packed per element, four elements, eight fragments under
+// chaosTuning.
+var chaosStrided = shapes.SubMatrix(128, 128, 256)
+
+// chaosXfer runs one GPU-to-GPU transfer of four elements, sdt on the
+// sender and rdt on the receiver, under the given fault plan and
+// returns the world (post-run) plus whether the payload arrived intact.
+func chaosXfer(t *testing.T, cfg Config, rec **sim.Recorder, sdt, rdt *datatype.Datatype) (*World, bool) {
 	t.Helper()
-	dt := shapes.SubMatrix(128, 128, 256) // 16 KiB packed, strided
-	count := 4
+	const count = 4
 	w := NewWorld(cfg)
 	if rec != nil {
 		*rec = sim.NewRecorder(w.Engine())
@@ -32,14 +37,14 @@ func chaosXfer(t *testing.T, cfg Config, rec **sim.Recorder) (*World, bool) {
 	w.Run(func(m *Rank) {
 		switch m.Rank() {
 		case 0:
-			buf := m.Malloc(layoutSpan(dt, count))
+			buf := m.Malloc(sdt.Span(count))
 			mem.FillPattern(buf, 42)
-			sent = cpuPack(dt, count, buf.Bytes())
-			m.Send(buf, dt, count, 1, 9)
+			sent = cpuPack(sdt, count, buf.Bytes())
+			m.Send(buf, sdt, count, 1, 9)
 		case 1:
-			buf := m.Malloc(layoutSpan(dt, count))
-			m.Recv(buf, dt, count, 0, 9)
-			got = cpuPack(dt, count, buf.Bytes())
+			buf := m.Malloc(rdt.Span(count))
+			m.Recv(buf, rdt, count, 0, 9)
+			got = cpuPack(rdt, count, buf.Bytes())
 		}
 	})
 	return w, bytes.Equal(sent, got)
@@ -50,7 +55,7 @@ func TestChaosTransientFaultsRecovered(t *testing.T) {
 	cfg.Tuning = chaosTuning()
 	cfg.Faults = fault.NewPlan(7, 0.15)
 	var rec *sim.Recorder
-	w, ok := chaosXfer(t, cfg, &rec)
+	w, ok := chaosXfer(t, cfg, &rec, chaosStrided, chaosStrided)
 	if !ok {
 		t.Fatal("payload corrupted under transient faults")
 	}
@@ -62,29 +67,67 @@ func TestChaosTransientFaultsRecovered(t *testing.T) {
 	}
 }
 
-// TestChaosScratchNoLeak aborts a zero-copy attempt mid-protocol (the
-// persistent P2P fault forces the ring handoff to fail) and asserts the
-// abandoned attempt returned every scratch and ring slab to its pool.
+// TestChaosScratchNoLeak drives each zero-copy protocol into its staged
+// fallback with a persistent CUDA IPC fault, on one GPU and on two: the
+// SM ring, whose receiver cannot map the sender's ring and aborts
+// through the ACK stream (the sender has fragments in flight, which the
+// fallback must not read); the pack into a contiguous receiver, whose
+// sender cannot map the window and answers with a failure event; and
+// the sender's contiguous window, whose receiver cannot map it and
+// commands a worker that was never spawned. Each must fall back,
+// deliver intact bytes, and return every scratch and ring slab the
+// abandoned attempt held.
 func TestChaosScratchNoLeak(t *testing.T) {
-	cfg := twoRanksTwoGPUs()
-	cfg.Tuning = chaosTuning()
-	cfg.Faults = fault.NewPlan(11, 0)
-	cfg.Faults.Persistent[fault.IPCOpen] = true
-	var rec *sim.Recorder
-	w, ok := chaosXfer(t, cfg, &rec)
-	if !ok {
-		t.Fatal("payload corrupted across protocol fallback")
-	}
-	if rec.Counter("mpi.fallback") == 0 {
-		t.Fatal("persistent P2P fault did not downgrade the protocol")
-	}
-	for r := 0; r < w.Size(); r++ {
-		rk := w.RankHandle(r)
-		if out := rk.ScratchOutstanding(); out != 0 {
-			t.Errorf("rank %d: %d scratch buffers leaked", r, out)
-		}
-		if out := rk.RingOutstanding(); out != 0 {
-			t.Errorf("rank %d: %d ring buffers leaked", r, out)
+	dense := datatype.Contiguous(128*128, datatype.Float64) // chaosStrided's bytes, gap-free
+	for _, path := range []struct {
+		name     string
+		sdt, rdt *datatype.Datatype
+		attempt  string // the sender's zero-copy span; the window path has none
+	}{
+		{"ring", chaosStrided, chaosStrided, "mpi.send.ring"},
+		{"pack-direct", chaosStrided, dense, "mpi.send.direct"},
+		{"sender-window", dense, chaosStrided, ""},
+	} {
+		for _, topo := range []struct {
+			name string
+			cfg  func() Config
+		}{{"1gpu", twoRanksSameGPU}, {"2gpu", twoRanksTwoGPUs}} {
+			cfg := topo.cfg()
+			cfg.Tuning = chaosTuning()
+			cfg.Faults = fault.NewPlan(11, 0)
+			cfg.Faults.Persistent[fault.IPCOpen] = true
+			var rec *sim.Recorder
+			w, ok := chaosXfer(t, cfg, &rec, path.sdt, path.rdt)
+			what := path.name + "." + topo.name
+			if !ok {
+				t.Errorf("%s: payload corrupted across protocol fallback", what)
+			}
+			if rec.Counter("mpi.fallback") == 0 {
+				t.Errorf("%s: persistent P2P fault did not downgrade the protocol", what)
+			}
+			ran := map[string]bool{}
+			for _, tr := range rec.Tracks() {
+				for _, sp := range tr.Spans {
+					ran[sp.Name] = true
+				}
+			}
+			for _, want := range []string{path.attempt, "mpi.send.ib"} {
+				if want != "" && !ran[want] {
+					t.Errorf("%s: no %s span: the transfer took another path", what, want)
+				}
+			}
+			if path.attempt == "" && (ran["mpi.send.ring"] || ran["mpi.send.direct"]) {
+				t.Errorf("%s: the sender ran a zero-copy attempt", what)
+			}
+			for r := 0; r < w.Size(); r++ {
+				rk := w.RankHandle(r)
+				if out := rk.ScratchOutstanding(); out != 0 {
+					t.Errorf("%s: rank %d: %d scratch buffers leaked", what, r, out)
+				}
+				if out := rk.RingOutstanding(); out != 0 {
+					t.Errorf("%s: rank %d: %d ring buffers leaked", what, r, out)
+				}
+			}
 		}
 	}
 }
@@ -97,7 +140,7 @@ func TestChaosDeterminism(t *testing.T) {
 		cfg := twoRanksTwoGPUs()
 		cfg.Tuning = chaosTuning()
 		cfg.Faults = fault.NewPlan(seed, 0.12)
-		w, ok := chaosXfer(t, cfg, nil)
+		w, ok := chaosXfer(t, cfg, nil, chaosStrided, chaosStrided)
 		if !ok {
 			t.Fatal("payload corrupted")
 		}
@@ -136,7 +179,7 @@ func TestChaosConcurrentRetries(t *testing.T) {
 			if i%2 == 1 {
 				cfg.Faults.Persistent[fault.IPCOpen] = true
 			}
-			if _, ok := chaosXfer(t, cfg, nil); !ok {
+			if _, ok := chaosXfer(t, cfg, nil, chaosStrided, chaosStrided); !ok {
 				errs <- "payload corrupted"
 			}
 		}()

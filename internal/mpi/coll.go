@@ -130,14 +130,6 @@ func vectorView(buf mem.Buffer, dt *datatype.Datatype, counts, displs []int) vie
 	}
 }
 
-// spanOf is the memory footprint of (dt, count) from the origin.
-func spanOf(dt *datatype.Datatype, count int) int64 {
-	if count == 0 {
-		return 0
-	}
-	return int64(count-1)*dt.Extent() + dt.TrueLB() + dt.TrueExtent()
-}
-
 // packedSize is the wire size of (dt, count); a zero count may carry a
 // nil datatype.
 func packedSize(dt *datatype.Datatype, count int) int64 {

@@ -18,7 +18,7 @@ func TestGatherGPUVectors(t *testing.T) {
 	var want [4][]byte
 	var got []byte
 	w.Run(func(m *Rank) {
-		src := m.Malloc(layoutSpan(sdt, 1))
+		src := m.Malloc(sdt.Span(1))
 		mem.FillPattern(src, uint64(m.Rank()+1))
 		want[m.Rank()] = cpuPack(sdt, 1, src.Bytes())
 		var recv mem.Buffer
@@ -113,11 +113,11 @@ func TestAlltoallDatatypeReshape(t *testing.T) {
 		send := m.Malloc(4 * sstride)
 		recv := m.Malloc(4 * rdt.Size())
 		for j := 0; j < 4; j++ {
-			mem.FillPattern(send.Slice(int64(j)*sstride, layoutSpan(sdt, 1)), uint64(m.Rank()*10+j))
+			mem.FillPattern(send.Slice(int64(j)*sstride, sdt.Span(1)), uint64(m.Rank()*10+j))
 		}
 		m.Alltoall(send, sdt, 1, recv, rdt, 1)
 		// Verify slot m.Rank() (self copy) survived the reshape.
-		self := cpuPack(sdt, 1, send.Slice(int64(m.Rank())*sstride, layoutSpan(sdt, 1)).Bytes())
+		self := cpuPack(sdt, 1, send.Slice(int64(m.Rank())*sstride, sdt.Span(1)).Bytes())
 		gotSelf := recv.Slice(int64(m.Rank())*rdt.Size(), rdt.Size()).Bytes()
 		if !bytes.Equal(self, gotSelf) {
 			ok = false

@@ -23,7 +23,7 @@ func TestBcastGPUTriangular(t *testing.T) {
 	w := NewWorld(fourRanks())
 	imgs := make([][]byte, 4)
 	w.Run(func(m *Rank) {
-		buf := m.Malloc(layoutSpan(dt, 1))
+		buf := m.Malloc(dt.Span(1))
 		if m.Rank() == root {
 			mem.FillPattern(buf, 17)
 		}
@@ -69,12 +69,12 @@ func TestAllgatherGPUVector(t *testing.T) {
 		stride := dt.Extent()
 		buf := m.Malloc(4 * stride)
 		// Fill only my slot.
-		mem.FillPattern(buf.Slice(int64(m.Rank())*stride, spanOf(dt, 1)), uint64(100+m.Rank()))
+		mem.FillPattern(buf.Slice(int64(m.Rank())*stride, dt.Span(1)), uint64(100+m.Rank()))
 		m.Allgather(buf, dt, 1)
 		// Pack all four slots for comparison.
 		var all []byte
 		for r := 0; r < 4; r++ {
-			all = append(all, cpuPack(dt, 1, buf.Slice(int64(r)*stride, spanOf(dt, 1)).Bytes())...)
+			all = append(all, cpuPack(dt, 1, buf.Slice(int64(r)*stride, dt.Span(1)).Bytes())...)
 		}
 		imgs[m.Rank()] = all
 	})

@@ -281,7 +281,7 @@ func checkNeighbors(what, side string, size int, blocks []Neighbor) {
 			why = fmt.Sprintf("names a peer outside the group of %d", size)
 		case b.Dt == nil:
 			why = "has no datatype"
-		case b.Dt.TrueLB() < 0 || spanOf(b.Dt, b.Count) > b.Buf.Len():
+		case b.Dt.TrueLB() < 0 || b.Dt.Span(b.Count) > b.Buf.Len():
 			why = fmt.Sprintf("lies outside its buffer of %d bytes", b.Buf.Len())
 		default:
 			continue

@@ -38,7 +38,7 @@ func runHierColl(t *testing.T, cfg Config, coll string) ([][]byte, *World, *sim.
 	w.Run(func(m *Rank) {
 		switch coll {
 		case "bcast":
-			buf := m.Malloc(spanOf(dt, 4))
+			buf := m.Malloc(dt.Span(4))
 			if m.Rank() == root {
 				mem.FillPattern(buf, uint64(7000+root))
 			}
@@ -46,13 +46,13 @@ func runHierColl(t *testing.T, cfg Config, coll string) ([][]byte, *World, *sim.
 			imgs[m.Rank()] = cpuPack(dt, 4, buf.Bytes())
 		case "allgather":
 			stride := dt.Extent()
-			buf := m.Malloc(spanOf(dt, size))
-			mem.FillPattern(buf.Slice(int64(m.Rank())*stride, spanOf(dt, 1)), uint64(7100+m.Rank()))
+			buf := m.Malloc(dt.Span(size))
+			mem.FillPattern(buf.Slice(int64(m.Rank())*stride, dt.Span(1)), uint64(7100+m.Rank()))
 			m.Allgather(buf, dt, 1)
 			imgs[m.Rank()] = cpuPack(dt, size, buf.Bytes())
 		case "alltoall":
-			sendBuf := m.Malloc(spanOf(dt, size))
-			recvBuf := m.Malloc(spanOf(dt, size))
+			sendBuf := m.Malloc(dt.Span(size))
+			recvBuf := m.Malloc(dt.Span(size))
 			mem.FillPattern(sendBuf, uint64(7200+m.Rank()))
 			m.Alltoall(sendBuf, dt, 1, recvBuf, dt, 1)
 			imgs[m.Rank()] = cpuPack(dt, size, recvBuf.Bytes())

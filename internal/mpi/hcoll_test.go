@@ -137,7 +137,7 @@ func TestHierBcastMatchesFlat(t *testing.T) {
 				}
 				imgs := make([][]byte, size)
 				w.Run(func(m *Rank) {
-					buf := m.Malloc(spanOf(dt, 2))
+					buf := m.Malloc(dt.Span(2))
 					if m.Rank() == root {
 						mem.FillPattern(buf, uint64(31+root))
 					}
@@ -171,8 +171,8 @@ func TestHierAllgatherMatchesFlat(t *testing.T) {
 			w := NewWorld(blockedConfig(sh.nodes, sh.rpn, flat))
 			imgs := make([][]byte, size)
 			w.Run(func(m *Rank) {
-				buf := m.Malloc(spanOf(dt, size*count))
-				mem.FillPattern(buf.Slice(int64(m.Rank())*stride, spanOf(dt, count)), uint64(500+m.Rank()))
+				buf := m.Malloc(dt.Span(size * count))
+				mem.FillPattern(buf.Slice(int64(m.Rank())*stride, dt.Span(count)), uint64(500+m.Rank()))
 				m.Allgather(buf, dt, count)
 				imgs[m.Rank()] = cpuPack(dt, size*count, buf.Bytes())
 			})
@@ -199,10 +199,10 @@ func TestHierAlltoallMatchesFlat(t *testing.T) {
 			w := NewWorld(blockedConfig(sh.nodes, sh.rpn, flat))
 			imgs := make([][]byte, size)
 			w.Run(func(m *Rank) {
-				sendBuf := m.Malloc(spanOf(dt, size*count))
-				recvBuf := m.Malloc(spanOf(dt, size*count))
+				sendBuf := m.Malloc(dt.Span(size * count))
+				recvBuf := m.Malloc(dt.Span(size * count))
 				for peer := 0; peer < size; peer++ {
-					mem.FillPattern(sendBuf.Slice(int64(peer)*stride, spanOf(dt, count)),
+					mem.FillPattern(sendBuf.Slice(int64(peer)*stride, dt.Span(count)),
 						uint64(1000*m.Rank()+peer))
 				}
 				m.Alltoall(sendBuf, dt, count, recvBuf, dt, count)
@@ -289,8 +289,8 @@ func TestHierPhaseSpans(t *testing.T) {
 	size := w.Size()
 	stride := dt.Extent()
 	w.Run(func(m *Rank) {
-		sendBuf := m.Malloc(spanOf(dt, size))
-		recvBuf := m.Malloc(spanOf(dt, size))
+		sendBuf := m.Malloc(dt.Span(size))
+		recvBuf := m.Malloc(dt.Span(size))
 		mem.FillPattern(sendBuf, uint64(m.Rank()))
 		m.Alltoall(sendBuf, dt, 1, recvBuf, dt, 1)
 		_ = stride
@@ -325,10 +325,10 @@ func TestHierCollectivesOnFatTree(t *testing.T) {
 	stride := dt.Extent()
 	imgs := make([][]byte, size)
 	w.Run(func(m *Rank) {
-		sendBuf := m.Malloc(spanOf(dt, size))
-		recvBuf := m.Malloc(spanOf(dt, size))
+		sendBuf := m.Malloc(dt.Span(size))
+		recvBuf := m.Malloc(dt.Span(size))
 		for peer := 0; peer < size; peer++ {
-			mem.FillPattern(sendBuf.Slice(int64(peer)*stride, spanOf(dt, 1)), uint64(300*m.Rank()+peer))
+			mem.FillPattern(sendBuf.Slice(int64(peer)*stride, dt.Span(1)), uint64(300*m.Rank()+peer))
 		}
 		m.Alltoall(sendBuf, dt, 1, recvBuf, dt, 1)
 		imgs[m.Rank()] = cpuPack(dt, size, recvBuf.Bytes())
@@ -338,10 +338,10 @@ func TestHierCollectivesOnFatTree(t *testing.T) {
 	ref := NewWorld(blockedConfig(8, 2, true))
 	refImgs := make([][]byte, size)
 	ref.Run(func(m *Rank) {
-		sendBuf := m.Malloc(spanOf(dt, size))
-		recvBuf := m.Malloc(spanOf(dt, size))
+		sendBuf := m.Malloc(dt.Span(size))
+		recvBuf := m.Malloc(dt.Span(size))
 		for peer := 0; peer < size; peer++ {
-			mem.FillPattern(sendBuf.Slice(int64(peer)*stride, spanOf(dt, 1)), uint64(300*m.Rank()+peer))
+			mem.FillPattern(sendBuf.Slice(int64(peer)*stride, dt.Span(1)), uint64(300*m.Rank()+peer))
 		}
 		m.Alltoall(sendBuf, dt, 1, recvBuf, dt, 1)
 		refImgs[m.Rank()] = cpuPack(dt, size, recvBuf.Bytes())

@@ -52,19 +52,19 @@ func heldRun(t *testing.T, cfg Config, coll string, dt *datatype.Datatype, vmax 
 		before := m.Engine().Device().KernelsRun()
 		switch coll {
 		case "bcast":
-			buf := alloc(spanOf(dt, 3))
+			buf := alloc(dt.Span(3))
 			if me == root {
 				fill(buf, 3, 0)
 			}
 			m.Bcast(buf, dt, 3, root)
 			result = func() []byte { return cpuPack(dt, 3, buf.Bytes()) }
 		case "allgather":
-			buf := alloc(spanOf(dt, size))
+			buf := alloc(dt.Span(size))
 			fill(vslot(buf, dt, 1, me), 1, 0)
 			m.Allgather(buf, dt, 1)
 			result = func() []byte { return cpuPack(dt, size, buf.Bytes()) }
 		case "alltoall":
-			sbuf, rbuf := alloc(spanOf(dt, size)), alloc(spanOf(dt, size))
+			sbuf, rbuf := alloc(dt.Span(size)), alloc(dt.Span(size))
 			for j := 0; j < size; j++ {
 				fill(vslot(sbuf, dt, 1, j), 1, j)
 			}

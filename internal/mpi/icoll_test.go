@@ -22,8 +22,8 @@ func TestIcollCompletesAndCounts(t *testing.T) {
 	var doneEarly, outstandingWrong bool
 	imgs := make([][]byte, size)
 	w.Run(func(m *Rank) {
-		buf := m.Malloc(spanOf(dt, 2*size))
-		mem.FillPattern(buf.Slice(int64(m.Rank())*stride, spanOf(dt, 2)), uint64(300+m.Rank()))
+		buf := m.Malloc(dt.Span(2 * size))
+		mem.FillPattern(buf.Slice(int64(m.Rank())*stride, dt.Span(2)), uint64(300+m.Rank()))
 		req := m.Iallgather(buf, dt, 2)
 		if req.Done() {
 			doneEarly = true
@@ -68,7 +68,7 @@ func TestIcollConcurrentInFlight(t *testing.T) {
 		w := NewWorld(blockedConfig(sh.nodes, sh.rpn, false))
 		w.Run(func(m *Rank) {
 			me := m.Rank()
-			bbuf := m.Malloc(spanOf(dt, 3))
+			bbuf := m.Malloc(dt.Span(3))
 			if me == 0 {
 				mem.FillPattern(bbuf, 91)
 			}

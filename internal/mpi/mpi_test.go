@@ -11,14 +11,6 @@ import (
 	"gpuddt/internal/sim"
 )
 
-// layoutSpan is the memory footprint of (dt, count).
-func layoutSpan(dt *datatype.Datatype, count int) int64 {
-	if count == 0 {
-		return 0
-	}
-	return int64(count-1)*dt.Extent() + dt.TrueLB() + dt.TrueExtent()
-}
-
 func cpuPack(dt *datatype.Datatype, count int, src []byte) []byte {
 	c := datatype.NewConverter(dt, count)
 	out := make([]byte, c.Total())
@@ -53,9 +45,9 @@ func runXfer(t *testing.T, sp xferSpec) (sentPacked, recvPacked []byte, elapsed 
 		switch m.Rank() {
 		case 0:
 			if sp.sGPU {
-				sbuf = m.Malloc(layoutSpan(sp.sendDt, sp.count))
+				sbuf = m.Malloc(sp.sendDt.Span(sp.count))
 			} else {
-				sbuf = m.MallocHost(layoutSpan(sp.sendDt, sp.count))
+				sbuf = m.MallocHost(sp.sendDt.Span(sp.count))
 			}
 			mem.FillPattern(sbuf, 99)
 			m.Barrier()
@@ -64,9 +56,9 @@ func runXfer(t *testing.T, sp xferSpec) (sentPacked, recvPacked []byte, elapsed 
 			dur = m.Now() - t0
 		case 1:
 			if sp.rGPU {
-				rbuf = m.Malloc(layoutSpan(sp.recvDt, sp.rcount))
+				rbuf = m.Malloc(sp.recvDt.Span(sp.rcount))
 			} else {
-				rbuf = m.MallocHost(layoutSpan(sp.recvDt, sp.rcount))
+				rbuf = m.MallocHost(sp.recvDt.Span(sp.rcount))
 			}
 			mem.Fill(rbuf, 0)
 			m.Barrier()
@@ -286,7 +278,7 @@ func TestPartialReceiveRendezvous(t *testing.T) {
 					sent = append([]byte(nil), b.Bytes()...)
 					m.Send(b, sendDt, 1, 1, 0)
 				} else {
-					b := m.Malloc(layoutSpan(recvDt, 1))
+					b := m.Malloc(recvDt.Span(1))
 					mem.Fill(b, 0)
 					r := m.Irecv(b, recvDt, 1, 0, 0)
 					r.Wait(m.Proc())
@@ -399,10 +391,10 @@ func TestIsendIrecvOverlap(t *testing.T) {
 	dt := shapes.FullMatrix(512)
 	ok := true
 	w.Run(func(m *Rank) {
-		buf := m.Malloc(layoutSpan(dt, 1))
+		buf := m.Malloc(dt.Span(1))
 		peer := 1 - m.Rank()
 		s := m.Isend(buf, dt, 1, peer, 1)
-		r := m.Irecv(m.Malloc(layoutSpan(dt, 1)), dt, 1, peer, 1)
+		r := m.Irecv(m.Malloc(dt.Span(1)), dt, 1, peer, 1)
 		s.Wait(m.Proc())
 		r.Wait(m.Proc())
 		if !s.Done() || !r.Done() {
@@ -451,7 +443,7 @@ func TestPipelineApproachesPCIeBandwidth(t *testing.T) {
 	var per sim.Time
 	iters := 4
 	w.Run(func(m *Rank) {
-		span := layoutSpan(dt, 1)
+		span := dt.Span(1)
 		buf := m.Malloc(span)
 		if m.Rank() == 0 {
 			m.Barrier()
@@ -484,7 +476,7 @@ func TestIBPipelineApproachesWire(t *testing.T) {
 	var per sim.Time
 	iters := 4
 	w.Run(func(m *Rank) {
-		buf := m.Malloc(layoutSpan(dt, 1))
+		buf := m.Malloc(dt.Span(1))
 		if m.Rank() == 0 {
 			m.Barrier()
 			for i := 0; i < iters+1; i++ {

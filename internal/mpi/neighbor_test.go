@@ -214,7 +214,7 @@ func TestHoldTwoDevices(t *testing.T) {
 		w.Run(func(m *Rank) {
 			var sends, recvs []Neighbor
 			for i, dev := range devs {
-				send, recv := m.Ctx().Malloc(dev, spanOf(dt, 1)), m.Ctx().Malloc(dev, spanOf(dt, 1))
+				send, recv := m.Ctx().Malloc(dev, dt.Span(1)), m.Ctx().Malloc(dev, dt.Span(1))
 				mem.FillPattern(send, uint64(7700+10*m.Rank()+i))
 				sends = append(sends, Neighbor{Buf: send, Dt: dt, Count: 1, Peer: 1 - m.Rank()})
 				recvs = append(recvs, Neighbor{Buf: recv, Dt: dt, Count: 1, Peer: 1 - m.Rank()})

@@ -49,7 +49,7 @@ type SyntheticPayload struct {
 }
 
 // Span returns the memory footprint of the layout from its origin.
-func (sp SyntheticPayload) Span() int64 { return spanOf(sp.Dt, sp.Count) }
+func (sp SyntheticPayload) Span() int64 { return sp.Dt.Span(sp.Count) }
 
 // PackedBytes returns the packed size of the full payload.
 func (sp SyntheticPayload) PackedBytes() int64 { return int64(sp.Count) * sp.Dt.Size() }

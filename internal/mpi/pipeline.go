@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"gpuddt/internal/core"
 	"gpuddt/internal/cuda"
 	"gpuddt/internal/datatype"
@@ -23,88 +21,157 @@ import (
 // run the staged copy-in/out protocol over the same channel — the
 // degradation path real GPU-aware MPI stacks take when P2P mappings
 // are unavailable.
+//
+// A rendezvous is one record per side: the sender's half (pipeSend)
+// lives in the send's operation, the receiver's (pipeRecv) is made when
+// the message is matched. Every queue of the protocol is a typed
+// mailbox embedded in one of them, and every active message names one
+// of them plus an integer (DESIGN decision 26).
 type PipelinedStrategy struct{}
 
 // Name implements Strategy.
 func (s *PipelinedStrategy) Name() string { return "pipelined" }
 
-// rendInfo is the RTS payload: the handshake information the receiver
-// uses to pick a transfer plan (§4.1).
-type rendInfo struct {
+// pipeSend is the sender half of a rendezvous, held by value in its
+// SendOp: the handshake the receiver reads through the RTS (§4.1), the
+// worker's state, its producer and the queues the worker reads. The
+// worker process runs one command per protocol attempt and exits when
+// an attempt completes; an aborted attempt loops back for the
+// receiver's fallback command. On the SM contiguous fast path the
+// worker is not spawned at all unless the receiver's zero-copy attempt
+// fails and it commands a staged send.
+type pipeSend struct {
 	op *SendOp
-	st *senderState
 
 	// contig is the sender's packed data window when the send datatype
 	// is contiguous; over SM the receiver consumes it in place.
 	contig    mem.Buffer
 	contigIPC cuda.IpcHandle // valid when contig is device memory
-}
 
-// senderState is the sender half of a rendezvous transfer, driven by
-// commands from the receiver. The worker process runs one command per
-// protocol attempt and exits when an attempt completes; an aborted
-// attempt loops back for the receiver's fallback command. On the SM
-// contiguous fast path the worker is not spawned at all unless the
-// receiver's zero-copy attempt fails and it commands a staged send.
-type senderState struct {
-	op      *SendOp
-	cmds    *sim.Mailbox
+	// ring is the SM ring the sender packs into, published before its
+	// first fragment event.
+	ring    mem.Buffer
+	ringIPC cuda.IpcHandle // valid when ring is device memory
+
 	spawned bool
-	prod    *fragProducer // reused (rewound) across protocol attempts
+	epoch   int          // commands received (see fragQueue)
+	prod    fragProducer // reused (rewound) across protocol attempts
+
+	cmds      sim.Mailbox[sendCmd]
+	freeLocal sim.Mailbox[int] // staged sender: free host staging slots
+	filled    sim.Mailbox[int] // staged sender: slots the packer filled
 }
 
-// Receiver-to-sender commands. Each command that needs ACK flow control
-// carries its own acks mailbox, so an aborted attempt's stale ACKs (in
-// flight or preloaded) land in a mailbox no longer read by anyone
-// instead of corrupting the next attempt's slot accounting.
-type cmdPackToRing struct {
-	events *sim.Mailbox // receiver's fragment-event queue
-	acks   *sim.Mailbox // freed slot indices; abortMsg cancels
-}
-type cmdPackDirect struct {
-	dst    cuda.IpcHandle // receiver's contiguous region (device)
-	dstBuf mem.Buffer     // or host region (valid if not device)
-	isDev  bool
-	events *sim.Mailbox
-}
-type cmdSendStaged struct {
-	ring   []mem.Buffer // receiver host ring slots (Put targets)
-	direct mem.Buffer   // receiver contiguous host window (skip ring)
-	events *sim.Mailbox
-	acks   *sim.Mailbox
+// sendCmd is a receiver-to-sender command: the protocol to run, and the
+// receiver's record, which holds what the protocol needs (its queues,
+// its host ring or its receive window).
+type sendCmd struct {
+	kind int
+	r    *pipeRecv
 }
 
-// abortMsg, put into a command's acks mailbox by the receiver, cancels
-// the protocol attempt: the sender worker unwinds and awaits the
-// fallback command. It is delivered through the ACK stream because that
-// is where an in-progress sender provably blocks: the receiver aborts
-// only before acknowledging the fragment it failed on, so the sender is
+const (
+	cmdPackToRing = iota // pack into a ring the receiver maps (SM)
+	cmdPackDirect        // pack straight into the receive window (SM)
+	cmdSendStaged        // copy-in/out through host memory (IB, and every fallback)
+)
+
+// Handle completes the send: the receiver's AM once it has consumed the
+// sender's window in place.
+func (st *pipeSend) Handle(*sim.Proc, int) { st.op.Req.done.Complete(nil) }
+
+// pipeRecv is the receiver half of a rendezvous, one record made when
+// the message is matched: the sender half it reads, its consumer, the
+// queues the sender fills and what its commands name.
+type pipeRecv struct {
+	op  *RecvOp
+	snd *pipeSend
+	fc  fragConsumer
+
+	events fragQueue // fragment events from the sender
+	acks   amQueue   // freed slots back to the sender; ackAbort cancels
+
+	ring      mem.Buffer     // host ring the staged sender Puts into
+	direct    mem.Buffer     // receive window the sender writes straight into
+	directIPC cuda.IpcHandle // valid when direct is device memory
+}
+
+// Handle is the command AM (the CTS), run on the sender's progress
+// process: it starts the worker — the fast-path sender's materializes
+// only when a fallback needs it — and queues the command.
+func (r *pipeRecv) Handle(_ *sim.Proc, kind int) {
+	r.snd.start()
+	r.snd.cmds.Put(sendCmd{kind, r})
+}
+
+// command sends the sender a command naming this record.
+func (r *pipeRecv) command(p *sim.Proc, kind int) {
+	r.events.epoch++
+	h := p.Begin("mpi.cts")
+	r.op.Ch.AM(p, amHeaderBytes, r, kind)
+	h.End()
+}
+
+// ackAbort, put into the acks queue by the receiver, cancels the
+// protocol attempt: the sender worker unwinds and awaits the fallback
+// command. It is delivered through the ACK stream because that is
+// where an in-progress sender provably blocks: the receiver aborts only
+// before acknowledging the fragment it failed on, so the sender is
 // short at least one ACK and must consume the abort.
-type abortMsg struct{}
+const ackAbort = -1
 
-// getAck returns the next freed slot index, or ok=false on abortMsg.
-func getAck(p *sim.Proc, acks *sim.Mailbox) (int, bool) {
-	switch v := acks.Get(p).(type) {
-	case abortMsg:
-		return 0, false
-	case int:
-		return v, true
-	default:
-		panic(fmt.Sprintf("mpi: unexpected ack %T", v))
+// getAck returns the next freed slot index, or ok=false on ackAbort.
+func getAck(p *sim.Proc, acks *amQueue) (int, bool) {
+	v := acks.Get(p)
+	return v, v != ackAbort
+}
+
+// A fragment event is the ring or staging slot the fragment sits in:
+// the receiver knows every fragment's offset and length from the order
+// of the events. Two values are no slot.
+const (
+	fragNoSlot = -1 // the fragment went straight into the receive window
+	fragFailed = -2 // the sender could not run the command (a persistent peer-access fault)
+)
+
+// fragQueue holds fragment events. Each event's integer carries the
+// parity of the command it answers in bit 0: a command cancelled by
+// ackAbort may still have events in flight, which Handle drops on
+// arrival and next skips if they were queued before the cancel — as a
+// fresh mailbox per command once left them unread, no process wakes
+// for them.
+type fragQueue struct {
+	sim.Mailbox[int]
+	epoch int // commands issued
+}
+
+func (q *fragQueue) Handle(_ *sim.Proc, v int) {
+	if v&1 == q.epoch&1 {
+		q.Put(v)
 	}
 }
 
-// fragEvt is a sender-to-receiver fragment notification. failed reports
-// that the sender could not run the commanded protocol (a persistent
-// peer-access fault); the receiver falls back to a staged command.
-type fragEvt struct {
-	slot    int
-	off, n  int64
-	ring    mem.Buffer     // SM ring (host) — valid on first event
-	ringIPC cuda.IpcHandle // SM ring (device)
-	ringDev bool
-	last    bool
-	failed  bool
+// next returns the slot of the current command's next fragment event.
+func (q *fragQueue) next(p *sim.Proc) int {
+	for {
+		if v := q.Get(p); v&1 == q.epoch&1 {
+			return v >> 1
+		}
+	}
+}
+
+// notifyFrag sends a fragment event to the receiver.
+func (st *pipeSend) notifyFrag(p *sim.Proc, r *pipeRecv, slot int) {
+	st.op.Ch.AM(p, amHeaderBytes, &r.events, slot<<1|st.epoch&1)
+}
+
+// fragments is the number of pipeline fragments of a message of total
+// packed bytes, and fragment the packed offset and length of the i-th.
+func fragments(total, frag int64) int { return int((total + frag - 1) / frag) }
+
+func fragment(i int, total, frag int64) (off, n int64) {
+	off = int64(i) * frag
+	return off, min(frag, total-off)
 }
 
 // contigWindow returns the packed window of (buf, dt, count) when the
@@ -135,45 +202,42 @@ func (m *Rank) engineFor(b mem.Buffer) *core.Engine {
 // worker. The fast path leaves the worker unspawned — §4.1: "if the
 // sender datatype is contiguous, the receiver can use the sender buffer
 // directly", no sender-side work at all — but still publishes the
-// command mailbox so the receiver can demote to a staged send if its
-// IPC mapping of the window fails.
-func (s *PipelinedStrategy) StartSend(op *SendOp) interface{} {
-	ri := &rendInfo{op: op}
-	ri.st = &senderState{
-		op:   op,
-		cmds: op.M.w.eng.NewMailbox(op.M.names.sendcmds),
-	}
+// command queue so the receiver can demote to a staged send if its IPC
+// mapping of the window fails.
+func (s *PipelinedStrategy) StartSend(op *SendOp) any {
+	st := &op.pipe
+	st.op = op
+	st.cmds.Init(op.M.w.eng, op.M.names.sendcmds)
 	if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok && op.Ch.Kind() == SM {
-		ri.contig = w
+		st.contig = w
 		if w.Kind() == mem.Device {
-			ri.contigIPC = op.M.ctx.IpcGetMemHandle(w)
+			st.contigIPC = op.M.ctx.IpcGetMemHandle(w)
 		}
-		return ri
+		return st
 	}
-	ri.st.start(op.M.w.eng)
-	return ri
+	st.start()
+	return st
 }
 
-// start spawns the sender worker once; receivers call it from their
-// command AMs (running on the sender's progress process) so the lazy
-// fast-path sender only materializes when a fallback needs it.
-func (st *senderState) start(eng *sim.Engine) {
+// start spawns the sender worker once.
+func (st *pipeSend) start() {
 	if st.spawned {
 		return
 	}
 	st.spawned = true
-	eng.Spawn(st.op.M.names.sendpipe, func(p *sim.Proc) {
+	m := st.op.M
+	m.w.eng.Spawn(m.names.sendpipe, func(p *sim.Proc) {
 		for {
+			cmd := st.cmds.Get(p)
+			st.epoch++
 			var ok bool
-			switch cmd := st.cmds.Get(p).(type) {
+			switch cmd.kind {
 			case cmdPackToRing:
-				ok = st.runPackToRing(p, cmd)
+				ok = st.runPackToRing(p, cmd.r)
 			case cmdPackDirect:
-				ok = st.runPackDirect(p, cmd)
+				ok = st.runPackDirect(p, cmd.r)
 			case cmdSendStaged:
-				ok = st.runSendStaged(p, cmd)
-			default:
-				panic(fmt.Sprintf("mpi: unexpected sender command %T", cmd))
+				ok = st.runSendStaged(p, cmd.r)
 			}
 			if ok {
 				st.op.Req.done.Complete(nil)
@@ -189,38 +253,20 @@ func (st *senderState) start(eng *sim.Engine) {
 // producer returns the sender's fragment producer, rewound to packed
 // offset zero: a fallback attempt replays the whole message through the
 // same compiled plan (Packer.SeekTo) rather than rebuilding the worker.
-func (st *senderState) producer() *fragProducer {
-	if st.prod == nil {
-		st.prod = st.op.M.newProducer(st.op.Buf, st.op.Dt, st.op.Count)
+func (st *pipeSend) producer() *fragProducer {
+	if st.prod.m == nil {
+		st.prod.init(st.op.M, st.op.Buf, st.op.Dt, st.op.Count)
 	} else {
 		st.prod.seekTo(0)
 	}
-	return st.prod
-}
-
-// notifyFrag sends the fragment AM to the receiver.
-func (st *senderState) notifyFrag(p *sim.Proc, events *sim.Mailbox, ev fragEvt) {
-	st.op.Ch.AM(p, amHeaderBytes, func(*sim.Proc) { events.Put(ev) })
-}
-
-// fragPlan iterates the message in pipeline fragments.
-func fragPlan(total, frag int64) []int64 {
-	var out []int64
-	for off := int64(0); off < total; off += frag {
-		n := frag
-		if rem := total - off; n > rem {
-			n = rem
-		}
-		out = append(out, n)
-	}
-	return out
+	return &st.prod
 }
 
 // runPackToRing is the SM sender of the pipelined RDMA protocol: pack
 // fragments into a ring exposed over CUDA IPC, reusing slots as ACKs
 // arrive (§4.1, Fig. 4). Returns false if the receiver aborted the
 // attempt (it could not map the ring).
-func (st *senderState) runPackToRing(p *sim.Proc, cmd cmdPackToRing) bool {
+func (st *pipeSend) runPackToRing(p *sim.Proc, r *pipeRecv) bool {
 	op := st.op
 	m := op.M
 	h := p.BeginBytes("mpi.send.ring", op.Packed)
@@ -238,38 +284,35 @@ func (st *senderState) runPackToRing(p *sim.Proc, cmd cmdPackToRing) bool {
 	}
 	prod := st.producer()
 
-	// cmd.acks doubles as the free-slot queue: preloaded with every slot,
-	// refilled by the receiver's ACK active messages.
-	for i := 0; i < depth; i++ {
-		cmd.acks.Put(i)
-	}
-	frags := fragPlan(op.Packed, frag)
-	var off int64
-	for i, n := range frags {
-		slot, ok := getAck(p, cmd.acks)
-		if !ok {
-			m.releaseRing(ring)
-			return false
+	// The first depth fragments take the ring's slots in order; every
+	// later one waits for the receiver to ACK a slot back. Nothing waits
+	// for a slot that starts free, so it is not queued.
+	nfrag := fragments(op.Packed, frag)
+	for i := range nfrag {
+		_, n := fragment(i, op.Packed, frag)
+		slot := i
+		if i >= depth {
+			var ok bool
+			if slot, ok = getAck(p, &r.acks); !ok {
+				m.releaseRing(ring)
+				return false
+			}
 		}
 		fh := p.BeginBytes("frag.pack", n)
 		prod.packInto(p, ring.Slice(int64(slot)*frag, n))
 		fh.End()
 		p.Count("mpi.frag", 1)
-		ev := fragEvt{slot: slot, off: off, n: n, last: i == len(frags)-1}
 		if i == 0 {
+			st.ring = ring
 			if onGPU {
-				ev.ringDev = true
-				ev.ringIPC = m.ctx.IpcGetMemHandle(ring)
-			} else {
-				ev.ring = ring
+				st.ringIPC = m.ctx.IpcGetMemHandle(ring)
 			}
 		}
-		st.notifyFrag(p, cmd.events, ev)
-		off += n
+		st.notifyFrag(p, r, slot)
 	}
 	// Wait until every slot has come home before reusing the ring.
-	for i := 0; i < depth; i++ {
-		if _, ok := getAck(p, cmd.acks); !ok {
+	for range min(nfrag, depth) {
+		if _, ok := getAck(p, &r.acks); !ok {
 			m.releaseRing(ring)
 			return false
 		}
@@ -284,31 +327,30 @@ func (st *senderState) runPackToRing(p *sim.Proc, cmd cmdPackToRing) bool {
 // PCIe; host: UMA zero copy) — no unpack, no staging (§4.1). Returns
 // false if the receiver's window cannot be mapped (persistent IPC
 // fault); the failure event tells the receiver to fall back.
-func (st *senderState) runPackDirect(p *sim.Proc, cmd cmdPackDirect) bool {
+func (st *pipeSend) runPackDirect(p *sim.Proc, r *pipeRecv) bool {
 	op := st.op
 	m := op.M
 	h := p.BeginBytes("mpi.send.direct", op.Packed)
 	defer h.End()
-	dst := cmd.dstBuf
-	if cmd.isDev {
-		mapped, err := m.openIPC(p, cmd.dst)
+	dst := r.direct
+	if dst.Kind() == mem.Device {
+		mapped, err := m.openIPC(p, r.directIPC)
 		if err != nil {
-			st.notifyFrag(p, cmd.events, fragEvt{failed: true})
+			st.notifyFrag(p, r, fragFailed)
 			return false
 		}
 		dst = mapped
 	}
 	prod := st.producer()
 	frag := m.w.tun.frag
-	var off int64
-	for _, n := range fragPlan(op.Packed, frag) {
+	for i := range fragments(op.Packed, frag) {
+		off, n := fragment(i, op.Packed, frag)
 		fh := p.BeginBytes("frag.pack", n)
 		prod.packInto(p, dst.Slice(off, n))
 		fh.End()
 		p.Count("mpi.frag", 1)
-		off += n
 	}
-	st.notifyFrag(p, cmd.events, fragEvt{off: 0, n: op.Packed, last: true})
+	st.notifyFrag(p, r, fragNoSlot)
 	return true
 }
 
@@ -320,20 +362,19 @@ func (st *senderState) runPackDirect(p *sim.Proc, cmd cmdPackDirect) bool {
 // protocol and the fallback every SM zero-copy protocol degrades to,
 // which is why it never aborts: there is nothing further to fall back
 // to, so unrecoverable faults here are fatal (inside Channel.Put).
-func (st *senderState) runSendStaged(p *sim.Proc, cmd cmdSendStaged) bool {
+func (st *pipeSend) runSendStaged(p *sim.Proc, r *pipeRecv) bool {
 	op := st.op
 	m := op.M
 	h := p.BeginBytes("mpi.send.ib", op.Packed)
 	defer h.End()
 	frag := m.w.tun.frag
-	frags := fragPlan(op.Packed, frag)
+	nfrag := fragments(op.Packed, frag)
 
 	// Host-contiguous data needs no staging: Put from the user buffer.
 	if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok && w.Kind() == mem.Host {
-		var off int64
-		for i, n := range frags {
-			st.sendStagedFrag(p, cmd, i, off, n, w.Slice(off, n))
-			off += n
+		for i := range nfrag {
+			off, n := fragment(i, op.Packed, frag)
+			st.sendStagedFrag(p, r, i, off, n, w.Slice(off, n))
 		}
 		return true
 	}
@@ -342,30 +383,27 @@ func (st *senderState) runSendStaged(p *sim.Proc, cmd cmdSendStaged) bool {
 	// onto the wire, so pack(i+1) overlaps transfer(i).
 	local := m.ringBuf(m.ctx.Node().Host(), 2*frag)
 	prod := st.producer()
-	type filledSlot struct {
-		ls int
-		n  int64
-	}
-	freeLocal := m.w.eng.NewMailbox("ib.freeLocal")
-	filled := m.w.eng.NewMailbox("ib.filled")
-	freeLocal.Put(0)
-	freeLocal.Put(1)
+	st.freeLocal.Init(m.w.eng, "ib.freeLocal")
+	st.filled.Init(m.w.eng, "ib.filled")
 	m.w.eng.Spawn(m.names.ibpack, func(pp *sim.Proc) {
-		for _, n := range frags {
-			ls := freeLocal.Get(pp).(int)
+		for i := range nfrag {
+			_, n := fragment(i, op.Packed, frag)
+			ls := i // both slots start free
+			if i >= 2 {
+				ls = st.freeLocal.Get(pp)
+			}
 			fh := pp.BeginBytes("frag.pack", n)
 			prod.packInto(pp, local.Slice(int64(ls)*frag, n))
 			fh.End()
 			pp.Count("mpi.frag", 1)
-			filled.Put(filledSlot{ls: ls, n: n})
+			st.filled.Put(ls)
 		}
 	})
-	var off int64
-	for i := range frags {
-		f := filled.Get(p).(filledSlot)
-		st.sendStagedFrag(p, cmd, i, off, f.n, local.Slice(int64(f.ls)*frag, f.n))
-		freeLocal.Put(f.ls)
-		off += f.n
+	for i := range nfrag {
+		off, n := fragment(i, op.Packed, frag)
+		ls := st.filled.Get(p)
+		st.sendStagedFrag(p, r, i, off, n, local.Slice(int64(ls)*frag, n))
+		st.freeLocal.Put(ls)
 	}
 	m.releaseRing(local)
 	return true
@@ -373,68 +411,71 @@ func (st *senderState) runSendStaged(p *sim.Proc, cmd cmdSendStaged) bool {
 
 // sendStagedFrag Puts one packed fragment and notifies the receiver.
 // Ring mode waits for the target slot's ACK window.
-func (st *senderState) sendStagedFrag(p *sim.Proc, cmd cmdSendStaged, i int, off, n int64, src mem.Buffer) {
-	if cmd.direct.IsValid() {
-		st.op.Ch.Put(p, cmd.direct.Slice(off, n), src)
-		st.notifyFrag(p, cmd.events, fragEvt{slot: -1, off: off, n: n, last: off+n == st.op.Packed})
+func (st *pipeSend) sendStagedFrag(p *sim.Proc, r *pipeRecv, i int, off, n int64, src mem.Buffer) {
+	if r.direct.IsValid() {
+		st.op.Ch.Put(p, r.direct.Slice(off, n), src)
+		st.notifyFrag(p, r, fragNoSlot)
 		return
 	}
-	depth := len(cmd.ring)
-	slot := i % depth
-	if i >= depth {
-		if _, ok := getAck(p, cmd.acks); !ok {
+	tun := &st.op.M.w.tun
+	slot := i % tun.depth
+	if i >= tun.depth {
+		if _, ok := getAck(p, &r.acks); !ok {
 			panic("mpi: staged protocol aborted — no further fallback exists")
 		}
 	}
-	st.op.Ch.Put(p, cmd.ring[slot].Slice(0, n), src)
-	st.notifyFrag(p, cmd.events, fragEvt{slot: slot, off: off, n: n, last: off+n == st.op.Packed})
+	st.op.Ch.Put(p, r.ring.Slice(int64(slot)*tun.frag, n), src)
+	st.notifyFrag(p, r, slot)
 }
 
 // RunRecv implements Strategy: the receiver-driven side.
-func (s *PipelinedStrategy) RunRecv(p *sim.Proc, op *RecvOp, info interface{}) {
-	ri := info.(*rendInfo)
+func (s *PipelinedStrategy) RunRecv(p *sim.Proc, op *RecvOp, info any) {
+	r := &pipeRecv{op: op, snd: info.(*pipeSend)}
+	r.events.Init(op.M.w.eng, "recv.events")
+	r.acks.Init(op.M.w.eng, "recv.acks")
 	if op.Ch.Kind() == SM {
-		if ri.contig.IsValid() {
-			s.recvFromSenderWindow(p, op, ri)
+		if r.snd.contig.IsValid() {
+			r.fromSenderWindow(p)
 			return
 		}
 		if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok {
-			s.recvPackDirect(p, op, ri, w)
+			r.packDirect(p, w)
 			return
 		}
-		s.recvFromRing(p, op, ri)
+		r.fromRing(p)
 		return
 	}
-	s.recvStaged(p, op, ri)
+	r.staged(p)
 }
 
-// fallbackStaged downgrades a zero-copy SM protocol to the pipelined
+// fallback downgrades a zero-copy SM protocol to the pipelined
 // copy-in/out protocol after a persistent peer-access fault: the sender
 // is (re-)commanded to pack through host staging and Put fragments into
 // the receiver's host memory — exactly the IB protocol, run over the
 // shared-memory BTL. The downgrade is marked on the timeline so tests
 // (and operators) can assert it happened.
-func (s *PipelinedStrategy) fallbackStaged(p *sim.Proc, op *RecvOp, ri *rendInfo) {
+func (r *pipeRecv) fallback(p *sim.Proc) {
 	h := p.Begin("mpi.fallback")
 	h.SetDetail("zero-copy->copy-in/out")
 	h.End()
 	p.Count("mpi.fallback", 1)
-	s.recvStaged(p, op, ri)
+	r.staged(p)
 }
 
-// recvFromSenderWindow consumes the sender's contiguous data in place
-// (SM): a single copy when the receiver is contiguous too, otherwise
+// fromSenderWindow consumes the sender's contiguous data in place (SM):
+// a single copy when the receiver is contiguous too, otherwise
 // fragment-wise unpacking with optional local staging. If the sender's
 // device window cannot be IPC-mapped, the receiver falls back to
 // commanding a staged send (the fast-path sender has no worker running
 // yet, so nothing needs to be aborted).
-func (s *PipelinedStrategy) recvFromSenderWindow(p *sim.Proc, op *RecvOp, ri *rendInfo) {
+func (r *pipeRecv) fromSenderWindow(p *sim.Proc) {
+	op := r.op
 	m := op.M
-	src := ri.contig
+	src := r.snd.contig
 	if src.Kind() == mem.Device {
-		mapped, err := m.openIPC(p, ri.contigIPC) // map cost (cached)
+		mapped, err := m.openIPC(p, r.snd.contigIPC) // map cost (cached)
 		if err != nil {
-			s.fallbackStaged(p, op, ri)
+			r.fallback(p)
 			return
 		}
 		src = mapped
@@ -444,147 +485,102 @@ func (s *PipelinedStrategy) recvFromSenderWindow(p *sim.Proc, op *RecvOp, ri *re
 			return m.ctx.Memcpy(p, w.Slice(0, op.Packed), src)
 		})
 	} else {
-		fc := m.newConsumer(op)
-		var off int64
-		for _, n := range fragPlan(op.Packed, m.w.tun.frag) {
-			fc.consume(p, src.Slice(off, n), off, n, nil)
-			off += n
+		r.fc.init(m, op, nil)
+		frag := m.w.tun.frag
+		for i := range fragments(op.Packed, frag) {
+			off, n := fragment(i, op.Packed, frag)
+			r.fc.consume(p, src.Slice(off, n), off, n, fragNoSlot)
 		}
-		fc.finish(p)
+		r.fc.finish(p)
 	}
-	done := &ri.op.Req.done
-	op.Ch.AM(p, amHeaderBytes, func(*sim.Proc) { done.Complete(nil) })
+	op.Ch.AM(p, amHeaderBytes, r.snd, 0)
 	op.Req.done.Complete(nil)
 }
 
-// recvPackDirect tells the sender to pack straight into the receiver's
-// contiguous buffer and waits for completion. A failure event (the
-// sender could not map our window) triggers the staged fallback.
-func (s *PipelinedStrategy) recvPackDirect(p *sim.Proc, op *RecvOp, ri *rendInfo, w mem.Buffer) {
-	m := op.M
-	events := m.w.eng.NewMailbox("recv.direct")
-	cmd := cmdPackDirect{events: events}
+// packDirect tells the sender to pack straight into the receiver's
+// contiguous window w and waits for completion. A failure event (the
+// sender could not map the window) triggers the staged fallback.
+func (r *pipeRecv) packDirect(p *sim.Proc, w mem.Buffer) {
+	op := r.op
+	r.direct = w.Slice(0, op.Packed)
 	if w.Kind() == mem.Device {
-		cmd.isDev = true
-		cmd.dst = m.ctx.IpcGetMemHandle(w.Slice(0, op.Packed))
-	} else {
-		cmd.dstBuf = w.Slice(0, op.Packed)
+		r.directIPC = op.M.ctx.IpcGetMemHandle(r.direct)
 	}
-	st := ri.st
-	ch := p.Begin("mpi.cts")
-	op.Ch.AM(p, amHeaderBytes, func(*sim.Proc) { st.start(m.w.eng); st.cmds.Put(cmd) })
-	ch.End()
-	for {
-		ev := events.Get(p).(fragEvt)
-		if ev.failed {
-			s.fallbackStaged(p, op, ri)
-			return
-		}
-		if ev.last {
-			break
-		}
+	r.command(p, cmdPackDirect)
+	if r.events.next(p) == fragFailed {
+		r.fallback(p)
+		return
 	}
 	op.Req.done.Complete(nil)
 }
 
-// recvFromRing is the receiver of the SM pipelined RDMA protocol. If
-// the sender's device ring cannot be IPC-mapped, the attempt is aborted
+// fromRing is the receiver of the SM pipelined RDMA protocol. If the
+// sender's device ring cannot be IPC-mapped, the attempt is aborted
 // through the ACK stream and the transfer falls back to staging.
-func (s *PipelinedStrategy) recvFromRing(p *sim.Proc, op *RecvOp, ri *rendInfo) {
+func (r *pipeRecv) fromRing(p *sim.Proc) {
+	op := r.op
 	m := op.M
-	events := m.w.eng.NewMailbox("recv.ring")
-	acks := m.w.eng.NewMailbox("recv.ring.acks")
-	st := ri.st
-	ch := p.Begin("mpi.cts")
-	op.Ch.AM(p, amHeaderBytes, func(*sim.Proc) { st.start(m.w.eng); st.cmds.Put(cmdPackToRing{events: events, acks: acks}) })
-	ch.End()
-
-	fc := m.newConsumer(op)
+	r.command(p, cmdPackToRing)
+	r.fc.init(m, op, &r.acks)
+	frag := m.w.tun.frag
 	var ring mem.Buffer
-	var got int64
-	for got < op.Packed {
-		ev := events.Get(p).(fragEvt)
+	for i := range fragments(op.Packed, frag) {
+		slot := r.events.next(p)
 		if !ring.IsValid() {
-			if ev.ringDev {
-				mapped, err := m.openIPC(p, ev.ringIPC)
+			if st := r.snd; st.ring.Kind() == mem.Device {
+				mapped, err := m.openIPC(p, st.ringIPC)
 				if err != nil {
 					// Cancel the attempt before acking anything: the
 					// sender is short every ACK, so it must consume the
 					// abort, unwind, and await the staged command.
-					acks.Put(abortMsg{})
-					fc.abandon(p)
-					s.fallbackStaged(p, op, ri)
+					r.acks.Put(ackAbort)
+					r.fc.abandon(p)
+					r.fallback(p)
 					return
 				}
 				ring = mapped
 			} else {
-				ring = ev.ring
+				ring = st.ring
 			}
 		}
-		frag := m.w.tun.frag
-		src := ring.Slice(int64(ev.slot)*frag, ev.n)
-		slot := ev.slot
-		fc.consume(p, src, ev.off, ev.n, func(pp *sim.Proc) {
-			pp.Count("mpi.ack", 1)
-			op.Ch.AM(pp, amHeaderBytes, func(*sim.Proc) { acks.Put(slot) })
-		})
-		got += ev.n
+		off, n := fragment(i, op.Packed, frag)
+		r.fc.consume(p, ring.Slice(int64(slot)*frag, n), off, n, slot)
 	}
-	fc.finish(p)
+	r.fc.finish(p)
 	op.Req.done.Complete(nil)
 }
 
-// recvStaged drives the copy-in/out receiver: set up a host ring (or
-// expose the contiguous host window), command the sender, and unpack
-// arrivals. It serves both the IB path and the SM fallback path — the
-// protocol only needs Channel.Put semantics, which both BTLs provide.
-func (s *PipelinedStrategy) recvStaged(p *sim.Proc, op *RecvOp, ri *rendInfo) {
+// staged drives the copy-in/out receiver: set up a host ring (or expose
+// the contiguous host window), command the sender, and unpack arrivals.
+// It serves both the IB path and the SM fallback path — the protocol
+// only needs Channel.Put semantics, which both BTLs provide.
+func (r *pipeRecv) staged(p *sim.Proc) {
+	op := r.op
 	m := op.M
 	tun := &m.w.tun
-	events := m.w.eng.NewMailbox("recv.ib")
-	st := ri.st
+	frag := tun.frag
 
 	// Contiguous host receiver: Put straight into the user buffer.
 	if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok && w.Kind() == mem.Host {
-		cmd := cmdSendStaged{direct: w.Slice(0, op.Packed), events: events}
-		ch := p.Begin("mpi.cts")
-		op.Ch.AM(p, amHeaderBytes, func(*sim.Proc) { st.start(m.w.eng); st.cmds.Put(cmd) })
-		ch.End()
-		for {
-			if events.Get(p).(fragEvt).last {
-				break
-			}
+		r.direct = w.Slice(0, op.Packed)
+		r.command(p, cmdSendStaged)
+		for range fragments(op.Packed, frag) {
+			r.events.next(p)
 		}
 		op.Req.done.Complete(nil)
 		return
 	}
 
-	frag := tun.frag
-	depth := tun.depth
-	ringBuf := m.ringBuf(m.ctx.Node().Host(), frag*int64(depth))
-	ring := make([]mem.Buffer, depth)
-	for i := range ring {
-		ring[i] = ringBuf.Slice(int64(i)*frag, frag)
+	r.direct = mem.Buffer{} // a failed pack-direct attempt's device window
+	r.ring = m.ringBuf(m.ctx.Node().Host(), frag*int64(tun.depth))
+	r.command(p, cmdSendStaged)
+	r.fc.init(m, op, &r.acks)
+	for i := range fragments(op.Packed, frag) {
+		slot := r.events.next(p)
+		off, n := fragment(i, op.Packed, frag)
+		r.fc.consume(p, r.ring.Slice(int64(slot)*frag, n), off, n, slot)
 	}
-	acks := m.w.eng.NewMailbox("recv.ib.acks")
-	cmd := cmdSendStaged{ring: ring, events: events, acks: acks}
-	ch := p.Begin("mpi.cts")
-	op.Ch.AM(p, amHeaderBytes, func(*sim.Proc) { st.start(m.w.eng); st.cmds.Put(cmd) })
-	ch.End()
-
-	fc := m.newConsumer(op)
-	var got int64
-	for got < op.Packed {
-		ev := events.Get(p).(fragEvt)
-		src := ring[ev.slot].Slice(0, ev.n)
-		slot := ev.slot
-		fc.consume(p, src, ev.off, ev.n, func(pp *sim.Proc) {
-			pp.Count("mpi.ack", 1)
-			op.Ch.AM(pp, amHeaderBytes, func(*sim.Proc) { acks.Put(slot) })
-		})
-		got += ev.n
-	}
-	fc.finish(p)
-	m.releaseRing(ringBuf)
+	r.fc.finish(p)
+	m.releaseRing(r.ring)
 	op.Req.done.Complete(nil)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Request tracks an outstanding Isend/Irecv. A point-to-point request is
-// the head of one record with its operation (sendReq, recvReq).
+// the head of one record (eagerReq, sendReq, recvReq).
 type Request struct {
 	done  sim.Future
 	recvd int64 // packed bytes of the matched message (receives)
@@ -23,12 +23,23 @@ func (m *Rank) newRequest() *Request {
 	return r
 }
 
-// sendReq and recvReq are a request and its operation in one record,
-// one type per direction: a single type holding both operations would
-// be larger than the two records it replaces.
+// A send is one record: eagerReq for an eager message, sendReq for a
+// rendezvous — whose operation holds the pipelined strategy's sender by
+// value, so it is several times the size of an eager send and the two
+// are kept apart. The RTS rides in the record, and the AM that carries
+// it points to it. A receive is a recvReq; whether it becomes eager or
+// rendezvous is not known when it is posted, so the pipelined
+// strategy's receiver half is a record of its own, made at the match
+// (pipeRecv).
+type eagerReq struct {
+	req Request
+	rts rtsMsg
+}
+
 type sendReq struct {
 	req Request
 	op  SendOp
+	rts rtsMsg
 }
 
 type recvReq struct {
@@ -69,18 +80,23 @@ func (m *Rank) WaitAll(reqs ...*Request) {
 	}
 }
 
-// rtsMsg is an arrived send: either an eager message whose packed
-// payload already sits in a receiver-side host scratch buffer, or a
-// rendezvous ready-to-send carrying the sender strategy's info.
+// rtsMsg is a send as its receiver sees it: either an eager message
+// whose packed payload already sits in a receiver-side host scratch
+// buffer, or a rendezvous ready-to-send carrying the sender strategy's
+// info. It is the handler of the AM that announces it.
 type rtsMsg struct {
+	dst      *Rank // the rank that matches it
 	src, tag int
 	packed   int64
 	sdt      *datatype.Datatype
 	scount   int
-	eager    mem.Buffer // valid if eager
-	isEager  bool
-	info     interface{} // rendezvous strategy info
+	eager    mem.Buffer // the payload, if eager; invalid for a rendezvous
+	info     any        // rendezvous strategy info
 }
+
+// Handle delivers the RTS to its rank's matching (on the progress
+// process).
+func (r *rtsMsg) Handle(p *sim.Proc, _ int) { r.dst.arrived(p, r) }
 
 // SendOp carries everything a strategy needs on the sender side.
 type SendOp struct {
@@ -93,6 +109,10 @@ type SendOp struct {
 	Packed int64
 	Ch     *Channel // sender -> receiver
 	Req    *Request
+
+	// pipe is the pipelined strategy's sender half, held by value so a
+	// rendezvous send is one record (unused under another strategy).
+	pipe pipeSend
 }
 
 // RecvOp carries everything a strategy needs on the receiver side.
@@ -116,10 +136,10 @@ type Strategy interface {
 	// StartSend runs on the sender's process; the returned info is
 	// delivered to the receiver with the RTS. The strategy must
 	// eventually complete op.Req.
-	StartSend(op *SendOp) interface{}
+	StartSend(op *SendOp) any
 	// RunRecv runs on a dedicated receiver process once the message is
 	// matched, and must complete op.Req.
-	RunRecv(p *sim.Proc, op *RecvOp, info interface{})
+	RunRecv(p *sim.Proc, op *RecvOp, info any)
 }
 
 // Isend starts a send and returns its request.
@@ -133,45 +153,40 @@ func (m *Rank) Isend(buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int
 // process at a time, so the rank's matching lists and pools stay
 // race-free whichever process drives the send.
 func (m *Rank) isendOn(sp *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int) *Request {
-	s := new(sendReq)
-	s.req.done.Init(m.w.eng)
-	req, op := &s.req, &s.op
 	packed := int64(count) * dt.Size()
 	ch := m.channel(dest)
-	*op = SendOp{M: m, Buf: buf, Dt: dt, Count: count, Dest: dest, Tag: tag, Packed: packed, Ch: ch, Req: req}
+	rts := rtsMsg{dst: m.w.ranks[dest], src: m.rank, tag: tag, packed: packed, sdt: dt, scount: count}
 	if packed <= m.w.tun.eager {
-		m.eagerSend(sp, op)
-		return req
+		return m.eagerSend(sp, buf, ch, rts)
 	}
+	s := new(sendReq)
+	s.req.done.Init(m.w.eng)
+	s.op = SendOp{M: m, Buf: buf, Dt: dt, Count: count, Dest: dest, Tag: tag, Packed: packed, Ch: ch, Req: &s.req}
 	h := sp.BeginBytes("mpi.rts", packed)
-	info := m.w.tun.strategy.StartSend(op)
-	peer := m.w.ranks[dest]
-	src := m.rank
+	s.rts = rts
+	s.rts.info = m.w.tun.strategy.StartSend(&s.op)
 	m.seq++
-	ch.AM(sp, amHeaderBytes, func(p *sim.Proc) {
-		peer.arrived(p, &rtsMsg{src: src, tag: tag, packed: packed, sdt: dt, scount: count, info: info})
-	})
+	ch.AM(sp, amHeaderBytes, &s.rts, 0)
 	h.End()
-	return req
+	return &s.req
 }
 
 // eagerSend packs the whole message into a receiver-side host bounce
 // buffer and notifies the receiver: the short/eager protocol.
-func (m *Rank) eagerSend(sp *sim.Proc, op *SendOp) {
-	h := sp.BeginBytes("mpi.eager.send", op.Packed)
+func (m *Rank) eagerSend(sp *sim.Proc, buf mem.Buffer, ch *Channel, rts rtsMsg) *Request {
+	h := sp.BeginBytes("mpi.eager.send", rts.packed)
 	defer h.End()
-	local := m.scratch(op.Packed)
-	m.packToHost(sp, op.Buf, op.Dt, op.Count, local.Slice(0, op.Packed))
-	peer := m.w.ranks[op.Dest]
-	remote := peer.scratch(op.Packed)
-	op.Ch.Put(sp, remote.Slice(0, op.Packed), local.Slice(0, op.Packed))
+	s := new(eagerReq)
+	s.req.done.Init(m.w.eng)
+	local := m.scratch(rts.packed)
+	m.packToHost(sp, buf, rts.sdt, rts.scount, local.Slice(0, rts.packed))
+	rts.eager = rts.dst.scratch(rts.packed)
+	ch.Put(sp, rts.eager.Slice(0, rts.packed), local.Slice(0, rts.packed))
 	m.freeScratch(local)
-	src, tag, packed := m.rank, op.Tag, op.Packed
-	sdt, scount := op.Dt, op.Count
-	op.Ch.AM(sp, amHeaderBytes, func(p *sim.Proc) {
-		peer.arrived(p, &rtsMsg{src: src, tag: tag, packed: packed, sdt: sdt, scount: scount, eager: remote, isEager: true})
-	})
-	op.Req.done.Complete(nil) // eager: locally complete once injected
+	s.rts = rts
+	ch.AM(sp, amHeaderBytes, &s.rts, 0)
+	s.req.done.Complete(nil) // eager: locally complete once injected
+	return &s.req
 }
 
 // Irecv posts a receive and returns its request.
@@ -233,7 +248,7 @@ func (m *Rank) startRecv(op *RecvOp, msg *rtsMsg) {
 	op.Src = msg.src
 	op.Tag = msg.tag
 	op.Ch = m.channel(msg.src)
-	if msg.isEager {
+	if msg.eager.IsValid() {
 		buf := msg.eager
 		m.w.eng.Spawn(m.names.eagerRecv, func(p *sim.Proc) {
 			h := p.BeginBytes("mpi.recv", op.Packed)

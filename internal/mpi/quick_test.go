@@ -85,7 +85,7 @@ func TestQuickRandomTransfers(t *testing.T) {
 		w := NewWorld(Config{Ranks: placements, Tuning: tun})
 		var sbuf, rbuf mem.Buffer
 		w.Run(func(m *Rank) {
-			span := layoutSpan(dt, count)
+			span := dt.Span(count)
 			alloc := func(gpu bool) mem.Buffer {
 				if gpu {
 					return m.Malloc(span)
@@ -141,12 +141,12 @@ func TestQuickRandomReshapes(t *testing.T) {
 		var sbuf, rbuf mem.Buffer
 		w.Run(func(m *Rank) {
 			if m.Rank() == 0 {
-				sbuf = m.Malloc(layoutSpan(sdt, 1))
+				sbuf = m.Malloc(sdt.Span(1))
 				mem.FillPattern(sbuf, uint64(seed)+3)
 				m.Barrier()
 				m.Send(sbuf, sdt, 1, 1, 0)
 			} else {
-				rbuf = m.Malloc(layoutSpan(rdt, 1))
+				rbuf = m.Malloc(rdt.Span(1))
 				m.Barrier()
 				m.Recv(rbuf, rdt, 1, 0, 0)
 			}

@@ -6,6 +6,7 @@ import (
 	"gpuddt/internal/core"
 	"gpuddt/internal/cuda"
 	"gpuddt/internal/datatype"
+	"gpuddt/internal/ib"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
 )
@@ -27,11 +28,11 @@ type Rank struct {
 	engs  []*core.Engine
 	p     *sim.Proc // the rank's main process (set by Run)
 
-	inbox          *sim.Mailbox // active-message delivery queue
-	chans          []*Channel   // per-peer outgoing channels
-	seq            int64        // message sequence for diagnostics
-	posted         []*RecvOp    // receives awaiting a matching arrival
-	unexp          []*rtsMsg    // unexpected arrivals awaiting a recv
+	inbox          sim.Mailbox[ib.Msg] // active-message delivery queue
+	chans          []*Channel          // per-peer outgoing channels
+	seq            int64               // message sequence for diagnostics
+	posted         []*RecvOp           // receives awaiting a matching arrival
+	unexp          []*rtsMsg           // unexpected arrivals awaiting a recv
 	scratchPool    []mem.Buffer
 	scratchPooled  int64 // bytes currently retained in scratchPool
 	scratchPeak    int64 // high-water mark of retained bytes
@@ -43,7 +44,7 @@ type Rank struct {
 	barrierSeq int
 	collSeq    int
 	winSeq     int
-	barrierBox *sim.Mailbox
+	barrierBox amQueue
 
 	collOut  int // nonblocking collectives in flight (see CollOutstanding)
 	icollSeq int // nonblocking collectives started, for process names
@@ -76,12 +77,10 @@ func (m *Rank) recvName(src int) string {
 func newRank(w *World, r int, pl Placement) *Rank {
 	node := w.nodes[pl.Node]
 	rk := &Rank{
-		w:          w,
-		rank:       r,
-		place:      pl,
-		ctx:        cuda.NewCtx(node),
-		inbox:      w.eng.NewMailbox(fmt.Sprintf("rank%d.am", r)),
-		barrierBox: w.eng.NewMailbox(fmt.Sprintf("rank%d.barrier", r)),
+		w:     w,
+		rank:  r,
+		place: pl,
+		ctx:   cuda.NewCtx(node),
 		names: procNames{
 			ack:       fmt.Sprintf("rank%d.ack", r),
 			sendpipe:  fmt.Sprintf("rank%d.sendpipe", r),
@@ -90,14 +89,16 @@ func newRank(w *World, r int, pl Placement) *Rank {
 			eagerRecv: fmt.Sprintf("rank%d.eagerRecv", r),
 		},
 	}
+	rk.inbox.Init(w.eng, fmt.Sprintf("rank%d.am", r))
+	rk.barrierBox.Init(w.eng, fmt.Sprintf("rank%d.barrier", r))
 	for g := 0; g < node.NumGPUs(); g++ {
 		rk.engs = append(rk.engs, core.New(rk.ctx, g, w.cfg.Engine))
 	}
 	// Progress daemon: executes incoming active messages in order.
 	w.eng.SpawnDaemon(fmt.Sprintf("rank%d.progress", r), func(p *sim.Proc) {
 		for {
-			am := rk.inbox.Get(p).(amsg)
-			am.fn(p)
+			am := rk.inbox.Get(p)
+			am.To.Handle(p, am.Arg)
 		}
 	})
 	return rk
@@ -232,16 +233,10 @@ func (m *Rank) Barrier() {
 			m.barrierBox.Get(m.p)
 		}
 		for i := 1; i < m.Size(); i++ {
-			peer := m.w.ranks[i]
-			m.channel(i).AM(m.p, amHeaderBytes, func(p *sim.Proc) {
-				peer.barrierBox.Put(struct{}{})
-			})
+			m.channel(i).AM(m.p, amHeaderBytes, &m.w.ranks[i].barrierBox, 0)
 		}
 	} else {
-		root := m.w.ranks[0]
-		m.channel(0).AM(m.p, amHeaderBytes, func(p *sim.Proc) {
-			root.barrierBox.Put(struct{}{})
-		})
+		m.channel(0).AM(m.p, amHeaderBytes, &m.w.ranks[0].barrierBox, 0)
 		m.barrierBox.Get(m.p)
 	}
 }

@@ -50,7 +50,8 @@ func (m *Rank) WinCreate(buf mem.Buffer) *Win {
 // Buffer returns the locally exposed window memory.
 func (w *Win) Buffer() mem.Buffer { return w.buf }
 
-// multiFuture completes its request after n sub-completions.
+// multiFuture completes its request after n sub-completions. It is the
+// handler of the AM that reports the remote one.
 type multiFuture struct {
 	req *Request
 	n   int
@@ -61,6 +62,16 @@ func (mf *multiFuture) done() {
 	if mf.n == 0 {
 		mf.req.done.Complete(nil)
 	}
+}
+
+func (mf *multiFuture) Handle(*sim.Proc, int) { mf.done() }
+
+// rmaPut is a Put as its target runs it: the receive it starts when the
+// origin's AM arrives, and where it reports completion.
+type rmaPut struct {
+	rop    RecvOp // M, Buf, Dt, Count, Src and Packed set by the origin
+	info   any
+	origin *multiFuture
 }
 
 // Put transfers (origin, odt, ocount) into the target rank's window at
@@ -83,21 +94,41 @@ func (w *Win) Put(origin mem.Buffer, odt *datatype.Datatype, ocount, target int,
 		mf.done()
 	})
 
-	tRank := m.w.ranks[target]
-	tbuf := m.w.winBufs(w.id)[target].Slice(tdisp, spanOf(tdt, tcount))
-	src := m.rank
-	ch.AM(m.p, amHeaderBytes, func(_ *sim.Proc) {
-		tReq := tRank.newRequest()
-		rop := &RecvOp{M: tRank, Buf: tbuf, Dt: tdt, Count: tcount, Src: src, Tag: -1,
-			Packed: packed, Ch: tRank.channel(src), Req: tReq}
-		tRank.w.eng.Spawn(fmt.Sprintf("rank%d.put.target", tRank.rank), func(p *sim.Proc) {
-			tRank.w.tun.strategy.RunRecv(p, rop, info)
-			// Remote completion notification back to the origin.
-			tRank.channel(src).AM(p, amHeaderBytes, func(*sim.Proc) { mf.done() })
-		})
-	})
+	tbuf := m.w.winBufs(w.id)[target].Slice(tdisp, tdt.Span(tcount))
+	ch.AM(m.p, amHeaderBytes, &rmaPut{
+		rop:  RecvOp{M: m.w.ranks[target], Buf: tbuf, Dt: tdt, Count: tcount, Src: m.rank, Tag: -1, Packed: packed},
+		info: info, origin: mf,
+	}, 0)
 	return req
 }
+
+// Handle runs the target side of a Put on the target's progress
+// process.
+func (t *rmaPut) Handle(*sim.Proc, int) {
+	rop := &t.rop
+	tRank := rop.M
+	rop.Ch, rop.Req = tRank.channel(rop.Src), tRank.newRequest()
+	tRank.w.eng.Spawn(fmt.Sprintf("rank%d.put.target", tRank.rank), func(p *sim.Proc) {
+		tRank.w.tun.strategy.RunRecv(p, rop, t.info)
+		// Remote completion notification back to the origin.
+		rop.Ch.AM(p, amHeaderBytes, t.origin, 0)
+	})
+}
+
+// rmaGet is a Get: the send its target starts for the window region,
+// and the receive the origin runs once the target's reply arrives.
+type rmaGet struct {
+	sop      SendOp // M, Buf, Dt, Count, Dest and Packed set by the origin
+	internal Request
+	rop      RecvOp
+	info     any
+}
+
+// The two steps of a Get, as the integers of its two AMs.
+const (
+	getAtTarget = iota
+	getAtOrigin
+)
 
 // Get transfers (tdt, tcount) at byte displacement tdisp of the target
 // rank's window into (origin, odt, ocount). The target's progress
@@ -109,25 +140,32 @@ func (w *Win) Get(origin mem.Buffer, odt *datatype.Datatype, ocount, target int,
 	w.local = append(w.local, req)
 
 	packed := int64(tcount) * tdt.Size()
-	tRank := m.w.ranks[target]
-	tbuf := m.w.winBufs(w.id)[target].Slice(tdisp, spanOf(tdt, tcount))
-	src := m.rank
+	tbuf := m.w.winBufs(w.id)[target].Slice(tdisp, tdt.Span(tcount))
 	// Ask the target to start a sender for its window region; it ships
 	// the strategy info back, and we run the receiver locally.
-	m.channel(target).AM(m.p, amHeaderBytes, func(tp *sim.Proc) {
-		internal := tRank.newRequest()
-		sop := &SendOp{M: tRank, Buf: tbuf, Dt: tdt, Count: tcount, Dest: src, Tag: -1,
-			Packed: packed, Ch: tRank.channel(src), Req: internal}
-		info := tRank.w.tun.strategy.StartSend(sop)
-		tRank.channel(src).AM(tp, amHeaderBytes, func(*sim.Proc) {
-			rop := &RecvOp{M: m, Buf: origin, Dt: odt, Count: ocount, Src: target, Tag: -1,
-				Packed: packed, Ch: m.channel(target), Req: req}
-			m.w.eng.Spawn(fmt.Sprintf("rank%d.get.origin", m.rank), func(p *sim.Proc) {
-				m.w.tun.strategy.RunRecv(p, rop, info)
-			})
-		})
-	})
+	g := &rmaGet{
+		sop: SendOp{M: m.w.ranks[target], Buf: tbuf, Dt: tdt, Count: tcount, Dest: m.rank, Tag: -1, Packed: packed},
+		rop: RecvOp{M: m, Buf: origin, Dt: odt, Count: ocount, Src: target, Tag: -1, Packed: packed, Ch: m.channel(target), Req: req},
+	}
+	m.channel(target).AM(m.p, amHeaderBytes, g, getAtTarget)
 	return req
+}
+
+// Handle runs a step of a Get on the progress process of the rank it
+// has reached.
+func (g *rmaGet) Handle(p *sim.Proc, step int) {
+	if step == getAtTarget {
+		tRank := g.sop.M
+		g.internal.done.Init(tRank.w.eng)
+		g.sop.Ch, g.sop.Req = tRank.channel(g.sop.Dest), &g.internal
+		g.info = tRank.w.tun.strategy.StartSend(&g.sop)
+		g.sop.Ch.AM(p, amHeaderBytes, g, getAtOrigin)
+		return
+	}
+	m := g.rop.M
+	m.w.eng.Spawn(fmt.Sprintf("rank%d.get.origin", m.rank), func(p *sim.Proc) {
+		m.w.tun.strategy.RunRecv(p, &g.rop, g.info)
+	})
 }
 
 // Fence completes the access epoch: waits for every locally originated

@@ -15,9 +15,9 @@ func TestPutGPUTriangularIntoWindow(t *testing.T) {
 		w := NewWorld(cfg)
 		var sentImg, gotImg []byte
 		w.Run(func(m *Rank) {
-			win := m.WinCreate(m.Malloc(layoutSpan(dt, 1)))
+			win := m.WinCreate(m.Malloc(dt.Span(1)))
 			if m.Rank() == 0 {
-				src := m.Malloc(layoutSpan(dt, 1))
+				src := m.Malloc(dt.Span(1))
 				mem.FillPattern(src, 21)
 				sentImg = cpuPack(dt, 1, src.Bytes())
 				win.Put(src, dt, 1, 1, 0, dt, 1)
@@ -45,7 +45,7 @@ func TestPutReshapesLayout(t *testing.T) {
 	w.Run(func(m *Rank) {
 		win := m.WinCreate(m.Malloc(disp + contig.Size()))
 		if m.Rank() == 0 {
-			src := m.Malloc(layoutSpan(vec, 1))
+			src := m.Malloc(vec.Span(1))
 			mem.FillPattern(src, 8)
 			sentImg = cpuPack(vec, 1, src.Bytes())
 			win.Put(src, vec, 1, 1, disp, contig, 1)
@@ -67,14 +67,14 @@ func TestGetGPUVector(t *testing.T) {
 		w := NewWorld(cfg)
 		var wantImg, gotImg []byte
 		w.Run(func(m *Rank) {
-			winBuf := m.Malloc(layoutSpan(dt, 1))
+			winBuf := m.Malloc(dt.Span(1))
 			if m.Rank() == 1 {
 				mem.FillPattern(winBuf, 77)
 				wantImg = cpuPack(dt, 1, winBuf.Bytes())
 			}
 			win := m.WinCreate(winBuf)
 			if m.Rank() == 0 {
-				dst := m.Malloc(layoutSpan(dt, 1))
+				dst := m.Malloc(dt.Span(1))
 				win.Get(dst, dt, 1, 1, 0, dt, 1)
 				win.Fence()
 				gotImg = cpuPack(dt, 1, dst.Bytes())

@@ -95,7 +95,7 @@ func TestBidirectionalSimultaneousRendezvous(t *testing.T) {
 		var img [2][]byte
 		var got [2][]byte
 		w.Run(func(m *Rank) {
-			span := layoutSpan(dt, 1)
+			span := dt.Span(1)
 			mine := m.Malloc(span)
 			theirs := m.Malloc(span)
 			mem.FillPattern(mine, uint64(m.Rank()+40))

@@ -17,14 +17,15 @@ type fragProducer struct {
 	buf  mem.Buffer
 }
 
-func (m *Rank) newProducer(buf mem.Buffer, dt *datatype.Datatype, count int) *fragProducer {
-	fp := &fragProducer{m: m, buf: buf}
+// init makes fp, embedded in a send record, the producer of (buf, dt,
+// count).
+func (fp *fragProducer) init(m *Rank, buf mem.Buffer, dt *datatype.Datatype, count int) {
+	*fp = fragProducer{m: m, buf: buf}
 	if buf.Kind() == mem.Device {
 		fp.gpu = m.engineFor(buf).NewPacker(buf, dt, count)
 	} else {
 		fp.conv = datatype.NewConverter(dt, count)
 	}
-	return fp
 }
 
 // packInto fills frag with the next len(frag) packed bytes, blocking
@@ -60,6 +61,7 @@ func (fp *fragProducer) seekTo(pos int64) {
 type fragConsumer struct {
 	m      *Rank
 	op     *RecvOp
+	acks   *amQueue // the sender's free-slot queue, for fragments that hold a slot
 	gpu    *core.Packer
 	conv   *datatype.Converter
 	contig mem.Buffer // receiver contiguous window (fast path)
@@ -71,27 +73,29 @@ type fragConsumer struct {
 	lastFut  *sim.Future
 }
 
-func (m *Rank) newConsumer(op *RecvOp) *fragConsumer {
-	fc := &fragConsumer{m: m, op: op}
+// init makes fc, embedded in a receive record, the consumer of op's
+// message; acks is where freed slots go back to.
+func (fc *fragConsumer) init(m *Rank, op *RecvOp, acks *amQueue) {
+	*fc = fragConsumer{m: m, op: op, acks: acks}
 	if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok {
 		fc.contig = w
-		return fc
+		return
 	}
 	if op.Buf.Kind() == mem.Device {
 		fc.gpu = m.engineFor(op.Buf).NewUnpacker(op.Buf, op.Dt, op.Count)
 	} else {
 		fc.conv = datatype.NewConverter(op.Dt, op.Count)
 	}
-	return fc
 }
 
 // consume processes one packed fragment located at src (a sender ring
 // slot, a receiver host ring slot, or a window of the sender's data) and
-// calls ack — if non-nil — as soon as src may be reused. An injected
-// copy fault is retried in place: every fallible step runs before the
-// consumer's cursors advance (fc.i, the converter position), so a retry
-// replays exactly the same fragment into the same bytes.
-func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, ack func(pp *sim.Proc)) {
+// returns its slot to the sender — unless it is fragNoSlot — as soon as
+// src may be reused. An injected copy fault is retried in place: every
+// fallible step runs before the consumer's cursors advance (fc.i, the
+// converter position), so a retry replays exactly the same fragment
+// into the same bytes.
+func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot int) {
 	h := p.BeginBytes("frag.consume", n)
 	defer h.End()
 	m := fc.m
@@ -100,7 +104,7 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, ack f
 		m.mustRetry(p, "frag.copy", func() error {
 			return m.ctx.Memcpy(p, fc.contig.Slice(off, n), src)
 		})
-		ackNow(p, ack)
+		fc.ack(p, slot)
 
 	case fc.conv != nil: // host layout
 		if src.Kind() == mem.Device {
@@ -111,10 +115,10 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, ack f
 			m.mustRetry(p, "frag.stage", func() error {
 				return m.ctx.Memcpy(p, stage, src)
 			})
-			ackNow(p, ack)
+			fc.ack(p, slot)
 			src = stage
 		} else {
-			defer ackNow(p, ack)
+			defer fc.ack(p, slot)
 		}
 		m.ctx.Node().HostBus().Transfer(p, 2*n)
 		fc.conv.Unpack(fc.op.Buf.Bytes(), src.Bytes())
@@ -127,7 +131,7 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, ack f
 		if direct {
 			_, fut := fc.gpu.UnpackFrom(p, src)
 			fc.lastFut = fut
-			ackWhen(m, fut, ack)
+			fc.ackWhen(fut, slot)
 			return
 		}
 		// Staged: copy the packed fragment into local device memory
@@ -135,18 +139,18 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, ack f
 		if !fc.stage.IsValid() {
 			fc.stage = m.ringBuf(dev.Mem(), 2*m.w.tun.frag)
 		}
-		slot := fc.i % 2
-		if f := fc.stageFut[slot]; f != nil {
-			f.Await(p) // previous unpack from this staging slot
+		half := fc.i % 2
+		if f := fc.stageFut[half]; f != nil {
+			f.Await(p) // previous unpack from this staging half
 		}
-		stage := fc.stage.Slice(int64(slot)*m.w.tun.frag, n)
+		stage := fc.stage.Slice(int64(half)*m.w.tun.frag, n)
 		m.mustRetry(p, "frag.stage", func() error {
 			return m.ctx.Memcpy(p, stage, src)
 		})
 		fc.i++
-		ackNow(p, ack)
+		fc.ack(p, slot)
 		_, fut := fc.gpu.UnpackFrom(p, stage)
-		fc.stageFut[slot] = fut
+		fc.stageFut[half] = fut
 		fc.lastFut = fut
 	}
 }
@@ -183,20 +187,24 @@ func (fc *fragConsumer) abandon(p *sim.Proc) {
 	fc.finish(p)
 }
 
-func ackNow(p *sim.Proc, ack func(pp *sim.Proc)) {
-	if ack != nil {
-		ack(p)
-	}
-}
-
-// ackWhen sends the ACK once fut completes, without blocking the caller.
-func ackWhen(m *Rank, fut *sim.Future, ack func(pp *sim.Proc)) {
-	if ack == nil {
+// ack returns a fragment's slot to the sender.
+func (fc *fragConsumer) ack(p *sim.Proc, slot int) {
+	if slot == fragNoSlot {
 		return
 	}
+	p.Count("mpi.ack", 1)
+	fc.op.Ch.AM(p, amHeaderBytes, fc.acks, slot)
+}
+
+// ackWhen acks once fut completes, without blocking the caller.
+func (fc *fragConsumer) ackWhen(fut *sim.Future, slot int) {
+	if slot == fragNoSlot {
+		return
+	}
+	m := fc.m
 	m.w.eng.Spawn(m.names.ack, func(pp *sim.Proc) {
 		fut.Await(pp)
-		ack(pp)
+		fc.ack(pp, slot)
 	})
 }
 

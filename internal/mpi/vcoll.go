@@ -12,7 +12,7 @@ import (
 // building blocks of sparse alltoalls (MoE dispatch), variable-block
 // gathers and ragged halo exchanges. Displacements are in units of the
 // datatype extent (the MPI convention): block r of a buffer is
-// buf.Slice(displs[r]*extent, spanOf(dt, counts[r])). A zero count
+// buf.Slice(displs[r]*extent, dt.Span(counts[r])). A zero count
 // moves no bytes and posts no message; both sides of a zero pair agree
 // because the count vectors are part of the collective's signature
 // (sender j and receiver i must satisfy scounts_j[i]*size(sdt) ==
@@ -32,7 +32,7 @@ func checkVArgs(what string, size int, buf mem.Buffer, dt *datatype.Datatype, co
 		if c < 0 {
 			panic(fmt.Sprintf("mpi: %s negative count", what))
 		}
-		if c > 0 && (displs[i] < 0 || int64(displs[i])*dt.Extent()+spanOf(dt, c) > buf.Len()) {
+		if c > 0 && (displs[i] < 0 || int64(displs[i])*dt.Extent()+dt.Span(c) > buf.Len()) {
 			panic(fmt.Sprintf("mpi: %s block %d (count %d, displ %d) outside buffer of %d bytes",
 				what, i, c, displs[i], buf.Len()))
 		}
@@ -42,7 +42,7 @@ func checkVArgs(what string, size int, buf mem.Buffer, dt *datatype.Datatype, co
 // vslot returns block r of an irregular buffer: counts[r] elements of
 // dt starting displs[r] extents from the buffer origin.
 func vslot(buf mem.Buffer, dt *datatype.Datatype, count, displ int) mem.Buffer {
-	return buf.Slice(int64(displ)*dt.Extent(), spanOf(dt, count))
+	return buf.Slice(int64(displ)*dt.Extent(), dt.Span(count))
 }
 
 // Alltoallv exchanges scounts[j] elements of sdt (at sdispls[j]) with

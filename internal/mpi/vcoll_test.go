@@ -53,7 +53,7 @@ func packedDispls(dt *datatype.Datatype, counts []int) ([]int, int64) {
 	cur := 0
 	for r, n := range counts {
 		displs[r] = cur
-		blocks := int((spanOf(dt, n) + ext - 1) / ext)
+		blocks := int((dt.Span(n) + ext - 1) / ext)
 		cur += blocks + r%2
 	}
 	return displs, int64(cur+1) * ext
@@ -213,7 +213,7 @@ func TestGathervScatterv(t *testing.T) {
 	gathered := make([][][]byte, size)
 	w.Run(func(m *Rank) {
 		me := m.Rank()
-		mine := m.Malloc(spanOf(dt, counts[me]))
+		mine := m.Malloc(dt.Span(counts[me]))
 		if counts[me] > 0 {
 			mem.FillPattern(mine, uint64(70+me))
 			sent[me] = cpuPack(dt, counts[me], mine.Bytes())
@@ -232,7 +232,7 @@ func TestGathervScatterv(t *testing.T) {
 				gathered[me][r] = cpuPack(dt, counts[r], vslot(all, dt, counts[r], displs[r]).Bytes())
 			}
 		}
-		back := m.Malloc(spanOf(dt, counts[me]))
+		back := m.Malloc(dt.Span(counts[me]))
 		m.Scatterv(all, counts, displs, dt, back, dt, counts[me], root)
 		backOK[me] = counts[me] == 0 ||
 			bytes.Equal(cpuPack(dt, counts[me], back.Bytes()), sent[me])

@@ -161,8 +161,8 @@ func NewWorld(cfg Config) *World {
 		hca := w.hcas[n]
 		w.eng.SpawnDaemon(fmt.Sprintf("node%d.ibrouter", n), func(p *sim.Proc) {
 			for {
-				m := hca.Inbox().Get(p).(routed)
-				m.dst.inbox.Put(m.am)
+				m := hca.Inbox().Get(p)
+				w.ranks[m.Dst].inbox.Put(m)
 			}
 		})
 	}

@@ -123,7 +123,7 @@ func (f *File) transfer(m *mpi.Rank, buf mem.Buffer, dt *datatype.Datatype, coun
 	packed := int64(count) * dt.Size()
 	// The view must have room for the packed stream (tile the filetype).
 	tiles := (packed + v.filetype.Size() - 1) / v.filetype.Size()
-	span := v.disp + (tiles-1)*v.filetype.Extent() + v.filetype.TrueLB() + v.filetype.TrueExtent()
+	span := v.disp + v.filetype.Span(int(tiles))
 	if span > f.size {
 		panic(fmt.Sprintf("mpiio: rank %d view needs %d bytes, file has %d", m.Rank(), span, f.size))
 	}

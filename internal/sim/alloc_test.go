@@ -5,18 +5,26 @@ import "testing"
 // TestQueuesAllocateNothingInSteadyState pins what the fifo buys: a
 // one-deep mailbox (both its item queue and its waiter queue), a
 // resource handed from one process to another, and a transfer over a
-// path all run without allocating once their arrays exist; and what the
+// path all run without allocating once their arrays exist; what the
 // inline element buys: a fresh mailbox that is never more than one deep
 // (a per-message mailbox) costs its own record and nothing else, with a
-// delayed Put, a typed event, among its deliveries.
+// delayed Put, a typed event, among its deliveries; and what the
+// pending table buys: delayed Puts of a three-word value into a typed
+// mailbox, two in flight at once, are never boxed.
 func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	e := NewEngine()
 	mb := e.NewMailbox("mb")
 	res := e.NewResource("res", 1)
 	pa := &Path{Name: "a->b", Links: []*Link{e.NewLink("b", 1, 0), e.NewLink("a", 1, 0)}}
 	msg := interface{}(&struct{}{})
+	type am struct {
+		to   *int
+		a, b int
+	}
+	var typed Mailbox[am]
+	typed.Init(e, "typed")
 	stop := false
-	var got [5]float64
+	var got [6]float64
 	// The server is always blocked in Get when a message arrives, so
 	// each Put pops the waiter queue and each Get pops the item queue.
 	e.SpawnDaemon("server", func(p *Proc) {
@@ -56,10 +64,16 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 			fresh.PutAfter(1, msg)
 			fresh.Get(p)
 		}) - 1
+		got[5] = testing.AllocsPerRun(100, func() {
+			typed.PutAfter(2, am{a: 1})
+			typed.PutAfter(1, am{a: 2})
+			typed.Get(p)
+			typed.Get(p)
+		})
 		stop = true
 	})
 	e.Run()
-	for i, what := range []string{"Put then Get", "Put to a blocked Get", "resource hand-over", "path transfer", "fresh one-deep mailbox, beyond its record"} {
+	for i, what := range []string{"Put then Get", "Put to a blocked Get", "resource hand-over", "path transfer", "fresh one-deep mailbox, beyond its record", "typed delayed Puts"} {
 		if got[i] != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", what, got[i])
 		}

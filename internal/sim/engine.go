@@ -291,7 +291,7 @@ func (e *Engine) Run() {
 			e.calls.take(ev.To)()
 		case evPut:
 			put := e.puts.take(ev.To)
-			put.m.Put(put.v)
+			put.m.deliver(put.i)
 		}
 		e.queue.settle()
 	}

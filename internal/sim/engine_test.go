@@ -136,11 +136,12 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 
 func TestMailboxFIFO(t *testing.T) {
 	e := NewEngine()
-	m := e.NewMailbox("m")
+	var m Mailbox[int]
+	m.Init(e, "m")
 	var got []int
 	e.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 4; i++ {
-			got = append(got, m.Get(p).(int))
+			got = append(got, m.Get(p))
 		}
 	})
 	e.Spawn("producer", func(p *Proc) {
@@ -247,6 +248,34 @@ func TestDeadlockReport(t *testing.T) {
 	e.Spawn("spawner", func(p *Proc) {
 		p.Sleep(2 * Microsecond)
 		e.Spawn("recv", func(p *Proc) { m.Get(p) })
+	})
+	e.Run()
+}
+
+// TestDeadlockReportNamesEmbeddedMailbox: a process blocked on a typed
+// mailbox that is a field of a larger record — how every protocol queue
+// is held — is reported with that mailbox's name, as one from
+// NewMailbox is.
+func TestDeadlockReportNamesEmbeddedMailbox(t *testing.T) {
+	const want = `sim: deadlock at 1.00us; blocked process(es):
+  rank1.recv.0: recv recv.events`
+	defer func() {
+		if r := recover(); r != want {
+			t.Fatalf("panic = %v\nwant %s", r, want)
+		}
+	}()
+	e := NewEngine()
+	rec := new(struct {
+		id     int
+		events Mailbox[int]
+		acks   Mailbox[int]
+	})
+	rec.events.Init(e, "recv.events")
+	rec.acks.Init(e, "recv.acks")
+	e.Spawn("rank1.recv.0", func(p *Proc) {
+		rec.acks.PutAfter(Microsecond, 0)
+		rec.acks.Get(p)
+		rec.events.Get(p)
 	})
 	e.Run()
 }

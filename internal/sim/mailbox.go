@@ -53,52 +53,102 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
-// Mailbox is an unbounded FIFO queue of messages between processes.
-// Put never blocks; Get blocks the calling process until a message is
-// available. Mailboxes model command queues (CUDA streams), active-message
-// delivery queues and the like.
-type Mailbox struct {
+// Mailbox is an unbounded FIFO queue of messages of type T between
+// processes. Put never blocks; Get blocks the calling process until a
+// message is available. Mailboxes model command queues (CUDA streams),
+// active-message delivery queues and the like. A record that owns a
+// queue embeds its Mailbox by value and calls Init.
+type Mailbox[T any] struct {
 	e       *Engine
 	name    string
-	items   fifo[interface{}]
+	items   fifo[T]
 	waiters fifo[*Proc]
+	later   pending[T] // PutAfter values whose delivery event is queued
 }
 
-// NewMailbox returns an empty mailbox bound to the engine.
-func (e *Engine) NewMailbox(name string) *Mailbox {
-	return &Mailbox{e: e, name: name}
+// Init makes m, embedded in a larger record, an empty mailbox bound to
+// the engine. name is what a deadlock report says a process blocked in
+// Get waits for.
+func (m *Mailbox[T]) Init(e *Engine, name string) { *m = Mailbox[T]{e: e, name: name} }
+
+// NewMailbox returns an empty mailbox of untyped messages, for a driver
+// that passes values of mixed types; a record embeds a typed one.
+func (e *Engine) NewMailbox(name string) *Mailbox[any] {
+	m := new(Mailbox[any])
+	m.Init(e, name)
+	return m
 }
 
 // Len returns the number of queued messages.
-func (m *Mailbox) Len() int { return m.items.len() }
+func (m *Mailbox[T]) Len() int { return m.items.len() }
 
 // Put enqueues v and, if a process is blocked in Get, wakes the
 // longest-waiting one at the current instant. Put may be called from a
 // process or from an engine callback.
-func (m *Mailbox) Put(v interface{}) {
+func (m *Mailbox[T]) Put(v T) {
 	m.items.push(v)
 	if m.waiters.len() > 0 {
 		m.e.unpark(m.waiters.pop(), m.e.now)
 	}
 }
 
-// putArg is a PutAfter on its way: the event that delivers it names it
-// by its slot in Engine.puts.
-type putArg struct {
-	m *Mailbox
-	v interface{}
-}
-
 // PutAfter enqueues v after a delay of d, which must not be negative.
-func (m *Mailbox) PutAfter(d Time, v interface{}) {
+// The value waits in the mailbox's own table; the engine's evPut event
+// names the mailbox and the value's slot there, so v is never boxed.
+func (m *Mailbox[T]) PutAfter(d Time, v T) {
 	if d < 0 {
 		panic("sim: PutAfter into the past")
 	}
-	m.e.post(m.e.now+d, evPut, m.e.puts.put(putArg{m, v}))
+	m.e.post(m.e.now+d, evPut, m.e.puts.put(putArg{m, m.later.put(v)}))
+}
+
+// deliver makes the delayed Put of the value in slot i of m.later.
+func (m *Mailbox[T]) deliver(i int32) { m.Put(m.later.take(i)) }
+
+// putter is a mailbox of any element type with a delayed Put on its way.
+type putter interface{ deliver(i int32) }
+
+// putArg is a PutAfter on its way: the event that delivers it names it
+// by its slot in Engine.puts, and it names the value by its slot in the
+// mailbox's pending table.
+type putArg struct {
+	m putter
+	i int32
+}
+
+// pending holds a mailbox's delayed values until their events fire. The
+// first is kept inline (slot -1), as fifo keeps its first element, so a
+// mailbox with one delayed Put in flight at a time — a per-message one —
+// has no table; the others take slots of a table made on first use.
+type pending[T any] struct {
+	one  T
+	busy bool
+	more *slots[T]
+}
+
+func (q *pending[T]) put(v T) int32 {
+	if !q.busy {
+		q.one, q.busy = v, true
+		return -1
+	}
+	if q.more == nil {
+		q.more = new(slots[T])
+	}
+	return q.more.put(v)
+}
+
+func (q *pending[T]) take(i int32) T {
+	if i >= 0 {
+		return q.more.take(i)
+	}
+	v := q.one
+	var zero T
+	q.one, q.busy = zero, false
+	return v
 }
 
 // Get dequeues the oldest message, blocking until one is available.
-func (m *Mailbox) Get(p *Proc) interface{} {
+func (m *Mailbox[T]) Get(p *Proc) T {
 	for m.items.len() == 0 {
 		m.waiters.push(p)
 		p.park(blockRecv, m.name)
