@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check-fast check-full fuzz golden bench bench-smoke bench-pairs figures examples tools clean
+.PHONY: all check-fast check-full fuzz golden bench bench-smoke bench-pairs bench-compare figures examples tools clean
 
 all: check-fast
 
@@ -99,6 +99,25 @@ bench-pairs:
 			printf "change won %d of %d pairs, lost %d; medians %+.1f %% (%.1f apart, base inter-quartile distance %.1f)\n", won, NR, lost, 100 * (cm - bm) / bm, bm - cm, iqr; \
 			gain = 10 * won >= 9 * NR && bm - cm > iqr && cfail * bops <= bfail * cops; \
 			printf "verdict: %s\n", gain ? "gain" : (10 * lost >= 9 * NR && cm - bm > iqr ? "regression" : "no resolved difference") }' "$$tmp/pairs"
+
+# The "no end-to-end metric worse on any workload" rule as one command:
+# build ./benchmark from a clean checkout of BASE and from the working
+# tree, run `-mode e2e -seconds S` over all six workloads on each (base
+# first; progress on stderr), and print `benchmark compare` of the two
+# reports, which judges every end-to-end metric against its bound in
+# BENCHMARK.json and exits 1 on any `worse` row (and on any change of
+# virtual_us or fail_frac). About 2 x 6 x S seconds.
+#   make bench-compare BASE=<rev> [S=<seconds>]
+S ?= 12
+bench-compare:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src"; git archive $(BASE) | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base" ./benchmark); \
+	$(GO) build -o "$$tmp/change" ./benchmark; \
+	"$$tmp/base" -mode e2e -seconds $(S) -out "$$tmp/base.json" > /dev/null; \
+	"$$tmp/change" -mode e2e -seconds $(S) -out "$$tmp/change.json" > /dev/null; \
+	echo "benchmark compare: A = $(BASE), B = working tree"; \
+	"$$tmp/change" compare "$$tmp/base.json" "$$tmp/change.json"
 
 # Regenerate every paper figure (writes to stdout; ~3 minutes).
 figures:

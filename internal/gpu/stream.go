@@ -8,8 +8,8 @@ import (
 
 // Stream is a CUDA-style in-order work queue. Operations submitted to one
 // stream execute serially; distinct streams execute concurrently, sharing
-// the device's DRAM port and copy engines. A dedicated daemon process
-// drains each stream.
+// the device's DRAM port and copy engines. A server process (sim.Serve)
+// drains each stream while it has work.
 type Stream struct {
 	dev  *Device
 	name string
@@ -27,26 +27,26 @@ type streamOp struct {
 	done   sim.Future
 }
 
-// NewStream creates a stream and starts its worker.
+// NewStream creates a stream and its worker.
 func (d *Device) NewStream(name string) *Stream {
 	s := &Stream{dev: d, name: fmt.Sprintf("gpu%d.%s", d.id, name)}
 	s.q.Init(d.eng, s.name+".q")
-	d.eng.SpawnDaemon(s.name, func(p *sim.Proc) {
-		for {
-			op := s.q.Get(p)
-			if op.kernel != nil || op.fn != nil {
-				h := p.BeginBytes(op.label, op.bytes)
-				if op.kernel != nil {
-					op.kernel.exec(p)
-				} else {
-					op.fn(p)
-				}
-				h.End()
-			}
-			op.done.Complete(nil)
-		}
-	})
+	sim.Serve(&s.q, s.name, runOp)
 	return s
+}
+
+// runOp executes one operation on the stream's worker.
+func runOp(p *sim.Proc, op *streamOp) {
+	if op.kernel != nil || op.fn != nil {
+		h := p.BeginBytes(op.label, op.bytes)
+		if op.kernel != nil {
+			op.kernel.exec(p)
+		} else {
+			op.fn(p)
+		}
+		h.End()
+	}
+	op.done.Complete(nil)
 }
 
 // Device returns the stream's device.

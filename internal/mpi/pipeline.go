@@ -194,7 +194,7 @@ func (m *Rank) deviceOf(b mem.Buffer) int {
 
 // engineFor returns the rank's datatype engine for the GPU owning buf.
 func (m *Rank) engineFor(b mem.Buffer) *core.Engine {
-	return m.engs[m.deviceOf(b)]
+	return m.GPUEngine(m.deviceOf(b))
 }
 
 // StartSend implements Strategy: publish handshake info and, unless the

@@ -91,18 +91,15 @@ func newRank(w *World, r int, pl Placement) *Rank {
 	}
 	rk.inbox.Init(w.eng, fmt.Sprintf("rank%d.am", r))
 	rk.barrierBox.Init(w.eng, fmt.Sprintf("rank%d.barrier", r))
-	for g := 0; g < node.NumGPUs(); g++ {
-		rk.engs = append(rk.engs, core.New(rk.ctx, g, w.cfg.Engine))
-	}
-	// Progress daemon: executes incoming active messages in order.
-	w.eng.SpawnDaemon(fmt.Sprintf("rank%d.progress", r), func(p *sim.Proc) {
-		for {
-			am := rk.inbox.Get(p)
-			am.To.Handle(p, am.Arg)
-		}
-	})
+	rk.engs = make([]*core.Engine, node.NumGPUs())
+	rk.engs[pl.GPU] = core.New(rk.ctx, pl.GPU, w.cfg.Engine)
+	// The progress server executes incoming active messages in order.
+	sim.Serve(&rk.inbox, fmt.Sprintf("rank%d.progress", r), runAM)
 	return rk
 }
+
+// runAM executes one active message on the progress server.
+func runAM(p *sim.Proc, am ib.Msg) { am.To.Handle(p, am.Arg) }
 
 // Rank returns the process's rank.
 func (m *Rank) Rank() int { return m.rank }
@@ -165,8 +162,15 @@ func (m *Rank) Now() sim.Time { return m.p.Now() }
 func (m *Rank) Ctx() *cuda.Ctx { return m.ctx }
 
 // GPUEngine returns the GPU datatype engine for device dev on the
-// rank's node.
-func (m *Rank) GPUEngine(dev int) *core.Engine { return m.engs[dev] }
+// rank's node. The engine of the rank's own GPU is built with the rank;
+// one for a peer GPU is built on first use, since most ranks never
+// touch one.
+func (m *Rank) GPUEngine(dev int) *core.Engine {
+	if m.engs[dev] == nil {
+		m.engs[dev] = core.New(m.ctx, dev, m.w.cfg.Engine)
+	}
+	return m.engs[dev]
+}
 
 // Engine returns the datatype engine of the rank's default GPU.
 func (m *Rank) Engine() *core.Engine { return m.engs[m.place.GPU] }

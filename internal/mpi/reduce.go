@@ -126,9 +126,8 @@ func reducePrim(dt *datatype.Datatype) datatype.Primitive {
 func (m *Rank) combine(p *sim.Proc, acc, other mem.Buffer, prim datatype.Primitive, op Op) {
 	n := acc.Len()
 	if acc.Kind() == mem.Device {
-		dev := m.ctx.Node().GPU(m.ctx.Node().DeviceOf(acc.Space()))
-		eng := m.engs[dev.ID()]
-		dev.Compute(eng.Stream(), 3*n, 0).Await(p)
+		eng := m.engineFor(acc)
+		eng.Device().Compute(eng.Stream(), 3*n, 0).Await(p)
 	} else {
 		m.ctx.Node().HostBus().Transfer(p, 3*n)
 	}

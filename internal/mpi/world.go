@@ -137,6 +137,11 @@ func NewWorld(cfg Config) *World {
 	if cfg.IB.WireGBps == 0 {
 		cfg.IB = ib.DefaultParams()
 	}
+	for r, pl := range cfg.Ranks {
+		if pl.Node < 0 || pl.Node >= cfg.Nodes || pl.GPU < 0 || pl.GPU >= cfg.GPUsPerNode {
+			panic(fmt.Sprintf("mpi: rank %d placement out of range", r))
+		}
+	}
 	w := &World{eng: sim.NewEngine(), cfg: cfg}
 	w.tun = resolveTuning(cfg.Tuning)
 	w.hier = detectHierarchy(cfg.Ranks)
@@ -150,21 +155,13 @@ func NewWorld(cfg Config) *World {
 		w.hcas = append(w.hcas, w.fabric.Attach(node))
 	}
 	for r, pl := range cfg.Ranks {
-		if pl.Node >= cfg.Nodes || pl.GPU >= cfg.GPUsPerNode {
-			panic(fmt.Sprintf("mpi: rank %d placement out of range", r))
-		}
 		w.ranks = append(w.ranks, newRank(w, r, pl))
 	}
 	// Per-node routers deliver HCA arrivals to the addressed rank's
 	// active-message inbox.
-	for n := range w.nodes {
-		hca := w.hcas[n]
-		w.eng.SpawnDaemon(fmt.Sprintf("node%d.ibrouter", n), func(p *sim.Proc) {
-			for {
-				m := hca.Inbox().Get(p)
-				w.ranks[m.Dst].inbox.Put(m)
-			}
-		})
+	route := func(p *sim.Proc, m ib.Msg) { w.ranks[m.Dst].inbox.Put(m) }
+	for n, hca := range w.hcas {
+		sim.Serve(hca.Inbox(), fmt.Sprintf("node%d.ibrouter", n), route)
 	}
 	return w
 }

@@ -76,10 +76,10 @@ type Node struct {
 	rootTx, rootRx *sim.Link
 	gpuTx, gpuRx   []*sim.Link
 
-	// The paths between the endpoints, built once: a transfer takes the
-	// one for its direction instead of assembling it. p2p[i][i] is nil.
-	h2d, d2h []*sim.Path
-	p2p      [][]*sim.Path
+	// The paths between the endpoints, each built on its first transfer
+	// and kept: a transfer takes the one for its direction instead of
+	// assembling it. p2p[i*len(gpus)+j] runs from GPU i to GPU j.
+	h2d, d2h, p2p []*sim.Path
 }
 
 // SetFaults installs a fault injector on the node and every GPU in it.
@@ -94,8 +94,9 @@ func (n *Node) SetFaults(in *fault.Injector) {
 // Faults returns the node's fault injector (nil when none installed).
 func (n *Node) Faults() *fault.Injector { return n.faults }
 
-// NewNode builds a node with ngpus GPUs using the given calibrations and
-// wires every GPU's H2D/D2H copy-engine paths.
+// NewNode builds a node with ngpus GPUs using the given calibrations.
+// Every link exists from the start; the H2D, D2H and P2P paths over
+// them are built on first use.
 func NewNode(eng *sim.Engine, id, ngpus int, gp gpu.Params, p Params) *Node {
 	n := &Node{
 		eng:    eng,
@@ -105,37 +106,20 @@ func NewNode(eng *sim.Engine, id, ngpus int, gp gpu.Params, p Params) *Node {
 		bus:    eng.NewLink(fmt.Sprintf("node%d.hostbus", id), p.HostBusRawGBps, 100*sim.Nanosecond),
 		rootTx: eng.NewLink(fmt.Sprintf("node%d.rootTx", id), p.RootGBps, p.HopLatency),
 		rootRx: eng.NewLink(fmt.Sprintf("node%d.rootRx", id), p.RootGBps, p.HopLatency),
+		h2d:    make([]*sim.Path, ngpus),
+		d2h:    make([]*sim.Path, ngpus),
+		p2p:    make([]*sim.Path, ngpus*ngpus),
 	}
 	for i := 0; i < ngpus; i++ {
 		d := gpu.NewDevice(eng, i, gp)
 		tx := eng.NewLink(fmt.Sprintf("node%d.gpu%d.tx", id, i), p.SlotGBps, p.HopLatency)
 		rx := eng.NewLink(fmt.Sprintf("node%d.gpu%d.rx", id, i), p.SlotGBps, p.HopLatency)
 		// The copy-engine shortcuts on the device point at the slot
-		// links; full paths via the root are built by H2D/D2H below.
+		// links; full paths via the root are built by H2D/D2H.
 		d.H2D, d.D2H = rx, tx
 		n.gpus = append(n.gpus, d)
 		n.gpuTx = append(n.gpuTx, tx)
 		n.gpuRx = append(n.gpuRx, rx)
-	}
-	for i := 0; i < ngpus; i++ {
-		n.h2d = append(n.h2d, &sim.Path{
-			Name:  fmt.Sprintf("%s->gpu%d", n.host.Name(), i),
-			Links: []*sim.Link{n.rootTx, n.gpuRx[i]},
-		})
-		n.d2h = append(n.d2h, &sim.Path{
-			Name:  fmt.Sprintf("gpu%d->%s", i, n.host.Name()),
-			Links: []*sim.Link{n.gpuTx[i], n.rootRx},
-		})
-		peers := make([]*sim.Path, ngpus)
-		for j := range peers {
-			if j != i {
-				peers[j] = &sim.Path{
-					Name:  fmt.Sprintf("gpu%d->gpu%d", i, j),
-					Links: []*sim.Link{n.gpuTx[i], n.gpuRx[j]},
-				}
-			}
-		}
-		n.p2p = append(n.p2p, peers)
 	}
 	return n
 }
@@ -183,10 +167,26 @@ func (n *Node) GPU(i int) *gpu.Device { return n.gpus[i] }
 func (n *Node) HostBus() *sim.Link { return n.bus }
 
 // H2D returns the host-to-device path for GPU i.
-func (n *Node) H2D(i int) *sim.Path { return n.h2d[i] }
+func (n *Node) H2D(i int) *sim.Path {
+	if n.h2d[i] == nil {
+		n.h2d[i] = &sim.Path{
+			Name:  fmt.Sprintf("%s->gpu%d", n.host.Name(), i),
+			Links: []*sim.Link{n.rootTx, n.gpuRx[i]},
+		}
+	}
+	return n.h2d[i]
+}
 
 // D2H returns the device-to-host path for GPU i.
-func (n *Node) D2H(i int) *sim.Path { return n.d2h[i] }
+func (n *Node) D2H(i int) *sim.Path {
+	if n.d2h[i] == nil {
+		n.d2h[i] = &sim.Path{
+			Name:  fmt.Sprintf("gpu%d->%s", i, n.host.Name()),
+			Links: []*sim.Link{n.gpuTx[i], n.rootRx},
+		}
+	}
+	return n.d2h[i]
+}
 
 // P2P returns the peer-to-peer path from GPU i to GPU j, bypassing the
 // root complex. It panics for i == j (use gpu.Device.CopyD2D).
@@ -194,7 +194,14 @@ func (n *Node) P2P(i, j int) *sim.Path {
 	if i == j {
 		panic("pcie: P2P requires distinct GPUs")
 	}
-	return n.p2p[i][j]
+	k := i*len(n.gpus) + j
+	if n.p2p[k] == nil {
+		n.p2p[k] = &sim.Path{
+			Name:  fmt.Sprintf("gpu%d->gpu%d", i, j),
+			Links: []*sim.Link{n.gpuTx[i], n.gpuRx[j]},
+		}
+	}
+	return n.p2p[k]
 }
 
 // SlotTx returns GPU i's transmit link (used by zero-copy kernels whose

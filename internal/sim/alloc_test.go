@@ -10,7 +10,9 @@ import "testing"
 // (a per-message mailbox) costs its own record and nothing else, with a
 // delayed Put, a typed event, among its deliveries; and what the
 // pending table buys: delayed Puts of a three-word value into a typed
-// mailbox, two in flight at once, are never boxed.
+// mailbox, two in flight at once, are never boxed; and what serving
+// buys: restarting an idle server takes a parked coroutine, not a new
+// one.
 func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	e := NewEngine()
 	mb := e.NewMailbox("mb")
@@ -25,13 +27,11 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	typed.Init(e, "typed")
 	stop := false
 	var got [6]float64
-	// The server is always blocked in Get when a message arrives, so
-	// each Put pops the waiter queue and each Get pops the item queue.
-	e.SpawnDaemon("server", func(p *Proc) {
-		for {
-			mb.Get(p)
-		}
-	})
+	// The server of mb is always idle when a message arrives, so each
+	// Put pops the waiter queue and restarts it, and its run pops the
+	// item queue (or finds it emptied by the measured Get and goes idle).
+	handled := 0
+	Serve(mb, "server", func(*Proc, any) { handled++ })
 	// The holder owns the resource two ticks out of three; the measured
 	// process asks for it while it is held and is handed it on Release.
 	e.Spawn("holder", func(p *Proc) {
@@ -73,10 +73,13 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 		stop = true
 	})
 	e.Run()
-	for i, what := range []string{"Put then Get", "Put to a blocked Get", "resource hand-over", "path transfer", "fresh one-deep mailbox, beyond its record", "typed delayed Puts"} {
+	for i, what := range []string{"Put then Get", "Put to an idle server (a restart)", "resource hand-over", "path transfer", "fresh one-deep mailbox, beyond its record", "typed delayed Puts"} {
 		if got[i] != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", what, got[i])
 		}
+	}
+	if handled != 101 { // the restarts; AllocsPerRun warms up with one run
+		t.Errorf("the server handled %d messages, want 101", handled)
 	}
 }
 

@@ -55,12 +55,12 @@ type Engine struct {
 	now      Time
 	seq      uint64 // schedule sequence: Event.pri of the last queued event
 	queue    evQueue
-	procs    slots[*Proc]  // spawned and not yet finished
+	procs    slots[*Proc]  // spawned and not yet finished, and every server
 	calls    slots[func()] // After callbacks not yet run
 	puts     slots[putArg] // Mailbox.PutAfter deliveries not yet made
-	idle     []*carrier    // coroutines whose process has finished
+	idle     []*carrier    // coroutines whose process has finished or gone idle
 	carriers int           // coroutines created so far
-	live     int           // spawned but not finished non-daemon processes
+	live     int           // spawned and not finished processes, servers aside
 	ran      bool
 	linkSeq  uint64
 	links    []*Link
@@ -113,7 +113,7 @@ var blockText = [...]string{blockAwait: "await future", blockRecv: "recv ", bloc
 type Proc struct {
 	e      *Engine
 	name   string
-	daemon bool
+	daemon bool   // a server (see Serve): never finishes, never live
 	slot   int32  // index in e.procs
 	born   uint64 // schedule sequence of the start event: spawn order
 	fn     func(p *Proc)
@@ -144,27 +144,18 @@ func (p *Proc) Now() Time { return p.e.now }
 // Spawn registers a new process that starts at the current virtual time.
 // It may be called before Run or from inside a running process.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.spawn(name, false, fn)
-}
-
-// SpawnDaemon registers a background service process (e.g. a CUDA stream
-// worker or a BTL progress loop). Daemons do not keep the simulation
-// alive: Run returns when the event queue drains even if daemons are
-// blocked, and a blocked daemon is not a deadlock.
-func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return e.spawn(name, true, fn)
-}
-
-func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, daemon: daemon, fn: fn}
-	if !daemon {
-		e.live++
-	}
+	p := &Proc{e: e, name: name, fn: fn}
+	e.live++
 	p.slot = e.procs.put(p)
 	e.unpark(p, e.now)
 	p.born = e.seq
 	return p
 }
+
+// Coroutines returns how many coroutines the engine has created so far:
+// at most the number of processes ever running or parked at once, since
+// a finished process — or an idle server — hands its coroutine on.
+func (e *Engine) Coroutines() int { return e.carriers }
 
 // errShutdown is the sentinel panic that unwinds a parked process when
 // Run stops its coroutine at the end of the simulation.
@@ -173,10 +164,11 @@ var errShutdown = &struct{ s string }{"sim: engine shutdown"}
 // carrier is a coroutine that runs one process after another. Most
 // processes are short (an eager receive, an active message) and a new
 // coroutine starts on a 2 KiB stack it has to regrow, so one that has
-// finished its process parks on Engine.idle and the next start event
-// runs on it, stack and all. Nothing of this shows in the event stream:
-// a process starts from the same evProc event at the same (At, pri)
-// whichever coroutine carries it.
+// finished its process — or whose server has gone idle — parks on
+// Engine.idle and the next start or restart event runs on it, stack and
+// all. Nothing of this shows in the event stream: a process starts from
+// the same evProc event at the same (At, pri) whichever coroutine
+// carries it.
 type carrier struct {
 	p    *Proc                   // the process being carried; nil once it has returned
 	next func() (struct{}, bool) // what Proc.next is while p runs
@@ -266,12 +258,13 @@ func (p *Proc) Sleep(d Time) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Run executes events until the queue drains. A panic in a process
-// surfaces from Run, and Run panics with a deadlock report if non-daemon
-// processes remain blocked with no pending events. Before Run returns
-// (or panics) every process still parked — the daemons, after a clean
-// run — is unwound, so nothing of the simulation executes afterwards and
-// the engine and everything it references can be garbage-collected; Run
-// may therefore be called at most once.
+// surfaces from Run, and Run panics with a deadlock report if processes
+// other than servers remain blocked with no pending events. Before Run
+// returns (or panics) every process still parked — servers parked
+// mid-handler, after a clean run — is unwound, so nothing of the
+// simulation executes afterwards and the engine and everything it
+// references can be garbage-collected; Run may therefore be called at
+// most once.
 func (e *Engine) Run() {
 	if e.ran {
 		panic("sim: Run called twice")
@@ -301,7 +294,8 @@ func (e *Engine) Run() {
 }
 
 // resume runs process p from its start or resume event until it parks
-// or returns.
+// or returns. A server that returns has gone idle, not finished: it
+// keeps its slot, and only its coroutine is handed on.
 func (e *Engine) resume(p *Proc) {
 	p.pending = false
 	c := p.c
@@ -312,8 +306,8 @@ func (e *Engine) resume(p *Proc) {
 	p.next()
 	if p.c == nil { // returned, not parked
 		e.idle = append(e.idle, c)
-		e.procs.take(p.slot)
 		if !p.daemon {
+			e.procs.take(p.slot)
 			e.live--
 		}
 	}
@@ -334,8 +328,8 @@ func (e *Engine) unwind() {
 	e.idle = nil
 }
 
-// deadlockReport lists the blocked non-daemon processes in spawn order
-// with what each one waits for.
+// deadlockReport lists the blocked processes other than servers in spawn
+// order with what each one waits for.
 func (e *Engine) deadlockReport() string {
 	var blocked []*Proc
 	for _, p := range e.procs.at {

@@ -244,7 +244,7 @@ func TestDeadlockReport(t *testing.T) {
 		r.Acquire(p)
 		t.Error("acquired a resource nobody released")
 	})
-	e.SpawnDaemon("daemon", func(p *Proc) { e.NewMailbox("idle").Get(p) })
+	Serve(e.NewMailbox("idle"), "daemon", func(*Proc, any) {})
 	e.Spawn("spawner", func(p *Proc) {
 		p.Sleep(2 * Microsecond)
 		e.Spawn("recv", func(p *Proc) { m.Get(p) })
@@ -318,24 +318,26 @@ func TestRunTwicePanics(t *testing.T) {
 }
 
 // TestRunUnwindsParkedDaemons: when Run returns nothing of the simulation
-// is left running — every parked daemon has been unwound through its
-// deferred calls, every idle carrier has been stopped, and no goroutine
-// outlives the call.
+// is left running — every server parked mid-handler has been unwound
+// through its deferred calls, every idle carrier has been stopped, and
+// no goroutine outlives the call. Idle servers hold no coroutine.
 func TestRunUnwindsParkedDaemons(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
-	m := e.NewMailbox("work")
+	never := e.NewFuture()
 	unwound := 0
-	for i := 0; i < 8; i++ {
-		e.SpawnDaemon(fmt.Sprintf("d%d", i), func(p *Proc) {
+	work := make([]*Mailbox[any], 16)
+	for i := range work {
+		work[i] = e.NewMailbox(fmt.Sprintf("work%d", i))
+		Serve(work[i], fmt.Sprintf("d%d", i), func(p *Proc, _ any) {
 			defer func() { unwound++ }()
-			for {
-				m.Get(p)
-			}
+			never.Await(p)
 		})
 	}
 	e.Spawn("client", func(p *Proc) {
-		m.Put(1)
+		for _, m := range work[:8] { // the other eight stay idle
+			m.Put(1)
+		}
 		// Five short processes at once, all finished before the end:
 		// their carriers are idle, not parked, when Run shuts down.
 		for i := 0; i < 5; i++ {
@@ -348,7 +350,11 @@ func TestRunUnwindsParkedDaemons(t *testing.T) {
 	})
 	e.Run()
 	if unwound != 8 {
-		t.Fatalf("%d of 8 daemons unwound when Run returned", unwound)
+		t.Fatalf("%d of 8 parked servers unwound when Run returned", unwound)
+	}
+	// The client, the eight parked servers and the five short processes.
+	if want := 14; e.carriers != want {
+		t.Errorf("%d coroutines created, want %d: an idle server holds none", e.carriers, want)
 	}
 	if len(e.idle) != 0 {
 		t.Fatalf("%d idle carriers left after Run", len(e.idle))
@@ -492,12 +498,9 @@ func TestDaemonDoesNotBlockCompletion(t *testing.T) {
 	e := NewEngine()
 	m := e.NewMailbox("work")
 	var served int
-	e.SpawnDaemon("worker", func(p *Proc) {
-		for {
-			m.Get(p)
-			p.Sleep(Microsecond)
-			served++
-		}
+	Serve(m, "worker", func(p *Proc, _ any) {
+		p.Sleep(Microsecond)
+		served++
 	})
 	e.Spawn("client", func(p *Proc) {
 		m.Put(1)

@@ -155,3 +155,32 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 	}
 	return m.items.pop()
 }
+
+// Serve makes a daemon process, named name, that handles the messages of
+// mb one handle call at a time, in arrival order: a CUDA stream worker,
+// a progress loop, a router. The server holds a coroutine only while it
+// has work. When mb is empty it returns and hands its coroutine back,
+// and it waits as mb's standing waiter, so the next Put restarts it at
+// that instant with the evProc event a Put posts to wake a process
+// blocked in Get. A handler may park; what is put meanwhile is handled
+// in the same run, after it. The server keeps its Proc — its name, its
+// slot, its recorder track — for the life of the engine. Like every
+// daemon it does not keep the simulation alive, and an idle server is
+// in no deadlock report. mb must have no other consumer.
+func Serve[T any](mb *Mailbox[T], name string, handle func(p *Proc, v T)) *Proc {
+	e := mb.e
+	p := &Proc{e: e, name: name, daemon: true}
+	p.fn = func(p *Proc) {
+		for mb.items.len() > 0 {
+			handle(p, mb.items.pop())
+		}
+		mb.waiters.push(p)
+	}
+	p.slot = e.procs.put(p)
+	if mb.items.len() > 0 {
+		e.unpark(p, e.now)
+	} else {
+		mb.waiters.push(p)
+	}
+	return p
+}

@@ -50,12 +50,11 @@ func orderTranscript() string {
 		f.Complete(v)
 	}
 
-	e.SpawnDaemon("server", func(p *Proc) {
-		for {
-			v := mb.Get(p).(int)
-			log("server", fmt.Sprintf("got %d", v))
-			p.Sleep(Time(v%3) * Nanosecond)
-		}
+	// The server was a loop blocked in mb.Get when the transcript was
+	// recorded; served, it must post the same events.
+	Serve(mb, "server", func(p *Proc, v any) {
+		log("server", fmt.Sprintf("got %d", v.(int)))
+		p.Sleep(Time(v.(int)%3) * Nanosecond)
 	})
 
 	const workers, steps = 8, 14
@@ -121,7 +120,12 @@ func orderTranscript() string {
 						e.Spawn(cname, body)
 						return "spawn " + cname
 					}
-					e.SpawnDaemon(cname, body)
+					// A daemon started by hand: a server given one
+					// message posts its start where a spawn would.
+					var start Mailbox[int]
+					start.Init(e, cname)
+					Serve(&start, cname, func(c *Proc, _ int) { body(c) })
+					start.Put(0)
 					return "spawndaemon " + cname
 				}
 			}

@@ -59,22 +59,48 @@ func (s Stencil) Instance(rc RunContext) (Instance, error) {
 	if cells != rc.Group.Size() {
 		return nil, fmt.Errorf("stencil: grid %v needs %d ranks, group has %d", s.Procs, cells, rc.Group.Size())
 	}
-	return &stencilInstance{cfg: s, rc: rc}, nil
+	// Every rank's padded box has the same shape, so the face types are
+	// committed once for the job, as an application commits them once:
+	// per dimension the planes sent down and up and the halos they land
+	// in, each spanning the full padded extent of the dimensions swept
+	// before it, so edge and corner cells propagate without diagonal
+	// messages.
+	in := &stencilInstance{cfg: s, rc: rc, padded: make([]int, len(s.Box))}
+	for d, b := range s.Box {
+		in.padded[d] = b + 2
+	}
+	in.faces = make([]faceTypes, len(s.Box))
+	for d := range in.faces {
+		top := in.padded[d] - 1
+		in.faces[d] = faceTypes{
+			low: shapes.HaloFace(in.padded, d, 1), high: shapes.HaloFace(in.padded, d, top-1),
+			lowHalo: shapes.HaloFace(in.padded, d, 0), highHalo: shapes.HaloFace(in.padded, d, top),
+		}
+	}
+	return in, nil
 }
 
 type stencilInstance struct {
-	cfg Stencil
-	rc  RunContext
+	cfg    Stencil
+	rc     RunContext
+	padded []int       // the local box with its halo layer, per dim
+	faces  []faceTypes // per dim, shared by the job's ranks
 }
 
-// cellWord is the generator value mix(seed, g..., it) of the cell at
-// wrapped global coordinate g in step it, given row = mix(seed, g[:n-1]...)
-// and last = g[n-1]. mix is a left fold, so a sweep folds the seed and
-// the leading coordinates once per innermost row and only these two
-// steps per cell.
-func cellWord(row, last uint64, it int) uint64 {
-	return splitmix64(splitmix64(row^last) ^ uint64(it))
+// faceTypes are one dimension's planes: the two a rank sends and the two
+// halos it receives into.
+type faceTypes struct {
+	low, high, lowHalo, highHalo *datatype.Datatype
 }
+
+// cellFold and cellWord split the generator value mix(seed, g..., it) of
+// the cell at wrapped global coordinate g in step it: with row =
+// mix(seed, g[:n-1]...) and last = g[n-1], it is
+// cellWord(cellFold(row, last), it). mix is a left fold, so a rank folds
+// each cell's coordinates once and a sweep pays one step per cell.
+func cellFold(row, last uint64) uint64 { return splitmix64(row ^ last) }
+
+func cellWord(fold uint64, it int) uint64 { return splitmix64(fold ^ uint64(it)) }
 
 func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 	g := in.rc.Group
@@ -104,84 +130,59 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 		return n
 	}
 
-	padded := make([]int, nd)
+	padded := in.padded
 	total := make([]int, nd) // global torus extent per dim
 	cells := 1
 	for d := range dims {
-		padded[d] = box[d] + 2
 		total[d] = dims[d] * box[d]
 		cells *= padded[d]
 	}
 	buf := m.Malloc(int64(cells) * 8)
 
-	// offset walks the padded C-order array.
-	offset := func(idx []int) int {
-		o := 0
-		for d := 0; d < nd; d++ {
-			o = o*padded[d] + idx[d]
-		}
-		return o * 8
-	}
 	// global maps a padded-local index (0 = low halo) on dim d to the
 	// wrapped global coordinate.
 	global := func(d, local int) int {
 		return ((coords[d]*box[d] + local - 1) + total[d]) % total[d]
 	}
 
-	// rows visits the first index vector of every innermost row of the
-	// box [lo, hi): idx[d] in [lo[d], hi[d]) for d < last, idx[last] ==
-	// lo[last]. f gets the generator prefix of the row and the byte
-	// offset of that first cell, and walks the row itself.
+	// fold[c] is the cellFold of padded cell c (C order), the part of its
+	// generator value no step changes, built one innermost row at a time;
+	// inner lists the first interior cell of every interior row.
 	last := nd - 1
+	fold := make([]uint64, cells)
+	var inner []int
+	idx := make([]int, nd)
 	gidx := make([]uint64, nd)
-	rows := func(lo, hi []int, f func(idx []int, row uint64, off int)) {
-		idx := make([]int, nd)
-		copy(idx, lo)
-		for {
-			for d := 0; d < last; d++ {
-				gidx[d] = uint64(global(d, idx[d]))
+	for c := 0; c < cells; c += padded[last] {
+		interior := true
+		for d := 0; d < last; d++ {
+			gidx[d] = uint64(global(d, idx[d]))
+			interior = interior && idx[d] >= 1 && idx[d] < padded[d]-1
+		}
+		row := mix(in.rc.Seed, gidx[:last]...)
+		for j := 0; j < padded[last]; j++ {
+			fold[c+j] = cellFold(row, uint64(global(last, j)))
+		}
+		if interior {
+			inner = append(inner, c+1)
+		}
+		for d := last - 1; d >= 0; d-- {
+			if idx[d]++; idx[d] < padded[d] {
+				break
 			}
-			f(idx, mix(in.rc.Seed, gidx[:last]...), offset(idx))
-			d := last - 1
-			for ; d >= 0; d-- {
-				idx[d]++
-				if idx[d] < hi[d] {
-					break
-				}
-				idx[d] = lo[d]
-			}
-			if d < 0 {
-				return
-			}
+			idx[d] = 0
 		}
 	}
 
-	interiorLo := make([]int, nd)
-	interiorHi := make([]int, nd)
-	zero := make([]int, nd)
-	for d := range dims {
-		interiorLo[d] = 1
-		interiorHi[d] = padded[d] - 1
-	}
-
-	// The face types are committed once, as an application commits them:
-	// per dimension the planes sent down and up and the halos they land
-	// in, each spanning the full padded extent of the dimensions swept
-	// before it, so edge and corner cells propagate without diagonal
-	// messages.
-	type faces struct {
-		low, high    *datatype.Datatype
-		sends, recvs []mpi.Neighbor
-	}
-	halo := make([]faces, nd)
-	for d := range halo {
-		low, high := shapes.HaloFace(padded, d, 1), shapes.HaloFace(padded, d, padded[d]-2)
-		lowHalo, highHalo := shapes.HaloFace(padded, d, 0), shapes.HaloFace(padded, d, padded[d]-1)
+	// Dimension d exchanges the job's shared face types from and into
+	// this rank's box.
+	type exchange struct{ sends, recvs []mpi.Neighbor }
+	halo := make([]exchange, nd)
+	for d, f := range in.faces {
 		down, up := neighbour(d, -1), neighbour(d, +1)
-		halo[d] = faces{
-			low: low, high: high,
-			sends: []mpi.Neighbor{{Buf: buf, Dt: low, Count: 1, Peer: down}, {Buf: buf, Dt: high, Count: 1, Peer: up}},
-			recvs: []mpi.Neighbor{{Buf: buf, Dt: highHalo, Count: 1, Peer: up}, {Buf: buf, Dt: lowHalo, Count: 1, Peer: down}},
+		halo[d] = exchange{
+			sends: []mpi.Neighbor{{Buf: buf, Dt: f.low, Count: 1, Peer: down}, {Buf: buf, Dt: f.high, Count: 1, Peer: up}},
+			recvs: []mpi.Neighbor{{Buf: buf, Dt: f.highHalo, Count: 1, Peer: up}, {Buf: buf, Dt: f.lowHalo, Count: 1, Peer: down}},
 		}
 	}
 
@@ -193,24 +194,23 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 		// up again wherever communication may have come between: device
 		// memory that grows (a rendezvous ring's first allocation) moves.
 		raw := buf.Bytes()
-		rows(interiorLo, interiorHi, func(_ []int, row uint64, off int) {
-			for j := interiorLo[last]; j < interiorHi[last]; j++ {
-				putWord(raw, off, cellWord(row, uint64(global(last, j)), it))
-				off += 8
+		for _, c := range inner {
+			for j := c; j < c+box[last]; j++ {
+				putWord(raw, 8*j, cellWord(fold[j], it))
 			}
-		})
+		}
 
 		// Dimension-ordered halo sweep: my low plane goes down and my
 		// high plane up, my high halo comes from up and my low halo from
 		// down, in one exchange per dimension. The dimensions stay in
 		// order: a face carries the halos already received.
-		for d := range halo {
-			f := &halo[d]
+		for d, x := range halo {
+			f := &in.faces[d]
 			lo := m.Proc().BeginBytes("app.halo.face", f.low.Size())
 			lo.SetDetail(f.low.Name())
 			hi := m.Proc().BeginBytes("app.halo.face", f.high.Size())
 			hi.SetDetail(f.high.Name())
-			g.NeighborAlltoallw(m, f.sends, f.recvs)
+			g.NeighborAlltoallw(m, x.sends, x.recvs)
 			hi.End()
 			lo.End()
 		}
@@ -221,20 +221,17 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 		// Every cell of the padded box — interior and all received
 		// halos, including edges and corners — must now equal the
 		// generator at its wrapped global coordinate.
-		var verr error
 		raw = buf.Bytes()
-		rows(zero, padded, func(idx []int, row uint64, off int) {
-			for j := 0; j < padded[last] && verr == nil; j++ {
-				gidx[last] = uint64(global(last, j))
-				if got, want := getWord(raw, off), cellWord(row, gidx[last], it); got != want {
-					cell := append(append([]int(nil), idx[:last]...), j)
-					verr = fmt.Errorf("stencil: step %d cell %v (global %v) = %x, want %x", it, cell, gidx, got, want)
+		for c, f := range fold {
+			if got, want := getWord(raw, 8*c), cellWord(f, it); got != want {
+				cell := make([]int, nd)
+				for d, r := last, c; d >= 0; d-- {
+					cell[d] = r % padded[d]
+					r /= padded[d]
+					gidx[d] = uint64(global(d, cell[d]))
 				}
-				off += 8
+				return nil, fmt.Errorf("stencil: step %d cell %v (global %v) = %x, want %x", it, cell, gidx, got, want)
 			}
-		})
-		if verr != nil {
-			return nil, verr
 		}
 		h.Write(raw)
 	}

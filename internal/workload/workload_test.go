@@ -55,15 +55,16 @@ func TestStencil3DVerifies(t *testing.T) {
 	runSingle(t, Stencil{Procs: []int{2, 2, 2}, Box: []int{6, 6, 6}, Iters: 2}, 8, 2, false)
 }
 
-// TestStencilGeneratorIsMixFold: the per-row / per-cell split of the
-// stencil generator is the plain fold mix(seed, g..., it), in 2D and 3D.
+// TestStencilGeneratorIsMixFold: the per-row / per-cell / per-step split
+// of the stencil generator is the plain fold mix(seed, g..., it), in 2D
+// and 3D.
 func TestStencilGeneratorIsMixFold(t *testing.T) {
 	const seed = 0xfeed
 	for _, g := range [][]uint64{{0, 0}, {3, 17}, {63, 0, 5}, {1, 2, 3}, {0, 0, 1 << 20}} {
 		for it := 0; it < 3; it++ {
 			n := len(g) - 1
 			want := mix(seed, append(append([]uint64(nil), g...), uint64(it))...)
-			if got := cellWord(mix(seed, g[:n]...), g[n], it); got != want {
+			if got := cellWord(cellFold(mix(seed, g[:n]...), g[n]), it); got != want {
 				t.Errorf("cell %v step %d: %x, want mix = %x", g, it, got, want)
 			}
 		}
