@@ -19,16 +19,19 @@ check-fast:
 # The CI gate. Every test runs once, under -race: the differential
 # oracle, channel round-trips, golden figures and traces, chaos, scale,
 # model and tuner suites, cmd smoke tests and example builds. On top of
-# that, only what `go test ./...` cannot do: the 16384-rank smoke
-# (skipped without GPUDDT_MEGA), a 10 s smoke of each fuzz target, and
-# the four report sweeps run twice (chaosbench has one size, the others
-# run -quick) — each pair of JSON reports must be byte-identical (a
-# sweep is a pure function of its inputs).
+# that, only what `go test -race ./...` cannot do: the exact allocation
+# pins, which skip under -race (sync.Pool drops there), once without it;
+# the 16384-rank smoke (skipped without GPUDDT_MEGA), a 10 s smoke of
+# each fuzz target, and the four report sweeps run twice (chaosbench has
+# one size, the others run -quick) — each pair of JSON reports must be
+# byte-identical (a sweep is a pure function of its inputs).
+ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestWholeMessageCallsBorrowTheirWorker
 check-full:
 	$(GOFMT_GATE)
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core
 	GPUDDT_MEGA=1 $(GO) test ./internal/bench -run TestMegaSmoke16k -v
 	@set -e; for f in FuzzPackUnpack FuzzDEVSplit FuzzChaosPackUnpack FuzzAlltoallvCounts FuzzMoECounts; do \
 		echo "fuzz smoke: $$f"; \

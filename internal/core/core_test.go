@@ -287,13 +287,17 @@ func TestEmptyMessage(t *testing.T) {
 }
 
 // TestWholeMessageCallsBorrowTheirWorker: Pack, Unpack and UnpackPrefix
-// take their Packer from the engine and hand it back, so a steady-state
-// call allocates its kernel — one record with its launch — and nothing
-// else; and a borrowed worker starts from scratch: a prefix unpack that
+// take their Packer from the engine and hand it back, and PackBlocks and
+// UnpackBlocks do the same for their one launch; the borrowed worker
+// carries the kernel record that launch is made from, re-armed with its
+// own descriptor array, so a steady-state call allocates nothing. (At the
+// commit before, each call allocated its kernel: one record with its
+// launch.) A borrowed worker starts from scratch: a prefix unpack that
 // stops short leaves nothing for the next message to trip over.
 func TestWholeMessageCallsBorrowTheirWorker(t *testing.T) {
 	// Under the race detector sync.Pool drops a quarter of what it is
-	// given, and a kernel whose descriptor array was dropped makes one.
+	// given, and a record whose first descriptor array was dropped makes
+	// one.
 	var pool sync.Pool
 	for i, x := 0, new(int); i < 64; i++ {
 		pool.Put(x)
@@ -303,7 +307,7 @@ func TestWholeMessageCallsBorrowTheirWorker(t *testing.T) {
 	}
 	r := newRig(t, Options{})
 	vec, tri := shapes.SubMatrix(16, 8, 12), shapes.LowerTriangular(32)
-	var allocs [3]float64
+	var allocs [4]float64
 	var got, want []byte
 	r.eng.Spawn("host", func(p *sim.Proc) {
 		for i, dt := range []*datatype.Datatype{vec, tri} {
@@ -319,11 +323,25 @@ func TestWholeMessageCallsBorrowTheirWorker(t *testing.T) {
 		allocs[2] = testing.AllocsPerRun(20, func() { r.e.UnpackPrefix(p, data, tri, 1, packed.Slice(0, 200)) })
 		r.e.Unpack(p, data, tri, 1, packed)
 		got, want = cpuPack(tri, 1, data.Bytes()), packed.Bytes()
+
+		// Three blocks, two layouts: a vector and a run of two cached ones.
+		blocks := []Block{{Dt: vec, Count: 1}, {Dt: tri, Count: 1}, {Dt: tri, Count: 1}}
+		var pos int64
+		for i := range blocks {
+			b := &blocks[i]
+			b.Data, b.Pos = r.ctx.Malloc(0, b.Dt.Span(1)), pos
+			pos += b.Size()
+		}
+		window := r.ctx.MallocHost(pos)
+		allocs[3] = testing.AllocsPerRun(20, func() {
+			r.e.PackBlocks(p, blocks, window)
+			r.e.UnpackBlocks(p, blocks, window)
+		}) / 2
 	})
 	r.eng.Run()
-	for i, what := range []string{"vector Pack/Unpack", "DEV Pack/Unpack", "prefix unpack"} {
-		if allocs[i] != 1 {
-			t.Errorf("%s: %v allocations per call, want 1 (the kernel)", what, allocs[i])
+	for i, what := range []string{"vector Pack/Unpack", "DEV Pack/Unpack", "prefix unpack", "PackBlocks/UnpackBlocks"} {
+		if allocs[i] != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", what, allocs[i])
 		}
 	}
 	if !bytes.Equal(got, want) {

@@ -105,8 +105,8 @@ type Engine struct {
 	dev    *gpu.Device
 	stream *gpu.Stream
 	opts   Options
-	cache  *DevCache // device-wide, shared with sibling engines
-	idle   []*Packer // workers between two calls that borrow them
+	cache  *DevCache   // device-wide, shared with sibling engines
+	idle   []*borrowed // workers between two calls that borrow them
 
 	// statistics
 	convEntries int64

@@ -83,8 +83,12 @@ func (e *Engine) fused(p *sim.Proc, blocks []Block, frag mem.Buffer, dir directi
 	}
 	data := space.BufferAt(lo, hi-lo)
 
+	// One borrowed worker serves every run in turn — a run's units are
+	// copied out before the next run re-inits it — and its kernel record
+	// carries the launch, the units growing in the record's own array.
+	w := e.borrow()
 	kind := gpu.VectorKernel
-	units := gpu.GetUnits(0)[:0]
+	units := w.k.Rearm(0)
 	var pk *Packer        // the worker of the current run of equal layouts
 	var first, last int   // its first block's units are units[first:last],
 	var memOff, pos int64 // shifted to this place in memory and in frag
@@ -95,10 +99,8 @@ func (e *Engine) fused(p *sim.Proc, blocks []Block, frag mem.Buffer, dir directi
 		}
 		bMem := b.Data.Addr() - lo
 		if pk == nil || pk.dt != b.Dt || pk.cnt != b.Count {
-			if pk != nil {
-				e.giveBack(pk)
-			}
-			pk = e.borrow(b.Data, b.Dt, b.Count, dir)
+			pk = &w.pk
+			pk.init(e, b.Data, b.Dt, b.Count, dir)
 			first = len(units)
 			units = pk.appendMessage(p, units)
 			last = len(units)
@@ -113,11 +115,11 @@ func (e *Engine) fused(p *sim.Proc, blocks []Block, frag mem.Buffer, dir directi
 		units = append(units, units[first:last]...)
 		shiftUnits(units[next:], bMem-memOff, b.Pos-pos, dir)
 	}
-	e.giveBack(pk)
 	if nblocks > 1 {
 		e.ctx.Node().H2D(e.dev.ID()).Transfer(p, int64(nblocks)*blockDevBytes)
 	}
-	e.launch(kind, dir, data, frag, units, total).Await(p)
+	e.launch(&w.k, kind, dir, data, frag, units, total).Await(p)
+	e.giveBack(w)
 }
 
 // appendMessage appends the units of the packer's whole message, as one

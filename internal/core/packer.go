@@ -28,7 +28,9 @@ const maxUnitLen = 1 << 30
 //
 // Every path produces a window's descriptors once, as direction-bound
 // gpu.Units rebased to the fragment, in the pooled array the kernel then
-// owns (see gpu.GetUnits): the vector path from arithmetic, the cached
+// owns (see gpu.GetUnits) — or, for a synchronous call, in the array of
+// its borrowed worker's kernel record (see borrowed): the vector path
+// from arithmetic, the cached
 // path from its slice of the resident list, the converting path from the
 // tail of the list it is building. The kernel gets a copy, never a view
 // of a cached list — eviction recycles a list's array while kernels that
@@ -71,6 +73,17 @@ func (e *Engine) newWorker(data mem.Buffer, dt *datatype.Datatype, count int, di
 	return pk
 }
 
+// InitPacker is NewPacker for a Packer held by value in a larger record
+// (a pipelined protocol's producer).
+func (e *Engine) InitPacker(pk *Packer, data mem.Buffer, dt *datatype.Datatype, count int) {
+	pk.init(e, data, dt, count, dirPack)
+}
+
+// InitUnpacker is NewUnpacker for a Packer held by value.
+func (e *Engine) InitUnpacker(pk *Packer, data mem.Buffer, dt *datatype.Datatype, count int) {
+	pk.init(e, data, dt, count, dirUnpack)
+}
+
 // init makes pk the worker of one message, positioned at its start.
 func (pk *Packer) init(e *Engine, data mem.Buffer, dt *datatype.Datatype, count int, dir direction) {
 	*pk = Packer{e: e, data: data, dt: dt, cnt: count, dir: dir}
@@ -89,22 +102,42 @@ func (pk *Packer) init(e *Engine, data mem.Buffer, dt *datatype.Datatype, count 
 	}
 }
 
-// borrow is newWorker for a call that is done with its worker when it
-// returns — a whole-message pack or unpack, a fused launch — and hands
-// it back with giveBack. The kernels such a call launched own their
-// descriptors, so nothing refers to the worker afterwards.
-func (e *Engine) borrow(data mem.Buffer, dt *datatype.Datatype, count int, dir direction) *Packer {
-	n := len(e.idle)
-	if n == 0 {
-		return e.newWorker(data, dt, count, dir)
-	}
-	pk := e.idle[n-1]
-	e.idle = e.idle[:n-1]
-	pk.init(e, data, dt, count, dir)
-	return pk
+// borrowed is a worker lent to a call that is done with it when it
+// returns — a whole-message pack or unpack, a fused launch — together
+// with the kernel record that call launches last. The call awaits that
+// kernel before it hands both back (giveBack), so the record is complete
+// when it is re-armed, and its descriptor array, the record's own, keeps
+// its capacity from call to call. The record is here and not in Packer:
+// a pipelined worker launches one kernel per fragment and keeps none.
+type borrowed struct {
+	pk Packer
+	k  gpu.Kernel
 }
 
-func (e *Engine) giveBack(pk *Packer) { e.idle = append(e.idle, pk) }
+// borrow returns an idle borrowed worker, or a new one; the caller
+// inits its Packer.
+func (e *Engine) borrow() *borrowed {
+	n := len(e.idle)
+	if n == 0 {
+		return new(borrowed)
+	}
+	b := e.idle[n-1]
+	e.idle = e.idle[:n-1]
+	return b
+}
+
+func (e *Engine) giveBack(b *borrowed) { e.idle = append(e.idle, b) }
+
+// Release hands the descriptor arrays of the engine's idle workers back
+// to the descriptor pool, where the engines of the next simulation find
+// them (see gpu.Kernel.Retire). Call it once the engine is done; a call
+// that borrows a worker afterwards starts from an empty one.
+func (e *Engine) Release() {
+	for _, b := range e.idle {
+		b.k.Retire()
+	}
+	e.idle = nil
+}
 
 // Total returns the packed size of the message.
 func (pk *Packer) Total() int64 { return pk.conv.Total() }
@@ -138,7 +171,7 @@ func (pk *Packer) PackInto(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) {
 	if pk.dir != dirPack {
 		panic("core: PackInto on an unpacker")
 	}
-	return pk.process(p, frag)
+	return pk.process(p, frag, nil)
 }
 
 // UnpackFrom scatters the next min(len(frag), Remaining()) bytes of frag
@@ -147,10 +180,14 @@ func (pk *Packer) UnpackFrom(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) 
 	if pk.dir != dirUnpack {
 		panic("core: UnpackFrom on a packer")
 	}
-	return pk.process(p, frag)
+	return pk.process(p, frag, nil)
 }
 
-func (pk *Packer) process(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) {
+// process launches the window's kernels. own, when not nil, is the
+// caller's kernel record (see borrowed): the window's last launch is made
+// from it, the others — and every launch when own is nil — from a kernel
+// of their own.
+func (pk *Packer) process(p *sim.Proc, frag mem.Buffer, own *gpu.Kernel) (int64, *sim.Future) {
 	n := frag.Len()
 	if r := pk.conv.Remaining(); n > r {
 		n = r
@@ -164,26 +201,35 @@ func (pk *Packer) process(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) {
 	var fut *sim.Future
 	switch {
 	case pk.view != nil:
-		units := pk.viewUnits(start, n)
+		units := pk.viewUnits(start, n, own)
 		pk.conv.Advance(n, nil)
-		fut = pk.launch(gpu.VectorKernel, units, n, frag)
+		fut = pk.launch(own, gpu.VectorKernel, units, n, frag)
 	case pk.cached != nil:
-		units := pk.cachedUnits(start, n)
+		units := pk.cachedUnits(start, n, own)
 		pk.conv.Advance(n, nil)
-		fut = pk.launch(gpu.DEVKernel, units, n, frag)
+		fut = pk.launch(own, gpu.DEVKernel, units, n, frag)
 	default:
-		fut = pk.convertAndLaunch(p, n, frag)
+		fut = pk.convertAndLaunch(p, n, frag, own)
 	}
 	return n, fut
+}
+
+// getUnits returns a descriptor array of length n for a launch from own,
+// or from a new kernel when own is nil.
+func getUnits(own *gpu.Kernel, n int) []gpu.Unit {
+	if own != nil {
+		return own.Rearm(n)
+	}
+	return gpu.GetUnits(n)
 }
 
 // viewUnits computes the units intersecting packed window [start,
 // start+n) directly from the vector view — no conversion cost, exactly
 // like the specialized kernel taking (blocklen, stride, count) arguments.
-func (pk *Packer) viewUnits(start, n int64) []gpu.Unit {
+func (pk *Packer) viewUnits(start, n int64, own *gpu.Kernel) []gpu.Unit {
 	bl := pk.view.BlockLen
 	// One unit per block, unless blocks exceed maxUnitLen.
-	return pk.appendViewUnits(gpu.GetUnits(int((start+n-1)/bl - start/bl + 1))[:0], start, n)
+	return pk.appendViewUnits(getUnits(own, int((start+n-1)/bl-start/bl+1))[:0], start, n)
 }
 
 // appendViewUnits appends the window's units to units.
@@ -221,7 +267,7 @@ func (pk *Packer) appendViewUnits(units []gpu.Unit, start, n int64) []gpu.Unit {
 // trimming the at most two that straddle its ends. No conversion cost:
 // the descriptor array is already resident in GPU memory. PackOff is
 // monotonic, so both ends of the window are found by search, not scan.
-func (pk *Packer) cachedUnits(start, n int64) []gpu.Unit {
+func (pk *Packer) cachedUnits(start, n int64, own *gpu.Kernel) []gpu.Unit {
 	entries := pk.cached.entries
 	end := start + n
 	// Windows are usually sequential, continuing in entry pk.ci. A
@@ -235,7 +281,7 @@ func (pk *Packer) cachedUnits(start, n int64) []gpu.Unit {
 	hi := lo + sort.Search(len(entries)-lo, func(i int) bool {
 		return entries[lo+i].PackOff >= end
 	})
-	units := gpu.GetUnits(hi - lo)
+	units := getUnits(own, hi-lo)
 	pk.bind(units, entries[lo:hi], start)
 	if head := start - entries[lo].PackOff; head > 0 {
 		u := &units[0]
@@ -271,7 +317,8 @@ func (pk *Packer) bind(units []gpu.Unit, entries []Entry, fragStart int64) {
 // launching a kernel per chunk so conversion of chunk k+1 overlaps
 // execution of chunk k when pipelining is enabled (§3.2). With
 // pipelining disabled the full window is converted before one launch.
-func (pk *Packer) convertAndLaunch(p *sim.Proc, n int64, frag mem.Buffer) *sim.Future {
+// The last chunk launches from own (see process).
+func (pk *Packer) convertAndLaunch(p *sim.Proc, n int64, frag mem.Buffer, own *gpu.Kernel) *sim.Future {
 	opts := &pk.e.opts
 	var fut *sim.Future
 	for converted := int64(0); converted < n; {
@@ -282,11 +329,15 @@ func (pk *Packer) convertAndLaunch(p *sim.Proc, n int64, frag mem.Buffer) *sim.F
 		if rem := n - converted; m > rem {
 			m = rem
 		}
+		k := own
+		if converted+m < n {
+			k = nil
+		}
 		chunkStart := pk.conv.Packed()
 		entries := pk.convert(p, m)
-		units := gpu.GetUnits(len(entries))
+		units := getUnits(k, len(entries))
 		pk.bind(units, entries, chunkStart)
-		fut = pk.launch(gpu.DEVKernel, units, m, frag.Slice(converted, m))
+		fut = pk.launch(k, gpu.DEVKernel, units, m, frag.Slice(converted, m))
 		converted += m
 	}
 	pk.converted()
@@ -344,13 +395,17 @@ func (pk *Packer) converted() {
 }
 
 // launch submits the kernel that moves a window's n bytes through units
-// between the data layout and frag.
-func (pk *Packer) launch(kind gpu.KernelKind, units []gpu.Unit, n int64, frag mem.Buffer) *sim.Future {
-	return pk.e.launch(kind, pk.dir, pk.data, frag, units, n)
+// between the data layout and frag: k, re-armed for units, or a new one
+// when k is nil.
+func (pk *Packer) launch(k *gpu.Kernel, kind gpu.KernelKind, units []gpu.Unit, n int64, frag mem.Buffer) *sim.Future {
+	return pk.e.launch(k, kind, pk.dir, pk.data, frag, units, n)
 }
 
-func (e *Engine) launch(kind gpu.KernelKind, dir direction, data, frag mem.Buffer, units []gpu.Unit, n int64) *sim.Future {
-	k := &gpu.Kernel{Kind: kind, Src: data, Dst: frag, Units: units, Blocks: e.opts.Blocks}
+func (e *Engine) launch(k *gpu.Kernel, kind gpu.KernelKind, dir direction, data, frag mem.Buffer, units []gpu.Unit, n int64) *sim.Future {
+	if k == nil {
+		k = new(gpu.Kernel)
+	}
+	k.Kind, k.Src, k.Dst, k.Units, k.Blocks = kind, data, frag, units, e.opts.Blocks
 	if dir == dirUnpack {
 		k.Src, k.Dst = frag, data
 	}
@@ -376,13 +431,15 @@ func (e *Engine) launch(kind gpu.KernelKind, dir direction, data, frag mem.Buffe
 // Pack performs a whole-message pack synchronously: data (device,
 // non-contiguous) into dst, which must hold Total() bytes.
 func (e *Engine) Pack(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, dst mem.Buffer) {
-	pk := e.borrow(data, dt, count, dirPack)
+	b := e.borrow()
+	pk := &b.pk
+	pk.init(e, data, dt, count, dirPack)
 	if dst.Len() < pk.Total() {
 		panic("core: destination smaller than packed size")
 	}
-	_, fut := pk.PackInto(p, dst.Slice(0, pk.Total()))
+	_, fut := pk.process(p, dst.Slice(0, pk.Total()), &b.k)
 	fut.Await(p)
-	e.giveBack(pk)
+	e.giveBack(b)
 }
 
 // Unpack performs a whole-message unpack synchronously.
@@ -398,14 +455,16 @@ func (e *Engine) UnpackPrefix(p *sim.Proc, data mem.Buffer, dt *datatype.Datatyp
 }
 
 func (e *Engine) unpack(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, src mem.Buffer, prefix bool) {
-	pk := e.borrow(data, dt, count, dirUnpack)
+	b := e.borrow()
+	pk := &b.pk
+	pk.init(e, data, dt, count, dirUnpack)
 	if !prefix && src.Len() < pk.Total() {
 		panic("core: source smaller than packed size")
 	}
 	if src.Len() > pk.Total() {
 		src = src.Slice(0, pk.Total())
 	}
-	_, fut := pk.UnpackFrom(p, src)
+	_, fut := pk.process(p, src, &b.k)
 	fut.Await(p)
-	e.giveBack(pk)
+	e.giveBack(b)
 }

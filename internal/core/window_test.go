@@ -205,9 +205,9 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 				var got []gpu.Unit
 				var want []Entry
 				if pk.view != nil {
-					got, want = pk.viewUnits(pos, n), ref.viewEntries(pos, n)
+					got, want = pk.viewUnits(pos, n, nil), ref.viewEntries(pos, n)
 				} else {
-					got, want = pk.cachedUnits(pos, n), ref.cachedEntries(pos, n)
+					got, want = pk.cachedUnits(pos, n, nil), ref.cachedEntries(pos, n)
 				}
 				if err := equalUnits(got, bindRef(dir, want, pos)); err != nil {
 					t.Fatalf("%s: step %d, window [%d,+%d): %v", what, step, pos, n, err)

@@ -321,3 +321,64 @@ func TestKernelIsOneLaunch(t *testing.T) {
 		}
 	}
 }
+
+// TestKeptKernelRearms: a kept record launches again once re-armed, from
+// its own descriptor array and without allocating; it still panics when
+// launched twice without a Rearm, and Rearm panics while the record is in
+// flight, on a one-shot record and on a retired one.
+func TestKeptKernelRearms(t *testing.T) {
+	e, d := newDev(t)
+	src, dst := d.Mem().Alloc(4096, 256), d.Mem().Alloc(4096, 256)
+	panics := func(f func()) (r interface{}) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	const inFlight = "gpu: kernel re-armed in flight or after a one-shot launch"
+	var allocs float64
+	var got [5]interface{}
+	e.Spawn("host", func(p *sim.Proc) {
+		s := d.NewStream("s")
+		var k Kernel
+		launch := func(fill uint64) {
+			mem.FillPattern(src, fill)
+			units := k.Rearm(4)
+			for i := range units {
+				units[i] = Unit{SrcOff: int64(i) * 1024, DstOff: int64(i) * 1024, Len: 1024}
+			}
+			k.Kind, k.Src, k.Dst = VectorKernel, src, dst
+			d.Launch(s, &k).Await(p)
+			if !mem.Equal(src, dst) {
+				t.Errorf("launch with pattern %d did not copy", fill)
+			}
+		}
+		launch(1)
+		launch(2)
+		array := &k.spent[:1][0]
+		allocs = testing.AllocsPerRun(10, func() { launch(3) })
+		if &k.spent[:1][0] != array {
+			t.Error("a re-armed record changed its descriptor array")
+		}
+		got[0] = panics(func() { d.Launch(s, &k) })
+		copy(k.Rearm(4), contigKernel(VectorKernel, src, dst, 1024).Units)
+		k.Src, k.Dst = src, dst
+		d.Launch(s, &k)
+		got[1] = panics(func() { k.Rearm(4) })
+		s.Sync(p)
+		oneShot := contigKernel(VectorKernel, src, dst, 1024)
+		d.Launch(s, oneShot).Await(p)
+		got[2] = panics(func() { oneShot.Rearm(4) })
+		k.Retire()
+		got[3] = panics(func() { k.Rearm(4) })
+		got[4] = panics(func() { d.Launch(s, &k) })
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Errorf("a warmed kept record: %v allocations per re-armed launch, want 0", allocs)
+	}
+	for i, want := range []interface{}{"gpu: kernel launched twice", inFlight, inFlight, inFlight, "gpu: kernel launched twice"} {
+		if got[i] != want {
+			t.Errorf("case %d: %v, want the panic %q", i, got[i], want)
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 )
 
 // KernelKind selects the cost model for a pack/unpack kernel.
-type KernelKind int
+type KernelKind uint8
 
 const (
 	// VectorKernel is the specialized blocklength/stride kernel of §3.1:
@@ -68,15 +68,20 @@ func GetUnits(n int) []Unit {
 // cuda_dev_dist array does in the paper). A Kernel is one launch and
 // carries it: Launch or LaunchZeroCopy fills in what the stream worker
 // needs and queues the record itself, so a second launch of the same
-// Kernel panics.
+// Kernel panics — unless the record is a kept one, re-armed by Rearm
+// once its last launch has completed.
 type Kernel struct {
 	Kind   KernelKind
+	kept   bool // re-armed by Rearm: spent is the record's own array
 	Src    mem.Buffer
 	Dst    mem.Buffer
 	Units  []Unit
 	Blocks int // requested grid size; 0 = device default
 
-	spent []Unit // Units' array once run() is done with it; see unitPool
+	// spent is Units' array once run() is done with it. For a record
+	// launched once it is the record's unitPool slot; a kept record
+	// holds on to it for its next launch instead.
+	spent []Unit
 
 	// The launch: its place on the stream and its completion (op), the
 	// cost model's verdict, and for a zero-copy launch the link its
@@ -87,6 +92,42 @@ type Kernel struct {
 	rate float64
 	link *sim.Link
 	wire int64
+}
+
+// Rearm readies k, a record its owner launches again and again, for its
+// next launch, and returns k.Units resized to n for the caller to fill.
+// The descriptor array is the record's own: it keeps its capacity from
+// launch to launch and stays out of the pool until Retire, so a warmed
+// record launches without allocating. A record's first array, and one
+// that has to grow, come from GetUnits. Rearm panics while the last
+// launch is in flight, and on a record last launched without Rearm (or
+// retired), whose array the pool already holds.
+func (k *Kernel) Rearm(n int) []Unit {
+	if k.dev != nil && (!k.kept || !k.op.done.Done()) {
+		panic("gpu: kernel re-armed in flight or after a one-shot launch")
+	}
+	units := k.spent
+	if cap(units) < max(n, 1) {
+		units = GetUnits(n)
+	}
+	*k = Kernel{Units: units[:n], kept: true}
+	return k.Units
+}
+
+// Retire hands the descriptor array of a kept record its owner is done
+// with for good back to the pool, so the next owner's first Rearm — in a
+// later simulation, say — finds it there. The record is spent afterwards:
+// re-arming or launching it panics. A record that was never launched, or
+// never kept, has nothing to hand back.
+func (k *Kernel) Retire() {
+	if !k.kept || k.dev == nil {
+		return
+	}
+	if !k.op.done.Done() {
+		panic("gpu: kernel retired in flight")
+	}
+	k.kept = false
+	unitPool.Put(&k.spent)
 }
 
 // Bytes returns the number of useful bytes the kernel moves.
@@ -219,7 +260,8 @@ func (d *Device) Compute(s *Stream, raw int64, blocks int) *sim.Future {
 // no process can observe partially written data earlier in virtual time.
 // Both windows are resolved once; each unit is then one slice expression
 // per side, whose bounds check is what keeps a unit inside its buffer.
-// The descriptor array is recycled afterwards (see GetUnits).
+// The descriptor array is recycled afterwards (see GetUnits), or kept by
+// a kept record (see Rearm).
 func (k *Kernel) run() {
 	src, dst := k.Src.Bytes(), k.Dst.Bytes()
 	for i := range k.Units {
@@ -233,5 +275,7 @@ func (k *Kernel) run() {
 		copy(dst[d:d+n], src[s:s+n])
 	}
 	k.spent, k.Units = k.Units[:0], nil
-	unitPool.Put(&k.spent)
+	if !k.kept {
+		unitPool.Put(&k.spent)
+	}
 }

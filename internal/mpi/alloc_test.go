@@ -12,17 +12,23 @@ import (
 // TestMessageAllocs pins the heap objects one steady-state message
 // costs, both ranks and every layer under them counted, on every path
 // p2p_lat crosses: its three shapes on its three configurations, and
-// T16K from host memory where a wire or a bus is crossed. Each layer's
-// share of a message is one record — a request with its operation and
-// RTS, the pipelined strategy's sender half inside the send's
-// operation, its receiver half one record per match, a kernel with its
-// launch and completion, a packer with its converter borrowed from the
-// engine — and an active message is a value; what is left is named in
-// DESIGN decision 26. The counts are exact, so a row that moves either
-// way fails: re-pin it and say why. At the commit before, the rows cost
-// 8, 8, 32, 8, 8, 29, 9, 9, 41, 6 and 7 (four fragments: 78); at the one
-// before that, the device eager, host eager and ib rendezvous rows cost
-// 29.5, 15.5 and 68.5.
+// T16K from host memory where a wire or a bus is crossed. A message is
+// one record per side (DESIGN decision 28): the send record, holding its
+// RTS and, for a rendezvous, the pipelined sender with its worker process
+// and its packer; the receive record, holding the receive process; and
+// for a rendezvous the receiver half made at the match, holding its
+// consumer. A whole-message pack or unpack launches from the kernel
+// record of the worker it borrows, and an active message is a value. So
+// an eager message, device or host, is its two records. A T145K
+// rendezvous is its three records plus a one-shot pack and unpack
+// kernel (one fragment each way); 1gpu and ib add the ACK process with
+// its closure and a second waiter on the unpack future (its waiter
+// array), ib the staging packer process with its closure. The counts are
+// exact, so a row that moves either way fails: re-pin it and say why. At
+// the commit before, the rows cost 6, 6, 14, 6, 6, 11, 6, 6, 16, 4 and 4
+// (four fragments: 32): each message also paid the receive process and
+// its closure, an eager one its two kernels, a rendezvous the sender
+// worker process and its closure and two Packers.
 func TestMessageAllocs(t *testing.T) {
 	// Under the race detector sync.Pool drops a quarter of what it is
 	// given, and a kernel whose descriptor array was dropped makes one.
@@ -75,17 +81,17 @@ func TestMessageAllocs(t *testing.T) {
 		host  bool
 		want  float64
 	}{
-		{"V1K.1gpu", "1gpu", v1k, false, 6},
-		{"T16K.1gpu", "1gpu", t16k, false, 6},
-		{"T145K.1gpu", "1gpu", t145k, false, 14},
-		{"V1K.2gpu", "2gpu", v1k, false, 6},
-		{"T16K.2gpu", "2gpu", t16k, false, 6},
-		{"T145K.2gpu", "2gpu", t145k, false, 11},
-		{"V1K.ib", "ib", v1k, false, 6},
-		{"T16K.ib", "ib", t16k, false, 6},
-		{"T145K.ib", "ib", t145k, false, 16},
-		{"T16K.host.2gpu", "2gpu", t16k, true, 4},
-		{"T16K.host.ib", "ib", t16k, true, 4},
+		{"V1K.1gpu", "1gpu", v1k, false, 2},
+		{"T16K.1gpu", "1gpu", t16k, false, 2},
+		{"T145K.1gpu", "1gpu", t145k, false, 8},
+		{"V1K.2gpu", "2gpu", v1k, false, 2},
+		{"T16K.2gpu", "2gpu", t16k, false, 2},
+		{"T145K.2gpu", "2gpu", t145k, false, 5},
+		{"V1K.ib", "ib", v1k, false, 2},
+		{"T16K.ib", "ib", t16k, false, 2},
+		{"T145K.ib", "ib", t145k, false, 10},
+		{"T16K.host.2gpu", "2gpu", t16k, true, 2},
+		{"T16K.host.ib", "ib", t16k, true, 2},
 	} {
 		if got := perMessage(tc.topo, tc.dt, tc.host, nil); got != tc.want {
 			t.Errorf("%s: %.1f allocations per message, want %.0f", tc.point, got, tc.want)

@@ -34,12 +34,12 @@ func (s *PipelinedStrategy) Name() string { return "pipelined" }
 
 // pipeSend is the sender half of a rendezvous, held by value in its
 // SendOp: the handshake the receiver reads through the RTS (§4.1), the
-// worker's state, its producer and the queues the worker reads. The
-// worker process runs one command per protocol attempt and exits when
-// an attempt completes; an aborted attempt loops back for the
-// receiver's fallback command. On the SM contiguous fast path the
-// worker is not spawned at all unless the receiver's zero-copy attempt
-// fails and it commands a staged send.
+// worker process, its producer and the queues the worker reads. The
+// worker runs one command per protocol attempt and exits when an
+// attempt completes; an aborted attempt loops back for the receiver's
+// fallback command. On the SM contiguous fast path the worker is not
+// started at all unless the receiver's zero-copy attempt fails and it
+// commands a staged send.
 type pipeSend struct {
 	op *SendOp
 
@@ -53,9 +53,9 @@ type pipeSend struct {
 	ring    mem.Buffer
 	ringIPC cuda.IpcHandle // valid when ring is device memory
 
-	spawned bool
-	epoch   int          // commands received (see fragQueue)
-	prod    fragProducer // reused (rewound) across protocol attempts
+	worker sim.Proc     // started once (start); Run is its body
+	epoch  int          // commands received (see fragQueue)
+	prod   fragProducer // reused (rewound) across protocol attempts
 
 	cmds      sim.Mailbox[sendCmd]
 	freeLocal sim.Mailbox[int] // staged sender: free host staging slots
@@ -199,7 +199,7 @@ func (m *Rank) engineFor(b mem.Buffer) *core.Engine {
 
 // StartSend implements Strategy: publish handshake info and, unless the
 // SM contiguous fast path applies, start the command-driven sender
-// worker. The fast path leaves the worker unspawned — §4.1: "if the
+// worker. The fast path leaves the worker unstarted — §4.1: "if the
 // sender datatype is contiguous, the receiver can use the sender buffer
 // directly", no sender-side work at all — but still publishes the
 // command queue so the receiver can demote to a staged send if its IPC
@@ -219,35 +219,38 @@ func (s *PipelinedStrategy) StartSend(op *SendOp) any {
 	return st
 }
 
-// start spawns the sender worker once.
+// start starts the sender worker once: a started record has its engine.
 func (st *pipeSend) start() {
-	if st.spawned {
+	if st.worker.Engine() != nil {
 		return
 	}
-	st.spawned = true
 	m := st.op.M
-	m.w.eng.Spawn(m.names.sendpipe, func(p *sim.Proc) {
-		for {
-			cmd := st.cmds.Get(p)
-			st.epoch++
-			var ok bool
-			switch cmd.kind {
-			case cmdPackToRing:
-				ok = st.runPackToRing(p, cmd.r)
-			case cmdPackDirect:
-				ok = st.runPackDirect(p, cmd.r)
-			case cmdSendStaged:
-				ok = st.runSendStaged(p, cmd.r)
-			}
-			if ok {
-				st.op.Req.done.Complete(nil)
-				return
-			}
-			// Aborted. The receiver cancels an attempt only en route to
-			// issuing a fallback command, so waiting here cannot deadlock.
-			p.Count("mpi.protocol.abort", 1)
+	m.w.eng.Start(&st.worker, m.names.sendpipe, st)
+}
+
+// Run is the sender worker: one command per protocol attempt, until one
+// completes.
+func (st *pipeSend) Run(p *sim.Proc) {
+	for {
+		cmd := st.cmds.Get(p)
+		st.epoch++
+		var ok bool
+		switch cmd.kind {
+		case cmdPackToRing:
+			ok = st.runPackToRing(p, cmd.r)
+		case cmdPackDirect:
+			ok = st.runPackDirect(p, cmd.r)
+		case cmdSendStaged:
+			ok = st.runSendStaged(p, cmd.r)
 		}
-	})
+		if ok {
+			st.op.Req.done.Complete(nil)
+			return
+		}
+		// Aborted. The receiver cancels an attempt only en route to
+		// issuing a fallback command, so waiting here cannot deadlock.
+		p.Count("mpi.protocol.abort", 1)
+	}
 }
 
 // producer returns the sender's fragment producer, rewound to packed

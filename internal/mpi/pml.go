@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
@@ -24,13 +25,14 @@ func (m *Rank) newRequest() *Request {
 }
 
 // A send is one record: eagerReq for an eager message, sendReq for a
-// rendezvous — whose operation holds the pipelined strategy's sender by
-// value, so it is several times the size of an eager send and the two
-// are kept apart. The RTS rides in the record, and the AM that carries
-// it points to it. A receive is a recvReq; whether it becomes eager or
-// rendezvous is not known when it is posted, so the pipelined
-// strategy's receiver half is a record of its own, made at the match
-// (pipeRecv).
+// rendezvous — whose operation holds the pipelined strategy's sender,
+// worker process included, by value, so it is several times the size of
+// an eager send and the two are kept apart. The RTS rides in the record,
+// and the AM that carries it points to it. A receive is a recvReq, which
+// is also the process that delivers the message once it is matched;
+// whether it becomes eager or rendezvous is not known when it is posted,
+// so the pipelined strategy's receiver half is a record of its own, made
+// at the match (pipeRecv).
 type eagerReq struct {
 	req Request
 	rts rtsMsg
@@ -43,8 +45,10 @@ type sendReq struct {
 }
 
 type recvReq struct {
-	req Request
-	op  RecvOp
+	req  Request
+	op   RecvOp
+	msg  *rtsMsg  // the matched message, until proc takes it
+	proc sim.Proc // started at the match (startRecv); Run is its body
 }
 
 // Wait blocks the calling process until the operation completes.
@@ -193,18 +197,17 @@ func (m *Rank) eagerSend(sp *sim.Proc, buf mem.Buffer, ch *Channel, rts rtsMsg) 
 func (m *Rank) Irecv(buf mem.Buffer, dt *datatype.Datatype, count, source, tag int) *Request {
 	r := new(recvReq)
 	r.req.done.Init(m.w.eng)
-	req, op := &r.req, &r.op
-	*op = RecvOp{M: m, Buf: buf, Dt: dt, Count: count, Src: source, Tag: tag, Req: req}
+	r.op = RecvOp{M: m, Buf: buf, Dt: dt, Count: count, Src: source, Tag: tag, Req: &r.req}
 	// Match against unexpected arrivals in order.
 	for i, u := range m.unexp {
 		if matches(source, tag, u.src, u.tag) {
-			m.unexp = append(m.unexp[:i], m.unexp[i+1:]...)
-			m.startRecv(op, u)
-			return req
+			m.unexp = slices.Delete(m.unexp, i, i+1)
+			m.startRecv(r, u)
+			return &r.req
 		}
 	}
-	m.posted = append(m.posted, op)
-	return req
+	m.posted = append(m.posted, r)
+	return &r.req
 }
 
 func matches(wantSrc, wantTag, src, tag int) bool {
@@ -213,22 +216,24 @@ func matches(wantSrc, wantTag, src, tag int) bool {
 
 // arrived handles an incoming RTS (on the progress process).
 func (m *Rank) arrived(p *sim.Proc, msg *rtsMsg) {
-	for i, op := range m.posted {
-		if matches(op.Src, op.Tag, msg.src, msg.tag) {
-			m.posted = append(m.posted[:i], m.posted[i+1:]...)
-			m.startRecv(op, msg)
+	for i, r := range m.posted {
+		if matches(r.op.Src, r.op.Tag, msg.src, msg.tag) {
+			m.posted = slices.Delete(m.posted, i, i+1)
+			m.startRecv(r, msg)
 			return
 		}
 	}
 	m.unexp = append(m.unexp, msg)
 }
 
-// startRecv launches delivery of a matched message. A message shorter
-// than the posted receive is legal when the sender's signature is a
-// prefix of the receiver's (partial receive, MPI_Get_count semantics);
-// a longer message is truncation and a non-prefix mismatch is an error,
-// both of which stay fatal.
-func (m *Rank) startRecv(op *RecvOp, msg *rtsMsg) {
+// startRecv launches delivery of a matched message: it starts the
+// receive's own process. A message shorter than the posted receive is
+// legal when the sender's signature is a prefix of the receiver's
+// (partial receive, MPI_Get_count semantics); a longer message is
+// truncation and a non-prefix mismatch is an error, both of which stay
+// fatal.
+func (m *Rank) startRecv(r *recvReq, msg *rtsMsg) {
+	op := &r.op
 	if cap := int64(op.Count) * op.Dt.Size(); msg.packed > cap {
 		panic(fmt.Sprintf("mpi: truncation: rank %d recv capacity %d < message %d (src %d tag %d)",
 			m.rank, cap, msg.packed, msg.src, msg.tag))
@@ -248,25 +253,32 @@ func (m *Rank) startRecv(op *RecvOp, msg *rtsMsg) {
 	op.Src = msg.src
 	op.Tag = msg.tag
 	op.Ch = m.channel(msg.src)
-	if msg.eager.IsValid() {
-		buf := msg.eager
-		m.w.eng.Spawn(m.names.eagerRecv, func(p *sim.Proc) {
-			h := p.BeginBytes("mpi.recv", op.Packed)
-			h.SetDetail("eager")
-			m.unpackFromHost(p, op.Buf, op.Dt, op.Count, buf.Slice(0, op.Packed))
-			m.freeScratch(buf)
-			h.End()
-			op.Req.done.Complete(nil)
-		})
+	r.msg = msg
+	name := m.names.eagerRecv
+	if !msg.eager.IsValid() {
+		name = m.recvName(msg.src)
+	}
+	m.w.eng.Start(&r.proc, name, r)
+}
+
+// Run is the receive process: unpack an eager payload from its host
+// bounce buffer, or run the strategy's rendezvous receiver.
+func (r *recvReq) Run(p *sim.Proc) {
+	op, msg := &r.op, r.msg
+	r.msg = nil // the request outlives the message; the sender's record need not
+	m := op.M
+	h := p.BeginBytes("mpi.recv", op.Packed)
+	if buf := msg.eager; buf.IsValid() {
+		h.SetDetail("eager")
+		m.unpackFromHost(p, op.Buf, op.Dt, op.Count, buf.Slice(0, op.Packed))
+		m.freeScratch(buf)
+		h.End()
+		op.Req.done.Complete(nil)
 		return
 	}
-	info := msg.info
-	m.w.eng.Spawn(m.recvName(msg.src), func(p *sim.Proc) {
-		h := p.BeginBytes("mpi.recv", op.Packed)
-		h.SetDetail(m.w.tun.strategy.Name())
-		m.w.tun.strategy.RunRecv(p, op, info)
-		h.End()
-	})
+	h.SetDetail(m.w.tun.strategy.Name())
+	m.w.tun.strategy.RunRecv(p, op, msg.info)
+	h.End()
 }
 
 // scratchPoolFloor is the least freeScratch will ever cap retained

@@ -31,7 +31,7 @@ type Rank struct {
 	inbox          sim.Mailbox[ib.Msg] // active-message delivery queue
 	chans          []*Channel          // per-peer outgoing channels
 	seq            int64               // message sequence for diagnostics
-	posted         []*RecvOp           // receives awaiting a matching arrival
+	posted         []*recvReq          // receives awaiting a matching arrival
 	unexp          []*rtsMsg           // unexpected arrivals awaiting a recv
 	scratchPool    []mem.Buffer
 	scratchPooled  int64 // bytes currently retained in scratchPool

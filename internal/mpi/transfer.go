@@ -10,28 +10,31 @@ import (
 // fragProducer packs a message fragment-at-a-time from the send buffer:
 // GPU data goes through the rank's datatype engine (kernels, pipeline,
 // DEV cache); host data through the CPU converter, charging the host bus.
+// Both workers are held by value; the one the buffer's memory selects is
+// used.
 type fragProducer struct {
-	m    *Rank
-	gpu  *core.Packer
-	conv *datatype.Converter
-	buf  mem.Buffer
+	m     *Rank
+	buf   mem.Buffer
+	onGPU bool
+	gpu   core.Packer
+	conv  datatype.Converter
 }
 
 // init makes fp, embedded in a send record, the producer of (buf, dt,
 // count).
 func (fp *fragProducer) init(m *Rank, buf mem.Buffer, dt *datatype.Datatype, count int) {
-	*fp = fragProducer{m: m, buf: buf}
-	if buf.Kind() == mem.Device {
-		fp.gpu = m.engineFor(buf).NewPacker(buf, dt, count)
+	*fp = fragProducer{m: m, buf: buf, onGPU: buf.Kind() == mem.Device}
+	if fp.onGPU {
+		m.engineFor(buf).InitPacker(&fp.gpu, buf, dt, count)
 	} else {
-		fp.conv = datatype.NewConverter(dt, count)
+		fp.conv.Init(dt, count)
 	}
 }
 
 // packInto fills frag with the next len(frag) packed bytes, blocking
 // until frag holds the data.
 func (fp *fragProducer) packInto(p *sim.Proc, frag mem.Buffer) {
-	if fp.gpu != nil {
+	if fp.onGPU {
 		_, fut := fp.gpu.PackInto(p, frag)
 		fut.Await(p)
 		return
@@ -45,7 +48,7 @@ func (fp *fragProducer) packInto(p *sim.Proc, frag mem.Buffer) {
 // through the same worker (idempotent fragment replay: packing writes
 // the same bytes again).
 func (fp *fragProducer) seekTo(pos int64) {
-	if fp.gpu != nil {
+	if fp.onGPU {
 		fp.gpu.SeekTo(pos)
 		return
 	}
@@ -57,14 +60,16 @@ func (fp *fragProducer) seekTo(pos int64) {
 // a remote (peer-GPU) source it stages fragments in local device memory
 // before unpacking — the option the paper measures as 5-10% faster —
 // double-buffered so the staging copy of fragment i+1 overlaps the
-// unpack kernel of fragment i.
+// unpack kernel of fragment i. Like fragProducer it holds both workers by
+// value.
 type fragConsumer struct {
 	m      *Rank
 	op     *RecvOp
-	acks   *amQueue // the sender's free-slot queue, for fragments that hold a slot
-	gpu    *core.Packer
-	conv   *datatype.Converter
+	acks   *amQueue   // the sender's free-slot queue, for fragments that hold a slot
 	contig mem.Buffer // receiver contiguous window (fast path)
+	onHost bool       // a host layout: conv unpacks; else gpu does
+	gpu    core.Packer
+	conv   datatype.Converter
 
 	stage    mem.Buffer
 	stageFut [2]*sim.Future
@@ -82,9 +87,10 @@ func (fc *fragConsumer) init(m *Rank, op *RecvOp, acks *amQueue) {
 		return
 	}
 	if op.Buf.Kind() == mem.Device {
-		fc.gpu = m.engineFor(op.Buf).NewUnpacker(op.Buf, op.Dt, op.Count)
+		m.engineFor(op.Buf).InitUnpacker(&fc.gpu, op.Buf, op.Dt, op.Count)
 	} else {
-		fc.conv = datatype.NewConverter(op.Dt, op.Count)
+		fc.onHost = true
+		fc.conv.Init(op.Dt, op.Count)
 	}
 }
 
@@ -106,7 +112,7 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot 
 		})
 		fc.ack(p, slot)
 
-	case fc.conv != nil: // host layout
+	case fc.onHost: // host layout
 		if src.Kind() == mem.Device {
 			if !fc.scratch.IsValid() {
 				fc.scratch = m.scratch(src.Len())

@@ -174,12 +174,20 @@ func (w *World) Engine() *sim.Engine { return w.eng }
 func (w *World) Faults() *fault.Injector { return w.faults }
 
 // Close recycles every node's memory backing into the slab pool (see
-// mem.Space.Release). Call it when the world is finished — after Run
-// has returned and results have been copied out — and do not touch the
-// world, its ranks, or any Buffer afterwards. Benchmarks that churn
-// through many short-lived worlds depend on this to avoid re-zeroing
-// hundreds of MB of fresh memory per world.
+// mem.Space.Release) and every datatype engine's kernel descriptor
+// arrays into theirs (core.Engine.Release). Call it when the world is
+// finished — after Run has returned and results have been copied out —
+// and do not touch the world, its ranks, or any Buffer afterwards.
+// Benchmarks that churn through many short-lived worlds depend on this
+// to avoid re-zeroing hundreds of MB of fresh memory per world.
 func (w *World) Close() {
+	for _, r := range w.ranks {
+		for _, e := range r.engs {
+			if e != nil {
+				e.Release()
+			}
+		}
+	}
 	for _, n := range w.nodes {
 		n.Release()
 	}

@@ -10,9 +10,10 @@ import "testing"
 // (a per-message mailbox) costs its own record and nothing else, with a
 // delayed Put, a typed event, among its deliveries; and what the
 // pending table buys: delayed Puts of a three-word value into a typed
-// mailbox, two in flight at once, are never boxed; and what serving
-// buys: restarting an idle server takes a parked coroutine, not a new
-// one.
+// mailbox, two in flight at once, are never boxed; what serving buys:
+// restarting an idle server takes a parked coroutine, not a new one; and
+// what Start buys: a record that is its own process, started again once
+// it has finished, costs nothing either.
 func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	e := NewEngine()
 	mb := e.NewMailbox("mb")
@@ -26,7 +27,8 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	var typed Mailbox[am]
 	typed.Init(e, "typed")
 	stop := false
-	var got [6]float64
+	var got [7]float64
+	rec := &counter{}
 	// The server of mb is always idle when a message arrives, so each
 	// Put pops the waiter queue and restarts it, and its run pops the
 	// item queue (or finds it emptied by the measured Get and goes idle).
@@ -70,10 +72,14 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 			typed.Get(p)
 			typed.Get(p)
 		})
+		got[6] = testing.AllocsPerRun(100, func() {
+			e.Start(&rec.proc, "rec", rec)
+			p.Sleep(1)
+		})
 		stop = true
 	})
 	e.Run()
-	for i, what := range []string{"Put then Get", "Put to an idle server (a restart)", "resource hand-over", "path transfer", "fresh one-deep mailbox, beyond its record", "typed delayed Puts"} {
+	for i, what := range []string{"Put then Get", "Put to an idle server (a restart)", "resource hand-over", "path transfer", "fresh one-deep mailbox, beyond its record", "typed delayed Puts", "a record started again"} {
 		if got[i] != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", what, got[i])
 		}

@@ -109,14 +109,13 @@ const (
 var blockText = [...]string{blockAwait: "await future", blockRecv: "recv ", blockAcquire: "acquire "}
 
 // Proc is a simulated process. All methods must be called from within the
-// process's own function (the one passed to Spawn).
+// process's own body (the function passed to Spawn, the Runner passed to
+// Start).
 type Proc struct {
-	e      *Engine
-	name   string
-	daemon bool   // a server (see Serve): never finishes, never live
-	slot   int32  // index in e.procs
-	born   uint64 // schedule sequence of the start event: spawn order
-	fn     func(p *Proc)
+	e    *Engine
+	name string
+	body Runner
+	born uint64 // schedule sequence of the start event: spawn order
 
 	// The coroutine the process runs on, from its start event to its
 	// return, and that coroutine's two switches, kept here so that a
@@ -127,12 +126,25 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
-	pending bool // a resume event is queued; never two at once
-	why     blockKind
 	on      string
+	slot    int32 // index in e.procs
+	daemon  bool  // a server (see Serve): never finishes, never live
+	pending bool  // a resume event is queued; never two at once
+	why     blockKind
 }
 
-// Name returns the process name given to Spawn.
+// Runner is the body of a process. A record that runs as a process — a
+// receive, a pipelined sender — implements it and holds its Proc by
+// value, so starting it allocates nothing (see Start).
+type Runner interface{ Run(p *Proc) }
+
+// procFunc is a function as a Runner. A func value is pointer-shaped, so
+// boxing one into the interface allocates nothing.
+type procFunc func(p *Proc)
+
+func (f procFunc) Run(p *Proc) { f(p) }
+
+// Name returns the process name given to Spawn or Start.
 func (p *Proc) Name() string { return p.name }
 
 // Engine returns the engine this process runs on.
@@ -144,12 +156,27 @@ func (p *Proc) Now() Time { return p.e.now }
 // Spawn registers a new process that starts at the current virtual time.
 // It may be called before Run or from inside a running process.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, fn: fn}
+	p := new(Proc)
+	e.Start(p, name, procFunc(fn))
+	return p
+}
+
+// Start is Spawn into a Proc record the caller owns, usually a field of
+// the record that is also body: the process starts at the current
+// virtual time from the event Spawn would post. A record may be started
+// again once its process has finished — it is then a new process with
+// the old record's identity, recorder track included — and Start panics
+// while the previous one is still live (queued, running or parked) or if
+// the record is a server's.
+func (e *Engine) Start(p *Proc, name string, body Runner) {
+	if p.daemon || p.pending || p.c != nil {
+		panic("sim: process " + p.name + " started while it is live")
+	}
+	*p = Proc{e: e, name: name, body: body}
 	e.live++
 	p.slot = e.procs.put(p)
 	e.unpark(p, e.now)
 	p.born = e.seq
-	return p
 }
 
 // Coroutines returns how many coroutines the engine has created so far:
@@ -204,7 +231,7 @@ func (c *carrier) run(yield func(struct{}) bool) {
 	}
 }
 
-// run calls the process's function. A panic in it leaves through the
+// run calls the process's body. A panic in it leaves through the
 // carrier's next() and so through Run, with the process named.
 func (p *Proc) run() {
 	defer func() {
@@ -212,7 +239,7 @@ func (p *Proc) run() {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
 	}()
-	p.fn(p)
+	p.body.Run(p)
 }
 
 // suspend hands control back to the engine until the process's next

@@ -170,12 +170,12 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 func Serve[T any](mb *Mailbox[T], name string, handle func(p *Proc, v T)) *Proc {
 	e := mb.e
 	p := &Proc{e: e, name: name, daemon: true}
-	p.fn = func(p *Proc) {
+	p.body = procFunc(func(p *Proc) {
 		for mb.items.len() > 0 {
 			handle(p, mb.items.pop())
 		}
 		mb.waiters.push(p)
-	}
+	})
 	p.slot = e.procs.put(p)
 	if mb.items.len() > 0 {
 		e.unpark(p, e.now)

@@ -1,0 +1,110 @@
+package sim
+
+import (
+	"testing"
+	"unsafe"
+)
+
+// counter is a record that runs as a process: it counts its runs,
+// records a span named span when it has one, and parks on gate when it
+// has one.
+type counter struct {
+	proc Proc
+	runs int
+	span string
+	gate *Future
+}
+
+func (c *counter) Run(p *Proc) {
+	c.runs++
+	if c.span != "" {
+		p.Begin(c.span).End()
+	}
+	if c.gate != nil {
+		c.gate.Await(p)
+	}
+}
+
+// TestStartWhileLivePanics: a record can be started again once its
+// process has finished, and Start panics while it is queued, running or
+// parked, and on a server's record.
+func TestStartWhileLivePanics(t *testing.T) {
+	const live = "sim: process c started while it is live"
+	panics := func(f func()) (r interface{}) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	e := NewEngine()
+	c := &counter{gate: e.NewFuture()}
+	var got [4]interface{}
+	e.Start(&c.proc, "c", c)
+	var self Proc
+	e.Start(&self, "self", procFunc(func(*Proc) {
+		got[3] = panics(func() { e.Start(&self, "self", procFunc(func(*Proc) {})) }) // running
+	}))
+	got[0] = panics(func() { e.Start(&c.proc, "c", c) }) // queued
+	e.Spawn("starter", func(p *Proc) {
+		p.Yield()
+		got[1] = panics(func() { e.Start(&c.proc, "c", c) }) // parked
+		c.gate.Complete(nil)
+		p.Yield()
+		c.gate = nil
+		e.Start(&c.proc, "c", c) // finished: a new process
+	})
+	srv := Serve(e.NewMailbox("idle"), "server", func(*Proc, any) {})
+	got[2] = panics(func() { e.Start(srv, "server", c) })
+	e.Run()
+	want := []interface{}{live, live, "sim: process server started while it is live", "sim: process self started while it is live"}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("case %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+	if c.runs != 2 {
+		t.Errorf("the record ran %d times, want 2", c.runs)
+	}
+}
+
+// TestStartedProcessReportedAndTracked: a process started from a record
+// is in a deadlock report under its name, like a spawned one, and records
+// its spans on a track of its own.
+func TestStartedProcessReportedAndTracked(t *testing.T) {
+	e := NewEngine()
+	rec := NewRecorder(e)
+	stuck := &counter{gate: e.NewFuture()}
+	done := &counter{span: "mpi.recv"}
+	e.Spawn("spawned", func(p *Proc) {
+		p.Begin("work").End()
+		stuck.gate.Await(p)
+	})
+	e.Start(&done.proc, "rank0.recv.1", done)
+	e.Start(&stuck.proc, "rank1.eagerRecv", stuck)
+	func() {
+		defer func() {
+			const want = "sim: deadlock at 0ps; blocked process(es):\n  spawned: await future\n  rank1.eagerRecv: await future"
+			if r := recover(); r != want {
+				t.Errorf("panic = %v\nwant %s", r, want)
+			}
+		}()
+		e.Run()
+	}()
+	var names []string
+	for _, tr := range rec.Tracks() {
+		names = append(names, tr.Name)
+		if tr.Name == "rank0.recv.1" && (len(tr.Spans) != 1 || tr.Spans[0].Name != "mpi.recv") {
+			t.Errorf("the started process's track holds %v, want its one mpi.recv span", tr.Spans)
+		}
+	}
+	if len(names) != 2 || names[0] != "spawned" || names[1] != "rank0.recv.1" {
+		t.Errorf("tracks %v, want one for the spawned process and one for the started one", names)
+	}
+}
+
+// TestProcSize pins the process record at 96 bytes: records that embed
+// one — a receive, a pipelined sender — pay for every word of it.
+func TestProcSize(t *testing.T) {
+	if n := unsafe.Sizeof(Proc{}); n != 96 {
+		t.Errorf("Proc is %d bytes, want 96", n)
+	}
+}
