@@ -25,7 +25,7 @@ check-fast:
 # each fuzz target, and the four report sweeps run twice (chaosbench has
 # one size, the others run -quick) — each pair of JSON reports must be
 # byte-identical (a sweep is a pure function of its inputs).
-ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestWholeMessageCallsBorrowTheirWorker
+ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker
 check-full:
 	$(GOFMT_GATE)
 	$(GO) build ./...

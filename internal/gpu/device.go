@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"strconv"
 
 	"gpuddt/internal/fault"
 	"gpuddt/internal/mem"
@@ -44,14 +45,15 @@ func NewDevice(eng *sim.Engine, id int, p Params) *Device {
 	if p.WarpBytes <= 0 || p.WarpBytes&(p.WarpBytes-1) != 0 {
 		panic(fmt.Sprintf("gpu: WarpBytes %d is not a power of two", p.WarpBytes))
 	}
-	d := &Device{
+	var names [2]string
+	sim.Names(names[:], "gpu"+strconv.Itoa(id), "", ".dram")
+	return &Device{
 		eng:  eng,
 		id:   id,
 		p:    p,
-		mem:  mem.NewSpace(fmt.Sprintf("gpu%d", id), mem.Device, p.MemBytes),
-		dram: eng.NewResource(fmt.Sprintf("gpu%d.dram", id), 1),
+		mem:  mem.NewSpace(names[0], mem.Device, p.MemBytes),
+		dram: eng.NewResource(names[1], 1),
 	}
-	return d
 }
 
 // Engine returns the simulation engine the device is bound to.

@@ -1,7 +1,7 @@
 package gpu
 
 import (
-	"fmt"
+	"strconv"
 
 	"gpuddt/internal/sim"
 )
@@ -29,8 +29,10 @@ type streamOp struct {
 
 // NewStream creates a stream and its worker.
 func (d *Device) NewStream(name string) *Stream {
-	s := &Stream{dev: d, name: fmt.Sprintf("gpu%d.%s", d.id, name)}
-	s.q.Init(d.eng, s.name+".q")
+	var names [2]string
+	sim.Names(names[:], "gpu"+strconv.Itoa(d.id)+"."+name, "", ".q")
+	s := &Stream{dev: d, name: names[0]}
+	s.q.Init(d.eng, names[1])
 	sim.Serve(&s.q, s.name, runOp)
 	return s
 }

@@ -7,7 +7,7 @@
 package ib
 
 import (
-	"fmt"
+	"strconv"
 
 	"gpuddt/internal/fault"
 	"gpuddt/internal/mem"
@@ -168,13 +168,14 @@ func (f *Fabric) Leaves() int { return len(f.leaves) }
 func (f *Fabric) ensureLeaf(i int) {
 	t := f.params.Topo
 	for len(f.leaves) <= i {
-		li := len(f.leaves)
+		prefix := "leaf" + strconv.Itoa(len(f.leaves))
 		ls := &leafSwitch{}
 		for s := 0; s < t.Spines; s++ {
-			ls.up = append(ls.up,
-				f.eng.NewLink(fmt.Sprintf("leaf%d.up%d", li, s), t.UplinkGBps, t.HopLatency))
-			ls.down = append(ls.down,
-				f.eng.NewLink(fmt.Sprintf("leaf%d.down%d", li, s), t.UplinkGBps, t.HopLatency))
+			var names [2]string
+			spine := strconv.Itoa(s)
+			sim.Names(names[:], prefix, ".up"+spine, ".down"+spine)
+			ls.up = append(ls.up, f.eng.NewLink(names[0], t.UplinkGBps, t.HopLatency))
+			ls.down = append(ls.down, f.eng.NewLink(names[1], t.UplinkGBps, t.HopLatency))
 		}
 		f.leaves = append(f.leaves, ls)
 	}
@@ -189,7 +190,8 @@ type HCA struct {
 	rx    *sim.Link
 	inbox sim.Mailbox[Msg]
 	regs  map[regKey]bool
-	paths map[*HCA]*sim.Path // pathTo's results, by peer
+	index int         // attach order on the fabric
+	paths []*sim.Path // pathTo's results, by the peer's index
 }
 
 type regKey struct {
@@ -200,17 +202,19 @@ type regKey struct {
 // Attach creates an HCA on node and joins it to the fabric, cabling it
 // to the next free leaf port (attach order) on a hierarchical fabric.
 func (f *Fabric) Attach(node *pcie.Node) *HCA {
+	var names [3]string
+	sim.Names(names[:], "ib"+strconv.Itoa(node.ID()), ".tx", ".rx", ".inbox")
 	h := &HCA{
 		f:     f,
 		node:  node,
-		tx:    f.eng.NewLink(fmt.Sprintf("ib%d.tx", node.ID()), f.params.WireGBps, f.params.Latency/2),
-		rx:    f.eng.NewLink(fmt.Sprintf("ib%d.rx", node.ID()), f.params.WireGBps, f.params.Latency/2),
+		tx:    f.eng.NewLink(names[0], f.params.WireGBps, f.params.Latency/2),
+		rx:    f.eng.NewLink(names[1], f.params.WireGBps, f.params.Latency/2),
 		regs:  make(map[regKey]bool),
-		paths: make(map[*HCA]*sim.Path),
+		index: len(f.hcas),
 	}
-	h.inbox.Init(f.eng, fmt.Sprintf("ib%d.inbox", node.ID()))
+	h.inbox.Init(f.eng, names[2])
 	if f.params.Topo.Hierarchical() {
-		h.leaf = len(f.hcas) / f.params.Topo.LeafRadix
+		h.leaf = h.index / f.params.Topo.LeafRadix
 		f.ensureLeaf(h.leaf)
 	}
 	f.hcas = append(f.hcas, h)
@@ -273,21 +277,18 @@ func (h *HCA) Register(p *sim.Proc, b mem.Buffer) error {
 // peer leaf's downlink, so concurrent flows over an oversubscribed
 // spine tier queue against each other.
 func (h *HCA) pathTo(peer *HCA) *sim.Path {
-	pa := h.paths[peer]
+	if n := len(h.f.hcas); len(h.paths) < n {
+		h.paths = append(h.paths, make([]*sim.Path, n-len(h.paths))...)
+	}
+	pa := h.paths[peer.index]
 	if pa == nil {
 		if h.leaf == peer.leaf {
-			pa = &sim.Path{
-				Name:  fmt.Sprintf("ib%d->ib%d", h.node.ID(), peer.node.ID()),
-				Links: []*sim.Link{h.tx, peer.rx},
-			}
+			pa = sim.NewPath(h.tx, peer.rx)
 		} else {
 			s := h.spineFor(peer)
-			pa = &sim.Path{
-				Name:  fmt.Sprintf("ib%d->spine%d->ib%d", h.node.ID(), s, peer.node.ID()),
-				Links: []*sim.Link{h.tx, h.f.leaves[h.leaf].up[s], h.f.leaves[peer.leaf].down[s], peer.rx},
-			}
+			pa = sim.NewPath(h.tx, h.f.leaves[h.leaf].up[s], h.f.leaves[peer.leaf].down[s], peer.rx)
 		}
-		h.paths[peer] = pa
+		h.paths[peer.index] = pa
 	}
 	return pa
 }

@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"fmt"
 	"testing"
 
 	"gpuddt/internal/gpu"
@@ -251,15 +252,16 @@ func TestFlatFabricCreatesNoSwitchLinks(t *testing.T) {
 		t.Fatalf("flat fabric built %d leaf switches", f.Leaves())
 	}
 	for _, h := range hcas {
-		if pa := h.pathTo(hcas[0]); len(pa.Links) != 2 {
-			t.Fatalf("flat path has %d hops, want 2", len(pa.Links))
+		if pa := h.pathTo(hcas[0]); len(pa.Hops()) != 2 {
+			t.Fatalf("flat path has %d hops, want 2", len(pa.Hops()))
 		}
 	}
 }
 
 // TestPathToIsBuiltOncePerPeer: same-leaf and cross-leaf paths are
-// built on first use and returned thereafter, under the names traces
-// have always shown.
+// built on first use and returned thereafter, each its hops in lock
+// order (link creation order). 0 and 7 sit on leaves 0 and 1 and hash
+// to spine (0+7)%2 = 1 both ways.
 func TestPathToIsBuiltOncePerPeer(t *testing.T) {
 	_, _, hcas := fatTree(t, 8, FatTree(4, 2))
 	for _, peer := range []int{1, 7} {
@@ -267,11 +269,21 @@ func TestPathToIsBuiltOncePerPeer(t *testing.T) {
 			t.Fatalf("pathTo(hca %d) returned two different paths", peer)
 		}
 	}
-	if got := hcas[0].pathTo(hcas[1]).Name; got != "ib0->ib1" {
-		t.Fatalf("same-leaf path named %q", got)
-	}
-	if got := hcas[0].pathTo(hcas[7]).Name; got != "ib0->spine1->ib7" {
-		t.Fatalf("cross-leaf path named %q", got)
+	for _, tc := range []struct {
+		src, dst int
+		want     string
+	}{
+		{0, 1, "[ib0.tx ib1.rx]"},
+		{0, 7, "[ib0.tx leaf0.up1 leaf1.down1 ib7.rx]"},
+		{7, 0, "[ib0.rx leaf0.down1 leaf1.up1 ib7.tx]"},
+	} {
+		var hops []string
+		for _, l := range hcas[tc.src].pathTo(hcas[tc.dst]).Hops() {
+			hops = append(hops, l.Name())
+		}
+		if got := fmt.Sprint(hops); got != tc.want {
+			t.Errorf("ib%d->ib%d hops %s, want %s", tc.src, tc.dst, got, tc.want)
+		}
 	}
 	if hcas[0].pathTo(hcas[7]) == hcas[7].pathTo(hcas[0]) {
 		t.Fatal("the two directions share a path")

@@ -28,39 +28,34 @@ const amHeaderBytes = 64
 
 // Channel is the unidirectional BTL connection from one rank to another.
 // Active messages arrive in order; payload-bearing operations charge the
-// appropriate interconnect.
+// appropriate interconnect. Everything about it follows from where the
+// two ranks sit, so it is a value derived on demand (Rank.channel), not
+// a record kept per peer.
 type Channel struct {
-	w    *World
-	kind Kind
-	src  *Rank
-	dst  *Rank
-
-	// IB endpoints (nil for SM).
-	srcHCA, dstHCA *ib.HCA
-}
-
-func newChannel(w *World, src, dst *Rank) *Channel {
-	c := &Channel{w: w, src: src, dst: dst}
-	if src.place.Node == dst.place.Node {
-		c.kind = SM
-		return c
-	}
-	c.kind = IB
-	c.srcHCA = w.hcas[src.place.Node]
-	c.dstHCA = w.hcas[dst.place.Node]
-	return c
+	src, dst *Rank
 }
 
 // Kind returns the BTL kind.
-func (c *Channel) Kind() Kind { return c.kind }
+func (c Channel) Kind() Kind {
+	if c.src.place.Node == c.dst.place.Node {
+		return SM
+	}
+	return IB
+}
 
 // Peer returns the destination rank handle.
-func (c *Channel) Peer() *Rank { return c.dst }
+func (c Channel) Peer() *Rank { return c.dst }
 
 // SameDevice reports whether both endpoints use the same GPU of the
 // same node (the 1GPU configuration).
-func (c *Channel) SameDevice() bool {
-	return c.kind == SM && c.src.place.GPU == c.dst.place.GPU
+func (c Channel) SameDevice() bool {
+	return c.Kind() == SM && c.src.place.GPU == c.dst.place.GPU
+}
+
+// hcas returns the IB endpoints of the two ranks' nodes.
+func (c Channel) hcas() (src, dst *ib.HCA) {
+	hcas := c.src.w.hcas
+	return hcas[c.src.place.Node], hcas[c.dst.place.Node]
 }
 
 // AM sends an active message of wireBytes: to.Handle(arg) executes on
@@ -71,17 +66,17 @@ func (c *Channel) SameDevice() bool {
 // get through for any protocol to make progress, so an injected send
 // fault (timeout, link flap) is retried with backoff and exhaustion is
 // fatal.
-func (c *Channel) AM(p *sim.Proc, wireBytes int64, to ib.Handler, arg int) {
+func (c Channel) AM(p *sim.Proc, wireBytes int64, to ib.Handler, arg int) {
 	msg := ib.Msg{Dst: c.dst.rank, To: to, Arg: arg}
-	switch c.kind {
-	case SM:
+	if c.Kind() == SM {
 		// Shared-memory FIFO: fixed injection cost, tiny latency.
 		c.dst.inbox.PutAfter(AMLatency, msg)
-	default:
-		c.src.mustRetry(p, "am.send", func() error {
-			return c.srcHCA.Send(p, c.dstHCA, wireBytes, &msg)
-		})
+		return
 	}
+	src, dst := c.hcas()
+	c.src.mustRetry(p, "am.send", func() error {
+		return src.Send(p, dst, wireBytes, &msg)
+	})
 }
 
 // amQueue is a queue an active message fills: Handle puts the AM's
@@ -97,21 +92,21 @@ func (q *amQueue) Handle(_ *sim.Proc, v int) { q.Put(v) }
 // completions — are retried with backoff. The retry is idempotent: a
 // lost operation moved no bytes, and a dropped completion landed the
 // payload in the same bytes the retransmission writes again.
-func (c *Channel) Put(p *sim.Proc, dst, src mem.Buffer) {
-	switch c.kind {
-	case SM:
+func (c Channel) Put(p *sim.Proc, dst, src mem.Buffer) {
+	if c.Kind() == SM {
 		c.src.mustRetry(p, "put.copy", func() error {
 			return c.src.ctx.Node().HostCopy(p, dst, src)
 		})
-	default:
-		c.src.mustRetry(p, "put.register", func() error {
-			return c.srcHCA.Register(p, src)
-		})
-		c.src.mustRetry(p, "put.register", func() error {
-			return c.dstHCA.Register(p, dst)
-		})
-		c.src.mustRetry(p, "put.rdma", func() error {
-			return c.srcHCA.Write(p, c.dstHCA, dst, src)
-		})
+		return
 	}
+	srcHCA, dstHCA := c.hcas()
+	c.src.mustRetry(p, "put.register", func() error {
+		return srcHCA.Register(p, src)
+	})
+	c.src.mustRetry(p, "put.register", func() error {
+		return dstHCA.Register(p, dst)
+	})
+	c.src.mustRetry(p, "put.rdma", func() error {
+		return srcHCA.Write(p, dstHCA, dst, src)
+	})
 }

@@ -162,12 +162,13 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	})
 	sp.End()
 
-	// Phase 2: pairwise exchange of per-node aggregates.
+	// Phase 2: pairwise exchange of per-node aggregates. Every node's
+	// traffic has the same layout, so one datatype describes them all.
 	nodeBlk := int64(rpn) * int64(rpn) * B
+	nodeSpan := int64(rpn-1)*P*B + int64(rpn)*B
+	nodeView := datatype.Hvector(rpn, int(int64(rpn)*B), P*B, datatype.Byte)
 	sendTo := func(d int) (mem.Buffer, *datatype.Datatype, int) {
-		base := int64(d) * int64(rpn) * B
-		span := int64(rpn-1)*P*B + int64(rpn)*B
-		return sendStage.Slice(base, span), datatype.Hvector(rpn, int(int64(rpn)*B), P*B, datatype.Byte), 1
+		return sendStage.Slice(int64(d)*int64(rpn)*B, nodeSpan), nodeView, 1
 	}
 	inbound := uniformView(recvStage, datatype.Byte, int(nodeBlk))
 	m.copyBlock(p, leaders.me, sendTo, inbound)
@@ -180,8 +181,9 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	// Phase 3: hand each member its column of the receive stage, one
 	// blocking send after the other.
 	colSpan := (P-1)*int64(rpn)*B + B
+	colView := datatype.Hvector(int(P), int(B), int64(rpn)*B, datatype.Byte)
 	col := func(di int) (mem.Buffer, *datatype.Datatype) {
-		return recvStage.Slice(int64(di)*B, colSpan), datatype.Hvector(int(P), int(B), int64(rpn)*B, datatype.Byte)
+		return recvStage.Slice(int64(di)*B, colSpan), colView
 	}
 	sp = p.BeginBytes("coll.alltoall.intra", B*P*int64(rpn))
 	for di := 1; di < rpn; di++ {

@@ -111,7 +111,7 @@ type SendOp struct {
 	Dest   int
 	Tag    int
 	Packed int64
-	Ch     *Channel // sender -> receiver
+	Ch     Channel // sender -> receiver
 	Req    *Request
 
 	// pipe is the pipelined strategy's sender half, held by value so a
@@ -125,10 +125,10 @@ type RecvOp struct {
 	Buf    mem.Buffer
 	Dt     *datatype.Datatype
 	Count  int
-	Src    int      // as posted (AnySource allowed) until matched, then the sender
-	Tag    int      // likewise
-	Packed int64    // sender's packed size (set at match time)
-	Ch     *Channel // receiver -> sender (for ACKs and pack requests)
+	Src    int     // as posted (AnySource allowed) until matched, then the sender
+	Tag    int     // likewise
+	Packed int64   // sender's packed size (set at match time)
+	Ch     Channel // receiver -> sender (for ACKs and pack requests)
 	Req    *Request
 }
 
@@ -177,7 +177,7 @@ func (m *Rank) isendOn(sp *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, coun
 
 // eagerSend packs the whole message into a receiver-side host bounce
 // buffer and notifies the receiver: the short/eager protocol.
-func (m *Rank) eagerSend(sp *sim.Proc, buf mem.Buffer, ch *Channel, rts rtsMsg) *Request {
+func (m *Rank) eagerSend(sp *sim.Proc, buf mem.Buffer, ch Channel, rts rtsMsg) *Request {
 	h := sp.BeginBytes("mpi.eager.send", rts.packed)
 	defer h.End()
 	s := new(eagerReq)

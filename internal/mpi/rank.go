@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"gpuddt/internal/core"
 	"gpuddt/internal/cuda"
@@ -29,7 +30,6 @@ type Rank struct {
 	p     *sim.Proc // the rank's main process (set by Run)
 
 	inbox          sim.Mailbox[ib.Msg] // active-message delivery queue
-	chans          []*Channel          // per-peer outgoing channels
 	seq            int64               // message sequence for diagnostics
 	posted         []*recvReq          // receives awaiting a matching arrival
 	unexp          []*rtsMsg           // unexpected arrivals awaiting a recv
@@ -54,9 +54,11 @@ type Rank struct {
 	names procNames
 }
 
-// procNames holds the names of the helper processes and mailboxes a rank
-// creates per message or per fragment, formatted once.
+// procNames holds the names of the rank's processes and mailboxes — its
+// main process, its daemons and the helpers it creates per message or
+// per fragment — formatted once, as substrings of one string.
 type procNames struct {
+	main, am, barrier, progress                string
 	ack, sendpipe, sendcmds, ibpack, eagerRecv string
 
 	recv []string // "rankR.recv.SRC" by source, filled on first use
@@ -76,25 +78,25 @@ func (m *Rank) recvName(src int) string {
 
 func newRank(w *World, r int, pl Placement) *Rank {
 	node := w.nodes[pl.Node]
+	var n [9]string
+	sim.Names(n[:], "rank"+strconv.Itoa(r), "", ".am", ".barrier", ".progress",
+		".ack", ".sendpipe", ".sendcmds", ".ibpack", ".eagerRecv")
 	rk := &Rank{
 		w:     w,
 		rank:  r,
 		place: pl,
 		ctx:   cuda.NewCtx(node),
 		names: procNames{
-			ack:       fmt.Sprintf("rank%d.ack", r),
-			sendpipe:  fmt.Sprintf("rank%d.sendpipe", r),
-			sendcmds:  fmt.Sprintf("rank%d.sendcmds", r),
-			ibpack:    fmt.Sprintf("rank%d.ibpack", r),
-			eagerRecv: fmt.Sprintf("rank%d.eagerRecv", r),
+			main: n[0], am: n[1], barrier: n[2], progress: n[3],
+			ack: n[4], sendpipe: n[5], sendcmds: n[6], ibpack: n[7], eagerRecv: n[8],
 		},
 	}
-	rk.inbox.Init(w.eng, fmt.Sprintf("rank%d.am", r))
-	rk.barrierBox.Init(w.eng, fmt.Sprintf("rank%d.barrier", r))
+	rk.inbox.Init(w.eng, rk.names.am)
+	rk.barrierBox.Init(w.eng, rk.names.barrier)
 	rk.engs = make([]*core.Engine, node.NumGPUs())
 	rk.engs[pl.GPU] = core.New(rk.ctx, pl.GPU, w.cfg.Engine)
 	// The progress server executes incoming active messages in order.
-	sim.Serve(&rk.inbox, fmt.Sprintf("rank%d.progress", r), runAM)
+	sim.Serve(&rk.inbox, rk.names.progress, runAM)
 	return rk
 }
 
@@ -181,16 +183,8 @@ func (m *Rank) Malloc(n int64) mem.Buffer { return m.ctx.Malloc(m.place.GPU, n) 
 // MallocHost allocates host memory on the rank's node.
 func (m *Rank) MallocHost(n int64) mem.Buffer { return m.ctx.MallocHost(n) }
 
-// channel returns (building lazily) the outgoing channel to peer.
-func (m *Rank) channel(peer int) *Channel {
-	for len(m.chans) < len(m.w.ranks) {
-		m.chans = append(m.chans, nil)
-	}
-	if m.chans[peer] == nil {
-		m.chans[peer] = newChannel(m.w, m, m.w.ranks[peer])
-	}
-	return m.chans[peer]
-}
+// channel returns the outgoing channel to peer.
+func (m *Rank) channel(peer int) Channel { return Channel{src: m, dst: m.w.ranks[peer]} }
 
 // Send performs a blocking standard-mode send of count elements of dt
 // from buf (whose byte 0 is the datatype origin; device or host memory).

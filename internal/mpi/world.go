@@ -221,7 +221,7 @@ func (w *World) RankHandle(r int) *Rank { return w.ranks[r] }
 func (w *World) Run(fn func(m *Rank)) {
 	for _, r := range w.ranks {
 		r := r
-		w.eng.Spawn(fmt.Sprintf("rank%d", r.rank), func(p *sim.Proc) {
+		w.eng.Spawn(r.names.main, func(p *sim.Proc) {
 			r.p = p
 			fn(r)
 		})

@@ -15,7 +15,7 @@
 package pcie
 
 import (
-	"fmt"
+	"strconv"
 
 	"gpuddt/internal/fault"
 	"gpuddt/internal/gpu"
@@ -98,22 +98,26 @@ func (n *Node) Faults() *fault.Injector { return n.faults }
 // Every link exists from the start; the H2D, D2H and P2P paths over
 // them are built on first use.
 func NewNode(eng *sim.Engine, id, ngpus int, gp gpu.Params, p Params) *Node {
+	prefix := "node" + strconv.Itoa(id)
+	var names [4]string
+	sim.Names(names[:], prefix, ".host", ".hostbus", ".rootTx", ".rootRx")
 	n := &Node{
 		eng:    eng,
 		id:     id,
 		params: p,
-		host:   mem.NewSpace(fmt.Sprintf("node%d.host", id), mem.Host, p.HostMemBytes),
-		bus:    eng.NewLink(fmt.Sprintf("node%d.hostbus", id), p.HostBusRawGBps, 100*sim.Nanosecond),
-		rootTx: eng.NewLink(fmt.Sprintf("node%d.rootTx", id), p.RootGBps, p.HopLatency),
-		rootRx: eng.NewLink(fmt.Sprintf("node%d.rootRx", id), p.RootGBps, p.HopLatency),
+		host:   mem.NewSpace(names[0], mem.Host, p.HostMemBytes),
+		bus:    eng.NewLink(names[1], p.HostBusRawGBps, 100*sim.Nanosecond),
+		rootTx: eng.NewLink(names[2], p.RootGBps, p.HopLatency),
+		rootRx: eng.NewLink(names[3], p.RootGBps, p.HopLatency),
 		h2d:    make([]*sim.Path, ngpus),
 		d2h:    make([]*sim.Path, ngpus),
 		p2p:    make([]*sim.Path, ngpus*ngpus),
 	}
 	for i := 0; i < ngpus; i++ {
 		d := gpu.NewDevice(eng, i, gp)
-		tx := eng.NewLink(fmt.Sprintf("node%d.gpu%d.tx", id, i), p.SlotGBps, p.HopLatency)
-		rx := eng.NewLink(fmt.Sprintf("node%d.gpu%d.rx", id, i), p.SlotGBps, p.HopLatency)
+		sim.Names(names[:2], prefix+".gpu"+strconv.Itoa(i), ".tx", ".rx")
+		tx := eng.NewLink(names[0], p.SlotGBps, p.HopLatency)
+		rx := eng.NewLink(names[1], p.SlotGBps, p.HopLatency)
 		// The copy-engine shortcuts on the device point at the slot
 		// links; full paths via the root are built by H2D/D2H.
 		d.H2D, d.D2H = rx, tx
@@ -169,10 +173,7 @@ func (n *Node) HostBus() *sim.Link { return n.bus }
 // H2D returns the host-to-device path for GPU i.
 func (n *Node) H2D(i int) *sim.Path {
 	if n.h2d[i] == nil {
-		n.h2d[i] = &sim.Path{
-			Name:  fmt.Sprintf("%s->gpu%d", n.host.Name(), i),
-			Links: []*sim.Link{n.rootTx, n.gpuRx[i]},
-		}
+		n.h2d[i] = sim.NewPath(n.rootTx, n.gpuRx[i])
 	}
 	return n.h2d[i]
 }
@@ -180,10 +181,7 @@ func (n *Node) H2D(i int) *sim.Path {
 // D2H returns the device-to-host path for GPU i.
 func (n *Node) D2H(i int) *sim.Path {
 	if n.d2h[i] == nil {
-		n.d2h[i] = &sim.Path{
-			Name:  fmt.Sprintf("gpu%d->%s", i, n.host.Name()),
-			Links: []*sim.Link{n.gpuTx[i], n.rootRx},
-		}
+		n.d2h[i] = sim.NewPath(n.gpuTx[i], n.rootRx)
 	}
 	return n.d2h[i]
 }
@@ -196,10 +194,7 @@ func (n *Node) P2P(i, j int) *sim.Path {
 	}
 	k := i*len(n.gpus) + j
 	if n.p2p[k] == nil {
-		n.p2p[k] = &sim.Path{
-			Name:  fmt.Sprintf("gpu%d->gpu%d", i, j),
-			Links: []*sim.Link{n.gpuTx[i], n.gpuRx[j]},
-		}
+		n.p2p[k] = sim.NewPath(n.gpuTx[i], n.gpuRx[j])
 	}
 	return n.p2p[k]
 }

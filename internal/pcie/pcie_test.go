@@ -1,6 +1,7 @@
 package pcie
 
 import (
+	"fmt"
 	"testing"
 
 	"gpuddt/internal/gpu"
@@ -113,13 +114,23 @@ func TestPathsAreBuiltOnce(t *testing.T) {
 			}
 		}
 	}
-	for got, want := range map[string]string{
-		n.H2D(2).Name:    "node0.host->gpu2",
-		n.D2H(1).Name:    "gpu1->node0.host",
-		n.P2P(2, 0).Name: "gpu2->gpu0",
+	// A path is its hops in lock order: the root links were created
+	// before the slot links, and GPU 0's before GPU 2's.
+	for _, tc := range []struct {
+		what string
+		pa   *sim.Path
+		want string
+	}{
+		{"H2D(2)", n.H2D(2), "[node0.rootTx node0.gpu2.rx]"},
+		{"D2H(1)", n.D2H(1), "[node0.rootRx node0.gpu1.tx]"},
+		{"P2P(2,0)", n.P2P(2, 0), "[node0.gpu0.rx node0.gpu2.tx]"},
 	} {
-		if got != want {
-			t.Fatalf("path named %q, want %q", got, want)
+		var hops []string
+		for _, l := range tc.pa.Hops() {
+			hops = append(hops, l.Name())
+		}
+		if got := fmt.Sprint(hops); got != tc.want {
+			t.Errorf("%s hops %s, want %s", tc.what, got, tc.want)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestQueuesAllocateNothingInSteadyState pins what the fifo buys: a
 // one-deep mailbox (both its item queue and its waiter queue), a
@@ -11,14 +14,17 @@ import "testing"
 // delayed Put, a typed event, among its deliveries; and what the
 // pending table buys: delayed Puts of a three-word value into a typed
 // mailbox, two in flight at once, are never boxed; what serving buys:
-// restarting an idle server takes a parked coroutine, not a new one; and
+// restarting an idle server takes a parked coroutine, not a new one;
 // what Start buys: a record that is its own process, started again once
-// it has finished, costs nothing either.
+// it has finished, costs nothing either; and what a path's inline span
+// handles buy: a transfer over a four-hop path with a recorder attached
+// costs nothing beyond the recorder's own span arrays, whose growth
+// amortizes to nothing per run.
 func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	e := NewEngine()
 	mb := e.NewMailbox("mb")
 	res := e.NewResource("res", 1)
-	pa := &Path{Name: "a->b", Links: []*Link{e.NewLink("b", 1, 0), e.NewLink("a", 1, 0)}}
+	pa := NewPath(e.NewLink("b", 1, 0), e.NewLink("a", 1, 0))
 	msg := interface{}(&struct{}{})
 	type am struct {
 		to   *int
@@ -27,7 +33,7 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	var typed Mailbox[am]
 	typed.Init(e, "typed")
 	stop := false
-	var got [7]float64
+	var got [8]float64
 	rec := &counter{}
 	// The server of mb is always idle when a message arrives, so each
 	// Put pops the waiter queue and restarts it, and its run pops the
@@ -79,7 +85,18 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 		stop = true
 	})
 	e.Run()
-	for i, what := range []string{"Put then Get", "Put to an idle server (a restart)", "resource hand-over", "path transfer", "fresh one-deep mailbox, beyond its record", "typed delayed Puts", "a record started again"} {
+	traced := NewEngine()
+	NewRecorder(traced)
+	hops := make([]*Link, maxSpanHops)
+	for i := range hops {
+		hops[i] = traced.NewLink(fmt.Sprintf("hop%d", i), 1, 0)
+	}
+	tracedPath := NewPath(hops...)
+	traced.Spawn("traced", func(p *Proc) {
+		got[7] = testing.AllocsPerRun(100, func() { tracedPath.Transfer(p, 3) })
+	})
+	traced.Run()
+	for i, what := range []string{"Put then Get", "Put to an idle server (a restart)", "resource hand-over", "path transfer", "fresh one-deep mailbox, beyond its record", "typed delayed Puts", "a record started again", "traced four-hop path transfer"} {
 		if got[i] != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", what, got[i])
 		}

@@ -15,7 +15,7 @@ type Link struct {
 	name    string
 	bwGBps  float64
 	latency Time
-	busy    *Resource
+	busy    Resource
 
 	// Overhead is a fixed per-transfer setup cost charged while holding
 	// the link (e.g. DMA descriptor setup). Zero by default.
@@ -37,7 +37,7 @@ func (e *Engine) NewLink(name string, bwGBps float64, latency Time) *Link {
 		name:    name,
 		bwGBps:  bwGBps,
 		latency: latency,
-		busy:    e.NewResource(name, 1),
+		busy:    Resource{e: e, name: name, cap: 1},
 	}
 	e.links = append(e.links, l)
 	return l
@@ -114,19 +114,32 @@ func (l *Link) BytesMoved() int64 { return l.bytesMoved }
 // BusyTime returns the cumulative occupancy time.
 func (l *Link) BusyTime() Time { return l.busyTime }
 
-// Path is an ordered sequence of links traversed by a single transfer
-// (e.g. GPU0→switch→GPU1). Hardware forwards at packet granularity
+// Path is the set of links traversed by a single transfer (e.g.
+// GPU0→switch→GPU1). Hardware forwards at packet granularity
 // (cut-through), so a path transfer holds every hop simultaneously for
 // the bottleneck hop's serialization time — back-pressure stalls the
 // faster hops — and the data arrives after the sum of hop latencies.
+// Neither depends on the order of the hops, so a path keeps them in lock
+// order: link creation order, the global order in which every path
+// locks its hops so overlapping paths cannot deadlock.
 type Path struct {
-	Name  string
-	Links []*Link
-
-	// order is Links in lock order, worked out by the first Occupy: the
-	// links of a path do not change once it carries traffic.
-	order []*Link
+	hops []*Link
 }
+
+// NewPath returns the path over hops, which it keeps and sorts in place
+// into lock order.
+func NewPath(hops ...*Link) *Path {
+	for i := 1; i < len(hops); i++ {
+		for j := i; j > 0 && hops[j].id < hops[j-1].id; j-- {
+			hops[j], hops[j-1] = hops[j-1], hops[j]
+		}
+	}
+	return &Path{hops: hops}
+}
+
+// Hops returns the path's links in lock order. The caller must not
+// modify the slice.
+func (pa *Path) Hops() []*Link { return pa.hops }
 
 // Transfer moves n bytes along the path, blocking until arrival.
 func (pa *Path) Transfer(p *Proc, n int64) {
@@ -134,33 +147,19 @@ func (pa *Path) Transfer(p *Proc, n int64) {
 	p.Sleep(pa.Latency())
 }
 
-// lockOrder returns the hops sorted by link creation order, the global
-// order in which every path locks them so overlapping paths cannot
-// deadlock.
-func (pa *Path) lockOrder() []*Link {
-	if pa.order == nil {
-		locked := make([]*Link, len(pa.Links))
-		copy(locked, pa.Links)
-		for i := 1; i < len(locked); i++ {
-			for j := i; j > 0 && locked[j].id < locked[j-1].id; j-- {
-				locked[j], locked[j-1] = locked[j-1], locked[j]
-			}
-		}
-		pa.order = locked
-	}
-	return pa.order
-}
+// maxSpanHops is the most hops whose trace spans Occupy keeps on the
+// stack: a cross-leaf fabric path has four.
+const maxSpanHops = 4
 
 // Occupy holds every hop for the bottleneck serialization time of n
 // bytes, without the trailing propagation latency. Hops are locked in
-// lockOrder.
+// lock order.
 func (pa *Path) Occupy(p *Proc, n int64) {
 	if n < 0 {
-		panic("sim: negative transfer size on path " + pa.Name)
+		panic("sim: negative transfer size on the path over " + pa.hops[0].name)
 	}
-	locked := pa.lockOrder()
 	var occ Time
-	for _, l := range locked {
+	for _, l := range pa.hops {
 		l.busy.Acquire(p)
 		if o := l.OccupancyFor(n); o > occ {
 			occ = o
@@ -168,13 +167,16 @@ func (pa *Path) Occupy(p *Proc, n int64) {
 	}
 	var hs []SpanHandle
 	if p.e.rec != nil {
-		hs = make([]SpanHandle, len(locked))
-		for i, l := range locked {
+		var inline [maxSpanHops]SpanHandle
+		if hs = inline[:]; len(pa.hops) > maxSpanHops {
+			hs = make([]SpanHandle, len(pa.hops))
+		}
+		for i, l := range pa.hops {
 			hs[i] = l.span("xfer", n)
 		}
 	}
 	p.Sleep(occ)
-	for i, l := range locked {
+	for i, l := range pa.hops {
 		l.bytesMoved += n
 		l.busyTime += occ
 		if hs != nil {
@@ -187,7 +189,7 @@ func (pa *Path) Occupy(p *Proc, n int64) {
 // Bandwidth returns the bottleneck bandwidth of the path in GB/s.
 func (pa *Path) Bandwidth() float64 {
 	bw := 0.0
-	for i, l := range pa.Links {
+	for i, l := range pa.hops {
 		if i == 0 || l.bwGBps < bw {
 			bw = l.bwGBps
 		}
@@ -198,7 +200,7 @@ func (pa *Path) Bandwidth() float64 {
 // Latency returns the end-to-end propagation latency of the path.
 func (pa *Path) Latency() Time {
 	var lat Time
-	for _, l := range pa.Links {
+	for _, l := range pa.hops {
 		lat += l.latency
 	}
 	return lat

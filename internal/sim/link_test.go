@@ -64,7 +64,7 @@ func TestPathTransfer(t *testing.T) {
 	e := NewEngine()
 	a := e.NewLink("a", 10, Microsecond)
 	b := e.NewLink("b", 5, Microsecond)
-	pa := &Path{Name: "a->b", Links: []*Link{a, b}}
+	pa := NewPath(a, b)
 	var end Time
 	e.Spawn("x", func(p *Proc) {
 		pa.Transfer(p, 5*1000*1000) // 0.5ms on a, 1ms on b; cut-through = bottleneck
@@ -93,5 +93,47 @@ func TestLinkBusyTimeAccounting(t *testing.T) {
 	e.Run()
 	if l.BusyTime() != 3*Microsecond {
 		t.Fatalf("busy = %v, want 3us", l.BusyTime())
+	}
+}
+
+// TestPathLocksHopsInCreationOrder: a path given its hops out of creation
+// order keeps them in it and locks them in it. While the first-created
+// hop is held elsewhere, the path waits for it holding nothing, so a
+// transfer over its other hop goes straight through.
+func TestPathLocksHopsInCreationOrder(t *testing.T) {
+	e := NewEngine()
+	a := e.NewLink("a", 1, 0) // 1 GB/s: 1000 bytes occupy 1 us
+	b := e.NewLink("b", 1, 0)
+	pa := NewPath(b, a)
+	if h := pa.Hops(); len(h) != 2 || h[0] != a || h[1] != b {
+		t.Fatalf("hops %s then %s, want a then b", h[0].Name(), h[1].Name())
+	}
+	var pathDone, bDone Time
+	e.Spawn("holder", func(p *Proc) { a.HoldFor(p, 0, 10*Microsecond) })
+	e.Spawn("path", func(p *Proc) {
+		pa.Occupy(p, 1000)
+		pathDone = p.Now()
+	})
+	e.Spawn("b", func(p *Proc) {
+		p.Sleep(Microsecond)
+		b.Occupy(p, 1000)
+		bDone = p.Now()
+	})
+	e.Run()
+	if bDone != 2*Microsecond || pathDone != 11*Microsecond {
+		t.Fatalf("b done at %v (want 2us), path at %v (want 11us)", bDone, pathDone)
+	}
+}
+
+// TestNamesShareOneString: an owner's names are substrings of one
+// allocation.
+func TestNamesShareOneString(t *testing.T) {
+	var n [3]string
+	Names(n[:], "rank12", "", ".am", ".barrier")
+	if n != [3]string{"rank12", "rank12.am", "rank12.barrier"} {
+		t.Fatalf("names %q", n)
+	}
+	if got := testing.AllocsPerRun(10, func() { Names(n[:], "rank12", "", ".am", ".barrier") }); got != 1 {
+		t.Fatalf("%v allocations, want 1", got)
 	}
 }

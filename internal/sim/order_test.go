@@ -30,10 +30,8 @@ func orderTranscript() (transcript string, started int) {
 	la := e.NewLink("la", 1, Nanosecond)
 	lb := e.NewLink("lb", 1, 0)
 	lc := e.NewLink("lc", 2, Nanosecond)
-	paths := []*Path{
-		{Name: "ab", Links: []*Link{la, lb}},
-		{Name: "cb", Links: []*Link{lc, lb}}, // shares lb, lists it last
-	}
+	paths := []*Path{NewPath(la, lb), NewPath(lc, lb)} // cb shares lb, lists it last
+	pathNames := []string{"ab", "cb"}
 	mb := e.NewMailbox("mb")
 	gates := []*Future{e.NewFuture(), e.NewFuture(), e.NewFuture(), e.NewFuture()}
 	// complete opens gate g for its current waiters and, until the closer
@@ -91,9 +89,8 @@ func orderTranscript() (transcript string, started int) {
 				}
 			case op <= 9:
 				script[i] = func(p *Proc) string {
-					pa := paths[tag%2]
-					pa.Occupy(p, n)
-					return fmt.Sprintf("occupy %s %d", pa.Name, n)
+					paths[tag%2].Occupy(p, n)
+					return fmt.Sprintf("occupy %s %d", pathNames[tag%2], n)
 				}
 			case op == 10:
 				script[i] = func(p *Proc) string {
