@@ -177,8 +177,12 @@ func RoundTrip(tr *Tree, cfg RTConfig) error {
 	})
 
 	// Staging pools must be quiescent after every transfer completed:
-	// an abandoned protocol attempt that kept its scratch or ring slab
-	// would show up here as a leak.
+	// an abandoned protocol attempt that kept its scratch or ring slab,
+	// or a message record some party never released, would show up here
+	// as a leak.
+	if out := w.RecordsOutstanding(); out != 0 {
+		return tr.errf("channel "+cfg.String(), "%d message records never came home", out)
+	}
 	for r := 0; r < w.Size(); r++ {
 		rk := w.RankHandle(r)
 		if out := rk.ScratchOutstanding(); out != 0 {

@@ -211,8 +211,12 @@ func (vc *VCase) errf(what string, cfg VConfig, format string, args ...interface
 		vc.Seed, vc.Tree.Dt.Name(), vc.Size, what, cfg, fmt.Sprintf(format, args...))
 }
 
-// checkQuiescent asserts no staging buffer leaked out of the run.
+// checkQuiescent asserts no staging buffer or message record leaked out
+// of the run.
 func (vc *VCase) checkQuiescent(w *mpi.World, what string, cfg VConfig) error {
+	if out := w.RecordsOutstanding(); out != 0 {
+		return vc.errf(what, cfg, "%d message records never came home", out)
+	}
 	for r := 0; r < w.Size(); r++ {
 		rk := w.RankHandle(r)
 		if out := rk.ScratchOutstanding(); out != 0 {

@@ -28,13 +28,14 @@ const maxUnitLen = 1 << 30
 //
 // Every path produces a window's descriptors once, as direction-bound
 // gpu.Units rebased to the fragment, in the pooled array the kernel then
-// owns (see gpu.GetUnits) — or, for a synchronous call, in the array of
-// its borrowed worker's kernel record (see borrowed): the vector path
-// from arithmetic, the cached
-// path from its slice of the resident list, the converting path from the
-// tail of the list it is building. The kernel gets a copy, never a view
-// of a cached list — eviction recycles a list's array while kernels that
-// were bound from it may still be queued.
+// owns (see gpu.GetUnits) — or in the array of a kept kernel record: a
+// synchronous call's borrowed worker's (see borrowed), a pipelined
+// protocol's producer's or consumer's (PackWith, UnpackWith). The vector
+// path builds them from arithmetic, the cached path from its slice of
+// the resident list, the converting path from the tail of the list it is
+// building. The kernel gets a copy, never a view of a cached list —
+// eviction recycles a list's array while kernels that were bound from it
+// may still be queued.
 type Packer struct {
 	e    *Engine
 	data mem.Buffer
@@ -108,7 +109,8 @@ func (pk *Packer) init(e *Engine, data mem.Buffer, dt *datatype.Datatype, count 
 // kernel before it hands both back (giveBack), so the record is complete
 // when it is re-armed, and its descriptor array, the record's own, keeps
 // its capacity from call to call. The record is here and not in Packer:
-// a pipelined worker launches one kernel per fragment and keeps none.
+// a pipelined worker's kernels are kept by its owner, the protocol's
+// producer or consumer, which may have several in flight.
 type borrowed struct {
 	pk Packer
 	k  gpu.Kernel
@@ -168,19 +170,34 @@ func (pk *Packer) Done() bool { return pk.conv.Done() }
 // submitted to the engine's stream; CPU-side conversion overlaps with
 // previously launched kernels (the §3.2 pipeline).
 func (pk *Packer) PackInto(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) {
+	return pk.PackWith(p, frag, nil)
+}
+
+// PackWith is PackInto launching from k, a kept kernel record the caller
+// owns (see gpu.Kernel.Rearm), whose last launch has completed: the
+// window's last launch is made from it, so a warmed pipelined worker
+// launches without allocating. For a window that is not empty the
+// returned future is k's: it stays the future of this launch until the
+// caller launches from k again. A nil k is PackInto.
+func (pk *Packer) PackWith(p *sim.Proc, frag mem.Buffer, k *gpu.Kernel) (int64, *sim.Future) {
 	if pk.dir != dirPack {
 		panic("core: PackInto on an unpacker")
 	}
-	return pk.process(p, frag, nil)
+	return pk.process(p, frag, k)
 }
 
 // UnpackFrom scatters the next min(len(frag), Remaining()) bytes of frag
 // into the data layout; frag may be device or host (zero-copy) memory.
 func (pk *Packer) UnpackFrom(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) {
+	return pk.UnpackWith(p, frag, nil)
+}
+
+// UnpackWith is UnpackFrom launching from k, as PackWith.
+func (pk *Packer) UnpackWith(p *sim.Proc, frag mem.Buffer, k *gpu.Kernel) (int64, *sim.Future) {
 	if pk.dir != dirUnpack {
 		panic("core: UnpackFrom on a packer")
 	}
-	return pk.process(p, frag, nil)
+	return pk.process(p, frag, k)
 }
 
 // process launches the window's kernels. own, when not nil, is the

@@ -114,6 +114,11 @@ func (k *Kernel) Rearm(n int) []Unit {
 	return k.Units
 }
 
+// Idle reports whether k has no launch in flight: it was never launched,
+// or its last launch has completed. A kept record that is idle may be
+// re-armed.
+func (k *Kernel) Idle() bool { return k.dev == nil || k.op.done.Done() }
+
 // Retire hands the descriptor array of a kept record its owner is done
 // with for good back to the pool, so the next owner's first Rearm — in a
 // later simulation, say — finds it there. The record is spent afterwards:

@@ -76,7 +76,7 @@ func TestChaosTransientFaultsRecovered(t *testing.T) {
 // the sender's contiguous window, whose receiver cannot map it and
 // commands a worker that was never spawned. Each must fall back,
 // deliver intact bytes, and return every scratch and ring slab the
-// abandoned attempt held.
+// abandoned attempt held, and every message record to its free list.
 func TestChaosScratchNoLeak(t *testing.T) {
 	dense := datatype.Contiguous(128*128, datatype.Float64) // chaosStrided's bytes, gap-free
 	for _, path := range []struct {
@@ -118,6 +118,9 @@ func TestChaosScratchNoLeak(t *testing.T) {
 			}
 			if path.attempt == "" && (ran["mpi.send.ring"] || ran["mpi.send.direct"]) {
 				t.Errorf("%s: the sender ran a zero-copy attempt", what)
+			}
+			if out := w.RecordsOutstanding(); out != 0 {
+				t.Errorf("%s: %d message records never came home", what, out)
 			}
 			for r := 0; r < w.Size(); r++ {
 				rk := w.RankHandle(r)

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"slices"
+
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
@@ -150,16 +152,15 @@ func (m *Rank) exchange(p *sim.Proc, sbuf mem.Buffer, sdt *datatype.Datatype, sc
 		sreq = m.isendOn(p, sbuf, sdt, scount, to, tag)
 	}
 	if packedSize(rdt, rcount) > 0 {
-		rreq = m.Irecv(rbuf, rdt, rcount, from, tag)
+		rreq = m.irecv(rbuf, rdt, rcount, from, tag)
 	}
 	if sreq != nil {
-		sreq.Wait(p)
+		await(p, sreq)
 	}
 	if rreq == nil {
 		return 0
 	}
-	rreq.Wait(p)
-	return rreq.ReceivedBytes()
+	return await(p, rreq)
 }
 
 // PairwisePeers returns the round-s exchange partners of index r among
@@ -355,7 +356,7 @@ func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf 
 		switch {
 		case packedSize(dt, count) == 0:
 		case i != rootIdx:
-			reqs[i] = m.Irecv(buf, dt, count, c.rank(i), tag+i)
+			reqs[i] = m.irecv(buf, dt, count, c.rank(i), tag+i)
 		case sbuf.IsValid():
 			m.localCopy(p, sbuf, sdt, scount, buf, dt, count)
 		}
@@ -365,9 +366,9 @@ func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf 
 	}
 	for i, rq := range reqs {
 		if rq != nil {
-			rq.Wait(p)
+			got := await(p, rq)
 			_, dt, count := recv(i)
-			m.wholeBlock(what, c.rank(i), rq.ReceivedBytes(), dt, count)
+			m.wholeBlock(what, c.rank(i), got, dt, count)
 		}
 	}
 	m.unpackHeld(p, st)
@@ -407,7 +408,7 @@ func (m *Rank) linearScatter(p *sim.Proc, what string, c comm, rootIdx int, send
 		}
 	}
 	for _, rq := range reqs {
-		rq.Wait(p)
+		await(p, rq)
 	}
 	m.release(st)
 }
@@ -433,17 +434,18 @@ func neighborView(nb []Neighbor) view {
 // one peer match in list order. Every block is packed once and unpacked
 // once, so either side is held from two blocks up: receives are posted
 // in list order, then the sends, and the stage is unpacked when all of
-// them are in.
+// them are in. It runs on the rank's main process only, so the request
+// slice is the rank's (nbReqs).
 func (m *Rank) neighbours(p *sim.Proc, what string, c comm, sends, recvs []Neighbor, tag int) {
 	each := func(int) int { return 1 }
 	send, recv := neighborView(sends), neighborView(recvs)
 	ss, rs := m.hold(len(sends), send, each), m.hold(len(recvs), recv, each)
 	m.packHeld(p, ss)
 	send, recv = ss.over(send), rs.over(recv)
-	reqs := make([]*Request, len(recvs)+len(sends))
+	reqs := slices.Grow(m.nbReqs[:0], len(recvs)+len(sends))[:len(recvs)+len(sends)]
 	for i := range recvs {
 		if buf, dt, count := recv(i); packedSize(dt, count) > 0 {
-			reqs[i] = m.Irecv(buf, dt, count, c.rank(recvs[i].Peer), tag)
+			reqs[i] = m.irecv(buf, dt, count, c.rank(recvs[i].Peer), tag)
 		}
 	}
 	sreqs := reqs[len(recvs):]
@@ -454,16 +456,18 @@ func (m *Rank) neighbours(p *sim.Proc, what string, c comm, sends, recvs []Neigh
 	}
 	for _, rq := range sreqs {
 		if rq != nil {
-			rq.Wait(p)
+			await(p, rq)
 		}
 	}
 	for i, rq := range reqs[:len(recvs)] {
 		if rq != nil {
-			rq.Wait(p)
+			got := await(p, rq)
 			_, dt, count := recv(i)
-			m.wholeBlock(what, c.rank(recvs[i].Peer), rq.ReceivedBytes(), dt, count)
+			m.wholeBlock(what, c.rank(recvs[i].Peer), got, dt, count)
 		}
 	}
+	clear(reqs) // their records are home
+	m.nbReqs = reqs[:0]
 	m.unpackHeld(p, rs)
 	m.release(rs)
 	m.release(ss)

@@ -50,9 +50,13 @@ func TestHierDispatchSelection(t *testing.T) {
 	}
 }
 
-// checkQuiescent asserts no rank leaked staging after the collective.
+// checkQuiescent asserts no rank leaked staging, and no message record
+// was left away from home, after the collective.
 func checkQuiescent(t *testing.T, w *World, what string) {
 	t.Helper()
+	if out := w.RecordsOutstanding(); out != 0 {
+		t.Fatalf("%s: %d message records never came home", what, out)
+	}
 	for r := 0; r < w.Size(); r++ {
 		rk := w.RankHandle(r)
 		if out := rk.ScratchOutstanding(); out != 0 {

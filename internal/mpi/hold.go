@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"gpuddt/internal/core"
 	"gpuddt/internal/datatype"
@@ -35,38 +36,34 @@ func (m *Rank) wholeBlock(what string, from int, got int64, dt *datatype.Datatyp
 
 // recvBlock is recvOn for one block of a collective.
 func (m *Rank) recvBlock(p *sim.Proc, what string, buf mem.Buffer, dt *datatype.Datatype, count, from, tag int) {
-	rq := m.Irecv(buf, dt, count, from, tag)
-	rq.Wait(p)
-	m.wholeBlock(what, from, rq.ReceivedBytes(), dt, count)
+	got := await(p, m.irecv(buf, dt, count, from, tag))
+	m.wholeBlock(what, from, got, dt, count)
 }
 
-// stage holds blocks of a view packed, in wire format, in a host buffer
-// (stageBuf).
+// stage holds blocks of a view packed, in wire format, in a host buffer.
 type stage struct {
 	buf    mem.Buffer
 	blocks []core.Block // by block index; a nil Dt marks a block left in place
 }
 
-// stageBuf hands out at least n bytes of pinned host memory for a stage,
-// reusing released ones; freeStage returns it. Stages are counted with
-// the scratch buffers (ScratchOutstanding) but pooled apart from them:
-// a scratch buffer is an RDMA bounce buffer, registered with the HCA
-// under its address, and a stage passing through that pool would change
-// which addresses later messages find registered.
-func (m *Rank) stageBuf(n int64) mem.Buffer {
+// takeStage hands out a stage of at least n bytes of pinned host memory
+// with room for blocks blocks, all left in place, reusing a released one
+// — its buffer and its blocks array; release returns it. Stages are counted with the scratch
+// buffers (ScratchOutstanding) but pooled apart from them: a scratch
+// buffer is an RDMA bounce buffer, registered with the HCA under its
+// address, and a stage passing through that pool would change which
+// addresses later messages find registered.
+func (m *Rank) takeStage(n int64, blocks int) *stage {
 	m.scratchOut++
-	for i, b := range m.stagePool {
-		if b.Len() >= n {
-			m.stagePool = append(m.stagePool[:i], m.stagePool[i+1:]...)
-			return b
+	for i, s := range m.stagePool {
+		if s.buf.Len() >= n {
+			m.stagePool = slices.Delete(m.stagePool, i, i+1)
+			s.blocks = slices.Grow(s.blocks[:0], blocks)[:blocks]
+			clear(s.blocks)
+			return s
 		}
 	}
-	return m.ctx.MallocHost(n)
-}
-
-func (m *Rank) freeStage(b mem.Buffer) {
-	m.scratchOut--
-	m.stagePool = append(m.stagePool, b)
+	return &stage{buf: m.ctx.MallocHost(n), blocks: make([]core.Block, blocks)}
 }
 
 // hold decides which of v's n blocks the rank keeps packed for the
@@ -101,7 +98,7 @@ func (m *Rank) hold(n int, v view, launches func(i int) int) *stage {
 	if saved < 2 || !m.holdPays(saved, total, first) {
 		return nil
 	}
-	s := &stage{buf: m.stageBuf(total), blocks: make([]core.Block, n)}
+	s := m.takeStage(total, n)
 	var pos int64
 	for i := 0; i < n; i++ {
 		if launches(i) > 0 {
@@ -137,7 +134,8 @@ func (m *Rank) holdBlock(launches int, buf mem.Buffer, dt *datatype.Datatype, co
 	if size == 0 || launches < 2 {
 		return nil, buf, dt, count
 	}
-	st := &stage{buf: m.stageBuf(size), blocks: []core.Block{{Data: buf, Dt: dt, Count: count}}}
+	st := m.takeStage(size, 1)
+	st.blocks[0] = core.Block{Data: buf, Dt: dt, Count: count}
 	return st, st.buf.Slice(0, size), datatype.Byte, int(size)
 }
 
@@ -184,7 +182,8 @@ func (m *Rank) unpackHeld(p *sim.Proc, s *stage) {
 // release ends the hold: the stage returns to the pool.
 func (m *Rank) release(s *stage) {
 	if s != nil {
-		m.freeStage(s.buf)
+		m.scratchOut--
+		m.stagePool = append(m.stagePool, s)
 	}
 }
 

@@ -23,10 +23,15 @@ import (
 // are unavailable.
 //
 // A rendezvous is one record per side: the sender's half (pipeSend)
-// lives in the send's operation, the receiver's (pipeRecv) is made when
+// lives in the send's operation, the receiver's (pipeRecv) is taken when
 // the message is matched. Every queue of the protocol is a typed
 // mailbox embedded in one of them, and every active message names one
-// of them plus an integer (DESIGN decision 26).
+// of them plus an integer (DESIGN decision 26). Both halves are
+// recycled (DESIGN decision 30): an active message or a queued command
+// naming a record holds a reference to it, so an ACK that lands after
+// both sides are done — the staged ring stops reading them after its
+// last fragment — or an event of a cancelled attempt never reaches a
+// later message's record.
 type PipelinedStrategy struct{}
 
 // Name implements Strategy.
@@ -41,7 +46,8 @@ func (s *PipelinedStrategy) Name() string { return "pipelined" }
 // started at all unless the receiver's zero-copy attempt fails and it
 // commands a staged send.
 type pipeSend struct {
-	op *SendOp
+	op  *SendOp
+	rec *sendReq // the record holding op; nil for a one-sided operation's
 
 	// contig is the sender's packed data window when the send datatype
 	// is contiguous; over SM the receiver consumes it in place.
@@ -53,18 +59,47 @@ type pipeSend struct {
 	ring    mem.Buffer
 	ringIPC cuda.IpcHandle // valid when ring is device memory
 
-	worker sim.Proc     // started once (start); Run is its body
-	epoch  int          // commands received (see fragQueue)
-	prod   fragProducer // reused (rewound) across protocol attempts
+	worker  sim.Proc     // started once per message (start); Run is its body
+	started bool         // the worker has been started for this message
+	epoch   int          // commands received (see fragQueue)
+	prod    fragProducer // reused (rewound) across protocol attempts
+	stager  stager       // the staged sender's packing process
 
 	cmds      sim.Mailbox[sendCmd]
 	freeLocal sim.Mailbox[int] // staged sender: free host staging slots
 	filled    sim.Mailbox[int] // staged sender: slots the packer filled
 }
 
+// hold takes a reference to the send record for a process or an active
+// message that names st; release drops one.
+func (st *pipeSend) hold() {
+	if st.rec != nil {
+		st.rec.home.refs++
+	}
+}
+
+func (st *pipeSend) release() {
+	if st.rec != nil {
+		st.rec.release()
+	}
+}
+
+// reset readies st, whose record is home, for the record's next
+// message. It keeps what st has grown — its mailboxes' arrays, its
+// producer's kernel record — and leaves its processes alone: the last
+// reference may be one of theirs, still on its stack.
+func (st *pipeSend) reset() {
+	st.op = nil
+	st.contig, st.contigIPC = mem.Buffer{}, cuda.IpcHandle{}
+	st.ring, st.ringIPC = mem.Buffer{}, cuda.IpcHandle{}
+	st.started, st.epoch = false, 0
+	st.prod.reset()
+}
+
 // sendCmd is a receiver-to-sender command: the protocol to run, and the
 // receiver's record, which holds what the protocol needs (its queues,
-// its host ring or its receive window).
+// its host ring or its receive window). A command holds a reference to
+// the record until the worker is done with it.
 type sendCmd struct {
 	kind int
 	r    *pipeRecv
@@ -78,9 +113,12 @@ const (
 
 // Handle completes the send: the receiver's AM once it has consumed the
 // sender's window in place.
-func (st *pipeSend) Handle(*sim.Proc, int) { st.op.Req.done.Complete(nil) }
+func (st *pipeSend) Handle(*sim.Proc, int) {
+	st.op.Req.done.Complete(nil)
+	st.release()
+}
 
-// pipeRecv is the receiver half of a rendezvous, one record made when
+// pipeRecv is the receiver half of a rendezvous, one record taken when
 // the message is matched: the sender half it reads, its consumer, the
 // queues the sender fills and what its commands name.
 type pipeRecv struct {
@@ -89,16 +127,28 @@ type pipeRecv struct {
 	fc  fragConsumer
 
 	events fragQueue // fragment events from the sender
-	acks   amQueue   // freed slots back to the sender; ackAbort cancels
+	acks   ackQueue  // freed slots back to the sender; ackAbort cancels
 
 	ring      mem.Buffer     // host ring the staged sender Puts into
 	direct    mem.Buffer     // receive window the sender writes straight into
 	directIPC cuda.IpcHandle // valid when direct is device memory
+
+	home home[pipeRecv]
+}
+
+// reset readies r, which is home, for its next message, keeping its
+// consumer's kernel records and its queues' arrays.
+func (r *pipeRecv) reset() {
+	r.op, r.snd = nil, nil
+	r.fc.reset()
+	r.events.epoch = 0
+	r.ring, r.direct, r.directIPC = mem.Buffer{}, mem.Buffer{}, cuda.IpcHandle{}
 }
 
 // Handle is the command AM (the CTS), run on the sender's progress
 // process: it starts the worker — the fast-path sender's materializes
-// only when a fallback needs it — and queues the command.
+// only when a fallback needs it — and queues the command, which keeps
+// the AM's reference to r.
 func (r *pipeRecv) Handle(_ *sim.Proc, kind int) {
 	r.snd.start()
 	r.snd.cmds.Put(sendCmd{kind, r})
@@ -108,6 +158,7 @@ func (r *pipeRecv) Handle(_ *sim.Proc, kind int) {
 func (r *pipeRecv) command(p *sim.Proc, kind int) {
 	r.events.epoch++
 	h := p.Begin("mpi.cts")
+	r.hold()
 	r.op.Ch.AM(p, amHeaderBytes, r, kind)
 	h.End()
 }
@@ -120,8 +171,28 @@ func (r *pipeRecv) command(p *sim.Proc, kind int) {
 // short at least one ACK and must consume the abort.
 const ackAbort = -1
 
+// ackQueue is the receiver half's queue of freed slots, which the
+// sender reads: an ACK, an AM naming it, holds a reference to r until
+// it lands.
+type ackQueue struct {
+	sim.Mailbox[int]
+	r *pipeRecv
+}
+
+func (q *ackQueue) Handle(_ *sim.Proc, slot int) {
+	q.Put(slot)
+	q.r.release()
+}
+
+// sendAck returns a freed slot to the sender over ch.
+func sendAck(p *sim.Proc, ch Channel, q *ackQueue, slot int) {
+	p.Count("mpi.ack", 1)
+	q.r.hold()
+	ch.AM(p, amHeaderBytes, q, slot)
+}
+
 // getAck returns the next freed slot index, or ok=false on ackAbort.
-func getAck(p *sim.Proc, acks *amQueue) (int, bool) {
+func getAck(p *sim.Proc, acks *ackQueue) (int, bool) {
 	v := acks.Get(p)
 	return v, v != ackAbort
 }
@@ -139,16 +210,19 @@ const (
 // ackAbort may still have events in flight, which Handle drops on
 // arrival and next skips if they were queued before the cancel — as a
 // fresh mailbox per command once left them unread, no process wakes
-// for them.
+// for them. An event, an AM naming the queue, holds a reference to r
+// until it lands, dropped or not.
 type fragQueue struct {
 	sim.Mailbox[int]
 	epoch int // commands issued
+	r     *pipeRecv
 }
 
 func (q *fragQueue) Handle(_ *sim.Proc, v int) {
 	if v&1 == q.epoch&1 {
 		q.Put(v)
 	}
+	q.r.release()
 }
 
 // next returns the slot of the current command's next fragment event.
@@ -162,6 +236,7 @@ func (q *fragQueue) next(p *sim.Proc) int {
 
 // notifyFrag sends a fragment event to the receiver.
 func (st *pipeSend) notifyFrag(p *sim.Proc, r *pipeRecv, slot int) {
+	r.hold()
 	st.op.Ch.AM(p, amHeaderBytes, &r.events, slot<<1|st.epoch&1)
 }
 
@@ -219,11 +294,14 @@ func (s *PipelinedStrategy) StartSend(op *SendOp) any {
 	return st
 }
 
-// start starts the sender worker once: a started record has its engine.
+// start starts the sender worker once per message; the worker holds a
+// reference to the send record while it runs.
 func (st *pipeSend) start() {
-	if st.worker.Engine() != nil {
+	if st.started {
 		return
 	}
+	st.started = true
+	st.hold()
 	m := st.op.M
 	m.w.eng.Start(&st.worker, m.names.sendpipe, st)
 }
@@ -243,8 +321,10 @@ func (st *pipeSend) Run(p *sim.Proc) {
 		case cmdSendStaged:
 			ok = st.runSendStaged(p, cmd.r)
 		}
+		cmd.r.release()
 		if ok {
 			st.op.Req.done.Complete(nil)
+			st.release()
 			return
 		}
 		// Aborted. The receiver cancels an attempt only en route to
@@ -382,26 +462,15 @@ func (st *pipeSend) runSendStaged(p *sim.Proc, r *pipeRecv) bool {
 		return true
 	}
 
-	// Producer fills local host staging slots; this process drains them
-	// onto the wire, so pack(i+1) overlaps transfer(i).
+	// The stager fills local host staging slots; this process drains
+	// them onto the wire, so pack(i+1) overlaps transfer(i).
 	local := m.ringBuf(m.ctx.Node().Host(), 2*frag)
-	prod := st.producer()
+	st.producer()
 	st.freeLocal.Init(m.w.eng, "ib.freeLocal")
 	st.filled.Init(m.w.eng, "ib.filled")
-	m.w.eng.Spawn(m.names.ibpack, func(pp *sim.Proc) {
-		for i := range nfrag {
-			_, n := fragment(i, op.Packed, frag)
-			ls := i // both slots start free
-			if i >= 2 {
-				ls = st.freeLocal.Get(pp)
-			}
-			fh := pp.BeginBytes("frag.pack", n)
-			prod.packInto(pp, local.Slice(int64(ls)*frag, n))
-			fh.End()
-			pp.Count("mpi.frag", 1)
-			st.filled.Put(ls)
-		}
-	})
+	st.stager.st, st.stager.local = st, local
+	st.hold()
+	m.w.eng.Start(&st.stager.proc, m.names.ibpack, &st.stager)
 	for i := range nfrag {
 		off, n := fragment(i, op.Packed, frag)
 		ls := st.filled.Get(p)
@@ -410,6 +479,36 @@ func (st *pipeSend) runSendStaged(p *sim.Proc, r *pipeRecv) bool {
 	}
 	m.releaseRing(local)
 	return true
+}
+
+// stager is the staged sender's packing process: it packs the message
+// into the two host staging slots of local, each as soon as the worker
+// has put the last fragment in it on the wire, holding a reference to
+// the send record while it runs.
+type stager struct {
+	proc  sim.Proc
+	st    *pipeSend
+	local mem.Buffer
+}
+
+func (s *stager) Run(p *sim.Proc) {
+	st := s.st
+	op := st.op
+	frag := op.M.w.tun.frag
+	for i := range fragments(op.Packed, frag) {
+		_, n := fragment(i, op.Packed, frag)
+		ls := i // both slots start free
+		if i >= 2 {
+			ls = st.freeLocal.Get(p)
+		}
+		fh := p.BeginBytes("frag.pack", n)
+		st.prod.packInto(p, s.local.Slice(int64(ls)*frag, n))
+		fh.End()
+		p.Count("mpi.frag", 1)
+		st.filled.Put(ls)
+	}
+	s.st, s.local = nil, mem.Buffer{}
+	st.release()
 }
 
 // sendStagedFrag Puts one packed fragment and notifies the receiver.
@@ -431,11 +530,25 @@ func (st *pipeSend) sendStagedFrag(p *sim.Proc, r *pipeRecv, i int, off, n int64
 	st.notifyFrag(p, r, slot)
 }
 
-// RunRecv implements Strategy: the receiver-driven side.
+// RunRecv implements Strategy: the receiver-driven side, on a receiver
+// half taken from the world's list. The half holds the sender's for as
+// long as it is held itself.
 func (s *PipelinedStrategy) RunRecv(p *sim.Proc, op *RecvOp, info any) {
-	r := &pipeRecv{op: op, snd: info.(*pipeSend)}
-	r.events.Init(op.M.w.eng, "recv.events")
-	r.acks.Init(op.M.w.eng, "recv.acks")
+	w := op.M.w
+	r := w.recs.pipe.take(w, 1) // the receive's
+	r.op, r.snd = op, info.(*pipeSend)
+	r.snd.hold()
+	r.events.Init(w.eng, "recv.events")
+	r.events.r = r
+	r.acks.Init(w.eng, "recv.acks")
+	r.acks.r = r
+	r.run(p)
+	r.release()
+}
+
+// run selects and runs the receiver's protocol.
+func (r *pipeRecv) run(p *sim.Proc) {
+	op := r.op
 	if op.Ch.Kind() == SM {
 		if r.snd.contig.IsValid() {
 			r.fromSenderWindow(p)
@@ -496,6 +609,7 @@ func (r *pipeRecv) fromSenderWindow(p *sim.Proc) {
 		}
 		r.fc.finish(p)
 	}
+	r.snd.hold()
 	op.Ch.AM(p, amHeaderBytes, r.snd, 0)
 	op.Req.done.Complete(nil)
 }

@@ -13,7 +13,24 @@ import (
 // the head of one record (eagerReq, sendReq, recvReq).
 type Request struct {
 	done  sim.Future
-	recvd int64 // packed bytes of the matched message (receives)
+	recvd int64  // packed bytes of the matched message (receives)
+	rec   record // the record the request heads; nil for one that stands alone
+}
+
+// init readies the request at the head of rec for a new message.
+func (r *Request) init(e *sim.Engine, rec record) {
+	r.done.Init(e)
+	r.recvd, r.rec = 0, rec
+}
+
+// await waits for rq, a request the library made for its own use, reads
+// the packed bytes it received and releases its record: the owner's
+// reference (DESIGN decision 30). Nothing may touch rq afterwards.
+func await(p *sim.Proc, rq *Request) int64 {
+	rq.Wait(p)
+	n := rq.recvd
+	rq.rec.release()
+	return n
 }
 
 // newRequest returns an incomplete request that stands alone (a
@@ -31,17 +48,20 @@ func (m *Rank) newRequest() *Request {
 // and the AM that carries it points to it. A receive is a recvReq, which
 // is also the process that delivers the message once it is matched;
 // whether it becomes eager or rendezvous is not known when it is posted,
-// so the pipelined strategy's receiver half is a record of its own, made
-// at the match (pipeRecv).
+// so the pipelined strategy's receiver half is a record of its own, taken
+// at the match (pipeRecv). Every one of them comes from its world's free
+// list and goes back once the last party naming it lets go (records.go).
 type eagerReq struct {
-	req Request
-	rts rtsMsg
+	req  Request
+	rts  rtsMsg
+	home home[eagerReq]
 }
 
 type sendReq struct {
-	req Request
-	op  SendOp
-	rts rtsMsg
+	req  Request
+	op   SendOp
+	rts  rtsMsg
+	home home[sendReq]
 }
 
 type recvReq struct {
@@ -49,6 +69,7 @@ type recvReq struct {
 	op   RecvOp
 	msg  *rtsMsg  // the matched message, until proc takes it
 	proc sim.Proc // started at the match (startRecv); Run is its body
+	home home[recvReq]
 }
 
 // Wait blocks the calling process until the operation completes.
@@ -77,7 +98,7 @@ func (r *Request) Done() bool { return r.done.Done() }
 func (r *Request) Complete() { r.done.Complete(nil) }
 
 // WaitAll blocks the rank's process until every request completes
-// (MPI_Waitall).
+// (MPI_Waitall). The requests stay the caller's.
 func (m *Rank) WaitAll(reqs ...*Request) {
 	for _, r := range reqs {
 		r.Wait(m.p)
@@ -96,6 +117,7 @@ type rtsMsg struct {
 	scount   int
 	eager    mem.Buffer // the payload, if eager; invalid for a rendezvous
 	info     any        // rendezvous strategy info
+	snd      record     // the send record the RTS rides in
 }
 
 // Handle delivers the RTS to its rank's matching (on the progress
@@ -135,6 +157,10 @@ type RecvOp struct {
 // Strategy is the rendezvous data-movement policy: the default
 // PipelinedStrategy implements the paper's protocols; the MVAPICH-style
 // comparator implements §2.2's vectorization approach.
+//
+// op lives in a record that is recycled for a later message once the
+// request is complete and the receive is done with it (DESIGN decision
+// 30), so a strategy must not touch op after it completes op.Req.
 type Strategy interface {
 	Name() string
 	// StartSend runs on the sender's process; the returned info is
@@ -142,20 +168,23 @@ type Strategy interface {
 	// eventually complete op.Req.
 	StartSend(op *SendOp) any
 	// RunRecv runs on a dedicated receiver process once the message is
-	// matched, and must complete op.Req.
+	// matched, and must complete op.Req. The sender's record stays
+	// until it returns.
 	RunRecv(p *sim.Proc, op *RecvOp, info any)
 }
 
-// Isend starts a send and returns its request.
+// Isend starts a send and returns its request, which is the caller's for
+// good: its record never goes back to the free list.
 func (m *Rank) Isend(buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int) *Request {
-	return m.isendOn(m.p, buf, dt, count, dest, tag)
+	return m.w.recs.keep(m.isendOn(m.p, buf, dt, count, dest, tag))
 }
 
 // isendOn is Isend issued from an explicit process: the rank's main
 // process for the public API, or a spawned schedule process for
 // nonblocking collectives. The cooperative engine runs exactly one
 // process at a time, so the rank's matching lists and pools stay
-// race-free whichever process drives the send.
+// race-free whichever process drives the send. The request's record is
+// held by its owner and by the receiver, which has the RTS.
 func (m *Rank) isendOn(sp *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int) *Request {
 	packed := int64(count) * dt.Size()
 	ch := m.channel(dest)
@@ -163,12 +192,15 @@ func (m *Rank) isendOn(sp *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, coun
 	if packed <= m.w.tun.eager {
 		return m.eagerSend(sp, buf, ch, rts)
 	}
-	s := new(sendReq)
-	s.req.done.Init(m.w.eng)
-	s.op = SendOp{M: m, Buf: buf, Dt: dt, Count: count, Dest: dest, Tag: tag, Packed: packed, Ch: ch, Req: &s.req}
+	s := m.w.recs.send.take(m.w, 2)
+	s.req.init(m.w.eng, s)
+	op := &s.op
+	op.M, op.Buf, op.Dt, op.Count, op.Dest, op.Tag, op.Packed, op.Ch, op.Req = m, buf, dt, count, dest, tag, packed, ch, &s.req
+	op.pipe.rec = s
 	h := sp.BeginBytes("mpi.rts", packed)
 	s.rts = rts
-	s.rts.info = m.w.tun.strategy.StartSend(&s.op)
+	s.rts.snd = s
+	s.rts.info = m.w.tun.strategy.StartSend(op)
 	m.seq++
 	ch.AM(sp, amHeaderBytes, &s.rts, 0)
 	h.End()
@@ -180,23 +212,31 @@ func (m *Rank) isendOn(sp *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, coun
 func (m *Rank) eagerSend(sp *sim.Proc, buf mem.Buffer, ch Channel, rts rtsMsg) *Request {
 	h := sp.BeginBytes("mpi.eager.send", rts.packed)
 	defer h.End()
-	s := new(eagerReq)
-	s.req.done.Init(m.w.eng)
+	s := m.w.recs.eager.take(m.w, 2)
+	s.req.init(m.w.eng, s)
 	local := m.scratch(rts.packed)
 	m.packToHost(sp, buf, rts.sdt, rts.scount, local.Slice(0, rts.packed))
 	rts.eager = rts.dst.scratch(rts.packed)
 	ch.Put(sp, rts.eager.Slice(0, rts.packed), local.Slice(0, rts.packed))
 	m.freeScratch(local)
 	s.rts = rts
+	s.rts.snd = s
 	ch.AM(sp, amHeaderBytes, &s.rts, 0)
 	s.req.done.Complete(nil) // eager: locally complete once injected
 	return &s.req
 }
 
-// Irecv posts a receive and returns its request.
+// Irecv posts a receive and returns its request, which is the caller's
+// for good (see Isend).
 func (m *Rank) Irecv(buf mem.Buffer, dt *datatype.Datatype, count, source, tag int) *Request {
-	r := new(recvReq)
-	r.req.done.Init(m.w.eng)
+	return m.w.recs.keep(m.irecv(buf, dt, count, source, tag))
+}
+
+// irecv is Irecv for the library's own use: the request's record is held
+// by its owner, and by its process once the message is matched.
+func (m *Rank) irecv(buf mem.Buffer, dt *datatype.Datatype, count, source, tag int) *Request {
+	r := m.w.recs.recv.take(m.w, 1)
+	r.req.init(m.w.eng, r)
 	r.op = RecvOp{M: m, Buf: buf, Dt: dt, Count: count, Src: source, Tag: tag, Req: &r.req}
 	// Match against unexpected arrivals in order.
 	for i, u := range m.unexp {
@@ -258,27 +298,34 @@ func (m *Rank) startRecv(r *recvReq, msg *rtsMsg) {
 	if !msg.eager.IsValid() {
 		name = m.recvName(msg.src)
 	}
+	r.home.refs++ // the process's
 	m.w.eng.Start(&r.proc, name, r)
 }
 
 // Run is the receive process: unpack an eager payload from its host
-// bounce buffer, or run the strategy's rendezvous receiver.
+// bounce buffer, or run the strategy's rendezvous receiver. It lets go
+// of the sender's record once it is done with the RTS, and of its own
+// last.
 func (r *recvReq) Run(p *sim.Proc) {
 	op, msg := &r.op, r.msg
 	r.msg = nil // the request outlives the message; the sender's record need not
 	m := op.M
 	h := p.BeginBytes("mpi.recv", op.Packed)
 	if buf := msg.eager; buf.IsValid() {
+		msg.snd.release()
 		h.SetDetail("eager")
 		m.unpackFromHost(p, op.Buf, op.Dt, op.Count, buf.Slice(0, op.Packed))
 		m.freeScratch(buf)
 		h.End()
 		op.Req.done.Complete(nil)
+		r.release()
 		return
 	}
 	h.SetDetail(m.w.tun.strategy.Name())
 	m.w.tun.strategy.RunRecv(p, op, msg.info)
+	msg.snd.release()
 	h.End()
+	r.release()
 }
 
 // scratchPoolFloor is the least freeScratch will ever cap retained

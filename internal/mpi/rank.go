@@ -49,7 +49,8 @@ type Rank struct {
 	collOut  int // nonblocking collectives in flight (see CollOutstanding)
 	icollSeq int // nonblocking collectives started, for process names
 
-	stagePool []mem.Buffer // released collective stages (see stageBuf)
+	stagePool []*stage   // released collective stages (see takeStage)
+	nbReqs    []*Request // neighbours' requests, between two calls
 
 	names procNames
 }
@@ -189,23 +190,23 @@ func (m *Rank) channel(peer int) Channel { return Channel{src: m, dst: m.w.ranks
 // Send performs a blocking standard-mode send of count elements of dt
 // from buf (whose byte 0 is the datatype origin; device or host memory).
 func (m *Rank) Send(buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int) {
-	m.Isend(buf, dt, count, dest, tag).Wait(m.p)
+	m.sendOn(m.p, buf, dt, count, dest, tag)
 }
 
 // Recv performs a blocking receive into buf.
 func (m *Rank) Recv(buf mem.Buffer, dt *datatype.Datatype, count, source, tag int) {
-	m.Irecv(buf, dt, count, source, tag).Wait(m.p)
+	m.recvOn(m.p, buf, dt, count, source, tag)
 }
 
 // sendOn / recvOn are Send/Recv driven from an explicit process, for
 // collective schedules that may run on a spawned progress process
 // instead of the rank's main one.
 func (m *Rank) sendOn(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int) {
-	m.isendOn(p, buf, dt, count, dest, tag).Wait(p)
+	await(p, m.isendOn(p, buf, dt, count, dest, tag))
 }
 
 func (m *Rank) recvOn(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count, source, tag int) {
-	m.Irecv(buf, dt, count, source, tag).Wait(p)
+	await(p, m.irecv(buf, dt, count, source, tag))
 }
 
 // SendRecv exchanges messages with the two peers without deadlocking.
@@ -213,10 +214,10 @@ func (m *Rank) SendRecv(
 	sendBuf mem.Buffer, sendType *datatype.Datatype, sendCount, dest, sendTag int,
 	recvBuf mem.Buffer, recvType *datatype.Datatype, recvCount, source, recvTag int,
 ) {
-	s := m.Isend(sendBuf, sendType, sendCount, dest, sendTag)
-	r := m.Irecv(recvBuf, recvType, recvCount, source, recvTag)
-	s.Wait(m.p)
-	r.Wait(m.p)
+	s := m.isendOn(m.p, sendBuf, sendType, sendCount, dest, sendTag)
+	r := m.irecv(recvBuf, recvType, recvCount, source, recvTag)
+	await(m.p, s)
+	await(m.p, r)
 }
 
 // Barrier blocks until every rank has entered it (linear gather/release

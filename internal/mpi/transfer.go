@@ -3,6 +3,7 @@ package mpi
 import (
 	"gpuddt/internal/core"
 	"gpuddt/internal/datatype"
+	"gpuddt/internal/gpu"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
 )
@@ -11,19 +12,21 @@ import (
 // GPU data goes through the rank's datatype engine (kernels, pipeline,
 // DEV cache); host data through the CPU converter, charging the host bus.
 // Both workers are held by value; the one the buffer's memory selects is
-// used.
+// used. Every fragment's pack launches from the producer's one kernel
+// record, which a recycled send record keeps.
 type fragProducer struct {
-	m     *Rank
+	m     *Rank // nil until init
 	buf   mem.Buffer
 	onGPU bool
 	gpu   core.Packer
 	conv  datatype.Converter
+	k     gpu.Kernel // kept: a fragment's pack is awaited before the next
 }
 
 // init makes fp, embedded in a send record, the producer of (buf, dt,
 // count).
 func (fp *fragProducer) init(m *Rank, buf mem.Buffer, dt *datatype.Datatype, count int) {
-	*fp = fragProducer{m: m, buf: buf, onGPU: buf.Kind() == mem.Device}
+	fp.m, fp.buf, fp.onGPU = m, buf, buf.Kind() == mem.Device
 	if fp.onGPU {
 		m.engineFor(buf).InitPacker(&fp.gpu, buf, dt, count)
 	} else {
@@ -31,11 +34,16 @@ func (fp *fragProducer) init(m *Rank, buf mem.Buffer, dt *datatype.Datatype, cou
 	}
 }
 
+// reset clears fp for its record's next message, keeping its kernel.
+func (fp *fragProducer) reset() {
+	fp.m, fp.buf, fp.gpu = nil, mem.Buffer{}, core.Packer{}
+}
+
 // packInto fills frag with the next len(frag) packed bytes, blocking
 // until frag holds the data.
 func (fp *fragProducer) packInto(p *sim.Proc, frag mem.Buffer) {
 	if fp.onGPU {
-		_, fut := fp.gpu.PackInto(p, frag)
+		_, fut := fp.gpu.PackWith(p, frag, &fp.k)
 		fut.Await(p)
 		return
 	}
@@ -61,11 +69,11 @@ func (fp *fragProducer) seekTo(pos int64) {
 // before unpacking — the option the paper measures as 5-10% faster —
 // double-buffered so the staging copy of fragment i+1 overlaps the
 // unpack kernel of fragment i. Like fragProducer it holds both workers by
-// value.
+// value, and its unpacks launch from kernel records it keeps.
 type fragConsumer struct {
 	m      *Rank
 	op     *RecvOp
-	acks   *amQueue   // the sender's free-slot queue, for fragments that hold a slot
+	acks   *ackQueue  // the sender's free-slot queue, for fragments that hold a slot
 	contig mem.Buffer // receiver contiguous window (fast path)
 	onHost bool       // a host layout: conv unpacks; else gpu does
 	gpu    core.Packer
@@ -76,12 +84,14 @@ type fragConsumer struct {
 	scratch  mem.Buffer // host staging for device source -> host layout
 	i        int
 	lastFut  *sim.Future
+
+	ks []*gpu.Kernel // kept kernel records the unpacks launch from (see kernel)
 }
 
 // init makes fc, embedded in a receive record, the consumer of op's
 // message; acks is where freed slots go back to.
-func (fc *fragConsumer) init(m *Rank, op *RecvOp, acks *amQueue) {
-	*fc = fragConsumer{m: m, op: op, acks: acks}
+func (fc *fragConsumer) init(m *Rank, op *RecvOp, acks *ackQueue) {
+	*fc = fragConsumer{m: m, op: op, acks: acks, ks: fc.ks}
 	if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok {
 		fc.contig = w
 		return
@@ -135,7 +145,7 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot 
 			src.Space() == dev.Mem() ||
 			m.w.tun.directRemoteUnpack
 		if direct {
-			_, fut := fc.gpu.UnpackFrom(p, src)
+			_, fut := fc.gpu.UnpackWith(p, src, fc.kernel(-1))
 			fc.lastFut = fut
 			fc.ackWhen(fut, slot)
 			return
@@ -155,11 +165,35 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot 
 		})
 		fc.i++
 		fc.ack(p, slot)
-		_, fut := fc.gpu.UnpackFrom(p, stage)
+		_, fut := fc.gpu.UnpackWith(p, stage, fc.kernel(half))
 		fc.stageFut[half] = fut
 		fc.lastFut = fut
 	}
 }
+
+// kernel returns the kept kernel record the next unpack launches from.
+// An unpack from staging half i >= 0 takes that half's record, whose
+// last launch the caller has awaited, so stageFut[i] is never re-armed
+// under a later wait. Any other takes the first idle one: an ACK process
+// awaiting a kernel started before the kernel could complete, so it is
+// done with the record once the record is idle.
+func (fc *fragConsumer) kernel(i int) *gpu.Kernel {
+	if i < 0 {
+		for _, k := range fc.ks {
+			if k.Idle() {
+				return k
+			}
+		}
+		i = len(fc.ks)
+	}
+	for len(fc.ks) <= i {
+		fc.ks = append(fc.ks, new(gpu.Kernel))
+	}
+	return fc.ks[i]
+}
+
+// reset clears fc for its record's next message, keeping its kernels.
+func (fc *fragConsumer) reset() { *fc = fragConsumer{ks: fc.ks} }
 
 // finish waits for outstanding asynchronous unpacks and releases
 // staging resources.
@@ -195,23 +229,44 @@ func (fc *fragConsumer) abandon(p *sim.Proc) {
 
 // ack returns a fragment's slot to the sender.
 func (fc *fragConsumer) ack(p *sim.Proc, slot int) {
-	if slot == fragNoSlot {
-		return
+	if slot != fragNoSlot {
+		sendAck(p, fc.op.Ch, fc.acks, slot)
 	}
-	p.Count("mpi.ack", 1)
-	fc.op.Ch.AM(p, amHeaderBytes, fc.acks, slot)
 }
 
-// ackWhen acks once fut completes, without blocking the caller.
+// ackWhen acks once fut completes, without blocking the caller: an
+// acker from the world's list does it.
 func (fc *fragConsumer) ackWhen(fut *sim.Future, slot int) {
 	if slot == fragNoSlot {
 		return
 	}
-	m := fc.m
-	m.w.eng.Spawn(m.names.ack, func(pp *sim.Proc) {
-		fut.Await(pp)
-		fc.ack(pp, slot)
-	})
+	w := fc.m.w
+	a := w.recs.ack.take(w, 1) // its process's
+	a.fut, a.ch, a.q, a.slot = fut, fc.op.Ch, fc.acks, slot
+	fc.acks.r.hold()
+	w.eng.Start(&a.proc, fc.m.names.ack, a)
+}
+
+// acker returns a ring slot to the sender once the unpack that reads it
+// has completed, without blocking the receive: a process of its own,
+// holding a reference to the receiver half whose queue it names. It
+// keeps the channel by value, as the receive it serves may be home
+// before it runs.
+type acker struct {
+	proc sim.Proc
+	fut  *sim.Future
+	ch   Channel
+	q    *ackQueue
+	slot int
+	home home[acker]
+}
+
+func (a *acker) Run(p *sim.Proc) {
+	a.fut.Await(p)
+	sendAck(p, a.ch, a.q, a.slot)
+	r := a.q.r
+	a.release()
+	r.release()
 }
 
 // ringBuf hands out a staging ring of at least n bytes in the given

@@ -68,6 +68,7 @@ type World struct {
 	hier   hierarchy
 	faults *fault.Injector // nil when cfg.Faults is nil
 	wins   [][]mem.Buffer  // RMA window registry: wins[id][rank]
+	recs   records         // free lists of message records (records.go)
 
 	groupSeq int // next Group id; each group owns its own tag block
 }
@@ -174,8 +175,9 @@ func (w *World) Engine() *sim.Engine { return w.eng }
 func (w *World) Faults() *fault.Injector { return w.faults }
 
 // Close recycles every node's memory backing into the slab pool (see
-// mem.Space.Release) and every datatype engine's kernel descriptor
-// arrays into theirs (core.Engine.Release). Call it when the world is
+// mem.Space.Release), and every datatype engine's and every message
+// record's kernel descriptor arrays into theirs (core.Engine.Release,
+// records.retire). Call it when the world is
 // finished — after Run has returned and results have been copied out —
 // and do not touch the world, its ranks, or any Buffer afterwards.
 // Benchmarks that churn through many short-lived worlds depend on this
@@ -188,6 +190,7 @@ func (w *World) Close() {
 			}
 		}
 	}
+	w.recs.retire()
 	for _, n := range w.nodes {
 		n.Release()
 	}

@@ -171,3 +171,55 @@ func TestEmbeddedFutureWakesInWaitOrder(t *testing.T) {
 		t.Errorf("a single wait on an embedded future: %v allocations, want 0", allocs)
 	}
 }
+
+// waiter is a record that runs as a process: it awaits gate, then
+// appends its id to order.
+type waiter struct {
+	proc  Proc
+	id    int
+	gate  *Future
+	order *[]int
+}
+
+func (w *waiter) Run(p *Proc) {
+	w.gate.Await(p)
+	*w.order = append(*w.order, w.id)
+}
+
+// TestFutureWaitersAllocateNothing: three processes awaiting one future
+// allocate nothing — its queue links through their Procs — and wake in
+// the order they waited, round after round.
+func TestFutureWaitersAllocateNothing(t *testing.T) {
+	e := NewEngine()
+	var gate Future
+	order := make([]int, 0, 3)
+	ws := make([]*waiter, 3)
+	for i := range ws {
+		ws[i] = &waiter{id: i, gate: &gate, order: &order}
+	}
+	var allocs float64
+	rounds, wrong := 0, 0
+	e.Spawn("completer", func(p *Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			gate.Init(e)
+			order = order[:0]
+			for _, w := range ws {
+				e.Start(&w.proc, "waiter", w)
+			}
+			p.Sleep(1)
+			gate.Complete(nil)
+			p.Sleep(1)
+			rounds++
+			if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+				wrong++
+			}
+		})
+	})
+	e.Run()
+	if rounds != 101 || wrong != 0 {
+		t.Errorf("%d of %d rounds woke the waiters out of wait order", wrong, rounds)
+	}
+	if allocs != 0 {
+		t.Errorf("three waits on one future: %v allocations per round, want 0", allocs)
+	}
+}

@@ -95,9 +95,10 @@ func (e *Engine) After(d Time, fn func()) {
 	e.post(e.now+d, evCall, e.calls.put(fn))
 }
 
-// blockKind says what a parked process waits for; Proc.on names the
-// mailbox or resource. A reason is two stores when a process parks and
-// becomes text (blockText[why] + on) only inside a deadlock report.
+// blockKind says what a parked process waits for; Proc.on points to the
+// name of the mailbox or resource. A reason is two stores when a process
+// parks and becomes text (blockText[why] + *on) only inside a deadlock
+// report.
 type blockKind uint8
 
 const (
@@ -126,7 +127,13 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
-	on      string
+	// What the process is parked on: the name of the mailbox or resource
+	// (nil for a future), and while it awaits a future, the next waiter
+	// of that future (see Future). A pointer to the name keeps the pair
+	// in the two words a string header would take.
+	on       *string
+	waitNext *Proc
+
 	slot    int32 // index in e.procs
 	daemon  bool  // a server (see Serve): never finishes, never live
 	pending bool  // a resume event is queued; never two at once
@@ -164,10 +171,10 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // Start is Spawn into a Proc record the caller owns, usually a field of
 // the record that is also body: the process starts at the current
 // virtual time from the event Spawn would post. A record may be started
-// again once its process has finished — it is then a new process with
-// the old record's identity, recorder track included — and Start panics
-// while the previous one is still live (queued, running or parked) or if
-// the record is a server's.
+// again once its process has finished — it is then a new process, with
+// a recorder track of its own under its new name, as a spawned one
+// would have — and Start panics while the previous one is still live
+// (queued, running or parked) or if the record is a server's.
 func (e *Engine) Start(p *Proc, name string, body Runner) {
 	if p.daemon || p.pending || p.c != nil {
 		panic("sim: process " + p.name + " started while it is live")
@@ -252,7 +259,7 @@ func (p *Proc) suspend() {
 
 // park suspends the process, recording what it waits for; whoever
 // satisfies the wait calls unpark.
-func (p *Proc) park(why blockKind, on string) {
+func (p *Proc) park(why blockKind, on *string) {
 	p.why, p.on = why, on
 	p.suspend()
 }
@@ -368,7 +375,11 @@ func (e *Engine) deadlockReport() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim: deadlock at %v; blocked process(es):", e.now)
 	for _, p := range blocked {
-		fmt.Fprintf(&b, "\n  %s: %s%s", p.name, blockText[p.why], p.on)
+		on := ""
+		if p.on != nil {
+			on = *p.on
+		}
+		fmt.Fprintf(&b, "\n  %s: %s%s", p.name, blockText[p.why], on)
 	}
 	return b.String()
 }

@@ -14,10 +14,11 @@ type Future struct {
 	at    Time
 	value interface{}
 
-	// Nearly every future has exactly one waiter, kept inline; the
-	// others follow in wait order.
-	first   *Proc
-	waiters []*Proc
+	// The waiters, in wait order: a queue linked through Proc.waitNext,
+	// which a process parked here uses for nothing else — it awaits one
+	// future at a time — so a wait allocates nothing, however many there
+	// are.
+	first, last *Proc
 }
 
 // NewFuture returns an incomplete future bound to the engine.
@@ -42,13 +43,13 @@ func (f *Future) Complete(value interface{}) {
 	f.done = true
 	f.at = f.e.now
 	f.value = value
-	if f.first != nil {
-		f.e.unpark(f.first, f.e.now)
-		for _, p := range f.waiters {
-			f.e.unpark(p, f.e.now)
-		}
-		f.first, f.waiters = nil, nil
+	for p := f.first; p != nil; {
+		next := p.waitNext
+		p.waitNext = nil
+		f.e.unpark(p, f.e.now)
+		p = next
 	}
+	f.first, f.last = nil, nil
 }
 
 // Await blocks the calling process until the future completes and returns
@@ -61,9 +62,10 @@ func (f *Future) Await(p *Proc) interface{} {
 	if f.first == nil {
 		f.first = p
 	} else {
-		f.waiters = append(f.waiters, p)
+		f.last.waitNext = p
 	}
-	p.park(blockAwait, "")
+	f.last = p
+	p.park(blockAwait, nil)
 	return f.value
 }
 

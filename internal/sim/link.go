@@ -105,7 +105,7 @@ func (l *Link) span(name string, n int64) SpanHandle {
 	if l.e.rec == nil {
 		return SpanHandle{}
 	}
-	return l.e.rec.begin(l, l.name, name, n)
+	return l.e.rec.begin(l.e.rec.track(l, l.name), name, n)
 }
 
 // BytesMoved returns the total bytes transferred so far.

@@ -68,8 +68,14 @@ type Mailbox[T any] struct {
 
 // Init makes m, embedded in a larger record, an empty mailbox bound to
 // the engine. name is what a deadlock report says a process blocked in
-// Get waits for.
-func (m *Mailbox[T]) Init(e *Engine, name string) { *m = Mailbox[T]{e: e, name: name} }
+// Get waits for. A mailbox initialised again — its record recycled —
+// drops what it held but keeps the arrays it has grown.
+func (m *Mailbox[T]) Init(e *Engine, name string) {
+	items, waiters := m.items.s, m.waiters.s
+	clear(items)
+	clear(waiters)
+	*m = Mailbox[T]{e: e, name: name, items: fifo[T]{s: items[:0]}, waiters: fifo[*Proc]{s: waiters[:0]}}
+}
 
 // NewMailbox returns an empty mailbox of untyped messages, for a driver
 // that passes values of mixed types; a record embeds a typed one.
@@ -151,7 +157,7 @@ func (q *pending[T]) take(i int32) T {
 func (m *Mailbox[T]) Get(p *Proc) T {
 	for m.items.len() == 0 {
 		m.waiters.push(p)
-		p.park(blockRecv, m.name)
+		p.park(blockRecv, &m.name)
 	}
 	return m.items.pop()
 }

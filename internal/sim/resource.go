@@ -27,7 +27,7 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.cap {
 		r.waiters.push(p)
-		p.park(blockAcquire, r.name)
+		p.park(blockAcquire, &r.name)
 	}
 	r.inUse++
 }

@@ -18,6 +18,7 @@ type Recorder struct {
 	now    *Time // its engine's clock
 	tracks []*Track
 	byKey  map[interface{}]*Track
+	byProc map[procKey]*Track
 
 	counters    map[string]int64
 	counterSeen []string // insertion order, for deterministic reports
@@ -75,6 +76,7 @@ func newRecorder(now *Time) *Recorder {
 	return &Recorder{
 		now:      now,
 		byKey:    make(map[interface{}]*Track),
+		byProc:   make(map[procKey]*Track),
 		counters: make(map[string]int64),
 	}
 }
@@ -90,21 +92,44 @@ func (r *Recorder) Now() Time { return *r.now }
 func (r *Recorder) Tracks() []*Track { return r.tracks }
 
 // track returns (creating on first use) the track for key. Keys are
-// identities — a *Proc, a *Link — so entities sharing a display name
-// still get distinct tracks; a sharded run keys its tracks by name.
+// identities — a *Link — so entities sharing a display name still get
+// distinct tracks; a sharded run keys its tracks by name.
 func (r *Recorder) track(key interface{}, name string) *Track {
 	if t, ok := r.byKey[key]; ok {
 		return t
 	}
-	t := &Track{ID: len(r.tracks), Name: name}
+	t := r.newTrack(name)
 	r.byKey[key] = t
+	return t
+}
+
+func (r *Recorder) newTrack(name string) *Track {
+	t := &Track{ID: len(r.tracks), Name: name}
 	r.tracks = append(r.tracks, t)
 	return t
 }
 
-// begin opens a span on the track for key at the current virtual time.
-func (r *Recorder) begin(key interface{}, trackName, name string, bytes int64) SpanHandle {
-	t := r.track(key, trackName)
+// procKey is a process's identity: its record and the schedule sequence
+// of its start. A record started again (Engine.Start) is a new process,
+// so it gets a new track, under its new name, as a spawned one would.
+type procKey struct {
+	p    *Proc
+	born uint64
+}
+
+// procTrack is track for process p.
+func (r *Recorder) procTrack(p *Proc) *Track {
+	k := procKey{p, p.born}
+	t, ok := r.byProc[k]
+	if !ok {
+		t = r.newTrack(p.name)
+		r.byProc[k] = t
+	}
+	return t
+}
+
+// begin opens a span on track t at the current virtual time.
+func (r *Recorder) begin(t *Track, name string, bytes int64) SpanHandle {
 	t.Spans = append(t.Spans, Span{
 		Name:  name,
 		Begin: *r.now,
@@ -120,18 +145,16 @@ func (r *Recorder) begin(key interface{}, trackName, name string, bytes int64) S
 // Begin opens a span on the calling process's track. It returns an
 // inert handle when no recorder is attached.
 func (p *Proc) Begin(name string) SpanHandle {
-	if p.e.rec == nil {
-		return SpanHandle{}
-	}
-	return p.e.rec.begin(p, p.name, name, 0)
+	return p.BeginBytes(name, 0)
 }
 
 // BeginBytes is Begin with a byte count attached to the span.
 func (p *Proc) BeginBytes(name string, bytes int64) SpanHandle {
-	if p.e.rec == nil {
+	rec := p.e.rec
+	if rec == nil {
 		return SpanHandle{}
 	}
-	return p.e.rec.begin(p, p.name, name, bytes)
+	return rec.begin(rec.procTrack(p), name, bytes)
 }
 
 // SetBytes attaches (or overrides) the byte count of an open span.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -101,8 +103,33 @@ func TestStartedProcessReportedAndTracked(t *testing.T) {
 	}
 }
 
+// TestRestartedRecordGetsANewTrack: a record started again is a new
+// process on the timeline too — its spans go on a track of their own,
+// under the name it was started with this time, not on the first
+// process's track under the first name.
+func TestRestartedRecordGetsANewTrack(t *testing.T) {
+	e := NewEngine()
+	rec := NewRecorder(e)
+	c := &counter{span: "work"}
+	e.Start(&c.proc, "first", c)
+	e.Spawn("restarter", func(p *Proc) {
+		p.Yield()
+		e.Start(&c.proc, "second", c)
+	})
+	e.Run()
+	var got []string
+	for _, tr := range rec.Tracks() {
+		got = append(got, fmt.Sprintf("%s:%d", tr.Name, len(tr.Spans)))
+	}
+	if strings.Join(got, " ") != "first:1 second:1" {
+		t.Errorf("tracks %v, want one span on each of first and second", got)
+	}
+}
+
 // TestProcSize pins the process record at 96 bytes: records that embed
-// one — a receive, a pipelined sender — pay for every word of it.
+// one — a receive, a pipelined sender — pay for every word of it. A
+// future's waiter link and the pointer to a blocker's name share the
+// two words a name string would take.
 func TestProcSize(t *testing.T) {
 	if n := unsafe.Sizeof(Proc{}); n != 96 {
 		t.Errorf("Proc is %d bytes, want 96", n)
