@@ -25,12 +25,18 @@ check-fast:
 # each fuzz target, and the four report sweeps run twice (chaosbench has
 # one size, the others run -quick) — each pair of JSON reports must be
 # byte-identical (a sweep is a pure function of its inputs).
+# The race step fits an 8 GB host: the race detector's shadow memory
+# costs several bytes per heap byte and is never handed back, so one
+# test binary runs at a time (-p 1) and each collects its garbage before
+# its heap passes 1 GiB (GOMEMLIMIT); under -race the slab pool keeps
+# 256 MiB (internal/mem/budget_race.go), and TestParallelMatchesSerial
+# and the shmem tests' symmetric heaps shrink.
 ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker
 check-full:
 	$(GOFMT_GATE)
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) test -race ./...
+	GOMEMLIMIT=1GiB $(GO) test -race -p 1 ./...
 	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core
 	GPUDDT_MEGA=1 $(GO) test ./internal/bench -run TestMegaSmoke16k -v
 	@set -e; for f in FuzzPackUnpack FuzzDEVSplit FuzzChaosPackUnpack FuzzAlltoallvCounts FuzzMoECounts; do \

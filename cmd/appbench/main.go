@@ -20,7 +20,6 @@
 //	appbench                    # JSON to stdout (full sweep)
 //	appbench -out BENCH_apps.json
 //	appbench -quick             # CI smoke sweep
-//	appbench -tuning TUNING.json  # tuned arm per point from a tuning table
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 
 	"gpuddt/internal/bench"
 	"gpuddt/internal/bench/cli"
-	"gpuddt/internal/tune"
 	"gpuddt/internal/workload"
 )
 
@@ -47,18 +45,10 @@ type Report struct {
 func Run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("appbench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "small sweep for a fast smoke run")
-	tuning := fs.String("tuning", "", "tuning table (TUNING.json) adding a tuned arm per app point")
 	return cli.Report(fs, cli.Profiles(fs), "application benchmark report", args, out, errOut, func() (any, error) {
 		sw := bench.DefaultAppSweep()
 		if *quick {
 			sw = bench.QuickAppSweep()
-		}
-		if *tuning != "" {
-			tbl, err := tune.Load(*tuning)
-			if err != nil {
-				return nil, err
-			}
-			sw.Tune = tbl.TuneFunc()
 		}
 		pts, err := bench.RunApps(sw)
 		if err != nil {

@@ -59,13 +59,6 @@ type Report struct {
 	Chaos       []Point `json:"chaos"`
 }
 
-func cpuPack(dt *datatype.Datatype, count int, src []byte) []byte {
-	c := datatype.NewConverter(dt, count)
-	out := make([]byte, c.Total())
-	c.Pack(out, src)
-	return out
-}
-
 // measure runs one GPU-to-GPU rendezvous transfer of (dt, count) under
 // the given fault rate and returns the receive completion time (virtual)
 // plus the recovery counters. It verifies the payload on every run: a
@@ -88,7 +81,7 @@ func measure(topo string, dt *datatype.Datatype, count int, seed uint64, rate fl
 		case 0:
 			buf := m.Malloc(dt.Span(count))
 			mem.FillPattern(buf, 42)
-			sent = cpuPack(dt, count, buf.Bytes())
+			sent = datatype.PackImage(dt, count, buf.Bytes())
 			m.Barrier()
 			m.Send(buf, dt, count, 1, 5)
 		case 1:
@@ -97,7 +90,7 @@ func measure(topo string, dt *datatype.Datatype, count int, seed uint64, rate fl
 			t0 := m.Now()
 			m.Recv(buf, dt, count, 0, 5)
 			elapsed = m.Now() - t0
-			got = cpuPack(dt, count, buf.Bytes())
+			got = datatype.PackImage(dt, count, buf.Bytes())
 		}
 	})
 	if !bytes.Equal(sent, got) {

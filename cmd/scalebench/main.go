@@ -24,7 +24,6 @@
 //	scalebench -quick            # CI smoke sweep
 //	scalebench -shards 4         # event-heap partitions for modelled points
 //	scalebench -sample 128       # verified ranks per modelled point
-//	scalebench -tuning TUNING.json  # tuned third arm from a tuning table
 //	scalebench -host             # add host measurements (not reproducible)
 package main
 
@@ -36,7 +35,6 @@ import (
 
 	"gpuddt/internal/bench"
 	"gpuddt/internal/bench/cli"
-	"gpuddt/internal/tune"
 )
 
 // Report is the BENCH_scale.json schema. The header mirrors
@@ -59,7 +57,6 @@ func Run(args []string, out, errOut io.Writer) int {
 	quick := fs.Bool("quick", false, "small sweep for a fast smoke run")
 	shards := fs.Int("shards", 0, "event-heap partitions for modelled points, drained in turn; results are identical at any count (0: sweep default)")
 	sample := fs.Int("sample", 0, "content-verified ranks per modelled point (0: sweep default)")
-	tuning := fs.String("tuning", "", "tuning table (TUNING.json) adding a tuned arm per real-payload point")
 	host := fs.Bool("host", false, "also report host measurements: wall_ms and heap_inuse_bytes per point, go_version, go_maxprocs, num_cpu")
 	return cli.Report(fs, cli.Profiles(fs), "scale benchmark report", args, out, errOut, func() (any, error) {
 		sw := bench.DefaultScaleSweep()
@@ -75,13 +72,6 @@ func Run(args []string, out, errOut io.Writer) int {
 			msw.SampleRanks = *sample
 		}
 		sw.MeasureHost, msw.MeasureHost = *host, *host
-		if *tuning != "" {
-			tbl, err := tune.Load(*tuning)
-			if err != nil {
-				return nil, err
-			}
-			sw.Tune = tbl.TuneFunc()
-		}
 		pts, err := bench.RunScale(sw)
 		if err != nil {
 			return nil, err

@@ -26,12 +26,6 @@ type AppPoint struct {
 	ElapsedUs     float64 `json:"elapsed_us"`
 	Digest        string  `json:"digest"`
 	SubarraySpans int     `json:"subarray_spans,omitempty"`
-
-	// TunedUs and TunedSpeedup (default/tuned) are set when the sweep
-	// carries a tuning table holding an "app:<family>" entry for this
-	// point's topology class; the tuned run's payload digest must match.
-	TunedUs      float64 `json:"tuned_us,omitempty"`
-	TunedSpeedup float64 `json:"tuned_speedup,omitempty"`
 }
 
 // AppSweep configures the application sweep.
@@ -54,12 +48,6 @@ type AppSweep struct {
 	StudyHaloBox     int
 	StudyHaloIters   int
 	Policies         []cluster.Policy
-
-	// Tune, if non-nil, adds a tuned arm per single-job point: the
-	// tuning-table lookup for (spec, 0, "app:<family>") replayed on the
-	// same job, digest-verified against the default run. A table miss
-	// leaves the point's tuned fields zero.
-	Tune cluster.TuneFunc
 }
 
 // DefaultAppSweep is the committed-report shape: four rank counts (the
@@ -190,21 +178,6 @@ func RunApps(sw AppSweep) ([]AppPoint, error) {
 					pt.SubarraySpans = workload.CountSpans(rec, "app.halo.face", "subarray(")
 					if pt.SubarraySpans == 0 {
 						return nil, fmt.Errorf("bench: %s/%d ranks: no subarray halo spans recorded", fam, ranks)
-					}
-				}
-				if sw.Tune != nil {
-					if tun := sw.Tune(spec, 0, "app:"+fam); tun != nil {
-						tres, _, err := workload.Run(spec.Tuned(tun).Config(), jobs, nil, workload.Options{})
-						if err != nil {
-							return nil, fmt.Errorf("bench: %s/%d ranks/oversub %d tuned: %w", fam, ranks, ov, err)
-						}
-						if tres[0].Digest != pt.Digest {
-							return nil, fmt.Errorf("bench: %s/%d ranks/oversub %d: tuned payload digest differs", fam, ranks, ov)
-						}
-						pt.TunedUs = tres[0].ElapsedUs
-						if tres[0].ElapsedUs > 0 {
-							pt.TunedSpeedup = pt.ElapsedUs / tres[0].ElapsedUs
-						}
 					}
 				}
 				pts = append(pts, pt)

@@ -22,6 +22,11 @@ import (
 // MegaColls is the collective set the modelled sweep covers.
 var MegaColls = []string{"alltoall", "allgather"}
 
+// serialVerifyMax bounds the points re-run on one shard: a point of at
+// most this many ranks must match its sharded run byte for byte
+// (virtual time, digest, message and event counts).
+const serialVerifyMax = 1024
+
 // MegaShape is one (world size, oversubscription) sweep point.
 type MegaShape struct {
 	Ranks   int
@@ -35,11 +40,6 @@ type MegaSweep struct {
 	RanksPerNode int
 	Shards       int // sharded-engine partitions (clamped to leaf count)
 	SampleRanks  int // ranks with full content verification per point
-
-	// SerialVerifyMax: points with at most this many ranks are re-run
-	// on one shard and must match byte-for-byte
-	// (virtual time, digest, message and event counts).
-	SerialVerifyMax int
 
 	// MeasureHost records wall-clock and Go HeapInuse per point (see
 	// ScaleSweep.MeasureHost).
@@ -59,12 +59,11 @@ func DefaultMegaSweep() MegaSweep {
 	}
 	shapes = append(shapes, MegaShape{Ranks: 16384, Oversub: 2})
 	return MegaSweep{
-		Colls:           MegaColls,
-		Shapes:          shapes,
-		RanksPerNode:    4,
-		Shards:          8,
-		SampleRanks:     64,
-		SerialVerifyMax: 1024,
+		Colls:        MegaColls,
+		Shapes:       shapes,
+		RanksPerNode: 4,
+		Shards:       8,
+		SampleRanks:  64,
 	}
 }
 
@@ -73,12 +72,11 @@ func DefaultMegaSweep() MegaSweep {
 // serially verifying every point.
 func QuickMegaSweep() MegaSweep {
 	return MegaSweep{
-		Colls:           MegaColls,
-		Shapes:          []MegaShape{{32, 2}, {128, 2}, {1024, 2}},
-		RanksPerNode:    4,
-		Shards:          4,
-		SampleRanks:     16,
-		SerialVerifyMax: 1024,
+		Colls:        MegaColls,
+		Shapes:       []MegaShape{{32, 2}, {128, 2}, {1024, 2}},
+		RanksPerNode: 4,
+		Shards:       4,
+		SampleRanks:  16,
 	}
 }
 
@@ -158,7 +156,7 @@ func measureMega(coll string, nodes, rpn, oversub int, sw MegaSweep) (ScalePoint
 		MemPerRank:   (hier.StateBytes + flat.StateBytes) / int64(2*ranks),
 	}
 
-	if ranks <= sw.SerialVerifyMax {
+	if ranks <= serialVerifyMax {
 		serial := opt
 		serial.Spec.Shards = 0
 		serial.Shards = 1

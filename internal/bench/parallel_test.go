@@ -19,13 +19,17 @@ func figureCSV(f *bench.Figure) string {
 // the sweep points fanned out over goroutines: parallelism only changes
 // wall-clock, never virtual time or merge order.
 func TestParallelMatchesSerial(t *testing.T) {
+	sizes := []int{512, 1024}
+	if raceDetector {
+		sizes = sizes[:1] // the parallel driver is raced all the same
+	}
 	cases := []struct {
 		name string
 		run  func() *bench.Figure
 	}{
-		{"fig6", func() *bench.Figure { return bench.Fig6([]int{512, 1024}) }},
-		{"fig9", func() *bench.Figure { return bench.Fig9([]int{512, 1024}) }},
-		{"fig10b", func() *bench.Figure { return bench.Fig10(bench.TwoGPU, []int{512, 1024}) }},
+		{"fig6", func() *bench.Figure { return bench.Fig6(sizes) }},
+		{"fig9", func() *bench.Figure { return bench.Fig9(sizes) }},
+		{"fig10b", func() *bench.Figure { return bench.Fig10(bench.TwoGPU, sizes) }},
 		{"fig12", func() *bench.Figure { return bench.Fig12([]int{256}) }},
 		{"a3", func() *bench.Figure { return bench.AblationRemoteUnpack([]int{512}) }},
 	}

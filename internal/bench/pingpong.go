@@ -53,9 +53,8 @@ type PingPongSpec struct {
 	Dt0      *datatype.Datatype // rank 0's datatype
 	Dt1      *datatype.Datatype // rank 1's (defaults to Dt0)
 	Count    int
-	OnHost   bool // data in host memory instead of GPU (the CPU config)
-	Iters    int
-	Warmup   int
+	OnHost   bool        // data in host memory instead of GPU (the CPU config)
+	Iters    int         // timed round trips (0 = 3)
 	Tuning   *mpi.Tuning // nil = the paper's pipelined protocols at defaults
 	Engine   core.Options
 	BlockCap int     // §5.3: restrict pack/unpack kernels to k blocks
@@ -129,6 +128,9 @@ func PingPong(sp PingPongSpec) sim.Time {
 	return rt
 }
 
+// pingPongWarmup is the number of untimed round trips before the timed ones.
+const pingPongWarmup = 1
+
 // pingPongOn runs sp's warm ping-pong loop between ranks 0 and 1 of a
 // prebuilt world and returns the average round trip.
 func pingPongOn(w *mpi.World, sp PingPongSpec) sim.Time {
@@ -137,9 +139,6 @@ func pingPongOn(w *mpi.World, sp PingPongSpec) sim.Time {
 	}
 	if sp.Iters == 0 {
 		sp.Iters = 3
-	}
-	if sp.Warmup == 0 {
-		sp.Warmup = 1
 	}
 	var rt sim.Time
 	w.Run(func(m *mpi.Rank) {
@@ -154,8 +153,8 @@ func pingPongOn(w *mpi.World, sp PingPongSpec) sim.Time {
 		}
 		m.Barrier()
 		var t0 sim.Time
-		for i := 0; i < sp.Warmup+sp.Iters; i++ {
-			if i == sp.Warmup {
+		for i := 0; i < pingPongWarmup+sp.Iters; i++ {
+			if i == pingPongWarmup {
 				t0 = m.Now()
 			}
 			if m.Rank() == 0 {

@@ -45,12 +45,6 @@ type ScaleSweep struct {
 	// (scalebench -host): a report without it is a pure function of
 	// the source.
 	MeasureHost bool
-
-	// Tune, if non-nil, adds a third arm per point: the tuning-table
-	// lookup for (spec, message bytes, "coll:<name>") replayed on the
-	// same world, digest-verified against the default arm. A table miss
-	// leaves the point's tuned fields zero.
-	Tune cluster.TuneFunc
 }
 
 // DefaultScaleSweep is the committed BENCH_scale.json sweep: 2 to 256
@@ -87,11 +81,6 @@ type ScalePoint struct {
 	FlatUs       float64 `json:"flat_us"`
 	HierUs       float64 `json:"hier_us"`
 	Speedup      float64 `json:"speedup"`
-
-	// TunedUs and TunedSpeedup (default/tuned) are set when the sweep
-	// carries a tuning table and it holds an entry for this point.
-	TunedUs      float64 `json:"tuned_us,omitempty"`
-	TunedSpeedup float64 `json:"tuned_speedup,omitempty"`
 
 	// Mode is "" for real-payload worlds (full protocol stack, real
 	// buffers) and "modelled" for flyweight modelled-payload worlds
@@ -138,7 +127,7 @@ func RunScale(sw ScaleSweep) ([]ScalePoint, error) {
 			}
 			for _, ov := range sw.Oversubs {
 				start := time.Now()
-				pt, err := measureScaleOpt(coll, ranks/rpn, rpn, ov, sw.footprint, sw.Tune)
+				pt, err := measureScale(coll, ranks/rpn, rpn, ov, sw.footprint)
 				if err != nil {
 					return nil, err
 				}
@@ -156,14 +145,10 @@ func RunScale(sw ScaleSweep) ([]ScalePoint, error) {
 }
 
 // measureScale times one collective hier vs flat on the same world.
-// It never records memory: backing-array sizes depend on slab-pool
-// history, and the plain measurement must stay a pure function of its
-// parameters.
-func measureScale(coll string, nodes, rpn, oversub int) (ScalePoint, error) {
-	return measureScaleOpt(coll, nodes, rpn, oversub, false, nil)
-}
-
-func measureScaleOpt(coll string, nodes, rpn, oversub int, withMem bool, tune cluster.TuneFunc) (ScalePoint, error) {
+// withMem records the world's memory footprint per rank, which depends
+// on slab-pool history: without it the measurement is a pure function
+// of its parameters.
+func measureScale(coll string, nodes, rpn, oversub int, withMem bool) (ScalePoint, error) {
 	hierT, hierSum, bytesPer, hierFoot := runScaleColl(coll, nodes, rpn, oversub, nil)
 	flatT, flatSum, _, _ := runScaleColl(coll, nodes, rpn, oversub, &mpi.Tuning{Collectives: mpi.CollFlat})
 	if !bytes.Equal(hierSum, flatSum) {
@@ -183,18 +168,6 @@ func measureScaleOpt(coll string, nodes, rpn, oversub int, withMem bool, tune cl
 	}
 	if withMem {
 		pt.MemPerRank = hierFoot / int64(nodes*rpn)
-	}
-	if tune != nil {
-		spec := cluster.Scale(nodes, rpn, rpn, oversub)
-		if tun := tune(spec, bytesPer, "coll:"+coll); tun != nil {
-			tunedT, tunedSum, _, _ := runScaleColl(coll, nodes, rpn, oversub, tun)
-			if !bytes.Equal(tunedSum, hierSum) {
-				return ScalePoint{}, fmt.Errorf("scale: %s %dx%d oversub %d: tuned payload differs from default",
-					coll, nodes, rpn, oversub)
-			}
-			pt.TunedUs = tunedT.Micros()
-			pt.TunedSpeedup = float64(hierT) / float64(tunedT)
-		}
 	}
 	return pt, nil
 }
@@ -233,21 +206,21 @@ func runScaleColl(coll string, nodes, rpn, oversub int, tun *mpi.Tuning) (sim.Ti
 				mem.FillSynthetic(buf, uint64(1000+root))
 			}
 			run = func() { m.Bcast(buf, dt, count, root) }
-			result = func() []byte { return cpuPack(dt, count, buf.Bytes()) }
+			result = func() []byte { return datatype.PackImage(dt, count, buf.Bytes()) }
 		case "allgather":
 			dt, count := scaleBlock(), 1
 			stride := int64(count) * dt.Extent()
 			buf := m.Malloc(dt.Span(size * count))
 			mem.FillSynthetic(buf.Slice(int64(m.Rank())*stride, dt.Span(count)), uint64(model.SeedAllgather+m.Rank()))
 			run = func() { m.Allgather(buf, dt, count) }
-			result = func() []byte { return cpuPack(dt, size*count, buf.Bytes()) }
+			result = func() []byte { return datatype.PackImage(dt, size*count, buf.Bytes()) }
 		case "alltoall":
 			dt, count := scaleBlock(), 1
 			sendBuf := m.Malloc(dt.Span(size * count))
 			recvBuf := m.Malloc(dt.Span(size * count))
 			mem.FillSynthetic(sendBuf, uint64(model.SeedAlltoall+m.Rank()))
 			run = func() { m.Alltoall(sendBuf, dt, count, recvBuf, dt, count) }
-			result = func() []byte { return cpuPack(dt, size*count, recvBuf.Bytes()) }
+			result = func() []byte { return datatype.PackImage(dt, size*count, recvBuf.Bytes()) }
 		case "reduce":
 			dt, count := datatype.Contiguous(reduceElems, datatype.Int64), 1
 			sendBuf := m.Malloc(dt.Size())
@@ -294,13 +267,4 @@ func runScaleColl(coll string, nodes, rpn, oversub int, tun *mpi.Tuning) (sim.Ti
 		per = reduceElems * 8
 	}
 	return elapsed, h.Sum(nil), per, w.FootprintBytes()
-}
-
-// cpuPack packs (dt, count) from src's bytes with the reference CPU
-// converter — layout-independent ground truth for digests.
-func cpuPack(dt *datatype.Datatype, count int, src []byte) []byte {
-	c := datatype.NewConverter(dt, count)
-	out := make([]byte, c.Total())
-	c.Pack(out, src)
-	return out
 }

@@ -38,7 +38,7 @@ func TestScaleQuickSweep(t *testing.T) {
 // kernels per message — the hier >= 2x flat this test used to ask for
 // compared launch counts, not fabrics).
 func TestScaleAlltoallTarget(t *testing.T) {
-	pt, err := measureScale("alltoall", 32, 4, 2)
+	pt, err := measureScale("alltoall", 32, 4, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestScaleAlltoallTarget(t *testing.T) {
 // TestScaleDeterminism re-measures one point and requires identical
 // virtual times: the sweep must be a pure function of its parameters.
 func TestScaleDeterminism(t *testing.T) {
-	a, err := measureScale("allgather", 4, 4, 2)
+	a, err := measureScale("allgather", 4, 4, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := measureScale("allgather", 4, 4, 2)
+	b, err := measureScale("allgather", 4, 4, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

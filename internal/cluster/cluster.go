@@ -57,18 +57,11 @@ type Spec struct {
 
 	// Tuning overrides the world's protocol knobs — eager threshold,
 	// pipeline geometry, collective algorithm family. Nil selects the
-	// defaults. Set it explicitly (Tuned) or from a persisted tuning
-	// table (internal/tune's Table.TuneFunc); it rides into the
+	// mpi defaults. Install it with Tuned, by hand or from an entry of
+	// an internal/tune table (Entry.Tuning); it rides into the
 	// mpi.Config that Config builds.
 	Tuning *mpi.Tuning
 }
-
-// TuneFunc looks up the protocol tuning a world of shape s should run
-// with when moving messages of msgBytes packed bytes of the given
-// datatype class ("contig", "vector", "irregular", or an "app:" family
-// for whole-application objectives). Nil means "use the defaults" — a
-// miss in the tuning table, which is always safe.
-type TuneFunc func(s Spec, msgBytes int64, dtClass string) *mpi.Tuning
 
 // normalized fills the shape defaults (hardware defaults are filled by
 // mpi.NewWorld, as before).

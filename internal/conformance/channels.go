@@ -180,17 +180,8 @@ func RoundTrip(tr *Tree, cfg RTConfig) error {
 	// an abandoned protocol attempt that kept its scratch or ring slab,
 	// or a message record some party never released, would show up here
 	// as a leak.
-	if out := w.RecordsOutstanding(); out != 0 {
-		return tr.errf("channel "+cfg.String(), "%d message records never came home", out)
-	}
-	for r := 0; r < w.Size(); r++ {
-		rk := w.RankHandle(r)
-		if out := rk.ScratchOutstanding(); out != 0 {
-			return tr.errf("channel "+cfg.String(), "rank %d leaked %d scratch buffers", r, out)
-		}
-		if out := rk.RingOutstanding(); out != 0 {
-			return tr.errf("channel "+cfg.String(), "rank %d leaked %d ring buffers", r, out)
-		}
+	if err := w.Quiescent(); err != nil {
+		return tr.errf("channel "+cfg.String(), "%v", err)
 	}
 
 	if rec != nil {

@@ -211,20 +211,10 @@ func (vc *VCase) errf(what string, cfg VConfig, format string, args ...interface
 		vc.Seed, vc.Tree.Dt.Name(), vc.Size, what, cfg, fmt.Sprintf(format, args...))
 }
 
-// checkQuiescent asserts no staging buffer or message record leaked out
-// of the run.
+// checkQuiescent asserts nothing leaked out of the run (World.Quiescent).
 func (vc *VCase) checkQuiescent(w *mpi.World, what string, cfg VConfig) error {
-	if out := w.RecordsOutstanding(); out != 0 {
-		return vc.errf(what, cfg, "%d message records never came home", out)
-	}
-	for r := 0; r < w.Size(); r++ {
-		rk := w.RankHandle(r)
-		if out := rk.ScratchOutstanding(); out != 0 {
-			return vc.errf(what, cfg, "rank %d leaked %d scratch buffers", r, out)
-		}
-		if out := rk.RingOutstanding(); out != 0 {
-			return vc.errf(what, cfg, "rank %d leaked %d ring buffers", r, out)
-		}
+	if err := w.Quiescent(); err != nil {
+		return vc.errf(what, cfg, "%v", err)
 	}
 	return nil
 }

@@ -30,12 +30,7 @@ func newRig(t testing.TB, opts Options) *rig {
 }
 
 // cpuPack is the reference packing.
-func cpuPack(dt *datatype.Datatype, count int, src []byte) []byte {
-	c := datatype.NewConverter(dt, count)
-	out := make([]byte, c.Total())
-	c.Pack(out, src)
-	return out
-}
+var cpuPack = datatype.PackImage
 
 func packOnGPU(t *testing.T, r *rig, dt *datatype.Datatype, count int) (got, want []byte, dur sim.Time) {
 	t.Helper()

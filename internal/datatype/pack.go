@@ -164,6 +164,16 @@ func (c *Converter) advanceCanon(cv *CanonVec, max int64, emit func(memOff, pack
 // src must cover the data region [0, count*extent) of the layout.
 func (c *Converter) Pack(dst, src []byte) int64 { return c.move(src, dst, false) }
 
+// PackImage packs the whole (dt, count) layout over src into a fresh
+// slice: the layout-independent reference image that payload digests
+// compare, blind to whatever the gaps between blocks hold.
+func PackImage(dt *Datatype, count int, src []byte) []byte {
+	c := NewConverter(dt, count)
+	out := make([]byte, c.Total())
+	c.Pack(out, src)
+	return out
+}
+
 // Unpack copies up to len(src) packed bytes from src into the layout over
 // dst, starting at the current position, and returns the bytes consumed.
 func (c *Converter) Unpack(dst, src []byte) int64 { return c.move(dst, src, true) }

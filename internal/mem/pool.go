@@ -23,7 +23,7 @@ import (
 // The pool is bounded by bytes alone. A world of 64 ranks releases
 // about 150 slabs, most of them small; a bound on their number evicts
 // what the next world of the same shape is about to ask for.
-var poolBudget int64 = 6 << 30 // max bytes parked in the pool; tests lower it
+var poolBudget int64 = defaultPoolBudget // max bytes parked in the pool; tests lower it
 
 // Slabs are parked by capacity class: poolClass[k] holds those with
 // 2^k <= cap < 2^(k+1), newest last. Space.ensure asks for powers of

@@ -31,6 +31,7 @@ func TestSlabPoolRoundTrip(t *testing.T) {
 
 func TestSlabPoolRejectsOversizedHandout(t *testing.T) {
 	drainPool()
+	setPoolBudget(t, 1<<30) // the race build's default would evict it
 	putSlab(make([]byte, 1<<30))
 	if s := getSlab(1 << 12); s != nil {
 		t.Fatalf("a 1 GB slab must not serve a 4 KB request (cap %d)", cap(s))

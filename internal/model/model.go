@@ -51,12 +51,11 @@ const (
 )
 
 // Calibration constants of the first-order cost model. The eager limit
-// mirrors the mpi default (the intra-node active-message hop is
-// mpi.AMLatency itself); the pack constants approximate a GPU pack
-// kernel (launch overhead plus streaming rate) rather than
-// re-simulating the pipeline.
+// is mpi.DefaultEager and the intra-node active-message hop is
+// mpi.AMLatency; the pack constants approximate a GPU pack kernel
+// (launch overhead plus streaming rate) rather than re-simulating the
+// pipeline.
 const (
-	modelEager     = 64 << 10             // mpi Proto.EagerLimit default
 	packLaunch     = 5 * sim.Microsecond  // per-message pack/unpack kernel launch
 	packGBps       = 60.0                 // pack/unpack streaming rate
 	busGBpsDefault = 10.0                 // intra-node bus (PCIe root complex)
@@ -445,7 +444,7 @@ func (w *world) send(sc *sim.ShardCtx, from, to sim.ActorID, kind, round int32, 
 
 	if sn == dn {
 		// Intra-node: active message over the shared bus.
-		if bytes > modelEager {
+		if bytes > mpi.DefaultEager {
 			st += 2 * mpi.AMLatency // rendezvous handshake
 		}
 		bs := st
@@ -463,7 +462,7 @@ func (w *world) send(sc *sim.ShardCtx, from, to sim.ActorID, kind, round int32, 
 	sl, dl := sn/w.radix, dn/w.radix
 	if sl == dl {
 		// Same leaf: one switch, source NIC tx and destination NIC rx.
-		if bytes > modelEager {
+		if bytes > mpi.DefaultEager {
 			st += 2 * w.lat
 		}
 		ts := st
@@ -484,7 +483,7 @@ func (w *world) send(sc *sim.ShardCtx, from, to sim.ActorID, kind, round int32, 
 	// Spine-crossing: source NIC tx and the (leaf, spine) uplink are
 	// charged here; the downlink and destination NIC in the relay
 	// stage, when the message reaches the destination leaf.
-	if bytes > modelEager {
+	if bytes > mpi.DefaultEager {
 		st += 2 * (w.lat + 2*w.hopLat)
 	}
 	spine := (sn + dn) % w.spines

@@ -119,17 +119,8 @@ func TestChaosScratchNoLeak(t *testing.T) {
 			if path.attempt == "" && (ran["mpi.send.ring"] || ran["mpi.send.direct"]) {
 				t.Errorf("%s: the sender ran a zero-copy attempt", what)
 			}
-			if out := w.RecordsOutstanding(); out != 0 {
-				t.Errorf("%s: %d message records never came home", what, out)
-			}
-			for r := 0; r < w.Size(); r++ {
-				rk := w.RankHandle(r)
-				if out := rk.ScratchOutstanding(); out != 0 {
-					t.Errorf("%s: rank %d: %d scratch buffers leaked", what, r, out)
-				}
-				if out := rk.RingOutstanding(); out != 0 {
-					t.Errorf("%s: rank %d: %d ring buffers leaked", what, r, out)
-				}
+			if err := w.Quiescent(); err != nil {
+				t.Errorf("%s: %v", what, err)
 			}
 		}
 	}

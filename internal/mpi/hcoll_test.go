@@ -50,21 +50,12 @@ func TestHierDispatchSelection(t *testing.T) {
 	}
 }
 
-// checkQuiescent asserts no rank leaked staging, and no message record
-// was left away from home, after the collective.
+// checkQuiescent asserts the world held nothing back after the
+// collective (World.Quiescent).
 func checkQuiescent(t *testing.T, w *World, what string) {
 	t.Helper()
-	if out := w.RecordsOutstanding(); out != 0 {
-		t.Fatalf("%s: %d message records never came home", what, out)
-	}
-	for r := 0; r < w.Size(); r++ {
-		rk := w.RankHandle(r)
-		if out := rk.ScratchOutstanding(); out != 0 {
-			t.Fatalf("%s: rank %d leaked %d scratch buffers", what, r, out)
-		}
-		if out := rk.RingOutstanding(); out != 0 {
-			t.Fatalf("%s: rank %d leaked %d ring buffers", what, r, out)
-		}
+	if err := w.Quiescent(); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 }
 

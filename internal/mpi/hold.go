@@ -49,7 +49,7 @@ type stage struct {
 // takeStage hands out a stage of at least n bytes of pinned host memory
 // with room for blocks blocks, all left in place, reusing a released one
 // — its buffer and its blocks array; release returns it. Stages are counted with the scratch
-// buffers (ScratchOutstanding) but pooled apart from them: a scratch
+// buffers (World.Quiescent) but pooled apart from them: a scratch
 // buffer is an RDMA bounce buffer, registered with the HCA under its
 // address, and a stage passing through that pool would change which
 // addresses later messages find registered.

@@ -46,10 +46,6 @@ func (m *Rank) startColl(name string, bytes int64, ntags int, body func(p *sim.P
 	return req
 }
 
-// CollOutstanding reports nonblocking collectives started but not yet
-// completed. Zero after a quiescent point (every request waited on).
-func (m *Rank) CollOutstanding() int { return m.collOut }
-
 // cloneInts snapshots a count/displacement vector at call time, so the
 // caller may reuse its slices immediately after an I* call returns.
 func cloneInts(v []int) []int {

@@ -11,12 +11,8 @@ import (
 	"gpuddt/internal/sim"
 )
 
-func cpuPack(dt *datatype.Datatype, count int, src []byte) []byte {
-	c := datatype.NewConverter(dt, count)
-	out := make([]byte, c.Total())
-	c.Pack(out, src)
-	return out
-}
+// cpuPack is the reference packing.
+var cpuPack = datatype.PackImage
 
 // xfer runs a single Send/Recv between rank 0 and rank 1 with the given
 // buffers/types and returns the packed images of both sides.

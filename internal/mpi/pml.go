@@ -411,9 +411,7 @@ func (m *Rank) packToHost(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, co
 		m.engineFor(buf).Pack(p, buf, dt, count, dst)
 		return
 	}
-	c := datatype.NewConverter(dt, count)
-	m.ctx.Node().HostBus().Transfer(p, 2*c.Total())
-	c.Pack(dst.Bytes(), buf.Bytes())
+	m.CPUPack(p, buf, dt, count, dst)
 }
 
 // unpackFromHost is the inverse of packToHost.
@@ -426,7 +424,5 @@ func (m *Rank) unpackFromHost(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype
 		m.engineFor(buf).UnpackPrefix(p, buf, dt, count, src)
 		return
 	}
-	c := datatype.NewConverter(dt, count)
-	m.ctx.Node().HostBus().Transfer(p, 2*src.Len())
-	c.Unpack(buf.Bytes(), src.Bytes())
+	m.CPUUnpack(p, buf, dt, count, src)
 }

@@ -37,7 +37,7 @@ type Rank struct {
 	scratchPooled  int64 // bytes currently retained in scratchPool
 	scratchPeak    int64 // high-water mark of retained bytes
 	scratchLargest int64 // largest single scratch request seen
-	scratchOut     int64 // scratch buffers handed out, not yet returned
+	scratchOut     int64 // scratch buffers and stages handed out, not yet returned
 	ringPool       map[*mem.Space][]mem.Buffer
 	ringOut        int64 // ring buffers handed out, not yet returned
 
@@ -46,7 +46,7 @@ type Rank struct {
 	winSeq     int
 	barrierBox amQueue
 
-	collOut  int // nonblocking collectives in flight (see CollOutstanding)
+	collOut  int // nonblocking collectives in flight (see World.Quiescent)
 	icollSeq int // nonblocking collectives started, for process names
 
 	stagePool []*stage   // released collective stages (see takeStage)
@@ -120,16 +120,6 @@ func (m *Rank) FreeScratchHost(b mem.Buffer) { m.freeScratch(b) }
 // ScratchStats reports the scratch pool's currently retained bytes and
 // the high-water mark of retained bytes over the rank's lifetime.
 func (m *Rank) ScratchStats() (pooled, peak int64) { return m.scratchPooled, m.scratchPeak }
-
-// ScratchOutstanding reports scratch buffers and collective stages
-// handed out and not yet returned to their pools. After a quiescent
-// point (all requests waited on) it must be zero — anything else is a
-// leak, e.g. a protocol attempt abandoned on a fault without releasing
-// its staging.
-func (m *Rank) ScratchOutstanding() int64 { return m.scratchOut }
-
-// RingOutstanding is ScratchOutstanding for the staging-ring pool.
-func (m *Rank) RingOutstanding() int64 { return m.ringOut }
 
 // CPUPack packs host-resident (buf, dt, count) into dst on the CPU,
 // charging the host memory bus.

@@ -1,6 +1,10 @@
 package mpi
 
-import "gpuddt/internal/mem"
+import (
+	"fmt"
+
+	"gpuddt/internal/mem"
+)
 
 // A message's records come home (DESIGN decision 30). Every record of a
 // message — its send (eagerReq, sendReq), its receive (recvReq), the
@@ -105,10 +109,29 @@ func (rs *records) retire() {
 	}
 }
 
-// RecordsOutstanding reports the message records the library took for
-// its own use and that have not come home. After Run it must be zero:
-// anything else is a record some party never released.
-func (w *World) RecordsOutstanding() int { return w.recs.out }
+// Quiescent reports what a finished world still holds: a message record
+// the library took for its own use that never came home, or a scratch
+// buffer or collective stage, a staging-ring buffer or a nonblocking
+// collective some rank never returned. After Run every count must be
+// zero; anything else is a leak, e.g. a protocol attempt abandoned on a
+// fault without releasing its staging. The error names the first kind
+// found, and the first rank holding it.
+func (w *World) Quiescent() error {
+	if w.recs.out != 0 {
+		return fmt.Errorf("mpi: %d message records never came home", w.recs.out)
+	}
+	for _, m := range w.ranks {
+		switch {
+		case m.scratchOut != 0:
+			return fmt.Errorf("mpi: rank %d: %d scratch buffers outstanding", m.rank, m.scratchOut)
+		case m.ringOut != 0:
+			return fmt.Errorf("mpi: rank %d: %d ring buffers outstanding", m.rank, m.ringOut)
+		case m.collOut != 0:
+			return fmt.Errorf("mpi: rank %d: %d nonblocking collectives outstanding", m.rank, m.collOut)
+		}
+	}
+	return nil
+}
 
 // record is a message record a request heads or an RTS rides in.
 type record interface{ release() }

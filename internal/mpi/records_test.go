@@ -66,8 +66,8 @@ func TestPublicRequestsAreNeverRecycled(t *testing.T) {
 			t.Errorf("message %d: payload mismatched", i)
 		}
 	}
-	if out := w.RecordsOutstanding(); out != 0 {
-		t.Errorf("%d message records never came home", out)
+	if err := w.Quiescent(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestLateAcksStayWithTheirMessage(t *testing.T) {
 			t.Errorf("message %d: payload mismatched", i)
 		}
 	}
-	if out := w.RecordsOutstanding(); out != 0 {
-		t.Errorf("%d message records never came home", out)
+	if err := w.Quiescent(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -162,8 +162,8 @@ func TestFallbackOverRecycledRecords(t *testing.T) {
 			if n := rec.Counter("mpi.fallback"); n != msgs {
 				t.Errorf("%s: %d fallbacks, want %d", what, n, msgs)
 			}
-			if out := w.RecordsOutstanding(); out != 0 {
-				t.Errorf("%s: %d message records never came home", what, out)
+			if err := w.Quiescent(); err != nil {
+				t.Errorf("%s: %v", what, err)
 			}
 		}
 	}
@@ -243,11 +243,11 @@ func TestDoubleReleasePanicsNamingTheKind(t *testing.T) {
 		{"ACK", func() record { return w.recs.ack.take(w, 1) }},
 	} {
 		rec := tc.take()
-		if out := w.RecordsOutstanding(); out != 1 {
+		if out := w.recs.out; out != 1 {
 			t.Errorf("%s: %d records outstanding once taken, want 1", tc.kind, out)
 		}
 		rec.release()
-		if out := w.RecordsOutstanding(); out != 0 {
+		if out := w.recs.out; out != 0 {
 			t.Errorf("%s: %d records outstanding once home, want 0", tc.kind, out)
 		}
 		func() {
@@ -259,4 +259,38 @@ func TestDoubleReleasePanicsNamingTheKind(t *testing.T) {
 			rec.release()
 		}()
 	}
+}
+
+// TestQuiescentNamesTheLeak: World.Quiescent reports a message record
+// away from home by its kind, and a scratch buffer a rank never returned
+// by its kind and rank; once both are back it reports nothing, and
+// allocates nothing to say so.
+func TestQuiescentNamesTheLeak(t *testing.T) {
+	w := NewWorld(twoRanksSameGPU())
+	defer w.Close()
+	quiet := func(what string) {
+		t.Helper()
+		if err := w.Quiescent(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	quiet("fresh world")
+	if n := testing.AllocsPerRun(100, func() { _ = w.Quiescent() }); n != 0 {
+		t.Errorf("a quiet world's check allocates %v objects, want 0", n)
+	}
+
+	rq := w.recs.recv.take(w, 1)
+	if err, want := w.Quiescent(), "mpi: 1 message records never came home"; err == nil || err.Error() != want {
+		t.Errorf("record away from home: %v, want %q", err, want)
+	}
+	rq.release()
+	quiet("record home")
+
+	m := w.RankHandle(1)
+	b := m.scratch(64)
+	if err, want := w.Quiescent(), "mpi: rank 1: 1 scratch buffers outstanding"; err == nil || err.Error() != want {
+		t.Errorf("scratch buffer kept: %v, want %q", err, want)
+	}
+	m.freeScratch(b)
+	quiet("scratch buffer returned")
 }

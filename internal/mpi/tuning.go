@@ -3,17 +3,17 @@ package mpi
 import "gpuddt/internal/sim"
 
 // Tuning is the one typed bundle of protocol knobs a world runs under:
-// benchmarks and tools construct a Tuning (by hand, or by loading a
-// persisted tuning table through cluster.Spec) and install it as
-// Config.Tuning; everything else reads the resolved values. Zero fields
+// benchmarks and tools construct a Tuning (by hand, or from an entry of
+// an internal/tune table) and install it as Config.Tuning; everything
+// else reads the resolved values. Zero fields
 // select the defaults, so a nil and an empty Tuning are byte-identical.
 type Tuning struct {
-	// Eager bounds the packed size sent eagerly. nil means the default
-	// (64 KiB); Eager(0) genuinely forces rendezvous for every message —
-	// the pointer is what tells an explicit 0 from "unset".
+	// Eager bounds the packed size sent eagerly. nil means DefaultEager;
+	// Eager(0) genuinely forces rendezvous for every message — the
+	// pointer is what tells an explicit 0 from "unset".
 	Eager *int64
 
-	// FragBytes is the pipeline fragment size (0 = 1 MiB).
+	// FragBytes is the pipeline fragment size (0 = DefaultFragBytes).
 	FragBytes int64
 
 	// PipelineDepth is the number of ring slots (0 = 4).
@@ -30,6 +30,14 @@ type Tuning struct {
 	// (nil = the paper's pipelined protocols).
 	Strategy Strategy
 }
+
+// The protocol defaults a Tuning's zero fields select. They are stated
+// here only: the tuner's default entry and the modelled worlds of
+// internal/model read them too.
+const (
+	DefaultEager     = 64 << 10 // packed bytes sent eagerly
+	DefaultFragBytes = 1 << 20  // rendezvous pipeline fragment size
+)
 
 // AMLatency is the latency of a shared-memory active message between two
 // ranks of one node. The modelled worlds of internal/model charge the
@@ -100,8 +108,8 @@ type resolvedTuning struct {
 // knob set.
 func resolveTuning(t *Tuning) resolvedTuning {
 	r := resolvedTuning{
-		eager: 64 << 10,
-		frag:  1 << 20,
+		eager: DefaultEager,
+		frag:  DefaultFragBytes,
 		depth: 4,
 	}
 	if t != nil {

@@ -55,7 +55,7 @@ func runVChaos(t *testing.T, cfg Config) ([][]byte, *World) {
 		r2 := m.Ialltoallv(vs, sc[me], sd, dt, vr, rc[me], rd, dt)
 		r3 := m.Ibarrier()
 		m.WaitAll(r1, r2, r3)
-		outstanding[me] = m.CollOutstanding()
+		outstanding[me] = m.collOut
 		for r := 0; r < size; r++ {
 			if agc[r] > 0 {
 				imgs[me] = append(imgs[me], cpuPack(dt, agc[r], vslot(gbuf, dt, agc[r], agd[r]).Bytes())...)

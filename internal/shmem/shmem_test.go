@@ -11,12 +11,12 @@ import (
 )
 
 func twoPEs() Config {
-	return Config{Ranks: []mpi.Placement{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}}}
+	return Config{Ranks: []mpi.Placement{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}}, HeapBytes: testHeapBytes}
 }
 func fourPEs() Config {
 	return Config{Ranks: []mpi.Placement{
 		{Node: 0, GPU: 0}, {Node: 0, GPU: 1}, {Node: 1, GPU: 0}, {Node: 1, GPU: 1},
-	}}
+	}, HeapBytes: testHeapBytes}
 }
 
 func TestSymmetricAddressesMatch(t *testing.T) {
@@ -73,9 +73,7 @@ func TestIPutStrided(t *testing.T) {
 		if pe.Rank() == 0 {
 			local := pe.Underlying().Malloc(span)
 			mem.FillPattern(local, 33)
-			c := datatype.NewConverter(vec, 1)
-			want = make([]byte, c.Total())
-			c.Pack(want, local.Bytes())
+			want = datatype.PackImage(vec, 1, local.Bytes())
 			// Strided local data lands contiguously at the target.
 			pe.IPut(sym, contigDT, 1, local, vec, 1, 1)
 			pe.BarrierAll()
@@ -107,9 +105,7 @@ func TestIGetScatter(t *testing.T) {
 			span := int64(ld*ncol) * 8
 			local := pe.Underlying().Malloc(span)
 			pe.IGet(local, vec, 1, sym, contigDT, 1, 1)
-			c := datatype.NewConverter(vec, 1)
-			got = make([]byte, c.Total())
-			c.Pack(got, local.Bytes())
+			got = datatype.PackImage(vec, 1, local.Bytes())
 		}
 		pe.BarrierAll()
 	})

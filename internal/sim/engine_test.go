@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSleepAdvancesTime(t *testing.T) {
@@ -322,7 +323,7 @@ func TestRunTwicePanics(t *testing.T) {
 // through its deferred calls, every idle carrier has been stopped, and
 // no goroutine outlives the call. Idle servers hold no coroutine.
 func TestRunUnwindsParkedDaemons(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	e := NewEngine()
 	never := e.NewFuture()
 	unwound := 0
@@ -359,9 +360,25 @@ func TestRunUnwindsParkedDaemons(t *testing.T) {
 	if len(e.idle) != 0 {
 		t.Fatalf("%d idle carriers left after Run", len(e.idle))
 	}
-	if n := runtime.NumGoroutine(); n != base {
+	if n := settledGoroutines(); n > base {
 		t.Fatalf("%d goroutines after Run, %d before", n, base)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for ten reads a millisecond apart, or after a second: a goroutine an
+// earlier test left exiting is not counted, one that stays is.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still, end := 0, time.Now().Add(time.Second); still < 10 && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }
 
 // TestCarrierReuse: a thousand short processes one after another, beside

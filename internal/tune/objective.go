@@ -95,8 +95,7 @@ func (o P2P) Run(spec cluster.Spec, tun *mpi.Tuning) (Eval, error) {
 			// Digest only the datatype-selected bytes: the gaps are
 			// untouched memory, which mem's slab recycling leaves
 			// unspecified between worlds.
-			img = make([]byte, o.bytes())
-			datatype.NewConverter(o.Dt, o.Count).Pack(img, buf.Bytes())
+			img = datatype.PackImage(o.Dt, o.Count, buf.Bytes())
 		}
 	})
 	ev := Eval{

@@ -55,43 +55,29 @@ func DefaultSpace() Space {
 	}
 }
 
-// Candidate is one grid point.
-type Candidate struct {
-	Eager int64
-	Frag  int64
-	Coll  string
-}
-
-// Tuning materializes the candidate for a world.
-func (c Candidate) Tuning() (*mpi.Tuning, error) {
-	return Entry{Eager: c.Eager, Frag: c.Frag, Coll: c.Coll}.Tuning()
-}
-
-// defaultCandidate mirrors the resolved defaults, so a table entry is
-// meaningful even when no candidate beat them.
-func defaultCandidate() Candidate {
-	return Candidate{Eager: 64 << 10, Frag: 1 << 20, Coll: "auto"}
-}
+// defaultEntry holds the knobs a world resolves with no tuning, so a
+// table entry is meaningful even when no candidate beat them.
+var defaultEntry = Entry{Eager: mpi.DefaultEager, Frag: mpi.DefaultFragBytes, Coll: "auto"}
 
 // candidates enumerates the grid for an objective kind, in the fixed
 // order ties are broken in (first strictly-better candidate wins).
-func candidates(kind Kind, s Space) []Candidate {
-	def := defaultCandidate()
-	var out []Candidate
+func candidates(kind Kind, s Space) []Entry {
+	def := defaultEntry
+	var out []Entry
 	switch kind {
 	case KindP2P:
 		for _, e := range s.Eager {
 			for _, f := range s.Frag {
-				out = append(out, Candidate{Eager: e, Frag: f, Coll: def.Coll})
+				out = append(out, Entry{Eager: e, Frag: f, Coll: def.Coll})
 			}
 		}
 	case KindColl:
 		for _, c := range s.Coll {
-			out = append(out, Candidate{Eager: def.Eager, Frag: def.Frag, Coll: c})
+			out = append(out, Entry{Eager: def.Eager, Frag: def.Frag, Coll: c})
 		}
 	case KindApp:
 		for _, e := range s.Eager {
-			out = append(out, Candidate{Eager: e, Frag: def.Frag, Coll: def.Coll})
+			out = append(out, Entry{Eager: e, Frag: def.Frag, Coll: def.Coll})
 		}
 	}
 	return out
@@ -130,7 +116,7 @@ func Run(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tune: %s default run: %w", key, err)
 		}
-		best := defaultCandidate()
+		best := defaultEntry
 		bestUs := def.Us
 		for _, cand := range candidates(pt.Obj.Kind(), cfg.Space) {
 			tun, err := cand.Tuning()
@@ -149,10 +135,8 @@ func Run(cfg Config) (*Table, error) {
 				best = cand
 			}
 		}
-		tbl.Entries[key] = Entry{
-			Eager: best.Eager, Frag: best.Frag, Coll: best.Coll,
-			DefaultUs: def.Us, TunedUs: bestUs,
-		}
+		best.DefaultUs, best.TunedUs = def.Us, bestUs
+		tbl.Entries[key] = best
 	}
 	tbl.Seal()
 	return tbl, nil
@@ -187,7 +171,7 @@ func DefaultPoints(seed uint64) []Point {
 		{Spec: cluster.Scale(16, 2, 2, 4), Obj: Coll{Op: "reduce", Elems: 1 << 15}},
 		{Spec: cluster.Scale(8, 2, 2, 1), Obj: Coll{Op: "allreduce", Elems: 1 << 15}},
 		// scalebench's reduce geometry (4096 Int64 on a 2:1 fat tree), so
-		// `scalebench -tuning TUNING.json` hits the committed table.
+		// tunebench replays a tuned arm of that sweep point.
 		{Spec: cluster.Scale(8, 4, 4, 2), Obj: Coll{Op: "reduce", Elems: 4096}},
 		{Spec: cluster.Scale(4, 4, 4, 4), Obj: App{Family: "ml-ring", Seed: seed}},
 	}

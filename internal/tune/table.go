@@ -7,9 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-
-	"gpuddt/internal/cluster"
-	"gpuddt/internal/mpi"
 )
 
 // TableVersion is the current tuning-table schema version. Bump it
@@ -103,23 +100,4 @@ func Load(path string) (*Table, error) {
 		return nil, err
 	}
 	return Parse(raw)
-}
-
-// TuneFunc adapts the table to the cluster-level lookup hook: worlds
-// ask with their spec's topology class, message size and datatype
-// class; a table miss returns nil (run the defaults). Entries with a
-// malformed collective mode also return nil — a table that passed
-// Parse cannot contain one, but a hand-built Table might.
-func (t *Table) TuneFunc() cluster.TuneFunc {
-	return func(s cluster.Spec, msgBytes int64, dtClass string) *mpi.Tuning {
-		e, ok := t.Lookup(Key{Topo: s.TopoClass(), Size: SizeClass(msgBytes), DT: dtClass})
-		if !ok {
-			return nil
-		}
-		tun, err := e.Tuning()
-		if err != nil {
-			return nil
-		}
-		return tun
-	}
 }

@@ -3,10 +3,13 @@
 // size, collective algorithm family (flat, host-hierarchical, or
 // SHARP-style in-network) — against simulated virtual time, one entry
 // per (topology class, message-size bucket, datatype class) key, and
-// persists the result as a versioned JSON tuning table that any world
-// can load through cluster.Spec. The paper hand-tuned these constants
-// per machine (§5); TEMPI-style canonical datatype classes keep the
-// key space small enough that a committed table generalizes.
+// persists the result as a versioned JSON tuning table. RunBench (the
+// tunebench report) replays every entry against the defaults at the
+// point it was found; a caller of its own looks an entry up
+// (Table.Lookup), materializes it (Entry.Tuning) and installs it on a
+// cluster.Spec (Spec.Tuned). The paper hand-tuned these constants per
+// machine (§5); TEMPI-style canonical datatype classes keep the key
+// space small enough that a committed table generalizes.
 //
 // Every candidate evaluation is digest-verified against the default
 // configuration's payload, so a tuning table can change *when* bytes

@@ -184,35 +184,6 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestTuneFuncLookup(t *testing.T) {
-	tbl := &Table{
-		Version: TableVersion,
-		Entries: map[string]Entry{
-			"flat/64K/vector": {Eager: 0, Frag: 256 << 10, Coll: "auto"},
-			"flat/1M/bogus":   {Eager: 0, Frag: 1 << 20, Coll: "banana"},
-		},
-	}
-	fn := tbl.TuneFunc()
-	spec := cluster.TwoNode()
-
-	tun := fn(spec, 16<<10, "vector")
-	if tun == nil {
-		t.Fatal("hit returned nil")
-	}
-	if tun.Eager == nil || *tun.Eager != 0 || tun.FragBytes != 256<<10 {
-		t.Errorf("hit returned wrong tuning: %+v", tun)
-	}
-	if fn(spec, 16<<10, "contig") != nil {
-		t.Error("miss did not return nil")
-	}
-	if fn(spec, 512<<10, "bogus") != nil {
-		t.Error("malformed entry did not return nil")
-	}
-	if fn(cluster.OneGPU(), 16<<10, "vector") != nil {
-		t.Error("wrong topo class did not return nil")
-	}
-}
-
 // TestOversubscribedSpeedup pins the headline result: on an
 // oversubscribed fat tree the tuner must find a collective configuration
 // at least 1.2x faster than the defaults, without changing the payload.

@@ -28,7 +28,6 @@ type Study struct {
 	RanksPerJob  int
 	Policy       cluster.Policy
 	Jobs         []StudyJob
-	FSGBps       float64
 	Trace        bool // trace the together-run
 }
 
@@ -72,7 +71,7 @@ func RunStudy(st Study) (StudyResult, *sim.Recorder, []JobSpec, error) {
 		jobs[j] = JobSpec{Name: sj.Name, W: sj.W, Seed: sj.Seed, Ranks: jobRanks[j]}
 	}
 
-	together, rec, err := Run(cfg, jobs, nil, Options{Trace: st.Trace, FSGBps: st.FSGBps})
+	together, rec, err := Run(cfg, jobs, nil, Options{Trace: st.Trace})
 	if err != nil {
 		return StudyResult{}, nil, nil, fmt.Errorf("together: %w", err)
 	}
@@ -87,7 +86,7 @@ func RunStudy(st Study) (StudyResult, *sim.Recorder, []JobSpec, error) {
 	for j := range jobs {
 		active := make([]bool, len(jobs))
 		active[j] = true
-		alone, _, err := Run(cfg, jobs, active, Options{FSGBps: st.FSGBps})
+		alone, _, err := Run(cfg, jobs, active, Options{})
 		if err != nil {
 			return StudyResult{}, nil, nil, fmt.Errorf("alone %q: %w", jobs[j].Name, err)
 		}

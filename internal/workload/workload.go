@@ -86,10 +86,10 @@ type JobResult struct {
 type Options struct {
 	// Trace attaches a span recorder to the run's engine.
 	Trace bool
-
-	// FSGBps is the shared file-system bandwidth (default 3).
-	FSGBps float64
 }
+
+// fsGBps is the bandwidth of the file system the jobs of a run share.
+const fsGBps = 3
 
 // Run builds a world from cfg and executes every job whose entry in
 // active is true (active == nil runs all). Inactive jobs' ranks exist
@@ -125,11 +125,6 @@ func Run(cfg mpi.Config, jobs []JobSpec, active []bool, opt Options) ([]JobResul
 			}
 			jobOf[r] = j
 		}
-	}
-
-	fsGBps := opt.FSGBps
-	if fsGBps == 0 {
-		fsGBps = 3
 	}
 
 	w := mpi.NewWorld(cfg)
@@ -175,13 +170,10 @@ func Run(cfg mpi.Config, jobs []JobSpec, active []bool, opt Options) ([]JobResul
 		errs[m.Rank()] = err
 	})
 
-	// Nothing a job borrowed from its ranks' pools may be outstanding
-	// once every process has returned.
-	for r := 0; r < size; r++ {
-		m := w.RankHandle(r)
-		if s, g, c := m.ScratchOutstanding(), m.RingOutstanding(), m.CollOutstanding(); s != 0 || g != 0 || c != 0 {
-			return nil, nil, fmt.Errorf("workload: rank %d finished with %d scratch buffers, %d ring buffers and %d collectives outstanding", r, s, g, c)
-		}
+	// Nothing a job borrowed from the library may be outstanding once
+	// every process has returned.
+	if err := w.Quiescent(); err != nil {
+		return nil, nil, fmt.Errorf("workload: %w", err)
 	}
 
 	var out []JobResult
