@@ -9,9 +9,20 @@ all: check-fast
 # Any file gofmt would rewrite fails the gate.
 GOFMT_GATE = @out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
+# Every package under internal/ except the test oracle (conformance)
+# must be reached from a command, the benchmark or an example: a package
+# nothing runs fails the gate.
+ORPHAN_GATE = @deps=$$($(GO) list -deps ./cmd/... ./benchmark ./examples/...); \
+	orphans=$$(for p in $$($(GO) list ./internal/...); do \
+		case "$$p" in */internal/conformance) continue ;; esac; \
+		echo "$$deps" | grep -qx "$$p" || echo "$$p"; \
+	done); \
+	if [ -n "$$orphans" ]; then echo "packages no command, benchmark or example imports:"; echo "$$orphans"; exit 1; fi
+
 # Tier 1 plus formatting and vet: the gate to run before every commit.
 check-fast:
 	$(GOFMT_GATE)
+	$(ORPHAN_GATE)
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -30,10 +41,11 @@ check-fast:
 # test binary runs at a time (-p 1) and each collects its garbage before
 # its heap passes 1 GiB (GOMEMLIMIT); under -race the slab pool keeps
 # 256 MiB (internal/mem/budget_race.go), and TestParallelMatchesSerial
-# and the shmem tests' symmetric heaps shrink.
+# shrinks.
 ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker
 check-full:
 	$(GOFMT_GATE)
+	$(ORPHAN_GATE)
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOMEMLIMIT=1GiB $(GO) test -race -p 1 ./...

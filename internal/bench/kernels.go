@@ -17,9 +17,6 @@ import (
 // DefaultSizes is the matrix-size sweep used by the figure runners.
 var DefaultSizes = []int{1024, 2048, 4096, 8192}
 
-// SmallSizes keeps unit tests and -short benchmarks fast.
-var SmallSizes = []int{512, 1024}
-
 // vMat is the paper's "V" workload: an N x N sub-matrix inside a larger
 // column-major matrix (leading dimension N+32), so columns are
 // contiguous but the type as a whole is strided — unlike a full matrix,

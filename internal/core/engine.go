@@ -146,17 +146,11 @@ func New(ctx *cuda.Ctx, devID int, opts Options) *Engine {
 	}
 }
 
-// Ctx returns the CUDA context.
-func (e *Engine) Ctx() *cuda.Ctx { return e.ctx }
-
 // Device returns the engine's GPU.
 func (e *Engine) Device() *gpu.Device { return e.dev }
 
 // Stream returns the engine's pack/unpack stream.
 func (e *Engine) Stream() *gpu.Stream { return e.stream }
-
-// Options returns the engine configuration.
-func (e *Engine) Options() Options { return e.opts }
 
 // CacheHits returns how many pack/unpack setups were served from the
 // DEV cache.

@@ -56,9 +56,6 @@ func NewDevice(eng *sim.Engine, id int, p Params) *Device {
 	}
 }
 
-// Engine returns the simulation engine the device is bound to.
-func (d *Device) Engine() *sim.Engine { return d.eng }
-
 // ID returns the device index within its node.
 func (d *Device) ID() int { return d.id }
 
@@ -171,12 +168,6 @@ func (d *Device) chargeDRAM(p *sim.Proc, raw int64, rate float64) {
 		p.Sleep(total - dramTime)
 	}
 	d.rawMoved += raw
-}
-
-// copyD2DTime is the duration of a device-to-device cudaMemcpy of n bytes
-// (reads and writes both cross the DRAM port).
-func (d *Device) copyD2DTime(n int64) sim.Time {
-	return sim.TimeForBytes(2*n, d.dramRawRate()*d.p.MemcpyD2DEff)
 }
 
 // CopyD2D performs a synchronous intra-device copy on the calling

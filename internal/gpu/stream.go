@@ -51,12 +51,6 @@ func runOp(p *sim.Proc, op *streamOp) {
 	op.done.Complete(nil)
 }
 
-// Device returns the stream's device.
-func (s *Stream) Device() *Device { return s.dev }
-
-// Name returns the stream name.
-func (s *Stream) Name() string { return s.name }
-
 // Submit enqueues fn on the stream and returns a future that completes
 // when fn has finished. fn runs on the stream worker process and may
 // sleep, hold resources and move bytes.

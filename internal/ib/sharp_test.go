@@ -65,6 +65,66 @@ func TestSwitchReduceDeterministicResult(t *testing.T) {
 	}
 }
 
+// maxBytes is the second toy combine: per-byte maximum.
+func maxBytes(acc, in []byte) {
+	for i := range acc {
+		if in[i] > acc[i] {
+			acc[i] = in[i]
+		}
+	}
+}
+
+// TestSwitchReduceConcurrentOps keeps two reductions over the same
+// members in flight at once — distinct op IDs, different contributions
+// and different combines, their arrivals interleaved in virtual time —
+// and requires each member's result of each op to equal that op's
+// result when it runs alone: the fold state is per op.
+func TestSwitchReduceConcurrentOps(t *testing.T) {
+	const n = 8
+	type op struct {
+		id      int
+		start   sim.Time
+		seed    int
+		combine func(acc, in []byte)
+	}
+	ops := []op{
+		{id: 7, start: 0, seed: 31, combine: sumBytes},
+		{id: 8, start: 2 * sim.Microsecond, seed: 57, combine: maxBytes},
+	}
+	// run starts the given ops on one fresh fabric and returns every
+	// member's result of each.
+	run := func(ops ...op) [][][]byte {
+		e, f, hcas := fatTreeHCAs(n, 4, 2)
+		got := make([][][]byte, len(ops))
+		for k, o := range ops {
+			k, o := k, o
+			got[k] = make([][]byte, n)
+			for i := 0; i < n; i++ {
+				i := i
+				e.Spawn(fmt.Sprintf("op%d.member%d", o.id, i), func(p *sim.Proc) {
+					p.Sleep(o.start + sim.Time(i)*5*sim.Microsecond)
+					b := make([]byte, 64)
+					for j := range b {
+						b[j] = byte(i*o.seed + j*(i+1))
+					}
+					got[k][i] = f.SwitchReduce(p, o.id, hcas, i, b, o.combine)
+				})
+			}
+		}
+		e.Run()
+		return got
+	}
+	both := run(ops...)
+	for k, o := range ops {
+		alone := run(o)[0]
+		for i := 0; i < n; i++ {
+			if !bytes.Equal(both[k][i], alone[i]) {
+				t.Fatalf("op %d member %d: concurrent result differs from the op run alone", o.id, i)
+			}
+		}
+	}
+}
+
 // TestSwitchReduceSingleLeaf skips the spine tier when all members hang
 // off one leaf.
 func TestSwitchReduceSingleLeaf(t *testing.T) {

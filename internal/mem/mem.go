@@ -140,17 +140,8 @@ func (s *Space) Release() {
 	s.retired = nil
 }
 
-// Name returns the space name (e.g. "host", "gpu0").
-func (s *Space) Name() string { return s.name }
-
-// Kind returns whether the space is host or device memory.
-func (s *Space) Kind() Kind { return s.kind }
-
 // Size returns the total capacity in bytes.
 func (s *Space) Size() int64 { return s.size }
-
-// Avail returns the bytes remaining for allocation.
-func (s *Space) Avail() int64 { return s.Size() - s.brk }
 
 // Alloc reserves n bytes aligned to align (a power of two; 0 means 256)
 // and returns a Buffer covering them. It panics on exhaustion, which in a

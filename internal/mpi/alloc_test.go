@@ -15,7 +15,7 @@ import (
 // T16K from host memory where a wire or a bus is crossed, plus a T145K
 // rendezvous of four fragments over IB. Every one is 0: a message's
 // records come from its world's free lists and go back once the last
-// party naming them is done (DESIGN decision 30) — the send record, with
+// party naming them is done (DESIGN decision 26) — the send record, with
 // its RTS and, for a rendezvous, the pipelined sender, its worker and
 // staging processes and its packer's kernel record; the receive record
 // with its process; the receiver half with its consumer's kernel

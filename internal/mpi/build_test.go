@@ -14,7 +14,7 @@ import (
 // (sim.Serve), so the coroutines are about one per rank main; every
 // rank builds the datatype engine of its own GPU and no other, and a
 // node builds its PCIe paths on first use. A world is built from values
-// (DESIGN decision 29): a channel is derived from its two ranks, a link
+// (DESIGN decision 26): a channel is derived from its two ranks, a link
 // holds its lock, a path is its hops, and an owner's names are one
 // string. The 64-rank world makes 65 coroutines and costs about 3 030
 // allocations, the pair makes 3. What remains is the coroutines (about

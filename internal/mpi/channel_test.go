@@ -3,7 +3,7 @@ package mpi
 import "testing"
 
 // TestChannelIsDerived: a channel is a value derived from its two ranks
-// (DESIGN decision 29), so asking for one allocates nothing, whichever
+// (DESIGN decision 26), so asking for one allocates nothing, whichever
 // the peer, and it reports the BTL and the HCAs its ranks' placements
 // imply.
 func TestChannelIsDerived(t *testing.T) {

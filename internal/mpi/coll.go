@@ -21,8 +21,8 @@ import (
 // points, regular and v-variant alike, are callers of these functions.
 // Every algorithm takes an explicit *sim.Proc and a pre-reserved tag
 // block: the public blocking entry points pass the rank's main process,
-// while the nonblocking I* variants (icoll.go) reserve tags at call
-// time and run the same schedule on a spawned progress process.
+// while the nonblocking Iallgatherv (icoll.go) reserves tags at call
+// time and runs the same schedule on a spawned progress process.
 //
 // A block stays packed while a collective holds it (hold.go): where an
 // algorithm below would make the rank launch two kernels or more for
@@ -48,9 +48,7 @@ func (m *Rank) tagBlock(n int) int {
 func (m *Rank) bcastTags() int     { return 2 }
 func (m *Rank) allgatherTags() int { return 2 * m.Size() }
 func (m *Rank) alltoallTags() int  { return 2 * m.Size() }
-func (m *Rank) gatherTags() int    { return m.Size() }
 func (m *Rank) reduceTags() int    { return 2 * m.Size() }
-func (m *Rank) barrierTags() int   { return m.Size() }
 func (m *Rank) alltoallvTags() int { return 4 * m.Size() }
 
 // comm is the communicator view an algorithm runs over: an ordered set
@@ -372,44 +370,6 @@ func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf 
 		}
 	}
 	m.unpackHeld(p, st)
-	m.release(st)
-}
-
-// linearScatter is the inverse: the root walks the members in index
-// order, starting the send of block i of send on tag+i and copying its
-// own block into (rbuf, rdt, rcount) where the walk reaches it; every
-// other member receives into (rbuf, rdt, rcount). The root holds the
-// blocks it sends, packed together before the walk.
-func (m *Rank) linearScatter(p *sim.Proc, what string, c comm, rootIdx int, send view,
-	rbuf mem.Buffer, rdt *datatype.Datatype, rcount, tag int) {
-	if c.me != rootIdx {
-		if packedSize(rdt, rcount) > 0 {
-			m.recvBlock(p, what, rbuf, rdt, rcount, c.rank(rootIdx), tag+c.me)
-		}
-		return
-	}
-	st := m.hold(c.n, send, func(i int) int {
-		if i == rootIdx {
-			return 0
-		}
-		return 1
-	})
-	m.packHeld(p, st)
-	send = st.over(send)
-	reqs := make([]*Request, 0, c.n-1)
-	for i := 0; i < c.n; i++ {
-		buf, dt, count := send(i)
-		switch {
-		case packedSize(dt, count) == 0:
-		case i != rootIdx:
-			reqs = append(reqs, m.isendOn(p, buf, dt, count, c.rank(i), tag+i))
-		default:
-			m.localCopy(p, buf, dt, count, rbuf, rdt, rcount)
-		}
-	}
-	for _, rq := range reqs {
-		await(p, rq)
-	}
 	m.release(st)
 }
 

@@ -7,9 +7,8 @@ import (
 )
 
 // The regular (uniform block) collectives: each entry point reserves
-// its tag block and runs one body, shared with its I* twin (icoll.go),
-// that dispatches between the hierarchical schedule (hcoll.go) and the
-// flat algorithm of coll.go over the whole world.
+// its tag block and dispatches between the hierarchical schedule
+// (hcoll.go) and the flat algorithm of coll.go over the whole world.
 
 // Bcast broadcasts count elements of dt from root. Every rank's buf
 // must describe the same signature. On a multi-node world with several
@@ -37,32 +36,12 @@ func (m *Rank) bcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype
 // leader first, ring the aggregated node slabs over the IB tier, and
 // broadcast the result within each node; otherwise the flat ring runs.
 func (m *Rank) Allgather(buf mem.Buffer, dt *datatype.Datatype, count int) {
-	m.allgather(m.p, m.tagBlock(m.allgatherTags()), buf, dt, count)
-}
-
-func (m *Rank) allgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count int) {
+	tag := m.tagBlock(m.allgatherTags())
 	if m.hierOn() && count > 0 {
-		m.hierAllgather(p, tag, buf, dt, count)
+		m.hierAllgather(m.p, tag, buf, dt, count)
 		return
 	}
-	m.ringAllgather(p, "Allgather", m.worldComm(), uniformView(buf, dt, count), tag)
-}
-
-// Gather collects each rank's (sendBuf, sdt, scount) into rank root's
-// recvBuf, where slot r starts at r*rcount*extent(rdt). Linear
-// algorithm; non-root ranks pass an invalid recvBuf.
-func (m *Rank) Gather(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.linearGather(m.p, "Gather", m.worldComm(), root, sendBuf, sdt, scount,
-		uniformView(recvBuf, rdt, rcount), m.tagBlock(m.gatherTags()), nil)
-}
-
-// Scatter distributes slot r of root's sendBuf (r*scount*extent(sdt))
-// to rank r's recvBuf. Linear algorithm.
-func (m *Rank) Scatter(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	m.linearScatter(m.p, "Scatter", m.worldComm(), root, uniformView(sendBuf, sdt, scount),
-		recvBuf, rdt, rcount, m.tagBlock(m.gatherTags()))
+	m.ringAllgather(m.p, "Allgather", m.worldComm(), uniformView(buf, dt, count), tag)
 }
 
 // Alltoall exchanges slot j of every rank's sendBuf with slot i of rank
@@ -73,16 +52,12 @@ func (m *Rank) Scatter(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 // (see PairwisePeers).
 func (m *Rank) Alltoall(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
-	m.alltoall(m.p, m.tagBlock(m.alltoallTags()), sendBuf, sdt, scount, recvBuf, rdt, rcount)
-}
-
-func (m *Rank) alltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
+	tag := m.tagBlock(m.alltoallTags())
 	if m.hierOn() && scount > 0 && int64(scount)*sdt.Size() == int64(rcount)*rdt.Size() {
-		m.hierAlltoall(p, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
+		m.hierAlltoall(m.p, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
 		return
 	}
-	m.exchangeAll(p, "Alltoall", m.worldComm(), uniformView(sendBuf, sdt, scount), uniformView(recvBuf, rdt, rcount), tag)
+	m.exchangeAll(m.p, "Alltoall", m.worldComm(), uniformView(sendBuf, sdt, scount), uniformView(recvBuf, rdt, rcount), tag)
 }
 
 // copyBlock moves block i of one view into block i of the other inside

@@ -9,62 +9,6 @@ import (
 	"gpuddt/internal/shapes"
 )
 
-func TestGatherGPUVectors(t *testing.T) {
-	n := 128
-	sdt := shapes.SubMatrix(n, n, n+16) // each rank contributes a strided piece
-	rdt := datatype.Contiguous(n*n, datatype.Float64)
-	root := 1
-	w := NewWorld(fourRanks())
-	var want [4][]byte
-	var got []byte
-	w.Run(func(m *Rank) {
-		src := m.Malloc(sdt.Span(1))
-		mem.FillPattern(src, uint64(m.Rank()+1))
-		want[m.Rank()] = cpuPack(sdt, 1, src.Bytes())
-		var recv mem.Buffer
-		if m.Rank() == root {
-			recv = m.Malloc(4 * rdt.Size())
-		}
-		m.Gather(src, sdt, 1, recv, rdt, 1, root)
-		if m.Rank() == root {
-			got = append([]byte(nil), recv.Bytes()...)
-		}
-	})
-	for r := 0; r < 4; r++ {
-		seg := got[r*len(want[r]) : (r+1)*len(want[r])]
-		if !bytes.Equal(seg, want[r]) {
-			t.Fatalf("gathered slot %d differs", r)
-		}
-	}
-}
-
-func TestScatterInvertsGather(t *testing.T) {
-	n := 96
-	dt := datatype.Contiguous(n*n, datatype.Float64)
-	root := 0
-	w := NewWorld(fourRanks())
-	var slotImgs [4][]byte
-	var gotImgs [4][]byte
-	w.Run(func(m *Rank) {
-		var send mem.Buffer
-		if m.Rank() == root {
-			send = m.Malloc(4 * dt.Size())
-			mem.FillPattern(send, 31)
-			for r := 0; r < 4; r++ {
-				slotImgs[r] = append([]byte(nil), send.Slice(int64(r)*dt.Size(), dt.Size()).Bytes()...)
-			}
-		}
-		recv := m.Malloc(dt.Size())
-		m.Scatter(send, dt, 1, recv, dt, 1, root)
-		gotImgs[m.Rank()] = append([]byte(nil), recv.Bytes()...)
-	})
-	for r := 0; r < 4; r++ {
-		if !bytes.Equal(gotImgs[r], slotImgs[r]) {
-			t.Fatalf("scatter slot %d differs", r)
-		}
-	}
-}
-
 func TestAlltoallGPU(t *testing.T) {
 	for _, ranks := range [][]Placement{
 		fourRanks().Ranks,

@@ -288,12 +288,7 @@ func TestVArgsOutsideBuffer(t *testing.T) {
 		"Alltoallv": func(m *Rank, buf mem.Buffer, c, d []int) {
 			m.Alltoallv(buf, c, d, dt, buf, []int{1, 1, 1}, []int{0, 1, 2}, dt)
 		},
-		"Gatherv":     func(m *Rank, buf mem.Buffer, c, d []int) { m.Gatherv(buf, dt, 1, buf, c, d, dt, m.Rank()) },
-		"Scatterv":    func(m *Rank, buf mem.Buffer, c, d []int) { m.Scatterv(buf, c, d, dt, buf, dt, 1, m.Rank()) },
 		"Iallgatherv": func(m *Rank, buf mem.Buffer, c, d []int) { m.Iallgatherv(buf, c, d, dt) },
-		"Ialltoallv": func(m *Rank, buf mem.Buffer, c, d []int) {
-			m.Ialltoallv(buf, []int{1, 1, 1}, []int{0, 1, 2}, dt, buf, c, d, dt)
-		},
 	}
 	for name, call := range calls {
 		for _, bad := range [][2]int{{1, -1}, {2, 7}} { // negative; the last element past the end

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,7 +25,11 @@ func TestIcollCompletesAndCounts(t *testing.T) {
 	w.Run(func(m *Rank) {
 		buf := m.Malloc(dt.Span(2 * size))
 		mem.FillPattern(buf.Slice(int64(m.Rank())*stride, dt.Span(2)), uint64(300+m.Rank()))
-		req := m.Iallgather(buf, dt, 2)
+		counts, displs := make([]int, size), make([]int, size)
+		for r := range counts {
+			counts[r], displs[r] = 2, 2*r
+		}
+		req := m.Iallgatherv(buf, counts, displs, dt)
 		if req.Done() {
 			doneEarly = true
 		}
@@ -37,7 +42,7 @@ func TestIcollCompletesAndCounts(t *testing.T) {
 		}
 		imgs[m.Rank()] = cpuPack(dt, 2*size, buf.Bytes())
 	})
-	checkQuiescent(t, w, "iallgather")
+	checkQuiescent(t, w, "iallgatherv")
 	w.Close()
 	if doneEarly {
 		t.Error("request done before the schedule could have run")
@@ -47,99 +52,120 @@ func TestIcollCompletesAndCounts(t *testing.T) {
 	}
 	for r := 1; r < size; r++ {
 		if !bytes.Equal(imgs[r], imgs[0]) {
-			t.Fatalf("rank %d Iallgather result differs from rank 0", r)
+			t.Fatalf("rank %d Iallgatherv result differs from rank 0", r)
 		}
 	}
 }
 
-// TestIcollConcurrentInFlight launches four different collectives
-// before waiting on any of them — on a flat and on a hierarchical
-// world — and checks every result against its blocking equivalent.
+// TestIcollConcurrentInFlight keeps an Iallgatherv in flight while the
+// rank's main process runs the blocking Bcast, Allreduce, Alltoallv and
+// Barrier — on a flat and on hierarchical worlds — so several schedules
+// draw on the rank's collective tags at once, and checks every result
+// against the same collective run on its own.
 func TestIcollConcurrentInFlight(t *testing.T) {
 	dt := shapes.SubMatrix(8, 8, 12)
 	rdt := datatype.Contiguous(512, datatype.Int64)
 	for _, sh := range []struct{ nodes, rpn int }{{1, 4}, {2, 2}, {3, 2}} {
 		size := sh.nodes * sh.rpn
+		gc := make([]int, size)
+		for r := range gc {
+			gc[r] = 40 * (r%3 + 1) // large enough to outlive the blocking collectives
+		}
+		gd, gspan := packedDispls(dt, gc)
 		sc := irregularCounts(size)
 		rc := transposeCounts(sc)
-		bImgs := make([][]byte, size)   // bcast results
-		vImgs := make([][][]byte, size) // alltoallv results
-		sums := make([]int64, size)
-		w := NewWorld(blockedConfig(sh.nodes, sh.rpn, false))
-		w.Run(func(m *Rank) {
-			me := m.Rank()
-			bbuf := m.Malloc(dt.Span(3))
-			if me == 0 {
-				mem.FillPattern(bbuf, 91)
-			}
-			send := m.MallocHost(rdt.Size())
-			recv := m.MallocHost(rdt.Size())
-			for i := 0; i < 512; i++ {
-				binary64Put(send, i, int64(me+1))
-			}
-			sd, sspan := packedDispls(dt, sc[me])
-			rd, rspan := packedDispls(dt, rc[me])
-			vs, vr := m.Malloc(sspan), m.Malloc(rspan)
-			for j := 0; j < size; j++ {
-				if sc[me][j] > 0 {
-					mem.FillPattern(vslot(vs, dt, sc[me][j], sd[j]), uint64(5000+me*size+j))
+		type images struct {
+			gather, bcast, sum, v []byte
+			overlapped            bool // the Iallgatherv outlived the blocking collectives
+		}
+		// run executes on a fresh world the collectives ops names: 'g'
+		// an Iallgatherv left in flight across the others and a Barrier,
+		// 'G' the blocking Allgatherv, 'b' Bcast, 'r' Allreduce and 'v'
+		// Alltoallv. It returns each rank's results.
+		run := func(ops string) []images {
+			has := func(op byte) bool { return strings.IndexByte(ops, op) >= 0 }
+			out := make([]images, size)
+			w := NewWorld(blockedConfig(sh.nodes, sh.rpn, false))
+			w.Run(func(m *Rank) {
+				me := m.Rank()
+				o := &out[me]
+				gbuf := m.Malloc(gspan)
+				mem.FillPattern(vslot(gbuf, dt, gc[me], gd[me]), uint64(700+me))
+				var req *Request
+				if has('g') {
+					req = m.Iallgatherv(gbuf, gc, gd, dt)
 				}
-			}
-
-			r1 := m.Ibcast(bbuf, dt, 3, 0)
-			r2 := m.Iallreduce(send, recv, rdt, 1, OpSum)
-			r3 := m.Ialltoallv(vs, sc[me], sd, dt, vr, rc[me], rd, dt)
-			r4 := m.Ibarrier()
-			m.WaitAll(r1, r2, r3, r4)
-
-			bImgs[me] = cpuPack(dt, 3, bbuf.Bytes())
-			sums[me] = binary64Get(recv, 17)
-			vImgs[me] = make([][]byte, size)
-			for j := 0; j < size; j++ {
-				if rc[me][j] > 0 {
-					vImgs[me][j] = cpuPack(dt, rc[me][j], vslot(vr, dt, rc[me][j], rd[j]).Bytes())
+				if has('G') {
+					m.Allgatherv(gbuf, gc, gd, dt)
 				}
-			}
-		})
-		checkQuiescent(t, w, fmt.Sprintf("icoll concurrent %dx%d", sh.nodes, sh.rpn))
-		w.Close()
+				if has('b') {
+					bbuf := m.Malloc(dt.Span(3))
+					if me == 0 {
+						mem.FillPattern(bbuf, 91)
+					}
+					m.Bcast(bbuf, dt, 3, 0)
+					o.bcast = cpuPack(dt, 3, bbuf.Bytes())
+				}
+				if has('r') {
+					send, recv := m.MallocHost(rdt.Size()), m.MallocHost(rdt.Size())
+					for i := 0; i < 512; i++ {
+						binary64Put(send, i, int64(me+1))
+					}
+					m.Allreduce(send, recv, rdt, 1, OpSum)
+					o.sum = append([]byte(nil), recv.Bytes()...)
+				}
+				if has('v') {
+					sd, sspan := packedDispls(dt, sc[me])
+					rd, rspan := packedDispls(dt, rc[me])
+					vs, vr := m.Malloc(sspan), m.Malloc(rspan)
+					for j := 0; j < size; j++ {
+						if sc[me][j] > 0 {
+							mem.FillPattern(vslot(vs, dt, sc[me][j], sd[j]), uint64(5000+me*size+j))
+						}
+					}
+					m.Alltoallv(vs, sc[me], sd, dt, vr, rc[me], rd, dt)
+					for j := 0; j < size; j++ {
+						if rc[me][j] > 0 {
+							o.v = append(o.v, cpuPack(dt, rc[me][j], vslot(vr, dt, rc[me][j], rd[j]).Bytes())...)
+						}
+					}
+				}
+				if req != nil {
+					o.overlapped = !req.Done()
+					m.Barrier()
+					req.Wait(m.Proc())
+				}
+				for r := 0; r < size; r++ {
+					o.gather = append(o.gather, cpuPack(dt, gc[r], vslot(gbuf, dt, gc[r], gd[r]).Bytes())...)
+				}
+			})
+			checkQuiescent(t, w, fmt.Sprintf("icoll concurrent %dx%d %s", sh.nodes, sh.rpn, ops))
+			w.Close()
+			return out
+		}
 
+		all := run("gbrv")
+		gather, bcast, sum, v := run("G"), run("b"), run("r"), run("v")
 		wantSum := int64(size * (size + 1) / 2)
 		for r := 0; r < size; r++ {
-			if !bytes.Equal(bImgs[r], bImgs[0]) {
-				t.Fatalf("%dx%d: rank %d Ibcast result differs", sh.nodes, sh.rpn, r)
-			}
-			if sums[r] != wantSum {
-				t.Fatalf("%dx%d: rank %d Iallreduce sum = %d, want %d", sh.nodes, sh.rpn, r, sums[r], wantSum)
-			}
-		}
-		// Cross-check the alltoallv payloads against a blocking run.
-		blocking := make([][][]byte, size)
-		w2 := NewWorld(blockedConfig(sh.nodes, sh.rpn, false))
-		w2.Run(func(m *Rank) {
-			me := m.Rank()
-			sd, sspan := packedDispls(dt, sc[me])
-			rd, rspan := packedDispls(dt, rc[me])
-			vs, vr := m.Malloc(sspan), m.Malloc(rspan)
-			for j := 0; j < size; j++ {
-				if sc[me][j] > 0 {
-					mem.FillPattern(vslot(vs, dt, sc[me][j], sd[j]), uint64(5000+me*size+j))
+			for _, c := range []struct {
+				name      string
+				got, want []byte
+			}{
+				{"Iallgatherv", all[r].gather, gather[r].gather},
+				{"Bcast", all[r].bcast, bcast[r].bcast},
+				{"Allreduce", all[r].sum, sum[r].sum},
+				{"Alltoallv", all[r].v, v[r].v},
+			} {
+				if !bytes.Equal(c.got, c.want) {
+					t.Fatalf("%dx%d: rank %d %s result differs from its own run", sh.nodes, sh.rpn, r, c.name)
 				}
 			}
-			m.Alltoallv(vs, sc[me], sd, dt, vr, rc[me], rd, dt)
-			blocking[me] = make([][]byte, size)
-			for j := 0; j < size; j++ {
-				if rc[me][j] > 0 {
-					blocking[me][j] = cpuPack(dt, rc[me][j], vslot(vr, dt, rc[me][j], rd[j]).Bytes())
-				}
+			if !all[r].overlapped {
+				t.Fatalf("%dx%d: rank %d Iallgatherv finished before the blocking collectives did", sh.nodes, sh.rpn, r)
 			}
-		})
-		w2.Close()
-		for i := 0; i < size; i++ {
-			for j := 0; j < size; j++ {
-				if !bytes.Equal(vImgs[i][j], blocking[i][j]) {
-					t.Fatalf("%dx%d: rank %d block %d: Ialltoallv differs from Alltoallv", sh.nodes, sh.rpn, i, j)
-				}
+			if got := binary64Get(sum[r].sum, 17); got != wantSum {
+				t.Fatalf("%dx%d: rank %d Allreduce sum = %d, want %d", sh.nodes, sh.rpn, r, got, wantSum)
 			}
 		}
 	}
@@ -152,8 +178,7 @@ func binary64Put(b mem.Buffer, i int, v int64) {
 	}
 }
 
-func binary64Get(b mem.Buffer, i int) int64 {
-	bs := b.Bytes()
+func binary64Get(bs []byte, i int) int64 {
 	var u uint64
 	for k := 0; k < 8; k++ {
 		u |= uint64(bs[i*8+k]) << (8 * k)
@@ -217,9 +242,9 @@ func TestIcollOverlapsKernel(t *testing.T) {
 	}
 }
 
-// TestIcollWaitallRace runs worlds with several in-flight collectives
-// on parallel goroutines so `go test -race` can see any shared state
-// touched by the progress engine.
+// TestIcollWaitallRace runs worlds with two Iallgatherv in flight
+// across a blocking Alltoallv on parallel goroutines, so `go test
+// -race` can see any shared state touched by the progress engine.
 func TestIcollWaitallRace(t *testing.T) {
 	dt := shapes.SubMatrix(8, 8, 12)
 	const workers = 8
@@ -234,25 +259,33 @@ func TestIcollWaitallRace(t *testing.T) {
 			size := sh.nodes * sh.rpn
 			sc := irregularCounts(size)
 			rc := transposeCounts(sc)
+			gc := make([]int, size)
+			for r := range gc {
+				gc[r] = (r + i) % 3 // includes a zero block
+			}
+			gd, gspan := packedDispls(dt, gc)
 			w := NewWorld(blockedConfig(sh.nodes, sh.rpn, i%3 == 0))
 			ok := make([]bool, size)
 			w.Run(func(m *Rank) {
 				me := m.Rank()
+				g1, g2 := m.Malloc(gspan), m.Malloc(gspan)
+				if gc[me] > 0 {
+					mem.FillPattern(vslot(g1, dt, gc[me], gd[me]), uint64(i*1000+me))
+					mem.FillPattern(vslot(g2, dt, gc[me], gd[me]), uint64(i*1000+500+me))
+				}
+				reqs := []*Request{
+					m.Iallgatherv(g1, gc, gd, dt),
+					m.Iallgatherv(g2, gc, gd, dt),
+				}
 				sd, sspan := packedDispls(dt, sc[me])
 				rd, rspan := packedDispls(dt, rc[me])
 				vs, vr := m.Malloc(sspan), m.Malloc(rspan)
-				sent := make([][]byte, size)
 				for j := 0; j < size; j++ {
 					if sc[me][j] > 0 {
-						blk := vslot(vs, dt, sc[me][j], sd[j])
-						mem.FillPattern(blk, uint64(i*1000+me*size+j))
-						sent[j] = cpuPack(dt, sc[me][j], blk.Bytes())
+						mem.FillPattern(vslot(vs, dt, sc[me][j], sd[j]), uint64(i*1000+me*size+j))
 					}
 				}
-				reqs := []*Request{
-					m.Ialltoallv(vs, sc[me], sd, dt, vr, rc[me], rd, dt),
-					m.Ibarrier(),
-				}
+				m.Alltoallv(vs, sc[me], sd, dt, vr, rc[me], rd, dt)
 				m.WaitAll(reqs...)
 				ok[me] = m.collOut == 0
 			})

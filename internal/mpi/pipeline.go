@@ -26,12 +26,11 @@ import (
 // lives in the send's operation, the receiver's (pipeRecv) is taken when
 // the message is matched. Every queue of the protocol is a typed
 // mailbox embedded in one of them, and every active message names one
-// of them plus an integer (DESIGN decision 26). Both halves are
-// recycled (DESIGN decision 30): an active message or a queued command
-// naming a record holds a reference to it, so an ACK that lands after
-// both sides are done — the staged ring stops reading them after its
-// last fragment — or an event of a cancelled attempt never reaches a
-// later message's record.
+// of them plus an integer. Both halves are recycled (DESIGN decision
+// 26): an active message or a queued command naming a record holds a
+// reference to it, so an ACK that lands after both sides are done — the
+// staged ring stops reading them after its last fragment — or an event
+// of a cancelled attempt never reaches a later message's record.
 type PipelinedStrategy struct{}
 
 // Name implements Strategy.

@@ -25,7 +25,7 @@ func (r *Request) init(e *sim.Engine, rec record) {
 
 // await waits for rq, a request the library made for its own use, reads
 // the packed bytes it received and releases its record: the owner's
-// reference (DESIGN decision 30). Nothing may touch rq afterwards.
+// reference (DESIGN decision 26). Nothing may touch rq afterwards.
 func await(p *sim.Proc, rq *Request) int64 {
 	rq.Wait(p)
 	n := rq.recvd

@@ -6,7 +6,7 @@ import (
 	"gpuddt/internal/mem"
 )
 
-// A message's records come home (DESIGN decision 30). Every record of a
+// A message's records come home (DESIGN decision 26). Every record of a
 // message — its send (eagerReq, sendReq), its receive (recvReq), the
 // receiver half of a rendezvous (pipeRecv) and the process that returns
 // a ring slot once its unpack is done (acker) — is taken from a per-world

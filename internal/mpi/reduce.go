@@ -83,24 +83,19 @@ func (m *Rank) releaseAccum(b mem.Buffer) {
 	}
 }
 
-// Allreduce is Reduce to rank 0 followed by Bcast.
+// Allreduce is Reduce to rank 0 followed by Bcast, over a Reduce tag
+// block followed by a Bcast one.
 func (m *Rank) Allreduce(sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op) {
-	m.allreduce(m.p, m.tagBlock(m.allreduceTags()), sendBuf, recvBuf, dt, count, op)
-}
-
-// allreduceTags is a Reduce block followed by a Bcast block.
-func (m *Rank) allreduceTags() int { return m.reduceTags() + m.bcastTags() }
-
-func (m *Rank) allreduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op) {
+	tag := m.tagBlock(m.reduceTags() + m.bcastTags())
 	tagB := tag + m.reduceTags()
 	if m.switchOn() && count > 0 {
 		// The switch multicasts the result to every node's leader on the
 		// way down, so only the intra-node broadcast remains.
-		m.switchReduce(p, tag, sendBuf, recvBuf, dt, count, op, 0, tagB)
+		m.switchReduce(m.p, tag, sendBuf, recvBuf, dt, count, op, 0, tagB)
 		return
 	}
-	m.reduce(p, tag, sendBuf, recvBuf, dt, count, op, 0)
-	m.bcast(p, tagB, recvBuf, dt, count, 0)
+	m.reduce(m.p, tag, sendBuf, recvBuf, dt, count, op, 0)
+	m.bcast(m.p, tagB, recvBuf, dt, count, 0)
 }
 
 // reducePrim validates the datatype for reduction and returns its

@@ -185,38 +185,3 @@ func TestSwitchBeatsHierOversubscribed(t *testing.T) {
 	}
 	t.Logf("hier %v, switch %v (%.2fx)", hier, sw, float64(hier)/float64(sw))
 }
-
-// TestSwitchReduceConcurrentOps drives two nonblocking Allreduces at
-// once, exercising concurrent in-flight ops keyed by distinct tags.
-func TestSwitchReduceConcurrentOps(t *testing.T) {
-	const count = 256
-	dt := datatype.Contiguous(count, datatype.Int64)
-	w := NewWorld(switchConfig(4, 2, 2, 1))
-	size := w.Size()
-	imgs := make([][][]byte, 2)
-	for i := range imgs {
-		imgs[i] = make([][]byte, size)
-	}
-	w.Run(func(m *Rank) {
-		a := m.MallocHost(dt.Size())
-		b := m.MallocHost(dt.Size())
-		ra := m.MallocHost(dt.Size())
-		rb := m.MallocHost(dt.Size())
-		mem.FillPattern(a, uint64(11+m.Rank()))
-		mem.FillPattern(b, uint64(1700+m.Rank()))
-		r1 := m.Iallreduce(a, ra, dt, 1, OpSum)
-		r2 := m.Iallreduce(b, rb, dt, 1, OpMax)
-		r1.Wait(m.Proc())
-		r2.Wait(m.Proc())
-		imgs[0][m.Rank()] = append([]byte(nil), ra.Bytes()...)
-		imgs[1][m.Rank()] = append([]byte(nil), rb.Bytes()...)
-	})
-	w.Close()
-	for i := range imgs {
-		for r := 1; r < size; r++ {
-			if !bytes.Equal(imgs[i][r], imgs[i][0]) {
-				t.Fatalf("op %d: rank %d result differs from rank 0", i, r)
-			}
-		}
-	}
-}

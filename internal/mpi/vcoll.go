@@ -54,16 +54,12 @@ func (m *Rank) Alltoallv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *dataty
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) {
 	checkVArgs("Alltoallv", m.Size(), sendBuf, sdt, scounts, sdispls)
 	checkVArgs("Alltoallv", m.Size(), recvBuf, rdt, rcounts, rdispls)
-	m.alltoallv(m.p, m.tagBlock(m.alltoallvTags()), sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
-}
-
-func (m *Rank) alltoallv(p *sim.Proc, tag int, sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
-	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) {
+	tag := m.tagBlock(m.alltoallvTags())
 	if m.hierOn() {
-		m.hierAlltoallv(p, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
+		m.hierAlltoallv(m.p, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
 		return
 	}
-	m.exchangeAll(p, "Alltoallv", m.worldComm(), vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls), tag)
+	m.exchangeAll(m.p, "Alltoallv", m.worldComm(), vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls), tag)
 }
 
 // Allgatherv gathers counts[r] elements of dt from every rank r (read
@@ -83,29 +79,4 @@ func (m *Rank) allgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, displs [
 		return
 	}
 	m.ringAllgather(p, "Allgatherv", m.worldComm(), vectorView(buf, dt, counts, displs), tag)
-}
-
-// Gatherv collects each rank's (sendBuf, sdt, scount) into root's
-// recvBuf at rdispls[r]. Only the root reads rcounts/rdispls (MPI
-// semantics — non-root ranks may pass nil), so the algorithm is the
-// linear flat one on every topology: the root is the only rank that
-// knows the irregular layout, which rules out leader staging.
-func (m *Rank) Gatherv(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
-	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype, root int) {
-	if m.rank == root {
-		checkVArgs("Gatherv", m.Size(), recvBuf, rdt, rcounts, rdispls)
-	}
-	m.linearGather(m.p, "Gatherv", m.worldComm(), root, sendBuf, sdt, scount,
-		vectorView(recvBuf, rdt, rcounts, rdispls), m.tagBlock(m.gatherTags()), nil)
-}
-
-// Scatterv distributes scounts[r] elements of sdt from root's sendBuf
-// at sdispls[r] to rank r's recvBuf. Only the root reads the vectors.
-func (m *Rank) Scatterv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
-	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, root int) {
-	if m.rank == root {
-		checkVArgs("Scatterv", m.Size(), sendBuf, sdt, scounts, sdispls)
-	}
-	m.linearScatter(m.p, "Scatterv", m.worldComm(), root, vectorView(sendBuf, sdt, scounts, sdispls),
-		recvBuf, rdt, rcount, m.tagBlock(m.gatherTags()))
 }

@@ -20,9 +20,9 @@ func vchaosConfig(plan *fault.Plan) Config {
 	return cfg
 }
 
-// runVChaos launches Iallgatherv + Ialltoallv + Ibarrier concurrently on
-// every rank, waits on all of them, and returns each rank's packed
-// results (allgatherv blocks then alltoallv blocks).
+// runVChaos keeps an Iallgatherv in flight on every rank across a
+// blocking Alltoallv and Barrier, waits on it, and returns each rank's
+// packed results (allgatherv blocks then alltoallv blocks).
 func runVChaos(t *testing.T, cfg Config) ([][]byte, *World) {
 	t.Helper()
 	dt := shapes.SubMatrix(16, 8, 12)
@@ -51,10 +51,10 @@ func runVChaos(t *testing.T, cfg Config) ([][]byte, *World) {
 				mem.FillPattern(vslot(vs, dt, sc[me][j], sd[j]), uint64(8100+me*size+j))
 			}
 		}
-		r1 := m.Iallgatherv(gbuf, agc, agd, dt)
-		r2 := m.Ialltoallv(vs, sc[me], sd, dt, vr, rc[me], rd, dt)
-		r3 := m.Ibarrier()
-		m.WaitAll(r1, r2, r3)
+		req := m.Iallgatherv(gbuf, agc, agd, dt)
+		m.Alltoallv(vs, sc[me], sd, dt, vr, rc[me], rd, dt)
+		m.Barrier()
+		req.Wait(m.Proc())
 		outstanding[me] = m.collOut
 		for r := 0; r < size; r++ {
 			if agc[r] > 0 {
@@ -67,16 +67,16 @@ func runVChaos(t *testing.T, cfg Config) ([][]byte, *World) {
 	})
 	for r := 0; r < size; r++ {
 		if outstanding[r] != 0 {
-			t.Fatalf("rank %d: %d collectives outstanding after WaitAll", r, outstanding[r])
+			t.Fatalf("rank %d: %d collectives outstanding after Wait", r, outstanding[r])
 		}
 	}
 	return imgs, w
 }
 
 // TestVCollChaosTransient injects transient faults into the concurrent
-// nonblocking v-variant sweep and requires full recovery: results
-// byte-identical to the clean run, at least one fault actually fired,
-// and every staging pool quiescent after WaitAll.
+// v-variant sweep and requires full recovery: results byte-identical to
+// the clean run, at least one fault actually fired, and every staging
+// pool quiescent after Wait.
 func TestVCollChaosTransient(t *testing.T) {
 	clean, cw := runVChaos(t, vchaosConfig(nil))
 	if n := cw.Faults().Total(); n != 0 {
@@ -101,7 +101,7 @@ func TestVCollChaosTransient(t *testing.T) {
 
 // TestVCollChaosPersistentIPC makes every CUDA IPC open fail
 // permanently: the intra-node tier of the v-variant schedules must fall
-// back to staged copies, yet the concurrent nonblocking sweep still
+// back to staged copies, yet the concurrent v-variant sweep still
 // completes byte-identically and leak-free.
 func TestVCollChaosPersistentIPC(t *testing.T) {
 	clean, cw := runVChaos(t, vchaosConfig(nil))

@@ -200,58 +200,6 @@ func TestVCollAllZero(t *testing.T) {
 	}
 }
 
-// TestGathervScatterv round-trips irregular blocks through a root:
-// Gatherv assembles them, Scatterv hands them back out.
-func TestGathervScatterv(t *testing.T) {
-	dt := shapes.SubMatrix(8, 8, 12)
-	const size, root = 4, 1
-	counts := []int{2, 0, 3, 1}
-	displs, span := packedDispls(dt, counts)
-	w := NewWorld(blockedConfig(1, size, false))
-	sent := make([][]byte, size)
-	backOK := make([]bool, size)
-	gathered := make([][][]byte, size)
-	w.Run(func(m *Rank) {
-		me := m.Rank()
-		mine := m.Malloc(dt.Span(counts[me]))
-		if counts[me] > 0 {
-			mem.FillPattern(mine, uint64(70+me))
-			sent[me] = cpuPack(dt, counts[me], mine.Bytes())
-		}
-		var all mem.Buffer
-		if me == root {
-			all = m.Malloc(span)
-		}
-		m.Gatherv(mine, dt, counts[me], all, counts, displs, dt, root)
-		if me == root {
-			gathered[me] = make([][]byte, size)
-			for r := 0; r < size; r++ {
-				if counts[r] == 0 {
-					continue
-				}
-				gathered[me][r] = cpuPack(dt, counts[r], vslot(all, dt, counts[r], displs[r]).Bytes())
-			}
-		}
-		back := m.Malloc(dt.Span(counts[me]))
-		m.Scatterv(all, counts, displs, dt, back, dt, counts[me], root)
-		backOK[me] = counts[me] == 0 ||
-			bytes.Equal(cpuPack(dt, counts[me], back.Bytes()), sent[me])
-	})
-	checkQuiescent(t, w, "gatherv/scatterv")
-	w.Close()
-	for r := 0; r < size; r++ {
-		if counts[r] == 0 {
-			continue
-		}
-		if !bytes.Equal(gathered[root][r], sent[r]) {
-			t.Fatalf("root holds wrong bytes for rank %d after Gatherv", r)
-		}
-		if !backOK[r] {
-			t.Fatalf("rank %d got wrong bytes back from Scatterv", r)
-		}
-	}
-}
-
 // TestVCollPhaseSpans asserts the hierarchical v-variants keep the
 // coll.*.intra/inter span discipline of the regular collectives.
 func TestVCollPhaseSpans(t *testing.T) {

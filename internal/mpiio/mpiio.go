@@ -6,7 +6,7 @@
 // A File is a simulated shared file (real bytes) behind a
 // bandwidth-limited storage link. Each rank sets a *view* — an etype
 // count plus a filetype whose gaps skip other ranks' data, typically a
-// Darray — and collective WriteAll/ReadAll move the rank's local data
+// Darray — and collective WriteAll moves the rank's local data
 // (host or GPU, any datatype) through the view: GPU data is packed by
 // the datatype engine, staged to the host, and scattered into the file
 // holes, exactly the ROMIO data-sieving picture.
@@ -36,7 +36,7 @@ type Params struct {
 	Link *sim.Link
 
 	// Barrier, when set, replaces the world-wide barrier that closes
-	// each collective WriteAll/ReadAll epoch. A job running on a subset
+	// each collective WriteAll epoch. A job running on a subset
 	// of the world's ranks (an mpi.Group) must scope completion to its
 	// own members — a world barrier would deadlock against ranks that
 	// never enter the I/O call.
@@ -45,7 +45,6 @@ type Params struct {
 
 // File is a shared simulated file.
 type File struct {
-	w       *mpi.World
 	data    mem.Buffer
 	size    int64
 	link    *sim.Link
@@ -60,7 +59,7 @@ type view struct {
 
 // Open creates (or truncates) a shared file of the given size.
 // Collective: call once per job, then share the handle; each rank must
-// SetView before reading or writing.
+// SetView before writing.
 func Open(w *mpi.World, name string, size int64, p Params) *File {
 	if p.BandwidthGBps == 0 {
 		p.BandwidthGBps = 3
@@ -77,7 +76,6 @@ func Open(w *mpi.World, name string, size int64, p Params) *File {
 		barrier = func(m *mpi.Rank) { m.Barrier() }
 	}
 	return &File{
-		w:       w,
 		data:    mem.NewSpace("file:"+name, mem.Host, size).Alloc(size, 1),
 		size:    size,
 		link:    link,
@@ -86,14 +84,11 @@ func Open(w *mpi.World, name string, size int64, p Params) *File {
 	}
 }
 
-// Size returns the file size in bytes.
-func (f *File) Size() int64 { return f.size }
-
 // Bytes exposes the file contents for verification.
 func (f *File) Bytes() []byte { return f.data.Bytes() }
 
 // SetView installs rank m's file view: the packed stream of every
-// subsequent WriteAll/ReadAll call lands in the data bytes of filetype
+// subsequent WriteAll call lands in the data bytes of filetype
 // tiled from byte displacement disp (MPI_File_set_view).
 func (f *File) SetView(m *mpi.Rank, disp int64, filetype *datatype.Datatype) {
 	if filetype.Size() == 0 {
@@ -106,16 +101,6 @@ func (f *File) SetView(m *mpi.Rank, disp int64, filetype *datatype.Datatype) {
 // view (MPI_File_write_all). Collective: internally barriers so every
 // rank's I/O lands in the same epoch.
 func (f *File) WriteAll(m *mpi.Rank, buf mem.Buffer, dt *datatype.Datatype, count int) {
-	f.transfer(m, buf, dt, count, true)
-}
-
-// ReadAll reads count elements of dt into buf through the caller's view
-// (MPI_File_read_all).
-func (f *File) ReadAll(m *mpi.Rank, buf mem.Buffer, dt *datatype.Datatype, count int) {
-	f.transfer(m, buf, dt, count, false)
-}
-
-func (f *File) transfer(m *mpi.Rank, buf mem.Buffer, dt *datatype.Datatype, count int, writing bool) {
 	v := f.views[m.Rank()]
 	if v.filetype == nil {
 		panic(fmt.Sprintf("mpiio: rank %d has no view", m.Rank()))
@@ -128,43 +113,22 @@ func (f *File) transfer(m *mpi.Rank, buf mem.Buffer, dt *datatype.Datatype, coun
 		panic(fmt.Sprintf("mpiio: rank %d view needs %d bytes, file has %d", m.Rank(), span, f.size))
 	}
 
-	// Stage the packed stream in host memory.
+	// Stage the packed stream in host memory: GPU data goes through the
+	// datatype engine (zero-copy pack), host data through the CPU
+	// converter.
 	stage := m.ScratchHost(packed)
 	defer m.FreeScratchHost(stage)
 	window := stage.Slice(0, packed)
-	if writing {
-		f.packLocal(m, buf, dt, count, window)
-	}
-
-	// Move packed bytes between the stage and the file holes described
-	// by the view, charging the storage link once for the whole stream.
-	f.link.Transfer(m.Proc(), packed)
-	fc := datatype.NewConverter(v.filetype, int(tiles))
-	fileBuf := f.data.Slice(v.disp, f.size-v.disp)
-	if writing {
-		fc.Unpack(fileBuf.Bytes(), window.Bytes())
-	} else {
-		fc.Pack(window.Bytes(), fileBuf.Bytes())
-		f.unpackLocal(m, buf, dt, count, window)
-	}
-	f.barrier(m) // collective completion (job-scoped when Params.Barrier is set)
-}
-
-// packLocal moves (buf, dt, count) into the host window: GPU data goes
-// through the datatype engine (zero-copy pack), host data through the
-// CPU converter.
-func (f *File) packLocal(m *mpi.Rank, buf mem.Buffer, dt *datatype.Datatype, count int, window mem.Buffer) {
 	if buf.Kind() == mem.Device {
 		m.GPUEngine(m.Ctx().Node().DeviceOf(buf.Space())).Pack(m.Proc(), buf, dt, count, window)
-		return
+	} else {
+		m.CPUPack(m.Proc(), buf, dt, count, window)
 	}
-	m.CPUPack(m.Proc(), buf, dt, count, window)
-}
 
-func (f *File) unpackLocal(m *mpi.Rank, buf mem.Buffer, dt *datatype.Datatype, count int, window mem.Buffer) {
-	if buf.Kind() == mem.Device {
-		m.GPUEngine(m.Ctx().Node().DeviceOf(buf.Space())).Unpack(m.Proc(), buf, dt, count, window)
-		return
-	}
-	m.CPUUnpack(m.Proc(), buf, dt, count, window)
+	// Scatter the packed bytes into the file holes described by the
+	// view, charging the storage link once for the whole stream.
+	f.link.Transfer(m.Proc(), packed)
+	fc := datatype.NewConverter(v.filetype, int(tiles))
+	fc.Unpack(f.data.Slice(v.disp, f.size-v.disp).Bytes(), window.Bytes())
+	f.barrier(m) // collective completion (job-scoped when Params.Barrier is set)
 }

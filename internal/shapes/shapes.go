@@ -117,18 +117,3 @@ func HaloFace(padded []int, dim, idx int) *datatype.Datatype {
 	}
 	return datatype.Subarray(padded, sub, starts, datatype.OrderC, datatype.Float64)
 }
-
-// HaloFaceCells returns the number of cells a HaloFace plane carries.
-func HaloFaceCells(padded []int, dim int) int {
-	cells := 1
-	for d := range padded {
-		switch {
-		case d == dim:
-		case d < dim:
-			cells *= padded[d]
-		default:
-			cells *= padded[d] - 2
-		}
-	}
-	return cells
-}

@@ -151,12 +151,6 @@ type procFunc func(p *Proc)
 
 func (f procFunc) Run(p *Proc) { f(p) }
 
-// Name returns the process name given to Spawn or Start.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 

@@ -46,9 +46,6 @@ func (e *Engine) NewLink(name string, bwGBps float64, latency Time) *Link {
 // Name returns the link name.
 func (l *Link) Name() string { return l.name }
 
-// Bandwidth returns the link bandwidth in GB/s.
-func (l *Link) Bandwidth() float64 { return l.bwGBps }
-
 // Latency returns the propagation latency.
 func (l *Link) Latency() Time { return l.latency }
 

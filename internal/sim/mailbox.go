@@ -85,9 +85,6 @@ func (e *Engine) NewMailbox(name string) *Mailbox[any] {
 	return m
 }
 
-// Len returns the number of queued messages.
-func (m *Mailbox[T]) Len() int { return m.items.len() }
-
 // Put enqueues v and, if a process is blocked in Get, wakes the
 // longest-waiting one at the current instant. Put may be called from a
 // process or from an engine callback.

@@ -20,9 +20,6 @@ func (e *Engine) NewResource(name string, capacity int) *Resource {
 	return &Resource{e: e, name: name, cap: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
 // Acquire takes one slot, blocking FIFO until one is available.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.cap {

@@ -2,7 +2,6 @@ package tune
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gpuddt/internal/cluster"
@@ -140,16 +139,6 @@ func Run(cfg Config) (*Table, error) {
 	}
 	tbl.Seal()
 	return tbl, nil
-}
-
-// Keys returns the table's entry keys, sorted.
-func (t *Table) Keys() []string {
-	keys := make([]string, 0, len(t.Entries))
-	for k := range t.Entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // DefaultPoints is the committed-table point set: point-to-point

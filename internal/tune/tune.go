@@ -92,11 +92,3 @@ func (e Entry) Tuning() (*mpi.Tuning, error) {
 		Collectives: coll,
 	}, nil
 }
-
-// Speedup is DefaultUs/TunedUs (1 = the defaults were already optimal).
-func (e Entry) Speedup() float64 {
-	if e.TunedUs <= 0 {
-		return 1
-	}
-	return e.DefaultUs / e.TunedUs
-}
