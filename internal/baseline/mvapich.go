@@ -130,7 +130,7 @@ func (s *MVAPICHStrategy) StartSend(op *mpi.SendOp) any {
 func (s *MVAPICHStrategy) stageOut(p *sim.Proc, op *mpi.SendOp, dst mem.Buffer) {
 	m := op.M
 	if op.Buf.Kind() != mem.Device {
-		m.CPUPack(p, op.Buf, op.Dt, op.Count, dst)
+		m.EngineFor(op.Buf).Pack(p, op.Buf, op.Dt, op.Count, dst)
 		return
 	}
 	var packOff int64
@@ -145,7 +145,7 @@ func (s *MVAPICHStrategy) stageOut(p *sim.Proc, op *mpi.SendOp, dst mem.Buffer) 
 func (s *MVAPICHStrategy) stageIn(p *sim.Proc, op *mpi.RecvOp, src mem.Buffer) {
 	m := op.M
 	if op.Buf.Kind() != mem.Device {
-		m.CPUUnpack(p, op.Buf, op.Dt, op.Count, src)
+		m.EngineFor(op.Buf).UnpackPrefix(p, op.Buf, op.Dt, op.Count, src)
 		return
 	}
 	var packOff int64

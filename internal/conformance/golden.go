@@ -10,6 +10,7 @@ import (
 
 	"gpuddt/internal/baseline"
 	"gpuddt/internal/bench"
+	"gpuddt/internal/core"
 	"gpuddt/internal/sim"
 )
 
@@ -133,10 +134,11 @@ func (tr *Tree) DEVUnits(unitSize int64) int64 {
 	data := r.ctx.Malloc(0, tr.Span)
 	dst := r.ctx.Malloc(0, total)
 	r.eng.Spawn("pack", func(p *sim.Proc) {
-		pk := r.e.NewPacker(data, tr.Dt, tr.Count)
+		var pk core.Packer
+		r.e.InitPacker(&pk, data, tr.Dt, tr.Count)
 		var pos int64
 		for !pk.Done() {
-			n, fut := pk.PackInto(p, dst.Slice(pos, total-pos))
+			n, fut := pk.PackWith(p, dst.Slice(pos, total-pos), nil)
 			fut.Await(p)
 			pos += n
 		}

@@ -334,7 +334,8 @@ func (tr *Tree) CheckGPU(driver GPUDriver, opts core.Options, fragSizes []int64)
 			if driver == DriverD2D2H {
 				host = r.ctx.MallocHost(total)
 			}
-			pk := r.e.NewPacker(data, tr.Dt, tr.Count)
+			var pk core.Packer
+			r.e.InitPacker(&pk, data, tr.Dt, tr.Count)
 			var pos int64
 			for i := pass; !pk.Done(); i++ {
 				k := fragSizes[i%len(fragSizes)]
@@ -344,7 +345,7 @@ func (tr *Tree) CheckGPU(driver GPUDriver, opts core.Options, fragSizes []int64)
 				if rem := total - pos; k > rem {
 					k = rem
 				}
-				n, fut := pk.PackInto(p, dst.Slice(pos, k))
+				n, fut := pk.PackWith(p, dst.Slice(pos, k), nil)
 				fut.Await(p)
 				pos += n
 			}
@@ -370,7 +371,8 @@ func (tr *Tree) CheckGPU(driver GPUDriver, opts core.Options, fragSizes []int64)
 		} else {
 			copy(src.Bytes(), want)
 		}
-		pk := r.e.NewUnpacker(layout, tr.Dt, tr.Count)
+		var pk core.Packer
+		r.e.InitUnpacker(&pk, layout, tr.Dt, tr.Count)
 		var pos int64
 		for i := 0; !pk.Done(); i++ {
 			k := fragSizes[(i+1)%len(fragSizes)]
@@ -380,7 +382,7 @@ func (tr *Tree) CheckGPU(driver GPUDriver, opts core.Options, fragSizes []int64)
 			if rem := total - pos; k > rem {
 				k = rem
 			}
-			n, fut := pk.UnpackFrom(p, src.Slice(pos, k))
+			n, fut := pk.UnpackWith(p, src.Slice(pos, k), nil)
 			fut.Await(p)
 			pos += n
 		}

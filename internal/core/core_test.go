@@ -29,6 +29,20 @@ func newRig(t testing.TB, opts Options) *rig {
 	return &rig{eng: se, ctx: ctx, e: New(ctx, 0, opts)}
 }
 
+// skipIfPoolDrops skips an exact allocation pin under the race detector,
+// where sync.Pool drops a quarter of what it is given, and a record whose
+// first descriptor array was dropped makes one.
+func skipIfPoolDrops(t *testing.T) {
+	t.Helper()
+	var pool sync.Pool
+	for i, x := 0, new(int); i < 64; i++ {
+		pool.Put(x)
+		if pool.Get() == nil {
+			t.Skip("sync.Pool is dropping (-race): allocation counts are not exact")
+		}
+	}
+}
+
 // cpuPack is the reference packing.
 var cpuPack = datatype.PackImage
 
@@ -111,14 +125,15 @@ func TestFragmentedPackMatchesWhole(t *testing.T) {
 	frag := int64(4096)
 	out := r.ctx.Malloc(0, dt.Size())
 	r.eng.Spawn("fragpack", func(p *sim.Proc) {
-		pk := r.e.NewPacker(data, dt, 1)
+		pk := new(Packer)
+		r.e.InitPacker(pk, data, dt, 1)
 		var off int64
 		for !pk.Done() {
 			n := frag
 			if rem := pk.Remaining(); n > rem {
 				n = rem
 			}
-			_, fut := pk.PackInto(p, out.Slice(off, n))
+			_, fut := pk.PackWith(p, out.Slice(off, n), nil)
 			fut.Await(p)
 			off += n
 		}
@@ -227,8 +242,9 @@ func TestZeroCopyPackToHost(t *testing.T) {
 	var dur sim.Time
 	r.eng.Spawn("zcpack", func(p *sim.Proc) {
 		t0 := p.Now()
-		pk := r.e.NewPacker(data, dt, 1)
-		_, fut := pk.PackInto(p, host)
+		pk := new(Packer)
+		r.e.InitPacker(pk, data, dt, 1)
+		_, fut := pk.PackWith(p, host, nil)
 		fut.Await(p)
 		dur = p.Now() - t0
 	})
@@ -268,11 +284,12 @@ func TestEmptyMessage(t *testing.T) {
 	dt := datatype.Contiguous(0, datatype.Float64)
 	data := r.ctx.Malloc(0, 256)
 	r.eng.Spawn("empty", func(p *sim.Proc) {
-		pk := r.e.NewPacker(data, dt, 1)
+		pk := new(Packer)
+		r.e.InitPacker(pk, data, dt, 1)
 		if !pk.Done() || pk.Total() != 0 {
 			t.Error("empty packer not done")
 		}
-		n, fut := pk.PackInto(p, data)
+		n, fut := pk.PackWith(p, data, nil)
 		fut.Await(p)
 		if n != 0 {
 			t.Errorf("packed %d bytes of empty message", n)
@@ -290,16 +307,7 @@ func TestEmptyMessage(t *testing.T) {
 // launch.) A borrowed worker starts from scratch: a prefix unpack that
 // stops short leaves nothing for the next message to trip over.
 func TestWholeMessageCallsBorrowTheirWorker(t *testing.T) {
-	// Under the race detector sync.Pool drops a quarter of what it is
-	// given, and a record whose first descriptor array was dropped makes
-	// one.
-	var pool sync.Pool
-	for i, x := 0, new(int); i < 64; i++ {
-		pool.Put(x)
-		if pool.Get() == nil {
-			t.Skip("sync.Pool is dropping (-race): allocation counts are not exact")
-		}
-	}
+	skipIfPoolDrops(t)
 	r := newRig(t, Options{})
 	vec, tri := shapes.SubMatrix(16, 8, 12), shapes.LowerTriangular(32)
 	var allocs [4]float64

@@ -30,14 +30,15 @@ func TestCachedEntriesSplitAtOddFragmentBoundaries(t *testing.T) {
 					t.Errorf("unexpected early cache hit")
 				}
 				// Fragmented pack must hit the cache and stay correct.
-				pk := r.e.NewPacker(data, dt, 1)
+				pk := new(Packer)
+				r.e.InitPacker(pk, data, dt, 1)
 				var off int64
 				for !pk.Done() {
 					n := frag
 					if rem := pk.Remaining(); n > rem {
 						n = rem
 					}
-					_, fut := pk.PackInto(p, out.Slice(off, n))
+					_, fut := pk.PackWith(p, out.Slice(off, n), nil)
 					fut.Await(p)
 					off += n
 				}
@@ -64,14 +65,15 @@ func TestVectorFragmentBoundaries(t *testing.T) {
 		want := cpuPack(dt, 1, data.Bytes())
 		out := r.ctx.Malloc(0, dt.Size())
 		r.eng.Spawn("vecfrag", func(p *sim.Proc) {
-			pk := r.e.NewPacker(data, dt, 1)
+			pk := new(Packer)
+			r.e.InitPacker(pk, data, dt, 1)
 			var off int64
 			for !pk.Done() {
 				n := frag
 				if rem := pk.Remaining(); n > rem {
 					n = rem
 				}
-				_, fut := pk.PackInto(p, out.Slice(off, n))
+				_, fut := pk.PackWith(p, out.Slice(off, n), nil)
 				fut.Await(p)
 				off += n
 			}
@@ -96,14 +98,15 @@ func TestUnpackerFragmentedCachedRoundTrip(t *testing.T) {
 		r.e.Pack(p, src, dt, 1, packed)   // warms pack-direction cache
 		r.e.Unpack(p, dst, dt, 1, packed) // warms unpack-direction cache
 		mem.Fill(dst, 0)
-		uk := r.e.NewUnpacker(dst, dt, 1)
+		uk := new(Packer)
+		r.e.InitUnpacker(uk, dst, dt, 1)
 		var off int64
 		for !uk.Done() {
 			n := int64(777)
 			if rem := uk.Remaining(); n > rem {
 				n = rem
 			}
-			_, fut := uk.UnpackFrom(p, packed.Slice(off, n))
+			_, fut := uk.UnpackWith(p, packed.Slice(off, n), nil)
 			fut.Await(p)
 			off += n
 		}

@@ -10,6 +10,11 @@
 // transfers skip conversion entirely. Datatypes whose layout is an evenly
 // strided vector bypass conversion and use the specialized vector kernel
 // of §3.1.
+//
+// The engine is the stack's one convertor, as Open MPI's is beneath its
+// PML and BTLs (§4): it moves the bytes of any (buffer, datatype,
+// count), host-resident data on the CPU through the datatype converter,
+// charging the node's host bus.
 package core
 
 import (
@@ -54,10 +59,6 @@ type Options struct {
 	// (cached lists are keyed by datatype and count).
 	NoCacheDEV bool
 
-	// Blocks requests a kernel grid size (0 = device default); used by
-	// the §5.3 minimal-resources study.
-	Blocks int
-
 	// DisableVectorKernel forces the generic DEV path even for vector
 	// layouts (ablation).
 	DisableVectorKernel bool
@@ -99,7 +100,9 @@ type cacheVal struct {
 	devBuf  mem.Buffer // descriptor array resident in GPU memory
 }
 
-// Engine is a per-process GPU datatype engine bound to one device.
+// Engine is a per-process datatype engine bound to one device: kernels
+// on that device move device-resident data, the CPU of its node moves
+// host-resident data.
 type Engine struct {
 	ctx    *cuda.Ctx
 	dev    *gpu.Device

@@ -34,7 +34,8 @@ const blockDevBytes = entryDevBytes
 // collective pays instead of one launch per peer when its blocks are
 // small enough for the launch to be their whole cost. All blocks must
 // lie in one memory space of the engine's node (they are windows of one
-// user buffer); dst may be device or host (zero-copy) memory.
+// user buffer); dst may be device or host (zero-copy) memory. Blocks in
+// host memory are packed by the CPU, one host-bus charge for them all.
 func (e *Engine) PackBlocks(p *sim.Proc, blocks []Block, dst mem.Buffer) {
 	e.fused(p, blocks, dst, dirPack)
 }
@@ -82,6 +83,17 @@ func (e *Engine) fused(p *sim.Proc, blocks []Block, frag mem.Buffer, dir directi
 		return
 	}
 	data := space.BufferAt(lo, hi-lo)
+	if data.Kind() == mem.Host {
+		e.chargeCPU(p, total)
+		for i := range blocks {
+			if b := &blocks[i]; b.Size() > 0 {
+				var c datatype.Converter
+				c.Init(b.Dt, b.Count)
+				cpuMove(&c, dir, b.Data, frag.Slice(b.Pos, b.Size()))
+			}
+		}
+		return
+	}
 
 	// One borrowed worker serves every run in turn — a run's units are
 	// copied out before the next run re-inits it — and its kernel record

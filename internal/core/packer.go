@@ -22,20 +22,22 @@ const (
 const maxUnitLen = 1 << 30
 
 // Packer drives the pipelined packing of one (datatype, count) message
-// from GPU-resident non-contiguous data into contiguous fragments. It is
-// resumable: each PackInto call produces the next fragment, which is how
-// the BTL protocols pipeline pack with transfer and unpack (§4).
+// into contiguous fragments, or the inverse. It is resumable: each
+// PackWith call produces the next fragment, which is how the BTL
+// protocols pipeline pack with transfer and unpack (§4).
 //
-// Every path produces a window's descriptors once, as direction-bound
-// gpu.Units rebased to the fragment, in the pooled array the kernel then
-// owns (see gpu.GetUnits) — or in the array of a kept kernel record: a
-// synchronous call's borrowed worker's (see borrowed), a pipelined
-// protocol's producer's or consumer's (PackWith, UnpackWith). The vector
-// path builds them from arithmetic, the cached path from its slice of
-// the resident list, the converting path from the tail of the list it is
-// building. The kernel gets a copy, never a view of a cached list —
-// eviction recycles a list's array while kernels that were bound from it
-// may still be queued.
+// Device-resident data is moved by kernels. Every path produces a
+// window's descriptors once, as direction-bound gpu.Units rebased to the
+// fragment, in the pooled array the kernel then owns (see gpu.GetUnits)
+// — or in the array of a kept kernel record: a synchronous call's
+// borrowed worker's (see borrowed), a pipelined protocol's producer's or
+// consumer's (PackWith, UnpackWith). The vector path builds them from
+// arithmetic, the cached path from its slice of the resident list, the
+// converting path from the tail of the list it is building. The kernel
+// gets a copy, never a view of a cached list — eviction recycles a
+// list's array while kernels that were bound from it may still be
+// queued. Host-resident data is moved by the CPU (see cpuMove): no
+// kernel, no descriptors, no cache lookup.
 type Packer struct {
 	e    *Engine
 	data mem.Buffer
@@ -56,39 +58,29 @@ type Packer struct {
 	caching  bool
 }
 
-// NewPacker prepares packing of count elements of dt laid out over data
-// (a device buffer whose byte 0 is the datatype origin).
-func (e *Engine) NewPacker(data mem.Buffer, dt *datatype.Datatype, count int) *Packer {
-	return e.newWorker(data, dt, count, dirPack)
-}
-
-// NewUnpacker prepares the inverse operation: scattering contiguous
-// fragments into the non-contiguous layout over data.
-func (e *Engine) NewUnpacker(data mem.Buffer, dt *datatype.Datatype, count int) *Packer {
-	return e.newWorker(data, dt, count, dirUnpack)
-}
-
-func (e *Engine) newWorker(data mem.Buffer, dt *datatype.Datatype, count int, dir direction) *Packer {
-	pk := new(Packer)
-	pk.init(e, data, dt, count, dir)
-	return pk
-}
-
-// InitPacker is NewPacker for a Packer held by value in a larger record
-// (a pipelined protocol's producer).
+// InitPacker makes pk, which may be held by value in a larger record (a
+// pipelined protocol's producer), the packer of count elements of dt
+// laid out over data (device or host memory whose byte 0 is the datatype
+// origin), positioned at the message's start.
 func (e *Engine) InitPacker(pk *Packer, data mem.Buffer, dt *datatype.Datatype, count int) {
 	pk.init(e, data, dt, count, dirPack)
 }
 
-// InitUnpacker is NewUnpacker for a Packer held by value.
+// InitUnpacker is InitPacker for the inverse operation: scattering
+// contiguous fragments into the layout over data.
 func (e *Engine) InitUnpacker(pk *Packer, data mem.Buffer, dt *datatype.Datatype, count int) {
 	pk.init(e, data, dt, count, dirUnpack)
 }
 
 // init makes pk the worker of one message, positioned at its start.
+// Host data takes neither the vector view nor the DEV cache: the CPU
+// moves it through the converter alone.
 func (pk *Packer) init(e *Engine, data mem.Buffer, dt *datatype.Datatype, count int, dir direction) {
 	*pk = Packer{e: e, data: data, dt: dt, cnt: count, dir: dir}
 	pk.conv.Init(dt, count)
+	if data.Kind() == mem.Host {
+		return
+	}
 	if !e.opts.DisableVectorKernel {
 		if v, ok := datatype.VectorViewN(dt, count); ok {
 			pk.vec, pk.view = v, &pk.vec
@@ -163,51 +155,48 @@ func (pk *Packer) Remaining() int64 { return pk.conv.Remaining() }
 // Done reports whether the whole message has been processed.
 func (pk *Packer) Done() bool { return pk.conv.Done() }
 
-// PackInto packs the next min(len(frag), Remaining()) bytes into frag.
-// frag may be device memory (kernel writes in-GPU) or host memory (the
-// zero-copy path: the kernel streams over PCIe). It returns the byte
-// count and a future that completes when frag holds the data. Work is
-// submitted to the engine's stream; CPU-side conversion overlaps with
-// previously launched kernels (the §3.2 pipeline).
-func (pk *Packer) PackInto(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) {
-	return pk.PackWith(p, frag, nil)
-}
-
-// PackWith is PackInto launching from k, a kept kernel record the caller
-// owns (see gpu.Kernel.Rearm), whose last launch has completed: the
-// window's last launch is made from it, so a warmed pipelined worker
-// launches without allocating. For a window that is not empty the
-// returned future is k's: it stays the future of this launch until the
-// caller launches from k again. A nil k is PackInto.
+// PackWith packs the next min(len(frag), Remaining()) bytes into frag
+// and returns the byte count and a future that completes when frag holds
+// the data. For device data, frag may be device memory (the kernel
+// writes in-GPU) or host memory (the zero-copy path: the kernel streams
+// over PCIe); work is submitted to the engine's stream, and CPU-side
+// conversion overlaps with previously launched kernels (the §3.2
+// pipeline). k, when not nil, is a kept kernel record the caller owns
+// (see gpu.Kernel.Rearm) whose last launch has completed: the window's
+// last launch is made from it, so a warmed pipelined worker launches
+// without allocating, and for a window that is not empty the returned
+// future is k's until the caller launches from k again. For host data
+// the CPU has moved the bytes by the time PackWith returns, and the
+// future is complete.
 func (pk *Packer) PackWith(p *sim.Proc, frag mem.Buffer, k *gpu.Kernel) (int64, *sim.Future) {
 	if pk.dir != dirPack {
-		panic("core: PackInto on an unpacker")
+		panic("core: PackWith on an unpacker")
 	}
 	return pk.process(p, frag, k)
 }
 
-// UnpackFrom scatters the next min(len(frag), Remaining()) bytes of frag
-// into the data layout; frag may be device or host (zero-copy) memory.
-func (pk *Packer) UnpackFrom(p *sim.Proc, frag mem.Buffer) (int64, *sim.Future) {
-	return pk.UnpackWith(p, frag, nil)
-}
-
-// UnpackWith is UnpackFrom launching from k, as PackWith.
+// UnpackWith scatters the next min(len(frag), Remaining()) bytes of frag
+// into the data layout, as PackWith.
 func (pk *Packer) UnpackWith(p *sim.Proc, frag mem.Buffer, k *gpu.Kernel) (int64, *sim.Future) {
 	if pk.dir != dirUnpack {
-		panic("core: UnpackFrom on a packer")
+		panic("core: UnpackWith on a packer")
 	}
 	return pk.process(p, frag, k)
 }
 
-// process launches the window's kernels. own, when not nil, is the
-// caller's kernel record (see borrowed): the window's last launch is made
-// from it, the others — and every launch when own is nil — from a kernel
-// of their own.
+// process moves the window's bytes: on the CPU for host data, else by
+// the window's kernels. own, when not nil, is the caller's kernel record
+// (see borrowed): the window's last launch is made from it, the others —
+// and every launch when own is nil — from a kernel of their own.
 func (pk *Packer) process(p *sim.Proc, frag mem.Buffer, own *gpu.Kernel) (int64, *sim.Future) {
 	n := frag.Len()
 	if r := pk.conv.Remaining(); n > r {
 		n = r
+	}
+	if pk.data.Kind() == mem.Host {
+		pk.e.chargeCPU(p, n)
+		cpuMove(&pk.conv, pk.dir, pk.data, frag.Slice(0, n))
+		return n, cpuDone
 	}
 	if n == 0 {
 		f := pk.e.ctx.Engine().NewFuture()
@@ -229,6 +218,32 @@ func (pk *Packer) process(p *sim.Proc, frag mem.Buffer, own *gpu.Kernel) (int64,
 		fut = pk.convertAndLaunch(p, n, frag, own)
 	}
 	return n, fut
+}
+
+// cpuDone is the future of every CPU move: the bytes have moved when the
+// call returns. It is complete from the start, so awaiting it returns at
+// once and touches nothing, and every engine can share it.
+var cpuDone = func() *sim.Future {
+	f := sim.NewEngine().NewFuture()
+	f.Complete(nil)
+	return f
+}()
+
+// chargeCPU charges the node's host bus for the CPU moving n bytes of
+// host-resident data into or out of packed form: a read and a write of
+// each. It is charged before the bytes move (see cpuMove).
+func (e *Engine) chargeCPU(p *sim.Proc, n int64) {
+	e.ctx.Node().HostBus().Transfer(p, 2*n)
+}
+
+// cpuMove moves the bytes of frag between host-resident data and frag
+// with c, from c's position: the converter is the CPU's whole pack.
+func cpuMove(c *datatype.Converter, dir direction, data, frag mem.Buffer) {
+	if dir == dirPack {
+		c.Pack(frag.Bytes(), data.Bytes())
+	} else {
+		c.Unpack(data.Bytes(), frag.Bytes())
+	}
 }
 
 // getUnits returns a descriptor array of length n for a launch from own,
@@ -422,7 +437,7 @@ func (e *Engine) launch(k *gpu.Kernel, kind gpu.KernelKind, dir direction, data,
 	if k == nil {
 		k = new(gpu.Kernel)
 	}
-	k.Kind, k.Src, k.Dst, k.Units, k.Blocks = kind, data, frag, units, e.opts.Blocks
+	k.Kind, k.Src, k.Dst, k.Units = kind, data, frag, units
 	if dir == dirUnpack {
 		k.Src, k.Dst = frag, data
 	}
@@ -445,43 +460,44 @@ func (e *Engine) launch(k *gpu.Kernel, kind gpu.KernelKind, dir direction, data,
 	}
 }
 
-// Pack performs a whole-message pack synchronously: data (device,
-// non-contiguous) into dst, which must hold Total() bytes.
+// Pack performs a whole-message pack synchronously: count elements of
+// dt laid out over data (device or host) into dst, which must hold the
+// packed size.
 func (e *Engine) Pack(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, dst mem.Buffer) {
-	b := e.borrow()
-	pk := &b.pk
-	pk.init(e, data, dt, count, dirPack)
-	if dst.Len() < pk.Total() {
-		panic("core: destination smaller than packed size")
-	}
-	_, fut := pk.process(p, dst.Slice(0, pk.Total()), &b.k)
-	fut.Await(p)
-	e.giveBack(b)
+	e.whole(p, data, dt, count, dst, dirPack, false)
 }
 
-// Unpack performs a whole-message unpack synchronously.
+// Unpack performs a whole-message unpack synchronously: src must hold
+// the packed size.
 func (e *Engine) Unpack(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, src mem.Buffer) {
-	e.unpack(p, data, dt, count, src, false)
+	e.whole(p, data, dt, count, src, dirUnpack, false)
 }
 
 // UnpackPrefix is Unpack of a message that may be shorter than the
 // layout (a partial receive): it scatters the first min(len(src),
 // Total()) packed bytes.
 func (e *Engine) UnpackPrefix(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, src mem.Buffer) {
-	e.unpack(p, data, dt, count, src, true)
+	e.whole(p, data, dt, count, src, dirUnpack, true)
 }
 
-func (e *Engine) unpack(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, src mem.Buffer, prefix bool) {
+// whole moves a whole message between data and frag. Host data is moved
+// by a converter on the stack, device data by a borrowed worker.
+func (e *Engine) whole(p *sim.Proc, data mem.Buffer, dt *datatype.Datatype, count int, frag mem.Buffer, dir direction, prefix bool) {
+	total := int64(count) * dt.Size()
+	if frag.Len() < total && !prefix {
+		panic("core: packed buffer smaller than packed size")
+	}
+	frag = frag.Slice(0, min(frag.Len(), total))
+	if data.Kind() == mem.Host {
+		var c datatype.Converter
+		c.Init(dt, count)
+		e.chargeCPU(p, frag.Len())
+		cpuMove(&c, dir, data, frag)
+		return
+	}
 	b := e.borrow()
-	pk := &b.pk
-	pk.init(e, data, dt, count, dirUnpack)
-	if !prefix && src.Len() < pk.Total() {
-		panic("core: source smaller than packed size")
-	}
-	if src.Len() > pk.Total() {
-		src = src.Slice(0, pk.Total())
-	}
-	_, fut := pk.process(p, src, &b.k)
+	b.pk.init(e, data, dt, count, dir)
+	_, fut := b.pk.process(p, frag, &b.k)
 	fut.Await(p)
 	e.giveBack(b)
 }

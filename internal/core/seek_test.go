@@ -18,7 +18,7 @@ func packFrags(p *sim.Proc, pk *Packer, frag mem.Buffer, out *[]byte) {
 			n = r
 		}
 		piece := frag.Slice(0, n)
-		_, fut := pk.PackInto(p, piece)
+		_, fut := pk.PackWith(p, piece, nil)
 		fut.Await(p)
 		*out = append(*out, piece.Bytes()...)
 	}
@@ -43,10 +43,11 @@ func TestPackerSeekToReplay(t *testing.T) {
 
 		var aborted, replayed []byte
 		r.eng.Spawn("seek", func(p *sim.Proc) {
-			pk := r.e.NewPacker(data, rdt, count)
+			pk := new(Packer)
+			r.e.InitPacker(pk, data, rdt, count)
 			// First attempt: pack a few fragments, then abandon it.
 			for i := 0; i < 3 && !pk.Done(); i++ {
-				_, fut := pk.PackInto(p, frag)
+				_, fut := pk.PackWith(p, frag, nil)
 				fut.Await(p)
 			}
 			aborted = append(aborted, frag.Bytes()...)
@@ -75,8 +76,9 @@ func TestPackerSeekToMidstream(t *testing.T) {
 	var tail1, tail2 []byte
 	var mark int64
 	r.eng.Spawn("seek", func(p *sim.Proc) {
-		pk := r.e.NewPacker(data, dt, 1)
-		_, fut := pk.PackInto(p, frag)
+		pk := new(Packer)
+		r.e.InitPacker(pk, data, dt, 1)
+		_, fut := pk.PackWith(p, frag, nil)
 		fut.Await(p)
 		mark = pk.Total() - pk.Remaining()
 		packFrags(p, pk, frag, &tail1)
@@ -107,8 +109,9 @@ func TestPackerSeekToRetiresSlab(t *testing.T) {
 		return len(r.e.cache.slabs)
 	}
 	r.eng.Spawn("seek", func(p *sim.Proc) {
-		pk := r.e.NewPacker(data, dt, 1)
-		_, fut := pk.PackInto(p, frag)
+		pk := new(Packer)
+		r.e.InitPacker(pk, data, dt, 1)
+		_, fut := pk.PackWith(p, frag, nil)
 		fut.Await(p)
 		building := pk.building
 		if building == nil || pooled() != 0 {

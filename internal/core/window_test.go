@@ -162,7 +162,8 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 			r.eng.Spawn("cold", func(p *sim.Proc) { r.e.Pack(p, data, dt, count, packed) })
 			r.eng.Run()
 
-			pk := r.e.newWorker(data, dt, count, dir)
+			pk := new(Packer)
+			pk.init(r.e, data, dt, count, dir)
 			ref := &refWindows{view: pk.view}
 			what := fmt.Sprintf("%s x%d dir %d", dt.Name(), count, dir)
 			if pk.view == nil {

@@ -168,15 +168,20 @@ func TestBackgroundLoadSlowsKernels(t *testing.T) {
 }
 
 func TestRequestedBlocksBelowDefault(t *testing.T) {
-	_, d := newDev(t)
-	src := d.Mem().Alloc(8<<20, 256)
-	dst := d.Mem().Alloc(8<<20, 256)
-	k := contigKernel(VectorKernel, src, dst, 65536)
-	k.Blocks = 2
-	two := d.KernelTime(k)
-	k.Blocks = 4
-	four := d.KernelTime(k)
-	if !(four < two) {
+	// A compute kernel on a requested grid, each on a fresh device: the
+	// smaller grid sustains less bandwidth.
+	timeOn := func(blocks int) sim.Time {
+		e, d := newDev(t)
+		var dur sim.Time
+		e.Spawn("compute", func(p *sim.Proc) {
+			t0 := p.Now()
+			d.Compute(d.NewStream("s"), 8<<20, blocks).Await(p)
+			dur = p.Now() - t0
+		})
+		e.Run()
+		return dur
+	}
+	if two, four := timeOn(2), timeOn(4); !(four < two) {
 		t.Fatalf("more blocks not faster: 2->%v 4->%v", two, four)
 	}
 }

@@ -71,12 +71,11 @@ func GetUnits(n int) []Unit {
 // Kernel panics — unless the record is a kept one, re-armed by Rearm
 // once its last launch has completed.
 type Kernel struct {
-	Kind   KernelKind
-	kept   bool // re-armed by Rearm: spent is the record's own array
-	Src    mem.Buffer
-	Dst    mem.Buffer
-	Units  []Unit
-	Blocks int // requested grid size; 0 = device default
+	Kind  KernelKind
+	kept  bool // re-armed by Rearm: spent is the record's own array
+	Src   mem.Buffer
+	Dst   mem.Buffer
+	Units []Unit
 
 	// spent is Units' array once run() is done with it. For a record
 	// launched once it is the record's unitPool slot; a kept record
@@ -179,13 +178,13 @@ func (d *Device) kernelEff(kind KernelKind) float64 {
 	return d.p.DEVKernelEff
 }
 
-// kernelRate is the raw throughput k achieves on the grid it asks for.
+// kernelRate is the raw throughput k achieves on the device's grid.
 func (d *Device) kernelRate(k *Kernel) float64 {
-	return d.kernelRawRate(d.availableBlocks(k.Blocks)) * d.kernelEff(k.Kind)
+	return d.kernelRawRate(d.availableBlocks(0)) * d.kernelEff(k.Kind)
 }
 
 // KernelTime predicts the execution time of k (excluding launch overhead)
-// on the given grid, for planning pipeline fragment sizes.
+// on the device's grid, for planning pipeline fragment sizes.
 func (d *Device) KernelTime(k *Kernel) sim.Time {
 	_, raw := d.cost(k)
 	return sim.TimeForBytes(raw, d.kernelRate(k))

@@ -131,27 +131,52 @@ type leafSwitch struct {
 // (the default) makes every operation infallible, as before.
 func (f *Fabric) SetFaults(in *fault.Injector) { f.faults = in }
 
-// NewFabric creates an empty fabric, normalizing the topology defaults
-// (Spines = LeafRadix, uplinks at the wire rate, hops at Latency/2).
-func NewFabric(eng *sim.Engine, p Params) *Fabric {
-	if p.Topo.Hierarchical() {
-		if p.Topo.Spines <= 0 {
-			p.Topo.Spines = p.Topo.LeafRadix
+// WithDefaults returns p with every zero field filled: the link
+// calibration from DefaultParams, and on a fat tree the topology's
+// (Spines = LeafRadix, uplinks at the wire rate, hops at Latency/2, the
+// switch ALU at the uplink rate and hop latency). A flat fabric keeps
+// its zero topology.
+func (p Params) WithDefaults() Params {
+	def := DefaultParams()
+	if p.WireGBps <= 0 {
+		p.WireGBps = def.WireGBps
+	}
+	if p.Latency <= 0 {
+		p.Latency = def.Latency
+	}
+	if p.PerMsgOverhead <= 0 {
+		p.PerMsgOverhead = def.PerMsgOverhead
+	}
+	if p.RegCost <= 0 {
+		p.RegCost = def.RegCost
+	}
+	if p.GPUDirectReadGBps <= 0 {
+		p.GPUDirectReadGBps = def.GPUDirectReadGBps
+	}
+	if t := &p.Topo; t.Hierarchical() {
+		if t.Spines <= 0 {
+			t.Spines = t.LeafRadix
 		}
-		if p.Topo.UplinkGBps <= 0 {
-			p.Topo.UplinkGBps = p.WireGBps
+		if t.UplinkGBps <= 0 {
+			t.UplinkGBps = p.WireGBps
 		}
-		if p.Topo.HopLatency <= 0 {
-			p.Topo.HopLatency = p.Latency / 2
+		if t.HopLatency <= 0 {
+			t.HopLatency = p.Latency / 2
 		}
-		if p.Topo.ReduceGBps <= 0 {
-			p.Topo.ReduceGBps = p.Topo.UplinkGBps
+		if t.ReduceGBps <= 0 {
+			t.ReduceGBps = t.UplinkGBps
 		}
-		if p.Topo.ReduceLatency <= 0 {
-			p.Topo.ReduceLatency = p.Topo.HopLatency
+		if t.ReduceLatency <= 0 {
+			t.ReduceLatency = t.HopLatency
 		}
 	}
-	return &Fabric{eng: eng, params: p, sharpOps: make(map[int]*sharpOp)}
+	return p
+}
+
+// NewFabric creates an empty fabric with p's zero fields defaulted (see
+// WithDefaults).
+func NewFabric(eng *sim.Engine, p Params) *Fabric {
+	return &Fabric{eng: eng, params: p.WithDefaults(), sharpOps: make(map[int]*sharpOp)}
 }
 
 // Params returns the fabric calibration.

@@ -36,7 +36,6 @@ import (
 
 	"gpuddt/internal/cluster"
 	"gpuddt/internal/datatype"
-	"gpuddt/internal/ib"
 	"gpuddt/internal/mpi"
 	"gpuddt/internal/pcie"
 	"gpuddt/internal/sim"
@@ -58,7 +57,6 @@ const (
 const (
 	packLaunch     = 5 * sim.Microsecond  // per-message pack/unpack kernel launch
 	packGBps       = 60.0                 // pack/unpack streaming rate
-	busGBpsDefault = 10.0                 // intra-node bus (PCIe root complex)
 	chaosRetryBase = 25 * sim.Microsecond // first retry backoff
 	chaosMaxRetry  = 6
 )
@@ -229,36 +227,14 @@ func build(o Options) (*world, error) {
 	if rpn == 0 {
 		rpn = gpn
 	}
-	ibp := spec.IB
-	def := ib.DefaultParams()
-	if ibp.WireGBps <= 0 {
-		ibp.WireGBps = def.WireGBps
-	}
-	if ibp.Latency <= 0 {
-		ibp.Latency = def.Latency
-	}
-	if ibp.PerMsgOverhead <= 0 {
-		ibp.PerMsgOverhead = def.PerMsgOverhead
-	}
+	ibp := spec.IB.WithDefaults()
 	topo := ibp.Topo
 	if !topo.Hierarchical() {
 		return nil, fmt.Errorf("model: spec %v has no fat-tree topology (use cluster.Scale)", spec)
 	}
-	if topo.Spines <= 0 {
-		topo.Spines = topo.LeafRadix
-	}
-	if topo.UplinkGBps <= 0 {
-		topo.UplinkGBps = ibp.WireGBps
-	}
-	if topo.HopLatency <= 0 {
-		topo.HopLatency = ibp.Latency / 2
-	}
 	busBw := spec.PCIe.RootGBps
 	if busBw <= 0 {
 		busBw = pcie.DefaultParams().RootGBps
-		if busBw <= 0 {
-			busBw = busGBpsDefault
-		}
 	}
 	w := &world{
 		o:      o,

@@ -13,21 +13,24 @@ import (
 // costs, both ranks and every layer under them counted, on every path
 // p2p_lat crosses: its three shapes on its three configurations, and
 // T16K from host memory where a wire or a bus is crossed, plus a T145K
-// rendezvous of four fragments over IB. Every one is 0: a message's
-// records come from its world's free lists and go back once the last
-// party naming them is done (DESIGN decision 26) — the send record, with
-// its RTS and, for a rendezvous, the pipelined sender, its worker and
-// staging processes and its packer's kernel record; the receive record
-// with its process; the receiver half with its consumer's kernel
-// records; and the process that returns a ring slot once its unpack is
-// done — a future's waiters link through their processes, and an active
-// message is a value. The counts are exact, so a row that moves fails:
-// re-pin it and say why. At the commit before, the rows cost 2, 2, 8, 2,
-// 2, 5, 2, 2, 10, 2, 2 and 26 (bounded there at 28): an eager
-// message its two records; a T145K rendezvous its three, a one-shot pack
-// and unpack kernel per fragment, on 1gpu and ib the ACK process with its
-// closure and a second waiter on the unpack future (its waiter array),
-// on ib the staging packer process with its closure.
+// rendezvous of four fragments over IB, and a T145K rendezvous from host
+// memory on all three, whose producer and consumer pack on the CPU (the
+// ring shared as it is over SM, the staged path over IB). Every one is
+// 0: a message's records come from its world's free lists and go back
+// once the last party naming them is done (DESIGN decision 26) — the
+// send record, with its RTS and, for a rendezvous, the pipelined sender,
+// its worker and staging processes and its packer's kernel record; the
+// receive record with its process; the receiver half with its consumer's
+// kernel records; and the process that returns a ring slot once its
+// unpack is done — a future's waiters link through their processes, and
+// an active message is a value. The counts are exact, so a row that
+// moves fails: re-pin it and say why. Before the records were recycled,
+// the first twelve rows cost 2, 2, 8, 2, 2, 5, 2, 2, 10, 2, 2 and 26
+// (bounded there at 28): an eager message its two records; a T145K
+// rendezvous its three, a one-shot pack and unpack kernel per fragment,
+// on 1gpu and ib the ACK process with its closure and a second waiter on
+// the unpack future (its waiter array), on ib the staging packer process
+// with its closure.
 func TestMessageAllocs(t *testing.T) {
 	// Under the race detector sync.Pool drops a quarter of what it is
 	// given, and a kernel whose descriptor array was dropped makes one.
@@ -91,6 +94,9 @@ func TestMessageAllocs(t *testing.T) {
 		{"T145K.ib", "ib", t145k, false, nil},
 		{"T16K.host.2gpu", "2gpu", t16k, true, nil},
 		{"T16K.host.ib", "ib", t16k, true, nil},
+		{"T145K.host.1gpu", "1gpu", t145k, true, nil},
+		{"T145K.host.2gpu", "2gpu", t145k, true, nil},
+		{"T145K.host.ib", "ib", t145k, true, nil},
 		{"T145K.ib.4frag", "ib", t145k, false, &Tuning{FragBytes: t145k.Size() / 4}},
 	} {
 		if got := perMessage(tc.topo, tc.dt, tc.host, tc.tun); got != 0 {

@@ -70,9 +70,11 @@ func (m *Rank) copyBlock(p *sim.Proc, i int, from, to view) {
 }
 
 // localCopy moves (src, sdt, scount) into (dst, rdt, rcount) within the
-// rank, through packed form: GPU layouts use the datatype engine (pack
-// to a device scratch, unpack from it); host layouts use the CPU
-// converter.
+// rank, through packed form: the engine that moves each side's bytes
+// packs into a stage and unpacks from it. The stage is device memory on
+// the rank's GPU when either side is device memory, else host scratch;
+// the CPU cannot reach a device stage, so a host side crosses to it
+// through host scratch. Each side is held to its whole packed size.
 func (m *Rank) localCopy(p *sim.Proc, src mem.Buffer, sdt *datatype.Datatype, scount int,
 	dst mem.Buffer, rdt *datatype.Datatype, rcount int) {
 	packed := packedSize(sdt, scount)
@@ -93,36 +95,30 @@ func (m *Rank) localCopy(p *sim.Proc, src mem.Buffer, sdt *datatype.Datatype, sc
 	}
 	var stage mem.Buffer
 	if src.Kind() == mem.Device || dst.Kind() == mem.Device {
-		// Stage in device memory on the rank's GPU.
 		stage = m.ringBuf(m.ctx.Node().GPU(m.place.GPU).Mem(), packed)
 	} else {
 		stage = m.scratch(packed)
 	}
 	window := stage.Slice(0, packed)
-	if src.Kind() == mem.Device {
-		m.engineFor(src).Pack(p, src, sdt, scount, window)
-	} else if window.Kind() == mem.Device {
-		// Host source into device stage: copy then treat as packed.
+	if window.Kind() == mem.Device && src.Kind() == mem.Host {
 		hs := m.scratch(packed)
-		m.CPUPack(p, src, sdt, scount, hs.Slice(0, packed))
+		m.EngineFor(src).Pack(p, src, sdt, scount, hs.Slice(0, packed))
 		m.mustRetry(p, "local.copy", func() error {
 			return m.ctx.Memcpy(p, window, hs.Slice(0, packed))
 		})
 		m.freeScratch(hs)
 	} else {
-		m.CPUPack(p, src, sdt, scount, window)
+		m.EngineFor(src).Pack(p, src, sdt, scount, window)
 	}
-	if dst.Kind() == mem.Device {
-		m.engineFor(dst).Unpack(p, dst, rdt, rcount, window)
-	} else if window.Kind() == mem.Device {
+	if window.Kind() == mem.Device && dst.Kind() == mem.Host {
 		hs := m.scratch(packed)
 		m.mustRetry(p, "local.copy", func() error {
 			return m.ctx.Memcpy(p, hs.Slice(0, packed), window)
 		})
-		m.CPUUnpack(p, dst, rdt, rcount, hs.Slice(0, packed))
+		m.EngineFor(dst).Unpack(p, dst, rdt, rcount, hs.Slice(0, packed))
 		m.freeScratch(hs)
 	} else {
-		m.CPUUnpack(p, dst, rdt, rcount, window)
+		m.EngineFor(dst).Unpack(p, dst, rdt, rcount, window)
 	}
 	if stage.Kind() == mem.Device {
 		m.releaseRing(stage)

@@ -312,7 +312,6 @@ func TestHierPhaseSpans(t *testing.T) {
 func TestHierCollectivesOnFatTree(t *testing.T) {
 	dt := shapes.SubMatrix(16, 16, 24)
 	cfg := blockedConfig(8, 2, false)
-	cfg.IB.WireGBps = 6.0
 	cfg.IB.Topo.LeafRadix = 4
 	cfg.IB.Topo.Spines = 2
 	w := NewWorld(cfg)

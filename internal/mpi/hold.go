@@ -122,7 +122,8 @@ func (m *Rank) hold(n int, v view, launches func(i int) int) *stage {
 // is priced by its transmit link on the unpack side too (hold is not
 // told the direction, and a slot's two links are built alike).
 func (m *Rank) holdPays(launches int, bytes int64, data mem.Buffer) bool {
-	dev, node := m.deviceOf(data), m.ctx.Node()
+	node := m.ctx.Node()
+	dev := node.DeviceOf(data.Space())
 	saves := sim.Time(launches-1) * node.GPU(dev).Params().KernelLaunch
 	return saves > node.HostBus().OccupancyFor(4*bytes)+node.SlotTx(dev).OccupancyFor(bytes)
 }
@@ -187,9 +188,9 @@ func (m *Rank) release(s *stage) {
 	}
 }
 
-// packBlocks packs every block into the host window stage at its Pos:
-// one fused zero-copy kernel when the blocks lie in device memory, one
-// pass of the CPU converter charging the host bus otherwise.
+// packBlocks packs every block into the host window stage at its Pos,
+// in one call of the engine that moves their memory: one fused zero-copy
+// kernel for device blocks, one pass of the CPU for host blocks.
 func (m *Rank) packBlocks(p *sim.Proc, blocks []core.Block, stage mem.Buffer) {
 	m.moveBlocks(p, true, blocks, stage)
 }
@@ -218,26 +219,10 @@ func (m *Rank) moveBlocks(p *sim.Proc, pack bool, blocks []core.Block, stage mem
 	h := p.BeginBytes(name, total)
 	h.SetDetail("fused")
 	defer h.End()
-	if data.Kind() == mem.Device {
-		if pack {
-			m.engineFor(data).PackBlocks(p, blocks, stage)
-		} else {
-			m.engineFor(data).UnpackBlocks(p, blocks, stage)
-		}
-		return
-	}
-	m.ctx.Node().HostBus().Transfer(p, 2*total)
-	for i := range blocks {
-		b := &blocks[i]
-		if b.Size() == 0 {
-			continue
-		}
-		c, w := datatype.NewConverter(b.Dt, b.Count), stage.Slice(b.Pos, b.Size())
-		if pack {
-			c.Pack(w.Bytes(), b.Data.Bytes())
-		} else {
-			c.Unpack(b.Data.Bytes(), w.Bytes())
-		}
+	if eng := m.EngineFor(data); pack {
+		eng.PackBlocks(p, blocks, stage)
+	} else {
+		eng.UnpackBlocks(p, blocks, stage)
 	}
 }
 

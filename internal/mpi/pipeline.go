@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"gpuddt/internal/core"
-	"gpuddt/internal/cuda"
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
@@ -50,13 +48,11 @@ type pipeSend struct {
 
 	// contig is the sender's packed data window when the send datatype
 	// is contiguous; over SM the receiver consumes it in place.
-	contig    mem.Buffer
-	contigIPC cuda.IpcHandle // valid when contig is device memory
+	contig peerBuf
 
 	// ring is the SM ring the sender packs into, published before its
 	// first fragment event.
-	ring    mem.Buffer
-	ringIPC cuda.IpcHandle // valid when ring is device memory
+	ring peerBuf
 
 	worker  sim.Proc     // started once per message (start); Run is its body
 	started bool         // the worker has been started for this message
@@ -89,8 +85,7 @@ func (st *pipeSend) release() {
 // reference may be one of theirs, still on its stack.
 func (st *pipeSend) reset() {
 	st.op = nil
-	st.contig, st.contigIPC = mem.Buffer{}, cuda.IpcHandle{}
-	st.ring, st.ringIPC = mem.Buffer{}, cuda.IpcHandle{}
+	st.contig, st.ring = peerBuf{}, peerBuf{}
 	st.started, st.epoch = false, 0
 	st.prod.reset()
 }
@@ -128,9 +123,8 @@ type pipeRecv struct {
 	events fragQueue // fragment events from the sender
 	acks   ackQueue  // freed slots back to the sender; ackAbort cancels
 
-	ring      mem.Buffer     // host ring the staged sender Puts into
-	direct    mem.Buffer     // receive window the sender writes straight into
-	directIPC cuda.IpcHandle // valid when direct is device memory
+	ring   mem.Buffer // host ring the staged sender Puts into
+	direct peerBuf    // receive window the sender writes straight into
 
 	home home[pipeRecv]
 }
@@ -141,7 +135,7 @@ func (r *pipeRecv) reset() {
 	r.op, r.snd = nil, nil
 	r.fc.reset()
 	r.events.epoch = 0
-	r.ring, r.direct, r.directIPC = mem.Buffer{}, mem.Buffer{}, cuda.IpcHandle{}
+	r.ring, r.direct = mem.Buffer{}, peerBuf{}
 }
 
 // Handle is the command AM (the CTS), run on the sender's progress
@@ -258,19 +252,6 @@ func contigWindow(buf mem.Buffer, dt *datatype.Datatype, count int) (mem.Buffer,
 	return buf.Slice(off, n), true
 }
 
-// deviceOf returns the GPU index of a buffer on the rank's node, or -1.
-func (m *Rank) deviceOf(b mem.Buffer) int {
-	if b.Kind() == mem.Host {
-		return -1
-	}
-	return m.ctx.Node().DeviceOf(b.Space())
-}
-
-// engineFor returns the rank's datatype engine for the GPU owning buf.
-func (m *Rank) engineFor(b mem.Buffer) *core.Engine {
-	return m.GPUEngine(m.deviceOf(b))
-}
-
 // StartSend implements Strategy: publish handshake info and, unless the
 // SM contiguous fast path applies, start the command-driven sender
 // worker. The fast path leaves the worker unstarted — §4.1: "if the
@@ -283,10 +264,7 @@ func (s *PipelinedStrategy) StartSend(op *SendOp) any {
 	st.op = op
 	st.cmds.Init(op.M.w.eng, op.M.names.sendcmds)
 	if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok && op.Ch.Kind() == SM {
-		st.contig = w
-		if w.Kind() == mem.Device {
-			st.contigIPC = op.M.ctx.IpcGetMemHandle(w)
-		}
+		st.contig = op.M.share(w)
 		return st
 	}
 	st.start()
@@ -336,10 +314,10 @@ func (st *pipeSend) Run(p *sim.Proc) {
 // offset zero: a fallback attempt replays the whole message through the
 // same compiled plan (Packer.SeekTo) rather than rebuilding the worker.
 func (st *pipeSend) producer() *fragProducer {
-	if st.prod.m == nil {
+	if !st.prod.live {
 		st.prod.init(st.op.M, st.op.Buf, st.op.Dt, st.op.Count)
 	} else {
-		st.prod.seekTo(0)
+		st.prod.pk.SeekTo(0)
 	}
 	return &st.prod
 }
@@ -356,14 +334,8 @@ func (st *pipeSend) runPackToRing(p *sim.Proc, r *pipeRecv) bool {
 	tun := &m.w.tun
 	frag := tun.frag
 	depth := tun.depth
-	onGPU := op.Buf.Kind() == mem.Device
 
-	var ring mem.Buffer
-	if onGPU {
-		ring = m.ringBuf(op.Buf.Space(), frag*int64(depth))
-	} else {
-		ring = m.ringBuf(m.ctx.Node().Host(), frag*int64(depth))
-	}
+	ring := m.ringBuf(op.Buf.Space(), frag*int64(depth))
 	prod := st.producer()
 
 	// The first depth fragments take the ring's slots in order; every
@@ -385,10 +357,7 @@ func (st *pipeSend) runPackToRing(p *sim.Proc, r *pipeRecv) bool {
 		fh.End()
 		p.Count("mpi.frag", 1)
 		if i == 0 {
-			st.ring = ring
-			if onGPU {
-				st.ringIPC = m.ctx.IpcGetMemHandle(ring)
-			}
+			st.ring = m.share(ring)
 		}
 		st.notifyFrag(p, r, slot)
 	}
@@ -414,14 +383,10 @@ func (st *pipeSend) runPackDirect(p *sim.Proc, r *pipeRecv) bool {
 	m := op.M
 	h := p.BeginBytes("mpi.send.direct", op.Packed)
 	defer h.End()
-	dst := r.direct
-	if dst.Kind() == mem.Device {
-		mapped, err := m.openIPC(p, r.directIPC)
-		if err != nil {
-			st.notifyFrag(p, r, fragFailed)
-			return false
-		}
-		dst = mapped
+	dst, err := m.open(p, r.direct)
+	if err != nil {
+		st.notifyFrag(p, r, fragFailed)
+		return false
 	}
 	prod := st.producer()
 	frag := m.w.tun.frag
@@ -513,8 +478,8 @@ func (s *stager) Run(p *sim.Proc) {
 // sendStagedFrag Puts one packed fragment and notifies the receiver.
 // Ring mode waits for the target slot's ACK window.
 func (st *pipeSend) sendStagedFrag(p *sim.Proc, r *pipeRecv, i int, off, n int64, src mem.Buffer) {
-	if r.direct.IsValid() {
-		st.op.Ch.Put(p, r.direct.Slice(off, n), src)
+	if r.direct.buf.IsValid() {
+		st.op.Ch.Put(p, r.direct.buf.Slice(off, n), src)
 		st.notifyFrag(p, r, fragNoSlot)
 		return
 	}
@@ -549,7 +514,7 @@ func (s *PipelinedStrategy) RunRecv(p *sim.Proc, op *RecvOp, info any) {
 func (r *pipeRecv) run(p *sim.Proc) {
 	op := r.op
 	if op.Ch.Kind() == SM {
-		if r.snd.contig.IsValid() {
+		if r.snd.contig.buf.IsValid() {
 			r.fromSenderWindow(p)
 			return
 		}
@@ -586,14 +551,10 @@ func (r *pipeRecv) fallback(p *sim.Proc) {
 func (r *pipeRecv) fromSenderWindow(p *sim.Proc) {
 	op := r.op
 	m := op.M
-	src := r.snd.contig
-	if src.Kind() == mem.Device {
-		mapped, err := m.openIPC(p, r.snd.contigIPC) // map cost (cached)
-		if err != nil {
-			r.fallback(p)
-			return
-		}
-		src = mapped
+	src, err := m.open(p, r.snd.contig) // map cost (cached)
+	if err != nil {
+		r.fallback(p)
+		return
 	}
 	if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok {
 		m.mustRetry(p, "frag.copy", func() error {
@@ -618,10 +579,7 @@ func (r *pipeRecv) fromSenderWindow(p *sim.Proc) {
 // sender could not map the window) triggers the staged fallback.
 func (r *pipeRecv) packDirect(p *sim.Proc, w mem.Buffer) {
 	op := r.op
-	r.direct = w.Slice(0, op.Packed)
-	if w.Kind() == mem.Device {
-		r.directIPC = op.M.ctx.IpcGetMemHandle(r.direct)
-	}
+	r.direct = op.M.share(w.Slice(0, op.Packed))
 	r.command(p, cmdPackDirect)
 	if r.events.next(p) == fragFailed {
 		r.fallback(p)
@@ -643,20 +601,15 @@ func (r *pipeRecv) fromRing(p *sim.Proc) {
 	for i := range fragments(op.Packed, frag) {
 		slot := r.events.next(p)
 		if !ring.IsValid() {
-			if st := r.snd; st.ring.Kind() == mem.Device {
-				mapped, err := m.openIPC(p, st.ringIPC)
-				if err != nil {
-					// Cancel the attempt before acking anything: the
-					// sender is short every ACK, so it must consume the
-					// abort, unwind, and await the staged command.
-					r.acks.Put(ackAbort)
-					r.fc.abandon(p)
-					r.fallback(p)
-					return
-				}
-				ring = mapped
-			} else {
-				ring = st.ring
+			var err error
+			if ring, err = m.open(p, r.snd.ring); err != nil {
+				// Cancel the attempt before acking anything: the
+				// sender is short every ACK, so it must consume the
+				// abort, unwind, and await the staged command.
+				r.acks.Put(ackAbort)
+				r.fc.abandon(p)
+				r.fallback(p)
+				return
 			}
 		}
 		off, n := fragment(i, op.Packed, frag)
@@ -678,7 +631,7 @@ func (r *pipeRecv) staged(p *sim.Proc) {
 
 	// Contiguous host receiver: Put straight into the user buffer.
 	if w, ok := contigWindow(op.Buf, op.Dt, op.Count); ok && w.Kind() == mem.Host {
-		r.direct = w.Slice(0, op.Packed)
+		r.direct = m.share(w.Slice(0, op.Packed))
 		r.command(p, cmdSendStaged)
 		for range fragments(op.Packed, frag) {
 			r.events.next(p)
@@ -687,7 +640,7 @@ func (r *pipeRecv) staged(p *sim.Proc) {
 		return
 	}
 
-	r.direct = mem.Buffer{} // a failed pack-direct attempt's device window
+	r.direct = peerBuf{} // a failed pack-direct attempt's device window
 	r.ring = m.ringBuf(m.ctx.Node().Host(), frag*int64(tun.depth))
 	r.command(p, cmdSendStaged)
 	r.fc.init(m, op, &r.acks)

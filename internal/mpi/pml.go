@@ -401,28 +401,17 @@ func (m *Rank) freeScratch(b mem.Buffer) {
 	}
 }
 
-// packToHost packs (buf, dt, count) into the host buffer dst: a
-// zero-copy GPU kernel when the data lives in device memory, or a CPU
-// pack charging the host bus otherwise.
+// packToHost packs (buf, dt, count) into the host buffer dst.
 func (m *Rank) packToHost(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count int, dst mem.Buffer) {
 	h := p.BeginBytes("pack", dst.Len())
-	defer h.End()
-	if buf.Kind() == mem.Device {
-		m.engineFor(buf).Pack(p, buf, dt, count, dst)
-		return
-	}
-	m.CPUPack(p, buf, dt, count, dst)
+	m.EngineFor(buf).Pack(p, buf, dt, count, dst)
+	h.End()
 }
 
-// unpackFromHost is the inverse of packToHost.
+// unpackFromHost is the inverse of packToHost. src may hold fewer packed
+// bytes than the full layout (a partial receive).
 func (m *Rank) unpackFromHost(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count int, src mem.Buffer) {
 	h := p.BeginBytes("unpack", src.Len())
-	defer h.End()
-	if buf.Kind() == mem.Device {
-		// src may hold fewer packed bytes than the full layout (a
-		// partial receive), which Engine.Unpack rejects.
-		m.engineFor(buf).UnpackPrefix(p, buf, dt, count, src)
-		return
-	}
-	m.CPUUnpack(p, buf, dt, count, src)
+	m.EngineFor(buf).UnpackPrefix(p, buf, dt, count, src)
+	h.End()
 }

@@ -121,27 +121,6 @@ func (m *Rank) FreeScratchHost(b mem.Buffer) { m.freeScratch(b) }
 // the high-water mark of retained bytes over the rank's lifetime.
 func (m *Rank) ScratchStats() (pooled, peak int64) { return m.scratchPooled, m.scratchPeak }
 
-// CPUPack packs host-resident (buf, dt, count) into dst on the CPU,
-// charging the host memory bus.
-func (m *Rank) CPUPack(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count int, dst mem.Buffer) {
-	c := datatype.NewConverter(dt, count)
-	m.ctx.Node().HostBus().Transfer(p, 2*c.Total())
-	c.Pack(dst.Bytes(), buf.Bytes())
-}
-
-// CPUUnpack is the inverse of CPUPack. src may hold fewer packed bytes
-// than the full layout (a partial receive); the bus is charged for the
-// bytes actually moved.
-func (m *Rank) CPUUnpack(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count int, src mem.Buffer) {
-	c := datatype.NewConverter(dt, count)
-	n := src.Len()
-	if t := c.Total(); n > t {
-		n = t
-	}
-	m.ctx.Node().HostBus().Transfer(p, 2*n)
-	c.Unpack(buf.Bytes(), src.Bytes())
-}
-
 // Size returns the world size.
 func (m *Rank) Size() int { return len(m.w.ranks) }
 
@@ -154,11 +133,16 @@ func (m *Rank) Now() sim.Time { return m.p.Now() }
 // Ctx returns the rank's CUDA context.
 func (m *Rank) Ctx() *cuda.Ctx { return m.ctx }
 
-// GPUEngine returns the GPU datatype engine for device dev on the
-// rank's node. The engine of the rank's own GPU is built with the rank;
-// one for a peer GPU is built on first use, since most ranks never
-// touch one.
-func (m *Rank) GPUEngine(dev int) *core.Engine {
+// EngineFor returns the datatype engine that moves the bytes of buf.
+// For device memory it is the engine of the GPU that owns buf: the
+// rank's own GPU's is built with the rank, a peer GPU's on first use,
+// since most ranks never touch one. For host memory it is the engine of
+// the rank's own GPU, which moves host data on the CPU.
+func (m *Rank) EngineFor(buf mem.Buffer) *core.Engine {
+	if buf.Kind() == mem.Host {
+		return m.Engine()
+	}
+	dev := m.ctx.Node().DeviceOf(buf.Space())
 	if m.engs[dev] == nil {
 		m.engs[dev] = core.New(m.ctx, dev, m.w.cfg.Engine)
 	}

@@ -121,7 +121,7 @@ func reducePrim(dt *datatype.Datatype) datatype.Primitive {
 func (m *Rank) combine(p *sim.Proc, acc, other mem.Buffer, prim datatype.Primitive, op Op) {
 	n := acc.Len()
 	if acc.Kind() == mem.Device {
-		eng := m.engineFor(acc)
+		eng := m.EngineFor(acc)
 		eng.Device().Compute(eng.Stream(), 3*n, 0).Await(p)
 	} else {
 		m.ctx.Node().HostBus().Transfer(p, 3*n)

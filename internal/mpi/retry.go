@@ -52,14 +52,36 @@ func (m *Rank) mustRetry(p *sim.Proc, what string, fn func() error) {
 	}
 }
 
-// openIPC maps a peer allocation with bounded retries. A persistent
-// fault surfaces as an error rather than a panic so the caller can
-// downgrade a zero-copy protocol to staged copy-in/out.
-func (m *Rank) openIPC(p *sim.Proc, h cuda.IpcHandle) (mem.Buffer, error) {
+// peerBuf is a buffer a rank publishes to a peer on its node: device
+// memory travels with the IPC handle the peer maps it through, host
+// memory is shared as it is.
+type peerBuf struct {
+	buf mem.Buffer
+	ipc cuda.IpcHandle // valid when buf is device memory
+}
+
+// share publishes b to a peer on the rank's node.
+func (m *Rank) share(b mem.Buffer) peerBuf {
+	pb := peerBuf{buf: b}
+	if b.Kind() == mem.Device {
+		pb.ipc = m.ctx.IpcGetMemHandle(b)
+	}
+	return pb
+}
+
+// open returns the buffer a peer shared as this rank reaches it: host
+// memory as it is, device memory mapped through its IPC handle with
+// bounded retries. A persistent fault surfaces as an error rather than a
+// panic so the caller can downgrade a zero-copy protocol to staged
+// copy-in/out.
+func (m *Rank) open(p *sim.Proc, pb peerBuf) (mem.Buffer, error) {
+	if pb.buf.Kind() == mem.Host {
+		return pb.buf, nil
+	}
 	var b mem.Buffer
 	err := m.withRetry(p, "ipc.open", func() error {
 		var e error
-		b, e = m.ctx.IpcOpenMemHandle(p, h)
+		b, e = m.ctx.IpcOpenMemHandle(p, pb.ipc)
 		return e
 	})
 	return b, err

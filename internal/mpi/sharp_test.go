@@ -17,7 +17,6 @@ func switchConfig(nodes, rpn, leafRadix, spines int) Config {
 		ranks = append(ranks, Placement{Node: r / rpn, GPU: r % rpn})
 	}
 	cfg := Config{Ranks: ranks, Tuning: &Tuning{Collectives: CollSwitch}}
-	cfg.IB.WireGBps = 6.0 // zero IB params would be replaced wholesale, Topo included
 	cfg.IB.Topo.LeafRadix = leafRadix
 	cfg.IB.Topo.Spines = spines
 	return cfg

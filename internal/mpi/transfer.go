@@ -8,59 +8,31 @@ import (
 	"gpuddt/internal/sim"
 )
 
-// fragProducer packs a message fragment-at-a-time from the send buffer:
-// GPU data goes through the rank's datatype engine (kernels, pipeline,
-// DEV cache); host data through the CPU converter, charging the host bus.
-// Both workers are held by value; the one the buffer's memory selects is
-// used. Every fragment's pack launches from the producer's one kernel
-// record, which a recycled send record keeps.
+// fragProducer packs a message fragment-at-a-time from the send buffer
+// through the engine that moves the buffer's bytes (see Rank.EngineFor).
+// Its packer is held by value, and every fragment's pack launches from
+// the producer's one kernel record, which a recycled send record keeps.
 type fragProducer struct {
-	m     *Rank // nil until init
-	buf   mem.Buffer
-	onGPU bool
-	gpu   core.Packer
-	conv  datatype.Converter
-	k     gpu.Kernel // kept: a fragment's pack is awaited before the next
+	pk   core.Packer
+	k    gpu.Kernel // kept: a fragment's pack is awaited before the next
+	live bool       // pk is the current message's
 }
 
 // init makes fp, embedded in a send record, the producer of (buf, dt,
 // count).
 func (fp *fragProducer) init(m *Rank, buf mem.Buffer, dt *datatype.Datatype, count int) {
-	fp.m, fp.buf, fp.onGPU = m, buf, buf.Kind() == mem.Device
-	if fp.onGPU {
-		m.engineFor(buf).InitPacker(&fp.gpu, buf, dt, count)
-	} else {
-		fp.conv.Init(dt, count)
-	}
+	m.EngineFor(buf).InitPacker(&fp.pk, buf, dt, count)
+	fp.live = true
 }
 
 // reset clears fp for its record's next message, keeping its kernel.
-func (fp *fragProducer) reset() {
-	fp.m, fp.buf, fp.gpu = nil, mem.Buffer{}, core.Packer{}
-}
+func (fp *fragProducer) reset() { fp.pk, fp.live = core.Packer{}, false }
 
 // packInto fills frag with the next len(frag) packed bytes, blocking
 // until frag holds the data.
 func (fp *fragProducer) packInto(p *sim.Proc, frag mem.Buffer) {
-	if fp.onGPU {
-		_, fut := fp.gpu.PackWith(p, frag, &fp.k)
-		fut.Await(p)
-		return
-	}
-	fp.m.ctx.Node().HostBus().Transfer(p, 2*frag.Len())
-	fp.conv.Pack(frag.Bytes(), fp.buf.Bytes())
-}
-
-// seekTo repositions the producer at packed offset pos, so a protocol
-// attempt abandoned on a fault can replay the message from the start
-// through the same worker (idempotent fragment replay: packing writes
-// the same bytes again).
-func (fp *fragProducer) seekTo(pos int64) {
-	if fp.onGPU {
-		fp.gpu.SeekTo(pos)
-		return
-	}
-	fp.conv.SeekTo(pos)
+	_, fut := fp.pk.PackWith(p, frag, &fp.k)
+	fut.Await(p)
 }
 
 // fragConsumer scatters arriving packed fragments into the receive
@@ -68,16 +40,14 @@ func (fp *fragProducer) seekTo(pos int64) {
 // a remote (peer-GPU) source it stages fragments in local device memory
 // before unpacking — the option the paper measures as 5-10% faster —
 // double-buffered so the staging copy of fragment i+1 overlaps the
-// unpack kernel of fragment i. Like fragProducer it holds both workers by
-// value, and its unpacks launch from kernel records it keeps.
+// unpack kernel of fragment i. Like fragProducer it holds its unpacker
+// by value, and its unpacks launch from kernel records it keeps.
 type fragConsumer struct {
 	m      *Rank
 	op     *RecvOp
 	acks   *ackQueue  // the sender's free-slot queue, for fragments that hold a slot
 	contig mem.Buffer // receiver contiguous window (fast path)
-	onHost bool       // a host layout: conv unpacks; else gpu does
-	gpu    core.Packer
-	conv   datatype.Converter
+	pk     core.Packer
 
 	stage    mem.Buffer
 	stageFut [2]*sim.Future
@@ -96,21 +66,19 @@ func (fc *fragConsumer) init(m *Rank, op *RecvOp, acks *ackQueue) {
 		fc.contig = w
 		return
 	}
-	if op.Buf.Kind() == mem.Device {
-		m.engineFor(op.Buf).InitUnpacker(&fc.gpu, op.Buf, op.Dt, op.Count)
-	} else {
-		fc.onHost = true
-		fc.conv.Init(op.Dt, op.Count)
-	}
+	m.EngineFor(op.Buf).InitUnpacker(&fc.pk, op.Buf, op.Dt, op.Count)
 }
 
 // consume processes one packed fragment located at src (a sender ring
 // slot, a receiver host ring slot, or a window of the sender's data) and
 // returns its slot to the sender — unless it is fragNoSlot — as soon as
-// src may be reused. An injected copy fault is retried in place: every
-// fallible step runs before the consumer's cursors advance (fc.i, the
-// converter position), so a retry replays exactly the same fragment
-// into the same bytes.
+// src may be reused. Two staging rules decide where the unpacker reads
+// from: a host layout stages a device fragment through host scratch (the
+// CPU cannot read device memory); a GPU layout stages a remote fragment
+// in a local double-buffered ring (§5.2.1). An injected copy fault is
+// retried in place: every fallible step runs before the consumer's
+// cursors advance (fc.i, the unpacker position), so a retry replays
+// exactly the same fragment into the same bytes.
 func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot int) {
 	h := p.BeginBytes("frag.consume", n)
 	defer h.End()
@@ -122,7 +90,7 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot 
 		})
 		fc.ack(p, slot)
 
-	case fc.onHost: // host layout
+	case fc.op.Buf.Kind() == mem.Host: // host layout
 		if src.Kind() == mem.Device {
 			if !fc.scratch.IsValid() {
 				fc.scratch = m.scratch(src.Len())
@@ -136,16 +104,15 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot 
 		} else {
 			defer fc.ack(p, slot)
 		}
-		m.ctx.Node().HostBus().Transfer(p, 2*n)
-		fc.conv.Unpack(fc.op.Buf.Bytes(), src.Bytes())
+		fc.pk.UnpackWith(p, src, nil)
 
 	default: // GPU layout
-		dev := m.engineFor(fc.op.Buf).Device()
+		dev := m.EngineFor(fc.op.Buf).Device()
 		direct := src.Kind() == mem.Host ||
 			src.Space() == dev.Mem() ||
 			m.w.tun.directRemoteUnpack
 		if direct {
-			_, fut := fc.gpu.UnpackWith(p, src, fc.kernel(-1))
+			_, fut := fc.pk.UnpackWith(p, src, fc.kernel(-1))
 			fc.lastFut = fut
 			fc.ackWhen(fut, slot)
 			return
@@ -165,7 +132,7 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot 
 		})
 		fc.i++
 		fc.ack(p, slot)
-		_, fut := fc.gpu.UnpackWith(p, stage, fc.kernel(half))
+		_, fut := fc.pk.UnpackWith(p, stage, fc.kernel(half))
 		fc.stageFut[half] = fut
 		fc.lastFut = fut
 	}

@@ -135,9 +135,7 @@ func NewWorld(cfg Config) *World {
 	if cfg.PCIe.RootGBps == 0 {
 		cfg.PCIe = pcie.DefaultParams()
 	}
-	if cfg.IB.WireGBps == 0 {
-		cfg.IB = ib.DefaultParams()
-	}
+	cfg.IB = cfg.IB.WithDefaults()
 	for r, pl := range cfg.Ranks {
 		if pl.Node < 0 || pl.Node >= cfg.Nodes || pl.GPU < 0 || pl.GPU >= cfg.GPUsPerNode {
 			panic(fmt.Sprintf("mpi: rank %d placement out of range", r))

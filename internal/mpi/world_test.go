@@ -6,6 +6,7 @@ import (
 
 	"gpuddt/internal/core"
 	"gpuddt/internal/datatype"
+	"gpuddt/internal/ib"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/shapes"
 )
@@ -32,6 +33,34 @@ func TestNewWorldRejectsBadPlacement(t *testing.T) {
 			}()
 			NewWorld(tc.cfg)
 		})
+	}
+}
+
+// TestFatTreeWithoutWireRate: a Config whose only IB setting is its
+// topology runs on that tree, the link calibration defaulted around it —
+// the topology is not dropped with the zero wire rate.
+func TestFatTreeWithoutWireRate(t *testing.T) {
+	cfg := Config{
+		Ranks: []Placement{{0, 0}, {1, 0}, {2, 0}, {3, 0}},
+		IB:    ib.Params{Topo: ib.FatTree(2, 1)},
+	}
+	w := NewWorld(cfg)
+	dt := datatype.Contiguous(256, datatype.Float64)
+	w.Run(func(m *Rank) {
+		buf := m.MallocHost(dt.Span(1))
+		switch m.Rank() {
+		case 0:
+			m.Send(buf, dt, 1, 3, 0)
+		case 3:
+			m.Recv(buf, dt, 1, 0, 0)
+		}
+	})
+	w.Close()
+	if got := w.fabric.Leaves(); got != 2 {
+		t.Fatalf("%d leaf switches built, want 2 (rank 0 and rank 3 sit on different leaves)", got)
+	}
+	if got, want := w.fabric.Params().WireGBps, ib.DefaultParams().WireGBps; got != want {
+		t.Fatalf("wire rate %v, want the default %v", got, want)
 	}
 }
 

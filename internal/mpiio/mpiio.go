@@ -113,17 +113,12 @@ func (f *File) WriteAll(m *mpi.Rank, buf mem.Buffer, dt *datatype.Datatype, coun
 		panic(fmt.Sprintf("mpiio: rank %d view needs %d bytes, file has %d", m.Rank(), span, f.size))
 	}
 
-	// Stage the packed stream in host memory: GPU data goes through the
-	// datatype engine (zero-copy pack), host data through the CPU
-	// converter.
+	// Stage the packed stream in host memory through the datatype
+	// engine: a zero-copy pack for GPU data, the CPU for host data.
 	stage := m.ScratchHost(packed)
 	defer m.FreeScratchHost(stage)
 	window := stage.Slice(0, packed)
-	if buf.Kind() == mem.Device {
-		m.GPUEngine(m.Ctx().Node().DeviceOf(buf.Space())).Pack(m.Proc(), buf, dt, count, window)
-	} else {
-		m.CPUPack(m.Proc(), buf, dt, count, window)
-	}
+	m.EngineFor(buf).Pack(m.Proc(), buf, dt, count, window)
 
 	// Scatter the packed bytes into the file holes described by the
 	// view, charging the storage link once for the whole stream.
