@@ -19,6 +19,12 @@ ORPHAN_GATE = @deps=$$($(GO) list -deps ./cmd/... ./benchmark ./examples/...); \
 	done); \
 	if [ -n "$$orphans" ]; then echo "packages no command, benchmark or example imports:"; echo "$$orphans"; exit 1; fi
 
+# Every fuzz target in the module, one "package target" pair a line,
+# listed by `go test -list` so a new target is smoked and fuzzed without
+# being named here. A package that fails to build fails the listing.
+FUZZ_TARGETS = list=$$($(GO) test -list '^Fuzz' ./...); \
+	echo "$$list" | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }'
+
 # Tier 1 plus formatting and vet: the gate to run before every commit.
 check-fast:
 	$(GOFMT_GATE)
@@ -51,9 +57,10 @@ check-full:
 	GOMEMLIMIT=1GiB $(GO) test -race -p 1 ./...
 	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core
 	GPUDDT_MEGA=1 $(GO) test ./internal/bench -run TestMegaSmoke16k -v
-	@set -e; for f in FuzzPackUnpack FuzzDEVSplit FuzzChaosPackUnpack FuzzAlltoallvCounts FuzzMoECounts; do \
-		echo "fuzz smoke: $$f"; \
-		$(GO) test ./internal/conformance -run '^$$' -fuzz $$f -fuzztime 10s; \
+	@set -e; targets=$$($(FUZZ_TARGETS)); \
+	echo "$$targets" | while read pkg f; do \
+		echo "fuzz smoke: $$pkg $$f"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s; \
 	done
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for b in "scalebench -quick" "appbench -quick" "tunebench -quick" chaosbench; do \
@@ -63,11 +70,13 @@ check-full:
 		cmp "$$tmp/a.json" "$$tmp/b.json"; \
 	done
 
-# Longer fuzzing session against the differential oracle.
+# Longer fuzzing session: two minutes on every fuzz target.
 fuzz:
-	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzPackUnpack -fuzztime 2m
-	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzDEVSplit -fuzztime 2m
-	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzChaosPackUnpack -fuzztime 2m
+	@set -e; targets=$$($(FUZZ_TARGETS)); \
+	echo "$$targets" | while read pkg f; do \
+		echo "fuzz: $$pkg $$f"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$f\$$" -fuzztime 2m; \
+	done
 
 # Re-record golden traces after an explained behavioural change.
 golden:

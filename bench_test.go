@@ -128,7 +128,7 @@ func BenchmarkAblationUnitSize(b *testing.B) {
 	reportSeries(b, f, "GBps")
 }
 
-func BenchmarkAblationPipelineDepth(b *testing.B) {
+func BenchmarkAblationFragSize(b *testing.B) {
 	var f *bench.Figure
 	for i := 0; i < b.N; i++ {
 		f = bench.AblationPipeline(1024, []int64{256 << 10, 1 << 20, 4 << 20})

@@ -33,7 +33,6 @@ func Run(args []string, out, errOut io.Writer) int {
 	iters := fs.Int("iters", 5, "measured iterations")
 	impl := fs.String("impl", "ours", "implementation: ours, mvapich")
 	frag := fs.Int64("frag", 0, "pipeline fragment bytes (0 = default 1 MiB)")
-	depth := fs.Int("depth", 0, "pipeline depth (0 = default 4)")
 	host := fs.Bool("host", false, "place the data in host memory (CPU datatype engine)")
 	blocks := fs.Int("blocks", 0, "restrict pack/unpack kernels to this many CUDA blocks")
 	direct := fs.Bool("direct-unpack", false, "unpack directly from remote GPU memory (no staging)")
@@ -94,7 +93,6 @@ func Run(args []string, out, errOut io.Writer) int {
 		Tuning: &mpi.Tuning{
 			Strategy:           strategy,
 			FragBytes:          *frag,
-			PipelineDepth:      *depth,
 			DirectRemoteUnpack: *direct,
 		},
 		BlockCap: *blocks,

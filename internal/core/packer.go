@@ -46,8 +46,8 @@ type Packer struct {
 	cnt  int
 	dir  direction
 
-	view   *datatype.VectorView // &vec for a vector layout, else nil
-	vec    datatype.VectorView
+	view   *datatype.CanonVec // &vec for a vector layout, else nil
+	vec    datatype.CanonVec
 	cached *cacheVal
 	ci     int // entry of cached.entries the next sequential window starts in
 
@@ -82,7 +82,7 @@ func (pk *Packer) init(e *Engine, data mem.Buffer, dt *datatype.Datatype, count 
 		return
 	}
 	if !e.opts.DisableVectorKernel {
-		if v, ok := datatype.VectorViewN(dt, count); ok {
+		if v, ok := dt.Plan().Vector(count); ok {
 			pk.vec, pk.view = v, &pk.vec
 		}
 	}
@@ -278,7 +278,7 @@ func (pk *Packer) appendViewUnits(units []gpu.Unit, start, n int64) []gpu.Unit {
 		if hi > end {
 			hi = end
 		}
-		memOff := v.Off + i*v.Stride + (lo - bStart)
+		memOff := v.Off + i*v.InnerStride + (lo - bStart)
 		for l := lo; l < hi; {
 			take := hi - l
 			if take > maxUnitLen {
@@ -388,7 +388,7 @@ func (pk *Packer) convert(p *sim.Proc, m int64) []Entry {
 		// Len/UnitSize + 1 units.
 		var units int64
 		if pk.caching {
-			units = pk.conv.Total()/opts.UnitSize + int64(pk.cnt)*int64(pk.dt.Plan().NumBlocks())
+			units = pk.conv.Total()/opts.UnitSize + int64(pk.cnt)*int64(pk.dt.NumBlocks())
 		}
 		pk.building = pk.e.cache.grabSlab(int(units))
 	}

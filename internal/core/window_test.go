@@ -14,11 +14,12 @@ import (
 
 // refWindows is the descriptor plumbing the packer had before its paths
 // wrote kernel units directly: a window's entries are copied into a
-// scratch slice (viewEntries / cachedEntries, unedited), then converted
-// to direction-bound units (the loop that stood in launch). It is the
-// reference of TestWindowUnitsMatchReference.
+// scratch slice (viewEntries / cachedEntries, unedited but for the
+// vector's field names), then converted to direction-bound units (the
+// loop that stood in launch). It is the reference of
+// TestWindowUnitsMatchReference.
 type refWindows struct {
-	view    *datatype.VectorView
+	view    *datatype.CanonVec
 	entries []Entry // the cached list
 	ci      int
 	scratch []Entry
@@ -28,7 +29,7 @@ func (pk *refWindows) viewEntries(start, n int64) []Entry {
 	v := pk.view
 	out := pk.scratch[:0]
 	end := start + n
-	for i := start / v.BlockLen; i < v.Count; i++ {
+	for i := start / v.BlockLen; i < v.Inner; i++ {
 		bStart := i * v.BlockLen // packed offset of block i
 		if bStart >= end {
 			break
@@ -40,7 +41,7 @@ func (pk *refWindows) viewEntries(start, n int64) []Entry {
 		if hi > end {
 			hi = end
 		}
-		memOff := v.Off + i*v.Stride + (lo - bStart)
+		memOff := v.Off + i*v.InnerStride + (lo - bStart)
 		for l := lo; l < hi; {
 			take := hi - l
 			if take > maxUnitLen {

@@ -74,17 +74,6 @@ type SigRun struct {
 	Count int64
 }
 
-// VectorView describes a layout that is exactly Count equal blocks of
-// BlockLen bytes whose starts are Stride bytes apart, beginning at Off.
-// The GPU engine uses it to select the specialized vector kernel, and
-// the MVAPICH-style baseline uses it for cudaMemcpy2D.
-type VectorView struct {
-	Off      int64
-	Count    int64
-	BlockLen int64
-	Stride   int64
-}
-
 // Datatype is an immutable MPI derived datatype.
 type Datatype struct {
 	kind kind
@@ -98,7 +87,6 @@ type Datatype struct {
 
 	flat []Block  // flattened blocks of one element, traversal order, merged
 	sig  []SigRun // signature of one element
-	vec  *VectorView
 
 	planOnce sync.Once // guards planVal (compiled lazily, possibly from concurrent worlds)
 	planVal  *Plan
@@ -117,7 +105,6 @@ func (d *Datatype) finish() *Datatype {
 			}
 		}
 	}
-	d.vec = detectVector(d.flat)
 	return d
 }
 
@@ -204,11 +191,6 @@ func (d *Datatype) NumBlocks() int { return len(d.flat) }
 func (d *Datatype) IsContiguous() bool {
 	return len(d.flat) == 1 && d.flat[0].Off == 0 && d.flat[0].Len == d.Extent()
 }
-
-// Vector returns the VectorView of one element, or nil if the layout is
-// not an evenly strided set of equal blocks. See VectorViewN for the
-// (type, count) pattern used in a send or receive.
-func (d *Datatype) Vector() *VectorView { return d.vec }
 
 // Signature returns the run-length-encoded primitive signature of one
 // element. The slice is shared; do not modify it.
@@ -529,65 +511,6 @@ func Resized(base *Datatype, lb, extent int64) *Datatype {
 		sig:  base.sig,
 	}
 	return d.finish()
-}
-
-// detectVector returns a VectorView if blocks form an evenly strided set
-// of equal-length blocks (nil otherwise). Single-block layouts report
-// Stride == BlockLen.
-func detectVector(flat []Block) *VectorView {
-	if len(flat) == 0 {
-		return nil
-	}
-	v := &VectorView{
-		Off:      flat[0].Off,
-		Count:    int64(len(flat)),
-		BlockLen: flat[0].Len,
-		Stride:   flat[0].Len,
-	}
-	if len(flat) == 1 {
-		return v
-	}
-	v.Stride = flat[1].Off - flat[0].Off
-	for i, b := range flat {
-		if b.Len != v.BlockLen {
-			return nil
-		}
-		if b.Off != v.Off+int64(i)*v.Stride {
-			return nil
-		}
-	}
-	return v
-}
-
-// VectorViewN returns the VectorView of the full (datatype, count)
-// pattern of a send or receive — by value, so a larger record can hold
-// it; ok is false if that pattern is not an evenly strided set of equal
-// blocks.
-func VectorViewN(d *Datatype, count int) (v VectorView, ok bool) {
-	if count < 0 || d.vec == nil {
-		return v, false
-	}
-	if count == 0 {
-		return v, true
-	}
-	if off, n, ok := d.Plan().Dense(count); ok {
-		return VectorView{Off: off, Count: 1, BlockLen: n, Stride: n}, true
-	}
-	v = *d.vec
-	if count == 1 {
-		return v, true
-	}
-	ext := d.Extent()
-	if v.Count == 1 {
-		// Single block per element: blocks repeat at extent stride.
-		return VectorView{Off: v.Off, Count: int64(count), BlockLen: v.BlockLen, Stride: ext}, true
-	}
-	// Multi-block element: the next element must continue the stride.
-	if ext != v.Stride*v.Count {
-		return VectorView{}, false
-	}
-	v.Count *= int64(count)
-	return v, true
 }
 
 // SignaturesMatch reports whether (da, countA) and (db, countB) describe

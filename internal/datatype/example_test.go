@@ -13,8 +13,8 @@ func ExampleVector() {
 	fmt.Println("size:", sub.Size(), "bytes")
 	fmt.Println("extent:", sub.Extent(), "bytes")
 	fmt.Println("blocks:", sub.NumBlocks())
-	v := sub.Vector()
-	fmt.Printf("vector view: %d blocks of %d bytes every %d bytes\n", v.Count, v.BlockLen, v.Stride)
+	v, _ := sub.Plan().Vector(1)
+	fmt.Printf("vector view: %d blocks of %d bytes every %d bytes\n", v.Inner, v.BlockLen, v.InnerStride)
 	// Output:
 	// size: 96 bytes
 	// extent: 160 bytes

@@ -198,7 +198,7 @@ func (c *Converter) move(layout, packed []byte, unpack bool) int64 {
 		c.rep, c.bo = c.packed/c.dt.size, c.packed%c.dt.size
 		return max
 	}
-	nb := c.plan.NumBlocks()
+	nb := c.dt.NumBlocks()
 	// The run being gathered: run bytes at layout[at:], which are
 	// packed[done-run:done].
 	var done, at, run int64

@@ -47,16 +47,13 @@ type Plan struct {
 // layouts.
 func (pl *Plan) Canonical() *CanonVec { return pl.canon }
 
-// NumBlocks returns the element's block count.
-func (pl *Plan) NumBlocks() int { return len(pl.blocks) }
-
 // Dense reports whether count repetitions of the element occupy one
 // gap-free window of memory, and if so where: n packed bytes at offset
 // off from the data origin, packed byte p living at off+p. That is an
 // element of a single block which either is not repeated or tiles
 // (block length == extent). This is the one definition of "dense":
 // the converter's single-copy path, the contiguous protocol window in
-// mpi and VectorViewN's one-block arm all ask here. A zero count has no
+// mpi and Vector's one-block arm all ask here. A zero count has no
 // window.
 func (pl *Plan) Dense(count int) (off, n int64, ok bool) {
 	if len(pl.blocks) != 1 || count < 1 {
@@ -67,6 +64,38 @@ func (pl *Plan) Dense(count int) (off, n int64, ok bool) {
 		return 0, 0, false
 	}
 	return b.Off, int64(count) * b.Len, true
+}
+
+// Vector returns the (element, count) pattern of a send or receive as
+// one evenly strided run of equal blocks (Outer == 1) — the form the
+// GPU engine's vector kernel takes — and false if the pattern is not
+// one. A dense window is one block; an element of one block repeats at
+// the extent; an element of several continues its stride into the next
+// only when the extent is InnerStride × Inner. A zero count is a vector
+// of no blocks unless the element has none.
+func (pl *Plan) Vector(count int) (CanonVec, bool) {
+	cv := pl.canon
+	if count < 0 || cv == nil || cv.Outer != 1 {
+		return CanonVec{}, false
+	}
+	if count == 0 {
+		return CanonVec{}, true
+	}
+	if off, n, ok := pl.Dense(count); ok {
+		return CanonVec{Off: off, BlockLen: n, Inner: 1, InnerStride: n, Outer: 1, OuterStride: n}, true
+	}
+	v := *cv
+	switch {
+	case count == 1:
+		return v, true
+	case v.Inner == 1:
+		v.InnerStride = pl.extent
+	case pl.extent != v.InnerStride*v.Inner:
+		return CanonVec{}, false
+	}
+	v.Inner *= int64(count)
+	v.OuterStride = v.Inner * v.InnerStride
+	return v, true
 }
 
 // block returns block i of the element.

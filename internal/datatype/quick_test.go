@@ -165,20 +165,20 @@ func TestQuickPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickVectorViewExpandsToBlocks(t *testing.T) {
+func TestQuickPlanVectorExpandsToBlocks(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dt := randType(r, 2)
 		count := r.Intn(3) + 1
-		v, ok := VectorViewN(dt, count)
+		v, ok := dt.Plan().Vector(count)
 		if !ok {
 			return true
 		}
-		// Expanding the view must reproduce the converter's blocks.
+		// Expanding the vector must reproduce the converter's blocks.
 		var viewBlocks []Block
-		for i := int64(0); i < v.Count; i++ {
-			viewBlocks = appendMerged(viewBlocks, Block{Off: v.Off + i*v.Stride, Len: v.BlockLen})
+		for i := int64(0); i < v.NumBlocks(); i++ {
+			viewBlocks = appendMerged(viewBlocks, Block{Off: v.BlockOff(i), Len: v.BlockLen})
 		}
 		var convBlocks []Block
 		c := NewConverter(dt, count)

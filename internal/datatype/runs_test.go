@@ -146,7 +146,7 @@ func TestPackUnpackRunsMatchPieces(t *testing.T) {
 	}
 }
 
-// TestDenseIsOneDefinition: Plan.Dense, VectorViewN's one-block answer
+// TestDenseIsOneDefinition: Plan.Dense, Plan.Vector's one-block answer
 // and a single-piece walk are the same predicate.
 func TestDenseIsOneDefinition(t *testing.T) {
 	for _, tl := range append(runLayouts,
@@ -159,9 +159,9 @@ func TestDenseIsOneDefinition(t *testing.T) {
 			t.Errorf("%s: Dense = %v, want %v", tl.name, ok, tl.dense)
 			continue
 		}
-		v, isVec := VectorViewN(tl.dt, tl.count)
-		if one := isVec && v.Count == 1; one != ok {
-			t.Errorf("%s: VectorViewN = %+v, Dense = %v", tl.name, v, ok)
+		v, isVec := tl.dt.Plan().Vector(tl.count)
+		if one := isVec && v.Inner == 1; one != ok {
+			t.Errorf("%s: Vector = %+v, Dense = %v", tl.name, v, ok)
 		}
 		c := NewConverter(tl.dt, tl.count)
 		pieces, _ := collect(c, c.Total())

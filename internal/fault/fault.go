@@ -1,11 +1,10 @@
 // Package fault implements deterministic fault injection for the
 // simulated cluster. A Plan describes which sites may fail and how
 // often; an Injector evaluates the plan at runtime. Decisions are pure
-// functions of (seed, site, occurrence counter) plus the virtual clock
-// (for link-flap windows), so a run with a given plan is exactly
-// reproducible and a run with a nil plan is byte-identical to a run
-// without the subsystem: every hook is a method on a possibly-nil
-// *Injector that returns immediately.
+// functions of (seed, site, occurrence counter), so a run with a given
+// plan is exactly reproducible and a run with a nil plan is
+// byte-identical to a run without the subsystem: every hook is a method
+// on a possibly-nil *Injector that returns immediately.
 //
 // Faults are charged virtual time. Detecting a failure is not free on
 // real hardware — a send timeout burns the timeout, a dropped RDMA
@@ -13,13 +12,16 @@
 // site's detection latency on the victim process before the error
 // surfaces. Retry backoff (see Backoff) is likewise virtual time. This
 // keeps fault handling inside the performance model instead of beside
-// it: a chaos run's figures are the figures of a faulty machine.
+// it: a chaos run's figures are the figures of a faulty machine. A plan
+// says only what fails; what detection costs and how retries back off
+// is one policy, stated here for every run.
 package fault
 
 import (
 	"errors"
 	"fmt"
 
+	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
 )
 
@@ -41,8 +43,8 @@ type Site string
 // Injection sites. Each corresponds to one hook in internal/ib,
 // internal/pcie, internal/cuda or internal/gpu.
 const (
-	// IBSend fails message injection at the HCA (send timeout, or a
-	// link-flap window swallowing the post). Nothing is delivered.
+	// IBSend fails message injection at the HCA (a send timeout).
+	// Nothing is delivered.
 	IBSend Site = "ib.send"
 	// RDMAWrite fails an RDMA write. Half of the injected faults are
 	// dropped completions: the payload lands remotely but the local
@@ -73,9 +75,6 @@ const (
 func Sites() []Site {
 	return []Site{IBSend, RDMAWrite, RDMARead, IBRegister, IBRegEvict, PCIeCopy, KernelLaunch, IPCOpen}
 }
-
-// flapSites are the wire-adjacent sites an IB link flap takes down.
-var flapSites = map[Site]bool{IBSend: true, RDMAWrite: true, RDMARead: true}
 
 // Error is an injected fault, carrying enough context to log and to
 // decide recovery. It satisfies error.
@@ -125,8 +124,8 @@ func WasDelivered(err error) bool {
 	return errors.As(err, &fe) && fe.Delivered
 }
 
-// Plan is the declarative fault schedule. The zero value of every field
-// is benign; NewPlan fills the conventional defaults.
+// Plan is the declarative fault schedule: which sites fail and how
+// often. The zero value injects nothing.
 type Plan struct {
 	// Seed drives every probabilistic decision.
 	Seed uint64
@@ -139,36 +138,11 @@ type Plan struct {
 	// (e.g. a dead P2P path) that no retry budget survives, forcing
 	// protocol degradation.
 	Persistent map[Site]bool
-
-	// FlapPeriod/FlapDuration schedule IB link flaps: within every
-	// period of virtual time, the first FlapDuration is an outage
-	// during which the wire sites (IBSend, RDMAWrite, RDMARead) fail
-	// deterministically. Zero period disables flapping. Keep the
-	// duration well under the total retry backoff span (~1.5 ms at the
-	// defaults) or senders will exhaust their budgets inside a window.
-	FlapPeriod   sim.Time
-	FlapDuration sim.Time
-
-	// DetectLatency is charged when a local fault (copy, launch, IPC
-	// map, registration) is detected. Default 2 µs.
-	DetectLatency sim.Time
-	// SendTimeout is charged when a send fault is detected. Default 25 µs.
-	SendTimeout sim.Time
-	// AckTimeout is charged when an RDMA completion is lost. Default 50 µs.
-	AckTimeout sim.Time
-
-	// MaxAttempts bounds every retry loop built on this plan (PML
-	// fragment retries, autonomous kernel relaunch). Default 10.
-	MaxAttempts int
-	// BackoffBase/BackoffCap shape the capped exponential retry
-	// backoff: base<<attempt, clamped. Defaults 2 µs / 250 µs.
-	BackoffBase sim.Time
-	BackoffCap  sim.Time
 }
 
 // NewPlan returns a plan seeded with seed that faults every transient
-// site with probability rate. Tune Rates/Persistent/Flap* afterwards.
-// The eviction-storm site gets the same rate (it is latency-only).
+// site with probability rate. Tune Rates/Persistent afterwards. The
+// eviction-storm site gets the same rate (it is latency-only).
 func NewPlan(seed uint64, rate float64) *Plan {
 	pl := &Plan{
 		Seed:       seed,
@@ -181,38 +155,28 @@ func NewPlan(seed uint64, rate float64) *Plan {
 	return pl
 }
 
-func (pl *Plan) withDefaults() Plan {
-	out := *pl
-	if out.DetectLatency == 0 {
-		out.DetectLatency = 2 * sim.Microsecond
-	}
-	if out.SendTimeout == 0 {
-		out.SendTimeout = 25 * sim.Microsecond
-	}
-	if out.AckTimeout == 0 {
-		out.AckTimeout = 50 * sim.Microsecond
-	}
-	if out.MaxAttempts == 0 {
-		out.MaxAttempts = 10
-	}
-	if out.BackoffBase == 0 {
-		out.BackoffBase = 2 * sim.Microsecond
-	}
-	if out.BackoffCap == 0 {
-		out.BackoffCap = 250 * sim.Microsecond
-	}
-	return out
-}
-
-// Default retry policy used when no plan is installed (the values a nil
-// *Injector reports). Shared so fault-free and faulty runs agree on the
-// budget shape.
-const defaultMaxAttempts = 10
-
+// Detection latencies: the virtual time a fault costs its victim before
+// the error surfaces.
 const (
-	defaultBackoffBase = 2 * sim.Microsecond
-	defaultBackoffCap  = 250 * sim.Microsecond
+	localDetect = 2 * sim.Microsecond  // a local fault: copy, launch, IPC map, registration
+	sendTimeout = 25 * sim.Microsecond // a send timeout
+	ackTimeout  = 50 * sim.Microsecond // a lost RDMA completion
 )
+
+// MaxAttempts bounds every retry loop (PML fragment retries, autonomous
+// kernel relaunch), with or without a plan installed.
+const MaxAttempts = 10
+
+// Backoff returns the capped exponential backoff to sleep before retry
+// number attempt+1 (attempt counts from 0): 2 µs doubling, capped at
+// 250 µs.
+func Backoff(attempt int) sim.Time {
+	const base, cap = 2 * sim.Microsecond, 250 * sim.Microsecond
+	if attempt > 30 {
+		attempt = 30
+	}
+	return min(base<<uint(attempt), cap)
+}
 
 // Injector evaluates a Plan at runtime. One Injector serves a whole
 // simulated world; the engine is single-threaded so no locking is
@@ -229,7 +193,7 @@ func NewInjector(pl *Plan) *Injector {
 		return nil
 	}
 	return &Injector{
-		plan:     pl.withDefaults(),
+		plan:     *pl,
 		seq:      make(map[Site]uint64),
 		injected: make(map[Site]int64),
 	}
@@ -237,40 +201,6 @@ func NewInjector(pl *Plan) *Injector {
 
 // Enabled reports whether fault injection is active.
 func (in *Injector) Enabled() bool { return in != nil }
-
-// MaxAttempts returns the plan's retry budget (the default when no plan
-// is installed, so retry loops are uniformly bounded).
-func (in *Injector) MaxAttempts() int {
-	if in == nil {
-		return defaultMaxAttempts
-	}
-	return in.plan.MaxAttempts
-}
-
-// Backoff returns the capped exponential backoff to sleep before retry
-// number attempt+1 (attempt counts from 0).
-func (in *Injector) Backoff(attempt int) sim.Time {
-	base, cap := defaultBackoffBase, defaultBackoffCap
-	if in != nil {
-		base, cap = in.plan.BackoffBase, in.plan.BackoffCap
-	}
-	if attempt > 30 {
-		attempt = 30
-	}
-	d := base << uint(attempt)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	return d
-}
-
-// splitmix64 is the decision hash: fast, full-period, seed-friendly.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 func siteHash(s Site) uint64 {
 	h := uint64(14695981039346656037) // FNV-1a
@@ -294,28 +224,20 @@ func (in *Injector) roll(site Site) (seq uint64, hit bool, h uint64) {
 	if rate <= 0 {
 		return seq, false, 0
 	}
-	h = splitmix64(in.plan.Seed ^ siteHash(site) ^ (seq * 0x9e3779b97f4a7c15))
+	h = mem.Mix64(in.plan.Seed ^ siteHash(site) ^ (seq * 0x9e3779b97f4a7c15))
 	return seq, float64(h>>11)/(1<<53) < rate, h
-}
-
-// flapping reports whether the wire is inside a link-flap outage window.
-func (in *Injector) flapping(site Site, now sim.Time) bool {
-	if in.plan.FlapPeriod <= 0 || !flapSites[site] {
-		return false
-	}
-	return now%in.plan.FlapPeriod < in.plan.FlapDuration
 }
 
 // detectLatency resolves the virtual-time cost of discovering a fault
 // at the given site.
-func (in *Injector) detectLatency(site Site) sim.Time {
+func detectLatency(site Site) sim.Time {
 	switch site {
 	case IBSend:
-		return in.plan.SendTimeout
+		return sendTimeout
 	case RDMAWrite, RDMARead:
-		return in.plan.AckTimeout
+		return ackTimeout
 	default:
-		return in.plan.DetectLatency
+		return localDetect
 	}
 }
 
@@ -328,7 +250,7 @@ func (in *Injector) Check(p *sim.Proc, site Site, n int64) error {
 		return nil
 	}
 	seq, hit, h := in.roll(site)
-	if !hit && !in.flapping(site, p.Now()) {
+	if !hit {
 		return nil
 	}
 	in.injected[site]++
@@ -341,7 +263,7 @@ func (in *Injector) Check(p *sim.Proc, site Site, n int64) error {
 	}
 	sp := p.BeginBytes("fault.inject", n)
 	sp.SetDetail(string(site))
-	p.Sleep(in.detectLatency(site))
+	p.Sleep(detectLatency(site))
 	sp.End()
 	return e
 }

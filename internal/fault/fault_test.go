@@ -35,12 +35,6 @@ func TestNilInjectorIsFree(t *testing.T) {
 	if in.Enabled() || in.Total() != 0 {
 		t.Fatal("nil injector claims activity")
 	}
-	if in.MaxAttempts() != defaultMaxAttempts {
-		t.Fatalf("nil MaxAttempts = %d", in.MaxAttempts())
-	}
-	if in.Backoff(0) != defaultBackoffBase || in.Backoff(40) != defaultBackoffCap {
-		t.Fatalf("nil backoff schedule wrong: %v, %v", in.Backoff(0), in.Backoff(40))
-	}
 }
 
 func TestDeterministicDecisions(t *testing.T) {
@@ -101,39 +95,31 @@ func TestPersistentSiteAlwaysFaults(t *testing.T) {
 	}
 }
 
+// TestDetectionLatencyCharged pins the detection policy: each site
+// class charges its victim its own latency before the error surfaces.
 func TestDetectionLatencyCharged(t *testing.T) {
-	pl := NewPlan(1, 0)
-	pl.Persistent[IBSend] = true
-	in := NewInjector(pl)
-	end := run(t, func(p *sim.Proc) {
-		if err := in.Check(p, IBSend, 64); err == nil {
-			t.Fatal("expected fault")
-		}
-	})
-	if end != 25*sim.Microsecond {
-		t.Fatalf("send timeout charged %v, want 25µs", end)
+	want := map[Site]sim.Time{
+		IBSend:       25 * sim.Microsecond,
+		RDMAWrite:    50 * sim.Microsecond,
+		RDMARead:     50 * sim.Microsecond,
+		IBRegister:   2 * sim.Microsecond,
+		PCIeCopy:     2 * sim.Microsecond,
+		KernelLaunch: 2 * sim.Microsecond,
+		IPCOpen:      2 * sim.Microsecond,
 	}
-}
-
-func TestLinkFlapWindow(t *testing.T) {
-	pl := NewPlan(1, 0)
-	pl.FlapPeriod = 100 * sim.Microsecond
-	pl.FlapDuration = 10 * sim.Microsecond
-	in := NewInjector(pl)
-	run(t, func(p *sim.Proc) {
-		if err := in.Check(p, IBSend, 64); err == nil {
-			t.Fatal("send inside flap window succeeded")
+	for site, lat := range want {
+		pl := NewPlan(1, 0)
+		pl.Persistent[site] = true
+		in := NewInjector(pl)
+		end := run(t, func(p *sim.Proc) {
+			if err := in.Check(p, site, 64); err == nil {
+				t.Fatalf("%s: expected fault", site)
+			}
+		})
+		if end != lat {
+			t.Errorf("%s: detection charged %v, want %v", site, end, lat)
 		}
-		// Check charged the send timeout (25µs), escaping the window.
-		if err := in.Check(p, IBSend, 64); err != nil {
-			t.Fatalf("send outside flap window failed: %v", err)
-		}
-		// Flaps only hit wire sites.
-		p.Sleep(75 * sim.Microsecond) // back inside the next window
-		if err := in.Check(p, PCIeCopy, 64); err != nil {
-			t.Fatalf("flap window hit a non-wire site: %v", err)
-		}
-	})
+	}
 }
 
 func TestDroppedCompletionFlavor(t *testing.T) {
@@ -158,18 +144,20 @@ func TestDroppedCompletionFlavor(t *testing.T) {
 	}
 }
 
+// TestBackoffShape pins the retry policy: the budget, and a backoff
+// that doubles from 2 µs until it reaches the 250 µs cap.
 func TestBackoffShape(t *testing.T) {
-	in := NewInjector(NewPlan(1, 0))
-	prev := sim.Time(0)
-	for a := 0; a < 12; a++ {
-		d := in.Backoff(a)
-		if d < prev {
-			t.Fatalf("backoff not monotone at attempt %d: %v < %v", a, d, prev)
+	if MaxAttempts != 10 {
+		t.Fatalf("MaxAttempts = %d, want 10", MaxAttempts)
+	}
+	want := []sim.Time{2, 4, 8, 16, 32, 64, 128, 250, 250, 250}
+	for a, w := range want {
+		if d := Backoff(a); d != w*sim.Microsecond {
+			t.Errorf("Backoff(%d) = %v, want %v", a, d, w*sim.Microsecond)
 		}
-		if d > 250*sim.Microsecond {
-			t.Fatalf("backoff exceeds cap: %v", d)
-		}
-		prev = d
+	}
+	if d := Backoff(1000); d != 250*sim.Microsecond {
+		t.Errorf("Backoff(1000) = %v, want the cap", d)
 	}
 }
 

@@ -98,11 +98,11 @@ func (d *Device) launchGate(p *sim.Proc, bytes int64) {
 		if err == nil {
 			return
 		}
-		if attempt+1 >= d.faults.MaxAttempts() {
+		if attempt+1 >= fault.MaxAttempts {
 			panic(fmt.Sprintf("gpu%d: kernel launch failed after %d attempts: %v", d.id, attempt+1, err))
 		}
 		p.Count("gpu.launch.retry", 1)
-		p.Sleep(d.faults.Backoff(attempt))
+		p.Sleep(fault.Backoff(attempt))
 	}
 }
 

@@ -1,8 +1,11 @@
 package gpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"gpuddt/internal/fault"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
 )
@@ -385,5 +388,32 @@ func TestKeptKernelRearms(t *testing.T) {
 		if got[i] != want {
 			t.Errorf("case %d: %v, want the panic %q", i, got[i], want)
 		}
+	}
+}
+
+// TestLaunchBudgetExhausted: a launch that faults on every attempt is
+// retried fault.MaxAttempts times, each paying the launch overhead and
+// the 2 µs detection, with the doubling backoff between attempts, and
+// then panics naming the budget.
+func TestLaunchBudgetExhausted(t *testing.T) {
+	e, d := newDev(t)
+	pl := fault.NewPlan(1, 0)
+	pl.Rates[fault.KernelLaunch] = 1.0
+	d.SetFaults(fault.NewInjector(pl))
+	var msg string
+	var end sim.Time
+	e.Spawn("host", func(p *sim.Proc) {
+		defer func() {
+			msg, end = fmt.Sprint(recover()), p.Now()
+		}()
+		d.launchGate(p, 64)
+	})
+	e.Run()
+	if !strings.Contains(msg, "failed after 10 attempts") {
+		t.Fatalf("launch gate did not exhaust a 10-attempt budget: %q", msg)
+	}
+	backoff := (2 + 4 + 8 + 16 + 32 + 64 + 128 + 250 + 250) * sim.Microsecond
+	if want := 10*(d.p.KernelLaunch+2*sim.Microsecond) + backoff; end != want {
+		t.Fatalf("exhausted launch took %v, want %v", end, want)
 	}
 }

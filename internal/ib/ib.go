@@ -329,8 +329,7 @@ func (h *HCA) spineFor(peer *HCA) int {
 // m is nil) to peer, blocking the caller until injection and delivering
 // a copy of it to the peer's inbox after the wire time. Messages between
 // a pair of HCAs are delivered in order (the links are FIFO). An
-// injected send fault (a timeout or a link-flap outage) delivers
-// nothing.
+// injected send fault (a send timeout) delivers nothing.
 func (h *HCA) Send(p *sim.Proc, peer *HCA, n int64, m *Msg) error {
 	sp := p.BeginBytes("ib.send", n)
 	defer sp.End()

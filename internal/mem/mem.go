@@ -261,13 +261,11 @@ func FillPattern(b Buffer, seed uint64) {
 	}
 }
 
-// patternWord returns 64-bit word w of seed's synthetic stream using a
-// splitmix64-style finalizer. Unlike FillPattern's serial xorshift, any
-// word is computable in O(1), which is what lets modelled-payload
-// worlds generate the bytes of an arbitrary message window without
-// materializing the buffer around it.
-func patternWord(seed, w uint64) uint64 {
-	x := seed + (w+1)*0x9e3779b97f4a7c15
+// Mix64 is the splitmix64 mixer: fast, full-period and seed-friendly.
+// It is the one hash the simulator derives payloads and fault decisions
+// from.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -275,6 +273,13 @@ func patternWord(seed, w uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
+
+// patternWord returns 64-bit word w of seed's synthetic stream: Mix64
+// of the w-th step of seed's Weyl sequence. Unlike FillPattern's serial xorshift, any
+// word is computable in O(1), which is what lets modelled-payload
+// worlds generate the bytes of an arbitrary message window without
+// materializing the buffer around it.
+func patternWord(seed, w uint64) uint64 { return Mix64(seed + w*0x9e3779b97f4a7c15) }
 
 // SyntheticWord returns the eight stream bytes at offset off, which must
 // be a multiple of 8, as one little-endian word: what SyntheticAt stores

@@ -36,6 +36,7 @@ import (
 
 	"gpuddt/internal/cluster"
 	"gpuddt/internal/datatype"
+	"gpuddt/internal/mem"
 	"gpuddt/internal/mpi"
 	"gpuddt/internal/pcie"
 	"gpuddt/internal/sim"
@@ -371,7 +372,7 @@ func (w *world) chaosDelay(from sim.ActorID) sim.Time {
 	w.msgSeq[from]++
 	var d sim.Time
 	for att := 0; att < chaosMaxRetry; att++ {
-		h := mix64(w.o.ChaosSeed ^ uint64(from)<<32 ^ uint64(seq)<<8 ^ uint64(att))
+		h := mem.Mix64(w.o.ChaosSeed ^ uint64(from)<<32 ^ uint64(seq)<<8 ^ uint64(att))
 		if float64(h>>11)/float64(1<<53) >= w.o.ChaosRate {
 			break
 		}
@@ -379,16 +380,6 @@ func (w *world) chaosDelay(from sim.ActorID) sim.Time {
 		w.faults++
 	}
 	return d
-}
-
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // send models one point-to-point message: sender-side posting overhead

@@ -64,7 +64,7 @@ func (c Channel) hcas() (src, dst *ib.HCA) {
 // side already holds and an integer, the ib.Msg an HCA carries — so
 // sending one allocates nothing on either BTL. Control messages must
 // get through for any protocol to make progress, so an injected send
-// fault (timeout, link flap) is retried with backoff and exhaustion is
+// fault (a send timeout) is retried with backoff and exhaustion is
 // fatal.
 func (c Channel) AM(p *sim.Proc, wireBytes int64, to ib.Handler, arg int) {
 	msg := ib.Msg{Dst: c.dst.rank, To: to, Arg: arg}

@@ -2,6 +2,9 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -182,5 +185,48 @@ func TestChaosConcurrentRetries(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestRetryBudgetExhausted: with every PCIe copy faulting, withRetry
+// makes exactly fault.MaxAttempts attempts, charging each one's 2 µs
+// detection and the doubling backoff between them, and mustRetry turns
+// the exhausted budget into a panic that names it.
+func TestRetryBudgetExhausted(t *testing.T) {
+	cfg := twoRanksTwoGPUs()
+	cfg.Faults = fault.NewPlan(1, 0)
+	cfg.Faults.Rates[fault.PCIeCopy] = 1.0
+	w := NewWorld(cfg)
+	var attempts int
+	var took sim.Time
+	var err error
+	var msg string
+	w.Run(func(m *Rank) {
+		if m.Rank() != 0 {
+			return
+		}
+		p := m.Proc()
+		try := func() error {
+			attempts++
+			return m.w.faults.Check(p, fault.PCIeCopy, 64)
+		}
+		start := p.Now()
+		err = m.withRetry(p, "copy", try)
+		took = p.Now() - start
+		defer func() { msg = fmt.Sprint(recover()) }()
+		m.mustRetry(p, "copy", try)
+	})
+	if attempts != 20 {
+		t.Fatalf("withRetry then mustRetry made %d attempts, want 10 each", attempts)
+	}
+	if !errors.Is(err, fault.ErrTransient) {
+		t.Fatalf("exhausted withRetry returned %v", err)
+	}
+	backoff := (2 + 4 + 8 + 16 + 32 + 64 + 128 + 250 + 250) * sim.Microsecond
+	if want := 10*2*sim.Microsecond + backoff; took != want {
+		t.Fatalf("exhausted withRetry took %v, want %v", took, want)
+	}
+	if !strings.Contains(msg, "copy failed after 10 attempts") {
+		t.Fatalf("mustRetry did not panic naming the budget: %q", msg)
 	}
 }

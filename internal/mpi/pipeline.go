@@ -331,21 +331,19 @@ func (st *pipeSend) runPackToRing(p *sim.Proc, r *pipeRecv) bool {
 	m := op.M
 	h := p.BeginBytes("mpi.send.ring", op.Packed)
 	defer h.End()
-	tun := &m.w.tun
-	frag := tun.frag
-	depth := tun.depth
+	frag := m.w.tun.frag
 
-	ring := m.ringBuf(op.Buf.Space(), frag*int64(depth))
+	ring := m.ringBuf(op.Buf.Space(), frag*pipelineDepth)
 	prod := st.producer()
 
-	// The first depth fragments take the ring's slots in order; every
-	// later one waits for the receiver to ACK a slot back. Nothing waits
-	// for a slot that starts free, so it is not queued.
+	// The first pipelineDepth fragments take the ring's slots in order;
+	// every later one waits for the receiver to ACK a slot back. Nothing
+	// waits for a slot that starts free, so it is not queued.
 	nfrag := fragments(op.Packed, frag)
 	for i := range nfrag {
 		_, n := fragment(i, op.Packed, frag)
 		slot := i
-		if i >= depth {
+		if i >= pipelineDepth {
 			var ok bool
 			if slot, ok = getAck(p, &r.acks); !ok {
 				m.releaseRing(ring)
@@ -362,7 +360,7 @@ func (st *pipeSend) runPackToRing(p *sim.Proc, r *pipeRecv) bool {
 		st.notifyFrag(p, r, slot)
 	}
 	// Wait until every slot has come home before reusing the ring.
-	for range min(nfrag, depth) {
+	for range min(nfrag, pipelineDepth) {
 		if _, ok := getAck(p, &r.acks); !ok {
 			m.releaseRing(ring)
 			return false
@@ -484,8 +482,8 @@ func (st *pipeSend) sendStagedFrag(p *sim.Proc, r *pipeRecv, i int, off, n int64
 		return
 	}
 	tun := &st.op.M.w.tun
-	slot := i % tun.depth
-	if i >= tun.depth {
+	slot := i % pipelineDepth
+	if i >= pipelineDepth {
 		if _, ok := getAck(p, &r.acks); !ok {
 			panic("mpi: staged protocol aborted — no further fallback exists")
 		}
@@ -641,7 +639,7 @@ func (r *pipeRecv) staged(p *sim.Proc) {
 	}
 
 	r.direct = peerBuf{} // a failed pack-direct attempt's device window
-	r.ring = m.ringBuf(m.ctx.Node().Host(), frag*int64(tun.depth))
+	r.ring = m.ringBuf(m.ctx.Node().Host(), frag*pipelineDepth)
 	r.command(p, cmdSendStaged)
 	r.fc.init(m, op, &r.acks)
 	for i := range fragments(op.Packed, frag) {

@@ -69,12 +69,10 @@ func TestQuickRandomTransfers(t *testing.T) {
 		}[r.Intn(3)]
 
 		tun := &Tuning{}
-		switch r.Intn(4) {
+		switch r.Intn(3) {
 		case 0:
 			tun.FragBytes = int64(r.Intn(1<<19) + 4096)
 		case 1:
-			tun.PipelineDepth = r.Intn(3) + 1
-		case 2:
 			tun.Eager = Eager(int64(r.Intn(1 << 18)))
 			tun.DirectRemoteUnpack = r.Intn(2) == 0
 		}

@@ -10,33 +10,32 @@ import (
 	"gpuddt/internal/sim"
 )
 
-// withRetry runs fn until it succeeds or the fault plan's per-operation
-// attempt budget is exhausted, charging capped exponential backoff
-// between attempts (the PML's recovery timer). The fault injector has
-// already charged the detection latency — the virtual time a real stack
-// spends waiting for the timeout or the error CQE — by the time fn
-// returns an error, so this loop only adds the deliberate backoff. A
-// fault classified persistent (errors.Is fault.ErrPersistent) aborts
-// the loop immediately: retrying a dead path would only burn backoff
-// before the same failure. With a nil fault plan fn cannot fail and the
-// loop costs nothing.
+// withRetry runs fn until it succeeds or the per-operation attempt
+// budget (fault.MaxAttempts) is exhausted, charging capped exponential
+// backoff between attempts (the PML's recovery timer). The fault
+// injector has already charged the detection latency — the virtual time
+// a real stack spends waiting for the timeout or the error CQE — by the
+// time fn returns an error, so this loop only adds the deliberate
+// backoff. A fault classified persistent (errors.Is
+// fault.ErrPersistent) aborts the loop immediately: retrying a dead
+// path would only burn backoff before the same failure. With a nil
+// fault plan fn cannot fail and the loop costs nothing.
 func (m *Rank) withRetry(p *sim.Proc, what string, fn func() error) error {
-	max := m.w.faults.MaxAttempts()
 	var err error
-	for attempt := 0; attempt < max; attempt++ {
+	for attempt := 0; attempt < fault.MaxAttempts; attempt++ {
 		if err = fn(); err == nil {
 			return nil
 		}
 		if errors.Is(err, fault.ErrPersistent) {
 			break
 		}
-		if attempt+1 >= max {
+		if attempt+1 >= fault.MaxAttempts {
 			break
 		}
 		p.Count("mpi.retry", 1)
 		h := p.Begin("mpi.retry.backoff")
 		h.SetDetail(what)
-		p.Sleep(m.w.faults.Backoff(attempt))
+		p.Sleep(fault.Backoff(attempt))
 		h.End()
 	}
 	return err
@@ -48,7 +47,7 @@ func (m *Rank) withRetry(p *sim.Proc, what string, fn func() error) error {
 func (m *Rank) mustRetry(p *sim.Proc, what string, fn func() error) {
 	if err := m.withRetry(p, what, fn); err != nil {
 		panic(fmt.Sprintf("mpi: rank %d: %s failed after %d attempts: %v",
-			m.rank, what, m.w.faults.MaxAttempts(), err))
+			m.rank, what, fault.MaxAttempts, err))
 	}
 }
 

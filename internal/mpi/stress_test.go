@@ -10,18 +10,20 @@ import (
 	"gpuddt/internal/shapes"
 )
 
-// TestExtremeTuning drives the protocols far from their defaults:
-// one-slot pipelines, tiny fragments, one-byte eager limit.
+// TestExtremeTuning drives the protocols far from their defaults: tiny
+// fragments cycling through the ring's slots, fragments that split
+// elements, one-byte eager limit. The 148 224-byte triangle is 37
+// fragments of 4 KiB, 145 of 1 KiB.
 func TestExtremeTuning(t *testing.T) {
 	dt := shapes.LowerTriangular(192)
 	for i, tun := range []Tuning{
-		{PipelineDepth: 1},
+		{FragBytes: 1 << 10},
 		{FragBytes: 4096},
-		{FragBytes: 4096, PipelineDepth: 1},
-		{Eager: Eager(1)},                    // everything rendezvous
-		{Eager: Eager(1 << 30)},              // everything eager
-		{FragBytes: 1 << 26},                 // one fragment for the whole message
-		{FragBytes: 4096, PipelineDepth: 16}, // deep, fine-grained
+		{FragBytes: 4096, DirectRemoteUnpack: true},
+		{Eager: Eager(1)},       // everything rendezvous
+		{Eager: Eager(1 << 30)}, // everything eager
+		{FragBytes: 1 << 26},    // one fragment for the whole message
+		{FragBytes: 3000},       // fragment edges inside elements
 	} {
 		tun := tun
 		t.Run(fmt.Sprint(i), func(t *testing.T) {

@@ -16,9 +16,6 @@ type Tuning struct {
 	// FragBytes is the pipeline fragment size (0 = DefaultFragBytes).
 	FragBytes int64
 
-	// PipelineDepth is the number of ring slots (0 = 4).
-	PipelineDepth int
-
 	// DirectRemoteUnpack unpacks straight out of the sender's device
 	// memory instead of staging fragments (the paper's §5.2.1 ablation).
 	DirectRemoteUnpack bool
@@ -38,6 +35,10 @@ const (
 	DefaultEager     = 64 << 10 // packed bytes sent eagerly
 	DefaultFragBytes = 1 << 20  // rendezvous pipeline fragment size
 )
+
+// pipelineDepth is the number of fragment slots in a pipelined
+// protocol's ring: a ring is frag × pipelineDepth bytes.
+const pipelineDepth = 4
 
 // AMLatency is the latency of a shared-memory active message between two
 // ranks of one node. The modelled worlds of internal/model charge the
@@ -98,7 +99,6 @@ func ParseCollMode(s string) (CollMode, bool) {
 type resolvedTuning struct {
 	eager              int64
 	frag               int64
-	depth              int
 	directRemoteUnpack bool
 	coll               CollMode
 	strategy           Strategy
@@ -110,7 +110,6 @@ func resolveTuning(t *Tuning) resolvedTuning {
 	r := resolvedTuning{
 		eager: DefaultEager,
 		frag:  DefaultFragBytes,
-		depth: 4,
 	}
 	if t != nil {
 		if t.Eager != nil {
@@ -118,9 +117,6 @@ func resolveTuning(t *Tuning) resolvedTuning {
 		}
 		if t.FragBytes != 0 {
 			r.frag = t.FragBytes
-		}
-		if t.PipelineDepth != 0 {
-			r.depth = t.PipelineDepth
 		}
 		r.directRemoteUnpack = t.DirectRemoteUnpack
 		r.coll = t.Collectives
@@ -138,7 +134,6 @@ func (w *World) Tuning() Tuning {
 	return Tuning{
 		Eager:              Eager(w.tun.eager),
 		FragBytes:          w.tun.frag,
-		PipelineDepth:      w.tun.depth,
 		DirectRemoteUnpack: w.tun.directRemoteUnpack,
 		Collectives:        w.tun.coll,
 		Strategy:           w.tun.strategy,

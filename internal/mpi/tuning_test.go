@@ -60,7 +60,7 @@ func TestEagerZeroSentinel(t *testing.T) {
 func TestTuningDefaults(t *testing.T) {
 	w := NewWorld(twoRankConfig())
 	tun := w.Tuning()
-	if *tun.Eager != 64<<10 || tun.FragBytes != 1<<20 || tun.PipelineDepth != 4 ||
+	if *tun.Eager != 64<<10 || tun.FragBytes != 1<<20 ||
 		tun.Collectives != CollAuto || tun.DirectRemoteUnpack {
 		t.Fatalf("unexpected default tuning: %+v", tun)
 	}

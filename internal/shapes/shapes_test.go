@@ -9,9 +9,9 @@ import (
 
 func TestSubMatrixIsVector(t *testing.T) {
 	d := SubMatrix(4, 3, 8)
-	v := d.Vector()
-	if v == nil || v.Count != 3 || v.BlockLen != 32 || v.Stride != 64 {
-		t.Fatalf("view = %+v", v)
+	v, ok := d.Plan().Vector(1)
+	if !ok || v.Inner != 3 || v.BlockLen != 32 || v.InnerStride != 64 {
+		t.Fatalf("vector = %+v", v)
 	}
 	if d.Size() != 4*3*8 {
 		t.Fatalf("size = %d", d.Size())
@@ -25,7 +25,7 @@ func TestLowerTriangularSize(t *testing.T) {
 	if d.Size() != want {
 		t.Fatalf("size = %d, want %d", d.Size(), want)
 	}
-	if d.Vector() != nil {
+	if _, ok := d.Plan().Vector(1); ok {
 		t.Fatal("triangle must not be a vector")
 	}
 	if d.NumBlocks() != n {
@@ -94,9 +94,9 @@ func TestTransposeLayout(t *testing.T) {
 
 func TestHaloColumn(t *testing.T) {
 	d := HaloColumn(4)
-	v := d.Vector()
-	if v == nil || v.Count != 4 || v.BlockLen != 8 || v.Stride != 6*8 {
-		t.Fatalf("view = %+v", v)
+	v, ok := d.Plan().Vector(1)
+	if !ok || v.Inner != 4 || v.BlockLen != 8 || v.InnerStride != 6*8 {
+		t.Fatalf("vector = %+v", v)
 	}
 }
 

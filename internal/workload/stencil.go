@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gpuddt/internal/datatype"
+	"gpuddt/internal/mem"
 	"gpuddt/internal/mpi"
 	"gpuddt/internal/shapes"
 )
@@ -98,9 +99,9 @@ type faceTypes struct {
 // mix(seed, g[:n-1]...) and last = g[n-1], it is
 // cellWord(cellFold(row, last), it). mix is a left fold, so a rank folds
 // each cell's coordinates once and a sweep pays one step per cell.
-func cellFold(row, last uint64) uint64 { return splitmix64(row ^ last) }
+func cellFold(row, last uint64) uint64 { return mem.Mix64(row ^ last) }
 
-func cellWord(fold uint64, it int) uint64 { return splitmix64(fold ^ uint64(it)) }
+func cellWord(fold uint64, it int) uint64 { return mem.Mix64(fold ^ uint64(it)) }
 
 func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 	g := in.rc.Group

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gpuddt/internal/mem"
 	"gpuddt/internal/mpi"
 	"gpuddt/internal/sim"
 )
@@ -255,21 +256,13 @@ func CountSpans(rec *sim.Recorder, name, substr string) int {
 	return n
 }
 
-// splitmix64 is the 64-bit mixer the generators derive payload from:
-// every word of application data is mix(seed, coordinates...), so both
-// sides of any exchange can compute the expected bytes independently.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// mix folds the given values into one seeded word.
+// mix folds the given values into one seeded word: every word of
+// application data is mix(seed, coordinates...), so both sides of any
+// exchange can compute the expected bytes independently.
 func mix(seed uint64, vs ...uint64) uint64 {
-	x := splitmix64(seed)
+	x := mem.Mix64(seed)
 	for _, v := range vs {
-		x = splitmix64(x ^ v)
+		x = mem.Mix64(x ^ v)
 	}
 	return x
 }
