@@ -48,14 +48,14 @@ check-fast:
 # its heap passes 1 GiB (GOMEMLIMIT); under -race the slab pool keeps
 # 256 MiB (internal/mem/budget_race.go), and TestParallelMatchesSerial
 # shrinks.
-ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing
+ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing
 check-full:
 	$(GOFMT_GATE)
 	$(ORPHAN_GATE)
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOMEMLIMIT=1GiB $(GO) test -race -p 1 ./...
-	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core
+	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core ./internal/sim
 	GPUDDT_MEGA=1 $(GO) test ./internal/bench -run TestMegaSmoke16k -v
 	@set -e; targets=$$($(FUZZ_TARGETS)); \
 	echo "$$targets" | while read pkg f; do \

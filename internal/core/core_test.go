@@ -185,6 +185,33 @@ func TestPipelineOverlapsConversion(t *testing.T) {
 	}
 }
 
+// TestPacksDoNotQueueBehindApplicationKernels: a zero-copy pack into
+// host memory, launched while a long compute kernel the application
+// queued on Stream() runs, completes first, because the engine's kernels
+// run on a stream of its own. (A pack into device memory would still
+// wait for the DRAM port the compute kernel holds.)
+func TestPacksDoNotQueueBehindApplicationKernels(t *testing.T) {
+	r := newRig(t, Options{})
+	dt := shapes.SubMatrix(256, 256, 512)
+	data := r.ctx.Malloc(0, dt.Span(1))
+	mem.FillPattern(data, 7)
+	dst := r.ctx.MallocHost(dt.Size())
+	var computeDoneFirst bool
+	r.eng.Spawn("app", func(p *sim.Proc) {
+		compute := r.e.Device().Compute(r.e.Stream(), 64<<20, 0)
+		r.e.Pack(p, data, dt, 1, dst)
+		computeDoneFirst = compute.Done()
+		compute.Await(p)
+	})
+	r.eng.Run()
+	if computeDoneFirst {
+		t.Error("the pack completed after the compute kernel queued before it")
+	}
+	if !bytes.Equal(dst.Bytes(), cpuPack(dt, 1, data.Bytes())) {
+		t.Error("packed bytes differ from the reference")
+	}
+}
+
 func TestVectorKernelFasterThanDEVForSubmatrix(t *testing.T) {
 	dt := shapes.SubMatrix(1024, 1024, 2048)
 	fast := newRig(t, Options{})

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"gpuddt/internal/cuda"
 	"gpuddt/internal/datatype"
@@ -106,7 +107,8 @@ type cacheVal struct {
 type Engine struct {
 	ctx    *cuda.Ctx
 	dev    *gpu.Device
-	stream *gpu.Stream
+	stream gpu.Stream  // pack and unpack kernels
+	app    *gpu.Stream // the application's kernels, made by the first Stream call
 	opts   Options
 	cache  *DevCache   // device-wide, shared with sibling engines
 	idle   []*borrowed // workers between two calls that borrow them
@@ -118,8 +120,8 @@ type Engine struct {
 }
 
 // New creates an engine for GPU devID of the context's node. Pack and
-// unpack kernels run on a dedicated stream so they overlap with copies
-// issued on other streams.
+// unpack kernels run on a stream of the engine's own, so they overlap
+// with kernels and copies the application issues on other streams.
 func New(ctx *cuda.Ctx, devID int, opts Options) *Engine {
 	def := DefaultOptions()
 	if opts.UnitSize == 0 {
@@ -140,20 +142,24 @@ func New(ctx *cuda.Ctx, devID int, opts Options) *Engine {
 		cache = newDevCache(opts.CacheBytes)
 		dev.SetDDTCache(cache)
 	}
-	return &Engine{
-		ctx:    ctx,
-		dev:    dev,
-		stream: dev.NewStream("ddt"),
-		opts:   opts,
-		cache:  cache,
-	}
+	e := &Engine{ctx: ctx, dev: dev, opts: opts, cache: cache}
+	e.stream.Init(dev, "gpu"+strconv.Itoa(devID)+".ddt")
+	return e
 }
 
 // Device returns the engine's GPU.
 func (e *Engine) Device() *gpu.Device { return e.dev }
 
-// Stream returns the engine's pack/unpack stream.
-func (e *Engine) Stream() *gpu.Stream { return e.stream }
+// Stream returns the application's stream on the engine's GPU, made on
+// first call: its compute kernels never delay the engine's packs and
+// unpacks, which run on a stream of their own.
+func (e *Engine) Stream() *gpu.Stream {
+	if e.app == nil {
+		e.app = new(gpu.Stream)
+		e.app.Init(e.dev, "gpu"+strconv.Itoa(e.dev.ID())+".app")
+	}
+	return e.app
+}
 
 // CacheHits returns how many pack/unpack setups were served from the
 // DEV cache.

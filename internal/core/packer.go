@@ -441,7 +441,7 @@ func (e *Engine) launch(k *gpu.Kernel, kind gpu.KernelKind, dir direction, data,
 	if dir == dirUnpack {
 		k.Src, k.Dst = frag, data
 	}
-	dev, stream, node := e.dev, e.stream, e.ctx.Node()
+	dev, stream, node := e.dev, &e.stream, e.ctx.Node()
 	switch {
 	case frag.Space() == dev.Mem():
 		return dev.Launch(stream, k)

@@ -154,8 +154,9 @@ func TestMemcpyAsyncOverlapsWithHost(t *testing.T) {
 	d := c.Malloc(0, 50<<20)
 	var hostFree, done sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		s := c.Node().GPU(0).NewStream("s")
-		f := c.MemcpyAsync(s, d, h)
+		var s gpu.Stream
+		s.Init(c.Node().GPU(0), "s")
+		f := c.MemcpyAsync(&s, d, h)
 		hostFree = p.Now()
 		f.Await(p)
 		done = p.Now()
@@ -193,8 +194,9 @@ func TestMemcpy2DAsyncOnStream(t *testing.T) {
 	h := c.MallocHost(1 << 20)
 	mem.FillPattern(d, 8)
 	e.Spawn("host", func(p *sim.Proc) {
-		s := c.Node().GPU(0).NewStream("s")
-		f := c.Memcpy2DAsync(s, h, 1024, d, 2048, 1024, 512)
+		var s gpu.Stream
+		s.Init(c.Node().GPU(0), "s")
+		f := c.Memcpy2DAsync(&s, h, 1024, d, 2048, 1024, 512)
 		f.Await(p)
 	})
 	e.Run()
@@ -230,15 +232,17 @@ func TestCopyOverlapsKernelAcrossStreams(t *testing.T) {
 	dst := c.Malloc(0, n)
 	var both sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		copyStream := d.NewStream("copy")
-		kernStream := d.NewStream("kern")
+		var copyStream gpu.Stream
+		copyStream.Init(d, "copy")
+		var kernStream gpu.Stream
+		kernStream.Init(d, "kern")
 		k := &gpu.Kernel{Kind: gpu.VectorKernel, Src: src, Dst: dst}
 		for off := int64(0); off < n; off += 1 << 20 {
 			k.Units = append(k.Units, gpu.Unit{SrcOff: off, DstOff: off, Len: 1 << 20})
 		}
 		t0 := p.Now()
-		f1 := c.MemcpyAsync(copyStream, dev, host)
-		f2 := d.Launch(kernStream, k)
+		f1 := c.MemcpyAsync(&copyStream, dev, host)
+		f2 := d.Launch(&kernStream, k)
 		sim.AwaitAll(p, f1, f2)
 		both = p.Now() - t0
 	})

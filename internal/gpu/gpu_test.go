@@ -37,8 +37,9 @@ func TestKernelMovesBytes(t *testing.T) {
 	dst := d.Mem().Alloc(4096, 256)
 	mem.FillPattern(src, 1)
 	e.Spawn("host", func(p *sim.Proc) {
-		s := d.NewStream("s")
-		d.Launch(s, contigKernel(VectorKernel, src, dst, 1024)).Await(p)
+		var s Stream
+		s.Init(d, "s")
+		d.Launch(&s, contigKernel(VectorKernel, src, dst, 1024)).Await(p)
 	})
 	e.Run()
 	if !mem.Equal(src, dst) {
@@ -56,9 +57,10 @@ func TestVectorKernelNear94Percent(t *testing.T) {
 	dst := d.Mem().Alloc(n, 256)
 	var dur sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		s := d.NewStream("s")
+		var s Stream
+		s.Init(d, "s")
 		t0 := p.Now()
-		d.Launch(s, contigKernel(VectorKernel, src, dst, 32768)).Await(p)
+		d.Launch(&s, contigKernel(VectorKernel, src, dst, 32768)).Await(p)
 		dur = p.Now() - t0
 	})
 	e.Run()
@@ -106,9 +108,10 @@ func TestStreamSerializesKernels(t *testing.T) {
 	dst := d.Mem().Alloc(1<<20, 256)
 	var t1, t2 sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		s := d.NewStream("s")
-		f1 := d.Launch(s, contigKernel(VectorKernel, src, dst, 65536))
-		f2 := d.Launch(s, contigKernel(VectorKernel, src, dst, 65536))
+		var s Stream
+		s.Init(d, "s")
+		f1 := d.Launch(&s, contigKernel(VectorKernel, src, dst, 65536))
+		f2 := d.Launch(&s, contigKernel(VectorKernel, src, dst, 65536))
 		f2.Await(p)
 		t1, t2 = f1.CompletedAt(), f2.CompletedAt()
 	})
@@ -128,9 +131,11 @@ func TestTwoStreamsShareDRAM(t *testing.T) {
 	solo := d.KernelTime(k1)
 	var both sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		sa, sb := d.NewStream("a"), d.NewStream("b")
-		fa := d.Launch(sa, k1)
-		fb := d.Launch(sb, k2)
+		var sa, sb Stream
+		sa.Init(d, "a")
+		sb.Init(d, "b")
+		fa := d.Launch(&sa, k1)
+		fb := d.Launch(&sb, k2)
 		sim.AwaitAll(p, fa, fb)
 		both = p.Now()
 	})
@@ -177,8 +182,10 @@ func TestRequestedBlocksBelowDefault(t *testing.T) {
 		e, d := newDev(t)
 		var dur sim.Time
 		e.Spawn("compute", func(p *sim.Proc) {
+			var s Stream
+			s.Init(d, "s")
 			t0 := p.Now()
-			d.Compute(d.NewStream("s"), 8<<20, blocks).Await(p)
+			d.Compute(&s, 8<<20, blocks).Await(p)
 			dur = p.Now() - t0
 		})
 		e.Run()
@@ -219,10 +226,11 @@ func TestZeroCopyKernelLimitedByLink(t *testing.T) {
 	mem.FillPattern(src, 9)
 	var dur sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		s := d.NewStream("s")
+		var s Stream
+		s.Init(d, "s")
 		k := contigKernel(VectorKernel, src, dst, 65536)
 		t0 := p.Now()
-		d.LaunchZeroCopy(s, k, link, k.Bytes()).Await(p)
+		d.LaunchZeroCopy(&s, k, link, k.Bytes()).Await(p)
 		dur = p.Now() - t0
 	})
 	e.Run()
@@ -246,9 +254,10 @@ func TestKernelTimeMatchesLaunch(t *testing.T) {
 	want := d.Params().KernelLaunch + d.KernelTime(k)
 	var dur sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		s := d.NewStream("s")
+		var s Stream
+		s.Init(d, "s")
 		t0 := p.Now()
-		d.Launch(s, k).Await(p)
+		d.Launch(&s, k).Await(p)
 		dur = p.Now() - t0
 	})
 	e.Run()
@@ -279,9 +288,10 @@ func TestComputeKernelChargesDRAM(t *testing.T) {
 	e, d := newDev(t)
 	var dur sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		s := d.NewStream("s")
+		var s Stream
+		s.Init(d, "s")
 		t0 := p.Now()
-		d.Compute(s, 38<<20, 0).Await(p) // ~38 MB raw at 380 GB/s = 100us
+		d.Compute(&s, 38<<20, 0).Await(p) // ~38 MB raw at 380 GB/s = 100us
 		dur = p.Now() - t0
 	})
 	e.Run()
@@ -313,14 +323,15 @@ func TestKernelIsOneLaunch(t *testing.T) {
 		link := e.NewLink("pcie", 10, 0)
 		var got interface{}
 		e.Spawn("host", func(p *sim.Proc) {
-			s := d.NewStream("s")
+			var s Stream
+			s.Init(d, "s")
 			k := contigKernel(VectorKernel, src, dst, 1024)
-			d.Launch(s, k).Await(p)
+			d.Launch(&s, k).Await(p)
 			defer func() { got = recover() }()
 			if zeroCopy {
-				d.LaunchZeroCopy(s, k, link, 4096)
+				d.LaunchZeroCopy(&s, k, link, 4096)
 			} else {
-				d.Launch(s, k)
+				d.Launch(&s, k)
 			}
 		})
 		e.Run()
@@ -346,7 +357,8 @@ func TestKeptKernelRearms(t *testing.T) {
 	var allocs float64
 	var got [5]interface{}
 	e.Spawn("host", func(p *sim.Proc) {
-		s := d.NewStream("s")
+		var s Stream
+		s.Init(d, "s")
 		var k Kernel
 		launch := func(fill uint64) {
 			mem.FillPattern(src, fill)
@@ -355,7 +367,7 @@ func TestKeptKernelRearms(t *testing.T) {
 				units[i] = Unit{SrcOff: int64(i) * 1024, DstOff: int64(i) * 1024, Len: 1024}
 			}
 			k.Kind, k.Src, k.Dst = VectorKernel, src, dst
-			d.Launch(s, &k).Await(p)
+			d.Launch(&s, &k).Await(p)
 			if !mem.Equal(src, dst) {
 				t.Errorf("launch with pattern %d did not copy", fill)
 			}
@@ -367,18 +379,18 @@ func TestKeptKernelRearms(t *testing.T) {
 		if &k.spent[:1][0] != array {
 			t.Error("a re-armed record changed its descriptor array")
 		}
-		got[0] = panics(func() { d.Launch(s, &k) })
+		got[0] = panics(func() { d.Launch(&s, &k) })
 		copy(k.Rearm(4), contigKernel(VectorKernel, src, dst, 1024).Units)
 		k.Src, k.Dst = src, dst
-		d.Launch(s, &k)
+		d.Launch(&s, &k)
 		got[1] = panics(func() { k.Rearm(4) })
 		s.Sync(p)
 		oneShot := contigKernel(VectorKernel, src, dst, 1024)
-		d.Launch(s, oneShot).Await(p)
+		d.Launch(&s, oneShot).Await(p)
 		got[2] = panics(func() { oneShot.Rearm(4) })
 		k.Retire()
 		got[3] = panics(func() { k.Rearm(4) })
-		got[4] = panics(func() { d.Launch(s, &k) })
+		got[4] = panics(func() { d.Launch(&s, &k) })
 	})
 	e.Run()
 	if allocs != 0 {

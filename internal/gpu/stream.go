@@ -1,19 +1,15 @@
 package gpu
 
-import (
-	"strconv"
-
-	"gpuddt/internal/sim"
-)
+import "gpuddt/internal/sim"
 
 // Stream is a CUDA-style in-order work queue. Operations submitted to one
 // stream execute serially; distinct streams execute concurrently, sharing
-// the device's DRAM port and copy engines. A server process (sim.Serve)
-// drains each stream while it has work.
+// the device's DRAM port and copy engines. Its server (sim.Server)
+// drains it while it has work. The record that owns a stream embeds it
+// by value and calls Init.
 type Stream struct {
-	dev  *Device
-	name string
-	q    sim.Mailbox[*streamOp]
+	dev *Device
+	q   sim.Server[*streamOp]
 }
 
 // streamOp is one queued operation and its completion: a kernel launch
@@ -27,14 +23,11 @@ type streamOp struct {
 	done   sim.Future
 }
 
-// NewStream creates a stream and its worker.
-func (d *Device) NewStream(name string) *Stream {
-	var names [2]string
-	sim.Names(names[:], "gpu"+strconv.Itoa(d.id)+"."+name, "", ".q")
-	s := &Stream{dev: d, name: names[0]}
-	s.q.Init(d.eng, names[1])
-	sim.Serve(&s.q, s.name, runOp)
-	return s
+// Init makes s an empty stream of device d, named name, with its
+// server.
+func (s *Stream) Init(d *Device, name string) {
+	s.dev = d
+	s.q.Init(d.eng, name, runOp)
 }
 
 // runOp executes one operation on the stream's worker.
@@ -55,13 +48,7 @@ func runOp(p *sim.Proc, op *streamOp) {
 // when fn has finished. fn runs on the stream worker process and may
 // sleep, hold resources and move bytes.
 func (s *Stream) Submit(label string, fn func(p *sim.Proc)) *sim.Future {
-	return s.SubmitN(label, 0, fn)
-}
-
-// SubmitN is Submit with a payload byte count attached to the operation's
-// timeline span.
-func (s *Stream) SubmitN(label string, bytes int64, fn func(p *sim.Proc)) *sim.Future {
-	return s.enqueue(&streamOp{label: label, bytes: bytes, fn: fn})
+	return s.enqueue(&streamOp{label: label, fn: fn})
 }
 
 // enqueue puts op at the end of the stream and returns its completion.

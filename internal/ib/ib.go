@@ -213,7 +213,7 @@ type HCA struct {
 	leaf  int // leaf switch index (attach order / LeafRadix); 0 when flat
 	tx    *sim.Link
 	rx    *sim.Link
-	inbox sim.Mailbox[Msg]
+	inbox sim.Server[Msg]
 	regs  map[regKey]bool
 	index int         // attach order on the fabric
 	paths []*sim.Path // pathTo's results, by the peer's index
@@ -237,7 +237,7 @@ func (f *Fabric) Attach(node *pcie.Node) *HCA {
 		regs:  make(map[regKey]bool),
 		index: len(f.hcas),
 	}
-	h.inbox.Init(f.eng, names[2])
+	h.inbox.Mailbox.Init(f.eng, names[2])
 	if f.params.Topo.Hierarchical() {
 		h.leaf = h.index / f.params.Topo.LeafRadix
 		f.ensureLeaf(h.leaf)
@@ -253,7 +253,9 @@ func (h *HCA) Node() *pcie.Node { return h.node }
 func (h *HCA) Leaf() int { return h.leaf }
 
 // Inbox returns the mailbox where received messages appear (in order).
-func (h *HCA) Inbox() *sim.Mailbox[Msg] { return &h.inbox }
+// Until its owner makes it a server with Init, a process takes them with
+// Get.
+func (h *HCA) Inbox() *sim.Server[Msg] { return &h.inbox }
 
 // Msg is what an HCA carries: an integer for a handler that the
 // receiving side already holds, addressed to one of its endpoints. The

@@ -29,10 +29,10 @@ type Rank struct {
 	engs  []*core.Engine
 	p     *sim.Proc // the rank's main process (set by Run)
 
-	inbox          sim.Mailbox[ib.Msg] // active-message delivery queue
-	seq            int64               // message sequence for diagnostics
-	posted         []*recvReq          // receives awaiting a matching arrival
-	unexp          []*rtsMsg           // unexpected arrivals awaiting a recv
+	inbox          sim.Server[ib.Msg] // active messages, executed in order
+	seq            int64              // message sequence for diagnostics
+	posted         []*recvReq         // receives awaiting a matching arrival
+	unexp          []*rtsMsg          // unexpected arrivals awaiting a recv
 	scratchPool    []mem.Buffer
 	scratchPooled  int64 // bytes currently retained in scratchPool
 	scratchPeak    int64 // high-water mark of retained bytes
@@ -59,7 +59,7 @@ type Rank struct {
 // main process, its daemons and the helpers it creates per message or
 // per fragment — formatted once, as substrings of one string.
 type procNames struct {
-	main, am, barrier, progress                string
+	main, barrier, progress                    string
 	ack, sendpipe, sendcmds, ibpack, eagerRecv string
 
 	recv []string // "rankR.recv.SRC" by source, filled on first use
@@ -79,8 +79,8 @@ func (m *Rank) recvName(src int) string {
 
 func newRank(w *World, r int, pl Placement) *Rank {
 	node := w.nodes[pl.Node]
-	var n [9]string
-	sim.Names(n[:], "rank"+strconv.Itoa(r), "", ".am", ".barrier", ".progress",
+	var n [8]string
+	sim.Names(n[:], "rank"+strconv.Itoa(r), "", ".barrier", ".progress",
 		".ack", ".sendpipe", ".sendcmds", ".ibpack", ".eagerRecv")
 	rk := &Rank{
 		w:     w,
@@ -88,16 +88,15 @@ func newRank(w *World, r int, pl Placement) *Rank {
 		place: pl,
 		ctx:   cuda.NewCtx(node),
 		names: procNames{
-			main: n[0], am: n[1], barrier: n[2], progress: n[3],
-			ack: n[4], sendpipe: n[5], sendcmds: n[6], ibpack: n[7], eagerRecv: n[8],
+			main: n[0], barrier: n[1], progress: n[2],
+			ack: n[3], sendpipe: n[4], sendcmds: n[5], ibpack: n[6], eagerRecv: n[7],
 		},
 	}
-	rk.inbox.Init(w.eng, rk.names.am)
 	rk.barrierBox.Init(w.eng, rk.names.barrier)
 	rk.engs = make([]*core.Engine, node.NumGPUs())
 	rk.engs[pl.GPU] = core.New(rk.ctx, pl.GPU, w.cfg.Engine)
 	// The progress server executes incoming active messages in order.
-	sim.Serve(&rk.inbox, rk.names.progress, runAM)
+	rk.inbox.Init(w.eng, rk.names.progress, runAM)
 	return rk
 }
 

@@ -160,7 +160,7 @@ func NewWorld(cfg Config) *World {
 	// active-message inbox.
 	route := func(p *sim.Proc, m ib.Msg) { w.ranks[m.Dst].inbox.Put(m) }
 	for n, hca := range w.hcas {
-		sim.Serve(hca.Inbox(), fmt.Sprintf("node%d.ibrouter", n), route)
+		hca.Inbox().Init(w.eng, fmt.Sprintf("node%d.ibrouter", n), route)
 	}
 	return w
 }

@@ -22,7 +22,8 @@ import (
 // amortizes to nothing per run.
 func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	e := NewEngine()
-	mb := e.NewMailbox("mb")
+	var srv Server[any]
+	mb := &srv.Mailbox
 	res := e.NewResource("res", 1)
 	pa := NewPath(e.NewLink("b", 1, 0), e.NewLink("a", 1, 0))
 	msg := interface{}(&struct{}{})
@@ -39,7 +40,7 @@ func TestQueuesAllocateNothingInSteadyState(t *testing.T) {
 	// Put pops the waiter queue and restarts it, and its run pops the
 	// item queue (or finds it emptied by the measured Get and goes idle).
 	handled := 0
-	Serve(mb, "server", func(*Proc, any) { handled++ })
+	srv.Init(e, "server", func(*Proc, any) { handled++ })
 	// The holder owns the resource two ticks out of three; the measured
 	// process asks for it while it is held and is handed it on Release.
 	e.Spawn("holder", func(p *Proc) {
@@ -221,5 +222,37 @@ func TestFutureWaitersAllocateNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("three waits on one future: %v allocations per round, want 0", allocs)
+	}
+}
+
+// TestServerAllocatesNothing pins what embedding buys: a Server is
+// initialised in a record its owner already has, and its first Put and
+// the run that handles it cost nothing — no Proc, no closure, no name.
+func TestServerAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	const runs = 100
+	// AllocsPerRun warms up with one run, whose server makes the
+	// coroutine every later one restarts on.
+	servers := make([]Server[int], runs+1)
+	e.procs.at = make([]*Proc, 0, 2*len(servers))
+	handled := 0
+	handle := func(*Proc, int) { handled++ }
+	var got float64
+	e.Spawn("owner", func(p *Proc) {
+		i := 0
+		got = testing.AllocsPerRun(runs, func() {
+			s := &servers[i]
+			i++
+			s.Init(e, "server", handle)
+			s.Put(i)
+			p.Yield()
+		})
+	})
+	e.Run()
+	if got != 0 {
+		t.Errorf("Server.Init, Put and handle: %v allocations per run, want 0", got)
+	}
+	if handled != runs+1 {
+		t.Errorf("the servers handled %d messages, want %d", handled, runs+1)
 	}
 }

@@ -135,7 +135,7 @@ type Proc struct {
 	waitNext *Proc
 
 	slot    int32 // index in e.procs
-	daemon  bool  // a server (see Serve): never finishes, never live
+	daemon  bool  // a Server's: never finishes, never live
 	pending bool  // a resume event is queued; never two at once
 	why     blockKind
 }

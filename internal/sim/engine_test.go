@@ -245,7 +245,7 @@ func TestDeadlockReport(t *testing.T) {
 		r.Acquire(p)
 		t.Error("acquired a resource nobody released")
 	})
-	Serve(e.NewMailbox("idle"), "daemon", func(*Proc, any) {})
+	new(Server[any]).Init(e, "daemon", func(*Proc, any) {})
 	e.Spawn("spawner", func(p *Proc) {
 		p.Sleep(2 * Microsecond)
 		e.Spawn("recv", func(p *Proc) { m.Get(p) })
@@ -327,17 +327,16 @@ func TestRunUnwindsParkedDaemons(t *testing.T) {
 	e := NewEngine()
 	never := e.NewFuture()
 	unwound := 0
-	work := make([]*Mailbox[any], 16)
+	work := make([]Server[any], 16)
 	for i := range work {
-		work[i] = e.NewMailbox(fmt.Sprintf("work%d", i))
-		Serve(work[i], fmt.Sprintf("d%d", i), func(p *Proc, _ any) {
+		work[i].Init(e, fmt.Sprintf("d%d", i), func(p *Proc, _ any) {
 			defer func() { unwound++ }()
 			never.Await(p)
 		})
 	}
 	e.Spawn("client", func(p *Proc) {
-		for _, m := range work[:8] { // the other eight stay idle
-			m.Put(1)
+		for i := range work[:8] { // the other eight stay idle
+			work[i].Put(1)
 		}
 		// Five short processes at once, all finished before the end:
 		// their carriers are idle, not parked, when Run shuts down.
@@ -513,9 +512,9 @@ func TestTimeForBytesRoundTrip(t *testing.T) {
 
 func TestDaemonDoesNotBlockCompletion(t *testing.T) {
 	e := NewEngine()
-	m := e.NewMailbox("work")
+	var m Server[any]
 	var served int
-	Serve(m, "worker", func(p *Proc, _ any) {
+	m.Init(e, "worker", func(p *Proc, _ any) {
 		p.Sleep(Microsecond)
 		served++
 	})

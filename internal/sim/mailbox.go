@@ -159,31 +159,40 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 	return m.items.pop()
 }
 
-// Serve makes a daemon process, named name, that handles the messages of
-// mb one handle call at a time, in arrival order: a CUDA stream worker,
-// a progress loop, a router. The server holds a coroutine only while it
-// has work. When mb is empty it returns and hands its coroutine back,
-// and it waits as mb's standing waiter, so the next Put restarts it at
-// that instant with the evProc event a Put posts to wake a process
-// blocked in Get. A handler may park; what is put meanwhile is handled
-// in the same run, after it. The server keeps its Proc — its name, its
-// slot, its recorder track — for the life of the engine. Like every
-// daemon it does not keep the simulation alive, and an idle server is
-// in no deadlock report. mb must have no other consumer.
-func Serve[T any](mb *Mailbox[T], name string, handle func(p *Proc, v T)) *Proc {
-	e := mb.e
-	p := &Proc{e: e, name: name, daemon: true}
-	p.body = procFunc(func(p *Proc) {
-		for mb.items.len() > 0 {
-			handle(p, mb.items.pop())
-		}
-		mb.waiters.push(p)
-	})
-	p.slot = e.procs.put(p)
-	if mb.items.len() > 0 {
-		e.unpark(p, e.now)
-	} else {
-		mb.waiters.push(p)
+// Server is a daemon process that handles the messages of its own
+// mailbox one handle call at a time, in arrival order: a CUDA stream
+// worker, a progress loop, a router. The record it serves embeds it by
+// value and calls Init, and must not be copied afterwards. The server
+// holds a coroutine only while it has work. When its mailbox is empty it
+// returns and hands its coroutine back, and it waits as the mailbox's
+// standing waiter, so the next Put restarts it at that instant with the
+// evProc event a Put posts to wake a process blocked in Get. A handler
+// may park; what is put meanwhile is handled in the same run, after it.
+// The server keeps its Proc — its name, its slot, its recorder track —
+// for the life of the engine. Like every daemon it does not keep the
+// simulation alive, and an idle server is in no deadlock report. Nothing
+// else may Get from its mailbox.
+type Server[T any] struct {
+	Mailbox[T]
+	proc   Proc
+	handle func(p *Proc, v T)
+}
+
+// Init makes s an empty mailbox and its server, both named name, bound
+// to the engine. The server is its own Runner, so Init allocates
+// nothing.
+func (s *Server[T]) Init(e *Engine, name string, handle func(p *Proc, v T)) {
+	s.Mailbox.Init(e, name)
+	s.handle = handle
+	s.proc = Proc{e: e, name: name, body: s, daemon: true}
+	s.proc.slot = e.procs.put(&s.proc)
+	s.waiters.push(&s.proc)
+}
+
+// Run handles what the mailbox holds, then waits as its standing waiter.
+func (s *Server[T]) Run(p *Proc) {
+	for s.items.len() > 0 {
+		s.handle(p, s.items.pop())
 	}
-	return p
+	s.waiters.push(p)
 }

@@ -32,7 +32,8 @@ func orderTranscript() (transcript string, started int) {
 	lc := e.NewLink("lc", 2, Nanosecond)
 	paths := []*Path{NewPath(la, lb), NewPath(lc, lb)} // cb shares lb, lists it last
 	pathNames := []string{"ab", "cb"}
-	mb := e.NewMailbox("mb")
+	var srv Server[any]
+	mb := &srv.Mailbox
 	gates := []*Future{e.NewFuture(), e.NewFuture(), e.NewFuture(), e.NewFuture()}
 	// complete opens gate g for its current waiters and, until the closer
 	// has run, puts a fresh gate in its place so later awaits block again.
@@ -51,7 +52,7 @@ func orderTranscript() (transcript string, started int) {
 
 	// The server was a loop blocked in mb.Get when the transcript was
 	// recorded; served, it must post the same events.
-	Serve(mb, "server", func(p *Proc, v any) {
+	srv.Init(e, "server", func(p *Proc, v any) {
 		log("server", fmt.Sprintf("got %d", v.(int)))
 		p.Sleep(Time(v.(int)%3) * Nanosecond)
 	})
@@ -128,9 +129,8 @@ func orderTranscript() (transcript string, started int) {
 					}
 					// A daemon started by hand: a server given one
 					// message posts its start where a spawn would.
-					var start Mailbox[int]
-					start.Init(e, cname)
-					Serve(&start, cname, func(c *Proc, _ int) { body(c) })
+					var start Server[int]
+					start.Init(e, cname, func(c *Proc, _ int) { body(c) })
 					start.Put(0)
 					return "spawndaemon " + cname
 				}

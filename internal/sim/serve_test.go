@@ -9,19 +9,17 @@ import (
 // TestServeRestartsAtPutInstant: an idle server restarts at the instant
 // of the Put, from an event posted by the Put itself, so it runs before
 // anything scheduled for that instant after the Put and after anything
-// scheduled before it. A mailbox that already holds work when it is
-// served starts its server at once.
+// scheduled before it. A Put made before Run restarts its server at
+// time zero.
 func TestServeRestartsAtPutInstant(t *testing.T) {
 	e := NewEngine()
 	var log []string
 	note := func(s string) { log = append(log, fmt.Sprintf("%v %s", e.Now(), s)) }
-	var mb Mailbox[string]
-	mb.Init(e, "mb")
-	Serve(&mb, "server", func(p *Proc, v string) { note("handled " + v) })
-	var early Mailbox[string]
-	early.Init(e, "early")
-	early.Put("queued before Serve")
-	Serve(&early, "early", func(p *Proc, v string) { note(v) })
+	var mb Server[string]
+	mb.Init(e, "server", func(p *Proc, v string) { note("handled " + v) })
+	var early Server[string]
+	early.Init(e, "early", func(p *Proc, v string) { note(v) })
+	early.Put("queued before Run")
 	e.Spawn("client", func(p *Proc) {
 		p.Sleep(3 * Microsecond)
 		e.After(0, func() { note("before") })
@@ -31,7 +29,7 @@ func TestServeRestartsAtPutInstant(t *testing.T) {
 		mb.Put("b")
 	})
 	e.Run()
-	want := "0ps queued before Serve|3.00us before|3.00us handled a|3.00us after|4.00us handled b"
+	want := "0ps queued before Run|3.00us before|3.00us handled a|3.00us after|4.00us handled b"
 	if got := strings.Join(log, "|"); got != want {
 		t.Fatalf("log = %s\nwant  %s", got, want)
 	}
@@ -43,11 +41,10 @@ func TestServeRestartsAtPutInstant(t *testing.T) {
 // three messages.
 func TestServeParkedHandlerKeepsItsCoroutine(t *testing.T) {
 	e := NewEngine()
-	var mb Mailbox[int]
-	mb.Init(e, "mb")
+	var mb Server[int]
 	var at []Time
 	var carriers []*carrier
-	Serve(&mb, "server", func(p *Proc, v int) {
+	mb.Init(e, "server", func(p *Proc, v int) {
 		at = append(at, p.Now())
 		carriers = append(carriers, p.c)
 		p.Sleep(Microsecond)
@@ -70,15 +67,14 @@ func TestServeParkedHandlerKeepsItsCoroutine(t *testing.T) {
 	}
 }
 
-// TestServePutAfter: a delayed Put into a served mailbox restarts an
+// TestServePutAfter: a delayed Put into a server's mailbox restarts an
 // idle server when it is delivered, and one delivered while the handler
 // is parked waits its turn in the same run.
 func TestServePutAfter(t *testing.T) {
 	e := NewEngine()
-	var mb Mailbox[int]
-	mb.Init(e, "mb")
+	var mb Server[int]
 	got := map[int]Time{}
-	Serve(&mb, "server", func(p *Proc, v int) {
+	mb.Init(e, "server", func(p *Proc, v int) {
 		got[v] = p.Now()
 		p.Sleep(2 * Microsecond)
 	})
@@ -109,13 +105,10 @@ func TestServeNotInDeadlockReport(t *testing.T) {
 	}()
 	e := NewEngine()
 	never := e.NewFuture()
-	boxes := make([]*Mailbox[any], 3)
-	for i := range boxes {
-		boxes[i] = e.NewMailbox(fmt.Sprintf("box%d", i))
-	}
-	Serve(boxes[0], "unused", func(*Proc, any) {})
-	Serve(boxes[1], "idle", func(p *Proc, _ any) { p.Sleep(Nanosecond) })
-	Serve(boxes[2], "parked", func(p *Proc, _ any) { never.Await(p) })
+	var boxes [3]Server[any]
+	boxes[0].Init(e, "unused", func(*Proc, any) {})
+	boxes[1].Init(e, "idle", func(p *Proc, _ any) { p.Sleep(Nanosecond) })
+	boxes[2].Init(e, "parked", func(p *Proc, _ any) { never.Await(p) })
 	e.Spawn("stuck", func(p *Proc) {
 		boxes[1].Put(nil)
 		boxes[2].Put(nil)

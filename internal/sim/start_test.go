@@ -54,8 +54,9 @@ func TestStartWhileLivePanics(t *testing.T) {
 		c.gate = nil
 		e.Start(&c.proc, "c", c) // finished: a new process
 	})
-	srv := Serve(e.NewMailbox("idle"), "server", func(*Proc, any) {})
-	got[2] = panics(func() { e.Start(srv, "server", c) })
+	var srv Server[any]
+	srv.Init(e, "server", func(*Proc, any) {})
+	got[2] = panics(func() { e.Start(&srv.proc, "server", c) })
 	e.Run()
 	want := []interface{}{live, live, "sim: process server started while it is live", "sim: process self started while it is live"}
 	for i := range want {
