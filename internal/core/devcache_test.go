@@ -23,91 +23,15 @@ func packNow(p *sim.Proc, ctx *cuda.Ctx, e *Engine, dt *datatype.Datatype, count
 	e.Pack(p, data, dt, count, dst)
 }
 
-// TestDevCacheEvictionUnderBudget drives a tiny budget past capacity and
-// checks LRU order, the byte bound, and reconversion after displacement.
-func TestDevCacheEvictionUnderBudget(t *testing.T) {
-	// Each triangular(n) layout converts to ~n units of entryDevBytes
-	// (24 B). A 3000-byte budget holds two ~50-unit lists but not three.
-	r := newRig(t, Options{CacheBytes: 3000})
-	dts := []*datatype.Datatype{
-		shapes.LowerTriangular(50),
-		shapes.StairTriangular(50, 5),
-		shapes.LowerTriangular(49),
-	}
-	var midStats DevCacheStats
-	var reconvertedFirst, cachedLast bool
-	r.eng.Spawn("drive", func(p *sim.Proc) {
-		for _, dt := range dts {
-			packNow(p, r.ctx, r.e, dt, 1)
-		}
-		midStats = r.e.DevCache().Stats()
-		// The first layout (least recently used) must have been
-		// displaced: packing it again re-converts.
-		before := r.e.ConvertedUnits()
-		packNow(p, r.ctx, r.e, dts[0], 1)
-		reconvertedFirst = r.e.ConvertedUnits() != before
-		// The most recently stored layout survives. (dts[0]'s re-store
-		// just evicted LRU again, which cannot be dts[2].)
-		before = r.e.ConvertedUnits()
-		packNow(p, r.ctx, r.e, dts[2], 1)
-		cachedLast = r.e.ConvertedUnits() == before
-	})
-	r.eng.Run()
-	if midStats.Evictions == 0 {
-		t.Fatalf("expected evictions under a 3000-byte budget, got stats %+v", midStats)
-	}
-	if midStats.UsedBytes > midStats.Budget {
-		t.Fatalf("cache over budget: %d > %d", midStats.UsedBytes, midStats.Budget)
-	}
-	if midStats.Stores != int64(len(dts)) {
-		t.Fatalf("stores = %d, want %d", midStats.Stores, len(dts))
-	}
-	if !reconvertedFirst {
-		t.Fatal("evicted layout was served from cache")
-	}
-	if !cachedLast {
-		t.Fatal("most recently used layout was evicted")
-	}
-	if st := r.e.DevCache().Stats(); st.UsedBytes > st.Budget {
-		t.Fatalf("cache over budget after test: %+v", st)
-	}
-}
-
-// TestDevCacheOversizedListNotCached checks a unit list bigger than the
-// whole budget is passed through without caching or eviction storms.
-func TestDevCacheOversizedListNotCached(t *testing.T) {
-	r := newRig(t, Options{CacheBytes: 512})
-	dt := shapes.LowerTriangular(60) // ~60 units ≈ 1440 B > 512
-	var reconverted bool
-	r.eng.Spawn("drive", func(p *sim.Proc) {
-		packNow(p, r.ctx, r.e, dt, 1)
-		before := r.e.ConvertedUnits()
-		packNow(p, r.ctx, r.e, dt, 1)
-		reconverted = r.e.ConvertedUnits() != before
-	})
-	r.eng.Run()
-	st := r.e.DevCache().Stats()
-	if st.Stores != 0 || st.Items != 0 || st.Evictions != 0 {
-		t.Fatalf("oversized list touched the cache: %+v", st)
-	}
-	if !reconverted {
-		t.Fatal("second pack did not reconvert")
-	}
-}
-
-// TestDevCacheSharedBudgetIsolatedEntries checks the per-device cache is
-// shared for budget purposes but engines never see each other's entries:
-// the second engine's first pack of the same (dt, count) must miss and
-// reconvert, exactly like the seed's per-engine maps.
-func TestDevCacheSharedBudgetIsolatedEntries(t *testing.T) {
+// TestDevCacheIsolatedPerEngine checks engines never see each other's
+// lists, even on one device: the second engine's first pack of the same
+// (dt, count) must miss, reconvert and pack the right bytes.
+func TestDevCacheIsolatedPerEngine(t *testing.T) {
 	se := sim.NewEngine()
 	node := pcie.NewNode(se, 0, 1, gpu.KeplerK40(), pcie.DefaultParams())
 	ctxA, ctxB := cuda.NewCtx(node), cuda.NewCtx(node)
 	eA := New(ctxA, 0, Options{})
 	eB := New(ctxB, 0, Options{})
-	if eA.DevCache() != eB.DevCache() {
-		t.Fatal("engines on one device should share a DevCache")
-	}
 	dt := shapes.LowerTriangular(40)
 	var unitsBBefore, unitsBAfter int64
 	var gotB, wantB []byte
@@ -117,7 +41,6 @@ func TestDevCacheSharedBudgetIsolatedEntries(t *testing.T) {
 		unitsBBefore = eB.ConvertedUnits()
 		packNow(p, ctxB, eB, dt, 1)
 		unitsBAfter = eB.ConvertedUnits()
-		// Packed output stays correct through the shared cache.
 		data := ctxB.Malloc(0, dt.Span(1))
 		mem.FillPattern(data, 3)
 		wantB = cpuPack(dt, 1, data.Bytes())
@@ -135,12 +58,11 @@ func TestDevCacheSharedBudgetIsolatedEntries(t *testing.T) {
 	if unitsBAfter == unitsBBefore {
 		t.Fatal("engine B's first pack was served from engine A's entries")
 	}
-	st := eA.DevCache().Stats()
-	if st.Items != 2 {
-		t.Fatalf("device cache holds %d lists, want one per engine (2): %+v", st.Items, st)
+	if len(eA.cache) != 1 || len(eB.cache) != 1 {
+		t.Fatalf("engines hold %d and %d lists, want one each", len(eA.cache), len(eB.cache))
 	}
 	if !bytes.Equal(gotB, wantB) {
-		t.Fatal("pack through shared cache produced wrong bytes")
+		t.Fatal("pack from engine B's own list produced wrong bytes")
 	}
 }
 
@@ -150,15 +72,19 @@ func TestDevCacheStatsCounters(t *testing.T) {
 	r := newRig(t, Options{})
 	rec := sim.NewRecorder(r.eng)
 	dt := shapes.LowerTriangular(30)
+	var units int64
 	r.eng.Spawn("drive", func(p *sim.Proc) {
 		packNow(p, r.ctx, r.e, dt, 1) // miss + store
+		units = r.e.ConvertedUnits()
 		packNow(p, r.ctx, r.e, dt, 1) // hit
 		packNow(p, r.ctx, r.e, dt, 1) // hit
 	})
 	r.eng.Run()
-	st := r.e.DevCache().Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Stores != 1 || st.Evictions != 0 {
-		t.Fatalf("stats %+v, want 2 hits / 1 miss / 1 store / 0 evictions", st)
+	if r.e.CacheHits() != 2 || len(r.e.cache) != 1 {
+		t.Fatalf("%d hits, %d lists cached; want 2 hits, 1 list", r.e.CacheHits(), len(r.e.cache))
+	}
+	if units == 0 || r.e.ConvertedUnits() != units {
+		t.Fatalf("converted %d units, then %d: want only the miss to convert", units, r.e.ConvertedUnits())
 	}
 	if got := rec.Counter("core.dev.hit"); got != 2 {
 		t.Fatalf("core.dev.hit = %d, want 2", got)
@@ -168,10 +94,37 @@ func TestDevCacheStatsCounters(t *testing.T) {
 	}
 }
 
-// TestDevCacheConcurrentWorlds exercises the cache and plan-compilation
-// mutexes from concurrent independent worlds (what the parallel bench
-// driver does); meaningful under -race. Each world owns its device, so
-// the shared state is the datatype's compiled plan.
+// TestFirstPackAllocatesItsListOnly pins the heap bytes of a cache
+// miss: the list a converting packer keeps is sized from its layout's
+// bound, so the first pack of a 32-block triangle on a fresh engine
+// allocates its list of a few dozen entries, the cache's map and the
+// worker it borrows. (At the commit before, every conversion took a
+// list of at least 1 024 entries, 24 KiB: 27 408 B here.)
+func TestFirstPackAllocatesItsListOnly(t *testing.T) {
+	skipIfPoolDrops(t)
+	r := newRig(t, Options{})
+	dt := shapes.LowerTriangular(32)
+	data, packed := r.ctx.Malloc(0, dt.Span(1)), r.ctx.Malloc(0, dt.Size())
+	datatype.PackImage(dt, 1, data.Bytes()) // compiles the datatype's plan
+	var bytes uint64
+	r.eng.Spawn("drive", func(p *sim.Proc) {
+		p.Sleep(1) // grows the event queue
+		bytes = allocBytes(func() { r.e.Pack(p, data, dt, 1, packed) })
+	})
+	r.eng.Run()
+	if r.e.ConvertedUnits() == 0 || len(r.e.cache) != 1 {
+		t.Fatalf("the first pack converted %d units and cached %d lists, want a miss that fills the cache", r.e.ConvertedUnits(), len(r.e.cache))
+	}
+	if bytes > 8<<10 {
+		t.Errorf("the first pack allocated %d B, want at most 8 KiB", bytes)
+	}
+}
+
+// TestDevCacheConcurrentWorlds packs one datatype from concurrent
+// independent worlds (what the parallel bench driver does); meaningful
+// under -race. Each world builds its own devices and engines, so worlds
+// share the datatype's compiled plan (built once, under sync.Once) and
+// never a cache.
 func TestDevCacheConcurrentWorlds(t *testing.T) {
 	dt := shapes.LowerTriangular(32)
 	var wg sync.WaitGroup

@@ -63,12 +63,6 @@ type Options struct {
 	// DisableVectorKernel forces the generic DEV path even for vector
 	// layouts (ablation).
 	DisableVectorKernel bool
-
-	// CacheBytes is the per-device byte budget of the DEV descriptor
-	// cache (default DefaultCacheBytes). The budget is shared by all
-	// engines on a device; the first engine created on the device fixes
-	// it. Unit lists larger than the whole budget are not cached.
-	CacheBytes int64
 }
 
 // Calibration the engine is not configured with: nothing ever ran at
@@ -92,8 +86,13 @@ func DefaultOptions() Options {
 	return Options{
 		UnitSize:   1024,
 		ChunkBytes: 2 << 20,
-		CacheBytes: DefaultCacheBytes,
 	}
+}
+
+// cacheKey identifies a converted unit list in its engine's DEV cache.
+type cacheKey struct {
+	dt    *datatype.Datatype
+	count int
 }
 
 type cacheVal struct {
@@ -110,8 +109,13 @@ type Engine struct {
 	stream gpu.Stream  // pack and unpack kernels
 	app    *gpu.Stream // the application's kernels, made by the first Stream call
 	opts   Options
-	cache  *DevCache   // device-wide, shared with sibling engines
 	idle   []*borrowed // workers between two calls that borrow them
+
+	// cache is the DEV cache (§3.2): each converted unit list, kept
+	// once and never evicted. It is the engine's own — a hit skips
+	// conversion that virtual time charges, so sibling engines on one
+	// device never serve each other's lists.
+	cache map[cacheKey]*cacheVal
 
 	// statistics
 	convEntries int64
@@ -133,16 +137,8 @@ func New(ctx *cuda.Ctx, devID int, opts Options) *Engine {
 	if opts.ChunkBytes == 0 {
 		opts.ChunkBytes = def.ChunkBytes
 	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = def.CacheBytes
-	}
 	dev := ctx.Node().GPU(devID)
-	cache, _ := dev.DDTCache().(*DevCache)
-	if cache == nil {
-		cache = newDevCache(opts.CacheBytes)
-		dev.SetDDTCache(cache)
-	}
-	e := &Engine{ctx: ctx, dev: dev, opts: opts, cache: cache}
+	e := &Engine{ctx: ctx, dev: dev, opts: opts}
 	e.stream.Init(dev, "gpu"+strconv.Itoa(devID)+".ddt")
 	return e
 }
@@ -169,10 +165,6 @@ func (e *Engine) CacheHits() int64 { return e.cacheHits }
 // produced by CPU-side conversion (cache misses only).
 func (e *Engine) ConvertedUnits() int64 { return e.convUnits }
 
-// DevCache returns the device-wide descriptor cache the engine stores
-// its unit lists in.
-func (e *Engine) DevCache() *DevCache { return e.cache }
-
 // count bumps a recorder counter when tracing is on (the engine may be
 // called outside any process, so it cannot use Proc.Count).
 func (e *Engine) count(name string, delta int64) {
@@ -187,7 +179,7 @@ func (e *Engine) lookupCache(dt *datatype.Datatype, count int) *cacheVal {
 	if e.opts.NoCacheDEV {
 		return nil
 	}
-	val := e.cache.lookup(devKey{e, dt, count})
+	val := e.cache[cacheKey{dt, count}]
 	if val != nil {
 		e.count("core.dev.hit", 1)
 	} else {
@@ -196,25 +188,20 @@ func (e *Engine) lookupCache(dt *datatype.Datatype, count int) *cacheVal {
 	return val
 }
 
-// storeCache saves a fully converted unit list and charges the GPU
-// memory that holds the descriptor array (the paper's "few MBs of GPU
-// memory", §5.1). Lists that could never fit the device budget are not
-// cached; stores that push the cache over budget evict older lists and
-// release their descriptor arrays. It reports whether the cache took
-// the list (and with it the slice).
-func (e *Engine) storeCache(dt *datatype.Datatype, count int, entries []Entry) bool {
-	key := devKey{e, dt, count}
-	bytes := int64(len(entries)) * entryDevBytes
-	if e.cache.contains(key) || !e.cache.admits(bytes) {
-		return false
+// storeCache keeps a fully converted unit list, unless one for (dt,
+// count) was stored while it was being built, and charges the GPU memory
+// that holds its descriptor array (the paper's "few MBs of GPU memory",
+// §5.1).
+func (e *Engine) storeCache(dt *datatype.Datatype, count int, entries []Entry) {
+	key := cacheKey{dt, count}
+	if e.cache[key] != nil {
+		return
 	}
-	devBuf := e.dev.Mem().Alloc(bytes, 256)
-	evicted := e.cache.store(key, &cacheVal{entries: entries, devBuf: devBuf}, bytes)
-	for _, b := range evicted {
-		e.count("core.dev.evict", 1)
-		b.Space().Free(b)
+	if e.cache == nil {
+		e.cache = make(map[cacheKey]*cacheVal)
 	}
-	return true
+	devBuf := e.dev.Mem().Alloc(int64(len(entries))*entryDevBytes, 256)
+	e.cache[key] = &cacheVal{entries: entries, devBuf: devBuf}
 }
 
 // entryDevBytes is sizeof(cuda_dev_dist): three 8-byte fields (§3.2).

@@ -86,8 +86,8 @@ func TestFusedBlocksMatchSeparate(t *testing.T) {
 			}
 		}
 		// Each converted layout was converted once, by the fused pack.
-		if st := r.e.DevCache().Stats(); st.Stores != 3 {
-			t.Fatalf("host=%v: %d lists cached, want (tri, 2), (vec, 3) and (tri, 1)", host, st.Stores)
+		if n := len(r.e.cache); n != 3 {
+			t.Fatalf("host=%v: %d lists cached, want (tri, 2), (vec, 3) and (tri, 1)", host, n)
 		}
 	}
 }

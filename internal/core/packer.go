@@ -34,9 +34,9 @@ const maxUnitLen = 1 << 30
 // consumer's (PackWith, UnpackWith). The vector path builds them from
 // arithmetic, the cached path from its slice of the resident list, the
 // converting path from the tail of the list it is building. The kernel
-// gets a copy, never a view of a cached list — eviction recycles a
-// list's array while kernels that were bound from it may still be
-// queued. Host-resident data is moved by the CPU (see cpuMove): no
+// gets a copy, never a view of a cached list: an entry is not bound to
+// a direction, and a kernel unit is, with its packed offset rebased to
+// the fragment. Host-resident data is moved by the CPU (see cpuMove): no
 // kernel, no descriptors, no cache lookup.
 type Packer struct {
 	e    *Engine
@@ -145,7 +145,6 @@ func (pk *Packer) Total() int64 { return pk.conv.Total() }
 func (pk *Packer) SeekTo(pos int64) {
 	pk.conv.SeekTo(pos)
 	pk.caching = false
-	pk.e.cache.retire(pk.building)
 	pk.building = nil
 }
 
@@ -383,18 +382,14 @@ func (pk *Packer) convertAndLaunch(p *sim.Proc, n int64, frag mem.Buffer, own *g
 // or converted call.
 func (pk *Packer) convert(p *sim.Proc, m int64) []Entry {
 	opts := &pk.e.opts
-	if pk.building == nil {
+	list := pk.building
+	switch {
+	case !pk.caching:
+		list = list[:0]
+	case list == nil:
 		// Sized once when the list is kept: every block yields at most
 		// Len/UnitSize + 1 units.
-		var units int64
-		if pk.caching {
-			units = pk.conv.Total()/opts.UnitSize + int64(pk.cnt)*int64(pk.dt.NumBlocks())
-		}
-		pk.building = pk.e.cache.grabSlab(int(units))
-	}
-	list := pk.building
-	if !pk.caching {
-		list = list[:0]
+		list = make([]Entry, 0, pk.conv.Total()/opts.UnitSize+int64(pk.cnt)*int64(pk.dt.NumBlocks()))
 	}
 	mark := len(list)
 	pieces := 0
@@ -414,14 +409,14 @@ func (pk *Packer) convert(p *sim.Proc, m int64) []Entry {
 	return entries
 }
 
-// converted hands a completed list to the DEV cache (or back to the
-// slab pool) once the whole message has been converted.
+// converted hands a completed list to the DEV cache once the whole
+// message has been converted, and drops it.
 func (pk *Packer) converted() {
 	if !pk.conv.Done() {
 		return
 	}
-	if !pk.caching || !pk.e.storeCache(pk.dt, pk.cnt, pk.building) {
-		pk.e.cache.retire(pk.building)
+	if pk.caching {
+		pk.e.storeCache(pk.dt, pk.cnt, pk.building)
 	}
 	pk.building = nil
 }

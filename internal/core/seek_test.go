@@ -94,43 +94,44 @@ func TestPackerSeekToMidstream(t *testing.T) {
 	}
 }
 
-// TestPackerSeekToRetiresSlab: the list a converting packer was building
-// goes back to the device cache's slab pool when SeekTo abandons it, and
-// the replay — which converts through scratch and caches nothing —
-// returns its slab too.
-func TestPackerSeekToRetiresSlab(t *testing.T) {
+// TestPackerSeekToDropsList: SeekTo drops the list a converting packer
+// was building, the replay — which converts through per-chunk scratch —
+// caches nothing, and a later transfer of the same (dt, count) fills the
+// cache.
+func TestPackerSeekToDropsList(t *testing.T) {
 	r := newRig(t, Options{})
 	dt := shapes.LowerTriangular(64)
 	data := r.ctx.Malloc(0, dt.Span(1))
 	frag := r.ctx.Malloc(0, 4096)
-	pooled := func() int {
-		r.e.cache.mu.Lock()
-		defer r.e.cache.mu.Unlock()
-		return len(r.e.cache.slabs)
-	}
+	var replayed, later int
 	r.eng.Spawn("seek", func(p *sim.Proc) {
 		pk := new(Packer)
 		r.e.InitPacker(pk, data, dt, 1)
 		_, fut := pk.PackWith(p, frag, nil)
 		fut.Await(p)
-		building := pk.building
-		if building == nil || pooled() != 0 {
-			t.Errorf("before SeekTo: building %v, %d slabs pooled", building != nil, pooled())
+		if pk.building == nil {
+			t.Error("a converting packer holds no list before SeekTo")
 			return
 		}
 		pk.SeekTo(0)
-		if pk.building != nil || pooled() != 1 || &r.e.cache.slabs[0][:1][0] != &building[0] {
-			t.Errorf("SeekTo did not retire the slab it abandoned (%d pooled)", pooled())
+		if pk.building != nil {
+			t.Error("SeekTo kept the list it abandoned")
 			return
 		}
 		var out []byte
 		packFrags(p, pk, frag, &out)
-		if pk.building != nil || pooled() != 1 {
-			t.Errorf("replay kept its scratch slab (%d pooled)", pooled())
+		if pk.building != nil {
+			t.Error("the replay kept its scratch")
 		}
+		replayed = len(r.e.cache)
+		packNow(p, r.ctx, r.e, dt, 1)
+		later = len(r.e.cache)
 	})
 	r.eng.Run()
-	if st := r.e.DevCache().Stats(); st.Stores != 0 {
-		t.Fatalf("a rewound first pass populated the cache (%d stores)", st.Stores)
+	if replayed != 0 {
+		t.Fatalf("a rewound first pass populated the cache (%d lists)", replayed)
+	}
+	if later != 1 {
+		t.Fatalf("a later whole pack cached %d lists, want 1", later)
 	}
 }

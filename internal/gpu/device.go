@@ -30,12 +30,6 @@ type Device struct {
 
 	kernelsRun int64
 	rawMoved   int64
-
-	// ddtCache hosts the per-device datatype-engine descriptor cache.
-	// It is opaque here (the concrete type lives in internal/core, which
-	// imports this package) and shared by every engine bound to the
-	// device.
-	ddtCache interface{}
 }
 
 // NewDevice creates a GPU with the given calibration profile. It panics
@@ -71,13 +65,6 @@ func (d *Device) Release() { d.mem.Release() }
 
 // KernelsRun returns the number of kernels executed so far.
 func (d *Device) KernelsRun() int64 { return d.kernelsRun }
-
-// DDTCache returns the datatype-engine cache attached to the device, or
-// nil if none has been installed yet.
-func (d *Device) DDTCache() interface{} { return d.ddtCache }
-
-// SetDDTCache attaches the device-wide datatype-engine cache.
-func (d *Device) SetDDTCache(v interface{}) { d.ddtCache = v }
 
 // SetFaults installs a fault injector; kernel launches may then fail
 // and be retried autonomously (see launchGate). Nil disables injection.
