@@ -1,10 +1,13 @@
 package mpi_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gpuddt/internal/cluster"
+	"gpuddt/internal/datatype"
 	"gpuddt/internal/mpi"
 )
 
@@ -17,11 +20,14 @@ import (
 // decision 26): a channel is derived from its two ranks, a link holds
 // its lock, a path is its hops, an owner's names are one string, and a
 // daemon (sim.Server) is a field of the record it serves. The 64-rank
-// world makes 65 coroutines and costs 2 554 allocations, the pair makes
-// 3. What remains is the coroutines (about 590), the links and the
-// ranks' datatype engines. With a coroutine per daemon and an engine per
-// GPU per rank, they made 400 and 11 847, and 8; with each daemon's
-// Proc on the heap, 3 034; with a DEV cache shared per device, 2 682.
+// world takes 65 coroutines and the pair 3, from the carrier shelf once
+// an earlier world has left them there, so a world built after another
+// makes none; the 64-rank world costs 1 581 allocations: its links and
+// nodes, and its ranks' names, contexts and datatype engines. With a
+// coroutine per daemon and an engine per GPU per rank, they made 400 and
+// 11 847, and 8; with each daemon's Proc on the heap, 3 034; with a DEV
+// cache shared per device, 2 682; with the engine's own map for it,
+// 2 554; with a coroutine shelf, 1 581.
 func TestWorldBuildCost(t *testing.T) {
 	barrier := func(spec cluster.Spec) (coroutines int) {
 		w := mpi.NewWorld(spec.Config())
@@ -43,7 +49,8 @@ func TestWorldBuildCost(t *testing.T) {
 	}
 
 	// Under the race detector sync.Pool drops what it is given, and the
-	// slab pool a closed world's memory returns to is one.
+	// slab pool a closed world's memory returns to is one (the carrier
+	// and record shelves are not).
 	var pool sync.Pool
 	for i, x := 0, new(int); i < 64; i++ {
 		pool.Put(x)
@@ -51,9 +58,35 @@ func TestWorldBuildCost(t *testing.T) {
 			t.Skip("sync.Pool is dropping (-race): allocation counts are not exact")
 		}
 	}
-	const maxAllocs = 2605
+	const maxAllocs = 1612
 	big := cluster.Scale(16, 4, 4, 2)
 	if got := testing.AllocsPerRun(5, func() { barrier(big) }); got > maxAllocs {
 		t.Errorf("64-rank build + barrier + close: %.0f allocations, want at most %d", got, maxAllocs)
 	}
+}
+
+// TestClosedWorldIsCollectable: a closed world leaves nothing on the
+// process-wide shelves that names it — not its idle coroutines, not its
+// eager or receive records — so its engine is garbage-collected.
+func TestClosedWorldIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		w := mpi.NewWorld(cluster.Scale(2, 2, 2, 2).Config())
+		runtime.AddCleanup(w.Engine(), func(c chan struct{}) { close(c) }, collected)
+		dt := datatype.Contiguous(64, datatype.Float64) // eager
+		w.Run(func(m *mpi.Rank) {
+			n := int64(m.Size()) * dt.Size()
+			m.Alltoall(m.Malloc(n), dt, 1, m.Malloc(n), dt, 1)
+		})
+		w.Close()
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a closed world's engine is still reachable")
 }

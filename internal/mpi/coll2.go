@@ -17,7 +17,7 @@ import (
 // within each node over the shared-memory tier; otherwise it is the
 // flat binomial tree.
 func (m *Rank) Bcast(buf mem.Buffer, dt *datatype.Datatype, count, root int) {
-	m.bcast(m.p, m.tagBlock(m.bcastTags()), buf, dt, count, root)
+	m.bcast(&m.proc, m.tagBlock(m.bcastTags()), buf, dt, count, root)
 }
 
 func (m *Rank) bcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count, root int) {
@@ -38,10 +38,10 @@ func (m *Rank) bcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype
 func (m *Rank) Allgather(buf mem.Buffer, dt *datatype.Datatype, count int) {
 	tag := m.tagBlock(m.allgatherTags())
 	if m.hierOn() && count > 0 {
-		m.hierAllgather(m.p, tag, buf, dt, count)
+		m.hierAllgather(&m.proc, tag, buf, dt, count)
 		return
 	}
-	m.ringAllgather(m.p, "Allgather", m.worldComm(), uniformView(buf, dt, count), tag)
+	m.ringAllgather(&m.proc, "Allgather", m.worldComm(), uniformView(buf, dt, count), tag)
 }
 
 // Alltoall exchanges slot j of every rank's sendBuf with slot i of rank
@@ -54,10 +54,10 @@ func (m *Rank) Alltoall(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
 	tag := m.tagBlock(m.alltoallTags())
 	if m.hierOn() && scount > 0 && int64(scount)*sdt.Size() == int64(rcount)*rdt.Size() {
-		m.hierAlltoall(m.p, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
+		m.hierAlltoall(&m.proc, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
 		return
 	}
-	m.exchangeAll(m.p, "Alltoall", m.worldComm(), uniformView(sendBuf, sdt, scount), uniformView(recvBuf, rdt, rcount), tag)
+	m.exchangeAll(&m.proc, "Alltoall", m.worldComm(), uniformView(sendBuf, sdt, scount), uniformView(recvBuf, rdt, rcount), tag)
 }
 
 // copyBlock moves block i of one view into block i of the other inside

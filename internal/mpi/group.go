@@ -133,7 +133,7 @@ func barrierRounds(size int) int {
 // group traffic, so two jobs' barriers are fully independent).
 func (g *Group) Barrier(m *Rank) {
 	c := g.comm(m)
-	m.dissemination(m.p, c, g.tagBlock(c.me, barrierRounds(c.n)))
+	m.dissemination(&m.proc, c, g.tagBlock(c.me, barrierRounds(c.n)))
 }
 
 // Allreduce combines count elements of dt (a contiguous single-primitive
@@ -145,7 +145,7 @@ func (g *Group) Barrier(m *Rank) {
 func (g *Group) Allreduce(m *Rank, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, alg AllreduceAlg) {
 	prim := reducePrim(dt)
 	c := g.comm(m)
-	p := m.p
+	p := &m.proc
 	switch alg {
 	case AllreduceRing:
 		tag := g.tagBlock(c.me, 2*c.n)
@@ -235,7 +235,7 @@ func (g *Group) Alltoallv(m *Rank, sendBuf mem.Buffer, scounts, sdispls []int, s
 	checkVArgs("group Alltoallv", c.n, recvBuf, rdt, rcounts, rdispls)
 	tag := g.tagBlock(c.me, 1)
 	send, recv := vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls)
-	m.exchangeAll(m.p, "group Alltoallv", c, send, recv, tag)
+	m.exchangeAll(&m.proc, "group Alltoallv", c, send, recv, tag)
 }
 
 // SendRecvLocal exchanges (count, dt) messages with two group members
@@ -244,7 +244,7 @@ func (g *Group) Alltoallv(m *Rank, sendBuf mem.Buffer, scounts, sdispls []int, s
 func (g *Group) SendRecvLocal(m *Rank, sendBuf mem.Buffer, sdt *datatype.Datatype, scount, destLocal int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, srcLocal int) {
 	tag := g.tagBlock(g.LocalRank(m), 1)
-	m.exchange(m.p, sendBuf, sdt, scount, g.ranks[destLocal], recvBuf, rdt, rcount, g.ranks[srcLocal], tag)
+	m.exchange(&m.proc, sendBuf, sdt, scount, g.ranks[destLocal], recvBuf, rdt, rcount, g.ranks[srcLocal], tag)
 }
 
 // NeighborAlltoallw is the neighbourhood exchange (MPI_Neighbor_alltoallw
@@ -262,7 +262,7 @@ func (g *Group) NeighborAlltoallw(m *Rank, sends, recvs []Neighbor) {
 	c := g.comm(m)
 	checkNeighbors(what, "send", c.n, sends)
 	checkNeighbors(what, "recv", c.n, recvs)
-	m.neighbours(m.p, what, c, sends, recvs, g.tagBlock(c.me, 1))
+	m.neighbours(&m.proc, what, c, sends, recvs, g.tagBlock(c.me, 1))
 }
 
 // checkNeighbors rejects, before anything moves, a block whose peer is

@@ -101,7 +101,7 @@ func (r *Request) Complete() { r.done.Complete(nil) }
 // (MPI_Waitall). The requests stay the caller's.
 func (m *Rank) WaitAll(reqs ...*Request) {
 	for _, r := range reqs {
-		r.Wait(m.p)
+		r.Wait(&m.proc)
 	}
 }
 
@@ -176,7 +176,7 @@ type Strategy interface {
 // Isend starts a send and returns its request, which is the caller's for
 // good: its record never goes back to the free list.
 func (m *Rank) Isend(buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int) *Request {
-	return m.w.recs.keep(m.isendOn(m.p, buf, dt, count, dest, tag))
+	return m.w.recs.keep(m.isendOn(&m.proc, buf, dt, count, dest, tag))
 }
 
 // isendOn is Isend issued from an explicit process: the rank's main

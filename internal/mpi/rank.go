@@ -27,7 +27,8 @@ type Rank struct {
 	place Placement
 	ctx   *cuda.Ctx
 	engs  []*core.Engine
-	p     *sim.Proc // the rank's main process (set by Run)
+	proc  sim.Proc // the rank's main process, started by World.Run
+	main  rankMain // its body
 
 	inbox          sim.Server[ib.Msg] // active messages, executed in order
 	seq            int64              // message sequence for diagnostics
@@ -100,6 +101,15 @@ func newRank(w *World, r int, pl Placement) *Rank {
 	return rk
 }
 
+// rankMain is a rank's main process body: the function World.Run was
+// given, called with the rank.
+type rankMain struct {
+	m  *Rank
+	fn func(m *Rank)
+}
+
+func (b *rankMain) Run(*sim.Proc) { b.fn(b.m) }
+
 // runAM executes one active message on the progress server.
 func runAM(p *sim.Proc, am ib.Msg) { am.To.Handle(p, am.Arg) }
 
@@ -124,10 +134,10 @@ func (m *Rank) ScratchStats() (pooled, peak int64) { return m.scratchPooled, m.s
 func (m *Rank) Size() int { return len(m.w.ranks) }
 
 // Proc returns the rank's main simulated process.
-func (m *Rank) Proc() *sim.Proc { return m.p }
+func (m *Rank) Proc() *sim.Proc { return &m.proc }
 
 // Now returns the current virtual time.
-func (m *Rank) Now() sim.Time { return m.p.Now() }
+func (m *Rank) Now() sim.Time { return m.proc.Now() }
 
 // Ctx returns the rank's CUDA context.
 func (m *Rank) Ctx() *cuda.Ctx { return m.ctx }
@@ -163,12 +173,12 @@ func (m *Rank) channel(peer int) Channel { return Channel{src: m, dst: m.w.ranks
 // Send performs a blocking standard-mode send of count elements of dt
 // from buf (whose byte 0 is the datatype origin; device or host memory).
 func (m *Rank) Send(buf mem.Buffer, dt *datatype.Datatype, count, dest, tag int) {
-	m.sendOn(m.p, buf, dt, count, dest, tag)
+	m.sendOn(&m.proc, buf, dt, count, dest, tag)
 }
 
 // Recv performs a blocking receive into buf.
 func (m *Rank) Recv(buf mem.Buffer, dt *datatype.Datatype, count, source, tag int) {
-	m.recvOn(m.p, buf, dt, count, source, tag)
+	m.recvOn(&m.proc, buf, dt, count, source, tag)
 }
 
 // sendOn / recvOn are Send/Recv driven from an explicit process, for
@@ -187,10 +197,10 @@ func (m *Rank) SendRecv(
 	sendBuf mem.Buffer, sendType *datatype.Datatype, sendCount, dest, sendTag int,
 	recvBuf mem.Buffer, recvType *datatype.Datatype, recvCount, source, recvTag int,
 ) {
-	s := m.isendOn(m.p, sendBuf, sendType, sendCount, dest, sendTag)
+	s := m.isendOn(&m.proc, sendBuf, sendType, sendCount, dest, sendTag)
 	r := m.irecv(recvBuf, recvType, recvCount, source, recvTag)
-	await(m.p, s)
-	await(m.p, r)
+	await(&m.proc, s)
+	await(&m.proc, r)
 }
 
 // Barrier blocks until every rank has entered it (linear gather/release
@@ -202,13 +212,13 @@ func (m *Rank) Barrier() {
 	}
 	if m.rank == 0 {
 		for i := 1; i < m.Size(); i++ {
-			m.barrierBox.Get(m.p)
+			m.barrierBox.Get(&m.proc)
 		}
 		for i := 1; i < m.Size(); i++ {
-			m.channel(i).AM(m.p, amHeaderBytes, &m.w.ranks[i].barrierBox, 0)
+			m.channel(i).AM(&m.proc, amHeaderBytes, &m.w.ranks[i].barrierBox, 0)
 		}
 	} else {
-		m.channel(0).AM(m.p, amHeaderBytes, &m.w.ranks[0].barrierBox, 0)
-		m.barrierBox.Get(m.p)
+		m.channel(0).AM(&m.proc, amHeaderBytes, &m.w.ranks[0].barrierBox, 0)
+		m.barrierBox.Get(&m.proc)
 	}
 }

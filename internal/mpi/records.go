@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 
 	"gpuddt/internal/mem"
 )
@@ -27,6 +28,17 @@ import (
 // One engine runs one process at a time, so a list per world needs no
 // lock; the lists are per world, not per rank, because a rank of a
 // 64-rank collective sends about 17 messages per world.
+//
+// The eager sends and the receives also outlive their world, as its
+// memory does in mem's slab pool: a list that runs empty refills from a
+// process-wide shelf of its kind, and World.Close pours the list onto
+// the shelf, each record zeroed but for its link so that it names
+// nothing of the closed world. The shelf keeps one chain, the longer of
+// its own and the one poured, and a lock guards it; it is touched only
+// when a list runs empty and at Close, never per message. The
+// rendezvous sends, receiver halves and ackers stay per world: they keep
+// what their pipelines have grown (rings, kernel records, queue arrays),
+// and zeroing that cost more than building them again.
 
 // home is a recycled record's bookkeeping: its world, how many parties
 // can still name it, and its link on the free list while it is there.
@@ -44,12 +56,16 @@ type recycled[T any] interface {
 
 // freeList is a world's list of one kind of record.
 type freeList[T any, P recycled[T]] struct {
-	head P
+	head  P
+	shelf *shelf[T, P] // where the list refills and is poured; nil for none
 }
 
-// take returns a record from the list, or a new one, with refs
-// references.
+// take returns a record from the list, refilled from its shelf if it is
+// empty, or a new one, with refs references.
 func (l *freeList[T, P]) take(w *World, refs int32) P {
+	if l.head == nil && l.shelf != nil {
+		l.head = l.shelf.empty()
+	}
 	r := l.head
 	if r == nil {
 		r = P(new(T))
@@ -75,6 +91,47 @@ func (l *freeList[T, P]) drop(r P, kind string) bool {
 	h.next, l.head = (*T)(l.head), r
 	h.w.recs.out--
 	return true
+}
+
+// shelf is the process-wide chain of one kind of record, n long.
+type shelf[T any, P recycled[T]] struct {
+	mu   sync.Mutex
+	head P
+	n    int
+}
+
+var (
+	eagerShelf shelf[eagerReq, *eagerReq]
+	recvShelf  shelf[recvReq, *recvReq]
+)
+
+// empty takes the whole chain off the shelf.
+func (s *shelf[T, P]) empty() P {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.head
+	s.head, s.n = nil, 0
+	return r
+}
+
+// pour zeroes every record on the list but its link and moves the chain
+// onto the list's shelf, unless the shelf's own is longer.
+func (l *freeList[T, P]) pour() {
+	n := 0
+	for r := l.head; r != nil; n++ {
+		next := r.homeOf().next
+		var zero T
+		*r = zero
+		r.homeOf().next = next
+		r = P(next)
+	}
+	s := l.shelf
+	s.mu.Lock()
+	if n > s.n {
+		s.head, s.n = l.head, n
+	}
+	s.mu.Unlock()
+	l.head = nil
 }
 
 // records are a world's free lists.

@@ -50,7 +50,7 @@ func TestPublicRequestsAreNeverRecycled(t *testing.T) {
 			buf, dt := churn(i)
 			m.Recv(buf, dt, 1, peer, 0)
 		}
-		late.Wait(m.p)
+		late.Wait(m.Proc())
 		got[0], got[1] = cpuPack(small, 1, kept[0].Bytes()), cpuPack(large, 1, kept[1].Bytes())
 	})
 	for i, rq := range []*Request{early, late, rndv} {

@@ -29,7 +29,7 @@ const (
 // and OpMax, and for Float64 values whose partial sums are exactly
 // representable.
 func (m *Rank) Reduce(sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, root int) {
-	m.reduce(m.p, m.tagBlock(m.reduceTags()), sendBuf, recvBuf, dt, count, op, root)
+	m.reduce(&m.proc, m.tagBlock(m.reduceTags()), sendBuf, recvBuf, dt, count, op, root)
 }
 
 func (m *Rank) reduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, root int) {
@@ -91,11 +91,11 @@ func (m *Rank) Allreduce(sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, cou
 	if m.switchOn() && count > 0 {
 		// The switch multicasts the result to every node's leader on the
 		// way down, so only the intra-node broadcast remains.
-		m.switchReduce(m.p, tag, sendBuf, recvBuf, dt, count, op, 0, tagB)
+		m.switchReduce(&m.proc, tag, sendBuf, recvBuf, dt, count, op, 0, tagB)
 		return
 	}
-	m.reduce(m.p, tag, sendBuf, recvBuf, dt, count, op, 0)
-	m.bcast(m.p, tagB, recvBuf, dt, count, 0)
+	m.reduce(&m.proc, tag, sendBuf, recvBuf, dt, count, op, 0)
+	m.bcast(&m.proc, tagB, recvBuf, dt, count, 0)
 }
 
 // reducePrim validates the datatype for reduction and returns its

@@ -95,7 +95,7 @@ func (w *Win) Put(origin mem.Buffer, odt *datatype.Datatype, ocount, target int,
 	})
 
 	tbuf := m.w.winBufs(w.id)[target].Slice(tdisp, tdt.Span(tcount))
-	ch.AM(m.p, amHeaderBytes, &rmaPut{
+	ch.AM(&m.proc, amHeaderBytes, &rmaPut{
 		rop:  RecvOp{M: m.w.ranks[target], Buf: tbuf, Dt: tdt, Count: tcount, Src: m.rank, Tag: -1, Packed: packed},
 		info: info, origin: mf,
 	}, 0)
@@ -147,7 +147,7 @@ func (w *Win) Get(origin mem.Buffer, odt *datatype.Datatype, ocount, target int,
 		sop: SendOp{M: m.w.ranks[target], Buf: tbuf, Dt: tdt, Count: tcount, Dest: m.rank, Tag: -1, Packed: packed},
 		rop: RecvOp{M: m, Buf: origin, Dt: odt, Count: ocount, Src: target, Tag: -1, Packed: packed, Ch: m.channel(target), Req: req},
 	}
-	m.channel(target).AM(m.p, amHeaderBytes, g, getAtTarget)
+	m.channel(target).AM(&m.proc, amHeaderBytes, g, getAtTarget)
 	return req
 }
 
@@ -173,7 +173,7 @@ func (g *rmaGet) Handle(p *sim.Proc, step int) {
 // synchronizes all ranks.
 func (w *Win) Fence() {
 	for _, r := range w.local {
-		r.Wait(w.m.p)
+		r.Wait(&w.m.proc)
 	}
 	w.local = w.local[:0]
 	w.m.Barrier()

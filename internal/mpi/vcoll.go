@@ -56,10 +56,10 @@ func (m *Rank) Alltoallv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *dataty
 	checkVArgs("Alltoallv", m.Size(), recvBuf, rdt, rcounts, rdispls)
 	tag := m.tagBlock(m.alltoallvTags())
 	if m.hierOn() {
-		m.hierAlltoallv(m.p, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
+		m.hierAlltoallv(&m.proc, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
 		return
 	}
-	m.exchangeAll(m.p, "Alltoallv", m.worldComm(), vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls), tag)
+	m.exchangeAll(&m.proc, "Alltoallv", m.worldComm(), vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls), tag)
 }
 
 // Allgatherv gathers counts[r] elements of dt from every rank r (read
@@ -70,7 +70,7 @@ func (m *Rank) Alltoallv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *dataty
 // holding the same count vector — does not post for it.
 func (m *Rank) Allgatherv(buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
 	checkVArgs("Allgatherv", m.Size(), buf, dt, counts, displs)
-	m.allgatherv(m.p, m.tagBlock(m.allgatherTags()), buf, counts, displs, dt)
+	m.allgatherv(&m.proc, m.tagBlock(m.allgatherTags()), buf, counts, displs, dt)
 }
 
 func (m *Rank) allgatherv(p *sim.Proc, tag int, buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {

@@ -142,6 +142,7 @@ func NewWorld(cfg Config) *World {
 		}
 	}
 	w := &World{eng: sim.NewEngine(), cfg: cfg}
+	w.recs.eager.shelf, w.recs.recv.shelf = &eagerShelf, &recvShelf
 	w.tun = resolveTuning(cfg.Tuning)
 	w.hier = detectHierarchy(cfg.Ranks)
 	w.faults = fault.NewInjector(cfg.Faults)
@@ -173,9 +174,10 @@ func (w *World) Engine() *sim.Engine { return w.eng }
 func (w *World) Faults() *fault.Injector { return w.faults }
 
 // Close recycles every node's memory backing into the slab pool (see
-// mem.Space.Release), and every datatype engine's and every message
+// mem.Space.Release), every datatype engine's and every message
 // record's kernel descriptor arrays into theirs (core.Engine.Release,
-// records.retire). Call it when the world is
+// records.retire), and the eager and receive records onto their shelves
+// (freeList.pour). Call it when the world is
 // finished — after Run has returned and results have been copied out —
 // and do not touch the world, its ranks, or any Buffer afterwards.
 // Benchmarks that churn through many short-lived worlds depend on this
@@ -189,6 +191,8 @@ func (w *World) Close() {
 		}
 	}
 	w.recs.retire()
+	w.recs.eager.pour()
+	w.recs.recv.pour()
 	for _, n := range w.nodes {
 		n.Release()
 	}
@@ -221,11 +225,8 @@ func (w *World) RankHandle(r int) *Rank { return w.ranks[r] }
 // drives the simulation to completion.
 func (w *World) Run(fn func(m *Rank)) {
 	for _, r := range w.ranks {
-		r := r
-		w.eng.Spawn(r.names.main, func(p *sim.Proc) {
-			r.p = p
-			fn(r)
-		})
+		r.main = rankMain{r, fn}
+		w.eng.Start(&r.proc, r.names.main, &r.main)
 	}
 	w.eng.Run()
 }

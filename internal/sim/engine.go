@@ -5,6 +5,7 @@ import (
 	"iter"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // The kinds of Event an Engine queues. Event.To is a slot of the table
@@ -59,7 +60,7 @@ type Engine struct {
 	calls    slots[func()] // After callbacks not yet run
 	puts     slots[putArg] // Mailbox.PutAfter deliveries not yet made
 	idle     []*carrier    // coroutines whose process has finished or gone idle
-	carriers int           // coroutines created so far
+	carriers int           // coroutines taken so far, new or from the shelf
 	live     int           // spawned and not finished processes, servers aside
 	ran      bool
 	linkSeq  uint64
@@ -180,9 +181,10 @@ func (e *Engine) Start(p *Proc, name string, body Runner) {
 	p.born = e.seq
 }
 
-// Coroutines returns how many coroutines the engine has created so far:
-// at most the number of processes ever running or parked at once, since
-// a finished process — or an idle server — hands its coroutine on.
+// Coroutines returns how many coroutines the engine has taken so far,
+// new or from the shelf: at most the number of processes ever running or
+// parked at once, since a finished process — or an idle server — hands
+// its coroutine on.
 func (e *Engine) Coroutines() int { return e.carriers }
 
 // errShutdown is the sentinel panic that unwinds a parked process when
@@ -194,17 +196,30 @@ var errShutdown = &struct{ s string }{"sim: engine shutdown"}
 // coroutine starts on a 2 KiB stack it has to regrow, so one that has
 // finished its process — or whose server has gone idle — parks on
 // Engine.idle and the next start or restart event runs on it, stack and
-// all. Nothing of this shows in the event stream: a process starts from
-// the same evProc event at the same (At, pri) whichever coroutine
-// carries it.
+// all; when Run ends it goes on the shelf, for the next engine. Nothing
+// of this shows in the event stream: a process starts from the same
+// evProc event at the same (At, pri) whichever coroutine carries it.
 type carrier struct {
 	p    *Proc                   // the process being carried; nil once it has returned
 	next func() (struct{}, bool) // what Proc.next is while p runs
 	stop func()                  // unwinds a parked process or ends an idle carrier
 }
 
+// shelf keeps idle carriers between engines, as mem's slab pool keeps a
+// closed world's memory: the next engine takes them before it makes a
+// coroutine. It holds at most max of them, the most carriers one engine
+// has taken, and only carriers whose process has returned (c.p == nil),
+// so it names nothing of an engine. A carrier moves between goroutines
+// freely; a mutex, not a sync.Pool, guards the shelf, since a pool may
+// drop a carrier and so leak its parked goroutine.
+var shelf struct {
+	sync.Mutex
+	idle []*carrier
+	max  int
+}
+
 // carrier returns a coroutine for a process about to start: the one that
-// went idle last, or a new one.
+// went idle last, one from the shelf, or a new one.
 func (e *Engine) carrier() *carrier {
 	if n := len(e.idle); n > 0 {
 		c := e.idle[n-1]
@@ -212,9 +227,18 @@ func (e *Engine) carrier() *carrier {
 		e.idle = e.idle[:n-1]
 		return c
 	}
+	e.carriers++
+	shelf.Lock()
+	if n := len(shelf.idle); n > 0 {
+		c := shelf.idle[n-1]
+		shelf.idle[n-1] = nil
+		shelf.idle = shelf.idle[:n-1]
+		shelf.Unlock()
+		return c
+	}
+	shelf.Unlock()
 	c := &carrier{}
 	c.next, c.stop = iter.Pull(c.run)
-	e.carriers++
 	return c
 }
 
@@ -342,15 +366,21 @@ func (e *Engine) resume(p *Proc) {
 }
 
 // unwind stops the coroutine of every process that is still parked; its
-// deferred calls run (see errShutdown) before stop returns. Then it ends
-// the idle carriers, so no coroutine outlives Run.
+// deferred calls run (see errShutdown) before stop returns. Then it puts
+// the idle carriers on the shelf, as many as fit under its bound, and
+// ends the rest.
 func (e *Engine) unwind() {
 	for _, p := range e.procs.at {
 		if p != nil && p.c != nil {
 			p.c.stop()
 		}
 	}
-	for _, c := range e.idle {
+	shelf.Lock()
+	shelf.max = max(shelf.max, e.carriers)
+	n := min(len(e.idle), shelf.max-len(shelf.idle))
+	shelf.idle = append(shelf.idle, e.idle[:n]...)
+	shelf.Unlock()
+	for _, c := range e.idle[n:] {
 		c.stop()
 	}
 	e.idle = nil

@@ -320,10 +320,12 @@ func TestRunTwicePanics(t *testing.T) {
 
 // TestRunUnwindsParkedDaemons: when Run returns nothing of the simulation
 // is left running — every server parked mid-handler has been unwound
-// through its deferred calls, every idle carrier has been stopped, and
-// no goroutine outlives the call. Idle servers hold no coroutine.
+// through its deferred calls, every idle carrier has gone to the shelf
+// or been stopped, and the only goroutines that outlive the call are the
+// shelved carriers, within the shelf's bound. Idle servers hold no
+// coroutine.
 func TestRunUnwindsParkedDaemons(t *testing.T) {
-	base := settledGoroutines()
+	base, shelved := settledGoroutines(), shelfLen()
 	e := NewEngine()
 	never := e.NewFuture()
 	unwound := 0
@@ -359,8 +361,33 @@ func TestRunUnwindsParkedDaemons(t *testing.T) {
 	if len(e.idle) != 0 {
 		t.Fatalf("%d idle carriers left after Run", len(e.idle))
 	}
-	if n := settledGoroutines(); n > base {
-		t.Fatalf("%d goroutines after Run, %d before", n, base)
+	added := shelfLen() - shelved
+	if n := settledGoroutines(); n > base+added {
+		t.Fatalf("%d goroutines after Run, %d before and %d carriers shelved", n, base, added)
+	}
+	checkShelfBound(t)
+}
+
+// shelfLen returns how many idle carriers the shelf holds.
+func shelfLen() int {
+	shelf.Lock()
+	defer shelf.Unlock()
+	return len(shelf.idle)
+}
+
+// checkShelfBound fails t if the shelf holds more carriers than the most
+// one engine has taken, or one still carrying a process.
+func checkShelfBound(t *testing.T) {
+	t.Helper()
+	shelf.Lock()
+	defer shelf.Unlock()
+	if len(shelf.idle) > shelf.max {
+		t.Errorf("shelf holds %d carriers, bound %d", len(shelf.idle), shelf.max)
+	}
+	for _, c := range shelf.idle {
+		if c.p != nil {
+			t.Fatalf("shelved carrier still names process %q", c.p.name)
+		}
 	}
 }
 
