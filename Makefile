@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check-fast check-full fuzz golden bench bench-smoke bench-pairs bench-compare figures examples tools clean
+.PHONY: all check-fast check-full fuzz golden bench bench-smoke bench-pairs bench-compare figures examples tools lines clean
 
 all: check-fast
 
@@ -167,6 +167,11 @@ tools:
 	$(GO) build -o bin/ddtbench ./cmd/ddtbench
 	$(GO) build -o bin/pingpong ./cmd/pingpong
 	$(GO) build -o bin/topo ./cmd/topo
+
+# The non-test Go line count under internal/ and cmd/ (blank lines and
+# comments included), the size figure each change reports.
+lines:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 clean:
 	rm -rf bin

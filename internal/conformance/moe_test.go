@@ -9,10 +9,11 @@ import (
 // FuzzMoECounts replays the workload generator's expert-routing count
 // matrices — the skewed shapes real MoE layers emit, with single-hot
 // experts absorbing most tokens and whole ranks silent for a step —
-// through the v-variant oracle on both the hierarchical and the flat
-// Alltoallv path. Raw token counts are clamped per pair to the oracle's
-// element bound so payloads stay small while the matrix *shape* (zero
-// rows, hot columns) is preserved exactly.
+// through the v-variant oracle: as the group Alltoallv over permuted
+// ranks that the workload makes, on a two-node world, and as the world
+// Alltoallv on a flat one. Raw token counts are clamped per pair to the
+// oracle's element bound so payloads stay small while the matrix *shape*
+// (zero rows, hot columns) is preserved exactly.
 func FuzzMoECounts(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(0))
 	f.Add(uint64(3), uint8(8), uint8(0))  // three of four ranks route nothing

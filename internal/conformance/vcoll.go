@@ -15,9 +15,10 @@ import (
 // The generator deliberately produces the awkward inputs — zero counts,
 // fully empty ranks, displacement permutations (blocks laid out in
 // shuffled order), datatype-tree payloads — and the checker compares
-// whole memory images, so gap bytes are proven untouched and both the
-// hierarchical and the flat path are held to the same reference (which
-// makes them byte-identical to each other).
+// whole memory images, so gap bytes are proven untouched. Every
+// configuration answers to the same reference: the hierarchical and the
+// flat Allgatherv, and both the world Alltoallv and the group Alltoallv
+// over permuted ranks that an application makes.
 
 // vcollMaxCount bounds per-peer element counts (small: a world exchanges
 // size² blocks per case).
@@ -161,7 +162,7 @@ func NewVCaseCounts(seed uint64, scounts [][]int) *VCase {
 // collectives, data placement, and protocol regime.
 type VConfig struct {
 	Nodes, RPN int
-	Flat       bool // force the flat fallback
+	Flat       bool // force the flat fallback (and the world Alltoallv)
 	OnHost     bool // host buffers (CPU datatype engine) instead of GPU
 	Eager      bool // eager bounce-buffer protocol instead of rendezvous
 }
@@ -221,7 +222,10 @@ func (vc *VCase) checkQuiescent(w *mpi.World, what string, cfg VConfig) error {
 
 // CheckAlltoallv runs the case's Alltoallv on the configured world and
 // verifies every rank's full receive image — scattered block bytes and
-// untouched gaps alike — against the reference walker.
+// untouched gaps alike — against the reference walker. A topology-aware
+// world runs it as Group.Alltoallv over a seeded permutation of its
+// ranks, the collective the MoE workload makes: the case's member i is
+// then world rank perm[i].
 func (vc *VCase) CheckAlltoallv(cfg VConfig) error {
 	size := cfg.Nodes * cfg.RPN
 	if size != vc.Size {
@@ -246,10 +250,19 @@ func (vc *VCase) CheckAlltoallv(cfg VConfig) error {
 
 	w := cfg.world()
 	defer w.Close()
+	what := "alltoallv"
+	var g *mpi.Group
+	if w.TopologyAware() {
+		what = "group alltoallv"
+		g = w.NewGroup(rand.New(rand.NewSource(int64(vc.Seed) ^ 0x2545f491)).Perm(size))
+	}
 	dt := vc.Tree.Dt
 	got := make([][]byte, size)
 	w.Run(func(m *mpi.Rank) {
 		me := m.Rank()
+		if g != nil {
+			me = g.LocalRank(m)
+		}
 		alloc := m.Malloc
 		if cfg.OnHost {
 			alloc = m.MallocHost
@@ -257,16 +270,21 @@ func (vc *VCase) CheckAlltoallv(cfg VConfig) error {
 		send, recv := alloc(vc.sspan[me]), alloc(vc.rspan[me])
 		copy(send.Bytes(), srcs[me])
 		copy(recv.Bytes(), pattern(vc.rspan[me], vc.Seed+uint64(1000+me)))
-		m.Alltoallv(send, vc.SCounts[me], vc.SDispls[me], dt,
-			recv, vc.RCounts[me], vc.RDispls[me], dt)
+		if g != nil {
+			g.Alltoallv(m, send, vc.SCounts[me], vc.SDispls[me], dt,
+				recv, vc.RCounts[me], vc.RDispls[me], dt)
+		} else {
+			m.Alltoallv(send, vc.SCounts[me], vc.SDispls[me], dt,
+				recv, vc.RCounts[me], vc.RDispls[me], dt)
+		}
 		got[me] = append([]byte(nil), recv.Bytes()...)
 	})
-	if err := vc.checkQuiescent(w, "alltoallv", cfg); err != nil {
+	if err := vc.checkQuiescent(w, what, cfg); err != nil {
 		return err
 	}
 	for i := 0; i < size; i++ {
 		if d := firstDiff(wants[i], got[i]); d >= 0 {
-			return vc.errf("alltoallv", cfg, "rank %d image byte %d differs: got %#x want %#x",
+			return vc.errf(what, cfg, "member %d image byte %d differs: got %#x want %#x",
 				i, d, got[i][d], wants[i][d])
 		}
 	}

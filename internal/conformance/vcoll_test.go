@@ -7,7 +7,8 @@ import (
 // vcollConfigs covers every axis the v-variant oracle promises — CPU
 // and GPU engines, hierarchical and flat dispatch, eager and rendezvous
 // protocols — pairing each hier shape with its forced-flat twin so both
-// paths answer to the same reference on identical inputs.
+// paths answer to the same reference on identical inputs. A hier shape
+// runs the group Alltoallv over permuted ranks, its twin the world one.
 func vcollConfigs() []VConfig {
 	return []VConfig{
 		{Nodes: 2, RPN: 2},
@@ -64,8 +65,8 @@ func TestVCollOracleAllZero(t *testing.T) {
 
 // FuzzAlltoallvCounts lets the fuzzer pick the send matrix of a 4-rank
 // world (one byte per pair, mod 4) and the tree seed, then holds the
-// exchange to the reference walker on both the hierarchical and the
-// flat path.
+// exchange to the reference walker as a group Alltoallv over permuted
+// ranks on a two-node world and as the world Alltoallv on a flat one.
 func FuzzAlltoallvCounts(f *testing.F) {
 	f.Add(uint64(1), []byte{
 		1, 0, 2, 3,

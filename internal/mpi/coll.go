@@ -49,7 +49,6 @@ func (m *Rank) bcastTags() int     { return 2 }
 func (m *Rank) allgatherTags() int { return 2 * m.Size() }
 func (m *Rank) alltoallTags() int  { return 2 * m.Size() }
 func (m *Rank) reduceTags() int    { return 2 * m.Size() }
-func (m *Rank) alltoallvTags() int { return 4 * m.Size() }
 
 // comm is the communicator view an algorithm runs over: an ordered set
 // of n world ranks and the caller's index me in it. Member i is

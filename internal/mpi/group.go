@@ -267,7 +267,7 @@ func (g *Group) NeighborAlltoallw(m *Rank, sends, recvs []Neighbor) {
 
 // checkNeighbors rejects, before anything moves, a block whose peer is
 // not a group member, whose count is negative, that has no datatype, or
-// that does not lie inside its buffer (see checkVArgs). An empty block
+// that does not lie inside its buffer (see inside). An empty block
 // is never looked at.
 func checkNeighbors(what, side string, size int, blocks []Neighbor) {
 	for i, b := range blocks {
@@ -281,7 +281,7 @@ func checkNeighbors(what, side string, size int, blocks []Neighbor) {
 			why = fmt.Sprintf("names a peer outside the group of %d", size)
 		case b.Dt == nil:
 			why = "has no datatype"
-		case b.Dt.TrueLB() < 0 || b.Dt.Span(b.Count) > b.Buf.Len():
+		case !inside(b.Buf, 0, b.Dt, b.Count):
 			why = fmt.Sprintf("lies outside its buffer of %d bytes", b.Buf.Len())
 		default:
 			continue

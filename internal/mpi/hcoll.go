@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"gpuddt/internal/core"
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
@@ -27,6 +28,15 @@ import (
 // hierOn reports whether this world's collectives run the hierarchical
 // algorithms.
 func (m *Rank) hierOn() bool { return m.w.TopologyAware() }
+
+// phases names a hierarchical schedule's collective: in a failure, and
+// its phase spans on the timeline.
+type phases struct{ what, intra, inter string }
+
+var (
+	allgatherPhases  = phases{"Allgather", "coll.allgather.intra", "coll.allgather.inter"}
+	allgathervPhases = phases{"Allgatherv", "coll.allgatherv.intra", "coll.allgatherv.inter"}
+)
 
 // hierBcast: binomial over the per-node leaders on the IB tier, then
 // binomial within each node over shared memory. A leader serves both
@@ -110,6 +120,77 @@ func (m *Rank) hierAllgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.
 	sp = p.BeginBytes("coll.allgather.intra", packed*int64(size))
 	m.bcastTree(p, "Allgather", node, 0, buf, dt, size*count, tagOut)
 	sp.End()
+}
+
+// hierAllgatherv: every rank knows the full count vector (the MPI
+// signature), so no metadata has to move. The node's blocks are packed
+// into the leader's wire-format stage (prefix-sum offsets, rank order),
+// leaders ring whole node aggregates of that stage over the IB tier,
+// each leader broadcasts the assembled stage within its node, and every
+// rank unpacks the remote blocks into its own buffer at displs[r].
+func (m *Rank) hierAllgatherv(p *sim.Proc, ph phases, tag int, buf mem.Buffer, counts, displs []int, dt *datatype.Datatype) {
+	size := m.Size()
+	node, leaders := m.nodeComm(), m.leaderComm(-1)
+	rpn, nnodes, lead := node.n, leaders.n, node.base
+
+	// Packed bytes and stage offset per rank block; node aggregates are
+	// contiguous in the stage because ranks are blocked onto nodes.
+	B := make([]int, size)
+	off := make([]int, size+1)
+	for r := 0; r < size; r++ {
+		B[r] = counts[r] * int(dt.Size())
+		off[r+1] = off[r] + B[r]
+	}
+	total := int64(off[size])
+	if total == 0 {
+		return
+	}
+	nodeOff := make([]int, nnodes)
+	nodeBytes := make([]int, nnodes)
+	for nd := 0; nd < nnodes; nd++ {
+		nodeOff[nd] = off[nd*rpn]
+		nodeBytes[nd] = off[(nd+1)*rpn] - off[nd*rpn]
+	}
+
+	tagIn := tag
+	tagRing := tag + rpn
+	tagOut := tagRing + nnodes
+
+	slots := vectorView(buf, dt, counts, displs)
+	stage := m.scratch(total)
+
+	// Phase 1: assemble the node's blocks, already packed, at the
+	// leader. Members send (dt, count); the leader receives straight
+	// into wire format under the equal-packed-bytes signature rule,
+	// packing its own block while they are in flight.
+	sp := p.BeginBytes(ph.intra, int64(nodeBytes[leaders.me]))
+	var own mem.Buffer
+	if node.me != 0 {
+		own, _, _ = slots(m.rank)
+	}
+	m.linearGather(p, ph.what, node, 0, own, dt, counts[m.rank], vectorView(stage, datatype.Byte, B[lead:], off[lead:]), tagIn,
+		func() {
+			buf, dt, count := slots(m.rank)
+			m.packBlocks(p, []core.Block{{Data: buf, Dt: dt, Count: count, Pos: int64(off[m.rank])}}, stage)
+		})
+	sp.End()
+
+	// Phase 2: leaders ring whole node aggregates of the packed stage;
+	// an all-zero node simply sits the step out on both sides.
+	if node.me == 0 && nnodes > 1 {
+		sp := p.BeginBytes(ph.inter, total-int64(nodeBytes[leaders.me]))
+		m.ringAllgather(p, ph.what, leaders, vectorView(stage, datatype.Byte, nodeBytes, nodeOff), tagRing)
+		sp.End()
+	}
+
+	// Phase 3: broadcast the assembled wire-format stage within the
+	// node; every rank unpacks the remote blocks into place (its own
+	// block is already there).
+	sp = p.BeginBytes(ph.intra, total)
+	m.bcastTree(p, ph.what, node, 0, stage.Slice(0, total), datatype.Byte, int(total), tagOut)
+	m.unpackBlocks(p, blocksOf(slots, size, off, m.rank), stage)
+	sp.End()
+	m.freeScratch(stage)
 }
 
 // hierAlltoall aggregates each node's outgoing traffic at its leader

@@ -147,16 +147,16 @@ func heldConfig(nodes, rpn int, flat bool, eager int64) Config {
 // however many peers it has. Blocks eight bytes over the eager limit,
 // and a two-rank world, launch what the per-message path launches: the
 // literals are the world's kernels at the commit before blocks were
-// held. Two shapes differ from them by design. The wire-format stages
-// of the hierarchical Allgatherv and Alltoallv are packed and unpacked
-// by one kernel at any block size (176 and 342 kernels before). And on
-// two ranks Alltoall(v) has two blocks each way, its own and its
-// peer's, so holding them is two kernels where there were four (three).
+// held. Two shapes differ from them by design. The wire-format stage
+// of the hierarchical Allgatherv is packed and unpacked by one kernel
+// at any block size (176 kernels before). And on two ranks Alltoall(v)
+// has two blocks each way, its own and its peer's, so holding them is
+// two kernels where there were four (three).
 func TestCollKernelBudget(t *testing.T) {
 	dt := shapes.SubMatrix(16, 8, 12)  // 1 KiB packed
 	perMessage := map[string][2]int64{ // flat, hier
 		"bcast": {30, 30}, "allgather": {480, 72}, "alltoall": {512, 32},
-		"allgatherv": {330, 27}, "alltoallv": {342, 32},
+		"allgatherv": {330, 27}, "alltoallv": {342, 342},
 	}
 	twoRanks := map[string]int64{"bcast": 1, "allgather": 2, "alltoall": 2, "allgatherv": 1, "alltoallv": 2}
 	for _, coll := range heldColls {
@@ -280,7 +280,9 @@ func TestHeldChaosKernelCount(t *testing.T) {
 
 // TestVArgsOutsideBuffer: a v-collective rejects a block outside its
 // buffer before anything moves, naming the collective and the block;
-// an empty block's displacement is never looked at.
+// an empty block's displacement is never looked at. A datatype whose
+// data reaches before its origin lies outside its buffer wherever the
+// block starts.
 func TestVArgsOutsideBuffer(t *testing.T) {
 	dt := datatype.Float64
 	calls := map[string]func(m *Rank, buf mem.Buffer, counts, displs []int){
@@ -308,4 +310,22 @@ func TestVArgsOutsideBuffer(t *testing.T) {
 			}()
 		}
 	}
+	before := datatype.Hindexed([]int{8}, []int64{-8}, datatype.Byte)
+	want := "mpi: Alltoallv block 2 (count 1, displ 1) outside buffer of 64 bytes"
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Errorf("Alltoallv of %s: panic %q, want %q", before.Name(), msg, want)
+		}
+	}()
+	w := NewWorld(blockedConfig(1, 3, true))
+	defer w.Close()
+	w.Run(func(m *Rank) {
+		// Every rank sends rank 2 one element, eight bytes.
+		rc := []int{0, 0, 0}
+		if m.Rank() == 2 {
+			rc = []int{8, 8, 8}
+		}
+		buf := m.Malloc(64)
+		m.Alltoallv(buf, []int{0, 0, 1}, []int{0, -5, 1}, before, buf, rc, []int{0, 8, 16}, datatype.Byte)
+	})
 }

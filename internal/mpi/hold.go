@@ -228,7 +228,7 @@ func (m *Rank) moveBlocks(p *sim.Proc, pack bool, blocks []core.Block, stage mem
 
 // blocksOf lists blocks 0..n-1 of v for packBlocks or unpackBlocks, the
 // packed bytes of block i at pos[i] of the stage, leaving out block
-// skip (-1: none).
+// skip.
 func blocksOf(v view, n int, pos []int, skip int) []core.Block {
 	blocks := make([]core.Block, 0, n)
 	for i := 0; i < n; i++ {

@@ -32,11 +32,18 @@ func checkVArgs(what string, size int, buf mem.Buffer, dt *datatype.Datatype, co
 		if c < 0 {
 			panic(fmt.Sprintf("mpi: %s negative count", what))
 		}
-		if c > 0 && (displs[i] < 0 || int64(displs[i])*dt.Extent()+dt.Span(c) > buf.Len()) {
+		if c > 0 && !inside(buf, int64(displs[i])*dt.Extent(), dt, c) {
 			panic(fmt.Sprintf("mpi: %s block %d (count %d, displ %d) outside buffer of %d bytes",
 				what, i, c, displs[i], buf.Len()))
 		}
 	}
+}
+
+// inside reports whether count elements of dt, their origin off bytes
+// into buf, lie inside buf. A block is a slice of buf that starts at its
+// origin, so a datatype whose data reaches before its origin never fits.
+func inside(buf mem.Buffer, off int64, dt *datatype.Datatype, count int) bool {
+	return off >= 0 && dt.TrueLB() >= 0 && off+dt.Span(count) <= buf.Len()
 }
 
 // vslot returns block r of an irregular buffer: counts[r] elements of
@@ -47,18 +54,13 @@ func vslot(buf mem.Buffer, dt *datatype.Datatype, count, displ int) mem.Buffer {
 
 // Alltoallv exchanges scounts[j] elements of sdt (at sdispls[j]) with
 // every rank j, receiving rcounts[i] elements of rdt (at rdispls[i])
-// from every rank i. Topology-aware worlds aggregate the irregular
-// node-pair traffic at per-node leaders (hvcoll.go); otherwise the flat
-// pairwise exchange runs, skipping zero-count pairs entirely.
+// from every rank i. It runs the flat pairwise exchange on every
+// layout, as Group.Alltoallv does, skipping zero-count pairs entirely.
 func (m *Rank) Alltoallv(sendBuf mem.Buffer, scounts, sdispls []int, sdt *datatype.Datatype,
 	recvBuf mem.Buffer, rcounts, rdispls []int, rdt *datatype.Datatype) {
 	checkVArgs("Alltoallv", m.Size(), sendBuf, sdt, scounts, sdispls)
 	checkVArgs("Alltoallv", m.Size(), recvBuf, rdt, rcounts, rdispls)
-	tag := m.tagBlock(m.alltoallvTags())
-	if m.hierOn() {
-		m.hierAlltoallv(&m.proc, tag, sendBuf, scounts, sdispls, sdt, recvBuf, rcounts, rdispls, rdt)
-		return
-	}
+	tag := m.tagBlock(m.alltoallTags())
 	m.exchangeAll(&m.proc, "Alltoallv", m.worldComm(), vectorView(sendBuf, sdt, scounts, sdispls), vectorView(recvBuf, rdt, rcounts, rdispls), tag)
 }
 
