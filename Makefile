@@ -48,7 +48,7 @@ check-fast:
 # its heap passes 1 GiB (GOMEMLIMIT); under -race the slab pool keeps
 # 256 MiB (internal/mem/budget_race.go), and TestParallelMatchesSerial
 # shrinks.
-ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly
+ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestStagingAllocatesNothing|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly
 check-full:
 	$(GOFMT_GATE)
 	$(ORPHAN_GATE)

@@ -72,27 +72,37 @@ func TestConfigBuildsTopologyAwareWorld(t *testing.T) {
 
 // TestWorldRebuildHitsPool: a sweep builds the same world over and over.
 // Once one of them has been closed, the next of the same shape takes
-// every backing array from the slab pool — about 150 of them for 64
-// ranks, which a bound on the number of parked slabs used to evict — and
-// gives them all back.
+// every backing array of its node and device spaces from the slab pool
+// — about 150 of them for 64 ranks, which a bound on the number of
+// parked slabs used to evict — and gives them all back. Its ranks'
+// staging arenas come from the arena shelf, each already grown by the
+// closed world, and ask the pool for nothing: no arena's backing
+// changes while the rebuilt world runs.
 func TestWorldRebuildHitsPool(t *testing.T) {
-	world := func() mem.PoolStats {
+	world := func() (st mem.PoolStats, grown int) {
 		mem.ResetSlabPoolStats()
 		w := mpi.NewWorld(Scale(16, 4, 4, 2).Config())
 		w.Run(func(m *mpi.Rank) {
+			before := m.Staging().FootprintBytes()
 			n := int64(m.Size()) << 10
 			m.Alltoall(m.Malloc(n), datatype.Byte, 1<<10, m.Malloc(n), datatype.Byte, 1<<10)
+			if m.Staging().FootprintBytes() != before {
+				grown++
+			}
 		})
 		w.Close()
-		return mem.SlabPoolStats()
+		return mem.SlabPoolStats(), grown
 	}
-	first := world()
-	st := world()
-	if st.Gets < 64 || st.Gets != first.Gets {
-		t.Fatalf("second world asked for %d slabs, first for %d: not the same shape", st.Gets, first.Gets)
+	world()
+	st, grown := world()
+	if st.Gets < 64 {
+		t.Fatalf("rebuilt world asked for %d slabs: its node and device spaces should ask for dozens", st.Gets)
 	}
 	if st.Hits != st.Gets || st.Evicted != 0 {
 		t.Fatalf("rebuilt world: %d of %d slabs from the pool, %d evicted; want all and none", st.Hits, st.Gets, st.Evicted)
+	}
+	if grown != 0 {
+		t.Fatalf("rebuilt world: %d ranks' staging arenas grew; want none, each from the shelf as the closed world left it", grown)
 	}
 }
 

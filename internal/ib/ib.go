@@ -29,7 +29,8 @@ type Params struct {
 
 	// RegCost is the one-time cost of registering a memory region with
 	// the HCA; registrations are cached, as in the paper's one-time
-	// RDMA connection establishment.
+	// RDMA connection establishment. A space pinned whole (HCA.Pin)
+	// never pays it.
 	RegCost sim.Time
 
 	// GPUDirectReadGBps caps RDMA reads that target GPU memory directly
@@ -221,8 +222,11 @@ type HCA struct {
 
 type regKey struct {
 	space *mem.Space
-	addr  int64
+	addr  int64 // wholeSpace: the space is pinned (HCA.Pin)
 }
+
+// wholeSpace is the regKey address of a pinned space.
+const wholeSpace = -1
 
 // Attach creates an HCA on node and joins it to the fabric, cabling it
 // to the next free leaf port (attach order) on a hierarchical fabric.
@@ -273,11 +277,22 @@ type Handler interface {
 	Handle(p *sim.Proc, arg int)
 }
 
+// Pin registers the whole address range of s with the HCA at once and
+// outside virtual time, as an MPI library's memory pool registers its
+// free lists at init: Register then hits on every buffer inside s. A
+// pinned region is never evicted, so such a hit rolls no fault.
+func (h *HCA) Pin(s *mem.Space) { h.regs[regKey{space: s, addr: wholeSpace}] = true }
+
 // Register pins a memory region with the HCA, charging the registration
 // cost on first use of the region (cached afterwards). A fault plan can
 // fail the registration outright, or force a cache hit to re-register
-// (an eviction storm — a latency fault, never an error).
+// (an eviction storm — a latency fault, never an error). A buffer in a
+// pinned space (Pin) is a hit and nothing else.
 func (h *HCA) Register(p *sim.Proc, b mem.Buffer) error {
+	if h.regs[regKey{space: b.Space(), addr: wholeSpace}] {
+		p.Count("ib.reg.hit", 1)
+		return nil
+	}
 	key := regKey{space: b.Space(), addr: b.Addr()}
 	if h.regs[key] {
 		if !h.f.faults.Evict(p, fault.IBRegEvict) {

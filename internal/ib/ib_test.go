@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gpuddt/internal/fault"
 	"gpuddt/internal/gpu"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/pcie"
@@ -119,6 +120,36 @@ func TestRegistrationCached(t *testing.T) {
 	e.Run()
 	if first != DefaultParams().RegCost || second != 0 {
 		t.Fatalf("reg costs: first %v second %v", first, second)
+	}
+}
+
+// TestPinnedSpaceRegistersFree: every buffer of a pinned space is a
+// registration hit on the HCA that pinned it — no time, and no fault
+// rolled even under a plan that fails every registration and evicts
+// every hit — while the HCA of another node still pays for it.
+func TestPinnedSpaceRegistersFree(t *testing.T) {
+	e, a, b := twoNodes(t)
+	plan := &fault.Plan{Persistent: map[fault.Site]bool{fault.IBRegister: true, fault.IBRegEvict: true}}
+	in := fault.NewInjector(plan)
+	a.f.SetFaults(in)
+	arena := mem.NewSpace("arena", mem.Host, 1<<20)
+	a.Pin(arena)
+	bufs := []mem.Buffer{arena.Alloc(64, 0), arena.Alloc(4096, 0).Slice(100, 200)}
+	var took sim.Time
+	var errs []error
+	e.Spawn("x", func(p *sim.Proc) {
+		for _, buf := range bufs {
+			errs = append(errs, a.Register(p, buf))
+		}
+		took = p.Now()
+		errs = append(errs, b.Register(p, bufs[0]))
+	})
+	e.Run()
+	if took != 0 || errs[0] != nil || errs[1] != nil {
+		t.Fatalf("pinned buffers: %v of registration, errors %v", took, errs[:2])
+	}
+	if errs[2] == nil || in.Total() != 1 {
+		t.Fatalf("the other node's HCA: error %v, %d faults; want its registration to roll and fail", errs[2], in.Total())
 	}
 }
 

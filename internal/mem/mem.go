@@ -79,17 +79,7 @@ func (s *Space) ensure(n int64) {
 		s.data = s.data[:n]
 		return
 	}
-	// Round the backing size up to a power of two: requested sizes vary
-	// slightly from world to world (they track the bump-allocator break),
-	// and pooled slabs are only reusable when sizes recur. Power-of-two
-	// classes make every similar-scale world land on the same slab.
-	grow := int64(1) << 12
-	for grow < n {
-		grow <<= 1
-	}
-	if grow > s.size {
-		grow = s.size
-	}
+	grow := s.backingFor(n)
 	nd := getSlab(grow)
 	if nd == nil {
 		nd = make([]byte, grow)
@@ -104,6 +94,32 @@ func (s *Space) ensure(n int64) {
 		s.retired = append(s.retired, s.data)
 	}
 	s.data = nd
+}
+
+// backingFor returns the size of the backing array that covers [0, n):
+// n rounded up to a power of two, at least 4 KiB, at most the space's
+// size. Requested sizes vary slightly from world to world (they track
+// the bump-allocator break), and pooled slabs are only reusable when
+// sizes recur. Power-of-two classes make every similar-scale world land
+// on the same slab.
+func (s *Space) backingFor(n int64) int64 {
+	grow := int64(1) << 12
+	for grow < n {
+		grow <<= 1
+	}
+	return min(grow, s.size)
+}
+
+// UsedBacking returns the backing array the space needs for what it has
+// handed out since it was made or last Reset: its bump-allocator break
+// rounded up as the space grows (0 if nothing was handed out). A space
+// that is Reset and reused reports what its current allocations need,
+// not what earlier ones grew it to.
+func (s *Space) UsedBacking() int64 {
+	if s.brk == 0 {
+		return 0
+	}
+	return s.backingFor(s.brk)
 }
 
 // RetiredSlabs returns how many outgrown backing arrays the space still
@@ -134,14 +150,51 @@ func (s *Space) Release() {
 		putSlab(s.data)
 		s.data = nil
 	}
+	s.releaseRetired()
+}
+
+// releaseRetired returns the outgrown arrays to the slab pool.
+func (s *Space) releaseRetired() {
 	for _, r := range s.retired {
 		putSlab(r)
 	}
-	s.retired = nil
+	clear(s.retired)
+	s.retired = s.retired[:0]
+}
+
+// Reset empties the space for reuse: the bump allocator starts again at
+// address 0, so a space that is reset and then asked for the same
+// allocations hands out the same addresses, and the live backing array
+// stays, so they cost no growth. Outgrown arrays go to the slab pool.
+// Every Buffer into the space must be dropped first.
+func (s *Space) Reset() {
+	s.brk, s.frees = 0, 0
+	s.releaseRetired()
+}
+
+// Shrink trades a live backing array larger than n bytes for one of n
+// bytes (none for 0), and returns the larger one to the slab pool. Call
+// it on a space just Reset, with n at least what its next user needs
+// to keep for free (UsedBacking before the Reset).
+func (s *Space) Shrink(n int64) {
+	if int64(cap(s.data)) <= n {
+		return
+	}
+	old := s.data
+	s.data = nil
+	if n > 0 {
+		if s.data = getSlabUpTo(n, n); s.data == nil {
+			s.data = make([]byte, n)
+		}
+	}
+	putSlab(old)
 }
 
 // Size returns the total capacity in bytes.
 func (s *Space) Size() int64 { return s.size }
+
+// Kind returns where the space lives.
+func (s *Space) Kind() Kind { return s.kind }
 
 // Alloc reserves n bytes aligned to align (a power of two; 0 means 256)
 // and returns a Buffer covering them. It panics on exhaustion, which in a

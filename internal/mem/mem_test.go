@@ -109,3 +109,39 @@ func TestFreeWrongSpacePanics(t *testing.T) {
 	b := s1.Alloc(10, 1)
 	s2.Free(b)
 }
+
+// TestResetReusesAddressesAndBacking: a reset space hands out the
+// addresses a fresh one would, on the backing it already has; Shrink
+// trades a backing larger than its last allocations needed for one of
+// their size.
+func TestResetReusesAddressesAndBacking(t *testing.T) {
+	s := NewSpace("s", Host, 1<<30)
+	a := s.Alloc(3000, 0)
+	s.Alloc(100<<10, 0) // grows past the first array
+	if s.RetiredSlabs() == 0 || s.UsedBacking() != 128<<10 {
+		t.Fatalf("after 103 KiB: %d retired arrays, %d bytes needed", s.RetiredSlabs(), s.UsedBacking())
+	}
+	s.Reset()
+	if s.RetiredSlabs() != 0 || s.UsedBacking() != 0 || s.FootprintBytes() != 128<<10 {
+		t.Fatalf("reset: %d retired, %d needed, footprint %d; want 0, 0 and the 128 KiB array kept",
+			s.RetiredSlabs(), s.UsedBacking(), s.FootprintBytes())
+	}
+	if b := s.Alloc(3000, 0); b.Addr() != a.Addr() {
+		t.Fatalf("first allocation after reset at %d, fresh at %d", b.Addr(), a.Addr())
+	}
+	s.Alloc(100<<10, 0)
+	if s.RetiredSlabs() != 0 || s.FootprintBytes() != 128<<10 {
+		t.Fatal("the same allocations after a reset grew the space")
+	}
+	s.Reset()
+	s.Alloc(5000, 0)
+	need := s.UsedBacking() // 8 KiB of its 128
+	s.Reset()
+	if s.FootprintBytes() != 128<<10 {
+		t.Fatalf("reset after a smaller use keeps %d bytes, want the 128 KiB array", s.FootprintBytes())
+	}
+	s.Shrink(need)
+	if s.FootprintBytes() != 8<<10 {
+		t.Fatalf("shrunk to %d bytes, want 8 KiB", s.FootprintBytes())
+	}
+}

@@ -94,15 +94,16 @@ func ResetSlabPoolStats() {
 // multi-hundred-MB slab to a KB-sized staging space would force the
 // next big allocation to start from scratch.
 func getSlab(n int64) []byte {
+	return getSlabUpTo(n, max(8*n, n+(32<<20)))
+}
+
+// getSlabUpTo is getSlab for a slab of at most limit bytes.
+func getSlabUpTo(n, limit int64) []byte {
 	poolMu.Lock()
 	defer poolMu.Unlock()
 	poolGets++
 	if n <= 0 {
 		return nil
-	}
-	limit := 8 * n
-	if l := n + (32 << 20); l > limit {
-		limit = l
 	}
 	for k := slabClass(n); k < len(poolClass) && int64(1)<<k <= limit; k++ {
 		list := poolClass[k]

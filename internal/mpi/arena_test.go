@@ -1,0 +1,199 @@
+package mpi
+
+import (
+	"crypto/sha256"
+	"runtime"
+	"strings"
+	"testing"
+
+	"gpuddt/internal/datatype"
+	"gpuddt/internal/ib"
+	"gpuddt/internal/mem"
+	"gpuddt/internal/sim"
+)
+
+// stagedRun runs, on a fresh world of cfg, a job that stages through
+// every part of the arena — an eager device Alltoall (bounce buffers),
+// a held eager Bcast (a stage), a noncontiguous host rendezvous across
+// nodes (the staged sender's local ring and the receiver's host ring)
+// into a contiguous host buffer (a user registration), and a host
+// Reduce (accumulators) — with blocks of block bytes. It returns the
+// virtual time, the registration misses, a digest of every rank's
+// results and its ranks' arenas.
+func stagedRun(t *testing.T, cfg Config, block int) (end sim.Time, misses int64, digest [32]byte, arenas map[*mem.Space]bool) {
+	t.Helper()
+	w := NewWorld(cfg)
+	rec := sim.NewRecorder(w.Engine())
+	size := w.Size()
+	far := size - 1 // on the last node
+	eager := datatype.Contiguous(block, datatype.Byte)
+	vec := datatype.Vector(2*block, 8, 16, datatype.Byte) // 16 blocks: rendezvous-sized
+	results := make([][]byte, size)
+	w.Run(func(m *Rank) {
+		me := m.Rank()
+		send, recv := m.Malloc(int64(size*block)), m.Malloc(int64(size*block))
+		mem.FillPattern(send, uint64(me))
+		m.Alltoall(send, eager, 1, recv, eager, 1)
+		bc := m.Malloc(int64(block))
+		if me == 0 {
+			mem.FillPattern(bc, 99)
+		}
+		m.Bcast(bc, eager, 1, 0)
+		var p2p mem.Buffer
+		switch me {
+		case 0:
+			src := m.MallocHost(vec.Span(1))
+			mem.FillPattern(src, 7)
+			m.Send(src, vec, 1, far, 5)
+		case far:
+			p2p = m.MallocHost(vec.Size())
+			m.Recv(p2p, datatype.Contiguous(int(vec.Size()), datatype.Byte), 1, 0, 5)
+		}
+		f := datatype.Contiguous(block/8, datatype.Float64)
+		hs, hr := m.MallocHost(f.Size()), m.MallocHost(f.Size())
+		mem.FillPattern(hs, uint64(me)+1)
+		m.Reduce(hs, hr, f, 1, OpMax, 0)
+		results[me] = append(append([]byte{}, recv.Bytes()...), bc.Bytes()...)
+		if me == 0 {
+			results[me] = append(results[me], hr.Bytes()...)
+		}
+		if p2p.IsValid() {
+			results[me] = append(results[me], p2p.Bytes()...)
+		}
+	})
+	checkQuiescent(t, w, "staged run")
+	h := sha256.New()
+	for _, r := range results {
+		h.Write(r)
+	}
+	h.Sum(digest[:0])
+	var stages, rings, scratch int
+	arenas = make(map[*mem.Space]bool)
+	for _, m := range w.ranks {
+		arenas[m.Staging()] = true
+		stages, scratch = stages+len(m.stages), scratch+len(m.scratchPool)
+		if len(m.rings) > 0 {
+			rings += len(m.rings[0])
+		}
+	}
+	if stages == 0 || rings == 0 || scratch == 0 {
+		t.Fatalf("the job pooled %d stages, %d host rings and %d scratch buffers; it must stage through all three", stages, rings, scratch)
+	}
+	end, misses = w.Engine().Now(), rec.Counter("ib.reg.miss")
+	w.Close()
+	return end, misses, digest, arenas
+}
+
+// TestArenaHistoryIndependent: a rank's arena comes from the shelf as
+// its last world left it, grown and with pooled buffers of its own, but
+// nothing a world measures depends on that. World B, then a larger world
+// A with larger blocks, then B again: the second B takes A's arenas,
+// grown for A's blocks, and still ends at the same virtual time with
+// the same registration misses and the same bytes.
+func TestArenaHistoryIndependent(t *testing.T) {
+	b := blockedConfig(2, 2, false)
+	a := blockedConfig(4, 4, false)
+	end, misses, digest, _ := stagedRun(t, b, 8<<10)
+	if misses == 0 {
+		t.Fatal("world B registers no user buffer; the miss count proves nothing")
+	}
+	_, _, _, fromA := stagedRun(t, a, 32<<10)
+	end2, misses2, digest2, arenas := stagedRun(t, b, 8<<10)
+	for sp := range arenas {
+		if !fromA[sp] {
+			t.Fatal("the second world B has an arena that world A did not leave on the shelf")
+		}
+	}
+	if end2 != end || misses2 != misses || digest2 != digest {
+		t.Fatalf("world B after world A: %v, %d registration misses, digest %x; before it: %v, %d, %x",
+			end2, misses2, digest2[:4], end, misses, digest[:4])
+	}
+}
+
+// stagingFuncs are the functions that carve, pool and shelve staging.
+var stagingFuncs = []string{
+	"(*Rank).scratch", "(*Rank).freeScratch", "(*Rank).takeStage", "(*Rank).release",
+	"(*Rank).ringBuf", "(*Rank).releaseRing", "(*Rank).ringPool", "(*stage).clearFor",
+	"(*arena).", "takeArena", "shelveArenas",
+}
+
+// stagingAllocs returns the heap objects allocated so far, as the
+// memory profile has them, below a staging function of this package
+// and not in a space's growth (mem.Space.ensure): a device ring grows
+// the world's own device memory, which is built anew with every world,
+// and an arena's growth is what the caller checks by its backing.
+func stagingAllocs() int64 {
+	for range 3 { // the profile publishes a cycle's allocations two collections late
+		runtime.GC()
+	}
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == "gpuddt/internal/mem.(*Space).ensure" {
+				break
+			}
+			if name, ok := strings.CutPrefix(f.Function, "gpuddt/internal/mpi."); ok && stagingOf(name) {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
+}
+
+func stagingOf(name string) bool {
+	for _, s := range stagingFuncs {
+		if strings.HasPrefix(name, s) && (strings.HasSuffix(s, ".") || name == s) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStagingAllocatesNothing pins what the staging of a rebuilt world
+// costs the heap: nothing. A 64-rank world of coll_real's shape runs an
+// eager Alltoall — bounce buffers, the hierarchical algorithm's host
+// stages, device rings for its local copies — and is closed; the next
+// world of the same shape takes the arenas back from the shelf with
+// their backing, pools and stage records, so while it is built, run
+// and closed no arena's backing changes and no heap object is allocated
+// below a staging function (the memory profile samples every
+// allocation; a device ring's growth of the new world's device memory
+// is that memory's, not staging's). Without the shelf the rebuilt
+// world's staging made 288 objects and grew all 64 arenas.
+func TestStagingAllocatesNothing(t *testing.T) {
+	cfg := blockedConfig(16, 4, false)
+	cfg.IB.Topo = ib.FatTree(4, 2)
+	alltoall := func() (grown int) {
+		w := NewWorld(cfg)
+		w.Run(func(m *Rank) {
+			before := m.Staging().FootprintBytes()
+			n := int64(m.Size()) << 10
+			m.Alltoall(m.Malloc(n), datatype.Byte, 1<<10, m.Malloc(n), datatype.Byte, 1<<10)
+			if m.Staging().FootprintBytes() != before {
+				grown++
+			}
+		})
+		w.Close()
+		return grown
+	}
+	alltoall()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := stagingAllocs()
+	grown := alltoall()
+	if got := stagingAllocs() - before; got != 0 || grown != 0 {
+		t.Errorf("a rebuilt 64-rank Alltoall world's staging allocated %d objects and grew %d arenas, want 0 and 0", got, grown)
+	}
+}

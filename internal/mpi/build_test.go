@@ -22,12 +22,14 @@ import (
 // daemon (sim.Server) is a field of the record it serves. The 64-rank
 // world takes 65 coroutines and the pair 3, from the carrier shelf once
 // an earlier world has left them there, so a world built after another
-// makes none; the 64-rank world costs 1 581 allocations: its links and
+// makes none; the 64-rank world costs 1 597 allocations: its links and
 // nodes, and its ranks' names, contexts and datatype engines. With a
 // coroutine per daemon and an engine per GPU per rank, they made 400 and
 // 11 847, and 8; with each daemon's Proc on the heap, 3 034; with a DEV
 // cache shared per device, 2 682; with the engine's own map for it,
-// 2 554; with a coroutine shelf, 1 581.
+// 2 554; with a coroutine shelf, 1 581; with each rank's staging arena
+// pinned at build, 1 597 (each node HCA's registration map takes its
+// first entry).
 func TestWorldBuildCost(t *testing.T) {
 	barrier := func(spec cluster.Spec) (coroutines int) {
 		w := mpi.NewWorld(spec.Config())
@@ -67,26 +69,60 @@ func TestWorldBuildCost(t *testing.T) {
 
 // TestClosedWorldIsCollectable: a closed world leaves nothing on the
 // process-wide shelves that names it — not its idle coroutines, not its
-// eager or receive records — so its engine is garbage-collected.
+// eager or receive records, not its ranks' staging arenas, their pooled
+// buffers or their stage records — so its engine, and the device memory
+// a stage's blocks or a device ring would name, are garbage-collected.
+// The worlds stage through every pool of an arena: an eager Alltoall
+// (bounce buffers), a held Bcast (a stage naming device blocks and
+// their datatype) and a noncontiguous host rendezvous across nodes
+// (host rings).
 func TestClosedWorldIsCollectable(t *testing.T) {
-	collected := make(chan struct{})
-	func() {
-		w := mpi.NewWorld(cluster.Scale(2, 2, 2, 2).Config())
-		runtime.AddCleanup(w.Engine(), func(c chan struct{}) { close(c) }, collected)
-		dt := datatype.Contiguous(64, datatype.Float64) // eager
-		w.Run(func(m *mpi.Rank) {
-			n := int64(m.Size()) * dt.Size()
-			m.Alltoall(m.Malloc(n), dt, 1, m.Malloc(n), dt, 1)
-		})
-		w.Close()
-	}()
+	eager := datatype.Contiguous(64, datatype.Float64)
+	vec := datatype.Vector(16<<10, 8, 16, datatype.Byte) // 128 KiB packed: rendezvous
+	for name, job := range map[string]func(m *mpi.Rank){
+		"eager alltoall": func(m *mpi.Rank) {
+			n := int64(m.Size()) * eager.Size()
+			m.Alltoall(m.Malloc(n), eager, 1, m.Malloc(n), eager, 1)
+		},
+		"held bcast": func(m *mpi.Rank) {
+			m.Bcast(m.Malloc(eager.Size()), eager, 1, 0)
+		},
+		"host ring": func(m *mpi.Rank) {
+			switch far := m.Size() - 1; m.Rank() {
+			case 0:
+				m.Send(m.MallocHost(vec.Span(1)), vec, 1, far, 0)
+			case far:
+				m.Recv(m.MallocHost(vec.Span(1)), vec, 1, 0, 0)
+			}
+		},
+	} {
+		engine, device := make(chan struct{}), make(chan struct{})
+		func() {
+			w := mpi.NewWorld(cluster.Scale(2, 2, 2, 2).Config())
+			runtime.AddCleanup(w.Engine(), func(c chan struct{}) { close(c) }, engine)
+			runtime.AddCleanup(w.Node(0).GPU(0).Mem(), func(c chan struct{}) { close(c) }, device)
+			w.Run(job)
+			w.Close()
+		}()
+		if !collectedSoon(engine) {
+			t.Fatalf("%s: a closed world's engine is still reachable", name)
+		}
+		if !collectedSoon(device) {
+			t.Fatalf("%s: a closed world's device memory is still reachable", name)
+		}
+	}
+}
+
+// collectedSoon collects garbage until c is closed, for up to about
+// 100 ms.
+func collectedSoon(c chan struct{}) bool {
 	for i := 0; i < 10; i++ {
 		runtime.GC()
 		select {
-		case <-collected:
-			return
+		case <-c:
+			return true
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("a closed world's engine is still reachable")
+	return false
 }

@@ -252,17 +252,26 @@ func TestHeldBlockSizeMismatch(t *testing.T) {
 }
 
 // TestHeldChaosKernelCount: a fault retry re-reads the stage or the
-// bounce buffer, never the user's memory — under the fault plans of
-// TestHierChaosSweep and TestVCollChaosTransient, with every block
-// eager-sized, the world launches exactly the kernels of a clean run
-// and delivers the same bytes.
+// bounce buffer, never the user's memory — under two fault plans, with
+// every block eager-sized, the world launches exactly the kernels of a
+// clean run and delivers the same bytes. Every buffer these runs
+// register is library staging in a pinned arena, so they roll no
+// registration fault; the sites they reach are the launches
+// (gpu.launch), the host-device copies (pcie.copy), the active messages
+// (ib.send) and the RDMA writes (ib.rdma.write). The first plan is
+// TestHierChaosSweep's; the second faults those four sites at 10 %,
+// so that even the flat broadcast, which crosses each of them only a
+// few times, has a fault to retry (at 5 % it had none).
 func TestHeldChaosKernelCount(t *testing.T) {
 	dt := shapes.SubMatrix(16, 8, 12)
+	reached := &fault.Plan{Seed: 23, Rates: map[fault.Site]float64{
+		fault.KernelLaunch: 0.1, fault.PCIeCopy: 0.1, fault.IBSend: 0.1, fault.RDMAWrite: 0.1,
+	}}
 	for _, coll := range heldColls {
 		for _, flat := range []bool{true, false} {
 			cfg := heldConfig(4, 4, flat, 64<<10)
 			clean, ck := heldRun(t, cfg, coll, dt, 2, false)
-			for _, plan := range []*fault.Plan{fault.NewPlan(3, 0.03), fault.NewPlan(23, 0.05)} {
+			for _, plan := range []*fault.Plan{fault.NewPlan(3, 0.03), reached} {
 				cfg.Faults = plan
 				got, k := heldRun(t, cfg, coll, dt, 2, false)
 				if sumKernels(k) != sumKernels(ck) {

@@ -46,24 +46,36 @@ type stage struct {
 	blocks []core.Block // by block index; a nil Dt marks a block left in place
 }
 
-// takeStage hands out a stage of at least n bytes of pinned host memory
+// takeStage hands out a stage of at least n bytes of the rank's arena
 // with room for blocks blocks, all left in place, reusing a released one
-// — its buffer and its blocks array; release returns it. Stages are counted with the scratch
-// buffers (World.Quiescent) but pooled apart from them: a scratch
-// buffer is an RDMA bounce buffer, registered with the HCA under its
-// address, and a stage passing through that pool would change which
-// addresses later messages find registered.
+// — its buffer and its blocks array — or else a spare record that a
+// closed world left (arena.reset); release returns it. Stages are
+// counted with the scratch buffers (World.Quiescent) but pooled apart
+// from them: a stage is sized to its collective's blocks, a scratch
+// buffer to the eager limit, and a stage taken for a bounce buffer
+// would be a large buffer spent on a small message.
 func (m *Rank) takeStage(n int64, blocks int) *stage {
 	m.scratchOut++
-	for i, s := range m.stagePool {
+	for i, s := range m.stages {
 		if s.buf.Len() >= n {
-			m.stagePool = slices.Delete(m.stagePool, i, i+1)
-			s.blocks = slices.Grow(s.blocks[:0], blocks)[:blocks]
-			clear(s.blocks)
-			return s
+			m.stages = slices.Delete(m.stages, i, i+1)
+			return s.clearFor(blocks)
 		}
 	}
-	return &stage{buf: m.ctx.MallocHost(n), blocks: make([]core.Block, blocks)}
+	if k := len(m.spare); k > 0 {
+		s := m.spare[k-1]
+		m.spare = m.spare[:k-1]
+		s.buf = m.alloc(n)
+		return s.clearFor(blocks)
+	}
+	return &stage{buf: m.alloc(n), blocks: make([]core.Block, blocks)}
+}
+
+// clearFor makes room for blocks blocks in s, all left in place.
+func (s *stage) clearFor(blocks int) *stage {
+	s.blocks = slices.Grow(s.blocks[:0], blocks)[:blocks]
+	clear(s.blocks)
+	return s
 }
 
 // hold decides which of v's n blocks the rank keeps packed for the
@@ -184,7 +196,7 @@ func (m *Rank) unpackHeld(p *sim.Proc, s *stage) {
 func (m *Rank) release(s *stage) {
 	if s != nil {
 		m.scratchOut--
-		m.stagePool = append(m.stagePool, s)
+		m.stages = append(m.stages, s)
 	}
 }
 

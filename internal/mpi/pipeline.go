@@ -426,7 +426,7 @@ func (st *pipeSend) runSendStaged(p *sim.Proc, r *pipeRecv) bool {
 
 	// The stager fills local host staging slots; this process drains
 	// them onto the wire, so pack(i+1) overlaps transfer(i).
-	local := m.ringBuf(m.ctx.Node().Host(), 2*frag)
+	local := m.ringBuf(m.space, 2*frag)
 	st.producer()
 	st.freeLocal.Init(m.w.eng, "ib.freeLocal")
 	st.filled.Init(m.w.eng, "ib.filled")
@@ -639,7 +639,7 @@ func (r *pipeRecv) staged(p *sim.Proc) {
 	}
 
 	r.direct = peerBuf{} // a failed pack-direct attempt's device window
-	r.ring = m.ringBuf(m.ctx.Node().Host(), frag*pipelineDepth)
+	r.ring = m.ringBuf(m.space, frag*pipelineDepth)
 	r.command(p, cmdSendStaged)
 	r.fc.init(m, op, &r.acks)
 	for i := range fragments(op.Packed, frag) {

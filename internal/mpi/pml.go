@@ -333,8 +333,9 @@ func (r *recvReq) Run(p *sim.Proc) {
 const scratchPoolFloor = 16 << 20
 
 // scratch hands out a host bounce buffer of at least n bytes from the
-// rank's pool (eager protocol and staging). Small requests are rounded
-// up (to the eager limit, capped at 1 MiB) so the pool stays reusable.
+// rank's pool (eager protocol and staging), carved from its arena.
+// Small requests are rounded up (to the eager limit, capped at 1 MiB)
+// so the pool stays reusable.
 // Selection is best-fit with a waste bound: the smallest pooled buffer
 // that satisfies the request wins, and a buffer more than 2x the
 // request is left pooled, so a small eager message cannot consume a
@@ -363,7 +364,7 @@ func (m *Rank) scratch(n int64) mem.Buffer {
 		m.scratchPooled -= b.Len()
 		return b
 	}
-	return m.ctx.MallocHost(n)
+	return m.alloc(n)
 }
 
 // scratchCap bounds the bytes freeScratch retains: twice the largest

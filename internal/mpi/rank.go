@@ -30,17 +30,13 @@ type Rank struct {
 	proc  sim.Proc // the rank's main process, started by World.Run
 	main  rankMain // its body
 
-	inbox          sim.Server[ib.Msg] // active messages, executed in order
-	seq            int64              // message sequence for diagnostics
-	posted         []*recvReq         // receives awaiting a matching arrival
-	unexp          []*rtsMsg          // unexpected arrivals awaiting a recv
-	scratchPool    []mem.Buffer
-	scratchPooled  int64 // bytes currently retained in scratchPool
-	scratchPeak    int64 // high-water mark of retained bytes
-	scratchLargest int64 // largest single scratch request seen
-	scratchOut     int64 // scratch buffers and stages handed out, not yet returned
-	ringPool       map[*mem.Space][]mem.Buffer
-	ringOut        int64 // ring buffers handed out, not yet returned
+	inbox      sim.Server[ib.Msg] // active messages, executed in order
+	seq        int64              // message sequence for diagnostics
+	posted     []*recvReq         // receives awaiting a matching arrival
+	unexp      []*rtsMsg          // unexpected arrivals awaiting a recv
+	*arena                        // pinned staging and its pools (arena.go)
+	scratchOut int64              // scratch buffers and stages handed out, not yet returned
+	ringOut    int64              // ring buffers handed out, not yet returned
 
 	barrierSeq int
 	collSeq    int
@@ -50,8 +46,7 @@ type Rank struct {
 	collOut  int // nonblocking collectives in flight (see World.Quiescent)
 	icollSeq int // nonblocking collectives started, for process names
 
-	stagePool []*stage   // released collective stages (see takeStage)
-	nbReqs    []*Request // neighbours' requests, between two calls
+	nbReqs []*Request // neighbours' requests, between two calls
 
 	names procNames
 }
@@ -88,11 +83,13 @@ func newRank(w *World, r int, pl Placement) *Rank {
 		rank:  r,
 		place: pl,
 		ctx:   cuda.NewCtx(node),
+		arena: takeArena(),
 		names: procNames{
 			main: n[0], barrier: n[1], progress: n[2],
 			ack: n[3], sendpipe: n[4], sendcmds: n[5], ibpack: n[6], eagerRecv: n[7],
 		},
 	}
+	w.hcas[pl.Node].Pin(rk.arena.space)
 	rk.barrierBox.Init(w.eng, rk.names.barrier)
 	rk.engs = make([]*core.Engine, node.NumGPUs())
 	rk.engs[pl.GPU] = core.New(rk.ctx, pl.GPU, w.cfg.Engine)
@@ -129,6 +126,11 @@ func (m *Rank) FreeScratchHost(b mem.Buffer) { m.freeScratch(b) }
 // ScratchStats reports the scratch pool's currently retained bytes and
 // the high-water mark of retained bytes over the rank's lifetime.
 func (m *Rank) ScratchStats() (pooled, peak int64) { return m.scratchPooled, m.scratchPeak }
+
+// Staging returns the rank's pinned staging arena (arena.go), for
+// inspection: what its scratch buffers, stages and host rings are
+// carved from.
+func (m *Rank) Staging() *mem.Space { return m.space }
 
 // Size returns the world size.
 func (m *Rank) Size() int { return len(m.w.ranks) }

@@ -238,23 +238,41 @@ func (a *acker) Run(p *sim.Proc) {
 
 // ringBuf hands out a staging ring of at least n bytes in the given
 // space, reusing released rings (rings are hot: every rendezvous message
-// needs one, and the bump allocator does not reclaim).
+// needs one, and the bump allocator does not reclaim). A ring in host
+// memory is carved from the rank's arena, whichever host space is named.
 func (m *Rank) ringBuf(space *mem.Space, n int64) mem.Buffer {
 	m.ringOut++
-	pool := m.ringPool[space]
-	for i, b := range pool {
+	pool := m.ringPool(space)
+	for i, b := range *pool {
 		if b.Len() >= n {
-			m.ringPool[space] = append(pool[:i], pool[i+1:]...)
+			*pool = append((*pool)[:i], (*pool)[i+1:]...)
 			return b
 		}
+	}
+	if space.Kind() == mem.Host {
+		space = m.space
 	}
 	return space.Alloc(n, 256)
 }
 
 func (m *Rank) releaseRing(b mem.Buffer) {
 	m.ringOut--
-	if m.ringPool == nil {
-		m.ringPool = make(map[*mem.Space][]mem.Buffer)
+	pool := m.ringPool(b.Space())
+	*pool = append(*pool, b)
+}
+
+// ringPool returns the released rings of space's memory: the arena's
+// for host memory, else those of the GPU of the rank's node that owns
+// space.
+func (m *Rank) ringPool(space *mem.Space) *[]mem.Buffer {
+	i := 0 // host
+	if space.Kind() == mem.Device {
+		if i = m.ctx.Node().DeviceOf(space) + 1; i == 0 {
+			panic("mpi: a staging ring in another node's device memory")
+		}
 	}
-	m.ringPool[b.Space()] = append(m.ringPool[b.Space()], b)
+	for len(m.rings) <= i {
+		m.rings = append(m.rings, nil)
+	}
+	return &m.rings[i]
 }

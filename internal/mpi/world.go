@@ -176,8 +176,9 @@ func (w *World) Faults() *fault.Injector { return w.faults }
 // Close recycles every node's memory backing into the slab pool (see
 // mem.Space.Release), every datatype engine's and every message
 // record's kernel descriptor arrays into theirs (core.Engine.Release,
-// records.retire), and the eager and receive records onto their shelves
-// (freeList.pour). Call it when the world is
+// records.retire), the eager and receive records onto their shelves
+// (freeList.pour), and every rank's staging arena, reset with its
+// pools, onto its shelf (shelveArenas). Call it when the world is
 // finished — after Run has returned and results have been copied out —
 // and do not touch the world, its ranks, or any Buffer afterwards.
 // Benchmarks that churn through many short-lived worlds depend on this
@@ -193,21 +194,29 @@ func (w *World) Close() {
 	w.recs.retire()
 	w.recs.eager.pour()
 	w.recs.recv.pour()
+	shelveArenas(w.ranks)
 	for _, n := range w.nodes {
 		n.Release()
 	}
 }
 
 // FootprintBytes returns the real memory backing the world's simulated
-// address spaces, summed over every node (host plus device). This is
-// what the scale sweep reports as the per-rank memory of the
-// real-payload arm, against which the modelled-payload flyweight
-// worlds (internal/model, Result.StateBytes) are compared. Call before
-// Close — a released world's backing has returned to the slab pool.
+// address spaces, summed over every node (host plus device) and every
+// rank's staging arena. This is what the scale sweep reports as the
+// per-rank memory of the real-payload arm, against which the
+// modelled-payload flyweight worlds (internal/model, Result.StateBytes)
+// are compared. An arena counts the backing its staging needs in this
+// world (mem.Space.UsedBacking), not what an earlier world grew it to
+// on the shelf, so the figure does not depend on what ran before. Call
+// before Close — a released world's backing has returned to the slab
+// pool.
 func (w *World) FootprintBytes() int64 {
 	var total int64
 	for _, n := range w.nodes {
 		total += n.FootprintBytes()
+	}
+	for _, r := range w.ranks {
+		total += r.space.UsedBacking()
 	}
 	return total
 }
