@@ -25,14 +25,9 @@ func DefaultTreeOptions() TreeOptions {
 	return TreeOptions{MaxElems: 2048, MaxSpan: 256 << 10, MaxDepth: 4}
 }
 
-// GenSpec derives a random datatype tree from seed using the default
-// bounds. Equal seeds produce equal trees.
-func GenSpec(seed uint64) Spec {
-	return GenSpecOpts(seed, DefaultTreeOptions())
-}
-
 // GenSpecOpts derives a random datatype tree from seed under the given
-// bounds.
+// bounds; a zero bound is the default's. Equal seeds produce equal
+// trees.
 func GenSpecOpts(seed uint64, opt TreeOptions) Spec {
 	if opt.MaxElems <= 0 {
 		opt.MaxElems = DefaultTreeOptions().MaxElems

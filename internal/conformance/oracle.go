@@ -27,7 +27,7 @@ type Tree struct {
 	Span  int64
 }
 
-// NewTree derives a conformance case from seed: the tree from GenSpec,
+// NewTree derives a conformance case from seed: the tree from GenSpecOpts,
 // the count from the seed's low bits.
 func NewTree(seed uint64) *Tree {
 	return NewTreeOpts(seed, DefaultTreeOptions())

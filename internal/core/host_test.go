@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"gpuddt/internal/datatype"
@@ -110,16 +111,21 @@ func TestHostDataMovesOnCPU(t *testing.T) {
 // TestHostCallsAllocateNothing pins the CPU path at 0 heap objects,
 // from the first call on a fresh engine: a whole message and a fused set
 // move through a converter on the stack, not a borrowed worker, and a
-// Packer's fragment returns the one future every engine shares.
+// Packer's fragment returns the one future every engine shares. It
+// counts, from the memory profile, only what the engine's methods
+// allocate (mallocs): the runtime's own allocations while the calls run
+// are not theirs.
 func TestHostCallsAllocateNothing(t *testing.T) {
 	skipIfPoolDrops(t)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	r := newRig(t, Options{})
 	dt := shapes.LowerTriangular(32)
 	data, packed := r.ctx.MallocHost(dt.Span(1)), r.ctx.MallocHost(dt.Size())
 	datatype.PackImage(dt, 1, data.Bytes()) // compiles the datatype's plan
 	blocks := []Block{{Data: data, Dt: dt, Count: 1}}
 	var pk Packer
-	var allocs [3]uint64
+	var allocs [3]int64
 	r.eng.Spawn("host", func(p *sim.Proc) {
 		p.Sleep(1) // grows the event queue
 		allocs[0] = mallocs(func() {
@@ -146,14 +152,46 @@ func TestHostCallsAllocateNothing(t *testing.T) {
 	}
 }
 
-// mallocs returns the heap objects f allocates.
-func mallocs(f func()) uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
+// mallocs returns the heap objects f allocates below the engine's
+// methods — every allocation whose stack passes through a method of
+// Engine or Packer — as the memory profile has them: an allocation the
+// runtime makes for itself meanwhile (a timer's, a collector's) is not
+// f's. The caller sets runtime.MemProfileRate to 1, so the profile
+// samples every allocation.
+func mallocs(f func()) int64 {
+	before := coreAllocs()
 	f()
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs - before
+	return coreAllocs() - before
+}
+
+// coreAllocs returns the heap objects allocated so far below a method
+// of Engine or Packer, as the memory profile has them.
+func coreAllocs() int64 {
+	for range 3 { // the profile publishes a cycle's allocations two collections late
+		runtime.GC()
+	}
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "gpuddt/internal/core.(*Engine).") ||
+				strings.HasPrefix(f.Function, "gpuddt/internal/core.(*Packer).") {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }
 
 // allocBytes returns the heap bytes f allocates.

@@ -33,8 +33,9 @@ import (
 // registration ever happens mid-run.
 const arenaBytes = 1 << 30
 
-// arena is a rank's pinned staging memory and the pools of buffers it
-// has handed out and been given back.
+// arena is a rank's pinned staging memory, the pools of buffers it has
+// handed out and been given back, and — so that their arrays outlive
+// the world too — the rank's matching lists and request batches.
 type arena struct {
 	space *mem.Space
 
@@ -46,15 +47,21 @@ type arena struct {
 	rings  [][]mem.Buffer // released staging rings: host, then by GPU (ringPool)
 	stages []*stage       // released collective stages
 	spare  []*stage       // stage records of a closed world, without a buffer
+
+	posted  []*recvReq // receives awaiting a matching arrival
+	unexp   []*rtsMsg  // unexpected arrivals awaiting a recv
+	batches []*batch   // batches not in use, empty (batch.wait)
 }
 
 // alloc carves n bytes from the arena.
 func (a *arena) alloc(n int64) mem.Buffer { return a.space.Alloc(n, 256) }
 
 // reset makes the arena as a fresh one, but for its backing bytes and
-// its pools' arrays: every buffer it pooled — the device rings too —
-// is dropped and the allocator restarts at address 0, and the closed
-// world's stage records become spares, naming nothing.
+// its pools' and lists' arrays: every buffer it pooled — the device
+// rings too — is dropped and the allocator restarts at address 0, the
+// closed world's stage records become spares, naming nothing, and the
+// matching lists are emptied (a world closed mid-run may leave entries;
+// a pooled batch is empty already).
 func (a *arena) reset() {
 	a.space.Reset()
 	clear(a.scratchPool)
@@ -71,6 +78,9 @@ func (a *arena) reset() {
 	}
 	clear(a.stages)
 	a.stages = a.stages[:0]
+	clear(a.posted)
+	clear(a.unexp)
+	a.posted, a.unexp = a.posted[:0], a.unexp[:0]
 }
 
 // The shelf of closed worlds' arenas is a stack: Close shelves a

@@ -117,11 +117,18 @@ var stagingFuncs = []string{
 	"(*arena).", "takeArena", "shelveArenas",
 }
 
+// listFuncs grow the matching lists and the request batches the arena
+// carries. They count only what they allocate themselves, as the
+// innermost frame of this package: what they call — a message's
+// records, the world's fabric paths — is not the arena's.
+var listFuncs = []string{"(*Rank).irecv", "(*Rank).arrived", "(*Rank).batch", "(*batch)."}
+
 // stagingAllocs returns the heap objects allocated so far, as the
-// memory profile has them, below a staging function of this package
-// and not in a space's growth (mem.Space.ensure): a device ring grows
-// the world's own device memory, which is built anew with every world,
-// and an arena's growth is what the caller checks by its backing.
+// memory profile has them, below a staging function of this package or
+// in a list function (listFuncs), and not in a space's growth
+// (mem.Space.ensure): a device ring grows the world's own device
+// memory, which is built anew with every world, and an arena's growth
+// is what the caller checks by its backing.
 func stagingAllocs() int64 {
 	for range 3 { // the profile publishes a cycle's allocations two collections late
 		runtime.GC()
@@ -135,14 +142,17 @@ func stagingAllocs() int64 {
 	var total int64
 	for _, r := range recs[:n] {
 		frames := runtime.CallersFrames(r.Stack())
-		for {
+		for inner := true; ; {
 			f, more := frames.Next()
 			if f.Function == "gpuddt/internal/mem.(*Space).ensure" {
 				break
 			}
-			if name, ok := strings.CutPrefix(f.Function, "gpuddt/internal/mpi."); ok && stagingOf(name) {
-				total += r.AllocObjects
-				break
+			if name, ok := strings.CutPrefix(f.Function, "gpuddt/internal/mpi."); ok {
+				if funcOf(stagingFuncs, name) || inner && funcOf(listFuncs, name) {
+					total += r.AllocObjects
+					break
+				}
+				inner = false
 			}
 			if !more {
 				break
@@ -152,8 +162,10 @@ func stagingAllocs() int64 {
 	return total
 }
 
-func stagingOf(name string) bool {
-	for _, s := range stagingFuncs {
+// funcOf reports whether name is one of funcs; an entry ending in a dot
+// names every method of its type.
+func funcOf(funcs []string, name string) bool {
+	for _, s := range funcs {
 		if strings.HasPrefix(name, s) && (strings.HasSuffix(s, ".") || name == s) {
 			return true
 		}
@@ -164,23 +176,37 @@ func stagingOf(name string) bool {
 // TestStagingAllocatesNothing pins what the staging of a rebuilt world
 // costs the heap: nothing. A 64-rank world of coll_real's shape runs an
 // eager Alltoall — bounce buffers, the hierarchical algorithm's host
-// stages, device rings for its local copies — and is closed; the next
-// world of the same shape takes the arenas back from the shelf with
-// their backing, pools and stage records, so while it is built, run
-// and closed no arena's backing changes and no heap object is allocated
-// below a staging function (the memory profile samples every
-// allocation; a device ring's growth of the new world's device memory
-// is that memory's, not staging's). Without the shelf the rebuilt
-// world's staging made 288 objects and grew all 64 arenas.
+// stages, device rings for its local copies — a hierarchical Allgather
+// and a ring NeighborAlltoallw, and is closed; the next world of the
+// same shape takes the arenas back from the shelf with their backing,
+// pools, stage records, matching lists and request batches, so while
+// it is built, run and closed no arena's backing changes and no heap
+// object is allocated below a staging function or in a list function
+// (the memory profile samples every allocation; a device ring's growth
+// of the new world's device memory is that memory's, not staging's).
+// Without the shelf the rebuilt world's staging made 288 objects and
+// grew all 64 arenas; with the matching lists on the rank rather than
+// the arena, irecv's and arrived's appends made 208.
 func TestStagingAllocatesNothing(t *testing.T) {
 	cfg := blockedConfig(16, 4, false)
 	cfg.IB.Topo = ib.FatTree(4, 2)
-	alltoall := func() (grown int) {
+	all := make([]int, len(cfg.Ranks))
+	for r := range all {
+		all[r] = r
+	}
+	round := func() (grown int) {
 		w := NewWorld(cfg)
+		ring := w.NewGroup(all)
 		w.Run(func(m *Rank) {
 			before := m.Staging().FootprintBytes()
 			n := int64(m.Size()) << 10
 			m.Alltoall(m.Malloc(n), datatype.Byte, 1<<10, m.Malloc(n), datatype.Byte, 1<<10)
+			m.Allgather(m.Malloc(n), datatype.Byte, 1<<10)
+			face := func(peer int) Neighbor {
+				return Neighbor{Buf: m.Malloc(1 << 10), Dt: datatype.Byte, Count: 1 << 10, Peer: peer}
+			}
+			left, right := (m.Rank()+m.Size()-1)%m.Size(), (m.Rank()+1)%m.Size()
+			ring.NeighborAlltoallw(m, []Neighbor{face(left), face(right)}, []Neighbor{face(left), face(right)})
 			if m.Staging().FootprintBytes() != before {
 				grown++
 			}
@@ -188,12 +214,12 @@ func TestStagingAllocatesNothing(t *testing.T) {
 		w.Close()
 		return grown
 	}
-	alltoall()
+	round()
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	before := stagingAllocs()
-	grown := alltoall()
+	grown := round()
 	if got := stagingAllocs() - before; got != 0 || grown != 0 {
-		t.Errorf("a rebuilt 64-rank Alltoall world's staging allocated %d objects and grew %d arenas, want 0 and 0", got, grown)
+		t.Errorf("a rebuilt 64-rank world's staging and matching lists allocated %d objects and grew %d arenas, want 0 and 0", got, grown)
 	}
 }

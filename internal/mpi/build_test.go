@@ -70,45 +70,71 @@ func TestWorldBuildCost(t *testing.T) {
 // TestClosedWorldIsCollectable: a closed world leaves nothing on the
 // process-wide shelves that names it — not its idle coroutines, not its
 // eager or receive records, not its ranks' staging arenas, their pooled
-// buffers or their stage records — so its engine, and the device memory
-// a stage's blocks or a device ring would name, are garbage-collected.
-// The worlds stage through every pool of an arena: an eager Alltoall
-// (bounce buffers), a held Bcast (a stage naming device blocks and
-// their datatype) and a noncontiguous host rendezvous across nodes
-// (host rings).
+// buffers, their stage records, their matching lists or their request
+// batches — so its engine, and the device memory a stage's blocks or a
+// device ring would name, are garbage-collected. The worlds stage
+// through every pool of an arena: an eager Alltoall (bounce buffers), a
+// held Bcast (a stage naming device blocks and their datatype) and a
+// noncontiguous host rendezvous across nodes (host rings); and their
+// batches post rendezvous sends, whose records stay per world and name
+// it: a flat Alltoall of blocks past the eager limit and a ring
+// NeighborAlltoallw of them.
 func TestClosedWorldIsCollectable(t *testing.T) {
 	eager := datatype.Contiguous(64, datatype.Float64)
-	vec := datatype.Vector(16<<10, 8, 16, datatype.Byte) // 128 KiB packed: rendezvous
-	for name, job := range map[string]func(m *mpi.Rank){
-		"eager alltoall": func(m *mpi.Rank) {
+	large := datatype.Contiguous(16<<10, datatype.Float64) // 128 KiB: rendezvous
+	vec := datatype.Vector(16<<10, 8, 16, datatype.Byte)   // 128 KiB packed: rendezvous
+	for _, tc := range []struct {
+		name string
+		flat bool
+		job  func(m *mpi.Rank, all *mpi.Group)
+	}{
+		{"eager alltoall", false, func(m *mpi.Rank, _ *mpi.Group) {
 			n := int64(m.Size()) * eager.Size()
 			m.Alltoall(m.Malloc(n), eager, 1, m.Malloc(n), eager, 1)
-		},
-		"held bcast": func(m *mpi.Rank) {
+		}},
+		{"held bcast", false, func(m *mpi.Rank, _ *mpi.Group) {
 			m.Bcast(m.Malloc(eager.Size()), eager, 1, 0)
-		},
-		"host ring": func(m *mpi.Rank) {
+		}},
+		{"host ring", false, func(m *mpi.Rank, _ *mpi.Group) {
 			switch far := m.Size() - 1; m.Rank() {
 			case 0:
 				m.Send(m.MallocHost(vec.Span(1)), vec, 1, far, 0)
 			case far:
 				m.Recv(m.MallocHost(vec.Span(1)), vec, 1, 0, 0)
 			}
-		},
+		}},
+		{"rendezvous batches", true, func(m *mpi.Rank, all *mpi.Group) {
+			n := int64(m.Size()) * large.Size()
+			m.Alltoall(m.Malloc(n), large, 1, m.Malloc(n), large, 1)
+			face := func(peer int) mpi.Neighbor {
+				return mpi.Neighbor{Buf: m.Malloc(large.Size()), Dt: large, Count: 1, Peer: peer}
+			}
+			left, right := (m.Rank()+m.Size()-1)%m.Size(), (m.Rank()+1)%m.Size()
+			all.NeighborAlltoallw(m, []mpi.Neighbor{face(left), face(right)}, []mpi.Neighbor{face(left), face(right)})
+		}},
 	} {
 		engine, device := make(chan struct{}), make(chan struct{})
 		func() {
-			w := mpi.NewWorld(cluster.Scale(2, 2, 2, 2).Config())
+			cfg := cluster.Scale(2, 2, 2, 2).Config()
+			if tc.flat {
+				cfg.Tuning = &mpi.Tuning{Collectives: mpi.CollFlat}
+			}
+			w := mpi.NewWorld(cfg)
 			runtime.AddCleanup(w.Engine(), func(c chan struct{}) { close(c) }, engine)
 			runtime.AddCleanup(w.Node(0).GPU(0).Mem(), func(c chan struct{}) { close(c) }, device)
-			w.Run(job)
+			ranks := make([]int, w.Size())
+			for r := range ranks {
+				ranks[r] = r
+			}
+			all := w.NewGroup(ranks)
+			w.Run(func(m *mpi.Rank) { tc.job(m, all) })
 			w.Close()
 		}()
 		if !collectedSoon(engine) {
-			t.Fatalf("%s: a closed world's engine is still reachable", name)
+			t.Fatalf("%s: a closed world's engine is still reachable", tc.name)
 		}
 		if !collectedSoon(device) {
-			t.Fatalf("%s: a closed world's device memory is still reachable", name)
+			t.Fatalf("%s: a closed world's device memory is still reachable", tc.name)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"slices"
-
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
@@ -22,7 +20,8 @@ import (
 // Every algorithm takes an explicit *sim.Proc and a pre-reserved tag
 // block: the public blocking entry points pass the rank's main process,
 // while the nonblocking Iallgatherv (icoll.go) reserves tags at call
-// time and runs the same schedule on a spawned progress process.
+// time and runs the same schedule on a spawned progress process. A
+// step's transfers in flight together are one request batch (batch).
 //
 // A block stays packed while a collective holds it (hold.go): where an
 // algorithm below would make the rank launch two kernels or more for
@@ -138,26 +137,58 @@ func packedSize(dt *datatype.Datatype, count int) int64 {
 	return int64(count) * dt.Size()
 }
 
-// exchange is one step of a ring, pairwise or dissemination schedule:
-// post the send to world rank to, then the receive from world rank
-// from, and wait for both. A zero-size side posts nothing. It returns
-// the packed bytes received.
-func (m *Rank) exchange(p *sim.Proc, sbuf mem.Buffer, sdt *datatype.Datatype, scount, to int,
-	rbuf mem.Buffer, rdt *datatype.Datatype, rcount, from, tag int) int64 {
-	var sreq, rreq *Request
-	if packedSize(sdt, scount) > 0 {
-		sreq = m.isendOn(p, sbuf, sdt, scount, to, tag)
+// batch is one step's requests over a communicator, posted in the
+// caller's order and waited for together (DESIGN decision 29); a
+// zero-size block posts nothing. Schedules running on one rank at once
+// take batches of their own from the rank's pool.
+type batch struct {
+	m            *Rank
+	c            comm
+	sends, recvs []*Request
+}
+
+// batch takes an empty batch over c from the rank's pool, or a new one.
+func (m *Rank) batch(c comm) *batch {
+	k := len(m.batches) - 1
+	if k < 0 {
+		return &batch{m: m, c: c}
 	}
-	if packedSize(rdt, rcount) > 0 {
-		rreq = m.irecv(rbuf, rdt, rcount, from, tag)
+	b := m.batches[k]
+	b.m, b.c, m.batches[k], m.batches = m, c, nil, m.batches[:k]
+	return b
+}
+
+// send posts count elements of dt from buf to member to, from p.
+func (b *batch) send(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count, to, tag int) *batch {
+	if packedSize(dt, count) > 0 {
+		b.sends = append(b.sends, b.m.isendOn(p, buf, dt, count, b.c.rank(to), tag))
 	}
-	if sreq != nil {
-		await(p, sreq)
+	return b
+}
+
+// recv posts the receive of count elements of dt into buf from member from.
+func (b *batch) recv(buf mem.Buffer, dt *datatype.Datatype, count, from, tag int) *batch {
+	if packedSize(dt, count) > 0 {
+		b.recvs = append(b.recvs, b.m.irecv(buf, dt, count, b.c.rank(from), tag))
 	}
-	if rreq == nil {
-		return 0
+	return b
+}
+
+// wait waits for the sends, then the receives, in posting order; fails
+// what on a receive short of its block; releases every record; pools b.
+func (b *batch) wait(p *sim.Proc, what string) {
+	m := b.m
+	for _, rq := range b.sends {
+		await(p, rq)
 	}
-	return await(p, rreq)
+	for _, rq := range b.recvs {
+		op := rq.rec.(*recvReq).op // read before await lets the record go
+		m.wholeBlock(what, op.Src, await(p, rq), op.Dt, op.Count)
+	}
+	clear(b.sends)
+	clear(b.recvs)
+	b.m, b.c, b.sends, b.recvs = nil, comm{}, b.sends[:0], b.recvs[:0]
+	m.batches = append(m.batches, b)
 }
 
 // PairwisePeers returns the round-s exchange partners of index r among
@@ -237,9 +268,10 @@ func (m *Rank) bcastTree(p *sim.Proc, what string, c comm, rootIdx int, buf mem.
 
 // reduceTree combines every member's acc — already holding its
 // contribution — into member rootIdx's acc over the binomial tree.
-// Per-child messages are tagged tag + sender's world rank. Every member
-// must call it.
-func (m *Rank) reduceTree(p *sim.Proc, c comm, rootIdx int, acc mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op, tag int) {
+// Per-child messages are tagged tag + sender's world rank, and each
+// must bring a whole block: a shorter one fails the collective what
+// rather than fold a stale tail. Every member must call it.
+func (m *Rank) reduceTree(p *sim.Proc, what string, c comm, rootIdx int, acc mem.Buffer, dt *datatype.Datatype, count int, prim datatype.Primitive, op Op, tag int) {
 	if c.n <= 1 {
 		return
 	}
@@ -250,7 +282,7 @@ func (m *Rank) reduceTree(p *sim.Proc, c comm, rootIdx int, acc mem.Buffer, dt *
 			tmp = m.accumBuf(acc, acc.Len())
 		}
 		child := c.at(v+k, rootIdx)
-		m.recvOn(p, tmp, dt, count, child, tag+child)
+		m.recvBlock(p, what, tmp, dt, count, child, tag+child)
 		m.combine(p, acc, tmp, prim, op)
 	}
 	if parent >= 0 {
@@ -282,12 +314,11 @@ func (m *Rank) ringAllgather(p *sim.Proc, what string, c comm, blocks view, tag 
 		return 2
 	})
 	blocks = st.over(blocks)
-	right, left := c.rank((c.me+1)%c.n), c.rank((c.me-1+c.n)%c.n)
+	right, left := (c.me+1)%c.n, (c.me-1+c.n)%c.n
 	for s := 0; s < c.n-1; s++ {
 		sbuf, sdt, scount := blocks((c.me - s + c.n) % c.n)
 		rbuf, rdt, rcount := blocks((c.me - s - 1 + c.n) % c.n)
-		got := m.exchange(p, sbuf, sdt, scount, right, rbuf, rdt, rcount, left, tag+s)
-		m.wholeBlock(what, left, got, rdt, rcount)
+		m.batch(c).send(p, sbuf, sdt, scount, right, tag+s).recv(rbuf, rdt, rcount, left, tag+s).wait(p, what)
 	}
 	m.unpackHeld(p, st)
 	m.release(st)
@@ -318,8 +349,7 @@ func (m *Rank) pairwise(p *sim.Proc, what string, c comm, send, recv view, tag i
 		to, from := PairwisePeers(c.n, c.me, s)
 		sbuf, sdt, scount := send(to)
 		rbuf, rdt, rcount := recv(from)
-		got := m.exchange(p, sbuf, sdt, scount, c.rank(to), rbuf, rdt, rcount, c.rank(from), tag)
-		m.wholeBlock(what, c.rank(from), got, rdt, rcount)
+		m.batch(c).send(p, sbuf, sdt, scount, to, tag).recv(rbuf, rdt, rcount, from, tag).wait(p, what)
 	}
 }
 
@@ -335,9 +365,7 @@ func (m *Rank) pairwise(p *sim.Proc, what string, c comm, send, recv view, tag i
 func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recv view, tag int, staged func()) {
 	if c.me != rootIdx {
-		if packedSize(sdt, scount) > 0 {
-			m.sendOn(p, sbuf, sdt, scount, c.rank(rootIdx), tag+c.me)
-		}
+		m.batch(c).send(p, sbuf, sdt, scount, rootIdx, tag+c.me).wait(p, what)
 		return
 	}
 	st := m.hold(c.n, recv, func(i int) int {
@@ -347,27 +375,20 @@ func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf 
 		return 1
 	})
 	recv = st.over(recv)
-	reqs := make([]*Request, c.n)
+	b := m.batch(c)
 	for i := 0; i < c.n; i++ {
 		buf, dt, count := recv(i)
 		switch {
-		case packedSize(dt, count) == 0:
 		case i != rootIdx:
-			reqs[i] = m.irecv(buf, dt, count, c.rank(i), tag+i)
-		case sbuf.IsValid():
+			b.recv(buf, dt, count, i, tag+i)
+		case sbuf.IsValid() && packedSize(dt, count) > 0:
 			m.localCopy(p, sbuf, sdt, scount, buf, dt, count)
 		}
 	}
 	if staged != nil {
 		staged()
 	}
-	for i, rq := range reqs {
-		if rq != nil {
-			got := await(p, rq)
-			_, dt, count := recv(i)
-			m.wholeBlock(what, c.rank(i), got, dt, count)
-		}
-	}
+	b.wait(p, what)
 	m.unpackHeld(p, st)
 	m.release(st)
 }
@@ -393,40 +414,23 @@ func neighborView(nb []Neighbor) view {
 // one peer match in list order. Every block is packed once and unpacked
 // once, so either side is held from two blocks up: receives are posted
 // in list order, then the sends, and the stage is unpacked when all of
-// them are in. It runs on the rank's main process only, so the request
-// slice is the rank's (nbReqs).
+// them are in.
 func (m *Rank) neighbours(p *sim.Proc, what string, c comm, sends, recvs []Neighbor, tag int) {
 	each := func(int) int { return 1 }
 	send, recv := neighborView(sends), neighborView(recvs)
 	ss, rs := m.hold(len(sends), send, each), m.hold(len(recvs), recv, each)
 	m.packHeld(p, ss)
 	send, recv = ss.over(send), rs.over(recv)
-	reqs := slices.Grow(m.nbReqs[:0], len(recvs)+len(sends))[:len(recvs)+len(sends)]
+	b := m.batch(c)
 	for i := range recvs {
-		if buf, dt, count := recv(i); packedSize(dt, count) > 0 {
-			reqs[i] = m.irecv(buf, dt, count, c.rank(recvs[i].Peer), tag)
-		}
+		buf, dt, count := recv(i)
+		b.recv(buf, dt, count, recvs[i].Peer, tag)
 	}
-	sreqs := reqs[len(recvs):]
 	for i := range sends {
-		if buf, dt, count := send(i); packedSize(dt, count) > 0 {
-			sreqs[i] = m.isendOn(p, buf, dt, count, c.rank(sends[i].Peer), tag)
-		}
+		buf, dt, count := send(i)
+		b.send(p, buf, dt, count, sends[i].Peer, tag)
 	}
-	for _, rq := range sreqs {
-		if rq != nil {
-			await(p, rq)
-		}
-	}
-	for i, rq := range reqs[:len(recvs)] {
-		if rq != nil {
-			got := await(p, rq)
-			_, dt, count := recv(i)
-			m.wholeBlock(what, c.rank(recvs[i].Peer), got, dt, count)
-		}
-	}
-	clear(reqs) // their records are home
-	m.nbReqs = reqs[:0]
+	b.wait(p, what)
 	m.unpackHeld(p, rs)
 	m.release(rs)
 	m.release(ss)
@@ -438,14 +442,14 @@ var tokenDT = datatype.Contiguous(1, datatype.Int64)
 // dissemination is the barrier: round k exchanges a token with the
 // members 2^k away on tag+k; after ceil(log2 n) rounds every member has
 // transitively heard from every other.
-func (m *Rank) dissemination(p *sim.Proc, c comm, tag int) {
+func (m *Rank) dissemination(p *sim.Proc, what string, c comm, tag int) {
 	if c.n == 1 {
 		return
 	}
 	tok, in := m.scratch(8), m.scratch(8)
 	for s, k := 0, 1; k < c.n; s, k = s+1, k<<1 {
-		m.exchange(p, tok.Slice(0, 8), tokenDT, 1, c.rank((c.me+k)%c.n),
-			in.Slice(0, 8), tokenDT, 1, c.rank((c.me-k+c.n)%c.n), tag+s)
+		m.batch(c).send(p, tok.Slice(0, 8), tokenDT, 1, (c.me+k)%c.n, tag+s).
+			recv(in.Slice(0, 8), tokenDT, 1, (c.me-k+c.n)%c.n, tag+s).wait(p, what)
 	}
 	m.freeScratch(in)
 	m.freeScratch(tok)

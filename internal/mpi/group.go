@@ -133,7 +133,7 @@ func barrierRounds(size int) int {
 // group traffic, so two jobs' barriers are fully independent).
 func (g *Group) Barrier(m *Rank) {
 	c := g.comm(m)
-	m.dissemination(&m.proc, c, g.tagBlock(c.me, barrierRounds(c.n)))
+	m.dissemination(&m.proc, "group Barrier", c, g.tagBlock(c.me, barrierRounds(c.n)))
 }
 
 // Allreduce combines count elements of dt (a contiguous single-primitive
@@ -157,7 +157,7 @@ func (g *Group) Allreduce(m *Rank, sendBuf, recvBuf mem.Buffer, dt *datatype.Dat
 		// needed beyond reduceTree's internal receive buffer.
 		tag := g.tagBlock(c.me, m.Size()+1)
 		acc := m.accumulator(p, sendBuf, recvBuf, dt, count, true)
-		m.reduceTree(p, c, 0, acc, dt, count, prim, op, tag)
+		m.reduceTree(p, "group Allreduce", c, 0, acc, dt, count, prim, op, tag)
 		m.bcastTree(p, "group Allreduce", c, 0, acc, dt, count, tag+m.Size())
 	default:
 		panic("mpi: unknown allreduce algorithm")
@@ -183,7 +183,6 @@ func (g *Group) allreduceRing(m *Rank, p *sim.Proc, c comm, tag int, sendBuf, re
 	if size == 1 || n == 0 {
 		return
 	}
-	right, left := c.rank((c.me+1)%size), c.rank((c.me-1+size)%size)
 
 	// Chunk i is words [chunkOff(i), chunkOff(i+1)) of recvBuf.
 	base := datatype.Float64
@@ -211,7 +210,8 @@ func (g *Group) allreduceRing(m *Rank, p *sim.Proc, c comm, tag int, sendBuf, re
 		sbuf, sdt, scount := chunk(c.me - s + size)
 		rbuf, rdt, rcount := chunk(c.me - s - 1 + size)
 		in := tmp.Slice(0, int64(rcount)*8)
-		m.exchange(p, sbuf, sdt, scount, right, in, rdt, rcount, left, tag+s)
+		m.batch(c).send(p, sbuf, sdt, scount, (c.me+1)%size, tag+s).
+			recv(in, rdt, rcount, (c.me-1+size)%size, tag+s).wait(p, "group Allreduce")
 		if rcount > 0 {
 			m.combine(p, rbuf, in, prim, op)
 		}
@@ -244,7 +244,7 @@ func (g *Group) Alltoallv(m *Rank, sendBuf mem.Buffer, scounts, sdispls []int, s
 func (g *Group) SendRecvLocal(m *Rank, sendBuf mem.Buffer, sdt *datatype.Datatype, scount, destLocal int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount, srcLocal int) {
 	tag := g.tagBlock(g.LocalRank(m), 1)
-	m.exchange(&m.proc, sendBuf, sdt, scount, g.ranks[destLocal], recvBuf, rdt, rcount, g.ranks[srcLocal], tag)
+	m.SendRecv(sendBuf, sdt, scount, g.ranks[destLocal], tag, recvBuf, rdt, rcount, g.ranks[srcLocal], tag)
 }
 
 // NeighborAlltoallw is the neighbourhood exchange (MPI_Neighbor_alltoallw

@@ -293,11 +293,11 @@ func (m *Rank) hierReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt 
 
 	acc := m.accumulator(p, sendBuf, recvBuf, dt, count, m.rank == root)
 	sp := p.BeginBytes("coll.reduce.intra", n)
-	m.reduceTree(p, node, lead-node.base, acc, dt, count, prim, op, tag)
+	m.reduceTree(p, "Reduce", node, lead-node.base, acc, dt, count, prim, op, tag)
 	sp.End()
 	if m.rank == lead {
 		sp := p.BeginBytes("coll.reduce.inter", n)
-		m.reduceTree(p, leaders, leaders.act, acc, dt, count, prim, op, tag+m.Size())
+		m.reduceTree(p, "Reduce", leaders, leaders.act, acc, dt, count, prim, op, tag+m.Size())
 		sp.End()
 	}
 	if m.rank != root {

@@ -201,7 +201,6 @@ func (m *Rank) isendOn(sp *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, coun
 	s.rts = rts
 	s.rts.snd = s
 	s.rts.info = m.w.tun.strategy.StartSend(op)
-	m.seq++
 	ch.AM(sp, amHeaderBytes, &s.rts, 0)
 	h.End()
 	return &s.req

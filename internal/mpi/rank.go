@@ -31,22 +31,16 @@ type Rank struct {
 	main  rankMain // its body
 
 	inbox      sim.Server[ib.Msg] // active messages, executed in order
-	seq        int64              // message sequence for diagnostics
-	posted     []*recvReq         // receives awaiting a matching arrival
-	unexp      []*rtsMsg          // unexpected arrivals awaiting a recv
-	*arena                        // pinned staging and its pools (arena.go)
+	*arena                        // pinned staging, its pools and the matching lists (arena.go)
 	scratchOut int64              // scratch buffers and stages handed out, not yet returned
 	ringOut    int64              // ring buffers handed out, not yet returned
 
-	barrierSeq int
 	collSeq    int
 	winSeq     int
 	barrierBox amQueue
 
 	collOut  int // nonblocking collectives in flight (see World.Quiescent)
 	icollSeq int // nonblocking collectives started, for process names
-
-	nbReqs []*Request // neighbours' requests, between two calls
 
 	names procNames
 }
@@ -208,7 +202,6 @@ func (m *Rank) SendRecv(
 // Barrier blocks until every rank has entered it (linear gather/release
 // through rank 0; adequate for the benchmark harness).
 func (m *Rank) Barrier() {
-	m.barrierSeq++
 	if m.Size() == 1 {
 		return
 	}

@@ -44,7 +44,7 @@ func (m *Rank) reduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *dat
 	// Topology-blind: one binomial tree over the whole world.
 	prim := reducePrim(dt)
 	acc := m.accumulator(p, sendBuf, recvBuf, dt, count, m.rank == root)
-	m.reduceTree(p, m.worldComm(), root, acc, dt, count, prim, op, tag)
+	m.reduceTree(p, "Reduce", m.worldComm(), root, acc, dt, count, prim, op, tag)
 	if m.rank != root {
 		m.releaseAccum(acc)
 	}

@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gpuddt/internal/datatype"
@@ -130,4 +132,62 @@ func TestReduceRejectsNonContiguous(t *testing.T) {
 		vec := datatype.Vector(4, 1, 2, datatype.Float64)
 		m.Reduce(m.MallocHost(1024), m.MallocHost(1024), vec, 1, OpSum, 0)
 	})
+}
+
+// TestReduceCountMismatch: a rank whose contribution is one element
+// short of the root's count fails the reduction by name — before, the
+// root took it as a legal partial receive and folded the stale tail of
+// its receive buffer — on the flat and the hierarchical world Reduce
+// and on Group Allreduce's tree, on device and on host; one element
+// long is the point-to-point layer's truncation.
+func TestReduceCountMismatch(t *testing.T) {
+	const count = 8
+	dt := datatype.Int64
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		what string
+		run  func(g *Group, m *Rank, send, recv mem.Buffer, n int)
+	}{
+		{"flat Reduce", blockedConfig(1, 2, true), "Reduce", func(g *Group, m *Rank, send, recv mem.Buffer, n int) {
+			m.Reduce(send, recv, dt, n, OpSum, 0)
+		}},
+		{"hierarchical Reduce", blockedConfig(2, 2, false), "Reduce", func(g *Group, m *Rank, send, recv mem.Buffer, n int) {
+			m.Reduce(send, recv, dt, n, OpSum, 0)
+		}},
+		{"group Allreduce tree", blockedConfig(1, 2, true), "group Allreduce", func(g *Group, m *Rank, send, recv mem.Buffer, n int) {
+			g.Allreduce(m, send, recv, dt, n, OpSum, AllreduceTree)
+		}},
+	} {
+		for _, host := range []bool{false, true} {
+			for _, delta := range []int{-1, +1} {
+				want := "mpi: " + tc.what + ": rank 0"
+				if delta > 0 {
+					want = "mpi: truncation"
+				}
+				func() {
+					defer func() {
+						if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+							t.Errorf("%s host=%v: rank 1 contributes %+d elements: panic %q, want %q", tc.name, host, delta, msg, want)
+						}
+					}()
+					w := NewWorld(tc.cfg)
+					defer w.Close()
+					g := w.NewGroup([]int{0, 1})
+					w.Run(func(m *Rank) {
+						n := count
+						if m.Rank() == 1 {
+							n += delta
+						}
+						alloc := m.Malloc
+						if host {
+							alloc = m.MallocHost
+						}
+						send, recv := alloc(8*(count+1)), alloc(8*(count+1))
+						tc.run(g, m, send, recv, n)
+					})
+				}()
+			}
+		}
+	}
 }

@@ -172,9 +172,7 @@ func (g *rmaGet) Handle(p *sim.Proc, step int) {
 // operation (which, by construction, implies remote completion), then
 // synchronizes all ranks.
 func (w *Win) Fence() {
-	for _, r := range w.local {
-		r.Wait(&w.m.proc)
-	}
+	w.m.WaitAll(w.local...)
 	w.local = w.local[:0]
 	w.m.Barrier()
 }

@@ -44,7 +44,7 @@ func (m *Rank) switchReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, d
 
 	acc := m.accumulator(p, sendBuf, recvBuf, dt, count, keep)
 	sp := p.BeginBytes("coll.reduce.intra", n)
-	m.reduceTree(p, node, lead-node.base, acc, dt, count, prim, op, tag)
+	m.reduceTree(p, "Reduce", node, lead-node.base, acc, dt, count, prim, op, tag)
 	sp.End()
 
 	if m.rank == lead {
