@@ -35,20 +35,21 @@ check-fast:
 
 # The CI gate. Every test runs once, under -race: the differential
 # oracle, channel round-trips, golden figures and traces, chaos, scale,
-# model and tuner suites, cmd smoke tests and example builds. On top of
-# that, only what `go test -race ./...` cannot do: the exact allocation
-# pins, which skip under -race (sync.Pool drops there), once without it;
-# the 16384-rank smoke (skipped without GPUDDT_MEGA), a 10 s smoke of
-# each fuzz target, and the four report sweeps run twice (chaosbench has
-# one size, the others run -quick) — each pair of JSON reports must be
-# byte-identical (a sweep is a pure function of its inputs).
+# model suites, the defaults-against-the-grid check, cmd smoke tests and
+# example builds. On top of that, only what `go test -race ./...` cannot
+# do: the exact allocation pins, which skip under -race (sync.Pool drops
+# there), once without it; the 16384-rank smoke (skipped without
+# GPUDDT_MEGA), a 10 s smoke of each fuzz target, and the three report
+# sweeps run twice (chaosbench has one size, the others run -quick) —
+# each pair of JSON reports must be byte-identical (a sweep is a pure
+# function of its inputs).
 # The race step fits an 8 GB host: the race detector's shadow memory
 # costs several bytes per heap byte and is never handed back, so one
 # test binary runs at a time (-p 1) and each collects its garbage before
 # its heap passes 1 GiB (GOMEMLIMIT); under -race the slab pool keeps
 # 256 MiB (internal/mem/budget_race.go), and TestParallelMatchesSerial
 # shrinks.
-ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestStagingAllocatesNothing|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly
+ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestStagingAllocatesNothing|TestSwitchReduceAllocatesNoPayload|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly
 check-full:
 	$(GOFMT_GATE)
 	$(ORPHAN_GATE)
@@ -63,7 +64,7 @@ check-full:
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s; \
 	done
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for b in "scalebench -quick" "appbench -quick" "tunebench -quick" chaosbench; do \
+	for b in "scalebench -quick" "appbench -quick" chaosbench; do \
 		echo "determinism re-run: $$b"; \
 		$(GO) run ./cmd/$$b -out "$$tmp/a.json"; \
 		$(GO) run ./cmd/$$b -out "$$tmp/b.json"; \

@@ -181,7 +181,7 @@ func WriteJSON(v any, outPath, what, tool string, out, errOut io.Writer) int {
 }
 
 // Report is the body of a BENCH_*.json command (appbench, scalebench,
-// tunebench, chaosbench): fs carries the tool's own flags, Report adds
+// chaosbench): fs carries the tool's own flags, Report adds
 // -out, parses args (exit 2 on a bad flag), runs build under prof (nil:
 // the tool has no profile flags), and writes the value build returns
 // with WriteJSON; a build error is one "<tool>: <err>" line and exit 1.

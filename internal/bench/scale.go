@@ -17,11 +17,12 @@ import (
 )
 
 // The scale-out sweep: every collective is run twice on the same
-// fat-tree world — once with the topology-aware hierarchical algorithm,
-// once forced onto the flat (topology-blind) algorithm — and the two
-// runs must produce byte-identical buffers on every rank. The virtual
-// completion times of the pair give the speedup the hierarchy buys at
-// that world size and oversubscription.
+// fat-tree world — once under the default dispatch (the topology-aware
+// hierarchical algorithm; for reduce beyond two nodes, the in-network
+// fold), once forced onto the flat (topology-blind) algorithm — and the
+// two runs must produce byte-identical buffers on every rank. The
+// virtual completion times of the pair give the speedup the default
+// buys at that world size and oversubscription.
 
 // ScaleColls is the collective set the sweep covers.
 var ScaleColls = []string{"bcast", "allgather", "alltoall", "reduce"}
@@ -70,7 +71,8 @@ func QuickScaleSweep() ScaleSweep {
 }
 
 // ScalePoint is one (collective, world, oversubscription) measurement.
-// Times are virtual (simulated) microseconds; Speedup is flat/hier.
+// Times are virtual (simulated) microseconds; HierUs is the default
+// dispatch's arm, and Speedup is flat/hier.
 type ScalePoint struct {
 	Coll         string  `json:"coll"`
 	Nodes        int     `json:"nodes"`

@@ -57,9 +57,8 @@ type Spec struct {
 
 	// Tuning overrides the world's protocol knobs — eager threshold,
 	// pipeline geometry, collective algorithm family. Nil selects the
-	// mpi defaults. Install it with Tuned, by hand or from an entry of
-	// an internal/tune table (Entry.Tuning); it rides into the
-	// mpi.Config that Config builds.
+	// mpi defaults. Install it with Tuned; it rides into the mpi.Config
+	// that Config builds.
 	Tuning *mpi.Tuning
 }
 
@@ -118,23 +117,6 @@ func (s Spec) Config() mpi.Config {
 func (s Spec) Tuned(t *mpi.Tuning) Spec {
 	s.Tuning = t
 	return s
-}
-
-// TopoClass buckets the spec's fabric for tuning-table keys: "smp" for
-// a single node, "flat" for the flat crossbar, "fatN" for a two-tier
-// fat tree at N:1 oversubscription. Coarse on purpose — TEMPI-style
-// canonical keys only pay off when distinct machines of the same class
-// share entries.
-func (s Spec) TopoClass() string {
-	s = s.normalized()
-	if s.Nodes == 1 {
-		return "smp"
-	}
-	t := s.IB.Topo
-	if !t.Hierarchical() {
-		return "flat"
-	}
-	return fmt.Sprintf("fat%d", int(t.Oversubscription()+0.5))
 }
 
 // String names the shape, e.g. "4x2 (fat-tree 8:4)".

@@ -118,9 +118,8 @@ type Engine struct {
 	cache map[cacheKey]*cacheVal
 
 	// statistics
-	convEntries int64
-	convUnits   int64
-	cacheHits   int64
+	convUnits int64
+	cacheHits int64
 }
 
 // New creates an engine for GPU devID of the context's node. Pack and

@@ -402,7 +402,6 @@ func (pk *Packer) convert(p *sim.Proc, m int64) []Entry {
 	// CPU cost of simulating the pack and emitting cuda_dev_dist
 	// entries for this chunk.
 	p.Sleep(sim.Time(pieces)*convPerEntry + sim.Time(len(entries))*convPerUnit)
-	pk.e.convEntries += int64(pieces)
 	pk.e.convUnits += int64(len(entries))
 	// Upload the descriptor array to the device.
 	pk.e.ctx.Node().H2D(pk.e.dev.ID()).Transfer(p, int64(len(entries))*entryDevBytes)

@@ -29,7 +29,6 @@ type Device struct {
 	faults     *fault.Injector
 
 	kernelsRun int64
-	rawMoved   int64
 }
 
 // NewDevice creates a GPU with the given calibration profile. It panics
@@ -154,7 +153,6 @@ func (d *Device) chargeDRAM(p *sim.Proc, raw int64, rate float64) {
 	if total > dramTime {
 		p.Sleep(total - dramTime)
 	}
-	d.rawMoved += raw
 }
 
 // CopyD2D performs a synchronous intra-device copy on the calling

@@ -245,7 +245,6 @@ func (k *Kernel) exec(p *sim.Proc) {
 	p.Sleep(k.link.Latency())
 	k.run()
 	d.kernelsRun++
-	d.rawMoved += k.raw
 }
 
 // Compute submits a memory-bound compute kernel (e.g. a reduction

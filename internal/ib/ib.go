@@ -113,19 +113,24 @@ func DefaultParams() Params {
 
 // Fabric is a set of interconnected HCAs.
 type Fabric struct {
-	eng      *sim.Engine
-	params   Params
-	hcas     []*HCA
-	leaves   []*leafSwitch
-	faults   *fault.Injector
-	sharpOps map[int]*sharpOp // in-flight in-network reductions by op id
+	eng    *sim.Engine
+	params Params
+	hcas   []*HCA
+	leaves []*leafSwitch
+	faults *fault.Injector
+	sharp  []*sharpOp // in-network reductions, in flight or finished (sharp.go)
 }
 
 // leafSwitch holds one leaf's shared uplink servers: up[s] carries
 // leaf→spine s traffic, down[s] spine s→leaf. Flows between HCAs on the
 // same leaf never touch them (the leaf crossbar is non-blocking).
 type leafSwitch struct {
+	name     string // "leaf<i>"
 	up, down []*sim.Link
+
+	// The names of its reduction processes, made on its first
+	// reduction (sharp.go).
+	sharpUp, sharpDown string
 }
 
 // SetFaults installs a fault injector on the fabric. A nil injector
@@ -177,7 +182,7 @@ func (p Params) WithDefaults() Params {
 // NewFabric creates an empty fabric with p's zero fields defaulted (see
 // WithDefaults).
 func NewFabric(eng *sim.Engine, p Params) *Fabric {
-	return &Fabric{eng: eng, params: p.WithDefaults(), sharpOps: make(map[int]*sharpOp)}
+	return &Fabric{eng: eng, params: p.WithDefaults()}
 }
 
 // Params returns the fabric calibration.
@@ -195,7 +200,7 @@ func (f *Fabric) ensureLeaf(i int) {
 	t := f.params.Topo
 	for len(f.leaves) <= i {
 		prefix := "leaf" + strconv.Itoa(len(f.leaves))
-		ls := &leafSwitch{}
+		ls := &leafSwitch{name: prefix}
 		for s := 0; s < t.Spines; s++ {
 			var names [2]string
 			spine := strconv.Itoa(s)
@@ -218,6 +223,7 @@ type HCA struct {
 	regs  map[regKey]bool
 	index int         // attach order on the fabric
 	paths []*sim.Path // pathTo's results, by the peer's index
+	sharp string      // process name of a reduction result's last hop
 }
 
 type regKey struct {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpuddt/internal/gpu"
+	"gpuddt/internal/mem"
 	"gpuddt/internal/pcie"
 	"gpuddt/internal/sim"
 )
@@ -23,6 +24,14 @@ func fatTreeHCAs(n, leafRadix, spines int) (*sim.Engine, *Fabric, []*HCA) {
 	return e, f, hcas
 }
 
+// hostBuf returns b's bytes in a fresh buffer of member h's host
+// memory, as a contribution.
+func hostBuf(h *HCA, b []byte) mem.Buffer {
+	buf := h.Node().Host().Alloc(int64(len(b)), 8)
+	copy(buf.Bytes(), b)
+	return buf
+}
+
 // sumBytes is a toy combine: per-byte wrap-around addition — enough to
 // prove combine ordering, since it is commutative and associative.
 func sumBytes(acc, in []byte) {
@@ -32,8 +41,8 @@ func sumBytes(acc, in []byte) {
 }
 
 // TestSwitchReduceDeterministicResult staggers member arrival times and
-// still requires the exact member-index-order combine result on every
-// member.
+// still requires the exact member-index-order combine result in every
+// member's buffer.
 func TestSwitchReduceDeterministicResult(t *testing.T) {
 	const n = 8
 	e, f, hcas := fatTreeHCAs(n, 4, 2)
@@ -48,18 +57,19 @@ func TestSwitchReduceDeterministicResult(t *testing.T) {
 	for i := 1; i < n; i++ {
 		sumBytes(want, contrib(i))
 	}
-	got := make([][]byte, n)
+	got := make([]mem.Buffer, n)
 	for i := 0; i < n; i++ {
 		i := i
+		got[i] = hostBuf(hcas[i], contrib(i))
 		e.Spawn(fmt.Sprintf("member%d", i), func(p *sim.Proc) {
 			// Reverse-staggered start: member 0 arrives last.
 			p.Sleep(sim.Time(n-i) * 5 * sim.Microsecond)
-			got[i] = f.SwitchReduce(p, 7, hcas, i, contrib(i), sumBytes)
+			f.SwitchReduce(p, 7, hcas, i, got[i], sumBytes)
 		})
 	}
 	e.Run()
 	for i := 0; i < n; i++ {
-		if !bytes.Equal(got[i], want) {
+		if !bytes.Equal(got[i].Bytes(), want) {
 			t.Fatalf("member %d: switch reduce result differs from member-order oracle", i)
 		}
 	}
@@ -93,12 +103,12 @@ func TestSwitchReduceConcurrentOps(t *testing.T) {
 	}
 	// run starts the given ops on one fresh fabric and returns every
 	// member's result of each.
-	run := func(ops ...op) [][][]byte {
+	run := func(ops ...op) [][]mem.Buffer {
 		e, f, hcas := fatTreeHCAs(n, 4, 2)
-		got := make([][][]byte, len(ops))
+		got := make([][]mem.Buffer, len(ops))
 		for k, o := range ops {
 			k, o := k, o
-			got[k] = make([][]byte, n)
+			got[k] = make([]mem.Buffer, n)
 			for i := 0; i < n; i++ {
 				i := i
 				e.Spawn(fmt.Sprintf("op%d.member%d", o.id, i), func(p *sim.Proc) {
@@ -107,7 +117,8 @@ func TestSwitchReduceConcurrentOps(t *testing.T) {
 					for j := range b {
 						b[j] = byte(i*o.seed + j*(i+1))
 					}
-					got[k][i] = f.SwitchReduce(p, o.id, hcas, i, b, o.combine)
+					got[k][i] = hostBuf(hcas[i], b)
+					f.SwitchReduce(p, o.id, hcas, i, got[k][i], o.combine)
 				})
 			}
 		}
@@ -118,11 +129,49 @@ func TestSwitchReduceConcurrentOps(t *testing.T) {
 	for k, o := range ops {
 		alone := run(o)[0]
 		for i := 0; i < n; i++ {
-			if !bytes.Equal(both[k][i], alone[i]) {
+			if !bytes.Equal(both[k][i].Bytes(), alone[i].Bytes()) {
 				t.Fatalf("op %d member %d: concurrent result differs from the op run alone", o.id, i)
 			}
 		}
 	}
+}
+
+// TestSwitchReduceReusesOps runs reductions one after another on one
+// fabric, over 4, then 8, then 4 members: each gives the member-order
+// result, and each takes the finished record of the one before, grown
+// when it has more members.
+func TestSwitchReduceReusesOps(t *testing.T) {
+	e, f, hcas := fatTreeHCAs(8, 4, 2)
+	e.Spawn("driver", func(p *sim.Proc) {
+		for round, k := range []int{4, 8, 4} {
+			want := make([]byte, 16)
+			bufs := make([]mem.Buffer, k)
+			done := make([]*sim.Future, k)
+			for i := range bufs {
+				b := make([]byte, 16)
+				for j := range b {
+					b[j] = byte(round*17 + i*5 + j)
+				}
+				sumBytes(want, b)
+				bufs[i], done[i] = hostBuf(hcas[i], b), e.NewFuture()
+				i := i
+				e.Spawn(fmt.Sprintf("round%d.member%d", round, i), func(pp *sim.Proc) {
+					f.SwitchReduce(pp, 9, hcas[:k], i, bufs[i], sumBytes)
+					done[i].Complete(nil)
+				})
+			}
+			sim.AwaitAll(p, done...)
+			for i := range bufs {
+				if !bytes.Equal(bufs[i].Bytes(), want) {
+					t.Errorf("round %d (%d members), member %d: result differs from member-order oracle", round, k, i)
+				}
+			}
+			if len(f.sharp) != 1 {
+				t.Errorf("round %d: %d op records, want the one reused", round, len(f.sharp))
+			}
+		}
+	})
+	e.Run()
 }
 
 // TestSwitchReduceSingleLeaf skips the spine tier when all members hang
@@ -134,7 +183,7 @@ func TestSwitchReduceSingleLeaf(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("member%d", i), func(p *sim.Proc) {
-			f.SwitchReduce(p, 3, hcas, i, []byte{byte(i)}, sumBytes)
+			f.SwitchReduce(p, 3, hcas, i, hostBuf(hcas[i], []byte{byte(i)}), sumBytes)
 		})
 	}
 	e.Run()
@@ -163,7 +212,7 @@ func TestSwitchReduceFlatFabricPanics(t *testing.T) {
 				t.Error("SwitchReduce on a flat fabric did not panic")
 			}
 		}()
-		f.SwitchReduce(p, 0, []*HCA{h}, 0, []byte{1}, sumBytes)
+		f.SwitchReduce(p, 0, []*HCA{h}, 0, hostBuf(h, []byte{1}), sumBytes)
 	})
 	e.Run()
 }

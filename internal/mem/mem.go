@@ -37,12 +37,11 @@ func (k Kind) String() string {
 // backing storage grows on demand so that a large simulated memory (a
 // 12 GB GPU) costs real memory only for the bytes actually allocated.
 type Space struct {
-	name  string
-	kind  Kind
-	size  int64 // capacity cap
-	data  []byte
-	brk   int64
-	frees int64
+	name string
+	kind Kind
+	size int64 // capacity cap
+	data []byte
+	brk  int64
 
 	// retired holds outgrown backing arrays until Release. They cannot
 	// go back to the slab pool mid-lifetime: a caller may still hold a
@@ -168,7 +167,7 @@ func (s *Space) releaseRetired() {
 // stays, so they cost no growth. Outgrown arrays go to the slab pool.
 // Every Buffer into the space must be dropped first.
 func (s *Space) Reset() {
-	s.brk, s.frees = 0, 0
+	s.brk = 0
 	s.releaseRetired()
 }
 
@@ -218,14 +217,13 @@ func (s *Space) Alloc(n int64, align int64) Buffer {
 	return Buffer{space: s, off: off, n: n}
 }
 
-// Free releases a buffer. The bump allocator does not reclaim space, but
-// Free validates double-free misuse and keeps statistics; simulations are
+// Free releases a buffer. The bump allocator does not reclaim space;
+// Free only checks that the buffer is the space's own. Simulations are
 // sized so that total allocation fits.
 func (s *Space) Free(b Buffer) {
 	if b.space != s {
 		panic("mem: freeing buffer from another space")
 	}
-	s.frees++
 }
 
 // Buffer is a bounds-checked window into a Space. The zero Buffer is

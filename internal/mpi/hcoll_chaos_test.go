@@ -26,7 +26,9 @@ func hierChaosConfig(plan *fault.Plan) Config {
 }
 
 // runHierColl runs one collective on the world and returns each rank's
-// packed result (reduce: the root's accumulator).
+// packed result (reduce: the root's accumulator). "reduce" is an Int64
+// sum, which runs at the switches; "reduce-f64" sums the same bytes as
+// Float64, which stays on the host tree.
 func runHierColl(t *testing.T, cfg Config, coll string) ([][]byte, *World, *sim.Recorder) {
 	t.Helper()
 	size := len(cfg.Ranks)
@@ -56,8 +58,12 @@ func runHierColl(t *testing.T, cfg Config, coll string) ([][]byte, *World, *sim.
 			mem.FillPattern(sendBuf, uint64(7200+m.Rank()))
 			m.Alltoall(sendBuf, dt, 1, recvBuf, dt, 1)
 			imgs[m.Rank()] = cpuPack(dt, size, recvBuf.Bytes())
-		case "reduce":
-			rdt := datatype.Contiguous(1024, datatype.Int64)
+		case "reduce", "reduce-f64":
+			prim := datatype.Int64
+			if coll == "reduce-f64" {
+				prim = datatype.Float64
+			}
+			rdt := datatype.Contiguous(1024, prim)
 			sendBuf := m.Malloc(rdt.Size())
 			recvBuf := m.Malloc(rdt.Size())
 			mem.FillPattern(sendBuf, uint64(7300+m.Rank()))
@@ -71,11 +77,12 @@ func runHierColl(t *testing.T, cfg Config, coll string) ([][]byte, *World, *sim.
 }
 
 // TestHierChaosSweep injects transient faults into every hierarchical
-// collective at 64 ranks and requires full recovery: byte-identical
-// results to the clean run, at least one fault actually injected, and
-// zero scratch/ring slabs leaked on any rank.
+// collective at 64 ranks, and into both reduce paths (in-network and
+// host tree), and requires full recovery: byte-identical results to the
+// clean run, at least one fault actually injected, and zero
+// scratch/ring slabs leaked on any rank.
 func TestHierChaosSweep(t *testing.T) {
-	for _, coll := range []string{"bcast", "allgather", "alltoall", "reduce"} {
+	for _, coll := range []string{"bcast", "allgather", "alltoall", "reduce", "reduce-f64"} {
 		clean, cw, _ := runHierColl(t, hierChaosConfig(nil), coll)
 		if n := cw.Faults().Total(); n != 0 {
 			t.Fatalf("%s: clean run injected %d faults", coll, n)
@@ -89,6 +96,9 @@ func TestHierChaosSweep(t *testing.T) {
 			}
 			if rec.Counter("mpi.retry")+rec.Counter("gpu.launch.retry") == 0 {
 				t.Errorf("%s seed %d: faults injected but no retry recorded", coll, seed)
+			}
+			if sharp := rec.Counter("ib.sharp.reduce"); (coll == "reduce") != (sharp > 0) {
+				t.Errorf("%s seed %d: %d in-network reductions; only the Int64 reduce runs at the switches", coll, seed, sharp)
 			}
 			for r := range got {
 				if !bytes.Equal(got[r], clean[r]) {

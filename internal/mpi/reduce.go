@@ -33,7 +33,7 @@ func (m *Rank) Reduce(sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count 
 }
 
 func (m *Rank) reduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op, root int) {
-	if m.switchOn() && count > 0 {
+	if count > 0 && m.switchOn(dt, op, false) {
 		m.switchReduce(p, tag, sendBuf, recvBuf, dt, count, op, root, -1)
 		return
 	}
@@ -88,7 +88,7 @@ func (m *Rank) releaseAccum(b mem.Buffer) {
 func (m *Rank) Allreduce(sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, op Op) {
 	tag := m.tagBlock(m.reduceTags() + m.bcastTags())
 	tagB := tag + m.reduceTags()
-	if m.switchOn() && count > 0 {
+	if count > 0 && m.switchOn(dt, op, true) {
 		// The switch multicasts the result to every node's leader on the
 		// way down, so only the intra-node broadcast remains.
 		m.switchReduce(&m.proc, tag, sendBuf, recvBuf, dt, count, op, 0, tagB)

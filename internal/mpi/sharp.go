@@ -10,22 +10,41 @@ import (
 // binomial tree over the per-node leaders on the IB tier, each leader
 // hands its node's partial to the fat-tree switches, whose ALUs fold
 // the partials on the way up and multicast the result back down
-// (ib.Fabric.SwitchReduce). Selected by Tuning.Collectives ==
-// CollSwitch — normally written by the auto-tuner (internal/tune) only
-// where the measured switch path beats hierReduce. The combine
-// association (node partials folded in node order at the switch)
-// differs from both the flat and the hierarchical tree, with the same
-// caveat hierReduce documents: exact for Int64 and OpMax; Float64 sums
-// may round differently.
+// (ib.Fabric.SwitchReduce). The combine association (node partials
+// folded in node order at the switch) differs from both the flat and
+// the hierarchical tree, so it is the default only where that cannot
+// show: Int64, or OpMax. Float64 sums stay on the host tree.
 
-// switchOn reports whether this world's Reduce/Allreduce run at the
-// switches: requested by the tuning, a blocked multi-node layout, and a
-// fabric that actually has switch ALUs (a spine tier). Everything else
-// falls back to the CollAuto dispatch.
-func (m *Rank) switchOn() bool {
-	return m.w.tun.coll == CollSwitch &&
-		m.w.hier.nodes > 1 &&
-		m.w.fabric.Params().Topo.Hierarchical()
+// switchOn reports whether a Reduce (all false) or Allreduce (all true)
+// of dt under op runs at the switches: the fabric has switch ALUs (a
+// spine tier), the blocked layout spans more than one node, the world
+// does not force the flat algorithms, and the combine is exact at the
+// switch. A Reduce over exactly two node leaders stays on the host
+// tree, where it is one message; an Allreduce there still saves the
+// broadcast back.
+func (m *Rank) switchOn(dt *datatype.Datatype, op Op, all bool) bool {
+	w := m.w
+	if w.tun.coll == CollFlat || w.hier.nodes < 2 || !w.fabric.Params().Topo.Hierarchical() {
+		return false
+	}
+	if !all && w.hier.nodes == 2 {
+		return false
+	}
+	return op == OpMax || reducePrim(dt) == datatype.PrimInt64
+}
+
+// fold names a combine the switch ALUs run exactly.
+type fold struct {
+	prim datatype.Primitive
+	op   Op
+}
+
+// switchFolds are the switch ALUs' combines, made once so a reduction
+// passes one without allocating.
+var switchFolds = map[fold]func(acc, in []byte){
+	{datatype.PrimInt64, OpSum}:   func(a, b []byte) { combineBytes(a, b, datatype.PrimInt64, OpSum) },
+	{datatype.PrimInt64, OpMax}:   func(a, b []byte) { combineBytes(a, b, datatype.PrimInt64, OpMax) },
+	{datatype.PrimFloat64, OpMax}: func(a, b []byte) { combineBytes(a, b, datatype.PrimFloat64, OpMax) },
 }
 
 // switchReduce: binomial reduction to each node's acting leader over
@@ -51,11 +70,8 @@ func (m *Rank) switchReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, d
 		sp := p.BeginBytes("coll.reduce.sharp", n)
 		host := m.scratch(n).Slice(0, n)
 		m.packToHost(p, acc, dt, count, host)
-		res := m.w.fabric.SwitchReduce(p, tag, m.w.hcas[:leaders.n], leaders.me, host.Bytes(), func(a, b []byte) {
-			combineBytes(a, b, prim, op)
-		})
+		m.w.fabric.SwitchReduce(p, tag, m.w.hcas[:leaders.n], leaders.me, host, switchFolds[fold{prim, op}])
 		if keep {
-			copy(host.Bytes(), res)
 			m.unpackFromHost(p, acc, dt, count, host)
 		}
 		m.freeScratch(host)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"gpuddt/internal/datatype"
@@ -9,49 +10,62 @@ import (
 	"gpuddt/internal/sim"
 )
 
-// switchConfig places nodes*rpn ranks blocked on a fat-tree fabric and
-// requests in-network reduction.
+// switchConfig places nodes*rpn ranks blocked on a fat-tree fabric
+// under the default tuning, which reduces in-network where that is
+// exact.
 func switchConfig(nodes, rpn, leafRadix, spines int) Config {
-	var ranks []Placement
-	for r := 0; r < nodes*rpn; r++ {
-		ranks = append(ranks, Placement{Node: r / rpn, GPU: r % rpn})
-	}
-	cfg := Config{Ranks: ranks, Tuning: &Tuning{Collectives: CollSwitch}}
+	cfg := blockedConfig(nodes, rpn, false)
 	cfg.IB.Topo.LeafRadix = leafRadix
 	cfg.IB.Topo.Spines = spines
 	return cfg
 }
 
+// TestSwitchDispatchSelection is the default's truth table: Reduce and
+// Allreduce run at the switches on a fat tree spanning more than one
+// node when the combine is exact there (Int64, or OpMax), except a
+// Reduce over exactly two node leaders, which stays on the host tree.
+// A flat fabric and CollFlat never go in-network.
 func TestSwitchDispatchSelection(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		want bool
+	combines := []struct {
+		name  string
+		dt    *datatype.Datatype
+		op    Op
+		exact bool
 	}{
-		{"fat tree, switch requested", switchConfig(4, 2, 2, 1), true},
-		{"one rank per node still reduces in-network", switchConfig(4, 1, 2, 1), true},
-		{"flat fabric falls back", func() Config {
-			cfg := switchConfig(4, 2, 0, 0)
-			return cfg
-		}(), false},
-		{"single node falls back", switchConfig(1, 4, 2, 1), false},
-		{"auto tuning never goes in-network", func() Config {
-			cfg := switchConfig(4, 2, 2, 1)
-			cfg.Tuning = &Tuning{}
-			return cfg
-		}(), false},
+		{"int64 sum", datatype.Int64, OpSum, true},
+		{"int64 max", datatype.Int64, OpMax, true},
+		{"float64 max", datatype.Float64, OpMax, true},
+		{"float64 sum", datatype.Float64, OpSum, false},
 	}
-	for _, c := range cases {
-		w := NewWorld(c.cfg)
-		if got := w.ranks[0].switchOn(); got != c.want {
-			t.Errorf("%s: switchOn = %v, want %v", c.name, got, c.want)
+	for _, c := range combines {
+		for _, nodes := range []int{1, 2, 3} {
+			for _, all := range []bool{false, true} {
+				want := c.exact && (nodes == 3 || nodes == 2 && all)
+				if got := NewWorld(switchConfig(nodes, 2, 2, 1)).ranks[0].switchOn(c.dt, c.op, all); got != want {
+					t.Errorf("%s, %d nodes, allreduce %v: switchOn = %v, want %v", c.name, nodes, all, got, want)
+				}
+			}
 		}
+		for _, all := range []bool{false, true} {
+			if NewWorld(switchConfig(3, 2, 0, 0)).ranks[0].switchOn(c.dt, c.op, all) {
+				t.Errorf("%s, allreduce %v: in-network on a flat fabric", c.name, all)
+			}
+			cfg := switchConfig(3, 2, 2, 1)
+			cfg.Tuning = &Tuning{Collectives: CollFlat}
+			if NewWorld(cfg).ranks[0].switchOn(c.dt, c.op, all) {
+				t.Errorf("%s, allreduce %v: in-network under CollFlat", c.name, all)
+			}
+		}
+	}
+	if !NewWorld(switchConfig(4, 1, 2, 1)).ranks[0].switchOn(datatype.Int64, OpSum, false) {
+		t.Error("one rank per node: Reduce not in-network")
 	}
 }
 
-// TestSwitchReduceMatchesFlat is the bit-identity gate: the in-network
-// reduction must agree with the flat host-side oracle bit for bit on
-// exactly-associative operators (Int64 sum and max).
+// TestSwitchReduceMatchesFlat is the bit-identity gate: the default
+// Reduce — in-network beyond two nodes, the host tree at two — must
+// agree with the flat host-side oracle bit for bit on the operators
+// exact at the switch (Int64 sum and max).
 func TestSwitchReduceMatchesFlat(t *testing.T) {
 	const count = 2048
 	dt := datatype.Contiguous(count, datatype.Int64)
@@ -92,8 +106,8 @@ func TestSwitchReduceMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestSwitchAllreduceMatchesFlat: every rank's Allreduce result must
-// match the flat oracle bit for bit.
+// TestSwitchAllreduceMatchesFlat: every rank's default (in-network)
+// Allreduce result must match the flat oracle bit for bit.
 func TestSwitchAllreduceMatchesFlat(t *testing.T) {
 	const count = 1024
 	dt := datatype.Contiguous(count, datatype.Int64)
@@ -156,18 +170,17 @@ func TestSwitchReduceSpans(t *testing.T) {
 	}
 }
 
-// TestSwitchBeatsHierOversubscribed pins the performance claim the
-// tuner exploits: on an oversubscribed fat tree the in-network
-// reduction finishes earlier in virtual time than the host-side
+// TestSwitchBeatsHierOversubscribed pins why in-network reduction is
+// the default: on an oversubscribed fat tree the default Int64
+// Allreduce, which runs at the switches, finishes earlier in virtual
+// time than the same bytes as Float64, which stay on the host-side
 // hierarchical tree, because one partial per leaf crosses the starved
 // uplinks instead of log2(nodes) full binomial rounds.
 func TestSwitchBeatsHierOversubscribed(t *testing.T) {
-	const count = 1 << 15 // 256 KiB of Int64 per rank
-	dt := datatype.Contiguous(count, datatype.Int64)
-	run := func(coll CollMode) sim.Time {
-		cfg := switchConfig(8, 4, 4, 1) // 4:1 oversubscribed, two leaves
-		cfg.Tuning = &Tuning{Collectives: coll}
-		w := NewWorld(cfg)
+	const count = 1 << 15 // 256 KiB per rank
+	run := func(prim *datatype.Datatype) sim.Time {
+		dt := datatype.Contiguous(count, prim)
+		w := NewWorld(switchConfig(8, 4, 4, 1)) // 4:1 oversubscribed, two leaves
 		w.Run(func(m *Rank) {
 			sendBuf := m.MallocHost(dt.Size())
 			recvBuf := m.MallocHost(dt.Size())
@@ -178,9 +191,83 @@ func TestSwitchBeatsHierOversubscribed(t *testing.T) {
 		w.Close()
 		return now
 	}
-	hier, sw := run(CollAuto), run(CollSwitch)
+	hier, sw := run(datatype.Float64), run(datatype.Int64)
 	if sw >= hier {
-		t.Fatalf("switch allreduce (%v) not faster than hier (%v) on oversubscribed tree", sw, hier)
+		t.Fatalf("in-network Int64 allreduce (%v) not faster than the host tree's Float64 one (%v) on an oversubscribed tree", sw, hier)
 	}
-	t.Logf("hier %v, switch %v (%.2fx)", hier, sw, float64(hier)/float64(sw))
+	t.Logf("host tree %v, switch %v (%.2fx)", hier, sw, float64(hier)/float64(sw))
+}
+
+// TestSwitchReduceAllocatesNoPayload pins the switch path's heap cost:
+// the switches fold the leaders' staged contributions in place, so a
+// steady-state in-network Allreduce of a 32 KiB Int64 vector on a
+// rebuilt 64-rank world allocates no object of payload size (32 KiB or
+// more) in any of its processes, outside the world's own memory
+// spaces. A fold over copies of the 16 contributions allocated
+// 17 × 32 KiB per reduction.
+func TestSwitchReduceAllocatesNoPayload(t *testing.T) {
+	const n = 32 << 10
+	dt := datatype.Contiguous(n/8, datatype.Int64)
+	cfg := switchConfig(16, 4, 8, 4)
+	round := func(traced bool) {
+		w := NewWorld(cfg)
+		var rec *sim.Recorder
+		if traced {
+			rec = sim.NewRecorder(w.Engine())
+		}
+		w.Run(func(m *Rank) {
+			sendBuf := m.Malloc(n)
+			recvBuf := m.Malloc(n)
+			for range 2 {
+				m.Allreduce(sendBuf, recvBuf, dt, 1, OpSum)
+			}
+		})
+		if rec != nil && rec.Counter("ib.sharp.reduce") != 2 {
+			t.Fatalf("%d in-network reductions, want 2", rec.Counter("ib.sharp.reduce"))
+		}
+		w.Close()
+	}
+	round(true)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := payloadAllocs()
+	round(false)
+	if got := payloadAllocs() - before; got != 0 {
+		t.Errorf("a rebuilt world's in-network Allreduces allocated %d bytes in payload-sized objects, want 0", got)
+	}
+}
+
+// payloadAllocs returns the bytes simulated processes have allocated so
+// far in objects of 32 KiB or more, other than a memory space's backing.
+func payloadAllocs() int64 {
+	for range 3 { // the profile publishes a cycle's allocations two collections late
+		runtime.GC()
+	}
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		if r.AllocObjects == 0 || r.AllocBytes/r.AllocObjects < 32<<10 {
+			continue
+		}
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == "gpuddt/internal/mem.(*Space).ensure" {
+				break
+			}
+			if f.Function == "gpuddt/internal/sim.(*Proc).run" {
+				total += r.AllocBytes
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }

@@ -3,9 +3,8 @@ package mpi
 import "gpuddt/internal/sim"
 
 // Tuning is the one typed bundle of protocol knobs a world runs under:
-// benchmarks and tools construct a Tuning (by hand, or from an entry of
-// an internal/tune table) and install it as Config.Tuning; everything
-// else reads the resolved values. Zero fields
+// benchmarks and tools construct a Tuning and install it as
+// Config.Tuning; everything else reads the resolved values. Zero fields
 // select the defaults, so a nil and an empty Tuning are byte-identical.
 type Tuning struct {
 	// Eager bounds the packed size sent eagerly. nil means DefaultEager;
@@ -29,8 +28,7 @@ type Tuning struct {
 }
 
 // The protocol defaults a Tuning's zero fields select. They are stated
-// here only: the tuner's default entry and the modelled worlds of
-// internal/model read them too.
+// here only: the modelled worlds of internal/model read them too.
 const (
 	DefaultEager     = 64 << 10 // packed bytes sent eagerly
 	DefaultFragBytes = 1 << 20  // rendezvous pipeline fragment size
@@ -54,45 +52,14 @@ type CollMode int
 
 const (
 	// CollAuto runs the hierarchical algorithms wherever the rank
-	// layout supports them (the default).
+	// layout supports them, and Reduce/Allreduce at the switches where
+	// the fabric can fold them exactly (the default; see switchOn).
 	CollAuto CollMode = iota
 
 	// CollFlat forces the topology-blind algorithms everywhere; the
 	// differential-testing oracle and the scaling benchmark's flat arm.
 	CollFlat
-
-	// CollSwitch executes Reduce/Allreduce in-network at the fat-tree
-	// leaf/spine switches (SHARP-style); every other collective runs as
-	// under CollAuto. Worlds without a hierarchical fabric fall back to
-	// CollAuto dispatch.
-	CollSwitch
 )
-
-// String returns the table encoding of the mode.
-func (c CollMode) String() string {
-	switch c {
-	case CollFlat:
-		return "flat"
-	case CollSwitch:
-		return "switch"
-	default:
-		return "auto"
-	}
-}
-
-// ParseCollMode is the inverse of CollMode.String; unknown strings
-// report ok=false.
-func ParseCollMode(s string) (CollMode, bool) {
-	switch s {
-	case "auto", "":
-		return CollAuto, true
-	case "flat":
-		return CollFlat, true
-	case "switch":
-		return CollSwitch, true
-	}
-	return CollAuto, false
-}
 
 // resolvedTuning is the world's effective knob set: every field
 // concrete, defaults applied once at NewWorld.

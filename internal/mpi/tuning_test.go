@@ -68,16 +68,3 @@ func TestTuningDefaults(t *testing.T) {
 		t.Fatal("default strategy is not the pipelined one")
 	}
 }
-
-// TestCollModeRoundTrip: the table encoding parses back to itself.
-func TestCollModeRoundTrip(t *testing.T) {
-	for _, c := range []CollMode{CollAuto, CollFlat, CollSwitch} {
-		got, ok := ParseCollMode(c.String())
-		if !ok || got != c {
-			t.Fatalf("CollMode %v does not round-trip (got %v, ok %v)", c, got, ok)
-		}
-	}
-	if _, ok := ParseCollMode("bogus"); ok {
-		t.Fatal("bogus mode parsed")
-	}
-}

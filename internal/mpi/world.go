@@ -45,8 +45,7 @@ type Config struct {
 
 	// Tuning bundles every protocol knob — eager threshold, pipeline
 	// geometry, collective algorithm family, transfer strategy. Nil
-	// selects the defaults. Construct one via cluster.Spec (which can
-	// load it from a persisted tuning table, see internal/tune).
+	// selects the defaults. cluster.Spec.Tuned installs one.
 	Tuning *Tuning
 
 	// Faults installs a deterministic fault plan on every substrate
