@@ -3,6 +3,7 @@ package baseline
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"gpuddt/internal/cuda"
@@ -220,5 +221,43 @@ func TestMVAPICHPartialReceive(t *testing.T) {
 		if got[i] != 0 {
 			t.Fatalf("packed byte %d beyond the message was written", i)
 		}
+	}
+}
+
+// TestMVAPICHVectorizesOnce: a strategy value vectorizes a (datatype,
+// count) once and serves every later stageOut and stageIn the same
+// segments — across worlds, and from worlds running concurrently, as
+// `ddtbench -parallel` runs them (meaningful under -race).
+func TestMVAPICHVectorizesOnce(t *testing.T) {
+	dt := shapes.LowerTriangular(192) // past the eager limit
+	s := &MVAPICHStrategy{}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := mpi.NewWorld(mpi.Config{
+				Ranks:  []mpi.Placement{{Node: 0, GPU: 0}, {Node: 0, GPU: 1}},
+				Tuning: &mpi.Tuning{Strategy: s},
+			})
+			w.Run(func(m *mpi.Rank) {
+				buf := m.Malloc(dt.Span(1))
+				for j := 0; j < 2; j++ {
+					if m.Rank() == 0 {
+						m.Send(buf, dt, 1, 1, j)
+					} else {
+						m.Recv(buf, dt, 1, 0, j)
+					}
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	segs := s.segs[segKey{dt, 1}]
+	if len(s.segs) != 1 || !reflect.DeepEqual(segs, Vectorize(dt, 1)) {
+		t.Fatalf("strategy holds %d segment lists, want the one Vectorize gives", len(s.segs))
+	}
+	if &s.vectorized(dt, 1)[0] != &segs[0] {
+		t.Fatal("a later message vectorized again")
 	}
 }

@@ -9,6 +9,7 @@ package baseline
 
 import (
 	"fmt"
+	"sync"
 
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
@@ -71,7 +72,38 @@ func (s VecSeg) PackedLen() int64 { return s.Len * s.Count }
 // receiver-side cudaMemcpy2D per segment out of host staging. The three
 // stages run sequentially (the paper: "no pipelining or overlap between
 // the different stages of the datatype conversion is provided").
-type MVAPICHStrategy struct{}
+//
+// A strategy value vectorizes each (datatype, count) once and keeps the
+// segments for every later message: a value may serve every rank of a
+// world and concurrent worlds, so the table is guarded. The zero value
+// is ready to use.
+type MVAPICHStrategy struct {
+	mu   sync.Mutex
+	segs map[segKey][]VecSeg
+}
+
+// segKey names a (datatype, count) the strategy has vectorized.
+type segKey struct {
+	dt    *datatype.Datatype
+	count int
+}
+
+// vectorized returns Vectorize(dt, count), computing it on first use.
+// The segments are shared: callers only read them.
+func (s *MVAPICHStrategy) vectorized(dt *datatype.Datatype, count int) []VecSeg {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key := segKey{dt, count}
+	segs, ok := s.segs[key]
+	if !ok {
+		if s.segs == nil {
+			s.segs = make(map[segKey][]VecSeg)
+		}
+		segs = Vectorize(dt, count)
+		s.segs[key] = segs
+	}
+	return segs
+}
 
 // Name implements mpi.Strategy.
 func (s *MVAPICHStrategy) Name() string { return "mvapich" }
@@ -134,7 +166,7 @@ func (s *MVAPICHStrategy) stageOut(p *sim.Proc, op *mpi.SendOp, dst mem.Buffer) 
 		return
 	}
 	var packOff int64
-	for _, seg := range Vectorize(op.Dt, op.Count) {
+	for _, seg := range s.vectorized(op.Dt, op.Count) {
 		src := op.Buf.Slice(seg.Off, (seg.Count-1)*seg.Stride+seg.Len)
 		m.Ctx().Memcpy2D(p, dst.Slice(packOff, seg.PackedLen()), seg.Len, src, seg.Stride, seg.Len, seg.Count)
 		packOff += seg.PackedLen()
@@ -149,7 +181,7 @@ func (s *MVAPICHStrategy) stageIn(p *sim.Proc, op *mpi.RecvOp, src mem.Buffer) {
 		return
 	}
 	var packOff int64
-	for _, seg := range Vectorize(op.Dt, op.Count) {
+	for _, seg := range s.vectorized(op.Dt, op.Count) {
 		rem := src.Len() - packOff
 		if rem <= 0 {
 			break

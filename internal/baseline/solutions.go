@@ -28,8 +28,6 @@ func SolutionA(p *sim.Proc, ctx *cuda.Ctx, buf mem.Buffer, dt *datatype.Datatype
 // and tiny transfers make it collapse for fine-grained layouts.
 func SolutionB(p *sim.Proc, ctx *cuda.Ctx, buf mem.Buffer, dt *datatype.Datatype, count int, dst mem.Buffer) {
 	c := datatype.NewConverter(dt, count)
-	c.Advance(c.Total(), nil) // position bookkeeping only
-	c.Rewind()
 	c.Advance(c.Total(), func(memOff, packOff, n int64) {
 		ctx.Memcpy(p, dst.Slice(packOff, n), buf.Slice(memOff, n))
 	})

@@ -71,8 +71,11 @@ func QuickScaleSweep() ScaleSweep {
 }
 
 // ScalePoint is one (collective, world, oversubscription) measurement.
-// Times are virtual (simulated) microseconds; HierUs is the default
-// dispatch's arm, and Speedup is flat/hier.
+// Times are virtual (simulated) microseconds. HierUs is the default
+// dispatch's arm (CollAuto), not always a host leader algorithm: a
+// reduce over more than two nodes folds in-network there, so its
+// Speedup, flat/hier, is flat over in-network. The JSON key keeps its
+// name.
 type ScalePoint struct {
 	Coll         string  `json:"coll"`
 	Nodes        int     `json:"nodes"`

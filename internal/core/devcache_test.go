@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -95,9 +96,9 @@ func TestDevCacheStatsCounters(t *testing.T) {
 }
 
 // TestFirstPackAllocatesItsListOnly pins the heap bytes of a cache
-// miss: the list a converting packer keeps is sized from its layout's
-// bound, so the first pack of a 32-block triangle on a fresh engine
-// allocates its list of a few dozen entries, the cache's map and the
+// miss: the list a converting packer keeps is sized exactly (see
+// Packer.countRuns), so the first pack of a 32-block triangle on a fresh
+// engine allocates its list of a few dozen runs, the cache's map and the
 // worker it borrows. (At the commit before, every conversion took a
 // list of at least 1 024 entries, 24 KiB: 27 408 B here.)
 func TestFirstPackAllocatesItsListOnly(t *testing.T) {
@@ -176,5 +177,52 @@ func BenchmarkDEVCacheHit(b *testing.B) {
 				b.Fatalf("expected every iteration to hit, got %d/%d", e.CacheHits(), b.N)
 			}
 		})
+	}
+}
+
+// TestTransposeListIsRuns pins the list the transpose stress shape
+// (§5.2.3) converts into: Transpose(512) is 262 144 eight-byte units, one
+// per matrix element, and its list holds them as at most 512 runs. Its
+// first pack on a fresh engine allocates at most 64 KiB (the list of
+// single units was 6.34 MB), and a cached pack plus unpack allocates
+// nothing. A throw-away world converts first and is released, as an
+// earlier world is, so the descriptor, list and slab pools are warm; the
+// collector stays off until the pin is read, as a collection empties
+// sync.Pools.
+func TestTransposeListIsRuns(t *testing.T) {
+	skipIfPoolDrops(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	dt := shapes.Transpose(512)
+	warm := newRig(t, Options{})
+	warm.eng.Spawn("warm", func(p *sim.Proc) { packNow(p, warm.ctx, warm.e, dt, 1) })
+	warm.eng.Run()
+	warm.e.Release()
+	warm.ctx.Node().Release()
+
+	r := newRig(t, Options{})
+	data, packed := r.ctx.Malloc(0, dt.Span(1)), r.ctx.Malloc(0, dt.Size())
+	var first, cached uint64
+	r.eng.Spawn("drive", func(p *sim.Proc) {
+		p.Sleep(1) // grows the event queue
+		first = allocBytes(func() { r.e.Pack(p, data, dt, 1, packed) })
+		r.e.Unpack(p, data, dt, 1, packed)
+		cached = allocBytes(func() {
+			r.e.Pack(p, data, dt, 1, packed)
+			r.e.Unpack(p, data, dt, 1, packed)
+		})
+	})
+	r.eng.Run()
+	val := r.e.cache[cacheKey{dt, 1}]
+	if val == nil || r.e.ConvertedUnits() != 512*512 {
+		t.Fatalf("the first pack converted %d units, want 262144 cached", r.e.ConvertedUnits())
+	}
+	if n := len(val.entries); n > 512 {
+		t.Errorf("the list holds %d runs, want at most 512", n)
+	}
+	if first > 64<<10 {
+		t.Errorf("the first pack allocated %d B, want at most 64 KiB", first)
+	}
+	if cached != 0 {
+		t.Errorf("a cached pack and unpack allocated %d B, want none", cached)
 	}
 }

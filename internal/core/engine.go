@@ -5,9 +5,11 @@
 // entries — <memory displacement, packed displacement, length> tuples —
 // splits them into equally sized CUDA-DEV work units of size S that map
 // one-to-one onto warps (§3.2), and executes pack/unpack as GPU kernels.
-// The CPU-side conversion is pipelined with kernel execution, and the
-// split unit list can be cached (keyed by datatype and count) so repeat
-// transfers skip conversion entirely. Datatypes whose layout is an evenly
+// Units are held as runs of equal, evenly strided units from conversion
+// to kernel (see Entry; DESIGN decision 30). The CPU-side conversion is
+// pipelined with kernel execution, and the split unit list can be
+// cached (keyed by datatype and count) so repeat transfers skip
+// conversion entirely. Datatypes whose layout is an evenly
 // strided vector bypass conversion and use the specialized vector kernel
 // of §3.1.
 //
@@ -19,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"gpuddt/internal/cuda"
@@ -28,15 +31,27 @@ import (
 	"gpuddt/internal/sim"
 )
 
-// Entry is one CUDA-DEV work unit before it is bound to a direction:
-// Len bytes at MemOff in the non-contiguous data correspond to PackOff in
-// the packed stream. Partial marks units shorter than the split size S.
+// Entry is a run of More+1 CUDA-DEV work units before it is bound to a
+// direction: unit j is Len bytes at MemOff+j*Stride in the non-contiguous
+// data, corresponding to PackOff+j*Len in the packed stream — the packed
+// side of a run is contiguous, its memory side steps by a constant
+// stride. The zero More and Stride are one unit. Partial marks units
+// shorter than the split size S. A list of runs is a lossless encoding
+// of the unit list: expanded, it gives the units one by one.
 type Entry struct {
 	MemOff  int64
 	PackOff int64
 	Len     int32
+	More    int32 // units after the first
+	Stride  int32 // memory-side step between units
 	Partial bool
 }
+
+// end is the packed offset just past the run.
+func (e *Entry) end() int64 { return e.PackOff + (int64(e.More)+1)*int64(e.Len) }
+
+// units is the number of units the run stands for.
+func (e *Entry) units() int64 { return int64(e.More) + 1 }
 
 // Options configure the engine. Zero values select the defaults
 // documented on each field via DefaultOptions.
@@ -187,10 +202,10 @@ func (e *Engine) lookupCache(dt *datatype.Datatype, count int) *cacheVal {
 	return val
 }
 
-// storeCache keeps a fully converted unit list, unless one for (dt,
-// count) was stored while it was being built, and charges the GPU memory
-// that holds its descriptor array (the paper's "few MBs of GPU memory",
-// §5.1).
+// storeCache keeps a fully converted list, unless one for (dt, count)
+// was stored while it was being built, and charges the GPU memory that
+// holds its descriptor array, one cuda_dev_dist per unit (the paper's
+// "few MBs of GPU memory", §5.1).
 func (e *Engine) storeCache(dt *datatype.Datatype, count int, entries []Entry) {
 	key := cacheKey{dt, count}
 	if e.cache[key] != nil {
@@ -199,29 +214,115 @@ func (e *Engine) storeCache(dt *datatype.Datatype, count int, entries []Entry) {
 	if e.cache == nil {
 		e.cache = make(map[cacheKey]*cacheVal)
 	}
-	devBuf := e.dev.Mem().Alloc(int64(len(entries))*entryDevBytes, 256)
+	var units int64
+	for i := range entries {
+		units += entries[i].units()
+	}
+	devBuf := e.dev.Mem().Alloc(units*entryDevBytes, 256)
 	e.cache[key] = &cacheVal{entries: entries, devBuf: devBuf}
 }
 
 // entryDevBytes is sizeof(cuda_dev_dist): three 8-byte fields (§3.2).
 const entryDevBytes = 24
 
-// splitEntries appends the CUDA-DEV units for one converter emission.
-func splitEntries(dst []Entry, unitSize, memOff, packOff, n int64) []Entry {
-	for n > 0 {
-		take := unitSize
-		if n < take {
-			take = n
-		}
-		dst = append(dst, Entry{
-			MemOff:  memOff,
-			PackOff: packOff,
-			Len:     int32(take),
-			Partial: take < unitSize,
-		})
-		memOff += take
-		packOff += take
-		n -= take
-	}
-	return dst
+// runs appends units to a list of runs. A unit extends the last run
+// when it continues it — same Len and Partial, next in the packed
+// stream, one stride on in memory — unless that run is before mark, and
+// so belongs to an earlier chunk. In counting mode (count) it keeps no
+// list: it counts the runs in n and keeps the last in tail.
+type runs struct {
+	list  []Entry
+	mark  int   // index into list, or into the count
+	unit  int64 // the split size S
+	units int64 // units appended
+	count bool
+	n     int
+	tail  Entry
 }
+
+// last returns the run a unit may extend, or nil.
+func (r *runs) last() *Entry {
+	switch {
+	case r.count && r.n > r.mark:
+		return &r.tail
+	case !r.count && len(r.list) > r.mark:
+		return &r.list[len(r.list)-1]
+	}
+	return nil
+}
+
+// add appends n units of l bytes, the first at memOff in memory and
+// packOff in the packed stream, each next one stride bytes further in
+// memory and l further packed. stride must fit 32 bits when n > 1.
+func (r *runs) add(memOff, packOff int64, l int32, n, stride int64, partial bool) {
+	r.units += n
+	if last := r.last(); last != nil {
+		step := memOff - (last.MemOff + int64(last.More)*int64(last.Stride))
+		s := int64(last.Stride)
+		if last.More == 0 {
+			s = step // one unit takes the stride of what continues it
+		}
+		if last.Len == l && last.Partial == partial && last.end() == packOff && step == s && fits32(s) &&
+			(n == 1 || stride == s) && int64(last.More)+n <= math.MaxInt32 {
+			last.More, last.Stride = last.More+int32(n), int32(s)
+			return
+		}
+	}
+	for n > 0 {
+		k := min(n, math.MaxInt32)
+		e := Entry{MemOff: memOff, PackOff: packOff, Len: l, More: int32(k - 1), Partial: partial}
+		if k > 1 {
+			e.Stride = int32(stride)
+		}
+		if r.count {
+			r.tail = e
+			r.n++
+		} else {
+			r.list = append(r.list, e)
+		}
+		memOff, packOff, n = memOff+k*stride, packOff+k*int64(l), n-k
+	}
+}
+
+// piece appends the units of one converter piece of l bytes: whole
+// units of S bytes, then the rest, partial.
+func (r *runs) piece(memOff, packOff, l int64) {
+	if k := l / r.unit; k > 0 {
+		r.add(memOff, packOff, int32(r.unit), k, r.unit, false)
+		memOff, packOff, l = memOff+k*r.unit, packOff+k*r.unit, l-k*r.unit
+	}
+	if l > 0 {
+		r.add(memOff, packOff, int32(l), 1, 0, true)
+	}
+}
+
+// canon appends the units of packed window [start, end) of count
+// repetitions, extent apart, of the canonical layout cv, and returns the
+// pieces a converter walk would emit there: one per block the window
+// touches. Whole blocks of at most S bytes go a segment of an inner run
+// at a time — the blocks are never walked; a block the window cuts, and
+// every block when blocks are longer than S or their stride does not fit
+// a unit, goes as a piece.
+func (r *runs) canon(cv *datatype.CanonVec, extent, start, end int64) (pieces int64) {
+	bl, nb := cv.BlockLen, cv.NumBlocks()
+	whole := bl <= r.unit && fits32(cv.InnerStride)
+	for pos := start; pos < end; {
+		g, off := pos/bl, pos%bl
+		memOff := g/nb*extent + cv.BlockOff(g%nb) + off
+		if k := min((end-pos)/bl, cv.Inner-g%nb%cv.Inner); whole && off == 0 && k > 0 {
+			r.add(memOff, pos, int32(bl), k, cv.InnerStride, bl < r.unit)
+			pos += k * bl
+			continue
+		}
+		take := min(bl-off, end-pos)
+		r.piece(memOff, pos, take)
+		pos += take
+	}
+	if end > start {
+		pieces = (end-1)/bl - start/bl + 1
+	}
+	return pieces
+}
+
+// fits32 reports whether x fits a unit's 32-bit stride.
+func fits32(x int64) bool { return x == int64(int32(x)) }

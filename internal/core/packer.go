@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"gpuddt/internal/datatype"
@@ -28,7 +29,9 @@ const maxUnitLen = 1 << 30
 //
 // Device-resident data is moved by kernels. Every path produces a
 // window's descriptors once, as direction-bound gpu.Units rebased to the
-// fragment, in the pooled array the kernel then owns (see gpu.GetUnits)
+// fragment — runs of equal units (see Entry), split only where the
+// window cuts them — in the pooled array the kernel then owns (see
+// gpu.GetUnits)
 // — or in the array of a kept kernel record: a synchronous call's
 // borrowed worker's (see borrowed), a pipelined protocol's producer's or
 // consumer's (PackWith, UnpackWith). The vector path builds them from
@@ -52,7 +55,7 @@ type Packer struct {
 	ci     int // entry of cached.entries the next sequential window starts in
 
 	// The converting path (a cache miss): building is the message's
-	// entry list so far, stored in the DEV cache on completion while
+	// list of runs so far, stored in the DEV cache on completion while
 	// caching holds; once it does not, building is per-chunk scratch.
 	building []Entry
 	caching  bool
@@ -207,11 +210,11 @@ func (pk *Packer) process(p *sim.Proc, frag mem.Buffer, own *gpu.Kernel) (int64,
 	switch {
 	case pk.view != nil:
 		units := pk.viewUnits(start, n, own)
-		pk.conv.Advance(n, nil)
+		pk.conv.SeekTo(start + n)
 		fut = pk.launch(own, gpu.VectorKernel, units, n, frag)
 	case pk.cached != nil:
 		units := pk.cachedUnits(start, n, own)
-		pk.conv.Advance(n, nil)
+		pk.conv.SeekTo(start + n)
 		fut = pk.launch(own, gpu.DEVKernel, units, n, frag)
 	default:
 		fut = pk.convertAndLaunch(p, n, frag, own)
@@ -259,88 +262,126 @@ func getUnits(own *gpu.Kernel, n int) []gpu.Unit {
 // like the specialized kernel taking (blocklen, stride, count) arguments.
 func (pk *Packer) viewUnits(start, n int64, own *gpu.Kernel) []gpu.Unit {
 	bl := pk.view.BlockLen
-	// One unit per block, unless blocks exceed maxUnitLen.
-	return pk.appendViewUnits(getUnits(own, int((start+n-1)/bl-start/bl+1))[:0], start, n)
+	size := 3 // a cut block at either end, the whole blocks between as one run
+	if !pk.viewRuns() {
+		size = int((start+n-1)/bl - start/bl + 1) // one unit per block
+	}
+	return pk.appendViewUnits(getUnits(own, size)[:0], start, n)
 }
 
-// appendViewUnits appends the window's units to units.
+// viewRuns reports whether the vector's whole blocks make runs: a block
+// fits one unit and the stride a unit's.
+func (pk *Packer) viewRuns() bool {
+	v := pk.view
+	return v.BlockLen <= maxUnitLen && fits32(v.InnerStride) && v.Inner <= math.MaxInt32
+}
+
+// appendViewUnits appends the window's units to units: the window's
+// whole blocks as one run, a block it cuts as a unit of its own (units
+// of at most maxUnitLen, one per block when the blocks make no runs).
 func (pk *Packer) appendViewUnits(units []gpu.Unit, start, n int64) []gpu.Unit {
 	v := pk.view
-	end := start + n
-	first, last := start/v.BlockLen, (end-1)/v.BlockLen
-	for i := first; i <= last; i++ {
-		bStart := i * v.BlockLen // packed offset of block i
-		lo, hi := bStart, bStart+v.BlockLen
-		if lo < start {
-			lo = start
+	bl, end := v.BlockLen, start+n
+	runs := pk.viewRuns()
+	for pos := start; pos < end; {
+		i, off := pos/bl, pos%bl
+		memOff := v.Off + i*v.InnerStride + off
+		if k := (end - pos) / bl; runs && off == 0 && k > 0 {
+			units = append(units, pk.unit(memOff, pos-start, int32(bl), k, v.InnerStride, false))
+			pos += k * bl
+			continue
 		}
-		if hi > end {
-			hi = end
-		}
-		memOff := v.Off + i*v.InnerStride + (lo - bStart)
-		for l := lo; l < hi; {
-			take := hi - l
-			if take > maxUnitLen {
-				take = maxUnitLen
-			}
-			u := gpu.Unit{SrcOff: memOff + (l - lo), DstOff: l - start, Len: int32(take)}
-			if pk.dir == dirUnpack {
-				u.SrcOff, u.DstOff = u.DstOff, u.SrcOff
-			}
-			units = append(units, u)
-			l += take
-		}
+		take := min(bl-off, end-pos, maxUnitLen)
+		units = append(units, pk.unit(memOff, pos-start, int32(take), 1, 0, false))
+		pos += take
 	}
 	return units
 }
 
-// cachedUnits binds the cached list's units for the packed window,
-// trimming the at most two that straddle its ends. No conversion cost:
-// the descriptor array is already resident in GPU memory. PackOff is
-// monotonic, so both ends of the window are found by search, not scan.
+// unit is the kernel unit, bound to the packer's direction, of a run of
+// n copies of l bytes: the first at memOff in the layout and packOff in
+// the fragment, each next one stride bytes further in the layout.
+func (pk *Packer) unit(memOff, packOff int64, l int32, n, stride int64, partial bool) gpu.Unit {
+	if n == 1 {
+		stride = 0
+	}
+	u := gpu.Unit{SrcOff: memOff, DstOff: packOff, Len: l, More: int32(n - 1), Stride: int32(stride), Partial: partial}
+	if pk.dir == dirUnpack {
+		u.SrcOff, u.DstOff = packOff, memOff
+	}
+	return u
+}
+
+// cachedUnits binds the cached list's runs for the packed window,
+// cutting the at most two that straddle its ends (see appendSpan). No
+// conversion cost: the descriptor array is already resident in GPU
+// memory. PackOff is monotonic, so both ends of the window are found by
+// search, not scan.
 func (pk *Packer) cachedUnits(start, n int64, own *gpu.Kernel) []gpu.Unit {
 	entries := pk.cached.entries
 	end := start + n
-	// Windows are usually sequential, continuing in entry pk.ci. A
-	// restart (retransmission, pipeline rewind) searches for its entry.
+	// Windows are usually sequential, continuing in run pk.ci. A
+	// restart (retransmission, pipeline rewind) searches for its run.
 	lo := pk.ci
-	if lo >= len(entries) || entries[lo].PackOff > start || entries[lo].PackOff+int64(entries[lo].Len) <= start {
-		lo = sort.Search(len(entries), func(i int) bool {
-			return entries[i].PackOff+int64(entries[i].Len) > start
-		})
+	if lo >= len(entries) || entries[lo].PackOff > start || entries[lo].end() <= start {
+		lo = sort.Search(len(entries), func(i int) bool { return entries[i].end() > start })
 	}
 	hi := lo + sort.Search(len(entries)-lo, func(i int) bool {
 		return entries[lo+i].PackOff >= end
 	})
-	units := getUnits(own, hi-lo)
-	pk.bind(units, entries[lo:hi], start)
-	if head := start - entries[lo].PackOff; head > 0 {
-		u := &units[0]
-		u.SrcOff, u.DstOff, u.Len, u.Partial = u.SrcOff+head, u.DstOff+head, u.Len-int32(head), true
+	// Only the end runs can be cut, each into up to three units.
+	units := getUnits(own, hi-lo+2)[:0]
+	first, last := &entries[lo], &entries[hi-1]
+	units = pk.appendSpan(units, first, start, min(end, first.end()), start)
+	if hi-lo > 1 {
+		k := len(units)
+		units = units[:k+hi-lo-2]
+		pk.bind(units[k:], entries[lo+1:hi-1], start)
+		units = pk.appendSpan(units, last, last.PackOff, min(end, last.end()), start)
 	}
 	pk.ci = hi
-	if last := entries[hi-1]; last.PackOff+int64(last.Len) > end {
-		u := &units[hi-lo-1]
-		u.Len, u.Partial = u.Len-int32(last.PackOff+int64(last.Len)-end), true
+	if last.end() > end {
 		pk.ci = hi - 1
 	}
 	return units
 }
 
-// bind writes the kernel unit of each entry for this packer's direction,
+// appendSpan appends the units that move packed bytes [a, b) of run e,
+// rebased to a fragment that starts at fragStart: the run's whole units
+// there as one run, and a unit the span cuts on its own, marked partial.
+func (pk *Packer) appendSpan(units []gpu.Unit, e *Entry, a, b, fragStart int64) []gpu.Unit {
+	if a == e.PackOff && b == e.end() {
+		return append(units, pk.unit(e.MemOff, a-fragStart, e.Len, e.units(), int64(e.Stride), e.Partial))
+	}
+	l, stride := int64(e.Len), int64(e.Stride)
+	j, off := (a-e.PackOff)/l, (a-e.PackOff)%l // the first unit, and the bytes cut from its head
+	if off > 0 || b-a < l {
+		take := min(l-off, b-a)
+		units = append(units, pk.unit(e.MemOff+j*stride+off, a-fragStart, int32(take), 1, 0, true))
+		a, j = a+take, j+1
+	}
+	if whole := (b - a) / l; whole > 0 {
+		units = append(units, pk.unit(e.MemOff+j*stride, a-fragStart, e.Len, whole, stride, e.Partial))
+		a, j = a+whole*l, j+whole
+	}
+	if a < b { // the last unit, cut at its tail
+		units = append(units, pk.unit(e.MemOff+j*stride, a-fragStart, int32(b-a), 1, 0, true))
+	}
+	return units
+}
+
+// bind writes the kernel unit of each run for this packer's direction,
 // with packed offsets rebased to a fragment that starts at fragStart.
 func (pk *Packer) bind(units []gpu.Unit, entries []Entry, fragStart int64) {
 	units = units[:len(entries)]
-	if pk.dir == dirPack {
-		for i := range entries {
-			e := &entries[i]
-			units[i] = gpu.Unit{SrcOff: e.MemOff, DstOff: e.PackOff - fragStart, Len: e.Len, Partial: e.Partial}
-		}
-		return
-	}
 	for i := range entries {
-		e := &entries[i]
-		units[i] = gpu.Unit{SrcOff: e.PackOff - fragStart, DstOff: e.MemOff, Len: e.Len, Partial: e.Partial}
+		// Field by field: a unit built whole and then copied stalls on
+		// its own stores.
+		e, u := &entries[i], &units[i]
+		u.SrcOff, u.DstOff, u.Len, u.More, u.Stride, u.Partial = e.MemOff, e.PackOff-fragStart, e.Len, e.More, e.Stride, e.Partial
+		if pk.dir == dirUnpack {
+			u.SrcOff, u.DstOff = u.DstOff, u.SrcOff
+		}
 	}
 }
 
@@ -377,35 +418,63 @@ func (pk *Packer) convertAndLaunch(p *sim.Proc, n int64, frag mem.Buffer, own *g
 
 // convert runs the CPU conversion of the next m packed bytes, charging
 // its cost and the upload of the descriptors to the device, and returns
-// their entries. Split entries go straight onto the list being built;
-// the returned slice is the list's tail, valid until the next convert
-// or converted call.
+// their runs. Runs go straight onto the list being built, a unit
+// extending the chunk's last run when it continues it; the returned
+// slice is the list's tail, valid until the next convert or converted
+// call. The charges count units, as the device list holds them: pieces
+// × convPerEntry, units × convPerUnit and units × entryDevBytes.
 func (pk *Packer) convert(p *sim.Proc, m int64) []Entry {
-	opts := &pk.e.opts
 	list := pk.building
 	switch {
 	case !pk.caching:
 		list = list[:0]
 	case list == nil:
-		// Sized once when the list is kept: every block yields at most
-		// Len/UnitSize + 1 units.
-		list = make([]Entry, 0, pk.conv.Total()/opts.UnitSize+int64(pk.cnt)*int64(pk.dt.NumBlocks()))
+		// Sized once, exactly, when the list is kept: the rest of the
+		// message comes in chunks of m bytes, as a fragment pipeline's
+		// windows and a whole message's chunks do.
+		list = make([]Entry, 0, pk.countRuns(m))
 	}
-	mark := len(list)
-	pieces := 0
-	pk.conv.Advance(m, func(memOff, packOff, l int64) {
-		pieces++
-		list = splitEntries(list, opts.UnitSize, memOff, packOff, l)
-	})
-	pk.building = list
-	entries := list[mark:]
+	r := runs{list: list, mark: len(list), unit: pk.e.opts.UnitSize}
+	pieces := pk.emit(&r, &pk.conv, m)
+	pk.building = r.list
+	entries := r.list[r.mark:]
 	// CPU cost of simulating the pack and emitting cuda_dev_dist
 	// entries for this chunk.
-	p.Sleep(sim.Time(pieces)*convPerEntry + sim.Time(len(entries))*convPerUnit)
-	pk.e.convUnits += int64(len(entries))
+	p.Sleep(sim.Time(pieces)*convPerEntry + sim.Time(r.units)*convPerUnit)
+	pk.e.convUnits += r.units
 	// Upload the descriptor array to the device.
-	pk.e.ctx.Node().H2D(pk.e.dev.ID()).Transfer(p, int64(len(entries))*entryDevBytes)
+	pk.e.ctx.Node().H2D(pk.e.dev.ID()).Transfer(p, r.units*entryDevBytes)
 	return entries
+}
+
+// emit appends the runs of c's next m packed bytes to r, moves c on by
+// them and returns how many pieces a converter walk emits there. A
+// canonical layout's runs come by arithmetic (see runs.canon), with no
+// walk.
+func (pk *Packer) emit(r *runs, c *datatype.Converter, m int64) (pieces int64) {
+	if cv := pk.dt.Plan().Canonical(); cv != nil {
+		start := c.Packed()
+		end := start + min(m, c.Remaining())
+		c.SeekTo(end)
+		return r.canon(cv, pk.dt.Extent(), start, end)
+	}
+	c.Advance(m, func(memOff, packOff, l int64) {
+		pieces++
+		r.piece(memOff, packOff, l)
+	})
+	return pieces
+}
+
+// countRuns returns how many runs the rest of the message makes when it
+// is converted m bytes at a time: the length of the list convert builds.
+func (pk *Packer) countRuns(m int64) int {
+	c := pk.conv
+	r := runs{unit: pk.e.opts.UnitSize, count: true}
+	for !c.Done() {
+		r.mark = r.n
+		pk.emit(&r, &c, m)
+	}
+	return r.n
 }
 
 // converted hands a completed list to the DEV cache once the whole
@@ -433,7 +502,7 @@ func (e *Engine) launch(k *gpu.Kernel, kind gpu.KernelKind, dir direction, data,
 	}
 	k.Kind, k.Src, k.Dst, k.Units = kind, data, frag, units
 	if dir == dirUnpack {
-		k.Src, k.Dst = frag, data
+		k.Unpack, k.Src, k.Dst = true, frag, data
 	}
 	dev, stream, node := e.dev, &e.stream, e.ctx.Node()
 	switch {

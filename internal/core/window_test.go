@@ -16,13 +16,63 @@ import (
 // wrote kernel units directly: a window's entries are copied into a
 // scratch slice (viewEntries / cachedEntries, unedited but for the
 // vector's field names), then converted to direction-bound units (the
-// loop that stood in launch). It is the reference of
+// loop that stood in launch). Its entries are single units: the cached
+// list is the packer's, expanded. It is the reference of
 // TestWindowUnitsMatchReference.
 type refWindows struct {
 	view    *datatype.CanonVec
-	entries []Entry // the cached list
+	entries []Entry // the cached list, one unit an entry
 	ci      int
 	scratch []Entry
+}
+
+// splitEntries is the split the conversion made before it built runs:
+// one entry per CUDA-DEV unit of a converter emission.
+func splitEntries(dst []Entry, unitSize, memOff, packOff, n int64) []Entry {
+	for n > 0 {
+		take := unitSize
+		if n < take {
+			take = n
+		}
+		dst = append(dst, Entry{
+			MemOff:  memOff,
+			PackOff: packOff,
+			Len:     int32(take),
+			Partial: take < unitSize,
+		})
+		memOff += take
+		packOff += take
+		n -= take
+	}
+	return dst
+}
+
+// expandEntries is the unit list a list of runs stands for, one entry
+// per unit.
+func expandEntries(list []Entry) []Entry {
+	var out []Entry
+	for _, e := range list {
+		for j := int64(0); j <= int64(e.More); j++ {
+			out = append(out, Entry{MemOff: e.MemOff + j*int64(e.Stride), PackOff: e.PackOff + j*int64(e.Len), Len: e.Len, Partial: e.Partial})
+		}
+	}
+	return out
+}
+
+// expandUnits is the copy list kernel units of direction dir stand for,
+// one unit per copy.
+func expandUnits(units []gpu.Unit, dir direction) []gpu.Unit {
+	var out []gpu.Unit
+	for _, u := range units {
+		ss, ds := int64(u.Stride), int64(u.Len)
+		if dir == dirUnpack {
+			ss, ds = ds, ss
+		}
+		for j := int64(0); j <= int64(u.More); j++ {
+			out = append(out, gpu.Unit{SrcOff: u.SrcOff + j*ss, DstOff: u.DstOff + j*ds, Len: u.Len, Partial: u.Partial})
+		}
+	}
+	return out
 }
 
 func (pk *refWindows) viewEntries(start, n int64) []Entry {
@@ -106,19 +156,37 @@ func bindRef(dir direction, entries []Entry, fragStart int64) []gpu.Unit {
 	return units
 }
 
-// convertRef is the conversion of a whole message taken in one window:
-// per chunk, split into a scratch slice, then append to the list.
-func convertRef(dt *datatype.Datatype, count int, opts Options) []Entry {
+// convertRef is the conversion of a whole message taken in windows of
+// the given sizes (the last repeated), each cut into chunks: per chunk,
+// split into a scratch slice, then append to the list.
+func convertRef(dt *datatype.Datatype, count int, opts Options, windows ...int64) []Entry {
 	conv := datatype.NewConverter(dt, count)
 	var list, scratch []Entry
-	for !conv.Done() {
-		scratch = scratch[:0]
-		conv.Advance(opts.ChunkBytes, func(memOff, packOff, l int64) {
-			scratch = splitEntries(scratch, opts.UnitSize, memOff, packOff, l)
-		})
-		list = append(list, scratch...)
+	for w := 0; !conv.Done(); w = min(w+1, len(windows)-1) {
+		for left := windows[w]; left > 0 && !conv.Done(); {
+			scratch = scratch[:0]
+			left -= conv.Advance(min(opts.ChunkBytes, left), func(memOff, packOff, l int64) {
+				scratch = splitEntries(scratch, opts.UnitSize, memOff, packOff, l)
+			})
+			list = append(list, scratch...)
+		}
 	}
 	return list
+}
+
+// equalEntries compares a list of runs, expanded, with a reference list
+// of single units.
+func equalEntries(runs, want []Entry) error {
+	got := expandEntries(runs)
+	if len(got) != len(want) {
+		return fmt.Errorf("%d units in %d runs, reference has %d", len(got), len(runs), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("unit %d = %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	return nil
 }
 
 func equalUnits(a, b []gpu.Unit) error {
@@ -135,10 +203,12 @@ func equalUnits(a, b []gpu.Unit) error {
 
 // TestWindowUnitsMatchReference walks random window sequences — sizes
 // that split units, with rewinds and forward seeks — over the cached and
-// the vector path, packing and unpacking, and requires the kernel unit
-// list of every window to equal the reference's element for element. It
-// also requires the list a cold whole-message pack caches to equal the
-// reference conversion.
+// the vector path, packing and unpacking, and requires the kernel units
+// of every window, expanded, to equal the reference's element for
+// element; windows that cut a run mid-run and mid-unit must both occur.
+// It also requires the list a cold whole-message pack caches, and one a
+// pipelined first pass caches, to expand to the reference conversion
+// taken in the same windows, in an array of exactly its length.
 func TestWindowUnitsMatchReference(t *testing.T) {
 	indexed := func() *datatype.Datatype {
 		rng := rand.New(rand.NewSource(7))
@@ -146,6 +216,7 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 		sort.Ints(idx)
 		return shapes.ParticleIndices(idx, 37) // 296-byte records, merged where adjacent
 	}
+	var midRun, midUnit int // cached windows starting inside a run
 	for _, tc := range []struct {
 		dt    *datatype.Datatype
 		count int
@@ -154,6 +225,7 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 		{shapes.Transpose(64), 1},
 		{indexed(), 2},
 		{shapes.SubMatrix(300, 200, 512), 1}, // vector path
+		{shapes.StairTriangular(96, 8), 1},   // blocks longer than S
 	} {
 		for _, dir := range []direction{dirPack, dirUnpack} {
 			r := newRig(t, Options{})
@@ -171,16 +243,14 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 				if pk.cached == nil {
 					t.Fatalf("%s: the cold pack cached nothing", what)
 				}
-				ref.entries = pk.cached.entries
-				want := convertRef(dt, count, r.e.opts)
-				if len(ref.entries) != len(want) {
-					t.Fatalf("%s: cached list has %d entries, reference conversion %d", what, len(ref.entries), len(want))
+				want := convertRef(dt, count, r.e.opts, dt.Size()*int64(count))
+				if err := equalEntries(pk.cached.entries, want); err != nil {
+					t.Fatalf("%s: cached list: %v", what, err)
 				}
-				for i := range want {
-					if ref.entries[i] != want[i] {
-						t.Fatalf("%s: cached entry %d = %+v, reference %+v", what, i, ref.entries[i], want[i])
-					}
+				if l := pk.cached.entries; cap(l) != len(l) {
+					t.Fatalf("%s: cached list of %d runs has capacity %d", what, len(l), cap(l))
 				}
+				ref.entries = want
 			}
 
 			rng := rand.New(rand.NewSource(18))
@@ -210,13 +280,47 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 					got, want = pk.viewUnits(pos, n, nil), ref.viewEntries(pos, n)
 				} else {
 					got, want = pk.cachedUnits(pos, n, nil), ref.cachedEntries(pos, n)
+					list := pk.cached.entries
+					e := &list[sort.Search(len(list), func(i int) bool { return list[i].end() > pos })]
+					switch {
+					case (pos-e.PackOff)%int64(e.Len) != 0:
+						midUnit++
+					case pos > e.PackOff:
+						midRun++
+					}
 				}
-				if err := equalUnits(got, bindRef(dir, want, pos)); err != nil {
+				if err := equalUnits(expandUnits(got, dir), bindRef(dir, want, pos)); err != nil {
 					t.Fatalf("%s: step %d, window [%d,+%d): %v", what, step, pos, n, err)
 				}
 				pos += n
 			}
+			if pk.view != nil {
+				continue
+			}
+
+			// A first pass in windows that cut runs and units: the list
+			// it caches joins what the windows split.
+			r = newRig(t, Options{})
+			data = r.ctx.Malloc(0, dt.Span(count))
+			frag := r.ctx.Malloc(0, 1000)
+			r.eng.Spawn("windows", func(p *sim.Proc) {
+				pk := new(Packer)
+				r.e.InitPacker(pk, data, dt, count)
+				var out []byte
+				packFrags(p, pk, frag, &out)
+			})
+			r.eng.Run()
+			l := r.e.lookupCache(dt, count).entries
+			if err := equalEntries(l, convertRef(dt, count, r.e.opts, 1000)); err != nil {
+				t.Fatalf("%s: list cached by 1000-byte windows: %v", what, err)
+			}
+			if cap(l) != len(l) {
+				t.Fatalf("%s: list cached by 1000-byte windows: %d runs, capacity %d", what, len(l), cap(l))
+			}
 		}
+	}
+	if midRun == 0 || midUnit == 0 {
+		t.Fatalf("%d windows started mid-run and %d mid-unit, want both", midRun, midUnit)
 	}
 }
 

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"gpuddt/internal/mem"
@@ -29,13 +30,18 @@ func (k KernelKind) String() string {
 	return "dev"
 }
 
-// Unit is one contiguous copy performed by a kernel: Len bytes from
-// Src+SrcOff to Dst+DstOff of the owning Kernel. For a pack operation the
-// destination side is the contiguous buffer; for unpack the source side
-// is. Partial marks units shorter than the full CUDA-DEV split size S.
+// Unit is a run of More+1 contiguous copies performed by a kernel, each
+// of Len bytes: the first from Src+SrcOff to Dst+DstOff of the owning
+// Kernel, and each next one Len bytes further on the contiguous side and
+// Stride bytes further on the scattered side (see Kernel.Unpack). For a
+// pack operation the destination side is the contiguous buffer; for
+// unpack the source side is. The zero More and Stride are one copy.
+// Partial marks copies shorter than the full CUDA-DEV split size S.
 type Unit struct {
 	SrcOff, DstOff int64
 	Len            int32
+	More           int32 // copies after the first
+	Stride         int32 // scattered-side step between copies
 	Partial        bool
 }
 
@@ -71,11 +77,15 @@ func GetUnits(n int) []Unit {
 // Kernel panics — unless the record is a kept one, re-armed by Rearm
 // once its last launch has completed.
 type Kernel struct {
-	Kind  KernelKind
-	kept  bool // re-armed by Rearm: spent is the record's own array
-	Src   mem.Buffer
-	Dst   mem.Buffer
-	Units []Unit
+	Kind KernelKind
+	// Unpack marks a kernel whose contiguous side is Src: a run's
+	// copies step by Stride on Dst and by Len on Src. A pack's step by
+	// Stride on Src and by Len on Dst.
+	Unpack bool
+	kept   bool // re-armed by Rearm: spent is the record's own array
+	Src    mem.Buffer
+	Dst    mem.Buffer
+	Units  []Unit
 
 	// spent is Units' array once run() is done with it. For a record
 	// launched once it is the record's unitPool slot; a kept record
@@ -138,37 +148,77 @@ func (k *Kernel) Retire() {
 func (k *Kernel) Bytes() int64 {
 	var n int64
 	for _, u := range k.Units {
-		n += int64(u.Len)
+		n += (int64(u.More) + 1) * int64(u.Len)
 	}
 	return n
 }
 
+// steps returns how far u's successive copies lie apart on the source
+// and the destination side.
+func (k *Kernel) steps(u *Unit) (src, dst int64) {
+	if k.Unpack {
+		return int64(u.Len), int64(u.Stride)
+	}
+	return int64(u.Stride), int64(u.Len)
+}
+
 // cost walks the descriptors once and returns the useful bytes the
 // kernel moves and its raw DRAM traffic under the coalescing model: the
-// contiguous side of each unit is fully coalesced (Len bytes), the
+// contiguous side of each copy is fully coalesced (Len bytes), the
 // scattered side costs whole warp iterations (Len rounded up to the warp
-// width), and DEV units pay penalties when misaligned or partial. The
-// caller derates raw by the kernel kind's efficiency. WarpBytes is a
-// power of two (NewDevice checks), so rounding and alignment are masks.
+// width), and DEV copies pay penalties when misaligned or partial. A run
+// is priced in closed form: its copies share Len and Partial, and their
+// alignment repeats with the period misaligned finds. The caller derates
+// raw by the kernel kind's efficiency. WarpBytes is a power of two
+// (NewDevice checks), so rounding and alignment are masks.
 func (d *Device) cost(k *Kernel) (useful, raw int64) {
 	mask := d.p.WarpBytes - 1
 	dev := k.Kind == DEVKernel
 	src, dst := k.Src.Addr(), k.Dst.Addr()
 	for i := range k.Units {
 		u := &k.Units[i]
-		n := int64(u.Len)
-		useful += n
-		raw += (n + mask) &^ mask
+		n, reps := int64(u.Len), int64(u.More)+1
+		useful += reps * n
+		raw += reps * ((n + mask) &^ mask)
 		if dev {
-			if ((src+u.SrcOff)|(dst+u.DstOff))&mask != 0 {
-				raw += d.p.MisalignPenaltyRaw
+			a, b := src+u.SrcOff, dst+u.DstOff
+			if u.More == 0 { // a ragged layout's runs are mostly single copies
+				if (a|b)&mask != 0 {
+					raw += d.p.MisalignPenaltyRaw
+				}
+			} else {
+				ss, ds := k.steps(u)
+				raw += misaligned(a, b, ss, ds, reps, mask) * d.p.MisalignPenaltyRaw
 			}
 			if u.Partial {
-				raw += d.p.PartialPenaltyRaw
+				raw += reps * d.p.PartialPenaltyRaw
 			}
 		}
 	}
 	return useful, raw + useful
+}
+
+// misaligned counts the copies j < reps of a run whose source a+j*sa or
+// destination b+j*sb is off the warp grid (mask+1, a power of two). The
+// pattern repeats every (mask+1)/lowbit((sa|sb)&mask) copies, a power of
+// two, so one period is tested and the rest is multiplied out.
+func misaligned(a, b, sa, sb, reps, mask int64) int64 {
+	shift := 0 // log2 of the period
+	if low := (sa | sb) & mask; low != 0 {
+		shift = bits.Len64(uint64(mask)) - bits.TrailingZeros64(uint64(low))
+	}
+	period := int64(1) << shift
+	whole, rest := reps>>shift, reps&(period-1)
+	var per, head int64 // misaligned copies in one period, and in its first rest
+	for j := int64(0); j < min(period, reps); j++ {
+		if ((a+j*sa)|(b+j*sb))&mask != 0 {
+			per++
+			if j < rest {
+				head++
+			}
+		}
+	}
+	return whole*per + head
 }
 
 func (d *Device) kernelEff(kind KernelKind) float64 {
@@ -261,21 +311,28 @@ func (d *Device) Compute(s *Stream, raw int64, blocks int) *sim.Future {
 
 // run moves the bytes of every unit. Called at kernel completion time so
 // no process can observe partially written data earlier in virtual time.
-// Both windows are resolved once; each unit is then one slice expression
-// per side, whose bounds check is what keeps a unit inside its buffer.
-// The descriptor array is recycled afterwards (see GetUnits), or kept by
-// a kept record (see Rearm).
+// Both windows are resolved once; a run is one strided loop, and each
+// copy is one slice expression per side, whose bounds check is what
+// keeps it inside its buffer. The descriptor array is recycled
+// afterwards (see GetUnits), or kept by a kept record (see Rearm).
 func (k *Kernel) run() {
 	src, dst := k.Src.Bytes(), k.Dst.Bytes()
 	for i := range k.Units {
 		u := &k.Units[i]
 		s, d, n := u.SrcOff, u.DstOff, int64(u.Len)
+		ss, ds := k.steps(u)
 		if n == 8 {
-			// The transpose's unit: one load and one store, no memmove call.
-			binary.LittleEndian.PutUint64(dst[d:d+8], binary.LittleEndian.Uint64(src[s:s+8]))
+			// The transpose's copy: one load and one store, no memmove call.
+			for j := u.More; j >= 0; j-- {
+				binary.LittleEndian.PutUint64(dst[d:d+8], binary.LittleEndian.Uint64(src[s:s+8]))
+				s, d = s+ss, d+ds
+			}
 			continue
 		}
-		copy(dst[d:d+n], src[s:s+n])
+		for j := u.More; j >= 0; j-- {
+			copy(dst[d:d+n], src[s:s+n])
+			s, d = s+ss, d+ds
+		}
 	}
 	k.spent, k.Units = k.Units[:0], nil
 	if !k.kept {

@@ -44,6 +44,28 @@ func runRef(k *Kernel) {
 	}
 }
 
+// expand is k with every run written out as its single copies, the form
+// the references take.
+func expand(k *Kernel) *Kernel {
+	x := *k
+	x.Units = nil
+	for _, u := range k.Units {
+		ss, ds := k.steps(&u)
+		for j := int64(0); j <= int64(u.More); j++ {
+			x.Units = append(x.Units, Unit{SrcOff: u.SrcOff + j*ss, DstOff: u.DstOff + j*ds, Len: u.Len, Partial: u.Partial})
+		}
+	}
+	return &x
+}
+
+// runStrides are the scattered-side steps the run tests draw from:
+// multiples of WarpBytes (256) and not, and backwards.
+var runStrides = []int32{0, 8, 24, 100, 128, 256, 264, 512, 1000, 4096, 4104, -8, -256, -264}
+
+// TestKernelCostMatchesReference prices random kernels of single units
+// and of runs, packing and unpacking, at every residue of the warp mask
+// on the source side, against the per-copy reference over the runs
+// written out.
 func TestKernelCostMatchesReference(t *testing.T) {
 	_, d := newDev(t)
 	rng := rand.New(rand.NewSource(18))
@@ -53,26 +75,35 @@ func TestKernelCostMatchesReference(t *testing.T) {
 		src := space.Slice(base, 256<<10)
 		dst := space.Slice(512<<10+(base*7)%256, 256<<10)
 		for _, kind := range []KernelKind{VectorKernel, DEVKernel} {
-			k := &Kernel{Kind: kind, Src: src, Dst: dst}
-			for i := rng.Intn(40); i >= 0; i-- {
-				u := Unit{
-					SrcOff:  rng.Int63n(128 << 10),
-					DstOff:  rng.Int63n(128 << 10),
-					Len:     lens[rng.Intn(len(lens))],
-					Partial: rng.Intn(2) == 0,
+			for _, runs := range []bool{false, true} {
+				k := &Kernel{Kind: kind, Src: src, Dst: dst, Unpack: rng.Intn(2) == 0}
+				for i := rng.Intn(40); i >= 0; i-- {
+					u := Unit{
+						SrcOff:  rng.Int63n(128 << 10),
+						DstOff:  rng.Int63n(128 << 10),
+						Len:     lens[rng.Intn(len(lens))],
+						Partial: rng.Intn(2) == 0,
+					}
+					if rng.Intn(3) == 0 { // aligned units must occur too
+						u.SrcOff = (u.SrcOff + base) &^ 255
+						u.DstOff = u.SrcOff
+					}
+					if runs {
+						u.More = int32(rng.Intn(600))
+						u.Stride = runStrides[rng.Intn(len(runStrides))]
+						u.SrcOff += 64 << 10 // room for backward strides
+						u.DstOff += 64 << 10
+					}
+					k.Units = append(k.Units, u)
 				}
-				if rng.Intn(3) == 0 { // aligned units must occur too
-					u.SrcOff = (u.SrcOff + base) &^ 255
-					u.DstOff = u.SrcOff
+				useful, raw := d.cost(k)
+				x := expand(k)
+				if want := x.Bytes(); useful != want || k.Bytes() != want {
+					t.Fatalf("base %d %v runs=%v: useful = %d, Bytes = %d, reference %d", base, kind, runs, useful, k.Bytes(), want)
 				}
-				k.Units = append(k.Units, u)
-			}
-			useful, raw := d.cost(k)
-			if want := k.Bytes(); useful != want {
-				t.Fatalf("base %d %v: useful = %d, reference %d", base, kind, useful, want)
-			}
-			if want := rawBytesRef(d, k); raw != want {
-				t.Fatalf("base %d %v: raw = %d, reference %d", base, kind, raw, want)
+				if want := rawBytesRef(d, x); raw != want {
+					t.Fatalf("base %d %v runs=%v: raw = %d, reference %d", base, kind, runs, raw, want)
+				}
 			}
 		}
 	}
@@ -114,12 +145,41 @@ func TestKernelRunMatchesUnitCopier(t *testing.T) {
 			ks[0].Units = append(ks[0].Units, u)
 			ks[1].Units = append(ks[1].Units, u)
 		}
-		runRef(ks[0])
-		ks[1].run()
-		if !bytes.Equal(alls[1].Bytes(), alls[0].Bytes()) {
-			t.Fatalf("overlap=%v: kernel and per-unit copier left different bytes", overlap)
+		// Runs, packing and unpacking: each stays inside the windows on
+		// both sides, whichever way it steps.
+		for _, unpack := range []bool{false, true} {
+			for i := 0; i < 200; i++ {
+				n := lens[rng.Intn(len(lens))]
+				u := Unit{Len: n, More: int32(rng.Intn(8)), Stride: runStrides[rng.Intn(len(runStrides))]}
+				ss, ds := int64(u.Stride), int64(n)
+				if unpack {
+					ss, ds = ds, ss
+				}
+				u.SrcOff = place(rng, int64(n), int64(u.More), ss, window)
+				u.DstOff = place(rng, int64(n), int64(u.More), ds, window)
+				for j := range ks {
+					ks[j].Units = append(ks[j].Units, u)
+				}
+			}
+			ks[0].Unpack, ks[1].Unpack = unpack, unpack
+			runRef(expand(ks[0]))
+			ks[1].run()
+			if !bytes.Equal(alls[1].Bytes(), alls[0].Bytes()) {
+				t.Fatalf("overlap=%v unpack=%v: kernel and per-unit copier left different bytes", overlap, unpack)
+			}
+			ks[0].Units, ks[1].Units = nil, nil
 		}
 	}
+}
+
+// place returns a random first offset for more+1 copies of n bytes,
+// step apart, that keeps all of them inside a window of the given size.
+func place(rng *rand.Rand, n, more, step, window int64) int64 {
+	lo, hi := int64(0), window-n-more*step
+	if step < 0 {
+		lo, hi = -more*step, window-n
+	}
+	return lo + rng.Int63n(hi-lo+1)
 }
 
 // A unit that ends one byte past its buffer's window must panic, not

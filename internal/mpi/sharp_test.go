@@ -57,8 +57,16 @@ func TestSwitchDispatchSelection(t *testing.T) {
 			}
 		}
 	}
-	if !NewWorld(switchConfig(4, 1, 2, 1)).ranks[0].switchOn(datatype.Int64, OpSum, false) {
-		t.Error("one rank per node: Reduce not in-network")
+	// One rank per node: no host leader algorithm, yet Reduce and
+	// Allreduce run in-network through the node leaders.
+	w := NewWorld(switchConfig(4, 1, 2, 1))
+	if w.TopologyAware() {
+		t.Error("one rank per node: TopologyAware reports host leader algorithms")
+	}
+	for _, all := range []bool{false, true} {
+		if !w.ranks[0].switchOn(datatype.Int64, OpSum, all) {
+			t.Errorf("one rank per node, allreduce %v: not in-network", all)
+		}
 	}
 }
 

@@ -102,8 +102,14 @@ func detectHierarchy(ranks []Placement) hierarchy {
 	return hierarchy{nodes: nodes, rpn: rpn}
 }
 
-// TopologyAware reports whether the world's collectives run the
-// hierarchical (leader-based) algorithms rather than the flat ones.
+// TopologyAware reports whether the world's collectives run the host
+// leader algorithms — Bcast, Allgather, Alltoall and Allgatherv through
+// one leader per node — rather than the flat ones: the blocked layout
+// spans more than one node with more than one rank on each, and the
+// world is not CollFlat. Reduce and Allreduce ask switchOn first: on a
+// fabric with switch ALUs they may reduce in-network where this reports
+// false (one rank per node, say); when they do not, they take the host
+// leader tree exactly when this reports true.
 func (w *World) TopologyAware() bool {
 	return w.hier.nodes > 1 && w.hier.rpn > 1 && w.tun.coll != CollFlat
 }
