@@ -177,7 +177,7 @@ func RoundTrip(tr *Tree, cfg RTConfig) error {
 	})
 
 	// Staging pools must be quiescent after every transfer completed:
-	// an abandoned protocol attempt that kept its scratch or ring slab,
+	// an abandoned protocol attempt that kept a staging buffer,
 	// or a message record some party never released, would show up here
 	// as a leak.
 	if err := w.Quiescent(); err != nil {

@@ -27,7 +27,6 @@ import (
 	"gpuddt/internal/cuda"
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/gpu"
-	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
 )
 
@@ -112,7 +111,6 @@ type cacheKey struct {
 
 type cacheVal struct {
 	entries []Entry
-	devBuf  mem.Buffer // descriptor array resident in GPU memory
 }
 
 // Engine is a per-process datatype engine bound to one device: kernels
@@ -203,9 +201,7 @@ func (e *Engine) lookupCache(dt *datatype.Datatype, count int) *cacheVal {
 }
 
 // storeCache keeps a fully converted list, unless one for (dt, count)
-// was stored while it was being built, and charges the GPU memory that
-// holds its descriptor array, one cuda_dev_dist per unit (the paper's
-// "few MBs of GPU memory", §5.1).
+// was stored while it was being built.
 func (e *Engine) storeCache(dt *datatype.Datatype, count int, entries []Entry) {
 	key := cacheKey{dt, count}
 	if e.cache[key] != nil {
@@ -214,12 +210,7 @@ func (e *Engine) storeCache(dt *datatype.Datatype, count int, entries []Entry) {
 	if e.cache == nil {
 		e.cache = make(map[cacheKey]*cacheVal)
 	}
-	var units int64
-	for i := range entries {
-		units += entries[i].units()
-	}
-	devBuf := e.dev.Mem().Alloc(units*entryDevBytes, 256)
-	e.cache[key] = &cacheVal{entries: entries, devBuf: devBuf}
+	e.cache[key] = &cacheVal{entries: entries}
 }
 
 // entryDevBytes is sizeof(cuda_dev_dist): three 8-byte fields (§3.2).

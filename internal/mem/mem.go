@@ -217,15 +217,6 @@ func (s *Space) Alloc(n int64, align int64) Buffer {
 	return Buffer{space: s, off: off, n: n}
 }
 
-// Free releases a buffer. The bump allocator does not reclaim space;
-// Free only checks that the buffer is the space's own. Simulations are
-// sized so that total allocation fits.
-func (s *Space) Free(b Buffer) {
-	if b.space != s {
-		panic("mem: freeing buffer from another space")
-	}
-}
-
 // Buffer is a bounds-checked window into a Space. The zero Buffer is
 // invalid; IsValid reports usability.
 type Buffer struct {

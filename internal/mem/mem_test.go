@@ -98,18 +98,6 @@ func TestBufferAtOutOfRangePanics(t *testing.T) {
 	s.BufferAt(90, 20)
 }
 
-func TestFreeWrongSpacePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	s1 := NewSpace("a", Host, 100)
-	s2 := NewSpace("b", Host, 100)
-	b := s1.Alloc(10, 1)
-	s2.Free(b)
-}
-
 // TestResetReusesAddressesAndBacking: a reset space hands out the
 // addresses a fresh one would, on the backing it already has; Shrink
 // trades a backing larger than its last allocations needed for one of

@@ -2,82 +2,146 @@ package mpi
 
 import (
 	"slices"
+	"strconv"
 	"sync"
 
 	"gpuddt/internal/mem"
 )
 
-// Library staging is a pinned arena (DESIGN decision 28). Every host
-// buffer the library allocates for itself — eager bounce buffers and
-// other scratch (Rank.scratch), collective stages (takeStage) and host
-// staging rings (ringBuf) — is carved from its rank's arena, a host
-// space of its own. The rank's node HCA registers the arena's whole
-// address range when the world is built, as Open MPI's openib memory
-// pool registers its eager and send free lists once, at MPI_Init: no
-// virtual time passes, and a registration of library staging is a
-// hit. User buffers (Malloc, MallocHost) are registered as they are
-// used, under their own addresses.
+// Library staging is one allocator per rank (DESIGN decision 28). Every
+// buffer the library takes for itself — eager bounce buffers, fragment
+// scratch, collective stages, host and device staging rings, reduction
+// accumulators and ScratchHost — is taken with take and given back with
+// give. Each memory space the rank stages in has one pool: its arena, a
+// host space of its own, for any host memory, and one pool per GPU of
+// its node for that GPU's memory. A pool serves power-of-two size
+// classes from stageAlign bytes: take pops a buffer given back to the
+// class of its request, or carves a new one of the class's whole size,
+// and give pushes a buffer back onto the class of its length. Nothing is
+// ever evicted. The spaces are bump allocators, which reclaim nothing,
+// so an evicted buffer would strand its range until the world closed;
+// kept, it serves the next request of its class, and a pool's footprint
+// is the peak of its class's concurrent use.
+//
+// The rank's node HCA registers the arena's whole address range when
+// the world is built, as Open MPI's openib memory pool registers its
+// eager and send free lists once, at MPI_Init: no virtual time passes,
+// and a registration of library staging is a hit. User buffers (Malloc,
+// MallocHost) are registered as they are used, under their own
+// addresses. Every class starts stageAlign-aligned, and a kernel's cost
+// reads addresses only modulo the warp's bytes, which divide it, so no
+// cost depends on which buffer of a class was handed out.
 //
 // An arena outlives its world, as the eager and receive records do
 // (records.go): World.Close resets it and its pools — the bump
-// allocator back to address 0, every pooled buffer and every datatype
-// a stage named dropped — and puts it on a process-wide shelf, and a
-// rank of the next world takes one from there. It hands out the same
-// addresses a fresh arena would and its pools start empty, so no
-// virtual time depends on what it held before; what it keeps is the
-// backing bytes and the pools' arrays, so a rebuilt world's staging
-// neither grows nor allocates.
+// allocator back to address 0, every pooled buffer dropped — and puts
+// it on a process-wide shelf, and a rank of the next world takes one
+// from there. It hands out the same addresses a fresh arena would and
+// its pools start empty, so no virtual time depends on what it held
+// before; what it keeps is the backing bytes and the pools' and lists'
+// arrays, so a rebuilt world's staging neither grows nor allocates.
 
 // arenaBytes is the address range of an arena: what its HCA registers.
 // Its backing grows lazily with what the rank carves from it, so no
 // registration ever happens mid-run.
 const arenaBytes = 1 << 30
 
-// arena is a rank's pinned staging memory, the pools of buffers it has
-// handed out and been given back, and — so that their arrays outlive
-// the world too — the rank's matching lists and request batches.
+// stageAlign is the smallest size class and the alignment of every
+// staging buffer.
+const stageAlign = 256
+
+// arena is a rank's pinned staging memory, its pools, its stage records
+// and — so that their arrays outlive the world too — the rank's
+// matching lists and request batches.
 type arena struct {
-	space *mem.Space
-
-	scratchPool    []mem.Buffer
-	scratchPooled  int64 // bytes currently retained in scratchPool
-	scratchPeak    int64 // high-water mark of retained bytes
-	scratchLargest int64 // largest single scratch request seen
-
-	rings  [][]mem.Buffer // released staging rings: host, then by GPU (ringPool)
-	stages []*stage       // released collective stages
-	spare  []*stage       // stage records of a closed world, without a buffer
+	space  *mem.Space
+	pools  []pool   // the arena's own, then one per GPU of the node (Rank.pool)
+	stages []*stage // stage records not in use, without a buffer
 
 	posted  []*recvReq // receives awaiting a matching arrival
 	unexp   []*rtsMsg  // unexpected arrivals awaiting a recv
 	batches []*batch   // batches not in use, empty (batch.wait)
 }
 
-// alloc carves n bytes from the arena.
-func (a *arena) alloc(n int64) mem.Buffer { return a.space.Alloc(n, 256) }
+// pool holds the buffers of one memory space given back to a rank.
+type pool struct {
+	space *mem.Space
+	free  [][]int64 // addresses by size class: class c holds stageAlign<<c bytes
+}
+
+// class returns the size class of an n-byte buffer.
+func class(n int64) int {
+	c := 0
+	for stageAlign<<c < n {
+		c++
+	}
+	return c
+}
+
+// take hands out n bytes of space's memory from the rank's pool for it.
+func (m *Rank) take(space *mem.Space, n int64) mem.Buffer {
+	pl := m.pool(space)
+	m.staged++
+	c := class(n)
+	if c < len(pl.free) {
+		if k := len(pl.free[c]) - 1; k >= 0 {
+			addr := pl.free[c][k]
+			pl.free[c] = pl.free[c][:k]
+			return pl.space.BufferAt(addr, n)
+		}
+	}
+	return pl.space.Alloc(stageAlign<<c, stageAlign).Slice(0, n)
+}
+
+// give returns a buffer take handed out, whole, to its pool. A buffer
+// of a space the rank does not stage in is a caller's error.
+func (m *Rank) give(b mem.Buffer) {
+	pl := m.pool(b.Space())
+	if b.Space() != pl.space {
+		panic("mpi: rank " + strconv.Itoa(m.rank) + " was given " + b.String() + ", which it does not stage in")
+	}
+	m.staged--
+	c := class(b.Len())
+	for len(pl.free) <= c {
+		pl.free = append(pl.free, nil)
+	}
+	pl.free[c] = append(pl.free[c], b.Addr())
+}
+
+// pool returns the rank's pool for space: the arena's for host memory,
+// else that of the GPU of the rank's node that owns space.
+func (m *Rank) pool(space *mem.Space) *pool {
+	if space.Kind() == mem.Host {
+		return &m.pools[0]
+	}
+	d := m.ctx.Node().DeviceOf(space)
+	if d < 0 {
+		panic("mpi: rank " + strconv.Itoa(m.rank) + " stages in no other node's device memory")
+	}
+	for len(m.pools) <= d+1 {
+		m.pools = append(m.pools, pool{})
+	}
+	pl := &m.pools[d+1]
+	pl.space = space
+	return pl
+}
 
 // reset makes the arena as a fresh one, but for its backing bytes and
 // its pools' and lists' arrays: every buffer it pooled — the device
-// rings too — is dropped and the allocator restarts at address 0, the
-// closed world's stage records become spares, naming nothing, and the
-// matching lists are emptied (a world closed mid-run may leave entries;
-// a pooled batch is empty already).
+// pools' too, whose spaces closed with the world — is dropped and the
+// allocator restarts at address 0, and the matching lists are emptied
+// (a world closed mid-run may leave entries; a pooled batch is empty
+// already, and so is a pooled stage record, release).
 func (a *arena) reset() {
 	a.space.Reset()
-	clear(a.scratchPool)
-	a.scratchPool = a.scratchPool[:0]
-	a.scratchPooled, a.scratchPeak, a.scratchLargest = 0, 0, 0
-	for i, pool := range a.rings {
-		clear(pool)
-		a.rings[i] = pool[:0]
+	for i := range a.pools {
+		for c := range a.pools[i].free {
+			a.pools[i].free[c] = a.pools[i].free[c][:0]
+		}
+		if i > 0 {
+			a.pools[i].space = nil
+		}
 	}
-	for _, s := range a.stages {
-		s.buf = mem.Buffer{}
-		clear(s.blocks[:cap(s.blocks)])
-		a.spare = append(a.spare, s)
-	}
-	clear(a.stages)
-	a.stages = a.stages[:0]
 	clear(a.posted)
 	clear(a.unexp)
 	a.posted, a.unexp = a.posted[:0], a.unexp[:0]
@@ -114,7 +178,8 @@ func takeArena() *arena {
 	defer s.Unlock()
 	n := len(s.arenas)
 	if n == 0 {
-		return &arena{space: mem.NewSpace("staging", mem.Host, arenaBytes)}
+		sp := mem.NewSpace("staging", mem.Host, arenaBytes)
+		return &arena{space: sp, pools: []pool{{space: sp}}}
 	}
 	a := s.arenas[n-1]
 	s.arenas[n-1] = nil

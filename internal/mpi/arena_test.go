@@ -13,13 +13,14 @@ import (
 )
 
 // stagedRun runs, on a fresh world of cfg, a job that stages through
-// every part of the arena — an eager device Alltoall (bounce buffers),
-// a held eager Bcast (a stage), a noncontiguous host rendezvous across
-// nodes (the staged sender's local ring and the receiver's host ring)
-// into a contiguous host buffer (a user registration), and a host
-// Reduce (accumulators) — with blocks of block bytes. It returns the
-// virtual time, the registration misses, a digest of every rank's
-// results and its ranks' arenas.
+// every pool of its ranks — an eager device Alltoall (bounce buffers,
+// and device stages for its local copies), a held eager Bcast (a
+// stage), a noncontiguous host rendezvous across nodes (the staged
+// sender's local ring and the receiver's host ring) into a contiguous
+// host buffer (a user registration), and a host Reduce (accumulators) —
+// with blocks of block bytes. It returns the virtual time, the
+// registration misses, a digest of every rank's results and its ranks'
+// arenas.
 func stagedRun(t *testing.T, cfg Config, block int) (end sim.Time, misses int64, digest [32]byte, arenas map[*mem.Space]bool) {
 	t.Helper()
 	w := NewWorld(cfg)
@@ -67,17 +68,22 @@ func stagedRun(t *testing.T, cfg Config, block int) (end sim.Time, misses int64,
 		h.Write(r)
 	}
 	h.Sum(digest[:0])
-	var stages, rings, scratch int
+	pooled := make(map[mem.Kind]int)
 	arenas = make(map[*mem.Space]bool)
 	for _, m := range w.ranks {
 		arenas[m.Staging()] = true
-		stages, scratch = stages+len(m.stages), scratch+len(m.scratchPool)
-		if len(m.rings) > 0 {
-			rings += len(m.rings[0])
+		for _, pl := range m.pools {
+			for _, free := range pl.free {
+				if len(free) > 0 {
+					pooled[pl.space.Kind()] += len(free)
+				}
+			}
 		}
 	}
-	if stages == 0 || rings == 0 || scratch == 0 {
-		t.Fatalf("the job pooled %d stages, %d host rings and %d scratch buffers; it must stage through all three", stages, rings, scratch)
+	for _, k := range []mem.Kind{mem.Host, mem.Device} {
+		if pooled[k] == 0 {
+			t.Fatalf("the job gave back no staging buffer of %v memory; it must stage in every kind", k)
+		}
 	}
 	end, misses = w.Engine().Now(), rec.Counter("ib.reg.miss")
 	w.Close()
@@ -112,8 +118,8 @@ func TestArenaHistoryIndependent(t *testing.T) {
 
 // stagingFuncs are the functions that carve, pool and shelve staging.
 var stagingFuncs = []string{
-	"(*Rank).scratch", "(*Rank).freeScratch", "(*Rank).takeStage", "(*Rank).release",
-	"(*Rank).ringBuf", "(*Rank).releaseRing", "(*Rank).ringPool", "(*stage).clearFor",
+	"(*Rank).take", "(*Rank).give", "(*Rank).pool", "class",
+	"(*Rank).takeStage", "(*Rank).release",
 	"(*arena).", "takeArena", "shelveArenas",
 }
 
@@ -222,4 +228,27 @@ func TestStagingAllocatesNothing(t *testing.T) {
 	if got := stagingAllocs() - before; got != 0 || grown != 0 {
 		t.Errorf("a rebuilt 64-rank world's staging and matching lists allocated %d objects and grew %d arenas, want 0 and 0", got, grown)
 	}
+}
+
+// TestGiveForeignSpacePanics: a rank takes back only what it stages in
+// — its arena, and the memory of its node's GPUs. A user host buffer
+// and another node's device memory are the caller's error.
+func TestGiveForeignSpacePanics(t *testing.T) {
+	w := NewWorld(twoNodes())
+	defer w.Close()
+	m := w.RankHandle(0)
+	for what, b := range map[string]mem.Buffer{
+		"a user host buffer":           m.MallocHost(64),
+		"another node's device memory": w.Node(1).GPU(0).Mem().Alloc(64, 0),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("giving back %s did not panic", what)
+				}
+			}()
+			m.give(b)
+		}()
+	}
+	checkQuiescent(t, w, "nothing given back")
 }

@@ -78,7 +78,7 @@ func TestChaosTransientFaultsRecovered(t *testing.T) {
 // sender cannot map the window and answers with a failure event; and
 // the sender's contiguous window, whose receiver cannot map it and
 // commands a worker that was never spawned. Each must fall back,
-// deliver intact bytes, and return every scratch and ring slab the
+// deliver intact bytes, and give back every staging buffer the
 // abandoned attempt held, and every message record to its free list.
 func TestChaosScratchNoLeak(t *testing.T) {
 	dense := datatype.Contiguous(128*128, datatype.Float64) // chaosStrided's bytes, gap-free

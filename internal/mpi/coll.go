@@ -279,7 +279,7 @@ func (m *Rank) reduceTree(p *sim.Proc, what string, c comm, rootIdx int, acc mem
 	var tmp mem.Buffer
 	for k := 1; k < span && v+k < c.n; k <<= 1 {
 		if !tmp.IsValid() {
-			tmp = m.accumBuf(acc, acc.Len())
+			tmp = m.take(acc.Space(), acc.Len())
 		}
 		child := c.at(v+k, rootIdx)
 		m.recvBlock(p, what, tmp, dt, count, child, tag+child)
@@ -289,7 +289,7 @@ func (m *Rank) reduceTree(p *sim.Proc, what string, c comm, rootIdx int, acc mem
 		m.sendOn(p, acc, dt, count, c.at(parent, rootIdx), tag+m.rank)
 	}
 	if tmp.IsValid() {
-		m.releaseAccum(tmp)
+		m.give(tmp)
 	}
 }
 
@@ -446,11 +446,11 @@ func (m *Rank) dissemination(p *sim.Proc, what string, c comm, tag int) {
 	if c.n == 1 {
 		return
 	}
-	tok, in := m.scratch(8), m.scratch(8)
+	tok, in := m.take(m.space, 8), m.take(m.space, 8)
 	for s, k := 0, 1; k < c.n; s, k = s+1, k<<1 {
-		m.batch(c).send(p, tok.Slice(0, 8), tokenDT, 1, (c.me+k)%c.n, tag+s).
-			recv(in.Slice(0, 8), tokenDT, 1, (c.me-k+c.n)%c.n, tag+s).wait(p, what)
+		m.batch(c).send(p, tok, tokenDT, 1, (c.me+k)%c.n, tag+s).
+			recv(in, tokenDT, 1, (c.me-k+c.n)%c.n, tag+s).wait(p, what)
 	}
-	m.freeScratch(in)
-	m.freeScratch(tok)
+	m.give(in)
+	m.give(tok)
 }

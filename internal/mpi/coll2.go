@@ -93,36 +93,30 @@ func (m *Rank) localCopy(p *sim.Proc, src mem.Buffer, sdt *datatype.Datatype, sc
 		})
 		return
 	}
-	var stage mem.Buffer
+	space := m.space
 	if src.Kind() == mem.Device || dst.Kind() == mem.Device {
-		stage = m.ringBuf(m.ctx.Node().GPU(m.place.GPU).Mem(), packed)
-	} else {
-		stage = m.scratch(packed)
+		space = m.ctx.Node().GPU(m.place.GPU).Mem()
 	}
-	window := stage.Slice(0, packed)
-	if window.Kind() == mem.Device && src.Kind() == mem.Host {
-		hs := m.scratch(packed)
-		m.EngineFor(src).Pack(p, src, sdt, scount, hs.Slice(0, packed))
+	stage := m.take(space, packed)
+	if stage.Kind() == mem.Device && src.Kind() == mem.Host {
+		hs := m.take(m.space, packed)
+		m.EngineFor(src).Pack(p, src, sdt, scount, hs)
 		m.mustRetry(p, "local.copy", func() error {
-			return m.ctx.Memcpy(p, window, hs.Slice(0, packed))
+			return m.ctx.Memcpy(p, stage, hs)
 		})
-		m.freeScratch(hs)
+		m.give(hs)
 	} else {
-		m.EngineFor(src).Pack(p, src, sdt, scount, window)
+		m.EngineFor(src).Pack(p, src, sdt, scount, stage)
 	}
-	if window.Kind() == mem.Device && dst.Kind() == mem.Host {
-		hs := m.scratch(packed)
+	if stage.Kind() == mem.Device && dst.Kind() == mem.Host {
+		hs := m.take(m.space, packed)
 		m.mustRetry(p, "local.copy", func() error {
-			return m.ctx.Memcpy(p, hs.Slice(0, packed), window)
+			return m.ctx.Memcpy(p, hs, stage)
 		})
-		m.EngineFor(dst).Unpack(p, dst, rdt, rcount, hs.Slice(0, packed))
-		m.freeScratch(hs)
+		m.EngineFor(dst).Unpack(p, dst, rdt, rcount, hs)
+		m.give(hs)
 	} else {
-		m.EngineFor(dst).Unpack(p, dst, rdt, rcount, window)
+		m.EngineFor(dst).Unpack(p, dst, rdt, rcount, stage)
 	}
-	if stage.Kind() == mem.Device {
-		m.releaseRing(stage)
-	} else {
-		m.freeScratch(stage)
-	}
+	m.give(stage)
 }

@@ -203,7 +203,7 @@ func (g *Group) allreduceRing(m *Rank, p *sim.Proc, c comm, tag int, sendBuf, re
 			maxChunk = w
 		}
 	}
-	tmp := m.accumBuf(recvBuf, maxChunk)
+	tmp := m.take(recvBuf.Space(), maxChunk)
 
 	// Reduce-scatter.
 	for s := 0; s < size-1; s++ {
@@ -219,7 +219,7 @@ func (g *Group) allreduceRing(m *Rank, p *sim.Proc, c comm, tag int, sendBuf, re
 
 	// Allgather of the combined chunks: member i now owns chunk i+1.
 	m.ringAllgather(p, "group Allreduce", c, func(i int) (mem.Buffer, *datatype.Datatype, int) { return chunk(i + 1) }, tag+size-1)
-	m.releaseAccum(tmp)
+	m.give(tmp)
 }
 
 // Alltoallv exchanges scounts[j] elements of sdt (at sdispls[j], in

@@ -157,7 +157,7 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, ph phases, tag int, buf mem.Buffer, c
 	tagOut := tagRing + nnodes
 
 	slots := vectorView(buf, dt, counts, displs)
-	stage := m.scratch(total)
+	stage := m.take(m.space, total)
 
 	// Phase 1: assemble the node's blocks, already packed, at the
 	// leader. Members send (dt, count); the leader receives straight
@@ -190,7 +190,7 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, ph phases, tag int, buf mem.Buffer, c
 	m.bcastTree(p, ph.what, node, 0, stage.Slice(0, total), datatype.Byte, int(total), tagOut)
 	m.unpackBlocks(p, blocksOf(slots, size, off, m.rank), stage)
 	sp.End()
-	m.freeScratch(stage)
+	m.give(stage)
 }
 
 // hierAlltoall aggregates each node's outgoing traffic at its leader
@@ -232,8 +232,8 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 		return
 	}
 
-	sendStage := m.scratch(int64(rpn) * P * B)
-	recvStage := m.scratch(P * int64(rpn) * B)
+	sendStage := m.take(m.space, int64(rpn)*P*B)
+	recvStage := m.take(m.space, P*int64(rpn)*B)
 
 	// Phase 1: collect the members' packed send buffers, packing the
 	// leader's own while they are in flight.
@@ -277,8 +277,8 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	}
 	sp.End()
 
-	m.freeScratch(recvStage)
-	m.freeScratch(sendStage)
+	m.give(recvStage)
+	m.give(sendStage)
 }
 
 // hierReduce: binomial reduction to the leader within each node, then
@@ -301,6 +301,6 @@ func (m *Rank) hierReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt 
 		sp.End()
 	}
 	if m.rank != root {
-		m.releaseAccum(acc)
+		m.give(acc)
 	}
 }

@@ -80,7 +80,7 @@ func runHierColl(t *testing.T, cfg Config, coll string) ([][]byte, *World, *sim.
 // collective at 64 ranks, and into both reduce paths (in-network and
 // host tree), and requires full recovery: byte-identical results to the
 // clean run, at least one fault actually injected, and zero
-// scratch/ring slabs leaked on any rank.
+// staging buffers leaked on any rank.
 func TestHierChaosSweep(t *testing.T) {
 	for _, coll := range []string{"bcast", "allgather", "alltoall", "reduce", "reduce-f64"} {
 		clean, cw, _ := runHierColl(t, hierChaosConfig(nil), coll)

@@ -46,35 +46,20 @@ type stage struct {
 	blocks []core.Block // by block index; a nil Dt marks a block left in place
 }
 
-// takeStage hands out a stage of at least n bytes of the rank's arena
-// with room for blocks blocks, all left in place, reusing a released one
-// — its buffer and its blocks array — or else a spare record that a
-// closed world left (arena.reset); release returns it. Stages are
-// counted with the scratch buffers (World.Quiescent) but pooled apart
-// from them: a stage is sized to its collective's blocks, a scratch
-// buffer to the eager limit, and a stage taken for a bounce buffer
-// would be a large buffer spent on a small message.
+// takeStage hands out a stage of n bytes of host staging (take) with
+// room for blocks blocks, all left in place, in a record the rank keeps
+// — its blocks array too — from one stage to the next, and from one
+// world to the next on the arena's shelf; release gives it back.
 func (m *Rank) takeStage(n int64, blocks int) *stage {
-	m.scratchOut++
-	for i, s := range m.stages {
-		if s.buf.Len() >= n {
-			m.stages = slices.Delete(m.stages, i, i+1)
-			return s.clearFor(blocks)
-		}
+	var s *stage
+	if k := len(m.stages) - 1; k >= 0 {
+		s = m.stages[k]
+		m.stages = m.stages[:k]
+	} else {
+		s = new(stage)
 	}
-	if k := len(m.spare); k > 0 {
-		s := m.spare[k-1]
-		m.spare = m.spare[:k-1]
-		s.buf = m.alloc(n)
-		return s.clearFor(blocks)
-	}
-	return &stage{buf: m.alloc(n), blocks: make([]core.Block, blocks)}
-}
-
-// clearFor makes room for blocks blocks in s, all left in place.
-func (s *stage) clearFor(blocks int) *stage {
-	s.blocks = slices.Grow(s.blocks[:0], blocks)[:blocks]
-	clear(s.blocks)
+	s.buf = m.take(m.space, n)
+	s.blocks = slices.Grow(s.blocks, blocks)[:blocks]
 	return s
 }
 
@@ -192,10 +177,15 @@ func (m *Rank) unpackHeld(p *sim.Proc, s *stage) {
 	}
 }
 
-// release ends the hold: the stage returns to the pool.
+// release ends the hold: the stage's buffer goes back (give) and its
+// record to the rank's, naming nothing — no block of a closed world
+// stays reachable from a shelved arena.
 func (m *Rank) release(s *stage) {
 	if s != nil {
-		m.scratchOut--
+		m.give(s.buf)
+		s.buf = mem.Buffer{}
+		clear(s.blocks)
+		s.blocks = s.blocks[:0]
 		m.stages = append(m.stages, s)
 	}
 }

@@ -333,7 +333,7 @@ func (st *pipeSend) runPackToRing(p *sim.Proc, r *pipeRecv) bool {
 	defer h.End()
 	frag := m.w.tun.frag
 
-	ring := m.ringBuf(op.Buf.Space(), frag*pipelineDepth)
+	ring := m.take(op.Buf.Space(), frag*pipelineDepth)
 	prod := st.producer()
 
 	// The first pipelineDepth fragments take the ring's slots in order;
@@ -346,7 +346,7 @@ func (st *pipeSend) runPackToRing(p *sim.Proc, r *pipeRecv) bool {
 		if i >= pipelineDepth {
 			var ok bool
 			if slot, ok = getAck(p, &r.acks); !ok {
-				m.releaseRing(ring)
+				m.give(ring)
 				return false
 			}
 		}
@@ -362,11 +362,11 @@ func (st *pipeSend) runPackToRing(p *sim.Proc, r *pipeRecv) bool {
 	// Wait until every slot has come home before reusing the ring.
 	for range min(nfrag, pipelineDepth) {
 		if _, ok := getAck(p, &r.acks); !ok {
-			m.releaseRing(ring)
+			m.give(ring)
 			return false
 		}
 	}
-	m.releaseRing(ring)
+	m.give(ring)
 	return true
 }
 
@@ -426,7 +426,7 @@ func (st *pipeSend) runSendStaged(p *sim.Proc, r *pipeRecv) bool {
 
 	// The stager fills local host staging slots; this process drains
 	// them onto the wire, so pack(i+1) overlaps transfer(i).
-	local := m.ringBuf(m.space, 2*frag)
+	local := m.take(m.space, 2*frag)
 	st.producer()
 	st.freeLocal.Init(m.w.eng, "ib.freeLocal")
 	st.filled.Init(m.w.eng, "ib.filled")
@@ -439,7 +439,7 @@ func (st *pipeSend) runSendStaged(p *sim.Proc, r *pipeRecv) bool {
 		st.sendStagedFrag(p, r, i, off, n, local.Slice(int64(ls)*frag, n))
 		st.freeLocal.Put(ls)
 	}
-	m.releaseRing(local)
+	m.give(local)
 	return true
 }
 
@@ -639,7 +639,7 @@ func (r *pipeRecv) staged(p *sim.Proc) {
 	}
 
 	r.direct = peerBuf{} // a failed pack-direct attempt's device window
-	r.ring = m.ringBuf(m.space, frag*pipelineDepth)
+	r.ring = m.take(m.space, frag*pipelineDepth)
 	r.command(p, cmdSendStaged)
 	r.fc.init(m, op, &r.acks)
 	for i := range fragments(op.Packed, frag) {
@@ -648,6 +648,6 @@ func (r *pipeRecv) staged(p *sim.Proc) {
 		r.fc.consume(p, r.ring.Slice(int64(slot)*frag, n), off, n, slot)
 	}
 	r.fc.finish(p)
-	m.releaseRing(r.ring)
+	m.give(r.ring)
 	op.Req.done.Complete(nil)
 }

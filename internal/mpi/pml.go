@@ -213,11 +213,11 @@ func (m *Rank) eagerSend(sp *sim.Proc, buf mem.Buffer, ch Channel, rts rtsMsg) *
 	defer h.End()
 	s := m.w.recs.eager.take(m.w, 2)
 	s.req.init(m.w.eng, s)
-	local := m.scratch(rts.packed)
-	m.packToHost(sp, buf, rts.sdt, rts.scount, local.Slice(0, rts.packed))
-	rts.eager = rts.dst.scratch(rts.packed)
-	ch.Put(sp, rts.eager.Slice(0, rts.packed), local.Slice(0, rts.packed))
-	m.freeScratch(local)
+	local := m.take(m.space, rts.packed)
+	m.packToHost(sp, buf, rts.sdt, rts.scount, local)
+	rts.eager = rts.dst.take(rts.dst.space, rts.packed)
+	ch.Put(sp, rts.eager, local)
+	m.give(local)
 	s.rts = rts
 	s.rts.snd = s
 	ch.AM(sp, amHeaderBytes, &s.rts, 0)
@@ -314,7 +314,7 @@ func (r *recvReq) Run(p *sim.Proc) {
 		msg.snd.release()
 		h.SetDetail("eager")
 		m.unpackFromHost(p, op.Buf, op.Dt, op.Count, buf.Slice(0, op.Packed))
-		m.freeScratch(buf)
+		m.give(buf)
 		h.End()
 		op.Req.done.Complete(nil)
 		r.release()
@@ -325,80 +325,6 @@ func (r *recvReq) Run(p *sim.Proc) {
 	msg.snd.release()
 	h.End()
 	r.release()
-}
-
-// scratchPoolFloor is the least freeScratch will ever cap retained
-// bytes at, so small-message workloads still amortize allocation.
-const scratchPoolFloor = 16 << 20
-
-// scratch hands out a host bounce buffer of at least n bytes from the
-// rank's pool (eager protocol and staging), carved from its arena.
-// Small requests are rounded up (to the eager limit, capped at 1 MiB)
-// so the pool stays reusable.
-// Selection is best-fit with a waste bound: the smallest pooled buffer
-// that satisfies the request wins, and a buffer more than 2x the
-// request is left pooled, so a small eager message cannot consume a
-// multi-megabyte staging buffer and force its re-allocation.
-func (m *Rank) scratch(n int64) mem.Buffer {
-	floor := m.w.tun.eager
-	if floor > 1<<20 {
-		floor = 1 << 20
-	}
-	if n < floor {
-		n = floor
-	}
-	if n > m.scratchLargest {
-		m.scratchLargest = n
-	}
-	best := -1
-	for i, b := range m.scratchPool {
-		if b.Len() >= n && b.Len() <= 2*n && (best < 0 || b.Len() < m.scratchPool[best].Len()) {
-			best = i
-		}
-	}
-	m.scratchOut++
-	if best >= 0 {
-		b := m.scratchPool[best]
-		m.scratchPool = append(m.scratchPool[:best], m.scratchPool[best+1:]...)
-		m.scratchPooled -= b.Len()
-		return b
-	}
-	return m.alloc(n)
-}
-
-// scratchCap bounds the bytes freeScratch retains: twice the largest
-// request seen (a working set of one in-flight plus one spare), with a
-// floor for small-message workloads.
-func (m *Rank) scratchCap() int64 {
-	c := 2 * m.scratchLargest
-	if c < scratchPoolFloor {
-		c = scratchPoolFloor
-	}
-	return c
-}
-
-// freeScratch returns a buffer to the pool, evicting the largest pooled
-// buffers whenever retained bytes exceed the cap so a burst of large
-// messages cannot pin its staging memory forever.
-func (m *Rank) freeScratch(b mem.Buffer) {
-	m.scratchOut--
-	m.scratchPool = append(m.scratchPool, b)
-	m.scratchPooled += b.Len()
-	for m.scratchPooled > m.scratchCap() && len(m.scratchPool) > 1 {
-		big := 0
-		for i, pb := range m.scratchPool {
-			if pb.Len() > m.scratchPool[big].Len() {
-				big = i
-			}
-		}
-		drop := m.scratchPool[big]
-		m.scratchPool = append(m.scratchPool[:big], m.scratchPool[big+1:]...)
-		m.scratchPooled -= drop.Len()
-		drop.Space().Free(drop)
-	}
-	if m.scratchPooled > m.scratchPeak {
-		m.scratchPeak = m.scratchPooled
-	}
 }
 
 // packToHost packs (buf, dt, count) into the host buffer dst.

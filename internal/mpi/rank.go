@@ -30,10 +30,9 @@ type Rank struct {
 	proc  sim.Proc // the rank's main process, started by World.Run
 	main  rankMain // its body
 
-	inbox      sim.Server[ib.Msg] // active messages, executed in order
-	*arena                        // pinned staging, its pools and the matching lists (arena.go)
-	scratchOut int64              // scratch buffers and stages handed out, not yet returned
-	ringOut    int64              // ring buffers handed out, not yet returned
+	inbox  sim.Server[ib.Msg] // active messages, executed in order
+	*arena                    // pinned staging, its pools and the matching lists (arena.go)
+	staged int64              // staging buffers taken, not yet given back
 
 	collSeq    int
 	winSeq     int
@@ -110,20 +109,15 @@ func (m *Rank) Rank() int { return m.rank }
 // World returns the world this rank belongs to.
 func (m *Rank) World() *World { return m.w }
 
-// ScratchHost hands out a pooled host bounce buffer of at least n bytes
-// (for alternative strategies' staging).
-func (m *Rank) ScratchHost(n int64) mem.Buffer { return m.scratch(n) }
+// ScratchHost hands out n bytes of the rank's pinned host staging (for
+// alternative strategies' staging).
+func (m *Rank) ScratchHost(n int64) mem.Buffer { return m.take(m.space, n) }
 
-// FreeScratchHost returns a ScratchHost buffer to the pool.
-func (m *Rank) FreeScratchHost(b mem.Buffer) { m.freeScratch(b) }
-
-// ScratchStats reports the scratch pool's currently retained bytes and
-// the high-water mark of retained bytes over the rank's lifetime.
-func (m *Rank) ScratchStats() (pooled, peak int64) { return m.scratchPooled, m.scratchPeak }
+// FreeScratchHost gives a ScratchHost buffer back.
+func (m *Rank) FreeScratchHost(b mem.Buffer) { m.give(b) }
 
 // Staging returns the rank's pinned staging arena (arena.go), for
-// inspection: what its scratch buffers, stages and host rings are
-// carved from.
+// inspection: what its host staging is carved from.
 func (m *Rank) Staging() *mem.Space { return m.space }
 
 // Size returns the world size.

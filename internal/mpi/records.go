@@ -167,9 +167,8 @@ func (rs *records) retire() {
 }
 
 // Quiescent reports what a finished world still holds: a message record
-// the library took for its own use that never came home, or a scratch
-// buffer or collective stage, a staging-ring buffer or a nonblocking
-// collective some rank never returned. After Run every count must be
+// the library took for its own use that never came home, or a staging
+// buffer or a nonblocking collective some rank never returned. After Run every count must be
 // zero; anything else is a leak, e.g. a protocol attempt abandoned on a
 // fault without releasing its staging. The error names the first kind
 // found, and the first rank holding it.
@@ -179,10 +178,8 @@ func (w *World) Quiescent() error {
 	}
 	for _, m := range w.ranks {
 		switch {
-		case m.scratchOut != 0:
-			return fmt.Errorf("mpi: rank %d: %d scratch buffers outstanding", m.rank, m.scratchOut)
-		case m.ringOut != 0:
-			return fmt.Errorf("mpi: rank %d: %d ring buffers outstanding", m.rank, m.ringOut)
+		case m.staged != 0:
+			return fmt.Errorf("mpi: rank %d: %d staging buffers outstanding", m.rank, m.staged)
 		case m.collOut != 0:
 			return fmt.Errorf("mpi: rank %d: %d nonblocking collectives outstanding", m.rank, m.collOut)
 		}

@@ -262,8 +262,8 @@ func TestDoubleReleasePanicsNamingTheKind(t *testing.T) {
 }
 
 // TestQuiescentNamesTheLeak: World.Quiescent reports a message record
-// away from home by its kind, and a scratch buffer a rank never returned
-// by its kind and rank; once both are back it reports nothing, and
+// away from home by its kind, and a staging buffer a rank never gave
+// back by its kind and rank; once both are back it reports nothing, and
 // allocates nothing to say so.
 func TestQuiescentNamesTheLeak(t *testing.T) {
 	w := NewWorld(twoRanksSameGPU())
@@ -287,10 +287,10 @@ func TestQuiescentNamesTheLeak(t *testing.T) {
 	quiet("record home")
 
 	m := w.RankHandle(1)
-	b := m.scratch(64)
-	if err, want := w.Quiescent(), "mpi: rank 1: 1 scratch buffers outstanding"; err == nil || err.Error() != want {
-		t.Errorf("scratch buffer kept: %v, want %q", err, want)
+	b := m.take(m.space, 64)
+	if err, want := w.Quiescent(), "mpi: rank 1: 1 staging buffers outstanding"; err == nil || err.Error() != want {
+		t.Errorf("staging buffer kept: %v, want %q", err, want)
 	}
-	m.freeScratch(b)
-	quiet("scratch buffer returned")
+	m.give(b)
+	quiet("staging buffer given back")
 }

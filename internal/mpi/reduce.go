@@ -46,41 +46,24 @@ func (m *Rank) reduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, dt *dat
 	acc := m.accumulator(p, sendBuf, recvBuf, dt, count, m.rank == root)
 	m.reduceTree(p, "Reduce", m.worldComm(), root, acc, dt, count, prim, op, tag)
 	if m.rank != root {
-		m.releaseAccum(acc)
+		m.give(acc)
 	}
 }
 
 // accumulator returns the buffer this rank reduces into, already
 // holding its own contribution: recvBuf when the rank keeps the result,
-// otherwise staging in the same location class as its send buffer,
-// which the caller hands back with releaseAccum.
+// otherwise staging in its send buffer's memory, which the caller gives
+// back.
 func (m *Rank) accumulator(p *sim.Proc, sendBuf, recvBuf mem.Buffer, dt *datatype.Datatype, count int, keep bool) mem.Buffer {
 	n := int64(count) * dt.Size()
 	var acc mem.Buffer
 	if keep {
 		acc = recvBuf.Slice(0, n)
 	} else {
-		acc = m.accumBuf(sendBuf, n)
+		acc = m.take(sendBuf.Space(), n)
 	}
 	m.localCopy(p, sendBuf, dt, count, acc, dt, count)
 	return acc
-}
-
-// accumBuf hands out n bytes of reduction staging in like's location
-// class (device ring or host scratch); release with releaseAccum.
-func (m *Rank) accumBuf(like mem.Buffer, n int64) mem.Buffer {
-	if like.Kind() == mem.Device {
-		return m.ringBuf(like.Space(), n).Slice(0, n)
-	}
-	return m.scratch(n).Slice(0, n)
-}
-
-func (m *Rank) releaseAccum(b mem.Buffer) {
-	if b.Kind() == mem.Device {
-		m.releaseRing(b)
-	} else {
-		m.freeScratch(b)
-	}
 }
 
 // Allreduce is Reduce to rank 0 followed by Bcast, over a Reduce tag

@@ -68,13 +68,13 @@ func (m *Rank) switchReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, d
 
 	if m.rank == lead {
 		sp := p.BeginBytes("coll.reduce.sharp", n)
-		host := m.scratch(n).Slice(0, n)
+		host := m.take(m.space, n)
 		m.packToHost(p, acc, dt, count, host)
 		m.w.fabric.SwitchReduce(p, tag, m.w.hcas[:leaders.n], leaders.me, host, switchFolds[fold{prim, op}])
 		if keep {
 			m.unpackFromHost(p, acc, dt, count, host)
 		}
-		m.freeScratch(host)
+		m.give(host)
 		sp.End()
 	}
 	if all {
@@ -83,6 +83,6 @@ func (m *Rank) switchReduce(p *sim.Proc, tag int, sendBuf, recvBuf mem.Buffer, d
 		sp.End()
 	}
 	if !keep {
-		m.releaseAccum(acc)
+		m.give(acc)
 	}
 }

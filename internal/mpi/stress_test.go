@@ -117,53 +117,91 @@ func TestBidirectionalSimultaneousRendezvous(t *testing.T) {
 	}
 }
 
-// TestScratchPoolBounded churns the scratch pool with mixed request
-// sizes, including bursts that would once have accumulated unboundedly,
-// and asserts best-fit reuse plus a bounded retained-bytes peak.
+// TestScratchPoolBounded: a rank's staging is one pool of power-of-two
+// size classes per memory space, and nothing in it is evicted — its
+// arena is a bump allocator, so an evicted buffer would strand its
+// range until the world closed. A request takes a buffer of its own
+// class: a small one never spends a big buffer given back, and a big
+// one reuses it. And staging held together in bursts, taken by hand or
+// by a collective, needs no more of the arena's backing on the last
+// round than on the first: a pool that dropped a buffer would strand its
+// range, and bursts like these ran the arena out of memory (the hand-made
+// ones near round 63).
 func TestScratchPoolBounded(t *testing.T) {
-	w := NewWorld(twoRanksTwoGPUs())
-	w.Run(func(m *Rank) {
-		if m.Rank() != 0 {
-			return
-		}
-		const big = 32 << 20
-
-		// Best-fit: a small request after freeing a big buffer must not
-		// consume it; the next big request must reuse it.
-		bigBuf := m.ScratchHost(big)
-		m.FreeScratchHost(bigBuf)
-		small := m.ScratchHost(4 << 10)
-		if small.Len() >= big {
-			t.Errorf("small request took the %d-byte buffer (first-fit behaviour)", big)
-		}
-		reuse := m.ScratchHost(big)
-		if reuse.Space() != bigBuf.Space() || reuse.Addr() != bigBuf.Addr() {
-			t.Error("big request did not reuse the pooled big buffer")
-		}
-		m.FreeScratchHost(small)
-		m.FreeScratchHost(reuse)
-
-		// Churn: repeated bursts of concurrent mixed-size requests.
-		sizes := []int64{4 << 10, 64 << 10, 1 << 20, 8 << 20, big, 1 << 20, 64 << 10}
-		for iter := 0; iter < 40; iter++ {
-			var held []mem.Buffer
-			for _, n := range sizes {
-				held = append(held, m.ScratchHost(n))
+	t.Run("classes", func(t *testing.T) {
+		w := NewWorld(twoRanksTwoGPUs())
+		defer w.Close()
+		w.Run(func(m *Rank) {
+			if m.Rank() != 0 {
+				return
 			}
-			for _, b := range held {
-				m.FreeScratchHost(b)
+			const big = 32 << 20
+			bigBuf := m.ScratchHost(big)
+			m.FreeScratchHost(bigBuf)
+			small := m.ScratchHost(4 << 10)
+			if small.Addr() == bigBuf.Addr() {
+				t.Errorf("a 4 KiB request took the pooled %d-byte buffer", int64(big))
 			}
+			reuse := m.ScratchHost(big)
+			if reuse.Space() != bigBuf.Space() || reuse.Addr() != bigBuf.Addr() {
+				t.Error("a big request did not reuse the pooled big buffer")
+			}
+			m.FreeScratchHost(small)
+			m.FreeScratchHost(reuse)
+		})
+		checkQuiescent(t, w, "classes")
+	})
+
+	t.Run("bursts", func(t *testing.T) {
+		w := NewWorld(twoRanksTwoGPUs())
+		defer w.Close()
+		var first, last int64
+		w.Run(func(m *Rank) {
+			if m.Rank() != 0 {
+				return
+			}
+			for i := range 100 {
+				held := []mem.Buffer{m.ScratchHost(16 << 20), m.ScratchHost(16 << 20), m.ScratchHost(64 << 10)}
+				for _, b := range held {
+					m.FreeScratchHost(b)
+				}
+				if i == 0 {
+					first = m.Staging().UsedBacking()
+				}
+			}
+			last = m.Staging().UsedBacking()
+		})
+		checkQuiescent(t, w, "bursts")
+		if last != first {
+			t.Errorf("the arena backs %d bytes after 100 bursts, %d after the first", last, first)
 		}
-		pooled, peak := m.ScratchStats()
-		capBytes := int64(2 * big) // cap follows the largest request
-		if peak > capBytes {
-			t.Errorf("pooled peak %d exceeds cap %d", peak, capBytes)
+	})
+
+	t.Run("alltoall", func(t *testing.T) {
+		w := NewWorld(blockedConfig(2, 4, false))
+		defer w.Close()
+		if !w.TopologyAware() {
+			t.Fatal("the world runs a flat Alltoall; the leader stages nothing")
 		}
-		if pooled > peak {
-			t.Errorf("pooled %d exceeds recorded peak %d", pooled, peak)
-		}
-		if peak == 0 {
-			t.Error("peak never recorded")
+		const block, reps = 256 << 10, 8
+		var first, last int64
+		w.Run(func(m *Rank) {
+			n := int64(m.Size()) * block
+			send, recv := m.Malloc(n), m.Malloc(n)
+			for rep := range reps {
+				m.Alltoall(send, datatype.Byte, block, recv, datatype.Byte, block)
+				m.Barrier()
+				if m.Rank() == 0 && rep == 0 {
+					first = m.Staging().UsedBacking()
+				}
+			}
+			if m.Rank() == 0 {
+				last = m.Staging().UsedBacking()
+			}
+		})
+		checkQuiescent(t, w, "alltoall")
+		if last != first {
+			t.Errorf("the leader's arena backs %d bytes after %d repetitions, %d after the first", last, reps, first)
 		}
 	})
 }

@@ -93,7 +93,7 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot 
 	case fc.op.Buf.Kind() == mem.Host: // host layout
 		if src.Kind() == mem.Device {
 			if !fc.scratch.IsValid() {
-				fc.scratch = m.scratch(src.Len())
+				fc.scratch = m.take(m.space, src.Len())
 			}
 			stage := fc.scratch.Slice(0, n)
 			m.mustRetry(p, "frag.stage", func() error {
@@ -120,7 +120,7 @@ func (fc *fragConsumer) consume(p *sim.Proc, src mem.Buffer, off, n int64, slot 
 		// Staged: copy the packed fragment into local device memory
 		// first, then unpack locally (§5.2.1).
 		if !fc.stage.IsValid() {
-			fc.stage = m.ringBuf(dev.Mem(), 2*m.w.tun.frag)
+			fc.stage = m.take(dev.Mem(), 2*m.w.tun.frag)
 		}
 		half := fc.i % 2
 		if f := fc.stageFut[half]; f != nil {
@@ -176,11 +176,11 @@ func (fc *fragConsumer) finish(p *sim.Proc) {
 	}
 	h.End()
 	if fc.stage.IsValid() {
-		fc.m.releaseRing(fc.stage)
+		fc.m.give(fc.stage)
 		fc.stage = mem.Buffer{}
 	}
 	if fc.scratch.IsValid() {
-		fc.m.freeScratch(fc.scratch)
+		fc.m.give(fc.scratch)
 		fc.scratch = mem.Buffer{}
 	}
 }
@@ -234,45 +234,4 @@ func (a *acker) Run(p *sim.Proc) {
 	r := a.q.r
 	a.release()
 	r.release()
-}
-
-// ringBuf hands out a staging ring of at least n bytes in the given
-// space, reusing released rings (rings are hot: every rendezvous message
-// needs one, and the bump allocator does not reclaim). A ring in host
-// memory is carved from the rank's arena, whichever host space is named.
-func (m *Rank) ringBuf(space *mem.Space, n int64) mem.Buffer {
-	m.ringOut++
-	pool := m.ringPool(space)
-	for i, b := range *pool {
-		if b.Len() >= n {
-			*pool = append((*pool)[:i], (*pool)[i+1:]...)
-			return b
-		}
-	}
-	if space.Kind() == mem.Host {
-		space = m.space
-	}
-	return space.Alloc(n, 256)
-}
-
-func (m *Rank) releaseRing(b mem.Buffer) {
-	m.ringOut--
-	pool := m.ringPool(b.Space())
-	*pool = append(*pool, b)
-}
-
-// ringPool returns the released rings of space's memory: the arena's
-// for host memory, else those of the GPU of the rank's node that owns
-// space.
-func (m *Rank) ringPool(space *mem.Space) *[]mem.Buffer {
-	i := 0 // host
-	if space.Kind() == mem.Device {
-		if i = m.ctx.Node().DeviceOf(space) + 1; i == 0 {
-			panic("mpi: a staging ring in another node's device memory")
-		}
-	}
-	for len(m.rings) <= i {
-		m.rings = append(m.rings, nil)
-	}
-	return &m.rings[i]
 }
