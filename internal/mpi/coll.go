@@ -324,33 +324,34 @@ func (m *Rank) ringAllgather(p *sim.Proc, what string, c comm, blocks view, tag 
 	m.release(st)
 }
 
-// exchangeAll is the personalised all-to-all over c: the caller's own
-// block first, then the pairwise steps. Every block is packed once and
-// unpacked once, so either side is held from two blocks up, and the own
-// block then moves from stage to stage.
+// exchangeAll is the personalised all-to-all over c, in the pairwise
+// step order (see PairwisePeers), all on one tag. Every block is packed
+// once and unpacked once, so either side is held from two blocks up,
+// and the caller's own block then moves from stage to stage. The
+// receive of every step is posted first; the sends then go one at a
+// time in step order, so in each step every member is sent to by one
+// peer, and a rank has one send's staging in flight at a time.
 func (m *Rank) exchangeAll(p *sim.Proc, what string, c comm, send, recv view, tag int) {
 	each := func(int) int { return 1 }
 	ss, rs := m.hold(c.n, send, each), m.hold(c.n, recv, each)
 	m.packHeld(p, ss)
 	send, recv = ss.over(send), rs.over(recv)
 	m.copyBlock(p, c.me, send, recv)
-	m.pairwise(p, what, c, send, recv, tag)
+	b := m.batch(c)
+	for s := 1; s < c.n; s++ {
+		_, from := PairwisePeers(c.n, c.me, s)
+		rbuf, rdt, rcount := recv(from)
+		b.recv(rbuf, rdt, rcount, from, tag)
+	}
+	for s := 1; s < c.n; s++ {
+		to, _ := PairwisePeers(c.n, c.me, s)
+		sbuf, sdt, scount := send(to)
+		m.batch(c).send(p, sbuf, sdt, scount, to, tag).wait(p, what)
+	}
+	b.wait(p, what)
 	m.unpackHeld(p, rs)
 	m.release(rs)
 	m.release(ss)
-}
-
-// pairwise is steps 1..n-1 of the pairwise exchange (see
-// PairwisePeers), all on one tag: send block `to` of send, receive
-// block `from` of recv. The caller's own block is the caller's business
-// and moves before step 1.
-func (m *Rank) pairwise(p *sim.Proc, what string, c comm, send, recv view, tag int) {
-	for s := 1; s < c.n; s++ {
-		to, from := PairwisePeers(c.n, c.me, s)
-		sbuf, sdt, scount := send(to)
-		rbuf, rdt, rcount := recv(from)
-		m.batch(c).send(p, sbuf, sdt, scount, to, tag).recv(rbuf, rdt, rcount, from, tag).wait(p, what)
-	}
 }
 
 // linearGather collects one block per member at member rootIdx. Every

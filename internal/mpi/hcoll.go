@@ -252,29 +252,26 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 		return sendStage.Slice(int64(d)*int64(rpn)*B, nodeSpan), nodeView, 1
 	}
 	inbound := uniformView(recvStage, datatype.Byte, int(nodeBlk))
-	m.copyBlock(p, leaders.me, sendTo, inbound)
-	if nnodes > 1 {
-		sp := p.BeginBytes("coll.alltoall.inter", nodeBlk*int64(nnodes-1))
-		m.pairwise(p, "Alltoall", leaders, sendTo, inbound, tagInter)
-		sp.End()
-	}
+	sp = p.BeginBytes("coll.alltoall.inter", nodeBlk*int64(nnodes-1))
+	m.exchangeAll(p, "Alltoall", leaders, sendTo, inbound, tagInter)
+	sp.End()
 
-	// Phase 3: hand each member its column of the receive stage, one
-	// blocking send after the other.
+	// Phase 3: hand each member its column of the receive stage, every
+	// column in flight at once while the leader copies its own.
 	colSpan := (P-1)*int64(rpn)*B + B
 	colView := datatype.Hvector(int(P), int(B), int64(rpn)*B, datatype.Byte)
 	col := func(di int) (mem.Buffer, *datatype.Datatype) {
 		return recvStage.Slice(int64(di)*B, colSpan), colView
 	}
 	sp = p.BeginBytes("coll.alltoall.intra", B*P*int64(rpn))
+	b := m.batch(node)
 	for di := 1; di < rpn; di++ {
 		src, hv := col(di)
-		m.sendOn(p, src, hv, 1, lead+di, tagOut+di)
+		b.send(p, src, hv, 1, di, tagOut+di)
 	}
-	{
-		src, hv := col(0)
-		m.localCopy(p, src, hv, 1, recvBuf, rdt, rcount*size)
-	}
+	src, hv := col(0)
+	m.localCopy(p, src, hv, 1, recvBuf, rdt, rcount*size)
+	b.wait(p, "Alltoall")
 	sp.End()
 
 	m.give(recvStage)
