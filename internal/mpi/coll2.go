@@ -53,7 +53,7 @@ func (m *Rank) Allgather(buf mem.Buffer, dt *datatype.Datatype, count int) {
 func (m *Rank) Alltoall(sendBuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
 	tag := m.tagBlock(m.alltoallTags())
-	if m.hierOn() && scount > 0 && int64(scount)*sdt.Size() == int64(rcount)*rdt.Size() {
+	if B := int64(scount) * sdt.Size(); m.hierOn() && B > 0 && B == int64(rcount)*rdt.Size() {
 		m.hierAlltoall(&m.proc, tag, sendBuf, sdt, scount, recvBuf, rdt, rcount)
 		return
 	}

@@ -216,6 +216,19 @@ func TestHierAlltoallMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestHierAlltoallEmptyBlocks: blocks of an empty datatype carry no
+// bytes, so no side may wait for a message the other never sends.
+func TestHierAlltoallEmptyBlocks(t *testing.T) {
+	empty := datatype.Contiguous(0, datatype.Byte)
+	w := NewWorld(blockedConfig(2, 2, false))
+	defer w.Close()
+	w.Run(func(m *Rank) {
+		buf := m.Malloc(16)
+		m.Alltoall(buf, empty, 1, buf, empty, 1)
+	})
+	checkQuiescent(t, w, "alltoall")
+}
+
 // TestHierReduceMatchesFlat uses Int64 sums and maxima, which are
 // exactly associative, so hier and flat must agree bit for bit even
 // though the combine order differs.
