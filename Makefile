@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check-fast check-full fuzz golden bench bench-smoke bench-pairs bench-compare figures examples tools lines clean
+.PHONY: all check-fast check-full fuzz golden bench bench-smoke bench-pairs bench-compare ddt-pairs figures examples tools lines clean
 
 all: check-fast
 
@@ -49,14 +49,14 @@ check-fast:
 # its heap passes 1 GiB (GOMEMLIMIT); under -race the slab pool keeps
 # 256 MiB (internal/mem/budget_race.go), and TestParallelMatchesSerial
 # shrinks.
-ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestStagingAllocatesNothing|TestSwitchReduceAllocatesNoPayload|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly|TestTransposeListIsRuns
+ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestStagingAllocatesNothing|TestSwitchReduceAllocatesNoPayload|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly|TestTransposeListIsRuns|TestCanonicalBuildCost
 check-full:
 	$(GOFMT_GATE)
 	$(ORPHAN_GATE)
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOMEMLIMIT=1GiB $(GO) test -race -p 1 ./...
-	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core ./internal/sim
+	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core ./internal/sim ./internal/workload
 	GPUDDT_MEGA=1 $(GO) test ./internal/bench -run TestMegaSmoke16k -v
 	@set -e; targets=$$($(FUZZ_TARGETS)); \
 	echo "$$targets" | while read pkg f; do \
@@ -105,6 +105,10 @@ bench-smoke:
 # quartiles.
 #   make bench-pairs BASE=<rev> W=<workload> [M=<metric>] N=10
 BASE ?= HEAD
+# awk functions both pairs targets share: sort(a, n) sorts a[1..n] in
+# place, quart(a, n, q) is the q-quantile of the sorted a[1..n].
+AWK_QUARTILES = function quart(a, n, q,    h, k) { h = (n - 1) * q + 1; k = int(h); return k < n ? a[k] + (h - k) * (a[k + 1] - a[k]) : a[n] } \
+	function sort(a, n,    i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } }
 W ?= coll_real
 M ?= wall_ms
 N ?= 10
@@ -120,8 +124,7 @@ bench-pairs:
 		echo "$$b $$c" >> "$$tmp/pairs"; i=$$((i + 1)); \
 	done; \
 	awk -v w=$(W) -v m=$(M) -v base=$(BASE) ' \
-		function quart(a, n, q,    h, k) { h = (n - 1) * q + 1; k = int(h); return k < n ? a[k] + (h - k) * (a[k + 1] - a[k]) : a[n] } \
-		function sort(a, n,    i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } } \
+		$(AWK_QUARTILES) \
 		{ bs = bs " " $$1; cs = cs " " $$4; b[NR] = $$1; c[NR] = $$4; bfail += $$2; bops += $$3; cfail += $$5; cops += $$6; if ($$4 < $$1) won++; if ($$4 > $$1) lost++ } \
 		END { sort(b, NR); sort(c, NR); bm = quart(b, NR, .5); cm = quart(c, NR, .5); iqr = quart(b, NR, .75) - quart(b, NR, .25); \
 			printf "%s %s, base %s:%s\n%s %s, change:%s\n", w, m, base, bs, w, m, cs; \
@@ -149,6 +152,39 @@ bench-compare:
 	"$$tmp/change" -mode e2e -seconds $(S) -out "$$tmp/change.json" > /dev/null; \
 	echo "benchmark compare: A = $(BASE), B = working tree"; \
 	"$$tmp/change" compare "$$tmp/base.json" "$$tmp/change.json"
+
+# The interleaved protocol for host time measured outside the repo
+# benchmark, on one ddtbench figure: build cmd/ddtbench from a clean
+# checkout of BASE and from the working tree, run `-figure FIG` N times
+# on each side, alternating which side goes first, and print both
+# wall-time series (ms) with their medians and quartiles, then the
+# total alloc_space of one -memprofile run per side. Exits 1 when the
+# two sides' figure outputs differ (cmp).
+#   make ddt-pairs BASE=<rev> FIG=<figure> N=<n>
+FIG ?= fig12
+ddt-pairs:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src"; git archive $(BASE) | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base" ./cmd/ddtbench); \
+	$(GO) build -o "$$tmp/change" ./cmd/ddtbench; \
+	wall() { t0=$$(date +%s%N); "$$tmp/$$1" -figure $(FIG) > "$$tmp/$$1.out"; echo $$((($$(date +%s%N) - t0) / 1000000)); }; \
+	i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then b=$$(wall base); c=$$(wall change); else c=$$(wall change); b=$$(wall base); fi; \
+		echo "pair $$i: base $$b ms, change $$c ms"; \
+		echo "$$b $$c" >> "$$tmp/pairs"; i=$$((i + 1)); \
+	done; \
+	awk -v fig=$(FIG) -v base=$(BASE) ' \
+		$(AWK_QUARTILES) \
+		{ bs = bs " " $$1; cs = cs " " $$2; b[NR] = $$1; c[NR] = $$2 } \
+		END { sort(b, NR); sort(c, NR); \
+			printf "%s wall ms, base %s:%s\n%s wall ms, change:%s\n", fig, base, bs, fig, cs; \
+			printf "base:   median %.0f, quartiles %.0f / %.0f\n", quart(b, NR, .5), quart(b, NR, .25), quart(b, NR, .75); \
+			printf "change: median %.0f, quartiles %.0f / %.0f\n", quart(c, NR, .5), quart(c, NR, .25), quart(c, NR, .75) }' "$$tmp/pairs"; \
+	for s in base change; do \
+		"$$tmp/$$s" -figure $(FIG) -memprofile "$$tmp/$$s.mem" > /dev/null; \
+		echo "$$s alloc_space: $$($(GO) tool pprof -sample_index=alloc_space -top "$$tmp/$$s.mem" 2>/dev/null | awk '/ total$$/ { print $$(NF - 1) }')"; \
+	done; \
+	cmp "$$tmp/base.out" "$$tmp/change.out" && echo "$(FIG) output identical"
 
 # Regenerate every paper figure (writes to stdout; ~3 minutes).
 figures:

@@ -90,8 +90,9 @@ func (tr *Tree) CheckStructure() error {
 			dt.LB(), dt.UB(), sp.LB(), sp.UB())
 	}
 	var flatBytes int64
-	for _, b := range dt.Flat() {
-		flatBytes += b.Len
+	pl := dt.Plan()
+	for i := range pl.NumBlocks() {
+		flatBytes += pl.Block(i).Len
 	}
 	if flatBytes != dt.Size() {
 		return tr.errf("structure", "flattened blocks cover %d bytes, size is %d", flatBytes, dt.Size())

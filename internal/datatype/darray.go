@@ -128,9 +128,10 @@ func Darray(size, rank int, gsizes []int, distribs []Distrib, dargs []int, psize
 		st *= int64(gsizes[dims[i]])
 	}
 
+	var buf [nameLen]byte
 	d := &Datatype{
 		kind: kindSubarray, // behaves like a subarray: full-array extent
-		name: fmt.Sprintf("darray(rank %d of %d, %v over %v, %s)", rank, size, gsizes, psizes, base.name),
+		name: text(buf[:0]).s("darray(rank ").i(int64(rank)).s(" of ").i(int64(size)).s(", ").ints(gsizes).s(" over ").ints(psizes).s(", ").s(base.name).s(")").String(),
 		size: local * base.size,
 		lb:   0,
 		ub:   st * base.Extent(),

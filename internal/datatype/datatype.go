@@ -1,7 +1,10 @@
 // Package datatype implements an MPI derived-datatype (DDT) engine in the
 // style of Open MPI: constructors for contiguous, vector, indexed, struct
-// and subarray layouts; flattening into an optimized list of contiguous
-// blocks; type signatures for send/receive matching; and resumable
+// and subarray layouts; a TEMPI-style canonical strided form, which the
+// strided constructors compose without flattening (canon.go); an
+// optimized list of contiguous blocks, flattened by the irregular
+// constructors and built on demand for the others; type signatures for
+// send/receive matching; and resumable
 // pack/unpack converters that support the fragment-at-a-time operation
 // the pipelined protocols need.
 //
@@ -14,6 +17,7 @@ package datatype
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -85,13 +89,21 @@ type Datatype struct {
 	tlb    int64 // true lower bound (first data byte)
 	tub    int64 // true upper bound (one past last data byte)
 
-	flat []Block  // flattened blocks of one element, traversal order, merged
-	sig  []SigRun // signature of one element
+	// canon is the layout's canonical strided form, nil for a layout
+	// of no blocks or an irregular one. A type born canonical (see
+	// canon.go) builds flat from it on first use, under flatOnce;
+	// every other type flattens eagerly and finds canon over its list.
+	canon    *CanonVec
+	flatOnce sync.Once
+	flat     []Block  // flattened blocks of one element, traversal order, merged
+	sig      []SigRun // signature of one element
 
 	planOnce sync.Once // guards planVal (compiled lazily, possibly from concurrent worlds)
 	planVal  *Plan
 }
 
+// finish completes a type that flattened its element: the true bounds
+// from its list and the canonical form over it.
 func (d *Datatype) finish() *Datatype {
 	if len(d.flat) > 0 {
 		d.tlb = d.flat[0].Off
@@ -105,6 +117,17 @@ func (d *Datatype) finish() *Datatype {
 			}
 		}
 	}
+	d.canon = detectCanon(d.flat)
+	return d
+}
+
+// born completes a type born canonical with layout cv (nil: no blocks);
+// its list waits for Blocks.
+func (d *Datatype) born(cv *CanonVec) *Datatype {
+	d.canon = cv
+	if cv != nil {
+		d.tlb, d.tub = cv.trueBounds()
+	}
 	return d
 }
 
@@ -115,10 +138,9 @@ func newPrimitive(name string, pr Primitive, size int64) *Datatype {
 		prim: pr,
 		size: size,
 		ub:   size,
-		flat: []Block{{0, size}},
 		sig:  []SigRun{{pr, 1}},
 	}
-	return d.finish()
+	return d.born(&CanonVec{Off: 0, BlockLen: size, Inner: 1, InnerStride: size, Outer: 1, OuterStride: size})
 }
 
 // The MPI primitive datatypes.
@@ -171,25 +193,42 @@ func (d *Datatype) Commit() *Datatype { return d }
 
 // Flat returns the flattened contiguous blocks of one element, in
 // traversal order with adjacent blocks merged. The slice is a copy;
-// callers may keep or modify it freely. Callers on a hot path that
-// only read the blocks use Blocks, which does not allocate.
+// callers may keep or modify it freely. Callers that only read the
+// blocks use Blocks, which does not copy them; walks use Plan.
 func (d *Datatype) Flat() []Block {
-	out := make([]Block, len(d.flat))
-	copy(out, d.flat)
+	b := d.Blocks()
+	out := make([]Block, len(b))
+	copy(out, b)
 	return out
 }
 
 // Blocks returns the same blocks as Flat without copying them. The
-// slice is shared; do not modify it.
-func (d *Datatype) Blocks() []Block { return d.flat }
+// slice is shared; do not modify it. A type born canonical builds it on
+// the first call; walks go through Plan, which never needs it.
+func (d *Datatype) Blocks() []Block {
+	if d.canon != nil {
+		d.flatOnce.Do(func() {
+			if d.flat == nil {
+				d.flat = d.canon.blocks()
+			}
+		})
+	}
+	return d.flat
+}
 
 // NumBlocks returns the number of contiguous blocks in one element.
-func (d *Datatype) NumBlocks() int { return len(d.flat) }
+func (d *Datatype) NumBlocks() int {
+	if cv := d.canon; cv != nil {
+		return int(cv.NumBlocks())
+	}
+	return len(d.flat)
+}
 
 // IsContiguous reports whether one element is a single gap-free block
 // covering its whole extent from the origin.
 func (d *Datatype) IsContiguous() bool {
-	return len(d.flat) == 1 && d.flat[0].Off == 0 && d.flat[0].Len == d.Extent()
+	cv := d.canon
+	return cv != nil && cv.NumBlocks() == 1 && cv.Off == 0 && cv.BlockLen == d.Extent()
 }
 
 // Signature returns the run-length-encoded primitive signature of one
@@ -208,7 +247,7 @@ func checkBase(base *Datatype, who string) {
 // with the previous block when exactly adjacent (the Open MPI optimized
 // description).
 func instantiate(flat []Block, base *Datatype, disp int64) []Block {
-	for _, b := range base.flat {
+	for _, b := range base.Blocks() {
 		flat = appendMerged(flat, Block{Off: disp + b.Off, Len: b.Len})
 	}
 	return flat
@@ -271,34 +310,36 @@ func Contiguous(count int, base *Datatype) *Datatype {
 	if count < 0 {
 		panic("datatype: negative count")
 	}
+	var buf [nameLen]byte
 	d := &Datatype{
 		kind: kindContiguous,
-		name: fmt.Sprintf("contig(%d,%s)", count, base.name),
+		name: text(buf[:0]).s("contig(").i(int64(count)).s(",").s(base.name).s(")").String(),
 		size: int64(count) * base.size,
+		sig:  appendSig(nil, base, int64(count)),
 	}
 	if count > 0 {
 		d.lb = base.lb
 		d.ub = base.lb + int64(count)*base.Extent()
 	}
-	d.flat = instantiateN(d.flat, base, 0, int64(count))
-	d.sig = appendSig(nil, base, int64(count))
-	return d.finish()
+	return d.tile(base, 0, []level{{int64(count), base.Extent()}})
 }
 
 // Vector returns count equally spaced blocks of blocklen base elements
 // with strideElems base elements between block starts (MPI_Type_vector).
 func Vector(count, blocklen, strideElems int, base *Datatype) *Datatype {
 	checkBase(base, "Vector")
+	var buf [nameLen]byte
 	return vector(count, blocklen, int64(strideElems)*base.Extent(), base,
-		fmt.Sprintf("vector(%d,%d,%d,%s)", count, blocklen, strideElems, base.name))
+		text(buf[:0]).s("vector(").i(int64(count)).s(",").i(int64(blocklen)).s(",").i(int64(strideElems)).s(",").s(base.name).s(")").String())
 }
 
 // Hvector is Vector with the stride given in bytes
 // (MPI_Type_create_hvector).
 func Hvector(count, blocklen int, strideBytes int64, base *Datatype) *Datatype {
 	checkBase(base, "Hvector")
+	var buf [nameLen]byte
 	return vector(count, blocklen, strideBytes, base,
-		fmt.Sprintf("hvector(%d,%d,%dB,%s)", count, blocklen, strideBytes, base.name))
+		text(buf[:0]).s("hvector(").i(int64(count)).s(",").i(int64(blocklen)).s(",").i(strideBytes).s("B,").s(base.name).s(")").String())
 }
 
 func vector(count, blocklen int, strideBytes int64, base *Datatype, name string) *Datatype {
@@ -309,21 +350,16 @@ func vector(count, blocklen int, strideBytes int64, base *Datatype, name string)
 		kind: kindVector,
 		name: name,
 		size: int64(count) * int64(blocklen) * base.size,
+		sig:  appendSig(nil, base, int64(count)*int64(blocklen)),
 	}
-	blockSpan := int64(blocklen) * base.Extent()
-	for i := 0; i < count; i++ {
-		s := int64(i)*strideBytes + base.lb
-		e := int64(i)*strideBytes + base.lb + blockSpan
-		if i == 0 || s < d.lb {
-			d.lb = s
-		}
-		if i == 0 || e > d.ub {
-			d.ub = e
-		}
-		d.flat = instantiateN(d.flat, base, int64(i)*strideBytes, int64(blocklen))
+	if count > 0 {
+		// Block i spans [i*stride, i*stride + blocklen*extent) past
+		// base.lb; the first and last blocks bound them all.
+		reach := int64(count-1) * strideBytes
+		d.lb = base.lb + min(reach, 0)
+		d.ub = base.lb + max(reach, 0) + int64(blocklen)*base.Extent()
 	}
-	d.sig = appendSig(nil, base, int64(count)*int64(blocklen))
-	return d.finish()
+	return d.tile(base, 0, []level{{int64(blocklen), base.Extent()}, {int64(count), strideBytes}})
 }
 
 // Indexed returns blocks of blocklens[i] base elements displaced by
@@ -337,7 +373,8 @@ func Indexed(blocklens, displs []int, base *Datatype) *Datatype {
 	for i, v := range displs {
 		bd[i] = int64(v) * base.Extent()
 	}
-	return indexed(blocklens, bd, base, fmt.Sprintf("indexed(%d blocks,%s)", len(blocklens), base.name))
+	var buf [nameLen]byte
+	return indexed(blocklens, bd, base, text(buf[:0]).s("indexed(").i(int64(len(blocklens))).s(" blocks,").s(base.name).s(")").String())
 }
 
 // Hindexed is Indexed with byte displacements (MPI_Type_create_hindexed).
@@ -346,7 +383,8 @@ func Hindexed(blocklens []int, displsBytes []int64, base *Datatype) *Datatype {
 	if len(blocklens) != len(displsBytes) {
 		panic("datatype: Hindexed blocklens/displs length mismatch")
 	}
-	return indexed(blocklens, displsBytes, base, fmt.Sprintf("hindexed(%d blocks,%s)", len(blocklens), base.name))
+	var buf [nameLen]byte
+	return indexed(blocklens, displsBytes, base, text(buf[:0]).s("hindexed(").i(int64(len(blocklens))).s(" blocks,").s(base.name).s(")").String())
 }
 
 // IndexedBlock returns equally sized blocks of blocklen base elements at
@@ -361,7 +399,8 @@ func IndexedBlock(blocklen int, displs []int, base *Datatype) *Datatype {
 	for i, v := range displs {
 		bd[i] = int64(v) * base.Extent()
 	}
-	return indexed(bl, bd, base, fmt.Sprintf("indexedBlock(%d blocks of %d,%s)", len(displs), blocklen, base.name))
+	var buf [nameLen]byte
+	return indexed(bl, bd, base, text(buf[:0]).s("indexedBlock(").i(int64(len(displs))).s(" blocks of ").i(int64(blocklen)).s(",").s(base.name).s(")").String())
 }
 
 func indexed(blocklens []int, displsBytes []int64, base *Datatype, name string) *Datatype {
@@ -398,7 +437,8 @@ func Struct(blocklens []int, displs []int64, types []*Datatype) *Datatype {
 	if len(blocklens) != len(displs) || len(blocklens) != len(types) {
 		panic("datatype: Struct argument length mismatch")
 	}
-	d := &Datatype{kind: kindStruct, name: fmt.Sprintf("struct(%d members)", len(types))}
+	var buf [nameLen]byte
+	d := &Datatype{kind: kindStruct, name: text(buf[:0]).s("struct(").i(int64(len(types))).s(" members)").String()}
 	first := true
 	for i, bl := range blocklens {
 		checkBase(types[i], "Struct")
@@ -443,74 +483,57 @@ func Subarray(sizes, subsizes, starts []int, order Order, base *Datatype) *Datat
 	if len(subsizes) != n || len(starts) != n || n == 0 {
 		panic("datatype: Subarray dimension mismatch")
 	}
-	total := int64(1)
 	sub := int64(1)
 	for i := 0; i < n; i++ {
 		if subsizes[i] < 0 || starts[i] < 0 || starts[i]+subsizes[i] > sizes[i] {
 			panic(fmt.Sprintf("datatype: Subarray dim %d out of range", i))
 		}
-		total *= int64(sizes[i])
 		sub *= int64(subsizes[i])
 	}
+	// One level per dimension, from the fastest varying, each stepping
+	// the bytes of one index of that dimension.
+	var lv [maxLevels]level
+	levels, off, stride := lv[:0], int64(0), base.Extent()
+	for i := 0; i < n; i++ {
+		dm := i
+		if order == OrderC {
+			dm = n - 1 - i
+		}
+		off += int64(starts[dm]) * stride
+		levels = append(levels, level{int64(subsizes[dm]), stride})
+		stride *= int64(sizes[dm])
+	}
+	var buf [nameLen]byte
 	d := &Datatype{
 		kind: kindSubarray,
-		name: fmt.Sprintf("subarray(%v of %v,%s)", subsizes, sizes, base.name),
+		name: text(buf[:0]).s("subarray(").ints(subsizes).s(" of ").ints(sizes).s(",").s(base.name).s(")").String(),
 		size: sub * base.size,
 		lb:   0,
-		ub:   total * base.Extent(),
+		ub:   stride,
+		sig:  appendSig(nil, base, sub),
 	}
-
-	// dims ordered from slowest to fastest varying.
-	dims := make([]int, n)
-	for i := range dims {
-		if order == OrderC {
-			dims[i] = i
-		} else {
-			dims[i] = n - 1 - i
-		}
-	}
-	// strides[d] = elements stepped per unit of dimension d.
-	strides := make([]int64, n)
-	st := int64(1)
-	for i := n - 1; i >= 0; i-- {
-		strides[dims[i]] = st
-		st *= int64(sizes[dims[i]])
-	}
-	var walk func(level int, elemOff int64)
-	walk = func(level int, elemOff int64) {
-		dim := dims[level]
-		if level == n-1 {
-			// Fastest dimension: one contiguous run of subsizes[dim]
-			// base elements (strides[dim] == 1).
-			start := elemOff + int64(starts[dim])
-			d.flat = instantiateN(d.flat, base, start*base.Extent(), int64(subsizes[dim]))
-			return
-		}
-		for j := 0; j < subsizes[dim]; j++ {
-			walk(level+1, elemOff+(int64(starts[dim])+int64(j))*strides[dim])
-		}
-	}
-	if sub > 0 {
-		walk(0, 0)
-	}
-	d.sig = appendSig(nil, base, sub)
-	return d.finish()
+	return d.tile(base, off, levels)
 }
 
 // Resized overrides the lower bound and extent of base
-// (MPI_Type_create_resized).
+// (MPI_Type_create_resized). It has base's blocks, so base's canonical
+// form, or base's list when base is irregular.
 func Resized(base *Datatype, lb, extent int64) *Datatype {
 	checkBase(base, "Resized")
+	var buf [nameLen]byte
 	d := &Datatype{
 		kind: kindResized,
-		name: fmt.Sprintf("resized(%s,lb=%d,extent=%d)", base.name, lb, extent),
+		name: text(buf[:0]).s("resized(").s(base.name).s(",lb=").i(lb).s(",extent=").i(extent).s(")").String(),
 		size: base.size,
 		lb:   lb,
 		ub:   lb + extent,
-		flat: base.flat,
 		sig:  base.sig,
 	}
-	return d.finish()
+	d.canon, d.tlb, d.tub = base.canon, base.tlb, base.tub
+	if base.canon == nil {
+		d.flat = base.flat
+	}
+	return d
 }
 
 // SignaturesMatch reports whether (da, countA) and (db, countB) describe
@@ -607,3 +630,29 @@ func sigCompare(da *Datatype, countA int, db *Datatype, countB int, prefix bool)
 		b.n -= m
 	}
 }
+
+// nameLen sizes the stack buffer a constructor builds its name in; a
+// longer name grows it on the heap.
+const nameLen = 128
+
+// text builds a constructor's name by appending to a buffer on the
+// caller's stack, so the name costs the one allocation of its string,
+// where fmt boxes every argument. Its output is fmt's: ints prints an
+// []int as %v does.
+type text []byte
+
+func (t text) s(v string) text { return append(t, v...) }
+func (t text) i(v int64) text  { return strconv.AppendInt(t, v, 10) }
+
+func (t text) ints(v []int) text {
+	t = append(t, '[')
+	for k, x := range v {
+		if k > 0 {
+			t = append(t, ' ')
+		}
+		t = t.i(int64(x))
+	}
+	return append(t, ']')
+}
+
+func (t text) String() string { return string(t) }

@@ -100,7 +100,7 @@ func (c *Converter) Advance(max int64, emit func(memOff, packOff, n int64)) int6
 	if cv := c.plan.canon; cv != nil {
 		return c.advanceCanon(cv, max, emit)
 	}
-	flat := c.dt.flat
+	flat := c.plan.blocks
 	var done int64
 	for done < max && c.rep < c.count {
 		b := flat[c.bi]
@@ -198,12 +198,12 @@ func (c *Converter) move(layout, packed []byte, unpack bool) int64 {
 		c.rep, c.bo = c.packed/c.dt.size, c.packed%c.dt.size
 		return max
 	}
-	nb := c.dt.NumBlocks()
+	nb := c.plan.NumBlocks()
 	// The run being gathered: run bytes at layout[at:], which are
 	// packed[done-run:done].
 	var done, at, run int64
 	for done < max {
-		b := c.plan.block(c.bi)
+		b := c.plan.Block(c.bi)
 		take := b.Len - c.bo
 		if rem := max - done; take > rem {
 			take = rem

@@ -37,10 +37,10 @@ func (cv *CanonVec) BlockOff(i int64) int64 {
 // instead of replaying the whole layout, and to walk canonical layouts
 // arithmetically without touching the block slice.
 type Plan struct {
-	blocks []Block   // shared with the datatype's flattened form
 	extent int64     // spacing of consecutive elements
 	canon  *CanonVec // non-nil when the layout is canonically strided
-	prefix []int64   // prefix[i] = packed bytes before block i; len B+1
+	blocks []Block   // otherwise: the datatype's flattened form,
+	prefix []int64   // and prefix[i] = packed bytes before block i; len B+1
 }
 
 // Canonical returns the canonical strided form, or nil for irregular
@@ -56,14 +56,14 @@ func (pl *Plan) Canonical() *CanonVec { return pl.canon }
 // mpi and Vector's one-block arm all ask here. A zero count has no
 // window.
 func (pl *Plan) Dense(count int) (off, n int64, ok bool) {
-	if len(pl.blocks) != 1 || count < 1 {
+	cv := pl.canon
+	if cv == nil || cv.NumBlocks() != 1 || count < 1 {
 		return 0, 0, false
 	}
-	b := pl.blocks[0]
-	if count > 1 && b.Len != pl.extent {
+	if count > 1 && cv.BlockLen != pl.extent {
 		return 0, 0, false
 	}
-	return b.Off, int64(count) * b.Len, true
+	return cv.Off, int64(count) * cv.BlockLen, true
 }
 
 // Vector returns the (element, count) pattern of a send or receive as
@@ -98,8 +98,17 @@ func (pl *Plan) Vector(count int) (CanonVec, bool) {
 	return v, true
 }
 
-// block returns block i of the element.
-func (pl *Plan) block(i int) Block {
+// NumBlocks returns the number of blocks in one element.
+func (pl *Plan) NumBlocks() int {
+	if cv := pl.canon; cv != nil {
+		return int(cv.NumBlocks())
+	}
+	return len(pl.blocks)
+}
+
+// Block returns block i of the element: by arithmetic for a canonical
+// layout, which has no list to read.
+func (pl *Plan) Block(i int) Block {
 	if cv := pl.canon; cv != nil {
 		return Block{Off: cv.BlockOff(int64(i)), Len: cv.BlockLen}
 	}
@@ -126,22 +135,26 @@ func (pl *Plan) locate(off int64) (bi int, bo int64) {
 	return i, off - pl.prefix[i]
 }
 
-// compilePlan builds the plan for a flattened element.
-func compilePlan(blocks []Block, extent int64) *Plan {
-	pl := &Plan{blocks: blocks, extent: extent, canon: detectCanon(blocks)}
+// compilePlan builds the plan of d: its canonical form, or prefix sums
+// over its list.
+func compilePlan(d *Datatype) *Plan {
+	pl := &Plan{extent: d.Extent(), canon: d.canon}
 	if pl.canon == nil {
-		pl.prefix = make([]int64, len(blocks)+1)
-		for i, b := range blocks {
+		pl.blocks = d.flat
+		pl.prefix = make([]int64, len(d.flat)+1)
+		for i, b := range d.flat {
 			pl.prefix[i+1] = pl.prefix[i] + b.Len
 		}
 	}
 	return pl
 }
 
-// detectCanon recognizes layouts that are canonically strided with up to
-// two nesting levels. It is O(B): one scan to verify equal lengths and
-// find where the single-level stride breaks, and one scan to verify the
-// two-level form.
+// detectCanon recognizes flattened layouts that are canonically strided
+// with up to two nesting levels: the canonical form of a type built by
+// an irregular constructor (Indexed, Struct, Darray) or of a composition
+// too deep to be born canonical. It is O(B): one scan to verify equal
+// lengths and find where the single-level stride breaks, and one scan
+// to verify the two-level form.
 func detectCanon(blocks []Block) *CanonVec {
 	n := int64(len(blocks))
 	if n == 0 {
@@ -183,6 +196,6 @@ func detectCanon(blocks []Block) *CanonVec {
 // Safe for concurrent use: datatypes (including the shared primitives)
 // may be walked from independent worlds running on separate goroutines.
 func (d *Datatype) Plan() *Plan {
-	d.planOnce.Do(func() { d.planVal = compilePlan(d.flat, d.Extent()) })
+	d.planOnce.Do(func() { d.planVal = compilePlan(d) })
 	return d.planVal
 }

@@ -69,7 +69,7 @@ func TestPlanBlocksMatchFlat(t *testing.T) {
 		pl := dt.Plan()
 		flat := dt.Flat()
 		for i, b := range flat {
-			if got := pl.block(i); got != b {
+			if got := pl.Block(i); got != b {
 				t.Errorf("%s: block %d = %+v, want %+v", dt, i, got, b)
 			}
 		}

@@ -38,7 +38,8 @@ import (
 // The pack engine's rule applies here too: non-contiguous data is never
 // touched a byte at a time. The generator emits, and the signature
 // folds, aligned 8-byte words; the walk over the datatype's blocks
-// reads them in place (Datatype.Blocks) and allocates nothing.
+// takes them from its compiled plan (datatype.Plan.Block), by
+// arithmetic for a canonical layout, and allocates nothing.
 
 // SyntheticPayload describes deterministic synthetic contents for
 // count elements of Dt, seeded so distinct buffers differ.
@@ -66,7 +67,8 @@ func (sp SyntheticPayload) Fill(b mem.Buffer) { mem.FillSynthetic(b, sp.Seed) }
 // nothing here allocates.
 type packedWalk struct {
 	seed    uint64
-	blocks  []datatype.Block // shared with the datatype, read-only
+	plan    *datatype.Plan // shared with the datatype, read-only
+	nb      int            // blocks per element
 	ext     int64
 	e, end  int
 	bi      int   // next block of element e
@@ -74,8 +76,9 @@ type packedWalk struct {
 }
 
 func (sp SyntheticPayload) walk(elem0, n int) packedWalk {
-	k := packedWalk{seed: sp.Seed, blocks: sp.Dt.Blocks(), ext: sp.Dt.Extent(), e: elem0, end: elem0 + n}
-	if len(k.blocks) == 0 {
+	pl := sp.Dt.Plan()
+	k := packedWalk{seed: sp.Seed, plan: pl, nb: pl.NumBlocks(), ext: sp.Dt.Extent(), e: elem0, end: elem0 + n}
+	if k.nb == 0 {
 		k.end = k.e // an empty datatype has no stream
 	}
 	return k
@@ -87,14 +90,14 @@ func (k *packedWalk) fill(p []byte) int {
 	n := 0
 	for n < len(p) {
 		if k.ln == 0 {
-			if k.bi == len(k.blocks) {
+			if k.bi == k.nb {
 				k.bi = 0
 				k.e++
 			}
 			if k.e >= k.end {
 				break
 			}
-			b := k.blocks[k.bi]
+			b := k.plan.Block(k.bi)
 			k.bi++
 			k.off, k.ln = int64(k.e)*k.ext+b.Off, b.Len
 		}
@@ -134,18 +137,37 @@ func (sp SyntheticPayload) AppendPacked(dst []byte, elem0, n int) []byte {
 // gives. Any other layout, or an s holding part of a word, generates
 // through a scratch on the stack.
 func (sp SyntheticPayload) FoldPacked(s *Sig64, elem0, n int) {
-	blocks, ext := sp.Dt.Blocks(), sp.Dt.Extent()
+	pl, ext := sp.Dt.Plan(), sp.Dt.Extent()
+	nb, cv := pl.NumBlocks(), pl.Canonical()
 	// One OR finds a misaligned or negative offset, length or extent;
-	// negative offsets are left to SyntheticAt, which rejects them.
-	m := ext | int64(s.n&7)
-	for _, b := range blocks {
-		m |= b.Off | b.Len
+	// negative offsets are left to SyntheticAt, which rejects them. A
+	// canonical layout's blocks are aligned when its first block, its
+	// length and its strides are.
+	m := ext | int64(s.n&7) | sp.Dt.TrueLB()
+	if cv != nil {
+		m |= cv.Off | cv.BlockLen | cv.InnerStride&7 | cv.OuterStride&7
+	} else {
+		for i := range nb {
+			b := pl.Block(i)
+			m |= b.Off | b.Len
+		}
 	}
 	if m >= 0 && m&7 == 0 && elem0 >= 0 {
 		h := s.h ^ sigInit
 		for e := elem0; e < elem0+n; e++ {
 			base := uint64(e) * uint64(ext)
-			for _, b := range blocks {
+			if cv != nil {
+				for j := range cv.Outer {
+					run := base + uint64(cv.Off+j*cv.OuterStride)
+					for i := range cv.Inner {
+						o := run + uint64(i*cv.InnerStride)
+						h = foldWords(h, sp.Seed, o, o+uint64(cv.BlockLen))
+					}
+				}
+				continue
+			}
+			for i := range nb {
+				b := pl.Block(i)
 				o := base + uint64(b.Off)
 				h = foldWords(h, sp.Seed, o, o+uint64(b.Len))
 			}
