@@ -43,8 +43,8 @@ type Spec struct {
 	IB   ib.Params
 
 	// Modelled selects the flyweight modelled-payload execution mode
-	// (internal/model): ranks become state machines sharing compiled
-	// datatype plans, payload bytes become digest-checked synthetic
+	// (internal/model): ranks become state machines sharing immutable
+	// datatypes, payload bytes become digest-checked synthetic
 	// generators, and the world runs on the sharded event engine. A
 	// modelled Spec cannot build an mpi.World — it exists so sweeps
 	// carry both modes through one description of "the machine".

@@ -170,8 +170,8 @@ func FuzzCanonicalForm(f *testing.F) {
 				hi = b.Off + b.Len
 			}
 		}
-		want := datatype.Hindexed(lens, offs, datatype.Byte).Plan().Canonical()
-		switch got := dt.Plan().Canonical(); {
+		want := datatype.Hindexed(lens, offs, datatype.Byte).Canonical()
+		switch got := dt.Canonical(); {
 		case (got == nil) != (want == nil):
 			t.Fatalf("%s: canonical form %+v, reference %+v", sp, got, want)
 		case got != nil && *got != *want:

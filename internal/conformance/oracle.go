@@ -90,9 +90,8 @@ func (tr *Tree) CheckStructure() error {
 			dt.LB(), dt.UB(), sp.LB(), sp.UB())
 	}
 	var flatBytes int64
-	pl := dt.Plan()
-	for i := range pl.NumBlocks() {
-		flatBytes += pl.Block(i).Len
+	for i := range dt.NumBlocks() {
+		flatBytes += dt.Block(i).Len
 	}
 	if flatBytes != dt.Size() {
 		return tr.errf("structure", "flattened blocks cover %d bytes, size is %d", flatBytes, dt.Size())

@@ -106,7 +106,6 @@ func TestFirstPackAllocatesItsListOnly(t *testing.T) {
 	r := newRig(t, Options{})
 	dt := shapes.LowerTriangular(32)
 	data, packed := r.ctx.Malloc(0, dt.Span(1)), r.ctx.Malloc(0, dt.Size())
-	datatype.PackImage(dt, 1, data.Bytes()) // compiles the datatype's plan
 	var bytes uint64
 	r.eng.Spawn("drive", func(p *sim.Proc) {
 		p.Sleep(1) // grows the event queue
@@ -124,8 +123,7 @@ func TestFirstPackAllocatesItsListOnly(t *testing.T) {
 // TestDevCacheConcurrentWorlds packs one datatype from concurrent
 // independent worlds (what the parallel bench driver does); meaningful
 // under -race. Each world builds its own devices and engines, so worlds
-// share the datatype's compiled plan (built once, under sync.Once) and
-// never a cache.
+// share the datatype, immutable once built, and never a cache.
 func TestDevCacheConcurrentWorlds(t *testing.T) {
 	dt := shapes.LowerTriangular(32)
 	var wg sync.WaitGroup

@@ -122,7 +122,6 @@ func TestHostCallsAllocateNothing(t *testing.T) {
 	r := newRig(t, Options{})
 	dt := shapes.LowerTriangular(32)
 	data, packed := r.ctx.MallocHost(dt.Span(1)), r.ctx.MallocHost(dt.Size())
-	datatype.PackImage(dt, 1, data.Bytes()) // compiles the datatype's plan
 	blocks := []Block{{Data: data, Dt: dt, Count: 1}}
 	var pk Packer
 	var allocs [3]int64

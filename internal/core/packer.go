@@ -85,7 +85,7 @@ func (pk *Packer) init(e *Engine, data mem.Buffer, dt *datatype.Datatype, count 
 		return
 	}
 	if !e.opts.DisableVectorKernel {
-		if v, ok := dt.Plan().Vector(count); ok {
+		if v, ok := dt.Vector(count); ok {
 			pk.vec, pk.view = v, &pk.vec
 		}
 	}
@@ -452,7 +452,7 @@ func (pk *Packer) convert(p *sim.Proc, m int64) []Entry {
 // canonical layout's runs come by arithmetic (see runs.canon), with no
 // walk.
 func (pk *Packer) emit(r *runs, c *datatype.Converter, m int64) (pieces int64) {
-	if cv := pk.dt.Plan().Canonical(); cv != nil {
+	if cv := pk.dt.Canonical(); cv != nil {
 		start := c.Packed()
 		end := start + min(m, c.Remaining())
 		c.SeekTo(end)

@@ -10,6 +10,34 @@ package datatype
 // it (Datatype.Blocks). A nest the two levels cannot hold is flattened
 // and detected as before.
 
+// CanonVec is the canonical strided form of a flattened layout: up to two
+// nesting levels of equally sized, equally spaced blocks. Block i (of
+// Inner*Outer total) starts at
+//
+//	Off + (i/Inner)*OuterStride + (i%Inner)*InnerStride
+//
+// and is BlockLen bytes long. Outer == 1 degenerates to a plain vector;
+// Inner == Outer == 1 to a single contiguous block. This is the
+// TEMPI-style canonicalization: nested constructor trees (for example a
+// contiguous-of-resized-vector matrix transpose) collapse to six integers,
+// so seeks become arithmetic and walks never touch the flattened slice.
+type CanonVec struct {
+	Off         int64
+	BlockLen    int64
+	Inner       int64 // blocks per inner run
+	InnerStride int64 // byte stride between blocks within a run
+	Outer       int64 // number of inner runs
+	OuterStride int64 // byte stride between run starts
+}
+
+// NumBlocks returns the total block count of the canonical form.
+func (cv *CanonVec) NumBlocks() int64 { return cv.Inner * cv.Outer }
+
+// BlockOff returns the memory offset of block i.
+func (cv *CanonVec) BlockOff(i int64) int64 {
+	return cv.Off + (i/cv.Inner)*cv.OuterStride + (i%cv.Inner)*cv.InnerStride
+}
+
 // tile completes d, a strided constructor over base: copies of base at
 // off + Σ i_j × lv[j].stride for i_j in [0, lv[j].n), the innermost
 // level first. Contiguous, Vector, Hvector and Subarray differ only in
@@ -165,4 +193,47 @@ func (cv *CanonVec) blocks() []Block {
 		}
 	}
 	return out
+}
+
+// detectCanon recognizes flattened layouts that are canonically strided
+// with up to two nesting levels: the canonical form of a type built by
+// an irregular constructor (Indexed, Struct, Darray) or of a composition
+// too deep to be born canonical. It is O(B): one scan to verify equal
+// lengths and find where the single-level stride breaks, and one scan
+// to verify the two-level form.
+func detectCanon(blocks []Block) *CanonVec {
+	n := int64(len(blocks))
+	if n == 0 {
+		return nil
+	}
+	off0, bl := blocks[0].Off, blocks[0].Len
+	if n == 1 {
+		return &CanonVec{Off: off0, BlockLen: bl, Inner: 1, InnerStride: bl, Outer: 1, OuterStride: bl}
+	}
+	s1 := blocks[1].Off - off0
+	// Scan for the first block off the single-level pattern.
+	p := n
+	for i := int64(0); i < n; i++ {
+		if blocks[i].Len != bl {
+			return nil
+		}
+		if p == n && blocks[i].Off != off0+i*s1 {
+			p = i
+		}
+	}
+	if p == n {
+		return &CanonVec{Off: off0, BlockLen: bl, Inner: n, InnerStride: s1, Outer: 1, OuterStride: n * s1}
+	}
+	// Two-level candidate: runs of p blocks at stride s1, run starts at
+	// stride s2.
+	if p < 2 || n%p != 0 {
+		return nil
+	}
+	s2 := blocks[p].Off - off0
+	for i := int64(0); i < n; i++ {
+		if blocks[i].Off != off0+(i/p)*s2+(i%p)*s1 {
+			return nil
+		}
+	}
+	return &CanonVec{Off: off0, BlockLen: bl, Inner: p, InnerStride: s1, Outer: n / p, OuterStride: s2}
 }

@@ -39,7 +39,7 @@ func TestBornCanonicalEdges(t *testing.T) {
 		if c.dt.NumBlocks() != len(c.want) {
 			t.Errorf("%s: NumBlocks %d, want %d", c.name, c.dt.NumBlocks(), len(c.want))
 		}
-		got, want := c.dt.Plan().Canonical(), detectCanon(c.want)
+		got, want := c.dt.Canonical(), detectCanon(c.want)
 		if (got == nil) != (want == nil) || got != nil && *got != *want {
 			t.Errorf("%s: canonical form %+v, detected %+v", c.name, got, want)
 		}

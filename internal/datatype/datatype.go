@@ -93,17 +93,18 @@ type Datatype struct {
 	// of no blocks or an irregular one. A type born canonical (see
 	// canon.go) builds flat from it on first use, under flatOnce;
 	// every other type flattens eagerly and finds canon over its list.
+	// An irregular layout keeps prefix[i], the packed bytes before
+	// flat[i] (len(flat)+1 entries), so a seek is a binary search.
 	canon    *CanonVec
 	flatOnce sync.Once
 	flat     []Block  // flattened blocks of one element, traversal order, merged
+	prefix   []int64  // irregular layouts only
 	sig      []SigRun // signature of one element
-
-	planOnce sync.Once // guards planVal (compiled lazily, possibly from concurrent worlds)
-	planVal  *Plan
 }
 
 // finish completes a type that flattened its element: the true bounds
-// from its list and the canonical form over it.
+// from its list, the canonical form over it and, failing one, the
+// prefix sums.
 func (d *Datatype) finish() *Datatype {
 	if len(d.flat) > 0 {
 		d.tlb = d.flat[0].Off
@@ -117,7 +118,12 @@ func (d *Datatype) finish() *Datatype {
 			}
 		}
 	}
-	d.canon = detectCanon(d.flat)
+	if d.canon = detectCanon(d.flat); d.canon == nil {
+		d.prefix = make([]int64, len(d.flat)+1)
+		for i, b := range d.flat {
+			d.prefix[i+1] = d.prefix[i] + b.Len
+		}
+	}
 	return d
 }
 
@@ -194,7 +200,8 @@ func (d *Datatype) Commit() *Datatype { return d }
 // Flat returns the flattened contiguous blocks of one element, in
 // traversal order with adjacent blocks merged. The slice is a copy;
 // callers may keep or modify it freely. Callers that only read the
-// blocks use Blocks, which does not copy them; walks use Plan.
+// blocks use Blocks, which does not copy them; walks use NumBlocks and
+// Block.
 func (d *Datatype) Flat() []Block {
 	b := d.Blocks()
 	out := make([]Block, len(b))
@@ -204,7 +211,7 @@ func (d *Datatype) Flat() []Block {
 
 // Blocks returns the same blocks as Flat without copying them. The
 // slice is shared; do not modify it. A type born canonical builds it on
-// the first call; walks go through Plan, which never needs it.
+// the first call; walks go through Block, which never needs it.
 func (d *Datatype) Blocks() []Block {
 	if d.canon != nil {
 		d.flatOnce.Do(func() {
@@ -222,6 +229,70 @@ func (d *Datatype) NumBlocks() int {
 		return int(cv.NumBlocks())
 	}
 	return len(d.flat)
+}
+
+// Block returns block i of the element: by arithmetic for a canonical
+// layout, which has no list to read.
+func (d *Datatype) Block(i int) Block {
+	if cv := d.canon; cv != nil {
+		return Block{Off: cv.BlockOff(int64(i)), Len: cv.BlockLen}
+	}
+	return d.flat[i]
+}
+
+// Canonical returns the canonical strided form, or nil for irregular
+// layouts and layouts of no blocks.
+func (d *Datatype) Canonical() *CanonVec { return d.canon }
+
+// Dense reports whether count repetitions of the element occupy one
+// gap-free window of memory, and if so where: n packed bytes at offset
+// off from the data origin, packed byte p living at off+p. That is an
+// element of a single block which either is not repeated or tiles
+// (block length == extent). This is the one definition of "dense":
+// the converter's single-copy path, the contiguous protocol window in
+// mpi and Vector's one-block arm all ask here. A zero count has no
+// window.
+func (d *Datatype) Dense(count int) (off, n int64, ok bool) {
+	cv := d.canon
+	if cv == nil || cv.NumBlocks() != 1 || count < 1 {
+		return 0, 0, false
+	}
+	if count > 1 && cv.BlockLen != d.Extent() {
+		return 0, 0, false
+	}
+	return cv.Off, int64(count) * cv.BlockLen, true
+}
+
+// Vector returns the (element, count) pattern of a send or receive as
+// one evenly strided run of equal blocks (Outer == 1) — the form the
+// GPU engine's vector kernel takes — and false if the pattern is not
+// one. A dense window is one block; an element of one block repeats at
+// the extent; an element of several continues its stride into the next
+// only when the extent is InnerStride × Inner. A zero count is a vector
+// of no blocks unless the element has none.
+func (d *Datatype) Vector(count int) (CanonVec, bool) {
+	cv := d.canon
+	if count < 0 || cv == nil || cv.Outer != 1 {
+		return CanonVec{}, false
+	}
+	if count == 0 {
+		return CanonVec{}, true
+	}
+	if off, n, ok := d.Dense(count); ok {
+		return CanonVec{Off: off, BlockLen: n, Inner: 1, InnerStride: n, Outer: 1, OuterStride: n}, true
+	}
+	v, ext := *cv, d.Extent()
+	switch {
+	case count == 1:
+		return v, true
+	case v.Inner == 1:
+		v.InnerStride = ext
+	case ext != v.InnerStride*v.Inner:
+		return CanonVec{}, false
+	}
+	v.Inner *= int64(count)
+	v.OuterStride = v.Inner * v.InnerStride
+	return v, true
 }
 
 // IsContiguous reports whether one element is a single gap-free block
@@ -283,7 +354,7 @@ func instantiateN(flat []Block, base *Datatype, disp int64, n int64) []Block {
 
 // appendSig appends base's signature n times (run-length merged).
 func appendSig(sig []SigRun, base *Datatype, n int64) []SigRun {
-	if n <= 0 {
+	if n <= 0 || len(base.sig) == 0 {
 		return sig
 	}
 	for rep := int64(0); rep < n; rep++ {
@@ -517,7 +588,7 @@ func Subarray(sizes, subsizes, starts []int, order Order, base *Datatype) *Datat
 
 // Resized overrides the lower bound and extent of base
 // (MPI_Type_create_resized). It has base's blocks, so base's canonical
-// form, or base's list when base is irregular.
+// form, or base's list and its prefix sums when base is irregular.
 func Resized(base *Datatype, lb, extent int64) *Datatype {
 	checkBase(base, "Resized")
 	var buf [nameLen]byte
@@ -531,7 +602,7 @@ func Resized(base *Datatype, lb, extent int64) *Datatype {
 	}
 	d.canon, d.tlb, d.tub = base.canon, base.tlb, base.tub
 	if base.canon == nil {
-		d.flat = base.flat
+		d.flat, d.prefix = base.flat, base.prefix
 	}
 	return d
 }

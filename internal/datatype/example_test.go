@@ -13,7 +13,7 @@ func ExampleVector() {
 	fmt.Println("size:", sub.Size(), "bytes")
 	fmt.Println("extent:", sub.Extent(), "bytes")
 	fmt.Println("blocks:", sub.NumBlocks())
-	v, _ := sub.Plan().Vector(1)
+	v, _ := sub.Vector(1)
 	fmt.Printf("vector view: %d blocks of %d bytes every %d bytes\n", v.Inner, v.BlockLen, v.InnerStride)
 	// Output:
 	// size: 96 bytes

@@ -1,6 +1,9 @@
 package datatype
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Converter walks the memory layout of (datatype, count) in packed-byte
 // order, resumably: each Advance call consumes up to a caller-chosen
@@ -8,7 +11,6 @@ import "fmt"
 // pipelined protocols need (Open MPI's opal_convertor).
 type Converter struct {
 	dt     *Datatype
-	plan   *Plan
 	count  int64
 	extent int64
 	total  int64
@@ -41,7 +43,6 @@ func (c *Converter) Init(dt *Datatype, count int) {
 	}
 	*c = Converter{
 		dt:     dt,
-		plan:   dt.Plan(),
 		count:  int64(count),
 		extent: dt.Extent(),
 		total:  int64(count) * dt.Size(),
@@ -66,9 +67,8 @@ func (c *Converter) Rewind() {
 }
 
 // SeekTo positions the converter at packed offset pos (MPI_Pack
-// position). It uses the datatype's compiled plan: O(1) for canonically
-// strided layouts, O(log B) prefix-sum search otherwise — it never
-// replays the layout.
+// position): O(1) for canonically strided layouts, O(log B) prefix-sum
+// search otherwise — it never replays the layout.
 func (c *Converter) SeekTo(pos int64) {
 	if pos < 0 || pos > c.total {
 		panic(fmt.Sprintf("datatype: seek %d outside [0,%d]", pos, c.total))
@@ -79,31 +79,51 @@ func (c *Converter) SeekTo(pos int64) {
 	}
 	size := c.dt.size
 	c.rep = pos / size
-	c.bi, c.bo = c.plan.locate(pos - c.rep*size)
+	c.bi, c.bo = c.dt.locate(pos - c.rep*size)
 	c.packed = pos
+}
+
+// locate maps a packed offset within one element (0 <= off <= element
+// size) to (block index, bytes into that block). An offset landing
+// exactly on a block boundary reports the start of the next block,
+// matching the converter's wrap-on-completion state.
+func (d *Datatype) locate(off int64) (bi int, bo int64) {
+	if off == 0 {
+		return 0, 0
+	}
+	if cv := d.canon; cv != nil {
+		return int(off / cv.BlockLen), off % cv.BlockLen
+	}
+	// First block whose cumulative end exceeds off, i.e. the block
+	// containing byte off (boundary offsets select the next block).
+	i := sort.Search(len(d.flat), func(i int) bool { return d.prefix[i+1] > off })
+	if i == len(d.flat) { // off == element size: wrapped to next rep
+		return 0, 0
+	}
+	return i, off - d.prefix[i]
 }
 
 // Advance consumes up to max packed bytes, invoking emit (if non-nil) for
 // every contiguous piece with the absolute memory offset (from the data
 // origin), the absolute packed offset, and the piece length. It returns
 // the number of packed bytes consumed, which is min(max, Remaining()).
+// A canonical layout's blocks come by arithmetic (Datatype.Block), so
+// the walk never touches a list, which for shapes like a matrix
+// transpose would hold one entry per scalar.
 func (c *Converter) Advance(max int64, emit func(memOff, packOff, n int64)) int64 {
 	if max < 0 {
 		panic("datatype: negative advance")
 	}
 	// An element type with no blocks has nothing to walk, whatever the
-	// count: without the clamp the loop below would index its empty
-	// block list.
+	// count: without the clamp the loop below would ask for a block it
+	// does not have.
 	if r := c.Remaining(); max > r {
 		max = r
 	}
-	if cv := c.plan.canon; cv != nil {
-		return c.advanceCanon(cv, max, emit)
-	}
-	flat := c.plan.blocks
+	nb := c.dt.NumBlocks()
 	var done int64
-	for done < max && c.rep < c.count {
-		b := flat[c.bi]
+	for done < max {
+		b := c.dt.Block(c.bi)
 		take := b.Len - c.bo
 		if rem := max - done; take > rem {
 			take = rem
@@ -117,45 +137,12 @@ func (c *Converter) Advance(max int64, emit func(memOff, packOff, n int64)) int6
 		if c.bo == b.Len {
 			c.bo = 0
 			c.bi++
-			if c.bi == len(flat) {
+			if c.bi == nb {
 				c.bi = 0
 				c.rep++
 			}
 		}
 	}
-	return done
-}
-
-// advanceCanon is Advance over a canonically strided layout: block
-// offsets come from the strided form's arithmetic, so the walk never
-// touches the flattened block slice (which for shapes like a matrix
-// transpose holds one entry per scalar). The emitted pieces are
-// identical to the generic walk's.
-func (c *Converter) advanceCanon(cv *CanonVec, max int64, emit func(memOff, packOff, n int64)) int64 {
-	nb := cv.NumBlocks()
-	bi := int64(c.bi)
-	var done int64
-	for done < max && c.rep < c.count {
-		take := cv.BlockLen - c.bo
-		if rem := max - done; take > rem {
-			take = rem
-		}
-		if emit != nil {
-			emit(c.rep*c.extent+cv.BlockOff(bi)+c.bo, c.packed, take)
-		}
-		c.bo += take
-		c.packed += take
-		done += take
-		if c.bo == cv.BlockLen {
-			c.bo = 0
-			bi++
-			if bi == nb {
-				bi = 0
-				c.rep++
-			}
-		}
-	}
-	c.bi = int(bi)
 	return done
 }
 
@@ -181,7 +168,7 @@ func (c *Converter) Unpack(dst, src []byte) int64 { return c.move(dst, src, true
 // move is Pack (unpack false: layout to packed) and Unpack (unpack
 // true: packed to layout) over up to len(packed) bytes. It copies runs,
 // not pieces: consecutive pieces that are also adjacent in memory go in
-// one copy, and a dense pattern (Plan.Dense) is a single copy with the
+// one copy, and a dense pattern (Datatype.Dense) is a single copy with the
 // position set by arithmetic. Either way the converter is left exactly
 // where Advance over the same byte count leaves it.
 func (c *Converter) move(layout, packed []byte, unpack bool) int64 {
@@ -192,18 +179,18 @@ func (c *Converter) move(layout, packed []byte, unpack bool) int64 {
 	if max <= 0 {
 		return 0
 	}
-	if off, _, ok := c.plan.Dense(int(c.count)); ok {
+	if off, _, ok := c.dt.Dense(int(c.count)); ok {
 		transfer(layout[off+c.packed:off+c.packed+max], packed[:max], unpack)
 		c.packed += max
 		c.rep, c.bo = c.packed/c.dt.size, c.packed%c.dt.size
 		return max
 	}
-	nb := c.plan.NumBlocks()
+	nb := c.dt.NumBlocks()
 	// The run being gathered: run bytes at layout[at:], which are
 	// packed[done-run:done].
 	var done, at, run int64
 	for done < max {
-		b := c.plan.Block(c.bi)
+		b := c.dt.Block(c.bi)
 		take := b.Len - c.bo
 		if rem := max - done; take > rem {
 			take = rem

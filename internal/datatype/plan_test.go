@@ -38,7 +38,7 @@ func TestPlanCanonicalForms(t *testing.T) {
 		{"triangular", triangularLike(6), nil},
 	}
 	for _, c := range cases {
-		got := c.dt.Plan().Canonical()
+		got := c.dt.Canonical()
 		if c.want == nil {
 			if got != nil {
 				t.Errorf("%s: expected no canonical form, got %+v", c.name, got)
@@ -55,7 +55,7 @@ func TestPlanCanonicalForms(t *testing.T) {
 	}
 }
 
-// TestPlanBlocksMatchFlat checks that the plan's block accessor (canon
+// TestPlanBlocksMatchFlat checks that the type's block accessor (canon
 // arithmetic or stored slice) reproduces the flattened form exactly.
 func TestPlanBlocksMatchFlat(t *testing.T) {
 	for _, dt := range []*Datatype{
@@ -66,19 +66,22 @@ func TestPlanBlocksMatchFlat(t *testing.T) {
 		triangularLike(5),
 		Struct([]int{2, 1, 3}, []int64{0, 40, 64}, []*Datatype{Int32, Float64, Char}),
 	} {
-		pl := dt.Plan()
 		flat := dt.Flat()
+		if dt.NumBlocks() != len(flat) {
+			t.Errorf("%s: NumBlocks %d, list of %d", dt, dt.NumBlocks(), len(flat))
+		}
 		for i, b := range flat {
-			if got := pl.Block(i); got != b {
+			if got := dt.Block(i); got != b {
 				t.Errorf("%s: block %d = %+v, want %+v", dt, i, got, b)
 			}
 		}
 	}
 }
 
-// TestSeekToMatchesReplay verifies the plan-based SeekTo lands in exactly
-// the state a full replay reaches: packing the remainder from a seeked
-// converter must byte-match packing after Rewind+Advance.
+// TestSeekToMatchesReplay verifies SeekTo lands in exactly the state a
+// full replay reaches: packing the remainder from a seeked converter
+// must byte-match packing after Rewind+Advance. Resized over an
+// irregular base seeks by its base's prefix sums.
 func TestSeekToMatchesReplay(t *testing.T) {
 	types := []struct {
 		dt    *Datatype
@@ -89,6 +92,7 @@ func TestSeekToMatchesReplay(t *testing.T) {
 		{Vector(6, 2, 5, Float64), 3},
 		{transposeLike(5), 2},
 		{triangularLike(6), 2},
+		{Resized(triangularLike(6), 0, 400), 3},
 		{Struct([]int{2, 1, 3}, []int64{0, 40, 64}, []*Datatype{Int32, Float64, Char}), 4},
 	}
 	for _, tc := range types {
@@ -133,7 +137,7 @@ func TestSeekToMatchesReplay(t *testing.T) {
 // pieces of the generic flat walk, including across fragment boundaries.
 func TestAdvanceCanonEmissions(t *testing.T) {
 	dt := transposeLike(6)
-	if dt.Plan().Canonical() == nil {
+	if dt.Canonical() == nil {
 		t.Fatal("transpose should be canonical")
 	}
 	count := 3
@@ -203,28 +207,39 @@ func TestFlatIsImmutable(t *testing.T) {
 	}
 }
 
-// TestPlanConcurrent compiles the same shared datatype's plan from many
-// goroutines (the parallel bench driver does this with the global
-// primitives); run with -race.
+// TestPlanConcurrent seeks and packs the same shared datatypes from
+// many goroutines (the parallel bench driver walks the global
+// primitives from separate worlds); run with -race. Every goroutine
+// must pack what a serial pack does.
 func TestPlanConcurrent(t *testing.T) {
-	dt := Vector(16, 2, 4, Float64)
+	types := []*Datatype{Float64, Vector(16, 2, 4, Float64), transposeLike(6), triangularLike(6), Resized(triangularLike(6), 0, 400)}
+	const count = 4
+	srcs, wants := make([][]byte, len(types)), make([][]byte, len(types))
+	for i, dt := range types {
+		srcs[i] = make([]byte, dt.Span(count))
+		for j := range srcs[i] {
+			srcs[i][j] = byte(j*131 + 17)
+		}
+		wants[i] = PackImage(dt, count, srcs[i])
+	}
 	var wg sync.WaitGroup
-	plans := make([]*Plan, 8)
-	for i := range plans {
+	for range 8 {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			c := NewConverter(dt, 4)
-			c.SeekTo(c.Total() / 2)
-			plans[i] = dt.Plan()
-		}(i)
+			for i, dt := range types {
+				c := NewConverter(dt, count)
+				half := c.Total() / 2
+				c.SeekTo(half)
+				got := make([]byte, c.Total()-half)
+				c.Pack(got, srcs[i])
+				if !bytes.Equal(got, wants[i][half:]) {
+					t.Errorf("%s: pack after SeekTo(%d) differs from the serial pack", dt, half)
+				}
+			}
+		}()
 	}
 	wg.Wait()
-	for _, pl := range plans {
-		if pl != plans[0] {
-			t.Fatal("Plan() returned different instances")
-		}
-	}
 }
 
 // BenchmarkConverterSeek shows SeekTo is sublinear in the layout's block

@@ -171,7 +171,7 @@ func TestQuickPlanVectorExpandsToBlocks(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		dt := randType(r, 2)
 		count := r.Intn(3) + 1
-		v, ok := dt.Plan().Vector(count)
+		v, ok := dt.Vector(count)
 		if !ok {
 			return true
 		}

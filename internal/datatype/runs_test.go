@@ -65,7 +65,7 @@ func collect(c *Converter, max int64) (out []emitted, n int64) {
 func TestPackUnpackRunsMatchPieces(t *testing.T) {
 	for _, tl := range runLayouts {
 		t.Run(tl.name, func(t *testing.T) {
-			if _, _, ok := tl.dt.Plan().Dense(tl.count); ok != tl.dense {
+			if _, _, ok := tl.dt.Dense(tl.count); ok != tl.dense {
 				t.Fatalf("Dense = %v, want %v", ok, tl.dense)
 			}
 			span := tl.dt.Span(tl.count)
@@ -146,7 +146,7 @@ func TestPackUnpackRunsMatchPieces(t *testing.T) {
 	}
 }
 
-// TestDenseIsOneDefinition: Plan.Dense, Plan.Vector's one-block answer
+// TestDenseIsOneDefinition: Datatype.Dense, Datatype.Vector's one-block answer
 // and a single-piece walk are the same predicate.
 func TestDenseIsOneDefinition(t *testing.T) {
 	for _, tl := range append(runLayouts,
@@ -154,12 +154,12 @@ func TestDenseIsOneDefinition(t *testing.T) {
 		runLayout{"empty-type", Contiguous(0, Float64), 3, false},
 		runLayout{"offset-block", Indexed([]int{4}, []int{2}, Int32), 1, true},
 	) {
-		off, n, ok := tl.dt.Plan().Dense(tl.count)
+		off, n, ok := tl.dt.Dense(tl.count)
 		if ok != tl.dense {
 			t.Errorf("%s: Dense = %v, want %v", tl.name, ok, tl.dense)
 			continue
 		}
-		v, isVec := tl.dt.Plan().Vector(tl.count)
+		v, isVec := tl.dt.Vector(tl.count)
 		if one := isVec && v.Inner == 1; one != ok {
 			t.Errorf("%s: Vector = %+v, Dense = %v", tl.name, v, ok)
 		}

@@ -38,7 +38,7 @@ import (
 // The pack engine's rule applies here too: non-contiguous data is never
 // touched a byte at a time. The generator emits, and the signature
 // folds, aligned 8-byte words; the walk over the datatype's blocks
-// takes them from its compiled plan (datatype.Plan.Block), by
+// takes them from the type itself (datatype.Datatype.Block), by
 // arithmetic for a canonical layout, and allocates nothing.
 
 // SyntheticPayload describes deterministic synthetic contents for
@@ -67,8 +67,8 @@ func (sp SyntheticPayload) Fill(b mem.Buffer) { mem.FillSynthetic(b, sp.Seed) }
 // nothing here allocates.
 type packedWalk struct {
 	seed    uint64
-	plan    *datatype.Plan // shared with the datatype, read-only
-	nb      int            // blocks per element
+	dt      *datatype.Datatype
+	nb      int // blocks per element
 	ext     int64
 	e, end  int
 	bi      int   // next block of element e
@@ -76,8 +76,7 @@ type packedWalk struct {
 }
 
 func (sp SyntheticPayload) walk(elem0, n int) packedWalk {
-	pl := sp.Dt.Plan()
-	k := packedWalk{seed: sp.Seed, plan: pl, nb: pl.NumBlocks(), ext: sp.Dt.Extent(), e: elem0, end: elem0 + n}
+	k := packedWalk{seed: sp.Seed, dt: sp.Dt, nb: sp.Dt.NumBlocks(), ext: sp.Dt.Extent(), e: elem0, end: elem0 + n}
 	if k.nb == 0 {
 		k.end = k.e // an empty datatype has no stream
 	}
@@ -97,7 +96,7 @@ func (k *packedWalk) fill(p []byte) int {
 			if k.e >= k.end {
 				break
 			}
-			b := k.plan.Block(k.bi)
+			b := k.dt.Block(k.bi)
 			k.bi++
 			k.off, k.ln = int64(k.e)*k.ext+b.Off, b.Len
 		}
@@ -137,8 +136,8 @@ func (sp SyntheticPayload) AppendPacked(dst []byte, elem0, n int) []byte {
 // gives. Any other layout, or an s holding part of a word, generates
 // through a scratch on the stack.
 func (sp SyntheticPayload) FoldPacked(s *Sig64, elem0, n int) {
-	pl, ext := sp.Dt.Plan(), sp.Dt.Extent()
-	nb, cv := pl.NumBlocks(), pl.Canonical()
+	ext := sp.Dt.Extent()
+	nb, cv := sp.Dt.NumBlocks(), sp.Dt.Canonical()
 	// One OR finds a misaligned or negative offset, length or extent;
 	// negative offsets are left to SyntheticAt, which rejects them. A
 	// canonical layout's blocks are aligned when its first block, its
@@ -148,7 +147,7 @@ func (sp SyntheticPayload) FoldPacked(s *Sig64, elem0, n int) {
 		m |= cv.Off | cv.BlockLen | cv.InnerStride&7 | cv.OuterStride&7
 	} else {
 		for i := range nb {
-			b := pl.Block(i)
+			b := sp.Dt.Block(i)
 			m |= b.Off | b.Len
 		}
 	}
@@ -167,7 +166,7 @@ func (sp SyntheticPayload) FoldPacked(s *Sig64, elem0, n int) {
 				continue
 			}
 			for i := range nb {
-				b := pl.Block(i)
+				b := sp.Dt.Block(i)
 				o := base + uint64(b.Off)
 				h = foldWords(h, sp.Seed, o, o+uint64(b.Len))
 			}

@@ -245,7 +245,7 @@ func fragment(i int, total, frag int64) (off, n int64) {
 // contigWindow returns the packed window of (buf, dt, count) when the
 // layout is a single gap-free block.
 func contigWindow(buf mem.Buffer, dt *datatype.Datatype, count int) (mem.Buffer, bool) {
-	off, n, ok := dt.Plan().Dense(count)
+	off, n, ok := dt.Dense(count)
 	if !ok {
 		return mem.Buffer{}, false
 	}
@@ -312,7 +312,7 @@ func (st *pipeSend) Run(p *sim.Proc) {
 
 // producer returns the sender's fragment producer, rewound to packed
 // offset zero: a fallback attempt replays the whole message through the
-// same compiled plan (Packer.SeekTo) rather than rebuilding the worker.
+// same packer (Packer.SeekTo) rather than rebuilding the worker.
 func (st *pipeSend) producer() *fragProducer {
 	if !st.prod.live {
 		st.prod.init(st.op.M, st.op.Buf, st.op.Dt, st.op.Count)

@@ -9,7 +9,7 @@ import (
 
 func TestSubMatrixIsVector(t *testing.T) {
 	d := SubMatrix(4, 3, 8)
-	v, ok := d.Plan().Vector(1)
+	v, ok := d.Vector(1)
 	if !ok || v.Inner != 3 || v.BlockLen != 32 || v.InnerStride != 64 {
 		t.Fatalf("vector = %+v", v)
 	}
@@ -25,7 +25,7 @@ func TestLowerTriangularSize(t *testing.T) {
 	if d.Size() != want {
 		t.Fatalf("size = %d, want %d", d.Size(), want)
 	}
-	if _, ok := d.Plan().Vector(1); ok {
+	if _, ok := d.Vector(1); ok {
 		t.Fatal("triangle must not be a vector")
 	}
 	if d.NumBlocks() != n {
@@ -94,7 +94,7 @@ func TestTransposeLayout(t *testing.T) {
 
 func TestHaloColumn(t *testing.T) {
 	d := HaloColumn(4)
-	v, ok := d.Plan().Vector(1)
+	v, ok := d.Vector(1)
 	if !ok || v.Inner != 4 || v.BlockLen != 8 || v.InnerStride != 6*8 {
 		t.Fatalf("vector = %+v", v)
 	}
