@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check-fast check-full fuzz golden bench bench-smoke bench-pairs bench-compare ddt-pairs figures examples tools lines clean
+.PHONY: all check-fast check-full fuzz golden bench bench-smoke bench-pairs bench-compare ddt-pairs figures examples tools lines census clean
 
 all: check-fast
 
@@ -209,6 +209,33 @@ tools:
 # comments included), the size figure each change reports.
 lines:
 	@find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+
+# A coverage census of what the production entry points run: build the
+# benchmark, the six commands and the seven examples with counters over
+# the whole module, run them as a user would (the benchmark's -child
+# processes inherit GOCOVERDIR; pingpong once per flag set below), and
+# print every function under internal/ but conformance that none of
+# them executed, then the statement total. About two minutes; it gates
+# nothing and removes its temp dir.
+CENSUS_PINGPONG = "" "-impl mvapich" "-host" "-direct-unpack" "-topo ib" "-topo 1gpu" \
+	"-type transpose -n 512" "-type triangular -n 512" "-type vec2contig -n 512" "-type contiguous -n 512" \
+	"-phases -timeline -verbose -n 256"
+census:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/bin" "$$tmp/cov"; \
+	for d in benchmark cmd/* examples/*; do \
+		$(GO) build -cover -coverpkg=./... -o "$$tmp/bin/$${d##*/}" ./$$d; \
+	done; \
+	run() { echo "census: $$*"; \
+		(cd "$$tmp" && GOCOVERDIR="$$tmp/cov" "$$tmp/bin/$$@") > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; }; \
+	run benchmark -mode all -seconds 1; \
+	run ddtbench -quick; run scalebench -quick; run appbench -quick; run chaosbench; run topo; \
+	for e in examples/*; do run $${e##*/}; done; \
+	for f in $(CENSUS_PINGPONG); do run pingpong $$f; done; \
+	$(GO) tool covdata func -i "$$tmp/cov" | awk ' \
+		$$1 ~ /\/internal\// && $$1 !~ /\/internal\/conformance\// && $$NF == "0.0%" { print; n++ } \
+		$$1 == "total" { total = $$0 } \
+		END { printf "%d functions under internal/ never run\n%s\n", n, total }'
 
 clean:
 	rm -rf bin

@@ -55,7 +55,7 @@ func TestCachedEntriesSplitAtOddFragmentBoundaries(t *testing.T) {
 }
 
 // TestVectorFragmentBoundaries does the same for the vector fast path,
-// whose units are computed arithmetically from the view.
+// whose list is the one run of the vector's blocks.
 func TestVectorFragmentBoundaries(t *testing.T) {
 	dt := shapes.SubMatrix(33, 17, 50) // odd-sized strided blocks
 	for _, frag := range []int64{1, 13, 100, 264, 1000} {

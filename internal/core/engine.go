@@ -10,8 +10,8 @@
 // pipelined with kernel execution, and the split unit list can be
 // cached (keyed by datatype and count) so repeat transfers skip
 // conversion entirely. Datatypes whose layout is an evenly
-// strided vector bypass conversion and use the specialized vector kernel
-// of §3.1.
+// strided vector bypass conversion: their list is one run, moved by the
+// specialized vector kernel of §3.1.
 //
 // The engine is the stack's one convertor, as Open MPI's is beneath its
 // PML and BTLs (§4): it moves the bytes of any (buffer, datatype,

@@ -50,7 +50,7 @@ func (e *Engine) UnpackBlocks(p *sim.Proc, blocks []Block, src mem.Buffer) {
 
 // fused builds one unit list over all blocks and launches it. Each
 // block's units come from where a message of its (datatype, count)
-// takes them — vector arithmetic, the DEV cache, or conversion at the
+// takes them — the vector's run, the DEV cache, or conversion at the
 // usual charge, which also fills the cache — shifted by the block's
 // place in memory and in the packed window. A run of blocks of one
 // (datatype, count), the uniform collectives' case, derives them once.
@@ -118,7 +118,7 @@ func (e *Engine) fused(p *sim.Proc, blocks []Block, frag mem.Buffer, dir directi
 			last = len(units)
 			shiftUnits(units[first:last], bMem, b.Pos, dir)
 			memOff, pos = bMem, b.Pos
-			if pk.view == nil {
+			if pk.kind != gpu.VectorKernel {
 				kind = gpu.DEVKernel
 			}
 			continue
@@ -135,21 +135,17 @@ func (e *Engine) fused(p *sim.Proc, blocks []Block, frag mem.Buffer, dir directi
 }
 
 // appendMessage appends the units of the packer's whole message, as one
-// window starting at packed offset zero.
+// window starting at packed offset zero: its list, or the list a
+// conversion builds.
 func (pk *Packer) appendMessage(p *sim.Proc, units []gpu.Unit) []gpu.Unit {
-	if pk.view != nil {
-		return pk.appendViewUnits(units, 0, pk.Total())
-	}
-	var entries []Entry
-	if pk.cached != nil {
-		entries = pk.cached.entries
-	} else {
+	entries := pk.list
+	if entries == nil {
 		entries = pk.convert(p, pk.Total())
 	}
 	at := len(units)
 	units = append(units, make([]gpu.Unit, len(entries))...)
 	pk.bind(units[at:], entries, 0)
-	if pk.cached == nil {
+	if pk.list == nil {
 		pk.converted()
 	}
 	return units

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 
 	"gpuddt/internal/datatype"
@@ -18,10 +17,6 @@ const (
 	dirUnpack
 )
 
-// maxUnitLen bounds a single kernel unit (vector fast path blocks are
-// split to fit the 32-bit unit length).
-const maxUnitLen = 1 << 30
-
 // Packer drives the pipelined packing of one (datatype, count) message
 // into contiguous fragments, or the inverse. It is resumable: each
 // PackWith call produces the next fragment, which is how the BTL
@@ -34,13 +29,16 @@ const maxUnitLen = 1 << 30
 // gpu.GetUnits)
 // — or in the array of a kept kernel record: a synchronous call's
 // borrowed worker's (see borrowed), a pipelined protocol's producer's or
-// consumer's (PackWith, UnpackWith). The vector path builds them from
-// arithmetic, the cached path from its slice of the resident list, the
-// converting path from the tail of the list it is building. The kernel
-// gets a copy, never a view of a cached list: an entry is not bound to
-// a direction, and a kernel unit is, with its packed offset rebased to
-// the fragment. Host-resident data is moved by the CPU (see cpuMove): no
-// kernel, no descriptors, no cache lookup.
+// consumer's (PackWith, UnpackWith). A message whose list of runs is
+// known has its windows cut from that list (listUnits): a vector's is
+// one run, the (blocklen, stride, count) of the vector kernel, whose
+// cut blocks are partial units the vector kernel prices as whole ones;
+// a DEV-cache hit's is the resident list. The converting path cuts
+// them from the tail of the list it is building. The kernel gets a
+// copy, never a view of a list: an entry is not bound to a direction,
+// and a kernel unit is, with its packed offset rebased to the fragment.
+// Host-resident data is moved by the CPU (see cpuMove): no kernel, no
+// descriptors, no cache lookup.
 type Packer struct {
 	e    *Engine
 	data mem.Buffer
@@ -49,10 +47,13 @@ type Packer struct {
 	cnt  int
 	dir  direction
 
-	view   *datatype.CanonVec // &vec for a vector layout, else nil
-	vec    datatype.CanonVec
-	cached *cacheVal
-	ci     int // entry of cached.entries the next sequential window starts in
+	// The list path: list is the message's runs, moved by kernels of
+	// kind — vrun, a vector's one run, or a DEV-cache hit's entries —
+	// and nil on a miss.
+	list []Entry
+	kind gpu.KernelKind
+	vrun [1]Entry
+	ci   int // run of list the next sequential window starts in
 
 	// The converting path (a cache miss): building is the message's
 	// list of runs so far, stored in the DEV cache on completion while
@@ -76,26 +77,39 @@ func (e *Engine) InitUnpacker(pk *Packer, data mem.Buffer, dt *datatype.Datatype
 }
 
 // init makes pk the worker of one message, positioned at its start.
-// Host data takes neither the vector view nor the DEV cache: the CPU
+// Host data takes neither the vector run nor the DEV cache: the CPU
 // moves it through the converter alone.
 func (pk *Packer) init(e *Engine, data mem.Buffer, dt *datatype.Datatype, count int, dir direction) {
-	*pk = Packer{e: e, data: data, dt: dt, cnt: count, dir: dir}
+	*pk = Packer{e: e, data: data, dt: dt, cnt: count, dir: dir, kind: gpu.DEVKernel}
 	pk.conv.Init(dt, count)
 	if data.Kind() == mem.Host {
 		return
 	}
-	if !e.opts.DisableVectorKernel {
-		if v, ok := dt.Vector(count); ok {
-			pk.vec, pk.view = v, &pk.vec
-		}
+	if v, ok := dt.Vector(count); ok && !e.opts.DisableVectorKernel && pk.vector(&v) {
+		return
 	}
-	if pk.view == nil {
-		if pk.cached = e.lookupCache(dt, count); pk.cached != nil {
-			e.cacheHits++
-		} else {
-			pk.caching = !e.opts.NoCacheDEV
-		}
+	if c := e.lookupCache(dt, count); c != nil {
+		pk.list = c.entries
+		e.cacheHits++
+	} else {
+		pk.caching = !e.opts.NoCacheDEV
 	}
+}
+
+// vector makes the vector v the packer's list, one run of its blocks
+// for the vector kernel, and reports whether that run fits an Entry:
+// its block length, stride and block count within 32 bits.
+func (pk *Packer) vector(v *datatype.CanonVec) bool {
+	if !fits32(v.BlockLen) || !fits32(v.InnerStride) || !fits32(v.Inner-1) {
+		return false
+	}
+	r := &pk.vrun[0]
+	*r = Entry{MemOff: v.Off, Len: int32(v.BlockLen)}
+	if v.Inner > 1 {
+		r.More, r.Stride = int32(v.Inner-1), int32(v.InnerStride)
+	}
+	pk.list, pk.kind = pk.vrun[:], gpu.VectorKernel
+	return true
 }
 
 // borrowed is a worker lent to a call that is done with it when it
@@ -205,21 +219,13 @@ func (pk *Packer) process(p *sim.Proc, frag mem.Buffer, own *gpu.Kernel) (int64,
 		f.Complete(nil)
 		return 0, f
 	}
-	start := pk.conv.Packed()
-	var fut *sim.Future
-	switch {
-	case pk.view != nil:
-		units := pk.viewUnits(start, n, own)
-		pk.conv.SeekTo(start + n)
-		fut = pk.launch(own, gpu.VectorKernel, units, n, frag)
-	case pk.cached != nil:
-		units := pk.cachedUnits(start, n, own)
-		pk.conv.SeekTo(start + n)
-		fut = pk.launch(own, gpu.DEVKernel, units, n, frag)
-	default:
-		fut = pk.convertAndLaunch(p, n, frag, own)
+	if pk.list == nil {
+		return n, pk.convertAndLaunch(p, n, frag, own)
 	}
-	return n, fut
+	start := pk.conv.Packed()
+	units := pk.listUnits(start, n, own)
+	pk.conv.SeekTo(start + n)
+	return n, pk.launch(own, pk.kind, units, n, frag)
 }
 
 // cpuDone is the future of every CPU move: the bytes have moved when the
@@ -257,47 +263,6 @@ func getUnits(own *gpu.Kernel, n int) []gpu.Unit {
 	return gpu.GetUnits(n)
 }
 
-// viewUnits computes the units intersecting packed window [start,
-// start+n) directly from the vector view — no conversion cost, exactly
-// like the specialized kernel taking (blocklen, stride, count) arguments.
-func (pk *Packer) viewUnits(start, n int64, own *gpu.Kernel) []gpu.Unit {
-	bl := pk.view.BlockLen
-	size := 3 // a cut block at either end, the whole blocks between as one run
-	if !pk.viewRuns() {
-		size = int((start+n-1)/bl - start/bl + 1) // one unit per block
-	}
-	return pk.appendViewUnits(getUnits(own, size)[:0], start, n)
-}
-
-// viewRuns reports whether the vector's whole blocks make runs: a block
-// fits one unit and the stride a unit's.
-func (pk *Packer) viewRuns() bool {
-	v := pk.view
-	return v.BlockLen <= maxUnitLen && fits32(v.InnerStride) && v.Inner <= math.MaxInt32
-}
-
-// appendViewUnits appends the window's units to units: the window's
-// whole blocks as one run, a block it cuts as a unit of its own (units
-// of at most maxUnitLen, one per block when the blocks make no runs).
-func (pk *Packer) appendViewUnits(units []gpu.Unit, start, n int64) []gpu.Unit {
-	v := pk.view
-	bl, end := v.BlockLen, start+n
-	runs := pk.viewRuns()
-	for pos := start; pos < end; {
-		i, off := pos/bl, pos%bl
-		memOff := v.Off + i*v.InnerStride + off
-		if k := (end - pos) / bl; runs && off == 0 && k > 0 {
-			units = append(units, pk.unit(memOff, pos-start, int32(bl), k, v.InnerStride, false))
-			pos += k * bl
-			continue
-		}
-		take := min(bl-off, end-pos, maxUnitLen)
-		units = append(units, pk.unit(memOff, pos-start, int32(take), 1, 0, false))
-		pos += take
-	}
-	return units
-}
-
 // unit is the kernel unit, bound to the packer's direction, of a run of
 // n copies of l bytes: the first at memOff in the layout and packOff in
 // the fragment, each next one stride bytes further in the layout.
@@ -312,13 +277,13 @@ func (pk *Packer) unit(memOff, packOff int64, l int32, n, stride int64, partial 
 	return u
 }
 
-// cachedUnits binds the cached list's runs for the packed window,
-// cutting the at most two that straddle its ends (see appendSpan). No
-// conversion cost: the descriptor array is already resident in GPU
-// memory. PackOff is monotonic, so both ends of the window are found by
-// search, not scan.
-func (pk *Packer) cachedUnits(start, n int64, own *gpu.Kernel) []gpu.Unit {
-	entries := pk.cached.entries
+// listUnits binds the list's runs for the packed window, cutting the at
+// most two that straddle its ends (see appendSpan). No conversion cost:
+// a vector's run is its kernel's arguments, a cached list is already
+// resident in GPU memory. PackOff is monotonic, so both ends of the
+// window are found by search, not scan.
+func (pk *Packer) listUnits(start, n int64, own *gpu.Kernel) []gpu.Unit {
+	entries := pk.list
 	end := start + n
 	// Windows are usually sequential, continuing in run pk.ci. A
 	// restart (retransmission, pipeline rewind) searches for its run.

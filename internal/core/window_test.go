@@ -14,10 +14,11 @@ import (
 
 // refWindows is the descriptor plumbing the packer had before its paths
 // wrote kernel units directly: a window's entries are copied into a
-// scratch slice (viewEntries / cachedEntries, unedited but for the
-// vector's field names), then converted to direction-bound units (the
-// loop that stood in launch). Its entries are single units: the cached
-// list is the packer's, expanded. It is the reference of
+// scratch slice (viewEntries / cachedEntries), then converted to
+// direction-bound units (the loop that stood in launch). Its entries
+// are single units: the cached list is the packer's, expanded; a
+// vector's are its blocks, one entry each, a block the window cuts
+// partial as a cut cached unit is. It is the reference of
 // TestWindowUnitsMatchReference.
 type refWindows struct {
 	view    *datatype.CanonVec
@@ -91,15 +92,12 @@ func (pk *refWindows) viewEntries(start, n int64) []Entry {
 		if hi > end {
 			hi = end
 		}
-		memOff := v.Off + i*v.InnerStride + (lo - bStart)
-		for l := lo; l < hi; {
-			take := hi - l
-			if take > maxUnitLen {
-				take = maxUnitLen
-			}
-			out = append(out, Entry{MemOff: memOff + (l - lo), PackOff: l, Len: int32(take)})
-			l += take
-		}
+		out = append(out, Entry{
+			MemOff:  v.Off + i*v.InnerStride + (lo - bStart),
+			PackOff: lo,
+			Len:     int32(hi - lo),
+			Partial: hi-lo < v.BlockLen,
+		})
 	}
 	pk.scratch = out
 	return out
@@ -216,7 +214,7 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 		sort.Ints(idx)
 		return shapes.ParticleIndices(idx, 37) // 296-byte records, merged where adjacent
 	}
-	var midRun, midUnit int // cached windows starting inside a run
+	var midRun, midUnit int // windows starting inside a run
 	for _, tc := range []struct {
 		dt    *datatype.Datatype
 		count int
@@ -225,6 +223,7 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 		{shapes.Transpose(64), 1},
 		{indexed(), 2},
 		{shapes.SubMatrix(300, 200, 512), 1}, // vector path
+		{shapes.FullMatrix(512), 1},          // one dense block, cut at both ends
 		{shapes.StairTriangular(96, 8), 1},   // blocks longer than S
 	} {
 		for _, dir := range []direction{dirPack, dirUnpack} {
@@ -237,20 +236,25 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 
 			pk := new(Packer)
 			pk.init(r.e, data, dt, count, dir)
-			ref := &refWindows{view: pk.view}
+			ref := &refWindows{}
 			what := fmt.Sprintf("%s x%d dir %d", dt.Name(), count, dir)
-			if pk.view == nil {
-				if pk.cached == nil {
-					t.Fatalf("%s: the cold pack cached nothing", what)
-				}
-				want := convertRef(dt, count, r.e.opts, dt.Size()*int64(count))
-				if err := equalEntries(pk.cached.entries, want); err != nil {
-					t.Fatalf("%s: cached list: %v", what, err)
-				}
-				if l := pk.cached.entries; cap(l) != len(l) {
-					t.Fatalf("%s: cached list of %d runs has capacity %d", what, len(l), cap(l))
-				}
+			var want []Entry
+			if pk.kind == gpu.VectorKernel {
+				v, _ := dt.Vector(count)
+				ref.view = &v
+				want = ref.viewEntries(0, pk.Total())
+			} else {
+				want = convertRef(dt, count, r.e.opts, dt.Size()*int64(count))
 				ref.entries = want
+			}
+			if pk.list == nil {
+				t.Fatalf("%s: no list: the cold pack cached nothing", what)
+			}
+			if err := equalEntries(pk.list, want); err != nil {
+				t.Fatalf("%s: list: %v", what, err)
+			}
+			if l := pk.list; cap(l) != len(l) {
+				t.Fatalf("%s: list of %d runs has capacity %d", what, len(l), cap(l))
 			}
 
 			rng := rand.New(rand.NewSource(18))
@@ -274,27 +278,26 @@ func TestWindowUnitsMatchReference(t *testing.T) {
 				if n > total-pos {
 					n = total - pos
 				}
-				var got []gpu.Unit
-				var want []Entry
-				if pk.view != nil {
-					got, want = pk.viewUnits(pos, n, nil), ref.viewEntries(pos, n)
+				got := pk.listUnits(pos, n, nil)
+				if ref.view != nil {
+					want = ref.viewEntries(pos, n)
 				} else {
-					got, want = pk.cachedUnits(pos, n, nil), ref.cachedEntries(pos, n)
-					list := pk.cached.entries
-					e := &list[sort.Search(len(list), func(i int) bool { return list[i].end() > pos })]
-					switch {
-					case (pos-e.PackOff)%int64(e.Len) != 0:
-						midUnit++
-					case pos > e.PackOff:
-						midRun++
-					}
+					want = ref.cachedEntries(pos, n)
+				}
+				list := pk.list
+				e := &list[sort.Search(len(list), func(i int) bool { return list[i].end() > pos })]
+				switch {
+				case (pos-e.PackOff)%int64(e.Len) != 0:
+					midUnit++
+				case pos > e.PackOff:
+					midRun++
 				}
 				if err := equalUnits(expandUnits(got, dir), bindRef(dir, want, pos)); err != nil {
 					t.Fatalf("%s: step %d, window [%d,+%d): %v", what, step, pos, n, err)
 				}
 				pos += n
 			}
-			if pk.view != nil {
+			if pk.kind == gpu.VectorKernel {
 				continue
 			}
 

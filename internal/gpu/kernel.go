@@ -36,7 +36,10 @@ func (k KernelKind) String() string {
 // Stride bytes further on the scattered side (see Kernel.Unpack). For a
 // pack operation the destination side is the contiguous buffer; for
 // unpack the source side is. The zero More and Stride are one copy.
-// Partial marks copies shorter than the full CUDA-DEV split size S.
+// Partial marks copies shorter than the full CUDA-DEV split size S, or
+// cut by a window: a vector's cut blocks are partial units too, and the
+// vector kernel, whose cost and copy ignore the flag, prices them as
+// whole ones.
 type Unit struct {
 	SrcOff, DstOff int64
 	Len            int32

@@ -357,12 +357,11 @@ func (m *Rank) exchangeAll(p *sim.Proc, what string, c comm, send, recv view, ta
 // linearGather collects one block per member at member rootIdx. Every
 // other member sends (sbuf, sdt, scount) on tag + its index. The root
 // walks the members in index order, posting the receive of block i of
-// recv, and copies its own (sbuf, sdt, scount) into its block where the
-// walk reaches it — an invalid sbuf says that block is already in
-// place. staged, when non-nil, then runs with every receive posted (the
-// hierarchical leaders pack their own contribution there, overlapping
-// the inbound transfers) before the root waits. The root holds the
-// blocks it receives and unpacks them together.
+// recv for every member but itself: its own block is already in place,
+// or staged packs it. staged, when non-nil, then runs with every
+// receive posted (the hierarchical leaders pack their own contribution
+// there, overlapping the inbound transfers) before the root waits. The
+// root holds the blocks it receives and unpacks them together.
 func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recv view, tag int, staged func()) {
 	if c.me != rootIdx {
@@ -378,12 +377,9 @@ func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf 
 	recv = st.over(recv)
 	b := m.batch(c)
 	for i := 0; i < c.n; i++ {
-		buf, dt, count := recv(i)
-		switch {
-		case i != rootIdx:
+		if i != rootIdx {
+			buf, dt, count := recv(i)
 			b.recv(buf, dt, count, i, tag+i)
-		case sbuf.IsValid() && packedSize(dt, count) > 0:
-			m.localCopy(p, sbuf, sdt, scount, buf, dt, count)
 		}
 	}
 	if staged != nil {

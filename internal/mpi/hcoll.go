@@ -102,10 +102,7 @@ func (m *Rank) hierAllgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.
 
 	// Phase 1: gather the node's slots at the leader, in place.
 	sp := p.BeginBytes("coll.allgather.intra", packed)
-	var own mem.Buffer
-	if node.me != 0 {
-		own, _, _ = slots(node.me)
-	}
+	own, _, _ := slots(node.me)
 	m.linearGather(p, "Allgather", node, 0, own, dt, count, slots, tagIn, nil)
 	sp.End()
 
@@ -164,14 +161,10 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, ph phases, tag int, buf mem.Buffer, c
 	// into wire format under the equal-packed-bytes signature rule,
 	// packing its own block while they are in flight.
 	sp := p.BeginBytes(ph.intra, int64(nodeBytes[leaders.me]))
-	var own mem.Buffer
-	if node.me != 0 {
-		own, _, _ = slots(m.rank)
-	}
+	own, _, _ := slots(m.rank)
 	m.linearGather(p, ph.what, node, 0, own, dt, counts[m.rank], vectorView(stage, datatype.Byte, B[lead:], off[lead:]), tagIn,
 		func() {
-			buf, dt, count := slots(m.rank)
-			m.packBlocks(p, []core.Block{{Data: buf, Dt: dt, Count: count, Pos: int64(off[m.rank])}}, stage)
+			m.packBlocks(p, []core.Block{{Data: own, Dt: dt, Count: counts[m.rank], Pos: int64(off[m.rank])}}, stage)
 		})
 	sp.End()
 
