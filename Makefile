@@ -42,7 +42,8 @@ check-fast:
 # GPUDDT_MEGA), a 10 s smoke of each fuzz target, and the three report
 # sweeps run twice (chaosbench has one size, the others run -quick) —
 # each pair of JSON reports must be byte-identical (a sweep is a pure
-# function of its inputs).
+# function of its inputs). Last, the census: no function under internal/
+# that no production entry point runs, unless CENSUS.txt lists it.
 # The race step fits an 8 GB host: the race detector's shadow memory
 # costs several bytes per heap byte and is never handed back, so one
 # test binary runs at a time (-p 1) and each collects its garbage before
@@ -70,6 +71,7 @@ check-full:
 		$(GO) run ./cmd/$$b -out "$$tmp/b.json"; \
 		cmp "$$tmp/a.json" "$$tmp/b.json"; \
 	done
+	@$(MAKE) --no-print-directory census
 
 # Longer fuzzing session: two minutes on every fuzz target.
 fuzz:
@@ -210,18 +212,23 @@ tools:
 lines:
 	@find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
-# A coverage census of what the production entry points run: build the
-# benchmark, the six commands and the seven examples with counters over
-# the whole module, run them as a user would (the benchmark's -child
-# processes inherit GOCOVERDIR; pingpong once per flag set below), and
-# print every function under internal/ but conformance that none of
-# them executed, then the statement total. About two minutes; it gates
-# nothing and removes its temp dir.
+# The coverage census, a gate on code no production entry point runs:
+# build the benchmark, the six commands and the seven examples with
+# counters over the whole module, run them as a user would (the
+# benchmark's -child processes inherit GOCOVERDIR; ddtbench, scalebench,
+# chaosbench and pingpong once more per flag that selects code), and list every
+# function under internal/ but conformance that none of them executed,
+# keyed "package Receiver.Name" (no line number, so moving a function
+# does not matter). CENSUS.txt holds the same keys, each with its
+# reason. The gate fails on a never-run function CENSUS.txt does not
+# list, on a listed one that now runs (its line goes: the list only
+# shrinks) and on a line with no reason. About two minutes; it removes
+# its temp dir.
 CENSUS_PINGPONG = "" "-impl mvapich" "-host" "-direct-unpack" "-topo ib" "-topo 1gpu" \
 	"-type transpose -n 512" "-type triangular -n 512" "-type vec2contig -n 512" "-type contiguous -n 512" \
-	"-phases -timeline -verbose -n 256"
+	"-phases -timeline -verbose -n 256" "-trace p.json -n 256 -blocks 4 -frag 65536"
 census:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	@set -e; export LC_ALL=C; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/bin" "$$tmp/cov"; \
 	for d in benchmark cmd/* examples/*; do \
 		$(GO) build -cover -coverpkg=./... -o "$$tmp/bin/$${d##*/}" ./$$d; \
@@ -229,13 +236,29 @@ census:
 	run() { echo "census: $$*"; \
 		(cd "$$tmp" && GOCOVERDIR="$$tmp/cov" "$$tmp/bin/$$@") > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; }; \
 	run benchmark -mode all -seconds 1; \
-	run ddtbench -quick; run scalebench -quick; run appbench -quick; run chaosbench; run topo; \
+	run ddtbench -quick; \
+	run ddtbench -quick -figure overlap -trace d.json -parallel 2 -cpuprofile cpu.prof -memprofile mem.prof; \
+	run ddtbench -quick -figure fig6 -csv -sizes 64,128; \
+	run scalebench -quick; run scalebench -quick -host -shards 2 -sample 4; \
+	run appbench -quick; run chaosbench; run chaosbench -frag 65536; run topo; \
 	for e in examples/*; do run $${e##*/}; done; \
 	for f in $(CENSUS_PINGPONG); do run pingpong $$f; done; \
 	$(GO) tool covdata func -i "$$tmp/cov" | awk ' \
-		$$1 ~ /\/internal\// && $$1 !~ /\/internal\/conformance\// && $$NF == "0.0%" { print; n++ } \
-		$$1 == "total" { total = $$0 } \
-		END { printf "%d functions under internal/ never run\n%s\n", n, total }'
+		$$1 ~ /\/internal\// && $$1 !~ /\/internal\/conformance\// && $$NF == "0.0%" { \
+			f = $$1; sub(/^[^\/]*\//, "", f); sub(/\/[^\/]*$$/, "", f); \
+			n = $$2; sub(/^\*/, "", n); gsub(/\[[^]]*\]/, "", n); print f, n } \
+		$$1 == "total" { print $$NF > "/dev/stderr" }' 2> "$$tmp/total" | sort -u > "$$tmp/never"; \
+	awk '!/^#/ && NF { if (NF < 3) { print "CENSUS.txt line without a reason: " $$0; bad = 1 } print $$1, $$2 > "/dev/stderr" } \
+		END { exit bad }' CENSUS.txt 2> "$$tmp/keys"; \
+	sort "$$tmp/keys" > "$$tmp/listed"; \
+	if [ -n "$$(uniq -d "$$tmp/listed")" ]; then echo "CENSUS.txt lists a function twice:"; uniq -d "$$tmp/listed"; exit 1; fi; \
+	comm -23 "$$tmp/never" "$$tmp/listed" > "$$tmp/unlisted"; \
+	comm -13 "$$tmp/never" "$$tmp/listed" > "$$tmp/ran"; \
+	echo "$$(wc -l < "$$tmp/never") functions under internal/ never run ($$(cat "$$tmp/total") of statements run):"; \
+	sed 's/^/  /' "$$tmp/never"; \
+	if [ -s "$$tmp/unlisted" ]; then echo "never run and not in CENSUS.txt (delete it, move it into a _test.go file, give it a caller, or list it with its reason):"; sed 's/^/  /' "$$tmp/unlisted"; fi; \
+	if [ -s "$$tmp/ran" ]; then echo "in CENSUS.txt but run now, or gone (delete its line):"; sed 's/^/  /' "$$tmp/ran"; fi; \
+	[ ! -s "$$tmp/unlisted" ] && [ ! -s "$$tmp/ran" ]
 
 clean:
 	rm -rf bin

@@ -3,12 +3,15 @@
 // through an RMA window — the "one-sided functions" consumers the paper
 // lists for committed datatypes. The GPU datatype engine packs the
 // strided column at the origin and scatters it into the target's
-// strided halo with no application code running on the target.
+// strided halo with no application code running on the target. A final
+// Get pulls the peer's edge back into a contiguous column, the target
+// again running no code of its own.
 //
 //	go run ./examples/onesided
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -63,14 +66,26 @@ func main() {
 				ok = false
 			}
 		}
+		// Pull the peer's edge column out of its window into a packed
+		// column here: it must equal the halo the peer put.
+		pulled := m.Malloc(int64(n) * 8)
+		peerEdge, myHalo := n, 0
 		if m.Rank() == 0 {
-			fmt.Printf("%d one-sided halo exchanges done at %v (virtual)\n", steps, m.Now())
+			peerEdge, myHalo = 1, n+1
+		}
+		win.Get(pulled, datatype.Contiguous(n, datatype.Float64), 1, peer, offset(1, peerEdge), column, 1)
+		win.Fence()
+		if !bytes.Equal(pulled.Bytes(), packColumn(grid.Bytes(), myHalo)) {
+			ok = false
+		}
+		if m.Rank() == 0 {
+			fmt.Printf("%d one-sided halo exchanges and a Get done at %v (virtual)\n", steps, m.Now())
 		}
 	})
 	if !ok {
 		log.Fatal("one-sided halo verification failed")
 	}
-	fmt.Println("verified: Put scattered each boundary column into the neighbour's halo")
+	fmt.Println("verified: Put scattered each boundary column into the neighbour's halo, and Get read it back")
 }
 
 // haloMatches checks the received halo column against the peer's
@@ -79,18 +94,13 @@ func haloMatches(grid mem.Buffer, haloCol, peer, peerEdgeCol int) bool {
 	ref := mem.NewSpace("ref", mem.Host, int64(n+2)*pitch)
 	rb := ref.Alloc(int64(n+2)*pitch, 1)
 	mem.FillPattern(rb, uint64(peer+1))
-	pack := func(buf []byte, col int) []byte {
-		c := datatype.NewConverter(shapes.HaloColumn(n), 1)
-		out := make([]byte, c.Total())
-		c.Pack(out, buf[offset(1, col):])
-		return out
-	}
-	want := pack(rb.Bytes(), peerEdgeCol)
-	got := pack(grid.Bytes(), haloCol)
-	for i := range want {
-		if want[i] != got[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(packColumn(rb.Bytes(), peerEdgeCol), packColumn(grid.Bytes(), haloCol))
+}
+
+// packColumn returns column col's interior cells, packed.
+func packColumn(grid []byte, col int) []byte {
+	c := datatype.NewConverter(shapes.HaloColumn(n), 1)
+	out := make([]byte, c.Total())
+	c.Pack(out, grid[offset(1, col):])
+	return out
 }

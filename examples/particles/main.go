@@ -1,8 +1,10 @@
 // Particles: a LAMMPS-style molecular-dynamics exchange (§3 of the
 // paper): each rank keeps an array of particle records in GPU memory and
 // an index list of the particles that migrated out of its sub-domain.
-// The indexed datatype gathers exactly those records — scattered,
-// variable-position blocks — without any hand-written packing kernel.
+// A struct datatype describes one record (seven doubles and an integer
+// type tag); an indexed-block datatype over it gathers exactly the
+// migrating records — scattered, variable-position blocks — without any
+// hand-written packing kernel.
 //
 //	go run ./examples/particles
 package main
@@ -14,13 +16,11 @@ import (
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/mem"
 	"gpuddt/internal/mpi"
-	"gpuddt/internal/shapes"
 )
 
 const (
 	nParticles  = 100000
-	recordElems = 8 // x,y,z, vx,vy,vz, charge, type -> 64 bytes
-	recordBytes = recordElems * 8
+	recordBytes = 64 // x,y,z, vx,vy,vz, charge as doubles, then an int64 type
 )
 
 // migrating deterministically selects ~5% of particles as leaving the
@@ -39,8 +39,9 @@ func main() {
 		Ranks: []mpi.Placement{{Node: 0, GPU: 0}, {Node: 1, GPU: 0}}, // across InfiniBand
 	})
 
+	record := datatype.Struct([]int{7, 1}, []int64{0, 56}, []*datatype.Datatype{datatype.Float64, datatype.Int64})
 	idx := migrating()
-	ddt := shapes.ParticleIndices(idx, recordElems)
+	ddt := datatype.IndexedBlock(1, idx, record)
 	fmt.Printf("exchanging %d of %d particles (%d KB) as an indexed datatype with %d blocks\n",
 		len(idx), nParticles, ddt.Size()>>10, ddt.NumBlocks())
 
@@ -56,11 +57,15 @@ func main() {
 			fmt.Printf("rank 0: indexed send over IB took %v (virtual)\n", m.Now()-t0)
 		case 1:
 			// The receiver appends the immigrants at the tail of its
-			// array: a contiguous receive of the same signature.
-			incoming := datatype.Contiguous(len(idx)*recordElems, datatype.Float64)
-			tail := particles.Slice(int64(nParticles-len(idx))*recordBytes, int64(len(idx))*recordBytes)
-			m.Recv(tail, incoming, 1, 0, 0)
-			recvImg = append([]byte(nil), tail.Bytes()...)
+			// array: a receive of whole records, with room for up to
+			// twice as many as arrive. The request says how many did.
+			room := 2 * len(idx)
+			tail := particles.Slice(int64(nParticles-room)*recordBytes, int64(room)*recordBytes)
+			r := m.Irecv(tail, record, room, 0, 0)
+			r.Wait(m.Proc())
+			got := r.GetCount(record)
+			fmt.Printf("rank 1: %d records arrived\n", got)
+			recvImg = append([]byte(nil), tail.Bytes()[:int64(got)*recordBytes]...)
 		}
 	})
 

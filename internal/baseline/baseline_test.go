@@ -207,7 +207,7 @@ func TestMVAPICHPartialReceive(t *testing.T) {
 		} else {
 			span := int64(512*512) * 8
 			b := m.Malloc(span)
-			mem.Fill(b, 0)
+			clear(b.Bytes())
 			m.Recv(b, recvDt, 1, 0, 0)
 			c := datatype.NewConverter(recvDt, 1)
 			got = make([]byte, c.Total())

@@ -82,8 +82,8 @@ func TestDefaultsAgainstTheGrid(t *testing.T) {
 			best, bestName = pt.retired, "the retired CollSwitch"
 		}
 		gain := (def.us - best) / def.us
-		t.Logf("%-22s %-20s default %12.6f us, best %12.6f us (%s), gain %6.2f %%",
-			pt.key, pt.spec, def.us, best, bestName, 100*gain)
+		t.Logf("%-22s %3dx%-3d default %12.6f us, best %12.6f us (%s), gain %6.2f %%",
+			pt.key, pt.spec.Nodes, pt.spec.RanksPerNode, def.us, best, bestName, 100*gain)
 		reason, listed := gridExceptions[pt.key]
 		switch {
 		case gain > gridMargin && !listed:

@@ -26,16 +26,6 @@ func SetParallelism(n int) {
 	parSem = make(chan struct{}, n)
 }
 
-// Parallelism returns the current concurrency budget.
-func Parallelism() int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	if parSem == nil {
-		return 1
-	}
-	return cap(parSem)
-}
-
 func sem() chan struct{} {
 	parMu.Lock()
 	defer parMu.Unlock()

@@ -119,23 +119,6 @@ func (s Spec) Tuned(t *mpi.Tuning) Spec {
 	return s
 }
 
-// String names the shape, e.g. "4x2 (fat-tree 8:4)".
-func (s Spec) String() string {
-	s = s.normalized()
-	out := fmt.Sprintf("%dx%d", s.Nodes, s.RanksPerNode)
-	if t := s.IB.Topo; t.Hierarchical() {
-		out += fmt.Sprintf(" (fat-tree %d:%d)", t.LeafRadix, t.Spines)
-	}
-	if s.Modelled {
-		sh := s.Shards
-		if sh < 1 {
-			sh = 1
-		}
-		out += fmt.Sprintf(" [modelled x%d]", sh)
-	}
-	return out
-}
-
 // OneGPU is the paper's 1-GPU configuration: two ranks sharing one GPU
 // on one node (CUDA IPC over the same device).
 func OneGPU() Spec { return Spec{Nodes: 1, GPUsPerNode: 1, RanksPerNode: 2} }

@@ -17,7 +17,7 @@ func fuzzTree(seed uint64, countSel uint16) *Tree {
 	return &Tree{
 		Seed:  seed,
 		Spec:  sp,
-		Dt:    sp.Build().Commit(),
+		Dt:    sp.Build(),
 		Count: count,
 		Map:   ReferenceMap(sp, count),
 		Span:  Span(sp, count),

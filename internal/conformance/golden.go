@@ -137,7 +137,7 @@ func (tr *Tree) DEVUnits(unitSize int64) int64 {
 		var pk core.Packer
 		r.e.InitPacker(&pk, data, tr.Dt, tr.Count)
 		var pos int64
-		for !pk.Done() {
+		for pos < total {
 			n, fut := pk.PackWith(p, dst.Slice(pos, total-pos), nil)
 			fut.Await(p)
 			pos += n

@@ -40,7 +40,7 @@ func NewTreeOpts(seed uint64, opt TreeOptions) *Tree {
 	return &Tree{
 		Seed:  seed,
 		Spec:  sp,
-		Dt:    sp.Build().Commit(),
+		Dt:    sp.Build(),
 		Count: count,
 		Map:   ReferenceMap(sp, count),
 		Span:  Span(sp, count),
@@ -337,7 +337,7 @@ func (tr *Tree) CheckGPU(driver GPUDriver, opts core.Options, fragSizes []int64)
 			var pk core.Packer
 			r.e.InitPacker(&pk, data, tr.Dt, tr.Count)
 			var pos int64
-			for i := pass; !pk.Done(); i++ {
+			for i := pass; pos < total; i++ {
 				k := fragSizes[i%len(fragSizes)]
 				if k < 1 {
 					k = 1
@@ -374,7 +374,7 @@ func (tr *Tree) CheckGPU(driver GPUDriver, opts core.Options, fragSizes []int64)
 		var pk core.Packer
 		r.e.InitUnpacker(&pk, layout, tr.Dt, tr.Count)
 		var pos int64
-		for i := 0; !pk.Done(); i++ {
+		for i := 0; pos < total; i++ {
 			k := fragSizes[(i+1)%len(fragSizes)]
 			if k < 1 {
 				k = 1

@@ -55,7 +55,7 @@ func vcollTree(seed uint64) *Tree {
 		return &Tree{
 			Seed:  s,
 			Spec:  sp,
-			Dt:    sp.Build().Commit(),
+			Dt:    sp.Build(),
 			Count: vcollMaxCount,
 			Map:   m,
 			Span:  Span(sp, vcollMaxCount),

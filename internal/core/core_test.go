@@ -378,3 +378,13 @@ func TestWholeMessageCallsBorrowTheirWorker(t *testing.T) {
 		t.Error("a whole unpack after prefix unpacks scattered the wrong bytes")
 	}
 }
+
+// CacheHits returns how many pack/unpack setups were served from the
+// DEV cache.
+func (e *Engine) CacheHits() int64 { return e.cacheHits }
+
+// Remaining returns the packed bytes not yet produced/consumed.
+func (pk *Packer) Remaining() int64 { return pk.conv.Remaining() }
+
+// Done reports whether the whole message has been processed.
+func (pk *Packer) Done() bool { return pk.conv.Done() }

@@ -97,7 +97,7 @@ func TestUnpackerFragmentedCachedRoundTrip(t *testing.T) {
 	r.eng.Spawn("roundtrip", func(p *sim.Proc) {
 		r.e.Pack(p, src, dt, 1, packed)   // warms pack-direction cache
 		r.e.Unpack(p, dst, dt, 1, packed) // warms unpack-direction cache
-		mem.Fill(dst, 0)
+		clear(dst.Bytes())
 		uk := new(Packer)
 		r.e.InitUnpacker(uk, dst, dt, 1)
 		var off int64

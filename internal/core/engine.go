@@ -169,10 +169,6 @@ func (e *Engine) Stream() *gpu.Stream {
 	return e.app
 }
 
-// CacheHits returns how many pack/unpack setups were served from the
-// DEV cache.
-func (e *Engine) CacheHits() int64 { return e.cacheHits }
-
 // ConvertedUnits returns the cumulative number of CUDA-DEV units
 // produced by CPU-side conversion (cache misses only).
 func (e *Engine) ConvertedUnits() int64 { return e.convUnits }

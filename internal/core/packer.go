@@ -165,12 +165,6 @@ func (pk *Packer) SeekTo(pos int64) {
 	pk.building = nil
 }
 
-// Remaining returns the packed bytes not yet produced/consumed.
-func (pk *Packer) Remaining() int64 { return pk.conv.Remaining() }
-
-// Done reports whether the whole message has been processed.
-func (pk *Packer) Done() bool { return pk.conv.Done() }
-
 // PackWith packs the next min(len(frag), Remaining()) bytes into frag
 // and returns the byte count and a future that completes when frag holds
 // the data. For device data, frag may be device memory (the kernel

@@ -1,6 +1,7 @@
 package cuda
 
 import (
+	"bytes"
 	"testing"
 
 	"gpuddt/internal/gpu"
@@ -27,14 +28,14 @@ func TestMemcpyDirections(t *testing.T) {
 		c.Memcpy(p, d0, h)   // H2D
 		c.Memcpy(p, d1, d0)  // P2P
 		c.Memcpy(p, d0b, d0) // D2D same device
-		mem.Fill(h, 0)
+		clear(h.Bytes())
 		c.Memcpy(p, h, d1) // D2H
 	})
 	e.Run()
 	ref := c.Node().Host().Alloc(1<<20, 256)
 	mem.FillPattern(ref, 1)
 	for _, b := range []mem.Buffer{d0, d1, d0b, h} {
-		if !mem.Equal(ref, b) {
+		if !bytes.Equal(ref.Bytes(), b.Bytes()) {
 			t.Fatalf("buffer %v corrupted", b)
 		}
 	}
@@ -74,7 +75,7 @@ func TestMemcpy2DMovesRows(t *testing.T) {
 	})
 	e.Run()
 	for r := int64(0); r < 4; r++ {
-		if !mem.Equal(h.Slice(r*32, 32), d.Slice(r*64, 32)) {
+		if !bytes.Equal(h.Slice(r*32, 32).Bytes(), d.Slice(r*64, 32).Bytes()) {
 			t.Fatalf("row %d mismatch", r)
 		}
 	}
@@ -135,7 +136,7 @@ func TestIpcOpenCachesMapCost(t *testing.T) {
 		t0 = p.Now()
 		m2, _ := cB.IpcOpenMemHandle(p, h)
 		second = p.Now() - t0
-		if !mem.Equal(m1, buf) || !mem.Equal(m2, buf) {
+		if !bytes.Equal(m1.Bytes(), buf.Bytes()) || !bytes.Equal(m2.Bytes(), buf.Bytes()) {
 			t.Errorf("mapped buffer contents differ")
 		}
 	})
@@ -201,7 +202,7 @@ func TestMemcpy2DAsyncOnStream(t *testing.T) {
 	})
 	e.Run()
 	for r := int64(0); r < 512; r += 100 {
-		if !mem.Equal(h.Slice(r*1024, 1024), d.Slice(r*2048, 1024)) {
+		if !bytes.Equal(h.Slice(r*1024, 1024).Bytes(), d.Slice(r*2048, 1024).Bytes()) {
 			t.Fatalf("row %d mismatch", r)
 		}
 	}
@@ -214,7 +215,7 @@ func TestHostToHostMemcpy(t *testing.T) {
 	mem.FillPattern(a, 12)
 	e.Spawn("host", func(p *sim.Proc) { c.Memcpy(p, b, a) })
 	e.Run()
-	if !mem.Equal(a, b) {
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("host-host memcpy failed")
 	}
 }
@@ -243,7 +244,8 @@ func TestCopyOverlapsKernelAcrossStreams(t *testing.T) {
 		t0 := p.Now()
 		f1 := c.MemcpyAsync(&copyStream, dev, host)
 		f2 := d.Launch(&kernStream, k)
-		sim.AwaitAll(p, f1, f2)
+		f1.Await(p)
+		f2.Await(p)
 		both = p.Now() - t0
 	})
 	e.Run()

@@ -11,8 +11,8 @@
 // Displacements are relative to the datatype origin. Constructors panic
 // on structurally invalid arguments (negative counts or block lengths),
 // mirroring how MPI aborts on invalid type construction. Types returned
-// by constructors are immutable and already committed — Commit is kept
-// for MPI API fidelity and returns the receiver.
+// by constructors are immutable and already committed: there is no
+// Commit step.
 package datatype
 
 import (
@@ -46,25 +46,6 @@ const (
 	PrimFloat32
 	PrimFloat64
 )
-
-func (pr Primitive) String() string {
-	switch pr {
-	case PrimByte:
-		return "MPI_BYTE"
-	case PrimChar:
-		return "MPI_CHAR"
-	case PrimInt32:
-		return "MPI_INT32"
-	case PrimInt64:
-		return "MPI_INT64"
-	case PrimFloat32:
-		return "MPI_FLOAT"
-	case PrimFloat64:
-		return "MPI_DOUBLE"
-	default:
-		return fmt.Sprintf("Primitive(%d)", int(pr))
-	}
-}
 
 // Block is a contiguous run of bytes at Off (relative to the datatype
 // origin) of length Len.
@@ -193,25 +174,10 @@ func (d *Datatype) Span(count int) int64 {
 	return int64(count-1)*d.Extent() + d.TrueLB() + d.TrueExtent()
 }
 
-// Commit is a no-op kept for MPI API fidelity (types are committed on
-// construction); it returns the receiver for chaining.
-func (d *Datatype) Commit() *Datatype { return d }
-
-// Flat returns the flattened contiguous blocks of one element, in
-// traversal order with adjacent blocks merged. The slice is a copy;
-// callers may keep or modify it freely. Callers that only read the
-// blocks use Blocks, which does not copy them; walks use NumBlocks and
-// Block.
-func (d *Datatype) Flat() []Block {
-	b := d.Blocks()
-	out := make([]Block, len(b))
-	copy(out, b)
-	return out
-}
-
-// Blocks returns the same blocks as Flat without copying them. The
-// slice is shared; do not modify it. A type born canonical builds it on
-// the first call; walks go through Block, which never needs it.
+// Blocks returns the flattened contiguous blocks of one element, in
+// traversal order with adjacent blocks merged. The slice is shared; do
+// not modify it. A type born canonical builds it on the first call;
+// walks go through NumBlocks and Block, which never need it.
 func (d *Datatype) Blocks() []Block {
 	if d.canon != nil {
 		d.flatOnce.Do(func() {
@@ -305,8 +271,6 @@ func (d *Datatype) IsContiguous() bool {
 // Signature returns the run-length-encoded primitive signature of one
 // element. The slice is shared; do not modify it.
 func (d *Datatype) Signature() []SigRun { return d.sig }
-
-func (d *Datatype) String() string { return d.name }
 
 func checkBase(base *Datatype, who string) {
 	if base == nil {

@@ -240,7 +240,7 @@ func TestEmptyBaseSignatureIsFree(t *testing.T) {
 	select {
 	case d := <-built:
 		if d.Size() != 0 || len(d.Signature()) != 0 || d.NumBlocks() != 0 {
-			t.Fatalf("%s: size %d, signature %v, %d blocks", d, d.Size(), d.Signature(), d.NumBlocks())
+			t.Fatalf("%s: size %d, signature %v, %d blocks", d.Name(), d.Size(), d.Signature(), d.NumBlocks())
 		}
 	case <-time.After(time.Second):
 		t.Fatal("Vector(1<<40, 1, 1, Contiguous(0, Byte)) not built within 1 s")
@@ -335,4 +335,16 @@ func TestInvalidConstructionPanics(t *testing.T) {
 			c.fn()
 		}()
 	}
+}
+
+// Flat returns the flattened contiguous blocks of one element, in
+// traversal order with adjacent blocks merged. The slice is a copy;
+// callers may keep or modify it freely. Callers that only read the
+// blocks use Blocks, which does not copy them; walks use NumBlocks and
+// Block.
+func (d *Datatype) Flat() []Block {
+	b := d.Blocks()
+	out := make([]Block, len(b))
+	copy(out, b)
+	return out
 }

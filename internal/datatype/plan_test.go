@@ -68,11 +68,11 @@ func TestPlanBlocksMatchFlat(t *testing.T) {
 	} {
 		flat := dt.Flat()
 		if dt.NumBlocks() != len(flat) {
-			t.Errorf("%s: NumBlocks %d, list of %d", dt, dt.NumBlocks(), len(flat))
+			t.Errorf("%s: NumBlocks %d, list of %d", dt.Name(), dt.NumBlocks(), len(flat))
 		}
 		for i, b := range flat {
 			if got := dt.Block(i); got != b {
-				t.Errorf("%s: block %d = %+v, want %+v", dt, i, got, b)
+				t.Errorf("%s: block %d = %+v, want %+v", dt.Name(), i, got, b)
 			}
 		}
 	}
@@ -123,11 +123,11 @@ func TestSeekToMatchesReplay(t *testing.T) {
 			c.Advance(total, nil) // scramble state first
 			c.SeekTo(pos)
 			if c.Packed() != pos {
-				t.Fatalf("%s: SeekTo(%d) reports Packed()=%d", dt, pos, c.Packed())
+				t.Fatalf("%s: SeekTo(%d) reports Packed()=%d", dt.Name(), pos, c.Packed())
 			}
 			c.Pack(got, src)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s count=%d: pack after SeekTo(%d) differs from replay", dt, count, pos)
+				t.Fatalf("%s count=%d: pack after SeekTo(%d) differs from replay", dt.Name(), count, pos)
 			}
 		}
 	}
@@ -234,7 +234,7 @@ func TestPlanConcurrent(t *testing.T) {
 				got := make([]byte, c.Total()-half)
 				c.Pack(got, srcs[i])
 				if !bytes.Equal(got, wants[i][half:]) {
-					t.Errorf("%s: pack after SeekTo(%d) differs from the serial pack", dt, half)
+					t.Errorf("%s: pack after SeekTo(%d) differs from the serial pack", dt.Name(), half)
 				}
 			}
 		}()

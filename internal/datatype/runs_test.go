@@ -317,10 +317,10 @@ func TestSignaturesByRunMatchExpansion(t *testing.T) {
 					}
 					match := prefix && len(a) == len(b)
 					if got := SignaturesMatch(da, na, db, nb); got != match {
-						t.Errorf("SignaturesMatch(%s x%d, %s x%d) = %v, want %v", da, na, db, nb, got, match)
+						t.Errorf("SignaturesMatch(%s x%d, %s x%d) = %v, want %v", da.Name(), na, db.Name(), nb, got, match)
 					}
 					if got := SignaturePrefix(da, na, db, nb); got != prefix {
-						t.Errorf("SignaturePrefix(%s x%d, %s x%d) = %v, want %v", da, na, db, nb, got, prefix)
+						t.Errorf("SignaturePrefix(%s x%d, %s x%d) = %v, want %v", da.Name(), na, db.Name(), nb, got, prefix)
 					}
 				}
 			}

@@ -199,9 +199,6 @@ func NewInjector(pl *Plan) *Injector {
 	}
 }
 
-// Enabled reports whether fault injection is active.
-func (in *Injector) Enabled() bool { return in != nil }
-
 func siteHash(s Site) uint64 {
 	h := uint64(14695981039346656037) // FNV-1a
 	for i := 0; i < len(s); i++ {

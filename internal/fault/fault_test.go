@@ -201,3 +201,6 @@ func TestSentinelClassification(t *testing.T) {
 		}
 	})
 }
+
+// Enabled reports whether fault injection is active.
+func (in *Injector) Enabled() bool { return in != nil }

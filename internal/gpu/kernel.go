@@ -23,13 +23,6 @@ const (
 	DEVKernel
 )
 
-func (k KernelKind) String() string {
-	if k == VectorKernel {
-		return "vector"
-	}
-	return "dev"
-}
-
 // Unit is a run of More+1 contiguous copies performed by a kernel, each
 // of Len bytes: the first from Src+SrcOff to Dst+DstOff of the owning
 // Kernel, and each next one Len bytes further on the contiguous side and
@@ -145,15 +138,6 @@ func (k *Kernel) Retire() {
 	}
 	k.kept = false
 	unitPool.Put(&k.spent)
-}
-
-// Bytes returns the number of useful bytes the kernel moves.
-func (k *Kernel) Bytes() int64 {
-	var n int64
-	for _, u := range k.Units {
-		n += (int64(u.More) + 1) * int64(u.Len)
-	}
-	return n
 }
 
 // steps returns how far u's successive copies lie apart on the source

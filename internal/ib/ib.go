@@ -84,16 +84,6 @@ type Topology struct {
 // Hierarchical reports whether the fabric has a spine tier.
 func (t Topology) Hierarchical() bool { return t.LeafRadix > 0 }
 
-// Oversubscription returns the leaf down:up port ratio (1 = fully
-// provisioned, 2 = half the uplink capacity, ...). Assumes uplinks run
-// at the wire rate, which the defaults guarantee.
-func (t Topology) Oversubscription() float64 {
-	if !t.Hierarchical() || t.Spines <= 0 {
-		return 1
-	}
-	return float64(t.LeafRadix) / float64(t.Spines)
-}
-
 // FatTree returns the topology of a two-tier tree with the given leaf
 // radix and spine count (bandwidth and latency at the wire defaults).
 func FatTree(leafRadix, spines int) Topology {
@@ -255,12 +245,6 @@ func (f *Fabric) Attach(node *pcie.Node) *HCA {
 	f.hcas = append(f.hcas, h)
 	return h
 }
-
-// Node returns the node this HCA is attached to.
-func (h *HCA) Node() *pcie.Node { return h.node }
-
-// Leaf returns the index of the leaf switch the HCA is cabled to.
-func (h *HCA) Leaf() int { return h.leaf }
 
 // Inbox returns the mailbox where received messages appear (in order).
 // Until its owner makes it a server with Init, a process takes them with

@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestWriteMovesDataAtWireRate(t *testing.T) {
 		dur = p.Now() - t0
 	})
 	e.Run()
-	if !mem.Equal(src, dst) {
+	if !bytes.Equal(src.Bytes(), dst.Bytes()) {
 		t.Fatal("RDMA write did not move data")
 	}
 	wire := sim.TimeForBytes(60<<20, DefaultParams().WireGBps) // bottleneck hop (cut-through)
@@ -77,7 +78,7 @@ func TestReadCostsExtraRoundTrip(t *testing.T) {
 		rDur = p.Now() - t0
 	})
 	e.Run()
-	if !mem.Equal(remote, local) {
+	if !bytes.Equal(remote.Bytes(), local.Bytes()) {
 		t.Fatal("read corrupt")
 	}
 	if rDur <= wDur {
@@ -211,8 +212,8 @@ func TestFatTreeLeafAssignment(t *testing.T) {
 			t.Fatalf("hca %d on leaf %d, want %d", i, h.Leaf(), want)
 		}
 	}
-	if got := f.Params().Topo.Oversubscription(); got != 2 {
-		t.Fatalf("oversubscription = %v, want 2", got)
+	if tp := f.Params().Topo; tp.LeafRadix != 2*tp.Spines {
+		t.Fatalf("leaf radix %d over %d spines, want 2:1 oversubscription", tp.LeafRadix, tp.Spines)
 	}
 }
 
@@ -320,3 +321,9 @@ func TestPathToIsBuiltOncePerPeer(t *testing.T) {
 		t.Fatal("the two directions share a path")
 	}
 }
+
+// Node returns the node this HCA is attached to.
+func (h *HCA) Node() *pcie.Node { return h.node }
+
+// Leaf returns the index of the leaf switch the HCA is cabled to.
+func (h *HCA) Leaf() int { return h.leaf }

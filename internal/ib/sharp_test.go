@@ -160,7 +160,9 @@ func TestSwitchReduceReusesOps(t *testing.T) {
 					done[i].Complete(nil)
 				})
 			}
-			sim.AwaitAll(p, done...)
+			for i := range done {
+				done[i].Await(p)
+			}
 			for i := range bufs {
 				if !bytes.Equal(bufs[i].Bytes(), want) {
 					t.Errorf("round %d (%d members), member %d: result differs from member-order oracle", round, k, i)

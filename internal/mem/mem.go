@@ -22,17 +22,6 @@ const (
 	Device
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Host:
-		return "host"
-	case Device:
-		return "device"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // Space is a flat simulated address space with a bump allocator. The
 // backing storage grows on demand so that a large simulated memory (a
 // 12 GB GPU) costs real memory only for the bytes actually allocated.
@@ -120,10 +109,6 @@ func (s *Space) UsedBacking() int64 {
 	}
 	return s.backingFor(s.brk)
 }
-
-// RetiredSlabs returns how many outgrown backing arrays the space still
-// holds (bounded by spaceMaxRetired).
-func (s *Space) RetiredSlabs() int { return len(s.retired) }
 
 // RetiredBytes returns the bytes pinned by retired backing arrays.
 func (s *Space) RetiredBytes() int64 {
@@ -281,14 +266,6 @@ func Copy(dst, src Buffer) int64 {
 	return int64(copy(dst.Bytes(), src.Bytes()))
 }
 
-// Fill sets every byte of b to v.
-func Fill(b Buffer, v byte) {
-	bs := b.Bytes()
-	for i := range bs {
-		bs[i] = v
-	}
-}
-
 // FillPattern writes a deterministic position-dependent pattern, seeded so
 // that distinct buffers get distinct contents. Used by tests and examples
 // to verify end-to-end transfers byte-exactly.
@@ -378,17 +355,3 @@ func syntheticBytes(seed, o uint64, dst []byte) int {
 // random-access counterpart of FillPattern, used wherever a generator
 // must later reproduce arbitrary windows of the contents).
 func FillSynthetic(b Buffer, seed uint64) { SyntheticAt(seed, 0, b.Bytes()) }
-
-// Equal reports whether two buffers have identical length and contents.
-func Equal(a, b Buffer) bool {
-	if a.n != b.n {
-		return false
-	}
-	ab, bb := a.Bytes(), b.Bytes()
-	for i := range ab {
-		if ab[i] != bb[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -133,3 +133,21 @@ func TestResetReusesAddressesAndBacking(t *testing.T) {
 		t.Fatalf("shrunk to %d bytes, want 8 KiB", s.FootprintBytes())
 	}
 }
+
+// RetiredSlabs returns how many outgrown backing arrays the space still
+// holds (bounded by spaceMaxRetired).
+func (s *Space) RetiredSlabs() int { return len(s.retired) }
+
+// Equal reports whether two buffers have identical length and contents.
+func Equal(a, b Buffer) bool {
+	if a.n != b.n {
+		return false
+	}
+	ab, bb := a.Bytes(), b.Bytes()
+	for i := range ab {
+		if ab[i] != bb[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -57,14 +57,6 @@ type PoolStats struct {
 	Evicted   int64
 }
 
-// HitRate returns Hits/Gets (0 when no requests were made).
-func (st PoolStats) HitRate() float64 {
-	if st.Gets == 0 {
-		return 0
-	}
-	return float64(st.Hits) / float64(st.Gets)
-}
-
 // SlabPoolStats returns the current pool statistics.
 func SlabPoolStats() PoolStats {
 	poolMu.Lock()

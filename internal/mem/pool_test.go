@@ -154,3 +154,11 @@ func TestPoolStatsEviction(t *testing.T) {
 		t.Fatalf("a slab over the whole budget: %+v, want an empty pool", st)
 	}
 }
+
+// HitRate returns Hits/Gets (0 when no requests were made).
+func (st PoolStats) HitRate() float64 {
+	if st.Gets == 0 {
+		return 0
+	}
+	return float64(st.Hits) / float64(st.Gets)
+}

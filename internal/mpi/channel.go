@@ -15,13 +15,6 @@ const (
 	IB             // openib BTL: across nodes
 )
 
-func (k Kind) String() string {
-	if k == SM {
-		return "smcuda"
-	}
-	return "openib"
-}
-
 // amHeaderBytes is the wire size of an active-message header (callback
 // reference plus fragment control fields, §4.1).
 const amHeaderBytes = 64
@@ -41,15 +34,6 @@ func (c Channel) Kind() Kind {
 		return SM
 	}
 	return IB
-}
-
-// Peer returns the destination rank handle.
-func (c Channel) Peer() *Rank { return c.dst }
-
-// SameDevice reports whether both endpoints use the same GPU of the
-// same node (the 1GPU configuration).
-func (c Channel) SameDevice() bool {
-	return c.Kind() == SM && c.src.place.GPU == c.dst.place.GPU
 }
 
 // hcas returns the IB endpoints of the two ranks' nodes.

@@ -25,8 +25,7 @@ func TestChannelIsDerived(t *testing.T) {
 				tc.topo, ch.Kind(), ch.SameDevice(), ch.Peer().Rank(), tc.kind, tc.sameDevice)
 		}
 		if src, dst := ch.hcas(); src != w.hcas[a.place.Node] || dst != w.hcas[b.place.Node] {
-			t.Errorf("%s: HCAs of nodes %d and %d, want %d and %d",
-				tc.topo, src.Node().ID(), dst.Node().ID(), a.place.Node, b.place.Node)
+			t.Errorf("%s: the channel's HCAs are not those of nodes %d and %d", tc.topo, a.place.Node, b.place.Node)
 		}
 		w.Close()
 	}
@@ -44,4 +43,13 @@ func TestChannelIsDerived(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Peer returns the destination rank handle.
+func (c Channel) Peer() *Rank { return c.dst }
+
+// SameDevice reports whether both endpoints use the same GPU of the
+// same node (the 1GPU configuration).
+func (c Channel) SameDevice() bool {
+	return c.Kind() == SM && c.src.place.GPU == c.dst.place.GPU
 }

@@ -32,13 +32,20 @@ func (m *Rank) bcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype
 // of buf) into every rank's buf: buf must hold Size() consecutive
 // (dt, count) slots, each starting at rank*count*extent. GPU-resident
 // non-contiguous slots are packed and unpacked by the datatype engine on
-// every hop. Topology-aware worlds gather each node's slots to its
-// leader first, ring the aggregated node slabs over the IB tier, and
-// broadcast the result within each node; otherwise the flat ring runs.
+// every hop. On a topology-aware world an eager-sized slot stays packed:
+// each node's slots are packed into its leader's stage, the leaders ring
+// whole node aggregates over the IB tier and broadcast the assembled
+// stage within their nodes, and every rank unpacks it (hierAllgatherv
+// with equal counts). A rendezvous-sized slot, whose hops pipeline pack
+// with wire, and every other layout take the flat ring.
 func (m *Rank) Allgather(buf mem.Buffer, dt *datatype.Datatype, count int) {
 	tag := m.tagBlock(m.allgatherTags())
-	if m.hierOn() && count > 0 {
-		m.hierAllgather(&m.proc, tag, buf, dt, count)
+	if m.hierOn() && count > 0 && int64(count)*dt.Size() <= m.w.tun.eager {
+		counts, displs := make([]int, m.Size()), make([]int, m.Size())
+		for r := range counts {
+			counts[r], displs[r] = count, r*count
+		}
+		m.hierAllgatherv(&m.proc, allgatherPhases, tag, buf, counts, displs, dt)
 		return
 	}
 	m.ringAllgather(&m.proc, "Allgather", m.worldComm(), uniformView(buf, dt, count), tag)

@@ -92,12 +92,6 @@ func (w *World) NewGroup(ranks []int) *Group {
 // Size returns the number of group members.
 func (g *Group) Size() int { return len(g.ranks) }
 
-// Ranks returns the group's global ranks in group order.
-func (g *Group) Ranks() []int { return append([]int(nil), g.ranks...) }
-
-// Contains reports whether global rank r is a member.
-func (g *Group) Contains(r int) bool { return r >= 0 && r < len(g.local) && g.local[r] >= 0 }
-
 // LocalRank returns m's index within the group; m must be a member.
 func (g *Group) LocalRank(m *Rank) int {
 	lr := g.local[m.rank]

@@ -330,3 +330,9 @@ func TestNewGroupValidation(t *testing.T) {
 		}()
 	}
 }
+
+// Ranks returns the group's global ranks in group order.
+func (g *Group) Ranks() []int { return append([]int(nil), g.ranks...) }
+
+// Contains reports whether global rank r is a member.
+func (g *Group) Contains(r int) bool { return r >= 0 && r < len(g.local) && g.local[r] >= 0 }

@@ -17,7 +17,9 @@ import (
 // geometry, the Hvector views over it and the phase spans. The same
 // algorithms over the whole world are the fallback for every other
 // layout and produce byte-identical buffers; Tuning{Collectives:
-// CollFlat} forces them for differential testing.
+// CollFlat} forces them for differential testing. Allgather has no
+// schedule of its own: an eager-sized slot takes hierAllgatherv's with
+// equal counts, a rendezvous-sized one the flat ring.
 //
 // Tag discipline: every hierarchical phase draws its tags from the
 // block the caller reserved with tagBlock, and every rank reserves the
@@ -63,59 +65,6 @@ func (m *Rank) hierBcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Data
 		m.unpackHeld(p, st)
 	}
 	m.release(st)
-	sp.End()
-}
-
-// hierAllgather: each node's slots are gathered to its leader in place,
-// the leaders ring whole node slabs over the IB tier (one message per
-// step carrying rpn slots, instead of the flat ring's size-1 slot-sized
-// hops per rank), and each leader broadcasts the assembled buffer to
-// its node. Slot r starts at r*count*extent, so a node's rpn
-// consecutive slots — and the whole buffer — are themselves valid
-// (dt, k*count) views, which keeps every wire hop inside the datatype
-// engine. That is the schedule for rendezvous-sized slots, whose hops
-// pipeline pack with wire. An eager-sized slot would be unpacked at the
-// leader, re-packed into every slab and again into the broadcast, each
-// time for the price of a launch; it stays packed instead, which is
-// hierAllgatherv's schedule with equal counts.
-func (m *Rank) hierAllgather(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype, count int) {
-	size := m.Size()
-	packed := int64(count) * dt.Size()
-	if packed <= m.w.tun.eager {
-		counts, displs := make([]int, size), make([]int, size)
-		for r := range counts {
-			counts[r], displs[r] = count, r*count
-		}
-		m.hierAllgatherv(p, allgatherPhases, tag, buf, counts, displs, dt)
-		return
-	}
-	node, leaders := m.nodeComm(), m.leaderComm(-1)
-	rpn, nnodes := node.n, leaders.n
-
-	tagIn := tag
-	tagRing := tag + rpn
-	tagOut := tag + rpn + nnodes
-
-	slabs := uniformView(buf, dt, rpn*count) // one per node
-	mine, _, _ := slabs(leaders.me)
-	slots := uniformView(mine, dt, count) // the node's own, by member
-
-	// Phase 1: gather the node's slots at the leader, in place.
-	sp := p.BeginBytes("coll.allgather.intra", packed)
-	own, _, _ := slots(node.me)
-	m.linearGather(p, "Allgather", node, 0, own, dt, count, slots, tagIn, nil)
-	sp.End()
-
-	// Phase 2: leaders ring aggregated node slabs over the IB tier.
-	if node.me == 0 && nnodes > 1 {
-		sp := p.BeginBytes("coll.allgather.inter", packed*int64(rpn)*int64(nnodes-1))
-		m.ringAllgather(p, "Allgather", leaders, slabs, tagRing)
-		sp.End()
-	}
-
-	// Phase 3: broadcast the assembled buffer within each node.
-	sp = p.BeginBytes("coll.allgather.intra", packed*int64(size))
-	m.bcastTree(p, "Allgather", node, 0, buf, dt, size*count, tagOut)
 	sp.End()
 }
 

@@ -156,29 +156,50 @@ func TestHierBcastMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestHierAllgatherMatchesFlat: an eager-sized slot takes the
+// hierarchical schedule and must deliver the flat ring's bytes on every
+// rank. A rendezvous-sized slot (64 KiB + 64 B of 64-byte device blocks)
+// takes the flat ring itself on a topology-aware world, so it must also
+// finish at the flat run's virtual time.
 func TestHierAllgatherMatchesFlat(t *testing.T) {
-	dt := shapes.SubMatrix(16, 16, 24)
-	const count = 3
-	for _, sh := range hierShapes {
-		size := sh.nodes * sh.rpn
-		stride := int64(count) * dt.Extent()
-		run := func(flat bool) [][]byte {
-			w := NewWorld(blockedConfig(sh.nodes, sh.rpn, flat))
-			imgs := make([][]byte, size)
-			w.Run(func(m *Rank) {
-				buf := m.Malloc(dt.Span(size * count))
-				mem.FillPattern(buf.Slice(int64(m.Rank())*stride, dt.Span(count)), uint64(500+m.Rank()))
-				m.Allgather(buf, dt, count)
-				imgs[m.Rank()] = cpuPack(dt, size*count, buf.Bytes())
-			})
-			checkQuiescent(t, w, "allgather")
-			w.Close()
-			return imgs
-		}
-		hier, flat := run(false), run(true)
-		for r := 0; r < size; r++ {
-			if !bytes.Equal(hier[r], flat[r]) {
-				t.Fatalf("%dx%d: rank %d hier allgather differs from flat", sh.nodes, sh.rpn, r)
+	type shape = struct{ nodes, rpn int }
+	for _, row := range []struct {
+		dt       *datatype.Datatype
+		count    int
+		shapes   []shape
+		sameTime bool
+	}{
+		{shapes.SubMatrix(16, 16, 24), 3, hierShapes, false},
+		{datatype.Vector(1025, 8, 16, datatype.Float64), 1, []shape{{2, 2}, {2, 4}}, true},
+	} {
+		dt, count := row.dt, row.count
+		for _, sh := range row.shapes {
+			size := sh.nodes * sh.rpn
+			stride := int64(count) * dt.Extent()
+			run := func(flat bool) ([][]byte, sim.Time) {
+				w := NewWorld(blockedConfig(sh.nodes, sh.rpn, flat))
+				imgs := make([][]byte, size)
+				var end sim.Time
+				w.Run(func(m *Rank) {
+					buf := m.Malloc(dt.Span(size * count))
+					mem.FillPattern(buf.Slice(int64(m.Rank())*stride, dt.Span(count)), uint64(500+m.Rank()))
+					m.Allgather(buf, dt, count)
+					end = max(end, m.Now())
+					imgs[m.Rank()] = cpuPack(dt, size*count, buf.Bytes())
+				})
+				checkQuiescent(t, w, "allgather")
+				w.Close()
+				return imgs, end
+			}
+			hier, hierEnd := run(false)
+			flat, flatEnd := run(true)
+			for r := 0; r < size; r++ {
+				if !bytes.Equal(hier[r], flat[r]) {
+					t.Fatalf("%s x%d, %dx%d: rank %d hier allgather differs from flat", dt.Name(), count, sh.nodes, sh.rpn, r)
+				}
+			}
+			if row.sameTime && hierEnd != flatEnd {
+				t.Fatalf("%s x%d, %dx%d: topology-aware allgather ends at %v, the flat ring at %v", dt.Name(), count, sh.nodes, sh.rpn, hierEnd, flatEnd)
 			}
 		}
 	}

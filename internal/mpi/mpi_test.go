@@ -56,7 +56,7 @@ func runXfer(t *testing.T, sp xferSpec) (sentPacked, recvPacked []byte, elapsed 
 			} else {
 				rbuf = m.MallocHost(sp.recvDt.Span(sp.rcount))
 			}
-			mem.Fill(rbuf, 0)
+			clear(rbuf.Bytes())
 			m.Barrier()
 			m.Recv(rbuf, sp.recvDt, sp.rcount, 0, 7)
 		}
@@ -192,8 +192,8 @@ func TestMessageOrderingSameTag(t *testing.T) {
 		if m.Rank() == 0 {
 			a := m.MallocHost(1024)
 			b := m.MallocHost(1024)
-			mem.Fill(a, 0xAA)
-			mem.Fill(b, 0xBB)
+			fillByte(a, 0xAA)
+			fillByte(b, 0xBB)
 			m.Send(a, dt, 1, 1, 3)
 			m.Send(b, dt, 1, 1, 3)
 		} else {
@@ -227,7 +227,7 @@ func TestPartialReceiveEager(t *testing.T) {
 			m.Send(b, half, 1, 1, 0)
 		} else {
 			b := m.MallocHost(1024)
-			mem.Fill(b, 0xEE)
+			fillByte(b, 0xEE)
 			r := m.Irecv(b, full, 1, 0, 0)
 			r.Wait(m.Proc())
 			got = append([]byte(nil), b.Bytes()...)
@@ -275,7 +275,7 @@ func TestPartialReceiveRendezvous(t *testing.T) {
 					m.Send(b, sendDt, 1, 1, 0)
 				} else {
 					b := m.Malloc(recvDt.Span(1))
-					mem.Fill(b, 0)
+					clear(b.Bytes())
 					r := m.Irecv(b, recvDt, 1, 0, 0)
 					r.Wait(m.Proc())
 					recvd = r.ReceivedBytes()
@@ -346,8 +346,8 @@ func TestNonOvertakingWildcards(t *testing.T) {
 					// eager one, same tag.
 					a := m.MallocHost(big)
 					b := m.MallocHost(small)
-					mem.Fill(a, byte(0xA0+m.Rank()))
-					mem.Fill(b, byte(0xB0+m.Rank()))
+					fillByte(a, byte(0xA0+m.Rank()))
+					fillByte(b, byte(0xB0+m.Rank()))
 					m.Send(a, dtBig, 1, 0, 9)
 					m.Send(b, dtSmall, 1, 0, 9)
 				case 0:
@@ -520,5 +520,22 @@ func TestBarrierSynchronizes(t *testing.T) {
 		if times[r] < 2*sim.Millisecond {
 			t.Fatalf("rank %d left barrier at %v before the slowest rank entered", r, times[r])
 		}
+	}
+}
+
+// ReceivedBytes reports the packed byte count of the matched message,
+// valid once a receive request completes. A partial receive reports
+// fewer bytes than the posted capacity.
+func (r *Request) ReceivedBytes() int64 { return r.recvd }
+
+// Done reports (non-blocking) whether the operation has completed
+// (MPI_Test).
+func (r *Request) Done() bool { return r.done.Done() }
+
+// fillByte sets every byte of b to v.
+func fillByte(b mem.Buffer, v byte) {
+	bs := b.Bytes()
+	for i := range bs {
+		bs[i] = v
 	}
 }

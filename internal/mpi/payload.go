@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"encoding/binary"
-	"io"
 	"math/bits"
 	"slices"
 
@@ -48,18 +47,6 @@ type SyntheticPayload struct {
 	Dt    *datatype.Datatype
 	Count int
 }
-
-// Span returns the memory footprint of the layout from its origin.
-func (sp SyntheticPayload) Span() int64 { return sp.Dt.Span(sp.Count) }
-
-// PackedBytes returns the packed size of the full payload.
-func (sp SyntheticPayload) PackedBytes() int64 { return int64(sp.Count) * sp.Dt.Size() }
-
-// Fill materializes the payload into a real buffer: every byte of the
-// buffer's span gets the pattern (gaps included), exactly like
-// mem.FillSynthetic of the whole region. Packed windows later read
-// from the buffer therefore match WritePacked byte-for-byte.
-func (sp SyntheticPayload) Fill(b mem.Buffer) { mem.FillSynthetic(b, sp.Seed) }
 
 // packedWalk generates the packed bytes of elements [e, end) in order:
 // the blocks of each element in turn, read off the random-access
@@ -198,18 +185,6 @@ func foldWords(h, seed, o, stop uint64) uint64 {
 		h = sigFold(h, mem.SyntheticWord(seed, o))
 	}
 	return h
-}
-
-// WritePacked streams the same bytes into w. A *Sig64 takes the
-// concrete FoldPacked path; any other writer (a sha256 digest, a
-// bytes.Buffer) is handed the materialized window. Neither kind of
-// writer returns errors.
-func (sp SyntheticPayload) WritePacked(w io.Writer, elem0, n int) {
-	if s, ok := w.(*Sig64); ok {
-		sp.FoldPacked(s, elem0, n)
-		return
-	}
-	w.Write(sp.AppendPacked(nil, elem0, n))
 }
 
 // PackedSig returns a 64-bit content signature of elements

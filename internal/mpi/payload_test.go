@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"crypto/sha256"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -259,4 +260,28 @@ func BenchmarkFoldPacked(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Span returns the memory footprint of the layout from its origin.
+func (sp SyntheticPayload) Span() int64 { return sp.Dt.Span(sp.Count) }
+
+// PackedBytes returns the packed size of the full payload.
+func (sp SyntheticPayload) PackedBytes() int64 { return int64(sp.Count) * sp.Dt.Size() }
+
+// Fill materializes the payload into a real buffer: every byte of the
+// buffer's span gets the pattern (gaps included), exactly like
+// mem.FillSynthetic of the whole region. Packed windows later read
+// from the buffer therefore match WritePacked byte-for-byte.
+func (sp SyntheticPayload) Fill(b mem.Buffer) { mem.FillSynthetic(b, sp.Seed) }
+
+// WritePacked streams the same bytes into w. A *Sig64 takes the
+// concrete FoldPacked path; any other writer (a sha256 digest, a
+// bytes.Buffer) is handed the materialized window. Neither kind of
+// writer returns errors.
+func (sp SyntheticPayload) WritePacked(w io.Writer, elem0, n int) {
+	if s, ok := w.(*Sig64); ok {
+		sp.FoldPacked(s, elem0, n)
+		return
+	}
+	w.Write(sp.AppendPacked(nil, elem0, n))
 }

@@ -75,11 +75,6 @@ type recvReq struct {
 // Wait blocks the calling process until the operation completes.
 func (r *Request) Wait(p *sim.Proc) { r.done.Await(p) }
 
-// ReceivedBytes reports the packed byte count of the matched message,
-// valid once a receive request completes. A partial receive reports
-// fewer bytes than the posted capacity.
-func (r *Request) ReceivedBytes() int64 { return r.recvd }
-
 // GetCount reports how many whole elements of dt arrived, the
 // MPI_Get_count semantics.
 func (r *Request) GetCount(dt *datatype.Datatype) int {
@@ -88,10 +83,6 @@ func (r *Request) GetCount(dt *datatype.Datatype) int {
 	}
 	return int(r.recvd / dt.Size())
 }
-
-// Done reports (non-blocking) whether the operation has completed
-// (MPI_Test).
-func (r *Request) Done() bool { return r.done.Done() }
 
 // Complete marks the request finished; for use by Strategy
 // implementations outside this package.

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"gpuddt/internal/datatype"
@@ -95,7 +94,7 @@ func reducePrim(dt *datatype.Datatype) datatype.Primitive {
 	case datatype.PrimFloat64, datatype.PrimInt64:
 		return sig[0].Prim
 	default:
-		panic(fmt.Sprintf("mpi: Reduce does not support %v", sig[0].Prim))
+		panic("mpi: Reduce does not support " + dt.Name())
 	}
 }
 

@@ -47,9 +47,6 @@ func (m *Rank) WinCreate(buf mem.Buffer) *Win {
 	return &Win{m: m, id: id, buf: buf}
 }
 
-// Buffer returns the locally exposed window memory.
-func (w *Win) Buffer() mem.Buffer { return w.buf }
-
 // multiFuture completes its request after n sub-completions. It is the
 // handler of the AM that reports the remote one.
 type multiFuture struct {

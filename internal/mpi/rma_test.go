@@ -98,10 +98,10 @@ func TestFenceEpochsSequence(t *testing.T) {
 		win := m.WinCreate(m.MallocHost(dt.Size()))
 		if m.Rank() == 0 {
 			a := m.MallocHost(dt.Size())
-			mem.Fill(a, 0x11)
+			fillByte(a, 0x11)
 			win.Put(a, dt, 1, 1, 0, dt, 1)
 			win.Fence()
-			mem.Fill(a, 0x22)
+			fillByte(a, 0x22)
 			win.Put(a, dt, 1, 1, 0, dt, 1)
 			win.Fence()
 		} else {
@@ -142,7 +142,7 @@ func TestConcurrentPutsToDistinctRegions(t *testing.T) {
 		win := m.WinCreate(m.MallocHost(3 * dt.Size()))
 		if m.Rank() != 0 {
 			src := m.MallocHost(dt.Size())
-			mem.Fill(src, byte(0x30+m.Rank()))
+			fillByte(src, byte(0x30+m.Rank()))
 			win.Put(src, dt, 1, 0, int64(m.Rank()-1)*dt.Size(), dt, 1)
 		}
 		win.Fence()
@@ -159,3 +159,6 @@ func TestConcurrentPutsToDistinctRegions(t *testing.T) {
 		}
 	}
 }
+
+// Buffer returns the locally exposed window memory.
+func (w *Win) Buffer() mem.Buffer { return w.buf }

@@ -219,7 +219,7 @@ func TestSelfSend(t *testing.T) {
 		r := m.Irecv(b, dt, 1, 0, 0)
 		s.Wait(m.Proc())
 		r.Wait(m.Proc())
-		ok = mem.Equal(a, b)
+		ok = bytes.Equal(a.Bytes(), b.Bytes())
 	})
 	if !ok {
 		t.Fatal("self send corrupted data")

@@ -94,15 +94,3 @@ func resolveTuning(t *Tuning) resolvedTuning {
 	}
 	return r
 }
-
-// Tuning returns the world's effective knob set as a fully-populated
-// Tuning value (Eager always non-nil), for reporting and tests.
-func (w *World) Tuning() Tuning {
-	return Tuning{
-		Eager:              Eager(w.tun.eager),
-		FragBytes:          w.tun.frag,
-		DirectRemoteUnpack: w.tun.directRemoteUnpack,
-		Collectives:        w.tun.coll,
-		Strategy:           w.tun.strategy,
-	}
-}

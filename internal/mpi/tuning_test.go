@@ -68,3 +68,15 @@ func TestTuningDefaults(t *testing.T) {
 		t.Fatal("default strategy is not the pipelined one")
 	}
 }
+
+// Tuning returns the world's effective knob set as a fully-populated
+// Tuning value (Eager always non-nil), for reporting and tests.
+func (w *World) Tuning() Tuning {
+	return Tuning{
+		Eager:              Eager(w.tun.eager),
+		FragBytes:          w.tun.frag,
+		DirectRemoteUnpack: w.tun.directRemoteUnpack,
+		Collectives:        w.tun.coll,
+		Strategy:           w.tun.strategy,
+	}
+}

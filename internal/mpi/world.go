@@ -232,9 +232,6 @@ func (w *World) Size() int { return len(w.ranks) }
 // Node returns node n.
 func (w *World) Node(n int) *pcie.Node { return w.nodes[n] }
 
-// RankHandle returns rank r's handle (for inspection after Run).
-func (w *World) RankHandle(r int) *Rank { return w.ranks[r] }
-
 // Run executes fn once per rank (as concurrent simulated processes) and
 // drives the simulation to completion.
 func (w *World) Run(fn func(m *Rank)) {

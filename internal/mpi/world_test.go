@@ -132,3 +132,6 @@ func TestPeerEngineBuiltOnFirstUse(t *testing.T) {
 	}
 	w.Close()
 }
+
+// RankHandle returns rank r's handle (for inspection after Run).
+func (w *World) RankHandle(r int) *Rank { return w.ranks[r] }

@@ -1,6 +1,7 @@
 package pcie
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestHostCopyMovesBytesAndChargesBus(t *testing.T) {
 		dur = p.Now() - t0
 	})
 	e.Run()
-	if !mem.Equal(a, b) {
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("copy failed")
 	}
 	want := sim.TimeForBytes(2<<20, n.Params().HostBusRawGBps) + n.HostBus().Latency()

@@ -52,7 +52,7 @@ func TestStairTriangularCoversTriangle(t *testing.T) {
 	}
 	// The first stair group's full-height columns merge into one
 	// contiguous block; later groups stay one block per column.
-	flat := stair.Flat()
+	flat := stair.Blocks()
 	if flat[0].Len != int64(nb*n)*8 {
 		t.Fatalf("first group block len = %d", flat[0].Len)
 	}
@@ -105,14 +105,14 @@ func TestParticleIndices(t *testing.T) {
 	if d.Size() != 3*5*8 {
 		t.Fatalf("size = %d", d.Size())
 	}
-	flat := d.Flat()
+	flat := d.Blocks()
 	if len(flat) != 3 || flat[1].Off != 3*5*8 || flat[1].Len != 40 {
 		t.Fatalf("flat = %v", flat)
 	}
 	// Adjacent indices merge.
 	m := ParticleIndices([]int{2, 3}, 4)
 	if m.NumBlocks() != 1 {
-		t.Fatalf("adjacent records not merged: %v", m.Flat())
+		t.Fatalf("adjacent records not merged: %v", m.Blocks())
 	}
 }
 

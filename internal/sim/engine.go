@@ -305,10 +305,6 @@ func (p *Proc) Sleep(d Time) {
 	p.suspend()
 }
 
-// Yield lets every other event already scheduled for the current instant
-// run before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Run executes events until the queue drains. A panic in a process
 // surfaces from Run, and Run panics with a deadlock report if processes
 // other than servers remain blocked with no pending events. Before Run

@@ -594,3 +594,14 @@ func TestYieldOrdersWithQueuedEvents(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 }
+
+// Yield lets every other event already scheduled for the current instant
+// run before the process continues.
+func (p *Proc) Yield() { p.Sleep(0) }
+
+// Use runs fn while holding one slot.
+func (r *Resource) Use(p *Proc, fn func()) {
+	r.Acquire(p)
+	defer r.Release()
+	fn()
+}

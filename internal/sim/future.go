@@ -31,9 +31,6 @@ func (f *Future) Init(e *Engine) { *f = Future{e: e} }
 // Done reports whether the future has completed.
 func (f *Future) Done() bool { return f.done }
 
-// CompletedAt returns the virtual time of completion; zero if not done.
-func (f *Future) CompletedAt() Time { return f.at }
-
 // Complete marks the future done at the current virtual time and wakes all
 // waiters (at the same instant, in wait order).
 func (f *Future) Complete(value interface{}) {
@@ -67,11 +64,4 @@ func (f *Future) Await(p *Proc) interface{} {
 	f.last = p
 	p.park(blockAwait, nil)
 	return f.value
-}
-
-// AwaitAll blocks until every future in fs has completed.
-func AwaitAll(p *Proc, fs ...*Future) {
-	for _, f := range fs {
-		f.Await(p)
-	}
 }

@@ -61,11 +61,6 @@ func (l *Link) Transfer(p *Proc, n int64) {
 	p.Sleep(l.latency)
 }
 
-// Occupy holds the link for the serialization time of n bytes without the
-// trailing propagation latency. Use it when the caller accounts for
-// latency itself (e.g. a path of several links).
-func (l *Link) Occupy(p *Proc, n int64) { l.occupy(p, n) }
-
 func (l *Link) occupy(p *Proc, n int64) {
 	if n < 0 {
 		panic("sim: negative transfer size on " + l.name)

@@ -137,3 +137,8 @@ func TestNamesShareOneString(t *testing.T) {
 		t.Fatalf("%v allocations, want 1", got)
 	}
 }
+
+// Occupy holds the link for the serialization time of n bytes without the
+// trailing propagation latency. Use it when the caller accounts for
+// latency itself (e.g. a path of several links).
+func (l *Link) Occupy(p *Proc, n int64) { l.occupy(p, n) }

@@ -39,10 +39,3 @@ func (r *Resource) Release() {
 		r.e.unpark(r.waiters.pop(), r.e.now)
 	}
 }
-
-// Use runs fn while holding one slot.
-func (r *Resource) Use(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release()
-	fn()
-}

@@ -157,13 +157,6 @@ func (p *Proc) BeginBytes(name string, bytes int64) SpanHandle {
 	return rec.begin(rec.procTrack(p), name, bytes)
 }
 
-// SetBytes attaches (or overrides) the byte count of an open span.
-func (h SpanHandle) SetBytes(n int64) {
-	if h.t != nil {
-		h.t.Spans[h.idx].Bytes = n
-	}
-}
-
 // SetDetail attaches a free-form annotation to the span.
 func (h SpanHandle) SetDetail(d string) {
 	if h.t != nil {

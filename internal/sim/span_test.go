@@ -191,3 +191,10 @@ func TestRecorderTimingTransparent(t *testing.T) {
 		t.Fatalf("recorder changed virtual time: %v vs %v", plain, traced)
 	}
 }
+
+// SetBytes attaches (or overrides) the byte count of an open span.
+func (h SpanHandle) SetBytes(n int64) {
+	if h.t != nil {
+		h.t.Spans[h.idx].Bytes = n
+	}
+}

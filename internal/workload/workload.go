@@ -207,39 +207,6 @@ func Run(cfg mpi.Config, jobs []JobSpec, active []bool, opt Options) ([]JobResul
 	return out, rec, nil
 }
 
-// GroupOf maps recorder track names to process-group labels for
-// trace.Run.GroupOf: rank tracks land under their job's name,
-// everything else (links, switches, GPU streams) under "fabric".
-func GroupOf(jobs []JobSpec) func(track string) string {
-	byRank := map[int]string{}
-	for _, job := range jobs {
-		for _, r := range job.Ranks {
-			byRank[r] = "job:" + job.Name
-		}
-	}
-	return func(track string) string {
-		if !strings.HasPrefix(track, "rank") {
-			return "fabric"
-		}
-		n := 0
-		ok := false
-		for _, c := range track[len("rank"):] {
-			if c < '0' || c > '9' {
-				break
-			}
-			n = n*10 + int(c-'0')
-			ok = true
-		}
-		if !ok {
-			return "fabric"
-		}
-		if label, found := byRank[n]; found {
-			return label
-		}
-		return "idle"
-	}
-}
-
 // CountSpans counts spans with the given name whose detail contains
 // substr, across every track of the recorder — how the benchmarks
 // assert that e.g. the halo path really moved subarray datatypes.

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"gpuddt/internal/cluster"
@@ -194,5 +195,38 @@ func TestRunValidation(t *testing.T) {
 		if _, _, err := Run(cfg, c.jobs, nil, Options{}); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
+	}
+}
+
+// GroupOf maps recorder track names to process-group labels for
+// trace.Run.GroupOf: rank tracks land under their job's name,
+// everything else (links, switches, GPU streams) under "fabric".
+func GroupOf(jobs []JobSpec) func(track string) string {
+	byRank := map[int]string{}
+	for _, job := range jobs {
+		for _, r := range job.Ranks {
+			byRank[r] = "job:" + job.Name
+		}
+	}
+	return func(track string) string {
+		if !strings.HasPrefix(track, "rank") {
+			return "fabric"
+		}
+		n := 0
+		ok := false
+		for _, c := range track[len("rank"):] {
+			if c < '0' || c > '9' {
+				break
+			}
+			n = n*10 + int(c-'0')
+			ok = true
+		}
+		if !ok {
+			return "fabric"
+		}
+		if label, found := byRank[n]; found {
+			return label
+		}
+		return "idle"
 	}
 }
