@@ -37,9 +37,12 @@ check-fast:
 # oracle, channel round-trips, golden figures and traces, chaos, scale,
 # model suites, the defaults-against-the-grid check, cmd smoke tests and
 # example builds. On top of that, only what `go test -race ./...` cannot
-# do: the exact allocation pins, which skip under -race (sync.Pool drops
-# there), once without it; the 16384-rank smoke (skipped without
-# GPUDDT_MEGA), a 10 s smoke of each fuzz target, and the three report
+# do: the exact allocation pins once more without it, since every pool
+# is a mutex-guarded shelf no collection empties and the pins hold under
+# -race too, but for the world-build count, which skips there (the race
+# build's instrumented code makes 28 more objects per world); the
+# 16384-rank smoke (skipped without GPUDDT_MEGA), a 10 s smoke of each
+# fuzz target, and the three report
 # sweeps run twice (chaosbench has one size, the others run -quick) —
 # each pair of JSON reports must be byte-identical (a sweep is a pure
 # function of its inputs). Last, the census: no function under internal/
@@ -50,14 +53,14 @@ check-fast:
 # its heap passes 1 GiB (GOMEMLIMIT); under -race the slab pool keeps
 # 256 MiB (internal/mem/budget_race.go), and TestParallelMatchesSerial
 # shrinks.
-ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestStagingAllocatesNothing|TestSwitchReduceAllocatesNoPayload|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly|TestTransposeListIsRuns|TestCanonicalBuildCost
+ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestStagingAllocatesNothing|TestSwitchReduceAllocatesNoPayload|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly|TestTransposeListIsRuns|TestCanonicalBuildCost|TestComputeAllocatesOneObject|TestCollectiveAllocs|TestStencilAllocsPerRank
 check-full:
 	$(GOFMT_GATE)
 	$(ORPHAN_GATE)
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOMEMLIMIT=1GiB $(GO) test -race -p 1 ./...
-	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core ./internal/sim ./internal/workload
+	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core ./internal/sim ./internal/workload ./internal/gpu
 	GPUDDT_MEGA=1 $(GO) test ./internal/bench -run TestMegaSmoke16k -v
 	@set -e; targets=$$($(FUZZ_TARGETS)); \
 	echo "$$targets" | while read pkg f; do \
@@ -201,6 +204,7 @@ examples:
 	$(GO) run ./examples/fftreshape
 	$(GO) run ./examples/dtranspose
 	$(GO) run ./examples/onesided
+	$(GO) run ./examples/tokenshuffle
 
 tools:
 	$(GO) build -o bin/ddtbench ./cmd/ddtbench
@@ -213,7 +217,7 @@ lines:
 	@find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 # The coverage census, a gate on code no production entry point runs:
-# build the benchmark, the six commands and the seven examples with
+# build the benchmark, the six commands and the eight examples with
 # counters over the whole module, run them as a user would (the
 # benchmark's -child processes inherit GOCOVERDIR; ddtbench, scalebench,
 # chaosbench and pingpong once more per flag that selects code), and list every

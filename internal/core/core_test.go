@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"gpuddt/internal/cuda"
@@ -27,20 +26,6 @@ func newRig(t testing.TB, opts Options) *rig {
 	node := pcie.NewNode(se, 0, 1, gpu.KeplerK40(), pcie.DefaultParams())
 	ctx := cuda.NewCtx(node)
 	return &rig{eng: se, ctx: ctx, e: New(ctx, 0, opts)}
-}
-
-// skipIfPoolDrops skips an exact allocation pin under the race detector,
-// where sync.Pool drops a quarter of what it is given, and a record whose
-// first descriptor array was dropped makes one.
-func skipIfPoolDrops(t *testing.T) {
-	t.Helper()
-	var pool sync.Pool
-	for i, x := 0, new(int); i < 64; i++ {
-		pool.Put(x)
-		if pool.Get() == nil {
-			t.Skip("sync.Pool is dropping (-race): allocation counts are not exact")
-		}
-	}
 }
 
 // cpuPack is the reference packing.
@@ -334,7 +319,6 @@ func TestEmptyMessage(t *testing.T) {
 // launch.) A borrowed worker starts from scratch: a prefix unpack that
 // stops short leaves nothing for the next message to trip over.
 func TestWholeMessageCallsBorrowTheirWorker(t *testing.T) {
-	skipIfPoolDrops(t)
 	r := newRig(t, Options{})
 	vec, tri := shapes.SubMatrix(16, 8, 12), shapes.LowerTriangular(32)
 	var allocs [4]float64

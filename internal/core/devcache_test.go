@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -102,7 +101,6 @@ func TestDevCacheStatsCounters(t *testing.T) {
 // worker it borrows. (At the commit before, every conversion took a
 // list of at least 1 024 entries, 24 KiB: 27 408 B here.)
 func TestFirstPackAllocatesItsListOnly(t *testing.T) {
-	skipIfPoolDrops(t)
 	r := newRig(t, Options{})
 	dt := shapes.LowerTriangular(32)
 	data, packed := r.ctx.Malloc(0, dt.Span(1)), r.ctx.Malloc(0, dt.Size())
@@ -184,12 +182,9 @@ func BenchmarkDEVCacheHit(b *testing.B) {
 // first pack on a fresh engine allocates at most 64 KiB (the list of
 // single units was 6.34 MB), and a cached pack plus unpack allocates
 // nothing. A throw-away world converts first and is released, as an
-// earlier world is, so the descriptor, list and slab pools are warm; the
-// collector stays off until the pin is read, as a collection empties
-// sync.Pools.
+// earlier world is, so the descriptor shelf and the list and slab pools
+// are warm.
 func TestTransposeListIsRuns(t *testing.T) {
-	skipIfPoolDrops(t)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	dt := shapes.Transpose(512)
 	warm := newRig(t, Options{})
 	warm.eng.Spawn("warm", func(p *sim.Proc) { packNow(p, warm.ctx, warm.e, dt, 1) })

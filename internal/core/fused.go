@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"gpuddt/internal/datatype"
 	"gpuddt/internal/gpu"
 	"gpuddt/internal/mem"
@@ -143,7 +145,7 @@ func (pk *Packer) appendMessage(p *sim.Proc, units []gpu.Unit) []gpu.Unit {
 		entries = pk.convert(p, pk.Total())
 	}
 	at := len(units)
-	units = append(units, make([]gpu.Unit, len(entries))...)
+	units = slices.Grow(units, len(entries))[:at+len(entries)]
 	pk.bind(units[at:], entries, 0)
 	if pk.list == nil {
 		pk.converted()

@@ -116,7 +116,6 @@ func TestHostDataMovesOnCPU(t *testing.T) {
 // allocate (mallocs): the runtime's own allocations while the calls run
 // are not theirs.
 func TestHostCallsAllocateNothing(t *testing.T) {
-	skipIfPoolDrops(t)
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	r := newRig(t, Options{})

@@ -25,7 +25,7 @@ const (
 // Device-resident data is moved by kernels. Every path produces a
 // window's descriptors once, as direction-bound gpu.Units rebased to the
 // fragment — runs of equal units (see Entry), split only where the
-// window cuts them — in the pooled array the kernel then owns (see
+// window cuts them — in the shelved array the kernel then owns (see
 // gpu.GetUnits)
 // — or in the array of a kept kernel record: a synchronous call's
 // borrowed worker's (see borrowed), a pipelined protocol's producer's or
@@ -140,7 +140,7 @@ func (e *Engine) borrow() *borrowed {
 func (e *Engine) giveBack(b *borrowed) { e.idle = append(e.idle, b) }
 
 // Release hands the descriptor arrays of the engine's idle workers back
-// to the descriptor pool, where the engines of the next simulation find
+// to the descriptor shelf, where the engines of the next simulation find
 // them (see gpu.Kernel.Retire). Call it once the engine is done; a call
 // that borrows a worker afterwards starts from an empty one.
 func (e *Engine) Release() {

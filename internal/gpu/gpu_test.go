@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gpuddt/internal/fault"
 	"gpuddt/internal/mem"
@@ -441,4 +442,30 @@ func (k *Kernel) Bytes() int64 {
 		n += (int64(u.More) + 1) * int64(u.Len)
 	}
 	return n
+}
+
+// TestComputeAllocatesOneObject pins a compute kernel at one object per
+// call: its stream op is embedded in a typed record the stream worker
+// dispatches on, as it does a Kernel, with no closure. The Kernel record
+// is pinned at its size before compute ops were typed (240 bytes): the
+// stream op's work is one interface where a kernel pointer and a
+// function were, so typing it grew neither record.
+func TestComputeAllocatesOneObject(t *testing.T) {
+	if n := unsafe.Sizeof(Kernel{}); n != 240 {
+		t.Errorf("Kernel is %d bytes, want 240", n)
+	}
+	e, d := newDev(t)
+	var allocs float64
+	e.Spawn("host", func(p *sim.Proc) {
+		var s Stream
+		s.Init(d, "s")
+		for range 4 {
+			d.Compute(&s, 1<<20, 0).Await(p)
+		}
+		allocs = testing.AllocsPerRun(20, func() { d.Compute(&s, 1<<20, 0).Await(p) })
+	})
+	e.Run()
+	if allocs != 1 {
+		t.Errorf("Compute: %v objects per call, want 1", allocs)
+	}
 }

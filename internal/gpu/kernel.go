@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
@@ -41,28 +42,93 @@ type Unit struct {
 	Partial        bool
 }
 
-// unitPool recycles descriptor arrays between kernel launches: a figure
-// sweep issues millions of launches and the arrays are the last
-// steady-state allocation on the pack path. It holds *[]Unit, each the
-// address of the spent field of a kernel that has run, so returning an
-// array allocates nothing.
-var unitPool sync.Pool
+// The descriptor shelf recycles descriptor arrays between kernel
+// launches: a figure sweep issues millions of launches and the arrays
+// are the last steady-state allocation on the pack path. Like mem's slab
+// pool and sim's carrier shelf it is guarded by a mutex, so no garbage
+// collection empties it. Arrays are shelved by capacity class:
+// unitShelf.class[k] holds those of 2^k <= cap < 2^(k+1) units, newest
+// last. It holds at most unitShelfBytes; past that, it drops arrays from
+// the smallest class up, the cheapest to make again.
+const (
+	unitShelfBytes = 64 << 20
+	unitBytes      = int64(unsafe.Sizeof(Unit{}))
+)
 
-// GetUnits returns a descriptor slice of length n, reusing the array of
-// a completed kernel when one is large enough. Entries hold stale data;
-// the caller must assign every element. Ownership passes to the Kernel:
-// run() returns the slice to the pool, so neither the caller nor anyone
-// else may touch Units after the kernel's future resolves.
+var unitShelf shelf
+
+type shelf struct {
+	sync.Mutex
+	class [32][][]Unit
+	bytes int64
+}
+
+// unitClass returns the class of a capacity c > 0.
+func unitClass(c int) int { return bits.Len(uint(c)) - 1 }
+
+// GetUnits returns a descriptor slice of length n, reusing a shelved
+// array when one fits: the newest of the smallest class that holds one
+// of n units or more. For n = 0, which a caller that appends asks for,
+// it is the newest of the largest class. Entries hold stale data; the
+// caller must assign every element. Ownership passes to the Kernel:
+// run() shelves the slice, so neither the caller nor anyone else may
+// touch Units after the kernel's future resolves.
 func GetUnits(n int) []Unit {
-	if v := unitPool.Get(); v != nil {
-		slot := v.(*[]Unit)
-		s := *slot
-		*slot = nil
-		if cap(s) >= n {
-			return s[:n]
+	s := &unitShelf
+	s.Lock()
+	defer s.Unlock()
+	if n == 0 {
+		for k := len(s.class) - 1; k >= 0; k-- {
+			if i := len(s.class[k]) - 1; i >= 0 {
+				return s.take(k, i)[:0]
+			}
+		}
+		return nil
+	}
+	for k := unitClass(n); k < len(s.class); k++ {
+		for i := len(s.class[k]) - 1; i >= 0; i-- {
+			if cap(s.class[k][i]) >= n {
+				return s.take(k, i)[:n]
+			}
 		}
 	}
 	return make([]Unit, n)
+}
+
+// take removes array i of class k from the shelf; the lock is held.
+func (s *shelf) take(k, i int) []Unit {
+	list := s.class[k]
+	u := list[i]
+	copy(list[i:], list[i+1:])
+	list[len(list)-1] = nil
+	s.class[k] = list[:len(list)-1]
+	s.bytes -= int64(cap(u)) * unitBytes
+	return u
+}
+
+// putUnits shelves a descriptor array nothing uses any more.
+func putUnits(u []Unit) {
+	c := cap(u)
+	if c == 0 || int64(c)*unitBytes > unitShelfBytes {
+		return
+	}
+	s := &unitShelf
+	s.Lock()
+	defer s.Unlock()
+	k := unitClass(c)
+	s.class[k] = append(s.class[k], u[:0])
+	s.bytes += int64(c) * unitBytes
+	for k := 0; s.bytes > unitShelfBytes; {
+		list := s.class[k]
+		last := len(list) - 1
+		if last < 0 {
+			k++
+			continue
+		}
+		s.bytes -= int64(cap(list[last])) * unitBytes
+		list[last] = nil
+		s.class[k] = list[:last]
+	}
 }
 
 // Kernel describes one pack or unpack kernel launch. Units reference the
@@ -83,9 +149,8 @@ type Kernel struct {
 	Dst    mem.Buffer
 	Units  []Unit
 
-	// spent is Units' array once run() is done with it. For a record
-	// launched once it is the record's unitPool slot; a kept record
-	// holds on to it for its next launch instead.
+	// spent is Units' array once run() is done with it, kept by a kept
+	// record for its next launch; a record launched once shelves it.
 	spent []Unit
 
 	// The launch: its place on the stream and its completion (op), the
@@ -102,17 +167,19 @@ type Kernel struct {
 // Rearm readies k, a record its owner launches again and again, for its
 // next launch, and returns k.Units resized to n for the caller to fill.
 // The descriptor array is the record's own: it keeps its capacity from
-// launch to launch and stays out of the pool until Retire, so a warmed
+// launch to launch and stays off the shelf until Retire, so a warmed
 // record launches without allocating. A record's first array, and one
-// that has to grow, come from GetUnits. Rearm panics while the last
-// launch is in flight, and on a record last launched without Rearm (or
-// retired), whose array the pool already holds.
+// that has to grow, come from GetUnits (a grown record shelves its old
+// one). Rearm panics while the last launch is in flight, and on a record
+// last launched without Rearm (or retired), whose array the shelf
+// already holds.
 func (k *Kernel) Rearm(n int) []Unit {
 	if k.dev != nil && (!k.kept || !k.op.done.Done()) {
 		panic("gpu: kernel re-armed in flight or after a one-shot launch")
 	}
 	units := k.spent
 	if cap(units) < max(n, 1) {
+		putUnits(units)
 		units = GetUnits(n)
 	}
 	*k = Kernel{Units: units[:n], kept: true}
@@ -124,8 +191,8 @@ func (k *Kernel) Rearm(n int) []Unit {
 // re-armed.
 func (k *Kernel) Idle() bool { return k.dev == nil || k.op.done.Done() }
 
-// Retire hands the descriptor array of a kept record its owner is done
-// with for good back to the pool, so the next owner's first Rearm — in a
+// Retire shelves the descriptor array of a kept record its owner is done
+// with for good, so the next owner's first Rearm — in a
 // later simulation, say — finds it there. The record is spent afterwards:
 // re-arming or launching it panics. A record that was never launched, or
 // never kept, has nothing to hand back.
@@ -137,7 +204,8 @@ func (k *Kernel) Retire() {
 		panic("gpu: kernel retired in flight")
 	}
 	k.kept = false
-	unitPool.Put(&k.spent)
+	putUnits(k.spent)
+	k.spent = nil
 }
 
 // steps returns how far u's successive copies lie apart on the source
@@ -260,7 +328,7 @@ func (d *Device) enqueue(s *Stream, k *Kernel, label string, link *sim.Link, wir
 	}
 	useful, raw := d.cost(k)
 	k.dev, k.raw, k.rate, k.link, k.wire = d, raw, d.kernelRate(k), link, wire
-	k.op = streamOp{label: label, bytes: useful, kernel: k}
+	k.op = streamOp{label: label, bytes: useful, work: k}
 	return s.enqueue(&k.op)
 }
 
@@ -287,20 +355,33 @@ func (k *Kernel) exec(p *sim.Proc) {
 // Compute submits a memory-bound compute kernel (e.g. a reduction
 // combine) that touches raw bytes of DRAM traffic without moving data;
 // the caller performs any byte manipulation after awaiting the future.
+// The kernel is one record, its stream op embedded.
 func (d *Device) Compute(s *Stream, raw int64, blocks int) *sim.Future {
-	rate := d.kernelRawRate(d.availableBlocks(blocks))
-	return s.Submit("kernel.compute", func(p *sim.Proc) {
-		d.launchGate(p, raw)
-		d.chargeDRAM(p, raw, rate)
-		d.kernelsRun++
-	})
+	c := &computeOp{dev: d, raw: raw, rate: d.kernelRawRate(d.availableBlocks(blocks))}
+	c.op = streamOp{label: "kernel.compute", work: c}
+	return s.enqueue(&c.op)
+}
+
+// computeOp is a compute kernel on its stream: raw bytes of DRAM
+// traffic at rate.
+type computeOp struct {
+	op   streamOp
+	dev  *Device
+	raw  int64
+	rate float64
+}
+
+func (c *computeOp) exec(p *sim.Proc) {
+	c.dev.launchGate(p, c.raw)
+	c.dev.chargeDRAM(p, c.raw, c.rate)
+	c.dev.kernelsRun++
 }
 
 // run moves the bytes of every unit. Called at kernel completion time so
 // no process can observe partially written data earlier in virtual time.
 // Both windows are resolved once; a run is one strided loop, and each
 // copy is one slice expression per side, whose bounds check is what
-// keeps it inside its buffer. The descriptor array is recycled
+// keeps it inside its buffer. The descriptor array is shelved
 // afterwards (see GetUnits), or kept by a kept record (see Rearm).
 func (k *Kernel) run() {
 	src, dst := k.Src.Bytes(), k.Dst.Bytes()
@@ -323,6 +404,7 @@ func (k *Kernel) run() {
 	}
 	k.spent, k.Units = k.Units[:0], nil
 	if !k.kept {
-		unitPool.Put(&k.spent)
+		putUnits(k.spent)
+		k.spent = nil
 	}
 }

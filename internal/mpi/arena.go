@@ -50,13 +50,14 @@ const arenaBytes = 1 << 30
 // staging buffer.
 const stageAlign = 256
 
-// arena is a rank's pinned staging memory, its pools, its stage records
-// and — so that their arrays outlive the world too — the rank's
-// matching lists and request batches.
+// arena is a rank's pinned staging memory, its pools, its stage and
+// scratch records and — so that their arrays outlive the world too — the
+// rank's matching lists and request batches.
 type arena struct {
-	space  *mem.Space
-	pools  []pool   // the arena's own, then one per GPU of the node (Rank.pool)
-	stages []*stage // stage records not in use, without a buffer
+	space     *mem.Space
+	pools     []pool     // the arena's own, then one per GPU of the node (Rank.pool)
+	stages    []*stage   // stage records not in use, without a buffer
+	scratches []*scratch // scratch records not in use, naming no block
 
 	posted  []*recvReq // receives awaiting a matching arrival
 	unexp   []*rtsMsg  // unexpected arrivals awaiting a recv
@@ -131,7 +132,8 @@ func (m *Rank) pool(space *mem.Space) *pool {
 // pools' too, whose spaces closed with the world — is dropped and the
 // allocator restarts at address 0, and the matching lists are emptied
 // (a world closed mid-run may leave entries; a pooled batch is empty
-// already, and so is a pooled stage record, release).
+// already, and so is a pooled stage record, release, and a pooled
+// scratch record, giveScratch).
 func (a *arena) reset() {
 	a.space.Reset()
 	for i := range a.pools {

@@ -2,7 +2,6 @@ package mpi_test
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +21,7 @@ import (
 // daemon (sim.Server) is a field of the record it serves. The 64-rank
 // world takes 65 coroutines and the pair 3, from the carrier shelf once
 // an earlier world has left them there, so a world built after another
-// makes none; the 64-rank world costs 1 597 allocations: its links and
+// makes none; the 64-rank world costs 1 598 allocations: its links and
 // nodes, and its ranks' names, contexts and datatype engines. With a
 // coroutine per daemon and an engine per GPU per rank, they made 400 and
 // 11 847, and 8; with each daemon's Proc on the heap, 3 034; with a DEV
@@ -50,15 +49,8 @@ func TestWorldBuildCost(t *testing.T) {
 		}
 	}
 
-	// Under the race detector sync.Pool drops what it is given, and the
-	// slab pool a closed world's memory returns to is one (the carrier
-	// and record shelves are not).
-	var pool sync.Pool
-	for i, x := 0, new(int); i < 64; i++ {
-		pool.Put(x)
-		if pool.Get() == nil {
-			t.Skip("sync.Pool is dropping (-race): allocation counts are not exact")
-		}
+	if raceDetector {
+		t.Skip("the race build makes 28 more objects per 64-rank world (1 626, not 1 598): its instrumented string concatenation (core.New) and coroutine starts (iter.Pull)")
 	}
 	const maxAllocs = 1612
 	big := cluster.Scale(16, 4, 4, 2)

@@ -41,11 +41,13 @@ func (m *Rank) bcast(p *sim.Proc, tag int, buf mem.Buffer, dt *datatype.Datatype
 func (m *Rank) Allgather(buf mem.Buffer, dt *datatype.Datatype, count int) {
 	tag := m.tagBlock(m.allgatherTags())
 	if m.hierOn() && count > 0 && int64(count)*dt.Size() <= m.w.tun.eager {
-		counts, displs := make([]int, m.Size()), make([]int, m.Size())
+		s := m.takeScratch()
+		counts, displs := s.ints(0, m.Size()), s.ints(1, m.Size())
 		for r := range counts {
 			counts[r], displs[r] = count, r*count
 		}
 		m.hierAllgatherv(&m.proc, allgatherPhases, tag, buf, counts, displs, dt)
+		m.giveScratch(s)
 		return
 	}
 	m.ringAllgather(&m.proc, "Allgather", m.worldComm(), uniformView(buf, dt, count), tag)

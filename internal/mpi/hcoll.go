@@ -81,8 +81,10 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, ph phases, tag int, buf mem.Buffer, c
 
 	// Packed bytes and stage offset per rank block; node aggregates are
 	// contiguous in the stage because ranks are blocked onto nodes.
-	B := make([]int, size)
-	off := make([]int, size+1)
+	sc := m.takeScratch()
+	defer m.giveScratch(sc)
+	B, off := sc.ints(0, size), sc.ints(1, size+1)
+	off[0] = 0
 	for r := 0; r < size; r++ {
 		B[r] = counts[r] * int(dt.Size())
 		off[r+1] = off[r] + B[r]
@@ -91,8 +93,7 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, ph phases, tag int, buf mem.Buffer, c
 	if total == 0 {
 		return
 	}
-	nodeOff := make([]int, nnodes)
-	nodeBytes := make([]int, nnodes)
+	nodeOff, nodeBytes := sc.ints(2, nnodes), sc.ints(3, nnodes)
 	for nd := 0; nd < nnodes; nd++ {
 		nodeOff[nd] = off[nd*rpn]
 		nodeBytes[nd] = off[(nd+1)*rpn] - off[nd*rpn]
@@ -130,7 +131,7 @@ func (m *Rank) hierAllgatherv(p *sim.Proc, ph phases, tag int, buf mem.Buffer, c
 	// block is already there).
 	sp = p.BeginBytes(ph.intra, total)
 	m.bcastTree(p, ph.what, node, 0, stage.Slice(0, total), datatype.Byte, int(total), tagOut)
-	m.unpackBlocks(p, blocksOf(slots, size, off, m.rank), stage)
+	m.unpackBlocks(p, sc.blocksOf(slots, size, off, m.rank), stage)
 	sp.End()
 	m.give(stage)
 }
@@ -187,11 +188,11 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 
 	// Phase 2: pairwise exchange of per-node aggregates. Every node's
 	// traffic has the same layout, so one datatype describes them all.
+	views := m.w.alltoallViews(B)
 	nodeBlk := int64(rpn) * int64(rpn) * B
 	nodeSpan := int64(rpn-1)*P*B + int64(rpn)*B
-	nodeView := datatype.Hvector(rpn, int(int64(rpn)*B), P*B, datatype.Byte)
 	sendTo := func(d int) (mem.Buffer, *datatype.Datatype, int) {
-		return sendStage.Slice(int64(d)*int64(rpn)*B, nodeSpan), nodeView, 1
+		return sendStage.Slice(int64(d)*int64(rpn)*B, nodeSpan), views.node, 1
 	}
 	inbound := uniformView(recvStage, datatype.Byte, int(nodeBlk))
 	sp = p.BeginBytes("coll.alltoall.inter", nodeBlk*int64(nnodes-1))
@@ -201,9 +202,8 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	// Phase 3: hand each member its column of the receive stage, every
 	// column in flight at once while the leader copies its own.
 	colSpan := (P-1)*int64(rpn)*B + B
-	colView := datatype.Hvector(int(P), int(B), int64(rpn)*B, datatype.Byte)
 	col := func(di int) (mem.Buffer, *datatype.Datatype) {
-		return recvStage.Slice(int64(di)*B, colSpan), colView
+		return recvStage.Slice(int64(di)*B, colSpan), views.col
 	}
 	sp = p.BeginBytes("coll.alltoall.intra", B*P*int64(rpn))
 	b := m.batch(node)
@@ -218,6 +218,31 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 
 	m.give(recvStage)
 	m.give(sendStage)
+}
+
+// alltoallViews are hierAlltoall's two layouts for B packed bytes per
+// rank pair: the traffic of a node in the leader's send stage, and a
+// member's column of its receive stage.
+type alltoallViews struct{ node, col *datatype.Datatype }
+
+// alltoallViews returns the world's views for B bytes per pair, built
+// the first time a hierarchical Alltoall of that size runs. Both are
+// single-level Hvectors of Byte, which the vector kernel moves: which
+// call built them changes no cost.
+func (w *World) alltoallViews(B int64) alltoallViews {
+	if v, ok := w.a2aViews[B]; ok {
+		return v
+	}
+	rpn, P := int64(w.hier.rpn), int64(len(w.ranks))
+	v := alltoallViews{
+		node: datatype.Hvector(int(rpn), int(rpn*B), P*B, datatype.Byte),
+		col:  datatype.Hvector(int(P), int(B), rpn*B, datatype.Byte),
+	}
+	if w.a2aViews == nil {
+		w.a2aViews = make(map[int64]alltoallViews)
+	}
+	w.a2aViews[B] = v
+	return v
 }
 
 // hierReduce: binomial reduction to the leader within each node, then

@@ -237,6 +237,44 @@ func TestHierAlltoallMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestHierAlltoallViewsBuiltOnce: the leaders' two views of a
+// hierarchical Alltoall are built once per world for each block size, so
+// a second call on a warm 64-rank world builds no datatype: it finds the
+// two types the first call built (TestCollectiveAllocs pins the call at
+// zero objects), and a call of another block size adds its own pair.
+func TestHierAlltoallViewsBuiltOnce(t *testing.T) {
+	dt := shapes.SubMatrix(16, 8, 12)
+	w := NewWorld(blockedConfig(16, 4, false))
+	defer w.Close()
+	var first, second alltoallViews
+	var sizes int
+	w.Run(func(m *Rank) {
+		n := m.Size()
+		send, recv := m.Malloc(dt.Span(2*n)), m.Malloc(dt.Span(2*n))
+		m.Alltoall(send, dt, 1, recv, dt, 1)
+		m.Barrier()
+		if m.Rank() == 0 {
+			first = m.w.a2aViews[dt.Size()]
+		}
+		m.Alltoall(send, dt, 1, recv, dt, 1)
+		m.Barrier()
+		if m.Rank() == 0 {
+			second = m.w.a2aViews[dt.Size()]
+		}
+		m.Alltoall(send, dt, 2, recv, dt, 2)
+		m.Barrier()
+		if m.Rank() == 0 {
+			sizes = len(m.w.a2aViews)
+		}
+	})
+	if first.node == nil || first.col == nil || first != second {
+		t.Errorf("views after the first call %v, after the second %v: want the same two types", first, second)
+	}
+	if sizes != 2 {
+		t.Errorf("%d block sizes have views, want 2", sizes)
+	}
+}
+
 // TestHierAlltoallEmptyBlocks: blocks of an empty datatype carry no
 // bytes, so no side may wait for a message the other never sends.
 func TestHierAlltoallEmptyBlocks(t *testing.T) {

@@ -228,11 +228,47 @@ func (m *Rank) moveBlocks(p *sim.Proc, pack bool, blocks []core.Block, stage mem
 	}
 }
 
+// scratch is the index arrays and the block list of one collective
+// call, in a record the rank keeps, with their capacity, from call to
+// call and, on the arena's shelf, from world to world. Each call takes
+// its own (takeScratch) and gives it back when it returns, since an
+// Iallgatherv's progress process runs beside the rank's blocking calls.
+type scratch struct {
+	arrays [4][]int
+	blocks []core.Block
+}
+
+// takeScratch hands out one of the rank's scratch records, or a new one.
+func (m *Rank) takeScratch() *scratch {
+	if k := len(m.scratches) - 1; k >= 0 {
+		s := m.scratches[k]
+		m.scratches[k], m.scratches = nil, m.scratches[:k]
+		return s
+	}
+	return new(scratch)
+}
+
+// giveScratch takes back a record takeScratch handed out, its block list
+// cleared: no block of a closed world stays reachable from a shelved
+// arena.
+func (m *Rank) giveScratch(s *scratch) {
+	clear(s.blocks)
+	s.blocks = s.blocks[:0]
+	m.scratches = append(m.scratches, s)
+}
+
+// ints returns array i of the record with length n. Its entries are
+// stale: the caller assigns every one.
+func (s *scratch) ints(i, n int) []int {
+	s.arrays[i] = slices.Grow(s.arrays[i][:0], n)[:n]
+	return s.arrays[i]
+}
+
 // blocksOf lists blocks 0..n-1 of v for packBlocks or unpackBlocks, the
 // packed bytes of block i at pos[i] of the stage, leaving out block
-// skip.
-func blocksOf(v view, n int, pos []int, skip int) []core.Block {
-	blocks := make([]core.Block, 0, n)
+// skip, in the record's block list.
+func (s *scratch) blocksOf(v view, n int, pos []int, skip int) []core.Block {
+	blocks := slices.Grow(s.blocks[:0], n)
 	for i := 0; i < n; i++ {
 		if i == skip {
 			continue
@@ -241,5 +277,6 @@ func blocksOf(v view, n int, pos []int, skip int) []core.Block {
 			blocks = append(blocks, core.Block{Data: buf, Dt: dt, Count: count, Pos: int64(pos[i])})
 		}
 	}
+	s.blocks = blocks
 	return blocks
 }

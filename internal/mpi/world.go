@@ -69,6 +69,8 @@ type World struct {
 	wins   [][]mem.Buffer  // RMA window registry: wins[id][rank]
 	recs   records         // free lists of message records (records.go)
 
+	a2aViews map[int64]alltoallViews // hierAlltoall's, by bytes per pair
+
 	groupSeq int // next Group id; each group owns its own tag block
 }
 

@@ -210,8 +210,8 @@ type carrier struct {
 // coroutine. It holds at most max of them, the most carriers one engine
 // has taken, and only carriers whose process has returned (c.p == nil),
 // so it names nothing of an engine. A carrier moves between goroutines
-// freely; a mutex, not a sync.Pool, guards the shelf, since a pool may
-// drop a carrier and so leak its parked goroutine.
+// freely; a mutex guards the shelf, and nothing drops a carrier from it
+// (a garbage-collected pool would, and so leak its parked goroutine).
 var shelf struct {
 	sync.Mutex
 	idle []*carrier

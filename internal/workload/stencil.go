@@ -103,18 +103,30 @@ func cellFold(row, last uint64) uint64 { return mem.Mix64(row ^ last) }
 
 func cellWord(fold uint64, it int) uint64 { return mem.Mix64(fold ^ uint64(it)) }
 
+// stencilRank is what a rank of a stencil job keeps, one allocation:
+// its coordinates in the process grid (at most three dimensions), the
+// global torus extent per dimension, the index scratch of the fold, and
+// per dimension d the four faces it exchanges at nb[4d:4d+4] — its low
+// plane down and its high plane up, then its high halo from up and its
+// low halo from down.
+type stencilRank struct {
+	coords, total, idx [3]int
+	gidx               [3]uint64
+	nb                 [12]mpi.Neighbor
+}
+
 func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 	g := in.rc.Group
 	lr := g.LocalRank(m)
 	dims := in.cfg.Procs
 	box := in.cfg.Box
 	nd := len(dims)
+	st := new(stencilRank)
 
 	// My coordinates in the C-ordered process grid.
-	coords := make([]int, nd)
 	rem := lr
 	for d := nd - 1; d >= 0; d-- {
-		coords[d] = rem % dims[d]
+		st.coords[d] = rem % dims[d]
 		rem /= dims[d]
 	}
 	// neighbour returns the local rank offset by dir along dim d
@@ -122,7 +134,7 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 	neighbour := func(d, dir int) int {
 		n := 0
 		for dd := 0; dd < nd; dd++ {
-			c := coords[dd]
+			c := st.coords[dd]
 			if dd == d {
 				c = (c + dir + dims[dd]) % dims[dd]
 			}
@@ -132,28 +144,29 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 	}
 
 	padded := in.padded
-	total := make([]int, nd) // global torus extent per dim
-	cells := 1
+	last := nd - 1
+	cells, rows := 1, 1 // padded cells, interior rows
 	for d := range dims {
-		total[d] = dims[d] * box[d]
+		st.total[d] = dims[d] * box[d]
 		cells *= padded[d]
+		if d < last {
+			rows *= box[d]
+		}
 	}
 	buf := m.Malloc(int64(cells) * 8)
 
 	// global maps a padded-local index (0 = low halo) on dim d to the
 	// wrapped global coordinate.
 	global := func(d, local int) int {
-		return ((coords[d]*box[d] + local - 1) + total[d]) % total[d]
+		return ((st.coords[d]*box[d] + local - 1) + st.total[d]) % st.total[d]
 	}
 
 	// fold[c] is the cellFold of padded cell c (C order), the part of its
 	// generator value no step changes, built one innermost row at a time;
 	// inner lists the first interior cell of every interior row.
-	last := nd - 1
 	fold := make([]uint64, cells)
-	var inner []int
-	idx := make([]int, nd)
-	gidx := make([]uint64, nd)
+	inner := make([]int, 0, rows)
+	idx, gidx := st.idx[:nd], st.gidx[:nd]
 	for c := 0; c < cells; c += padded[last] {
 		interior := true
 		for d := 0; d < last; d++ {
@@ -177,14 +190,12 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 
 	// Dimension d exchanges the job's shared face types from and into
 	// this rank's box.
-	type exchange struct{ sends, recvs []mpi.Neighbor }
-	halo := make([]exchange, nd)
 	for d, f := range in.faces {
 		down, up := neighbour(d, -1), neighbour(d, +1)
-		halo[d] = exchange{
-			sends: []mpi.Neighbor{{Buf: buf, Dt: f.low, Count: 1, Peer: down}, {Buf: buf, Dt: f.high, Count: 1, Peer: up}},
-			recvs: []mpi.Neighbor{{Buf: buf, Dt: f.highHalo, Count: 1, Peer: up}, {Buf: buf, Dt: f.lowHalo, Count: 1, Peer: down}},
-		}
+		st.nb[4*d] = mpi.Neighbor{Buf: buf, Dt: f.low, Count: 1, Peer: down}
+		st.nb[4*d+1] = mpi.Neighbor{Buf: buf, Dt: f.high, Count: 1, Peer: up}
+		st.nb[4*d+2] = mpi.Neighbor{Buf: buf, Dt: f.highHalo, Count: 1, Peer: up}
+		st.nb[4*d+3] = mpi.Neighbor{Buf: buf, Dt: f.lowHalo, Count: 1, Peer: down}
 	}
 
 	dev := m.Engine().Device()
@@ -205,13 +216,13 @@ func (in *stencilInstance) Run(m *mpi.Rank) ([]byte, error) {
 		// high plane up, my high halo comes from up and my low halo from
 		// down, in one exchange per dimension. The dimensions stay in
 		// order: a face carries the halos already received.
-		for d, x := range halo {
+		for d := range in.faces {
 			f := &in.faces[d]
 			lo := m.Proc().BeginBytes("app.halo.face", f.low.Size())
 			lo.SetDetail(f.low.Name())
 			hi := m.Proc().BeginBytes("app.halo.face", f.high.Size())
 			hi.SetDetail(f.high.Name())
-			g.NeighborAlltoallw(m, x.sends, x.recvs)
+			g.NeighborAlltoallw(m, st.nb[4*d:4*d+2], st.nb[4*d+2:4*d+4])
 			hi.End()
 			lo.End()
 		}
