@@ -39,11 +39,9 @@ check-fast:
 # example builds. On top of that, only what `go test -race ./...` cannot
 # do: the exact allocation pins once more without it, since every pool
 # is a mutex-guarded shelf no collection empties and the pins hold under
-# -race too, but for the world-build count, which skips there (the race
-# build's instrumented code makes 28 more objects per world); the
-# 16384-rank smoke (skipped without GPUDDT_MEGA), a 10 s smoke of each
-# fuzz target, and the three report
-# sweeps run twice (chaosbench has one size, the others run -quick) —
+# -race too; the 16384-rank smoke (skipped without GPUDDT_MEGA), a 10 s
+# smoke of each fuzz target, and the three report sweeps run twice
+# (chaosbench has one size, the others run -quick) —
 # each pair of JSON reports must be byte-identical (a sweep is a pure
 # function of its inputs). Last, the census: no function under internal/
 # that no production entry point runs, unless CENSUS.txt lists it.
@@ -53,14 +51,14 @@ check-fast:
 # its heap passes 1 GiB (GOMEMLIMIT); under -race the slab pool keeps
 # 256 MiB (internal/mem/budget_race.go), and TestParallelMatchesSerial
 # shrinks.
-ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestStagingAllocatesNothing|TestSwitchReduceAllocatesNoPayload|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly|TestTransposeListIsRuns|TestCanonicalBuildCost|TestComputeAllocatesOneObject|TestCollectiveAllocs|TestStencilAllocsPerRank
+ALLOC_PINS = TestMessageAllocs|TestWorldBuildCost|TestNodesBuildInSlabs|TestFabricBuildsInSlabs|TestNameSetFormatsOnce|TestStagingAllocatesNothing|TestSwitchReduceAllocatesNoPayload|TestChannelIsDerived|TestWholeMessageCallsBorrowTheirWorker|TestHostCallsAllocateNothing|TestServerAllocatesNothing|TestFirstPackAllocatesItsListOnly|TestTransposeListIsRuns|TestCanonicalBuildCost|TestComputeAllocatesOneObject|TestCollectiveAllocs|TestStencilAllocsPerRank
 check-full:
 	$(GOFMT_GATE)
 	$(ORPHAN_GATE)
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOMEMLIMIT=1GiB $(GO) test -race -p 1 ./...
-	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core ./internal/sim ./internal/workload ./internal/gpu
+	$(GO) test -count=1 -run '^($(ALLOC_PINS))$$' ./internal/mpi ./internal/core ./internal/sim ./internal/workload ./internal/gpu ./internal/pcie ./internal/ib
 	GPUDDT_MEGA=1 $(GO) test ./internal/bench -run TestMegaSmoke16k -v
 	@set -e; targets=$$($(FUZZ_TARGETS)); \
 	echo "$$targets" | while read pkg f; do \

@@ -22,7 +22,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"gpuddt/internal/cuda"
 	"gpuddt/internal/datatype"
@@ -122,7 +121,8 @@ type Engine struct {
 	stream gpu.Stream  // pack and unpack kernels
 	app    *gpu.Stream // the application's kernels, made by the first Stream call
 	opts   Options
-	idle   []*borrowed // workers between two calls that borrow them
+	idle   []*borrowed  // workers between two calls that borrow them
+	idle1  [1]*borrowed // idle's array while one is enough
 
 	// cache is the DEV cache (§3.2): each converted unit list, kept
 	// once and never evicted. It is the engine's own — a hit skips
@@ -135,10 +135,21 @@ type Engine struct {
 	cacheHits int64
 }
 
+// streamNames are an engine's two streams, by device id.
+var streamNames = sim.NewNameSet([]string{"gpu"}, ".ddt", ".app")
+
 // New creates an engine for GPU devID of the context's node. Pack and
 // unpack kernels run on a stream of the engine's own, so they overlap
 // with kernels and copies the application issues on other streams.
 func New(ctx *cuda.Ctx, devID int, opts Options) *Engine {
+	e := new(Engine)
+	e.Init(ctx, devID, opts)
+	return e
+}
+
+// Init makes e, a field of a larger record, the engine New would
+// return. e must not be copied afterwards.
+func (e *Engine) Init(ctx *cuda.Ctx, devID int, opts Options) {
 	def := DefaultOptions()
 	if opts.UnitSize == 0 {
 		opts.UnitSize = def.UnitSize
@@ -150,9 +161,9 @@ func New(ctx *cuda.Ctx, devID int, opts Options) *Engine {
 		opts.ChunkBytes = def.ChunkBytes
 	}
 	dev := ctx.Node().GPU(devID)
-	e := &Engine{ctx: ctx, dev: dev, opts: opts}
-	e.stream.Init(dev, "gpu"+strconv.Itoa(devID)+".ddt")
-	return e
+	*e = Engine{ctx: ctx, dev: dev, opts: opts}
+	e.idle = e.idle1[:0]
+	e.stream.Init(dev, streamNames.Of(devID)[0])
 }
 
 // Device returns the engine's GPU.
@@ -164,7 +175,7 @@ func (e *Engine) Device() *gpu.Device { return e.dev }
 func (e *Engine) Stream() *gpu.Stream {
 	if e.app == nil {
 		e.app = new(gpu.Stream)
-		e.app.Init(e.dev, "gpu"+strconv.Itoa(e.dev.ID())+".app")
+		e.app.Init(e.dev, streamNames.Of(e.dev.ID())[1])
 	}
 	return e.app
 }

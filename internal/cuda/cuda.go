@@ -20,7 +20,7 @@ import (
 // Ctx is a per-process CUDA context.
 type Ctx struct {
 	node *pcie.Node
-	ipc  map[ipcKey]bool // handles already mapped (cost paid)
+	ipc  map[ipcKey]bool // handles already mapped (cost paid), made on the first
 }
 
 type ipcKey struct {
@@ -30,8 +30,14 @@ type ipcKey struct {
 
 // NewCtx creates a context on the given node.
 func NewCtx(node *pcie.Node) *Ctx {
-	return &Ctx{node: node, ipc: make(map[ipcKey]bool)}
+	c := new(Ctx)
+	c.Init(node)
+	return c
 }
+
+// Init makes c, a field of a larger record, the context NewCtx would
+// return.
+func (c *Ctx) Init(node *pcie.Node) { *c = Ctx{node: node} }
 
 // Node returns the node the context lives on.
 func (c *Ctx) Node() *pcie.Node { return c.node }
@@ -263,6 +269,9 @@ func (c *Ctx) IpcOpenMemHandle(p *sim.Proc, h IpcHandle) (mem.Buffer, error) {
 		sp := p.BeginBytes("ipc.open", h.Len)
 		p.Sleep(c.node.Params().IPCMapCost)
 		sp.End()
+		if c.ipc == nil {
+			c.ipc = make(map[ipcKey]bool)
+		}
 		c.ipc[key] = true
 	} else {
 		p.Count("ipc.map.hit", 1)

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"strconv"
 
 	"gpuddt/internal/fault"
 	"gpuddt/internal/mem"
@@ -16,7 +15,7 @@ type Device struct {
 	eng  *sim.Engine
 	id   int
 	p    Params
-	mem  *mem.Space
+	mem  mem.Space
 	dram *sim.Resource
 
 	// H2D and D2H are the PCIe copy-engine links toward host memory,
@@ -31,22 +30,20 @@ type Device struct {
 	kernelsRun int64
 }
 
-// NewDevice creates a GPU with the given calibration profile. It panics
-// unless WarpBytes is a power of two: the kernel cost model rounds and
-// tests alignment with masks.
-func NewDevice(eng *sim.Engine, id int, p Params) *Device {
+// deviceNames are a device's memory space and DRAM port, by device id.
+var deviceNames = sim.NewNameSet([]string{"gpu"}, "", ".dram")
+
+// Init makes d, an element of a larger array (a node's GPUs), a GPU
+// with the given calibration profile. It panics unless WarpBytes is a
+// power of two: the kernel cost model rounds and tests alignment with
+// masks.
+func (d *Device) Init(eng *sim.Engine, id int, p Params) {
 	if p.WarpBytes <= 0 || p.WarpBytes&(p.WarpBytes-1) != 0 {
 		panic(fmt.Sprintf("gpu: WarpBytes %d is not a power of two", p.WarpBytes))
 	}
-	var names [2]string
-	sim.Names(names[:], "gpu"+strconv.Itoa(id), "", ".dram")
-	return &Device{
-		eng:  eng,
-		id:   id,
-		p:    p,
-		mem:  mem.NewSpace(names[0], mem.Device, p.MemBytes),
-		dram: eng.NewResource(names[1], 1),
-	}
+	names := deviceNames.Of(id)
+	*d = Device{eng: eng, id: id, p: p, dram: eng.NewResource(names[1], 1)}
+	d.mem.Init(names[0], mem.Device, p.MemBytes)
 }
 
 // ID returns the device index within its node.
@@ -56,7 +53,7 @@ func (d *Device) ID() int { return d.id }
 func (d *Device) Params() Params { return d.p }
 
 // Mem returns the device memory space.
-func (d *Device) Mem() *mem.Space { return d.mem }
+func (d *Device) Mem() *mem.Space { return &d.mem }
 
 // Release recycles the device memory's backing storage (see
 // mem.Space.Release). The device must not be used afterwards.

@@ -12,6 +12,13 @@ import (
 	"gpuddt/internal/sim"
 )
 
+// NewDevice returns a GPU alone, as Device.Init makes one in place.
+func NewDevice(eng *sim.Engine, id int, p Params) *Device {
+	d := new(Device)
+	d.Init(eng, id, p)
+	return d
+}
+
 func newDev(t *testing.T) (*sim.Engine, *Device) {
 	t.Helper()
 	e := sim.NewEngine()

@@ -225,7 +225,7 @@ func (k *Kernel) steps(u *Unit) (src, dst int64) {
 // is priced in closed form: its copies share Len and Partial, and their
 // alignment repeats with the period misaligned finds. The caller derates
 // raw by the kernel kind's efficiency. WarpBytes is a power of two
-// (NewDevice checks), so rounding and alignment are masks.
+// (Device.Init checks), so rounding and alignment are masks.
 func (d *Device) cost(k *Kernel) (useful, raw int64) {
 	mask := d.p.WarpBytes - 1
 	dev := k.Kind == DEVKernel

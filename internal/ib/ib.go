@@ -7,7 +7,7 @@
 package ib
 
 import (
-	"strconv"
+	"slices"
 
 	"gpuddt/internal/fault"
 	"gpuddt/internal/mem"
@@ -109,19 +109,37 @@ type Fabric struct {
 	leaves []*leafSwitch
 	faults *fault.Injector
 	sharp  []*sharpOp // in-network reductions, in flight or finished (sharp.go)
+
+	// What Reserve set aside for Attach: HCAs, their tables of paths
+	// (pathsLen long) and pinned spaces (pinsLen), and leaf switches
+	// with their uplinks.
+	hcaSlab  sim.Slab[HCA]
+	pathSlab sim.Slab[*sim.Path]
+	pinSlab  sim.Slab[*mem.Space]
+	leafSlab sim.Slab[leafSwitch]
+	uplinks  sim.Slab[*sim.Link]
+
+	pathsLen, pinsLen int
+
+	// delays holds the messages on the wire toward every HCA's inbox.
+	delays sim.DelayTable[Msg]
 }
 
 // leafSwitch holds one leaf's shared uplink servers: up[s] carries
 // leaf→spine s traffic, down[s] spine s→leaf. Flows between HCAs on the
 // same leaf never touch them (the leaf crossbar is non-blocking).
 type leafSwitch struct {
-	name     string // "leaf<i>"
+	id       int
 	up, down []*sim.Link
-
-	// The names of its reduction processes, made on its first
-	// reduction (sharp.go).
-	sharpUp, sharpDown string
 }
+
+// The names of an HCA's links and inbox, by node id, and of a leaf's
+// links, by leaf and spine id.
+var (
+	hcaNames  = sim.NewNameSet([]string{"ib"}, ".tx", ".rx", ".inbox")
+	upNames   = sim.NewNameSet([]string{"leaf", ".up"}, "")
+	downNames = sim.NewNameSet([]string{"leaf", ".down"}, "")
+)
 
 // SetFaults installs a fault injector on the fabric. A nil injector
 // (the default) makes every operation infallible, as before.
@@ -189,17 +207,38 @@ func (f *Fabric) Leaves() int { return len(f.leaves) }
 func (f *Fabric) ensureLeaf(i int) {
 	t := f.params.Topo
 	for len(f.leaves) <= i {
-		prefix := "leaf" + strconv.Itoa(len(f.leaves))
-		ls := &leafSwitch{name: prefix}
-		for s := 0; s < t.Spines; s++ {
-			var names [2]string
-			spine := strconv.Itoa(s)
-			sim.Names(names[:], prefix, ".up"+spine, ".down"+spine)
-			ls.up = append(ls.up, f.eng.NewLink(names[0], t.UplinkGBps, t.HopLatency))
-			ls.down = append(ls.down, f.eng.NewLink(names[1], t.UplinkGBps, t.HopLatency))
+		ls := f.leafSlab.Take()
+		ls.id = len(f.leaves)
+		ls.up, ls.down = f.uplinks.TakeN(t.Spines), f.uplinks.TakeN(t.Spines)
+		for s := range t.Spines {
+			ls.up[s] = f.eng.NewLink(upNames.Of(ls.id, s)[0], t.UplinkGBps, t.HopLatency)
+			ls.down[s] = f.eng.NewLink(downNames.Of(ls.id, s)[0], t.UplinkGBps, t.HopLatency)
 		}
 		f.leaves = append(f.leaves, ls)
 	}
+}
+
+// leavesFor returns how many leaf switches n HCAs cable to.
+func (t Topology) leavesFor(n int) int {
+	if !t.Hierarchical() {
+		return 0
+	}
+	return (n + t.LeafRadix - 1) / t.LeafRadix
+}
+
+// Capacity counts what nodes HCAs attached to a fabric of params p build
+// on its engine (see sim.Engine.Reserve): their port links, the leaf
+// uplinks, and a path from each to every other, over two hops on one
+// leaf and four across the spines.
+func (p Params) Capacity(nodes int) sim.Capacity {
+	t := p.WithDefaults().Topo
+	c := sim.Capacity{Links: 2*nodes + 2*t.Spines*t.leavesFor(nodes), Paths: nodes * (nodes - 1)}
+	c.Hops = 2 * c.Paths
+	if r := t.LeafRadix; r > 0 {
+		full, rest := nodes/r, nodes%r
+		c.Hops += 2 * (c.Paths - full*r*(r-1) - rest*(rest-1))
+	}
+	return c
 }
 
 // HCA is one node's host channel adapter.
@@ -210,34 +249,56 @@ type HCA struct {
 	tx    *sim.Link
 	rx    *sim.Link
 	inbox sim.Server[Msg]
-	regs  map[regKey]bool
-	index int         // attach order on the fabric
-	paths []*sim.Path // pathTo's results, by the peer's index
-	sharp string      // process name of a reduction result's last hop
+	pins  []*mem.Space    // spaces pinned whole (Pin)
+	regs  map[regKey]bool // regions registered one by one, made on the first
+	index int             // attach order on the fabric
+	paths []*sim.Path     // pathTo's results, by the peer's index
 }
 
 type regKey struct {
 	space *mem.Space
-	addr  int64 // wholeSpace: the space is pinned (HCA.Pin)
+	addr  int64
 }
 
-// wholeSpace is the regKey address of a pinned space.
-const wholeSpace = -1
+// Reserve sets aside what the next nodes HCAs Attach builds take: one
+// array of HCAs, one of their tables of paths, sized to reach every HCA
+// of the fabric they make, one of room for a pinned space per GPU of
+// ngpus (Pin), and one each of the leaf switches they cable to and of
+// the switches' uplinks. It sizes the table of messages on the wire,
+// which every inbox shares, for one message from each GPU of the fabric.
+func (f *Fabric) Reserve(nodes, ngpus int) {
+	n := len(f.hcas) + nodes
+	f.delays.Reserve(n * ngpus)
+	f.hcas = append(make([]*HCA, 0, n), f.hcas...)
+	f.hcaSlab.Reserve(nodes)
+	f.pathsLen, f.pinsLen = n, ngpus
+	f.pathSlab.Reserve(nodes * n)
+	f.pinSlab.Reserve(nodes * ngpus)
+	if leaves := f.params.Topo.leavesFor(n) - len(f.leaves); leaves > 0 {
+		f.leaves = append(make([]*leafSwitch, 0, len(f.leaves)+leaves), f.leaves...)
+		f.leafSlab.Reserve(leaves)
+		f.uplinks.Reserve(2 * f.params.Topo.Spines * leaves)
+	}
+}
 
 // Attach creates an HCA on node and joins it to the fabric, cabling it
 // to the next free leaf port (attach order) on a hierarchical fabric.
+// The HCA and its tables come from what Reserve set aside while it
+// lasts; without it, its tables grow on first use.
 func (f *Fabric) Attach(node *pcie.Node) *HCA {
-	var names [3]string
-	sim.Names(names[:], "ib"+strconv.Itoa(node.ID()), ".tx", ".rx", ".inbox")
-	h := &HCA{
+	names := hcaNames.Of(node.ID())
+	h := f.hcaSlab.Take()
+	*h = HCA{
 		f:     f,
 		node:  node,
 		tx:    f.eng.NewLink(names[0], f.params.WireGBps, f.params.Latency/2),
 		rx:    f.eng.NewLink(names[1], f.params.WireGBps, f.params.Latency/2),
-		regs:  make(map[regKey]bool),
+		pins:  f.pinSlab.TakeN(f.pinsLen)[:0],
 		index: len(f.hcas),
+		paths: f.pathSlab.TakeN(f.pathsLen),
 	}
 	h.inbox.Mailbox.Init(f.eng, names[2])
+	h.inbox.UseDelays(&f.delays)
 	if f.params.Topo.Hierarchical() {
 		h.leaf = h.index / f.params.Topo.LeafRadix
 		f.ensureLeaf(h.leaf)
@@ -271,7 +332,7 @@ type Handler interface {
 // outside virtual time, as an MPI library's memory pool registers its
 // free lists at init: Register then hits on every buffer inside s. A
 // pinned region is never evicted, so such a hit rolls no fault.
-func (h *HCA) Pin(s *mem.Space) { h.regs[regKey{space: s, addr: wholeSpace}] = true }
+func (h *HCA) Pin(s *mem.Space) { h.pins = append(h.pins, s) }
 
 // Register pins a memory region with the HCA, charging the registration
 // cost on first use of the region (cached afterwards). A fault plan can
@@ -279,7 +340,7 @@ func (h *HCA) Pin(s *mem.Space) { h.regs[regKey{space: s, addr: wholeSpace}] = t
 // (an eviction storm — a latency fault, never an error). A buffer in a
 // pinned space (Pin) is a hit and nothing else.
 func (h *HCA) Register(p *sim.Proc, b mem.Buffer) error {
-	if h.regs[regKey{space: b.Space(), addr: wholeSpace}] {
+	if slices.Contains(h.pins, b.Space()) {
 		p.Count("ib.reg.hit", 1)
 		return nil
 	}
@@ -298,6 +359,9 @@ func (h *HCA) Register(p *sim.Proc, b mem.Buffer) error {
 	sp := p.BeginBytes("ib.register", b.Len())
 	p.Sleep(h.f.params.RegCost)
 	sp.End()
+	if h.regs == nil {
+		h.regs = make(map[regKey]bool)
+	}
 	h.regs[key] = true
 	return nil
 }

@@ -327,3 +327,45 @@ func (h *HCA) Node() *pcie.Node { return h.node }
 
 // Leaf returns the index of the leaf switch the HCA is cabled to.
 func (h *HCA) Leaf() int { return h.leaf }
+
+// TestFabricBuildsInSlabs pins what an HCA costs attached with its
+// world: after Reserve, Attach takes the HCA, its table of paths, its
+// room for pinned spaces and its leaf switch from one array of each
+// kind, and on an engine that reserved the fabric's Capacity its links
+// and every path come from the engine's slabs, so a fat tree of 16
+// nodes costs what one of 4 does: the engine, its three slabs (a fabric
+// has no resource) and its list of links, the fabric, its list of HCAs
+// and of leaves, and Reserve's seven arrays (the HCAs, their paths and
+// pins, the leaves, their uplinks, and the two of the table of messages
+// on the wire). Built one object at a time, with their names made anew,
+// the 4 nodes' HCAs and paths cost 75 and the 16 nodes' 657.
+func TestFabricBuildsInSlabs(t *testing.T) {
+	const want = 15
+	p := DefaultParams()
+	p.Topo = FatTree(4, 2)
+	for _, count := range []int{4, 16} {
+		nodes := pcie.NewNodes(sim.NewEngine(), count, 1, gpu.KeplerK40(), pcie.DefaultParams(), func(*pcie.Node) {})
+		hs := make([]*HCA, count)
+		build := func() {
+			e := sim.NewEngine()
+			e.Reserve(p.Capacity(count))
+			f := NewFabric(e, p)
+			f.Reserve(count, 1)
+			for i := range nodes {
+				hs[i] = f.Attach(&nodes[i])
+				hs[i].Pin(nodes[i].Host())
+			}
+			for _, a := range hs {
+				for _, b := range hs {
+					if a != b {
+						a.pathTo(b)
+					}
+				}
+			}
+		}
+		build() // the names, once per process
+		if got := testing.AllocsPerRun(5, build); got != want {
+			t.Errorf("%d nodes with every path: %.0f allocations, want %d", count, got, want)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package ib
 
 import (
-	"strconv"
-
 	"gpuddt/internal/mem"
 	"gpuddt/internal/sim"
 )
@@ -182,7 +180,7 @@ func (op *sharpOp) finish(p *sim.Proc) {
 		for i := range op.leaves {
 			l := &op.leaves[i]
 			l.upDone.Init(op.f.eng)
-			name, _ := l.ls.sharpNames()
+			name := sharpUpNames.Of(l.ls.id)[0]
 			op.f.eng.Start(&l.up, name, (*sharpUp)(l))
 		}
 		for i := range op.leaves {
@@ -210,7 +208,7 @@ func (op *sharpOp) finish(p *sim.Proc) {
 	// downlink is charged once however many members hang off the leaf.
 	for i := range op.leaves {
 		l := &op.leaves[i]
-		_, name := l.ls.sharpNames()
+		name := sharpDownNames.Of(l.ls.id)[0]
 		op.f.eng.Start(&l.down, name, (*sharpDown)(l))
 	}
 }
@@ -236,7 +234,7 @@ func (d *sharpDown) Run(p *sim.Proc) {
 	}
 	for _, i := range op.order[d.lo:d.hi] {
 		port := &op.ports[i]
-		op.f.eng.Start(&port.proc, op.members[i].sharpName(), port)
+		op.f.eng.Start(&port.proc, sharpPortNames.Of(op.members[i].node.ID())[0], port)
 	}
 }
 
@@ -245,19 +243,10 @@ func (port *sharpPort) Run(p *sim.Proc) {
 	port.done.Complete(nil)
 }
 
-// sharpNames returns the names of the leaf's reduction processes.
-func (ls *leafSwitch) sharpNames() (up, down string) {
-	if ls.sharpUp == "" {
-		ls.sharpUp, ls.sharpDown = "sharp.up."+ls.name, "sharp.down."+ls.name
-	}
-	return ls.sharpUp, ls.sharpDown
-}
-
-// sharpName is the process name of the result's hop down h's port,
-// made on h's first reduction.
-func (h *HCA) sharpName() string {
-	if h.sharp == "" {
-		h.sharp = "sharp.down.ib" + strconv.Itoa(h.node.ID())
-	}
-	return h.sharp
-}
+// The names of a leaf's two reduction processes, by leaf id, and of the
+// result's hop down an HCA's port, by node id.
+var (
+	sharpUpNames   = sim.NewNameSet([]string{"sharp.up.leaf"}, "")
+	sharpDownNames = sim.NewNameSet([]string{"sharp.down.leaf"}, "")
+	sharpPortNames = sim.NewNameSet([]string{"sharp.down.ib"}, "")
+)

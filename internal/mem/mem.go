@@ -52,7 +52,15 @@ const spaceMaxRetired = 4
 
 // NewSpace creates a space of the given size in bytes.
 func NewSpace(name string, kind Kind, size int64) *Space {
-	return &Space{name: name, kind: kind, size: size}
+	s := new(Space)
+	s.Init(name, kind, size)
+	return s
+}
+
+// Init makes s, a field of a larger record, an empty space of the given
+// size in bytes, as NewSpace makes a new one.
+func (s *Space) Init(name string, kind Kind, size int64) {
+	*s = Space{name: name, kind: kind, size: size}
 }
 
 // ensure grows the backing array to cover [0, n). Backing arrays come

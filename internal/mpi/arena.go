@@ -106,6 +106,13 @@ func (m *Rank) give(b mem.Buffer) {
 	for len(pl.free) <= c {
 		pl.free = append(pl.free, nil)
 	}
+	if f := pl.free[c]; len(f) == cap(f) {
+		// A class outgrows its list when a rank holds more of its
+		// buffers at once than before: make room for one more per rank
+		// the first time, so a drifting exchange finds no new peak, and
+		// double after.
+		pl.free[c] = append(make([]int64, 0, len(f)+max(len(f), m.Size())), f...)
+	}
 	pl.free[c] = append(pl.free[c], b.Addr())
 }
 

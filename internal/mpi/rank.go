@@ -1,9 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-	"strconv"
-
 	"gpuddt/internal/core"
 	"gpuddt/internal/cuda"
 	"gpuddt/internal/datatype"
@@ -25,10 +22,11 @@ type Rank struct {
 	w     *World
 	rank  int
 	place Placement
-	ctx   *cuda.Ctx
-	engs  []*core.Engine
-	proc  sim.Proc // the rank's main process, started by World.Run
-	main  rankMain // its body
+	ctx   cuda.Ctx
+	eng   core.Engine    // the datatype engine of the rank's own GPU
+	engs  []*core.Engine // by GPU: eng, and a peer GPU's once used
+	proc  sim.Proc       // the rank's main process, started by World.Run
+	main  rankMain       // its body
 
 	inbox  sim.Server[ib.Msg] // active messages, executed in order
 	*arena                    // pinned staging, its pools and the matching lists (arena.go)
@@ -46,49 +44,51 @@ type Rank struct {
 
 // procNames holds the names of the rank's processes and mailboxes — its
 // main process, its daemons and the helpers it creates per message or
-// per fragment — formatted once, as substrings of one string.
+// per fragment — from the process-wide name table.
 type procNames struct {
 	main, barrier, progress                    string
 	ack, sendpipe, sendcmds, ibpack, eagerRecv string
-
-	recv []string // "rankR.recv.SRC" by source, filled on first use
 }
+
+// The names of a rank's processes and mailboxes, by rank, and of the
+// process receiving a rendezvous message, by rank and source.
+var (
+	rankNames = sim.NewNameSet([]string{"rank"}, "", ".barrier", ".progress",
+		".ack", ".sendpipe", ".sendcmds", ".ibpack", ".eagerRecv")
+	recvNames = sim.NewNameSet([]string{"rank", ".recv."}, "")
+)
 
 // recvName returns the name of the process receiving a rendezvous
 // message from src.
-func (m *Rank) recvName(src int) string {
-	if m.names.recv == nil {
-		m.names.recv = make([]string, m.w.Size())
-	}
-	if m.names.recv[src] == "" {
-		m.names.recv[src] = fmt.Sprintf("rank%d.recv.%d", m.rank, src)
-	}
-	return m.names.recv[src]
-}
+func (m *Rank) recvName(src int) string { return recvNames.Of(m.rank, src)[0] }
 
-func newRank(w *World, r int, pl Placement) *Rank {
-	node := w.nodes[pl.Node]
-	var n [8]string
-	sim.Names(n[:], "rank"+strconv.Itoa(r), "", ".barrier", ".progress",
-		".ack", ".sendpipe", ".sendcmds", ".ibpack", ".eagerRecv")
-	rk := &Rank{
+// init makes rk rank r of w at pl, with engs (one slot per GPU of its
+// node) for its datatype engines.
+func (rk *Rank) init(w *World, r int, pl Placement, engs []*core.Engine) {
+	n := rankNames.Of(r)
+	*rk = Rank{
 		w:     w,
 		rank:  r,
 		place: pl,
-		ctx:   cuda.NewCtx(node),
+		engs:  engs,
 		arena: takeArena(),
 		names: procNames{
 			main: n[0], barrier: n[1], progress: n[2],
 			ack: n[3], sendpipe: n[4], sendcmds: n[5], ibpack: n[6], eagerRecv: n[7],
 		},
 	}
+	// Room for an unexpected arrival from every rank; an arena off the
+	// shelf has it already.
+	if size := len(w.cfg.Ranks); cap(rk.unexp) < size {
+		rk.unexp = make([]*rtsMsg, 0, size)
+	}
+	rk.ctx.Init(&w.nodes[pl.Node])
 	w.hcas[pl.Node].Pin(rk.arena.space)
 	rk.barrierBox.Init(w.eng, rk.names.barrier)
-	rk.engs = make([]*core.Engine, node.NumGPUs())
-	rk.engs[pl.GPU] = core.New(rk.ctx, pl.GPU, w.cfg.Engine)
+	rk.eng.Init(&rk.ctx, pl.GPU, w.cfg.Engine)
+	rk.engs[pl.GPU] = &rk.eng
 	// The progress server executes incoming active messages in order.
 	rk.inbox.Init(w.eng, rk.names.progress, runAM)
-	return rk
 }
 
 // rankMain is a rank's main process body: the function World.Run was
@@ -130,7 +130,7 @@ func (m *Rank) Proc() *sim.Proc { return &m.proc }
 func (m *Rank) Now() sim.Time { return m.proc.Now() }
 
 // Ctx returns the rank's CUDA context.
-func (m *Rank) Ctx() *cuda.Ctx { return m.ctx }
+func (m *Rank) Ctx() *cuda.Ctx { return &m.ctx }
 
 // EngineFor returns the datatype engine that moves the bytes of buf.
 // For device memory it is the engine of the GPU that owns buf: the
@@ -143,7 +143,7 @@ func (m *Rank) EngineFor(buf mem.Buffer) *core.Engine {
 	}
 	dev := m.ctx.Node().DeviceOf(buf.Space())
 	if m.engs[dev] == nil {
-		m.engs[dev] = core.New(m.ctx, dev, m.w.cfg.Engine)
+		m.engs[dev] = core.New(&m.ctx, dev, m.w.cfg.Engine)
 	}
 	return m.engs[dev]
 }

@@ -60,7 +60,7 @@ type World struct {
 	eng    *sim.Engine
 	cfg    Config
 	tun    resolvedTuning // effective knobs; see resolveTuning
-	nodes  []*pcie.Node
+	nodes  []pcie.Node
 	fabric *ib.Fabric
 	hcas   []*ib.HCA
 	ranks  []*Rank
@@ -149,29 +149,38 @@ func NewWorld(cfg Config) *World {
 		}
 	}
 	w := &World{eng: sim.NewEngine(), cfg: cfg}
+	w.eng.Reserve(pcie.Capacity(cfg.Nodes, cfg.GPUsPerNode).Plus(cfg.IB.Capacity(cfg.Nodes)))
 	w.recs.eager.shelf, w.recs.recv.shelf = &eagerShelf, &recvShelf
 	w.tun = resolveTuning(cfg.Tuning)
 	w.hier = detectHierarchy(cfg.Ranks)
 	w.faults = fault.NewInjector(cfg.Faults)
 	w.fabric = ib.NewFabric(w.eng, cfg.IB)
 	w.fabric.SetFaults(w.faults)
-	for n := 0; n < cfg.Nodes; n++ {
-		node := pcie.NewNode(w.eng, n, cfg.GPUsPerNode, cfg.GPU, cfg.PCIe)
+	w.fabric.Reserve(cfg.Nodes, cfg.GPUsPerNode)
+	w.hcas = make([]*ib.HCA, 0, cfg.Nodes)
+	w.nodes = pcie.NewNodes(w.eng, cfg.Nodes, cfg.GPUsPerNode, cfg.GPU, cfg.PCIe, func(node *pcie.Node) {
 		node.SetFaults(w.faults)
-		w.nodes = append(w.nodes, node)
 		w.hcas = append(w.hcas, w.fabric.Attach(node))
-	}
+	})
+	ranks := make([]Rank, len(cfg.Ranks))
+	w.ranks = make([]*Rank, len(ranks))
+	var engs sim.Slab[*core.Engine]
+	engs.Reserve(len(ranks) * cfg.GPUsPerNode)
 	for r, pl := range cfg.Ranks {
-		w.ranks = append(w.ranks, newRank(w, r, pl))
+		w.ranks[r] = &ranks[r]
+		ranks[r].init(w, r, pl, engs.TakeN(cfg.GPUsPerNode))
 	}
 	// Per-node routers deliver HCA arrivals to the addressed rank's
 	// active-message inbox.
 	route := func(p *sim.Proc, m ib.Msg) { w.ranks[m.Dst].inbox.Put(m) }
 	for n, hca := range w.hcas {
-		hca.Inbox().Init(w.eng, fmt.Sprintf("node%d.ibrouter", n), route)
+		hca.Inbox().Init(w.eng, routerNames.Of(n)[0], route)
 	}
 	return w
 }
+
+// routerNames are a node's router, by node id.
+var routerNames = sim.NewNameSet([]string{"node"}, ".ibrouter")
 
 // Engine returns the simulation engine.
 func (w *World) Engine() *sim.Engine { return w.eng }
@@ -202,8 +211,8 @@ func (w *World) Close() {
 	w.recs.eager.pour()
 	w.recs.recv.pour()
 	shelveArenas(w.ranks)
-	for _, n := range w.nodes {
-		n.Release()
+	for i := range w.nodes {
+		w.nodes[i].Release()
 	}
 }
 
@@ -219,8 +228,8 @@ func (w *World) Close() {
 // pool.
 func (w *World) FootprintBytes() int64 {
 	var total int64
-	for _, n := range w.nodes {
-		total += n.FootprintBytes()
+	for i := range w.nodes {
+		total += w.nodes[i].FootprintBytes()
 	}
 	for _, r := range w.ranks {
 		total += r.space.UsedBacking()
@@ -232,7 +241,7 @@ func (w *World) FootprintBytes() int64 {
 func (w *World) Size() int { return len(w.ranks) }
 
 // Node returns node n.
-func (w *World) Node(n int) *pcie.Node { return w.nodes[n] }
+func (w *World) Node(n int) *pcie.Node { return &w.nodes[n] }
 
 // Run executes fn once per rank (as concurrent simulated processes) and
 // drives the simulation to completion.

@@ -15,8 +15,6 @@
 package pcie
 
 import (
-	"strconv"
-
 	"gpuddt/internal/fault"
 	"gpuddt/internal/gpu"
 	"gpuddt/internal/mem"
@@ -68,9 +66,9 @@ type Node struct {
 	eng    *sim.Engine
 	id     int
 	params Params
-	host   *mem.Space
+	host   mem.Space
 	bus    *sim.Link
-	gpus   []*gpu.Device
+	gpus   []gpu.Device
 	faults *fault.Injector
 
 	rootTx, rootRx *sim.Link
@@ -86,46 +84,96 @@ type Node struct {
 // A nil injector (the default) keeps all operations infallible.
 func (n *Node) SetFaults(in *fault.Injector) {
 	n.faults = in
-	for _, d := range n.gpus {
-		d.SetFaults(in)
+	for i := range n.gpus {
+		n.gpus[i].SetFaults(in)
 	}
 }
 
 // Faults returns the node's fault injector (nil when none installed).
 func (n *Node) Faults() *fault.Injector { return n.faults }
 
+// The names of a node's host space and links, by node id, and of a GPU
+// slot's two links, by node and GPU id.
+var (
+	nodeNames = sim.NewNameSet([]string{"node"}, ".host", ".hostbus", ".rootTx", ".rootRx")
+	slotNames = sim.NewNameSet([]string{"node", ".gpu"}, ".tx", ".rx")
+)
+
+// nodeSlabs holds the arrays nodes take their GPUs, slot links and path
+// tables from: for NewNodes, one array of each kind for every node; for
+// NewNode, none, so each node makes its own.
+type nodeSlabs struct {
+	gpus  sim.Slab[gpu.Device]
+	links sim.Slab[*sim.Link]
+	paths sim.Slab[*sim.Path]
+}
+
 // NewNode builds a node with ngpus GPUs using the given calibrations.
 // Every link exists from the start; the H2D, D2H and P2P paths over
 // them are built on first use.
 func NewNode(eng *sim.Engine, id, ngpus int, gp gpu.Params, p Params) *Node {
-	prefix := "node" + strconv.Itoa(id)
-	var names [4]string
-	sim.Names(names[:], prefix, ".host", ".hostbus", ".rootTx", ".rootRx")
-	n := &Node{
+	n := new(Node)
+	n.init(eng, id, ngpus, gp, p, new(nodeSlabs))
+	return n
+}
+
+// NewNodes builds count nodes of ngpus GPUs each, with ids 0 to count-1,
+// as NewNode builds one, in one array, and their GPUs, slot links and
+// path tables in one array of each kind. It calls then with each node
+// once the node is built, before it builds the next: what then builds
+// on the engine — the node's HCA, say — takes its place in link order
+// as if the nodes were built one by one.
+func NewNodes(eng *sim.Engine, count, ngpus int, gp gpu.Params, p Params, then func(n *Node)) []Node {
+	nodes := make([]Node, count)
+	var sl nodeSlabs
+	sl.gpus.Reserve(count * ngpus)
+	sl.links.Reserve(count * 2 * ngpus)
+	sl.paths.Reserve(count * ngpus * (ngpus + 2))
+	for i := range nodes {
+		nodes[i].init(eng, i, ngpus, gp, p, &sl)
+		then(&nodes[i])
+	}
+	return nodes
+}
+
+// Capacity counts what count nodes of ngpus GPUs each build on their
+// engine (see sim.Engine.Reserve): their links and DRAM ports, and every
+// H2D, D2H and P2P path with its two hops.
+func Capacity(count, ngpus int) sim.Capacity {
+	paths := count * ngpus * (ngpus + 1)
+	return sim.Capacity{Links: count * (3 + 2*ngpus), Resources: count * ngpus, Paths: paths, Hops: 2 * paths}
+}
+
+// init makes n node id, taking its arrays from sl.
+func (n *Node) init(eng *sim.Engine, id, ngpus int, gp gpu.Params, p Params, sl *nodeSlabs) {
+	names := nodeNames.Of(id)
+	links, paths := sl.links.TakeN(2*ngpus), sl.paths.TakeN(ngpus*(ngpus+2))
+	*n = Node{
 		eng:    eng,
 		id:     id,
 		params: p,
-		host:   mem.NewSpace(names[0], mem.Host, p.HostMemBytes),
 		bus:    eng.NewLink(names[1], p.HostBusRawGBps, 100*sim.Nanosecond),
 		rootTx: eng.NewLink(names[2], p.RootGBps, p.HopLatency),
 		rootRx: eng.NewLink(names[3], p.RootGBps, p.HopLatency),
-		h2d:    make([]*sim.Path, ngpus),
-		d2h:    make([]*sim.Path, ngpus),
-		p2p:    make([]*sim.Path, ngpus*ngpus),
+		gpus:   sl.gpus.TakeN(ngpus),
+		gpuTx:  links[:ngpus],
+		gpuRx:  links[ngpus:],
+		h2d:    paths[:ngpus],
+		d2h:    paths[ngpus : 2*ngpus],
+		p2p:    paths[2*ngpus:],
 	}
-	for i := 0; i < ngpus; i++ {
-		d := gpu.NewDevice(eng, i, gp)
-		sim.Names(names[:2], prefix+".gpu"+strconv.Itoa(i), ".tx", ".rx")
-		tx := eng.NewLink(names[0], p.SlotGBps, p.HopLatency)
-		rx := eng.NewLink(names[1], p.SlotGBps, p.HopLatency)
+	n.host.Init(names[0], mem.Host, p.HostMemBytes)
+	for i := range n.gpus {
+		d := &n.gpus[i]
+		d.Init(eng, i, gp)
+		slot := slotNames.Of(id, i)
+		tx := eng.NewLink(slot[0], p.SlotGBps, p.HopLatency)
+		rx := eng.NewLink(slot[1], p.SlotGBps, p.HopLatency)
 		// The copy-engine shortcuts on the device point at the slot
 		// links; full paths via the root are built by H2D/D2H.
 		d.H2D, d.D2H = rx, tx
-		n.gpus = append(n.gpus, d)
-		n.gpuTx = append(n.gpuTx, tx)
-		n.gpuRx = append(n.gpuRx, rx)
+		n.gpuTx[i], n.gpuRx[i] = tx, rx
 	}
-	return n
 }
 
 // Engine returns the simulation engine.
@@ -138,15 +186,15 @@ func (n *Node) ID() int { return n.id }
 func (n *Node) Params() Params { return n.params }
 
 // Host returns the node's host memory space.
-func (n *Node) Host() *mem.Space { return n.host }
+func (n *Node) Host() *mem.Space { return &n.host }
 
 // Release recycles the backing storage of the node's host memory and
 // of every GPU's device memory (see mem.Space.Release). The node must
 // not be used afterwards.
 func (n *Node) Release() {
 	n.host.Release()
-	for _, d := range n.gpus {
-		d.Release()
+	for i := range n.gpus {
+		n.gpus[i].Release()
 	}
 }
 
@@ -155,8 +203,8 @@ func (n *Node) Release() {
 // mem.Space.FootprintBytes).
 func (n *Node) FootprintBytes() int64 {
 	total := n.host.FootprintBytes()
-	for _, d := range n.gpus {
-		total += d.Mem().FootprintBytes()
+	for i := range n.gpus {
+		total += n.gpus[i].Mem().FootprintBytes()
 	}
 	return total
 }
@@ -165,7 +213,7 @@ func (n *Node) FootprintBytes() int64 {
 func (n *Node) NumGPUs() int { return len(n.gpus) }
 
 // GPU returns device i.
-func (n *Node) GPU(i int) *gpu.Device { return n.gpus[i] }
+func (n *Node) GPU(i int) *gpu.Device { return &n.gpus[i] }
 
 // HostBus returns the host memory bus (raw bytes: charge 2n per copy).
 func (n *Node) HostBus() *sim.Link { return n.bus }
@@ -224,8 +272,8 @@ func (n *Node) HostCopy(p *sim.Proc, dst, src mem.Buffer) error {
 // DeviceOf returns the GPU owning the given device-memory space, or -1
 // for host memory or a space from another node.
 func (n *Node) DeviceOf(s *mem.Space) int {
-	for i, d := range n.gpus {
-		if d.Mem() == s {
+	for i := range n.gpus {
+		if n.gpus[i].Mem() == s {
 			return i
 		}
 	}

@@ -135,3 +135,36 @@ func TestPathsAreBuiltOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestNodesBuildInSlabs pins what a node costs built with its world:
+// NewNodes makes one array each of nodes, GPUs, slot links and path
+// tables, and on an engine that reserved their Capacity, their links,
+// DRAM ports and every H2D, D2H and P2P path come from the engine's
+// slabs, so 16 nodes cost what 2 do: the engine, its four slabs and its
+// list of links, and NewNodes' four arrays. Built one object at a time,
+// with their names made anew, 16 such nodes and their paths cost 1 386.
+func TestNodesBuildInSlabs(t *testing.T) {
+	const ngpus, want = 4, 10
+	for _, count := range []int{2, 16} {
+		build := func() {
+			e := sim.NewEngine()
+			e.Reserve(Capacity(count, ngpus))
+			nodes := NewNodes(e, count, ngpus, gpu.KeplerK40(), DefaultParams(), func(*Node) {})
+			for i := range nodes {
+				for g := range ngpus {
+					nodes[i].H2D(g)
+					nodes[i].D2H(g)
+					for h := range ngpus {
+						if h != g {
+							nodes[i].P2P(g, h)
+						}
+					}
+				}
+			}
+		}
+		build() // the names, once per process
+		if got := testing.AllocsPerRun(5, build); got != want {
+			t.Errorf("%d nodes with every path: %.0f allocations, want %d", count, got, want)
+		}
+	}
+}

@@ -36,6 +36,12 @@ func (s *slots[T]) put(v T) int32 {
 	return int32(len(s.at) - 1)
 }
 
+// emptied clears the table and returns it, empty, with its arrays.
+func (s *slots[T]) emptied() slots[T] {
+	clear(s.at)
+	return slots[T]{at: s.at[:0], free: s.free[:0]}
+}
+
 func (s *slots[T]) take(i int32) T {
 	v := s.at[i]
 	var zero T
@@ -54,22 +60,35 @@ func (s *slots[T]) take(i int32) T {
 // produce identical event orders on every run.
 type Engine struct {
 	now      Time
-	seq      uint64 // schedule sequence: Event.pri of the last queued event
-	queue    evQueue
-	procs    slots[*Proc]  // spawned and not yet finished, and every server
-	calls    slots[func()] // After callbacks not yet run
-	puts     slots[putArg] // Mailbox.PutAfter deliveries not yet made
-	idle     []*carrier    // coroutines whose process has finished or gone idle
-	carriers int           // coroutines taken so far, new or from the shelf
-	live     int           // spawned and not finished processes, servers aside
+	seq      uint64     // schedule sequence: Event.pri of the last queued event
+	tables              // the queue and the slot tables, off the table shelf
+	idle     []*carrier // coroutines whose process has finished or gone idle
+	carriers int        // coroutines taken so far, new or from the shelf
+	live     int        // spawned and not finished processes, servers aside
 	ran      bool
 	linkSeq  uint64
 	links    []*Link
 	rec      *Recorder // nil unless a Recorder is attached (see span.go)
+
+	// What Reserve set aside for NewLink, NewResource and NewPath.
+	linkSlab Slab[Link]
+	resSlab  Slab[Resource]
+	pathSlab Slab[Path]
+	hopSlab  Slab[*Link]
 }
 
-// NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine { return &Engine{} }
+// tables are what an engine grows while it runs: its event queue and
+// the slot tables its queued events name values by.
+type tables struct {
+	queue evQueue
+	procs slots[*Proc]  // spawned and not yet finished, and every server
+	calls slots[func()] // After callbacks not yet run
+	puts  slots[putArg] // Mailbox.PutAfter deliveries not yet made
+}
+
+// NewEngine returns an empty engine at virtual time zero. Its tables
+// are the arrays an earlier engine shelved, if there are any.
+func NewEngine() *Engine { return &Engine{tables: takeTables()} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -129,9 +148,9 @@ type Proc struct {
 	yield func(struct{}) bool
 
 	// What the process is parked on: the name of the mailbox or resource
-	// (nil for a future), and while it awaits a future, the next waiter
-	// of that future (see Future). A pointer to the name keeps the pair
-	// in the two words a string header would take.
+	// (nil for a future), and while it waits, the next waiter of the
+	// same future, mailbox or resource (see procQueue). A pointer to the
+	// name keeps the pair in the two words a string header would take.
 	on       *string
 	waitNext *Proc
 
@@ -364,7 +383,7 @@ func (e *Engine) resume(p *Proc) {
 // unwind stops the coroutine of every process that is still parked; its
 // deferred calls run (see errShutdown) before stop returns. Then it puts
 // the idle carriers on the shelf, as many as fit under its bound, and
-// ends the rest.
+// ends the rest, and shelves the engine's tables.
 func (e *Engine) unwind() {
 	for _, p := range e.procs.at {
 		if p != nil && p.c != nil {
@@ -380,6 +399,7 @@ func (e *Engine) unwind() {
 		c.stop()
 	}
 	e.idle = nil
+	shelveTables(&e.tables)
 }
 
 // deadlockReport lists the blocked processes other than servers in spawn

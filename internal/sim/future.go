@@ -14,11 +14,34 @@ type Future struct {
 	at    Time
 	value interface{}
 
-	// The waiters, in wait order: a queue linked through Proc.waitNext,
-	// which a process parked here uses for nothing else — it awaits one
-	// future at a time — so a wait allocates nothing, however many there
-	// are.
-	first, last *Proc
+	waiters procQueue
+}
+
+// procQueue is a queue of parked processes in wait order, linked
+// through Proc.waitNext, which a parked process uses for nothing else —
+// it waits on one future, mailbox or resource at a time — so a wait
+// allocates nothing, however many there are.
+type procQueue struct{ first, last *Proc }
+
+func (q *procQueue) empty() bool { return q.first == nil }
+
+func (q *procQueue) push(p *Proc) {
+	p.waitNext = nil
+	if q.first == nil {
+		q.first = p
+	} else {
+		q.last.waitNext = p
+	}
+	q.last = p
+}
+
+func (q *procQueue) pop() *Proc {
+	p := q.first
+	q.first, p.waitNext = p.waitNext, nil
+	if q.first == nil {
+		q.last = nil
+	}
+	return p
 }
 
 // NewFuture returns an incomplete future bound to the engine.
@@ -40,13 +63,9 @@ func (f *Future) Complete(value interface{}) {
 	f.done = true
 	f.at = f.e.now
 	f.value = value
-	for p := f.first; p != nil; {
-		next := p.waitNext
-		p.waitNext = nil
-		f.e.unpark(p, f.e.now)
-		p = next
+	for !f.waiters.empty() {
+		f.e.unpark(f.waiters.pop(), f.e.now)
 	}
-	f.first, f.last = nil, nil
 }
 
 // Await blocks the calling process until the future completes and returns
@@ -56,12 +75,7 @@ func (f *Future) Await(p *Proc) interface{} {
 	if f.done {
 		return f.value
 	}
-	if f.first == nil {
-		f.first = p
-	} else {
-		f.last.waitNext = p
-	}
-	f.last = p
+	f.waiters.push(p)
 	p.park(blockAwait, nil)
 	return f.value
 }

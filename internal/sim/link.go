@@ -25,13 +25,15 @@ type Link struct {
 	busyTime   Time
 }
 
-// NewLink returns a link with the given bandwidth (GB/s) and latency.
+// NewLink returns a link with the given bandwidth (GB/s) and latency,
+// from the engine's link slab while Reserve's array lasts.
 func (e *Engine) NewLink(name string, bwGBps float64, latency Time) *Link {
 	if bwGBps <= 0 {
 		panic("sim: link bandwidth must be positive: " + name)
 	}
 	e.linkSeq++
-	l := &Link{
+	l := e.linkSlab.Take()
+	*l = Link{
 		e:       e,
 		id:      e.linkSeq,
 		name:    name,
@@ -118,15 +120,20 @@ type Path struct {
 	hops []*Link
 }
 
-// NewPath returns the path over hops, which it keeps and sorts in place
-// into lock order.
+// NewPath returns the path over a copy of hops in lock order, the path
+// and its array of hops from the slabs of the hops' engine while
+// Reserve's arrays last.
 func NewPath(hops ...*Link) *Path {
+	e := hops[0].e
+	pa := e.pathSlab.Take()
+	pa.hops = e.hopSlab.TakeN(len(hops))
+	copy(pa.hops, hops)
 	for i := 1; i < len(hops); i++ {
-		for j := i; j > 0 && hops[j].id < hops[j-1].id; j-- {
-			hops[j], hops[j-1] = hops[j-1], hops[j]
+		for j := i; j > 0 && pa.hops[j].id < pa.hops[j-1].id; j-- {
+			pa.hops[j], pa.hops[j-1] = pa.hops[j-1], pa.hops[j]
 		}
 	}
-	return &Path{hops: hops}
+	return pa
 }
 
 // Hops returns the path's links in lock order. The caller must not

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestLinkTransferTime(t *testing.T) {
@@ -135,6 +138,40 @@ func TestNamesShareOneString(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(10, func() { Names(n[:], "rank12", "", ".am", ".barrier") }); got != 1 {
 		t.Fatalf("%v allocations, want 1", got)
+	}
+}
+
+// TestNameSetFormatsOnce: a set formats an owner's names once per
+// process, into the name table, and every later call — a later world's,
+// on whatever goroutine builds it — hands out the same strings without
+// allocating.
+func TestNameSetFormatsOnce(t *testing.T) {
+	set := NewNameSet([]string{"node", ".gpu"}, ".tx", ".rx")
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := range 64 {
+				if n := set.Of(id, g%2); n[1] != fmt.Sprintf("node%d.gpu%d.rx", id, g%2) {
+					t.Errorf("names %q for ids %d, %d", n, id, g%2)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got := set.Of(3, 1)
+	if !slices.Equal(got, []string{"node3.gpu1.tx", "node3.gpu1.rx"}) {
+		t.Fatalf("names %q", got)
+	}
+	if again := set.Of(3, 1); unsafe.StringData(again[1]) != unsafe.StringData(got[1]) {
+		t.Error("a second call formatted the names again")
+	}
+	if other := set.Of(1, 3); other[0] != "node1.gpu3.tx" {
+		t.Errorf("names %q for ids 1, 3", other)
+	}
+	if n := testing.AllocsPerRun(10, func() { set.Of(3, 1) }); n != 0 {
+		t.Errorf("%v allocations for names already in the table, want 0", n)
 	}
 }
 

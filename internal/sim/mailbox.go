@@ -2,7 +2,7 @@ package sim
 
 // fifo is a queue that pops by advancing a head index instead of
 // re-slicing, so a queue that drains — the steady state of a one-deep
-// mailbox or a briefly contended resource — reuses its array forever.
+// mailbox — reuses its array forever.
 // The element that arrives in an empty queue is kept inline (one), so a
 // queue that is never more than one deep — a per-message mailbox — has
 // no array at all. Popped slots are zeroed so the queue pins nothing it
@@ -62,20 +62,36 @@ type Mailbox[T any] struct {
 	e       *Engine
 	name    string
 	items   fifo[T]
-	waiters fifo[*Proc]
+	waiters procQueue
 	later   pending[T] // PutAfter values whose delivery event is queued
 }
 
 // Init makes m, embedded in a larger record, an empty mailbox bound to
 // the engine. name is what a deadlock report says a process blocked in
 // Get waits for. A mailbox initialised again — its record recycled —
-// drops what it held but keeps the arrays it has grown.
+// drops what it held but keeps the arrays it has grown, and the table
+// of delayed values it uses (see UseDelays).
 func (m *Mailbox[T]) Init(e *Engine, name string) {
-	items, waiters := m.items.s, m.waiters.s
+	items := m.items.s
 	clear(items)
-	clear(waiters)
-	*m = Mailbox[T]{e: e, name: name, items: fifo[T]{s: items[:0]}, waiters: fifo[*Proc]{s: waiters[:0]}}
+	*m = Mailbox[T]{e: e, name: name, items: fifo[T]{s: items[:0]}, later: pending[T]{more: m.later.more}}
 }
+
+// DelayTable holds the values put with PutAfter into the mailboxes that
+// use it (UseDelays) until their delivery events fire. Mailboxes of one
+// owner that share a table — a fabric's HCA inboxes — grow one table,
+// which their owner can size once with Reserve, where each would grow
+// its own.
+type DelayTable[T any] struct{ slots[T] }
+
+// Reserve gives the table room for n values in flight at once.
+func (t *DelayTable[T]) Reserve(n int) {
+	t.at, t.free = make([]T, 0, n), make([]int32, 0, n)
+}
+
+// UseDelays makes m keep its delayed values in t, past the one in
+// flight it keeps inline.
+func (m *Mailbox[T]) UseDelays(t *DelayTable[T]) { m.later.more = &t.slots }
 
 // NewMailbox returns an empty mailbox of untyped messages, for a driver
 // that passes values of mixed types; a record embeds a typed one.
@@ -90,7 +106,7 @@ func (e *Engine) NewMailbox(name string) *Mailbox[any] {
 // process or from an engine callback.
 func (m *Mailbox[T]) Put(v T) {
 	m.items.push(v)
-	if m.waiters.len() > 0 {
+	if !m.waiters.empty() {
 		m.e.unpark(m.waiters.pop(), m.e.now)
 	}
 }

@@ -9,15 +9,18 @@ type Resource struct {
 	name    string
 	cap     int
 	inUse   int
-	waiters fifo[*Proc]
+	waiters procQueue
 }
 
-// NewResource returns a resource with the given capacity (>= 1).
+// NewResource returns a resource with the given capacity (>= 1), from
+// the engine's resource slab while Reserve's array lasts.
 func (e *Engine) NewResource(name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{e: e, name: name, cap: capacity}
+	r := e.resSlab.Take()
+	*r = Resource{e: e, name: name, cap: capacity}
+	return r
 }
 
 // Acquire takes one slot, blocking FIFO until one is available.
@@ -35,7 +38,7 @@ func (r *Resource) Release() {
 		panic("sim: release of idle resource " + r.name)
 	}
 	r.inUse--
-	if r.waiters.len() > 0 {
+	if !r.waiters.empty() {
 		r.e.unpark(r.waiters.pop(), r.e.now)
 	}
 }

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 // shelfShape is a small simulation whose carriers are reused inside the
@@ -126,5 +128,52 @@ func TestCarrierShelfAcrossEngines(t *testing.T) {
 	defer shelf.Unlock()
 	if shelf.max < taken1 {
 		t.Errorf("shelf bound %d below the %d carriers one engine took", shelf.max, taken1)
+	}
+}
+
+// TestTableShelfNamesNoEngine: when Run ends, an engine's event queue
+// and slot tables go on the table shelf emptied, so nothing there names
+// the engine — not its processes, a server's among them, which keeps its
+// slot to the end, its After callbacks or the mailboxes a delayed Put
+// was on its way to — and the engine is collected; the next engine
+// takes the arrays back.
+func TestTableShelfNamesNoEngine(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		e := NewEngine()
+		var mb Mailbox[int]
+		mb.Init(e, "mb")
+		var srv Server[int]
+		srv.Init(e, "srv", func(*Proc, int) {})
+		for i := range 16 {
+			e.Spawn("put", func(p *Proc) {
+				p.Sleep(Time(i))
+				mb.PutAfter(Nanosecond, i)
+				srv.PutAfter(Nanosecond, i)
+				e.After(Nanosecond, func() {})
+			})
+		}
+		e.Spawn("get", func(p *Proc) {
+			for range 16 {
+				mb.Get(p)
+			}
+		})
+		runtime.AddCleanup(e, func(c chan struct{}) { close(c) }, collected)
+		e.Run()
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(10 * time.Millisecond):
+			if i < 10 {
+				continue
+			}
+			t.Fatal("an engine whose tables are on the shelf is still reachable")
+		}
+		break
+	}
+	if e := NewEngine(); cap(e.queue.s) == 0 || cap(e.procs.at) == 0 {
+		t.Errorf("the next engine took no shelved tables: queue capacity %d, process table capacity %d", cap(e.queue.s), cap(e.procs.at))
 	}
 }
