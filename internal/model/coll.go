@@ -7,55 +7,186 @@ import (
 	"gpuddt/internal/sim"
 )
 
-// Event kinds. kStart seeds every rank at t=0; everything else is a
-// modelled message whose schedule role the receiver decodes from
-// (Kind, From, Round).
-const (
-	kStart   int32 = iota + 1
-	kA2A           // flat alltoall: pairwise round payload
-	kAG            // flat allgather: ring hop payload
-	kA2AIn         // hier alltoall: member's whole send buffer -> leader
-	kA2ANode       // hier alltoall: leader<->leader node block
-	kA2ACol        // hier alltoall: leader -> member result column
-	kAGIn          // hier allgather: member contribution -> leader
-	kAGSlab        // hier allgather: leader ring node slab
-	kAGBcast       // hier allgather: assembled buffer down the node tree
-)
-
-// rankSM is one rank's flyweight state machine: the entire per-rank
-// footprint of a modelled world (compare with a real rank's goroutine,
-// stacks and device buffers). The schedules mirror internal/mpi —
-// flat pairwise alltoall and ring allgather, and the hierarchical
-// leader-based variants of hcoll.go — so the modelled message pattern
-// is the one the real worlds execute.
-type rankSM struct {
-	w    *world
-	r    sim.ActorID
-	node int
-	li   int         // index within the node (0 = leader)
-	lead sim.ActorID // node leader's rank
-
-	round int32
-	gotIn int32
-	pend  map[int32]struct{} // rounds that arrived early; nil until one does
-	done  bool
-	open  bool // startRounds has run: round is the round being waited for
+// A phase is one of internal/mpi's schedules run over one tier of the
+// world: a flat collective is one phase over every rank, a hierarchical
+// one a node phase, a leader phase and a node phase, as in hcoll.go.
+// Every message of a phase has the same size; a Copy step costs copy;
+// a member contributes width consecutive source blocks.
+type phase struct {
+	alg   mpi.Alg
+	tier  tier
+	bytes int64
+	copy  sim.Time
+	width int
 }
 
-// HandleEvent dispatches relay stages and the collective's schedule.
+// tier is who a phase's members are: member i is rank i of the world,
+// rank i of the caller's node, or the leader (first rank) of node i.
+type tier uint8
+
+const (
+	tierAll tier = iota
+	tierNode
+	tierLeaders
+)
+
+// phases are the world's collective as schedules: build decides them
+// once. A leader stages its members' whole send buffers and hands back
+// their columns at 2*packCost each way; the other local moves are free.
+func (w *world) phases() []phase {
+	whole := int64(w.p) * w.b
+	slab := int64(w.rpn) * w.b
+	switch {
+	case w.flat && w.a2a:
+		return []phase{{mpi.Pairwise, tierAll, w.b, 2 * w.packCost(w.b), 1}}
+	case w.flat:
+		return []phase{{mpi.Ring, tierAll, w.b, 0, 1}}
+	case w.a2a:
+		stage := 2 * w.packCost(whole)
+		return []phase{{mpi.Gather, tierNode, whole, stage, 1}, {mpi.Pairwise, tierLeaders, int64(w.rpn) * slab, 0, w.rpn},
+			{mpi.Scatter, tierNode, whole, stage, 1}}
+	}
+	return []phase{{mpi.Gather, tierNode, w.b, 0, 1}, {mpi.Ring, tierLeaders, slab, 0, w.rpn}, {mpi.Bcast, tierNode, whole, 0, 1}}
+}
+
+// sched is rank r's schedule in phase ph; in is false when r is not a
+// member of the phase's tier (a non-leader in the leader phase).
+func (w *world) sched(ph *phase, r sim.ActorID) (s mpi.Sched, in bool) {
+	switch ph.tier {
+	case tierNode:
+		return mpi.Sched{Alg: ph.alg, N: w.rpn, Me: int(r) % w.rpn}, true
+	case tierLeaders:
+		return mpi.Sched{Alg: ph.alg, N: w.nodes, Me: w.nodeOf(r)}, int(r)%w.rpn == 0
+	}
+	return mpi.Sched{Alg: ph.alg, N: w.p, Me: int(r)}, true
+}
+
+// member is the rank of member i of phase ph as rank r sees it.
+func (w *world) member(ph *phase, r sim.ActorID, i int) sim.ActorID {
+	switch ph.tier {
+	case tierNode:
+		return r - r%sim.ActorID(w.rpn) + sim.ActorID(i)
+	case tierLeaders:
+		return sim.ActorID(i * w.rpn)
+	}
+	return sim.ActorID(i)
+}
+
+// rankSM is one rank's flyweight executor: the entire per-rank
+// footprint of a modelled world (compare with a real rank's goroutine,
+// stacks and device buffers). It walks the rank's steps of each phase
+// in turn, as walk does on the real stack, and prices each one: a send
+// with world.send, a landing with world.land, a Copy with the phase's
+// copy. A Wait holds the rank until every receive it posted in the phase
+// has landed; a WaitSend until its send is off the wire.
+type rankSM struct {
+	w       *world
+	r       sim.ActorID
+	phase   int8  // index into w.ph; len(w.ph) once finished
+	sending bool  // a WaitSend's wake is pending
+	done    bool  // finish has run
+	step    int32 // the next step of the phase
+	posted  int32 // receives posted in the phase
+	got     int32 // blocks landed in the phase
+	ahead   int32 // blocks landed for the next phase
+}
+
+// HandleEvent takes one event and walks on as far as the schedule lets.
+// Kind 0 wakes the rank: its start, its WaitSend's send off the wire, or
+// its last post-ahead block unpacked (world.land). Otherwise Kind is the
+// phase (plus one) of a message: the WaitSend wake of a spine-crossing
+// send, which departs now, a message at its relay, or a delivered one.
 func (a *rankSM) HandleEvent(sc *sim.ShardCtx, ev sim.Event) {
 	w := a.w
 	switch {
-	case ev.B == 1:
+	case ev.B == atRelay:
 		w.relay(sc, ev)
-	case w.a2a && w.flat:
-		a.a2aFlat(sc, ev)
-	case w.a2a:
-		a.a2aHier(sc, ev)
-	case w.flat:
-		a.agFlat(sc, ev)
+		return
+	case ev.B == departing: // now is when it left: on to the relay
+		ev.To, ev.From, ev.B = ev.From, a.r, atRelay
+		sc.Post(w.lat/2+w.hopLat, ev)
+		a.sending = false
+	case ev.Kind == 0:
+		a.sending = false
 	default:
-		a.agHier(sc, ev)
+		ph := int8(ev.Kind - 1)
+		w.arrive(a.r, sc.Now(), ev.A)
+		w.receive(&w.ph[ph], ev)
+		a.landed(ph)
+	}
+	a.walk(sc)
+}
+
+// landed counts a block of phase ph landed at the rank.
+func (a *rankSM) landed(ph int8) {
+	switch ph {
+	case a.phase:
+		a.got++
+	case a.phase + 1:
+		a.ahead++ // a neighbour ran ahead of this rank's own phase
+	default:
+		panic(fmt.Sprintf("model: rank %d in phase %d got a phase-%d block", a.r, a.phase, ph))
+	}
+}
+
+// waits reports whether the rank is held at the last step of phase ph
+// (a Wait) with every block it posted now landed: nothing but a wake
+// moves it on.
+func (a *rankSM) waits(ph int8) bool {
+	if ph != a.phase || a.sending || a.got != a.posted {
+		return false
+	}
+	s, _ := a.w.sched(&a.w.ph[ph], a.r)
+	return int(a.step) == s.Len()-1
+}
+
+// walk executes steps until one must wait, or the last phase ends. On
+// its first step in a phase over all ranks or over the leaders, a rank
+// marks the blocks it holds already: its own, or its node's.
+func (a *rankSM) walk(sc *sim.ShardCtx) {
+	if a.sending {
+		return // a block landed while the rank waits for its send
+	}
+	w := a.w
+	for int(a.phase) < len(w.ph) {
+		ph := &w.ph[a.phase]
+		s, in := w.sched(ph, a.r)
+		n := 0
+		if in {
+			n = s.Len()
+			if a.step == 0 && ph.tier != tierNode {
+				w.mark(a.r, s.Me*ph.width, ph.width)
+			}
+		}
+		for ; int(a.step) < n; a.step++ {
+			switch st := s.Step(int(a.step)); st.Op {
+			case mpi.OpRecv:
+				a.posted++
+			case mpi.OpSend:
+				w.send(sc, a.r, w.member(ph, a.r, st.Peer), a.phase, int32(st.Block), ph.bytes)
+			case mpi.OpCopy:
+				if ph.copy > 0 {
+					w.cpu[a.r] = max(w.cpu[a.r], sc.Now()) + ph.copy
+				}
+			case mpi.OpWaitSend:
+				if !a.sending { // no spine crossed: no departure to wake with
+					sc.Post(w.lastSend[a.r]-sc.Now(), sim.Event{To: a.r})
+					a.sending = true
+				}
+				a.step++
+				return
+			case mpi.OpWait:
+				if a.got < a.posted {
+					return
+				}
+				w.cpu[a.r] = max(w.cpu[a.r], w.rx[a.r]) // every block is unpacked
+			}
+		}
+		a.phase++
+		a.step, a.posted, a.got, a.ahead = 0, 0, a.ahead, 0
+	}
+	if !a.done {
+		a.finish(sc)
 	}
 }
 
@@ -63,301 +194,10 @@ func (a *rankSM) HandleEvent(sc *sim.ShardCtx, ev sim.Event) {
 // clock and its last injected send.
 func (a *rankSM) finish(sc *sim.ShardCtx) {
 	w := a.w
-	d := w.cpu[a.r]
-	if w.lastSend[a.r] > d {
-		d = w.lastSend[a.r]
-	}
-	if t := sc.Now(); t > d {
-		d = t
-	}
+	d := max(w.cpu[a.r], w.lastSend[a.r], sc.Now())
 	w.doneAt[a.r] = d
 	a.done = true
 	if w.o.RecordSpans {
 		sc.Span(fmt.Sprintf("rank%d", a.r), w.o.Coll, 0, d, int64(w.p)*w.b)
-	}
-}
-
-// pendSet/pendHas/pendClear track early round arrivals: the pairwise
-// and ring schedules complete round s only after the round-s message
-// arrives, but the network may deliver s+1 first, and a leader's first
-// slab before its own members have reported in. Rounds that arrive in
-// order never come here, so most ranks never make the map.
-func (a *rankSM) pendSet(s int32) {
-	if a.pend == nil {
-		a.pend = make(map[int32]struct{}, 4)
-	}
-	a.pend[s] = struct{}{}
-}
-
-func (a *rankSM) pendHas(s int32) bool {
-	_, ok := a.pend[s]
-	return ok
-}
-
-func (a *rankSM) pendClear(s int32) { delete(a.pend, s) }
-
-// level is the tier a round schedule runs over, and the schedule's
-// shape there: every rank for the flat collectives, one leader per node
-// for the hierarchical ones. Peer i is rank i*stride and contributes
-// width consecutive source blocks, so one arrival marks blocks
-// [i*width, (i+1)*width). Rounds run [first, end) — the pairwise
-// exchange numbers its n-1 rounds from 1 (round s pairs with
-// mpi.PairwisePeers(n, me, s)), the ring from 0 — and each sends one
-// message of the given kind and size. Only me differs between the ranks
-// of a world: build decides the rest once (world.lv).
-type level struct {
-	n, me         int
-	stride, width int
-	kind          int32
-	first, end    int32
-	bytes         int64
-}
-
-// newLevel is the world's level with me left for each rank to fill in.
-func (w *world) newLevel() level {
-	lv := level{n: w.nodes, stride: w.rpn, width: w.rpn}
-	if w.flat {
-		lv = level{n: w.p, stride: 1, width: 1}
-	}
-	// A ring hop carries the peer's width blocks; a pairwise round
-	// carries them once for each of the partner's width ranks.
-	lv.first, lv.end, lv.bytes = 0, int32(lv.n-1), int64(lv.width)*w.b
-	if w.a2a {
-		lv.first, lv.end, lv.bytes = 1, int32(lv.n), lv.bytes*int64(lv.width)
-	}
-	switch {
-	case w.flat && w.a2a:
-		lv.kind = kA2A
-	case w.flat:
-		lv.kind = kAG
-	case w.a2a:
-		lv.kind = kA2ANode
-	default:
-		lv.kind = kAGSlab
-	}
-	return lv
-}
-
-// level is the world's level as this rank sees it.
-func (a *rankSM) level() level {
-	lv := a.w.lv
-	lv.me = a.node
-	if a.w.flat {
-		lv.me = int(a.r)
-	}
-	return lv
-}
-
-// startRounds opens the round schedule, or skips it at a level of one:
-// send the first round, then catch up on rounds that arrived before
-// this rank was ready for them.
-func (a *rankSM) startRounds(sc *sim.ShardCtx) {
-	lv := a.level()
-	a.open = true
-	if lv.n == 1 {
-		a.roundsDone(sc)
-		return
-	}
-	a.round = lv.first
-	a.sendRound(sc, lv, a.round)
-	a.catchUp(sc, lv)
-}
-
-// sendRound posts the caller's round-s message: to the round's pairwise
-// partner, or around the ring to the right neighbour.
-func (a *rankSM) sendRound(sc *sim.ShardCtx, lv level, s int32) {
-	to := (lv.me + 1) % lv.n
-	if a.w.a2a {
-		to, _ = mpi.PairwisePeers(lv.n, lv.me, int(s))
-	}
-	a.w.send(sc, a.r, sim.ActorID(to*lv.stride), lv.kind, s, lv.bytes)
-}
-
-// roundArrived handles one round message: mark the source blocks it
-// carries — the sender's own in a pairwise round, those of the peer
-// `round` hops upstream in a ring round — then, if it is the round this
-// rank waits for, complete it and every later round whose message is
-// already here. A message for any other round, or for a rank whose
-// schedule has not opened (a leader still collecting its members'
-// buffers when a neighbour's slab lands), is only recorded.
-func (a *rankSM) roundArrived(sc *sim.ShardCtx, ev sim.Event) {
-	w := a.w
-	lv := a.level()
-	w.arrive(sc, a.r, ev.A)
-	w.verify(a.r, ev)
-	src := int(ev.From) / lv.stride
-	if !w.a2a {
-		src = (src - int(ev.Round)%lv.n + lv.n) % lv.n
-	}
-	w.mark(a.r, src*lv.width, lv.width)
-	if !a.open || ev.Round != a.round {
-		a.pendSet(ev.Round)
-		return
-	}
-	a.completeRound(sc, lv)
-	a.catchUp(sc, lv)
-}
-
-// completeRound moves past the round being waited for: send the next
-// one, or end the schedule.
-func (a *rankSM) completeRound(sc *sim.ShardCtx, lv level) {
-	a.round++
-	if a.round < lv.end {
-		a.sendRound(sc, lv, a.round)
-	} else {
-		a.roundsDone(sc)
-	}
-}
-
-// catchUp completes every round whose message arrived early.
-func (a *rankSM) catchUp(sc *sim.ShardCtx, lv level) {
-	for len(a.pend) > 0 && a.pendHas(a.round) {
-		a.pendClear(a.round)
-		a.completeRound(sc, lv)
-	}
-}
-
-// roundsDone ends the round schedule: a flat rank is finished, a leader
-// moves on to its node's last phase.
-func (a *rankSM) roundsDone(sc *sim.ShardCtx) {
-	switch {
-	case a.w.flat:
-		a.finish(sc)
-	case a.w.a2a:
-		a.a2aScatter(sc)
-	default:
-		a.forwardBcast(sc)
-		a.finish(sc)
-	}
-}
-
-// --- flat alltoall: pairwise exchange -------------------------------
-
-func (a *rankSM) a2aFlat(sc *sim.ShardCtx, ev sim.Event) {
-	w := a.w
-	switch ev.Kind {
-	case kStart:
-		// Local copy of the self block, then round 1.
-		w.mark(a.r, int(a.r), 1)
-		w.cpu[a.r] = sc.Now() + 2*w.packCost(w.b)
-		a.startRounds(sc)
-	case kA2A:
-		a.roundArrived(sc, ev)
-	default:
-		panic(fmt.Sprintf("model: flat alltoall rank %d got kind %d", a.r, ev.Kind))
-	}
-}
-
-// --- flat allgather: ring -------------------------------------------
-
-func (a *rankSM) agFlat(sc *sim.ShardCtx, ev sim.Event) {
-	switch ev.Kind {
-	case kStart:
-		a.w.mark(a.r, int(a.r), 1)
-		a.startRounds(sc)
-	case kAG:
-		a.roundArrived(sc, ev)
-	default:
-		panic(fmt.Sprintf("model: flat allgather rank %d got kind %d", a.r, ev.Kind))
-	}
-}
-
-// --- hierarchical alltoall: gather, leader pairwise, scatter --------
-
-func (a *rankSM) a2aHier(sc *sim.ShardCtx, ev sim.Event) {
-	w := a.w
-	switch ev.Kind {
-	case kStart:
-		if a.li != 0 {
-			// Member: ship the whole send buffer to the leader, then
-			// wait for the result column.
-			w.send(sc, a.r, a.lead, kA2AIn, 0, int64(w.p)*w.b)
-			return
-		}
-		// Leader: stage own buffer; the local node block (own-node
-		// sources into own image) is exchanged in staging memory.
-		w.cpu[a.r] = sc.Now() + 2*w.packCost(int64(w.p)*w.b)
-		w.mark(a.r, a.node*w.rpn, w.rpn)
-		if w.rpn == 1 {
-			a.startRounds(sc)
-		}
-	case kA2AIn:
-		w.arrive(sc, a.r, ev.A)
-		w.verify(a.r, ev)
-		a.gotIn++
-		if int(a.gotIn) == w.rpn-1 {
-			a.startRounds(sc)
-		}
-	case kA2ANode:
-		a.roundArrived(sc, ev)
-	case kA2ACol:
-		w.arrive(sc, a.r, ev.A)
-		w.verify(a.r, ev)
-		w.mark(a.r, 0, w.p)
-		a.finish(sc)
-	default:
-		panic(fmt.Sprintf("model: hier alltoall rank %d got kind %d", a.r, ev.Kind))
-	}
-}
-
-// a2aScatter is phase 3: the leader sends each member its result
-// column and keeps its own by local copy.
-func (a *rankSM) a2aScatter(sc *sim.ShardCtx) {
-	w := a.w
-	for di := 1; di < w.rpn; di++ {
-		w.send(sc, a.r, a.lead+sim.ActorID(di), kA2ACol, 0, int64(w.p)*w.b)
-	}
-	if t := sc.Now(); t > w.cpu[a.r] {
-		w.cpu[a.r] = t
-	}
-	w.cpu[a.r] += 2 * w.packCost(int64(w.p)*w.b)
-	a.finish(sc)
-}
-
-// --- hierarchical allgather: gather, leader ring, broadcast ---------
-
-func (a *rankSM) agHier(sc *sim.ShardCtx, ev sim.Event) {
-	w := a.w
-	switch ev.Kind {
-	case kStart:
-		if a.li != 0 {
-			w.send(sc, a.r, a.lead, kAGIn, 0, w.b)
-			return
-		}
-		w.mark(a.r, int(a.r), 1)
-		if w.rpn == 1 {
-			a.startRounds(sc)
-		}
-	case kAGIn:
-		w.arrive(sc, a.r, ev.A)
-		w.verify(a.r, ev)
-		w.mark(a.r, int(ev.From), 1)
-		a.gotIn++
-		if int(a.gotIn) == w.rpn-1 {
-			a.startRounds(sc)
-		}
-	case kAGSlab:
-		a.roundArrived(sc, ev)
-	case kAGBcast:
-		w.arrive(sc, a.r, ev.A)
-		w.verify(a.r, ev)
-		w.mark(a.r, 0, w.p)
-		a.forwardBcast(sc)
-		a.finish(sc)
-	default:
-		panic(fmt.Sprintf("model: hier allgather rank %d got kind %d", a.r, ev.Kind))
-	}
-}
-
-// forwardBcast sends the assembled buffer to this rank's children in
-// the intra-node binomial broadcast tree (the leader is virtual rank 0),
-// largest subtree first, as the real bcastTree does.
-func (a *rankSM) forwardBcast(sc *sim.ShardCtx) {
-	w := a.w
-	_, span := mpi.BinomialTree(w.rpn, a.li)
-	for k := span >> 1; k > 0; k >>= 1 {
-		if a.li+k < w.rpn {
-			w.send(sc, a.r, a.lead+sim.ActorID(a.li+k), kAGBcast, 0, int64(w.p)*w.b)
-		}
 	}
 }

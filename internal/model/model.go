@@ -6,9 +6,10 @@
 // Where an mpi.World gives every rank a goroutine, device buffers and
 // the full protocol stack, a model world gives every rank a few dozen
 // bytes of state machine and replaces payload bytes with
-// mpi.SyntheticPayload generators: a message carries (kind, from,
-// round, bytes, signature) and nothing else. Correctness is still
-// checked end to end —
+// mpi.SyntheticPayload generators: a message carries (phase, from,
+// block, bytes, signature) and nothing else. The schedules are
+// internal/mpi's own (mpi.Sched): each rank walks its steps as the real
+// stack does (coll.go). Correctness is still checked end to end —
 //
 //   - every expected inbound block is marked exactly once in a
 //     per-sampled-rank cover bitset (duplicates and omissions panic);
@@ -36,7 +37,6 @@ import (
 
 	"gpuddt/internal/cluster"
 	"gpuddt/internal/datatype"
-	"gpuddt/internal/mem"
 	"gpuddt/internal/mpi"
 	"gpuddt/internal/pcie"
 	"gpuddt/internal/sim"
@@ -56,10 +56,17 @@ const (
 // (launch overhead plus streaming rate) rather than re-simulating the
 // pipeline.
 const (
-	packLaunch     = 5 * sim.Microsecond  // per-message pack/unpack kernel launch
-	packGBps       = 60.0                 // pack/unpack streaming rate
-	chaosRetryBase = 25 * sim.Microsecond // first retry backoff
-	chaosMaxRetry  = 6
+	packLaunch = 5 * sim.Microsecond // per-message pack/unpack kernel launch
+	packGBps   = 60.0                // pack/unpack streaming rate
+)
+
+// Stages of a spine-crossing message (sim.Event.B): addressed to its
+// sender as the wake of the WaitSend after it, which hands it on when
+// it is off the wire (rankSM.HandleEvent), or at the destination leaf's
+// relay. A delivered message is B 0.
+const (
+	departing = 1
+	atRelay   = 2
 )
 
 // Options configures one modelled collective.
@@ -88,12 +95,6 @@ type Options struct {
 	// >= world size means every rank.
 	SampleRanks int
 
-	// ChaosRate injects deterministic pseudo-random send retries with
-	// this probability per attempt (0 disables). Retries perturb
-	// timing, never content — the digest must be unchanged.
-	ChaosRate float64
-	ChaosSeed uint64
-
 	// RecordSpans attaches a sim.Recorder to the run (Result.Rec): each
 	// rank records its completion span on track "rank<r>".
 	RecordSpans bool
@@ -115,12 +116,10 @@ type Result struct {
 	// Shards is the effective shard count used.
 	Shards int
 
-	// Messages, Events, Faults, SigChecks count modelled messages,
-	// dispatched engine events, injected chaos retries, and verified
-	// message signatures.
+	// Messages, Events, SigChecks count modelled messages, dispatched
+	// engine events and verified message signatures.
 	Messages  int64
 	Events    int64
-	Faults    int64
 	SigChecks int64
 
 	// StateBytes is the deterministic structural memory of the world:
@@ -155,9 +154,9 @@ type world struct {
 	p, nodes, rpn int
 	radix, spines int
 	leaves, eff   int
-	b             int64 // packed bytes of one per-peer block
-	a2a, flat     bool  // o.Coll == "alltoall", o.Flat
-	lv            level // the round schedule's shape, decided once (coll.go)
+	b             int64   // packed bytes of one per-peer block
+	a2a, flat     bool    // o.Coll == "alltoall", o.Flat
+	ph            []phase // the collective's schedules (coll.go)
 	dt            *datatype.Datatype
 	count         int
 
@@ -166,11 +165,12 @@ type world struct {
 	lat, hopLat       sim.Time
 	overhead          sim.Time
 
-	// per-rank clocks
+	// per-rank clocks. rx is where a post-ahead phase's blocks unpack
+	// as they land (world.land), beside the sends on cpu.
 	cpu      []sim.Time
+	rx       []sim.Time
 	lastSend []sim.Time
 	doneAt   []sim.Time
-	msgSeq   []uint32
 
 	// per-resource next-free times. up[leaf*spines+s] is charged when
 	// the source leaf sends, down[leaf*spines+s] by the relay event at
@@ -187,8 +187,9 @@ type world struct {
 	fullSigAG  uint64   // hier-allgather full-buffer signature
 
 	// statistics
-	msgs, faults, sigs int64
-	rec                *sim.Recorder // nil unless o.RecordSpans
+	msgs, sigs int64
+	rec        *sim.Recorder                           // nil unless o.RecordSpans
+	sent       func(from, to sim.ActorID, bytes int64) // sees every send; set by tests only
 }
 
 // Run executes one modelled collective and returns its Result. It
@@ -259,7 +260,7 @@ func build(o Options) (*world, error) {
 		w.upBw = w.wire
 	}
 	w.a2a, w.flat = o.Coll == "alltoall", o.Flat
-	w.lv = w.newLevel()
+	w.ph = w.phases()
 	w.leaves = (nodes + w.radix - 1) / w.radix
 	w.eff = o.Shards
 	if w.eff == 0 {
@@ -274,9 +275,9 @@ func build(o Options) (*world, error) {
 	lookahead := w.lat/2 + w.hopLat
 
 	w.cpu = make([]sim.Time, w.p)
+	w.rx = make([]sim.Time, w.p)
 	w.lastSend = make([]sim.Time, w.p)
 	w.doneAt = make([]sim.Time, w.p)
-	w.msgSeq = make([]uint32, w.p)
 	w.nodeTx = make([]sim.Time, nodes)
 	w.nodeRx = make([]sim.Time, nodes)
 	w.bus = make([]sim.Time, nodes)
@@ -322,20 +323,14 @@ func build(o Options) (*world, error) {
 	for r := 0; r < w.p; r++ {
 		node := r / rpn
 		a := &w.ranks[r]
-		*a = rankSM{
-			w:    w,
-			r:    sim.ActorID(r),
-			node: node,
-			li:   r % rpn,
-			lead: sim.ActorID(node * rpn),
-		}
+		*a = rankSM{w: w, r: sim.ActorID(r)}
 		id := w.se.AddActor(w.shardOfNode(node), a)
 		if int(id) != r {
 			panic("model: actor id drifted from rank")
 		}
 	}
 	for r := 0; r < w.p; r++ {
-		w.se.Post(0, sim.Event{To: sim.ActorID(r), Kind: kStart})
+		w.se.Post(0, sim.Event{To: sim.ActorID(r)})
 	}
 	return w, nil
 }
@@ -363,142 +358,134 @@ func (w *world) packCost(n int64) sim.Time {
 	return packLaunch + sim.TimeForBytes(n, packGBps)
 }
 
-// chaosDelay deterministically perturbs a send with retry backoff.
-// The hash depends only on (seed, sender, per-sender message sequence,
-// attempt) — simulation history, never the shard partition — so chaos
-// worlds stay byte-identical across shard counts.
-func (w *world) chaosDelay(from sim.ActorID) sim.Time {
-	seq := w.msgSeq[from]
-	w.msgSeq[from]++
-	var d sim.Time
-	for att := 0; att < chaosMaxRetry; att++ {
-		h := mem.Mix64(w.o.ChaosSeed ^ uint64(from)<<32 ^ uint64(seq)<<8 ^ uint64(att))
-		if float64(h>>11)/float64(1<<53) >= w.o.ChaosRate {
-			break
-		}
-		d += chaosRetryBase << uint(att)
-		w.faults++
-	}
-	return d
-}
-
-// send models one point-to-point message: sender-side posting overhead
-// and pack, optional chaos retries and rendezvous round trip, then
-// serialization on the shared resources along the path. Delivery posts
-// a single event to the receiving rank; spine-crossing messages post a
-// relay event at the destination leaf first (arriving exactly one
-// lookahead later, which is what licenses the cross-shard post).
-func (w *world) send(sc *sim.ShardCtx, from, to sim.ActorID, kind, round int32, bytes int64) {
-	now := sc.Now()
-	st := w.cpu[from]
-	if now > st {
-		st = now
-	}
-	if ls := w.lastSend[from]; ls > st {
-		st = ls
-	}
-	st += w.overhead + w.packCost(bytes)
-	if w.o.ChaosRate > 0 {
-		st += w.chaosDelay(from)
-	}
+// send models one point-to-point message of phase ph carrying the
+// sender's block: sender-side posting overhead and pack, the rendezvous
+// round trip, then serialization on the shared resources along the
+// path. It lands (land) at the receiving rank; a spine-crossing message
+// posts a relay event at the destination leaf first (arriving exactly
+// one lookahead after it leaves, which is what licenses the cross-shard
+// post). In a post-ahead phase it leaves with the wake of the WaitSend
+// that follows it (rankSM.HandleEvent), so the sender has one event
+// pending, not a wake beside a relay.
+func (w *world) send(sc *sim.ShardCtx, from, to sim.ActorID, ph int8, block int32, bytes int64) {
+	st := max(w.cpu[from], sc.Now(), w.lastSend[from]) + w.overhead + w.packCost(bytes)
 	var sig uint64
 	if w.sampled[to] {
-		sig = w.msgSig(kind, from, to, round)
+		sig = w.msgSig(&w.ph[ph], from, to, block)
 	}
 	w.msgs++
-	ev := sim.Event{To: to, Kind: kind, From: from, Round: round, A: bytes, Sig: sig}
+	if w.sent != nil {
+		w.sent(from, to, bytes)
+	}
+	ev := sim.Event{To: to, Kind: int32(ph) + 1, From: from, Round: block, A: bytes, Sig: sig}
 	sn, dn := w.nodeOf(from), w.nodeOf(to)
-
-	if sn == dn {
+	sl, dl := sn/w.radix, dn/w.radix
+	var end, at sim.Time
+	switch {
+	case sn == dn:
 		// Intra-node: active message over the shared bus.
 		if bytes > mpi.DefaultEager {
 			st += 2 * mpi.AMLatency // rendezvous handshake
 		}
-		bs := st
-		if w.bus[sn] > bs {
-			bs = w.bus[sn]
-		}
-		end := bs + sim.TimeForBytes(bytes, w.busBw)
-		w.bus[sn] = end
-		w.cpu[from] = st
-		w.lastSend[from] = end
-		sc.Post(end+mpi.AMLatency-now, ev)
-		return
-	}
-
-	sl, dl := sn/w.radix, dn/w.radix
-	if sl == dl {
+		end = max(st, w.bus[sn]) + sim.TimeForBytes(bytes, w.busBw)
+		w.bus[sn], at = end, end+mpi.AMLatency
+	case sl == dl:
 		// Same leaf: one switch, source NIC tx and destination NIC rx.
 		if bytes > mpi.DefaultEager {
 			st += 2 * w.lat
 		}
-		ts := st
-		if w.nodeTx[sn] > ts {
-			ts = w.nodeTx[sn]
+		end = max(st, w.nodeTx[sn], w.nodeRx[dn]) + sim.TimeForBytes(bytes, w.wire)
+		w.nodeTx[sn], w.nodeRx[dn], at = end, end, end+w.lat
+	default:
+		// Spine-crossing: source NIC tx and the (leaf, spine) uplink are
+		// charged here; the downlink and destination NIC in the relay
+		// stage, when the message reaches the destination leaf.
+		if bytes > mpi.DefaultEager {
+			st += 2 * (w.lat + 2*w.hopLat)
 		}
-		if w.nodeRx[dn] > ts {
-			ts = w.nodeRx[dn]
-		}
-		end := ts + sim.TimeForBytes(bytes, w.wire)
-		w.nodeTx[sn], w.nodeRx[dn] = end, end
-		w.cpu[from] = st
-		w.lastSend[from] = end
-		sc.Post(end+w.lat-now, ev)
-		return
+		ul := sl*w.spines + (sn+dn)%w.spines
+		end = max(st, w.nodeTx[sn], w.up[ul]) + sim.TimeForBytes(bytes, w.upBw)
+		w.nodeTx[sn], w.up[ul] = end, end
 	}
-
-	// Spine-crossing: source NIC tx and the (leaf, spine) uplink are
-	// charged here; the downlink and destination NIC in the relay
-	// stage, when the message reaches the destination leaf.
-	if bytes > mpi.DefaultEager {
-		st += 2 * (w.lat + 2*w.hopLat)
+	w.cpu[from], w.lastSend[from] = st, end
+	switch {
+	case sl == dl:
+		w.land(sc, ev, at)
+	case w.ph[ph].alg == mpi.Pairwise:
+		ev.To, ev.From, ev.B = from, to, departing
+		w.ranks[from].sending = true
+		sc.Post(end-sc.Now(), ev)
+	default:
+		ev.B = atRelay
+		sc.Post(end+w.lat/2+w.hopLat-sc.Now(), ev)
 	}
-	spine := (sn + dn) % w.spines
-	ul := sl*w.spines + spine
-	ts := st
-	if w.nodeTx[sn] > ts {
-		ts = w.nodeTx[sn]
-	}
-	if w.up[ul] > ts {
-		ts = w.up[ul]
-	}
-	end := ts + sim.TimeForBytes(bytes, w.upBw)
-	w.nodeTx[sn], w.up[ul] = end, end
-	w.cpu[from] = st
-	w.lastSend[from] = end
-	ev.B = 1 // relay pending at the destination leaf
-	sc.Post(end+w.lat/2+w.hopLat-now, ev)
 }
 
 // relay is the destination-leaf half of a spine-crossing message: it
-// serializes on the downlink and destination NIC and re-posts the
-// delivery locally.
+// serializes on the downlink and destination NIC and lands the message
+// locally.
 func (w *world) relay(sc *sim.ShardCtx, ev sim.Event) {
-	now := sc.Now()
 	sn, dn := w.nodeOf(ev.From), w.nodeOf(ev.To)
-	spine := (sn + dn) % w.spines
-	dlink := (dn/w.radix)*w.spines + spine
-	ts := now
-	if w.down[dlink] > ts {
-		ts = w.down[dlink]
-	}
-	if w.nodeRx[dn] > ts {
-		ts = w.nodeRx[dn]
-	}
-	end := ts + sim.TimeForBytes(ev.A, w.upBw)
+	dlink := (dn/w.radix)*w.spines + (sn+dn)%w.spines
+	end := max(sc.Now(), w.down[dlink], w.nodeRx[dn]) + sim.TimeForBytes(ev.A, w.upBw)
 	w.down[dlink], w.nodeRx[dn] = end, end
 	ev.B = 0
-	sc.Post(end+w.hopLat+w.lat/2-now, ev)
+	w.land(sc, ev, end+w.hopLat+w.lat/2)
 }
 
-// arrive charges the receive-side unpack and advances the rank's CPU
-// clock.
-func (w *world) arrive(sc *sim.ShardCtx, r sim.ActorID, bytes int64) {
-	t := sc.Now()
-	if w.cpu[r] > t {
-		t = w.cpu[r]
+// land delivers ev to its rank at time at. A rank waits for each block
+// of a ring, gather, scatter or broadcast with nothing else to do, so
+// the block is an event, unpacked on the rank's CPU clock (arrive). In
+// a post-ahead phase (mpi.Pairwise) every receive is posted and the
+// rank is busy sending, one wake per send: a block then books itself
+// here, on the receiver's shard (a same-leaf sender's or the relay's
+// handler), and unpacks on the rank's receive clock from the time it
+// lands, as the real stack's progress process unpacks beside the
+// blocking sends. Only a rank that already waits at the phase's last
+// step for it gets a wake, once the block is unpacked. So a message is
+// one event either way, besides its relay.
+func (w *world) land(sc *sim.ShardCtx, ev sim.Event, at sim.Time) {
+	ph := &w.ph[ev.Kind-1]
+	if ph.alg != mpi.Pairwise {
+		sc.Post(at-sc.Now(), ev)
+		return
 	}
-	w.cpu[r] = t + w.packCost(bytes)
+	r := ev.To
+	w.rx[r] = max(w.rx[r], at) + w.packCost(ev.A)
+	w.receive(ph, ev)
+	a := &w.ranks[r]
+	a.landed(int8(ev.Kind - 1))
+	if a.waits(int8(ev.Kind - 1)) {
+		sc.Post(w.rx[r]-sc.Now(), sim.Event{To: r})
+	}
+}
+
+// arrive charges the receive-side unpack of a block delivered at time
+// at and advances the rank's CPU clock.
+func (w *world) arrive(r sim.ActorID, at sim.Time, bytes int64) {
+	w.cpu[r] = max(w.cpu[r], at) + w.packCost(bytes)
+}
+
+// receive verifies a block landing at ev.To and marks the source blocks
+// it brings: the sender's own in a pairwise exchange, the carried one
+// around a ring, everything from a leader's scatter or broadcast, and
+// nothing yet from a gather (the leader marks its node's blocks when it
+// enters the leader phase).
+func (w *world) receive(ph *phase, ev sim.Event) {
+	r := ev.To
+	w.verify(ph, r, ev)
+	switch {
+	case ph.alg == mpi.Gather:
+	case ph.tier == tierNode:
+		w.mark(r, 0, w.p)
+	default:
+		src := int(ev.Round)
+		if ph.alg == mpi.Pairwise {
+			from, _ := w.sched(ph, ev.From)
+			src = from.Me
+		}
+		w.mark(r, src*ph.width, ph.width)
+	}
 }
 
 // mark records that sampled rank r received the n blocks contributed by
@@ -518,49 +505,46 @@ func (w *world) mark(r sim.ActorID, src, n int) {
 	w.covered[r] += int32(n)
 }
 
-// msgSig computes the content signature for a message. Sender and a
-// sampled receiver evaluate the same pure function of (kind, from, to,
-// round) against their own payload generators; a mismatch means the
-// modelled schedule moved the wrong bytes.
-func (w *world) msgSig(kind int32, from, to sim.ActorID, round int32) uint64 {
-	switch kind {
-	case kA2A:
-		// Flat alltoall: sender's block for destination `to`.
-		return w.payA2A(int(from)).PackedSig(int(to)*w.count, w.count)
-	case kAG:
-		// Flat allgather ring: the block originated by (from - round).
-		origin := (int(from) - int(round)%w.p + w.p) % w.p
-		return w.payAG(origin).PackedSig(0, w.count)
-	case kA2AIn:
-		// Hier alltoall gather: member's whole send buffer.
+// msgSig computes the content signature for a message of phase ph
+// carrying the sender's block. Sender and a sampled receiver evaluate
+// the same pure function of (phase, from, to, block) against their own
+// payload generators; a mismatch means the modelled schedule moved the
+// wrong bytes.
+func (w *world) msgSig(ph *phase, from, to sim.ActorID, block int32) uint64 {
+	var s mpi.Sig64
+	switch {
+	case ph.alg == mpi.Gather && w.a2a:
+		// A member's whole send buffer.
 		return w.payA2A(int(from)).PackedSig(0, w.p*w.count)
-	case kA2ANode:
-		// Hier alltoall node pair: source node's blocks for every rank
-		// on the destination node, member-major.
+	case ph.alg == mpi.Gather:
+		// A member's contribution.
+		return w.payAG(int(from)).PackedSig(0, w.count)
+	case ph.tier == tierNode && w.a2a:
+		// A member's result column (Scatter).
+		return w.colSigA2A(int(to))
+	case ph.tier == tierNode:
+		// The assembled buffer (Bcast).
+		return w.fullSigAG
+	case ph.tier == tierLeaders && w.a2a:
+		// Node pair: the source node's blocks for every rank on the
+		// destination node, member-major.
 		sn, dn := w.nodeOf(from), w.nodeOf(to)
-		var s mpi.Sig64
 		for li := 0; li < w.rpn; li++ {
 			w.payA2A(sn*w.rpn+li).FoldPacked(&s, dn*w.rpn*w.count, w.rpn*w.count)
 		}
 		return s.Sum64()
-	case kA2ACol:
-		return w.colSigA2A(int(to))
-	case kAGIn:
-		// Hier allgather gather: member's contribution.
-		return w.payAG(int(from)).PackedSig(0, w.count)
-	case kAGSlab:
-		// Hier allgather ring: the node slab originated by node
-		// (fromNode - round), member-major.
-		q := (w.nodeOf(from) - int(round)%w.nodes + w.nodes) % w.nodes
-		var s mpi.Sig64
+	case ph.tier == tierLeaders:
+		// The slab of node block, member-major.
 		for li := 0; li < w.rpn; li++ {
-			w.payAG(q*w.rpn+li).FoldPacked(&s, 0, w.count)
+			w.payAG(int(block)*w.rpn+li).FoldPacked(&s, 0, w.count)
 		}
 		return s.Sum64()
-	case kAGBcast:
-		return w.fullSigAG
+	case w.a2a:
+		// The sender's block for destination to.
+		return w.payA2A(int(from)).PackedSig(int(to)*w.count, w.count)
 	}
-	panic(fmt.Sprintf("model: msgSig of unknown kind %d", kind))
+	// The ring's block of rank block.
+	return w.payAG(int(block)).PackedSig(0, w.count)
 }
 
 // colSigA2A returns (caching) the signature of hier-alltoall's phase-3
@@ -580,13 +564,13 @@ func (w *world) colSigA2A(dst int) uint64 {
 }
 
 // verify recomputes an inbound message's signature at a sampled rank.
-func (w *world) verify(r sim.ActorID, ev sim.Event) {
+func (w *world) verify(ph *phase, r sim.ActorID, ev sim.Event) {
 	if !w.sampled[r] {
 		return
 	}
-	if want := w.msgSig(ev.Kind, ev.From, r, ev.Round); want != ev.Sig {
-		panic(fmt.Sprintf("model: signature mismatch on kind %d %d->%d round %d: sender %#x receiver %#x",
-			ev.Kind, ev.From, r, ev.Round, ev.Sig, want))
+	if want := w.msgSig(ph, ev.From, r, ev.Round); want != ev.Sig {
+		panic(fmt.Sprintf("model: signature mismatch in phase %d %d->%d block %d: sender %#x receiver %#x",
+			ev.Kind-1, ev.From, r, ev.Round, ev.Sig, want))
 	}
 	w.sigs++
 }
@@ -596,7 +580,6 @@ func (w *world) finalize() (Result, error) {
 		Shards:    w.eff,
 		Messages:  w.msgs,
 		Events:    w.se.Events(),
-		Faults:    w.faults,
 		SigChecks: w.sigs,
 		HeapPeak:  w.se.HeapPeak(),
 		Sampled:   w.sampleList,
@@ -637,8 +620,7 @@ func (w *world) finalize() (Result, error) {
 func (w *world) footprint() int64 {
 	const tsz = int64(unsafe.Sizeof(sim.Time(0)))
 	n := int64(len(w.ranks)) * int64(unsafe.Sizeof(rankSM{}))
-	n += int64(len(w.cpu)+len(w.lastSend)+len(w.doneAt)) * tsz
-	n += int64(len(w.msgSeq)) * 4
+	n += int64(len(w.cpu)+len(w.rx)+len(w.lastSend)+len(w.doneAt)) * tsz
 	n += int64(len(w.nodeTx)+len(w.nodeRx)+len(w.bus)+len(w.up)+len(w.down)) * tsz
 	n += int64(len(w.sampled)) + int64(len(w.covered))*4
 	for _, c := range w.cover {

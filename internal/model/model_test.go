@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gpuddt/internal/cluster"
-	"gpuddt/internal/mpi"
 	"gpuddt/internal/shapes"
 	"gpuddt/internal/sim"
 )
@@ -66,11 +65,14 @@ func TestModelDeterminism(t *testing.T) {
 	}
 }
 
-// TestModelNumbersPinned holds every count a run reports to literals
-// captured before the shards were drained in turn, at 1 024 ranks
-// (256 nodes x 4, oversubscription 2, 16 sampled) and 1, 2, 4 and 8
-// shards. The identity tests compare one shard count with another and
-// would all move together; these cannot.
+// TestModelNumbersPinned holds every count a run reports to literals at
+// 1 024 ranks (256 nodes x 4, oversubscription 2, 16 sampled) and 1, 2,
+// 4 and 8 shards. The identity tests compare one shard count with
+// another and would all move together; these cannot. The allgather
+// rows' times, events, messages, signature checks and heap peaks are
+// those the model had before it walked internal/mpi's schedules: only
+// the alltoall's exchange changed, from lockstep rounds to receives
+// posted ahead.
 func TestModelNumbersPinned(t *testing.T) {
 	for _, row := range []struct {
 		coll                 string
@@ -80,154 +82,130 @@ func TestModelNumbersPinned(t *testing.T) {
 		heapPeak, stateBytes [4]int64 // at 1, 2, 4, 8 shards
 		digest               string
 	}{
-		{"alltoall", false, 6353670250, 131328, 66816, 4128,
-			[4]int64{1023, 511, 255, 127}, [4]int64{175048, 146376, 132040, 124872}, "fc7c7506dd9275aa"},
-		{"alltoall", true, 14155428000, 2064384, 1047552, 16368,
-			[4]int64{1024, 512, 256, 128}, [4]int64{166912, 138240, 123904, 116736}, "fc7c7506dd9275aa"},
+		{"alltoall", false, 3072954916, 131456, 66816, 4128,
+			[4]int64{1023, 511, 255, 127}, [4]int64{146376, 117704, 103368, 96200}, "fc7c7506dd9275aa"},
+		{"alltoall", true, 5943757548, 2065024, 1047552, 16368,
+			[4]int64{1536, 768, 384, 192}, [4]int64{166912, 123904, 102400, 91648}, "fc7c7506dd9275aa"},
 		{"allgather", false, 3713813064, 76000, 66816, 4128,
-			[4]int64{1023, 511, 255, 127}, [4]int64{166856, 138184, 123848, 116680}, "ed02f84240796db7"},
+			[4]int64{1023, 511, 255, 127}, [4]int64{138184, 109512, 95176, 88008}, "ed02f84240796db7"},
 		{"allgather", true, 11764514444, 1081312, 1047552, 16368,
-			[4]int64{1024, 512, 256, 128}, [4]int64{166912, 138240, 123904, 116736}, "ed02f84240796db7"},
+			[4]int64{1024, 512, 256, 128}, [4]int64{138240, 109568, 95232, 88064}, "ed02f84240796db7"},
 	} {
 		for i, shards := range []int{1, 2, 4, 8} {
 			res := mustRun(t, Options{
 				Spec: cluster.ScaleModelled(256, 4, 4, 2, shards), Coll: row.coll, Flat: row.flat,
 				Dt: shapes.SubMatrix(16, 8, 12), Count: 1, SampleRanks: 16,
 			})
-			got := fmt.Sprint(res.Shards, int64(res.Time), res.Events, res.Messages, res.SigChecks, res.Faults,
+			got := fmt.Sprint(res.Shards, int64(res.Time), res.Events, res.Messages, res.SigChecks,
 				res.HeapPeak, res.StateBytes, fmt.Sprintf("%x", res.Digest[:8]))
-			want := fmt.Sprint(shards, int64(row.time), row.events, row.msgs, row.sigs, 0,
+			want := fmt.Sprint(shards, int64(row.time), row.events, row.msgs, row.sigs,
 				row.heapPeak[i], row.stateBytes[i], row.digest)
 			if got != want {
-				t.Errorf("%s flat=%v: shards, time, events, messages, sigchecks, faults, heap peak, state bytes, digest\n got %s\nwant %s",
+				t.Errorf("%s flat=%v: shards, time, events, messages, sigchecks, heap peak, state bytes, digest\n got %s\nwant %s",
 					row.coll, row.flat, got, want)
 			}
 		}
 	}
 }
 
-// TestModelChaosDeterminism: deterministic fault injection perturbs
-// timing identically on every shard count, and never content.
-func TestModelChaosDeterminism(t *testing.T) {
-	clean := mustRun(t, testOptions("alltoall", true, 1))
-	o := testOptions("alltoall", true, 1)
-	o.ChaosRate = 0.05
-	o.ChaosSeed = 17
-	ref := mustRun(t, o)
-	if ref.Faults == 0 {
-		t.Fatal("chaos run injected no faults")
+// fourRanks builds a four-node, one-rank-per-node world of coll for a
+// test that runs rank 0 alone on an engine of its own, with one span per
+// finish, every rank sampled and its sends recorded in sent.
+func fourRanks(t *testing.T, coll string) (w *world, se *sim.ShardedEngine, rec *sim.Recorder, sent *[]sim.ActorID) {
+	t.Helper()
+	o := testOptions(coll, true, 1)
+	o.Spec = cluster.Scale(4, 1, 1, 2)
+	o.RecordSpans = true
+	w, err := build(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ref.Time <= clean.Time {
-		t.Fatalf("chaos run (%v) not slower than clean run (%v)", ref.Time, clean.Time)
-	}
-	if ref.Digest != clean.Digest {
-		t.Fatal("chaos perturbed content, not just timing")
-	}
-	for _, shards := range []int{2, 8} {
-		o.Shards = shards
-		got := mustRun(t, o)
-		if got.Time != ref.Time || got.Digest != ref.Digest || got.Faults != ref.Faults {
-			t.Fatalf("chaos world diverged at %d shards: time %v vs %v, faults %d vs %d",
-				shards, got.Time, ref.Time, got.Faults, ref.Faults)
+	sent = new([]sim.ActorID)
+	w.sent = func(from, to sim.ActorID, _ int64) {
+		if from == 0 {
+			*sent = append(*sent, to)
 		}
+	}
+	// The world's own engine has every rank's start queued; this one
+	// runs rank 0 alone.
+	se = sim.NewShardedEngine(1, 0)
+	rec = se.Record()
+	se.AddActor(0, &w.ranks[0])
+	return w, se, rec, sent
+}
+
+// checkFinished fails unless rank 0 finished exactly once with every
+// block marked once.
+func checkFinished(t *testing.T, what string, w *world, rec *sim.Recorder) {
+	t.Helper()
+	if !w.ranks[0].done || rec.SpanCount() != 1 {
+		t.Errorf("%s: done=%v after %d finishes", what, w.ranks[0].done, rec.SpanCount())
+	}
+	if int(w.covered[0]) != w.p {
+		t.Errorf("%s: %d of %d blocks marked", what, w.covered[0], w.p)
 	}
 }
 
-// TestModelChaosAllArms: retries reorder arrivals — a later round
-// overtakes an earlier one, a neighbour's first slab reaches a leader
-// that is still collecting its own members' buffers — and every
-// schedule must absorb that: complete, with the clean run's content,
-// identically on every shard count. Two and three nodes are the worlds
-// where a leader has one or two rounds and nothing arrives afterwards
-// to rescue a round parked too early; they fit on one leaf, so only the
-// 64-node world has shards to compare. It verifies 16 sampled ranks,
-// which keeps the 576 runs affordable under -race.
-func TestModelChaosAllArms(t *testing.T) {
-	for _, coll := range []string{"alltoall", "allgather"} {
-		for _, flat := range []bool{false, true} {
-			for _, nodes := range []int{2, 3, 64} {
-				o := testOptions(coll, flat, 1)
-				o.Spec = cluster.Scale(nodes, 1, 2, 2)
-				o.SampleRanks = 16
-				clean := mustRun(t, o)
-				for _, rate := range []float64{0.05, 0.3} {
-					for seed := uint64(1); seed <= 8; seed++ {
-						o.ChaosRate, o.ChaosSeed, o.Shards = rate, seed, 1
-						what := fmt.Sprintf("%s flat=%v nodes=%d rate=%v seed=%d", coll, flat, nodes, rate, seed)
-						ref, err := Run(o)
-						if err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						if ref.Digest != clean.Digest {
-							t.Fatalf("%s: chaos perturbed content", what)
-						}
-						for _, shards := range []int{2, 4} {
-							o.Shards = shards
-							got, err := Run(o)
-							if err != nil {
-								t.Fatalf("%s shards=%d: %v", what, shards, err)
-							}
-							if got.Time != ref.Time || got.Digest != ref.Digest || got.Events != ref.Events || got.Faults != ref.Faults {
-								t.Fatalf("%s shards=%d: time %v, %d events, %d faults; serial %v, %d, %d",
-									what, shards, got.Time, got.Events, got.Faults, ref.Time, ref.Events, ref.Faults)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+// blockFeed lands rank 0's exchange blocks as their senders would: the
+// event's Round names the peer whose block lands.
+type blockFeed struct{ w *world }
+
+func (f blockFeed) HandleEvent(sc *sim.ShardCtx, ev sim.Event) {
+	w, from := f.w, ev.Round
+	w.land(sc, sim.Event{To: 0, Kind: 1, From: from, A: w.b, Sig: w.msgSig(&w.ph[0], from, 0, 0)}, sc.Now())
 }
 
-// sendLog stands in for the peers of the rank under test and records
-// the round of every message that rank sends, in arrival order. The
-// peers sit on one leaf and send nothing, so the sender's NIC is the
-// only queue and arrival order is send order.
-type sendLog struct{ rounds []int32 }
-
-func (l *sendLog) HandleEvent(sc *sim.ShardCtx, ev sim.Event) { l.rounds = append(l.rounds, ev.Round) }
-
-// TestRoundsArriveOutOfOrder hands rank 0 of a four-rank flat alltoall
-// its three rounds in the order 3, 1, 2 — once after its start event
-// and once before it, which is what a leader sees when a neighbour is
-// quicker than its own members. Either way it must send rounds 1, 2, 3
-// in that order and finish exactly once.
-func TestRoundsArriveOutOfOrder(t *testing.T) {
+// TestExchangeBlocksLandOutOfOrder hands rank 0 of a four-rank flat
+// alltoall its three blocks in the order 3, 1, 2 — once after its start
+// and once before it, as a leader sees a neighbour quicker than its own
+// members. Either way it sends steps 1, 2 and 3 in that order, marks
+// every block once and finishes exactly once.
+func TestExchangeBlocksLandOutOfOrder(t *testing.T) {
 	for _, startAt := range []sim.Time{0, 4 * sim.Microsecond} {
-		o := testOptions("alltoall", true, 1)
-		o.Spec = cluster.Scale(4, 1, 1, 2)
-		o.RecordSpans = true // one span per finish
-		w, err := build(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The world's own engine has every rank's start event queued;
-		// this one runs rank 0 alone against the log.
-		se := sim.NewShardedEngine(1, 0)
-		rec := se.Record()
-		var peers sendLog
-		se.AddActor(0, &w.ranks[0])
-		for r := 1; r < w.p; r++ {
-			se.AddActor(0, &peers)
-		}
-		se.Post(startAt, sim.Event{To: 0, Kind: kStart})
-		for i, round := range []int32{3, 1, 2} {
-			_, from := mpi.PairwisePeers(w.p, 0, int(round))
-			se.Post(sim.Time(i+1)*sim.Microsecond, sim.Event{
-				To: 0, Kind: kA2A, From: sim.ActorID(from), Round: round, A: w.b,
-				Sig: w.msgSig(kA2A, sim.ActorID(from), 0, round),
-			})
+		w, se, rec, sent := fourRanks(t, "alltoall")
+		se.AddActor(0, blockFeed{w})
+		se.Post(startAt, sim.Event{To: 0})
+		for i, from := range []sim.ActorID{3, 1, 2} {
+			se.Post(sim.Time(i+1)*sim.Microsecond, sim.Event{To: 1, Round: from})
 		}
 		se.Run()
-		if got := fmt.Sprint(peers.rounds); got != "[1 2 3]" {
-			t.Errorf("start at %v: rank 0 sent rounds %s, want [1 2 3]", startAt, got)
+		what := fmt.Sprintf("start at %v", startAt)
+		if got := fmt.Sprint(*sent); got != "[1 2 3]" {
+			t.Errorf("%s: rank 0 sent to %s, want [1 2 3]", what, got)
 		}
-		if a := &w.ranks[0]; !a.done || rec.SpanCount() != 1 || len(a.pend) != 0 {
-			t.Errorf("start at %v: done=%v after %d finishes, %d rounds still pending", startAt, a.done, rec.SpanCount(), len(a.pend))
+		checkFinished(t, what, w, rec)
+	}
+}
+
+// blockLog stands in for rank 0's right neighbour and records the block
+// of every ring message it gets.
+type blockLog struct{ blocks []int32 }
+
+func (l *blockLog) HandleEvent(sc *sim.ShardCtx, ev sim.Event) { l.blocks = append(l.blocks, ev.Round) }
+
+// TestRingStepsLandEarly: rank 0 of a four-rank ring allgather gets its
+// left neighbour's steps 0, 1 and 2 — all before its own start, so steps
+// 1 and 2 land before step 0 completes, or in step with it. Either way
+// it forwards blocks 0, 3 and 2 in that order, marks every block once
+// and finishes exactly once.
+func TestRingStepsLandEarly(t *testing.T) {
+	for _, startAt := range []sim.Time{0, 4 * sim.Microsecond} {
+		w, se, rec, sent := fourRanks(t, "allgather")
+		var right blockLog
+		se.AddActor(0, &right)
+		for i := 0; i < 3; i++ {
+			block := int32(3 - i) // step i brings block me-i-1
+			se.Post(sim.Time(i+1)*sim.Microsecond, sim.Event{
+				To: 0, Kind: 1, From: 3, Round: block, A: w.b, Sig: w.msgSig(&w.ph[0], 3, 0, block),
+			})
 		}
-		if int(w.covered[0]) != w.p {
-			t.Errorf("start at %v: %d of %d blocks marked", startAt, w.covered[0], w.p)
+		se.Post(startAt, sim.Event{To: 0})
+		se.Run()
+		what := fmt.Sprintf("start at %v", startAt)
+		if got := fmt.Sprint(right.blocks); got != "[0 3 2]" || fmt.Sprint(*sent) != "[1 1 1]" {
+			t.Errorf("%s: rank 0 sent blocks %s to %v, want [0 3 2] to rank 1", what, got, *sent)
 		}
+		checkFinished(t, what, w, rec)
 	}
 }
 
@@ -343,9 +321,8 @@ func TestModelOptionErrors(t *testing.T) {
 // not when it is sent, signed, verified or digested. Flat allgather
 // sends p*(p-1) messages, so from 64 to 256 ranks the message count
 // grows 16-fold while everything a world legitimately allocates (rank
-// state, cover bitsets, the event heap's doublings) grows with the
-// ranks: one cover bitset per added rank, and no pending-round set,
-// because a clean ring delivers every round in order. Every rank is
+// state, cover bitsets; the event heap comes off the table shelf) grows
+// with the ranks: one cover bitset per added rank. Every rank is
 // sampled, so every message is signed and verified.
 func TestModelRunAllocsPerMessage(t *testing.T) {
 	type point struct{ allocs, ranks, msgs float64 }

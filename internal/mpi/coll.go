@@ -20,8 +20,10 @@ import (
 // Every algorithm takes an explicit *sim.Proc and a pre-reserved tag
 // block: the public blocking entry points pass the rank's main process,
 // while the nonblocking Iallgatherv (icoll.go) reserves tags at call
-// time and runs the same schedule on a spawned progress process. A
-// step's transfers in flight together are one request batch (batch).
+// time and runs the same schedule on a spawned progress process. The
+// pairwise exchange, the ring, the gather and scatter and the broadcast
+// tree are schedule values (sched.go) that walk posts through a request
+// batch (batch); the functions here hold and stage around them.
 //
 // A block stays packed while a collective holds it (hold.go): where an
 // algorithm below would make the rank launch two kernels or more for
@@ -160,7 +162,10 @@ func (m *Rank) batch(c comm) *batch {
 
 // send posts count elements of dt from buf to member to, from p.
 func (b *batch) send(p *sim.Proc, buf mem.Buffer, dt *datatype.Datatype, count, to, tag int) *batch {
-	if packedSize(dt, count) > 0 {
+	if n := packedSize(dt, count); n > 0 {
+		if sent := b.m.w.sent; sent != nil {
+			sent(b.m.rank, b.c.rank(to), n)
+		}
 		b.sends = append(b.sends, b.m.isendOn(p, buf, dt, count, b.c.rank(to), tag))
 	}
 	return b
@@ -174,27 +179,72 @@ func (b *batch) recv(buf mem.Buffer, dt *datatype.Datatype, count, from, tag int
 	return b
 }
 
-// wait waits for the sends, then the receives, in posting order; fails
-// what on a receive short of its block; releases every record; pools b.
+// wait is await, then pools b.
 func (b *batch) wait(p *sim.Proc, what string) {
 	m := b.m
+	b.await(p, what)
+	b.m, b.c = nil, comm{}
+	m.batches = append(m.batches, b)
+}
+
+// await waits for the sends, then the receives, in posting order; fails
+// what on a receive short of its block; releases every record. b is
+// empty after it, ready for the next step's requests.
+func (b *batch) await(p *sim.Proc, what string) {
+	b.awaitSends(p)
+	for _, rq := range b.recvs {
+		op := rq.rec.(*recvReq).op // read before await lets the record go
+		b.m.wholeBlock(what, op.Src, await(p, rq), op.Dt, op.Count)
+	}
+	clear(b.recvs)
+	b.recvs = b.recvs[:0]
+}
+
+// awaitSends waits for the sends alone, in posting order, and releases
+// them; the receives stay posted.
+func (b *batch) awaitSends(p *sim.Proc) {
 	for _, rq := range b.sends {
 		await(p, rq)
 	}
-	for _, rq := range b.recvs {
-		op := rq.rec.(*recvReq).op // read before await lets the record go
-		m.wholeBlock(what, op.Src, await(p, rq), op.Dt, op.Count)
-	}
 	clear(b.sends)
-	clear(b.recvs)
-	b.m, b.c, b.sends, b.recvs = nil, comm{}, b.sends[:0], b.recvs[:0]
-	m.batches = append(m.batches, b)
+	b.sends = b.sends[:0]
+}
+
+// walk runs schedule s over c on p, every request through one batch:
+// Recv and Send post block Block of recv or send to or from member Peer
+// on tag+Tag, the waits wait for the batch, and Copy calls copy (nil:
+// the caller's block is already in place).
+func (m *Rank) walk(p *sim.Proc, what string, c comm, s Sched, send, recv view, tag int, copy func()) {
+	b := m.batch(c)
+	for i, n := 0, s.Len(); i < n; i++ {
+		switch st := s.Step(i); st.Op {
+		case OpRecv:
+			buf, dt, count := recv(st.Block)
+			b.recv(buf, dt, count, st.Peer, tag+st.Tag)
+		case OpSend:
+			buf, dt, count := send(st.Block)
+			b.send(p, buf, dt, count, st.Peer, tag+st.Tag)
+		case OpCopy:
+			if copy != nil {
+				copy()
+			}
+		case OpWaitSend:
+			b.awaitSends(p)
+		case OpWait:
+			b.await(p, what)
+		}
+	}
+	b.wait(p, what)
+}
+
+// one views a single block as every block index.
+func one(buf mem.Buffer, dt *datatype.Datatype, count int) view {
+	return func(int) (mem.Buffer, *datatype.Datatype, int) { return buf, dt, count }
 }
 
 // PairwisePeers returns the round-s exchange partners of index r among
 // n peers: the recursive-doubling XOR pairing when n is a power of two,
-// the shifted ring otherwise. Rounds run 1..n-1. Shared with the
-// flyweight model (internal/model) so both execute one pattern.
+// the shifted ring otherwise. Rounds run 1..n-1 (Pairwise's steps).
 func PairwisePeers(n, r, s int) (to, from int) {
 	if n&(n-1) == 0 {
 		return r ^ s, r ^ s
@@ -218,17 +268,6 @@ func BinomialTree(n, v int) (parent, span int) {
 	return -1, mask
 }
 
-// tree places the caller in the binomial tree over c rotated so that
-// member rootIdx is virtual rank 0; at maps a virtual rank back to its
-// world rank.
-func (c comm) tree(rootIdx int) (v, parent, span int) {
-	v = (c.me - rootIdx + c.n) % c.n
-	parent, span = BinomialTree(c.n, v)
-	return v, parent, span
-}
-
-func (c comm) at(v, rootIdx int) int { return c.rank((v + rootIdx) % c.n) }
-
 // bcastTree broadcasts (buf, dt, count) from member rootIdx over the
 // binomial tree, on a single tag (every hop is a distinct rank pair).
 // Every member must call it. A member that would launch twice or more
@@ -239,35 +278,23 @@ func (m *Rank) bcastTree(p *sim.Proc, what string, c comm, rootIdx int, buf mem.
 	if c.n <= 1 {
 		return
 	}
-	v, parent, span := c.tree(rootIdx)
-	launches := 0
-	if parent >= 0 {
-		launches++
-	}
-	for k := span >> 1; k > 0; k >>= 1 {
-		if v+k < c.n {
-			launches++
-		}
-	}
-	st, buf, dt, count := m.holdBlock(launches, buf, dt, count)
-	if parent >= 0 {
-		m.recvBlock(p, what, buf, dt, count, c.at(parent, rootIdx), tag)
-	} else {
+	s := Sched{Alg: Bcast, N: c.n, Me: c.me, Root: rootIdx}
+	root := c.me == rootIdx
+	st, buf, dt, count := m.holdBlock(s.Len()/2, buf, dt, count) // a wait per transfer
+	if root {
 		m.packHeld(p, st)
 	}
-	for k := span >> 1; k > 0; k >>= 1 {
-		if v+k < c.n {
-			m.sendOn(p, buf, dt, count, c.at(v+k, rootIdx), tag)
-		}
-	}
-	if parent >= 0 {
+	block := one(buf, dt, count)
+	m.walk(p, what, c, s, block, block, tag, nil)
+	if !root {
 		m.unpackHeld(p, st)
 	}
 	m.release(st)
 }
 
 // reduceTree combines every member's acc — already holding its
-// contribution — into member rootIdx's acc over the binomial tree.
+// contribution — into member rootIdx's acc over the broadcast's
+// binomial tree, folding the children smallest subtree first.
 // Per-child messages are tagged tag + sender's world rank, and each
 // must bring a whole block: a shorter one fails the collective what
 // rather than fold a stale tail. Every member must call it.
@@ -275,18 +302,19 @@ func (m *Rank) reduceTree(p *sim.Proc, what string, c comm, rootIdx int, acc mem
 	if c.n <= 1 {
 		return
 	}
-	v, parent, span := c.tree(rootIdx)
+	v, parent, kmax := Sched{Alg: Bcast, N: c.n, Me: c.me, Root: rootIdx}.tree()
+	at := func(v int) int { return c.rank((v + rootIdx) % c.n) }
 	var tmp mem.Buffer
-	for k := 1; k < span && v+k < c.n; k <<= 1 {
+	for k := 1; k <= kmax; k <<= 1 {
 		if !tmp.IsValid() {
 			tmp = m.take(acc.Space(), acc.Len())
 		}
-		child := c.at(v+k, rootIdx)
+		child := at(v + k)
 		m.recvBlock(p, what, tmp, dt, count, child, tag+child)
 		m.combine(p, acc, tmp, prim, op)
 	}
 	if parent >= 0 {
-		m.sendOn(p, acc, dt, count, c.at(parent, rootIdx), tag+m.rank)
+		m.sendOn(p, acc, dt, count, at(parent), tag+m.rank)
 	}
 	if tmp.IsValid() {
 		m.give(tmp)
@@ -314,12 +342,7 @@ func (m *Rank) ringAllgather(p *sim.Proc, what string, c comm, blocks view, tag 
 		return 2
 	})
 	blocks = st.over(blocks)
-	right, left := (c.me+1)%c.n, (c.me-1+c.n)%c.n
-	for s := 0; s < c.n-1; s++ {
-		sbuf, sdt, scount := blocks((c.me - s + c.n) % c.n)
-		rbuf, rdt, rcount := blocks((c.me - s - 1 + c.n) % c.n)
-		m.batch(c).send(p, sbuf, sdt, scount, right, tag+s).recv(rbuf, rdt, rcount, left, tag+s).wait(p, what)
-	}
+	m.walk(p, what, c, Sched{Alg: Ring, N: c.n, Me: c.me}, blocks, blocks, tag, nil)
 	m.unpackHeld(p, st)
 	m.release(st)
 }
@@ -336,19 +359,7 @@ func (m *Rank) exchangeAll(p *sim.Proc, what string, c comm, send, recv view, ta
 	ss, rs := m.hold(c.n, send, each), m.hold(c.n, recv, each)
 	m.packHeld(p, ss)
 	send, recv = ss.over(send), rs.over(recv)
-	m.copyBlock(p, c.me, send, recv)
-	b := m.batch(c)
-	for s := 1; s < c.n; s++ {
-		_, from := PairwisePeers(c.n, c.me, s)
-		rbuf, rdt, rcount := recv(from)
-		b.recv(rbuf, rdt, rcount, from, tag)
-	}
-	for s := 1; s < c.n; s++ {
-		to, _ := PairwisePeers(c.n, c.me, s)
-		sbuf, sdt, scount := send(to)
-		m.batch(c).send(p, sbuf, sdt, scount, to, tag).wait(p, what)
-	}
-	b.wait(p, what)
+	m.walk(p, what, c, Sched{Alg: Pairwise, N: c.n, Me: c.me}, send, recv, tag, func() { m.copyBlock(p, c.me, send, recv) })
 	m.unpackHeld(p, rs)
 	m.release(rs)
 	m.release(ss)
@@ -364,8 +375,9 @@ func (m *Rank) exchangeAll(p *sim.Proc, what string, c comm, send, recv view, ta
 // root holds the blocks it receives and unpacks them together.
 func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf mem.Buffer, sdt *datatype.Datatype, scount int,
 	recv view, tag int, staged func()) {
+	s := Sched{Alg: Gather, N: c.n, Me: c.me, Root: rootIdx}
 	if c.me != rootIdx {
-		m.batch(c).send(p, sbuf, sdt, scount, rootIdx, tag+c.me).wait(p, what)
+		m.walk(p, what, c, s, one(sbuf, sdt, scount), nil, tag, nil)
 		return
 	}
 	st := m.hold(c.n, recv, func(i int) int {
@@ -374,18 +386,7 @@ func (m *Rank) linearGather(p *sim.Proc, what string, c comm, rootIdx int, sbuf 
 		}
 		return 1
 	})
-	recv = st.over(recv)
-	b := m.batch(c)
-	for i := 0; i < c.n; i++ {
-		if i != rootIdx {
-			buf, dt, count := recv(i)
-			b.recv(buf, dt, count, i, tag+i)
-		}
-	}
-	if staged != nil {
-		staged()
-	}
-	b.wait(p, what)
+	m.walk(p, what, c, s, nil, st.over(recv), tag, staged)
 	m.unpackHeld(p, st)
 	m.release(st)
 }

@@ -155,13 +155,14 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	recvBuf mem.Buffer, rdt *datatype.Datatype, rcount int) {
 	size := m.Size()
 	node, leaders := m.nodeComm(), m.leaderComm(-1)
-	rpn, nnodes, lead := node.n, leaders.n, node.base
+	rpn, nnodes := node.n, leaders.n
 	B := int64(scount) * sdt.Size()
 	P := int64(size)
 
 	tagIn := tag
 	tagInter := tag + rpn
 	tagOut := tag + rpn + 1
+	scatter := Sched{Alg: Scatter, N: rpn, Me: node.me}
 
 	if node.me != 0 {
 		// Members hand their whole send buffer to the leader and receive
@@ -170,7 +171,7 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 		// same number of packed bytes.
 		sp := p.BeginBytes("coll.alltoall.intra", B*P)
 		m.linearGather(p, "Alltoall", node, 0, sendBuf, sdt, scount*size, nil, tagIn, nil)
-		m.recvBlock(p, "Alltoall", recvBuf, rdt, rcount*size, lead, tagOut+node.me)
+		m.walk(p, "Alltoall", node, scatter, nil, one(recvBuf, rdt, rcount*size), tagOut, nil)
 		sp.End()
 		return
 	}
@@ -202,18 +203,14 @@ func (m *Rank) hierAlltoall(p *sim.Proc, tag int, sendBuf mem.Buffer, sdt *datat
 	// Phase 3: hand each member its column of the receive stage, every
 	// column in flight at once while the leader copies its own.
 	colSpan := (P-1)*int64(rpn)*B + B
-	col := func(di int) (mem.Buffer, *datatype.Datatype) {
-		return recvStage.Slice(int64(di)*B, colSpan), views.col
+	col := func(di int) (mem.Buffer, *datatype.Datatype, int) {
+		return recvStage.Slice(int64(di)*B, colSpan), views.col, 1
 	}
 	sp = p.BeginBytes("coll.alltoall.intra", B*P*int64(rpn))
-	b := m.batch(node)
-	for di := 1; di < rpn; di++ {
-		src, hv := col(di)
-		b.send(p, src, hv, 1, di, tagOut+di)
-	}
-	src, hv := col(0)
-	m.localCopy(p, src, hv, 1, recvBuf, rdt, rcount*size)
-	b.wait(p, "Alltoall")
+	m.walk(p, "Alltoall", node, scatter, col, nil, tagOut, func() {
+		src, hv, _ := col(0)
+		m.localCopy(p, src, hv, 1, recvBuf, rdt, rcount*size)
+	})
 	sp.End()
 
 	m.give(recvStage)

@@ -72,6 +72,8 @@ type World struct {
 	a2aViews map[int64]alltoallViews // hierAlltoall's, by bytes per pair
 
 	groupSeq int // next Group id; each group owns its own tag block
+
+	sent func(from, to int, bytes int64) // sees every collective send; set by tests only
 }
 
 // hierarchy is the node grouping the topology-aware collectives run

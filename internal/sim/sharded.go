@@ -53,8 +53,8 @@ type ShardCtx struct {
 	now Time
 	cur ActorID // actor currently executing
 
-	heap  evQueue
-	inbox []Event // cross-shard arrivals, merged when the window closes
+	tables         // its queue is the shard's heap: a set off the table shelf, shelved when Run ends
+	inbox  []Event // cross-shard arrivals, merged when the window closes
 
 	events   int64
 	heapPeak int
@@ -91,7 +91,7 @@ func NewShardedEngine(shards int, lookahead Time) *ShardedEngine {
 	}
 	se := &ShardedEngine{lookahead: lookahead}
 	for i := 0; i < shards; i++ {
-		se.shards = append(se.shards, &ShardCtx{se: se, id: i})
+		se.shards = append(se.shards, &ShardCtx{se: se, id: i, tables: takeTables()})
 	}
 	return se
 }
@@ -133,7 +133,7 @@ func (se *ShardedEngine) Post(at Time, ev Event) {
 	ev.At = at
 	ev.pri = se.setupSeq
 	sh := se.shards[se.actorShard[ev.To]]
-	sh.heap.push(ev)
+	sh.queue.push(ev)
 }
 
 // Now returns the shard's local virtual clock (the timestamp of the
@@ -163,8 +163,8 @@ func (sc *ShardCtx) Post(d Time, ev Event) {
 	ev.pri = uint64(sc.cur+1)<<32 | uint64(seq)
 	ts := se.actorShard[ev.To]
 	if int(ts) == sc.id {
-		sc.heap.push(ev)
-		if n := sc.heap.Len(); n > sc.heapPeak {
+		sc.queue.push(ev)
+		if n := sc.queue.Len(); n > sc.heapPeak {
 			sc.heapPeak = n
 		}
 		return
@@ -191,13 +191,13 @@ func (sc *ShardCtx) Span(track, name string, start, end Time, bytes int64) {
 // Each stays at the root of the heap while its handler runs, so the
 // handler's first same-shard Post replaces it in one sift (evQueue).
 func (sc *ShardCtx) drain(end Time) {
-	for sc.heap.next() < end {
-		ev := sc.heap.peek()
+	for sc.queue.next() < end {
+		ev := sc.queue.peek()
 		sc.now = ev.At
 		sc.cur = ev.To
 		sc.events++
 		sc.se.handlers[ev.To].HandleEvent(sc, ev)
-		sc.heap.settle()
+		sc.queue.settle()
 	}
 }
 
@@ -206,7 +206,8 @@ func (sc *ShardCtx) drain(end Time) {
 // in index order, merge the inboxes, repeat. Each window advances T by
 // at least the lookahead, so the window count is bounded by the
 // simulated span divided by the lookahead. A handler's panic is the
-// caller's, handler frames on the stack. Run may be called at most once.
+// caller's, handler frames on the stack. Run may be called at most once;
+// when it returns, the shards' tables go back on the shelf.
 func (se *ShardedEngine) Run() {
 	if se.ran {
 		panic("sim: ShardedEngine.Run called twice")
@@ -215,11 +216,14 @@ func (se *ShardedEngine) Run() {
 	for {
 		T := timeMax
 		for _, sh := range se.shards {
-			if t := sh.heap.next(); t < T {
+			if t := sh.queue.next(); t < T {
 				T = t
 			}
 		}
 		if T == timeMax {
+			for _, sh := range se.shards {
+				shelveTables(&sh.tables)
+			}
 			return
 		}
 		end := T + se.lookahead
@@ -227,17 +231,17 @@ func (se *ShardedEngine) Run() {
 			end = timeMax // no other shard to hear from: the window is the run
 		}
 		for _, sh := range se.shards {
-			if sh.heap.next() < end {
+			if sh.queue.next() < end {
 				sh.drain(end)
 				se.now = sh.now
 			}
 		}
 		for _, sh := range se.shards {
 			for _, ev := range sh.inbox {
-				sh.heap.push(ev)
+				sh.queue.push(ev)
 			}
 			sh.inbox = sh.inbox[:0]
-			if n := sh.heap.Len(); n > sh.heapPeak {
+			if n := sh.queue.Len(); n > sh.heapPeak {
 				sh.heapPeak = n
 			}
 		}

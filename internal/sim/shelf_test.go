@@ -177,3 +177,23 @@ func TestTableShelfNamesNoEngine(t *testing.T) {
 		t.Errorf("the next engine took no shelved tables: queue capacity %d, process table capacity %d", cap(e.queue.s), cap(e.procs.at))
 	}
 }
+
+// TestShardedHeapsOnTheShelf: each shard of a ShardedEngine takes its
+// heap from the table shelf when it is made and puts it back when Run
+// ends, so the next modelled run grows no heap of its own.
+func TestShardedHeapsOnTheShelf(t *testing.T) {
+	const events = 1000
+	se := NewShardedEngine(2, Microsecond)
+	se.AddActor(0, twice{})
+	se.AddActor(1, twice{})
+	for i := range events {
+		se.Post(Time(i), Event{To: ActorID(i % 2)})
+	}
+	se.Run()
+	next := NewShardedEngine(2, Microsecond)
+	for i, sh := range next.shards {
+		if c := cap(sh.queue.s); c < events/2 {
+			t.Errorf("shard %d took a heap of capacity %d, want the %d slots a shard grew before", i, c, events/2)
+		}
+	}
+}

@@ -63,9 +63,9 @@ func (e *Engine) Reserve(c Capacity) {
 }
 
 // tableShelf keeps the tables of finished engines for the next ones,
-// as the carrier shelf keeps coroutines: an engine takes a set when it
-// is made and shelves it, emptied, when Run ends, so a simulation after
-// another grows none of them again. An Event holds no pointer, and the
+// as the carrier shelf keeps coroutines: an engine, or each shard of a
+// ShardedEngine, takes a set when it is made and shelves it, emptied,
+// when Run ends, so a simulation after another grows none of them again. An Event holds no pointer, and the
 // other tables are cleared before they are shelved, so a shelved set
 // names nothing of any engine. The shelf never holds more sets than
 // engines have held at once: a new one is made only when the shelf is
